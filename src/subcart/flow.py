@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
@@ -154,10 +155,47 @@ _D = (
 )
 
 
-def _initial_step(y: np.ndarray, f0: np.ndarray, rtol: float, atol: float, limit: float) -> float:
-    sk = atol + rtol * np.abs(y)
-    d0 = math.sqrt(float(np.mean((y / sk) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sk) ** 2)))
+def _pairwise_sum(a: list[float]) -> float:
+    """Sum of a float list in numpy's float64 pairwise order.
+
+    Below 8 terms the sum is sequential; up to 128 it runs eight interleaved
+    partial sums combined as a tree, then adds the tail; beyond that it
+    splits at a multiple of 8 near the middle and recurses.
+    """
+    n = len(a)
+    if n < 8:
+        s = 0.0
+        for x in a:
+            s += x
+        return s
+    if n <= 128:
+        r = a[:8]
+        m = n - n % 8
+        for i in range(8, m, 8):
+            r = [p + q for p, q in zip(r, a[i : i + 8])]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[m:]:
+            s += x
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+def _mean(a: list[float]) -> float:
+    """``np.mean`` of a float list, bit for bit: the reduction starts at 0.0."""
+    return (0.0 + _pairwise_sum(a)) / len(a)
+
+
+def _rms(v: list[float]) -> float:
+    """Root mean square, equal to ``math.sqrt(np.mean(np.square(v)))`` bit for bit."""
+    return math.sqrt(_mean([x * x for x in v]))
+
+
+def _initial_step(y: list[float], f0: list[float], rtol: float, atol: float, limit: float) -> float:
+    sk = [atol + rtol * abs(v) for v in y]
+    d0 = _rms([v / s for v, s in zip(y, sk)])
+    d1 = _rms([v / s for v, s in zip(f0, sk)])
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -165,94 +203,138 @@ def _initial_step(y: np.ndarray, f0: np.ndarray, rtol: float, atol: float, limit
     return min(h0, limit) if limit > 0 else h0
 
 
+class _Samples:
+    """Recorded (t, point) pairs, the points packed into one float buffer."""
+
+    def __init__(self, t0: float, p0: list[float]):
+        self.t = [t0]
+        self.x = array("d", p0)
+
+    def add(self, t: float, p: list[float]) -> None:
+        self.t.append(t)
+        self.x.extend(p)
+
+    def pairs(self) -> list[tuple[float, np.ndarray]]:
+        return list(zip(self.t, np.frombuffer(self.x).reshape(len(self.t), -1)))
+
+
 @dataclass
 class _DriveResult:
     t_end: float
-    y_end: np.ndarray
+    y_end: list[float]
     reached: bool
-    samples: list[tuple[float, np.ndarray]]
+    samples: _Samples
     exit_witness: Optional[ExitWitness]
     n_steps: int = 0
 
 
 def _drive(
-    f: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
+    f: Callable[[list[float]], list[float]],
+    x0: list[float],
     target: float,
     opts: FlowOptions,
-    member: Optional[Callable[[np.ndarray], bool]],
-    member_relaxed: Optional[Callable[[np.ndarray], bool]],
-    witness_info: Optional[Callable[[np.ndarray, np.ndarray], tuple]],
+    member: Optional[Callable[[list[float]], bool]],
+    member_relaxed: Optional[Callable[[list[float]], bool]],
+    witness_info: Optional[Callable[[list[float], list[float]], tuple]],
 ) -> _DriveResult:
-    """Integrate from x0 toward signed time ``target`` with membership exits."""
+    """Integrate from x0 toward signed time ``target`` with membership exits.
+
+    Every vector is a list of floats, and every component is computed with
+    the operations, in the order, of the whole-array expressions in the
+    comments, including the products with the tableau's zeros.  Sums of
+    stage derivatives start from 0.0; the error norm sums like ``np.mean``.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A[1:]
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    d1, d2, d3, d4, d5, d6, d7 = _D
+    rtol, atol = opts.rtol, opts.atol
     direction = 1.0 if target >= 0 else -1.0
     span = abs(target)
-    y = np.array(x0, dtype=float)
-    n = y.size
+    y = list(x0)
     t = 0.0
-    samples: list[tuple[float, np.ndarray]] = [(0.0, y.copy())]
+    samples = _Samples(0.0, y)
     if span == 0.0:
         return _DriveResult(0.0, y, True, samples, None)
     try:
         k1 = f(y)
     except DomainError:
-        raise IntegrationError(f"field undefined at basepoint {y.tolist()}") from None
-    h = direction * _initial_step(y, k1, opts.rtol, opts.atol, span)
+        raise IntegrationError(f"field undefined at basepoint {y}") from None
+    h = direction * _initial_step(y, k1, rtol, atol, span)
     n_steps = 0
 
     def guard_exit() -> _DriveResult:
-        witness = ExitWitness(t=t, point=tuple(float(v) for v in y), attained=True, guard=True)
+        witness = ExitWitness(t=t, point=tuple(y), attained=True, guard=True)
         return _DriveResult(t, y, False, samples, witness, n_steps)
 
     while True:
         n_steps += 1
         if n_steps > opts.max_steps:
-            raise IntegrationError(f"exceeded {opts.max_steps} steps at t={t}", t=t, samples=samples)
+            raise IntegrationError(f"exceeded {opts.max_steps} steps at t={t}", t=t,
+                                   samples=samples.pairs())
         landing = False
         remaining = target - t
         if abs(h) >= abs(remaining):
             h = remaining
             landing = True
 
-        # Stages; a domain-guard failure anywhere in the step means the step
-        # wandered out of the chart, so retry shorter.
+        # Stages y + h * sum_j A[i][j] * k[j]; a domain-guard failure anywhere
+        # in the step means the step wandered out of the chart, so retry shorter.
         try:
-            k = [k1]
-            for i in range(1, 7):
-                yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
-                k.append(f(yi))
-            ynew = yi  # stage 7 node is the step endpoint
+            k2 = f([a + h * (0.0 + a21 * c1) for a, c1 in zip(y, k1)])
+            k3 = f([a + h * (0.0 + a31 * c1 + a32 * c2) for a, c1, c2 in zip(y, k1, k2)])
+            k4 = f([a + h * (0.0 + a41 * c1 + a42 * c2 + a43 * c3)
+                    for a, c1, c2, c3 in zip(y, k1, k2, k3)])
+            k5 = f([a + h * (0.0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+                    for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
+            k6 = f([a + h * (0.0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
+                    for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
+            # the stage 7 node is the step endpoint
+            ynew = [a + h * (0.0 + a71 * c1 + a72 * c2 + a73 * c3 + a74 * c4 + a75 * c5 + a76 * c6)
+                    for a, c1, c2, c3, c4, c5, c6 in zip(y, k1, k2, k3, k4, k5, k6)]
+            k7 = f(ynew)
         except DomainError:
             h *= 0.5
             if abs(h) < opts.min_step:
                 return guard_exit()
             continue
 
-        err_vec = h * sum(_E[i] * k[i] for i in range(7))
-        sk = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(ynew))
-        err = math.sqrt(float(np.mean((err_vec / sk) ** 2)))
+        # err_vec / sk with err_vec = h * sum_i E[i] * k[i] and
+        # sk = atol + rtol * np.maximum(|y|, |ynew|), which propagates NaN
+        scaled = []
+        for a, b, c1, c2, c3, c4, c5, c6, c7 in zip(y, ynew, k1, k2, k3, k4, k5, k6, k7):
+            a, b = abs(a), abs(b)
+            scaled.append(h * (0.0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7)
+                          / (atol + rtol * (a if a > b or a != a else b)))
+        err = _rms(scaled)
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
             if abs(h) < opts.min_step:
-                raise IntegrationError(f"step size underflow at t={t}", t=t, samples=samples)
+                raise IntegrationError(f"step size underflow at t={t}", t=t, samples=samples.pairs())
             continue
 
-        ydiff = ynew - y
-        bspl = h * k[0] - ydiff
-        r4 = ydiff - h * k[6] - bspl
-        r5 = h * sum(_D[i] * k[i] for i in range(7))
+        # Per component: y, ydiff = ynew - y, bspl = h * k1 - ydiff,
+        # r4 = ydiff - h * k7 - bspl and r5 = h * sum_i D[i] * k[i].
+        coeffs = []
+        for a, b, c1, c2, c3, c4, c5, c6, c7 in zip(y, ynew, k1, k2, k3, k4, k5, k6, k7):
+            ydiff = b - a
+            bspl = h * c1 - ydiff
+            coeffs.append((a, ydiff, bspl, ydiff - h * c7 - bspl,
+                           h * (0.0 + d1 * c1 + d2 * c2 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7)))
 
-        def dense(theta: float) -> np.ndarray:
-            return y + theta * (ydiff + (1.0 - theta) * (bspl + theta * (r4 + (1.0 - theta) * r5)))
+        def dense(theta: float) -> list[float]:
+            u = 1.0 - theta
+            return [a + theta * (ydiff + u * (bspl + theta * (r4 + u * r5)))
+                    for a, ydiff, bspl, r4, r5 in coeffs]
 
         # The scan grid doubles as the sample grid, keeping recorded sample
         # spacing at or below max_sample_dt.
         n_sub = max(opts.interior_checks + 1, math.ceil(abs(h) / opts.max_sample_dt))
-        thetas = [i / n_sub for i in range(1, n_sub + 1)]
         theta_out = None
         theta_in = 0.0
-        passed: list[tuple[float, np.ndarray]] = []
-        for th in thetas:
+        passed: list[tuple[float, list[float]]] = []
+        for i in range(1, n_sub + 1):
+            th = i / n_sub
             p = dense(th)
             if member is not None and not member(p):
                 theta_out = th
@@ -261,11 +343,11 @@ def _drive(
             passed.append((th, p))
         if theta_out is None:
             for th, p in passed:
-                tt = target if (landing and th == thetas[-1]) else t + th * h
-                samples.append((tt, p))
+                tt = target if (landing and th == 1.0) else t + th * h
+                samples.add(tt, p)
             t = target if landing else t + h
             y = ynew
-            k1 = k[6]
+            k1 = k7
             if landing:
                 return _DriveResult(t, y, True, samples, None, n_steps)
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
@@ -274,7 +356,7 @@ def _drive(
 
         # Exit inside this step: bisect membership on the dense output.
         for th, p in passed:
-            samples.append((t + th * h, p))
+            samples.add(t + th * h, p)
         while (theta_out - theta_in) * abs(h) > opts.bisect_tol:
             mid = 0.5 * (theta_in + theta_out)
             if member(dense(mid)):
@@ -287,42 +369,32 @@ def _drive(
         info = witness_info(p_in, p_out) if witness_info is not None else (None, None, None)
         witness = ExitWitness(
             t=t + theta_out * h,
-            point=tuple(float(v) for v in p_out),
+            point=tuple(p_out),
             attained=attained,
             cell_index=info[0],
             constraint_index=info[1],
             constraint=info[2],
         )
         t_end = t + theta_in * h
-        if not samples or samples[-1][0] != t_end:
-            samples.append((t_end, p_in.copy()))
+        if samples.t[-1] != t_end:
+            samples.add(t_end, p_in)
         return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
-
-
-def _field_eval(fld: TangentField) -> Callable[[np.ndarray], np.ndarray]:
-    vf = fld._value
-
-    def f(y: np.ndarray) -> np.ndarray:
-        return np.array(vf(y.tolist()), dtype=float)
-
-    return f
 
 
 def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions, n_head: Optional[int] = None):
     if space is None:
         return None, None, None
 
-    def member(p: np.ndarray) -> bool:
-        q = p[:n_head] if n_head is not None else p
-        return space.contains(q.tolist())
+    def member(p: list[float]) -> bool:
+        return space.contains(p[:n_head] if n_head is not None else p)
 
-    def member_relaxed(p: np.ndarray) -> bool:
+    def member_relaxed(p: list[float]) -> bool:
         q = p[:n_head] if n_head is not None else p
-        return space.contains(q.tolist(), tol=space.tol * opts.attained_factor)
+        return space.contains(q, tol=space.tol * opts.attained_factor)
 
-    def witness_info(p_in: np.ndarray, p_out: np.ndarray) -> tuple:
-        q_in = (p_in[:n_head] if n_head is not None else p_in).tolist()
-        q_out = (p_out[:n_head] if n_head is not None else p_out).tolist()
+    def witness_info(p_in: list[float], p_out: list[float]) -> tuple:
+        q_in = p_in[:n_head] if n_head is not None else p_in
+        q_out = p_out[:n_head] if n_head is not None else p_out
         ci = space.member_cell(q_in)
         if ci is None:
             return None, None, None
@@ -357,11 +429,10 @@ def integrate(
         raise ValueError(f"horizon must be positive, got {h}")
     x0 = np.asarray(x0, dtype=float)
     space.require_member(x0, "basepoint")
-    f = _field_eval(fld)
     member, member_relaxed, witness_info = _membership(space, opts)
-    fwd = _drive(f, x0, h, opts, member, member_relaxed, witness_info)
-    bwd = _drive(f, x0, -h, opts, member, member_relaxed, witness_info)
-    samples = [(t, p) for t, p in reversed(bwd.samples) if t < 0.0] + fwd.samples
+    fwd = _drive(fld._value, x0.tolist(), h, opts, member, member_relaxed, witness_info)
+    bwd = _drive(fld._value, x0.tolist(), -h, opts, member, member_relaxed, witness_info)
+    samples = [(t, p) for t, p in reversed(bwd.samples.pairs()) if t < 0.0] + fwd.samples.pairs()
     return IntegralCurve(
         basepoint=x0,
         field_label=fld.label,
@@ -389,18 +460,17 @@ def flow_map(
         space.require_member(x0, "basepoint")
     if t == 0.0:
         return x0.copy()
-    f = _field_eval(fld)
     member, member_relaxed, witness_info = _membership(space, opts)
-    res = _drive(f, x0, float(t), opts, member, member_relaxed, witness_info)
+    res = _drive(fld._value, x0.tolist(), float(t), opts, member, member_relaxed, witness_info)
     if not res.reached:
         raise FlowDomainError(
             f"flow of {fld.label} from {x0.tolist()} leaves the space at "
             f"t={res.t_end:.6g}, requested t={t:.6g}",
             achieved_t=res.t_end,
-            partial_point=res.y_end,
+            partial_point=np.array(res.y_end),
             exit_witness=res.exit_witness,
         )
-    return res.y_end
+    return np.array(res.y_end)
 
 
 def transport_vector(
@@ -427,27 +497,23 @@ def transport_vector(
     v0 = y_field(x0)
     if t == 0.0:
         return x0.copy(), v0
-    base = _field_eval(x_field)
+    base = x_field._value
 
-    def joint(z: np.ndarray) -> np.ndarray:
+    def joint(z: list[float]) -> list[float]:
         y = z[:n]
-        v = z[n:]
-        dy = base(y)
-        dv = x_field.jacobian_at(y.tolist()) @ v
-        return np.concatenate([dy, dv])
+        return base(y) + (x_field.jacobian_at(y) @ np.array(z[n:])).tolist()
 
     member, member_relaxed, witness_info = _membership(space, opts, n_head=n)
-    z0 = np.concatenate([x0, v0])
-    res = _drive(joint, z0, float(t), opts, member, member_relaxed, witness_info)
+    res = _drive(joint, x0.tolist() + v0.tolist(), float(t), opts, member, member_relaxed, witness_info)
     if not res.reached:
         raise FlowDomainError(
             f"flow of {x_field.label} from {x0.tolist()} leaves the space at "
             f"t={res.t_end:.6g}, requested t={t:.6g}",
             achieved_t=res.t_end,
-            partial_point=res.y_end[:n],
+            partial_point=np.array(res.y_end[:n]),
             exit_witness=res.exit_witness,
         )
-    return res.y_end[:n], res.y_end[n:]
+    return np.array(res.y_end[:n]), np.array(res.y_end[n:])
 
 
 # Classification ---------------------------------------------------------------
