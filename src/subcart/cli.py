@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -825,6 +826,27 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 # Dispatch -----------------------------------------------------------------------
 
+def _positive_float(text: str) -> float:
+    """argparse type for horizons, step and time scales and radii: finite and positive."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -845,7 +867,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", parents=[common], help="integrate one field from a point")
     p.add_argument("--field", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--horizon", type=float, default=10.0)
+    p.add_argument("--horizon", type=_positive_float, default=10.0)
 
     p = sub.add_parser("classify", parents=[common], help="derivation vs vector field verdict")
     p.add_argument("--field", required=True)
@@ -860,7 +882,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="default")
     p.add_argument("--point", required=True)
     p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--step-scale", type=float, default=0.3)
+    p.add_argument("--step-scale", type=_positive_float, default=0.3)
 
     p = sub.add_parser("chart", parents=[common], help="chart differential with rank certificate")
     p.add_argument("--family", default="default")
@@ -871,8 +893,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="default")
     p.add_argument("--seeds", default="default", help="probe centers: seed set name or JSON file")
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--t-scale", type=float, default=1.0)
+    p.add_argument("--radius", type=_positive_float, default=1.0)
+    p.add_argument("--t-scale", type=_positive_float, default=1.0)
 
     p = sub.add_parser("strata", parents=[common], help="stratification checks")
     p.add_argument("--check", required=True, choices=["frontier", "tangency", "orbits"])
@@ -880,7 +902,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="default")
     p.add_argument("--seeds", default="default")
     p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--horizon", type=float, default=0.5)
+    p.add_argument("--horizon", type=_positive_float, default=0.5)
 
     p = sub.add_parser("poisson", parents=[common], help="bivector antisymmetry and Jacobi check")
     p.add_argument("--triples", type=int, default=50)
@@ -893,7 +915,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("leaf", parents=[common], help="Hamiltonian orbit with Casimir drift")
     p.add_argument("--point", required=True)
     p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--step-scale", type=float, default=0.3)
+    p.add_argument("--step-scale", type=_positive_float, default=0.3)
 
     p = sub.add_parser("acs", parents=[common], help="almost complex structure checks")
     p.add_argument("--check", required=True, choices=["torsion", "cr", "kahler"])
@@ -902,7 +924,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default=None)
     p.add_argument("--h", default=None)
     p.add_argument("--fields", default=None, help="comma separated field names")
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=_positive_int, default=25)
     p.add_argument("--point", default=None)
 
     return parser
@@ -934,9 +956,13 @@ def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, f
         if not isinstance(raw, dict):
             raise CliError("--tol-overrides must be a JSON object")
         for k, v in raw.items():
+            if k not in tol:
+                raise CliError(f"--tol-overrides[{k!r}] is not a tolerance; known: {sorted(tol)}")
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise CliError(f"--tol-overrides[{k!r}] must be a number")
-            tol[str(k)] = float(v)
+            if not (math.isfinite(v) and v > 0):
+                raise CliError(f"--tol-overrides[{k!r}] must be finite and positive, got {v!r}")
+            tol[k] = float(v)
     return tol
 
 

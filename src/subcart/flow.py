@@ -1,7 +1,11 @@
 """Maximal integral curves clipped to a constrained subset.
 
 The integrator is an adaptive Dormand-Prince 5(4) pair with a quartic dense
-interpolant.  Membership in the space is monitored along every accepted
+interpolant.  It runs on Python float lists, which cost far less than small
+numpy arrays for the state sizes here, and computes each component with the
+operations, in the order, of the whole-array numpy expressions, summing the
+error norm in numpy's pairwise order, so its results are bit-identical to a
+numpy stepper.  Membership in the space is monitored along every accepted
 step; on the first violation the exit time is located by bisection on the
 dense output down to 1e-12 in time.  Domain-guard failures inside the
 derivative (logs, roots, quotients) are treated as leaving the chart: the
@@ -160,7 +164,8 @@ def _pairwise_sum(a: list[float]) -> float:
 
     Below 8 terms the sum is sequential; up to 128 it runs eight interleaved
     partial sums combined as a tree, then adds the tail; beyond that it
-    splits at a multiple of 8 near the middle and recurses.
+    splits at a multiple of 8 near the middle and recurses.  The builtin
+    ``sum`` is no substitute: from Python 3.12 it compensates float sums.
     """
     n = len(a)
     if n < 8:

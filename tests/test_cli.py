@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -354,3 +355,56 @@ def test_bracket_command(capsys):
                        "--point", "0.3,0.9")
     assert code == 0
     assert rep["result"]["value"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["flow", "--scenario", "halfline", "--field", "ddx", "--point=0.5", "--horizon", "-1"], "--horizon"),
+    (["flow", "--scenario", "halfline", "--field", "ddx", "--point=0.5", "--horizon", "inf"], "--horizon"),
+    (["strata", "--check", "tangency", "--scenario", "cone", "--field", "rot", "--horizon", "nan"],
+     "--horizon"),
+    (["orbit", "--scenario", "translate_shear", "--point=0,0", "--step-scale", "nan"], "--step-scale"),
+    (["leaf", "--scenario", "reduction_r4", "--point=1,1,0,0", "--step-scale", "0"], "--step-scale"),
+    (["complete-probe", "--scenario", "rotation_plane", "--t-scale", "nan"], "--t-scale"),
+    (["complete-probe", "--scenario", "rotation_plane", "--radius", "-0.5"], "--radius"),
+    (["acs", "--check", "torsion", "--scenario", "acs_standard", "--x", "e1", "--y", "e3",
+      "--points", "0"], "--points"),
+])
+def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
+    # --horizon inf and --step-scale nan used to run the stepper to max_steps
+    argv = list(argv)
+    at = argv.index("--scenario") + 1
+    argv[at] = scenario_path(argv[at])
+    t0 = time.perf_counter()
+    code, report, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert report == {}
+    assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ('{"rtoll": 1e-9}', "rtoll"),
+    ('{"rtol": NaN}', "rtol"),
+    ('{"atol": Infinity}', "atol"),
+    ('{"rtol": -1}', "rtol"),
+    ('{"drift": 0}', "drift"),
+])
+def test_bad_tolerance_override_exits_2(capsys, overrides, key):
+    code, report, err = run(capsys, "flow", "--scenario", scenario_path("disk_line"),
+                            "--field", "ddx", "--point=0.1,0.5", "--tol-overrides", overrides)
+    assert code == 2
+    assert report == {}
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_scenario_tolerance_key_can_be_overridden(tmp_path, capsys):
+    doc = json.loads(open(scenario_path("halfline"), encoding="utf-8").read())
+    doc["tolerances"] = {"probe_extra": 0.5}
+    p = tmp_path / "extra_tol.json"
+    p.write_text(json.dumps(doc))
+    code, rep, _ = run(capsys, "flow", "--scenario", str(p), "--field", "ddx", "--point=0.5",
+                       "--horizon", "1", "--tol-overrides", '{"probe_extra": 0.25}')
+    assert code == 0
+    assert rep["tolerances"]["probe_extra"] == 0.25

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcart.flow import (
     FlowDomainError,
@@ -17,6 +20,7 @@ from subcart.flow import (
     integrate,
     transport_vector,
 )
+from subcart.flow import _initial_step, _mean, _rms
 from subcart.space import SubcartesianSpace
 
 from conftest import disk_line, halfline, make_field, punctured_plane, unit_circle
@@ -227,3 +231,56 @@ def test_classify_not_locally_closed_uses_interval_shrinkage():
     assert verdict.witness["interval_radius"] > verdict.witness["level_radius"]
     ok = classify_vector_field(dl, make_field("ddy_scaled", ["0", "x2"], 2), probe)
     assert ok.classification != "NotVectorField"
+
+
+# The stepper's list arithmetic must match the numpy expressions it replaced
+# bit for bit; lengths up to 40 cross numpy's 8-lane pairwise summation block.
+
+_FLOATS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e-9, 1e-9),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_VECTORS = st.lists(_FLOATS, min_size=1, max_size=40)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS)
+def test_list_mean_and_rms_match_numpy_bitwise(v):
+    with np.errstate(all="ignore"):
+        want_mean = float(np.mean(np.asarray(v)))
+        want_rms = math.sqrt(float(np.mean(np.asarray(v) ** 2)))
+    assert _bits(_mean(v)) == _bits(want_mean)
+    assert _bits(_rms(v)) == _bits(want_rms)
+
+
+def _numpy_initial_step(y, f0, rtol, atol, limit):
+    y = np.asarray(y, dtype=float)
+    f0 = np.asarray(f0, dtype=float)
+    sk = atol + rtol * np.abs(y)
+    d0 = math.sqrt(float(np.mean((y / sk) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0 / sk) ** 2)))
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    return min(h0, limit) if limit > 0 else h0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(_FLOATS, min_size=n, max_size=n), st.lists(_FLOATS, min_size=n, max_size=n))),
+    st.floats(1e-13, 1e-3),
+    st.floats(1e-15, 1e-6),
+    st.floats(0.0, 100.0),
+)
+def test_list_initial_step_matches_numpy_bitwise(yf, rtol, atol, limit):
+    y, f0 = yf
+    with np.errstate(all="ignore"):
+        want = _numpy_initial_step(y, f0, rtol, atol, limit)
+    assert _bits(_initial_step(y, f0, rtol, atol, limit)) == _bits(want)
