@@ -960,7 +960,8 @@ def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, f
                 raise CliError(f"--tol-overrides[{k!r}] is not a tolerance; known: {sorted(tol)}")
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise CliError(f"--tol-overrides[{k!r}] must be a number")
-            if not (math.isfinite(v) and v > 0):
+            # compares a huge JSON integer without converting it, NaN fails
+            if not 0 < v <= sys.float_info.max:
                 raise CliError(f"--tol-overrides[{k!r}] must be finite and positive, got {v!r}")
             tol[k] = float(v)
     return tol

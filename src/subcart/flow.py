@@ -308,9 +308,9 @@ def _drive(
         # sk = atol + rtol * np.maximum(|y|, |ynew|), which propagates NaN
         scaled = []
         for a, b, c1, c2, c3, c4, c5, c6, c7 in zip(y, ynew, k1, k2, k3, k4, k5, k6, k7):
-            a, b = abs(a), abs(b)
+            ya, yb = abs(a), abs(b)
             scaled.append(h * (0.0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7)
-                          / (atol + rtol * (a if a > b or a != a else b)))
+                          / (atol + rtol * (ya if ya > yb or ya != ya else yb)))
         err = _rms(scaled)
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
@@ -435,8 +435,9 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     space.require_member(x0, "basepoint")
     member, member_relaxed, witness_info = _membership(space, opts)
-    fwd = _drive(fld._value, x0.tolist(), h, opts, member, member_relaxed, witness_info)
-    bwd = _drive(fld._value, x0.tolist(), -h, opts, member, member_relaxed, witness_info)
+    start = x0.tolist()
+    fwd = _drive(fld._value, start, h, opts, member, member_relaxed, witness_info)
+    bwd = _drive(fld._value, start, -h, opts, member, member_relaxed, witness_info)
     samples = [(t, p) for t, p in reversed(bwd.samples.pairs()) if t < 0.0] + fwd.samples.pairs()
     return IntegralCurve(
         basepoint=x0,

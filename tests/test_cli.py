@@ -389,6 +389,7 @@ def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     ('{"atol": Infinity}', "atol"),
     ('{"rtol": -1}', "rtol"),
     ('{"drift": 0}', "drift"),
+    ('{"rtol": 1' + "0" * 400 + "}", "rtol"),
 ])
 def test_bad_tolerance_override_exits_2(capsys, overrides, key):
     code, report, err = run(capsys, "flow", "--scenario", scenario_path("disk_line"),

@@ -10,7 +10,7 @@ from subcart.flow import FlowOptions, flow_map, transport_vector
 
 from conftest import make_field, scenario_path
 
-integrate_ivp = pytest.importorskip("scipy.integrate")
+scipy_integrate = pytest.importorskip("scipy.integrate")
 
 # scipy runs the same Dormand-Prince pair with its own step control, at a
 # tighter tolerance than flow_map's defaults (rtol 1e-9, atol 1e-12)
@@ -25,7 +25,7 @@ def _oscillator():
 
 
 def _solve_ivp(fld, x0, t):
-    sol = integrate_ivp.solve_ivp(lambda _t, y: fld.value(y.tolist()), (0.0, t), x0,
+    sol = scipy_integrate.solve_ivp(lambda _t, y: fld.value(y.tolist()), (0.0, t), x0,
                                   method="RK45", rtol=1e-11, atol=1e-13)
     assert sol.success
     return sol.y[:, -1]
