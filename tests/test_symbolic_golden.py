@@ -1,0 +1,71 @@
+"""Golden bytes of the symbolic commands.
+
+Each case pins the sha256 of the canonical report of one small CLI run of a
+command that builds and differentiates expression trees without calling the
+integrator: Jacobi checks, reduction, Lie brackets, almost complex structure
+checks and the frontier condition.  A change to differentiation, constant
+folding or codegen that moves a single bit of a residual, a printed
+component or a fitted bivector shows up here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from subcart.cli import main
+
+from conftest import scenario_path
+
+_POINT4 = "--point=0.3,-0.2,0.5,0.1"
+
+# (name, argv with the scenario name in place of its path, exit code, sha256 of stdout)
+GOLDEN = [
+    ("poisson-reduction_r4", ["poisson", "--scenario", "reduction_r4", "--triples", "8",
+                              "--points", "5", "--seed", "11"],
+     0, "ecc1114efb4e4728770c696f36a2f7a23a31ee49c673249b61539ff3bfa4bad2"),
+    ("poisson-jacobi_control", ["poisson", "--scenario", "jacobi_control", "--triples", "4",
+                                "--points", "3", "--seed", "12"],
+     1, "47bfcce6fa40e06b6d08436c575745470cf824ad6286ea24d907a921c7f87e71"),
+    ("poisson-canonical_r2", ["poisson", "--scenario", "canonical_r2", "--triples", "6",
+                              "--points", "4", "--scale", "2", "--seed", "13"],
+     0, "10f01f02eff04725e2b2c9621a606ba477990626026bf93c5693967457525f3f"),
+    ("reduce-reduction_r4", ["reduce", "--scenario", "reduction_r4", "--seed", "14"],
+     0, "8f4c84f8222d392bb877f03cc056e450bca169eae4ca44dfa089224ca6915f81"),
+    ("bracket-translate_shear", ["bracket", "--scenario", "translate_shear", "--x", "ddx",
+                                 "--y", "xddy", "--point=0.3,-0.7"],
+     0, "62bf20f9fe48c22c56c555bffe6735fe3cb70d0073572143aa8c408da6aeb3df"),
+    ("bracket-cone-ddz", ["bracket", "--scenario", "cone", "--x", "ddz", "--y", "rot",
+                          "--point=-0.5,0.2,0.9"],
+     0, "c402ffbca77673fbe8c9775139335e17f76201cbe7a363ae5944f1a8038d96bc"),
+    ("bracket-cone", ["bracket", "--scenario", "cone", "--x", "rot", "--y", "euler",
+                      "--point=0.6,0.8,1.0"],
+     0, "626adf9fc63e2c5bea6e5c09108c25e3dcc5481074cb6841793075b558c3851d"),
+    ("acs-torsion-acs_variable", ["acs", "--check", "torsion", "--scenario", "acs_variable",
+                                  "--x", "e1", "--y", "e3", "--points", "5", _POINT4,
+                                  "--seed", "15"],
+     0, "3cd0381d7c58b5b3d1d3747c5ca44f85897b550cd416ab9a6d2d9b25d4c3ab1b"),
+    ("acs-torsion-acs_standard", ["acs", "--check", "torsion", "--scenario", "acs_standard",
+                                  "--x", "e1", "--y", "e2", "--points", "5", _POINT4,
+                                  "--seed", "16"],
+     0, "58ea7b2ddf023998330d2a0057f683e86f076f8db50826b9c4ad435954f41373"),
+    ("acs-cr", ["acs", "--check", "cr", "--scenario", "acs_standard", "--f", "x1^2 - x3^2",
+                "--h", "2*x1*x3", "--points", "5", "--seed", "17"],
+     0, "f57562d3296543830f86517d485aa9a3d776d144e99faf19509bd90ec4c61081"),
+    ("acs-kahler", ["acs", "--check", "kahler", "--scenario", "acs_standard", "--points", "5",
+                    "--seed", "18"],
+     0, "b1349a72ad485c6fc1340ef725d23ef00a222446529fcb37ba41d1132a645643"),
+    ("strata-frontier", ["strata", "--check", "frontier", "--scenario", "cone", "--seed", "19"],
+     0, "2ea2974d758b14e359aac3221c4e7ec6e8b4c0d95183e4f38700f2d669a059a6"),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_report(capsys, name, argv, code, digest):
+    argv = list(argv)
+    at = argv.index("--scenario") + 1
+    argv[at] = scenario_path(argv[at])
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
