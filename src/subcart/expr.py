@@ -4,6 +4,10 @@ Expressions are immutable trees built from constants, coordinate variables,
 sums, products, quotients, integer powers, a fixed set of smooth unary
 functions, and a smooth one-sided cutoff family used to build bump functions
 with exact zeros.  Differentiation is exact and closed over the node set.
+Every node carries the bitmask of the variables it uses, and ``diff`` is
+memoised per node and variable: a subtree shared by many trees is
+differentiated once, and a derivative with respect to a variable the node
+does not use is the shared ``ZERO`` without recursion.
 Evaluation is deterministic: identical trees evaluated at identical points
 give bit-identical floats, and points outside a function's domain raise
 ``DomainError`` instead of producing NaN.
@@ -32,9 +36,14 @@ _UNARY_NAMES = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 
 class Expr:
-    """Immutable expression node. Subclasses define structure via ``key()``."""
+    """Immutable expression node. Subclasses define structure via ``key()``.
 
-    __slots__ = ("_hash", "_grads", "_compiled")
+    ``_mask`` has bit i set when the node uses x{i+1}; it is set at
+    construction.  ``_diffs`` maps a variable index to the node's derivative
+    and lives as long as the node.
+    """
+
+    __slots__ = ("_hash", "_mask", "_diffs", "_compiled")
 
     def key(self) -> tuple:
         raise NotImplementedError
@@ -109,6 +118,7 @@ class Const(Expr):
 
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
+        object.__setattr__(self, "_mask", 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -124,6 +134,7 @@ class Var(Expr):
         if index < 0:
             raise ExprError(f"variable index must be nonnegative, got {index}")
         object.__setattr__(self, "index", int(index))
+        object.__setattr__(self, "_mask", 1 << self.index)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -139,6 +150,7 @@ class _Binary(Expr):
     def __init__(self, left: Expr, right: Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_mask", left._mask | right._mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -168,6 +180,7 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: int):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", int(exponent))
+        object.__setattr__(self, "_mask", base._mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -181,6 +194,7 @@ class Neg(Expr):
 
     def __init__(self, operand: Expr):
         object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "_mask", operand._mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -199,6 +213,7 @@ class Fn(Expr):
             raise ExprError(f"unknown function {name!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "_mask", operand._mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -223,6 +238,7 @@ class Cut(Expr):
             raise ExprError(f"cutoff shift must be nonnegative, got {shift}")
         object.__setattr__(self, "shift", int(shift))
         object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "_mask", operand._mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -369,11 +385,33 @@ def _eval(e: Expr, x: Sequence[float]) -> float:
 # Differentiation ------------------------------------------------------------
 
 def diff(e: Expr, var: int) -> Expr:
-    """Exact partial derivative with respect to coordinate ``var`` (0-based)."""
-    if isinstance(e, (Const,)):
+    """Exact partial derivative with respect to coordinate ``var`` (0-based).
+
+    Memoised on the node, so repeated calls return the same object and a
+    subtree shared by several trees is differentiated once.  When ``e`` does
+    not use ``var`` the result is the shared ``ZERO`` without recursion.  A
+    tree walk would have built such a derivative from its children's, and
+    could end with ``Const(-0.0)`` (from ``neg(ZERO)`` or ``0.0/c`` with
+    ``c < 0``); every other derivative is the same tree either way.  ``add``,
+    ``mul`` and ``div`` absorb both zeros alike and reports print either as
+    ``0``, so the sign of a zero derivative reaches no report.
+    """
+    if not e._mask >> var & 1:
         return ZERO
+    memo = getattr(e, "_diffs", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(e, "_diffs", memo)
+    d = memo.get(var)
+    if d is None:
+        d = memo[var] = _diff(e, var)
+    return d
+
+
+def _diff(e: Expr, var: int) -> Expr:
+    """One differentiation step; ``e`` uses ``var``, children go through ``diff``."""
     if isinstance(e, Var):
-        return ONE if e.index == var else ZERO
+        return ONE
     if isinstance(e, Add):
         return add(diff(e.left, var), diff(e.right, var))
     if isinstance(e, Mul):
@@ -411,31 +449,13 @@ def diff(e: Expr, var: int) -> Expr:
 
 
 def gradient_exprs(e: Expr, n_vars: int) -> tuple[Expr, ...]:
-    """Partial derivatives of ``e`` with respect to x1..xn, cached on the node."""
-    cache = getattr(e, "_grads", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(e, "_grads", cache)
-    got = cache.get(n_vars)
-    if got is None:
-        got = tuple(diff(e, i) for i in range(n_vars))
-        cache[n_vars] = got
-    return got
+    """Partial derivatives of ``e`` with respect to x1..xn."""
+    return tuple(diff(e, i) for i in range(n_vars))
 
 
 def max_var_index(e: Expr) -> int:
     """Largest variable index appearing in ``e``, or -1 for constants."""
-    if isinstance(e, Const):
-        return -1
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, _Binary):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    if isinstance(e, (Neg, Fn, Cut)):
-        return max_var_index(e.operand)
-    raise ExprError(f"unknown node {e!r}")
+    return e._mask.bit_length() - 1
 
 
 # Jets ------------------------------------------------------------------------
