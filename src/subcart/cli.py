@@ -827,7 +827,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
 # Dispatch -----------------------------------------------------------------------
 
 def _positive_float(text: str) -> float:
-    """argparse type for horizons, step and time scales and radii: finite and positive."""
+    """argparse type for horizons, step, time and sample scales and radii: finite and positive."""
     try:
         v = float(text)
     except ValueError:
@@ -892,7 +892,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete-probe", parents=[common], help="local completeness probe")
     p.add_argument("--family", default="default")
     p.add_argument("--seeds", default="default", help="probe centers: seed set name or JSON file")
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--n", type=_positive_int, default=20)
     p.add_argument("--radius", type=_positive_float, default=1.0)
     p.add_argument("--t-scale", type=_positive_float, default=1.0)
 
@@ -905,9 +905,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_positive_float, default=0.5)
 
     p = sub.add_parser("poisson", parents=[common], help="bivector antisymmetry and Jacobi check")
-    p.add_argument("--triples", type=int, default=50)
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--triples", type=_positive_int, default=50)
+    p.add_argument("--points", type=_positive_int, default=10)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.add_argument("--reduce", action="store_true", help="run the reduction instead")
 
     p = sub.add_parser("reduce", parents=[common], help="invariant-based reduction")

@@ -368,6 +368,13 @@ def test_bracket_command(capsys):
     (["complete-probe", "--scenario", "rotation_plane", "--radius", "-0.5"], "--radius"),
     (["acs", "--check", "torsion", "--scenario", "acs_standard", "--x", "e1", "--y", "e3",
       "--points", "0"], "--points"),
+    # a bivector that breaks Jacobi used to pass with no triples or no scale
+    (["poisson", "--scenario", "jacobi_control", "--triples", "0"], "--triples"),
+    (["poisson", "--scenario", "jacobi_control", "--triples", "-3"], "--triples"),
+    (["poisson", "--scenario", "jacobi_control", "--scale", "nan"], "--scale"),
+    (["poisson", "--scenario", "jacobi_control", "--scale", "0"], "--scale"),
+    (["poisson", "--scenario", "canonical_r2", "--points", "0"], "--points"),
+    (["complete-probe", "--scenario", "rotation_plane", "--n", "0"], "--n"),
 ])
 def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     # --horizon inf and --step-scale nan used to run the stepper to max_steps
