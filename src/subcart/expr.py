@@ -389,12 +389,11 @@ def diff(e: Expr, var: int) -> Expr:
 
     Memoised on the node, so repeated calls return the same object and a
     subtree shared by several trees is differentiated once.  When ``e`` does
-    not use ``var`` the result is the shared ``ZERO`` without recursion.  A
-    tree walk would have built such a derivative from its children's, and
-    could end with ``Const(-0.0)`` (from ``neg(ZERO)`` or ``0.0/c`` with
-    ``c < 0``); every other derivative is the same tree either way.  ``add``,
-    ``mul`` and ``div`` absorb both zeros alike and reports print either as
-    ``0``, so the sign of a zero derivative reaches no report.
+    not use ``var`` the result is the shared ``ZERO`` without recursion,
+    never the ``Const(-0.0)`` that combining the children's derivatives can
+    give (``neg(ZERO)``, or ``0.0/c`` with ``c < 0``).  ``add``, ``mul`` and
+    ``div`` absorb either zero alike and reports print both as ``0``, so the
+    sign of a zero derivative reaches no report.
     """
     if not e._mask >> var & 1:
         return ZERO

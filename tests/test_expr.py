@@ -9,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcart.expr import (
+    ONE,
+    ZERO,
+    Add,
     Const,
+    Cut,
+    Div,
     DomainError,
+    Expr,
     ExprError,
+    Fn,
+    Mul,
+    Neg,
     ParseError,
+    Pow,
     Var,
     add,
     as_expr,
@@ -226,3 +236,175 @@ def test_compile_vector_matches_scalars():
     pt = (0.8, -0.3)
     got = v(pt)
     assert got == [compile_scalar(e)(pt) for e in es]
+
+
+# Memoised differentiation and variable masks --------------------------------
+
+def _reference_diff(e, var):
+    """Unmemoised tree-walk derivative: every child is differentiated every time."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.index == var else ZERO
+    if isinstance(e, Add):
+        return add(_reference_diff(e.left, var), _reference_diff(e.right, var))
+    if isinstance(e, Mul):
+        return add(mul(_reference_diff(e.left, var), e.right),
+                   mul(e.left, _reference_diff(e.right, var)))
+    if isinstance(e, Div):
+        num = sub(mul(_reference_diff(e.left, var), e.right),
+                  mul(e.left, _reference_diff(e.right, var)))
+        return div(num, pow_int(e.right, 2))
+    if isinstance(e, Pow):
+        inner = _reference_diff(e.base, var)
+        return mul(mul(Const(e.exponent), pow_int(e.base, e.exponent - 1)), inner)
+    if isinstance(e, Neg):
+        return neg(_reference_diff(e.operand, var))
+    if isinstance(e, Fn):
+        u = e.operand
+        du = _reference_diff(u, var)
+        outer = {
+            "sin": lambda: fn("cos", u),
+            "cos": lambda: neg(fn("sin", u)),
+            "exp": lambda: fn("exp", u),
+            "log": lambda: div(ONE, u),
+            "sqrt": lambda: div(ONE, mul(Const(2.0), fn("sqrt", u))),
+            "tanh": lambda: sub(ONE, pow_int(fn("tanh", u), 2)),
+        }[e.name]()
+        return mul(outer, du)
+    if isinstance(e, Cut):
+        u = e.operand
+        du = _reference_diff(u, var)
+        return mul(sub(cut(e.shift + 2, u), mul(Const(e.shift), cut(e.shift + 1, u))), du)
+    raise AssertionError(f"unknown node {e!r}")
+
+
+def _reference_max_var_index(e):
+    if isinstance(e, Const):
+        return -1
+    if isinstance(e, Var):
+        return e.index
+    if isinstance(e, (Add, Mul, Div)):
+        return max(_reference_max_var_index(e.left), _reference_max_var_index(e.right))
+    if isinstance(e, Pow):
+        return _reference_max_var_index(e.base)
+    return _reference_max_var_index(e.operand)
+
+
+N_TREE_VARS = 3
+_leaf_consts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 3.0])
+
+
+def _safe_div(a, b):
+    # the smart constructor rejects a constant zero denominator; the raw node does not
+    return Div(a, b) if isinstance(b, Const) and b.value == 0.0 else div(a, b)
+
+
+_BINARY = [Add, Mul, Div, add, mul, _safe_div, sub]
+_UNARY = (
+    [lambda u, name=name: Fn(name, u) for name in ("sin", "cos", "exp", "log", "sqrt", "tanh")]
+    + [Neg, neg, lambda u: Pow(u, 2), lambda u: Pow(u, 3), lambda u: pow_int(u, 2)]
+    + [lambda u, k=k: Cut(k, u) for k in (0, 1, 2)]
+)
+
+
+@st.composite
+def expr_trees(draw, depth=4):
+    """Trees over every node kind, built with raw nodes and smart constructors alike,
+    so signed zero constants and constant subtrees survive inside them."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 2)):
+            return Var(draw(st.integers(0, N_TREE_VARS - 1)))
+        return Const(draw(_leaf_consts))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_UNARY))(draw(expr_trees(depth=depth - 1)))
+    build = draw(st.sampled_from(_BINARY))
+    return build(draw(expr_trees(depth=depth - 1)), draw(expr_trees(depth=depth - 1)))
+
+
+_tree_points = st.lists(
+    st.tuples(*[st.sampled_from([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0])] * N_TREE_VARS),
+    min_size=1, max_size=4,
+)
+
+
+def _outcome(e, point):
+    """Value, or the exception class, of the compiled expression at a point."""
+    try:
+        v = compile_scalar(e)(point)
+    except (DomainError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(v) else v
+
+
+@given(expr_trees(), st.integers(0, N_TREE_VARS), _tree_points)
+@settings(max_examples=300, deadline=None)
+def test_memoised_diff_matches_tree_walk(e, var, points):
+    def build(differentiate):
+        try:
+            return differentiate(e, var)
+        except DomainError:
+            return DomainError
+
+    got, want = build(diff), build(_reference_diff)
+    if want is DomainError:
+        # Both fail on d/u^2 for a quotient by a zero constant u whose
+        # numerator uses var; the walk also fails on 1/u for log(u) and on
+        # such quotients where nothing uses var.  That node makes e itself
+        # fail at every point.
+        for p in points:
+            assert _outcome(e, p) is DomainError
+        return
+    assert got is not DomainError
+    assert diff(e, var) is got
+    # key() treats 0.0 and -0.0 as equal: a derivative that is identically
+    # zero may come back from the walk as Const(-0.0)
+    assert got.key() == want.key()
+    if isinstance(want, Const):
+        assert got.value == want.value
+    for p in points:
+        # outcomes compare under ==, so a signed zero counts as 0
+        assert _outcome(got, p) == _outcome(want, p)
+
+
+@given(expr_trees())
+@settings(max_examples=200, deadline=None)
+def test_max_var_index_matches_tree_walk(e):
+    assert max_var_index(e) == _reference_max_var_index(e)
+
+
+def test_diff_of_absent_variable_is_shared_zero():
+    e = parse("sin(x1)*x2 + x1^2", 3)
+    assert diff(e, 2) is ZERO
+    assert gradient_exprs(e, 3)[2] is ZERO
+    assert diff(e, 0) is gradient_exprs(e, 3)[0]
+    # no variable at all: a negative zero constant differentiates to ZERO too
+    assert diff(Neg(Const(-0.0)), 0) is ZERO
+
+
+def _distinct_nodes(e):
+    seen: dict[int, Expr] = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        for attr in ("left", "right", "base", "operand"):
+            child = getattr(node, attr, None)
+            if isinstance(child, Expr):
+                stack.append(child)
+    return len(seen)
+
+
+def test_diff_of_shared_dag_is_linear():
+    # e has 21 distinct nodes but 2^20 leaves as a tree: a derivative that
+    # revisits shared children makes about 2^20 diff calls and as many nodes
+    depth = 20
+    e = Var(0)
+    for _ in range(depth):
+        e = mul(e, e)
+    n_nodes = _distinct_nodes(diff(e, 0))  # a count, so a failure does not print the tree
+    assert n_nodes <= 4 * depth
+    assert max_var_index(e) == 0
+    assert diff(e, 1) is ZERO
