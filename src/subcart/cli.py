@@ -12,7 +12,8 @@ significant digit floats, no timestamps) and optionally writes artifacts to
 identical inputs and --seed are byte-identical.
 
 Exit codes: 0 for PASS-type outcomes (including honest Inconclusive), 1 for
-certified failures or witnesses, 2 for usage, IO, or schema errors.
+certified failures or witnesses, 2 for usage, IO, or schema errors and for
+any unexpected exception, reported as one ``internal error:`` line.
 
 The environment variable SUBCART_THREADS is accepted as a worker cap for
 compatibility; evaluation is sequential either way, so it has no effect on
@@ -142,7 +143,10 @@ def _want_int(v, path):
 def _want_float(v, path) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SchemaError(path, "number out of the float range") from None
 
 
 def _want_point(v, n, path) -> list[float]:
@@ -452,7 +456,10 @@ def load_scenario(path: str) -> Scenario:
 
     tolerances: dict[str, float] = {}
     for key, v in sorted(_want_dict(raw.get("tolerances", {}), "$.tolerances").items()):
-        tolerances[_want_str(key, "$.tolerances")] = _want_float(v, f"$.tolerances.{key}")
+        path = f"$.tolerances.{_want_str(key, '$.tolerances')}"
+        tolerances[key] = _want_float(v, path)
+        if not 0 < tolerances[key] < math.inf:
+            raise SchemaError(path, f"must be finite and positive, got {v!r}")
 
     return Scenario(
         name=name,
@@ -685,6 +692,9 @@ def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
         p, n_triples=args.triples, n_points=args.points,
         scale=args.scale, rng_seed=args.seed,
     )
+    if not (math.isfinite(anti) and math.isfinite(jac)):
+        raise CliError(f"residuals are not finite at --scale {args.scale:g} (antisymmetry {anti}, "
+                       f"jacobi {jac}); choose a smaller --scale")
     passed = anti <= tol["antisymmetry"] and jac <= tol["jacobi"]
     result = {
         "label": p.label,
@@ -987,6 +997,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sc = load_scenario(args.scenario)
         tol = _effective_tolerances(sc, args.tol_overrides)
         result, code = _HANDLERS[args.command](sc, args, tol)
+        report = {
+            "command": args.command,
+            "scenario": {"name": sc.name, "sha256": sc.sha256},
+            "seed": args.seed,
+            "tolerances": tol,
+            "result": result,
+        }
+        text = canonical_json(report) + "\n"
+        sys.stdout.write(text)
+        if args.out and args.out.endswith(".json"):
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -1002,19 +1024,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-
-    report = {
-        "command": args.command,
-        "scenario": {"name": sc.name, "sha256": sc.sha256},
-        "seed": args.seed,
-        "tolerances": tol,
-        "result": result,
-    }
-    text = canonical_json(report) + "\n"
-    sys.stdout.write(text)
-    if args.out and args.out.endswith(".json"):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    except Exception as exc:
+        # a defect, not a verdict: exit 1 stays reserved for certified failures
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return EXIT_USAGE
     return code
 
 

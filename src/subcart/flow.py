@@ -6,10 +6,13 @@ numpy arrays for the state sizes here, and computes each component with the
 operations, in the order, of the whole-array numpy expressions, summing the
 error norm in numpy's pairwise order, so its results are bit-identical to a
 numpy stepper.  Membership in the space is monitored along every accepted
-step; on the first violation the exit time is located by bisection on the
-dense output down to 1e-12 in time.  Domain-guard failures inside the
-derivative (logs, roots, quotients) are treated as leaving the chart: the
-step is retried at half size down to 1e-14, then the curve ends.
+step at evenly spaced points of the dense output, which double as the
+recorded samples: one loop evaluates the interpolant, calls the space's
+generated membership predicate and records each point that passes.  On the
+first violation the exit time is located by bisection on the dense output
+down to 1e-12 in time.  Domain-guard failures inside the derivative (logs,
+roots, quotients) are treated as leaving the chart: the step is retried at
+half size down to 1e-14, then the curve ends.
 
 An exit comes in two flavours.  When the limit point still satisfies the
 membership predicate under a relaxed tolerance the interval endpoint is
@@ -215,12 +218,15 @@ class _Samples:
         self.t = [t0]
         self.x = array("d", p0)
 
-    def add(self, t: float, p: list[float]) -> None:
-        self.t.append(t)
-        self.x.extend(p)
-
     def pairs(self) -> list[tuple[float, np.ndarray]]:
         return list(zip(self.t, np.frombuffer(self.x).reshape(len(self.t), -1)))
+
+
+def _dense(coeffs: list[tuple[float, ...]], theta: float) -> list[float]:
+    """The quartic interpolant at ``theta`` in [0, 1] of a step, from its per-component coefficients."""
+    u = 1.0 - theta
+    return [a + theta * (ydiff + u * (bspl + theta * (r4 + u * r5)))
+            for a, ydiff, bspl, r4, r5 in coeffs]
 
 
 @dataclass
@@ -259,6 +265,7 @@ def _drive(
     y = list(x0)
     t = 0.0
     samples = _Samples(0.0, y)
+    sample_t, sample_x = samples.t, samples.x
     if span == 0.0:
         return _DriveResult(0.0, y, True, samples, None)
     try:
@@ -327,29 +334,24 @@ def _drive(
             coeffs.append((a, ydiff, bspl, ydiff - h * c7 - bspl,
                            h * (0.0 + d1 * c1 + d2 * c2 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7)))
 
-        def dense(theta: float) -> list[float]:
-            u = 1.0 - theta
-            return [a + theta * (ydiff + u * (bspl + theta * (r4 + u * r5)))
-                    for a, ydiff, bspl, r4, r5 in coeffs]
-
         # The scan grid doubles as the sample grid, keeping recorded sample
-        # spacing at or below max_sample_dt.
+        # spacing at or below max_sample_dt.  Each substep evaluates the dense
+        # interpolant inline and is recorded as soon as it passes membership.
         n_sub = max(opts.interior_checks + 1, math.ceil(abs(h) / opts.max_sample_dt))
         theta_out = None
         theta_in = 0.0
-        passed: list[tuple[float, list[float]]] = []
         for i in range(1, n_sub + 1):
             th = i / n_sub
-            p = dense(th)
+            u = 1.0 - th
+            p = [a + th * (ydiff + u * (bspl + th * (r4 + u * r5)))
+                 for a, ydiff, bspl, r4, r5 in coeffs]
             if member is not None and not member(p):
                 theta_out = th
                 break
             theta_in = th
-            passed.append((th, p))
+            sample_t.append(target if (landing and th == 1.0) else t + th * h)
+            sample_x.extend(p)
         if theta_out is None:
-            for th, p in passed:
-                tt = target if (landing and th == 1.0) else t + th * h
-                samples.add(tt, p)
             t = target if landing else t + h
             y = ynew
             k1 = k7
@@ -360,16 +362,14 @@ def _drive(
             continue
 
         # Exit inside this step: bisect membership on the dense output.
-        for th, p in passed:
-            samples.add(t + th * h, p)
         while (theta_out - theta_in) * abs(h) > opts.bisect_tol:
             mid = 0.5 * (theta_in + theta_out)
-            if member(dense(mid)):
+            if member(_dense(coeffs, mid)):
                 theta_in = mid
             else:
                 theta_out = mid
-        p_in = dense(theta_in)
-        p_out = dense(theta_out)
+        p_in = _dense(coeffs, theta_in)
+        p_out = _dense(coeffs, theta_out)
         attained = bool(member_relaxed(p_out)) if member_relaxed is not None else False
         info = witness_info(p_in, p_out) if witness_info is not None else (None, None, None)
         witness = ExitWitness(
@@ -381,8 +381,9 @@ def _drive(
             constraint=info[2],
         )
         t_end = t + theta_in * h
-        if samples.t[-1] != t_end:
-            samples.add(t_end, p_in)
+        if sample_t[-1] != t_end:
+            sample_t.append(t_end)
+            sample_x.extend(p_in)
         return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
 
 
@@ -390,8 +391,11 @@ def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions, n_head: O
     if space is None:
         return None, None, None
 
-    def member(p: list[float]) -> bool:
-        return space.contains(p[:n_head] if n_head is not None else p)
+    if n_head is None:
+        member = space.contains
+    else:
+        def member(p: list[float]) -> bool:
+            return space.contains(p[:n_head])
 
     def member_relaxed(p: list[float]) -> bool:
         q = p[:n_head] if n_head is not None else p

@@ -16,9 +16,10 @@ whose Hamiltonian dynamics mirror the invariant dynamics upstairs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +53,21 @@ class PoissonError(ValueError):
     pass
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """Largest of nonnegative residuals, 0.0 for none, NaN if any is NaN.
+
+    The builtin ``max`` keeps what it has when the next value is NaN, so
+    ``max(0.0, nan)`` is 0.0 and an overflowed residual would read as zero.
+    """
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return r
+        if r > worst:
+            worst = r
+    return worst
+
+
 class ReductionError(PoissonError):
     """A pairwise invariant bracket has no representation in the invariants."""
 
@@ -82,11 +98,7 @@ class PoissonStructure:
         return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
 
     def antisymmetry_residual(self, points: Sequence[Sequence[float]]) -> float:
-        worst = 0.0
-        for p in points:
-            m = self.matrix_at(p)
-            worst = max(worst, float(np.max(np.abs(m + m.T))))
-        return worst
+        return _worst(float(np.max(np.abs(m + m.T))) for m in map(self.matrix_at, points))
 
     @classmethod
     def canonical(cls, k: int, label: str = "canonical") -> "PoissonStructure":
@@ -152,7 +164,7 @@ def jacobi_residual(
         add(bracket(p, f2, bracket(p, f3, f1)), bracket(p, f3, bracket(p, f1, f2))),
     )
     ev = compile_scalar(s)
-    return max(abs(ev(list(map(float, x)))) for x in points)
+    return _worst(abs(ev(list(map(float, x)))) for x in points)
 
 
 def jacobi_sample_residual(
@@ -165,13 +177,15 @@ def jacobi_sample_residual(
 ) -> float:
     """Jacobi residual over random polynomial triples at random points."""
     rng = random.Random(rng_seed)
-    worst = 0.0
     monos = monomials(p.dim, degree)
-    for _ in range(n_triples):
-        triple = [_random_poly(monos, rng) for _ in range(3)]
-        pts = [[rng.uniform(-scale, scale) for _ in range(p.dim)] for _ in range(n_points)]
-        worst = max(worst, jacobi_residual(p, triple[0], triple[1], triple[2], pts))
-    return worst
+
+    def residuals():
+        for _ in range(n_triples):
+            triple = [_random_poly(monos, rng) for _ in range(3)]
+            pts = [[rng.uniform(-scale, scale) for _ in range(p.dim)] for _ in range(n_points)]
+            yield jacobi_residual(p, triple[0], triple[1], triple[2], pts)
+
+    return _worst(residuals())
 
 
 def _random_poly(monos: Sequence[tuple[int, ...]], rng: random.Random) -> Expr:
@@ -353,15 +367,16 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
     reduced = PoissonStructure(m, rows, label=f"reduced[{amb.label}]")
 
     certify_points = draw(setup.certify_count)
-    worst = 0.0
-    for (a, b), e in pair_exprs.items():
-        upstairs_eval = compile_scalar(pair_brackets[(a, b)])
-        reduced_eval = compile_scalar(e)
-        for x in certify_points:
-            lhs = reduced_eval(sigma_eval(x))
-            rhs = upstairs_eval(x)
-            worst = max(worst, abs(lhs - rhs))
-    if worst > setup.certify_tol:
+
+    def replay_residuals():
+        for (a, b), e in pair_exprs.items():
+            upstairs_eval = compile_scalar(pair_brackets[(a, b)])
+            reduced_eval = compile_scalar(e)
+            for x in certify_points:
+                yield abs(reduced_eval(sigma_eval(x)) - upstairs_eval(x))
+
+    worst = _worst(replay_residuals())
+    if not worst <= setup.certify_tol:
         raise ReductionError(
             f"certification failed: replay residual {worst:.3e} > {setup.certify_tol:.1e}"
         )
@@ -402,7 +417,7 @@ def leaf_sample(
     for c in casimirs:
         ev = compile_scalar(as_expr(c))
         base = ev(list(map(float, x0)))
-        drift = max(abs(ev(pt.tolist()) - base) for pt in cloud.points)
+        drift = _worst(abs(ev(pt.tolist()) - base) for pt in cloud.points)
         drifts.append({"casimir": to_text(as_expr(c)), "seed_value": base, "max_drift": drift})
     cloud.diagnostics["casimirs"] = drifts
     cloud.diagnostics["generators"] = [to_text(as_expr(g)) for g in generators]

@@ -6,6 +6,14 @@ carries an explicit tolerance: non-strict constraints get a forgiving band,
 strict constraints get a guard band, so "member" is numerically stable on
 both sides.  Whether the set is locally closed is a declared property, not
 something we try to decide.
+
+Membership is generated code.  On a space's first membership test its cells
+are emitted, with the expression compiler's emitter, into one Python
+function of the point and the tolerance that tests the cells in order, each
+inside its own ``try`` so that a constraint undefined at the point
+(``DomainError``) rules out only its cell, and returns the index of the
+first cell that holds.  ``contains``, ``member_cell`` and ``cell_contains``
+all call functions made by that one generator.
 """
 
 from __future__ import annotations
@@ -14,13 +22,15 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .expr import (
+    _COMPILE_ENV,
     DomainError,
     Expr,
+    _emit,
     compile_scalar,
     eval_jet,
     parse,
@@ -74,6 +84,41 @@ class Constraint:
 
 Cell = tuple[Constraint, ...]
 
+# The test of each relation as source for the generated predicate; the value
+# goes in the braces.  ``Constraint.satisfied`` spells out the same five tests.
+_TESTS = {
+    Rel.EQ: "abs({}) <= _tol",
+    Rel.GE: "{} >= -_tol",
+    Rel.LE: "{} <= _tol",
+    Rel.GT: "{} > _tol",
+    Rel.LT: "{} < -_tol",
+}
+
+
+def _compile_cells(cells: Sequence[Cell]) -> Callable[[Sequence[float], float], Optional[int]]:
+    """Generate ``f(x, tol)``: the index of the first cell holding at x, or None.
+
+    A cell's constraints are tested in order and the first failing one ends
+    the cell (``break`` out of a ``while True`` that never loops).  Within a
+    cell the expressions share the emitter's memo, so a common subtree is
+    evaluated once; a ``DomainError`` anywhere in the cell rules the cell out.
+    """
+    src = ["def _f(_x, _tol):"]
+    for i, cell in enumerate(cells):
+        memo: dict[int, str] = {}
+        lines: list[str] = []
+        src += ["    try:", "        while True:"]
+        for c in cell:
+            start = len(lines)
+            value = _emit(c.expr, memo, lines)
+            src += ["        " + line for line in lines[start:]]
+            src.append(f"            if not {_TESTS[c.rel].format(value)}: break")
+        src += [f"            return {i}", "    except _DomainError:", "        pass"]
+    src.append("    return None\n")
+    scope = dict(_COMPILE_ENV, _DomainError=DomainError)
+    exec(compile("\n".join(src), "<membership>", "exec"), scope)
+    return scope["_f"]
+
 
 class SubcartesianSpace:
     """Finite union of constraint cells in a fixed ambient dimension."""
@@ -98,28 +143,27 @@ class SubcartesianSpace:
         self._evals = [
             [compile_scalar(c.expr) for c in cell] for cell in self.cells
         ]
+        # one-cell predicates for the samplers, generated on first use
+        self._cell_tests: list[Optional[Callable]] = [None] * len(self.cells)
+
+    def _first_cell(self, point: Sequence[float], tol: float) -> Optional[int]:
+        """Generate the predicate over all cells on first use, so a space that is
+        never tested, as in most symbolic commands, costs no ``compile()``; the
+        generated function then shadows this method on the instance."""
+        self._first_cell = _compile_cells(self.cells)
+        return self._first_cell(point, tol)
 
     def cell_contains(self, cell_index: int, point: Sequence[float], tol: Optional[float] = None) -> bool:
-        t = self.tol if tol is None else tol
-        cell = self.cells[cell_index]
-        evals = self._evals[cell_index]
-        for c, ev in zip(cell, evals):
-            try:
-                v = ev(point)
-            except DomainError:
-                return False
-            if not c.satisfied(v, t):
-                return False
-        return True
+        test = self._cell_tests[cell_index]
+        if test is None:
+            test = self._cell_tests[cell_index] = _compile_cells(self.cells[cell_index : cell_index + 1])
+        return test(point, self.tol if tol is None else tol) is not None
 
     def contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
-        return any(self.cell_contains(i, point, tol) for i in range(len(self.cells)))
+        return self._first_cell(point, self.tol if tol is None else tol) is not None
 
     def member_cell(self, point: Sequence[float], tol: Optional[float] = None) -> Optional[int]:
-        for i in range(len(self.cells)):
-            if self.cell_contains(i, point, tol):
-                return i
-        return None
+        return self._first_cell(point, self.tol if tol is None else tol)
 
     def slack(self, point: Sequence[float]) -> float:
         """Best cell margin: max over cells of the worst constraint margin.

@@ -416,3 +416,57 @@ def test_scenario_tolerance_key_can_be_overridden(tmp_path, capsys):
                        "--horizon", "1", "--tol-overrides", '{"probe_extra": 0.25}')
     assert code == 0
     assert rep["tolerances"]["probe_extra"] == 0.25
+
+
+@pytest.mark.parametrize("value,text", [
+    ("-1", "-1"), ("0", "0"), ("NaN", "nan"), ("Infinity", "inf"), ("1" + "0" * 400, "float range"),
+    ('"1e-9"', "expected a number"), ("true", "expected a number"),
+])
+def test_bad_scenario_tolerance_exits_2_with_path(tmp_path, capsys, value, text):
+    doc = json.loads(open(scenario_path("halfline"), encoding="utf-8").read())
+    p = tmp_path / "bad_tol.json"
+    p.write_text(json.dumps(doc)[:-1] + ', "tolerances": {"probe_extra": 0.5, "rtol": ' + value + "}}")
+    code, report, err = run(capsys, "flow", "--scenario", str(p), "--field", "ddx",
+                            "--point=0.5", "--horizon", "1")
+    assert code == 2
+    assert report == {}
+    assert "$.tolerances.rtol" in err
+    assert text in err
+    assert "Traceback" not in err
+
+
+def test_huge_scenario_integer_exits_2_with_path(tmp_path, capsys):
+    text = open(scenario_path("halfline"), encoding="utf-8").read()
+    p = tmp_path / "huge_box.json"
+    p.write_text(text.replace('"box": [[0.0], [2.0]]', '"box": [[0.0], [2' + "0" * 400 + "]]"))
+    code, report, err = run(capsys, "classify", "--scenario", str(p), "--field", "ddx")
+    assert code == 2
+    assert report == {}
+    assert "$.box[1][0]" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e200", "1e300"])
+def test_poisson_overflowing_scale_exits_2(capsys, scale):
+    # the cubic terms of the broken bivector overflow; Python's max used to
+    # drop the NaN and report a passing residual of 0
+    code, report, err = run(capsys, "poisson", "--scenario", scenario_path("jacobi_control"),
+                            "--triples", "3", "--points", "3", "--scale", scale)
+    assert code == 2
+    assert report == {}
+    assert "--scale" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
+    import subcart.cli as cli
+
+    def broken(sc, args, tol):
+        raise ZeroDivisionError("float division\nby zero")
+
+    monkeypatch.setitem(cli._HANDLERS, "flow", broken)
+    code, report, err = run(capsys, "flow", "--scenario", scenario_path("halfline"),
+                            "--field", "ddx", "--point=0.5")
+    assert code == 2
+    assert report == {}
+    assert err == "internal error: ZeroDivisionError: float division by zero\n"

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from subcart.cli import load_scenario
-from subcart.flow import FlowOptions, flow_map, transport_vector
+from subcart.expr import compile_scalar
+from subcart.flow import FlowOptions, flow_map, integrate, transport_vector
 
 from conftest import make_field, scenario_path
+from test_flow_golden import SPIRAL_DISK
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -61,3 +65,50 @@ def test_transport_vector_matches_central_differences(t):
     minus = flow_map(None, osc, x0 - FD_STEP * v0, t, TIGHT)
     assert np.max(np.abs(image - flow_map(None, osc, x0, t, TIGHT))) <= 1e-12
     assert np.max(np.abs(vec - (plus - minus) / (2 * FD_STEP))) <= FD_TOL
+
+
+# Exit times.  Each space below is one constraint g, kept as g >= -tol or
+# g < -tol, so the curve leaves where g + tol changes sign; scipy locates that
+# time as a terminal event.  At rtol 1e-12 the observed gap is at most 1.2e-10.
+EXIT_TOL = 1e-9
+
+
+def _event_time(fld, g, x0, t_end, tol):
+    event = lambda _t, y: g(list(y)) + tol
+    event.terminal = True
+    sol = scipy_integrate.solve_ivp(lambda _t, y: fld.value(list(y)), (0.0, t_end), x0,
+                                    method="RK45", rtol=1e-11, atol=1e-13, events=event)
+    assert sol.success
+    return sol.t_events[0][0] if len(sol.t_events[0]) else t_end
+
+
+@pytest.mark.parametrize("name,field,x0,horizon,attained", [
+    # d/dx on [0, inf): the backward curve stops at the boundary point, attained at -x0
+    ("halfline", "ddx", [0.25], 10.0, (True, None)),
+    ("halfline", "ddx", [3.5], 10.0, (True, None)),
+    # d/dx in the open disk of disk_line: open exits at both ends of the chord
+    ("disk_line", "ddx", [0.1, 0.5], 3.0, (False, False)),
+    ("disk_line", "ddx", [-0.4, 1.2], 3.0, (False, False)),
+    ("disk_line", "ddx", [0.2, 0.05], 3.0, (False, False)),
+    # an expanding spiral leaving an open disk through its curved edge
+    ("spiral_disk", "spiral", [0.5, 0.25], 20.0, (None, False)),
+    ("spiral_disk", "spiral", [-1.9, 0.3], 20.0, (None, False)),
+])
+def test_exit_times_match_solve_ivp_events(tmp_path, name, field, x0, horizon, attained):
+    if name == SPIRAL_DISK["name"]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(SPIRAL_DISK), encoding="utf-8")
+        sc = load_scenario(str(path))
+    else:
+        sc = load_scenario(scenario_path(name))
+    fld = sc.field(field)
+    g = compile_scalar(sc.space.cells[0][0].expr)
+    curve = integrate(sc.space, fld, x0, horizon=horizon, options=TIGHT)
+    t_minus = _event_time(fld, g, x0, -horizon, sc.space.tol)
+    t_plus = _event_time(fld, g, x0, horizon, sc.space.tol)
+    assert abs(curve.t_minus - t_minus) <= EXIT_TOL
+    assert abs(curve.t_plus - t_plus) <= EXIT_TOL
+    for witness, clipped, want in ((curve.exit_minus, curve.clipped_minus, attained[0]),
+                                   (curve.exit_plus, curve.clipped_plus, attained[1])):
+        assert clipped is (want is None)
+        assert (witness.attained if witness else None) is want

@@ -139,6 +139,16 @@ def test_jacobi_residuals():
     assert jacobi_sample_residual(broken, n_triples=20) >= 0.1
 
 
+def test_residual_folds_keep_nan():
+    # the builtin max keeps 0.0 against a later NaN, which read an overflow as a pass
+    broken = broken_structure()
+    s = [parse(f"x{i}", 3) for i in (1, 2, 3)]
+    pts = [[0.5, 0.25, 0.75], [0.0, 0.0, np.nan], [0.1, 0.1, 0.1]]  # the jacobiator is x3
+    assert np.isnan(jacobi_residual(broken, s[0], s[1], s[2], pts))
+    assert np.isnan(jacobi_sample_residual(broken, n_triples=3, n_points=3, scale=1e160))
+    assert np.isnan(broken.antisymmetry_residual([[0.0, 0.0, 0.0], [1.0, 1.0, np.nan]]))
+
+
 def test_invariance_residual_canonical():
     p = PoissonStructure.canonical(1)
     h = parse("(x1^2+x2^2)/2", 2)

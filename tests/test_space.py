@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subcart.expr import compile_scalar, parse
+from subcart.expr import Const, Div, DomainError, Var, add, compile_scalar, fn, mul, parse, pow_int, sub
+from subcart.flow import ATTAINED_FACTOR
 from subcart.space import (
+    DEFAULT_TOL,
     Constraint,
     Rel,
     SpaceError,
@@ -170,3 +175,97 @@ def test_sample_cell_box():
     for p in pts:
         assert hl.contains(p)
         assert 0.0 <= p[0] <= 2.0
+
+
+# Generated membership against the per-constraint reference ---------------------
+
+N_PROP = 2
+RELAXED = DEFAULT_TOL * ATTAINED_FACTOR
+
+
+def _reference_cell(space, i, x, tol):
+    """A cell holds when every constraint is defined at x and satisfies its relation."""
+    for c in space.cells[i]:
+        try:
+            v = compile_scalar(c.expr)(x)
+        except DomainError:
+            return False
+        if not c.satisfied(v, tol):
+            return False
+    return True
+
+
+def _reference_first(space, x, tol):
+    for i in range(len(space.cells)):
+        if _reference_cell(space, i, x, tol):
+            return i
+    return None
+
+
+def _outcome(f, *args):
+    """The result, or the class of the exception a non-domain failure raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # sin(inf) raises ValueError on both sides
+        return type(exc)
+
+
+_leaves = st.one_of(st.builds(Var, st.integers(0, N_PROP - 1)),
+                    st.sampled_from([Const(0.0), Const(1.0), Const(-0.5), Const(2.0)]))
+_exprs = st.recursive(_leaves, lambda kids: st.one_of(
+    st.builds(add, kids, kids), st.builds(sub, kids, kids), st.builds(mul, kids, kids),
+    st.builds(Div, kids, kids),  # raw node: a zero denominator raises at evaluation
+    st.builds(fn, st.sampled_from(["log", "sqrt", "sin", "exp"]), kids),
+    st.builds(pow_int, kids, st.integers(2, 3)),
+), max_leaves=5)
+
+
+@st.composite
+def _spaces(draw):
+    """Multi-cell spaces over all five relations; constraints of a cell reuse
+    expression objects, so the generated code shares their subtrees."""
+    pool = draw(st.lists(_exprs, min_size=1, max_size=3))
+    picks = st.one_of(st.sampled_from(pool), st.builds(add, st.sampled_from(pool), _exprs),
+                      st.builds(Var, st.integers(0, N_PROP - 1)))
+    cells = draw(st.lists(
+        st.lists(st.builds(Constraint, picks, st.sampled_from(list(Rel))), max_size=3),
+        min_size=1, max_size=3))
+    return SubcartesianSpace(N_PROP, cells, locally_closed=False)
+
+
+# the edges of the default and relaxed bands, where a comparison that lost or
+# gained its equality case changes the answer
+_edges = [s * t for s in (1.0, -1.0) for t in (DEFAULT_TOL, RELAXED)]
+_coords = st.one_of(st.sampled_from(_edges), st.floats(-3.0, 3.0),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]))
+
+
+@given(_spaces(), st.lists(_coords, min_size=N_PROP, max_size=N_PROP), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_generated_membership_matches_reference(space, coords, as_array):
+    x = np.array(coords) if as_array else coords
+    for tol in (None, RELAXED):
+        t = space.tol if tol is None else tol
+        with np.errstate(all="ignore"):  # inf - inf on numpy scalars
+            first = _outcome(_reference_first, space, x, t)
+            got = _outcome(space.contains, x, tol)
+            assert got == (first if isinstance(first, type) else first is not None)
+            assert isinstance(first, type) or type(got) is bool
+            assert _outcome(space.member_cell, x, tol) == first
+            for i in range(len(space.cells)):
+                inside = _outcome(space.cell_contains, i, x, tol)
+                assert inside == _outcome(_reference_cell, space, i, x, t)
+                assert isinstance(inside, type) or type(inside) is bool
+
+
+@pytest.mark.parametrize("rel", list(Rel))
+@pytest.mark.parametrize("value", [k * v for k in (0.5, 1.0, 2.0) for v in _edges]
+                         + [0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [None, RELAXED])
+def test_generated_membership_at_band_edges(rel, value, tol):
+    c = Constraint(parse("x1", 1), rel)
+    space = SubcartesianSpace(1, [[c]], locally_closed=False)
+    expected = c.satisfied(value, space.tol if tol is None else tol)
+    assert space.contains([value], tol) is expected
+    assert space.cell_contains(0, [value], tol) is expected
+    assert space.member_cell([value], tol) == (0 if expected else None)
