@@ -108,6 +108,7 @@ class SchemaError(CliError):
     def __init__(self, path: str, message: str):
         super().__init__(f"scenario error at {path}: {message}")
         self.path = path
+        self.detail = message
 
 
 # Schema walking helpers --------------------------------------------------------
@@ -153,7 +154,11 @@ def _want_point(v, n, path) -> list[float]:
     _want_list(v, path)
     if len(v) != n:
         raise SchemaError(path, f"point has {len(v)} coordinates, space has {n}")
-    return [_want_float(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    point = [_want_float(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    for i, x in enumerate(point):
+        if not math.isfinite(x):
+            raise SchemaError(f"{path}[{i}]", f"coordinate {x} is not finite")
+    return point
 
 
 def _parse_expr(text, n, aliases, path) -> Expr:
@@ -489,9 +494,13 @@ def _parse_point_arg(text: str, n: int) -> list[float]:
     if len(parts) != n:
         raise CliError(f"--point has {len(parts)} coordinates, space has {n}")
     try:
-        return [float(p) for p in parts]
+        point = [float(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"bad --point value: {exc}") from None
+    for i, x in enumerate(point):
+        if not math.isfinite(x):
+            raise CliError(f"--point coordinate {i} is {x}, expected a finite number")
+    return point
 
 
 def _resolve_seeds(sc: Scenario, spec: str) -> list[list[float]]:
@@ -505,9 +514,10 @@ def _resolve_seeds(sc: Scenario, spec: str) -> list[list[float]]:
             raise CliError(f"cannot read seeds file {spec!r}: {exc}") from None
         if not isinstance(raw, list) or not raw:
             raise CliError(f"seeds file {spec!r} must hold a non-empty array of points")
-        return [
-            _want_point(p, sc.space.ambient_dim, f"$[{i}]") for i, p in enumerate(raw)
-        ]
+        try:
+            return [_want_point(p, sc.space.ambient_dim, f"$[{i}]") for i, p in enumerate(raw)]
+        except SchemaError as exc:
+            raise CliError(f"--seeds file {spec!r} at {exc.path}: {exc.detail}") from None
     raise CliError(
         f"--seeds {spec!r} is neither a seed set {sorted(sc.seeds)} nor a file"
     )

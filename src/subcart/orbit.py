@@ -14,15 +14,18 @@ families; orbit equality of two seeds is only ever answered "Connected"
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .field import TangentField
-from .flow import FlowDomainError, FlowOptions, IntegrationError, flow_map, transport_vector
+from .flow import FlowDomainError, FlowOptions, IntegrationError, _pairwise_sum, flow_map, transport_vector
 from .space import SubcartesianSpace
 
 MERGE_RADIUS = 1e-6
@@ -118,17 +121,109 @@ def reach(
     return y
 
 
+def span_dimensions(
+    family: FieldFamily, points: Sequence[Sequence[float]], tol_rank: float = RANK_TOL
+) -> list[int]:
+    """Numerical rank of the family's value matrix at each point.
+
+    The field values are packed into one flat buffer and the (n x m) value
+    matrices of all points go through one stacked SVD, which computes each
+    matrix exactly as a call of its own would.
+    """
+    if not points:
+        return []
+    vals = array("d")
+    for p in points:
+        for f in family.fields:
+            vals.extend(f.value(p))
+    m = np.frombuffer(vals).reshape(len(points), len(family), family.space.ambient_dim)
+    s = np.linalg.svd(m.transpose(0, 2, 1), compute_uv=False)
+    top = s[:, :1]
+    return np.where(top[:, 0] > 0.0, np.sum(s > tol_rank * top, axis=1), 0).tolist()
+
+
 def span_dimension(
     family: FieldFamily, point: Sequence[float], tol_rank: float = RANK_TOL
 ) -> int:
     """Numerical rank of the family's value matrix at the point."""
-    m = family.value_matrix(point)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol_rank * s[0]))
+    return span_dimensions(family, [point], tol_rank)[0]
+
+
+class _MergeIndex:
+    """The collected points of an orbit, for the merge test of ``sample_orbit``.
+
+    A candidate merges when some collected point lies within ``radius`` by
+    the row formula of ``np.linalg.norm(buf - y, axis=1)``, the square root
+    of the pairwise sum of the squared differences, and the smallest
+    distance is not NaN.  Points sit in grid cells of side 2 * radius keyed
+    by ``floor(x / side)``; even with the rounding of the quotients, a point
+    within the radius then lies in one of the 3^n cells around the
+    candidate, as long as every |x / side| is below 2^50 and the radius is
+    at least 2^-500, above which squares keep their relative precision.
+    Points beyond 2^50 go to ``far``, which every candidate scans.  A
+    candidate beyond it, one with fewer points than cells around it, and
+    every candidate when the radius is below 2^-500 (a radius of 0 merges
+    points whose squared differences underflow) scan all points.  A cell
+    is found by the hash of its key and holds a chain of point indices
+    through ``prev``; cells whose hashes collide share a chain, which only
+    adds points to the exact test.
+    """
+
+    def __init__(self, n: int, radius: float):
+        self.n = n
+        self.radius = radius
+        self.side = 2.0 * radius if radius >= 2.0**-500 else 0.0
+        self.x = array("d")  # n coordinates per point
+        self.last: dict[int, int] = {}  # cell hash -> its last point
+        self.prev = array("q")  # per point: the point before it in its cell, or -1
+        self.far: list[int] = []
+        self.nan = False  # a collected NaN makes every smallest distance NaN
+
+    def _key(self, y: list[float]) -> Optional[tuple]:
+        if not self.side > 0.0:
+            return None
+        key = []
+        for v in y:
+            q = v / self.side
+            if not abs(q) < 2.0**50:
+                return None
+            key.append(math.floor(q))
+        return tuple(key)
+
+    def add(self, y: list[float]) -> None:
+        j = len(self.prev)
+        self.x.extend(y)
+        self.nan = self.nan or any(v != v for v in y)
+        key = self._key(y)
+        if key is None:
+            self.far.append(j)
+            self.prev.append(-1)
+        else:
+            cell = hash(key)
+            self.prev.append(self.last.get(cell, -1))
+            self.last[cell] = j
+
+    def merges(self, y: list[float]) -> bool:
+        if self.nan:
+            return False
+        n, count, last, prev = self.n, len(self.prev), self.last, self.prev
+        key = self._key(y)
+        if key is None or 3**n > count:
+            near: Sequence[int] = range(count)
+        else:
+            near = list(self.far)
+            for c in product(*((k - 1, k, k + 1) for k in key)):
+                j = last.get(hash(c), -1)
+                while j >= 0:
+                    near.append(j)
+                    j = prev[j]
+        best = math.inf
+        for j in near:
+            d = math.sqrt(_pairwise_sum([(a - b) * (a - b) for a, b in zip(self.x[j * n : j * n + n], y)]))
+            if d != d:
+                return False
+            best = min(best, d)
+        return best <= self.radius
 
 
 @dataclass
@@ -139,6 +234,7 @@ class OrbitSample:
     points: list[np.ndarray]
     words: list[FlowWord]
     est_dimension: int
+    dimensions: list[int] = dc_field(default_factory=list)  # span dimension per point
     diagnostics: dict = dc_field(default_factory=dict)
 
     def entries(self) -> list[tuple[np.ndarray, FlowWord]]:
@@ -162,8 +258,8 @@ def sample_orbit(
 
     Frontier points are expanded with one random duration per family field;
     candidates of a round are sorted canonically before dedup so the result
-    does not depend on expansion interleaving.  Points closer than
-    merge_radius to an already collected point are merged away.
+    does not depend on expansion interleaving.  Points within merge_radius
+    of an already collected point are merged away.
     """
     if budget < 1:
         raise OrbitError(f"budget must be at least 1, got {budget}")
@@ -172,7 +268,8 @@ def sample_orbit(
     seed = np.asarray(x0, dtype=float)
     points: list[np.ndarray] = [seed.copy()]
     words: list[FlowWord] = [()]
-    buf = seed.reshape(1, -1).copy()
+    index = _MergeIndex(seed.size, merge_radius)
+    index.add(seed.tolist())
     frontier: deque[int] = deque([0])
     attempts = 0
     merged = 0
@@ -198,13 +295,13 @@ def sample_orbit(
         for y, w in candidates:
             if len(points) >= budget:
                 break
-            d = np.linalg.norm(buf - y, axis=1)
-            if float(d.min()) <= merge_radius:
+            coords = y.tolist()
+            if index.merges(coords):
                 merged += 1
                 continue
             points.append(y)
             words.append(w)
-            buf = np.vstack([buf, y.reshape(1, -1)])
+            index.add(coords)
             frontier.append(len(points) - 1)
             accepted_any = True
         # a barren expansion must not starve the frontier: retry the point
@@ -212,12 +309,13 @@ def sample_orbit(
         if not accepted_any and len(points) < budget:
             frontier.append(i)
 
-    dims = [span_dimension(family, p, tol_rank) for p in points]
+    dims = span_dimensions(family, points, tol_rank)
     return OrbitSample(
         seed=seed,
         points=points,
         words=words,
         est_dimension=max(dims) if dims else 0,
+        dimensions=dims,
         diagnostics={
             "attempts": attempts,
             "merged": merged,
@@ -331,9 +429,8 @@ def dimension_constancy_report(
         family, x0, n_probes, step_scale=step_scale, rng_seed=rng_seed,
         tol_rank=tol_rank, options=options,
     )
-    dims = [span_dimension(family, p, tol_rank) for p in cloud.points]
     counts: dict[int, int] = {}
-    for d in dims:
+    for d in cloud.dimensions:
         counts[d] = counts.get(d, 0) + 1
     distinct = sorted(counts)
     return DimensionReport(

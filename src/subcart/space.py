@@ -18,6 +18,7 @@ all call functions made by that one generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -140,9 +141,6 @@ class SubcartesianSpace:
         self.cells: tuple[Cell, ...] = tuple(tuple(c) for c in cells)
         self.locally_closed = bool(locally_closed)
         self.tol = float(tol)
-        self._evals = [
-            [compile_scalar(c.expr) for c in cell] for cell in self.cells
-        ]
         # one-cell predicates for the samplers, generated on first use
         self._cell_tests: list[Optional[Callable]] = [None] * len(self.cells)
 
@@ -152,6 +150,12 @@ class SubcartesianSpace:
         generated function then shadows this method on the instance."""
         self._first_cell = _compile_cells(self.cells)
         return self._first_cell(point, tol)
+
+    @functools.cached_property
+    def _evals(self) -> list[list[Callable[[Sequence[float]], float]]]:
+        """One compiled callable per constraint, for ``slack``, exit witnesses and
+        closure tests; compiled on first use, since membership does not need them."""
+        return [[compile_scalar(c.expr) for c in cell] for cell in self.cells]
 
     def cell_contains(self, cell_index: int, point: Sequence[float], tol: Optional[float] = None) -> bool:
         test = self._cell_tests[cell_index]
@@ -171,6 +175,7 @@ class SubcartesianSpace:
         Positive means comfortably inside some cell, negative means every
         cell is violated by at least that much.  Constraint functions that
         are undefined at the point count as minus infinity for their cell.
+        A NaN margin makes the slack NaN, as ``np.min``/``np.max`` would.
         """
         best = -np.inf
         for cell, evals in zip(self.cells, self._evals):
@@ -181,8 +186,10 @@ class SubcartesianSpace:
                 except DomainError:
                     worst = -np.inf
                     break
-                worst = min(worst, m)
-            best = max(best, worst)
+                if m < worst or m != m:
+                    worst = m
+            if worst > best or worst != worst:
+                best = worst
         return float(best)
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:

@@ -375,6 +375,20 @@ def test_bracket_command(capsys):
     (["poisson", "--scenario", "jacobi_control", "--scale", "0"], "--scale"),
     (["poisson", "--scenario", "canonical_r2", "--points", "0"], "--points"),
     (["complete-probe", "--scenario", "rotation_plane", "--n", "0"], "--n"),
+    # a zero starting step used to run a million steps that never advanced t
+    (["flow", "--scenario", "translate_shear", "--field", "xddy", "--point=1e200,0", "--horizon", "1"],
+     "starting step 0.0"),
+    # a NaN error norm used to accept a NaN state; the report serializer
+    # then failed on the non-finite value
+    (["flow", "--scenario", "rotation_plane", "--field", "rot", "--point=1e308,1e308", "--horizon", "1"],
+     "step size underflow"),
+    # a NaN point used to end in "cannot convert float NaN to integer" or,
+    # through slack, in "slack inf"
+    (["orbit", "--scenario", "translate_shear", "--point=nan,0"], "--point coordinate 0 is nan"),
+    (["flow", "--scenario", "halfline", "--field", "ddx", "--point=nan"], "--point coordinate 0 is nan"),
+    (["chart", "--scenario", "translate_shear", "--family", "default", "--point=0,inf"],
+     "--point coordinate 1 is inf"),
+    (["leaf", "--scenario", "reduction_r4", "--point=1,1,-inf,0"], "--point coordinate 2 is -inf"),
 ])
 def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     # --horizon inf and --step-scale nan used to run the stepper to max_steps
@@ -470,3 +484,27 @@ def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     assert code == 2
     assert report == {}
     assert err == "internal error: ZeroDivisionError: float division by zero\n"
+
+
+def test_orbit_from_overflowing_seed_ends_at_once(capsys):
+    # every flow from x1 = 1e308 either fails at its starting step or merges
+    # back into the seed; the zero starting step used to spin for minutes
+    t0 = time.perf_counter()
+    code, report, err = run(capsys, "orbit", "--scenario", scenario_path("translate_shear"),
+                            "--point=1e308,0", "--budget", "5")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert report["result"]["n_points"] == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_nonfinite_seed_file_coordinate_exits_2(tmp_path, capsys, value):
+    p = tmp_path / "seeds.json"
+    p.write_text(f"[[0.5], [{value}]]")
+    code, report, err = run(capsys, "classify", "--scenario", scenario_path("halfline"),
+                            "--field", "ddx", "--seeds", str(p))
+    assert code == 2
+    assert report == {}
+    assert "--seeds" in err and "$[1][0]" in err and "not finite" in err
+    assert "Traceback" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import struct
 
 import numpy as np
@@ -20,8 +21,12 @@ from subcart.flow import (
     integrate,
     transport_vector,
 )
-from subcart.flow import _initial_step, _mean, _rms
-from subcart.space import SubcartesianSpace
+from subcart.expr import DomainError, parse
+from subcart.flow import (
+    _A, _D, _E, ExitWitness, _DriveResult, _Samples, _dense, _driver, _initial_step, _mean,
+    _membership, _rms,
+)
+from subcart.space import Constraint, Rel, SubcartesianSpace
 
 from conftest import disk_line, halfline, make_field, punctured_plane, unit_circle
 
@@ -284,3 +289,246 @@ def test_list_initial_step_matches_numpy_bitwise(yf, rtol, atol, limit):
     with np.errstate(all="ignore"):
         want = _numpy_initial_step(y, f0, rtol, atol, limit)
     assert _bits(_initial_step(y, f0, rtol, atol, limit)) == _bits(want)
+
+
+# The generated driver against a test-local copy of the generic list driver it
+# replaced, bit for bit.  The copy differs from that driver only by the rules
+# added with the generated one (a starting step that is zero or not finite, a
+# NaN error norm and an accepted step that does not advance t all end the
+# drive), and it takes the error norm from numpy, so it shares no summation
+# code with the generator.
+
+def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A[1:]
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    d1, d2, d3, d4, d5, d6, d7 = _D
+    rtol, atol = opts.rtol, opts.atol
+    direction = 1.0 if target >= 0 else -1.0
+    span = abs(target)
+    y = list(x0)
+    t = 0.0
+    samples = _Samples(0.0, y)
+    sample_t, sample_x = samples.t, samples.x
+    if span == 0.0:
+        return _DriveResult(0.0, y, True, samples, None)
+    try:
+        k1 = f(y)
+    except DomainError:
+        raise IntegrationError(f"field undefined at basepoint {y}") from None
+    h = direction * _initial_step(y, k1, rtol, atol, span)
+    if h == 0.0 or not math.isfinite(h):
+        raise IntegrationError(f"starting step {h} at basepoint {y} is zero or not finite")
+    n_steps = 0
+
+    def guard_exit():
+        witness = ExitWitness(t=t, point=tuple(y), attained=True, guard=True)
+        return _DriveResult(t, y, False, samples, witness, n_steps)
+
+    while True:
+        n_steps += 1
+        if n_steps > opts.max_steps:
+            raise IntegrationError(f"exceeded {opts.max_steps} steps at t={t}", t=t,
+                                   samples=samples.pairs())
+        landing = False
+        remaining = target - t
+        if abs(h) >= abs(remaining):
+            h = remaining
+            landing = True
+        try:
+            k2 = f([a + h * (0.0 + a21 * c1) for a, c1 in zip(y, k1)])
+            k3 = f([a + h * (0.0 + a31 * c1 + a32 * c2) for a, c1, c2 in zip(y, k1, k2)])
+            k4 = f([a + h * (0.0 + a41 * c1 + a42 * c2 + a43 * c3)
+                    for a, c1, c2, c3 in zip(y, k1, k2, k3)])
+            k5 = f([a + h * (0.0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+                    for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
+            k6 = f([a + h * (0.0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
+                    for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
+            ynew = [a + h * (0.0 + a71 * c1 + a72 * c2 + a73 * c3 + a74 * c4 + a75 * c5 + a76 * c6)
+                    for a, c1, c2, c3, c4, c5, c6 in zip(y, k1, k2, k3, k4, k5, k6)]
+            k7 = f(ynew)
+        except DomainError:
+            h *= 0.5
+            if abs(h) < opts.min_step:
+                return guard_exit()
+            continue
+        scaled = []
+        for a, b, c1, c2, c3, c4, c5, c6, c7 in zip(y, ynew, k1, k2, k3, k4, k5, k6, k7):
+            ya, yb = abs(a), abs(b)
+            scaled.append(h * (0.0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7)
+                          / (atol + rtol * (ya if ya > yb or ya != ya else yb)))
+        with np.errstate(all="ignore"):
+            err = math.sqrt(float(np.mean(np.square(np.array(scaled)))))
+        if not err <= 1.0:
+            h *= max(0.2, 0.9 * err**-0.2)
+            if abs(h) < opts.min_step:
+                raise IntegrationError(f"step size underflow at t={t}", t=t, samples=samples.pairs())
+            continue
+        if t + h == t:
+            raise IntegrationError(f"step {h} does not advance t={t}", t=t, samples=samples.pairs())
+        coeffs = []
+        for a, b, c1, c2, c3, c4, c5, c6, c7 in zip(y, ynew, k1, k2, k3, k4, k5, k6, k7):
+            ydiff = b - a
+            bspl = h * c1 - ydiff
+            coeffs.append((a, ydiff, bspl, ydiff - h * c7 - bspl,
+                           h * (0.0 + d1 * c1 + d2 * c2 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7)))
+        n_sub = max(opts.interior_checks + 1, math.ceil(abs(h) / opts.max_sample_dt))
+        theta_out = None
+        theta_in = 0.0
+        for i in range(1, n_sub + 1):
+            th = i / n_sub
+            p = _dense(coeffs, th)
+            if member is not None and not member(p):
+                theta_out = th
+                break
+            theta_in = th
+            sample_t.append(target if (landing and th == 1.0) else t + th * h)
+            sample_x.extend(p)
+        if theta_out is None:
+            t = target if landing else t + h
+            y = ynew
+            k1 = k7
+            if landing:
+                return _DriveResult(t, y, True, samples, None, n_steps)
+            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
+            h *= max(0.2, grow)
+            continue
+        while (theta_out - theta_in) * abs(h) > opts.bisect_tol:
+            mid = 0.5 * (theta_in + theta_out)
+            if member(_dense(coeffs, mid)):
+                theta_in = mid
+            else:
+                theta_out = mid
+        p_in = _dense(coeffs, theta_in)
+        p_out = _dense(coeffs, theta_out)
+        attained = bool(member_relaxed(p_out)) if member_relaxed is not None else False
+        info = witness_info(p_in, p_out) if witness_info is not None else (None, None, None)
+        witness = ExitWitness(t=t + theta_out * h, point=tuple(p_out), attained=attained,
+                              cell_index=info[0], constraint_index=info[1], constraint=info[2])
+        t_end = t + theta_in * h
+        if sample_t[-1] != t_end:
+            sample_t.append(t_end)
+            sample_x.extend(p_in)
+        return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
+
+
+def _hexes(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+def _drive_outcome(drive, f, x0, target, opts, space):
+    member, member_relaxed, witness_info = _membership(space, opts)
+    try:
+        r = drive(f, list(x0), target, opts, member, member_relaxed, witness_info)
+    except Exception as exc:  # the same failure, message and partial samples
+        t = getattr(exc, "t", None)
+        samples = [(float(s).hex(), _hexes(p)) for s, p in getattr(exc, "samples", [])]
+        return type(exc).__name__, str(exc), None if t is None else float(t).hex(), samples
+    w = r.exit_witness
+    witness = None if w is None else (
+        float(w.t).hex(), _hexes(w.point), w.attained, w.guard, w.cell_index, w.constraint_index, w.constraint)
+    return (float(r.t_end).hex(), _hexes(r.y_end), r.reached, r.n_steps,
+            _hexes(r.samples.t), _hexes(r.samples.x), witness)
+
+
+_COEF = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0, -2.0]))
+
+
+@st.composite
+def _drive_cases(draw):
+    """A random polynomial field of dimension 1-12 with domain-guarded terms, a space, a start and a target."""
+    n = draw(st.integers(1, 12))
+    comps = []
+    for _ in range(n):
+        terms = [f"({draw(_COEF)!r})"]
+        for _ in range(draw(st.integers(0, 3))):
+            j, k = draw(st.integers(1, n)), draw(st.integers(1, n))
+            c = draw(_COEF)
+            a = draw(st.floats(0.26, 0.8))
+            terms.append(draw(st.sampled_from([
+                f"({c!r})*x{j}", f"({c!r})*x{j}*x{k}", f"({c!r})*sqrt(x{j} + {a!r})",
+                f"({c!r})*log(x{j} + {a!r})", f"({c!r})/(x{j} - {a!r}) - ({c!r})/(x{k} - {a!r})",
+            ])))
+        comps.append(" + ".join(terms))
+    fld = make_field("f", comps, n)
+    radius = draw(st.floats(0.9, 1.5))
+    bound = draw(st.floats(0.3, 1.0))
+    ball = Constraint(parse(f"{radius!r}^2 - (" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")", n), Rel.GE)
+    space = draw(st.sampled_from([
+        None,
+        SubcartesianSpace(n, [[ball]], locally_closed=True),
+        SubcartesianSpace(n, [[Constraint(parse(f"x1 - {bound!r}", n), Rel.LE)]], locally_closed=True),
+        SubcartesianSpace(n, [[Constraint(parse(f"x1 - {bound!r}", n), Rel.LT)]], locally_closed=False),
+        SubcartesianSpace(n, [[ball, Constraint(parse(f"x{n} - {bound!r}", n), Rel.LT)],
+                              [Constraint(parse("x1", n), Rel.EQ)]], locally_closed=False),
+    ]))
+    x0 = draw(st.lists(st.floats(-0.25, 0.25), min_size=n, max_size=n))
+    target = draw(st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, 1.0, -1.0, 0.3])))
+    opts = FlowOptions(
+        rtol=draw(st.sampled_from([1e-3, 1e-6, 1e-9])),
+        atol=draw(st.sampled_from([1e-12, 1e-6])),
+        max_steps=draw(st.sampled_from([3, 40, 400])),
+        interior_checks=draw(st.sampled_from([1, 3])),
+        max_sample_dt=draw(st.sampled_from([0.1, 0.03])),
+    )
+    return fld._value, x0, target, opts, space
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drive_cases())
+def test_generated_driver_matches_generic_list_driver_bitwise(case):
+    f, x0, target, opts, space = case
+    want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
+    assert _drive_outcome(_driver(len(x0)), f, x0, target, opts, space) == want
+
+
+@pytest.mark.parametrize("n", [8, 11, 12, 130])
+def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
+    # from 8 components the error sum takes its 8-lane and tail paths, beyond
+    # 128 its halving rule; runs of dozens of steps make a misordered sum
+    # show up in some step size
+    rng = random.Random(n)
+    comps = [f"({rng.uniform(-1, 1)!r})*x{(i + 1) % n + 1} + ({rng.uniform(-0.5, 0.5)!r})*x{i + 1}*x{(i + 2) % n + 1}"
+             f" + ({rng.uniform(-0.2, 0.2)!r})" for i in range(n)]
+    f = make_field("f", comps, n)._value
+    x0 = [rng.uniform(-0.2, 0.2) for _ in range(n)]
+    ball = SubcartesianSpace(n, [[Constraint(parse("4 - (" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")", n),
+                                             Rel.GE)]], locally_closed=True)
+    for target, space in ((2.0, None), (-2.0, None), (2.5, ball)):
+        opts = FlowOptions(rtol=1e-11, atol=1e-13)
+        want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
+        assert want[3] >= 20  # steps taken
+        assert _drive_outcome(_driver(n), f, x0, target, opts, space) == want
+
+
+def test_driver_is_generated_once_per_dimension():
+    assert _driver(3) is _driver(3)
+    assert _driver(3) is not _driver(4)
+
+
+def test_zero_or_nonfinite_starting_step_fails_at_once():
+    # the state overflows the starting-step estimate, which used to give a
+    # zero step and a million steps that never advanced t
+    plane = SubcartesianSpace.whole_space(2)
+    xddy = make_field("xddy", ["0", "x1"], 2)
+    with pytest.raises(IntegrationError, match="starting step 0.0"):
+        flow_map(plane, xddy, [1e200, 0.0], 1.0)
+    nan_field = make_field("nan", ["x1 * x1 * x1 - x1 * x1 * x1"], 1)
+    with pytest.raises(IntegrationError, match="starting step nan"):
+        flow_map(None, nan_field, [1e200], 1.0)
+
+
+def test_step_that_does_not_advance_t_fails():
+    # x' = x^2 from 0.1 blows up at t = 10; the stepper used to go on past
+    # the blow-up and report a NaN state at the target
+    blow = make_field("blow", ["x1*x1"], 1)
+    with pytest.raises(IntegrationError, match="does not advance"):
+        flow_map(None, blow, [0.1], 300.0)
+
+
+def test_nan_error_norm_rejects_the_step():
+    # the rotation overflows the state to inf - inf = NaN within the first
+    # step; a NaN error norm used to pass as accepted
+    rot = make_field("rot", ["0 - x2", "x1"], 2)
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        flow_map(None, rot, [1e308, 1e308], 1.0)

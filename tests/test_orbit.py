@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import random
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcart.orbit import (
     DependentBasisError,
@@ -18,7 +24,10 @@ from subcart.orbit import (
     reach,
     sample_orbit,
     span_dimension,
+    span_dimensions,
 )
+from subcart.flow import FlowDomainError, IntegrationError, flow_map
+from subcart.orbit import _MergeIndex
 from subcart.space import SubcartesianSpace
 
 from conftest import halfline, make_field, punctured_plane
@@ -180,3 +189,159 @@ def test_orbits_connected_unknown_for_distinct_circles():
     )
     assert verdict == "Unknown"
     assert word is None
+
+
+# The merge index and the batched rank pass against the whole-buffer scan
+# and the per-point SVDs they replaced.
+
+def _ref_merges(buf: np.ndarray, y: np.ndarray, radius: float) -> bool:
+    with np.errstate(all="ignore"):
+        return float(np.linalg.norm(buf - y, axis=1).min()) <= radius
+
+
+def _ref_rank(family: FieldFamily, point, tol_rank: float = 1e-8) -> int:
+    s = np.linalg.svd(family.value_matrix(point), compute_uv=False)
+    return 0 if s[0] <= 0.0 else int(np.sum(s > tol_rank * s[0]))
+
+
+_LATTICE = st.integers(-6, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(_LATTICE, min_size=n, max_size=n), min_size=1, max_size=60)),
+    st.one_of(st.integers(-30, 3), st.sampled_from([-560, -530, -505, -498])),
+    st.sampled_from([0.0, 2.0**40, 2.0**55, -(2.0**60)]),
+    st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 5.5, math.inf]),
+              st.floats(0.1, 8.0)),
+    st.sampled_from([None, math.inf, -math.inf, math.nan]),
+)
+def test_merge_index_matches_norm_scan(lattice, exponent, offset, radius_cells, odd):
+    # lattice points make distances of exactly the radius (3-4-5 and axis
+    # steps); the offsets push |x / side| past 2^50, onto the far list, and
+    # the smallest scales make squared differences underflow
+    scale = 2.0**exponent
+    radius = radius_cells * scale
+    pts = [np.array([offset * scale + v * scale for v in p]) for p in lattice]
+    if odd is not None:
+        pts[len(pts) // 2][0] = odd
+    index = _MergeIndex(pts[0].size, radius)
+    index.add(pts[0].tolist())
+    buf = pts[0].reshape(1, -1)
+    for y in pts[1:]:
+        want = _ref_merges(buf, y, radius)
+        assert index.merges(y.tolist()) == want
+        if not want:
+            index.add(y.tolist())
+            buf = np.vstack([buf, y.reshape(1, -1)])
+
+
+def test_merge_index_exact_radius_and_nonpositive_radius():
+    index = _MergeIndex(2, 5.0)
+    index.add([0.0, 0.0])
+    assert index.merges([3.0, 4.0])  # exactly at the radius
+    assert not index.merges([3.0, 4.000001])
+    zero = _MergeIndex(2, 0.0)
+    zero.add([1.0, -0.0])
+    assert zero.merges([1.0, 0.0])
+    assert zero.merges([1.0, 1e-200])  # the squared difference underflows to 0
+    assert not zero.merges([1.0, 1e-150])
+    # below a radius of 2^-500 the squares lose their relative precision: a
+    # difference of 2^-545 squares to 0, though it spans 2^34 cells of side 2r
+    tiny, buf = _MergeIndex(2, 2.0**-580), np.zeros((0, 2))
+    for i in range(12):
+        p = np.array([i * 2.0**-533, 0.0])
+        tiny.add(p.tolist())
+        buf = np.vstack([buf, p])
+    y = np.array([3 * 2.0**-533, 2.0**-545])
+    assert _ref_merges(buf, y, 2.0**-580)
+    assert tiny.merges(y.tolist())
+    # a grid candidate finds a point past |x / side| = 2^50 on the far list
+    edge = _MergeIndex(1, 1.0)
+    for x in [2.0**51] + [float(10 * i) for i in range(5)]:
+        edge.add([x])
+    assert edge.merges([2.0**51 - 0.5])
+    assert not edge.merges([2.0**51 - 2.0])
+    negative = _MergeIndex(2, -1.0)
+    negative.add([1.0, 2.0])
+    assert not negative.merges([1.0, 2.0])
+
+
+def _ref_sample_orbit(family, x0, budget, step_scale, rng_seed, merge_radius):
+    """The orbit exploration with the whole-buffer merge scan and per-point SVDs."""
+    rng = random.Random(rng_seed)
+    seed = np.asarray(x0, dtype=float)
+    points, words = [seed.copy()], [()]
+    buf = seed.reshape(1, -1).copy()
+    frontier = deque([0])
+    attempts = merged = failures = 0
+    while frontier and len(points) < budget and attempts < 40 * budget:
+        i = frontier.popleft()
+        candidates = []
+        for fi in range(len(family)):
+            dt = rng.uniform(-step_scale, step_scale)
+            attempts += 1
+            try:
+                y = flow_map(family.space, family.fields[fi], points[i], dt)
+            except (FlowDomainError, IntegrationError):
+                failures += 1
+                continue
+            candidates.append((y, words[i] + ((fi, dt),)))
+        candidates.sort(key=lambda c: tuple(c[0]))
+        accepted_any = False
+        for y, w in candidates:
+            if len(points) >= budget:
+                break
+            if _ref_merges(buf, y, merge_radius):
+                merged += 1
+                continue
+            points.append(y)
+            words.append(w)
+            buf = np.vstack([buf, y.reshape(1, -1)])
+            frontier.append(len(points) - 1)
+            accepted_any = True
+        if not accepted_any and len(points) < budget:
+            frontier.append(i)
+    dims = [_ref_rank(family, p) for p in points]
+    return points, words, dims, (attempts, merged, failures)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["shear", "rotation", "halfline"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1e-6, 0.0, -1.0, 0.02, 0.1, 0.3]),
+    st.integers(2, 40),
+    st.sampled_from([0.05, 0.3, 1.0]),
+)
+def test_sample_orbit_matches_vstack_reference(which, rng_seed, merge_radius, budget, step_scale):
+    family, x0 = {
+        "shear": (shear_family(), [0.2, -0.1]),
+        "rotation": (rotation_family(True), [1.0, 0.0]),
+        "halfline": (FieldFamily(halfline(), [make_field("ddx", ["1"], 1), make_field("xddx", ["x1"], 1)]),
+                     [0.1]),
+    }[which]
+    cloud = sample_orbit(family, x0, budget, step_scale=step_scale, rng_seed=rng_seed,
+                         merge_radius=merge_radius)
+    points, words, dims, (attempts, merged, failures) = _ref_sample_orbit(
+        family, x0, budget, step_scale, rng_seed, merge_radius)
+    assert [p.tobytes() for p in cloud.points] == [p.tobytes() for p in points]
+    assert cloud.words == words
+    assert cloud.dimensions == dims
+    assert cloud.est_dimension == max(dims)
+    d = cloud.diagnostics
+    assert (d["attempts"], d["merged"], d["flow_failures"]) == (attempts, merged, failures)
+    assert d["span_dimensions"] == sorted(set(dims))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1e-9, 0.5, -2.0, 1e150]),
+                          st.floats(-3.0, 3.0)), min_size=1, max_size=12),
+       st.sampled_from([1e-8, 0.3, 0.0]))
+def test_span_dimensions_match_per_point_svd(pts, tol_rank):
+    # x1 = 0 makes the shear family rank-deficient
+    fam = shear_family()
+    points = [np.array(p) for p in pts]
+    assert span_dimensions(fam, points, tol_rank) == [_ref_rank(fam, p, tol_rank) for p in points]
+    assert [span_dimension(fam, p, tol_rank) for p in points] == [_ref_rank(fam, p, tol_rank) for p in points]

@@ -69,6 +69,34 @@ def test_halfline_membership():
         hl.require_member([-1.0])
 
 
+def test_slack_keeps_nan():
+    # Python's min/max dropped the NaN margin and reported slack inf
+    hl = halfline()
+    assert math.isnan(hl.slack([math.nan]))
+    assert math.isnan(disk_line().slack([math.nan, 0.5]))
+    with pytest.raises(SpaceError, match="slack nan"):
+        hl.require_member([math.nan])
+
+
+def test_per_constraint_callables_compile_on_first_use(monkeypatch):
+    import subcart.space as space_mod
+
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return compile_scalar(e)
+
+    monkeypatch.setattr(space_mod, "compile_scalar", counting)
+    dl = disk_line()
+    assert dl.contains([0.0, 0.5])
+    assert calls == []
+    assert dl.slack([0.0, 0.5]) == 0.75
+    assert len(calls) == 2
+    dl.slack([0.0, 0.25])
+    assert len(calls) == 2
+
+
 def test_disk_line_membership_and_cells():
     dl = disk_line()
     assert dl.contains([0.0, 0.5])
