@@ -689,8 +689,6 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
-    if args.reduce:
-        return cmd_reduce(sc, args, tol)
     if sc.poisson is None:
         raise CliError("this command needs a 'poisson' block in the scenario")
     p = sc.poisson
@@ -928,7 +926,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples", type=_positive_int, default=50)
     p.add_argument("--points", type=_positive_int, default=10)
     p.add_argument("--scale", type=_positive_float, default=1.0)
-    p.add_argument("--reduce", action="store_true", help="run the reduction instead")
 
     p = sub.add_parser("reduce", parents=[common], help="invariant-based reduction")
 

@@ -6,6 +6,25 @@ Structural properties the axiomatic treatment takes as definitions
 (antisymmetry, Leibniz, Jacobi) become measurable residuals here, with the
 Jacobi residual doubling as the acceptance gate for candidate bivectors.
 
+The Jacobi residual of a triple is |{f,{g,h}} + {g,{h,f}} + {h,{f,g}}|,
+computed without building a bracket.  Expanding {f,{g,h}} = P^ab f_a
+d_b(P^cd g_c h_d) and summing cyclically leaves two kinds of term:
+
+    J^ijk f_i g_j h_k,
+        J^ijk = sum_l (P^il d_l P^jk + P^jl d_l P^ki + P^kl d_l P^ij),
+
+for antisymmetric P the Schouten bracket [P,P] up to the convention's
+factor (Lichnerowicz 1977; Vaisman 1994, ch. 1), and, for each cyclic
+order, f_u P^ux g_xy (P+P^T)^yv h_v, which holds the second derivatives of
+the triple and vanishes when P is antisymmetric.  The sum is the nested cyclic sum for every P, so one
+path serves antisymmetric and other bivectors alike.  P needs only first
+derivatives: J, P and P + P^T are compiled once per structure, on the first
+Jacobi check, into one callable; each triple enters only through the
+gradients and Hessians of f, g, h at the sample points.  Where every
+component of J and of P + P^T evaluates to exactly 0.0, as for the shipped
+Poisson bivectors with integer coefficients, the residual is exactly 0.0,
+at any finite scale whose gradients do not overflow.
+
 Reduction works with an explicit generating set of invariants sigma on a
 canonical ambient space: pairwise upstairs brackets are matched against
 polynomials in sigma by least squares over sampled points, integer-snapped,
@@ -15,11 +34,12 @@ whose Hamiltonian dynamics mirror the invariant dynamics upstairs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +67,8 @@ from .space import SubcartesianSpace
 FIT_TOL = 1e-10
 SNAP_TOL = 1e-9
 CERTIFY_TOL = 1e-10
+# sample points per block of the Jacobi sample: bounds its arrays, not its result
+_BLOCK_POINTS = 160
 
 
 class PoissonError(ValueError):
@@ -72,6 +94,25 @@ class ReductionError(PoissonError):
     """A pairwise invariant bracket has no representation in the invariants."""
 
 
+class _Table:
+    """Values of a list of expressions at many points, as an (m, len) array.
+
+    Constant entries are filled in once; one ``compile_vector`` of the others
+    is called per point.
+    """
+
+    def __init__(self, exprs: Sequence[Expr]):
+        self._const = np.array([e.value if isinstance(e, Const) else 0.0 for e in exprs])
+        self._where = [i for i, e in enumerate(exprs) if not isinstance(e, Const)]
+        self._value = compile_vector([exprs[i] for i in self._where])
+
+    def __call__(self, points: Sequence[Sequence[float]]) -> np.ndarray:
+        out = np.tile(self._const, (len(points), 1))
+        if self._where:
+            out[:, self._where] = [self._value(x) for x in points]
+        return out
+
+
 class PoissonStructure:
     """An antisymmetric coefficient matrix of expressions on R^n."""
 
@@ -91,11 +132,44 @@ class PoissonStructure:
         self.bivector: tuple[tuple[Expr, ...], ...] = tuple(rows)
         self.label = str(label)
         self.meta: dict = {}
-        flat = [e for row in self.bivector for e in row]
-        self._value = compile_vector(flat)
+
+    @functools.cached_property
+    def _value(self):
+        return compile_vector([e for row in self.bivector for e in row])
+
+    @functools.cached_property
+    def _jacobi_kernel(self) -> _Table:
+        """J^ijk, P^ij and (P + P^T)^ij, flat, as one table; compiled on the
+        first Jacobi check, since loading a scenario does not need it."""
+        n, p = self.dim, self.bivector
+        dp = [[[diff(p[j][k], l) for l in range(n)] for k in range(n)] for j in range(n)]
+        schouten = []
+        for i, j, k in itertools.product(range(n), repeat=3):
+            t: Expr = ZERO
+            for l in range(n):
+                for a, b in ((p[i][l], dp[j][k][l]), (p[j][l], dp[k][i][l]), (p[k][l], dp[i][j][l])):
+                    if not (a.is_zero or b.is_zero):  # as add and mul would drop it
+                        t = add(t, mul(a, b))
+            schouten.append(t)
+        flat = [e for row in p for e in row]
+        sym = [add(p[i][j], p[j][i]) for i in range(n) for j in range(n)]
+        return _Table(schouten + flat + sym)
 
     def matrix_at(self, point: Sequence[float]) -> np.ndarray:
         return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
+
+    def jacobi_tensors(
+        self, points: Sequence[Sequence[float]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """J^ijk, P^ij and (P + P^T)^ij at each point: shapes (m, n, n, n),
+        (m, n, n) and (m, n, n) for m points."""
+        n, n3 = self.dim, self.dim**3
+        vals = self._jacobi_kernel(points)
+        return (
+            vals[:, :n3].reshape(-1, n, n, n),
+            vals[:, n3 : n3 + n * n].reshape(-1, n, n),
+            vals[:, n3 + n * n :].reshape(-1, n, n),
+        )
 
     def antisymmetry_residual(self, points: Sequence[Sequence[float]]) -> float:
         return _worst(float(np.max(np.abs(m + m.T))) for m in map(self.matrix_at, points))
@@ -151,6 +225,31 @@ def hamiltonian_field(p: PoissonStructure, f: Expr, label: Optional[str] = None)
     return TangentField(label if label is not None else f"X[{to_text(f)}]", comps)
 
 
+def _cyclic_sums(
+    p: PoissonStructure, points: list[list[float]], grads: np.ndarray, hessians: np.ndarray
+) -> np.ndarray:
+    """|{f,{g,h}} + cyc| at each point from the triple's jets there.
+
+    ``grads`` has shape (m, 3, n) and ``hessians`` (m, 3, n, n), f, g, h in
+    that order.  Each term is contracted from the right, starting at J or
+    P + P^T, so where those are exactly 0.0 every partial product is 0.0 and
+    large gradients cannot make inf * 0.  Overflow gives inf or NaN without
+    a warning; the fold keeps it.
+    """
+    j, pm, sym = p.jacobi_tensors(points)
+    with np.errstate(all="ignore"):
+        t = np.einsum("pijk,pk->pij", j, grads[:, 2])
+        t = np.einsum("pij,pj->pi", t, grads[:, 1])
+        total = np.einsum("pi,pi->p", t, grads[:, 0])
+        # f_u P^ux g_xy (P+P^T)^yv h_v for (f,g,h), (g,h,f), (h,f,g)
+        right = np.einsum("pyv,pav->pay", sym, grads)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            t = np.einsum("pxy,py->px", hessians[:, b], right[:, c])
+            t = np.einsum("pux,px->pu", pm, t)
+            total = total + np.einsum("pu,pu->p", t, grads[:, a])
+        return np.abs(total)
+
+
 def jacobi_residual(
     p: PoissonStructure,
     f1: Expr,
@@ -158,13 +257,35 @@ def jacobi_residual(
     f3: Expr,
     points: Sequence[Sequence[float]],
 ) -> float:
-    """Max over points of the cyclic nested-bracket sum for the triple."""
-    s = add(
-        bracket(p, f1, bracket(p, f2, f3)),
-        add(bracket(p, f2, bracket(p, f3, f1)), bracket(p, f3, bracket(p, f1, f2))),
-    )
-    ev = compile_scalar(s)
-    return _worst(abs(ev(list(map(float, x)))) for x in points)
+    """Max over points of |{f1,{f2,f3}} + cyc|, from the Schouten contraction.
+
+    The gradients and Hessians of the triple are one ``compile_vector``.
+    """
+    fs = [as_expr(f) for f in (f1, f2, f3)]
+    for f in fs:
+        if max_var_index(f) >= p.dim:
+            raise PoissonError(f"argument {to_text(f)!r} uses a variable beyond x{p.dim}")
+    pts = [list(map(float, x)) for x in points]
+    if not pts:
+        return 0.0
+    n = p.dim
+    grads = [diff(f, i) for f in fs for i in range(n)]
+    vals = _Table(grads + [diff(g, j) for g in grads for j in range(n)])(pts)
+    d = vals[:, : 3 * n].reshape(-1, 3, n)
+    hess = vals[:, 3 * n :].reshape(-1, 3, n, n)
+    return float(np.max(_cyclic_sums(p, pts, d, hess)))
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_jets(n_vars: int, degree: int) -> _Table:
+    """Gradient then Hessian of each monomial of ``monomials(n_vars, degree)``,
+    flat in that order: len(monos) * (n + n^2) values per point."""
+    out: list[Expr] = []
+    for exps in monomials(n_vars, degree):
+        grad = [diff(_monomial_expr(exps), i) for i in range(n_vars)]
+        out += grad
+        out += [diff(g, j) for g in grad for j in range(n_vars)]
+    return _Table(out)
 
 
 def jacobi_sample_residual(
@@ -175,27 +296,48 @@ def jacobi_sample_residual(
     scale: float = 1.0,
     rng_seed: int = 0,
 ) -> float:
-    """Jacobi residual over random polynomial triples at random points."""
-    rng = random.Random(rng_seed)
-    monos = monomials(p.dim, degree)
+    """Jacobi residual over random polynomial triples at random points.
 
-    def residuals():
-        for _ in range(n_triples):
-            triple = [_random_poly(monos, rng) for _ in range(3)]
-            pts = [[rng.uniform(-scale, scale) for _ in range(p.dim)] for _ in range(n_points)]
-            yield jacobi_residual(p, triple[0], triple[1], triple[2], pts)
+    Each triple is three coefficient vectors over ``monomials(dim, degree)``
+    and has its own points; its jets are those coefficients contracted with
+    the monomials' gradient and Hessian tables.  No expression is built per
+    triple.
+    """
+    if n_points < 1:
+        return 0.0
+    # rng.uniform(a, b) is a + (b - a) * rng.random(); inlined, same floats
+    draw = random.Random(rng_seed).random
+    width = scale - -scale
+    n = p.dim
+    n_monos = len(monomials(n, degree))
+    coeffs: list[list[list[float]]] = []
+    pts: list[list[float]] = []
+    for _ in range(n_triples):
+        coeffs.append([_random_coeffs(n_monos, draw) for _ in range(3)])
+        pts += [[-scale + width * draw() for _ in range(n)] for _ in range(n_points)]
+    table = _monomial_jets(n, degree)
+    # a block of triples at a time keeps the (points, monomials, n + n^2) table small
+    per_block = max(1, _BLOCK_POINTS // n_points)
+    worst = []
+    for t in range(0, n_triples, per_block):
+        c = np.array(coeffs[t : t + per_block], dtype=float)
+        block = pts[t * n_points : (t + len(c)) * n_points]
+        tab = table(block).reshape(len(c), n_points, n_monos, n + n * n)
+        with np.errstate(all="ignore"):
+            jets = np.einsum("tam,tkmd->tkad", c, tab).reshape(-1, 3, n + n * n)
+        hess = jets[:, :, n:].reshape(-1, 3, n, n)
+        worst.append(float(np.max(_cyclic_sums(p, block, jets[:, :, :n], hess))))
+    return _worst(worst)
 
-    return _worst(residuals())
 
-
-def _random_poly(monos: Sequence[tuple[int, ...]], rng: random.Random) -> Expr:
-    e: Expr = ZERO
-    for exps in monos:
-        c = rng.uniform(-1.0, 1.0)
-        if abs(c) < 0.3:
-            continue
-        e = add(e, mul(Const(round(c, 3)), _monomial_expr(exps)))
-    return e
+def _random_coeffs(n_monos: int, draw: Callable[[], float]) -> list[float]:
+    """Uniform coefficients in [-1, 1] rounded to 3 places; those under 0.3
+    in size are 0."""
+    out = []
+    for _ in range(n_monos):
+        c = -1.0 + 2.0 * draw()
+        out.append(round(c, 3) if abs(c) >= 0.3 else 0.0)
+    return out
 
 
 @dataclass
@@ -339,7 +481,8 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
         for b in range(a + 1, m):
             upstairs = bracket(amb, sigma[a], sigma[b])
             pair_brackets[(a, b)] = upstairs
-            rhs = np.array([compile_scalar(upstairs)(x) for x in fit_points])
+            upstairs_eval = compile_scalar(upstairs)
+            rhs = np.array([upstairs_eval(x) for x in fit_points])
             coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
             fit = float(np.max(np.abs(design @ coef - rhs))) if len(rhs) else 0.0
             if fit > setup.fit_tol:

@@ -13,7 +13,10 @@ function of the point and the tolerance that tests the cells in order, each
 inside its own ``try`` so that a constraint undefined at the point
 (``DomainError``) rules out only its cell, and returns the index of the
 first cell that holds.  ``contains``, ``member_cell`` and ``cell_contains``
-all call functions made by that one generator.
+all call functions made by that one generator.  Python's float ``**`` raises
+``OverflowError`` where numpy's gives inf, so a point whose test overflows
+is tested again on numpy floats, with numpy's overflow warnings off; only
+that rare path pays for it.
 """
 
 from __future__ import annotations
@@ -121,6 +124,14 @@ def _compile_cells(cells: Sequence[Cell]) -> Callable[[Sequence[float], float], 
     return scope["_f"]
 
 
+def _on_numpy_floats(f: Callable, point: Sequence[float], *args):
+    """``f`` at the point's coordinates as numpy floats, whose ``**`` gives inf
+    where Python's raises ``OverflowError``; the warnings numpy would print
+    for that are off."""
+    with np.errstate(all="ignore"):
+        return f([np.float64(v) for v in point], *args)
+
+
 class SubcartesianSpace:
     """Finite union of constraint cells in a fixed ambient dimension."""
 
@@ -161,13 +172,22 @@ class SubcartesianSpace:
         test = self._cell_tests[cell_index]
         if test is None:
             test = self._cell_tests[cell_index] = _compile_cells(self.cells[cell_index : cell_index + 1])
-        return test(point, self.tol if tol is None else tol) is not None
+        try:
+            return test(point, self.tol if tol is None else tol) is not None
+        except OverflowError:
+            return _on_numpy_floats(test, point, self.tol if tol is None else tol) is not None
 
     def contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
-        return self._first_cell(point, self.tol if tol is None else tol) is not None
+        try:
+            return self._first_cell(point, self.tol if tol is None else tol) is not None
+        except OverflowError:
+            return _on_numpy_floats(self._first_cell, point, self.tol if tol is None else tol) is not None
 
     def member_cell(self, point: Sequence[float], tol: Optional[float] = None) -> Optional[int]:
-        return self._first_cell(point, self.tol if tol is None else tol)
+        try:
+            return self._first_cell(point, self.tol if tol is None else tol)
+        except OverflowError:
+            return _on_numpy_floats(self._first_cell, point, self.tol if tol is None else tol)
 
     def slack(self, point: Sequence[float]) -> float:
         """Best cell margin: max over cells of the worst constraint margin.
@@ -177,6 +197,12 @@ class SubcartesianSpace:
         are undefined at the point count as minus infinity for their cell.
         A NaN margin makes the slack NaN, as ``np.min``/``np.max`` would.
         """
+        try:
+            return self._slack(point)
+        except OverflowError:
+            return _on_numpy_floats(self._slack, point)
+
+    def _slack(self, point: Sequence[float]) -> float:
         best = -np.inf
         for cell, evals in zip(self.cells, self._evals):
             worst = np.inf
@@ -193,6 +219,8 @@ class SubcartesianSpace:
         return float(best)
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:
+        if isinstance(point, np.ndarray):
+            point = point.tolist()  # numpy scalars would warn where a power overflows
         if not self.contains(point):
             raise SpaceError(f"{what} {list(map(float, point))} is not in the space (slack {self.slack(point):.3e})")
 

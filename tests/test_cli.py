@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import subcart
 from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
 
@@ -470,6 +475,60 @@ def test_poisson_overflowing_scale_exits_2(capsys, scale):
     assert report == {}
     assert "--scale" in err
     assert len(err.splitlines()) == 1
+
+
+def test_poisson_passes_at_any_scale_where_the_jacobiator_vanishes(capsys):
+    # J and P + P^T of the reduced bivector are exactly 0.0, so large sample
+    # points no longer overflow the residual
+    code, report, err = run(capsys, "poisson", "--scenario", scenario_path("reduction_r4"),
+                            "--triples", "3", "--points", "3", "--scale", "1e300")
+    assert code == 0
+    assert report["result"]["jacobi_residual"] == 0
+    assert err == ""
+
+
+def test_poisson_reduce_flag_is_gone(capsys):
+    # the reduction is the `reduce` subcommand
+    code, report, err = run(capsys, "poisson", "--scenario", scenario_path("reduction_r4"),
+                            "--reduce")
+    assert code == 2
+    assert report == {}
+    assert "unrecognized arguments: --reduce" in err
+
+
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process, so stderr holds what a user would see,
+    numpy's warnings included."""
+    src = os.path.dirname(os.path.dirname(subcart.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "subcart", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_flow_from_overflowing_point_prints_one_line():
+    # x^2 + y^2 overflows: numpy scalars used to print two RuntimeWarnings
+    proc = _cli_process("flow", "--scenario", scenario_path("rotation_plane"), "--field", "rot",
+                        "--point=1e308,1e308", "--horizon", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: integration failed: step size underflow at t=0.0\n"
+
+
+def test_flow_where_python_float_power_overflows(tmp_path):
+    # Python's 1e200 ** 2 raises OverflowError, which used to end in an internal
+    # error; the membership test now reads it as inf, as numpy does.  The point
+    # is in the punctured plane, so the flow runs: a rotation by one radian
+    arc = tmp_path / "arc.csv"
+    proc = _cli_process("flow", "--scenario", scenario_path("rotation_plane"), "--field", "rot",
+                        "--point=1e200,1e200", "--horizon", "1", "--out", str(arc))
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert result["t_plus"] == 1 and result["exit_plus"] is None
+    t, x, y = map(float, arc.read_text().splitlines()[-1].split(","))
+    assert t == 1.0
+    want = (1e200 * (math.cos(1.0) - math.sin(1.0)), 1e200 * (math.sin(1.0) + math.cos(1.0)))
+    assert abs(x - want[0]) <= 1e-8 * 1e200 and abs(y - want[1]) <= 1e-8 * 1e200
 
 
 def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):

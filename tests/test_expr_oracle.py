@@ -7,7 +7,14 @@ at random points against ``compile_scalar(diff(e, i))``.
 Bivectors: the Jacobiator {f,{g,h}} + {g,{h,f}} + {h,{f,g}} of each
 scenario's bivector is built in sympy alone, from the scenario JSON text, on
 generic quadratic f, g, h whose coefficients are symbols.  It expands to
-exactly 0 for a Poisson bivector and not for the negative control.
+exactly 0 for a Poisson bivector and not for the negative control.  The
+compiled Schouten components J^ijk of each scenario are checked against
+sympy's Jacobiator of the coordinate triple (x_i, x_j, x_k), which is J^ijk
+because coordinates have constant gradients and no second derivatives.
+
+Brackets: ``poisson.bracket`` and ``field.lie_bracket`` of random polynomial
+bivectors, functions and fields, against the same brackets built in sympy
+from the printed inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcart.cli import load_scenario
 from subcart.expr import Const, Var, add, compile_scalar, diff, div, fn, mul, pow_int, sub, to_text
+from subcart.field import TangentField, lie_bracket
+from subcart.poisson import PoissonStructure, bracket
 
 from conftest import scenario_path
 
@@ -138,3 +148,68 @@ def test_bivector_jacobiator(name):
         assert sympy.expand(_jacobiator(xs, p, *xs)) == xs[2]
     else:
         assert jac == 0
+
+
+def _sympy_bracket(xs, p, u, v):
+    n = len(xs)
+    return sum(p[i][j] * sympy.diff(u, xs[i]) * sympy.diff(v, xs[j])
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("name", ["canonical_r2", "reduction_r4", "jacobi_control"])
+def test_schouten_components_match_sympy(name):
+    xs, p = _scenario_bivector(name)
+    n = len(xs)
+    want = [[[sympy.lambdify(xs, sympy.expand(
+        _sympy_bracket(xs, p, xs[i], _sympy_bracket(xs, p, xs[j], xs[k]))
+        + _sympy_bracket(xs, p, xs[j], _sympy_bracket(xs, p, xs[k], xs[i]))
+        + _sympy_bracket(xs, p, xs[k], _sympy_bracket(xs, p, xs[i], xs[j]))), "math")
+        for k in range(n)] for j in range(n)] for i in range(n)]
+    structure = load_scenario(scenario_path(name)).poisson
+    points = [[0.5 + 0.25 * i - 0.75 * (i % 2) + 0.1 * t for i in range(n)] for t in range(4)]
+    j, pm, sym = structure.jacobi_tensors(points)
+    for t, x in enumerate(points):
+        for i, jj, k in itertools.product(range(n), repeat=3):
+            w = float(want[i][jj][k](*x))
+            assert abs(j[t, i, jj, k] - w) <= REL_TOL * max(1.0, abs(w)), (i, jj, k, x)
+        for a, b in itertools.product(range(n), repeat=2):
+            pab = float(p[a][b].subs(dict(zip(xs, x))))
+            pba = float(p[b][a].subs(dict(zip(xs, x))))
+            assert pm[t, a, b] == pytest.approx(pab, rel=REL_TOL, abs=REL_TOL)
+            assert sym[t, a, b] == pytest.approx(pab + pba, rel=REL_TOL, abs=REL_TOL)
+    if name != "jacobi_control":
+        assert not j.any()
+
+
+@given(st.lists(polys(), min_size=N_VARS * N_VARS, max_size=N_VARS * N_VARS),
+       polys(), polys(), _points)
+@settings(max_examples=25, deadline=None)
+def test_poisson_bracket_matches_sympy(entries, f, g, points):
+    names = {f"x{i + 1}": s for i, s in enumerate(SYMBOLS)}
+    rows = [entries[N_VARS * i: N_VARS * (i + 1)] for i in range(N_VARS)]
+    p = [[_to_sympy(to_text(e), names) for e in row] for row in rows]
+    oracle = _sympy_bracket(SYMBOLS, p, _to_sympy(to_text(f), names), _to_sympy(to_text(g), names))
+    want = sympy.lambdify(SYMBOLS, oracle, "math")
+    got = compile_scalar(bracket(PoissonStructure(N_VARS, rows), f, g))
+    for x in points:
+        w = float(want(*x))
+        assert abs(got(x) - w) <= REL_TOL * max(1.0, abs(w)), (to_text(f), to_text(g), x)
+
+
+@given(st.lists(polys(), min_size=2 * N_VARS, max_size=2 * N_VARS), _points)
+@settings(max_examples=25, deadline=None)
+def test_lie_bracket_matches_sympy(comps, points):
+    names = {f"x{i + 1}": s for i, s in enumerate(SYMBOLS)}
+    x_field = TangentField("X", comps[:N_VARS])
+    y_field = TangentField("Y", comps[N_VARS:])
+    xs = [_to_sympy(to_text(c), names) for c in x_field.components]
+    ys = [_to_sympy(to_text(c), names) for c in y_field.components]
+    # [X,Y]_i = X(Y_i) - Y(X_i)
+    oracle = [sum(xs[j] * sympy.diff(ys[i], SYMBOLS[j]) - ys[j] * sympy.diff(xs[i], SYMBOLS[j])
+                  for j in range(N_VARS)) for i in range(N_VARS)]
+    want = sympy.lambdify(SYMBOLS, oracle, "math")
+    got = lie_bracket(x_field, y_field)
+    for x in points:
+        for gi, wi in zip(got.value(list(x)), want(*x)):
+            wi = float(wi)
+            assert abs(gi - wi) <= REL_TOL * max(1.0, abs(wi)), (str(x_field), str(y_field), x)

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subcart.expr import compile_scalar, parse, to_text
+from subcart.cli import load_scenario
+from subcart.expr import Const, Var, ZERO, add, compile_scalar, mul, parse, pow_int, to_text
 from subcart.poisson import (
     PoissonError,
     PoissonStructure,
@@ -21,6 +27,8 @@ from subcart.poisson import (
     reduce,
 )
 from subcart.space import Constraint, Rel, SubcartesianSpace
+
+from conftest import scenario_path
 
 JACOBI_TOL = 1e-8
 CASIMIR_TOL = 1e-9
@@ -147,6 +155,168 @@ def test_residual_folds_keep_nan():
     assert np.isnan(jacobi_residual(broken, s[0], s[1], s[2], pts))
     assert np.isnan(jacobi_sample_residual(broken, n_triples=3, n_points=3, scale=1e160))
     assert np.isnan(broken.antisymmetry_residual([[0.0, 0.0, 0.0], [1.0, 1.0, np.nan]]))
+
+
+# The nested-bracket Jacobi path the Schouten contraction replaced, kept here
+# as the reference: three brackets of brackets built symbolically and one
+# compile per triple.
+
+def nested_jacobi_residual(p, f1, f2, f3, points) -> float:
+    s = add(
+        bracket(p, f1, bracket(p, f2, f3)),
+        add(bracket(p, f2, bracket(p, f3, f1)), bracket(p, f3, bracket(p, f1, f2))),
+    )
+    ev = compile_scalar(s)
+    worst = 0.0
+    for x in points:
+        r = abs(ev(list(map(float, x))))
+        if r != r:
+            return r
+        worst = max(worst, r)
+    return worst
+
+
+def _monomial(exps):
+    e = Const(1.0)
+    for i, k in enumerate(exps):
+        if k:
+            e = mul(e, pow_int(Var(i), k))
+    return e
+
+
+def nested_random_poly(monos, rng):
+    e = ZERO
+    for exps in monos:
+        c = rng.uniform(-1.0, 1.0)
+        if abs(c) < 0.3:
+            continue
+        e = add(e, mul(Const(round(c, 3)), _monomial(exps)))
+    return e
+
+
+def nested_sample_residual(p, n_triples=50, n_points=10, degree=2, scale=1.0, rng_seed=0):
+    rng = random.Random(rng_seed)
+    monos = monomials(p.dim, degree)
+    worst = 0.0
+    for _ in range(n_triples):
+        triple = [nested_random_poly(monos, rng) for _ in range(3)]
+        pts = [[rng.uniform(-scale, scale) for _ in range(p.dim)] for _ in range(n_points)]
+        r = nested_jacobi_residual(p, triple[0], triple[1], triple[2], pts)
+        if r != r:
+            return r
+        worst = max(worst, r)
+    return worst
+
+
+def scenario_structure(name: str) -> PoissonStructure:
+    return load_scenario(scenario_path(name)).poisson
+
+
+REL = 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ["reduction_r4", "canonical_r2", "jacobi_control"])
+def test_sample_residual_matches_nested_path(name, seed):
+    p = scenario_structure(name)
+    got = jacobi_sample_residual(p, n_triples=12, n_points=4, scale=1.5, rng_seed=seed)
+    want = nested_sample_residual(p, n_triples=12, n_points=4, scale=1.5, rng_seed=seed)
+    if name == "jacobi_control":
+        # the same triples at the same points, or the values would differ widely
+        assert want > 0.1
+        assert abs(got - want) <= REL * want
+    else:
+        assert want <= 1e-12
+        assert got == 0.0
+
+
+def test_sample_residual_does_not_depend_on_block_size(monkeypatch):
+    p = broken_structure()
+    want = jacobi_sample_residual(p, n_triples=9, n_points=5, rng_seed=3)
+    for points in (1, 7, 10_000):
+        monkeypatch.setattr("subcart.poisson._BLOCK_POINTS", points)
+        assert jacobi_sample_residual(p, n_triples=9, n_points=5, rng_seed=3).hex() == want.hex()
+
+
+def test_jacobi_kernel_is_built_on_first_check():
+    p = broken_structure()
+    assert "_jacobi_kernel" not in vars(p) and "_value" not in vars(p)
+    jacobi_sample_residual(p, n_triples=2, n_points=2)
+    assert "_jacobi_kernel" in vars(p)
+    kernel = p._jacobi_kernel
+    jacobi_sample_residual(p, n_triples=2, n_points=2, rng_seed=1)
+    assert p._jacobi_kernel is kernel
+
+
+def test_jacobi_tensors_of_the_broken_bivector():
+    # J^123 is the Jacobiator of the coordinate triple, x3 here
+    j, pm, sym = broken_structure().jacobi_tensors([[0.5, 0.25, 0.75], [1.0, -2.0, 3.0]])
+    assert j.shape == (2, 3, 3, 3) and pm.shape == sym.shape == (2, 3, 3)
+    assert j[:, 0, 1, 2].tolist() == [0.75, 3.0]
+    assert np.all(sym == 0.0)
+    assert pm[1].tolist() == [[0.0, 3.0, 0.0], [-3.0, 0.0, -2.0], [0.0, 2.0, 0.0]]
+
+
+def test_overflowing_scale_gives_nan_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(jacobi_sample_residual(broken_structure(), n_triples=3, n_points=3,
+                                               scale=1e300))
+        # J and P + P^T are exactly 0.0, so no product of large gradients is formed
+        assert jacobi_sample_residual(reduced_structure(), n_triples=3, n_points=3,
+                                      scale=1e300) == 0.0
+
+
+def test_jacobi_residual_edge_inputs():
+    with pytest.raises(PoissonError):
+        jacobi_residual(PoissonStructure.canonical(1), parse("x1", 2), parse("x2", 2),
+                        parse("x3", 3), [[0.0, 0.0]])
+    assert jacobi_residual(PoissonStructure.canonical(1), parse("x1", 2), parse("x2", 2),
+                           parse("x1", 2), []) == 0.0
+    assert jacobi_sample_residual(broken_structure(), n_triples=0) == 0.0
+    assert jacobi_sample_residual(broken_structure(), n_points=0) == 0.0
+
+
+_coeff = st.sampled_from([-2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def polys(draw, n, max_degree=2):
+    """A sum of up to three terms coefficient * monomial of degree <= max_degree."""
+    e = ZERO
+    for _ in range(draw(st.integers(0, 3))):
+        term = Const(draw(_coeff))
+        for _ in range(draw(st.integers(0, max_degree))):
+            term = mul(term, Var(draw(st.integers(0, n - 1))))
+        e = add(e, term)
+    return e
+
+
+@st.composite
+def jacobi_cases(draw):
+    """A polynomial bivector of dimension 1-5, antisymmetric or not, a triple
+    of polynomials of degree <= 3 and sample points."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(polys(n)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = ZERO
+            for j in range(i):
+                rows[i][j] = mul(Const(-1.0), rows[j][i])
+    triple = [draw(polys(n, max_degree=3)) for _ in range(3)]
+    coords = st.floats(-1.5, 1.5, allow_nan=False)
+    points = draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=3))
+    return PoissonStructure(n, rows), triple, points
+
+
+@given(jacobi_cases())
+@settings(max_examples=60, deadline=None)
+def test_jacobi_residual_matches_nested_path(case):
+    p, (f, g, h), points = case
+    for x in points:
+        got = jacobi_residual(p, f, g, h, [x])
+        want = nested_jacobi_residual(p, f, g, h, [x])
+        assert abs(got - want) <= REL * max(abs(want), 1.0), (p.to_json_dict(), x)
 
 
 def test_invariance_residual_canonical():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -297,3 +298,23 @@ def test_generated_membership_at_band_edges(rel, value, tol):
     assert space.contains([value], tol) is expected
     assert space.cell_contains(0, [value], tol) is expected
     assert space.member_cell([value], tol) == (0 if expected else None)
+
+
+def test_membership_where_float_power_overflows():
+    # Python's float ** raises OverflowError where numpy's gives inf; the test
+    # is evaluated again on numpy floats, with no RuntimeWarning printed
+    plane, disk = punctured_plane(), disk_line()
+    huge = [1e200, 1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert plane.contains(huge) and plane.member_cell(huge) == 0
+        assert plane.cell_contains(0, huge)
+        assert not disk.contains(huge) and disk.member_cell(huge) is None
+        assert disk.slack(huge) == -1e200  # the line cell; the disk margin is -inf
+        plane.require_member(np.array([1e308, 1e308]))
+        with pytest.raises(SpaceError, match="not in the space"):
+            disk.require_member(np.array(huge))
+    # finite points that do not overflow keep their answers
+    for p in ([0.5, 0.5], [0.0, 0.0], [1e-200, 0.0], [3.0, -4.0], [1e150, 1e150]):
+        assert plane.contains(p) == plane.contains(np.array(p))
+        assert disk.member_cell(p) == disk.member_cell(np.array(p))

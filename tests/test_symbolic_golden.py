@@ -24,13 +24,13 @@ _POINT4 = "--point=0.3,-0.2,0.5,0.1"
 GOLDEN = [
     ("poisson-reduction_r4", ["poisson", "--scenario", "reduction_r4", "--triples", "8",
                               "--points", "5", "--seed", "11"],
-     0, "ecc1114efb4e4728770c696f36a2f7a23a31ee49c673249b61539ff3bfa4bad2"),
+     0, "47b77f14e104e0fe30723bb7f59211ba61685c9ef2c595d33bda86870642c292"),
     ("poisson-jacobi_control", ["poisson", "--scenario", "jacobi_control", "--triples", "4",
                                 "--points", "3", "--seed", "12"],
-     1, "47bfcce6fa40e06b6d08436c575745470cf824ad6286ea24d907a921c7f87e71"),
+     1, "a0884a8156ea267cc689aa14f51d5e5669f3dd5a69afa7d2da72dba03c444550"),
     ("poisson-canonical_r2", ["poisson", "--scenario", "canonical_r2", "--triples", "6",
                               "--points", "4", "--scale", "2", "--seed", "13"],
-     0, "10f01f02eff04725e2b2c9621a606ba477990626026bf93c5693967457525f3f"),
+     0, "9ada6e9bd6b9196bdb414c9b4de116fcc692475a59ec67a7e87cbbbe07755cb0"),
     ("reduce-reduction_r4", ["reduce", "--scenario", "reduction_r4", "--seed", "14"],
      0, "8f4c84f8222d392bb877f03cc056e450bca169eae4ca44dfa089224ca6915f81"),
     ("bracket-translate_shear", ["bracket", "--scenario", "translate_shear", "--x", "ddx",
