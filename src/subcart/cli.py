@@ -14,10 +14,6 @@ identical inputs and --seed are byte-identical.
 Exit codes: 0 for PASS-type outcomes (including honest Inconclusive), 1 for
 certified failures or witnesses, 2 for usage, IO, or schema errors and for
 any unexpected exception, reported as one ``internal error:`` line.
-
-The environment variable SUBCART_THREADS is accepted as a worker cap for
-compatibility; evaluation is sequential either way, so it has no effect on
-results.
 """
 
 from __future__ import annotations
@@ -878,7 +874,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subcart",
         description="Flows, orbits, strata, brackets and torsion on subsets of R^n.",
-        epilog="SUBCART_THREADS caps worker threads (evaluation is sequential regardless).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -985,15 +980,6 @@ def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, f
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    threads = os.environ.get("SUBCART_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write(f"error: SUBCART_THREADS={threads!r} is not a positive integer\n")
-            return EXIT_USAGE
-
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)

@@ -94,15 +94,3 @@ def lie_bracket(x: TangentField, y: TangentField, label: Optional[str] = None) -
     comps = [add(x.apply(yc), -y.apply(xc)) for xc, yc in zip(x.components, y.components)]
     lab = label if label is not None else f"[{x.label},{y.label}]"
     return TangentField(lab, comps)
-
-
-def pushforward_at(space, x_field: TangentField, t: float, y_field: TangentField, point, options=None):
-    """Transport y_field(point) along the time-t flow of x_field.
-
-    Returns (image_point, transported_vector).  The vector is carried by the
-    flow's derivative, integrated as a matrix-free variational system
-    alongside the base trajectory.
-    """
-    from .flow import transport_vector
-
-    return transport_vector(space, x_field, t, y_field, point, options)

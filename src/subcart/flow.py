@@ -2,22 +2,26 @@
 
 The integrator is an adaptive Dormand-Prince 5(4) pair with a quartic dense
 interpolant (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4-6).  Its
-adaptive loop is generated Python source, compiled once per state dimension
-on first use (about 1.3 ms for n = 1, 2 ms for n = 4, 7 ms for n = 16) and
-kept for the process: straight-line code over scalar locals, which costs
-far less than loops over lists or small numpy arrays.  Each component is
-computed with the operations, in the order, of the whole-array numpy
-expressions, and the error norm sums in numpy's pairwise order, so results
-are bit-identical to a numpy stepper.  Membership in the space is monitored
-along every accepted step at evenly spaced points of the dense output,
-which double as the recorded samples: one loop evaluates the interpolant,
-calls the space's generated membership predicate and records each point
-that passes.  On the first violation the exit time is located by bisection
-on the dense output down to 1e-12 in time.  Domain-guard failures inside
-the derivative (logs, roots, quotients) are treated as leaving the chart:
-the step is retried at half size down to 1e-14, then the curve ends.  A
-starting step that is zero or not finite, a NaN error norm and an accepted
-step too short to advance t are failures of the stepper itself.
+adaptive loop, the starting step included, is generated Python source,
+compiled on first use once per state dimension and per use of the samples
+(about 1.3 ms for n = 1, 2 ms for n = 4, 7 ms for n = 16) and kept for the
+process: straight-line code over scalar locals, which costs far less than
+loops over lists or small numpy arrays.  Each component is computed with
+the operations, in the order, of the whole-array numpy expressions, and the
+norms sum in numpy's pairwise order, so results are bit-identical to a
+numpy stepper.  Membership in the space is monitored along every accepted
+step at evenly spaced points of the dense output, which double as the
+recorded samples: one loop evaluates the interpolant, calls the space's
+generated membership predicate and, for ``integrate`` only, records each
+point that passes; ``flow_map`` and ``transport_vector`` keep no samples.
+A space with a cell of no constraints holds everywhere, so there the
+predicate is skipped.  On the first violation the exit time is located by
+bisection on the dense output down to 1e-12 in time.  Domain-guard failures
+inside the derivative (logs, roots, quotients) are treated as leaving the
+chart: the step is retried at half size down to 1e-14, then the curve ends.
+A starting step that is zero or not finite, a NaN error norm, an accepted
+step too short to advance t and a field whose value overflows (Python's
+float ``**`` raises there) are failures of the stepper itself.
 
 An exit comes in two flavours.  When the limit point still satisfies the
 membership predicate under a relaxed tolerance the interval endpoint is
@@ -200,27 +204,6 @@ def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
     return add(_pairwise_sum(a[:half], add, zero), _pairwise_sum(a[half:], add, zero))
 
 
-def _mean(a: list[float]) -> float:
-    """``np.mean`` of a float list, bit for bit: the reduction starts at 0.0."""
-    return (0.0 + _pairwise_sum(a)) / len(a)
-
-
-def _rms(v: list[float]) -> float:
-    """Root mean square, equal to ``math.sqrt(np.mean(np.square(v)))`` bit for bit."""
-    return math.sqrt(_mean([x * x for x in v]))
-
-
-def _initial_step(y: list[float], f0: list[float], rtol: float, atol: float, limit: float) -> float:
-    sk = [atol + rtol * abs(v) for v in y]
-    d0 = _rms([v / s for v, s in zip(y, sk)])
-    d1 = _rms([v / s for v, s in zip(f0, sk)])
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    return min(h0, limit) if limit > 0 else h0
-
-
 class _Samples:
     """Recorded (t, point) pairs, the points packed into one float buffer."""
 
@@ -279,14 +262,18 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, mem
 # witness_info)`` integrates from x0 toward the signed time ``target`` and
 # stops where membership fails.  It is generated per state dimension as
 # straight-line code over scalar locals: y0.. the state, k1_0.. the stage
-# derivatives, yn0.. the step endpoint, s0.. the scaled errors and yd, bs, q,
-# r the dense coefficients ydiff = ynew - y, bspl = h * k1 - ydiff,
-# r4 = ydiff - h * k7 - bspl and r5 = h * sum_i D[i] * k[i].  Each component
+# derivatives, sk0.., sy0.. and sf0.. the scale, state and slope of the
+# starting-step rule (h0 = 0.01 * rms(y / sk) / rms(k1 / sk), or 1e-6 when
+# either norm is below 1e-5, at most the span), yn0.. the step endpoint,
+# s0.. the scaled errors and yd, bs, q, r the dense coefficients
+# ydiff = ynew - y, bspl = h * k1 - ydiff, r4 = ydiff - h * k7 - bspl and
+# r5 = h * sum_i D[i] * k[i].  Each component
 # uses the operations, in the order, of the whole-array numpy expression:
 # stage sums y + h * sum_j A[i][j] * k[j] start from 0.0 and keep the
 # products with the tableau's zeros, sk = atol + rtol * np.maximum(|y|,
-# |ynew|) propagates NaN, and the error norm sums like ``np.mean``.  Each
-# $name below is replaced by the code for one dimension.
+# |ynew|) propagates NaN, and the norms sum like ``np.mean``.  Each $name
+# below is replaced by the code for one dimension; $record, the two lines
+# that keep a scanned point as a sample, is empty in a driver that keeps none.
 _DRIVER = '''\
 def _drive(f, x0, target, opts, member, member_relaxed, witness_info):
     rtol = opts.rtol
@@ -306,11 +293,16 @@ def _drive(f, x0, target, opts, member, member_relaxed, witness_info):
         k1 = f(y)
     except DomainError:
         raise IntegrationError(f"field undefined at basepoint {y}") from None
-    h = (1.0 if target >= 0 else -1.0) * _initial_step(y, k1, rtol, atol, span)
-    if not 0.0 < abs(h) < inf:
-        raise IntegrationError(f"starting step {h} at basepoint {y} is zero or not finite")
+    except OverflowError:
+        raise IntegrationError(f"field overflows at basepoint {y}") from None
     $y = y
     $k1 = k1
+$start
+    ny = sqrt((0.0 + $ysq) / $n)
+    nf = sqrt((0.0 + $fsq) / $n)
+    h = (1.0 if target >= 0 else -1.0) * min(1e-6 if ny < 1e-5 or nf < 1e-5 else 0.01 * ny / nf, span)
+    if not 0.0 < abs(h) < inf:
+        raise IntegrationError(f"starting step {h} at basepoint {y} is zero or not finite")
     t = 0.0
     n_steps = 0
     while True:
@@ -332,6 +324,8 @@ $stages
                 witness = ExitWitness(t=t, point=($y), attained=True, guard=True)
                 return _DriveResult(t, [$y], False, samples, witness, n_steps)
             continue
+        except OverflowError:
+            raise IntegrationError(f"field overflows at t={t}", t=t, samples=samples.pairs()) from None
 $errors
         err = sqrt((0.0 + $sumsq) / $n)
         if not err <= 1.0:
@@ -354,8 +348,7 @@ $coeffs
                 return _exit(($table), theta_in, th, t, h, samples, n_steps,
                              opts, member, member_relaxed, witness_info)
             theta_in = th
-            sample_t.append(target if (landing and th == 1.0) else t + th * h)
-            sample_x.extend(p)
+$record
         $y = $yn
         $k1 = $k7
         if landing:
@@ -368,9 +361,12 @@ _TABLEAU = {f"a{i}{j}": c for i, row in enumerate(_A[1:], 2) for j, c in enumera
 _TABLEAU.update({f"e{j}": c for j, c in enumerate(_E, 1)}, **{f"d{j}": c for j, c in enumerate(_D, 1)})
 
 
-def _driver_source(n: int) -> str:
+def _driver_source(n: int, record: bool) -> str:
     """Source of the driver for dimension n (see the comment above ``_DRIVER``)."""
     ix = range(n)
+
+    def sumsq(stem: str) -> str:
+        return _pairwise_sum([f"{stem}{i} * {stem}{i}" for i in ix], lambda p, q: f"({p} + {q})", "0.0")
 
     def each(fmt: str) -> str:
         return ", ".join(fmt.format(i=i) for i in ix)
@@ -394,35 +390,45 @@ def _driver_source(n: int) -> str:
     for i in ix:
         coeffs += [f"yd{i} = yn{i} - y{i}", f"bs{i} = h * k1_{i} - yd{i}",
                    f"q{i} = yd{i} - h * k7_{i} - bs{i}", f"r{i} = h * ({comb('d', 7, i)})"]
+    start = []
+    for i in ix:
+        start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = k1_{i} / sk{i}"]
+    keep = ["sample_t.append(target if (landing and th == 1.0) else t + th * h)", "sample_x.extend(p)"]
     parts = dict(
         n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
+        start="\n".join(" " * 4 + line for line in start), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages="\n".join(" " * 12 + line for line in stages),
         errors="\n".join(" " * 8 + line for line in errors),
         coeffs="\n".join(" " * 8 + line for line in coeffs),
-        sumsq=_pairwise_sum([f"s{i} * s{i}" for i in ix], lambda p, q: f"({p} + {q})", "0.0"),
+        sumsq=sumsq("s"),
         dense=each("y{i} + th * (yd{i} + u * (bs{i} + th * (q{i} + u * r{i})))"),
         table=each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + ",",
+        record="\n".join(" " * 12 + line for line in keep) if record else "",
     )
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
 
-_DRIVERS: dict[int, Callable[..., _DriveResult]] = {}
+_DRIVERS: dict[tuple[int, bool], Callable[..., _DriveResult]] = {}
 
 
-def _driver(n: int) -> Callable[..., _DriveResult]:
-    """The driver for states of dimension n, compiled on first use and kept for the process."""
-    drive = _DRIVERS.get(n)
+def _driver(n: int, record: bool) -> Callable[..., _DriveResult]:
+    """The driver for states of dimension n, compiled on first use and kept for the process.
+
+    Only a driver with ``record`` set keeps the scanned points as samples;
+    without it the samples hold the start and, after an exit, its last point.
+    """
+    drive = _DRIVERS.get((n, record))
     if drive is None:
         scope = dict(_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
-                     _initial_step=_initial_step, ExitWitness=ExitWitness, DomainError=DomainError,
+                     ExitWitness=ExitWitness, DomainError=DomainError,
                      IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf)
-        exec(compile(_driver_source(n), f"<dopri5 n={n}>", "exec"), scope)
-        drive = _DRIVERS[n] = scope["_drive"]
+        exec(compile(_driver_source(n, record), f"<dopri5 n={n}>", "exec"), scope)
+        drive = _DRIVERS[n, record] = scope["_drive"]
     return drive
 
 
 def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions, n_head: Optional[int] = None):
-    if space is None:
+    if space is None or not all(space.cells):  # a cell with no constraints holds everywhere
         return None, None, None
 
     if n_head is None:
@@ -474,7 +480,7 @@ def integrate(
     space.require_member(x0, "basepoint")
     member, member_relaxed, witness_info = _membership(space, opts)
     start = x0.tolist()
-    drive = _driver(len(start))
+    drive = _driver(len(start), True)
     fwd = drive(fld._value, start, h, opts, member, member_relaxed, witness_info)
     bwd = drive(fld._value, start, -h, opts, member, member_relaxed, witness_info)
     samples = [(t, p) for t, p in reversed(bwd.samples.pairs()) if t < 0.0] + fwd.samples.pairs()
@@ -506,7 +512,7 @@ def flow_map(
     if t == 0.0:
         return x0.copy()
     member, member_relaxed, witness_info = _membership(space, opts)
-    res = _driver(x0.size)(fld._value, x0.tolist(), float(t), opts, member, member_relaxed, witness_info)
+    res = _driver(x0.size, False)(fld._value, x0.tolist(), float(t), opts, member, member_relaxed, witness_info)
     if not res.reached:
         raise FlowDomainError(
             f"flow of {fld.label} from {x0.tolist()} leaves the space at "
@@ -549,7 +555,7 @@ def transport_vector(
         return base(y) + (x_field.jacobian_at(y) @ np.array(z[n:])).tolist()
 
     member, member_relaxed, witness_info = _membership(space, opts, n_head=n)
-    res = _driver(2 * n)(joint, x0.tolist() + v0.tolist(), float(t), opts, member, member_relaxed, witness_info)
+    res = _driver(2 * n, False)(joint, x0.tolist() + v0.tolist(), float(t), opts, member, member_relaxed, witness_info)
     if not res.reached:
         raise FlowDomainError(
             f"flow of {x_field.label} from {x0.tolist()} leaves the space at "

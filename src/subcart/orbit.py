@@ -217,9 +217,15 @@ class _MergeIndex:
                 while j >= 0:
                     near.append(j)
                     j = prev[j]
+        # a point farther than the side in its first coordinate is farther than
+        # the radius; below 2^-500 squares underflow, so there it is tested
+        far_off = self.side if self.side > 0.0 else math.inf
+        x, y0 = self.x, y[0]
         best = math.inf
         for j in near:
-            d = math.sqrt(_pairwise_sum([(a - b) * (a - b) for a, b in zip(self.x[j * n : j * n + n], y)]))
+            if abs(x[j * n] - y0) > far_off:
+                continue
+            d = math.sqrt(_pairwise_sum([(a - b) * (a - b) for a, b in zip(x[j * n : j * n + n], y)]))
             if d != d:
                 return False
             best = min(best, d)

@@ -12,17 +12,20 @@ are emitted, with the expression compiler's emitter, into one Python
 function of the point and the tolerance that tests the cells in order, each
 inside its own ``try`` so that a constraint undefined at the point
 (``DomainError``) rules out only its cell, and returns the index of the
-first cell that holds.  ``contains``, ``member_cell`` and ``cell_contains``
-all call functions made by that one generator.  Python's float ``**`` raises
-``OverflowError`` where numpy's gives inf, so a point whose test overflows
-is tested again on numpy floats, with numpy's overflow warnings off; only
-that rare path pays for it.
+first cell that holds.  ``contains``, ``member_cell``, ``cell_contains`` and
+``closure_contains`` (strict relations relaxed) all call functions made by
+that one generator, and ``slack`` is emitted the same way on its first use.
+Python's float ``**`` raises ``OverflowError`` where numpy's gives inf, so a
+point whose test overflows is tested again on numpy floats, with numpy's
+overflow warnings off; only that rare path pays for it.  What overflows on
+numpy floats too (``math.exp``) is a ``SpaceError`` naming the point.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +39,8 @@ from .expr import (
     Expr,
     _emit,
     compile_scalar,
-    eval_jet,
+    compile_vector,
+    gradient_exprs,
     parse,
     to_text,
 )
@@ -88,8 +92,9 @@ class Constraint:
 
 Cell = tuple[Constraint, ...]
 
-# The test of each relation as source for the generated predicate; the value
-# goes in the braces.  ``Constraint.satisfied`` spells out the same five tests.
+# The test and the margin of each relation as source for the generated
+# functions; the value goes in the braces.  ``Constraint.satisfied`` and
+# ``Constraint.margin`` spell out the same rules.
 _TESTS = {
     Rel.EQ: "abs({}) <= _tol",
     Rel.GE: "{} >= -_tol",
@@ -97,39 +102,76 @@ _TESTS = {
     Rel.GT: "{} > _tol",
     Rel.LT: "{} < -_tol",
 }
+_MARGINS = {Rel.EQ: "-abs({})", Rel.GE: "{}", Rel.GT: "{}", Rel.LE: "-{}", Rel.LT: "-{}"}
+_CLOSED = {Rel.GT: Rel.GE, Rel.LT: Rel.LE}
+
+
+def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: str) -> list[str]:
+    """Lines that evaluate a cell's constraints in order, each followed by
+    ``check(constraint, value)``; the expressions share the emitter's memo,
+    so a common subtree is evaluated once."""
+    memo: dict[int, str] = {}
+    lines: list[str] = []
+    src = []
+    for c in cell:
+        start = len(lines)
+        value = _emit(c.expr, memo, lines)
+        src += [indent + line for line in lines[start:]]
+        src.append(f"{indent}    {check(c, value)}")
+    return src
+
+
+def _build(src: list[str], name: str) -> Callable:
+    scope = dict(_COMPILE_ENV, _DomainError=DomainError, _inf=math.inf)
+    exec(compile("\n".join(src) + "\n", name, "exec"), scope)
+    return scope["_f"]
 
 
 def _compile_cells(cells: Sequence[Cell]) -> Callable[[Sequence[float], float], Optional[int]]:
     """Generate ``f(x, tol)``: the index of the first cell holding at x, or None.
 
     A cell's constraints are tested in order and the first failing one ends
-    the cell (``break`` out of a ``while True`` that never loops).  Within a
-    cell the expressions share the emitter's memo, so a common subtree is
-    evaluated once; a ``DomainError`` anywhere in the cell rules the cell out.
+    the cell (``break`` out of a ``while True`` that never loops); a
+    ``DomainError`` anywhere in the cell rules the cell out.
     """
     src = ["def _f(_x, _tol):"]
     for i, cell in enumerate(cells):
-        memo: dict[int, str] = {}
-        lines: list[str] = []
         src += ["    try:", "        while True:"]
-        for c in cell:
-            start = len(lines)
-            value = _emit(c.expr, memo, lines)
-            src += ["        " + line for line in lines[start:]]
-            src.append(f"            if not {_TESTS[c.rel].format(value)}: break")
+        src += _cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", " " * 8)
         src += [f"            return {i}", "    except _DomainError:", "        pass"]
-    src.append("    return None\n")
-    scope = dict(_COMPILE_ENV, _DomainError=DomainError)
-    exec(compile("\n".join(src), "<membership>", "exec"), scope)
-    return scope["_f"]
+    src.append("    return None")
+    return _build(src, "<membership>")
+
+
+def _compile_slack(cells: Sequence[Cell]) -> Callable[[Sequence[float]], float]:
+    """Generate ``f(x)``: the slack of ``SubcartesianSpace.slack``.
+
+    Each cell folds its margins in order into its worst one, ``_w``, and the
+    cells fold into the best, ``_b``; a NaN taken by either fold stays, and a
+    ``DomainError`` anywhere in a cell makes its margin -inf.
+    """
+    src = ["def _f(_x):", "    _b = -_inf"]
+    for cell in cells:
+        src.append("    _w = _inf")
+        if cell:
+            src.append("    try:")
+            src += _cell_source(cell, lambda c, v: f"_m = {_MARGINS[c.rel].format(v)}; "
+                                "_w = _m if _m < _w or _m != _m else _w", " " * 4)
+            src += ["    except _DomainError:", "        _w = -_inf"]
+        src.append("    _b = _w if _w > _b or _w != _w else _b")
+    src.append("    return float(_b)")
+    return _build(src, "<slack>")
 
 
 def _on_numpy_floats(f: Callable, point: Sequence[float], *args):
     """``f`` at the point's coordinates as numpy floats, whose ``**`` gives inf
     where Python's raises ``OverflowError``; the warnings numpy would print
-    for that are off."""
+    for that are off.  What overflows even there (``math.exp``) is an error."""
     with np.errstate(all="ignore"):
-        return f([np.float64(v) for v in point], *args)
+        try:
+            return f([np.float64(v) for v in point], *args)
+        except OverflowError:
+            raise SpaceError(f"a constraint of the space overflows at {[float(v) for v in point]}") from None
 
 
 class SubcartesianSpace:
@@ -152,8 +194,10 @@ class SubcartesianSpace:
         self.cells: tuple[Cell, ...] = tuple(tuple(c) for c in cells)
         self.locally_closed = bool(locally_closed)
         self.tol = float(tol)
-        # one-cell predicates for the samplers, generated on first use
+        # one-cell predicates for the samplers and per equality cell the values
+        # and gradients of its equalities for projection, generated on first use
         self._cell_tests: list[Optional[Callable]] = [None] * len(self.cells)
+        self._eq_jets: list[Optional[Callable]] = [None] * len(self.cells)
 
     def _first_cell(self, point: Sequence[float], tol: float) -> Optional[int]:
         """Generate the predicate over all cells on first use, so a space that is
@@ -164,8 +208,8 @@ class SubcartesianSpace:
 
     @functools.cached_property
     def _evals(self) -> list[list[Callable[[Sequence[float]], float]]]:
-        """One compiled callable per constraint, for ``slack``, exit witnesses and
-        closure tests; compiled on first use, since membership does not need them."""
+        """One compiled callable per constraint, for the constraint named by an
+        exit witness; compiled on first use, since membership does not need them."""
         return [[compile_scalar(c.expr) for c in cell] for cell in self.cells]
 
     def cell_contains(self, cell_index: int, point: Sequence[float], tol: Optional[float] = None) -> bool:
@@ -189,6 +233,18 @@ class SubcartesianSpace:
         except OverflowError:
             return _on_numpy_floats(self._first_cell, point, self.tol if tol is None else tol)
 
+    def closure_contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
+        """Membership in the topological closure: strict relations relaxed."""
+        try:
+            return self._closure_cell(point, self.tol if tol is None else tol) is not None
+        except OverflowError:
+            return _on_numpy_floats(self._closure_cell, point, self.tol if tol is None else tol) is not None
+
+    @functools.cached_property
+    def _closure_cell(self) -> Callable[[Sequence[float], float], Optional[int]]:
+        return _compile_cells([tuple(Constraint(c.expr, _CLOSED.get(c.rel, c.rel)) for c in cell)
+                               for cell in self.cells])
+
     def slack(self, point: Sequence[float]) -> float:
         """Best cell margin: max over cells of the worst constraint margin.
 
@@ -196,27 +252,16 @@ class SubcartesianSpace:
         cell is violated by at least that much.  Constraint functions that
         are undefined at the point count as minus infinity for their cell.
         A NaN margin makes the slack NaN, as ``np.min``/``np.max`` would.
+        The folds are one function generated on first use, like membership.
         """
         try:
             return self._slack(point)
         except OverflowError:
             return _on_numpy_floats(self._slack, point)
 
-    def _slack(self, point: Sequence[float]) -> float:
-        best = -np.inf
-        for cell, evals in zip(self.cells, self._evals):
-            worst = np.inf
-            for c, ev in zip(cell, evals):
-                try:
-                    m = c.margin(ev(point))
-                except DomainError:
-                    worst = -np.inf
-                    break
-                if m < worst or m != m:
-                    worst = m
-            if worst > best or worst != worst:
-                best = worst
-        return float(best)
+    @functools.cached_property
+    def _slack(self) -> Callable[[Sequence[float]], float]:
+        return _compile_slack(self.cells)
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:
         if isinstance(point, np.ndarray):
@@ -284,22 +329,30 @@ def project_to_equalities(
 
     Returns None when the iteration stalls or the constraint gradients are
     degenerate at the iterate.  Inequalities of the cell are ignored here.
+    The values and gradients of the cell's equalities come from one function,
+    compiled on the cell's first projection and kept on the space; it gives
+    the floats of ``eval_jet`` without walking the trees.
     """
     eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
     z = np.asarray(start, dtype=float).copy()
     if not eqs:
         return z
     n = space.ambient_dim
+    jets = space._eq_jets[cell_index]
+    if jets is None:
+        jets = space._eq_jets[cell_index] = compile_vector(
+            [c.expr for c in eqs] + [d for c in eqs for d in gradient_exprs(c.expr, n)])
+    m = len(eqs)
     target = min(space.tol * 1e-3, 1e-12)
     for _ in range(max_iter):
         try:
-            jets = [eval_jet(c.expr, z, order=1) for c in eqs]
+            vals = jets(z.tolist())
         except DomainError:
             return None
-        g = np.array([j.value for j in jets])
+        g = np.array(vals[:m])
         if np.max(np.abs(g)) <= target:
             return z
-        J = np.array([j.gradient for j in jets]).reshape(len(eqs), n)
+        J = np.array(vals[m:]).reshape(m, n)
         JJT = J @ J.T
         try:
             lam = np.linalg.solve(JJT, g)
@@ -310,7 +363,7 @@ def project_to_equalities(
             return None
         z = z - step
     try:
-        final = max(abs(eval_jet(c.expr, z, order=0).value) for c in eqs)
+        final = max(abs(compile_scalar(c.expr)(z.tolist())) for c in eqs)
     except DomainError:
         return None
     return z if final <= space.tol else None

@@ -108,32 +108,7 @@ def sample_space_box(
 
 def closure_contains(space: SubcartesianSpace, point: Sequence[float], tol: Optional[float] = None) -> bool:
     """Membership in the topological closure: strict relations relaxed."""
-    t = space.tol if tol is None else tol
-    for cell, evals in zip(space.cells, space._evals):
-        ok = True
-        for c, ev in zip(cell, evals):
-            try:
-                v = ev(point)
-            except DomainError:
-                ok = False
-                break
-            rel = c.rel
-            if rel is Rel.GT:
-                rel = Rel.GE
-            elif rel is Rel.LT:
-                rel = Rel.LE
-            if rel is Rel.EQ and not abs(v) <= t:
-                ok = False
-                break
-            if rel is Rel.GE and not v >= -t:
-                ok = False
-                break
-            if rel is Rel.LE and not v <= t:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return space.closure_contains(point, tol)
 
 
 def closure_distance(

@@ -318,14 +318,13 @@ def test_default_tolerances_present(capsys):
         assert key in rep["tolerances"]
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("SUBCART_THREADS", "2")
-    code, rep, _ = run(capsys, "poisson", "--scenario", scenario_path("canonical_r2"))
-    assert code == 0
+def test_threads_env_has_no_effect(monkeypatch, capsys):
+    # SUBCART_THREADS was a validated knob that changed nothing; it is gone
+    _, plain = run_bytes(capsys, "poisson", "--scenario", scenario_path("canonical_r2"))
     monkeypatch.setenv("SUBCART_THREADS", "zero")
-    code2, _, err = run(capsys, "poisson", "--scenario", scenario_path("canonical_r2"))
-    assert code2 == 2
-    assert "SUBCART_THREADS" in err
+    code, out = run_bytes(capsys, "poisson", "--scenario", scenario_path("canonical_r2"))
+    assert code == 0
+    assert out == plain
 
 
 def test_seed_flag_changes_sampling_not_schema(capsys):
@@ -407,6 +406,38 @@ def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     assert report == {}
     assert flag in err
     assert "Traceback" not in err
+
+
+def _one_cell_scenario(tmp_path, constraint: str, field: str) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "overflow",
+        "space": {"ambient_dim": 1, "cells": [[{"expr": constraint, "rel": "geq0"}]],
+                  "locally_closed": True},
+        "fields": {"f": [field]},
+        "families": {"default": ["f"]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("constraint,field,argv,says", [
+    # Python's float ** raises OverflowError where the field is evaluated:
+    # at the basepoint, and inside a step from a basepoint that does not
+    ("x1", "x1^2", ["flow", "--field", "f", "--point=1e200", "--horizon", "1"],
+     "field overflows at basepoint [1e+200]"),
+    ("x1", "1e-200 * x1^4", ["flow", "--field", "f", "--point=1.15e77", "--horizon", "1"],
+     "field overflows at t=0.0"),
+    # math.exp overflows on numpy floats too, so membership cannot retry there
+    ("exp(x1) - 2", "1", ["flow", "--field", "f", "--point=1000"],
+     "a constraint of the space overflows at [1000.0]"),
+    ("exp(x1) - 2", "1", ["orbit", "--point=1000"], "a constraint of the space overflows at [1000.0]"),
+])
+def test_overflow_exits_2_naming_it(tmp_path, capsys, constraint, field, argv, says):
+    # each used to end in "internal error: OverflowError"
+    code, report, err = run(capsys, *argv, "--scenario", _one_cell_scenario(tmp_path, constraint, field))
+    assert code == 2
+    assert report == {}
+    assert err.count("\n") == 1 and says in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("overrides,key", [

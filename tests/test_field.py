@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from subcart.expr import compile_vector, parse
-from subcart.field import FieldError, TangentField, lie_bracket, pushforward_at
+from subcart.field import FieldError, TangentField, lie_bracket
+from subcart.flow import transport_vector
 from subcart.space import SubcartesianSpace
 
 from conftest import make_field, punctured_plane
@@ -130,7 +131,7 @@ def test_pushforward_along_rotation():
     rot = make_field("rot", ["-x2", "x1"], 2)
     ddx = make_field("ddx", ["1", "0"], 2)
     t = 0.5
-    image, vec = pushforward_at(pp, rot, t, ddx, [1.0, 0.0])
+    image, vec = transport_vector(pp, rot, t, ddx, [1.0, 0.0])
     assert np.allclose(image, [np.cos(t), np.sin(t)], atol=1e-9)
     # the flow is the rotation matrix, so the carried vector is its first column
     assert np.allclose(vec, [np.cos(t), np.sin(t)], atol=1e-8)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ from subcart.flow import (
 )
 from subcart.expr import DomainError, parse
 from subcart.flow import (
-    _A, _D, _E, ExitWitness, _DriveResult, _Samples, _dense, _driver, _initial_step, _mean,
-    _membership, _rms,
+    _A, _D, _E, ExitWitness, _DriveResult, _Samples, _dense, _driver, _membership, _pairwise_sum,
 )
 from subcart.space import Constraint, Rel, SubcartesianSpace
 
@@ -253,6 +253,15 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def _mean(a: list[float]) -> float:
+    """``np.mean`` of a float list as the driver spells it: the reduction starts at 0.0."""
+    return (0.0 + _pairwise_sum(a)) / len(a)
+
+
+def _rms(v: list[float]) -> float:
+    return math.sqrt(_mean([x * x for x in v]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_VECTORS)
 def test_list_mean_and_rms_match_numpy_bitwise(v):
@@ -261,6 +270,10 @@ def test_list_mean_and_rms_match_numpy_bitwise(v):
         want_rms = math.sqrt(float(np.mean(np.asarray(v) ** 2)))
     assert _bits(_mean(v)) == _bits(want_mean)
     assert _bits(_rms(v)) == _bits(want_rms)
+    # the generated driver spells the same sum out as source
+    terms = [f"v[{i}] * v[{i}]" for i in range(len(v))]
+    spelled = eval(f"(0.0 + {_pairwise_sum(terms, lambda p, q: f'({p} + {q})', '0.0')}) / {len(v)}")
+    assert _bits(math.sqrt(spelled)) == _bits(want_rms)
 
 
 def _numpy_initial_step(y, f0, rtol, atol, limit):
@@ -276,19 +289,50 @@ def _numpy_initial_step(y, f0, rtol, atol, limit):
     return min(h0, limit) if limit > 0 else h0
 
 
+class _FirstStage(Exception):
+    pass
+
+
+def _driver_initial_step(y, f0, rtol, atol, limit):
+    """The starting step the generated driver takes toward t = limit > 0.
+
+    The field answers f0 at the basepoint and, at the first stage, stops the
+    drive with the driver's step h, read from its frame; a zero or
+    non-finite step ends the drive earlier with the step in its message.
+    Landing on the target replaces h by the target, which is the clamp the
+    rule applies anyway."""
+    def f(z):
+        if calls:
+            raise _FirstStage(sys._getframe(1).f_locals["h"])
+        calls.append(z)
+        return list(f0)
+
+    calls = []
+    drive = _driver(len(y), False)
+    try:
+        drive(f, list(y), limit, FlowOptions(rtol=rtol, atol=atol), None, None, None)
+    except _FirstStage as stop:
+        return stop.args[0]
+    except IntegrationError as exc:
+        assert str(exc).startswith("starting step ")
+        return float(str(exc).split()[2])
+    raise AssertionError("the drive took no step")
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 40).flatmap(lambda n: st.tuples(
         st.lists(_FLOATS, min_size=n, max_size=n), st.lists(_FLOATS, min_size=n, max_size=n))),
     st.floats(1e-13, 1e-3),
     st.floats(1e-15, 1e-6),
-    st.floats(0.0, 100.0),
+    st.floats(0.0, 100.0, exclude_min=True),  # a drive of span 0 takes no step
 )
 def test_list_initial_step_matches_numpy_bitwise(yf, rtol, atol, limit):
     y, f0 = yf
     with np.errstate(all="ignore"):
         want = _numpy_initial_step(y, f0, rtol, atol, limit)
-    assert _bits(_initial_step(y, f0, rtol, atol, limit)) == _bits(want)
+    got = _driver_initial_step(y, f0, rtol, atol, limit)
+    assert _bits(got) == _bits(want) or (math.isnan(got) and math.isnan(want))
 
 
 # The generated driver against a test-local copy of the generic list driver it
@@ -316,7 +360,8 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
         k1 = f(y)
     except DomainError:
         raise IntegrationError(f"field undefined at basepoint {y}") from None
-    h = direction * _initial_step(y, k1, rtol, atol, span)
+    with np.errstate(all="ignore"):
+        h = direction * _numpy_initial_step(y, k1, rtol, atol, span)
     if h == 0.0 or not math.isfinite(h):
         raise IntegrationError(f"starting step {h} at basepoint {y} is zero or not finite")
     n_steps = 0
@@ -416,8 +461,8 @@ def _hexes(xs) -> list[str]:
     return [float(x).hex() for x in xs]
 
 
-def _drive_outcome(drive, f, x0, target, opts, space):
-    member, member_relaxed, witness_info = _membership(space, opts)
+def _drive_outcome(drive, f, x0, target, opts, space, membership=None):
+    member, member_relaxed, witness_info = membership or _membership(space, opts)
     try:
         r = drive(f, list(x0), target, opts, member, member_relaxed, witness_info)
     except Exception as exc:  # the same failure, message and partial samples
@@ -479,7 +524,15 @@ def _drive_cases(draw):
 def test_generated_driver_matches_generic_list_driver_bitwise(case):
     f, x0, target, opts, space = case
     want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
-    assert _drive_outcome(_driver(len(x0)), f, x0, target, opts, space) == want
+    assert _drive_outcome(_driver(len(x0), True), f, x0, target, opts, space) == want
+    # without recording, the same drive: endpoint, reached, steps and witness,
+    # or the same failure; the samples keep only the start and the exit point
+    quiet = _drive_outcome(_driver(len(x0), False), f, x0, target, opts, space)
+    if isinstance(want[0], str) and want[0].endswith("Error"):
+        assert quiet[:3] == want[:3]
+    else:
+        assert quiet[:4] + quiet[6:] == want[:4] + want[6:]
+        assert quiet[4][0] == want[4][0] and len(quiet[4]) <= 2
 
 
 @pytest.mark.parametrize("n", [8, 11, 12, 130])
@@ -498,12 +551,31 @@ def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
         opts = FlowOptions(rtol=1e-11, atol=1e-13)
         want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
         assert want[3] >= 20  # steps taken
-        assert _drive_outcome(_driver(n), f, x0, target, opts, space) == want
+        assert _drive_outcome(_driver(n, True), f, x0, target, opts, space) == want
+
+
+@pytest.mark.parametrize("space", [
+    SubcartesianSpace.whole_space(2),
+    SubcartesianSpace(2, [[Constraint(parse("x1 - 0.5", 2), Rel.LT)], []], locally_closed=False),
+], ids=["whole", "empty-cell"])
+def test_no_membership_scan_where_a_cell_has_no_constraints(space):
+    opts = FlowOptions()
+    assert _membership(space, opts) == (None, None, None)
+    # the drive is the one of a scan whose every test passes
+    scanned = (space.contains, lambda p: space.contains(p, space.tol * opts.attained_factor), None)
+    f = make_field("f", ["1 + x2", "x1 * x2 - 0.3"], 2)._value
+    for record in (True, False):
+        for target in (0.7, -2.0):
+            want = _drive_outcome(_driver(2, record), f, [0.1, -0.2], target, opts, space, scanned)
+            assert _drive_outcome(_driver(2, record), f, [0.1, -0.2], target, opts, space) == want
+    rot = make_field("rot", ["-x2", "x1"], 2)
+    assert flow_map(space, rot, [0.3, 0.0], 2.0).tolist() == flow_map(None, rot, [0.3, 0.0], 2.0).tolist()
 
 
 def test_driver_is_generated_once_per_dimension():
-    assert _driver(3) is _driver(3)
-    assert _driver(3) is not _driver(4)
+    assert _driver(3, True) is _driver(3, True)
+    assert _driver(3, True) is not _driver(4, True)
+    assert _driver(3, False) is not _driver(3, True)
 
 
 def test_zero_or_nonfinite_starting_step_fails_at_once():

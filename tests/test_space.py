@@ -6,13 +6,16 @@ import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subcart.expr import Const, Div, DomainError, Var, add, compile_scalar, fn, mul, parse, pow_int, sub
+from subcart.expr import (
+    Const, Div, DomainError, Var, add, compile_scalar, eval_jet, fn, mul, parse, pow_int, sub,
+)
 from subcart.flow import ATTAINED_FACTOR
 from subcart.space import (
     DEFAULT_TOL,
@@ -26,7 +29,7 @@ from subcart.space import (
     sample_near,
 )
 
-from conftest import disk_line, halfline, punctured_plane, unit_circle
+from conftest import SCENARIO_DIR, disk_line, halfline, punctured_plane, scenario_path, unit_circle
 
 TOL = 1e-9
 
@@ -80,22 +83,32 @@ def test_slack_keeps_nan():
 
 
 def test_per_constraint_callables_compile_on_first_use(monkeypatch):
+    # membership and slack are one generated function each; the per-constraint
+    # callables, which only name the constraint of an exit witness, compile
+    # on their first use
     import subcart.space as space_mod
 
     calls = []
+    built = []
+    build = space_mod._build
 
     def counting(e):
         calls.append(e)
         return compile_scalar(e)
 
+    def counting_build(src, name):
+        built.append(name)
+        return build(src, name)
+
     monkeypatch.setattr(space_mod, "compile_scalar", counting)
+    monkeypatch.setattr(space_mod, "_build", counting_build)
     dl = disk_line()
     assert dl.contains([0.0, 0.5])
-    assert calls == []
     assert dl.slack([0.0, 0.5]) == 0.75
-    assert len(calls) == 2
     dl.slack([0.0, 0.25])
-    assert len(calls) == 2
+    assert built == ["<membership>", "<slack>"] and calls == []
+    assert "_evals" not in vars(dl)
+    assert len(dl._evals) == 2 and len(calls) == 2
 
 
 def test_disk_line_membership_and_cells():
@@ -176,6 +189,79 @@ def test_project_to_equalities_onto_circle():
     assert np.allclose(z, [0.6, 0.8], atol=1e-12)
 
 
+def _eval_jet_projection(space, cell_index, start, max_iter=40):
+    """``project_to_equalities`` as it was with a tree-walking ``eval_jet`` per constraint."""
+    eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
+    z = np.asarray(start, dtype=float).copy()
+    if not eqs:
+        return z
+    n = space.ambient_dim
+    target = min(space.tol * 1e-3, 1e-12)
+    for _ in range(max_iter):
+        try:
+            jets = [eval_jet(c.expr, z, order=1) for c in eqs]
+        except DomainError:
+            return None
+        g = np.array([j.value for j in jets])
+        if np.max(np.abs(g)) <= target:
+            return z
+        J = np.array([j.gradient for j in jets]).reshape(len(eqs), n)
+        try:
+            lam = np.linalg.solve(J @ J.T, g)
+        except np.linalg.LinAlgError:
+            return None
+        step = J.T @ lam
+        if not np.all(np.isfinite(step)):
+            return None
+        z = z - step
+    try:
+        final = max(abs(eval_jet(c.expr, z, order=0).value) for c in eqs)
+    except DomainError:
+        return None
+    return z if final <= space.tol else None
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in Path(SCENARIO_DIR).glob("*.json")))
+def test_compiled_projection_jets_match_eval_jet(name):
+    from subcart.cli import load_scenario
+
+    sc = load_scenario(scenario_path(name))
+    for space in [sc.space] + [s.space for s in (sc.stratified.strata if sc.stratified else ())]:
+        _check_projection_jets(space)
+
+
+def test_compiled_projection_jets_with_two_equalities():
+    # a circle in R^3: the gradients of two equalities fill a 2 x 3 Jacobian
+    _check_projection_jets(SubcartesianSpace(3, [[
+        Constraint(parse("x1^2 + x2^2 + x3^2 - 1", 3), Rel.EQ),
+        Constraint(parse("x3 - 0.3 * x1 + x2 * x3", 3), Rel.EQ),
+        Constraint(parse("x1", 3), Rel.GE),
+    ]], locally_closed=True))
+
+
+def _check_projection_jets(space):
+    rng = random.Random(5)
+    n = space.ambient_dim
+    for ci, cell in enumerate(space.cells):
+        eqs = [c for c in cell if c.rel is Rel.EQ]
+        for k in range(40):
+            start = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+            if k % 4 == 0:
+                start[rng.randrange(n)] = 0.0  # where roots and quotients are singular
+            want = _eval_jet_projection(space, ci, start, max_iter=3 + k % 5)
+            got = project_to_equalities(space, ci, start, max_iter=3 + k % 5)
+            assert (got is None and want is None) or got.tolist() == want.tolist()
+            if eqs:
+                try:
+                    jets = [eval_jet(c.expr, start, order=1) for c in eqs]
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        space._eq_jets[ci](start)
+                    continue
+                want_vals = [j.value for j in jets] + [d for j in jets for d in j.gradient]
+                assert space._eq_jets[ci](start) == want_vals
+
+
 def test_sample_cell_near_circle_stays_on_locus():
     circ = unit_circle()
     rng = random.Random(0)
@@ -209,10 +295,24 @@ def test_sample_cell_box():
 # Generated membership against the per-constraint reference ---------------------
 
 N_PROP = 2
+_CLOSED = {Rel.GT: Rel.GE, Rel.LT: Rel.LE}
 RELAXED = DEFAULT_TOL * ATTAINED_FACTOR
 
 
-def _reference_cell(space, i, x, tol):
+def _with_fallback(f, x):
+    """The documented fallback: a test that overflows on Python floats runs
+    again on numpy floats, and one that overflows there too is an error."""
+    try:
+        return f(x)
+    except OverflowError:
+        with np.errstate(all="ignore"):
+            try:
+                return f([np.float64(v) for v in x])
+            except OverflowError:
+                raise SpaceError("overflow") from None
+
+
+def _cell_holds(space, i, x, tol):
     """A cell holds when every constraint is defined at x and satisfies its relation."""
     for c in space.cells[i]:
         try:
@@ -224,11 +324,35 @@ def _reference_cell(space, i, x, tol):
     return True
 
 
+def _reference_cell(space, i, x, tol):
+    return _with_fallback(lambda p: _cell_holds(space, i, p, tol), x)
+
+
 def _reference_first(space, x, tol):
-    for i in range(len(space.cells)):
-        if _reference_cell(space, i, x, tol):
-            return i
-    return None
+    def first(p):
+        for i in range(len(space.cells)):
+            if _cell_holds(space, i, p, tol):
+                return i
+        return None
+    return _with_fallback(first, x)
+
+
+def _old_slack(space, point):
+    """``slack`` as a loop over one compiled callable per constraint."""
+    best = -np.inf
+    for cell in space.cells:
+        worst = np.inf
+        for c in cell:
+            try:
+                m = c.margin(compile_scalar(c.expr)(point))
+            except DomainError:
+                worst = -np.inf
+                break
+            if m < worst or m != m:
+                worst = m
+        if worst > best or worst != worst:
+            best = worst
+    return float(best)
 
 
 def _outcome(f, *args):
@@ -266,10 +390,15 @@ def _spaces(draw):
 # gained its equality case changes the answer
 _edges = [s * t for s in (1.0, -1.0) for t in (DEFAULT_TOL, RELAXED)]
 _coords = st.one_of(st.sampled_from(_edges), st.floats(-3.0, 3.0),
-                    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]))
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]),
+                    st.sampled_from([1e200, -1e200, 1e308, -1e308, 1e-200]))  # powers overflow
 
 
 @given(_spaces(), st.lists(_coords, min_size=N_PROP, max_size=N_PROP), st.booleans())
+@example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)]], locally_closed=False),
+         [1.3758828927650757e-229, 1e-09], False)  # overflows on Python floats only
+@example(SubcartesianSpace(2, [[Constraint(parse("exp(x1)", 2), Rel.GE)]], locally_closed=False),
+         [1e200, 0.0], False)  # overflows on numpy floats too
 @settings(max_examples=500, deadline=None)
 def test_generated_membership_matches_reference(space, coords, as_array):
     x = np.array(coords) if as_array else coords
@@ -285,6 +414,27 @@ def test_generated_membership_matches_reference(space, coords, as_array):
                 inside = _outcome(space.cell_contains, i, x, tol)
                 assert inside == _outcome(_reference_cell, space, i, x, t)
                 assert isinstance(inside, type) or type(inside) is bool
+            # the closure relaxes > to >= and < to <=
+            closed = SubcartesianSpace(N_PROP, [[Constraint(c.expr, _CLOSED.get(c.rel, c.rel)) for c in cell]
+                                                for cell in space.cells], locally_closed=False)
+            first = _outcome(_reference_first, closed, x, t)
+            assert _outcome(space.closure_contains, x, tol) == (first if isinstance(first, type) else first is not None)
+
+
+@given(_spaces(), st.lists(_coords, min_size=N_PROP, max_size=N_PROP), st.booleans())
+@example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)], []], locally_closed=False),
+         [1.3758828927650757e-229, 1e-09], False)
+@example(SubcartesianSpace(2, [[Constraint(parse("log(x1)", 2), Rel.GE)],
+                               [Constraint(parse("x2", 2), Rel.EQ)]], locally_closed=False),
+         [-1.0, math.nan], False)  # a DomainError cell, then a NaN margin
+@settings(max_examples=500, deadline=None)
+def test_generated_slack_matches_reference(space, coords, as_array):
+    x = np.array(coords) if as_array else coords
+    with np.errstate(all="ignore"):
+        want = _outcome(_with_fallback, lambda p: _old_slack(space, p), x)
+        got = _outcome(space.slack, x)
+    assert repr(got) == repr(want)  # NaN and the sign of zero included
+    assert isinstance(want, type) or type(got) is float
 
 
 @pytest.mark.parametrize("rel", list(Rel))
