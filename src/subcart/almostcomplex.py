@@ -31,6 +31,7 @@ from .expr import (
     ZERO,
 )
 from .field import TangentField, lie_bracket
+from .report import worst_residual
 
 SQUARE_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
@@ -67,11 +68,7 @@ class AlmostComplexStructure:
     def square_residual(self, points: Sequence[Sequence[float]]) -> float:
         """Max entry of J(p) J(p) + I over the sample."""
         eye = np.eye(self.dim)
-        worst = 0.0
-        for p in points:
-            m = self.matrix_at(p)
-            worst = max(worst, float(np.max(np.abs(m @ m + eye))))
-        return worst
+        return worst_residual(float(np.max(np.abs(m @ m + eye))) for m in map(self.matrix_at, points))
 
     def validate(self, points: Sequence[Sequence[float]], tol: float = SQUARE_TOL) -> None:
         r = self.square_residual(points)
@@ -134,12 +131,9 @@ def torsion(
     return TangentField(lab, comps)
 
 
-def _max_norm(fld: TangentField, points: Sequence[Sequence[float]]) -> float:
-    worst = 0.0
-    for p in points:
-        v = np.asarray(fld(list(map(float, p))), dtype=float)
-        worst = max(worst, float(np.linalg.norm(v)))
-    return worst
+def max_norm(fld: TangentField, points: Sequence[Sequence[float]]) -> float:
+    """Max Euclidean norm of the field over the sample, NaN if any norm is."""
+    return worst_residual(float(np.linalg.norm(fld(list(map(float, p))))) for p in points)
 
 
 def torsion_residual(
@@ -149,7 +143,7 @@ def torsion_residual(
     points: Sequence[Sequence[float]],
 ) -> float:
     """Max Euclidean norm of N(X,Y) over the sample."""
-    return _max_norm(torsion(j, x, y), points)
+    return max_norm(torsion(j, x, y), points)
 
 
 def tensoriality_residual(
@@ -174,7 +168,7 @@ def tensoriality_residual(
         "tensoriality-defect",
         [sub(lhs.components[i], rhs.components[i]) for i in range(j.dim)],
     )
-    return _max_norm(diff_field, points)
+    return max_norm(diff_field, points)
 
 
 def eigenspace_closure_field(
@@ -221,7 +215,7 @@ def eigenspace_closure_residual(
     points: Sequence[Sequence[float]],
 ) -> float:
     """Max norm of the eigenvector bracket defect over the sample."""
-    return _max_norm(eigenspace_closure_field(j, x, y), points)
+    return max_norm(eigenspace_closure_field(j, x, y), points)
 
 
 def cauchy_riemann_residual(
@@ -239,15 +233,18 @@ def cauchy_riemann_residual(
     """
     f = as_expr(f)
     h = as_expr(h)
-    worst = 0.0
-    for x in fields:
-        jx = j.apply(x)
-        d1 = compile_scalar(sub(x.apply(f), jx.apply(h)))
-        d2 = compile_scalar(add(jx.apply(f), x.apply(h)))
-        for p in points:
-            q = list(map(float, p))
-            worst = max(worst, abs(d1(q)), abs(d2(q)))
-    return worst
+
+    def defects():
+        for x in fields:
+            jx = j.apply(x)
+            d1 = compile_scalar(sub(x.apply(f), jx.apply(h)))
+            d2 = compile_scalar(add(jx.apply(f), x.apply(h)))
+            for p in points:
+                q = list(map(float, p))
+                yield abs(d1(q))
+                yield abs(d2(q))
+
+    return worst_residual(defects())
 
 
 @dataclass
@@ -301,8 +298,8 @@ def kahler_check(
         if x.dim != n:
             raise AlmostComplexError(f"probe field {x.label!r} has wrong dimension")
 
-    compat = 0.0
-    sym = 0.0
+    compats: list[float] = []
+    syms: list[float] = []
     min_eig = float("inf")
     for p in points:
         q = list(map(float, p))
@@ -316,16 +313,17 @@ def kahler_check(
         jvals = jm @ vals
         pair = vals.T @ w @ vals
         jpair = jvals.T @ w @ jvals
-        compat = max(compat, float(np.max(np.abs(jpair - pair))))
+        compats.append(float(np.max(np.abs(jpair - pair))))
         gram = vals.T @ w @ jvals
-        sym = max(sym, float(np.max(np.abs(gram - gram.T))))
+        syms.append(float(np.max(np.abs(gram - gram.T))))
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         min_eig = min(min_eig, float(eigs[0]))
 
-    torsion_worst = 0.0
-    for a in range(m):
-        for b in range(a + 1, m):
-            torsion_worst = max(torsion_worst, torsion_residual(j, fields[a], fields[b], points))
+    compat = worst_residual(compats)
+    sym = worst_residual(syms)
+    torsion_worst = worst_residual(
+        torsion_residual(j, fields[a], fields[b], points) for a in range(m) for b in range(a + 1, m)
+    )
 
     positive = min_eig > DEGENERACY_TOL
     passed = compat <= tol and sym <= tol and positive and torsion_worst <= tol

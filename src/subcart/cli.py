@@ -14,26 +14,37 @@ identical inputs and --seed are byte-identical.
 Exit codes: 0 for PASS-type outcomes (including honest Inconclusive), 1 for
 certified failures or witnesses, 2 for usage, IO, or schema errors and for
 any unexpected exception, reported as one ``internal error:`` line.
+
+Repeated calls of ``main`` in one process share work.  The argument parser
+is built on the first call and kept.  Every call reads the scenario file,
+and a file whose bytes equal those of one of the last 16 loaded is not
+parsed again: its ``Scenario``, with the code its space, fields and
+structures compiled on earlier commands, is reused.  An edited file has new
+bytes and is loaded afresh, a load that fails is not kept, and the report's
+scenario name and sha256 always come from the bytes just read.  The command
+handlers treat the scenario as read-only.  ``load_scenario`` itself returns
+a new object on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import random
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .almostcomplex import (
     AlmostComplexError,
     AlmostComplexStructure,
     cauchy_riemann_residual,
     kahler_check,
+    max_norm,
     torsion,
 )
 from .expr import Expr, ExprError, ParseError, parse, to_text
@@ -64,7 +75,7 @@ from .poisson import (
     leaf_sample,
     reduce as reduce_structure,
 )
-from .report import ReportError, canonical_json, sha256_hex, write_csv
+from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
 from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint
 from .strata import (
     StrataError,
@@ -251,12 +262,19 @@ class Scenario:
         return self.box
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_scenario(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read scenario {path!r}: {exc}") from None
+
+
+def load_scenario(path: str, *, blob: Optional[bytes] = None) -> Scenario:
+    """Read, validate and build the scenario at ``path``: a new object on
+    every call.  ``blob``, when given, is the file's content already read."""
+    if blob is None:
+        blob = _read_scenario(path)
     sha = sha256_hex(blob)
     try:
         raw = json.loads(blob.decode("utf-8"))
@@ -753,7 +771,7 @@ def cmd_leaf(sc: Scenario, args, tol) -> tuple[dict, int]:
     if out:
         _write_cloud(out, cloud.points, cloud.words)
     drifts = cloud.diagnostics.get("casimirs", [])
-    max_drift = max((d["max_drift"] for d in drifts), default=0.0)
+    max_drift = worst_residual(d["max_drift"] for d in drifts)
     passed = max_drift <= tol["casimir_drift"]
     result = {
         "seed_point": point,
@@ -783,15 +801,12 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         fx = sc.field(args.x)
         fy = sc.field(args.y)
         n = torsion(j, fx, fy)
-        worst = 0.0
-        for p in pts:
-            worst = max(worst, float(np.linalg.norm(np.asarray(n(p), dtype=float))))
         result = {
             "check": "torsion",
             "x": fx.label,
             "y": fy.label,
             "square_residual": square,
-            "max_norm": worst,
+            "max_norm": max_norm(n, pts),
         }
         if args.point is not None:
             point = _parse_point_arg(args.point, sc.space.ambient_dim)
@@ -979,15 +994,38 @@ def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, f
     return tol
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first ``main`` call."""
+    return _build_parser()
+
+
+# Scenarios loaded in this process by file content, least recently used first.
+_SCENARIOS: OrderedDict[bytes, Scenario] = OrderedDict()
+_SCENARIO_SLOTS = 16
+
+
+def _scenario(path: str) -> Scenario:
+    """The scenario at ``path``, reused while the file holds bytes loaded before."""
+    blob = _read_scenario(path)
+    sc = _SCENARIOS.get(blob)
+    if sc is None:
+        sc = _SCENARIOS[blob] = load_scenario(path, blob=blob)
+        if len(_SCENARIOS) > _SCENARIO_SLOTS:
+            _SCENARIOS.popitem(last=False)
+    else:
+        _SCENARIOS.move_to_end(blob)
+    return sc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        args = _parser().parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
     try:
-        sc = load_scenario(args.scenario)
+        sc = _scenario(args.scenario)
         tol = _effective_tolerances(sc, args.tol_overrides)
         result, code = _HANDLERS[args.command](sc, args, tol)
         report = {

@@ -733,7 +733,18 @@ _COMPILE_ENV = {
     "_log": _guard_log,
     "_sqrt": _guard_sqrt,
     "_cut": _cut_value,
+    "_inf": math.inf,
+    "_ninf": -math.inf,
+    "_nan": math.nan,
 }
+
+
+def _const_source(v: float) -> str:
+    """A constant as source: ``repr`` for a finite value, else a name bound
+    in ``_COMPILE_ENV`` (``repr`` would give the unbound names inf and nan)."""
+    if math.isfinite(v):
+        return repr(v)
+    return "_nan" if v != v else "_inf" if v > 0 else "_ninf"
 
 
 def _emit(e: Expr, memo: dict[int, str], lines: list[str]) -> str:
@@ -741,7 +752,7 @@ def _emit(e: Expr, memo: dict[int, str], lines: list[str]) -> str:
     if name is not None:
         return name
     if isinstance(e, Const):
-        name = repr(e.value)
+        name = _const_source(e.value)
     elif isinstance(e, Var):
         name = f"_x[{e.index}]"
     else:

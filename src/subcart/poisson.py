@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +61,7 @@ from .expr import (
 from .field import TangentField
 from .flow import FlowOptions, flow_map
 from .orbit import FieldFamily, OrbitSample, sample_orbit
+from .report import worst_residual
 from .space import SubcartesianSpace
 
 FIT_TOL = 1e-10
@@ -73,21 +73,6 @@ _BLOCK_POINTS = 160
 
 class PoissonError(ValueError):
     pass
-
-
-def _worst(residuals: Iterable[float]) -> float:
-    """Largest of nonnegative residuals, 0.0 for none, NaN if any is NaN.
-
-    The builtin ``max`` keeps what it has when the next value is NaN, so
-    ``max(0.0, nan)`` is 0.0 and an overflowed residual would read as zero.
-    """
-    worst = 0.0
-    for r in residuals:
-        if math.isnan(r):
-            return r
-        if r > worst:
-            worst = r
-    return worst
 
 
 class ReductionError(PoissonError):
@@ -172,7 +157,7 @@ class PoissonStructure:
         )
 
     def antisymmetry_residual(self, points: Sequence[Sequence[float]]) -> float:
-        return _worst(float(np.max(np.abs(m + m.T))) for m in map(self.matrix_at, points))
+        return worst_residual(float(np.max(np.abs(m + m.T))) for m in map(self.matrix_at, points))
 
     @classmethod
     def canonical(cls, k: int, label: str = "canonical") -> "PoissonStructure":
@@ -327,7 +312,7 @@ def jacobi_sample_residual(
             jets = np.einsum("tam,tkmd->tkad", c, tab).reshape(-1, 3, n + n * n)
         hess = jets[:, :, n:].reshape(-1, 3, n, n)
         worst.append(float(np.max(_cyclic_sums(p, block, jets[:, :, :n], hess))))
-    return _worst(worst)
+    return worst_residual(worst)
 
 
 def _random_coeffs(n_monos: int, draw: Callable[[], float]) -> list[float]:
@@ -518,7 +503,7 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
             for x in certify_points:
                 yield abs(reduced_eval(sigma_eval(x)) - upstairs_eval(x))
 
-    worst = _worst(replay_residuals())
+    worst = worst_residual(replay_residuals())
     if not worst <= setup.certify_tol:
         raise ReductionError(
             f"certification failed: replay residual {worst:.3e} > {setup.certify_tol:.1e}"
@@ -560,7 +545,7 @@ def leaf_sample(
     for c in casimirs:
         ev = compile_scalar(as_expr(c))
         base = ev(list(map(float, x0)))
-        drift = _worst(abs(ev(pt.tolist()) - base) for pt in cloud.points)
+        drift = worst_residual(abs(ev(pt.tolist()) - base) for pt in cloud.points)
         drifts.append({"casimir": to_text(as_expr(c)), "seed_value": base, "max_drift": drift})
     cloud.diagnostics["casimirs"] = drifts
     cloud.diagnostics["generators"] = [to_text(as_expr(g)) for g in generators]

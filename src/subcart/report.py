@@ -65,6 +65,22 @@ def _canon(obj, out: list[str]) -> None:
         raise ReportError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+def worst_residual(residuals: Iterable[float]) -> float:
+    """Largest of nonnegative residuals, 0.0 for none, NaN if any is NaN.
+
+    The builtin ``max`` keeps what it has when the next value is NaN, so
+    ``max(0.0, nan)`` is 0.0 and an overflowed residual would read as zero.
+    Kept NaN ends the command with exit 2 when the report is serialized.
+    """
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return r
+        if r > worst:
+            worst = r
+    return worst
+
+
 def canonical_json(obj) -> str:
     """Canonical JSON text: sorted keys, %.17g floats, no whitespace."""
     out: list[str] = []

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -122,7 +121,7 @@ def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: st
 
 
 def _build(src: list[str], name: str) -> Callable:
-    scope = dict(_COMPILE_ENV, _DomainError=DomainError, _inf=math.inf)
+    scope = dict(_COMPILE_ENV, _DomainError=DomainError)
     exec(compile("\n".join(src) + "\n", name, "exec"), scope)
     return scope["_f"]
 
@@ -402,6 +401,23 @@ def sample_cell_near(
     return out
 
 
+def round_robin(
+    space: SubcartesianSpace,
+    count: int,
+    sample_cell: Callable[[int, int], list[np.ndarray]],
+) -> list[np.ndarray]:
+    """``count`` samples split over the cells in order: of k cells the first
+    ``count % k`` ask one more than ``count // k``.  ``sample_cell(i, c)``
+    samples c members of cell i; a cell whose share is 0 is not asked."""
+    k = len(space.cells)
+    out: list[np.ndarray] = []
+    for i in range(k):
+        c = count // k + (1 if i < count % k else 0)
+        if c:
+            out.extend(sample_cell(i, c))
+    return out
+
+
 def sample_near(
     space: SubcartesianSpace,
     center: Sequence[float],
@@ -414,13 +430,7 @@ def sample_near(
     Cells that have no members in the ball simply contribute nothing; the
     result can be shorter than ``count`` if the ball barely meets the space.
     """
-    k = len(space.cells)
-    per = [count // k + (1 if i < count % k else 0) for i in range(k)]
-    out: list[np.ndarray] = []
-    for i, c in enumerate(per):
-        if c:
-            out.extend(sample_cell_near(space, i, center, radius, c, rng))
-    return out
+    return round_robin(space, count, lambda i, c: sample_cell_near(space, i, center, radius, c, rng))
 
 
 def sample_cell_box(

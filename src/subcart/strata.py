@@ -31,6 +31,7 @@ from .space import (
     Rel,
     SubcartesianSpace,
     project_to_equalities,
+    round_robin,
     sample_cell_box,
     sample_near,
 )
@@ -97,13 +98,7 @@ def sample_space_box(
     rng: random.Random,
 ) -> list[np.ndarray]:
     """Box sampling across all cells of a space, round-robin."""
-    k = len(space.cells)
-    per = [count // k + (1 if i < count % k else 0) for i in range(k)]
-    out: list[np.ndarray] = []
-    for i, c in enumerate(per):
-        if c:
-            out.extend(sample_cell_box(space, i, lo, hi, c, rng))
-    return out
+    return round_robin(space, count, lambda i, c: sample_cell_box(space, i, lo, hi, c, rng))
 
 
 def closure_contains(space: SubcartesianSpace, point: Sequence[float], tol: Optional[float] = None) -> bool:

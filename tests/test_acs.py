@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from subcart.almostcomplex import (
     eigenspace_closure_field,
     eigenspace_closure_residual,
     kahler_check,
+    max_norm,
     tensoriality_residual,
     torsion,
     torsion_residual,
@@ -218,6 +221,25 @@ def test_kahler_check_rejects_degenerate_form():
     zero = [[parse("0", 2), parse("0", 2)], [parse("0", 2), parse("0", 2)]]
     with pytest.raises(AlmostComplexError):
         kahler_check(j, zero, e, [[0.3, 0.4]])
+
+
+def test_residual_folds_keep_nan():
+    # each fold used the builtin max, which dropped a NaN after a finite value
+    j = AlmostComplexStructure.standard(1)
+    e = coordinate_fields(2)
+    big = TangentField("big", [parse("1e300*x1", 2), parse("1e300*x2", 2)])
+    pts = [[0.1, 0.2], [1e10, 1e10]]
+    undefined = TangentField("undefined", [parse("x1 - x1", 2), parse("0", 2)])
+    assert max_norm(undefined, [[0.5, 0.5]]) == 0.0
+    assert math.isnan(max_norm(undefined, [[0.5, 0.5], [math.nan, 0.5]]))
+    jn = AlmostComplexStructure(2, [[parse("x1 - x1", 2), parse("-1", 2)], [parse("1", 2), parse("0", 2)]])
+    assert jn.square_residual([[0.5, 0.5]]) == 0.0
+    assert math.isnan(jn.square_residual([[0.5, 0.5], [math.nan, 0.5]]))
+    f = parse("1e300*x1*x2", 2)
+    assert math.isnan(cauchy_riemann_residual(j, [e[0]], f, f, pts))
+    with np.errstate(all="ignore"):
+        rep = kahler_check(j, std_omega_rows(2), [big, e[0]], [[0.0, 0.0], [0.5, 0.5]])
+    assert math.isnan(rep.metric_symmetry) and not rep.passed
 
 
 def test_json_dict_round_trip_fields():

@@ -598,3 +598,159 @@ def test_nonfinite_seed_file_coordinate_exits_2(tmp_path, capsys, value):
     assert report == {}
     assert "--seeds" in err and "$[1][0]" in err and "not finite" in err
     assert "Traceback" not in err
+
+
+def _acs_with_field(tmp_path, name: str, components: list[str]) -> str:
+    doc = json.loads(open(scenario_path("acs_standard"), encoding="utf-8").read())
+    doc["fields"][name] = components
+    p = tmp_path / "acs_extra.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_acs_torsion_nan_exits_2(tmp_path, capsys):
+    # every sampled torsion value is [nan, 0, nan, 0]; the builtin max dropped
+    # the NaN and the check passed with max_norm 0
+    path = _acs_with_field(tmp_path, "big", ["1e300*q1*p1", "0", "1e300*q1*p1", "0"])
+    code, report, err = run(capsys, "acs", "--check", "torsion", "--scenario", path,
+                            "--x", "big", "--y", "big", "--points", "5")
+    assert code == 2
+    assert report == {}
+    assert err == "error: non-finite float nan cannot appear in a report\n"
+
+
+def test_infinite_literal_in_a_constraint(tmp_path, capsys):
+    # an infinite literal used to become the unbound name inf in generated code
+    path = _one_cell_scenario(tmp_path, "1e999 - x1", "1")
+    code, report, err = run(capsys, "flow", "--scenario", path, "--field", "f",
+                            "--point=1", "--horizon", "1")
+    assert code == 0 and err == ""
+    assert report["result"]["t_plus"] == 1 and report["result"]["exit_plus"] is None
+    code, report, err = run(capsys, "orbit", "--scenario", path, "--point=1", "--budget", "5")
+    assert code == 0 and err == ""
+
+
+# In-process reuse: one parser and one scenario per file content ------------------
+
+def _golden_cases(tmp_path) -> list[list[str]]:
+    from test_flow_golden import GOLDEN as FLOW, _scenario
+    from test_symbolic_golden import GOLDEN as SYMBOLIC
+
+    cases = []
+    for _, argv, _, _ in FLOW + SYMBOLIC:
+        argv = list(argv)
+        at = argv.index("--scenario") + 1
+        argv[at] = _scenario(tmp_path, argv[at])
+        cases.append(argv)
+    return cases
+
+
+def test_reuse_gives_the_bytes_of_a_fresh_process(tmp_path, capsys):
+    from concurrent.futures import ThreadPoolExecutor
+
+    cases = _golden_cases(tmp_path)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = [(p.returncode, p.stdout, p.stderr) for p in pool.map(lambda a: _cli_process(*a), cases)]
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        for i in order:
+            code = main(cases[i])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == fresh[i], cases[i]
+
+
+def _bracket_scenario(path, name: str, field: list[str]) -> None:
+    path.write_text(json.dumps({
+        "name": name,
+        "space": {"ambient_dim": 1, "cells": [[]], "locally_closed": True},
+        "fields": {"f": field, "g": ["1"]},
+    }))
+
+
+def test_edited_scenario_is_loaded_again(tmp_path, capsys):
+    path = tmp_path / "edited.json"
+    argv = ("bracket", "--scenario", str(path), "--x", "f", "--y", "g", "--point=2")
+    _bracket_scenario(path, "before", ["x1^2"])
+    code, first, _ = run(capsys, *argv)
+    assert code == 0 and first["result"]["value"] == [-4.0]
+    _bracket_scenario(path, "after", ["x1^3"])
+    code, second, _ = run(capsys, *argv)
+    assert code == 0 and second["result"]["value"] == [-12.0]
+    assert second["scenario"] == {"name": "after", "sha256": subcart.report.file_sha256(str(path))}
+    assert first["scenario"]["sha256"] != second["scenario"]["sha256"]
+
+
+def test_failed_load_is_not_kept(tmp_path, capsys):
+    import subcart.cli as cli
+
+    path = tmp_path / "fixed.json"
+    path.write_text('{"name": "fixed", ')
+    kept = len(cli._SCENARIOS)
+    argv = ("bracket", "--scenario", str(path), "--x", "f", "--y", "g")
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report == {} and "not valid JSON" in err
+    assert len(cli._SCENARIOS) == kept
+    _bracket_scenario(path, "fixed", ["x1"])
+    code, report, err = run(capsys, *argv)
+    assert code == 0 and err == "" and report["scenario"]["name"] == "fixed"
+
+
+def test_load_scenario_returns_a_new_object_each_call():
+    a = load_scenario(scenario_path("cone"))
+    b = load_scenario(scenario_path("cone"))
+    assert a is not b and a.space is not b.space and a.fields["rot"] is not b.fields["rot"]
+    assert a.sha256 == b.sha256
+
+
+def test_shared_parser_answers_as_a_fresh_one(capsys):
+    import subcart.cli as cli
+
+    good = ["bracket", "--scenario", scenario_path("cone"), "--x", "rot", "--y", "euler",
+            "--point=0.6,0.8,1.0"]
+    bad = ["flow", "--scenario", scenario_path("halfline"), "--field", "ddx", "--horizon", "-1"]
+    _, before = run_bytes(capsys, *good)
+    assert main(bad) == 2
+    shared = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(bad)
+    assert shared == capsys.readouterr() and shared.out == "" and "--horizon" in shared.err
+    assert run_bytes(capsys, *good) == (0, before)
+    for argv in (["--help"], ["flow", "--help"], ["acs", "--help"]):
+        assert main(argv) == 0
+        shared = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        assert shared == capsys.readouterr() and shared.out.startswith("usage: subcart")
+
+
+def test_at_most_16_scenarios_are_kept(tmp_path, capsys):
+    import subcart.cli as cli
+
+    paths = []
+    for i in range(17):
+        paths.append(tmp_path / f"s{i}.json")
+        _bracket_scenario(paths[-1], f"s{i}", [f"{i + 1}*x1"])
+        code, report, _ = run(capsys, "bracket", "--scenario", str(paths[-1]), "--x", "f", "--y", "g")
+        assert code == 0 and report["scenario"]["name"] == f"s{i}"
+    assert len(cli._SCENARIOS) == 16
+    kept = set(cli._SCENARIOS)
+    assert paths[0].read_bytes() not in kept
+    assert all(p.read_bytes() in kept for p in paths[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--scenario", "disk_line", "--field", "ddx", "--point=0.1,0.5", "--horizon", "3"],
+    ["classify", "--scenario", "circle", "--field", "rot"],
+    ["orbit", "--scenario", "cone", "--point=0.6,0.8,1.0", "--budget", "30"],
+    ["poisson", "--scenario", "reduction_r4", "--triples", "4"],
+])
+def test_repeated_command_compiles_nothing(monkeypatch, capsys, argv):
+    import builtins
+
+    argv = list(argv)
+    argv[2] = scenario_path(argv[2])
+    first = run_bytes(capsys, *argv)
+    calls = []
+    compile_ = builtins.compile
+    monkeypatch.setattr(builtins, "compile", lambda *a, **k: calls.append(a[1]) or compile_(*a, **k))
+    assert run_bytes(capsys, *argv) == first
+    assert calls == []

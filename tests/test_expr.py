@@ -238,6 +238,21 @@ def test_compile_vector_matches_scalars():
     assert got == [compile_scalar(e)(pt) for e in es]
 
 
+def test_compiled_nonfinite_literals():
+    # a literal beyond the float range is inf; repr wrote it as the unbound
+    # name inf and the generated code raised NameError
+    big = parse("1e999*x1", 1)
+    below = parse("x1 - 1e999", 1)  # folds to the constant -inf
+    undefined = parse("1e999 - 1e999 + x1", 1)  # folds to the constant nan
+    assert isinstance(below.right, Const) and below.right.value == -math.inf
+    assert compile_scalar(big)([1.0]) == math.inf
+    assert compile_scalar(below)([1.0]) == -math.inf
+    assert math.isnan(compile_scalar(undefined)([1.0]))
+    got = compile_vector([big, below, undefined, parse("x1^2 - 1e999", 1)])([2.0])
+    assert got[0] == math.inf and got[1] == -math.inf and math.isnan(got[2]) and got[3] == -math.inf
+    assert compile_vector([big])([-1.0]) == [-math.inf]
+
+
 # Memoised differentiation and variable masks --------------------------------
 
 def _reference_diff(e, var):

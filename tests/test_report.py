@@ -16,9 +16,20 @@ from subcart.report import (
     file_sha256,
     format_float,
     sha256_hex,
+    worst_residual,
     write_csv,
     write_report,
 )
+
+
+def test_worst_residual_keeps_nan():
+    # the builtin max keeps what it has when the next value is NaN
+    assert max(0.0, math.nan) == 0.0
+    assert worst_residual([]) == 0.0
+    assert worst_residual([0.5, 2.0, 1.0]) == 2.0
+    assert worst_residual(iter([0.0, 3.0, math.inf])) == math.inf
+    for values in ([math.nan], [1.0, math.nan], [math.nan, 5.0], [1.0, math.nan, math.inf]):
+        assert math.isnan(worst_residual(values))
 
 
 def test_format_float_basics():

@@ -24,6 +24,7 @@ from subcart.space import (
     SpaceError,
     SubcartesianSpace,
     project_to_equalities,
+    round_robin,
     sample_cell_box,
     sample_cell_near,
     sample_near,
@@ -80,6 +81,21 @@ def test_slack_keeps_nan():
     assert math.isnan(disk_line().slack([math.nan, 0.5]))
     with pytest.raises(SpaceError, match="slack nan"):
         hl.require_member([math.nan])
+
+
+def test_nonfinite_literals_in_generated_membership_and_slack():
+    # repr wrote an infinite literal as the unbound name inf
+    below = SubcartesianSpace(1, [[Constraint(parse("1e999 - x1", 1), Rel.GE)]], locally_closed=True)
+    above = SubcartesianSpace(1, [[Constraint(parse("x1 - 1e999", 1), Rel.GE)]], locally_closed=True)
+    undefined = SubcartesianSpace(1, [[Constraint(parse("1e999 - 1e999 + x1", 1), Rel.GE)]],
+                                  locally_closed=True)
+    assert below.contains([1.0]) and below.member_cell([1.0]) == 0 and below.cell_contains(0, [1.0])
+    assert below.closure_contains([1.0])
+    assert below.slack([1.0]) == math.inf
+    assert not above.contains([1.0]) and not above.cell_contains(0, [1.0])
+    assert above.slack([1.0]) == -math.inf
+    assert not undefined.contains([1.0])
+    assert math.isnan(undefined.slack([1.0]))
 
 
 def test_per_constraint_callables_compile_on_first_use(monkeypatch):
@@ -280,6 +296,16 @@ def test_sample_near_round_robin_covers_cells():
     assert len(pts) == 30
     cells = {dl.member_cell(p) for p in pts}
     assert cells == {0, 1}
+
+
+def test_round_robin_split():
+    # of k cells the first count % k ask one more; a share of 0 is not asked
+    three = SubcartesianSpace(1, [[], [], []], locally_closed=True)
+    for count, shares in ((7, [3, 2, 2]), (2, [1, 1]), (0, []), (3, [1, 1, 1])):
+        asked = []
+        out = round_robin(three, count, lambda i, c: asked.append((i, c)) or [np.array([float(i)])] * c)
+        assert [c for _, c in asked] == shares and [i for i, _ in asked] == list(range(len(shares)))
+        assert len(out) == count
 
 
 def test_sample_cell_box():
