@@ -15,27 +15,20 @@ Exit codes: 0 for PASS-type outcomes (including honest Inconclusive), 1 for
 certified failures or witnesses, 2 for usage, IO, or schema errors and for
 any unexpected exception, reported as one ``internal error:`` line.
 
-Repeated calls of ``main`` in one process share work.  The argument parser
-is built on the first call and kept.  Every call reads the scenario file,
-and a file whose bytes equal those of one of the last 16 loaded is not
-parsed again: its ``Scenario``, with the code its space, fields and
-structures compiled on earlier commands, is reused.  An edited file has new
-bytes and is loaded afresh, a load that fails is not kept, and the report's
-scenario name and sha256 always come from the bytes just read.  The command
-handlers treat the scenario as read-only.  ``load_scenario`` itself returns
-a new object on every call.
+A call of ``main`` keeps nothing for the next one: it builds an argument
+parser, for the command its argv names first only, and reads, validates and
+builds its scenario anew, so calls in one process give the bytes of fresh
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import random
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -262,19 +255,12 @@ class Scenario:
         return self.box
 
 
-def _read_scenario(path: str) -> bytes:
+def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            blob = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read scenario {path!r}: {exc}") from None
-
-
-def load_scenario(path: str, *, blob: Optional[bytes] = None) -> Scenario:
-    """Read, validate and build the scenario at ``path``: a new object on
-    every call.  ``blob``, when given, is the file's content already read."""
-    if blob is None:
-        blob = _read_scenario(path)
     sha = sha256_hex(blob)
     try:
         raw = json.loads(blob.decode("utf-8"))
@@ -876,84 +862,104 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", required=True, help="scenario JSON file")
-    common.add_argument("--out", default=None, help="artifact path (.json report or .csv data)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument(
-        "--tol-overrides", default=None,
-        help="JSON object of tolerance overrides, e.g. '{\"jacobi\": 1e-6}'",
-    )
+_COMMON_ARGS = (
+    ("--scenario", {"required": True, "help": "scenario JSON file"}),
+    ("--out", {"default": None, "help": "artifact path (.json report or .csv data)"}),
+    ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"}),
+    ("--tol-overrides", {
+        "default": None,
+        "help": "JSON object of tolerance overrides, e.g. '{\"jacobi\": 1e-6}'",
+    }),
+)
 
+# name -> (help, arguments after the common ones), in the order --help lists them
+_COMMANDS = {
+    "flow": ("integrate one field from a point", (
+        ("--field", {"required": True}),
+        ("--point", {"required": True}),
+        ("--horizon", {"type": _positive_float, "default": 10.0}),
+    )),
+    "classify": ("derivation vs vector field verdict", (
+        ("--field", {"required": True}),
+        ("--seeds", {"default": "default", "help": "seed set name or JSON file"}),
+    )),
+    "bracket": ("Lie bracket of two named fields", (
+        ("--x", {"required": True}),
+        ("--y", {"required": True}),
+        ("--point", {"default": None}),
+    )),
+    "orbit": ("sample the orbit of a family", (
+        ("--family", {"default": "default"}),
+        ("--point", {"required": True}),
+        ("--budget", {"type": int, "default": 400}),
+        ("--step-scale", {"type": _positive_float, "default": 0.3}),
+    )),
+    "chart": ("chart differential with rank certificate", (
+        ("--family", {"default": "default"}),
+        ("--point", {"required": True}),
+        ("--basis", {"default": None, "help": "comma separated field indices"}),
+    )),
+    "complete-probe": ("local completeness probe", (
+        ("--family", {"default": "default"}),
+        ("--seeds", {"default": "default", "help": "probe centers: seed set name or JSON file"}),
+        ("--n", {"type": _positive_int, "default": 20}),
+        ("--radius", {"type": _positive_float, "default": 1.0}),
+        ("--t-scale", {"type": _positive_float, "default": 1.0}),
+    )),
+    "strata": ("stratification checks", (
+        ("--check", {"required": True, "choices": ["frontier", "tangency", "orbits"]}),
+        ("--field", {"default": None, "help": "field for --check tangency"}),
+        ("--family", {"default": "default"}),
+        ("--seeds", {"default": "default"}),
+        ("--budget", {"type": int, "default": 400}),
+        ("--horizon", {"type": _positive_float, "default": 0.5}),
+    )),
+    "poisson": ("bivector antisymmetry and Jacobi check", (
+        ("--triples", {"type": _positive_int, "default": 50}),
+        ("--points", {"type": _positive_int, "default": 10}),
+        ("--scale", {"type": _positive_float, "default": 1.0}),
+    )),
+    "reduce": ("invariant-based reduction", ()),
+    "leaf": ("Hamiltonian orbit with Casimir drift", (
+        ("--point", {"required": True}),
+        ("--budget", {"type": int, "default": 500}),
+        ("--step-scale", {"type": _positive_float, "default": 0.3}),
+    )),
+    "acs": ("almost complex structure checks", (
+        ("--check", {"required": True, "choices": ["torsion", "cr", "kahler"]}),
+        ("--x", {"default": None}),
+        ("--y", {"default": None}),
+        ("--f", {"default": None}),
+        ("--h", {"default": None}),
+        ("--fields", {"default": None, "help": "comma separated field names"}),
+        ("--points", {"type": _positive_int, "default": 25}),
+        ("--point", {"default": None}),
+    )),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``.
+
+    When ``argv`` starts with a command name, only that command's subparser
+    is built: argparse hands everything after the name to it, and the
+    command list in the top-level usage is spelled out, so every answer
+    equals the full parser's.  Otherwise all eleven are built, for help and
+    for the errors that list the commands.
+    """
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="subcart",
         description="Flows, orbits, strata, brackets and torsion on subsets of R^n.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("flow", parents=[common], help="integrate one field from a point")
-    p.add_argument("--field", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--horizon", type=_positive_float, default=10.0)
-
-    p = sub.add_parser("classify", parents=[common], help="derivation vs vector field verdict")
-    p.add_argument("--field", required=True)
-    p.add_argument("--seeds", default="default", help="seed set name or JSON file")
-
-    p = sub.add_parser("bracket", parents=[common], help="Lie bracket of two named fields")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--point", default=None)
-
-    p = sub.add_parser("orbit", parents=[common], help="sample the orbit of a family")
-    p.add_argument("--family", default="default")
-    p.add_argument("--point", required=True)
-    p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--step-scale", type=_positive_float, default=0.3)
-
-    p = sub.add_parser("chart", parents=[common], help="chart differential with rank certificate")
-    p.add_argument("--family", default="default")
-    p.add_argument("--point", required=True)
-    p.add_argument("--basis", default=None, help="comma separated field indices")
-
-    p = sub.add_parser("complete-probe", parents=[common], help="local completeness probe")
-    p.add_argument("--family", default="default")
-    p.add_argument("--seeds", default="default", help="probe centers: seed set name or JSON file")
-    p.add_argument("--n", type=_positive_int, default=20)
-    p.add_argument("--radius", type=_positive_float, default=1.0)
-    p.add_argument("--t-scale", type=_positive_float, default=1.0)
-
-    p = sub.add_parser("strata", parents=[common], help="stratification checks")
-    p.add_argument("--check", required=True, choices=["frontier", "tangency", "orbits"])
-    p.add_argument("--field", default=None, help="field for --check tangency")
-    p.add_argument("--family", default="default")
-    p.add_argument("--seeds", default="default")
-    p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--horizon", type=_positive_float, default=0.5)
-
-    p = sub.add_parser("poisson", parents=[common], help="bivector antisymmetry and Jacobi check")
-    p.add_argument("--triples", type=_positive_int, default=50)
-    p.add_argument("--points", type=_positive_int, default=10)
-    p.add_argument("--scale", type=_positive_float, default=1.0)
-
-    p = sub.add_parser("reduce", parents=[common], help="invariant-based reduction")
-
-    p = sub.add_parser("leaf", parents=[common], help="Hamiltonian orbit with Casimir drift")
-    p.add_argument("--point", required=True)
-    p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--step-scale", type=_positive_float, default=0.3)
-
-    p = sub.add_parser("acs", parents=[common], help="almost complex structure checks")
-    p.add_argument("--check", required=True, choices=["torsion", "cr", "kahler"])
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--f", default=None)
-    p.add_argument("--h", default=None)
-    p.add_argument("--fields", default=None, help="comma separated field names")
-    p.add_argument("--points", type=_positive_int, default=25)
-    p.add_argument("--point", default=None)
-
+    # a metavar would also rename the command in the full parser's errors
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, arguments) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flag, options in _COMMON_ARGS + arguments:
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -994,38 +1000,15 @@ def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, f
     return tol
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first ``main`` call."""
-    return _build_parser()
-
-
-# Scenarios loaded in this process by file content, least recently used first.
-_SCENARIOS: OrderedDict[bytes, Scenario] = OrderedDict()
-_SCENARIO_SLOTS = 16
-
-
-def _scenario(path: str) -> Scenario:
-    """The scenario at ``path``, reused while the file holds bytes loaded before."""
-    blob = _read_scenario(path)
-    sc = _SCENARIOS.get(blob)
-    if sc is None:
-        sc = _SCENARIOS[blob] = load_scenario(path, blob=blob)
-        if len(_SCENARIOS) > _SCENARIO_SLOTS:
-            _SCENARIOS.popitem(last=False)
-    else:
-        _SCENARIOS.move_to_end(blob)
-    return sc
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(list(argv) if argv is not None else None)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
     try:
-        sc = _scenario(args.scenario)
+        sc = load_scenario(args.scenario)
         tol = _effective_tolerances(sc, args.tol_overrides)
         result, code = _HANDLERS[args.command](sc, args, tol)
         report = {

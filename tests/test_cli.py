@@ -630,7 +630,7 @@ def test_infinite_literal_in_a_constraint(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
-# In-process reuse: one parser and one scenario per file content ------------------
+# Repeated in-process calls and the one-command parser -----------------------------
 
 def _golden_cases(tmp_path) -> list[list[str]]:
     from test_flow_golden import GOLDEN as FLOW, _scenario
@@ -645,7 +645,7 @@ def _golden_cases(tmp_path) -> list[list[str]]:
     return cases
 
 
-def test_reuse_gives_the_bytes_of_a_fresh_process(tmp_path, capsys):
+def test_in_process_calls_give_the_bytes_of_a_fresh_process(tmp_path, capsys):
     from concurrent.futures import ThreadPoolExecutor
 
     cases = _golden_cases(tmp_path)
@@ -679,78 +679,76 @@ def test_edited_scenario_is_loaded_again(tmp_path, capsys):
     assert first["scenario"]["sha256"] != second["scenario"]["sha256"]
 
 
-def test_failed_load_is_not_kept(tmp_path, capsys):
-    import subcart.cli as cli
-
+def test_scenario_fixed_after_bad_json_loads(tmp_path, capsys):
     path = tmp_path / "fixed.json"
     path.write_text('{"name": "fixed", ')
-    kept = len(cli._SCENARIOS)
     argv = ("bracket", "--scenario", str(path), "--x", "f", "--y", "g")
     code, report, err = run(capsys, *argv)
     assert code == 2 and report == {} and "not valid JSON" in err
-    assert len(cli._SCENARIOS) == kept
     _bracket_scenario(path, "fixed", ["x1"])
     code, report, err = run(capsys, *argv)
     assert code == 0 and err == "" and report["scenario"]["name"] == "fixed"
 
 
-def test_load_scenario_returns_a_new_object_each_call():
-    a = load_scenario(scenario_path("cone"))
-    b = load_scenario(scenario_path("cone"))
-    assert a is not b and a.space is not b.space and a.fields["rot"] is not b.fields["rot"]
-    assert a.sha256 == b.sha256
+_COMMAND_NAMES = ["flow", "classify", "bracket", "orbit", "chart", "complete-probe",
+                  "strata", "poisson", "reduce", "leaf", "acs"]
 
 
-def test_shared_parser_answers_as_a_fresh_one(capsys):
+def _parse(parser, argv: list[str], capsys):
+    """What ``parser`` answers to ``argv``: exit code, namespace, stdout, stderr."""
+    try:
+        ns, code = sorted(vars(parser.parse_args(argv)).items()), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, repr(ns), out, err
+
+
+def test_help_and_command_errors_are_unchanged(monkeypatch, capsys):
+    import hashlib
+
     import subcart.cli as cli
 
-    good = ["bracket", "--scenario", scenario_path("cone"), "--x", "rot", "--y", "euler",
-            "--point=0.6,0.8,1.0"]
-    bad = ["flow", "--scenario", scenario_path("halfline"), "--field", "ddx", "--horizon", "-1"]
-    _, before = run_bytes(capsys, *good)
-    assert main(bad) == 2
-    shared = capsys.readouterr()
-    with pytest.raises(SystemExit):
-        cli._build_parser().parse_args(bad)
-    assert shared == capsys.readouterr() and shared.out == "" and "--horizon" in shared.err
-    assert run_bytes(capsys, *good) == (0, before)
-    for argv in (["--help"], ["flow", "--help"], ["acs", "--help"]):
-        assert main(argv) == 0
-        shared = capsys.readouterr()
-        with pytest.raises(SystemExit):
-            cli._build_parser().parse_args(argv)
-        assert shared == capsys.readouterr() and shared.out.startswith("usage: subcart")
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = [_parse(cli._build_parser(), argv + ["--help"], capsys)[2]
+             for argv in [[]] + [[name] for name in _COMMAND_NAMES]]
+    assert all(t.startswith("usage: subcart") for t in texts)
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "e1df34af491ea3dc6a21feb541893d6ce4e781f6eaf20a899a1feb060ef51908"
+    assert main([]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: command\n")
+    assert main(["bogus"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument command: invalid choice: 'bogus' (choose from 'flow', 'classify',"
+        " 'bracket', 'orbit', 'chart', 'complete-probe', 'strata', 'poisson', 'reduce',"
+        " 'leaf', 'acs')\n")
 
 
-def test_at_most_16_scenarios_are_kept(tmp_path, capsys):
+@pytest.mark.parametrize("columns", ["80", "50"])
+def test_one_command_parser_answers_as_the_full_one(monkeypatch, capsys, columns):
+    import argparse
+
     import subcart.cli as cli
 
-    paths = []
-    for i in range(17):
-        paths.append(tmp_path / f"s{i}.json")
-        _bracket_scenario(paths[-1], f"s{i}", [f"{i + 1}*x1"])
-        code, report, _ = run(capsys, "bracket", "--scenario", str(paths[-1]), "--x", "f", "--y", "g")
-        assert code == 0 and report["scenario"]["name"] == f"s{i}"
-    assert len(cli._SCENARIOS) == 16
-    kept = set(cli._SCENARIOS)
-    assert paths[0].read_bytes() not in kept
-    assert all(p.read_bytes() in kept for p in paths[1:])
-
-
-@pytest.mark.parametrize("argv", [
-    ["flow", "--scenario", "disk_line", "--field", "ddx", "--point=0.1,0.5", "--horizon", "3"],
-    ["classify", "--scenario", "circle", "--field", "rot"],
-    ["orbit", "--scenario", "cone", "--point=0.6,0.8,1.0", "--budget", "30"],
-    ["poisson", "--scenario", "reduction_r4", "--triples", "4"],
-])
-def test_repeated_command_compiles_nothing(monkeypatch, capsys, argv):
-    import builtins
-
-    argv = list(argv)
-    argv[2] = scenario_path(argv[2])
-    first = run_bytes(capsys, *argv)
-    calls = []
-    compile_ = builtins.compile
-    monkeypatch.setattr(builtins, "compile", lambda *a, **k: calls.append(a[1]) or compile_(*a, **k))
-    assert run_bytes(capsys, *argv) == first
-    assert calls == []
+    monkeypatch.setenv("COLUMNS", columns)
+    assert list(cli._COMMANDS) == _COMMAND_NAMES
+    argvs = [[], ["-h"], ["bogus"], ["--scenario", "s.json", "flow"], ["--", "flow"]]
+    for name in _COMMAND_NAMES:
+        argvs += [
+            [name], [name, "-h"], [name, "--scenario", "s.json"],
+            [name, "--scenario", "s.json", "extra", "--bogus"],
+            [name, "--scenario", "s", "--check", "nope", "--horizon", "-1", "--n", "0"],
+            [name, "--scen", "s", "--field", "f", "--point=-1", "--x", "a", "--y", "b",
+             "--check", "frontier", "--budget", "7", "--seed", "3"],
+            [name, name, "--help"],
+        ]
+    built = 0
+    for argv in argvs:
+        parser = cli._build_parser(argv)
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(commands.choices) == (argv[:1] if argv[:1] in ([n] for n in _COMMAND_NAMES)
+                                          else _COMMAND_NAMES)
+        built += len(commands.choices) == 1
+        assert _parse(parser, argv, capsys) == _parse(cli._build_parser(), argv, capsys), argv
+    assert built == 7 * len(_COMMAND_NAMES)
