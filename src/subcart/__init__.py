@@ -7,186 +7,64 @@ distinguishes attained from open interval endpoints.  On top of that
 sit the orbit sampler for finite field families, stratification audits,
 Poisson brackets with invariant-based reduction, and almost complex
 torsion residuals.
+
+The exports are lazy (PEP 562): ``import subcart`` imports no submodule,
+and a name, or a submodule such as ``subcart.flow``, is imported on its
+first use.  So ``import subcart.expr`` loads neither numpy nor the rest.
 """
 
 from __future__ import annotations
 
-from .almostcomplex import (
-    AlmostComplexError,
-    AlmostComplexStructure,
-    KahlerReport,
-    cauchy_riemann_residual,
-    eigenspace_closure_field,
-    eigenspace_closure_residual,
-    kahler_check,
-    tensoriality_residual,
-    torsion,
-    torsion_residual,
-)
-from .expr import (
-    Const,
-    DomainError,
-    Expr,
-    ExprError,
-    ParseError,
-    Var,
-    compile_scalar,
-    compile_vector,
-    diff,
-    eval_jet,
-    parse,
-    to_text,
-)
-from .field import FieldError, TangentField, lie_bracket
-from .flow import (
-    ExitWitness,
-    FlowDomainError,
-    FlowOptions,
-    INCONCLUSIVE,
-    IntegralCurve,
-    IntegrationError,
-    NOT_VECTOR_FIELD,
-    ProbeOptions,
-    VECTOR_FIELD,
-    VectorFieldVerdict,
-    classify_vector_field,
-    flow_map,
-    integrate,
-    transport_vector,
-)
-from .orbit import (
-    Chart,
-    CompletenessReport,
-    DependentBasisError,
-    DimensionReport,
-    FieldFamily,
-    OrbitError,
-    OrbitSample,
-    ReachError,
-    chart_jacobian,
-    dimension_constancy_report,
-    local_completeness_probe,
-    orbits_connected,
-    reach,
-    sample_orbit,
-    span_dimension,
-)
-from .poisson import (
-    InvarianceReport,
-    PoissonError,
-    PoissonStructure,
-    ReductionError,
-    ReductionSetup,
-    bracket,
-    hamiltonian_field,
-    invariance_residual,
-    jacobi_residual,
-    jacobi_sample_residual,
-    leaf_sample,
-    reduce,
-)
-from .space import (
-    Constraint,
-    Rel,
-    SpaceError,
-    SubcartesianSpace,
-    sample_near,
-)
-from .strata import (
-    DimensionAudit,
-    FrontierReport,
-    StrataError,
-    StratifiedSpace,
-    Stratum,
-    bump_expr,
-    dimension_audit,
-    extend_stratum_field,
-    frontier_check,
-    orbit_vs_strata,
-    strongly_stratified_check,
-)
+import importlib
 
-__all__ = [
-    "AlmostComplexError",
-    "AlmostComplexStructure",
-    "Chart",
-    "CompletenessReport",
-    "Const",
-    "Constraint",
-    "DependentBasisError",
-    "DimensionAudit",
-    "DimensionReport",
-    "DomainError",
-    "ExitWitness",
-    "Expr",
-    "ExprError",
-    "FieldError",
-    "FieldFamily",
-    "FlowDomainError",
-    "FlowOptions",
-    "FrontierReport",
-    "INCONCLUSIVE",
-    "IntegralCurve",
-    "IntegrationError",
-    "InvarianceReport",
-    "KahlerReport",
-    "NOT_VECTOR_FIELD",
-    "OrbitError",
-    "OrbitSample",
-    "ParseError",
-    "PoissonError",
-    "PoissonStructure",
-    "ProbeOptions",
-    "ReachError",
-    "ReductionError",
-    "ReductionSetup",
-    "Rel",
-    "SpaceError",
-    "StrataError",
-    "StratifiedSpace",
-    "Stratum",
-    "SubcartesianSpace",
-    "TangentField",
-    "VECTOR_FIELD",
-    "Var",
-    "VectorFieldVerdict",
-    "bracket",
-    "bump_expr",
-    "cauchy_riemann_residual",
-    "chart_jacobian",
-    "classify_vector_field",
-    "compile_scalar",
-    "compile_vector",
-    "diff",
-    "dimension_audit",
-    "dimension_constancy_report",
-    "eigenspace_closure_field",
-    "eigenspace_closure_residual",
-    "eval_jet",
-    "extend_stratum_field",
-    "flow_map",
-    "frontier_check",
-    "hamiltonian_field",
-    "integrate",
-    "invariance_residual",
-    "jacobi_residual",
-    "jacobi_sample_residual",
-    "kahler_check",
-    "leaf_sample",
-    "lie_bracket",
-    "local_completeness_probe",
-    "orbit_vs_strata",
-    "orbits_connected",
-    "parse",
-    "reach",
-    "reduce",
-    "sample_near",
-    "sample_orbit",
-    "span_dimension",
-    "strongly_stratified_check",
-    "tensoriality_residual",
-    "to_text",
-    "torsion",
-    "torsion_residual",
-    "transport_vector",
-]
+# submodule -> the names it exports at the package level
+_EXPORTS = {
+    "almostcomplex": (
+        "AlmostComplexError", "AlmostComplexStructure", "KahlerReport", "cauchy_riemann_residual",
+        "eigenspace_closure_field", "eigenspace_closure_residual", "kahler_check",
+        "tensoriality_residual", "torsion", "torsion_residual",
+    ),
+    "cli": (),
+    "expr": (
+        "Const", "DomainError", "Expr", "ExprError", "ParseError", "Var", "compile_scalar",
+        "compile_vector", "diff", "parse", "to_text",
+    ),
+    "field": ("FieldError", "TangentField", "lie_bracket"),
+    "flow": (
+        "ExitWitness", "FlowDomainError", "FlowOptions", "INCONCLUSIVE", "IntegralCurve",
+        "IntegrationError", "NOT_VECTOR_FIELD", "ProbeOptions", "VECTOR_FIELD",
+        "VectorFieldVerdict", "classify_vector_field", "flow_map", "integrate", "transport_vector",
+    ),
+    "orbit": (
+        "Chart", "CompletenessReport", "DependentBasisError", "DimensionReport", "FieldFamily",
+        "OrbitError", "OrbitSample", "ReachError", "chart_jacobian", "dimension_constancy_report",
+        "local_completeness_probe", "reach", "sample_orbit", "span_dimension",
+    ),
+    "poisson": (
+        "InvarianceReport", "PoissonError", "PoissonStructure", "ReductionError", "ReductionSetup",
+        "bracket", "hamiltonian_field", "invariance_residual", "jacobi_residual",
+        "jacobi_sample_residual", "leaf_sample", "reduce",
+    ),
+    "report": (),
+    "space": ("Constraint", "Rel", "SpaceError", "SubcartesianSpace", "sample_near"),
+    "strata": (
+        "FrontierReport", "StrataError", "StratifiedSpace", "Stratum", "frontier_check",
+        "orbit_vs_strata", "strongly_stratified_check",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

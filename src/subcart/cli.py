@@ -244,11 +244,6 @@ class Scenario:
             raise CliError(f"unknown family {name!r}; scenario has {sorted(self.families)}")
         return FieldFamily(self.space, [self.fields[f] for f in self.families[name]])
 
-    def seed_set(self, name: str) -> list[list[float]]:
-        if name not in self.seeds:
-            raise CliError(f"unknown seed set {name!r}; scenario has {sorted(self.seeds)}")
-        return self.seeds[name]
-
     def need_box(self) -> tuple[list[float], list[float]]:
         if self.box is None:
             raise CliError("this command needs a 'box' block in the scenario")

@@ -8,15 +8,15 @@ Every node carries the bitmask of the variables it uses, and ``diff`` is
 memoised per node and variable: a subtree shared by many trees is
 differentiated once, and a derivative with respect to a variable the node
 does not use is the shared ``ZERO`` without recursion.
-Evaluation is deterministic: identical trees evaluated at identical points
-give bit-identical floats, and points outside a function's domain raise
-``DomainError`` instead of producing NaN.
+Evaluation is by generated Python code (``compile_scalar`` and
+``compile_vector``) and deterministic: identical trees evaluated at
+identical points give bit-identical floats, and points outside a
+function's domain raise ``DomainError`` instead of producing NaN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 
@@ -105,9 +105,6 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({to_text(self)!r})"
-
-    def eval(self, point: Sequence[float]) -> float:
-        return _eval(self, point)
 
     def diff(self, var: int) -> "Expr":
         return diff(self, var)
@@ -330,58 +327,6 @@ def cut(shift: int, operand: Expr) -> Expr:
     return Cut(shift, operand)
 
 
-# Evaluation -----------------------------------------------------------------
-
-def _cut_value(shift: int, t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if shift == 0:
-        return math.exp(-1.0 / t)
-    return math.exp(-1.0 / t - shift * math.log(t))
-
-
-def _eval(e: Expr, x: Sequence[float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index >= len(x):
-            raise DomainError(f"point has {len(x)} coordinates, expression uses x{e.index + 1}")
-        return float(x[e.index])
-    if isinstance(e, Add):
-        return _eval(e.left, x) + _eval(e.right, x)
-    if isinstance(e, Mul):
-        return _eval(e.left, x) * _eval(e.right, x)
-    if isinstance(e, Div):
-        den = _eval(e.right, x)
-        if den == 0.0:
-            raise DomainError("quotient denominator is zero")
-        return _eval(e.left, x) / den
-    if isinstance(e, Pow):
-        return _eval(e.base, x) ** e.exponent
-    if isinstance(e, Neg):
-        return -_eval(e.operand, x)
-    if isinstance(e, Fn):
-        v = _eval(e.operand, x)
-        if e.name == "sin":
-            return math.sin(v)
-        if e.name == "cos":
-            return math.cos(v)
-        if e.name == "exp":
-            return math.exp(v)
-        if e.name == "tanh":
-            return math.tanh(v)
-        if e.name == "log":
-            if v <= 0.0:
-                raise DomainError(f"log argument must be positive, got {v!r}")
-            return math.log(v)
-        if v < 0.0:
-            raise DomainError(f"sqrt argument must be nonnegative, got {v!r}")
-        return math.sqrt(v)
-    if isinstance(e, Cut):
-        return _cut_value(e.shift, _eval(e.operand, x))
-    raise ExprError(f"unknown node {e!r}")
-
-
 # Differentiation ------------------------------------------------------------
 
 def diff(e: Expr, var: int) -> Expr:
@@ -455,44 +400,6 @@ def gradient_exprs(e: Expr, n_vars: int) -> tuple[Expr, ...]:
 def max_var_index(e: Expr) -> int:
     """Largest variable index appearing in ``e``, or -1 for constants."""
     return e._mask.bit_length() - 1
-
-
-# Jets ------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Jet:
-    """Value with optional first and second derivatives at a point."""
-
-    value: float
-    gradient: Optional[tuple[float, ...]] = None
-    hessian: Optional[tuple[tuple[float, ...], ...]] = None
-
-
-def eval_jet(e: Expr, point: Sequence[float], order: int = 1) -> Jet:
-    """Evaluate ``e`` and its derivatives up to ``order`` (0, 1 or 2).
-
-    Derivatives are computed by evaluating exact symbolic derivatives, so the
-    Hessian is symmetric by construction: entry (i, j) with i <= j is computed
-    once and mirrored.
-    """
-    if order not in (0, 1, 2):
-        raise ExprError(f"jet order must be 0, 1 or 2, got {order}")
-    n = len(point)
-    value = _eval(e, point)
-    if order == 0:
-        return Jet(value)
-    grads = gradient_exprs(e, n)
-    gvals = tuple(_eval(g, point) for g in grads)
-    if order == 1:
-        return Jet(value, gvals)
-    hess = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        row = gradient_exprs(grads[i], n)
-        for j in range(i, n):
-            hij = _eval(row[j], point)
-            hess[i][j] = hij
-            hess[j][i] = hij
-    return Jet(value, gvals, tuple(tuple(r) for r in hess))
 
 
 # Parsing ---------------------------------------------------------------------
@@ -724,6 +631,14 @@ def _guard_sqrt(v: float) -> float:
     return math.sqrt(v)
 
 
+def _cut_value(shift: int, t: float) -> float:
+    if t <= 0.0:
+        return 0.0
+    if shift == 0:
+        return math.exp(-1.0 / t)
+    return math.exp(-1.0 / t - shift * math.log(t))
+
+
 _COMPILE_ENV = {
     "_sin": math.sin,
     "_cos": math.cos,
@@ -779,7 +694,7 @@ def _emit(e: Expr, memo: dict[int, str], lines: list[str]) -> str:
 
 
 def compile_scalar(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Compile to a fast callable. Same arithmetic order as ``eval``."""
+    """Compile to a fast callable, kept on the node for the next call."""
     cached = getattr(e, "_compiled", None)
     if cached is not None:
         return cached

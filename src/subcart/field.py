@@ -10,12 +10,11 @@ matter.
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, add, as_expr, compile_vector, diff, mul, parse, to_text, ZERO
+from .expr import Expr, add, as_expr, compile_vector, diff, mul, to_text, ZERO
 
 
 class FieldError(ValueError):
@@ -73,19 +72,6 @@ class TangentField:
         f = as_expr(factor)
         lab = label if label is not None else f"({to_text(f)})*{self.label}"
         return TangentField(lab, [mul(f, c) for c in self.components])
-
-    def to_json_dict(self) -> dict:
-        return {"label": self.label, "components": [to_text(c) for c in self.components]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict, aliases: Optional[Sequence[str]] = None) -> "TangentField":
-        comps = d["components"]
-        return cls(d["label"], [parse(c, len(comps), aliases) for c in comps])
-
-    @classmethod
-    def from_json(cls, text: str, aliases: Optional[Sequence[str]] = None) -> "TangentField":
-        return cls.from_json_dict(json.loads(text), aliases)
-
 
 def lie_bracket(x: TangentField, y: TangentField, label: Optional[str] = None) -> TangentField:
     """Commutator field: component i is x(y_i) - y(x_i)."""

@@ -8,8 +8,7 @@ keeps its generating word so reachability claims stay reproducible.
 
 Only explicit finite families are handled.  Questions that quantify over
 all vector fields of the space are exercised through nested finite
-families; orbit equality of two seeds is only ever answered "Connected"
-(with a joining word) or "Unknown", never "different".
+families.
 """
 
 from __future__ import annotations
@@ -550,34 +549,3 @@ def local_completeness_probe(
         records=records,
     )
 
-
-def orbits_connected(
-    family: FieldFamily,
-    x0: Sequence[float],
-    y0: Sequence[float],
-    budget: int = 300,
-    step_scale: float = 0.3,
-    rng_seed: int = 0,
-    merge_radius: float = MERGE_RADIUS,
-    options: Optional[FlowOptions] = None,
-) -> tuple[str, Optional[FlowWord]]:
-    """Sampled reachability between two seeds: ("Connected", word) or ("Unknown", None).
-
-    A crossing of the two sampled clouds within merge_radius yields a word
-    from x0 to (near) y0: x0's word to the crossing followed by the reverse
-    of y0's word, times negated.  Absence of a crossing proves nothing.
-    """
-    a = sample_orbit(family, x0, budget, step_scale, rng_seed, merge_radius, options=options)
-    b = sample_orbit(family, y0, budget, step_scale, rng_seed + 1, merge_radius, options=options)
-    arr_b = b.as_array()
-    best: Optional[tuple[float, int, int]] = None
-    for ia, p in enumerate(a.points):
-        d = np.linalg.norm(arr_b - p, axis=1)
-        ib = int(np.argmin(d))
-        if float(d[ib]) <= merge_radius and (best is None or float(d[ib]) < best[0]):
-            best = (float(d[ib]), ia, ib)
-    if best is None:
-        return "Unknown", None
-    _, ia, ib = best
-    back = tuple((fi, -dt) for (fi, dt) in reversed(b.words[ib]))
-    return "Connected", a.words[ia] + back

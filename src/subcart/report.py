@@ -94,19 +94,6 @@ def sha256_hex(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return sha256_hex(fh.read())
-
-
-def write_report(path: str, obj) -> str:
-    """Write canonical JSON plus trailing newline; returns the text sha256."""
-    text = canonical_json(obj) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return sha256_hex(text)
-
-
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Deterministic CSV: %.17g floats, LF line endings, no quoting needs."""
     lines = [",".join(header)]

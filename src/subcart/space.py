@@ -24,7 +24,6 @@ numpy floats too (``math.exp``) is a ``SpaceError`` naming the point.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -40,7 +39,6 @@ from .expr import (
     compile_scalar,
     compile_vector,
     gradient_exprs,
-    parse,
     to_text,
 )
 
@@ -268,44 +266,6 @@ class SubcartesianSpace:
         if not self.contains(point):
             raise SpaceError(f"{what} {list(map(float, point))} is not in the space (slack {self.slack(point):.3e})")
 
-    # Serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "cells": [
-                [{"expr": c.text(), "rel": c.rel.value} for c in cell]
-                for cell in self.cells
-            ],
-            "locally_closed": self.locally_closed,
-            "tol": self.tol,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, aliases: Optional[Sequence[str]] = None) -> "SubcartesianSpace":
-        try:
-            n = int(d["ambient_dim"])
-            raw_cells = d["cells"]
-            locally_closed = bool(d["locally_closed"])
-        except KeyError as exc:
-            raise SpaceError(f"space description missing key {exc}") from None
-        tol = float(d.get("tol", DEFAULT_TOL))
-        cells = []
-        for ci, raw in enumerate(raw_cells):
-            cell = []
-            for ki, con in enumerate(raw):
-                try:
-                    rel = Rel(con["rel"])
-                except ValueError:
-                    raise SpaceError(f"cells[{ci}][{ki}]: unknown rel {con['rel']!r}") from None
-                cell.append(Constraint(parse(con["expr"], n, aliases), rel))
-            cells.append(tuple(cell))
-        return cls(n, cells, locally_closed, tol)
-
-    @classmethod
-    def from_json(cls, text: str, aliases: Optional[Sequence[str]] = None) -> "SubcartesianSpace":
-        return cls.from_json_dict(json.loads(text), aliases)
-
     @classmethod
     def whole_space(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "SubcartesianSpace":
         """All of R^n: one cell with no constraints."""
@@ -329,8 +289,7 @@ def project_to_equalities(
     Returns None when the iteration stalls or the constraint gradients are
     degenerate at the iterate.  Inequalities of the cell are ignored here.
     The values and gradients of the cell's equalities come from one function,
-    compiled on the cell's first projection and kept on the space; it gives
-    the floats of ``eval_jet`` without walking the trees.
+    compiled on the cell's first projection and kept on the space.
     """
     eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
     z = np.asarray(start, dtype=float).copy()

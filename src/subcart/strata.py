@@ -23,22 +23,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, DomainError, Expr, Var, add, compile_scalar, cut, div, mul, sub
 from .field import TangentField
 from .flow import FlowOptions, integrate
-from .orbit import FieldFamily, sample_orbit, span_dimension
+from .orbit import FieldFamily, sample_orbit
 from .space import (
-    Rel,
+    SpaceError,
     SubcartesianSpace,
     project_to_equalities,
     round_robin,
     sample_cell_box,
-    sample_near,
 )
 
 FRONTIER_TOL = 1e-4
 DRIFT_TOL = 1e-8
-TANGENCY_TOL = 1e-8
 COVER_RADIUS = 0.35
 
 
@@ -101,11 +98,6 @@ def sample_space_box(
     return round_robin(space, count, lambda i, c: sample_cell_box(space, i, lo, hi, c, rng))
 
 
-def closure_contains(space: SubcartesianSpace, point: Sequence[float], tol: Optional[float] = None) -> bool:
-    """Membership in the topological closure: strict relations relaxed."""
-    return space.closure_contains(point, tol)
-
-
 def closure_distance(
     space: SubcartesianSpace,
     point: Sequence[float],
@@ -124,7 +116,7 @@ def closure_distance(
         z = project_to_equalities(space, ci, p)
         if z is None:
             continue
-        if closure_contains(space, z):
+        if space.closure_contains(z):
             best = min(best, float(np.linalg.norm(p - z)))
     if cloud is not None and cloud.size:
         best = min(best, float(np.min(np.linalg.norm(cloud - p, axis=1))))
@@ -220,73 +212,6 @@ def frontier_check(
     )
 
 
-def bump_expr(center: Sequence[float], r_inner: float, r_outer: float, n: int) -> Expr:
-    """Smooth bump of the squared distance to center: 1 inside, 0 outside.
-
-    Built from the flat-at-zero gate exp(-1/t), so values are exactly 1.0
-    for radius <= r_inner and exactly 0.0 for radius >= r_outer.
-    """
-    if not 0.0 < r_inner < r_outer:
-        raise StrataError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
-    rho2: Optional[Expr] = None
-    for i in range(n):
-        term = mul(sub(Var(i), Const(float(center[i]))), sub(Var(i), Const(float(center[i]))))
-        rho2 = term if rho2 is None else add(rho2, term)
-    outer = cut(0, sub(Const(r_outer**2), rho2))
-    inner = cut(0, sub(rho2, Const(r_inner**2)))
-    return div(outer, add(outer, inner))
-
-
-def extend_stratum_field(
-    ss: StratifiedSpace,
-    stratum_name: str,
-    x_m: TangentField,
-    x: Sequence[float],
-    r_inner: float,
-    r_outer: float,
-    tangency_tol: float = TANGENCY_TOL,
-    n_checks: int = 20,
-    rng_seed: int = 0,
-) -> TangentField:
-    """Extend a stratum-tangent field by a smooth cutoff around x.
-
-    The result agrees with the input inside r_inner of x and is exactly
-    zero outside r_outer, hence defines a candidate strongly stratified
-    field on the whole space.  Tangency of the input to the stratum's
-    equality constraints is sampled near x first.
-    """
-    idx = ss.stratum_index(stratum_name)
-    stratum = ss.strata[idx]
-    stratum.space.require_member(x, "extension center")
-    x = np.asarray(x, dtype=float)
-    rng = random.Random(rng_seed)
-    pts = [x] + sample_near(stratum.space, x, r_outer, n_checks, rng)
-    worst = 0.0
-    for p in pts:
-        ci = stratum.space.member_cell(p)
-        if ci is None:
-            continue
-        for con in stratum.space.cells[ci]:
-            if con.rel is not Rel.EQ:
-                continue
-            derivative = x_m.apply(con.expr)
-            try:
-                worst = max(worst, abs(compile_scalar(derivative)(list(map(float, p)))))
-            except DomainError:
-                raise StrataError(
-                    f"tangency check of {x_m.label!r} hit an undefined constraint "
-                    f"derivative at {p.tolist()}"
-                ) from None
-    if worst > tangency_tol:
-        raise StrataError(
-            f"field {x_m.label!r} is not tangent to stratum {stratum_name!r} near "
-            f"{x.tolist()}: sampled residual {worst:.3e} > {tangency_tol:.1e}"
-        )
-    b = bump_expr(x, r_inner, r_outer, ss.total.ambient_dim)
-    label = f"bump({stratum_name})*{x_m.label}"
-    return TangentField(label, [mul(b, c) for c in x_m.components])
-
-
 @dataclass
 class StrongStratReport:
     passed: bool
@@ -326,7 +251,8 @@ def strongly_stratified_check(
     points off their stratum shows up as constraint-residual growth rather
     than being clipped at the membership boundary.  Drift of a point is the
     worst violation of its stratum's constraints along the trajectory; the
-    check passes when max drift <= drift_tol * horizon.
+    check passes when max drift <= drift_tol * horizon.  A constraint that
+    is not a number on the trajectory is a ``SpaceError`` naming the point.
     """
     rng = random.Random(rng_seed)
     ambient = SubcartesianSpace.whole_space(ss.total.ambient_dim)
@@ -342,7 +268,11 @@ def strongly_stratified_check(
         for p in pts:
             curve = integrate(ambient, fld, p, horizon=horizon, options=options)
             for t, q in curve.samples:
-                violation = max(0.0, -s.space.slack(q))
+                q = q.tolist()  # numpy scalars would warn where a product overflows
+                slack = s.space.slack(q)
+                if slack != slack:  # max(0.0, -nan) would read as no drift
+                    raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {q}")
+                violation = max(0.0, -slack)
                 if violation > worst_here:
                     worst_here = violation
                     if violation > max_drift:
@@ -351,7 +281,7 @@ def strongly_stratified_check(
                             "stratum": s.name,
                             "start": [float(v) for v in p],
                             "t": t,
-                            "point": [float(v) for v in q],
+                            "point": q,
                             "drift": violation,
                         }
         per_stratum[s.name] = worst_here
@@ -429,11 +359,8 @@ def orbit_vs_strata(
         cloud = sample_orbit(
             family, seed, budget, step_scale=step_scale, rng_seed=rng_seed, options=options
         )
-        escapes = [
-            [float(v) for v in p]
-            for p in cloud.points
-            if not stratum.space.contains(p)
-        ]
+        # lists: numpy scalars would warn where a product overflows
+        escapes = [q for q in (p.tolist() for p in cloud.points) if not stratum.space.contains(q)]
         stratum_pts = sample_space_box(stratum.space, lo, hi, coverage_budget, rng)
         arr = cloud.as_array()
         covered = 0
@@ -462,45 +389,3 @@ def orbit_vs_strata(
         precondition=precondition,
     )
 
-
-@dataclass
-class DimensionAudit:
-    passed: bool
-    per_stratum: list[dict]
-
-
-def dimension_audit(
-    ss: StratifiedSpace,
-    frames: dict,
-    lo: Sequence[float],
-    hi: Sequence[float],
-    budget_per_stratum: int = 20,
-    rng_seed: int = 0,
-    tol_rank: float = 1e-8,
-) -> DimensionAudit:
-    """Check declared stratum dimensions against supplied tangent frames."""
-    rng = random.Random(rng_seed)
-    rows: list[dict] = []
-    ok = True
-    for s in ss.strata:
-        frame = frames.get(s.name)
-        if frame is None:
-            rows.append({"stratum": s.name, "checked": False, "declared": s.dim})
-            continue
-        fam = FieldFamily(ss.total, list(frame))
-        pts = sample_space_box(s.space, lo, hi, budget_per_stratum, rng)
-        if not pts:
-            raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
-        ranks = sorted({span_dimension(fam, p, tol_rank) for p in pts})
-        match = ranks == [s.dim]
-        ok = ok and match
-        rows.append(
-            {
-                "stratum": s.name,
-                "checked": True,
-                "declared": s.dim,
-                "frame_ranks": ranks,
-                "match": match,
-            }
-        )
-    return DimensionAudit(passed=ok, per_stratum=rows)

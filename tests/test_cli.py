@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -71,7 +73,7 @@ def test_load_scenario_shapes():
     assert sc.space.ambient_dim == 1
     assert sorted(sc.fields) == ["ddx", "xddx"]
     assert sc.family("default").labels() == ["xddx"]
-    assert sc.seed_set("default") == [[0.0], [1.0]]
+    assert sc.seeds["default"] == [[0.0], [1.0]]
     with pytest.raises(Exception):
         sc.field("nope")
 
@@ -562,6 +564,33 @@ def test_flow_where_python_float_power_overflows(tmp_path):
     assert abs(x - want[0]) <= 1e-8 * 1e200 and abs(y - want[1]) <= 1e-8 * 1e200
 
 
+# Near the origin of the box the squares are tiny, further out each product
+# overflows to inf and the slack is inf - inf = NaN: a drift fold that reads
+# NaN as 0 passed --check tangency, though v leaves {|x1| >= |x2|} at once.
+WEDGE = {
+    "name": "wedge",
+    "space": {"ambient_dim": 2, "cells": [[]], "locally_closed": True},
+    "fields": {"v": ["1", "2"]},
+    "families": {"default": ["v"]},
+    "seeds": {"default": [[0.0, 0.0]]},
+    "strata": [{"name": "wedge", "dim": 2, "cells": [[
+        {"expr": "x1*1e200*x1*1e200 - x2*1e200*x2*1e200", "rel": "geq0"}]]}],
+    "box": [[-1e-250, -1e-250], [1e-250, 1e-250]],
+}
+
+
+@pytest.mark.parametrize("check", ["tangency", "orbits"])
+def test_strata_nan_slack_exits_2(tmp_path, check):
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(WEDGE))
+    proc = _cli_process("strata", "--scenario", str(path), "--check", check, "--field", "v")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    assert re.fullmatch(r"error: the constraints of stratum 'wedge' are not a number at "
+                        r"\[[^\]]+\]\n", proc.stderr), proc.stderr
+
+
 def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     import subcart.cli as cli
 
@@ -675,7 +704,7 @@ def test_edited_scenario_is_loaded_again(tmp_path, capsys):
     _bracket_scenario(path, "after", ["x1^3"])
     code, second, _ = run(capsys, *argv)
     assert code == 0 and second["result"]["value"] == [-12.0]
-    assert second["scenario"] == {"name": "after", "sha256": subcart.report.file_sha256(str(path))}
+    assert second["scenario"] == {"name": "after", "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
     assert first["scenario"]["sha256"] != second["scenario"]["sha256"]
 
 

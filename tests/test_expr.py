@@ -31,7 +31,6 @@ from subcart.expr import (
     cut,
     diff,
     div,
-    eval_jet,
     fn,
     gradient_exprs,
     max_var_index,
@@ -198,13 +197,6 @@ def test_gradient_and_max_var_index():
     assert ev(grads[2], 2.0, 0.0, 0.0) == 1.0
     assert max_var_index(e) == 2
     assert max_var_index(Const(1.0)) == -1
-
-
-def test_eval_jet_first_order():
-    e = parse("x1^2*x2", 2)
-    jet = eval_jet(e, (2.0, 3.0), order=1)
-    assert jet.value == 12.0
-    assert list(jet.gradient) == [12.0, 4.0]
 
 
 def test_domain_guards_raise():

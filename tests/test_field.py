@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -113,17 +111,6 @@ def test_scaled_label_and_numeric_factor():
     assert np.allclose(s([0.0, 0.0]), [2.0, 0.0])
     named = x.scaled(2.0, label="double")
     assert named.label == "double"
-
-
-def test_json_round_trip():
-    f = make_field("mix", ["cutexp(x1)", "x1/(1+x2^2)"], 2)
-    d = f.to_json_dict()
-    back = TangentField.from_json_dict(d)
-    assert back.label == "mix"
-    for p in [(0.5, 0.2), (2.0, -1.0)]:
-        assert np.allclose(back(p), f(p), atol=0.0)
-    again = TangentField.from_json(json.dumps(d))
-    assert again.to_json_dict() == d
 
 
 def test_pushforward_along_rotation():

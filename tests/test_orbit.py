@@ -20,7 +20,6 @@ from subcart.orbit import (
     check_word,
     dimension_constancy_report,
     local_completeness_probe,
-    orbits_connected,
     reach,
     sample_orbit,
     span_dimension,
@@ -168,27 +167,6 @@ def test_completeness_shear_fails_on_witness_probe():
     assert np.allclose(w["image"], [0.0, 0.0], atol=1e-8)
     assert np.allclose(w["carried_vector"], [0.0, 1.0], atol=1e-8)
     assert w["residual"] >= 0.5
-
-
-def test_orbits_connected_translation():
-    line = SubcartesianSpace.whole_space(1)
-    fam = FieldFamily(line, [make_field("ddx", ["1"], 1)])
-    verdict, word = orbits_connected(
-        fam, [0.0], [0.5], budget=120, merge_radius=0.05, rng_seed=0
-    )
-    assert verdict == "Connected"
-    assert word is not None
-    end = reach(fam, [0.0], word)
-    assert abs(end[0] - 0.5) <= 0.15
-
-
-def test_orbits_connected_unknown_for_distinct_circles():
-    fam = rotation_family()
-    verdict, word = orbits_connected(
-        fam, [1.0, 0.0], [2.0, 0.0], budget=80, merge_radius=0.05, rng_seed=0
-    )
-    assert verdict == "Unknown"
-    assert word is None
 
 
 # The merge index and the batched rank pass against the whole-buffer scan

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from subcart.report import (
     ReportError,
     canonical_json,
-    file_sha256,
     format_float,
     sha256_hex,
     worst_residual,
     write_csv,
-    write_report,
 )
 
 
@@ -78,13 +76,9 @@ def test_canonical_json_rejects_bad_values():
         canonical_json({"x": object()})
 
 
-def test_sha256_and_write_report(tmp_path):
+def test_sha256_hex():
     assert sha256_hex("abc") == sha256_hex(b"abc")
     assert len(sha256_hex("abc")) == 64
-    path = tmp_path / "report.json"
-    sha = write_report(str(path), {"k": 0.5})
-    assert path.read_text() == '{"k":0.5}\n'
-    assert sha == file_sha256(str(path))
 
 
 def test_write_csv(tmp_path):

@@ -1,8 +1,7 @@
-"""Constraint cells, membership semantics, sampling, serialization."""
+"""Constraint cells, membership semantics, sampling, projection."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import warnings
@@ -14,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcart.expr import (
-    Const, Div, DomainError, Var, add, compile_scalar, eval_jet, fn, mul, parse, pow_int, sub,
+    Add, Const, Cut, Div, DomainError, Fn, Mul, Neg, Pow, Var, _cut_value, add, compile_scalar, fn,
+    gradient_exprs, mul, parse, pow_int, sub,
 )
 from subcart.flow import ATTAINED_FACTOR
 from subcart.space import (
@@ -170,31 +170,6 @@ def test_constructor_validation():
         SubcartesianSpace(1, [()], locally_closed=True, tol=0.0)
 
 
-def test_json_round_trip():
-    dl = disk_line()
-    d = dl.to_json_dict()
-    back = SubcartesianSpace.from_json_dict(d)
-    assert back.ambient_dim == 2
-    assert back.locally_closed is False
-    assert len(back.cells) == 2
-    for pt in ([0.0, 0.5], [0.3, 0.0], [5.0, 5.0]):
-        assert back.contains(pt) == dl.contains(pt)
-    again = SubcartesianSpace.from_json(json.dumps(d))
-    assert again.to_json_dict() == d
-
-
-def test_from_json_dict_errors():
-    with pytest.raises(SpaceError):
-        SubcartesianSpace.from_json_dict({"ambient_dim": 1, "cells": []})
-    bad = {
-        "ambient_dim": 1,
-        "cells": [[{"expr": "x1", "rel": "nonsense"}]],
-        "locally_closed": True,
-    }
-    with pytest.raises(SpaceError):
-        SubcartesianSpace.from_json_dict(bad)
-
-
 def test_project_to_equalities_onto_circle():
     circ = unit_circle()
     y = project_to_equalities(circ, 0, np.array([1.3, 0.4]))
@@ -205,8 +180,41 @@ def test_project_to_equalities_onto_circle():
     assert np.allclose(z, [0.6, 0.8], atol=1e-12)
 
 
+def _walk(e, x):
+    """The tree-walking evaluator the package once had beside the compiled one."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return float(x[e.index])
+    if isinstance(e, Add):
+        return _walk(e.left, x) + _walk(e.right, x)
+    if isinstance(e, Mul):
+        return _walk(e.left, x) * _walk(e.right, x)
+    if isinstance(e, Div):
+        den = _walk(e.right, x)
+        if den == 0.0:
+            raise DomainError("quotient denominator is zero")
+        return _walk(e.left, x) / den
+    if isinstance(e, Pow):
+        return _walk(e.base, x) ** e.exponent
+    if isinstance(e, Neg):
+        return -_walk(e.operand, x)
+    if isinstance(e, Cut):
+        return _cut_value(e.shift, _walk(e.operand, x))
+    assert isinstance(e, Fn)
+    v = _walk(e.operand, x)
+    if e.name == "log" and v <= 0.0 or e.name == "sqrt" and v < 0.0:
+        raise DomainError(f"{e.name} argument out of domain, got {v!r}")
+    return getattr(math, e.name)(v)
+
+
+def _walk_jet(e, x):
+    """Value and gradient of ``e`` at x, each by walking an exact derivative tree."""
+    return _walk(e, x), [_walk(g, x) for g in gradient_exprs(e, len(x))]
+
+
 def _eval_jet_projection(space, cell_index, start, max_iter=40):
-    """``project_to_equalities`` as it was with a tree-walking ``eval_jet`` per constraint."""
+    """``project_to_equalities`` as it was with a tree-walking jet per constraint."""
     eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
     z = np.asarray(start, dtype=float).copy()
     if not eqs:
@@ -215,13 +223,13 @@ def _eval_jet_projection(space, cell_index, start, max_iter=40):
     target = min(space.tol * 1e-3, 1e-12)
     for _ in range(max_iter):
         try:
-            jets = [eval_jet(c.expr, z, order=1) for c in eqs]
+            jets = [_walk_jet(c.expr, z) for c in eqs]
         except DomainError:
             return None
-        g = np.array([j.value for j in jets])
+        g = np.array([value for value, _ in jets])
         if np.max(np.abs(g)) <= target:
             return z
-        J = np.array([j.gradient for j in jets]).reshape(len(eqs), n)
+        J = np.array([grad for _, grad in jets]).reshape(len(eqs), n)
         try:
             lam = np.linalg.solve(J @ J.T, g)
         except np.linalg.LinAlgError:
@@ -231,7 +239,7 @@ def _eval_jet_projection(space, cell_index, start, max_iter=40):
             return None
         z = z - step
     try:
-        final = max(abs(eval_jet(c.expr, z, order=0).value) for c in eqs)
+        final = max(abs(_walk(c.expr, z)) for c in eqs)
     except DomainError:
         return None
     return z if final <= space.tol else None
@@ -269,12 +277,12 @@ def _check_projection_jets(space):
             assert (got is None and want is None) or got.tolist() == want.tolist()
             if eqs:
                 try:
-                    jets = [eval_jet(c.expr, start, order=1) for c in eqs]
+                    jets = [_walk_jet(c.expr, start) for c in eqs]
                 except DomainError:
                     with pytest.raises(DomainError):
                         space._eq_jets[ci](start)
                     continue
-                want_vals = [j.value for j in jets] + [d for j in jets for d in j.gradient]
+                want_vals = [value for value, _ in jets] + [d for _, grad in jets for d in grad]
                 assert space._eq_jets[ci](start) == want_vals
 
 

@@ -1,22 +1,18 @@
-"""Stratifications: frontier audit, tangent extension, strong stratdefiness."""
+"""Stratifications: frontier audit, strong stratifiedness, orbits against strata."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from subcart.expr import compile_scalar, diff, parse
+from subcart.expr import parse
 from subcart.orbit import FieldFamily
 from subcart.space import Constraint, Rel, SubcartesianSpace
 from subcart.strata import (
     StrataError,
     StratifiedSpace,
     Stratum,
-    bump_expr,
-    closure_contains,
     closure_distance,
-    dimension_audit,
-    extend_stratum_field,
     frontier_check,
     orbit_vs_strata,
     strongly_stratified_check,
@@ -72,21 +68,6 @@ def cone_fields() -> dict:
     }
 
 
-def test_bump_expr_plateau_and_support():
-    b = bump_expr([0.0, 0.0], 0.5, 1.0, 2)
-    f = compile_scalar(b)
-    assert f((0.0, 0.0)) == 1.0
-    assert f((0.3, 0.0)) == 1.0
-    assert f((2.0, 0.0)) == 0.0
-    assert f((0.0, -1.5)) == 0.0
-    mid = f((0.8, 0.0))
-    assert 0.0 < mid < 1.0
-    # smooth: the derivative exists and vanishes outside the support
-    d = compile_scalar(diff(b, 0))
-    assert d((1.7, 0.0)) == 0.0
-    assert abs(d((0.8, 0.0))) > 0.0
-
-
 def test_stratified_space_lookup():
     ss = cone_stratification()
     assert ss.stratum_index("apex") == 0
@@ -98,10 +79,10 @@ def test_stratified_space_lookup():
 def test_closure_contains_relaxes_strict_sides():
     ss = cone_stratification()
     surface = ss.strata[1].space
-    assert closure_contains(surface, [0.0, 0.0, 0.0])
-    assert closure_contains(surface, [1.0, 0.0, 1.0])
-    assert not closure_contains(surface, [1.0, 0.0, -1.0])
-    assert not closure_contains(surface, [1.0, 1.0, 1.0])
+    assert surface.closure_contains([0.0, 0.0, 0.0])
+    assert surface.closure_contains([1.0, 0.0, 1.0])
+    assert not surface.closure_contains([1.0, 0.0, -1.0])
+    assert not surface.closure_contains([1.0, 1.0, 1.0])
 
 
 def test_closure_distance_apex_to_surface():
@@ -139,23 +120,6 @@ def test_frontier_check_detects_violation():
     rep = frontier_check(ss, [-2.0, -2.0], [2.0, 2.0], rng_seed=0)
     assert not rep.passed
     assert rep.frontier_violations or rep.disjointness_failures
-
-
-def test_extend_stratum_field_cutoff():
-    ss = cone_stratification()
-    fields = cone_fields()
-    center = [1.0, 0.0, 1.0]
-    ext = extend_stratum_field(ss, "surface", fields["euler"], center, 0.25, 0.75)
-    assert np.allclose(ext(center), fields["euler"](center), atol=1e-12)
-    far = [2.0, 0.0, 2.0]
-    assert np.allclose(ext(far), [0.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_extend_stratum_field_rejects_non_tangent_input():
-    ss = cone_stratification()
-    fields = cone_fields()
-    with pytest.raises(StrataError):
-        extend_stratum_field(ss, "surface", fields["ddz"], [1.0, 0.0, 1.0], 0.25, 0.75)
 
 
 def test_strongly_stratified_tangent_fields_pass():
@@ -210,14 +174,3 @@ def test_orbit_vs_strata_gates_on_precondition():
             ss, fam, [[1.0, 0.0, 1.0]], CONE_LO, CONE_HI,
             budget=50, rng_seed=0, drift_tol=DRIFT_TOL,
         )
-
-
-def test_dimension_audit():
-    ss = cone_stratification()
-    fields = cone_fields()
-    frames = {"surface": [fields["euler"], fields["rot"]]}
-    audit = dimension_audit(ss, frames, CONE_LO, CONE_HI, rng_seed=0)
-    assert audit.passed
-    rows = {r["stratum"]: r for r in audit.per_stratum}
-    assert rows["surface"]["checked"]
-    assert not rows["apex"]["checked"]
