@@ -224,7 +224,6 @@ class Scenario:
     families: dict[str, list[str]]
     seeds: dict[str, list[list[float]]]
     stratified: Optional[StratifiedSpace]
-    frames: dict[str, list[str]]
     box: Optional[tuple[list[float], list[float]]]
     poisson: Optional[PoissonStructure]
     reduction: Optional[dict]
@@ -326,7 +325,6 @@ def load_scenario(path: str) -> Scenario:
         seeds[sname] = [_want_point(p, n, f"{spath}[{i}]") for i, p in enumerate(pts)]
 
     stratified = None
-    frames: dict[str, list[str]] = {}
     if "strata" in raw:
         rawst = _want_list(raw["strata"], "$.strata")
         strata = []
@@ -342,14 +340,9 @@ def load_scenario(path: str) -> Scenario:
             if not 0 <= stdim <= n:
                 raise SchemaError(f"{spath}.dim", f"dimension {stdim} outside 0..{n}")
             if "frame" in s:
-                rawframe = _want_list(s["frame"], f"{spath}.frame")
-                frame = []
-                for j, m in enumerate(rawframe):
-                    m = _want_str(m, f"{spath}.frame[{j}]")
-                    if m not in fields:
+                for j, m in enumerate(_want_list(s["frame"], f"{spath}.frame")):
+                    if _want_str(m, f"{spath}.frame[{j}]") not in fields:
                         raise SchemaError(f"{spath}.frame[{j}]", f"unknown field {m!r}")
-                    frame.append(m)
-                frames[stname] = frame
             st_space = SubcartesianSpace(n, stcells, locally_closed=True, tol=sp_tol)
             strata.append(Stratum(stname, st_space, stdim))
         locally_trivial = _want_bool(raw.get("locally_trivial", False), "$.locally_trivial")
@@ -470,7 +463,6 @@ def load_scenario(path: str) -> Scenario:
         families=families,
         seeds=seeds,
         stratified=stratified,
-        frames=frames,
         box=box,
         poisson=poisson,
         reduction=reduction,

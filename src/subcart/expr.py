@@ -662,35 +662,56 @@ def _const_source(v: float) -> str:
     return "_nan" if v != v else "_inf" if v > 0 else "_ninf"
 
 
-def _emit(e: Expr, memo: dict[int, str], lines: list[str]) -> str:
+def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str) -> str:
+    """Append to ``lines`` the assignments that compute ``e`` and return the
+    name or literal holding its value.  ``coord`` spells coordinate i as
+    ``coord.format(i)``: ``"_x[{}]"`` indexes the argument of a compiled
+    function, ``"y{}"`` names the local y3 of a flow kernel.  ``memo`` maps
+    the id of a node already emitted to its name, so a shared subtree is
+    computed once."""
     name = memo.get(id(e))
     if name is not None:
         return name
     if isinstance(e, Const):
         name = _const_source(e.value)
     elif isinstance(e, Var):
-        name = f"_x[{e.index}]"
+        name = coord.format(e.index)
     else:
         if isinstance(e, Add):
-            rhs = f"{_emit(e.left, memo, lines)} + {_emit(e.right, memo, lines)}"
+            rhs = f"{_emit(e.left, memo, lines, coord)} + {_emit(e.right, memo, lines, coord)}"
         elif isinstance(e, Mul):
-            rhs = f"{_emit(e.left, memo, lines)} * {_emit(e.right, memo, lines)}"
+            rhs = f"{_emit(e.left, memo, lines, coord)} * {_emit(e.right, memo, lines, coord)}"
         elif isinstance(e, Div):
-            rhs = f"_div({_emit(e.left, memo, lines)}, {_emit(e.right, memo, lines)})"
+            rhs = f"_div({_emit(e.left, memo, lines, coord)}, {_emit(e.right, memo, lines, coord)})"
         elif isinstance(e, Pow):
-            rhs = f"{_emit(e.base, memo, lines)} ** {e.exponent}"
+            rhs = f"{_emit(e.base, memo, lines, coord)} ** {e.exponent}"
         elif isinstance(e, Neg):
-            rhs = f"-{_emit(e.operand, memo, lines)}"
+            rhs = f"-{_emit(e.operand, memo, lines, coord)}"
         elif isinstance(e, Fn):
-            rhs = f"_{e.name}({_emit(e.operand, memo, lines)})"
+            rhs = f"_{e.name}({_emit(e.operand, memo, lines, coord)})"
         elif isinstance(e, Cut):
-            rhs = f"_cut({e.shift}, {_emit(e.operand, memo, lines)})"
+            rhs = f"_cut({e.shift}, {_emit(e.operand, memo, lines, coord)})"
         else:
             raise ExprError(f"unknown node {e!r}")
         name = f"_t{len(lines)}"
-        lines.append(f"    {name} = {rhs}")
+        lines.append(f"{name} = {rhs}")
     memo[id(e)] = name
     return name
+
+
+def vector_source(exprs: Sequence[Expr], coord: str = "_x[{}]") -> tuple[list[str], list[str]]:
+    """The unindented lines that compute several expressions, sharing common
+    subtrees, and the name or literal of each value (see ``_emit``)."""
+    memo: dict[int, str] = {}
+    lines: list[str] = []
+    return lines, [_emit(e, memo, lines, coord) for e in exprs]
+
+
+def _function(lines: list[str], result: str, name: str) -> Callable:
+    src = "def _f(_x):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {result}\n"
+    scope = dict(_COMPILE_ENV)
+    exec(compile(src, name, "exec"), scope)
+    return scope["_f"]
 
 
 def compile_scalar(e: Expr) -> Callable[[Sequence[float]], float]:
@@ -698,23 +719,13 @@ def compile_scalar(e: Expr) -> Callable[[Sequence[float]], float]:
     cached = getattr(e, "_compiled", None)
     if cached is not None:
         return cached
-    memo: dict[int, str] = {}
-    lines: list[str] = []
-    result = _emit(e, memo, lines)
-    src = "def _f(_x):\n" + "\n".join(lines) + f"\n    return {result}\n"
-    scope = dict(_COMPILE_ENV)
-    exec(compile(src, "<expr>", "exec"), scope)
-    f = scope["_f"]
+    lines, (result,) = vector_source([e])
+    f = _function(lines, result, "<expr>")
     object.__setattr__(e, "_compiled", f)
     return f
 
 
 def compile_vector(exprs: Sequence[Expr]) -> Callable[[Sequence[float]], list[float]]:
     """Compile several expressions into one callable returning a list."""
-    memo: dict[int, str] = {}
-    lines: list[str] = []
-    names = [_emit(e, memo, lines) for e in exprs]
-    src = "def _f(_x):\n" + "\n".join(lines) + "\n    return [" + ", ".join(names) + "]\n"
-    scope = dict(_COMPILE_ENV)
-    exec(compile(src, "<exprvec>", "exec"), scope)
-    return scope["_f"]
+    lines, names = vector_source(exprs)
+    return _function(lines, "[" + ", ".join(names) + "]", "<exprvec>")

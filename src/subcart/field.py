@@ -10,11 +10,12 @@ matter.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, add, as_expr, compile_vector, diff, mul, to_text, ZERO
+from .expr import Expr, add, as_expr, compile_vector, diff, mul, to_text, vector_source, ZERO
 
 
 class FieldError(ValueError):
@@ -37,6 +38,13 @@ class TangentField:
     def __repr__(self) -> str:
         comps = ", ".join(to_text(c) for c in self.components)
         return f"TangentField({self.label!r}, [{comps}])"
+
+    @functools.cached_property
+    def _source(self) -> str:
+        """The source that computes the components, as ``_value`` does; flow
+        kernels, which compute them inline, are keyed by it."""
+        lines, names = vector_source(self.components)
+        return "\n".join(lines + names)
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
         return np.array(self._value(point), dtype=float)

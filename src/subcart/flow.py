@@ -2,20 +2,27 @@
 
 The integrator is an adaptive Dormand-Prince 5(4) pair with a quartic dense
 interpolant (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4-6).  Its
-adaptive loop, the starting step included, is generated Python source,
-compiled on first use once per state dimension and per use of the samples
-(about 1.3 ms for n = 1, 2 ms for n = 4, 7 ms for n = 16) and kept for the
-process: straight-line code over scalar locals, which costs far less than
-loops over lists or small numpy arrays.  Each component is computed with
-the operations, in the order, of the whole-array numpy expressions, and the
+adaptive loop, the starting step included, is generated Python source:
+straight-line code over scalar locals, which costs far less than loops over
+lists or small numpy arrays.  Each component is computed with the
+operations, in the order, of the whole-array numpy expressions, and the
 norms sum in numpy's pairwise order, so results are bit-identical to a
-numpy stepper.  Membership in the space is monitored along every accepted
-step at evenly spaced points of the dense output, which double as the
-recorded samples: one loop evaluates the interpolant, calls the space's
-generated membership predicate and, for ``integrate`` only, records each
-point that passes; ``flow_map`` and ``transport_vector`` keep no samples.
-A space with a cell of no constraints holds everywhere, so there the
-predicate is skipped.  On the first violation the exit time is located by
+numpy stepper.  ``integrate`` and ``flow_map`` run the kernel of their field
+and space: a loop generated for that field, space and use of the samples,
+whose stages compute the field's components inline and whose scan tests the
+space's cells inline, with the emitters of expressions and of membership.
+Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
+and kept for the process in one table keyed by the source they are made of,
+so a field or space built anew with the same content finds its kernel.  ``transport_vector`` runs the
+loop's other spelling, compiled once per state dimension, which calls the
+right-hand side at each stage and the membership predicate at each scanned
+point.  Membership is monitored along every accepted step at evenly spaced
+points of the dense output, which double as the recorded samples for
+``integrate``; ``flow_map`` and ``transport_vector`` keep no samples.  A
+space with a cell of no constraints holds everywhere, so there nothing is
+tested, and a kernel that neither tests nor records has no scan.  Where
+Python's float ``**`` overflows in the scan, the space tests the point again
+on numpy floats.  On the first violation the exit time is located by
 bisection on the dense output down to 1e-12 in time.  Domain-guard failures
 inside the derivative (logs, roots, quotients) are treated as leaving the
 chart: the step is retried at half size down to 1e-14, then the curve ends.
@@ -45,8 +52,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .field import TangentField
-from .expr import DomainError
-from .space import SubcartesianSpace, sample_near
+from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
+from .space import Cell, SubcartesianSpace, _cells_test, sample_near
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
@@ -258,24 +265,34 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, mem
     return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
 
 
-# The driver ``_drive(f, x0, target, opts, member, member_relaxed,
-# witness_info)`` integrates from x0 toward the signed time ``target`` and
-# stops where membership fails.  It is generated per state dimension as
-# straight-line code over scalar locals: y0.. the state, k1_0.. the stage
-# derivatives, sk0.., sy0.. and sf0.. the scale, state and slope of the
-# starting-step rule (h0 = 0.01 * rms(y / sk) / rms(k1 / sk), or 1e-6 when
-# either norm is below 1e-5, at most the span), yn0.. the step endpoint,
-# s0.. the scaled errors and yd, bs, q, r the dense coefficients
-# ydiff = ynew - y, bspl = h * k1 - ydiff, r4 = ydiff - h * k7 - bspl and
-# r5 = h * sum_i D[i] * k[i].  Each component
-# uses the operations, in the order, of the whole-array numpy expression:
-# stage sums y + h * sum_j A[i][j] * k[j] start from 0.0 and keep the
-# products with the tableau's zeros, sk = atol + rtol * np.maximum(|y|,
-# |ynew|) propagates NaN, and the norms sum like ``np.mean``.  Each $name
-# below is replaced by the code for one dimension; $record, the two lines
-# that keep a scanned point as a sample, is empty in a driver that keeps none.
-_DRIVER = '''\
-def _drive(f, x0, target, opts, member, member_relaxed, witness_info):
+# A driver integrates from x0 toward the signed time ``target`` and stops
+# where membership fails.  It is generated as straight-line code over scalar
+# locals: y0.. the state, k1_0.. the stage derivatives, sk0.., sy0.. and sf0..
+# the scale, state and slope of the starting-step rule (h0 = 0.01 *
+# rms(y / sk) / rms(k1 / sk), or 1e-6 when either norm is below 1e-5, at most
+# the span), yn0.. the step endpoint, s0.. the scaled errors and yd, bs, q, r
+# the dense coefficients ydiff = ynew - y, bspl = h * k1 - ydiff, r4 = ydiff -
+# h * k7 - bspl and r5 = h * sum_i D[i] * k[i].  Each component uses the
+# operations, in the order, of the whole-array numpy expression: stage sums
+# y + h * sum_j A[i][j] * k[j] start from 0.0 and keep the products with the
+# tableau's zeros, sk = atol + rtol * np.maximum(|y|, |ynew|) propagates NaN,
+# and the norms sum like ``np.mean``.  Each $name below is replaced by the
+# code of one driver.
+#
+# The kernel of a field, ``_drive(x0, target, opts, member, member_relaxed,
+# witness_info, _tol)``, computes the field's components inline at each
+# stage, from the stage state z0.. (yn0.. for the last stage), and tests the
+# space's cells inline at each scanned point p0.. of the dense output; where
+# Python's float ``**`` overflows in that test, ``member`` tests the point
+# again on numpy floats.  A kernel that neither scans nor records has no scan
+# loop.  The other spelling, ``_drive(f, x0, target, opts, member,
+# member_relaxed, witness_info)``, calls ``f`` at each stage and ``member``
+# at each scanned point; ``transport_vector`` uses it, because its
+# right-hand side is a BLAS product ``J @ v`` that inline sums would round
+# differently.  $scan keeps a scanned point as a sample only in a driver
+# that records.
+_DRIVER = """\
+def _drive($params):
     rtol = opts.rtol
     atol = opts.atol
     min_step = opts.min_step
@@ -289,14 +306,13 @@ def _drive(f, x0, target, opts, member, member_relaxed, witness_info):
     sample_x = samples.x
     if span == 0.0:
         return _DriveResult(0.0, y, True, samples, None)
+    $y = y
     try:
-        k1 = f(y)
+$first
     except DomainError:
         raise IntegrationError(f"field undefined at basepoint {y}") from None
     except OverflowError:
         raise IntegrationError(f"field overflows at basepoint {y}") from None
-    $y = y
-    $k1 = k1
 $start
     ny = sqrt((0.0 + $ysq) / $n)
     nf = sqrt((0.0 + $fsq) / $n)
@@ -336,33 +352,31 @@ $errors
         if t + h == t:
             raise IntegrationError(f"step {h} does not advance t={t}", t=t, samples=samples.pairs())
 $coeffs
-        # the scan grid doubles as the sample grid, keeping recorded sample
-        # spacing at or below max_sample_dt
-        n_sub = max(min_sub, ceil(abs(h) / max_dt))
-        theta_in = 0.0
-        for i in range(1, n_sub + 1):
-            th = i / n_sub
-            u = 1.0 - th
-            p = [$dense]
-            if member is not None and not member(p):
-                return _exit(($table), theta_in, th, t, h, samples, n_steps,
-                             opts, member, member_relaxed, witness_info)
-            theta_in = th
-$record
+$scan
         $y = $yn
         $k1 = $k7
         if landing:
             return _DriveResult(target, [$y], True, samples, None, n_steps)
         t = t + h
         h *= max(0.2, 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2))
-'''
+"""
 
 _TABLEAU = {f"a{i}{j}": c for i, row in enumerate(_A[1:], 2) for j, c in enumerate(row, 1)}
 _TABLEAU.update({f"e{j}": c for j, c in enumerate(_E, 1)}, **{f"d{j}": c for j, c in enumerate(_D, 1)})
 
 
-def _driver_source(n: int, record: bool) -> str:
-    """Source of the driver for dimension n (see the comment above ``_DRIVER``)."""
+def _indent(lines: list[str], depth: int) -> str:
+    return "\n".join(" " * depth + line for line in lines)
+
+
+def _driver_source(n: int, record: bool, components: Optional[Sequence[Expr]] = None,
+                   cells: Optional[Sequence[Cell]] = None) -> str:
+    """Source of a driver for dimension n (see the comments above ``_DRIVER``).
+
+    Without ``components`` the driver calls ``f`` and ``member``; with them it
+    is the kernel of the field with those components, which tests ``cells``
+    inline, or nothing when ``cells`` is None.
+    """
     ix = range(n)
 
     def sumsq(stem: str) -> str:
@@ -380,8 +394,19 @@ def _driver_source(n: int, record: bool) -> str:
     def stage(s: int, i: int) -> str:
         return f"y{i} + h * ({comb(f'a{s}', s - 1, i)})"
 
-    stages = [f"{names(f'k{s}_')} = f([{', '.join(stage(s, i) for i in ix)}])" for s in range(2, 7)]
-    stages += [f"yn{i} = {stage(7, i)}" for i in ix] + [f"{names('k7_')} = f([{names('yn')}])"]
+    def field(s: int, coord: str) -> list[str]:
+        """Lines that set k{s}_0.. to the field at the point coord names."""
+        if components is None:
+            return [f"{names(f'k{s}_')} = f([{each(coord.replace('{}', '{i}'))}])"]
+        lines, values = vector_source(components, coord)
+        return lines + [f"k{s}_{i} = {v}" for i, v in enumerate(values)]
+
+    # a stage state is computed only in the coordinates the field reads
+    read = ix if components is None else [i for i in ix if any(c._mask >> i & 1 for c in components)]
+    stages = []
+    for s in range(2, 7):
+        stages += [f"z{i} = {stage(s, i)}" for i in read] + field(s, "z{}")
+    stages += [f"yn{i} = {stage(7, i)}" for i in ix] + field(7, "yn{}")
     errors = []
     for i in ix:
         errors += [f"ya = abs(y{i})", f"yb = abs(yn{i})",
@@ -393,37 +418,80 @@ def _driver_source(n: int, record: bool) -> str:
     start = []
     for i in ix:
         start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = k1_{i} / sk{i}"]
-    keep = ["sample_t.append(target if (landing and th == 1.0) else t + th * h)", "sample_x.extend(p)"]
+    dense = "y{i} + th * (yd{i} + u * (bs{i} + th * (q{i} + u * r{i})))"
+    leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + ",), theta_in, th, t, h, samples, "
+             "n_steps, opts, member, member_relaxed, witness_info)")
+    if components is None:
+        point, point_list = [f"p = [{each(dense)}]"], "p"
+        test = ["if member is not None and not member(p):", f"    {leave}"]
+    else:
+        point, point_list = [f"p{i} = {dense.format(i=i)}" for i in ix], f"({names('p')})"
+        test = [] if cells is None else (
+            ["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
+            + ["except OverflowError:  # Python's float ** overflowed: test the point on numpy floats",
+               f"    _c = 0 if member([{names('p')}]) else None",
+               "if _c is None:", f"    {leave}"])
+    keep = ["sample_t.append(target if (landing and th == 1.0) else t + th * h)",
+            f"sample_x.extend({point_list})"] if record else []
+    # the scan grid doubles as the sample grid, keeping recorded sample spacing
+    # at or below max_sample_dt
+    scan = []
+    if components is None or cells is not None or record:
+        scan = ["n_sub = max(min_sub, ceil(abs(h) / max_dt))", "theta_in = 0.0", "for i in range(1, n_sub + 1):"]
+        scan += ["    " + line for line in ["th = i / n_sub", "u = 1.0 - th", *point, *test, "theta_in = th", *keep]]
+    head = "x0, target, opts, member, member_relaxed, witness_info"
     parts = dict(
+        params=f"f, {head}" if components is None else f"{head}, _tol",
         n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
-        start="\n".join(" " * 4 + line for line in start), ysq=sumsq("sy"), fsq=sumsq("sf"),
-        stages="\n".join(" " * 12 + line for line in stages),
-        errors="\n".join(" " * 8 + line for line in errors),
-        coeffs="\n".join(" " * 8 + line for line in coeffs),
-        sumsq=sumsq("s"),
-        dense=each("y{i} + th * (yd{i} + u * (bs{i} + th * (q{i} + u * r{i})))"),
-        table=each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + ",",
-        record="\n".join(" " * 12 + line for line in keep) if record else "",
+        first=_indent(field(1, "y{}"), 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
+        stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
+        sumsq=sumsq("s"), scan=_indent(scan, 8),
     )
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
 
-_DRIVERS: dict[tuple[int, bool], Callable[..., _DriveResult]] = {}
+# Every compiled driver of the process: the call spelling keyed by (n,
+# record), kernels by (field source, scan key, record).
+_DRIVERS: dict[tuple, Callable[..., _DriveResult]] = {}
+
+
+def _compile_driver(source: str, name: str) -> Callable[..., _DriveResult]:
+    scope = dict(_COMPILE_ENV, **_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
+                 ExitWitness=ExitWitness, DomainError=DomainError, _DomainError=DomainError,
+                 IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf)
+    exec(compile(source, name, "exec"), scope)
+    return scope["_drive"]
 
 
 def _driver(n: int, record: bool) -> Callable[..., _DriveResult]:
-    """The driver for states of dimension n, compiled on first use and kept for the process.
+    """The driver that calls ``f`` and ``member``, for states of dimension n,
+    compiled on first use and kept for the process.
 
     Only a driver with ``record`` set keeps the scanned points as samples;
     without it the samples hold the start and, after an exit, its last point.
     """
     drive = _DRIVERS.get((n, record))
     if drive is None:
-        scope = dict(_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
-                     ExitWitness=ExitWitness, DomainError=DomainError,
-                     IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf)
-        exec(compile(_driver_source(n, record), f"<dopri5 n={n}>", "exec"), scope)
-        drive = _DRIVERS[n, record] = scope["_drive"]
+        drive = _DRIVERS[n, record] = _compile_driver(_driver_source(n, record), f"<dopri5 n={n}>")
+    return drive
+
+
+def _kernel(fld: TangentField, space: Optional[SubcartesianSpace], record: bool) -> Callable[..., _DriveResult]:
+    """The kernel of the field on the space, compiled on first use and kept for
+    the process.
+
+    The table is keyed by the source the kernel is made of, the field's
+    (``TangentField._source``) and the cell tests (``_scan_key``), never by
+    ``Expr`` equality, which holds between constants 0.0 and -0.0 that
+    compile differently.  So a field or space built anew, by another command
+    in the same process, finds the kernel already compiled.
+    """
+    scan = space._scan_key if space is not None else None
+    key = (fld._source, scan, record)
+    drive = _DRIVERS.get(key)
+    if drive is None:
+        source = _driver_source(fld.dim, record, fld.components, None if scan is None else space.cells)
+        drive = _DRIVERS[key] = _compile_driver(source, f"<dopri5 kernel n={fld.dim}>")
     return drive
 
 
@@ -480,9 +548,9 @@ def integrate(
     space.require_member(x0, "basepoint")
     member, member_relaxed, witness_info = _membership(space, opts)
     start = x0.tolist()
-    drive = _driver(len(start), True)
-    fwd = drive(fld._value, start, h, opts, member, member_relaxed, witness_info)
-    bwd = drive(fld._value, start, -h, opts, member, member_relaxed, witness_info)
+    drive = _kernel(fld, space, True)
+    fwd = drive(start, h, opts, member, member_relaxed, witness_info, space.tol)
+    bwd = drive(start, -h, opts, member, member_relaxed, witness_info, space.tol)
     samples = [(t, p) for t, p in reversed(bwd.samples.pairs()) if t < 0.0] + fwd.samples.pairs()
     return IntegralCurve(
         basepoint=x0,
@@ -495,6 +563,29 @@ def integrate(
         exit_minus=bwd.exit_witness,
         exit_plus=fwd.exit_witness,
     )
+
+
+def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,
+               opts: FlowOptions) -> Callable[[list[float], float], list[float]]:
+    """``flow_map`` on float lists: ``core(x0, t)`` is the time-t image of x0,
+    which must be a member (it is not tested), erroring if t is out of range."""
+    drive = _kernel(fld, space, False)
+    member, member_relaxed, witness_info = _membership(space, opts)
+    tol = None if space is None else space.tol
+
+    def core(x0: list[float], t: float) -> list[float]:
+        res = drive(x0, t, opts, member, member_relaxed, witness_info, tol)
+        if not res.reached:
+            raise FlowDomainError(
+                f"flow of {fld.label} from {x0} leaves the space at "
+                f"t={res.t_end:.6g}, requested t={t:.6g}",
+                achieved_t=res.t_end,
+                partial_point=np.array(res.y_end),
+                exit_witness=res.exit_witness,
+            )
+        return res.y_end
+
+    return core
 
 
 def flow_map(
@@ -511,17 +602,7 @@ def flow_map(
         space.require_member(x0, "basepoint")
     if t == 0.0:
         return x0.copy()
-    member, member_relaxed, witness_info = _membership(space, opts)
-    res = _driver(x0.size, False)(fld._value, x0.tolist(), float(t), opts, member, member_relaxed, witness_info)
-    if not res.reached:
-        raise FlowDomainError(
-            f"flow of {fld.label} from {x0.tolist()} leaves the space at "
-            f"t={res.t_end:.6g}, requested t={t:.6g}",
-            achieved_t=res.t_end,
-            partial_point=np.array(res.y_end),
-            exit_witness=res.exit_witness,
-        )
-    return np.array(res.y_end)
+    return np.array(_flow_core(space, fld, opts)(x0.tolist(), float(t)))
 
 
 def transport_vector(

@@ -24,7 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import TangentField
-from .flow import FlowDomainError, FlowOptions, IntegrationError, _pairwise_sum, flow_map, transport_vector
+from .flow import (
+    FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, flow_map, transport_vector,
+)
 from .space import SubcartesianSpace
 
 MERGE_RADIUS = 1e-6
@@ -154,13 +156,18 @@ class _MergeIndex:
     A candidate merges when some collected point lies within ``radius`` by
     the row formula of ``np.linalg.norm(buf - y, axis=1)``, the square root
     of the pairwise sum of the squared differences, and the smallest
-    distance is not NaN.  Points sit in grid cells of side 2 * radius keyed
-    by ``floor(x / side)``; even with the rounding of the quotients, a point
-    within the radius then lies in one of the 3^n cells around the
-    candidate, as long as every |x / side| is below 2^50 and the radius is
-    at least 2^-500, above which squares keep their relative precision.
+    distance is not NaN.  Points sit in grid cells of side 4 * radius keyed
+    by ``floor(x / side)``.  A point within the radius differs from the
+    candidate by at most a quarter of the side in every coordinate, and as
+    long as every |x / side| is below 2^50 and the radius is at least
+    2^-500, above which squares keep their relative precision, the rounding
+    of the two quotients adds at most 1/8 of a side.  So per axis the point
+    lies in the candidate's cell or in the neighbour on the side of the
+    candidate's half of its cell, and the 2^n cells those choices span hold
+    every point within the radius.  ``locate`` computes a point's cell and
+    those lower corners once, for the merge test and for adding the point.
     Points beyond 2^50 go to ``far``, which every candidate scans.  A
-    candidate beyond it, one with fewer points than cells around it, and
+    candidate beyond it, one with fewer points than cells to probe, and
     every candidate when the radius is below 2^-500 (a radius of 0 merges
     points whose squared differences underflow) scan all points.  A cell
     is found by the hash of its key and holds a chain of point indices
@@ -171,54 +178,61 @@ class _MergeIndex:
     def __init__(self, n: int, radius: float):
         self.n = n
         self.radius = radius
-        self.side = 2.0 * radius if radius >= 2.0**-500 else 0.0
+        self.side = 4.0 * radius if radius >= 2.0**-500 else 0.0
+        # a point farther than twice the radius in its first coordinate is
+        # farther than the radius; below 2^-500 squares underflow, so there
+        # every point is tested
+        self.far_off = 2.0 * radius if self.side > 0.0 else math.inf
         self.x = array("d")  # n coordinates per point
         self.last: dict[int, int] = {}  # cell hash -> its last point
         self.prev = array("q")  # per point: the point before it in its cell, or -1
         self.far: list[int] = []
         self.nan = False  # a collected NaN makes every smallest distance NaN
 
-    def _key(self, y: list[float]) -> Optional[tuple]:
+    def locate(self, y: list[float]) -> Optional[tuple[tuple[int, ...], list[int]]]:
+        """The key of y's cell and, per axis, the lower of the two cells to
+        probe; None off the grid."""
         if not self.side > 0.0:
             return None
         key = []
+        low = []
         for v in y:
             q = v / self.side
             if not abs(q) < 2.0**50:
                 return None
-            key.append(math.floor(q))
-        return tuple(key)
+            k = math.floor(q)
+            key.append(k)
+            low.append(k if q - k >= 0.5 else k - 1)
+        return tuple(key), low
 
-    def add(self, y: list[float]) -> None:
+    def add(self, y: list[float], where: Optional[tuple]) -> None:
+        """Collect y, located by ``locate``."""
         j = len(self.prev)
         self.x.extend(y)
         self.nan = self.nan or any(v != v for v in y)
-        key = self._key(y)
-        if key is None:
+        if where is None:
             self.far.append(j)
             self.prev.append(-1)
         else:
-            cell = hash(key)
+            cell = hash(where[0])
             self.prev.append(self.last.get(cell, -1))
             self.last[cell] = j
 
-    def merges(self, y: list[float]) -> bool:
+    def merges(self, y: list[float], where: Optional[tuple]) -> bool:
+        """Whether y, located by ``locate``, merges into a collected point."""
         if self.nan:
             return False
         n, count, last, prev = self.n, len(self.prev), self.last, self.prev
-        key = self._key(y)
-        if key is None or 3**n > count:
+        if where is None or 1 << n > count:
             near: Sequence[int] = range(count)
         else:
             near = list(self.far)
-            for c in product(*((k - 1, k, k + 1) for k in key)):
+            for c in product(*((k, k + 1) for k in where[1])):
                 j = last.get(hash(c), -1)
                 while j >= 0:
                     near.append(j)
                     j = prev[j]
-        # a point farther than the side in its first coordinate is farther than
-        # the radius; below 2^-500 squares underflow, so there it is tested
-        far_off = self.side if self.side > 0.0 else math.inf
+        far_off = self.far_off
         x, y0 = self.x, y[0]
         best = math.inf
         for j in near:
@@ -268,13 +282,16 @@ def sample_orbit(
     """
     if budget < 1:
         raise OrbitError(f"budget must be at least 1, got {budget}")
-    family.space.require_member(x0, "seed")
+    space = family.space
+    space.require_member(x0, "seed")
+    opts = options or FlowOptions()
+    flows = [_flow_core(space, f, opts) for f in family.fields]
     rng = random.Random(rng_seed)
     seed = np.asarray(x0, dtype=float)
-    points: list[np.ndarray] = [seed.copy()]
+    points: list[list[float]] = [seed.tolist()]
     words: list[FlowWord] = [()]
     index = _MergeIndex(seed.size, merge_radius)
-    index.add(seed.tolist())
+    index.add(points[0], index.locate(points[0]))
     frontier: deque[int] = deque([0])
     attempts = 0
     merged = 0
@@ -285,28 +302,29 @@ def sample_orbit(
         i = frontier.popleft()
         base = points[i]
         word = words[i]
-        candidates: list[tuple[np.ndarray, FlowWord]] = []
-        for fi in range(len(family)):
+        space.require_member(base, "basepoint")
+        candidates: list[tuple[list[float], FlowWord]] = []
+        for fi, flow in enumerate(flows):
             dt = rng.uniform(-step_scale, step_scale)
             attempts += 1
             try:
-                y = flow_map(family.space, family.fields[fi], base, dt, options)
+                y = flow(base, dt)
             except (FlowDomainError, IntegrationError):
                 failures += 1
                 continue
             candidates.append((y, word + ((fi, dt),)))
-        candidates.sort(key=lambda c: tuple(c[0]))
+        candidates.sort(key=lambda c: c[0])
         accepted_any = False
         for y, w in candidates:
             if len(points) >= budget:
                 break
-            coords = y.tolist()
-            if index.merges(coords):
+            where = index.locate(y)
+            if index.merges(y, where):
                 merged += 1
                 continue
             points.append(y)
             words.append(w)
-            index.add(coords)
+            index.add(y, where)
             frontier.append(len(points) - 1)
             accepted_any = True
         # a barren expansion must not starve the frontier: retry the point
@@ -314,10 +332,11 @@ def sample_orbit(
         if not accepted_any and len(points) < budget:
             frontier.append(i)
 
-    dims = span_dimensions(family, points, tol_rank)
+    arrays = [np.array(p) for p in points]
+    dims = span_dimensions(family, arrays, tol_rank)
     return OrbitSample(
         seed=seed,
-        points=points,
+        points=arrays,
         words=words,
         est_dimension=max(dims) if dims else 0,
         dimensions=dims,

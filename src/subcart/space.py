@@ -103,18 +103,41 @@ _MARGINS = {Rel.EQ: "-abs({})", Rel.GE: "{}", Rel.GT: "{}", Rel.LE: "-{}", Rel.L
 _CLOSED = {Rel.GT: Rel.GE, Rel.LT: Rel.LE}
 
 
-def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: str) -> list[str]:
+def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: str, coord: str) -> list[str]:
     """Lines that evaluate a cell's constraints in order, each followed by
     ``check(constraint, value)``; the expressions share the emitter's memo,
-    so a common subtree is evaluated once."""
+    so a common subtree is evaluated once.  ``coord`` spells the coordinates
+    as in ``expr._emit``."""
     memo: dict[int, str] = {}
     lines: list[str] = []
     src = []
     for c in cell:
         start = len(lines)
-        value = _emit(c.expr, memo, lines)
-        src += [indent + line for line in lines[start:]]
+        value = _emit(c.expr, memo, lines, coord)
+        src += [f"{indent}    {line}" for line in lines[start:]]
         src.append(f"{indent}    {check(c, value)}")
+    return src
+
+
+def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
+    """Lines that set ``_c``, None before them, to the index of the first
+    cell holding at the point given by ``coord`` under the tolerance ``_tol``.
+
+    A cell's constraints are tested in order and the first failing one ends
+    the cell (``break`` out of a ``while True`` that never loops); a
+    ``DomainError`` anywhere in the cell rules the cell out.  Cells after
+    the first run only while ``_c`` is None, so the lines stay flat however
+    many cells and constraints there are.  Membership functions and the
+    flow kernels' scans are both made of these lines.
+    """
+    src = []
+    for i, cell in enumerate(cells):
+        pad = indent + "    " * (i > 0)
+        if i:
+            src.append(f"{indent}if _c is None:")
+        src += [f"{pad}try:", f"{pad}    while True:"]
+        src += _cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", pad + " " * 4, coord)
+        src += [f"{pad}        _c = {i}", f"{pad}        break", f"{pad}except _DomainError:", f"{pad}    pass"]
     return src
 
 
@@ -125,19 +148,9 @@ def _build(src: list[str], name: str) -> Callable:
 
 
 def _compile_cells(cells: Sequence[Cell]) -> Callable[[Sequence[float], float], Optional[int]]:
-    """Generate ``f(x, tol)``: the index of the first cell holding at x, or None.
-
-    A cell's constraints are tested in order and the first failing one ends
-    the cell (``break`` out of a ``while True`` that never loops); a
-    ``DomainError`` anywhere in the cell rules the cell out.
-    """
-    src = ["def _f(_x, _tol):"]
-    for i, cell in enumerate(cells):
-        src += ["    try:", "        while True:"]
-        src += _cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", " " * 8)
-        src += [f"            return {i}", "    except _DomainError:", "        pass"]
-    src.append("    return None")
-    return _build(src, "<membership>")
+    """Generate ``f(x, tol)``: the index of the first cell holding at x, or None."""
+    return _build(["def _f(_x, _tol):", "    _c = None"] + _cells_test(cells, "_x[{}]", "    ")
+                  + ["    return _c"], "<membership>")
 
 
 def _compile_slack(cells: Sequence[Cell]) -> Callable[[Sequence[float]], float]:
@@ -153,7 +166,7 @@ def _compile_slack(cells: Sequence[Cell]) -> Callable[[Sequence[float]], float]:
         if cell:
             src.append("    try:")
             src += _cell_source(cell, lambda c, v: f"_m = {_MARGINS[c.rel].format(v)}; "
-                                "_w = _m if _m < _w or _m != _m else _w", " " * 4)
+                                "_w = _m if _m < _w or _m != _m else _w", " " * 4, "_x[{}]")
             src += ["    except _DomainError:", "        _w = -_inf"]
         src.append("    _b = _w if _w > _b or _w != _w else _b")
     src.append("    return float(_b)")
@@ -202,6 +215,15 @@ class SubcartesianSpace:
         generated function then shadows this method on the instance."""
         self._first_cell = _compile_cells(self.cells)
         return self._first_cell(point, tol)
+
+    @functools.cached_property
+    def _scan_key(self) -> Optional[str]:
+        """The source of the cell tests, which a flow kernel's membership scan
+        is made from and its cache is keyed by; None when a cell with no
+        constraints holds everywhere, so flows test nothing."""
+        if not all(self.cells):
+            return None
+        return "\n".join(_cells_test(self.cells, "_x[{}]", ""))
 
     @functools.cached_property
     def _evals(self) -> list[list[Callable[[Sequence[float]], float]]]:
@@ -355,7 +377,7 @@ def sample_cell_near(
         z = project_to_equalities(space, cell_index, _ball_draw(rng, center, radius))
         if z is None:
             continue
-        if space.cell_contains(cell_index, z):
+        if space.cell_contains(cell_index, z.tolist()):  # numpy scalars would warn where a power overflows
             out.append(z)
     return out
 
@@ -414,6 +436,6 @@ def sample_cell_box(
         z = project_to_equalities(space, cell_index, draw)
         if z is None:
             continue
-        if space.cell_contains(cell_index, z):
+        if space.cell_contains(cell_index, z.tolist()):  # numpy scalars would warn where a power overflows
             out.append(z)
     return out

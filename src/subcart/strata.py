@@ -74,12 +74,6 @@ class StratifiedSpace:
         self.strata: tuple[Stratum, ...] = tuple(strata)
         self.locally_trivial = bool(locally_trivial)
 
-    def stratum_index(self, name: str) -> int:
-        for i, s in enumerate(self.strata):
-            if s.name == name:
-                return i
-        raise StrataError(f"no stratum named {name!r}; have {[s.name for s in self.strata]}")
-
     def stratum_of(self, point: Sequence[float]) -> Optional[int]:
         for i, s in enumerate(self.strata):
             if s.space.contains(point):

@@ -591,6 +591,28 @@ def test_strata_nan_slack_exits_2(tmp_path, check):
                         r"\[[^\]]+\]\n", proc.stderr), proc.stderr
 
 
+def test_strata_frontier_samples_without_numpy_warnings(tmp_path):
+    # over a box of side 2 every product overflows; the box sampler used to
+    # test its draws on numpy scalars, which printed RuntimeWarnings
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(dict(WEDGE, box=[[-1.0, -1.0], [1.0, 1.0]])))
+    proc = _cli_process("strata", "--scenario", str(path), "--check", "frontier")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: stratum 'wedge' produced no samples in the given box\n"
+
+
+@pytest.mark.parametrize("frame, where", [(["v", "w"], "frame[1]"), ([3], "frame[0]"), ("v", "frame")])
+def test_bad_stratum_frame_exits_2(tmp_path, capsys, frame, where):
+    path = tmp_path / "wedge.json"
+    strata = [dict(WEDGE["strata"][0], frame=frame)]
+    path.write_text(json.dumps(dict(WEDGE, strata=strata)))
+    code, report, err = run(capsys, "strata", "--scenario", str(path), "--check", "frontier")
+    assert code == 2
+    assert report == {}
+    assert f"$.strata[0].{where}" in err
+
+
 def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     import subcart.cli as cli
 

@@ -24,11 +24,12 @@ from subcart.flow import (
 )
 from subcart.expr import DomainError, parse
 from subcart.flow import (
-    _A, _D, _E, ExitWitness, _DriveResult, _Samples, _dense, _driver, _membership, _pairwise_sum,
+    _A, _D, _E, _DRIVERS, ExitWitness, _DriveResult, _Samples, _dense, _driver, _driver_source, _kernel,
+    _membership, _pairwise_sum,
 )
 from subcart.space import Constraint, Rel, SubcartesianSpace
 
-from conftest import disk_line, halfline, make_field, punctured_plane, unit_circle
+from conftest import disk_line, halfline, make_field, punctured_plane, scenario_path, unit_circle
 
 CLOSED_FORM_TOL = 1e-8
 GROUP_LAW_TOL = 1e-7
@@ -516,23 +517,41 @@ def _drive_cases(draw):
         interior_checks=draw(st.sampled_from([1, 3])),
         max_sample_dt=draw(st.sampled_from([0.1, 0.03])),
     )
-    return fld._value, x0, target, opts, space
+    return fld, x0, target, opts, space
 
 
-@settings(max_examples=150, deadline=None)
-@given(_drive_cases())
-def test_generated_driver_matches_generic_list_driver_bitwise(case):
-    f, x0, target, opts, space = case
-    want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
-    assert _drive_outcome(_driver(len(x0), True), f, x0, target, opts, space) == want
-    # without recording, the same drive: endpoint, reached, steps and witness,
-    # or the same failure; the samples keep only the start and the exit point
-    quiet = _drive_outcome(_driver(len(x0), False), f, x0, target, opts, space)
+def _fused(fld, space, record):
+    """The kernel of the field on the space, called like a driver that calls f."""
+    drive = _kernel(fld, space, record)
+    tol = None if space is None else space.tol
+
+    def call(f, x0, target, opts, member, member_relaxed, witness_info):
+        return drive(x0, target, opts, member, member_relaxed, witness_info, tol)
+
+    return call
+
+
+def _assert_quiet_matches(quiet, want):
+    """Without recording, the same drive: endpoint, reached, steps and
+    witness, or the same failure; the samples keep only the start and the
+    exit point."""
     if isinstance(want[0], str) and want[0].endswith("Error"):
         assert quiet[:3] == want[:3]
     else:
         assert quiet[:4] + quiet[6:] == want[:4] + want[6:]
         assert quiet[4][0] == want[4][0] and len(quiet[4]) <= 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drive_cases())
+def test_generated_driver_matches_generic_list_driver_bitwise(case):
+    fld, x0, target, opts, space = case
+    f = fld._value
+    want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
+    assert _drive_outcome(_driver(len(x0), True), f, x0, target, opts, space) == want
+    assert _drive_outcome(_fused(fld, space, True), f, x0, target, opts, space) == want
+    _assert_quiet_matches(_drive_outcome(_driver(len(x0), False), f, x0, target, opts, space), want)
+    _assert_quiet_matches(_drive_outcome(_fused(fld, space, False), f, x0, target, opts, space), want)
 
 
 @pytest.mark.parametrize("n", [8, 11, 12, 130])
@@ -543,7 +562,8 @@ def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
     rng = random.Random(n)
     comps = [f"({rng.uniform(-1, 1)!r})*x{(i + 1) % n + 1} + ({rng.uniform(-0.5, 0.5)!r})*x{i + 1}*x{(i + 2) % n + 1}"
              f" + ({rng.uniform(-0.2, 0.2)!r})" for i in range(n)]
-    f = make_field("f", comps, n)._value
+    fld = make_field("f", comps, n)
+    f = fld._value
     x0 = [rng.uniform(-0.2, 0.2) for _ in range(n)]
     ball = SubcartesianSpace(n, [[Constraint(parse("4 - (" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")", n),
                                              Rel.GE)]], locally_closed=True)
@@ -552,6 +572,7 @@ def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
         want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
         assert want[3] >= 20  # steps taken
         assert _drive_outcome(_driver(n, True), f, x0, target, opts, space) == want
+        assert _drive_outcome(_fused(fld, space, True), f, x0, target, opts, space) == want
 
 
 @pytest.mark.parametrize("space", [
@@ -563,19 +584,89 @@ def test_no_membership_scan_where_a_cell_has_no_constraints(space):
     assert _membership(space, opts) == (None, None, None)
     # the drive is the one of a scan whose every test passes
     scanned = (space.contains, lambda p: space.contains(p, space.tol * opts.attained_factor), None)
-    f = make_field("f", ["1 + x2", "x1 * x2 - 0.3"], 2)._value
+    fld = make_field("f", ["1 + x2", "x1 * x2 - 0.3"], 2)
+    f = fld._value
     for record in (True, False):
         for target in (0.7, -2.0):
             want = _drive_outcome(_driver(2, record), f, [0.1, -0.2], target, opts, space, scanned)
             assert _drive_outcome(_driver(2, record), f, [0.1, -0.2], target, opts, space) == want
+            assert _drive_outcome(_fused(fld, space, record), f, [0.1, -0.2], target, opts, space) == want
+    # the kernel there is the one of no space: no scan unless it records
+    assert _kernel(fld, space, False) is _kernel(fld, None, False)
+    assert "for i in range" not in _driver_source(2, False, fld.components, None)
     rot = make_field("rot", ["-x2", "x1"], 2)
     assert flow_map(space, rot, [0.3, 0.0], 2.0).tolist() == flow_map(None, rot, [0.3, 0.0], 2.0).tolist()
 
 
-def test_driver_is_generated_once_per_dimension():
+def test_kernels_are_keyed_by_their_source():
+    disk = SubcartesianSpace(2, [[Constraint(parse("1 - x1^2 - x2^2", 2), Rel.GT)]], locally_closed=False)
+    rot = make_field("rot", ["-x2", "x1"], 2)
+    # fields and spaces built anew, as by the next command, find the kernel
+    again = make_field("other label", ["-x2", "x1"], 2)
+    disk_again = SubcartesianSpace(2, [[Constraint(parse("1 - x1^2 - x2^2", 2), Rel.GT)]], locally_closed=True,
+                                   tol=1e-6)
+    assert _kernel(rot, disk, False) is _kernel(again, disk_again, False)
+    assert _kernel(rot, disk, False) is not _kernel(rot, disk, True)
+    assert _kernel(rot, disk, False) is not _kernel(rot, None, False)
+    # 0.0 and -0.0 are equal constants that compile differently
+    plus, minus = make_field("z", ["0.0", "x1"], 2), make_field("z", ["-0.0", "x1"], 2)
+    assert plus.components == minus.components
+    assert _kernel(plus, disk, True) is not _kernel(minus, disk, True)
+    opts = FlowOptions()
+    for fld in (plus, minus):
+        assert f"k2_0 = {fld.components[0].value!r}" in _driver_source(2, True, fld.components, disk.cells)
+        want = _drive_outcome(_ref_drive, fld._value, [-0.0, 0.5], 0.8, opts, disk)
+        assert _drive_outcome(_fused(fld, disk, True), fld._value, [-0.0, 0.5], 0.8, opts, disk) == want
+    # the call spelling is one driver per dimension and use of the samples
     assert _driver(3, True) is _driver(3, True)
     assert _driver(3, True) is not _driver(4, True)
     assert _driver(3, False) is not _driver(3, True)
+
+
+@pytest.mark.parametrize("cells, velocity, bound", [
+    # (1e200 x1)^2 holds on numpy floats, so every point below x2 = 1 passes
+    ([[("x2 - 1", Rel.LE), ("(1e200*x1)^2 + 1", Rel.GE)]], ["0", "1"], "x2 - 1.0"),
+    # the first cell fails on numpy floats, so the second one, x1 <= 1, decides
+    ([[("1 - (1e200*x1)^2", Rel.GE)], [("x1 - 1", Rel.LE)]], ["1", "0"], "x1 - 1.0"),
+], ids=["holds", "fails"])
+def test_kernel_retries_an_overflowing_cell_test_on_numpy_floats(cells, velocity, bound):
+    # (1e200 x1)^2 raises OverflowError on Python floats and is inf on numpy
+    # floats; the scan tests such a point again through the space
+    space = SubcartesianSpace(2, [[Constraint(parse(e, 2), rel) for e, rel in cell] for cell in cells],
+                              locally_closed=True)
+    fld = make_field("f", velocity, 2)
+    opts = FlowOptions()
+    member, member_relaxed, witness_info = _membership(space, opts)
+    retried = []
+
+    def counted(p):
+        retried.append(p)
+        return member(p)
+
+    for target in (0.3, 3.0):  # reached, and an exit at 1 in the moving coordinate
+        want = _drive_outcome(_ref_drive, fld._value, [0.5, 0.0], target, opts, space)
+        for record in (True, False):
+            got = _drive_outcome(_fused(fld, space, record), fld._value, [0.5, 0.0], target, opts, space,
+                                 (counted, member_relaxed, witness_info))
+            if record:
+                assert got == want
+            else:
+                _assert_quiet_matches(got, want)
+    assert retried and all(type(v) is float for p in retried for v in p)
+    assert want[2] is False and want[-1][-1] == bound  # the last target exits there
+
+
+def test_second_cli_run_compiles_no_kernel(capsys):
+    from subcart.cli import main
+
+    argv = ["orbit", "--scenario", scenario_path("rotation_plane"), "--family", "pair",
+            "--point=1.0,0.5", "--budget", "30"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    compiled = len(_DRIVERS)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(_DRIVERS) == compiled
 
 
 def test_zero_or_nonfinite_starting_step_fails_at_once():

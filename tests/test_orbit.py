@@ -204,46 +204,80 @@ def test_merge_index_matches_norm_scan(lattice, exponent, offset, radius_cells, 
     pts = [np.array([offset * scale + v * scale for v in p]) for p in lattice]
     if odd is not None:
         pts[len(pts) // 2][0] = odd
+    _check_merges(pts, radius)
+
+
+def _merges(index: _MergeIndex, y: list) -> bool:
+    return index.merges(y, index.locate(y))
+
+
+def _add(index: _MergeIndex, y: list) -> None:
+    index.add(y, index.locate(y))
+
+
+def _check_merges(pts: list, radius: float) -> None:
+    """Feed the points in turn to a merge index and to the norm scan."""
     index = _MergeIndex(pts[0].size, radius)
-    index.add(pts[0].tolist())
+    _add(index, pts[0].tolist())
     buf = pts[0].reshape(1, -1)
     for y in pts[1:]:
         want = _ref_merges(buf, y, radius)
-        assert index.merges(y.tolist()) == want
+        assert _merges(index, y.tolist()) == want
         if not want:
-            index.add(y.tolist())
+            _add(index, y.tolist())
             buf = np.vstack([buf, y.reshape(1, -1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=1, max_size=60)),
+    st.integers(-30, 3),
+    st.sampled_from([1.0, 0.3, 1 / 3, 0.7]),
+    st.sampled_from([0, 3, 2**47 + 1, 2**49, 2**50 - 2, 2**50, -(2**50) + 1]),
+)
+def test_merge_index_on_cell_boundaries(lattice, exponent, factor, offset_cells):
+    # a lattice of an eighth of a cell: points on cell boundaries (every 8
+    # steps) and half-cell boundaries (every 4, where the probed side
+    # switches), pairs at exactly the radius (2 steps); offsets near 2^50
+    # cells are where the quotients round to a quarter or an eighth of a
+    # cell, and a radius that is not a power of 2 makes them round at all
+    radius = factor * 2.0**exponent
+    side = 4.0 * radius
+    pts = [np.array([offset_cells * side + v * side / 8 for v in p]) for p in lattice]
+    _check_merges(pts, radius)
 
 
 def test_merge_index_exact_radius_and_nonpositive_radius():
     index = _MergeIndex(2, 5.0)
-    index.add([0.0, 0.0])
-    assert index.merges([3.0, 4.0])  # exactly at the radius
-    assert not index.merges([3.0, 4.000001])
+    _add(index, [0.0, 0.0])
+    assert _merges(index, [3.0, 4.0])  # exactly at the radius
+    assert not _merges(index, [3.0, 4.000001])
     zero = _MergeIndex(2, 0.0)
-    zero.add([1.0, -0.0])
-    assert zero.merges([1.0, 0.0])
-    assert zero.merges([1.0, 1e-200])  # the squared difference underflows to 0
-    assert not zero.merges([1.0, 1e-150])
+    _add(zero, [1.0, -0.0])
+    assert _merges(zero, [1.0, 0.0])
+    assert _merges(zero, [1.0, 1e-200])  # the squared difference underflows to 0
+    assert not _merges(zero, [1.0, 1e-150])
     # below a radius of 2^-500 the squares lose their relative precision: a
-    # difference of 2^-545 squares to 0, though it spans 2^34 cells of side 2r
+    # difference of 2^-545 squares to 0, though it spans 2^33 cells of side 4r
     tiny, buf = _MergeIndex(2, 2.0**-580), np.zeros((0, 2))
     for i in range(12):
         p = np.array([i * 2.0**-533, 0.0])
-        tiny.add(p.tolist())
+        _add(tiny, p.tolist())
         buf = np.vstack([buf, p])
     y = np.array([3 * 2.0**-533, 2.0**-545])
     assert _ref_merges(buf, y, 2.0**-580)
-    assert tiny.merges(y.tolist())
+    assert _merges(tiny, y.tolist())
     # a grid candidate finds a point past |x / side| = 2^50 on the far list
     edge = _MergeIndex(1, 1.0)
-    for x in [2.0**51] + [float(10 * i) for i in range(5)]:
-        edge.add([x])
-    assert edge.merges([2.0**51 - 0.5])
-    assert not edge.merges([2.0**51 - 2.0])
+    for x in [2.0**52] + [float(10 * i) for i in range(5)]:
+        _add(edge, [x])
+    assert edge.far == [0] and edge.locate([2.0**52 - 0.5]) is not None
+    assert _merges(edge, [2.0**52 - 0.5])
+    assert not _merges(edge, [2.0**52 - 2.0])
     negative = _MergeIndex(2, -1.0)
-    negative.add([1.0, 2.0])
-    assert not negative.merges([1.0, 2.0])
+    _add(negative, [1.0, 2.0])
+    assert not _merges(negative, [1.0, 2.0])
 
 
 def _ref_sample_orbit(family, x0, budget, step_scale, rng_seed, merge_radius):

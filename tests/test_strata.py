@@ -68,14 +68,6 @@ def cone_fields() -> dict:
     }
 
 
-def test_stratified_space_lookup():
-    ss = cone_stratification()
-    assert ss.stratum_index("apex") == 0
-    assert ss.stratum_index("surface") == 1
-    with pytest.raises(StrataError):
-        ss.stratum_index("nope")
-
-
 def test_closure_contains_relaxes_strict_sides():
     ss = cone_stratification()
     surface = ss.strata[1].space
