@@ -859,41 +859,41 @@ _COMMON_ARGS = (
     }),
 )
 
-# name -> (help, arguments after the common ones), in the order --help lists them
+# name -> (help, handler, arguments after the common ones), in the order --help lists them
 _COMMANDS = {
-    "flow": ("integrate one field from a point", (
+    "flow": ("integrate one field from a point", cmd_flow, (
         ("--field", {"required": True}),
         ("--point", {"required": True}),
         ("--horizon", {"type": _positive_float, "default": 10.0}),
     )),
-    "classify": ("derivation vs vector field verdict", (
+    "classify": ("derivation vs vector field verdict", cmd_classify, (
         ("--field", {"required": True}),
         ("--seeds", {"default": "default", "help": "seed set name or JSON file"}),
     )),
-    "bracket": ("Lie bracket of two named fields", (
+    "bracket": ("Lie bracket of two named fields", cmd_bracket, (
         ("--x", {"required": True}),
         ("--y", {"required": True}),
         ("--point", {"default": None}),
     )),
-    "orbit": ("sample the orbit of a family", (
+    "orbit": ("sample the orbit of a family", cmd_orbit, (
         ("--family", {"default": "default"}),
         ("--point", {"required": True}),
         ("--budget", {"type": int, "default": 400}),
         ("--step-scale", {"type": _positive_float, "default": 0.3}),
     )),
-    "chart": ("chart differential with rank certificate", (
+    "chart": ("chart differential with rank certificate", cmd_chart, (
         ("--family", {"default": "default"}),
         ("--point", {"required": True}),
         ("--basis", {"default": None, "help": "comma separated field indices"}),
     )),
-    "complete-probe": ("local completeness probe", (
+    "complete-probe": ("local completeness probe", cmd_complete_probe, (
         ("--family", {"default": "default"}),
         ("--seeds", {"default": "default", "help": "probe centers: seed set name or JSON file"}),
         ("--n", {"type": _positive_int, "default": 20}),
         ("--radius", {"type": _positive_float, "default": 1.0}),
         ("--t-scale", {"type": _positive_float, "default": 1.0}),
     )),
-    "strata": ("stratification checks", (
+    "strata": ("stratification checks", cmd_strata, (
         ("--check", {"required": True, "choices": ["frontier", "tangency", "orbits"]}),
         ("--field", {"default": None, "help": "field for --check tangency"}),
         ("--family", {"default": "default"}),
@@ -901,18 +901,18 @@ _COMMANDS = {
         ("--budget", {"type": int, "default": 400}),
         ("--horizon", {"type": _positive_float, "default": 0.5}),
     )),
-    "poisson": ("bivector antisymmetry and Jacobi check", (
+    "poisson": ("bivector antisymmetry and Jacobi check", cmd_poisson, (
         ("--triples", {"type": _positive_int, "default": 50}),
         ("--points", {"type": _positive_int, "default": 10}),
         ("--scale", {"type": _positive_float, "default": 1.0}),
     )),
-    "reduce": ("invariant-based reduction", ()),
-    "leaf": ("Hamiltonian orbit with Casimir drift", (
+    "reduce": ("invariant-based reduction", cmd_reduce, ()),
+    "leaf": ("Hamiltonian orbit with Casimir drift", cmd_leaf, (
         ("--point", {"required": True}),
         ("--budget", {"type": int, "default": 500}),
         ("--step-scale", {"type": _positive_float, "default": 0.3}),
     )),
-    "acs": ("almost complex structure checks", (
+    "acs": ("almost complex structure checks", cmd_acs, (
         ("--check", {"required": True, "choices": ["torsion", "cr", "kahler"]}),
         ("--x", {"default": None}),
         ("--y", {"default": None}),
@@ -942,27 +942,12 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     # a metavar would also rename the command in the full parser's errors
     metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, arguments) in _COMMANDS.items():
+    for name, (text, _, arguments) in _COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=text)
             for flag, options in _COMMON_ARGS + arguments:
                 p.add_argument(flag, **options)
     return parser
-
-
-_HANDLERS = {
-    "flow": cmd_flow,
-    "classify": cmd_classify,
-    "bracket": cmd_bracket,
-    "orbit": cmd_orbit,
-    "chart": cmd_chart,
-    "complete-probe": cmd_complete_probe,
-    "strata": cmd_strata,
-    "poisson": cmd_poisson,
-    "reduce": cmd_reduce,
-    "leaf": cmd_leaf,
-    "acs": cmd_acs,
-}
 
 
 def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, float]:
@@ -997,7 +982,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         sc = load_scenario(args.scenario)
         tol = _effective_tolerances(sc, args.tol_overrides)
-        result, code = _HANDLERS[args.command](sc, args, tol)
+        result, code = _COMMANDS[args.command][1](sc, args, tol)
         report = {
             "command": args.command,
             "scenario": {"name": sc.name, "sha256": sc.sha256},

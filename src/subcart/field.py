@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, add, as_expr, compile_vector, diff, mul, to_text, vector_source, ZERO
+from .expr import Expr, Var, add, as_expr, compile_vector, diff, mul, to_text, vector_source, ZERO
 
 
 class FieldError(ValueError):
@@ -33,7 +33,6 @@ class TangentField:
         self.dim = len(self.components)
         self._value = compile_vector(self.components)
         self._jac_rows: Optional[tuple[tuple[Expr, ...], ...]] = None
-        self._jac_value = None
 
     def __repr__(self) -> str:
         comps = ", ".join(to_text(c) for c in self.components)
@@ -67,13 +66,19 @@ class TangentField:
             )
         return self._jac_rows
 
-    def jacobian_at(self, point: Sequence[float]) -> np.ndarray:
-        if self._jac_value is None:
-            rows = self.jacobian_exprs()
-            flat = [e for row in rows for e in row]
-            self._jac_value = compile_vector(flat)
-        vals = self._jac_value(point)
-        return np.array(vals, dtype=float).reshape(self.dim, self.dim)
+    @functools.cached_property
+    def _variational(self) -> "TangentField":
+        """The field on R^2n whose flow carries a point and a vector along
+        this one: the components, then sum_j dX_i/dx_j * x_{n+j}, summed in
+        order of j."""
+        n = self.dim
+        carried = []
+        for row in self.jacobian_exprs():
+            out: Expr = ZERO
+            for j, d in enumerate(row):
+                out = add(out, mul(d, Var(n + j)))
+            carried.append(out)
+        return TangentField(f"variational({self.label})", self.components + tuple(carried))
 
     def scaled(self, factor, label: Optional[str] = None) -> "TangentField":
         """Pointwise multiple of this field by a scalar expression or number."""

@@ -11,18 +11,18 @@ numpy stepper.  ``integrate`` and ``flow_map`` run the kernel of their field
 and space: a loop generated for that field, space and use of the samples,
 whose stages compute the field's components inline and whose scan tests the
 space's cells inline, with the emitters of expressions and of membership.
-Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
-and kept for the process in one table keyed by the source they are made of,
-so a field or space built anew with the same content finds its kernel.  ``transport_vector`` runs the
-loop's other spelling, compiled once per state dimension, which calls the
-right-hand side at each stage and the membership predicate at each scanned
-point.  Membership is monitored along every accepted step at evenly spaced
-points of the dense output, which double as the recorded samples for
-``integrate``; ``flow_map`` and ``transport_vector`` keep no samples.  A
-space with a cell of no constraints holds everywhere, so there nothing is
-tested, and a kernel that neither tests nor records has no scan.  Where
-Python's float ``**`` overflows in the scan, the space tests the point again
-on numpy floats.  On the first violation the exit time is located by
+``transport_vector`` runs the kernel of the field's variational field on
+R^2n, the point followed by the vector its Jacobian carries, whose cell
+tests read the point alone.  Kernels are compiled on first use (1-3.5 ms
+each on the shipped scenarios) and kept for the process in one table keyed
+by the source they are made of, so a field or space built anew with the same
+content finds its kernel.  Membership is monitored along every accepted step
+at evenly spaced points of the dense output, which double as the recorded
+samples for ``integrate``; ``flow_map`` and ``transport_vector`` keep no
+samples.  A space with a cell of no constraints holds everywhere, so there
+nothing is tested, and a kernel that neither tests nor records has no scan.
+Where Python's float ``**`` overflows in the scan, the space tests the point
+again on numpy floats.  On the first violation the exit time is located by
 bisection on the dense output down to 1e-12 in time.  Domain-guard failures
 inside the derivative (logs, roots, quotients) are treated as leaving the
 chart: the step is retried at half size down to 1e-14, then the curve ends.
@@ -53,7 +53,7 @@ import numpy as np
 
 from .field import TangentField
 from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
-from .space import Cell, SubcartesianSpace, _cells_test, sample_near
+from .space import Cell, SubcartesianSpace, _cells_test, _evaluate, sample_near
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
@@ -158,7 +158,6 @@ class IntegralCurve:
 
 # Dormand-Prince 5(4) tableau with the classic quartic dense interpolant.
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
     (1 / 5,),
@@ -188,7 +187,7 @@ def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
     beyond that it splits at a multiple of 8 near the middle and recurses.
     The builtin ``sum`` is no substitute: from Python 3.12 it compensates
     float sums.  With an ``add`` that joins source text the same rules spell
-    out the sum as an expression, which is how the generated driver sums its
+    out the sum as an expression, which is how the generated kernel sums its
     error norm.
     """
     n = len(a)
@@ -265,7 +264,7 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, mem
     return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
 
 
-# A driver integrates from x0 toward the signed time ``target`` and stops
+# A kernel integrates from x0 toward the signed time ``target`` and stops
 # where membership fails.  It is generated as straight-line code over scalar
 # locals: y0.. the state, k1_0.. the stage derivatives, sk0.., sy0.. and sf0..
 # the scale, state and slope of the starting-step rule (h0 = 0.01 *
@@ -277,22 +276,16 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, mem
 # y + h * sum_j A[i][j] * k[j] start from 0.0 and keep the products with the
 # tableau's zeros, sk = atol + rtol * np.maximum(|y|, |ynew|) propagates NaN,
 # and the norms sum like ``np.mean``.  Each $name below is replaced by the
-# code of one driver.
+# code of one kernel.
 #
-# The kernel of a field, ``_drive(x0, target, opts, member, member_relaxed,
-# witness_info, _tol)``, computes the field's components inline at each
-# stage, from the stage state z0.. (yn0.. for the last stage), and tests the
-# space's cells inline at each scanned point p0.. of the dense output; where
-# Python's float ``**`` overflows in that test, ``member`` tests the point
-# again on numpy floats.  A kernel that neither scans nor records has no scan
-# loop.  The other spelling, ``_drive(f, x0, target, opts, member,
-# member_relaxed, witness_info)``, calls ``f`` at each stage and ``member``
-# at each scanned point; ``transport_vector`` uses it, because its
-# right-hand side is a BLAS product ``J @ v`` that inline sums would round
-# differently.  $scan keeps a scanned point as a sample only in a driver
-# that records.
+# A kernel computes its field's components inline at each stage, from the
+# stage state z0.. (yn0.. for the last stage), and tests the space's cells
+# inline at each scanned point p0.. of the dense output; where Python's
+# float ``**`` overflows in that test, ``member`` tests the point again on
+# numpy floats.  A kernel that neither scans nor records has no scan loop.
+# $scan keeps a scanned point as a sample only in a kernel that records.
 _DRIVER = """\
-def _drive($params):
+def _drive(x0, target, opts, member, member_relaxed, witness_info, _tol):
     rtol = opts.rtol
     atol = opts.atol
     min_step = opts.min_step
@@ -369,14 +362,12 @@ def _indent(lines: list[str], depth: int) -> str:
     return "\n".join(" " * depth + line for line in lines)
 
 
-def _driver_source(n: int, record: bool, components: Optional[Sequence[Expr]] = None,
-                   cells: Optional[Sequence[Cell]] = None) -> str:
-    """Source of a driver for dimension n (see the comments above ``_DRIVER``).
-
-    Without ``components`` the driver calls ``f`` and ``member``; with them it
-    is the kernel of the field with those components, which tests ``cells``
-    inline, or nothing when ``cells`` is None.
+def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], record: bool) -> str:
+    """Source of the kernel of the field with these components (see the
+    comments above ``_DRIVER``), which tests ``cells`` inline, or nothing when
+    ``cells`` is None.
     """
+    n = len(components)
     ix = range(n)
 
     def sumsq(stem: str) -> str:
@@ -396,13 +387,11 @@ def _driver_source(n: int, record: bool, components: Optional[Sequence[Expr]] = 
 
     def field(s: int, coord: str) -> list[str]:
         """Lines that set k{s}_0.. to the field at the point coord names."""
-        if components is None:
-            return [f"{names(f'k{s}_')} = f([{each(coord.replace('{}', '{i}'))}])"]
         lines, values = vector_source(components, coord)
         return lines + [f"k{s}_{i} = {v}" for i, v in enumerate(values)]
 
     # a stage state is computed only in the coordinates the field reads
-    read = ix if components is None else [i for i in ix if any(c._mask >> i & 1 for c in components)]
+    read = [i for i in ix if any(c._mask >> i & 1 for c in components)]
     stages = []
     for s in range(2, 7):
         stages += [f"z{i} = {stage(s, i)}" for i in read] + field(s, "z{}")
@@ -421,27 +410,21 @@ def _driver_source(n: int, record: bool, components: Optional[Sequence[Expr]] = 
     dense = "y{i} + th * (yd{i} + u * (bs{i} + th * (q{i} + u * r{i})))"
     leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + ",), theta_in, th, t, h, samples, "
              "n_steps, opts, member, member_relaxed, witness_info)")
-    if components is None:
-        point, point_list = [f"p = [{each(dense)}]"], "p"
-        test = ["if member is not None and not member(p):", f"    {leave}"]
-    else:
-        point, point_list = [f"p{i} = {dense.format(i=i)}" for i in ix], f"({names('p')})"
-        test = [] if cells is None else (
-            ["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
-            + ["except OverflowError:  # Python's float ** overflowed: test the point on numpy floats",
-               f"    _c = 0 if member([{names('p')}]) else None",
-               "if _c is None:", f"    {leave}"])
+    point = [f"p{i} = {dense.format(i=i)}" for i in ix]
+    test = [] if cells is None else (
+        ["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
+        + ["except OverflowError:  # Python's float ** overflowed: test the point on numpy floats",
+           f"    _c = 0 if member([{names('p')}]) else None",
+           "if _c is None:", f"    {leave}"])
     keep = ["sample_t.append(target if (landing and th == 1.0) else t + th * h)",
-            f"sample_x.extend({point_list})"] if record else []
+            f"sample_x.extend(({names('p')}))"] if record else []
     # the scan grid doubles as the sample grid, keeping recorded sample spacing
     # at or below max_sample_dt
     scan = []
-    if components is None or cells is not None or record:
+    if cells is not None or record:
         scan = ["n_sub = max(min_sub, ceil(abs(h) / max_dt))", "theta_in = 0.0", "for i in range(1, n_sub + 1):"]
         scan += ["    " + line for line in ["th = i / n_sub", "u = 1.0 - th", *point, *test, "theta_in = th", *keep]]
-    head = "x0, target, opts, member, member_relaxed, witness_info"
     parts = dict(
-        params=f"f, {head}" if components is None else f"{head}, _tol",
         n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
         first=_indent(field(1, "y{}"), 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
@@ -450,36 +433,16 @@ def _driver_source(n: int, record: bool, components: Optional[Sequence[Expr]] = 
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
 
-# Every compiled driver of the process: the call spelling keyed by (n,
-# record), kernels by (field source, scan key, record).
+# Every compiled kernel of the process, keyed by (field source, scan key, record).
 _DRIVERS: dict[tuple, Callable[..., _DriveResult]] = {}
-
-
-def _compile_driver(source: str, name: str) -> Callable[..., _DriveResult]:
-    scope = dict(_COMPILE_ENV, **_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
-                 ExitWitness=ExitWitness, DomainError=DomainError, _DomainError=DomainError,
-                 IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf)
-    exec(compile(source, name, "exec"), scope)
-    return scope["_drive"]
-
-
-def _driver(n: int, record: bool) -> Callable[..., _DriveResult]:
-    """The driver that calls ``f`` and ``member``, for states of dimension n,
-    compiled on first use and kept for the process.
-
-    Only a driver with ``record`` set keeps the scanned points as samples;
-    without it the samples hold the start and, after an exit, its last point.
-    """
-    drive = _DRIVERS.get((n, record))
-    if drive is None:
-        drive = _DRIVERS[n, record] = _compile_driver(_driver_source(n, record), f"<dopri5 n={n}>")
-    return drive
 
 
 def _kernel(fld: TangentField, space: Optional[SubcartesianSpace], record: bool) -> Callable[..., _DriveResult]:
     """The kernel of the field on the space, compiled on first use and kept for
     the process.
 
+    Only a kernel with ``record`` set keeps the scanned points as samples;
+    without it the samples hold the start and, after an exit, its last point.
     The table is keyed by the source the kernel is made of, the field's
     (``TangentField._source``) and the cell tests (``_scan_key``), never by
     ``Expr`` equality, which holds between constants 0.0 and -0.0 that
@@ -490,41 +453,39 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace], record: bool)
     key = (fld._source, scan, record)
     drive = _DRIVERS.get(key)
     if drive is None:
-        source = _driver_source(fld.dim, record, fld.components, None if scan is None else space.cells)
-        drive = _DRIVERS[key] = _compile_driver(source, f"<dopri5 kernel n={fld.dim}>")
+        scope = dict(_COMPILE_ENV, **_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
+                     ExitWitness=ExitWitness, DomainError=DomainError, _DomainError=DomainError,
+                     IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf)
+        source = _driver_source(fld.components, None if scan is None else space.cells, record)
+        exec(compile(source, f"<dopri5 kernel n={fld.dim}>", "exec"), scope)
+        drive = _DRIVERS[key] = scope["_drive"]
     return drive
 
 
-def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions, n_head: Optional[int] = None):
+def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions):
+    """The membership callbacks of a kernel: ``member``, ``member_relaxed``
+    and ``witness_info``, or three Nones where nothing is tested.  They read
+    only the space's coordinates, so a point may carry more after them."""
     if space is None or not all(space.cells):  # a cell with no constraints holds everywhere
         return None, None, None
 
-    if n_head is None:
-        member = space.contains
-    else:
-        def member(p: list[float]) -> bool:
-            return space.contains(p[:n_head])
-
     def member_relaxed(p: list[float]) -> bool:
-        q = p[:n_head] if n_head is not None else p
-        return space.contains(q, tol=space.tol * opts.attained_factor)
+        return space.contains(p, tol=space.tol * opts.attained_factor)
 
     def witness_info(p_in: list[float], p_out: list[float]) -> tuple:
-        q_in = p_in[:n_head] if n_head is not None else p_in
-        q_out = p_out[:n_head] if n_head is not None else p_out
-        ci = space.member_cell(q_in)
+        ci = space.member_cell(p_in)
         if ci is None:
             return None, None, None
         for ki, (con, ev) in enumerate(zip(space.cells[ci], space._evals[ci])):
             try:
-                v = ev(q_out)
+                v = _evaluate(ev, p_out)
             except DomainError:
                 return ci, ki, con.text()
             if not con.satisfied(v, space.tol):
                 return ci, ki, con.text()
         return ci, None, None
 
-    return member, member_relaxed, witness_info
+    return space.contains, member_relaxed, witness_info
 
 
 def integrate(
@@ -617,7 +578,9 @@ def transport_vector(
 
     The carried vector solves the variational system v' = (Dx_field) v along
     the base trajectory, which is exactly the derivative of the flow map
-    applied to the initial vector.  Returns (image_point, vector).
+    applied to the initial vector.  Returns (image_point, vector).  Past
+    the maximal interval the ``FlowDomainError``'s partial point is the
+    point followed by the vector carried so far.
     """
     if x_field.dim != y_field.dim:
         raise ValueError("fields must share a dimension")
@@ -629,23 +592,8 @@ def transport_vector(
     v0 = y_field(x0)
     if t == 0.0:
         return x0.copy(), v0
-    base = x_field._value
-
-    def joint(z: list[float]) -> list[float]:
-        y = z[:n]
-        return base(y) + (x_field.jacobian_at(y) @ np.array(z[n:])).tolist()
-
-    member, member_relaxed, witness_info = _membership(space, opts, n_head=n)
-    res = _driver(2 * n, False)(joint, x0.tolist() + v0.tolist(), float(t), opts, member, member_relaxed, witness_info)
-    if not res.reached:
-        raise FlowDomainError(
-            f"flow of {x_field.label} from {x0.tolist()} leaves the space at "
-            f"t={res.t_end:.6g}, requested t={t:.6g}",
-            achieved_t=res.t_end,
-            partial_point=np.array(res.y_end[:n]),
-            exit_witness=res.exit_witness,
-        )
-    return np.array(res.y_end[:n]), np.array(res.y_end[n:])
+    end = _flow_core(space, x_field._variational, opts)(x0.tolist() + v0.tolist(), float(t))
+    return np.array(end[:n]), np.array(end[n:])
 
 
 # Classification ---------------------------------------------------------------

@@ -31,7 +31,6 @@ from .space import SubcartesianSpace
 
 MERGE_RADIUS = 1e-6
 RANK_TOL = 1e-8
-REPLAY_TOL = 1e-6
 
 FlowWord = tuple[tuple[int, float], ...]
 

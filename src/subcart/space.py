@@ -173,10 +173,15 @@ def _compile_slack(cells: Sequence[Cell]) -> Callable[[Sequence[float]], float]:
     return _build(src, "<slack>")
 
 
-def _on_numpy_floats(f: Callable, point: Sequence[float], *args):
-    """``f`` at the point's coordinates as numpy floats, whose ``**`` gives inf
-    where Python's raises ``OverflowError``; the warnings numpy would print
-    for that are off.  What overflows even there (``math.exp``) is an error."""
+def _evaluate(f: Callable, point: Sequence[float], *args):
+    """``f(point, *args)``, and where Python's float ``**`` raises
+    ``OverflowError``, ``f`` again at the point's coordinates as numpy floats,
+    whose ``**`` gives inf; the warnings numpy would print for that are off.
+    What overflows even there (``math.exp``) is an error."""
+    try:
+        return f(point, *args)
+    except OverflowError:
+        pass
     with np.errstate(all="ignore"):
         try:
             return f([np.float64(v) for v in point], *args)
@@ -209,12 +214,11 @@ class SubcartesianSpace:
         self._cell_tests: list[Optional[Callable]] = [None] * len(self.cells)
         self._eq_jets: list[Optional[Callable]] = [None] * len(self.cells)
 
-    def _first_cell(self, point: Sequence[float], tol: float) -> Optional[int]:
-        """Generate the predicate over all cells on first use, so a space that is
-        never tested, as in most symbolic commands, costs no ``compile()``; the
-        generated function then shadows this method on the instance."""
-        self._first_cell = _compile_cells(self.cells)
-        return self._first_cell(point, tol)
+    @functools.cached_property
+    def _first_cell(self) -> Callable[[Sequence[float], float], Optional[int]]:
+        """The predicate over all cells, generated on first use, so a space that
+        is never tested, as in most symbolic commands, costs no ``compile()``."""
+        return _compile_cells(self.cells)
 
     @functools.cached_property
     def _scan_key(self) -> Optional[str]:
@@ -235,29 +239,17 @@ class SubcartesianSpace:
         test = self._cell_tests[cell_index]
         if test is None:
             test = self._cell_tests[cell_index] = _compile_cells(self.cells[cell_index : cell_index + 1])
-        try:
-            return test(point, self.tol if tol is None else tol) is not None
-        except OverflowError:
-            return _on_numpy_floats(test, point, self.tol if tol is None else tol) is not None
+        return _evaluate(test, point, self.tol if tol is None else tol) is not None
 
     def contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
-        try:
-            return self._first_cell(point, self.tol if tol is None else tol) is not None
-        except OverflowError:
-            return _on_numpy_floats(self._first_cell, point, self.tol if tol is None else tol) is not None
+        return _evaluate(self._first_cell, point, self.tol if tol is None else tol) is not None
 
     def member_cell(self, point: Sequence[float], tol: Optional[float] = None) -> Optional[int]:
-        try:
-            return self._first_cell(point, self.tol if tol is None else tol)
-        except OverflowError:
-            return _on_numpy_floats(self._first_cell, point, self.tol if tol is None else tol)
+        return _evaluate(self._first_cell, point, self.tol if tol is None else tol)
 
     def closure_contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
         """Membership in the topological closure: strict relations relaxed."""
-        try:
-            return self._closure_cell(point, self.tol if tol is None else tol) is not None
-        except OverflowError:
-            return _on_numpy_floats(self._closure_cell, point, self.tol if tol is None else tol) is not None
+        return _evaluate(self._closure_cell, point, self.tol if tol is None else tol) is not None
 
     @functools.cached_property
     def _closure_cell(self) -> Callable[[Sequence[float], float], Optional[int]]:
@@ -273,10 +265,7 @@ class SubcartesianSpace:
         A NaN margin makes the slack NaN, as ``np.min``/``np.max`` would.
         The folds are one function generated on first use, like membership.
         """
-        try:
-            return self._slack(point)
-        except OverflowError:
-            return _on_numpy_floats(self._slack, point)
+        return _evaluate(self._slack, point)
 
     @functools.cached_property
     def _slack(self) -> Callable[[Sequence[float]], float]:

@@ -564,6 +564,24 @@ def test_flow_where_python_float_power_overflows(tmp_path):
     assert abs(x - want[0]) <= 1e-8 * 1e200 and abs(y - want[1]) <= 1e-8 * 1e200
 
 
+def test_exit_witness_where_an_earlier_constraint_overflows(tmp_path, capsys):
+    # the witness names the violated constraint after evaluating the cell's
+    # earlier ones, where (1e200 x1)^2 used to end in an internal OverflowError
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "overflow-exit",
+        "space": {"ambient_dim": 2, "locally_closed": True, "cells": [[
+            {"expr": "(1e200*x1)^2 + 1", "rel": "geq0"}, {"expr": "x2 - 1", "rel": "leq0"}]]},
+        "fields": {"v": ["0", "1"]},
+        "families": {"default": ["v"]},
+    }))
+    code, report, err = run(capsys, "flow", "--scenario", str(path), "--field", "v", "--point=0.5,0",
+                            "--horizon", "3")
+    assert code == 0 and err == ""
+    witness = report["result"]["exit_plus"]
+    assert witness["constraint_index"] == 1 and witness["constraint"] == "x2 - 1.0"
+
+
 # Near the origin of the box the squares are tiny, further out each product
 # overflows to inf and the slack is inf - inf = NaN: a drift fold that reads
 # NaN as 0 passed --check tangency, though v leaves {|x1| >= |x2|} at once.
@@ -619,7 +637,8 @@ def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     def broken(sc, args, tol):
         raise ZeroDivisionError("float division\nby zero")
 
-    monkeypatch.setitem(cli._HANDLERS, "flow", broken)
+    text, _, arguments = cli._COMMANDS["flow"]
+    monkeypatch.setitem(cli._COMMANDS, "flow", (text, broken, arguments))
     code, report, err = run(capsys, "flow", "--scenario", scenario_path("halfline"),
                             "--field", "ddx", "--point=0.5")
     assert code == 2

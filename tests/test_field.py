@@ -40,12 +40,6 @@ def test_field_basics():
         TangentField("empty", [])
 
 
-def test_jacobian_at():
-    f = make_field("f", ["x1*x2", "x1^2"], 2)
-    jac = f.jacobian_at([2.0, 3.0])
-    assert np.allclose(jac, [[3.0, 2.0], [4.0, 0.0]])
-
-
 def test_apply_directional_derivative():
     f = make_field("rot", ["-x2", "x1"], 2)
     r2 = parse("x1^2+x2^2", 2)

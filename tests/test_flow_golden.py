@@ -5,20 +5,25 @@ for flows also of the sample CSV, so any change to the integrator that moves
 a single bit of a curve, exit time, orbit cloud or drift shows up here.
 Direct ``transport_vector`` calls on a 4-dimensional field (joint state of
 length 8, past numpy's 8-term pairwise summation block) pin their results
-by ``float.hex``.
+by ``float.hex``, and the reference driver of ``test_flow`` backs those pins.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 
+import numpy as np
 import pytest
 
 from subcart.cli import main
-from subcart.flow import transport_vector
+from subcart.expr import compile_vector
+from subcart.flow import FlowOptions, transport_vector
 
 from conftest import make_field, scenario_path
+from test_flow import _hexes, _ref_drive
 
 # (name, argv with the scenario name in place of its path, exit code, sha256 of stdout)
 GOLDEN = [
@@ -117,19 +122,71 @@ def test_golden_report(capsys, tmp_path, name, argv, code, digest):
 
 # (t, image point, transported vector) by float.hex
 GOLDEN_TRANSPORT = [
-    (0.7, ["0x1.c0dc1523ec9ddp-4", "-0x1.47ae53bfb2e99p-2", "0x1.d0e54c542586ep-2", "-0x1.d88f5c71062aep-3"],
-     ["0x1.14126ad2169ffp+0", "-0x1.15df478941c1ap-2", "0x1.6cf4d13726838p-6", "0x1.94d9783106803p-4"]),
-    (5.0, ["0x1.17c7bb575c7aep-2", "0x1.d23671baba1bfp-3", "0x1.35c773b95f062p-4", "0x1.e27a4e5cf43cfp-2"],
-     ["-0x1.329f698710404p-2", "0x1.21140763cc6e2p+0", "0x1.4f37d7d198f8bp-3", "-0x1.25fabf4ddc913p-3"]),
-    (-3.0, ["-0x1.ff8d596413ccfp-3", "0x1.b9fcc54270d27p-3", "-0x1.c7f09a109a7eep-2", "0x1.69095dddff46bp-7"],
-     ["-0x1.22bb7581dcdd0p+0", "-0x1.bc1517bf788eap-2", "0x1.df0ae06a499f9p-5", "0x1.f8f97e71309d6p-4"]),
+    (0.7, ["0x1.c0dc1523ec9dcp-4", "-0x1.47ae53bfb2e9ap-2", "0x1.d0e54c542586dp-2", "-0x1.d88f5c71062a9p-3"],
+     ["0x1.14126ad216a00p+0", "-0x1.15df478941c1ap-2", "0x1.6cf4d13726834p-6", "0x1.94d9783106801p-4"]),
+    (5.0, ["0x1.17c7bb575c7b4p-2", "0x1.d23671baba1c1p-3", "0x1.35c773b95f052p-4", "0x1.e27a4e5cf43c4p-2"],
+     ["-0x1.329f698710409p-2", "0x1.21140763cc6e1p+0", "0x1.4f37d7d198f91p-3", "-0x1.25fabf4ddc915p-3"]),
+    (-3.0, ["-0x1.ff8d596413ce0p-3", "0x1.b9fcc54270d14p-3", "-0x1.c7f09a109a7ecp-2", "0x1.69095dddff29bp-7"],
+     ["-0x1.22bb7581dcdcdp+0", "-0x1.bc1517bf7890cp-2", "0x1.df0ae06a499eap-5", "0x1.f8f97e71309b5p-4"]),
 ]
+
+
+def _oscillator():
+    x_field = make_field("osc", ["x2", "-x1 - 0.3*x2*x3", "x4", "-x3 + 0.5*x1^2"], 4)
+    y_field = make_field("probe", ["1", "x3", "0", "x1*x2"], 4)
+    return x_field, y_field, [0.3, -0.2, 0.5, 0.1]
 
 
 @pytest.mark.parametrize("t,image_hex,vector_hex", GOLDEN_TRANSPORT)
 def test_golden_transport_vector_4d(t, image_hex, vector_hex):
-    x_field = make_field("osc", ["x2", "-x1 - 0.3*x2*x3", "x4", "-x3 + 0.5*x1^2"], 4)
-    y_field = make_field("probe", ["1", "x3", "0", "x1*x2"], 4)
-    image, vec = transport_vector(None, x_field, t, y_field, [0.3, -0.2, 0.5, 0.1])
+    x_field, y_field, x0 = _oscillator()
+    image, vec = transport_vector(None, x_field, t, y_field, x0)
     assert [float(v).hex() for v in image] == image_hex
     assert [float(v).hex() for v in vec] == vector_hex
+
+
+def _variational_rhs(x_field, blas: bool):
+    """The right-hand side of the point and the carried vector: the field,
+    then its Jacobian times the vector, as a numpy matrix product (BLAS,
+    whose rounding varies by CPU) or summed in order over the Jacobian's
+    entries that are not identically zero."""
+    n = x_field.dim
+    rows = x_field.jacobian_exprs()
+    jac = compile_vector([e for row in rows for e in row])
+
+    def rhs(z):
+        y, v = z[:n], z[n:]
+        j = jac(y)
+        if blas:
+            return x_field.value(y) + (np.array(j).reshape(n, n) @ np.array(v)).tolist()
+        carried = [functools.reduce(operator.add, [j[i * n + k] * v[k] for k, e in enumerate(row) if not e.is_zero],
+                                    0.0) for i, row in enumerate(rows)]
+        return x_field.value(y) + carried
+
+    return rhs
+
+
+def _reference_transport(x_field, y_field, x0, t, blas: bool) -> list[float]:
+    start = list(x0) + y_field.value(x0)
+    return _ref_drive(_variational_rhs(x_field, blas), start, t, FlowOptions(), None, None, None).y_end
+
+
+@pytest.mark.parametrize("t,image_hex,vector_hex", GOLDEN_TRANSPORT)
+def test_golden_transport_matches_the_reference_drives(t, image_hex, vector_hex):
+    x_field, y_field, x0 = _oscillator()
+    pinned = image_hex + vector_hex
+    # bit for bit the drive of the in-order sums the kernel computes inline
+    assert _hexes(_reference_transport(x_field, y_field, x0, t, False)) == pinned
+    # and close to the BLAS product transport used to call
+    blas = _reference_transport(x_field, y_field, x0, t, True)
+    assert all(abs(float.fromhex(h) - b) <= 1e-12 * abs(b) for h, b in zip(pinned, blas))
+
+
+@pytest.mark.parametrize("components", [["-x2", "x1"], ["0", "x1"], ["1", "0"]], ids=["rotation", "shear", "ddx"])
+@pytest.mark.parametrize("t", [0.7, 5.0, -3.0])
+def test_transport_keeps_the_blas_bytes_where_jacobian_rows_have_one_term(components, t):
+    # a product sum of one nonzero term rounds the same with and without FMA
+    x_field = make_field("x", components, 2)
+    y_field = make_field("y", ["1 + x2", "x1*x2"], 2)
+    image, vec = transport_vector(None, x_field, t, y_field, [0.3, -0.2])
+    assert _hexes(list(image) + list(vec)) == _hexes(_reference_transport(x_field, y_field, [0.3, -0.2], t, True))

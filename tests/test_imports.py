@@ -1,4 +1,4 @@
-"""The package's import surface: lazy exports, the README example, no unused imports."""
+"""The package's import surface: lazy exports, the README example, no unused imports or names."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,44 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for node in ast.walk(tree)
               for name, line in _bound_names(node) if name not in used]
     assert unused == [], f"{path} imports names it never uses: {unused}"
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``: loaded names, attribute names,
+    names inside string annotations and the strings listed in ``_EXPORTS``."""
+    refs = Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    refs.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for ann in filter(None, annotations):
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                refs.update(_references(ast.parse(c.value, mode="eval")))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            refs.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return refs
+
+
+def _top_level_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in defs if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_top_level_name_is_read_somewhere():
+    # a name no module reads, outside its own definition, is dead code; a
+    # mention in a comment or docstring does not count
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    dead = [f"{path}:{name}" for path, tree in trees.items() for name, node in _top_level_definitions(tree)
+            if refs[name] == _references(node)[name]]
+    assert dead == []

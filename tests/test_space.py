@@ -428,14 +428,21 @@ _coords = st.one_of(st.sampled_from(_edges), st.floats(-3.0, 3.0),
                     st.sampled_from([1e200, -1e200, 1e308, -1e308, 1e-200]))  # powers overflow
 
 
-@given(_spaces(), st.lists(_coords, min_size=N_PROP, max_size=N_PROP), st.booleans())
+@given(_spaces(), st.lists(_coords, min_size=N_PROP, max_size=N_PROP), st.booleans(),
+       st.lists(_coords, max_size=N_PROP))
 @example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)]], locally_closed=False),
-         [1.3758828927650757e-229, 1e-09], False)  # overflows on Python floats only
+         [1.3758828927650757e-229, 1e-09], False, [1e200])  # overflows on Python floats only
 @example(SubcartesianSpace(2, [[Constraint(parse("exp(x1)", 2), Rel.GE)]], locally_closed=False),
-         [1e200, 0.0], False)  # overflows on numpy floats too
+         [1e200, 0.0], False, [])  # overflows on numpy floats too
 @settings(max_examples=500, deadline=None)
-def test_generated_membership_matches_reference(space, coords, as_array):
+def test_generated_membership_matches_reference(space, coords, as_array, extra):
     x = np.array(coords) if as_array else coords
+    # coordinates after the space's, as a transported vector adds, change nothing
+    longer = np.array(coords + extra) if as_array else coords + extra
+    with np.errstate(all="ignore"):
+        for f in (space.contains, space.member_cell, space.closure_contains):
+            assert _outcome(f, longer) == _outcome(f, x)
+        assert repr(_outcome(space.slack, longer)) == repr(_outcome(space.slack, x))
     for tol in (None, RELAXED):
         t = space.tol if tol is None else tol
         with np.errstate(all="ignore"):  # inf - inf on numpy scalars
