@@ -549,7 +549,7 @@ def cmd_flow(sc: Scenario, args, tol) -> tuple[dict, int]:
     out = _csv_out(args)
     if out:
         header = ["t"] + [f"x{i + 1}" for i in range(sc.space.ambient_dim)]
-        write_csv(out, header, [[t] + [float(v) for v in p] for t, p in curve.samples])
+        write_csv(out, header, [[t] + p for t, p in curve.samples])
     return curve.to_json_dict(), EXIT_PASS
 
 

@@ -7,20 +7,20 @@ straight-line code over scalar locals, which costs far less than loops over
 lists or small numpy arrays.  Each component is computed with the
 operations, in the order, of the whole-array numpy expressions, and the
 norms sum in numpy's pairwise order, so results are bit-identical to a
-numpy stepper.  ``integrate`` and ``flow_map`` run the kernel of their field
-and space: a loop generated for that field, space and use of the samples,
-whose stages compute the field's components inline and whose scan tests the
-space's cells inline, with the emitters of expressions and of membership.
-``transport_vector`` runs the kernel of the field's variational field on
-R^2n, the point followed by the vector its Jacobian carries, whose cell
-tests read the point alone.  Kernels are compiled on first use (1-3.5 ms
-each on the shipped scenarios) and kept for the process in one table keyed
-by the source they are made of, so a field or space built anew with the same
-content finds its kernel.  Membership is monitored along every accepted step
-at evenly spaced points of the dense output, which double as the recorded
-samples for ``integrate``; ``flow_map`` and ``transport_vector`` keep no
-samples.  A space with a cell of no constraints holds everywhere, so there
-nothing is tested, and a kernel that neither tests nor records has no scan.
+numpy stepper.  ``integrate``, ``flow_map`` and the classifier's probes run
+the kernel of their field and space: a loop generated for that field, space
+and use of the samples, whose stages compute the field's components inline
+and whose scan tests the space's cells inline.  ``transport_vector`` runs
+the kernel of the field's variational field on R^2n, the point followed by
+the vector its Jacobian carries, whose cell tests read the point alone.
+Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
+and kept for the process in one table keyed by the source they are made
+of, so a field or space built anew with the same content finds its kernel.
+Membership is monitored along every accepted step at evenly spaced points
+of the dense output, which only ``integrate`` records, in one packed buffer
+per direction that a curve turns into (t, point) pairs when they are read.
+A space with a cell of no constraints holds everywhere, so there nothing is
+tested, and a kernel that neither tests nor records has no scan.
 Where Python's float ``**`` overflows in the scan, the space tests the point
 again on numpy floats.  On the first violation the exit time is located by
 bisection on the dense output down to 1e-12 in time.  Domain-guard failures
@@ -46,7 +46,7 @@ import operator
 import random
 import re
 from array import array
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,10 +66,9 @@ ATTAINED_FACTOR = 10.0
 class IntegrationError(RuntimeError):
     """Numerical failure of the stepper itself (not a domain exit)."""
 
-    def __init__(self, message: str, t: Optional[float] = None, samples=None):
+    def __init__(self, message: str, t: Optional[float] = None):
         super().__init__(message)
         self.t = t
-        self.samples = samples or []
 
 
 class FlowDomainError(RuntimeError):
@@ -114,15 +113,19 @@ class ExitWitness:
     constraint: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "point": list(self.point),
-            "attained": self.attained,
-            "guard": self.guard,
-            "cell_index": self.cell_index,
-            "constraint_index": self.constraint_index,
-            "constraint": self.constraint,
-        }
+        return asdict(self)
+
+
+class _Samples:
+    """Recorded (t, point) pairs, the points packed into one float buffer."""
+
+    def __init__(self, t0: float, p0: list[float]):
+        self.t = [t0]
+        self.x = array("d", p0)
+
+    def pairs(self) -> list[tuple[float, list[float]]]:
+        n = len(self.x) // len(self.t)
+        return [(t, self.x[i * n : i * n + n].tolist()) for i, t in enumerate(self.t)]
 
 
 @dataclass
@@ -135,12 +138,15 @@ class IntegralCurve:
     t_plus: float
     clipped_minus: bool
     clipped_plus: bool
-    samples: list[tuple[float, np.ndarray]]
+    forward: _Samples  # what each drive recorded, from t = 0 on
+    backward: _Samples
     exit_minus: Optional[ExitWitness] = None
     exit_plus: Optional[ExitWitness] = None
 
-    def interval_radius(self) -> float:
-        return min(-self.t_minus, self.t_plus)
+    @property
+    def samples(self) -> list[tuple[float, list[float]]]:
+        """The (t, point) pairs in time order, made anew from the buffers at each read."""
+        return [p for p in reversed(self.backward.pairs()) if p[0] < 0.0] + self.forward.pairs()
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,7 +156,7 @@ class IntegralCurve:
             "t_plus": self.t_plus,
             "clipped_minus": self.clipped_minus,
             "clipped_plus": self.clipped_plus,
-            "n_samples": len(self.samples),
+            "n_samples": len(self.forward.t) + sum(t < 0.0 for t in self.backward.t),
             "exit_minus": self.exit_minus.to_json_dict() if self.exit_minus else None,
             "exit_plus": self.exit_plus.to_json_dict() if self.exit_plus else None,
         }
@@ -208,17 +214,6 @@ def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
     half = n // 2
     half -= half % 8
     return add(_pairwise_sum(a[:half], add, zero), _pairwise_sum(a[half:], add, zero))
-
-
-class _Samples:
-    """Recorded (t, point) pairs, the points packed into one float buffer."""
-
-    def __init__(self, t0: float, p0: list[float]):
-        self.t = [t0]
-        self.x = array("d", p0)
-
-    def pairs(self) -> list[tuple[float, np.ndarray]]:
-        return list(zip(self.t, np.frombuffer(self.x).reshape(len(self.t), -1)))
 
 
 def _dense(coeffs: Sequence[tuple[float, ...]], theta: float) -> list[float]:
@@ -317,7 +312,7 @@ $start
     while True:
         n_steps += 1
         if n_steps > max_steps:
-            raise IntegrationError(f"exceeded {max_steps} steps at t={t}", t=t, samples=samples.pairs())
+            raise IntegrationError(f"exceeded {max_steps} steps at t={t}", t=t)
         landing = False
         remaining = target - t
         if abs(h) >= abs(remaining):
@@ -334,16 +329,16 @@ $stages
                 return _DriveResult(t, [$y], False, samples, witness, n_steps)
             continue
         except OverflowError:
-            raise IntegrationError(f"field overflows at t={t}", t=t, samples=samples.pairs()) from None
+            raise IntegrationError(f"field overflows at t={t}", t=t) from None
 $errors
         err = sqrt((0.0 + $sumsq) / $n)
         if not err <= 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
             if abs(h) < min_step:
-                raise IntegrationError(f"step size underflow at t={t}", t=t, samples=samples.pairs())
+                raise IntegrationError(f"step size underflow at t={t}", t=t)
             continue
         if t + h == t:
-            raise IntegrationError(f"step {h} does not advance t={t}", t=t, samples=samples.pairs())
+            raise IntegrationError(f"step {h} does not advance t={t}", t=t)
 $coeffs
 $scan
         $y = $yn
@@ -488,6 +483,23 @@ def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions):
     return space.contains, member_relaxed, witness_info
 
 
+def _drives(space: SubcartesianSpace, fld: TangentField, x0: np.ndarray, horizon: float,
+            opts: FlowOptions, record: bool) -> tuple[_DriveResult, _DriveResult]:
+    """The forward and backward drives of the curve through x0 clipped to
+    [-horizon, horizon], on the kernel that records samples or on the one
+    that keeps only the start and the exit point."""
+    horizon = float(horizon)
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    space.require_member(x0, "basepoint")
+    member, member_relaxed, witness_info = _membership(space, opts)
+    start = x0.tolist()
+    drive = _kernel(fld, space, record)
+    fwd = drive(start, horizon, opts, member, member_relaxed, witness_info, space.tol)
+    bwd = drive(start, -horizon, opts, member, member_relaxed, witness_info, space.tol)
+    return fwd, bwd
+
+
 def integrate(
     space: SubcartesianSpace,
     fld: TangentField,
@@ -502,17 +514,8 @@ def integrate(
     membership at the space's tolerance.
     """
     opts = options or FlowOptions()
-    h = opts.horizon if horizon is None else float(horizon)
-    if h <= 0:
-        raise ValueError(f"horizon must be positive, got {h}")
     x0 = np.asarray(x0, dtype=float)
-    space.require_member(x0, "basepoint")
-    member, member_relaxed, witness_info = _membership(space, opts)
-    start = x0.tolist()
-    drive = _kernel(fld, space, True)
-    fwd = drive(start, h, opts, member, member_relaxed, witness_info, space.tol)
-    bwd = drive(start, -h, opts, member, member_relaxed, witness_info, space.tol)
-    samples = [(t, p) for t, p in reversed(bwd.samples.pairs()) if t < 0.0] + fwd.samples.pairs()
+    fwd, bwd = _drives(space, fld, x0, opts.horizon if horizon is None else horizon, opts, True)
     return IntegralCurve(
         basepoint=x0,
         field_label=fld.label,
@@ -520,7 +523,8 @@ def integrate(
         t_plus=fwd.t_end,
         clipped_minus=bwd.reached,
         clipped_plus=fwd.reached,
-        samples=samples,
+        forward=fwd.samples,
+        backward=bwd.samples,
         exit_minus=bwd.exit_witness,
         exit_plus=fwd.exit_witness,
     )
@@ -592,7 +596,11 @@ def transport_vector(
     v0 = y_field(x0)
     if t == 0.0:
         return x0.copy(), v0
-    end = _flow_core(space, x_field._variational, opts)(x0.tolist() + v0.tolist(), float(t))
+    try:
+        end = _flow_core(space, x_field._variational, opts)(x0.tolist() + v0.tolist(), float(t))
+    except FlowDomainError as exc:  # the witness names a point of the space, not the joint state
+        exc.exit_witness = replace(exc.exit_witness, point=exc.exit_witness.point[:n])
+        raise
     return np.array(end[:n]), np.array(end[n:])
 
 
@@ -630,13 +638,7 @@ class VectorFieldVerdict:
     diagnostics: dict = dc_field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "witness": self.witness,
-            "probes_run": self.probes_run,
-            "notes": self.notes,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def classify_vector_field(
@@ -678,7 +680,7 @@ def classify_vector_field(
         m_here = math.inf
         for y in pts:
             try:
-                curve = integrate(space, fld, y, horizon=pr.probe_horizon, options=opts)
+                fwd, bwd = _drives(space, fld, y, pr.probe_horizon, opts, False)
             except IntegrationError as exc:
                 return VectorFieldVerdict(
                     INCONCLUSIVE,
@@ -689,20 +691,17 @@ def classify_vector_field(
                 )
             probes_run += 1
             if space.locally_closed:
-                for t_end, clipped, wit, side in (
-                    (curve.t_minus, curve.clipped_minus, curve.exit_minus, 0),
-                    (curve.t_plus, curve.clipped_plus, curve.exit_plus, -1),
-                ):
-                    if clipped or wit is None or not wit.attained:
+                for res in (bwd, fwd):
+                    wit = res.exit_witness
+                    if res.reached or wit is None or not wit.attained:
                         continue
-                    if abs(t_end) <= pr.eps_factor * r:
-                        endpoint = curve.samples[side][1]
+                    if abs(res.t_end) <= pr.eps_factor * r:
                         return VectorFieldVerdict(
                             NOT_VECTOR_FIELD,
                             witness={
                                 "kind": "attained-endpoint",
-                                "point": [float(v) for v in endpoint],
-                                "endpoint_time": t_end,
+                                "point": res.y_end,
+                                "endpoint_time": res.t_end,
                                 "probe_point": [float(v) for v in y],
                                 "level_radius": r,
                             },
@@ -710,9 +709,7 @@ def classify_vector_field(
                             notes=["interval endpoint attained inside the set"],
                             diagnostics={"radii": radii, "min_interval_radius": m_levels},
                         )
-            radius = curve.interval_radius()
-            if curve.clipped_minus and curve.clipped_plus:
-                radius = pr.probe_horizon
+            radius = min(-bwd.t_end, fwd.t_end)  # the horizon where both drives reach it
             if radius < m_here:
                 m_here = radius
                 if min_witness is None or level == pr.levels - 1:

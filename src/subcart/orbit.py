@@ -255,9 +255,6 @@ class OrbitSample:
     dimensions: list[int] = dc_field(default_factory=list)  # span dimension per point
     diagnostics: dict = dc_field(default_factory=dict)
 
-    def entries(self) -> list[tuple[np.ndarray, FlowWord]]:
-        return list(zip(self.points, self.words))
-
     def as_array(self) -> np.ndarray:
         return np.array(self.points)
 

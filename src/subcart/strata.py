@@ -262,7 +262,6 @@ def strongly_stratified_check(
         for p in pts:
             curve = integrate(ambient, fld, p, horizon=horizon, options=options)
             for t, q in curve.samples:
-                q = q.tolist()  # numpy scalars would warn where a product overflows
                 slack = s.space.slack(q)
                 if slack != slack:  # max(0.0, -nan) would read as no drift
                     raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {q}")

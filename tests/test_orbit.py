@@ -8,7 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcart.orbit import (
@@ -194,16 +194,20 @@ _LATTICE = st.integers(-6, 6)
     st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 5.5, math.inf]),
               st.floats(0.1, 8.0)),
     st.sampled_from([None, math.inf, -math.inf, math.nan]),
+    st.sampled_from([0, -1]),
 )
-def test_merge_index_matches_norm_scan(lattice, exponent, offset, radius_cells, odd):
+@example([[0, 0], [9, 0], [1, 0]], 0, 0.0, 1.0, math.nan, -1)
+def test_merge_index_matches_norm_scan(lattice, exponent, offset, radius_cells, odd, odd_axis):
     # lattice points make distances of exactly the radius (3-4-5 and axis
     # steps); the offsets push |x / side| past 2^50, onto the far list, and
-    # the smallest scales make squared differences underflow
+    # the smallest scales make squared differences underflow; a NaN in the
+    # last coordinate of a point whose first is far off is skipped before
+    # its distance, so only the index's NaN rule sees it
     scale = 2.0**exponent
     radius = radius_cells * scale
     pts = [np.array([offset * scale + v * scale for v in p]) for p in lattice]
     if odd is not None:
-        pts[len(pts) // 2][0] = odd
+        pts[len(pts) // 2][odd_axis] = odd
     _check_merges(pts, radius)
 
 
