@@ -46,7 +46,7 @@ _EXPORTS = {
         "jacobi_sample_residual", "leaf_sample", "reduce",
     ),
     "report": (),
-    "space": ("Constraint", "Rel", "SpaceError", "SubcartesianSpace", "sample_near"),
+    "space": ("Constraint", "Rel", "SpaceError", "SubcartesianSpace", "project_to_equalities", "sample_near"),
     "strata": (
         "FrontierReport", "StrataError", "StratifiedSpace", "Stratum", "frontier_check",
         "orbit_vs_strata", "strongly_stratified_check",

@@ -228,7 +228,7 @@ class _DriveResult:
     t_end: float
     y_end: list[float]
     reached: bool
-    samples: _Samples
+    samples: Optional[_Samples]  # None from a kernel that records nothing
     exit_witness: Optional[ExitWitness]
     n_steps: int = 0
 
@@ -253,7 +253,7 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, mem
     witness = ExitWitness(t=t + theta_out * h, point=tuple(p_out), attained=attained,
                           cell_index=info[0], constraint_index=info[1], constraint=info[2])
     t_end = t + theta_in * h
-    if samples.t[-1] != t_end:
+    if samples is not None and samples.t[-1] != t_end:
         samples.t.append(t_end)
         samples.x.extend(p_in)
     return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
@@ -278,7 +278,8 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, mem
 # inline at each scanned point p0.. of the dense output; where Python's
 # float ``**`` overflows in that test, ``member`` tests the point again on
 # numpy floats.  A kernel that neither scans nor records has no scan loop.
-# $scan keeps a scanned point as a sample only in a kernel that records.
+# Only a kernel that records builds the samples ($samples), and its $scan
+# keeps each scanned point in them; elsewhere ``samples`` is None.
 _DRIVER = """\
 def _drive(x0, target, opts, member, member_relaxed, witness_info, _tol):
     rtol = opts.rtol
@@ -289,9 +290,7 @@ def _drive(x0, target, opts, member, member_relaxed, witness_info, _tol):
     max_dt = opts.max_sample_dt
     span = abs(target)
     y = list(x0)
-    samples = _Samples(0.0, y)
-    sample_t = samples.t
-    sample_x = samples.x
+$samples
     if span == 0.0:
         return _DriveResult(0.0, y, True, samples, None)
     $y = y
@@ -424,6 +423,8 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         first=_indent(field(1, "y{}"), 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
         sumsq=sumsq("s"), scan=_indent(scan, 8),
+        samples=_indent(["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x"]
+                        if record else ["samples = None"], 4),
     )
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
@@ -436,8 +437,9 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace], record: bool)
     """The kernel of the field on the space, compiled on first use and kept for
     the process.
 
-    Only a kernel with ``record`` set keeps the scanned points as samples;
-    without it the samples hold the start and, after an exit, its last point.
+    Only a kernel with ``record`` set keeps the start, the scanned points
+    and, after an exit, its last point as samples; without it ``samples`` is
+    None.
     The table is keyed by the source the kernel is made of, the field's
     (``TangentField._source``) and the cell tests (``_scan_key``), never by
     ``Expr`` equality, which holds between constants 0.0 and -0.0 that
@@ -487,7 +489,7 @@ def _drives(space: SubcartesianSpace, fld: TangentField, x0: np.ndarray, horizon
             opts: FlowOptions, record: bool) -> tuple[_DriveResult, _DriveResult]:
     """The forward and backward drives of the curve through x0 clipped to
     [-horizon, horizon], on the kernel that records samples or on the one
-    that keeps only the start and the exit point."""
+    that records nothing."""
     horizon = float(horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")

@@ -19,6 +19,14 @@ Python's float ``**`` raises ``OverflowError`` where numpy's gives inf, so a
 point whose test overflows is tested again on numpy floats, with numpy's
 overflow warnings off; only that rare path pays for it.  What overflows on
 numpy floats too (``math.exp``) is a ``SpaceError`` naming the point.
+
+The Gauss-Newton projection onto a cell's equalities is generated the same
+way, one function per cell on its first projection: the equalities and
+their gradients inline, J J^T and J^T lam as in-order sums, and the m x m
+system solved by elimination with partial pivoting, all on Python floats,
+so no projected point depends on a BLAS build.  A projection whose
+equalities overflow fails, as one with a step that is not finite does.  The
+samplers draw, project and test on float lists.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +43,12 @@ from .expr import (
     _COMPILE_ENV,
     DomainError,
     Expr,
+    _const_source,
     _emit,
     compile_scalar,
-    compile_vector,
     gradient_exprs,
     to_text,
+    vector_source,
 )
 
 DEFAULT_TOL = 1e-9
@@ -142,7 +151,7 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
 
 
 def _build(src: list[str], name: str) -> Callable:
-    scope = dict(_COMPILE_ENV, _DomainError=DomainError)
+    scope = dict(_COMPILE_ENV, _DomainError=DomainError, _solve=_solve)
     exec(compile("\n".join(src) + "\n", name, "exec"), scope)
     return scope["_f"]
 
@@ -209,10 +218,9 @@ class SubcartesianSpace:
         self.cells: tuple[Cell, ...] = tuple(tuple(c) for c in cells)
         self.locally_closed = bool(locally_closed)
         self.tol = float(tol)
-        # one-cell predicates for the samplers and per equality cell the values
-        # and gradients of its equalities for projection, generated on first use
+        # one-cell predicates and projections for the samplers, generated on first use
         self._cell_tests: list[Optional[Callable]] = [None] * len(self.cells)
-        self._eq_jets: list[Optional[Callable]] = [None] * len(self.cells)
+        self._projections: list[Optional[Callable]] = [None] * len(self.cells)
 
     @functools.cached_property
     def _first_cell(self) -> Callable[[Sequence[float], float], Optional[int]]:
@@ -288,6 +296,95 @@ class SubcartesianSpace:
 # Cells with equality constraints have measure zero, so plain rejection
 # sampling never lands on them.  Draws are pulled toward the equality locus
 # with Gauss-Newton steps first, then filtered through full cell membership.
+# The samplers draw, project and test on float lists and make an ndarray only
+# of a sample they keep.
+
+def _solve(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
+    """x with a x = b, by elimination with partial pivoting (the first row of
+    largest magnitude, as LAPACK's idamax picks it) and column-wise back
+    substitution, or None where a pivot is exactly zero, as LAPACK's getrf
+    reports a singular matrix.  Overwrites a and b."""
+    m = len(b)
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(a[i][k]))
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            b[k], b[p] = b[p], b[k]
+        pivot = a[k][k]
+        if pivot == 0.0:
+            return None
+        for i in range(k + 1, m):
+            f = a[i][k] / pivot
+            for j in range(k + 1, m):
+                a[i][j] = a[i][j] - f * a[k][j]
+            b[i] = b[i] - f * b[k]
+    for k in reversed(range(m)):
+        b[k] = b[k] / a[k][k]
+        for i in range(k):
+            b[i] = b[i] - b[k] * a[i][k]
+    return b
+
+
+def _compile_projection(cell: Cell, n: int, tol: float) -> Callable[[list[float], int], Optional[list[float]]]:
+    """Generate ``f(x, max_iter)``: ``project_to_equalities`` of the cell on
+    float lists.
+
+    Each iteration computes the m equalities g and their gradients, the rows
+    of J, inline over the coordinates x0..; it stops when every |g_i| is at
+    most the target, forms J J^T with in-order sums, solves J J^T lam = g (for
+    m = 1 that is lam = g / d, else ``_solve``), takes the step J^T lam, again
+    in-order, and ends with None on a zero pivot or a step that is not
+    finite.  After ``max_iter`` steps the point is kept when every |g_i| is at
+    most ``tol``, so a NaN residual rejects it.  A constraint undefined at an
+    iterate (``DomainError``) or one whose power overflows on Python floats
+    also gives None; on numpy floats the latter would be inf and then a NaN
+    step.
+    """
+    eqs = [c.expr for c in cell if c.rel is Rel.EQ]
+    if not eqs:
+        return lambda x, max_iter: list(x)
+    m = len(eqs)
+    target = _const_source(min(tol * 1e-3, 1e-12))
+    xs = ", ".join(f"x{k}" for k in range(n))
+    lines, names = vector_source(eqs + [d for e in eqs for d in gradient_exprs(e, n)], "x{}")
+    g, J = names[:m], [names[m + i * n : m + i * n + n] for i in range(m)]
+
+    def dot(u: list[str], v: list[str]) -> str:
+        return " + ".join(f"{a} * {b}" for a, b in zip(u, v))
+
+    body = lines + [
+        f"if {' and '.join(f'abs({v}) <= {target}' for v in g)}:",
+        f"    return [{xs}]",
+    ]
+    body += [f"_a{i}_{j} = {dot(J[i], J[j])}" for i in range(m) for j in range(i + 1)]  # J J^T is symmetric
+    if m == 1:
+        body += ["if _a0_0 == 0.0:", "    return None", f"_l0 = {g[0]} / _a0_0"]
+    else:
+        rows = ", ".join("[" + ", ".join(f"_a{max(i, j)}_{min(i, j)}" for j in range(m)) + "]" for i in range(m))
+        body += [f"_l = _solve([{rows}], [{', '.join(g)}])", "if _l is None:", "    return None",
+                 f"{', '.join(f'_l{i}' for i in range(m))}, = _l"]
+    body += [f"_s{k} = {dot([J[i][k] for i in range(m)], [f'_l{i}' for i in range(m)])}" for k in range(n)]
+    body += [f"if not ({' and '.join(f'-_inf < _s{k} < _inf' for k in range(n))}):", "    return None"]
+    body += [f"x{k} = x{k} - _s{k}" for k in range(n)]
+    final, residuals = vector_source(eqs, "x{}")
+    src = ["def _f(_x, _max_iter):", f"    {xs}, = _x", "    try:", "        for _ in range(_max_iter):"]
+    src += [f"            {line}" for line in body] + [f"        {line}" for line in final]
+    src += ["    except (_DomainError, OverflowError):", "        return None",
+            f"    if {' and '.join(f'abs({v}) <= {_const_source(tol)}' for v in residuals)}:",
+            f"        return [{xs}]", "    return None"]
+    return _build(src, "<projection>")
+
+
+def _project(space: SubcartesianSpace, cell_index: int, start: list[float],
+             max_iter: int = 40) -> Optional[list[float]]:
+    """``project_to_equalities`` on float lists, by the cell's projection
+    function, generated on the cell's first projection and kept on the space."""
+    f = space._projections[cell_index]
+    if f is None:
+        f = space._projections[cell_index] = _compile_projection(
+            space.cells[cell_index], space.ambient_dim, space.tol)
+    return f(start, max_iter)
+
 
 def project_to_equalities(
     space: SubcartesianSpace,
@@ -297,53 +394,29 @@ def project_to_equalities(
 ) -> Optional[np.ndarray]:
     """Gauss-Newton projection of ``start`` onto the cell's equality locus.
 
-    Returns None when the iteration stalls or the constraint gradients are
-    degenerate at the iterate.  Inequalities of the cell are ignored here.
-    The values and gradients of the cell's equalities come from one function,
-    compiled on the cell's first projection and kept on the space.
+    Returns None when the iteration stalls, the constraint gradients are
+    degenerate at the iterate, or a constraint is undefined or overflows
+    there.  Inequalities of the cell are ignored here.
     """
-    eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
-    z = np.asarray(start, dtype=float).copy()
-    if not eqs:
-        return z
-    n = space.ambient_dim
-    jets = space._eq_jets[cell_index]
-    if jets is None:
-        jets = space._eq_jets[cell_index] = compile_vector(
-            [c.expr for c in eqs] + [d for c in eqs for d in gradient_exprs(c.expr, n)])
-    m = len(eqs)
-    target = min(space.tol * 1e-3, 1e-12)
-    for _ in range(max_iter):
-        try:
-            vals = jets(z.tolist())
-        except DomainError:
-            return None
-        g = np.array(vals[:m])
-        if np.max(np.abs(g)) <= target:
-            return z
-        J = np.array(vals[m:]).reshape(m, n)
-        JJT = J @ J.T
-        try:
-            lam = np.linalg.solve(JJT, g)
-        except np.linalg.LinAlgError:
-            return None
-        step = J.T @ lam
-        if not np.all(np.isfinite(step)):
-            return None
-        z = z - step
-    try:
-        final = max(abs(compile_scalar(c.expr)(z.tolist())) for c in eqs)
-    except DomainError:
-        return None
-    return z if final <= space.tol else None
+    z = _project(space, cell_index, [float(v) for v in start], max_iter)
+    return None if z is None else np.array(z)
 
 
-def _ball_draw(rng: random.Random, center: np.ndarray, radius: float) -> np.ndarray:
+def _sum_sq(v: Iterable[float]) -> float:
+    """The sum of squares in order: ``np.dot`` is a BLAS dot, which may fuse
+    multiply-adds, and the builtin ``sum`` compensates from Python 3.12."""
+    s = 0.0
+    for x in v:
+        s += x * x
+    return s
+
+
+def _ball_draw(rng: random.Random, center: list[float], radius: float) -> list[float]:
     n = len(center)
     while True:
-        u = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-        if float(np.dot(u, u)) <= 1.0:
-            return center + radius * u
+        u = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        if _sum_sq(u) <= 1.0:
+            return [c + radius * v for c, v in zip(center, u)]
 
 
 def sample_cell_near(
@@ -356,18 +429,16 @@ def sample_cell_near(
     max_tries: int = 0,
 ) -> list[np.ndarray]:
     """Sample up to ``count`` members of one cell from a ball around ``center``."""
-    center = np.asarray(center, dtype=float)
+    center = [float(v) for v in center]
     if max_tries <= 0:
         max_tries = 60 * count
     out: list[np.ndarray] = []
     for _ in range(max_tries):
         if len(out) >= count:
             break
-        z = project_to_equalities(space, cell_index, _ball_draw(rng, center, radius))
-        if z is None:
-            continue
-        if space.cell_contains(cell_index, z.tolist()):  # numpy scalars would warn where a power overflows
-            out.append(z)
+        z = _project(space, cell_index, _ball_draw(rng, center, radius))
+        if z is not None and space.cell_contains(cell_index, z):
+            out.append(np.array(z))
     return out
 
 
@@ -413,18 +484,14 @@ def sample_cell_box(
     max_tries: int = 0,
 ) -> list[np.ndarray]:
     """Sample up to ``count`` members of one cell from an axis box."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    box = [(float(a), float(b)) for a, b in zip(lo, hi)]
     if max_tries <= 0:
         max_tries = 80 * count
     out: list[np.ndarray] = []
     for _ in range(max_tries):
         if len(out) >= count:
             break
-        draw = np.array([rng.uniform(a, b) for a, b in zip(lo, hi)])
-        z = project_to_equalities(space, cell_index, draw)
-        if z is None:
-            continue
-        if space.cell_contains(cell_index, z.tolist()):  # numpy scalars would warn where a power overflows
-            out.append(z)
+        z = _project(space, cell_index, [rng.uniform(a, b) for a, b in box])
+        if z is not None and space.cell_contains(cell_index, z):
+            out.append(np.array(z))
     return out

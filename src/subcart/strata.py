@@ -29,7 +29,8 @@ from .orbit import FieldFamily, sample_orbit
 from .space import (
     SpaceError,
     SubcartesianSpace,
-    project_to_equalities,
+    _project,
+    _sum_sq,
     round_robin,
     sample_cell_box,
 )
@@ -102,16 +103,16 @@ def closure_distance(
     Combines Gauss-Newton projection onto each cell's equality locus
     (followed by a closure-membership check of the projected point) with
     the nearest sampled point of the space as a fallback.  Caller-level
-    tolerances should stay coarse: these are sampling estimates.
+    tolerances should stay coarse: these are sampling estimates.  The
+    projection and the distance to it are taken on float lists, the
+    distance as the root of the in-order sum of squares.
     """
-    p = np.asarray(point, dtype=float)
+    p = [float(v) for v in point]
     best = math.inf
     for ci in range(len(space.cells)):
-        z = project_to_equalities(space, ci, p)
-        if z is None:
-            continue
-        if space.closure_contains(z):
-            best = min(best, float(np.linalg.norm(p - z)))
+        z = _project(space, ci, p)
+        if z is not None and space.closure_contains(z):
+            best = min(best, math.sqrt(_sum_sq(a - b for a, b in zip(p, z))))
     if cloud is not None and cloud.size:
         best = min(best, float(np.min(np.linalg.norm(cloud - p, axis=1))))
     return best
@@ -155,28 +156,29 @@ def frontier_check(
     the closure of stratum N, every M sample must.
     """
     rng = random.Random(rng_seed)
-    clouds: list[list[np.ndarray]] = []
+    clouds: list[list[list[float]]] = []  # lists: numpy scalars would warn where a power overflows
+    arrays: list[np.ndarray] = []
     for s in ss.strata:
         pts = sample_space_box(s.space, lo, hi, budget_per_stratum, rng)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
-        clouds.append(pts)
-    arrays = [np.array(c) for c in clouds]
+        clouds.append([p.tolist() for p in pts])
+        arrays.append(np.array(pts))
 
     coverage_failures: list[dict] = []
     disjointness_failures: list[dict] = []
-    total_pts = sample_space_box(ss.total, lo, hi, coverage_budget, rng)
+    total_pts = [p.tolist() for p in sample_space_box(ss.total, lo, hi, coverage_budget, rng)]
     for p in total_pts:
         owners = [s.name for s in ss.strata if s.space.contains(p)]
         if not owners:
-            coverage_failures.append({"point": [float(v) for v in p], "strata": owners})
+            coverage_failures.append({"point": p, "strata": owners})
         elif len(owners) > 1:
-            disjointness_failures.append({"point": [float(v) for v in p], "strata": owners})
+            disjointness_failures.append({"point": p, "strata": owners})
     for i, pts in enumerate(clouds):
         for p in pts:
             owners = [s.name for s in ss.strata if s.space.contains(p)]
             if len(owners) > 1:
-                disjointness_failures.append({"point": [float(v) for v in p], "strata": owners})
+                disjointness_failures.append({"point": p, "strata": owners})
 
     contacts: list[dict] = []
     violations: list[dict] = []
@@ -191,9 +193,7 @@ def frontier_check(
             contacts.append({"m": m.name, "n": n.name, "min_distance": min(dists)})
             for p, d in zip(clouds[i], dists):
                 if d > frontier_tol:
-                    violations.append(
-                        {"m": m.name, "n": n.name, "point": [float(v) for v in p], "distance": d}
-                    )
+                    violations.append({"m": m.name, "n": n.name, "point": p, "distance": d})
     passed = not coverage_failures and not disjointness_failures and not violations
     return FrontierReport(
         passed=passed,

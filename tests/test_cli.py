@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -618,6 +619,20 @@ def test_strata_frontier_samples_without_numpy_warnings(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: stratum 'wedge' produced no samples in the given box\n"
+
+
+@pytest.mark.parametrize("check", [["frontier"], ["tangency", "--field", "rot"]])
+def test_strata_projection_overflow_exits_2_naming_the_stratum(tmp_path, capsys, check):
+    # over a box of side 2e160 x^2 + y^2 - z^2 overflows in Python floats at
+    # nearly every draw; such a projection fails like a non-finite step, so
+    # the surface gets no samples, where the overflow used to escape
+    cone = json.loads(Path(scenario_path("cone")).read_text())
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(dict(cone, box=[[-1e160] * 3, [1e160] * 3])))
+    code, report, err = run(capsys, "strata", "--scenario", str(path), "--check", *check)
+    assert code == 2
+    assert report == {}
+    assert err == "error: stratum 'surface' produced no samples in the given box\n"
 
 
 @pytest.mark.parametrize("frame, where", [(["v", "w"], "frame[1]"), ([3], "frame[0]"), ("v", "frame")])

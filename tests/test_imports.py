@@ -44,7 +44,7 @@ def test_every_export_resolves_and_is_listed():
         "    getattr(subcart, name)\n"
         "print(json.dumps([subcart.__all__, [n for n in subcart.__all__ if n not in listed]]))"
     ))
-    assert out[0] == sorted(set(out[0])) and len(out[0]) == 76
+    assert out[0] == sorted(set(out[0])) and len(out[0]) == 77
     assert out[1] == []
 
 

@@ -245,45 +245,166 @@ def _eval_jet_projection(space, cell_index, start, max_iter=40):
     return z if final <= space.tol else None
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in Path(SCENARIO_DIR).glob("*.json")))
-def test_compiled_projection_jets_match_eval_jet(name):
-    from subcart.cli import load_scenario
+def _inorder_solve(a, b):
+    """a x = b by elimination with partial pivoting (first row of largest
+    magnitude), column-wise back substitution, None on a zero pivot."""
+    m = len(b)
+    a = [list(row) for row in a]
+    b = list(b)
+    for k in range(m):
+        p = k
+        for i in range(k + 1, m):
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]
+        if a[k][k] == 0.0:
+            return None
+        for i in range(k + 1, m):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, m):
+                a[i][j] = a[i][j] - f * a[k][j]
+            b[i] = b[i] - f * b[k]
+    for k in reversed(range(m)):
+        b[k] = b[k] / a[k][k]
+        for i in range(k):
+            b[i] = b[i] - b[k] * a[i][k]
+    return b
 
-    sc = load_scenario(scenario_path(name))
-    for space in [sc.space] + [s.space for s in (sc.stratified.strata if sc.stratified else ())]:
-        _check_projection_jets(space)
+
+def _inorder(terms):
+    """A sum in order from its first term, as ``a + b + c`` spells it."""
+    terms = list(terms)
+    s = terms[0]
+    for t in terms[1:]:
+        s = s + t
+    return s
 
 
-def test_compiled_projection_jets_with_two_equalities():
-    # a circle in R^3: the gradients of two equalities fill a 2 x 3 Jacobian
-    _check_projection_jets(SubcartesianSpace(3, [[
-        Constraint(parse("x1^2 + x2^2 + x3^2 - 1", 3), Rel.EQ),
-        Constraint(parse("x3 - 0.3 * x1 + x2 * x3", 3), Rel.EQ),
-        Constraint(parse("x1", 3), Rel.GE),
-    ]], locally_closed=True))
-
-
-def _check_projection_jets(space):
-    rng = random.Random(5)
+def _inorder_projection(space, cell_index, start, max_iter=40):
+    """``project_to_equalities`` on Python floats: tree-walking jets, in-order
+    sums for J J^T and J^T lam, and a list solver; an overflow gives None."""
+    eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
+    z = [float(v) for v in start]
+    if not eqs:
+        return z
     n = space.ambient_dim
-    for ci, cell in enumerate(space.cells):
-        eqs = [c for c in cell if c.rel is Rel.EQ]
-        for k in range(40):
+    target = min(space.tol * 1e-3, 1e-12)
+    try:
+        for _ in range(max_iter):
+            jets = [_walk_jet(c.expr, z) for c in eqs]
+            g = [value for value, _ in jets]
+            if all(abs(v) <= target for v in g):
+                return z
+            J = [grad for _, grad in jets]
+            lam = _inorder_solve([[_inorder(a * b for a, b in zip(Ji, Jj)) for Jj in J] for Ji in J], g)
+            if lam is None:
+                return None
+            step = [_inorder(J[i][k] * lam[i] for i in range(len(eqs))) for k in range(n)]
+            if not all(math.isfinite(v) for v in step):
+                return None
+            z = [a - b for a, b in zip(z, step)]
+        final = [_walk(c.expr, z) for c in eqs]
+    except (DomainError, OverflowError):
+        return None
+    return z if all(abs(v) <= space.tol for v in final) else None
+
+
+def _hex_point(z):
+    return None if z is None else [float(v).hex() for v in z]
+
+
+def _check_projection(space, seed=5):
+    """The generated projection equals the in-order reference bit for bit and
+    stays within 1e-13 max(1, |z|) of the numpy one, with the same Nones."""
+    rng = random.Random(seed)
+    n = space.ambient_dim
+    for ci in range(len(space.cells)):
+        for k in range(60):
             start = [rng.uniform(-2.0, 2.0) for _ in range(n)]
             if k % 4 == 0:
                 start[rng.randrange(n)] = 0.0  # where roots and quotients are singular
-            want = _eval_jet_projection(space, ci, start, max_iter=3 + k % 5)
-            got = project_to_equalities(space, ci, start, max_iter=3 + k % 5)
-            assert (got is None and want is None) or got.tolist() == want.tolist()
-            if eqs:
-                try:
-                    jets = [_walk_jet(c.expr, start) for c in eqs]
-                except DomainError:
-                    with pytest.raises(DomainError):
-                        space._eq_jets[ci](start)
-                    continue
-                want_vals = [value for value, _ in jets] + [d for _, grad in jets for d in grad]
-                assert space._eq_jets[ci](start) == want_vals
+            max_iter = 40 if k % 3 == 0 else 3 + k % 5
+            got = project_to_equalities(space, ci, start, max_iter=max_iter)
+            assert _hex_point(got) == _hex_point(_inorder_projection(space, ci, start, max_iter)), (ci, start)
+            old = _eval_jet_projection(space, ci, start, max_iter)
+            assert (got is None) == (old is None), (ci, start, max_iter)
+            if got is not None:
+                scale = max(1.0, max(abs(v) for v in old))
+                assert max(abs(a - b) for a, b in zip(got, old)) <= 1e-13 * scale, (ci, start)
+
+
+def _shipped_spaces():
+    from subcart.cli import load_scenario
+
+    for name in sorted(p.stem for p in Path(SCENARIO_DIR).glob("*.json")):
+        sc = load_scenario(scenario_path(name))
+        yield name, [sc.space] + [s.space for s in (sc.stratified.strata if sc.stratified else ())]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in Path(SCENARIO_DIR).glob("*.json")))
+def test_compiled_projection_jets_match_eval_jet(name):
+    spaces = dict(_shipped_spaces())[name]
+    for space in spaces:
+        _check_projection(space)
+
+
+def _two_equalities():
+    # a circle in R^3: the gradients of two equalities fill a 2 x 3 Jacobian
+    return SubcartesianSpace(3, [[
+        Constraint(parse("x1^2 + x2^2 + x3^2 - 1", 3), Rel.EQ),
+        Constraint(parse("x3 - 0.3 * x1 + x2 * x3", 3), Rel.EQ),
+        Constraint(parse("x1", 3), Rel.GE),
+    ]], locally_closed=True)
+
+
+def test_compiled_projection_jets_with_two_equalities():
+    _check_projection(_two_equalities())
+    _check_projection(_two_equalities(), seed=6)
+    # the second gradient is 100 times the first, so elimination swaps rows
+    _check_projection(SubcartesianSpace(3, [[
+        Constraint(parse("0.1 * (x1 + x2 + x3^2) - 0.1", 3), Rel.EQ),
+        Constraint(parse("10 * x1 - 3 * x2^2 - 1", 3), Rel.EQ),
+    ]], locally_closed=True))
+
+
+CONE = [Constraint(parse("x1^2 + x2^2 - x3^2", 3), Rel.EQ), Constraint(parse("x3", 3), Rel.GT)]
+APEX = [Constraint(parse(f"x{i}", 3), Rel.EQ) for i in (1, 2, 3)]
+
+# Projections pinned as hex floats: (cell, ambient dimension, start, result).
+GOLDEN_PROJECTION = [
+    ([Constraint(parse("x1^2 + x2^2 - 1", 2), Rel.EQ)], 2, [1.3, 0.4], ["0x1.e95bddc1545e9p-1", "0x1.2d24d73be5268p-2"]),
+    (CONE, 3, [1.0, 0.5, 0.7], ["0x1.8b51a07058a92p-1", "0x1.8b51a07058a92p-2", "0x1.b9fadbbf02929p-1"]),
+    (CONE, 3, [-0.3, 1.7, 0.2], ["-0x1.4c9576f795c04p-4", "0x1.d729133414258p-2", "0x1.de70cbfeab135p-2"]),
+    (APEX, 3, [0.3, -0.2, 0.1], ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+    (_two_equalities().cells[0], 3, [0.9, -0.4, 0.6],
+     ["0x1.9b62e027ee43ap-1", "-0x1.b1d334c46a409p-2", "0x1.ac45c157214d2p-2"]),
+]
+
+
+@pytest.mark.parametrize("cell, n, start, want", GOLDEN_PROJECTION)
+def test_golden_projection(cell, n, start, want):
+    space = SubcartesianSpace(n, [cell], locally_closed=True)
+    assert _hex_point(project_to_equalities(space, 0, start)) == want
+
+
+def test_projection_edge_cases():
+    circ = unit_circle()
+    assert project_to_equalities(circ, 0, [0.0, 0.0]) is None  # J J^T = 0: a zero pivot
+    assert project_to_equalities(circ, 0, [math.nan, 0.5]) is None
+    assert project_to_equalities(circ, 0, [1e200, 0.0]) is None  # Python's float ** overflows
+    # parallel gradients: J J^T is singular, and the numpy reference agrees
+    parallel = SubcartesianSpace(2, [[Constraint(parse("x1 - 1", 2), Rel.EQ),
+                                      Constraint(parse("2 * x1 - 2", 2), Rel.EQ)]], locally_closed=True)
+    assert project_to_equalities(parallel, 0, [0.5, 0.3]) is None
+    assert _eval_jet_projection(parallel, 0, [0.5, 0.3]) is None
+    # a NaN residual after a finite one fails the acceptance test, which the
+    # old max(...) fold passed
+    nan_after = SubcartesianSpace(2, [[Constraint(parse("x1", 2), Rel.EQ),
+                                       Constraint(parse("x2 * 1e999", 2), Rel.EQ)]], locally_closed=True)
+    assert project_to_equalities(nan_after, 0, [0.0, 0.0], max_iter=0) is None
+    assert _eval_jet_projection(nan_after, 0, [0.0, 0.0], max_iter=0) is not None
+    # no equalities: the start itself
+    assert project_to_equalities(halfline(), 0, [0.5]).tolist() == [0.5]
 
 
 def test_sample_cell_near_circle_stays_on_locus():
