@@ -10,7 +10,16 @@ torsion residuals.
 
 The exports are lazy (PEP 562): ``import subcart`` imports no submodule,
 and a name, or a submodule such as ``subcart.flow``, is imported on its
-first use.  So ``import subcart.expr`` loads neither numpy nor the rest.
+first use.  So ``import subcart.expr`` loads no other module.
+
+No submodule imports numpy when it is imported; each function that needs
+numpy imports it when it runs.  So ``import subcart.cli``, loading a
+scenario, ``integrate``, ``classify_vector_field`` and the samplers never
+load numpy, and neither do the ``flow``, ``classify``, ``bracket`` and
+``strata --check tangency`` commands, unless a constraint overflows on
+Python floats and is tested again on numpy floats.  ``flow_map``,
+``transport_vector`` and the orbit, chart, Poisson, reduction and almost
+complex functions return ndarrays and load numpy on first use.
 """
 
 from __future__ import annotations

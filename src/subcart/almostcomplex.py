@@ -13,9 +13,7 @@ positivity, and torsion in one record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .expr import (
     Const,
@@ -32,6 +30,9 @@ from .expr import (
 )
 from .field import TangentField, lie_bracket
 from .report import worst_residual
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQUARE_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
@@ -63,10 +64,14 @@ class AlmostComplexStructure:
         self._value = compile_vector([e for row in self.matrix for e in row])
 
     def matrix_at(self, point: Sequence[float]) -> np.ndarray:
+        import numpy as np
+
         return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
 
     def square_residual(self, points: Sequence[Sequence[float]]) -> float:
         """Max entry of J(p) J(p) + I over the sample."""
+        import numpy as np
+
         eye = np.eye(self.dim)
         return worst_residual(float(np.max(np.abs(m @ m + eye))) for m in map(self.matrix_at, points))
 
@@ -133,6 +138,8 @@ def torsion(
 
 def max_norm(fld: TangentField, points: Sequence[Sequence[float]]) -> float:
     """Max Euclidean norm of the field over the sample, NaN if any norm is."""
+    import numpy as np
+
     return worst_residual(float(np.linalg.norm(fld(list(map(float, p))))) for p in points)
 
 
@@ -286,6 +293,8 @@ def kahler_check(
     Gram matrix over the given fields must be symmetric and positive.
     A pointwise singular omega is rejected outright.
     """
+    import numpy as np
+
     n = j.dim
     rows = [tuple(as_expr(e) for e in row) for row in omega]
     if len(rows) != n or any(len(r) != n for r in rows):

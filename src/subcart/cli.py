@@ -574,7 +574,7 @@ def cmd_bracket(sc: Scenario, args, tol) -> tuple[dict, int]:
     if args.point is not None:
         point = _parse_point_arg(args.point, sc.space.ambient_dim)
         result["point"] = point
-        result["value"] = [float(v) for v in b(point)]
+        result["value"] = [float(v) for v in b.value(point)]
     return result, EXIT_PASS
 
 
@@ -611,6 +611,10 @@ def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
     try:
         chart = chart_jacobian(fam, basis, point, tol_rank=tol["rank"], options=_flow_options(tol))
     except DependentBasisError as exc:
+        if fam.vanishes_at(point):  # a certified 0-dimensional orbit, not a failure
+            return {"verdict": "FixedPoint", "basepoint": point, "rank": 0,
+                    "detail": f"every field of {fam.labels()} vanishes at the point, "
+                              "so its orbit is the point alone"}, EXIT_PASS
         return {"verdict": "DependentBasis", "detail": str(exc)}, EXIT_FAIL
     result = {
         "verdict": "Chart",
@@ -784,7 +788,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         if args.point is not None:
             point = _parse_point_arg(args.point, sc.space.ambient_dim)
             result["point"] = point
-            result["value"] = [float(v) for v in n(point)]
+            result["value"] = [float(v) for v in n.value(point)]
         return result, EXIT_PASS
     if args.check == "cr":
         if not (args.f and args.h):

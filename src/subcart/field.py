@@ -11,11 +11,12 @@ matter.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .expr import Expr, Var, add, as_expr, compile_vector, diff, mul, to_text, vector_source, ZERO
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FieldError(ValueError):
@@ -46,6 +47,9 @@ class TangentField:
         return "\n".join(lines + names)
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
+        """The components at the point as an ndarray; ``value`` gives a float list."""
+        import numpy as np
+
         return np.array(self._value(point), dtype=float)
 
     def value(self, point: Sequence[float]) -> list[float]:

@@ -7,10 +7,11 @@ straight-line code over scalar locals, which costs far less than loops over
 lists or small numpy arrays.  Each component is computed with the
 operations, in the order, of the whole-array numpy expressions, and the
 norms sum in numpy's pairwise order, so results are bit-identical to a
-numpy stepper.  ``integrate``, ``flow_map`` and the classifier's probes run
-the kernel of their field and space: a loop generated for that field, space
-and use of the samples, whose stages compute the field's components inline
-and whose scan tests the space's cells inline.  ``transport_vector`` runs
+numpy stepper, though numpy is not imported for it.  ``integrate``,
+``flow_map`` and the classifier's probes run the kernel of their field and
+space: a loop generated for that field, space and use of the samples, whose
+stages compute the field's components inline and whose scan tests the
+space's cells inline.  ``transport_vector`` runs
 the kernel of the field's variational field on R^2n, the point followed by
 the vector its Jacobian carries, whose cell tests read the point alone.
 Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
@@ -22,10 +23,11 @@ per direction that a curve turns into (t, point) pairs when they are read.
 A space with a cell of no constraints holds everywhere, so there nothing is
 tested, and a kernel that neither tests nor records has no scan.
 Where Python's float ``**`` overflows in the scan, the space tests the point
-again on numpy floats.  On the first violation the exit time is located by
-bisection on the dense output down to 1e-12 in time.  Domain-guard failures
-inside the derivative (logs, roots, quotients) are treated as leaving the
-chart: the step is retried at half size down to 1e-14, then the curve ends.
+again on numpy floats, importing numpy then.  On the first violation the
+exit time is located by bisection on the dense output down to 1e-12 in
+time.  Domain-guard failures inside the derivative (logs, roots, quotients)
+are treated as leaving the chart: the step is retried at half size down to
+1e-14, then the curve ends.
 A starting step that is zero or not finite, a NaN error norm, an accepted
 step too short to advance t and a field whose value overflows (Python's
 float ``**`` raises there) are failures of the stepper itself.
@@ -47,13 +49,14 @@ import random
 import re
 from array import array
 from dataclasses import asdict, dataclass, field as dc_field, replace
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .field import TangentField
 from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
-from .space import Cell, SubcartesianSpace, _cells_test, _evaluate, sample_near
+from .space import Cell, SubcartesianSpace, _cells_test, _evaluate, _sum_sq, sample_near
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
@@ -72,9 +75,13 @@ class IntegrationError(RuntimeError):
 
 
 class FlowDomainError(RuntimeError):
-    """Requested flow time lies outside the maximal interval."""
+    """Requested flow time lies outside the maximal interval.
 
-    def __init__(self, message: str, achieved_t: float, partial_point: np.ndarray, exit_witness):
+    ``partial_point`` is where the flow stopped, a tuple of floats like
+    ``ExitWitness.point``.
+    """
+
+    def __init__(self, message: str, achieved_t: float, partial_point: tuple[float, ...], exit_witness):
         super().__init__(message)
         self.achieved_t = achieved_t
         self.partial_point = partial_point
@@ -132,7 +139,7 @@ class _Samples:
 class IntegralCurve:
     """One maximal (horizon-clipped) integral curve through a basepoint."""
 
-    basepoint: np.ndarray
+    basepoint: tuple[float, ...]
     field_label: str
     t_minus: float
     t_plus: float
@@ -277,7 +284,9 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, mem
 # stage state z0.. (yn0.. for the last stage), and tests the space's cells
 # inline at each scanned point p0.. of the dense output; where Python's
 # float ``**`` overflows in that test, ``member`` tests the point again on
-# numpy floats.  A kernel that neither scans nor records has no scan loop.
+# numpy floats (``space._evaluate``, which imports numpy on the process's
+# first such overflow, so a kernel runs without numpy until then).  A
+# kernel that neither scans nor records has no scan loop.
 # Only a kernel that records builds the samples ($samples), and its $scan
 # keeps each scanned point in them; elsewhere ``samples`` is None.
 _DRIVER = """\
@@ -485,20 +494,19 @@ def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions):
     return space.contains, member_relaxed, witness_info
 
 
-def _drives(space: SubcartesianSpace, fld: TangentField, x0: np.ndarray, horizon: float,
+def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], horizon: float,
             opts: FlowOptions, record: bool) -> tuple[_DriveResult, _DriveResult]:
-    """The forward and backward drives of the curve through x0 clipped to
-    [-horizon, horizon], on the kernel that records samples or on the one
-    that records nothing."""
+    """The forward and backward drives of the curve through x0, a sequence of
+    Python floats, clipped to [-horizon, horizon], on the kernel that records
+    samples or on the one that records nothing."""
     horizon = float(horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     space.require_member(x0, "basepoint")
     member, member_relaxed, witness_info = _membership(space, opts)
-    start = x0.tolist()
     drive = _kernel(fld, space, record)
-    fwd = drive(start, horizon, opts, member, member_relaxed, witness_info, space.tol)
-    bwd = drive(start, -horizon, opts, member, member_relaxed, witness_info, space.tol)
+    fwd = drive(x0, horizon, opts, member, member_relaxed, witness_info, space.tol)
+    bwd = drive(x0, -horizon, opts, member, member_relaxed, witness_info, space.tol)
     return fwd, bwd
 
 
@@ -516,7 +524,7 @@ def integrate(
     membership at the space's tolerance.
     """
     opts = options or FlowOptions()
-    x0 = np.asarray(x0, dtype=float)
+    x0 = tuple(float(v) for v in x0)
     fwd, bwd = _drives(space, fld, x0, opts.horizon if horizon is None else horizon, opts, True)
     return IntegralCurve(
         basepoint=x0,
@@ -547,7 +555,7 @@ def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,
                 f"flow of {fld.label} from {x0} leaves the space at "
                 f"t={res.t_end:.6g}, requested t={t:.6g}",
                 achieved_t=res.t_end,
-                partial_point=np.array(res.y_end),
+                partial_point=tuple(res.y_end),
                 exit_witness=res.exit_witness,
             )
         return res.y_end
@@ -562,7 +570,10 @@ def flow_map(
     t: float,
     options: Optional[FlowOptions] = None,
 ) -> np.ndarray:
-    """Time-t flow of the field applied to x0, erroring if t is out of range."""
+    """Time-t flow of the field applied to x0, as an ndarray, erroring if t is
+    out of range."""
+    import numpy as np
+
     opts = options or FlowOptions()
     x0 = np.asarray(x0, dtype=float)
     if space is not None:
@@ -588,6 +599,8 @@ def transport_vector(
     the maximal interval the ``FlowDomainError``'s partial point is the
     point followed by the vector carried so far.
     """
+    import numpy as np
+
     if x_field.dim != y_field.dim:
         raise ValueError("fields must share a dimension")
     opts = options or FlowOptions()
@@ -662,7 +675,7 @@ def classify_vector_field(
     pr = probe
     opts = options or FlowOptions()
     rng = random.Random(pr.rng_seed)
-    seeds = [np.asarray(s, dtype=float) for s in pr.seeds]
+    seeds = [[float(v) for v in s] for s in pr.seeds]
     if not seeds:
         raise ValueError("classification needs at least one seed point")
     for s in seeds:
@@ -671,12 +684,12 @@ def classify_vector_field(
     m_levels: list[float] = []
     radii: list[float] = []
     min_witness: Optional[dict] = None
-    last_level_points: list[np.ndarray] = []
+    last_level_points: list[list[float]] = []
 
     for level in range(pr.levels):
         r = pr.radius0 * pr.decay**level
         radii.append(r)
-        pts: list[np.ndarray] = list(seeds)
+        pts: list[list[float]] = list(seeds)
         for s in seeds:
             pts.extend(sample_near(space, s, r, pr.samples_per_level, rng))
         m_here = math.inf
@@ -738,14 +751,16 @@ def classify_vector_field(
             diagnostics=diagnostics,
         )
 
-    # Injectivity of the sampled time-eps flow at the finest level.
+    # Injectivity of the sampled time-eps flow at the finest level; the
+    # points are members, and distances are roots of in-order sums of squares.
     t_eps = 0.5 * min(m_last, pr.probe_horizon)
     inj = math.inf
     if t_eps > 0 and len(last_level_points) >= 2:
+        core = _flow_core(space, fld, opts)
         images = []
         for y in last_level_points:
             try:
-                images.append((y, flow_map(space, fld, y, t_eps, opts)))
+                images.append((y, core(y, t_eps)))
                 probes_run += 1
             except (FlowDomainError, IntegrationError):
                 images.append((y, None))
@@ -755,10 +770,10 @@ def classify_vector_field(
                 yj, zj = images[j]
                 if zi is None or zj is None:
                     continue
-                d0 = float(np.linalg.norm(yi - yj))
+                d0 = math.sqrt(_sum_sq(a - b for a, b in zip(yi, yj)))
                 if d0 < 1e-12:
                     continue
-                inj = min(inj, float(np.linalg.norm(zi - zj)) / d0)
+                inj = min(inj, math.sqrt(_sum_sq(a - b for a, b in zip(zi, zj))) / d0)
     diagnostics["injectivity_min_ratio"] = None if math.isinf(inj) else inj
 
     if m_last >= pr.pass_ratio * m_first and (math.isinf(inj) or inj >= pr.injectivity_floor):

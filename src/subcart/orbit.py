@@ -19,15 +19,17 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
+from .expr import DomainError
 from .field import TangentField
 from .flow import (
     FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, flow_map, transport_vector,
 )
 from .space import SubcartesianSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MERGE_RADIUS = 1e-6
 RANK_TOL = 1e-8
@@ -78,10 +80,21 @@ class FieldFamily:
 
     def value_matrix(self, point: Sequence[float]) -> np.ndarray:
         """Columns are the member fields evaluated at the point (n x m)."""
+        import numpy as np
+
         n = self.space.ambient_dim
         if not self.fields:
             return np.zeros((n, 0))
         return np.column_stack([f(point) for f in self.fields])
+
+    def vanishes_at(self, point: Sequence[float]) -> bool:
+        """Whether every field evaluates to exactly 0.0 at the point.  Then
+        every flow of the family fixes the point, and its orbit is the point
+        alone, a 0-dimensional manifold."""
+        try:
+            return all(v == 0.0 for f in self.fields for v in f.value(point))
+        except (DomainError, OverflowError):  # a field undefined there does not vanish
+            return False
 
 
 def check_word(family: FieldFamily, word: Sequence[tuple[int, float]]) -> FlowWord:
@@ -101,6 +114,8 @@ def reach(
     options: Optional[FlowOptions] = None,
 ) -> np.ndarray:
     """Replay a flow word from x0; the empty word is the identity."""
+    import numpy as np
+
     word = check_word(family, word)
     family.space.require_member(x0, "basepoint")
     y = np.asarray(x0, dtype=float)
@@ -109,7 +124,7 @@ def reach(
         try:
             y = flow_map(family.space, family.fields[idx], y, t, options)
         except FlowDomainError as exc:
-            trail.append(exc.partial_point)
+            trail.append(np.array(exc.partial_point))
             raise ReachError(
                 f"segment {k} (field {family.fields[idx].label!r}) exits at "
                 f"t={exc.achieved_t:.6g} before t={t:.6g}",
@@ -130,6 +145,8 @@ def span_dimensions(
     matrices of all points go through one stacked SVD, which computes each
     matrix exactly as a call of its own would.
     """
+    import numpy as np
+
     if not points:
         return []
     vals = array("d")
@@ -256,6 +273,8 @@ class OrbitSample:
     diagnostics: dict = dc_field(default_factory=dict)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.points)
 
 
@@ -274,8 +293,12 @@ def sample_orbit(
     Frontier points are expanded with one random duration per family field;
     candidates of a round are sorted canonically before dedup so the result
     does not depend on expansion interleaving.  Points within merge_radius
-    of an already collected point are merged away.
+    of an already collected point are merged away.  Where every field of
+    the family vanishes at x0, every flow fixes it: the cloud is x0 alone,
+    at once, with ``"fixed_point": true`` in the diagnostics.
     """
+    import numpy as np
+
     if budget < 1:
         raise OrbitError(f"budget must be at least 1, got {budget}")
     space = family.space
@@ -293,8 +316,9 @@ def sample_orbit(
     merged = 0
     failures = 0
     max_attempts = 40 * budget
+    fixed = family.vanishes_at(points[0])
 
-    while frontier and len(points) < budget and attempts < max_attempts:
+    while not fixed and frontier and len(points) < budget and attempts < max_attempts:
         i = frontier.popleft()
         base = points[i]
         word = words[i]
@@ -330,21 +354,24 @@ def sample_orbit(
 
     arrays = [np.array(p) for p in points]
     dims = span_dimensions(family, arrays, tol_rank)
+    diagnostics = {
+        "attempts": attempts,
+        "merged": merged,
+        "flow_failures": failures,
+        "span_dimensions": sorted(set(dims)),
+        "rng_seed": rng_seed,
+        "step_scale": step_scale,
+        "merge_radius": merge_radius,
+    }
+    if fixed:
+        diagnostics["fixed_point"] = True
     return OrbitSample(
         seed=seed,
         points=arrays,
         words=words,
         est_dimension=max(dims) if dims else 0,
         dimensions=dims,
-        diagnostics={
-            "attempts": attempts,
-            "merged": merged,
-            "flow_failures": failures,
-            "span_dimensions": sorted(set(dims)),
-            "rng_seed": rng_seed,
-            "step_scale": step_scale,
-            "merge_radius": merge_radius,
-        },
+        diagnostics=diagnostics,
     )
 
 
@@ -378,6 +405,8 @@ def chart_jacobian(
     options: Optional[FlowOptions] = None,
 ) -> Chart:
     """Build the chart differential at T=0 for the chosen basis fields."""
+    import numpy as np
+
     basis = tuple(int(b) for b in basis)
     for b in basis:
         if not 0 <= b < len(family):
@@ -483,6 +512,8 @@ class CompletenessReport:
 
 def _span_residual(matrix: np.ndarray, w: np.ndarray) -> float:
     """Distance from w to the column span of matrix."""
+    import numpy as np
+
     if matrix.size == 0 or not np.any(matrix):
         return float(np.linalg.norm(w))
     coef, *_ = np.linalg.lstsq(matrix, w, rcond=None)
@@ -512,16 +543,16 @@ def local_completeness_probe(
     from .space import sample_near
 
     rng = random.Random(rng_seed)
-    todo: list[tuple[np.ndarray, float, int, int]] = []
+    todo: list[tuple[list[float], float, int, int]] = []
     if probes is not None:
         for (x, t, i, j) in probes:
-            todo.append((np.asarray(x, dtype=float), float(t), int(i), int(j)))
+            todo.append(([float(v) for v in x], float(t), int(i), int(j)))
     else:
         if centers is None:
             raise OrbitError("randomized probing needs center points")
-        pts: list[np.ndarray] = []
+        pts: list[list[float]] = []
         for c in centers:
-            pts.extend(sample_near(family.space, np.asarray(c, dtype=float), radius, n_random, rng))
+            pts.extend(sample_near(family.space, c, radius, n_random, rng))
         for x in pts:
             i = rng.randrange(len(family))
             j = rng.randrange(len(family))

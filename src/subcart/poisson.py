@@ -38,9 +38,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .expr import (
     Const,
@@ -63,6 +61,9 @@ from .flow import FlowOptions, flow_map
 from .orbit import FieldFamily, OrbitSample, sample_orbit
 from .report import worst_residual
 from .space import SubcartesianSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FIT_TOL = 1e-10
 SNAP_TOL = 1e-9
@@ -87,11 +88,15 @@ class _Table:
     """
 
     def __init__(self, exprs: Sequence[Expr]):
+        import numpy as np
+
         self._const = np.array([e.value if isinstance(e, Const) else 0.0 for e in exprs])
         self._where = [i for i, e in enumerate(exprs) if not isinstance(e, Const)]
         self._value = compile_vector([exprs[i] for i in self._where])
 
     def __call__(self, points: Sequence[Sequence[float]]) -> np.ndarray:
+        import numpy as np
+
         out = np.tile(self._const, (len(points), 1))
         if self._where:
             out[:, self._where] = [self._value(x) for x in points]
@@ -141,6 +146,8 @@ class PoissonStructure:
         return _Table(schouten + flat + sym)
 
     def matrix_at(self, point: Sequence[float]) -> np.ndarray:
+        import numpy as np
+
         return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
 
     def jacobi_tensors(
@@ -157,6 +164,8 @@ class PoissonStructure:
         )
 
     def antisymmetry_residual(self, points: Sequence[Sequence[float]]) -> float:
+        import numpy as np
+
         return worst_residual(float(np.max(np.abs(m + m.T))) for m in map(self.matrix_at, points))
 
     @classmethod
@@ -221,6 +230,8 @@ def _cyclic_sums(
     large gradients cannot make inf * 0.  Overflow gives inf or NaN without
     a warning; the fold keeps it.
     """
+    import numpy as np
+
     j, pm, sym = p.jacobi_tensors(points)
     with np.errstate(all="ignore"):
         t = np.einsum("pijk,pk->pij", j, grads[:, 2])
@@ -246,6 +257,8 @@ def jacobi_residual(
 
     The gradients and Hessians of the triple are one ``compile_vector``.
     """
+    import numpy as np
+
     fs = [as_expr(f) for f in (f1, f2, f3)]
     for f in fs:
         if max_var_index(f) >= p.dim:
@@ -288,6 +301,8 @@ def jacobi_sample_residual(
     the monomials' gradient and Hessian tables.  No expression is built per
     triple.
     """
+    import numpy as np
+
     if n_points < 1:
         return 0.0
     # rng.uniform(a, b) is a + (b - a) * rng.random(); inlined, same floats
@@ -360,6 +375,8 @@ def invariance_residual(
     probe trajectories from perturbed basepoints are integrated in the
     ambient space, since coordinate perturbations leave thin varieties.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     xh = hamiltonian_field(p, h)
     image = flow_map(space, xh, x, t, options)
@@ -436,6 +453,8 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
     on fresh sample points.  Pairs with no representation within fit_tol
     are rejected by name.
     """
+    import numpy as np
+
     amb = setup.ambient
     sigma = [as_expr(s) for s in setup.invariants]
     m = len(sigma)

@@ -14,8 +14,6 @@ import json
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 class ReportError(ValueError):
     pass
@@ -30,18 +28,20 @@ def format_float(v: float) -> str:
 
 
 def _canon(obj, out: list[str]) -> None:
+    """Append the canonical text of ``obj``.  numpy values are told by duck
+    typing, so this module never imports numpy: ``np.float64`` is a
+    ``float``, and any other value with ``tolist`` (arrays, numpy integers,
+    booleans and narrower floats) is written as what ``tolist`` returns."""
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _canon(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -61,6 +61,8 @@ def _canon(obj, out: list[str]) -> None:
             out.append(":")
             _canon(obj[k], out)
         out.append("}")
+    elif hasattr(obj, "tolist"):
+        _canon(obj.tolist(), out)
     else:
         raise ReportError(f"cannot serialize {type(obj).__name__} into a report")
 
@@ -95,16 +97,19 @@ def sha256_hex(data) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Deterministic CSV: %.17g floats, LF line endings, no quoting needs."""
+    """Deterministic CSV: %.17g floats, LF line endings, no quoting needs.
+    A numpy scalar is written as what its ``tolist`` returns."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for cell in row:
+            if hasattr(cell, "tolist"):
+                cell = cell.tolist()
             if isinstance(cell, bool):
                 cells.append("true" if cell else "false")
-            elif isinstance(cell, (float, np.floating)):
+            elif isinstance(cell, float):
                 cells.append(format_float(float(cell)))
-            elif isinstance(cell, (int, np.integer)):
+            elif isinstance(cell, int):
                 cells.append(str(int(cell)))
             else:
                 text = str(cell)

@@ -35,9 +35,7 @@ import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .expr import (
     _COMPILE_ENV,
@@ -50,6 +48,9 @@ from .expr import (
     to_text,
     vector_source,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -186,11 +187,14 @@ def _evaluate(f: Callable, point: Sequence[float], *args):
     """``f(point, *args)``, and where Python's float ``**`` raises
     ``OverflowError``, ``f`` again at the point's coordinates as numpy floats,
     whose ``**`` gives inf; the warnings numpy would print for that are off.
-    What overflows even there (``math.exp``) is an error."""
+    What overflows even there (``math.exp``) is an error.  numpy is
+    imported here, on the first overflow, and nowhere on the way to it."""
     try:
         return f(point, *args)
     except OverflowError:
         pass
+    import numpy as np
+
     with np.errstate(all="ignore"):
         try:
             return f([np.float64(v) for v in point], *args)
@@ -280,7 +284,7 @@ class SubcartesianSpace:
         return _compile_slack(self.cells)
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:
-        if isinstance(point, np.ndarray):
+        if hasattr(point, "tolist"):
             point = point.tolist()  # numpy scalars would warn where a power overflows
         if not self.contains(point):
             raise SpaceError(f"{what} {list(map(float, point))} is not in the space (slack {self.slack(point):.3e})")
@@ -296,8 +300,7 @@ class SubcartesianSpace:
 # Cells with equality constraints have measure zero, so plain rejection
 # sampling never lands on them.  Draws are pulled toward the equality locus
 # with Gauss-Newton steps first, then filtered through full cell membership.
-# The samplers draw, project and test on float lists and make an ndarray only
-# of a sample they keep.
+# The samplers draw, project and test on float lists and return float lists.
 
 def _solve(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
     """x with a x = b, by elimination with partial pivoting (the first row of
@@ -398,6 +401,8 @@ def project_to_equalities(
     degenerate at the iterate, or a constraint is undefined or overflows
     there.  Inequalities of the cell are ignored here.
     """
+    import numpy as np
+
     z = _project(space, cell_index, [float(v) for v in start], max_iter)
     return None if z is None else np.array(z)
 
@@ -427,31 +432,31 @@ def sample_cell_near(
     count: int,
     rng: random.Random,
     max_tries: int = 0,
-) -> list[np.ndarray]:
+) -> list[list[float]]:
     """Sample up to ``count`` members of one cell from a ball around ``center``."""
     center = [float(v) for v in center]
     if max_tries <= 0:
         max_tries = 60 * count
-    out: list[np.ndarray] = []
+    out: list[list[float]] = []
     for _ in range(max_tries):
         if len(out) >= count:
             break
         z = _project(space, cell_index, _ball_draw(rng, center, radius))
         if z is not None and space.cell_contains(cell_index, z):
-            out.append(np.array(z))
+            out.append(z)
     return out
 
 
 def round_robin(
     space: SubcartesianSpace,
     count: int,
-    sample_cell: Callable[[int, int], list[np.ndarray]],
-) -> list[np.ndarray]:
+    sample_cell: Callable[[int, int], list[list[float]]],
+) -> list[list[float]]:
     """``count`` samples split over the cells in order: of k cells the first
     ``count % k`` ask one more than ``count // k``.  ``sample_cell(i, c)``
     samples c members of cell i; a cell whose share is 0 is not asked."""
     k = len(space.cells)
-    out: list[np.ndarray] = []
+    out: list[list[float]] = []
     for i in range(k):
         c = count // k + (1 if i < count % k else 0)
         if c:
@@ -465,7 +470,7 @@ def sample_near(
     radius: float,
     count: int,
     rng: random.Random,
-) -> list[np.ndarray]:
+) -> list[list[float]]:
     """Sample members of the space near ``center``, visiting cells round-robin.
 
     Cells that have no members in the ball simply contribute nothing; the
@@ -482,16 +487,16 @@ def sample_cell_box(
     count: int,
     rng: random.Random,
     max_tries: int = 0,
-) -> list[np.ndarray]:
+) -> list[list[float]]:
     """Sample up to ``count`` members of one cell from an axis box."""
     box = [(float(a), float(b)) for a, b in zip(lo, hi)]
     if max_tries <= 0:
         max_tries = 80 * count
-    out: list[np.ndarray] = []
+    out: list[list[float]] = []
     for _ in range(max_tries):
         if len(out) >= count:
             break
         z = _project(space, cell_index, [rng.uniform(a, b) for a, b in box])
         if z is not None and space.cell_contains(cell_index, z):
-            out.append(np.array(z))
+            out.append(z)
     return out

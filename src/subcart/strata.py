@@ -19,9 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .field import TangentField
 from .flow import FlowOptions, integrate
@@ -34,6 +32,9 @@ from .space import (
     round_robin,
     sample_cell_box,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FRONTIER_TOL = 1e-4
 DRIFT_TOL = 1e-8
@@ -88,7 +89,7 @@ def sample_space_box(
     hi: Sequence[float],
     count: int,
     rng: random.Random,
-) -> list[np.ndarray]:
+) -> list[list[float]]:
     """Box sampling across all cells of a space, round-robin."""
     return round_robin(space, count, lambda i, c: sample_cell_box(space, i, lo, hi, c, rng))
 
@@ -114,6 +115,8 @@ def closure_distance(
         if z is not None and space.closure_contains(z):
             best = min(best, math.sqrt(_sum_sq(a - b for a, b in zip(p, z))))
     if cloud is not None and cloud.size:
+        import numpy as np
+
         best = min(best, float(np.min(np.linalg.norm(cloud - p, axis=1))))
     return best
 
@@ -155,6 +158,8 @@ def frontier_check(
     Frontier: whenever some sample of stratum M sits within frontier_tol of
     the closure of stratum N, every M sample must.
     """
+    import numpy as np
+
     rng = random.Random(rng_seed)
     clouds: list[list[list[float]]] = []  # lists: numpy scalars would warn where a power overflows
     arrays: list[np.ndarray] = []
@@ -162,12 +167,12 @@ def frontier_check(
         pts = sample_space_box(s.space, lo, hi, budget_per_stratum, rng)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
-        clouds.append([p.tolist() for p in pts])
+        clouds.append(pts)
         arrays.append(np.array(pts))
 
     coverage_failures: list[dict] = []
     disjointness_failures: list[dict] = []
-    total_pts = [p.tolist() for p in sample_space_box(ss.total, lo, hi, coverage_budget, rng)]
+    total_pts = sample_space_box(ss.total, lo, hi, coverage_budget, rng)
     for p in total_pts:
         owners = [s.name for s in ss.strata if s.space.contains(p)]
         if not owners:
@@ -328,6 +333,8 @@ def orbit_vs_strata(
     stratum by the orbit cloud is reported as evidence at cover_radius
     resolution, far coarser than the orbit merge radius.
     """
+    import numpy as np
+
     precondition: list[dict] = []
     for f in family.fields:
         rep = strongly_stratified_check(

@@ -20,6 +20,7 @@ from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
 
 from conftest import scenario_path
+from test_imports import _fresh
 
 
 def run(capsys, *argv: str) -> tuple[int, dict, str]:
@@ -149,6 +150,36 @@ def test_chart_dependent_basis_exit(capsys):
     assert code2 == 0
     assert rep2["result"]["rank"] == 2
     assert rep2["result"]["agreement"] <= 1e-5
+
+
+# Every field of the family vanishes at these points, so each orbit is the
+# point alone: the exploration merged 16,000 and 20,001 attempts back into it.
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--scenario", scenario_path("cone"), "--point=0,0,0"],
+    ["leaf", "--scenario", scenario_path("reduction_r4"), "--point=0,0,0,0"],
+])
+def test_orbit_of_a_fixed_point_is_the_point_at_once(capsys, argv):
+    code, rep, _ = run(capsys, *argv)
+    assert code == 0
+    result = rep["result"]
+    assert (result["n_points"], result["est_dimension"]) == (1, 0)
+    d = result["diagnostics"]
+    assert (d["attempts"], d["merged"], d["flow_failures"], d["fixed_point"]) == (0, 0, 0, True)
+    assert d["span_dimensions"] == [0]
+
+
+def test_chart_at_a_fixed_point_is_0_dimensional(capsys):
+    code, rep, _ = run(capsys, "chart", "--scenario", scenario_path("cone"), "--point=0,0,0")
+    assert code == 0
+    result = rep["result"]
+    assert (result["verdict"], result["rank"], result["basepoint"]) == ("FixedPoint", 0, [0, 0, 0])
+    # one vanishing field of two is no fixed point: ddx moves the axis x = 0
+    code, rep, _ = run(capsys, "chart", "--scenario", scenario_path("translate_shear"), "--point=0,0.5")
+    assert (code, rep["result"]["verdict"]) == (1, "DependentBasis")
+    code, rep, _ = run(capsys, "orbit", "--scenario", scenario_path("translate_shear"), "--point=0,0.5",
+                       "--budget", "40")
+    assert code == 0 and rep["result"]["n_points"] == 40
+    assert "fixed_point" not in rep["result"]["diagnostics"]
 
 
 def test_complete_probe_pass_and_fail(capsys):
@@ -565,22 +596,45 @@ def test_flow_where_python_float_power_overflows(tmp_path):
     assert abs(x - want[0]) <= 1e-8 * 1e200 and abs(y - want[1]) <= 1e-8 * 1e200
 
 
+OVERFLOW_EXIT = {
+    "name": "overflow-exit",
+    "space": {"ambient_dim": 2, "locally_closed": True, "cells": [[
+        {"expr": "(1e200*x1)^2 + 1", "rel": "geq0"}, {"expr": "x2 - 1", "rel": "leq0"}]]},
+    "fields": {"v": ["0", "1"]},
+    "families": {"default": ["v"]},
+}
+
+
+def _overflow_exit_argv(tmp_path) -> list[str]:
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_EXIT))
+    return ["flow", "--scenario", str(path), "--field", "v", "--point=0.5,0", "--horizon", "3"]
+
+
 def test_exit_witness_where_an_earlier_constraint_overflows(tmp_path, capsys):
     # the witness names the violated constraint after evaluating the cell's
     # earlier ones, where (1e200 x1)^2 used to end in an internal OverflowError
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps({
-        "name": "overflow-exit",
-        "space": {"ambient_dim": 2, "locally_closed": True, "cells": [[
-            {"expr": "(1e200*x1)^2 + 1", "rel": "geq0"}, {"expr": "x2 - 1", "rel": "leq0"}]]},
-        "fields": {"v": ["0", "1"]},
-        "families": {"default": ["v"]},
-    }))
-    code, report, err = run(capsys, "flow", "--scenario", str(path), "--field", "v", "--point=0.5,0",
-                            "--horizon", "3")
+    code, report, err = run(capsys, *_overflow_exit_argv(tmp_path))
     assert code == 0 and err == ""
     witness = report["result"]["exit_plus"]
     assert witness["constraint_index"] == 1 and witness["constraint"] == "x2 - 1.0"
+
+
+def test_overflow_retry_imports_numpy_in_a_fresh_interpreter(tmp_path, capsys):
+    # every membership test of this flow overflows on Python floats; the
+    # retry on numpy floats imports numpy, which the child has not loaded yet
+    argv = _overflow_exit_argv(tmp_path)
+    before, after, code, out = json.loads(_fresh(
+        "import contextlib, io, json, sys\n"
+        "from subcart.cli import main\n"
+        "before = 'numpy' in sys.modules\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, code, buf.getvalue()]))"
+    ))
+    assert (before, after) == (False, True)
+    assert (code, out) == run_bytes(capsys, *argv)
 
 
 # Near the origin of the box the squares are tiny, further out each product

@@ -64,6 +64,9 @@ def test_translation_exits_halfline():
     assert err.exit_witness is not None
     assert err.exit_witness.attained
     assert abs(err.exit_witness.point[0]) <= 1e-6
+    # where the flow stopped, as Python floats, like the witness point
+    assert type(err.partial_point) is tuple and type(err.partial_point[0]) is float
+    assert abs(err.partial_point[0]) <= 1e-6
 
 
 def test_integrate_halfline_endpoint_attained():
@@ -216,6 +219,11 @@ def test_transport_vector_exit():
     witness = err.value.exit_witness
     assert witness.attained and witness.constraint == "x1"
     assert len(witness.point) == 1  # the exit point alone, without the carried vector
+
+
+def test_integrate_keeps_the_basepoint_as_floats():
+    curve = integrate(halfline(), make_field("ddx", ["1"], 1), np.array([0]), horizon=1.0)
+    assert curve.basepoint == (0.0,) and type(curve.basepoint[0]) is float
 
 
 def test_integrate_deterministic():
@@ -610,7 +618,7 @@ def test_probe_kernel_ends_like_the_recording_kernel_on_shipped_fields(scenario,
     rng = random.Random(5)
     kinds = set()
     for seed in (s for seeds in sc.seeds.values() for s in seeds if sc.space.contains(s)):
-        for x0 in [seed] + [p.tolist() for p in sample_near(sc.space, seed, 0.5, 6, rng)]:
+        for x0 in [seed] + [list(p) for p in sample_near(sc.space, seed, 0.5, 6, rng)]:
             for target in (1.0, -1.0, 3.0, -3.0):
                 kinds.add(_probe_matches_recording(fld, sc.space, x0, target, FlowOptions()))
     want = {("cone", "ddz"): "attained", ("halfline", "ddx"): "attained",

@@ -12,15 +12,22 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import operator
+import random
 
 import numpy as np
 import pytest
 
-from subcart.cli import main
+from subcart.cli import load_scenario, main
 from subcart.expr import compile_vector
-from subcart.flow import FlowOptions, transport_vector
+from subcart.flow import (
+    FlowDomainError, FlowOptions, IntegrationError, ProbeOptions, classify_vector_field, flow_map,
+    transport_vector,
+)
+from subcart.space import sample_near
 
 from conftest import make_field, scenario_path
 from test_flow import _hexes, _ref_drive
@@ -48,7 +55,7 @@ GOLDEN = [
     ("classify-halfline-ddx", ["classify", "--scenario", "halfline", "--field", "ddx"],
      1, "436eb97a046f1e8f68feafffacad10b41b1fc052c97dfc87a29a0fe04de977a0"),
     ("classify-circle-rot", ["classify", "--scenario", "circle", "--field", "rot"],
-     0, "aca136d34b5e85244efc9af4091940bb53aa3b7a4e17ea11eb9c5b522689b06c"),
+     0, "88d89798fa3a996089420d51eb23aa665b0b393948c289d587e25e97e5b9386c"),
     ("orbit-translate_shear", ["orbit", "--scenario", "translate_shear", "--point=0.2,-0.3",
                                "--budget", "60", "--seed", "3"],
      0, "329966c71fac9213df57aeccf4765fcbdebd132f7ba536345b379d6c66b96507"),
@@ -190,3 +197,46 @@ def test_transport_keeps_the_blas_bytes_where_jacobian_rows_have_one_term(compon
     y_field = make_field("y", ["1 + x2", "x1*x2"], 2)
     image, vec = transport_vector(None, x_field, t, y_field, [0.3, -0.2])
     assert _hexes(list(image) + list(vec)) == _hexes(_reference_transport(x_field, y_field, [0.3, -0.2], t, True))
+
+
+def _blas_injectivity_ratio(space, fld, probe: ProbeOptions, m_last: float) -> float:
+    """The classifier's injectivity ratio as it was computed before its
+    distances became in-order sums: ``np.linalg.norm`` of each difference (a
+    BLAS dot) over the finest level's points and their ``flow_map`` images.
+    The points are drawn as the classifier draws them, whose probes take
+    nothing from the generator."""
+    rng = random.Random(probe.rng_seed)
+    for level in range(probe.levels):
+        r = probe.radius0 * probe.decay**level
+        pts = [list(s) for s in probe.seeds]
+        for s in probe.seeds:
+            pts.extend(sample_near(space, s, r, probe.samples_per_level, rng))
+    t_eps = 0.5 * min(m_last, probe.probe_horizon)
+    images = []
+    for y in pts:
+        try:
+            images.append((np.array(y), flow_map(space, fld, y, t_eps)))
+        except (FlowDomainError, IntegrationError):
+            pass
+    return min(float(np.linalg.norm(zi - zj)) / float(np.linalg.norm(yi - yj))
+               for (yi, zi), (yj, zj) in itertools.combinations(images, 2)
+               if float(np.linalg.norm(yi - yj)) >= 1e-12)
+
+
+# (scenario, field, seed set, ratio with np.linalg.norm, ratio now); the
+# golden hash of classify-circle-rot moved with its ratio, by 1 ulp
+INJECTIVITY = [
+    ("circle", "rot", "default", 0.9999999979739123, 0.9999999979739121),
+    ("halfline", "xddx", "interior", 1.6487212708266112, 1.6487212708266112),
+]
+
+
+@pytest.mark.parametrize("scenario,field,seeds,blas,now", INJECTIVITY, ids=[c[0] for c in INJECTIVITY])
+def test_injectivity_ratio_agrees_with_the_blas_norm(scenario, field, seeds, blas, now):
+    sc = load_scenario(scenario_path(scenario))
+    probe = ProbeOptions(seeds=tuple(tuple(s) for s in sc.seeds[seeds]))
+    verdict = classify_vector_field(sc.space, sc.field(field), probe)
+    ratio = verdict.diagnostics["injectivity_min_ratio"]
+    old = _blas_injectivity_ratio(sc.space, sc.field(field), probe, verdict.diagnostics["min_interval_radius"][-1])
+    assert (old, ratio) == (blas, now)
+    assert abs(ratio - old) <= 4 * math.ulp(old)

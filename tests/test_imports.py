@@ -36,6 +36,67 @@ def test_expr_alone_loads_no_numpy_and_no_other_module():
     assert loaded == ["subcart", "subcart.expr"]
 
 
+def _runs_at_import(body: list[ast.stmt]):
+    """The statements of ``body`` that run when the module is imported: those
+    of module and class bodies and the blocks inside them, but no function
+    body and no ``if TYPE_CHECKING:`` block, which only type checkers read."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            yield from _runs_at_import(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _runs_at_import(getattr(node, field, []))
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_numpy_at_import_time(path):
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    found = [node.lineno for node in _runs_at_import(tree.body)
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+    assert found == [], f"{path} imports numpy at import time, line {found}"
+
+
+# The probe_sweep commands of the benchmark, malformed ones included, then
+# the other commands that need no numpy: scenario name, argv, exit code.
+_NUMPY_FREE_COMMANDS = [
+    ("halfline", ["flow", "--field", "ddx", "--point=0.5", "--horizon", "2"], 0),
+    ("disk_line", ["flow", "--field", "ddx", "--point=0.1,0.5", "--horizon", "3"], 0),
+    ("rotation_plane", ["flow", "--field", "rot", "--point=0.6,-0.8", "--horizon", "7", "--out", "{csv}"], 0),
+    ("halfline", ["classify", "--field", "ddx"], 1),
+    ("halfline", ["classify", "--field", "xddx"], 0),
+    ("circle", ["classify", "--field", "rot"], 0),
+    ("disk_line", ["classify", "--field", "ddx"], 1),
+    ("halfline", ["flow", "--field", "ddx", "--point=0.5", "--horizon", "-1"], 2),
+    ("halfline", ["classify", "--field", "ddx", "--tol-overrides", '{"rtol": NaN}'], 2),
+    ("disk_line", ["flow", "--field", "ddx", "--point=0.1,0.5", "--tol-overrides", '{"rtoll": 1e-9}'], 2),
+    ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "0"], 2),
+    ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0),
+    ("cone", ["strata", "--check", "tangency", "--field", "ddz", "--horizon", "0.3"], 1),
+]
+
+
+def test_scenarios_flow_classify_bracket_and_tangency_never_load_numpy(tmp_path):
+    scenarios = SRC / "scenarios"
+    argvs = [[argv[0], "--scenario", str(scenarios / f"{name}.json")]
+             + [a.replace("{csv}", str(tmp_path / "x.csv")) for a in argv[1:]]
+             for name, argv, _ in _NUMPY_FREE_COMMANDS]
+    out = json.loads(_fresh(
+        "import contextlib, io, json, sys\n"
+        "from subcart.cli import load_scenario, main\n"
+        f"for path in {sorted(str(p) for p in scenarios.glob('*.json'))!r}:\n"
+        "    load_scenario(path)\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))"
+    ))
+    assert out == [[code for _, _, code in _NUMPY_FREE_COMMANDS], False]
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8").startswith("t,x1,x2\n")
+
+
 def test_every_export_resolves_and_is_listed():
     out = json.loads(_fresh(
         "import json, subcart\n"

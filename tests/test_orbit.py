@@ -351,6 +351,41 @@ def test_sample_orbit_matches_vstack_reference(which, rng_seed, merge_radius, bu
     assert d["span_dimensions"] == sorted(set(dims))
 
 
+def test_vanishes_at_needs_every_field_exactly_zero():
+    plane = SubcartesianSpace.whole_space(2)
+    rot = make_field("rot", ["-x2", "x1"], 2)
+    assert FieldFamily(plane, [rot]).vanishes_at([0.0, 0.0])  # -x2 is -0.0 there
+    assert FieldFamily(plane, [rot, make_field("rad", ["x1", "x2"], 2)]).vanishes_at([-0.0, 0.0])
+    assert not FieldFamily(plane, [rot]).vanishes_at([0.0, 1e-300])
+    assert not FieldFamily(plane, [rot, make_field("ddx", ["1", "0"], 2)]).vanishes_at([0.0, 0.0])
+    # a field undefined at the point, or NaN there, does not vanish
+    assert not FieldFamily(plane, [rot, make_field("lg", ["x1*log(x2)", "0"], 2)]).vanishes_at([0.0, 0.0])
+    assert not FieldFamily(plane, [make_field("nan", ["x1*1e999", "0"], 2)]).vanishes_at([0.0, 0.0])
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_sample_orbit_at_a_fixed_point_returns_the_seed_at_once(budget):
+    # every flow from the origin stays there, so the full exploration merges
+    # all 40 * budget attempts back into the seed
+    family = FieldFamily(SubcartesianSpace.whole_space(2),
+                         [make_field("rot", ["-x2", "x1"], 2), make_field("rad", ["x1", "x2"], 2)])
+    cloud = sample_orbit(family, [0.0, 0.0], budget, rng_seed=3)
+    points, words, dims, (attempts, merged, failures) = _ref_sample_orbit(
+        family, [0.0, 0.0], budget, 0.3, 3, 1e-6)
+    assert [p.tobytes() for p in cloud.points] == [p.tobytes() for p in points]
+    assert (cloud.words, cloud.dimensions, cloud.est_dimension) == (words, dims, 0) == ([()], [0], 0)
+    assert (attempts, merged, failures) == ((0, 0, 0) if budget == 1 else (40 * budget, 40 * budget, 0))
+    d = cloud.diagnostics
+    assert (d["attempts"], d["merged"], d["flow_failures"], d["fixed_point"]) == (0, 0, 0, True)
+
+
+def test_sample_orbit_where_one_field_vanishes_still_samples():
+    # xddy vanishes on the axis x1 = 0, ddx does not
+    cloud = sample_orbit(shear_family(), [0.0, 0.5], 30, rng_seed=2)
+    assert len(cloud.points) == 30 and cloud.diagnostics["attempts"] > 0
+    assert "fixed_point" not in cloud.diagnostics
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1e-9, 0.5, -2.0, 1e150]),
                           st.floats(-3.0, 3.0)), min_size=1, max_size=12),

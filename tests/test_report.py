@@ -54,10 +54,15 @@ def test_canonical_json_shapes():
         "arr": np.array([1.0, 2.0]),
         "npint": np.int64(7),
         "npfloat": np.float64(0.25),
+        # found by duck typing: whatever has tolist is written as its tolist
+        "npbool": np.bool_(True),
+        "npf32": np.float32(0.5),
+        "grid": np.arange(4, dtype=np.int32).reshape(2, 2),
     }
     text = canonical_json(obj)
     # keys sorted, bools and null in JSON form, arrays as lists
-    assert text == '{"a":{"nested":[1,2]},"arr":[1,2],"b":[1,2.5,true,null],"npfloat":0.25,"npint":7}'
+    assert text == ('{"a":{"nested":[1,2]},"arr":[1,2],"b":[1,2.5,true,null],"grid":[[0,1],[2,3]],'
+                    '"npbool":true,"npf32":0.5,"npfloat":0.25,"npint":7}')
     assert canonical_json(obj) == text
     parsed = json.loads(text)
     assert parsed["b"][2] is True
@@ -92,6 +97,13 @@ def test_write_csv(tmp_path):
     assert lines[1].endswith(",true")
     assert lines[2] == "1,0,false"
     assert float(lines[1].split(",")[1]) == 1.0 / 3.0
+
+
+def test_write_csv_numpy_scalars(tmp_path):
+    path = tmp_path / "np.csv"
+    write_csv(str(path), ["a", "b", "c", "d"],
+              [[np.float64(0.25), np.int64(3), np.bool_(False), np.float32(1.5)]])
+    assert path.read_text().splitlines()[1] == "0.25,3,false,1.5"
 
 
 def test_write_csv_rejects_unquotable_cells(tmp_path):

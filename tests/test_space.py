@@ -412,6 +412,7 @@ def test_sample_cell_near_circle_stays_on_locus():
     rng = random.Random(0)
     pts = sample_cell_near(circ, 0, np.array([1.0, 0.0]), 0.3, 25, rng)
     assert len(pts) == 25
+    assert all(type(p) is list and all(type(v) is float for v in p) for p in pts)
     g = compile_scalar(parse("x1^2+x2^2-1", 2))
     for p in pts:
         assert abs(g(p)) <= 1e-8
