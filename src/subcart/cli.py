@@ -30,6 +30,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Optional, Sequence
 
 from .almostcomplex import (
@@ -112,104 +113,152 @@ class SchemaError(CliError):
 
 
 # Schema walking helpers --------------------------------------------------------
+# A checker takes a JSON value and its path, such as $.space.cells[0][1], and
+# returns the value it reads or raises a SchemaError at that path.
 
-def _want(value, kind, path: str, name: str):
-    if not isinstance(value, kind):
-        raise SchemaError(path, f"expected {name}, got {type(value).__name__}")
-    return value
-
-
-def _want_dict(v, path):
-    return _want(v, dict, path, "an object")
+_REQUIRED = object()
 
 
-def _want_list(v, path):
-    return _want(v, list, path, "an array")
+def _key(raw: dict, key: str, path: str, want, default=_REQUIRED):
+    """``want`` applied to ``raw[key]`` at ``path.key``; ``default`` when the
+    key is absent, and without a default the key is required."""
+    if key in raw:
+        return want(raw[key], f"{path}.{key}")
+    if default is _REQUIRED:
+        raise SchemaError(path, f"missing required key {key!r}")
+    return default
 
 
-def _want_str(v, path):
-    return _want(v, str, path, "a string")
+def _items(want, v, path: str, nonempty: str = "") -> list:
+    """``want`` applied to each item of the array ``v``; ``nonempty`` is the
+    error for an empty array, if one is not allowed."""
+    if not _arr(v, path) and nonempty:
+        raise SchemaError(path, nonempty)
+    return [want(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
-def _want_bool(v, path):
-    return _want(v, bool, path, "a boolean")
+def _named(want, v, path: str) -> dict:
+    """``want`` applied to each value of the object ``v``, in name order."""
+    return {k: want(x, f"{path}.{k}") for k, x in sorted(_obj(v, path).items())}
 
 
-def _want_int(v, path):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
+def _length(v, path: str, n: int, message: str) -> list:
+    """The array ``v`` if it has ``n`` items; else ``message``, formatted
+    with the length found and ``n``, is the error."""
+    if len(_arr(v, path)) != n:
+        raise SchemaError(path, message.format(len(v), n))
     return v
 
 
-def _want_float(v, path) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(v).__name__}")
+def _want(v, path: str, kind, name: str):
+    # bool is an int to Python, but not a number to a scenario
+    if isinstance(v, kind) and (kind is bool or not isinstance(v, bool)):
+        return v
+    raise SchemaError(path, f"expected {name}, got {type(v).__name__}")
+
+
+_obj = partial(_want, kind=dict, name="an object")
+_arr = partial(_want, kind=list, name="an array")
+_str = partial(_want, kind=str, name="a string")
+_bool = partial(_want, kind=bool, name="a boolean")
+_int = partial(_want, kind=int, name="an integer")
+
+
+def _positive(v, path: str) -> int:
+    if _int(v, path) < 1:
+        raise SchemaError(path, f"must be positive, got {v}")
+    return v
+
+
+def _float(v, path: str) -> float:
     try:
-        return float(v)
+        return float(_want(v, path, (int, float), "a number"))
     except OverflowError:  # a JSON integer beyond the float range
         raise SchemaError(path, "number out of the float range") from None
 
 
-def _want_point(v, n, path) -> list[float]:
-    _want_list(v, path)
-    if len(v) != n:
-        raise SchemaError(path, f"point has {len(v)} coordinates, space has {n}")
-    point = [_want_float(x, f"{path}[{i}]") for i, x in enumerate(v)]
-    for i, x in enumerate(point):
-        if not math.isfinite(x):
-            raise SchemaError(f"{path}[{i}]", f"coordinate {x} is not finite")
-    return point
+def _tolerance(v, path: str) -> float:
+    x = _float(v, path)
+    if not 0 < x < math.inf:
+        raise SchemaError(path, f"must be finite and positive, got {v!r}")
+    return x
 
 
-def _parse_expr(text, n, aliases, path) -> Expr:
-    _want_str(text, path)
+def _rel(v, path: str) -> Rel:
     try:
-        return parse(text, n, aliases)
-    except ParseError as exc:
+        return Rel(_str(v, path))
+    except ValueError:
+        raise SchemaError(
+            path, f"unknown relation {v!r}, expected one of {sorted(r.value for r in Rel)}"
+        ) from None
+
+
+def _aliases(raw: dict, path: str, n: int) -> Optional[list[str]]:
+    """The optional coordinate names of the object ``raw``, at most ``n``."""
+    aliases = _key(raw, "aliases", path, partial(_items, _str), None)
+    if aliases is not None and len(aliases) > n:
+        raise SchemaError(f"{path}.aliases", f"{len(aliases)} aliases for {n} coordinates")
+    return aliases
+
+
+def _built(path: str, make, *args):
+    """``make(*args)``; the ValueError of a constructor is an error at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
-def _parse_matrix(raw, n, aliases, path) -> list[list[Expr]]:
-    _want_list(raw, path)
-    if len(raw) != n:
-        raise SchemaError(path, f"expected {n} rows, got {len(raw)}")
-    rows = []
-    for i, row in enumerate(raw):
-        _want_list(row, f"{path}[{i}]")
-        if len(row) != n:
-            raise SchemaError(f"{path}[{i}]", f"expected {n} entries, got {len(row)}")
-        rows.append([_parse_expr(e, n, aliases, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
-    return rows
+class _Coords:
+    """The checkers of values read in one coordinate system: ``n``
+    coordinates, named x1..xn and by ``aliases``."""
 
+    def __init__(self, n: int, aliases: Optional[list[str]]):
+        self.n = n
+        self.aliases = aliases
 
-def _parse_cells(raw, n, aliases, path) -> list[tuple[Constraint, ...]]:
-    _want_list(raw, path)
-    if not raw:
-        raise SchemaError(path, "needs at least one cell")
-    cells = []
-    for ci, rawcell in enumerate(raw):
-        _want_list(rawcell, f"{path}[{ci}]")
-        cell = []
-        for ki, rawcon in enumerate(rawcell):
-            cpath = f"{path}[{ci}][{ki}]"
-            _want_dict(rawcon, cpath)
-            if "expr" not in rawcon:
-                raise SchemaError(cpath, "constraint needs an 'expr' key")
-            if "rel" not in rawcon:
-                raise SchemaError(cpath, "constraint needs a 'rel' key")
-            e = _parse_expr(rawcon["expr"], n, aliases, f"{cpath}.expr")
-            relname = _want_str(rawcon["rel"], f"{cpath}.rel")
-            try:
-                rel = Rel(relname)
-            except ValueError:
-                raise SchemaError(
-                    f"{cpath}.rel",
-                    f"unknown relation {relname!r}, expected one of "
-                    f"{sorted(r.value for r in Rel)}",
-                ) from None
-            cell.append(Constraint(e, rel))
-        cells.append(tuple(cell))
-    return cells
+    def expr(self, v, path: str) -> Expr:
+        try:
+            return parse(_str(v, path), self.n, self.aliases)
+        except ExprError as exc:  # a ParseError, or a constant quotient by zero
+            raise SchemaError(path, str(exc)) from None
+
+    def row(self, v, path: str, message: str = "expected {1} entries, got {0}") -> list[Expr]:
+        return _items(self.expr, _length(v, path, self.n, message), path)
+
+    def field(self, v, path: str) -> list[Expr]:
+        return self.row(v, path, "field has {} components, space has {}")
+
+    def matrix(self, v, path: str) -> list[list[Expr]]:
+        return _items(self.row, _length(v, path, self.n, "expected {1} rows, got {0}"), path)
+
+    def point(self, v, path: str) -> list[float]:
+        message = "point has {} coordinates, space has {}"
+        point = _items(_float, _length(v, path, self.n, message), path)
+        for i, x in enumerate(point):
+            if not math.isfinite(x):
+                raise SchemaError(f"{path}[{i}]", f"coordinate {x} is not finite")
+        return point
+
+    def seeds(self, v, path: str) -> list[list[float]]:
+        return _items(self.point, v, path, nonempty="seed set must not be empty")
+
+    def box(self, v, path: str) -> tuple[list[float], list[float]]:
+        lo, hi = _items(self.point, _length(v, path, 2, "expected [lo, hi]"), path)
+        for i in range(self.n):
+            if not lo[i] < hi[i]:
+                raise SchemaError(path, f"lo[{i}] must be below hi[{i}]")
+        return lo, hi
+
+    def cells(self, v, path: str) -> list[list[Constraint]]:
+        return _items(partial(_items, self.constraint), v, path, nonempty="needs at least one cell")
+
+    def constraint(self, v, path: str) -> Constraint:
+        _obj(v, path)
+        for key, article in (("expr", "an"), ("rel", "a")):
+            if key not in v:
+                raise SchemaError(path, f"constraint needs {article} {key!r} key")
+        return Constraint(self.expr(v["expr"], f"{path}.expr"), _rel(v["rel"], f"{path}.rel"))
 
 
 # Scenario ---------------------------------------------------------------------
@@ -243,11 +292,6 @@ class Scenario:
             raise CliError(f"unknown family {name!r}; scenario has {sorted(self.families)}")
         return FieldFamily(self.space, [self.fields[f] for f in self.families[name]])
 
-    def need_box(self) -> tuple[list[float], list[float]]:
-        if self.box is None:
-            raise CliError("this command needs a 'box' block in the scenario")
-        return self.box
-
 
 def load_scenario(path: str) -> Scenario:
     try:
@@ -255,208 +299,91 @@ def load_scenario(path: str) -> Scenario:
             blob = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read scenario {path!r}: {exc}") from None
-    sha = sha256_hex(blob)
     try:
         raw = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("$", f"not valid JSON ({exc})") from None
-    _want_dict(raw, "$")
+    raw = _obj(raw, "$")
+    name = _key(raw, "name", "$", _str)
+    rawsp = _key(raw, "space", "$", _obj)
+    n = _key(rawsp, "ambient_dim", "$.space", _positive)
+    aliases = _aliases(raw, "$", n)
+    coords = _Coords(n, aliases)
+    cells = _key(rawsp, "cells", "$.space", coords.cells)
+    locally_closed = _key(rawsp, "locally_closed", "$.space", _bool)
+    tol = _key(rawsp, "tol", "$.space", _float, DEFAULT_TOL)
+    space = _built("$.space", SubcartesianSpace, n, cells, locally_closed, tol)
 
-    if "name" not in raw:
-        raise SchemaError("$", "missing required key 'name'")
-    name = _want_str(raw["name"], "$.name")
+    components = _key(raw, "fields", "$", partial(_named, coords.field), {})
+    fields = {k: TangentField(k, c) for k, c in components.items()}
 
-    aliases = None
-    if "aliases" in raw:
-        rawa = _want_list(raw["aliases"], "$.aliases")
-        aliases = [_want_str(a, f"$.aliases[{i}]") for i, a in enumerate(rawa)]
+    def field_name(v, path: str) -> str:
+        if _str(v, path) not in fields:
+            raise SchemaError(path, f"unknown field {v!r}")
+        return v
 
-    if "space" not in raw:
-        raise SchemaError("$", "missing required key 'space'")
-    rawsp = _want_dict(raw["space"], "$.space")
-    if "ambient_dim" not in rawsp:
-        raise SchemaError("$.space", "missing required key 'ambient_dim'")
-    n = _want_int(rawsp["ambient_dim"], "$.space.ambient_dim")
-    if n < 1:
-        raise SchemaError("$.space.ambient_dim", f"must be positive, got {n}")
-    if aliases is not None and len(aliases) > n:
-        raise SchemaError("$.aliases", f"{len(aliases)} aliases for {n} coordinates")
-    if "cells" not in rawsp:
-        raise SchemaError("$.space", "missing required key 'cells'")
-    cells = _parse_cells(rawsp["cells"], n, aliases, "$.space.cells")
-    if "locally_closed" not in rawsp:
-        raise SchemaError("$.space", "missing required key 'locally_closed'")
-    locally_closed = _want_bool(rawsp["locally_closed"], "$.space.locally_closed")
-    sp_tol = _want_float(rawsp.get("tol", DEFAULT_TOL), "$.space.tol")
-    try:
-        space = SubcartesianSpace(n, cells, locally_closed, sp_tol)
-    except SpaceError as exc:
-        raise SchemaError("$.space", str(exc)) from None
-
-    fields: dict[str, TangentField] = {}
-    for fname, comps in sorted(_want_dict(raw.get("fields", {}), "$.fields").items()):
-        fpath = f"$.fields.{fname}"
-        _want_list(comps, fpath)
-        if len(comps) != n:
-            raise SchemaError(fpath, f"field has {len(comps)} components, space has {n}")
-        exprs = [_parse_expr(c, n, aliases, f"{fpath}[{i}]") for i, c in enumerate(comps)]
-        fields[fname] = TangentField(fname, exprs)
-
-    families: dict[str, list[str]] = {}
-    for famname, members in sorted(_want_dict(raw.get("families", {}), "$.families").items()):
-        fpath = f"$.families.{famname}"
-        _want_list(members, fpath)
-        if not members:
-            raise SchemaError(fpath, "family must not be empty")
-        out = []
-        for i, m in enumerate(members):
-            m = _want_str(m, f"{fpath}[{i}]")
-            if m not in fields:
-                raise SchemaError(f"{fpath}[{i}]", f"unknown field {m!r}")
-            out.append(m)
-        families[famname] = out
+    families = _key(raw, "families", "$", partial(_named, partial(
+        _items, field_name, nonempty="family must not be empty")), {})
     if not families and fields:
         families["default"] = sorted(fields)
+    seeds = _key(raw, "seeds", "$", partial(_named, coords.seeds), {})
 
-    seeds: dict[str, list[list[float]]] = {}
-    for sname, pts in sorted(_want_dict(raw.get("seeds", {}), "$.seeds").items()):
-        spath = f"$.seeds.{sname}"
-        _want_list(pts, spath)
-        seeds[sname] = [_want_point(p, n, f"{spath}[{i}]") for i, p in enumerate(pts)]
+    def stratum(v, path: str) -> Stratum:
+        stname = _key(_obj(v, path), "name", path, _str)
+        stcells = _key(v, "cells", path, coords.cells)
+        dim = _key(v, "dim", path, _int)
+        if not 0 <= dim <= n:
+            raise SchemaError(f"{path}.dim", f"dimension {dim} outside 0..{n}")
+        _key(v, "frame", path, partial(_items, field_name), None)
+        return Stratum(stname, SubcartesianSpace(n, stcells, locally_closed=True, tol=tol), dim)
 
     stratified = None
     if "strata" in raw:
-        rawst = _want_list(raw["strata"], "$.strata")
-        strata = []
-        for i, s in enumerate(rawst):
-            spath = f"$.strata[{i}]"
-            _want_dict(s, spath)
-            for key in ("name", "cells", "dim"):
-                if key not in s:
-                    raise SchemaError(spath, f"missing required key {key!r}")
-            stname = _want_str(s["name"], f"{spath}.name")
-            stcells = _parse_cells(s["cells"], n, aliases, f"{spath}.cells")
-            stdim = _want_int(s["dim"], f"{spath}.dim")
-            if not 0 <= stdim <= n:
-                raise SchemaError(f"{spath}.dim", f"dimension {stdim} outside 0..{n}")
-            if "frame" in s:
-                for j, m in enumerate(_want_list(s["frame"], f"{spath}.frame")):
-                    if _want_str(m, f"{spath}.frame[{j}]") not in fields:
-                        raise SchemaError(f"{spath}.frame[{j}]", f"unknown field {m!r}")
-            st_space = SubcartesianSpace(n, stcells, locally_closed=True, tol=sp_tol)
-            strata.append(Stratum(stname, st_space, stdim))
-        locally_trivial = _want_bool(raw.get("locally_trivial", False), "$.locally_trivial")
-        try:
-            stratified = StratifiedSpace(space, strata, locally_trivial)
-        except StrataError as exc:
-            raise SchemaError("$.strata", str(exc)) from None
-
-    box = None
-    if "box" in raw:
-        rawbox = _want_list(raw["box"], "$.box")
-        if len(rawbox) != 2:
-            raise SchemaError("$.box", "expected [lo, hi]")
-        lo = _want_point(rawbox[0], n, "$.box[0]")
-        hi = _want_point(rawbox[1], n, "$.box[1]")
-        for i in range(n):
-            if not lo[i] < hi[i]:
-                raise SchemaError("$.box", f"lo[{i}] must be below hi[{i}]")
-        box = (lo, hi)
+        strata = _key(raw, "strata", "$", partial(_items, stratum))
+        locally_trivial = _key(raw, "locally_trivial", "$", _bool, False)
+        stratified = _built("$.strata", StratifiedSpace, space, strata, locally_trivial)
+    box = _key(raw, "box", "$", coords.box, None)
 
     poisson = None
     if "poisson" in raw:
-        rawp = _want_dict(raw["poisson"], "$.poisson")
-        if "bivector" not in rawp:
-            raise SchemaError("$.poisson", "missing required key 'bivector'")
-        mat = _parse_matrix(rawp["bivector"], n, aliases, "$.poisson.bivector")
-        label = _want_str(rawp.get("label", "poisson"), "$.poisson.label")
-        try:
-            poisson = PoissonStructure(n, mat, label)
-        except PoissonError as exc:
-            raise SchemaError("$.poisson.bivector", str(exc)) from None
+        rawp = _key(raw, "poisson", "$", _obj)
+        bivector = _key(rawp, "bivector", "$.poisson", coords.matrix)
+        label = _key(rawp, "label", "$.poisson", _str, "poisson")
+        poisson = _built("$.poisson.bivector", PoissonStructure, n, bivector, label)
 
     reduction = None
     if "reduction" in raw:
-        rawr = _want_dict(raw["reduction"], "$.reduction")
-        for key in ("ambient_dim", "invariants"):
-            if key not in rawr:
-                raise SchemaError("$.reduction", f"missing required key {key!r}")
-        amb_n = _want_int(rawr["ambient_dim"], "$.reduction.ambient_dim")
-        if amb_n < 1:
-            raise SchemaError("$.reduction.ambient_dim", f"must be positive, got {amb_n}")
-        ralias = None
-        if "aliases" in rawr:
-            rawra = _want_list(rawr["aliases"], "$.reduction.aliases")
-            ralias = [_want_str(a, f"$.reduction.aliases[{i}]") for i, a in enumerate(rawra)]
-            if len(ralias) > amb_n:
-                raise SchemaError("$.reduction.aliases", f"{len(ralias)} aliases for {amb_n} coordinates")
-        rawinv = _want_list(rawr["invariants"], "$.reduction.invariants")
-        if not rawinv:
-            raise SchemaError("$.reduction.invariants", "needs at least one invariant")
-        invariants = [
-            _parse_expr(e, amb_n, ralias, f"$.reduction.invariants[{i}]")
-            for i, e in enumerate(rawinv)
-        ]
-        degree = _want_int(rawr.get("degree", 2), "$.reduction.degree")
-        if degree < 1:
-            raise SchemaError("$.reduction.degree", f"must be positive, got {degree}")
-        ambient_bivector = None
-        if "bivector" in rawr:
-            amat = _parse_matrix(rawr["bivector"], amb_n, ralias, "$.reduction.bivector")
-            try:
-                ambient_bivector = PoissonStructure(amb_n, amat, "ambient")
-            except PoissonError as exc:
-                raise SchemaError("$.reduction.bivector", str(exc)) from None
+        rawr = _key(raw, "reduction", "$", _obj)
+        amb_n = _key(rawr, "ambient_dim", "$.reduction", _positive)
+        amb = _Coords(amb_n, _aliases(rawr, "$.reduction", amb_n))
+        invariants = _key(rawr, "invariants", "$.reduction", partial(
+            _items, amb.expr, nonempty="needs at least one invariant"))
+        degree = _key(rawr, "degree", "$.reduction", _positive, 2)
+        ambient = _key(rawr, "bivector", "$.reduction", amb.matrix, None)
+        if ambient is not None:
+            ambient = _built("$.reduction.bivector", PoissonStructure, amb_n, ambient, "ambient")
         elif amb_n % 2:
-            raise SchemaError(
-                "$.reduction.ambient_dim",
-                f"odd dimension {amb_n} needs an explicit 'bivector'",
-            )
-        reduction = {
-            "ambient_dim": amb_n,
-            "invariants": invariants,
-            "degree": degree,
-            "ambient": ambient_bivector,
-        }
+            raise SchemaError("$.reduction.ambient_dim",
+                              f"odd dimension {amb_n} needs an explicit 'bivector'")
+        reduction = {"ambient_dim": amb_n, "invariants": invariants, "degree": degree,
+                     "ambient": ambient}
 
-    generators: list[Expr] = []
-    if "generators" in raw:
-        if poisson is None:
-            raise SchemaError("$.generators", "generators need a 'poisson' block")
-        rawg = _want_list(raw["generators"], "$.generators")
-        generators = [_parse_expr(e, n, aliases, f"$.generators[{i}]") for i, e in enumerate(rawg)]
+    for key in ("generators", "casimirs"):
+        if key in raw and poisson is None:
+            raise SchemaError(f"$.{key}", f"{key} need a 'poisson' block")
+    generators = _key(raw, "generators", "$", partial(_items, coords.expr), [])
+    casimirs = _key(raw, "casimirs", "$", partial(_items, coords.expr), [])
 
-    casimirs: list[Expr] = []
-    if "casimirs" in raw:
-        if poisson is None:
-            raise SchemaError("$.casimirs", "casimirs need a 'poisson' block")
-        rawc = _want_list(raw["casimirs"], "$.casimirs")
-        casimirs = [_parse_expr(e, n, aliases, f"$.casimirs[{i}]") for i, e in enumerate(rawc)]
-
-    acs = None
-    omega = None
+    acs = omega = None
     if "acs" in raw:
-        rawacs = _want_dict(raw["acs"], "$.acs")
-        if "matrix" not in rawacs:
-            raise SchemaError("$.acs", "missing required key 'matrix'")
-        jmat = _parse_matrix(rawacs["matrix"], n, aliases, "$.acs.matrix")
-        try:
-            acs = AlmostComplexStructure(n, jmat, "J")
-        except AlmostComplexError as exc:
-            raise SchemaError("$.acs.matrix", str(exc)) from None
-        if "omega" in rawacs:
-            omega = _parse_matrix(rawacs["omega"], n, aliases, "$.acs.omega")
-
-    tolerances: dict[str, float] = {}
-    for key, v in sorted(_want_dict(raw.get("tolerances", {}), "$.tolerances").items()):
-        path = f"$.tolerances.{_want_str(key, '$.tolerances')}"
-        tolerances[key] = _want_float(v, path)
-        if not 0 < tolerances[key] < math.inf:
-            raise SchemaError(path, f"must be finite and positive, got {v!r}")
+        rawacs = _key(raw, "acs", "$", _obj)
+        jmat = _key(rawacs, "matrix", "$.acs", coords.matrix)
+        acs = _built("$.acs.matrix", AlmostComplexStructure, n, jmat, "J")
+        omega = _key(rawacs, "omega", "$.acs", coords.matrix, None)
 
     return Scenario(
         name=name,
-        sha256=sha,
+        sha256=sha256_hex(blob),
         space=space,
         aliases=aliases,
         fields=fields,
@@ -470,7 +397,7 @@ def load_scenario(path: str) -> Scenario:
         casimirs=casimirs,
         acs=acs,
         omega=omega,
-        tolerances=tolerances,
+        tolerances=_key(raw, "tolerances", "$", partial(_named, _tolerance), {}),
     )
 
 
@@ -497,12 +424,10 @@ def _resolve_seeds(sc: Scenario, spec: str) -> list[list[float]]:
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"cannot read seeds file {spec!r}: {exc}") from None
-        if not isinstance(raw, list) or not raw:
-            raise CliError(f"seeds file {spec!r} must hold a non-empty array of points")
-        try:
-            return [_want_point(p, sc.space.ambient_dim, f"$[{i}]") for i, p in enumerate(raw)]
+        try:  # a seed set, read as the scenario's are
+            return _Coords(sc.space.ambient_dim, sc.aliases).seeds(raw, "$")
         except SchemaError as exc:
             raise CliError(f"--seeds file {spec!r} at {exc.path}: {exc.detail}") from None
     raise CliError(
@@ -510,8 +435,16 @@ def _resolve_seeds(sc: Scenario, spec: str) -> list[list[float]]:
     )
 
 
+def _need(block, key: str):
+    """``block``, the scenario's ``key`` block, unless it is absent or empty."""
+    if not block:
+        article = "an" if key == "acs" else "a"
+        raise CliError(f"this command needs {article} {key!r} block in the scenario")
+    return block
+
+
 def _box_points(sc: Scenario, count: int, seed: int) -> list[list[float]]:
-    lo, hi = sc.need_box()
+    lo, hi = _need(sc.box, "box")
     rng = random.Random(seed)
     return [
         [rng.uniform(lo[i], hi[i]) for i in range(len(lo))] for _ in range(count)
@@ -646,10 +579,8 @@ def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
-    if sc.stratified is None:
-        raise CliError("this command needs a 'strata' block in the scenario")
-    ss = sc.stratified
-    lo, hi = sc.need_box()
+    ss = _need(sc.stratified, "strata")
+    lo, hi = _need(sc.box, "box")
     if args.check == "frontier":
         rep = frontier_check(ss, lo, hi, rng_seed=args.seed, frontier_tol=tol["frontier"])
         result, code = rep.to_json_dict(), EXIT_PASS if rep.passed else EXIT_FAIL
@@ -680,9 +611,7 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
-    if sc.poisson is None:
-        raise CliError("this command needs a 'poisson' block in the scenario")
-    p = sc.poisson
+    p = _need(sc.poisson, "poisson")
     pts = _box_points(sc, 20, args.seed) if sc.box else [
         [0.0] * p.dim, [0.5] * p.dim, [-0.5] * p.dim
     ]
@@ -706,9 +635,7 @@ def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
-    if sc.reduction is None:
-        raise CliError("this command needs a 'reduction' block in the scenario")
-    red = sc.reduction
+    red = _need(sc.reduction, "reduction")
     ambient = red["ambient"]
     if ambient is None:
         ambient = PoissonStructure.canonical(red["ambient_dim"] // 2, "ambient")
@@ -734,10 +661,8 @@ def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_leaf(sc: Scenario, args, tol) -> tuple[dict, int]:
-    if sc.poisson is None:
-        raise CliError("this command needs a 'poisson' block in the scenario")
-    if not sc.generators:
-        raise CliError("this command needs a 'generators' block in the scenario")
+    _need(sc.poisson, "poisson")
+    _need(sc.generators, "generators")
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
     cloud = leaf_sample(
         sc.space, sc.poisson, sc.generators, point, args.budget,
@@ -761,10 +686,16 @@ def cmd_leaf(sc: Scenario, args, tol) -> tuple[dict, int]:
     return result, EXIT_PASS if passed else EXIT_FAIL
 
 
+def _acs_fields(sc: Scenario, args) -> list[TangentField]:
+    """The fields --fields names, or else every field of the scenario."""
+    names = args.fields.split(",") if args.fields else sorted(sc.fields)
+    if not names:
+        raise CliError(f"--check {args.check} needs at least one field")
+    return [sc.field(nm) for nm in names]
+
+
 def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
-    if sc.acs is None:
-        raise CliError("this command needs an 'acs' block in the scenario")
-    j = sc.acs
+    j = _need(sc.acs, "acs")
     pts = _box_points(sc, args.points, args.seed)
     square = j.square_residual(pts)
     if square > tol["square"]:
@@ -798,11 +729,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
             h = parse(args.h, sc.space.ambient_dim, sc.aliases)
         except ParseError as exc:
             raise CliError(f"bad expression: {exc}") from None
-        flds = [sc.field(nm) for nm in args.fields.split(",")] if args.fields else list(
-            sc.fields[k] for k in sorted(sc.fields)
-        )
-        if not flds:
-            raise CliError("--check cr needs at least one field")
+        flds = _acs_fields(sc, args)
         resid = cauchy_riemann_residual(j, flds, f, h, pts)
         result = {
             "check": "cr",
@@ -815,11 +742,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         return result, EXIT_PASS
     if sc.omega is None:
         raise CliError("--check kahler needs an 'omega' matrix in the acs block")
-    flds = [sc.field(nm) for nm in args.fields.split(",")] if args.fields else list(
-        sc.fields[k] for k in sorted(sc.fields)
-    )
-    if not flds:
-        raise CliError("--check kahler needs at least one field")
+    flds = _acs_fields(sc, args)
     try:
         rep = kahler_check(j, sc.omega, flds, pts, tol=tol["kahler"])
     except AlmostComplexError as exc:
@@ -960,19 +883,17 @@ def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, f
     if overrides:
         try:
             raw = json.loads(overrides)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"--tol-overrides is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise CliError("--tol-overrides must be a JSON object")
         for k, v in raw.items():
             if k not in tol:
                 raise CliError(f"--tol-overrides[{k!r}] is not a tolerance; known: {sorted(tol)}")
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise CliError(f"--tol-overrides[{k!r}] must be a number")
-            # compares a huge JSON integer without converting it, NaN fails
-            if not 0 < v <= sys.float_info.max:
-                raise CliError(f"--tol-overrides[{k!r}] must be finite and positive, got {v!r}")
-            tol[k] = float(v)
+            try:  # the rules of a scenario's tolerances
+                tol[k] = _tolerance(v, f"--tol-overrides[{k!r}]")
+            except SchemaError as exc:
+                raise CliError(f"{exc.path}: {exc.detail}") from None
     return tol
 
 
@@ -999,19 +920,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out and args.out.endswith(".json"):
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (
-        SpaceError, FieldError, ExprError, OrbitError, PoissonError,
-        AlmostComplexError, StrataError, ReportError,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except (FlowDomainError, IntegrationError) as exc:
         sys.stderr.write(f"error: integration failed: {exc}\n")
         return EXIT_USAGE
-    except OSError as exc:
+    except (
+        CliError, OSError, SpaceError, FieldError, ExprError, OrbitError, PoissonError,
+        AlmostComplexError, StrataError, ReportError,
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:

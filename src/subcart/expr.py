@@ -404,6 +404,23 @@ def max_var_index(e: Expr) -> int:
 
 # Parsing ---------------------------------------------------------------------
 
+# The levels a parsed tree may have, a leaf being one.  Differentiation,
+# printing and code generation recurse once or twice per level, so a deeper
+# tree would exhaust Python's stack.
+_MAX_DEPTH = 200
+_TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
+_CHILDREN = ("left", "right", "base", "operand")  # the child slots of the node classes
+
+
+def _depth(e: Expr) -> int:
+    """The levels of ``e``, counted level by level without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [getattr(node, a) for node in level for a in _CHILDREN if hasattr(node, a)]
+    return depth
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -468,6 +485,9 @@ def parse(text: str, n_vars: int, aliases: Optional[Sequence[str]] = None) -> Ex
     negated base.  ``aliases`` optionally names the coordinates positionally,
     e.g. ("x", "y") makes "x" mean x1.  Cutoff nodes print as ``cutexp(u)``
     and ``cutexp2(u)`` (shift suffix on the name) and parse back the same way.
+    A tree deeper than 200 levels, text nested too deep for the parser's
+    stack, and a constant that overflows when folded (``10^400``) are each a
+    ``ParseError``.
     """
     alias_map = {}
     if aliases is not None:
@@ -542,8 +562,15 @@ def parse(text: str, n_vars: int, aliases: Optional[Sequence[str]] = None) -> Ex
             raise ParseError(f"unknown identifier {text_!r} at position {pos}")
         raise ParseError(f"unexpected token {text_!r} at position {pos}")
 
-    node = parse_expr()
+    try:
+        node = parse_expr()
+    except RecursionError:  # parentheses or minus signs, which add no level to the tree
+        raise ParseError(_TOO_DEEP) from None
+    except OverflowError:
+        raise ParseError("a constant overflows the float range") from None
     toks.take("end")
+    if _depth(node) > _MAX_DEPTH:
+        raise ParseError(_TOO_DEEP)
     return node
 
 

@@ -32,6 +32,7 @@ samplers draw, project and test on float lists.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -214,8 +215,8 @@ class SubcartesianSpace:
     ):
         if ambient_dim < 1:
             raise SpaceError(f"ambient dimension must be positive, got {ambient_dim}")
-        if tol <= 0:
-            raise SpaceError(f"membership tolerance must be positive, got {tol}")
+        if not 0 < tol < math.inf:
+            raise SpaceError(f"membership tolerance must be finite and positive, got {tol}")
         if not cells:
             raise SpaceError("a space needs at least one cell")
         self.ambient_dim = int(ambient_dim)
@@ -424,6 +425,20 @@ def _ball_draw(rng: random.Random, center: list[float], radius: float) -> list[f
             return [c + radius * v for c, v in zip(center, u)]
 
 
+def _sample_cell(space: SubcartesianSpace, cell_index: int, draw: Callable[[], list[float]],
+                 count: int, tries: int) -> list[list[float]]:
+    """Up to ``count`` members of one cell: each of at most ``tries`` draws is
+    projected onto the cell's equalities and kept if the cell holds there."""
+    out: list[list[float]] = []
+    for _ in range(tries):
+        if len(out) >= count:
+            break
+        z = _project(space, cell_index, draw())
+        if z is not None and space.cell_contains(cell_index, z):
+            out.append(z)
+    return out
+
+
 def sample_cell_near(
     space: SubcartesianSpace,
     cell_index: int,
@@ -431,20 +446,11 @@ def sample_cell_near(
     radius: float,
     count: int,
     rng: random.Random,
-    max_tries: int = 0,
 ) -> list[list[float]]:
-    """Sample up to ``count`` members of one cell from a ball around ``center``."""
+    """Sample up to ``count`` members of one cell from a ball around ``center``,
+    in at most 60 draws per sample."""
     center = [float(v) for v in center]
-    if max_tries <= 0:
-        max_tries = 60 * count
-    out: list[list[float]] = []
-    for _ in range(max_tries):
-        if len(out) >= count:
-            break
-        z = _project(space, cell_index, _ball_draw(rng, center, radius))
-        if z is not None and space.cell_contains(cell_index, z):
-            out.append(z)
-    return out
+    return _sample_cell(space, cell_index, lambda: _ball_draw(rng, center, radius), count, 60 * count)
 
 
 def round_robin(
@@ -486,17 +492,8 @@ def sample_cell_box(
     hi: Sequence[float],
     count: int,
     rng: random.Random,
-    max_tries: int = 0,
 ) -> list[list[float]]:
-    """Sample up to ``count`` members of one cell from an axis box."""
+    """Sample up to ``count`` members of one cell from an axis box, in at most
+    80 draws per sample."""
     box = [(float(a), float(b)) for a, b in zip(lo, hi)]
-    if max_tries <= 0:
-        max_tries = 80 * count
-    out: list[list[float]] = []
-    for _ in range(max_tries):
-        if len(out) >= count:
-            break
-        z = _project(space, cell_index, [rng.uniform(a, b) for a, b in box])
-        if z is not None and space.cell_contains(cell_index, z):
-            out.append(z)
-    return out
+    return _sample_cell(space, cell_index, lambda: [rng.uniform(a, b) for a, b in box], count, 80 * count)

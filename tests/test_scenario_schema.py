@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from subcart.cli import SchemaError, load_scenario
+from subcart.cli import SchemaError, load_scenario, main
 
 from conftest import scenario_path
 
@@ -26,18 +29,29 @@ def edited(name: str, edits: dict) -> dict:
     whole document."""
     doc = shipped(name)
     for keys, value in edits.items():
-        if not keys:
-            doc = value
-            continue
-        *parents, last = keys
-        node = doc
-        for k in parents:
-            node = node[k]
-        if value is DEL:
-            del node[last]
+        if keys:
+            mutate(doc, keys, "delete" if value is DEL else "replace", value)
         else:
-            node[last] = value
+            doc = value
     return doc
+
+
+def mutate(doc: dict, keys: tuple, op: str, value=None) -> None:
+    """Delete the value at ``keys``, empty it, duplicate it if it is an array
+    item, or replace it by ``value``."""
+    *parents, last = keys
+    node = doc
+    for k in parents:
+        node = node[k]
+    if op == "delete":
+        del node[last]
+    elif op == "empty":
+        node[last] = type(node[last])() if isinstance(node[last], (dict, list)) else ""
+    elif op == "duplicate":
+        if isinstance(node, list):
+            node.insert(last, json.loads(json.dumps(node[last])))
+    else:
+        node[last] = value
 
 
 def scenario_text(doc) -> str:
@@ -63,6 +77,9 @@ CORPUS = {
     "not-utf8": (None, b'{"name": "\xff"}', "$",
                  "not valid JSON ('utf-8' codec can't decode byte 0xff in position 10: "
                  "invalid start byte)"),
+    "json-too-deep": (None, b"[" * 100_000 + b"]" * 100_000, "$",
+                      "not valid JSON (maximum recursion depth exceeded while decoding "
+                      "a JSON array from a unicode string)"),
     "doc-array": ("halfline", {(): []}, "$", "expected an object, got list"),
     "no-name": ("halfline", {("name",): DEL}, "$", "missing required key 'name'"),
     "name-int": ("halfline", {("name",): 3}, "$.name", "expected a string, got int"),
@@ -106,6 +123,17 @@ CORPUS = {
                     "$.space.cells[0][0].expr", "unexpected token '' at position 3"),
     "expr-coordinate": ("halfline", {("space", "cells", 0, 0, "expr"): "x2"},
                         "$.space.cells[0][0].expr", "coordinate x2 out of range for 1 variables"),
+    "expr-power-overflow": ("halfline", {("space", "cells", 0, 0, "expr"): "x^2 - 10^400"},
+                            "$.space.cells[0][0].expr", "a constant overflows the float range"),
+    "expr-quotient-by-zero": ("halfline", {("space", "cells", 0, 0, "expr"): "x/(2-2)"},
+                              "$.space.cells[0][0].expr", "division by constant zero"),
+    "expr-parentheses-too-deep": ("halfline", {("space", "cells", 0, 0, "expr"):
+                                               "(" * 300 + "x" + ")" * 300},
+                                  "$.space.cells[0][0].expr",
+                                  "expression nests deeper than 200 levels"),
+    "expr-minus-signs-too-deep": ("halfline", {("space", "cells", 0, 0, "expr"): "-" * 5000 + "x"},
+                                  "$.space.cells[0][0].expr",
+                                  "expression nests deeper than 200 levels"),
     "no-locally-closed": ("halfline", {("space", "locally_closed"): DEL}, "$.space",
                           "missing required key 'locally_closed'"),
     "locally-closed-int": ("halfline", {("space", "locally_closed"): 1},
@@ -115,9 +143,13 @@ CORPUS = {
     "space-tol-big": ("circle", {("space", "tol"): BIG}, "$.space.tol",
                       "number out of the float range"),
     "space-tol-negative": ("circle", {("space", "tol"): -1}, "$.space",
-                           "membership tolerance must be positive, got -1.0"),
+                           "membership tolerance must be finite and positive, got -1.0"),
     "space-tol-underflow": ("circle", {("space", "tol"): "@raw:1e-400"}, "$.space",
-                            "membership tolerance must be positive, got 0.0"),
+                            "membership tolerance must be finite and positive, got 0.0"),
+    "space-tol-inf": ("halfline", {("space", "tol"): float("inf")}, "$.space",
+                      "membership tolerance must be finite and positive, got inf"),
+    "space-tol-nan": ("halfline", {("space", "tol"): float("nan")}, "$.space",
+                      "membership tolerance must be finite and positive, got nan"),
     # fields and families
     "fields-array": ("halfline", {("fields",): []}, "$.fields", "expected an object, got list"),
     "field-str": ("halfline", {("fields", "ddx"): "1"}, "$.fields.ddx",
@@ -128,6 +160,8 @@ CORPUS = {
                             "expected a string, got int"),
     "field-component-syntax": ("disk_line", {("fields", "ddy", 1): "sin(z)"}, "$.fields.ddy[1]",
                                "unknown identifier 'z' at position 4"),
+    "field-too-deep": ("rotation_plane", {("fields", "rad", 1): " + ".join(["y"] * 201)},
+                       "$.fields.rad[1]", "expression nests deeper than 200 levels"),
     "families-array": ("halfline", {("families",): []}, "$.families",
                        "expected an object, got list"),
     "family-str": ("halfline", {("families", "default"): "xddx"}, "$.families.default",
@@ -142,6 +176,8 @@ CORPUS = {
     "seeds-array": ("halfline", {("seeds",): []}, "$.seeds", "expected an object, got list"),
     "seed-set-object": ("halfline", {("seeds", "interior"): {}}, "$.seeds.interior",
                         "expected an array, got dict"),
+    "seed-set-empty": ("halfline", {("seeds", "interior"): []}, "$.seeds.interior",
+                       "seed set must not be empty"),
     "seed-point-number": ("halfline", {("seeds", "default", 1): 0.5}, "$.seeds.default[1]",
                           "expected an array, got float"),
     "seed-point-length": ("halfline", {("seeds", "default", 0): [0.5, 1.0]},
@@ -315,3 +351,140 @@ def test_schema_error_corpus(tmp_path, scenario, doc, path, detail):
         load_scenario(write_scenario(tmp_path, text))
     assert (exc.value.path, exc.value.detail) == (path, detail)
     assert str(exc.value) == f"scenario error at {path}: {detail}"
+
+
+def run(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("scenario, argv", [
+    ("disk_line", ["complete-probe"]),
+    ("cone", ["strata", "--check", "orbits"]),
+    ("circle", ["classify", "--field", "rot"]),
+])
+def test_empty_seed_set_exits_2_naming_it(tmp_path, scenario, argv):
+    # an empty default seed set used to pass with 0 probes or 0 seeds
+    path = write_scenario(tmp_path, edited(scenario, {("seeds", "default"): []}))
+    code, out, err = run(*argv, "--scenario", path)
+    assert (code, out) == (2, "")
+    assert err == "error: scenario error at $.seeds.default: seed set must not be empty\n"
+
+
+def test_infinite_space_tolerance_exits_2(tmp_path):
+    # with tol inf every point was a member, and the flow ran clipped on both sides
+    path = write_scenario(tmp_path, edited("halfline", {("space", "tol"): float("inf")}))
+    code, out, err = run("flow", "--scenario", path, "--field", "ddx", "--point=0.5")
+    assert (code, out) == (2, "")
+    assert err == ("error: scenario error at $.space: "
+                   "membership tolerance must be finite and positive, got inf\n")
+
+
+def test_deep_json_is_not_valid_json(tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(deep)
+    path = write_scenario(tmp_path, b"{\"name\": " + deep.encode() + b"}")
+    code, out, err = run("flow", "--scenario", path, "--field", "ddx", "--point=0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scenario error at $: not valid JSON (maximum recursion depth")
+    halfline = scenario_path("halfline")
+    code, out, err = run("classify", "--scenario", halfline, "--field", "ddx", "--seeds", str(seeds))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read seeds file {str(seeds)!r}: maximum recursion depth")
+    code, out, err = run("flow", "--scenario", halfline, "--field", "ddx", "--point=0.5",
+                         "--tol-overrides", deep)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol-overrides is not valid JSON: maximum recursion depth")
+
+
+def _deep_plane(tmp_path, terms: int) -> str:
+    """rotation_plane with the field ``deep`` = (y + y + ... + y, x), ``terms``
+    levels deep, and ``flat`` = (terms*y, x)."""
+    return write_scenario(tmp_path, edited("rotation_plane", {
+        ("fields", "deep"): [" + ".join(["y"] * terms), "x"],
+        ("fields", "flat"): [f"{terms}*y", "x"],
+    }))
+
+
+def test_expression_200_levels_deep_brackets_and_flows(tmp_path):
+    path = _deep_plane(tmp_path, 200)
+    reports = {}
+    for name in ("deep", "flat"):
+        for argv in (["bracket", "--x", name, "--y", "rot", "--point=0.5,0.25"],
+                     ["flow", "--field", name, "--point=0.5,0.25", "--horizon", "0.05"]):
+            code, out, err = run(*argv, "--scenario", path)
+            assert (code, err) == (0, "")
+            reports[name, argv[0]] = json.loads(out)["result"]
+    # 200 additions of 0.25 are exact, so the bracket values agree to the bit
+    assert reports["deep", "bracket"]["value"] == reports["flat", "bracket"]["value"]
+    deep, flat = reports["deep", "flow"], reports["flat", "flow"]
+    assert (deep.pop("field"), flat.pop("field")) == ("deep", "flat")
+    assert deep == flat
+
+
+def test_expression_201_levels_deep_exits_2_naming_it(tmp_path):
+    code, out, err = run("flow", "--scenario", _deep_plane(tmp_path, 201), "--field", "deep",
+                         "--point=0.5,0.25")
+    assert (code, out) == (2, "")
+    assert err == ("error: scenario error at $.fields.deep[0]: "
+                   "expression nests deeper than 200 levels\n")
+
+
+# Loader fuzzing ---------------------------------------------------------------
+
+NAMES = sorted(Path(p).stem for p in Path(scenario_path("halfline")).parent.glob("*.json"))
+
+# a cheap command per scenario, run on each mutant
+CHEAP = {name: ["complete-probe", "--n", "1", "--radius", "0.1", "--t-scale", "0.1"]
+         for name in ("circle", "disk_line", "halfline", "rotation_plane", "translate_shear")}
+CHEAP.update({
+    "cone": ["strata", "--check", "orbits", "--budget", "5", "--horizon", "0.1"],
+    "canonical_r2": ["poisson", "--triples", "1", "--points", "1"],
+    "jacobi_control": ["poisson", "--triples", "1", "--points", "1"],
+    "reduction_r4": ["leaf", "--point=1,1,1,0", "--budget", "5"],
+    "acs_standard": ["acs", "--check", "kahler", "--points", "1"],
+    "acs_variable": ["acs", "--check", "torsion", "--x", "e1", "--y", "e2", "--points", "1"],
+})
+
+BOX = object()  # a box of +-1e160 in the scenario's dimension
+VALUES = [
+    None, True, False, 0, -1, 3, 0.5, BIG, -BIG, "@raw:1e999", "@raw:-1e999", "@raw:1e-400",
+    float("nan"), float("inf"), "", "x1", "q", "eq0", "10^400", "x1/0",
+    "(" * 300 + "x1" + ")" * 300, " + ".join(["x1"] * 1000),
+    [], {}, [[]], [0.5], [1e160], {"default": []}, "@raw:" + "[" * 100_000 + "]" * 100_000, BOX,
+]
+
+
+def locations(doc, keys=()):
+    """The keys of every value under ``doc``, parents first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield keys + (k,)
+        yield from locations(v, keys + (k,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_scenarios_load_or_fail_with_a_path(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(NAMES), label="scenario")
+    doc = shipped(name)
+    n = doc["space"]["ambient_dim"]
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        keys = data.draw(st.sampled_from(list(locations(doc))), label="keys")
+        op = data.draw(st.sampled_from(["delete", "replace", "empty", "duplicate"]), label="op")
+        value = data.draw(st.sampled_from(VALUES), label="value") if op == "replace" else None
+        mutate(doc, keys, op, [[-1e160] * n, [1e160] * n] if value is BOX else value)
+    path = write_scenario(tmp_path_factory.getbasetemp(), doc, "mutant.json")
+    try:
+        load_scenario(path)
+        event("loads")
+    except SchemaError:
+        event("SchemaError")
+    code, _, err = run(*CHEAP[name], "--scenario", path)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
