@@ -47,7 +47,7 @@ _EXPORTS = {
     "orbit": (
         "Chart", "CompletenessReport", "DependentBasisError", "DimensionReport", "FieldFamily",
         "OrbitError", "OrbitSample", "ReachError", "chart_jacobian", "dimension_constancy_report",
-        "local_completeness_probe", "reach", "sample_orbit", "span_dimension",
+        "local_completeness_probe", "reach", "sample_orbit",
     ),
     "poisson": (
         "InvarianceReport", "PoissonError", "PoissonStructure", "ReductionError", "ReductionSetup",

@@ -34,7 +34,6 @@ from .report import worst_residual
 if TYPE_CHECKING:
     import numpy as np
 
-SQUARE_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
 KAHLER_TOL = 1e-8
 
@@ -74,11 +73,6 @@ class AlmostComplexStructure:
 
         eye = np.eye(self.dim)
         return worst_residual(float(np.max(np.abs(m @ m + eye))) for m in map(self.matrix_at, points))
-
-    def validate(self, points: Sequence[Sequence[float]], tol: float = SQUARE_TOL) -> None:
-        r = self.square_residual(points)
-        if r > tol:
-            raise AlmostComplexError(f"matrix square deviates from -I by {r:.3e} > {tol:.1e}")
 
     def apply(self, x: TangentField, label: Optional[str] = None) -> TangentField:
         """The field J X with components (J X)^i = sum_j J[i][j] X^j."""

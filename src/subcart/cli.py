@@ -34,49 +34,27 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .almostcomplex import (
-    AlmostComplexError,
-    AlmostComplexStructure,
-    cauchy_riemann_residual,
-    kahler_check,
-    max_norm,
+    KAHLER_TOL, AlmostComplexError, AlmostComplexStructure, cauchy_riemann_residual, kahler_check, max_norm,
     torsion,
 )
 from .expr import Expr, ExprError, ParseError, parse, to_text
 from .field import FieldError, TangentField, lie_bracket
 from .flow import (
-    FlowDomainError,
-    FlowOptions,
-    IntegrationError,
-    NOT_VECTOR_FIELD,
-    ProbeOptions,
-    classify_vector_field,
-    integrate,
+    DEFAULT_ATOL, DEFAULT_HORIZON, DEFAULT_RTOL, NOT_VECTOR_FIELD, FlowDomainError, FlowOptions,
+    IntegrationError, ProbeOptions, classify_vector_field, integrate,
 )
 from .orbit import (
-    DependentBasisError,
-    FieldFamily,
-    OrbitError,
-    chart_jacobian,
-    local_completeness_probe,
-    sample_orbit,
+    COMPLETENESS_TOL, RANK_TOL, DependentBasisError, FieldFamily, OrbitError, chart_jacobian,
+    local_completeness_probe, sample_orbit,
 )
 from .poisson import (
-    PoissonError,
-    PoissonStructure,
-    ReductionError,
-    ReductionSetup,
-    jacobi_sample_residual,
-    leaf_sample,
-    reduce as reduce_structure,
+    CERTIFY_TOL, FIT_TOL, PoissonError, PoissonStructure, ReductionError, ReductionSetup,
+    jacobi_sample_residual, leaf_sample, reduce as reduce_structure,
 )
 from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
 from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint
 from .strata import (
-    StrataError,
-    StratifiedSpace,
-    Stratum,
-    frontier_check,
-    orbit_vs_strata,
+    DRIFT_TOL, FRONTIER_TOL, StrataError, StratifiedSpace, Stratum, frontier_check, orbit_vs_strata,
     strongly_stratified_check,
 )
 
@@ -85,18 +63,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_TOLERANCES = {
-    "rtol": 1e-9,
-    "atol": 1e-12,
-    "rank": 1e-8,
-    "completeness": 1e-6,
+    "rtol": DEFAULT_RTOL,
+    "atol": DEFAULT_ATOL,
+    "rank": RANK_TOL,
+    "completeness": COMPLETENESS_TOL,
     "antisymmetry": 1e-12,
     "jacobi": 1e-8,
     "casimir_drift": 1e-6,
-    "frontier": 1e-4,
-    "drift": 1e-8,
-    "kahler": 1e-8,
-    "fit": 1e-10,
-    "certify": 1e-10,
+    "frontier": FRONTIER_TOL,
+    "drift": DRIFT_TOL,
+    "kahler": KAHLER_TOL,
+    "fit": FIT_TOL,
+    "certify": CERTIFY_TOL,
     "square": 1e-10,
 }
 
@@ -516,7 +494,7 @@ def cmd_orbit(sc: Scenario, args, tol) -> tuple[dict, int]:
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
     cloud = sample_orbit(
         fam, point, args.budget, step_scale=args.step_scale,
-        rng_seed=args.seed, options=_flow_options(tol),
+        rng_seed=args.seed, tol_rank=tol["rank"], options=_flow_options(tol),
     )
     out = _csv_out(args)
     if out:
@@ -598,8 +576,8 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
         seeds = _resolve_seeds(sc, args.seeds)
         try:
             rep = orbit_vs_strata(
-                ss, fam, seeds, lo, hi, budget=args.budget, rng_seed=args.seed,
-                horizon=args.horizon, drift_tol=tol["drift"], options=_flow_options(tol),
+                ss, fam, seeds, lo, hi, budget=args.budget, rng_seed=args.seed, horizon=args.horizon,
+                drift_tol=tol["drift"], tol_rank=tol["rank"], options=_flow_options(tol),
             )
         except StrataError as exc:
             result = {"verdict": "PreconditionFailed", "detail": str(exc)}
@@ -667,7 +645,7 @@ def cmd_leaf(sc: Scenario, args, tol) -> tuple[dict, int]:
     cloud = leaf_sample(
         sc.space, sc.poisson, sc.generators, point, args.budget,
         rng_seed=args.seed, step_scale=args.step_scale,
-        casimirs=sc.casimirs, options=_flow_options(tol),
+        casimirs=sc.casimirs, tol_rank=tol["rank"], options=_flow_options(tol),
     )
     out = _csv_out(args)
     if out:
@@ -791,7 +769,7 @@ _COMMANDS = {
     "flow": ("integrate one field from a point", cmd_flow, (
         ("--field", {"required": True}),
         ("--point", {"required": True}),
-        ("--horizon", {"type": _positive_float, "default": 10.0}),
+        ("--horizon", {"type": _positive_float, "default": DEFAULT_HORIZON}),
     )),
     "classify": ("derivation vs vector field verdict", cmd_classify, (
         ("--field", {"required": True}),

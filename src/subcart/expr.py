@@ -486,8 +486,9 @@ def parse(text: str, n_vars: int, aliases: Optional[Sequence[str]] = None) -> Ex
     e.g. ("x", "y") makes "x" mean x1.  Cutoff nodes print as ``cutexp(u)``
     and ``cutexp2(u)`` (shift suffix on the name) and parse back the same way.
     A tree deeper than 200 levels, text nested too deep for the parser's
-    stack, and a constant that overflows when folded (``10^400``) are each a
-    ``ParseError``.
+    stack, a constant that overflows when folded (``10^400``) and an
+    exponent of more digits than ``int`` converts (4,300 by default) are
+    each a ``ParseError``.
     """
     alias_map = {}
     if aliases is not None:
@@ -520,7 +521,11 @@ def parse(text: str, n_vars: int, aliases: Optional[Sequence[str]] = None) -> Ex
             tok = toks.take("num")
             if not tok[1].isdigit():
                 raise ParseError(f"exponent must be a plain integer, got {tok[1]!r}")
-            return pow_int(base, int(tok[1]))
+            try:
+                k = int(tok[1])
+            except ValueError:  # more digits than Python converts to an int
+                raise ParseError(f"exponent of {len(tok[1])} digits at position {tok[2]} is too large") from None
+            return pow_int(base, k)
         return base
 
     def parse_base() -> Expr:

@@ -18,16 +18,18 @@ Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
 and kept for the process in one table keyed by the source they are made
 of, so a field or space built anew with the same content finds its kernel.
 Membership is monitored along every accepted step at evenly spaced points
-of the dense output, which only ``integrate`` records, in one packed buffer
-per direction that a curve turns into (t, point) pairs when they are read.
+of the dense output, at least four per step, its end included, and at most
+0.1 apart in time (``INTERIOR_CHECKS``, ``MAX_SAMPLE_DT``).  Only
+``integrate`` records them, in one packed buffer per direction that a
+curve turns into (t, point) pairs when they are read.
 A space with a cell of no constraints holds everywhere, so there nothing is
 tested, and a kernel that neither tests nor records has no scan.
 Where Python's float ``**`` overflows in the scan, the space tests the point
 again on numpy floats, importing numpy then.  On the first violation the
 exit time is located by bisection on the dense output down to 1e-12 in
-time.  Domain-guard failures inside the derivative (logs, roots, quotients)
-are treated as leaving the chart: the step is retried at half size down to
-1e-14, then the curve ends.
+time (``BISECT_TOL``).  Domain-guard failures inside the derivative (logs,
+roots, quotients) are treated as leaving the chart: the step is retried at
+half size down to 1e-14 (``MIN_STEP``), then the curve ends.
 A starting step that is zero or not finite, a NaN error norm, an accepted
 step too short to advance t and a field whose value overflows (Python's
 float ``**`` raises there) are failures of the stepper itself.
@@ -35,10 +37,15 @@ float ``**`` raises there) are failures of the stepper itself.
 An exit comes in two flavours.  When the limit point still satisfies the
 membership predicate under a relaxed tolerance the interval endpoint is
 attained inside the set (the curve ran into a closed face), otherwise the
-interval is open on that side.  Attained endpoints are exactly what the
+interval is open on that side; the relaxed tolerance is 10 times the
+space's (``ATTAINED_FACTOR``).  Attained endpoints are exactly what the
 vector-field classifier looks for on locally closed spaces: a derivation
 whose curve stops at an interior-reachable member point admits no local
 one-parameter group there.
+
+These numbers, and the classifier's probe schedule below, are module
+constants.  A caller sets the error tolerances and the step budget
+(``FlowOptions``) and the horizon.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ DEFAULT_HORIZON = 10.0
 BISECT_TOL = 1e-12
 MIN_STEP = 1e-14
 ATTAINED_FACTOR = 10.0
+INTERIOR_CHECKS = 3  # scanned points inside each accepted step, at least
+MAX_SAMPLE_DT = 0.1
 
 
 class IntegrationError(RuntimeError):
@@ -92,13 +101,7 @@ class FlowDomainError(RuntimeError):
 class FlowOptions:
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    horizon: float = DEFAULT_HORIZON
-    bisect_tol: float = BISECT_TOL
-    min_step: float = MIN_STEP
     max_steps: int = 1_000_000
-    attained_factor: float = ATTAINED_FACTOR
-    interior_checks: int = 3
-    max_sample_dt: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -240,14 +243,14 @@ class _DriveResult:
     n_steps: int = 0
 
 
-def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, opts, member, member_relaxed, witness_info):
+def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, member, member_relaxed, witness_info):
     """End a drive that leaves the space inside the step from t to t + h.
 
     Membership is bisected on the step's dense output, given as
     per-component coefficient tuples (y, ydiff, bspl, r4, r5), between the
     last passing fraction ``theta_in`` and the first failing ``theta_out``.
     """
-    while (theta_out - theta_in) * abs(h) > opts.bisect_tol:
+    while (theta_out - theta_in) * abs(h) > BISECT_TOL:
         mid = 0.5 * (theta_in + theta_out)
         if member(_dense(coeffs, mid)):
             theta_in = mid
@@ -293,10 +296,7 @@ _DRIVER = """\
 def _drive(x0, target, opts, member, member_relaxed, witness_info, _tol):
     rtol = opts.rtol
     atol = opts.atol
-    min_step = opts.min_step
     max_steps = opts.max_steps
-    min_sub = opts.interior_checks + 1
-    max_dt = opts.max_sample_dt
     span = abs(target)
     y = list(x0)
 $samples
@@ -332,7 +332,7 @@ $start
 $stages
         except DomainError:
             h *= 0.5
-            if abs(h) < min_step:
+            if abs(h) < MIN_STEP:
                 witness = ExitWitness(t=t, point=($y), attained=True, guard=True)
                 return _DriveResult(t, [$y], False, samples, witness, n_steps)
             continue
@@ -342,7 +342,7 @@ $errors
         err = sqrt((0.0 + $sumsq) / $n)
         if not err <= 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
-            if abs(h) < min_step:
+            if abs(h) < MIN_STEP:
                 raise IntegrationError(f"step size underflow at t={t}", t=t)
             continue
         if t + h == t:
@@ -412,7 +412,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = k1_{i} / sk{i}"]
     dense = "y{i} + th * (yd{i} + u * (bs{i} + th * (q{i} + u * r{i})))"
     leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + ",), theta_in, th, t, h, samples, "
-             "n_steps, opts, member, member_relaxed, witness_info)")
+             "n_steps, member, member_relaxed, witness_info)")
     point = [f"p{i} = {dense.format(i=i)}" for i in ix]
     test = [] if cells is None else (
         ["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
@@ -422,10 +422,11 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     keep = ["sample_t.append(target if (landing and th == 1.0) else t + th * h)",
             f"sample_x.extend(({names('p')}))"] if record else []
     # the scan grid doubles as the sample grid, keeping recorded sample spacing
-    # at or below max_sample_dt
+    # at or below MAX_SAMPLE_DT
     scan = []
     if cells is not None or record:
-        scan = ["n_sub = max(min_sub, ceil(abs(h) / max_dt))", "theta_in = 0.0", "for i in range(1, n_sub + 1):"]
+        scan = [f"n_sub = max({INTERIOR_CHECKS + 1}, ceil(abs(h) / {MAX_SAMPLE_DT!r}))", "theta_in = 0.0",
+                "for i in range(1, n_sub + 1):"]
         scan += ["    " + line for line in ["th = i / n_sub", "u = 1.0 - th", *point, *test, "theta_in = th", *keep]]
     parts = dict(
         n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
@@ -461,14 +462,15 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace], record: bool)
     if drive is None:
         scope = dict(_COMPILE_ENV, **_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
                      ExitWitness=ExitWitness, DomainError=DomainError, _DomainError=DomainError,
-                     IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf)
+                     IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf,
+                     MIN_STEP=MIN_STEP)
         source = _driver_source(fld.components, None if scan is None else space.cells, record)
         exec(compile(source, f"<dopri5 kernel n={fld.dim}>", "exec"), scope)
         drive = _DRIVERS[key] = scope["_drive"]
     return drive
 
 
-def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions):
+def _membership(space: Optional[SubcartesianSpace]):
     """The membership callbacks of a kernel: ``member``, ``member_relaxed``
     and ``witness_info``, or three Nones where nothing is tested.  They read
     only the space's coordinates, so a point may carry more after them."""
@@ -476,7 +478,7 @@ def _membership(space: Optional[SubcartesianSpace], opts: FlowOptions):
         return None, None, None
 
     def member_relaxed(p: list[float]) -> bool:
-        return space.contains(p, tol=space.tol * opts.attained_factor)
+        return space.contains(p, tol=space.tol * ATTAINED_FACTOR)
 
     def witness_info(p_in: list[float], p_out: list[float]) -> tuple:
         ci = space.member_cell(p_in)
@@ -503,7 +505,7 @@ def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], ho
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     space.require_member(x0, "basepoint")
-    member, member_relaxed, witness_info = _membership(space, opts)
+    member, member_relaxed, witness_info = _membership(space)
     drive = _kernel(fld, space, record)
     fwd = drive(x0, horizon, opts, member, member_relaxed, witness_info, space.tol)
     bwd = drive(x0, -horizon, opts, member, member_relaxed, witness_info, space.tol)
@@ -514,7 +516,7 @@ def integrate(
     space: SubcartesianSpace,
     fld: TangentField,
     x0: Sequence[float],
-    horizon: Optional[float] = None,
+    horizon: float = DEFAULT_HORIZON,
     options: Optional[FlowOptions] = None,
 ) -> IntegralCurve:
     """Maximal integral curve through x0, clipped to [-horizon, horizon].
@@ -525,7 +527,7 @@ def integrate(
     """
     opts = options or FlowOptions()
     x0 = tuple(float(v) for v in x0)
-    fwd, bwd = _drives(space, fld, x0, opts.horizon if horizon is None else horizon, opts, True)
+    fwd, bwd = _drives(space, fld, x0, horizon, opts, True)
     return IntegralCurve(
         basepoint=x0,
         field_label=fld.label,
@@ -545,7 +547,7 @@ def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,
     """``flow_map`` on float lists: ``core(x0, t)`` is the time-t image of x0,
     which must be a member (it is not tested), erroring if t is out of range."""
     drive = _kernel(fld, space, False)
-    member, member_relaxed, witness_info = _membership(space, opts)
+    member, member_relaxed, witness_info = _membership(space)
     tol = None if space is None else space.tol
 
     def core(x0: list[float], t: float) -> list[float]:
@@ -626,22 +628,31 @@ NOT_VECTOR_FIELD = "NotVectorField"
 INCONCLUSIVE = "Inconclusive"
 
 
+# The classifier's shrinking-neighborhood schedule: level k samples
+# PROBE_SAMPLES points within PROBE_RADIUS0 * PROBE_DECAY^k of each seed and
+# drives each for PROBE_HORIZON both ways.  An attained exit within
+# PROBE_EPS_FACTOR times the level radius is a witness.
+PROBE_RADIUS0 = 0.5
+PROBE_DECAY = 0.25
+PROBE_LEVELS = 6
+PROBE_SAMPLES = 20
+PROBE_EPS_FACTOR = 4.0
+PROBE_HORIZON = 1.0
+# The verdict: radii that end below ABS_FRACTION of the horizon and below
+# FAIL_RATIO of the first level's collapse; radii at least PASS_RATIO of it,
+# with the sampled flow's distance ratios at least INJECTIVITY_FLOOR, pass.
+FAIL_RATIO = 0.3
+PASS_RATIO = 0.5
+ABS_FRACTION = 0.1
+INJECTIVITY_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class ProbeOptions:
-    """Seed points and shrinking-neighborhood schedule for the probes."""
+    """Seed points of the probes and the seed of their sampler."""
 
     seeds: tuple[tuple[float, ...], ...] = ()
-    radius0: float = 0.5
-    decay: float = 0.25
-    levels: int = 6
-    samples_per_level: int = 20
-    eps_factor: float = 4.0
-    probe_horizon: float = 1.0
     rng_seed: int = 0
-    fail_ratio: float = 0.3
-    pass_ratio: float = 0.5
-    abs_fraction: float = 0.1
-    injectivity_floor: float = 1e-3
 
 
 @dataclass
@@ -672,10 +683,9 @@ def classify_vector_field(
     injectivity) support a probabilistic positive, radii collapsing toward
     zero certify a negative, anything in between is inconclusive.
     """
-    pr = probe
     opts = options or FlowOptions()
-    rng = random.Random(pr.rng_seed)
-    seeds = [[float(v) for v in s] for s in pr.seeds]
+    rng = random.Random(probe.rng_seed)
+    seeds = [[float(v) for v in s] for s in probe.seeds]
     if not seeds:
         raise ValueError("classification needs at least one seed point")
     for s in seeds:
@@ -686,16 +696,16 @@ def classify_vector_field(
     min_witness: Optional[dict] = None
     last_level_points: list[list[float]] = []
 
-    for level in range(pr.levels):
-        r = pr.radius0 * pr.decay**level
+    for level in range(PROBE_LEVELS):
+        r = PROBE_RADIUS0 * PROBE_DECAY**level
         radii.append(r)
         pts: list[list[float]] = list(seeds)
         for s in seeds:
-            pts.extend(sample_near(space, s, r, pr.samples_per_level, rng))
+            pts.extend(sample_near(space, s, r, PROBE_SAMPLES, rng))
         m_here = math.inf
         for y in pts:
             try:
-                fwd, bwd = _drives(space, fld, y, pr.probe_horizon, opts, False)
+                fwd, bwd = _drives(space, fld, y, PROBE_HORIZON, opts, False)
             except IntegrationError as exc:
                 return VectorFieldVerdict(
                     INCONCLUSIVE,
@@ -710,7 +720,7 @@ def classify_vector_field(
                     wit = res.exit_witness
                     if res.reached or wit is None or not wit.attained:
                         continue
-                    if abs(res.t_end) <= pr.eps_factor * r:
+                    if abs(res.t_end) <= PROBE_EPS_FACTOR * r:
                         return VectorFieldVerdict(
                             NOT_VECTOR_FIELD,
                             witness={
@@ -727,22 +737,22 @@ def classify_vector_field(
             radius = min(-bwd.t_end, fwd.t_end)  # the horizon where both drives reach it
             if radius < m_here:
                 m_here = radius
-                if min_witness is None or level == pr.levels - 1:
+                if min_witness is None or level == PROBE_LEVELS - 1:
                     min_witness = {
                         "kind": "shrinking-intervals",
                         "point": [float(v) for v in y],
                         "interval_radius": radius,
                         "level_radius": r,
                     }
-        m_levels.append(m_here if math.isfinite(m_here) else pr.probe_horizon)
-        if level == pr.levels - 1:
+        m_levels.append(m_here if math.isfinite(m_here) else PROBE_HORIZON)
+        if level == PROBE_LEVELS - 1:
             last_level_points = pts
 
     m_first, m_last = m_levels[0], m_levels[-1]
     diagnostics = {"radii": radii, "min_interval_radius": m_levels}
     notes: list[str] = []
 
-    if m_last <= pr.abs_fraction * pr.probe_horizon and m_last <= pr.fail_ratio * max(m_first, 1e-300):
+    if m_last <= ABS_FRACTION * PROBE_HORIZON and m_last <= FAIL_RATIO * max(m_first, 1e-300):
         return VectorFieldVerdict(
             NOT_VECTOR_FIELD,
             witness=min_witness,
@@ -753,7 +763,7 @@ def classify_vector_field(
 
     # Injectivity of the sampled time-eps flow at the finest level; the
     # points are members, and distances are roots of in-order sums of squares.
-    t_eps = 0.5 * min(m_last, pr.probe_horizon)
+    t_eps = 0.5 * min(m_last, PROBE_HORIZON)
     inj = math.inf
     if t_eps > 0 and len(last_level_points) >= 2:
         core = _flow_core(space, fld, opts)
@@ -776,7 +786,7 @@ def classify_vector_field(
                 inj = min(inj, math.sqrt(_sum_sq(a - b for a, b in zip(zi, zj))) / d0)
     diagnostics["injectivity_min_ratio"] = None if math.isinf(inj) else inj
 
-    if m_last >= pr.pass_ratio * m_first and (math.isinf(inj) or inj >= pr.injectivity_floor):
+    if m_last >= PASS_RATIO * m_first and (math.isinf(inj) or inj >= INJECTIVITY_FLOOR):
         notes.append("uniform flow time with sampled injectivity; positive answers are probabilistic")
         return VectorFieldVerdict(VECTOR_FIELD, None, probes_run, notes, diagnostics)
 

@@ -31,8 +31,10 @@ from .space import SubcartesianSpace
 if TYPE_CHECKING:
     import numpy as np
 
-MERGE_RADIUS = 1e-6
+MERGE_RADIUS = 1e-6  # orbit points closer than this are one point
 RANK_TOL = 1e-8
+COMPLETENESS_TOL = 1e-6
+CHART_FD_STEP = 1e-6  # the central difference step of the chart's word map
 
 FlowWord = tuple[tuple[int, float], ...]
 
@@ -82,9 +84,6 @@ class FieldFamily:
         """Columns are the member fields evaluated at the point (n x m)."""
         import numpy as np
 
-        n = self.space.ambient_dim
-        if not self.fields:
-            return np.zeros((n, 0))
         return np.column_stack([f(point) for f in self.fields])
 
     def vanishes_at(self, point: Sequence[float]) -> bool:
@@ -159,46 +158,35 @@ def span_dimensions(
     return np.where(top[:, 0] > 0.0, np.sum(s > tol_rank * top, axis=1), 0).tolist()
 
 
-def span_dimension(
-    family: FieldFamily, point: Sequence[float], tol_rank: float = RANK_TOL
-) -> int:
-    """Numerical rank of the family's value matrix at the point."""
-    return span_dimensions(family, [point], tol_rank)[0]
-
-
 class _MergeIndex:
     """The collected points of an orbit, for the merge test of ``sample_orbit``.
 
-    A candidate merges when some collected point lies within ``radius`` by
-    the row formula of ``np.linalg.norm(buf - y, axis=1)``, the square root
-    of the pairwise sum of the squared differences, and the smallest
-    distance is not NaN.  Points sit in grid cells of side 4 * radius keyed
-    by ``floor(x / side)``.  A point within the radius differs from the
-    candidate by at most a quarter of the side in every coordinate, and as
-    long as every |x / side| is below 2^50 and the radius is at least
-    2^-500, above which squares keep their relative precision, the rounding
-    of the two quotients adds at most 1/8 of a side.  So per axis the point
-    lies in the candidate's cell or in the neighbour on the side of the
-    candidate's half of its cell, and the 2^n cells those choices span hold
-    every point within the radius.  ``locate`` computes a point's cell and
-    those lower corners once, for the merge test and for adding the point.
-    Points beyond 2^50 go to ``far``, which every candidate scans.  A
-    candidate beyond it, one with fewer points than cells to probe, and
-    every candidate when the radius is below 2^-500 (a radius of 0 merges
-    points whose squared differences underflow) scan all points.  A cell
-    is found by the hash of its key and holds a chain of point indices
-    through ``prev``; cells whose hashes collide share a chain, which only
-    adds points to the exact test.
+    A candidate merges when some collected point lies within
+    ``MERGE_RADIUS`` by the row formula of ``np.linalg.norm(buf - y,
+    axis=1)``, the square root of the pairwise sum of the squared
+    differences, and the smallest distance is not NaN.  Points sit in grid
+    cells of side 4 * MERGE_RADIUS keyed by ``floor(x / side)``.  A point
+    within the radius differs from the candidate by at most a quarter of the
+    side in every coordinate, and as long as every |x / side| is below 2^50
+    the rounding of the two quotients adds at most 1/8 of a side.  So per
+    axis the point lies in the candidate's cell or in the neighbour on the
+    side of the candidate's half of its cell, and the 2^n cells those
+    choices span hold every point within the radius.  ``locate`` computes a
+    point's cell and those lower corners once, for the merge test and for
+    adding the point.  Points beyond 2^50 go to ``far``, which every
+    candidate scans; a candidate beyond it, and one with fewer points than
+    cells to probe, scan all points.  A cell is found by the hash of its key
+    and holds a chain of point indices through ``prev``; cells whose hashes
+    collide share a chain, which only adds points to the exact test.
     """
 
-    def __init__(self, n: int, radius: float):
+    side = 4.0 * MERGE_RADIUS
+    # a point farther than twice the radius in its first coordinate is
+    # farther than the radius
+    far_off = 2.0 * MERGE_RADIUS
+
+    def __init__(self, n: int):
         self.n = n
-        self.radius = radius
-        self.side = 4.0 * radius if radius >= 2.0**-500 else 0.0
-        # a point farther than twice the radius in its first coordinate is
-        # farther than the radius; below 2^-500 squares underflow, so there
-        # every point is tested
-        self.far_off = 2.0 * radius if self.side > 0.0 else math.inf
         self.x = array("d")  # n coordinates per point
         self.last: dict[int, int] = {}  # cell hash -> its last point
         self.prev = array("q")  # per point: the point before it in its cell, or -1
@@ -208,8 +196,6 @@ class _MergeIndex:
     def locate(self, y: list[float]) -> Optional[tuple[tuple[int, ...], list[int]]]:
         """The key of y's cell and, per axis, the lower of the two cells to
         probe; None off the grid."""
-        if not self.side > 0.0:
-            return None
         key = []
         low = []
         for v in y:
@@ -258,7 +244,7 @@ class _MergeIndex:
             if d != d:
                 return False
             best = min(best, d)
-        return best <= self.radius
+        return best <= MERGE_RADIUS
 
 
 @dataclass
@@ -284,7 +270,6 @@ def sample_orbit(
     budget: int,
     step_scale: float = 0.3,
     rng_seed: int = 0,
-    merge_radius: float = MERGE_RADIUS,
     tol_rank: float = RANK_TOL,
     options: Optional[FlowOptions] = None,
 ) -> OrbitSample:
@@ -292,7 +277,7 @@ def sample_orbit(
 
     Frontier points are expanded with one random duration per family field;
     candidates of a round are sorted canonically before dedup so the result
-    does not depend on expansion interleaving.  Points within merge_radius
+    does not depend on expansion interleaving.  Points within MERGE_RADIUS
     of an already collected point are merged away.  Where every field of
     the family vanishes at x0, every flow fixes it: the cloud is x0 alone,
     at once, with ``"fixed_point": true`` in the diagnostics.
@@ -309,7 +294,7 @@ def sample_orbit(
     seed = np.asarray(x0, dtype=float)
     points: list[list[float]] = [seed.tolist()]
     words: list[FlowWord] = [()]
-    index = _MergeIndex(seed.size, merge_radius)
+    index = _MergeIndex(seed.size)
     index.add(points[0], index.locate(points[0]))
     frontier: deque[int] = deque([0])
     attempts = 0
@@ -361,7 +346,7 @@ def sample_orbit(
         "span_dimensions": sorted(set(dims)),
         "rng_seed": rng_seed,
         "step_scale": step_scale,
-        "merge_radius": merge_radius,
+        "merge_radius": MERGE_RADIUS,
     }
     if fixed:
         diagnostics["fixed_point"] = True
@@ -400,7 +385,6 @@ def chart_jacobian(
     family: FieldFamily,
     basis: Sequence[int],
     x: Sequence[float],
-    fd_step: float = 1e-6,
     tol_rank: float = RANK_TOL,
     options: Optional[FlowOptions] = None,
 ) -> Chart:
@@ -432,10 +416,10 @@ def chart_jacobian(
     box = []
     for b in basis:
         fld = family.fields[b]
-        plus = flow_map(family.space, fld, x, fd_step, options)
-        minus = flow_map(family.space, fld, x, -fd_step, options)
-        fd_cols.append((plus - minus) / (2.0 * fd_step))
-        box.append((-fd_step, fd_step))
+        plus = flow_map(family.space, fld, x, CHART_FD_STEP, options)
+        minus = flow_map(family.space, fld, x, -CHART_FD_STEP, options)
+        fd_cols.append((plus - minus) / (2.0 * CHART_FD_STEP))
+        box.append((-CHART_FD_STEP, CHART_FD_STEP))
     fd_jac = np.column_stack(fd_cols)
     agreement = float(np.max(np.abs(fd_jac - jac)))
     return Chart(
@@ -514,7 +498,7 @@ def _span_residual(matrix: np.ndarray, w: np.ndarray) -> float:
     """Distance from w to the column span of matrix."""
     import numpy as np
 
-    if matrix.size == 0 or not np.any(matrix):
+    if not np.any(matrix):
         return float(np.linalg.norm(w))
     coef, *_ = np.linalg.lstsq(matrix, w, rcond=None)
     return float(np.linalg.norm(w - matrix @ coef))
@@ -528,7 +512,7 @@ def local_completeness_probe(
     centers: Optional[Sequence[Sequence[float]]] = None,
     radius: float = 1.0,
     t_scale: float = 1.0,
-    tol: float = 1e-6,
+    tol: float = COMPLETENESS_TOL,
     options: Optional[FlowOptions] = None,
 ) -> CompletenessReport:
     """Test the pointwise completeness condition on sampled probes.

@@ -58,7 +58,7 @@ from .expr import (
 )
 from .field import TangentField
 from .flow import FlowOptions, flow_map
-from .orbit import FieldFamily, OrbitSample, sample_orbit
+from .orbit import RANK_TOL, FieldFamily, OrbitSample, sample_orbit
 from .report import worst_residual
 from .space import SubcartesianSpace
 
@@ -68,6 +68,13 @@ if TYPE_CHECKING:
 FIT_TOL = 1e-10
 SNAP_TOL = 1e-9
 CERTIFY_TOL = 1e-10
+# reduction fits on FIT_POINTS and certifies on CERTIFY_POINTS uniform
+# points of [-SAMPLE_SCALE, SAMPLE_SCALE]^n
+FIT_POINTS = 120
+CERTIFY_POINTS = 200
+SAMPLE_SCALE = 1.5
+JACOBI_DEGREE = 2  # the degree of the random polynomial triples of the Jacobi sample
+INVARIANCE_FD_STEP = 1e-5  # the first central difference step of the bracket pullback
 # sample points per block of the Jacobi sample: bounds its arrays, not its result
 _BLOCK_POINTS = 160
 
@@ -275,11 +282,12 @@ def jacobi_residual(
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_jets(n_vars: int, degree: int) -> _Table:
-    """Gradient then Hessian of each monomial of ``monomials(n_vars, degree)``,
-    flat in that order: len(monos) * (n + n^2) values per point."""
+def _monomial_jets(n_vars: int) -> _Table:
+    """Gradient then Hessian of each monomial of ``monomials(n_vars,
+    JACOBI_DEGREE)``, flat in that order: len(monos) * (n + n^2) values per
+    point."""
     out: list[Expr] = []
-    for exps in monomials(n_vars, degree):
+    for exps in monomials(n_vars, JACOBI_DEGREE):
         grad = [diff(_monomial_expr(exps), i) for i in range(n_vars)]
         out += grad
         out += [diff(g, j) for g in grad for j in range(n_vars)]
@@ -290,13 +298,12 @@ def jacobi_sample_residual(
     p: PoissonStructure,
     n_triples: int = 50,
     n_points: int = 10,
-    degree: int = 2,
     scale: float = 1.0,
     rng_seed: int = 0,
 ) -> float:
     """Jacobi residual over random polynomial triples at random points.
 
-    Each triple is three coefficient vectors over ``monomials(dim, degree)``
+    Each triple is three coefficient vectors over ``monomials(dim, JACOBI_DEGREE)``
     and has its own points; its jets are those coefficients contracted with
     the monomials' gradient and Hessian tables.  No expression is built per
     triple.
@@ -309,13 +316,13 @@ def jacobi_sample_residual(
     draw = random.Random(rng_seed).random
     width = scale - -scale
     n = p.dim
-    n_monos = len(monomials(n, degree))
+    n_monos = len(monomials(n, JACOBI_DEGREE))
     coeffs: list[list[list[float]]] = []
     pts: list[list[float]] = []
     for _ in range(n_triples):
         coeffs.append([_random_coeffs(n_monos, draw) for _ in range(3)])
         pts += [[-scale + width * draw() for _ in range(n)] for _ in range(n_points)]
-    table = _monomial_jets(n, degree)
+    table = _monomial_jets(n)
     # a block of triples at a time keeps the (points, monomials, n + n^2) table small
     per_block = max(1, _BLOCK_POINTS // n_points)
     worst = []
@@ -366,7 +373,6 @@ def invariance_residual(
     t: float,
     x: Sequence[float],
     space: Optional[SubcartesianSpace] = None,
-    fd_step: float = 1e-5,
     options: Optional[FlowOptions] = None,
 ) -> InvarianceReport:
     """|{f1 o phi_t, f2 o phi_t}(x) - {f1,f2}(phi_t(x))| by numeric pullback.
@@ -397,8 +403,8 @@ def invariance_residual(
             d2[i] = (ef2(plus.tolist()) - ef2(minus.tolist())) / (2.0 * step)
         return float(d1 @ pm @ d2)
 
-    b_h = pulled_bracket(fd_step)
-    b_h2 = pulled_bracket(fd_step / 2.0)
+    b_h = pulled_bracket(INVARIANCE_FD_STEP)
+    b_h2 = pulled_bracket(INVARIANCE_FD_STEP / 2.0)
     extrapolated = b_h2 + (b_h2 - b_h) / 3.0
     return InvarianceReport(
         value=abs(extrapolated - target),
@@ -435,12 +441,8 @@ class ReductionSetup:
     ambient: PoissonStructure
     invariants: tuple[Expr, ...]
     degree: int = 2
-    sample_count: int = 120
-    sample_scale: float = 1.5
     rng_seed: int = 0
     fit_tol: float = FIT_TOL
-    snap_tol: float = SNAP_TOL
-    certify_count: int = 200
     certify_tol: float = CERTIFY_TOL
 
 
@@ -468,11 +470,11 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
 
     def draw(count: int) -> list[list[float]]:
         return [
-            [rng.uniform(-setup.sample_scale, setup.sample_scale) for _ in range(amb.dim)]
+            [rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE) for _ in range(amb.dim)]
             for _ in range(count)
         ]
 
-    fit_points = draw(setup.sample_count)
+    fit_points = draw(FIT_POINTS)
     sig_vals = np.array([sigma_eval(x) for x in fit_points])
     monos = monomials(m, setup.degree)
     design = np.column_stack(
@@ -496,7 +498,7 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
                     f"in the invariants up to degree {setup.degree}: fit residual {fit:.3e}"
                 )
             snapped = np.array(
-                [round(c) if abs(c - round(c)) <= setup.snap_tol else c for c in coef]
+                [round(c) if abs(c - round(c)) <= SNAP_TOL else c for c in coef]
             )
             if float(np.max(np.abs(design @ snapped - rhs))) <= setup.fit_tol:
                 coef = snapped
@@ -513,7 +515,7 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
         rows[b][a] = neg(e)
     reduced = PoissonStructure(m, rows, label=f"reduced[{amb.label}]")
 
-    certify_points = draw(setup.certify_count)
+    certify_points = draw(CERTIFY_POINTS)
 
     def replay_residuals():
         for (a, b), e in pair_exprs.items():
@@ -528,9 +530,9 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
             f"certification failed: replay residual {worst:.3e} > {setup.certify_tol:.1e}"
         )
     reduced.meta = {
-        "certified_points": setup.certify_count,
+        "certified_points": CERTIFY_POINTS,
         "certified_residual": worst,
-        "fit_points": setup.sample_count,
+        "fit_points": FIT_POINTS,
         "degree": setup.degree,
         "table": {
             f"{{s{a + 1},s{b + 1}}}": to_text(e) for (a, b), e in sorted(pair_exprs.items())
@@ -548,9 +550,11 @@ def leaf_sample(
     rng_seed: int = 0,
     step_scale: float = 0.3,
     casimirs: Sequence[Expr] = (),
+    tol_rank: float = RANK_TOL,
     options: Optional[FlowOptions] = None,
 ) -> OrbitSample:
-    """Orbit of the Hamiltonian fields of the generators through x0.
+    """Orbit of the Hamiltonian fields of the generators through x0, its
+    span dimensions taken at the relative rank tolerance ``tol_rank``.
 
     Casimir expressions are evaluated along the cloud; their maximal drift
     from the seed value lands in the sample's diagnostics.
@@ -558,7 +562,7 @@ def leaf_sample(
     fields = [hamiltonian_field(p, g) for g in generators]
     family = FieldFamily(space, fields)
     cloud = sample_orbit(
-        family, x0, budget, step_scale=step_scale, rng_seed=rng_seed, options=options
+        family, x0, budget, step_scale=step_scale, rng_seed=rng_seed, tol_rank=tol_rank, options=options
     )
     drifts = []
     for c in casimirs:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .field import TangentField
 from .flow import FlowOptions, integrate
-from .orbit import FieldFamily, sample_orbit
+from .orbit import RANK_TOL, FieldFamily, sample_orbit
 from .space import (
     SpaceError,
     SubcartesianSpace,
@@ -39,6 +39,12 @@ if TYPE_CHECKING:
 FRONTIER_TOL = 1e-4
 DRIFT_TOL = 1e-8
 COVER_RADIUS = 0.35
+# box samples drawn per stratum by each check, and of the total space by the
+# frontier check's partition test
+FRONTIER_SAMPLES = 60
+PARTITION_SAMPLES = 120
+DRIFT_SAMPLES = 15
+COVER_SAMPLES = 60
 
 
 class StrataError(ValueError):
@@ -147,8 +153,6 @@ def frontier_check(
     ss: StratifiedSpace,
     lo: Sequence[float],
     hi: Sequence[float],
-    budget_per_stratum: int = 60,
-    coverage_budget: int = 120,
     rng_seed: int = 0,
     frontier_tol: float = FRONTIER_TOL,
 ) -> FrontierReport:
@@ -164,7 +168,7 @@ def frontier_check(
     clouds: list[list[list[float]]] = []  # lists: numpy scalars would warn where a power overflows
     arrays: list[np.ndarray] = []
     for s in ss.strata:
-        pts = sample_space_box(s.space, lo, hi, budget_per_stratum, rng)
+        pts = sample_space_box(s.space, lo, hi, FRONTIER_SAMPLES, rng)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
         clouds.append(pts)
@@ -172,7 +176,7 @@ def frontier_check(
 
     coverage_failures: list[dict] = []
     disjointness_failures: list[dict] = []
-    total_pts = sample_space_box(ss.total, lo, hi, coverage_budget, rng)
+    total_pts = sample_space_box(ss.total, lo, hi, PARTITION_SAMPLES, rng)
     for p in total_pts:
         owners = [s.name for s in ss.strata if s.space.contains(p)]
         if not owners:
@@ -239,7 +243,6 @@ def strongly_stratified_check(
     lo: Sequence[float],
     hi: Sequence[float],
     horizon: float = 0.5,
-    budget_per_stratum: int = 15,
     rng_seed: int = 0,
     drift_tol: float = DRIFT_TOL,
     options: Optional[FlowOptions] = None,
@@ -260,7 +263,7 @@ def strongly_stratified_check(
     witness: Optional[dict] = None
     per_stratum: dict[str, float] = {}
     for s in ss.strata:
-        pts = sample_space_box(s.space, lo, hi, budget_per_stratum, rng)
+        pts = sample_space_box(s.space, lo, hi, DRIFT_SAMPLES, rng)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
         worst_here = 0.0
@@ -298,14 +301,13 @@ def strongly_stratified_check(
 class OrbitStrataReport:
     passed: bool
     per_seed: list[dict]
-    cover_radius: float
     precondition: list[dict]
 
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
             "per_seed": self.per_seed,
-            "cover_radius": self.cover_radius,
+            "cover_radius": COVER_RADIUS,
             "precondition": self.precondition,
         }
 
@@ -317,12 +319,10 @@ def orbit_vs_strata(
     lo: Sequence[float],
     hi: Sequence[float],
     budget: int = 400,
-    step_scale: float = 0.3,
     rng_seed: int = 0,
-    cover_radius: float = COVER_RADIUS,
-    coverage_budget: int = 60,
     horizon: float = 0.5,
     drift_tol: float = DRIFT_TOL,
+    tol_rank: float = RANK_TOL,
     options: Optional[FlowOptions] = None,
 ) -> OrbitStrataReport:
     """Sampled two-sided comparison of family orbits with strata.
@@ -330,8 +330,9 @@ def orbit_vs_strata(
     Preconditions gate hard: every family field must pass the strongly
     stratified check first.  Containment is then asserted per seed (no
     sampled orbit point may leave the seed's stratum); coverage of the
-    stratum by the orbit cloud is reported as evidence at cover_radius
-    resolution, far coarser than the orbit merge radius.
+    stratum by the orbit cloud is reported as evidence at COVER_RADIUS
+    resolution, far coarser than the orbit merge radius.  ``tol_rank`` is
+    the relative rank tolerance of the clouds' span dimensions.
     """
     import numpy as np
 
@@ -356,16 +357,14 @@ def orbit_vs_strata(
         if si is None:
             raise StrataError(f"seed {list(map(float, seed))} lies in no declared stratum")
         stratum = ss.strata[si]
-        cloud = sample_orbit(
-            family, seed, budget, step_scale=step_scale, rng_seed=rng_seed, options=options
-        )
+        cloud = sample_orbit(family, seed, budget, rng_seed=rng_seed, tol_rank=tol_rank, options=options)
         # lists: numpy scalars would warn where a product overflows
         escapes = [q for q in (p.tolist() for p in cloud.points) if not stratum.space.contains(q)]
-        stratum_pts = sample_space_box(stratum.space, lo, hi, coverage_budget, rng)
+        stratum_pts = sample_space_box(stratum.space, lo, hi, COVER_SAMPLES, rng)
         arr = cloud.as_array()
         covered = 0
         for q in stratum_pts:
-            if arr.size and float(np.min(np.linalg.norm(arr - q, axis=1))) <= cover_radius:
+            if arr.size and float(np.min(np.linalg.norm(arr - q, axis=1))) <= COVER_RADIUS:
                 covered += 1
         frac = covered / len(stratum_pts) if stratum_pts else float("nan")
         ok = not escapes
@@ -385,7 +384,6 @@ def orbit_vs_strata(
     return OrbitStrataReport(
         passed=all_ok,
         per_seed=per_seed,
-        cover_radius=cover_radius,
         precondition=precondition,
     )
 

@@ -352,6 +352,28 @@ def test_default_tolerances_present(capsys):
         assert key in rep["tolerances"]
 
 
+def test_rank_tolerance_reaches_orbit_leaf_and_strata_orbits(capsys):
+    # the echoed rank tolerance is the one the span dimensions are taken at
+    def dims(argv, rank=None):
+        overrides = () if rank is None else ("--tol-overrides", json.dumps({"rank": rank}))
+        code, rep, _ = run(capsys, argv[0], "--scenario", scenario_path(argv[1]), *argv[2:], *overrides)
+        assert code == 0 and rep["tolerances"]["rank"] == (1e-8 if rank is None else rank)
+        return rep["result"]
+
+    # near x = 0 the shear field is short against the translation
+    orbit = ["orbit", "translate_shear", "--point=0.5,0", "--budget", "40"]
+    assert dims(orbit)["diagnostics"]["span_dimensions"] == [2]
+    assert 1 in dims(orbit, 0.9)["diagnostics"]["span_dimensions"]
+    strata = ["strata", "cone", "--check", "orbits", "--budget", "40"]
+    assert [s["est_dimension"] for s in dims(strata)["per_seed"]] == [2]
+    assert [s["est_dimension"] for s in dims(strata, 0.9)["per_seed"]] == [1]
+    # the leaf's two singular values are equal, so only a tolerance of 1,
+    # which no singular value exceeds relative to the top one, changes it
+    leaf = ["leaf", "reduction_r4", "--point=1,1,1,0", "--budget", "40"]
+    assert dims(leaf)["diagnostics"]["span_dimensions"] == [2]
+    assert dims(leaf, 1.0)["diagnostics"]["span_dimensions"] == [0]
+
+
 def test_threads_env_has_no_effect(monkeypatch, capsys):
     # SUBCART_THREADS was a validated knob that changed nothing; it is gone
     _, plain = run_bytes(capsys, "poisson", "--scenario", scenario_path("canonical_r2"))

@@ -26,7 +26,8 @@ from subcart.cli import load_scenario
 from subcart.expr import DomainError, parse
 from subcart.field import TangentField
 from subcart.flow import (
-    _A, _D, _E, _DRIVERS, ExitWitness, _DriveResult, _Samples, _dense, _driver_source, _kernel,
+    _A, _D, _E, _DRIVERS, ATTAINED_FACTOR, BISECT_TOL, INTERIOR_CHECKS, MAX_SAMPLE_DT, MIN_STEP, ExitWitness,
+    _DriveResult, _Samples, _dense, _driver_source, _kernel,
     _membership, _pairwise_sum,
 )
 from subcart.space import Constraint, Rel, SubcartesianSpace, sample_near
@@ -432,7 +433,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
             k7 = f(ynew)
         except DomainError:
             h *= 0.5
-            if abs(h) < opts.min_step:
+            if abs(h) < MIN_STEP:
                 return guard_exit()
             continue
         scaled = []
@@ -444,7 +445,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
             err = math.sqrt(float(np.mean(np.square(np.array(scaled)))))
         if not err <= 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
-            if abs(h) < opts.min_step:
+            if abs(h) < MIN_STEP:
                 raise IntegrationError(f"step size underflow at t={t}", t=t)
             continue
         if t + h == t:
@@ -455,7 +456,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
             bspl = h * c1 - ydiff
             coeffs.append((a, ydiff, bspl, ydiff - h * c7 - bspl,
                            h * (0.0 + d1 * c1 + d2 * c2 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7)))
-        n_sub = max(opts.interior_checks + 1, math.ceil(abs(h) / opts.max_sample_dt))
+        n_sub = max(INTERIOR_CHECKS + 1, math.ceil(abs(h) / MAX_SAMPLE_DT))
         theta_out = None
         theta_in = 0.0
         for i in range(1, n_sub + 1):
@@ -476,7 +477,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
             h *= max(0.2, grow)
             continue
-        while (theta_out - theta_in) * abs(h) > opts.bisect_tol:
+        while (theta_out - theta_in) * abs(h) > BISECT_TOL:
             mid = 0.5 * (theta_in + theta_out)
             if member(_dense(coeffs, mid)):
                 theta_in = mid
@@ -500,7 +501,7 @@ def _hexes(xs) -> list[str]:
 
 
 def _drive_outcome(drive, f, x0, target, opts, space, membership=None):
-    member, member_relaxed, witness_info = membership or _membership(space, opts)
+    member, member_relaxed, witness_info = membership or _membership(space)
     try:
         r = drive(f, list(x0), target, opts, member, member_relaxed, witness_info)
     except Exception as exc:  # the same failure and message
@@ -551,8 +552,6 @@ def _drive_cases(draw):
         rtol=draw(st.sampled_from([1e-3, 1e-6, 1e-9])),
         atol=draw(st.sampled_from([1e-12, 1e-6])),
         max_steps=draw(st.sampled_from([3, 40, 400])),
-        interior_checks=draw(st.sampled_from([1, 3])),
-        max_sample_dt=draw(st.sampled_from([0.1, 0.03])),
     )
     return fld, x0, target, opts, space
 
@@ -660,9 +659,9 @@ def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
 ], ids=["whole", "empty-cell"])
 def test_no_membership_scan_where_a_cell_has_no_constraints(space):
     opts = FlowOptions()
-    assert _membership(space, opts) == (None, None, None)
+    assert _membership(space) == (None, None, None)
     # the drive is the one of a scan whose every test passes
-    scanned = (space.contains, lambda p: space.contains(p, space.tol * opts.attained_factor), None)
+    scanned = (space.contains, lambda p: space.contains(p, space.tol * ATTAINED_FACTOR), None)
     fld = make_field("f", ["1 + x2", "x1 * x2 - 0.3"], 2)
     f = fld._value
     for record in (True, False):
@@ -718,7 +717,7 @@ def test_kernel_retries_an_overflowing_cell_test_on_numpy_floats(cells, velocity
                               locally_closed=True)
     fld = make_field("f", velocity, 2)
     opts = FlowOptions()
-    member, member_relaxed, witness_info = _membership(space, opts)
+    member, member_relaxed, witness_info = _membership(space)
     retried = []
 
     def counted(p):

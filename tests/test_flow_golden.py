@@ -24,8 +24,8 @@ import pytest
 from subcart.cli import load_scenario, main
 from subcart.expr import compile_vector
 from subcart.flow import (
-    FlowDomainError, FlowOptions, IntegrationError, ProbeOptions, classify_vector_field, flow_map,
-    transport_vector,
+    PROBE_DECAY, PROBE_HORIZON, PROBE_LEVELS, PROBE_RADIUS0, PROBE_SAMPLES, FlowDomainError, FlowOptions,
+    IntegrationError, ProbeOptions, classify_vector_field, flow_map, transport_vector,
 )
 from subcart.space import sample_near
 
@@ -206,12 +206,12 @@ def _blas_injectivity_ratio(space, fld, probe: ProbeOptions, m_last: float) -> f
     The points are drawn as the classifier draws them, whose probes take
     nothing from the generator."""
     rng = random.Random(probe.rng_seed)
-    for level in range(probe.levels):
-        r = probe.radius0 * probe.decay**level
+    for level in range(PROBE_LEVELS):
+        r = PROBE_RADIUS0 * PROBE_DECAY**level
         pts = [list(s) for s in probe.seeds]
         for s in probe.seeds:
-            pts.extend(sample_near(space, s, r, probe.samples_per_level, rng))
-    t_eps = 0.5 * min(m_last, probe.probe_horizon)
+            pts.extend(sample_near(space, s, r, PROBE_SAMPLES, rng))
+    t_eps = 0.5 * min(m_last, PROBE_HORIZON)
     images = []
     for y in pts:
         try:

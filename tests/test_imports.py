@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -105,8 +107,90 @@ def test_every_export_resolves_and_is_listed():
         "    getattr(subcart, name)\n"
         "print(json.dumps([subcart.__all__, [n for n in subcart.__all__ if n not in listed]]))"
     ))
-    assert out[0] == sorted(set(out[0])) and len(out[0]) == 77
+    assert out[0] == sorted(set(out[0])) and len(out[0]) == 76
     assert out[1] == []
+
+
+def _knobs() -> list[str]:
+    """Every value a caller of the public API may leave at its default: the
+    defaulted fields of an exported dataclass, the defaulted parameters of
+    another exported class's ``__init__`` and public methods, and those of an
+    exported function."""
+    knobs = []
+    for name in subcart.__all__:
+        obj = getattr(subcart, name)
+        if dataclasses.is_dataclass(obj):
+            knobs += [f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                      if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING]
+            continue
+        if inspect.isclass(obj):
+            methods = [(f"{name}.{m}", getattr(fn, "__func__", fn)) for m, fn in vars(obj).items()
+                       if m == "__init__" or not m.startswith("_")]
+        else:
+            methods = [(name, obj)]
+        for label, fn in methods:
+            if inspect.isfunction(fn):
+                knobs += [f"{label}({p.name})" for p in inspect.signature(fn).parameters.values()
+                          if p.default is not p.empty]
+    return sorted(knobs)
+
+
+# A new optional parameter or defaulted field of the public API edits this
+# list in the same change, so each one is seen to be set by some caller.
+KNOBS = [
+    "AlmostComplexStructure.__init__(label)", "AlmostComplexStructure.apply(label)",
+    "AlmostComplexStructure.standard(label)",
+    "ExitWitness.cell_index", "ExitWitness.constraint", "ExitWitness.constraint_index", "ExitWitness.guard",
+    "FlowOptions.atol", "FlowOptions.max_steps", "FlowOptions.rtol",
+    "IntegralCurve.exit_minus", "IntegralCurve.exit_plus",
+    "IntegrationError.__init__(t)",
+    "OrbitSample.diagnostics", "OrbitSample.dimensions",
+    "PoissonStructure.__init__(label)", "PoissonStructure.canonical(label)",
+    "ProbeOptions.rng_seed", "ProbeOptions.seeds",
+    "ReductionSetup.certify_tol", "ReductionSetup.degree", "ReductionSetup.fit_tol", "ReductionSetup.rng_seed",
+    "StratifiedSpace.__init__(locally_trivial)",
+    "SubcartesianSpace.__init__(tol)", "SubcartesianSpace.cell_contains(tol)",
+    "SubcartesianSpace.closure_contains(tol)", "SubcartesianSpace.contains(tol)",
+    "SubcartesianSpace.member_cell(tol)", "SubcartesianSpace.require_member(what)",
+    "SubcartesianSpace.whole_space(tol)",
+    "TangentField.scaled(label)",
+    "VectorFieldVerdict.diagnostics", "VectorFieldVerdict.notes",
+    "chart_jacobian(options)", "chart_jacobian(tol_rank)",
+    "classify_vector_field(options)",
+    "dimension_constancy_report(n_probes)", "dimension_constancy_report(options)",
+    "dimension_constancy_report(rng_seed)", "dimension_constancy_report(step_scale)",
+    "dimension_constancy_report(tol_rank)",
+    "flow_map(options)",
+    "frontier_check(frontier_tol)", "frontier_check(rng_seed)",
+    "hamiltonian_field(label)",
+    "integrate(horizon)", "integrate(options)",
+    "invariance_residual(options)", "invariance_residual(space)",
+    "jacobi_sample_residual(n_points)", "jacobi_sample_residual(n_triples)",
+    "jacobi_sample_residual(rng_seed)", "jacobi_sample_residual(scale)",
+    "kahler_check(tol)",
+    "leaf_sample(casimirs)", "leaf_sample(options)", "leaf_sample(rng_seed)", "leaf_sample(step_scale)",
+    "leaf_sample(tol_rank)",
+    "lie_bracket(label)",
+    "local_completeness_probe(centers)", "local_completeness_probe(n_random)",
+    "local_completeness_probe(options)", "local_completeness_probe(probes)",
+    "local_completeness_probe(radius)", "local_completeness_probe(rng_seed)",
+    "local_completeness_probe(t_scale)", "local_completeness_probe(tol)",
+    "orbit_vs_strata(budget)", "orbit_vs_strata(drift_tol)", "orbit_vs_strata(horizon)",
+    "orbit_vs_strata(options)", "orbit_vs_strata(rng_seed)", "orbit_vs_strata(tol_rank)",
+    "parse(aliases)",
+    "project_to_equalities(max_iter)",
+    "reach(options)",
+    "sample_orbit(options)", "sample_orbit(rng_seed)", "sample_orbit(step_scale)", "sample_orbit(tol_rank)",
+    "strongly_stratified_check(drift_tol)", "strongly_stratified_check(horizon)",
+    "strongly_stratified_check(options)", "strongly_stratified_check(rng_seed)",
+    "torsion(label)",
+    "transport_vector(options)",
+]
+
+
+def test_public_knobs_are_pinned():
+    assert len(KNOBS) == 88
+    assert _knobs() == KNOBS
 
 
 def test_star_import_binds_exactly_all():

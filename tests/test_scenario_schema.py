@@ -125,6 +125,8 @@ CORPUS = {
                         "$.space.cells[0][0].expr", "coordinate x2 out of range for 1 variables"),
     "expr-power-overflow": ("halfline", {("space", "cells", 0, 0, "expr"): "x^2 - 10^400"},
                             "$.space.cells[0][0].expr", "a constant overflows the float range"),
+    "expr-exponent-too-long": ("halfline", {("fields", "ddx", 0): "x^" + "9" * 5000}, "$.fields.ddx[0]",
+                               "exponent of 5000 digits at position 2 is too large"),
     "expr-quotient-by-zero": ("halfline", {("space", "cells", 0, 0, "expr"): "x/(2-2)"},
                               "$.space.cells[0][0].expr", "division by constant zero"),
     "expr-parentheses-too-deep": ("halfline", {("space", "cells", 0, 0, "expr"):
