@@ -31,50 +31,43 @@ import random
 import sys
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .almostcomplex import (
     KAHLER_TOL, AlmostComplexError, AlmostComplexStructure, cauchy_riemann_residual, kahler_check, max_norm,
     torsion,
 )
 from .expr import Expr, ExprError, ParseError, parse, to_text
-from .field import FieldError, TangentField, lie_bracket
-from .flow import (
-    DEFAULT_ATOL, DEFAULT_HORIZON, DEFAULT_RTOL, NOT_VECTOR_FIELD, FlowDomainError, FlowOptions,
-    IntegrationError, ProbeOptions, classify_vector_field, integrate,
-)
-from .orbit import (
-    COMPLETENESS_TOL, RANK_TOL, DependentBasisError, FieldFamily, OrbitError, chart_jacobian,
-    local_completeness_probe, sample_orbit,
-)
-from .poisson import (
-    CERTIFY_TOL, FIT_TOL, PoissonError, PoissonStructure, ReductionError, ReductionSetup,
-    jacobi_sample_residual, leaf_sample, reduce as reduce_structure,
-)
+from .field import RANK_TOL, FieldError, TangentField, lie_bracket
 from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
 from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint
-from .strata import (
-    DRIFT_TOL, FRONTIER_TOL, StrataError, StratifiedSpace, Stratum, frontier_check, orbit_vs_strata,
-    strongly_stratified_check,
-)
+
+# flow, orbit, poisson and strata are imported by the handlers and loader
+# branches that use them, so a command compiles only the modules it runs
+if TYPE_CHECKING:
+    from .flow import FlowOptions
+    from .orbit import FieldFamily
+    from .poisson import PoissonStructure
+    from .strata import StratifiedSpace
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# a constant of a module imported on first use is written out, and a test pins it
 DEFAULT_TOLERANCES = {
-    "rtol": DEFAULT_RTOL,
-    "atol": DEFAULT_ATOL,
+    "rtol": 1e-9,  # flow.DEFAULT_RTOL
+    "atol": 1e-12,  # flow.DEFAULT_ATOL
     "rank": RANK_TOL,
-    "completeness": COMPLETENESS_TOL,
+    "completeness": 1e-6,  # orbit.COMPLETENESS_TOL
     "antisymmetry": 1e-12,
     "jacobi": 1e-8,
     "casimir_drift": 1e-6,
-    "frontier": FRONTIER_TOL,
-    "drift": DRIFT_TOL,
+    "frontier": 1e-4,  # strata.FRONTIER_TOL
+    "drift": 1e-8,  # strata.DRIFT_TOL
     "kahler": KAHLER_TOL,
-    "fit": FIT_TOL,
-    "certify": CERTIFY_TOL,
+    "fit": 1e-10,  # poisson.FIT_TOL
+    "certify": 1e-10,  # poisson.CERTIFY_TOL
     "square": 1e-10,
 }
 
@@ -268,6 +261,8 @@ class Scenario:
     def family(self, name: str) -> FieldFamily:
         if name not in self.families:
             raise CliError(f"unknown family {name!r}; scenario has {sorted(self.families)}")
+        from .orbit import FieldFamily
+
         return FieldFamily(self.space, [self.fields[f] for f in self.families[name]])
 
 
@@ -317,6 +312,8 @@ def load_scenario(path: str) -> Scenario:
 
     stratified = None
     if "strata" in raw:
+        from .strata import StratifiedSpace, Stratum
+
         strata = _key(raw, "strata", "$", partial(_items, stratum))
         locally_trivial = _key(raw, "locally_trivial", "$", _bool, False)
         stratified = _built("$.strata", StratifiedSpace, space, strata, locally_trivial)
@@ -324,6 +321,8 @@ def load_scenario(path: str) -> Scenario:
 
     poisson = None
     if "poisson" in raw:
+        from .poisson import PoissonStructure
+
         rawp = _key(raw, "poisson", "$", _obj)
         bivector = _key(rawp, "bivector", "$.poisson", coords.matrix)
         label = _key(rawp, "label", "$.poisson", _str, "poisson")
@@ -339,6 +338,8 @@ def load_scenario(path: str) -> Scenario:
         degree = _key(rawr, "degree", "$.reduction", _positive, 2)
         ambient = _key(rawr, "bivector", "$.reduction", amb.matrix, None)
         if ambient is not None:
+            from .poisson import PoissonStructure
+
             ambient = _built("$.reduction.bivector", PoissonStructure, amb_n, ambient, "ambient")
         elif amb_n % 2:
             raise SchemaError("$.reduction.ambient_dim",
@@ -430,6 +431,8 @@ def _box_points(sc: Scenario, count: int, seed: int) -> list[list[float]]:
 
 
 def _flow_options(tol: dict) -> FlowOptions:
+    from .flow import FlowOptions
+
     return FlowOptions(rtol=tol["rtol"], atol=tol["atol"])
 
 
@@ -454,6 +457,8 @@ def _write_cloud(path: str, points, words) -> None:
 # Each returns (result dict, exit code).
 
 def cmd_flow(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .flow import integrate
+
     fld = sc.field(args.field)
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
     curve = integrate(sc.space, fld, point, horizon=args.horizon, options=_flow_options(tol))
@@ -465,6 +470,8 @@ def cmd_flow(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_classify(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .flow import NOT_VECTOR_FIELD, ProbeOptions, classify_vector_field
+
     fld = sc.field(args.field)
     seeds = _resolve_seeds(sc, args.seeds)
     probe = ProbeOptions(seeds=tuple(tuple(s) for s in seeds), rng_seed=args.seed)
@@ -490,6 +497,8 @@ def cmd_bracket(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_orbit(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .orbit import sample_orbit
+
     fam = sc.family(args.family)
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
     cloud = sample_orbit(
@@ -510,6 +519,8 @@ def cmd_orbit(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .orbit import DependentBasisError, chart_jacobian
+
     fam = sc.family(args.family)
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
     if args.basis:
@@ -541,6 +552,8 @@ def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .orbit import local_completeness_probe
+
     fam = sc.family(args.family)
     centers = _resolve_seeds(sc, args.seeds)
     rep = local_completeness_probe(
@@ -557,6 +570,8 @@ def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .strata import StrataError, frontier_check, orbit_vs_strata, strongly_stratified_check
+
     ss = _need(sc.stratified, "strata")
     lo, hi = _need(sc.box, "box")
     if args.check == "frontier":
@@ -589,6 +604,8 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .poisson import jacobi_sample_residual
+
     p = _need(sc.poisson, "poisson")
     pts = _box_points(sc, 20, args.seed) if sc.box else [
         [0.0] * p.dim, [0.5] * p.dim, [-0.5] * p.dim
@@ -613,6 +630,8 @@ def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .poisson import PoissonStructure, ReductionError, ReductionSetup, reduce as reduce_structure
+
     red = _need(sc.reduction, "reduction")
     ambient = red["ambient"]
     if ambient is None:
@@ -639,6 +658,8 @@ def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_leaf(sc: Scenario, args, tol) -> tuple[dict, int]:
+    from .poisson import leaf_sample
+
     _need(sc.poisson, "poisson")
     _need(sc.generators, "generators")
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
@@ -769,7 +790,7 @@ _COMMANDS = {
     "flow": ("integrate one field from a point", cmd_flow, (
         ("--field", {"required": True}),
         ("--point", {"required": True}),
-        ("--horizon", {"type": _positive_float, "default": DEFAULT_HORIZON}),
+        ("--horizon", {"type": _positive_float, "default": 10.0}),  # flow.DEFAULT_HORIZON
     )),
     "classify": ("derivation vs vector field verdict", cmd_classify, (
         ("--field", {"required": True}),
@@ -898,21 +919,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out and args.out.endswith(".json"):
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-    except (FlowDomainError, IntegrationError) as exc:
-        sys.stderr.write(f"error: integration failed: {exc}\n")
-        return EXIT_USAGE
-    except (
-        CliError, OSError, SpaceError, FieldError, ExprError, OrbitError, PoissonError,
-        AlmostComplexError, StrataError, ReportError,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except Exception as exc:
-        # a defect, not a verdict: exit 1 stays reserved for certified failures
-        message = " ".join(str(exc).split())
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        sys.stderr.write(_error_line(exc))
         return EXIT_USAGE
     return code
+
+
+def _error_line(exc: Exception) -> str:
+    """``error:`` for bad input and the library's errors, ``internal error:``
+    for a defect, since exit 1 stays reserved for certified failures.  The
+    errors of a module imported on first use are read only once it is
+    loaded: a module that is not loaded raised nothing."""
+
+    def loaded(module: str, *names: str) -> tuple:
+        mod = sys.modules.get(f"{__package__}.{module}")
+        return tuple(getattr(mod, name) for name in names) if mod else ()
+
+    if isinstance(exc, loaded("flow", "FlowDomainError", "IntegrationError")):
+        return f"error: integration failed: {exc}\n"
+    usage = (CliError, OSError, SpaceError, FieldError, ExprError, AlmostComplexError, ReportError)
+    if isinstance(exc, usage + loaded("orbit", "OrbitError") + loaded("poisson", "PoissonError")
+                  + loaded("strata", "StrataError")):
+        return f"error: {exc}\n"
+    return f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ from .expr import Expr, Var, add, as_expr, compile_vector, diff, mul, to_text, v
 if TYPE_CHECKING:
     import numpy as np
 
+# fields whose values at a point have a singular value below RANK_TOL times
+# the largest one count as dependent there
+RANK_TOL = 1e-8
+
 
 class FieldError(ValueError):
     """Raised for malformed fields or dimension mismatches."""

@@ -22,7 +22,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .expr import DomainError
-from .field import TangentField
+from .field import RANK_TOL, TangentField
 from .flow import (
     FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, flow_map, transport_vector,
 )
@@ -32,7 +32,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MERGE_RADIUS = 1e-6  # orbit points closer than this are one point
-RANK_TOL = 1e-8
 COMPLETENESS_TOL = 1e-6
 CHART_FD_STEP = 1e-6  # the central difference step of the chart's word map
 
@@ -392,21 +391,17 @@ def chart_jacobian(
     import numpy as np
 
     basis = tuple(int(b) for b in basis)
+    if not basis:
+        raise OrbitError("the chart basis is empty")
     for b in basis:
         if not 0 <= b < len(family):
             raise OrbitError(f"basis index {b} out of range for family of {len(family)}")
     family.space.require_member(x, "basepoint")
     x = np.asarray(x, dtype=float)
-    m = len(basis)
-    cols = [family.fields[b](x) for b in basis]
-    jac = np.column_stack(cols) if m else np.zeros((x.size, 0))
-    if m:
-        s = np.linalg.svd(jac, compute_uv=False)
-        rank = 0 if s[0] <= 0.0 else int(np.sum(s > tol_rank * s[0]))
-    else:
-        s = np.array([])
-        rank = 0
-    if rank < m:
+    jac = np.column_stack([family.fields[b](x) for b in basis])
+    s = np.linalg.svd(jac, compute_uv=False)
+    rank = 0 if s[0] <= 0.0 else int(np.sum(s > tol_rank * s[0]))
+    if rank < len(basis):
         raise DependentBasisError(
             f"basis fields {[family.fields[b].label for b in basis]} span only "
             f"rank {rank} at {x.tolist()}"

@@ -56,14 +56,15 @@ from .expr import (
     to_text,
     ZERO,
 )
-from .field import TangentField
-from .flow import FlowOptions, flow_map
-from .orbit import RANK_TOL, FieldFamily, OrbitSample, sample_orbit
+from .field import RANK_TOL, TangentField
 from .report import worst_residual
 from .space import SubcartesianSpace
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .flow import FlowOptions
+    from .orbit import OrbitSample
 
 FIT_TOL = 1e-10
 SNAP_TOL = 1e-9
@@ -383,6 +384,8 @@ def invariance_residual(
     """
     import numpy as np
 
+    from .flow import flow_map
+
     x = np.asarray(x, dtype=float)
     xh = hamiltonian_field(p, h)
     image = flow_map(space, xh, x, t, options)
@@ -559,6 +562,8 @@ def leaf_sample(
     Casimir expressions are evaluated along the cloud; their maximal drift
     from the seed value lands in the sample's diagnostics.
     """
+    from .orbit import FieldFamily, sample_orbit
+
     fields = [hamiltonian_field(p, g) for g in generators]
     family = FieldFamily(space, fields)
     cloud = sample_orbit(

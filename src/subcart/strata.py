@@ -21,9 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .field import TangentField
-from .flow import FlowOptions, integrate
-from .orbit import RANK_TOL, FieldFamily, sample_orbit
+from .field import RANK_TOL, TangentField
 from .space import (
     SpaceError,
     SubcartesianSpace,
@@ -35,6 +33,9 @@ from .space import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .flow import FlowOptions
+    from .orbit import FieldFamily
 
 FRONTIER_TOL = 1e-4
 DRIFT_TOL = 1e-8
@@ -256,6 +257,8 @@ def strongly_stratified_check(
     check passes when max drift <= drift_tol * horizon.  A constraint that
     is not a number on the trajectory is a ``SpaceError`` naming the point.
     """
+    from .flow import integrate
+
     rng = random.Random(rng_seed)
     ambient = SubcartesianSpace.whole_space(ss.total.ambient_dim)
     threshold = drift_tol * horizon
@@ -335,6 +338,8 @@ def orbit_vs_strata(
     the relative rank tolerance of the clouds' span dimensions.
     """
     import numpy as np
+
+    from .orbit import sample_orbit
 
     precondition: list[dict] = []
     for f in family.fields:

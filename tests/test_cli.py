@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +352,22 @@ def test_default_tolerances_present(capsys):
     _, rep, _ = run(capsys, "poisson", "--scenario", scenario_path("canonical_r2"))
     for key in DEFAULT_TOLERANCES:
         assert key in rep["tolerances"]
+
+
+def test_default_tolerances_and_horizon_are_the_library_constants():
+    # cli writes these out so that importing it loads no command module
+    from subcart import almostcomplex, cli, field, flow, orbit, poisson, strata
+
+    assert DEFAULT_TOLERANCES == {
+        "rtol": flow.DEFAULT_RTOL, "atol": flow.DEFAULT_ATOL, "rank": field.RANK_TOL,
+        "completeness": orbit.COMPLETENESS_TOL, "antisymmetry": 1e-12, "jacobi": 1e-8,
+        "casimir_drift": 1e-6, "frontier": strata.FRONTIER_TOL, "drift": strata.DRIFT_TOL,
+        "kahler": almostcomplex.KAHLER_TOL, "fit": poisson.FIT_TOL, "certify": poisson.CERTIFY_TOL,
+        "square": 1e-10,
+    }
+    assert orbit.RANK_TOL is field.RANK_TOL
+    argv = ["flow", "--scenario", "s.json", "--field", "f", "--point=0"]
+    assert cli._build_parser(argv).parse_args(argv).horizon == flow.DEFAULT_HORIZON
 
 
 def test_rank_tolerance_reaches_orbit_leaf_and_strata_orbits(capsys):
@@ -737,6 +755,60 @@ def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     assert err == "internal error: ZeroDivisionError: float division by zero\n"
 
 
+# module, error, the arguments it is raised with, and the line main writes
+_LIBRARY_ERRORS = [
+    ("flow", "FlowDomainError", ("past the end", 0.5, (0.5,), None), "error: integration failed: past the end\n"),
+    ("flow", "IntegrationError", ("step failed",), "error: integration failed: step failed\n"),
+    ("orbit", "OrbitError", ("no family",), "error: no family\n"),
+    ("orbit", "DependentBasisError", ("rank 1",), "error: rank 1\n"),
+    ("poisson", "PoissonError", ("not square",), "error: not square\n"),
+    ("poisson", "ReductionError", ("no fit",), "error: no fit\n"),
+    ("strata", "StrataError", ("overlap",), "error: overlap\n"),
+    ("almostcomplex", "AlmostComplexError", ("degenerate",), "error: degenerate\n"),
+    ("orbit", "ReachError", ("left the space", 0, 0.25, []), "internal error: ReachError: left the space\n"),
+    ("builtins", "RuntimeError", ("no luck",), "internal error: RuntimeError: no luck\n"),
+]
+
+
+def _loading(module: str) -> list[str]:
+    """A command that imports ``module`` and exits 0."""
+    return {
+        "flow": ["flow", "--scenario", scenario_path("halfline"), "--field", "ddx", "--point=0.5"],
+        "orbit": ["chart", "--scenario", scenario_path("translate_shear"), "--point=1,0"],
+        "poisson": ["poisson", "--scenario", scenario_path("canonical_r2"), "--triples", "1", "--points", "1"],
+        "strata": ["strata", "--check", "frontier", "--scenario", scenario_path("cone")],
+        "almostcomplex": ["acs", "--check", "torsion", "--scenario", scenario_path("acs_standard"),
+                          "--x", "e1", "--y", "e3", "--points", "1"],
+    }.get(module, ["bracket", "--scenario", scenario_path("translate_shear"), "--x", "ddx", "--y", "xddy"])
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["module-unused", "module-used"])
+@pytest.mark.parametrize("module,name,args,line", _LIBRARY_ERRORS, ids=[e[1] for e in _LIBRARY_ERRORS])
+def test_library_errors_exit_2_whether_or_not_a_command_loaded_their_module(module, name, args, line, used):
+    # in a fresh interpreter, a handler raises the error; with ``used``, a
+    # command that imports the error's module runs first, and without it
+    # only this test imports the module, after cli is loaded
+    out = json.loads(_fresh(
+        "import contextlib, importlib, io, json, sys\n"
+        "from subcart import cli\n"
+        "def run(argv):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        return cli.main(argv), err.getvalue()\n"
+        f"first = run({_loading(module)!r}) if {used!r} else None\n"
+        f"loaded = 'subcart.{module}' in sys.modules\n"
+        f"error = getattr(importlib.import_module({module if module == 'builtins' else 'subcart.' + module!r}), "
+        f"{name!r})\n"
+        "def broken(sc, args, tol):\n"
+        f"    raise error(*{args!r})\n"
+        "text, _, arguments = cli._COMMANDS['bracket']\n"
+        "cli._COMMANDS['bracket'] = (text, broken, arguments)\n"
+        f"print(json.dumps([first, loaded, run({_loading('builtins')!r})]))"
+    ))
+    assert out == [[0, ""] if used else None, module != "builtins" and (used or module == "almostcomplex"),
+                   [2, line]]
+
+
 def test_orbit_from_overflowing_seed_ends_at_once(capsys):
     # every flow from x1 = 1e308 either fails at its starting step or merges
     # back into the seed; the zero starting step used to spin for minutes
@@ -913,3 +985,45 @@ def test_one_command_parser_answers_as_the_full_one(monkeypatch, capsys, columns
         built += len(commands.choices) == 1
         assert _parse(parser, argv, capsys) == _parse(cli._build_parser(), argv, capsys), argv
     assert built == 7 * len(_COMMAND_NAMES)
+
+
+# Argument fuzzing ---------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_FLAG_VALUES = ["nan", "inf", "-1", "0", "1e308", "", "seven"]
+
+
+def _readme_examples(out_dir: Path) -> list[list[str]]:
+    """The argvs of the README's command line examples, with ``$S`` spelled
+    out and each ``--out`` file moved into ``out_dir``."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Examples, using the scenario files.*?```sh\n(.*?)```", text, re.S).group(1)
+    block = block.replace("\\\n", " ").replace("$S", str(Path(scenario_path("halfline")).parent))
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("subcart ")]
+    return [[str(out_dir / a) if a.endswith(".csv") else a for a in argv] for argv in argvs]
+
+
+def test_readme_examples_with_one_flag_value_replaced_end_with_an_exit_code(tmp_path, monkeypatch, capsys):
+    # every README example with the value of one flag replaced by one of
+    # _FLAG_VALUES, each such mutant once, in a fixed order
+    import subcart.cli as cli
+    from subcart.flow import FlowOptions
+
+    # a horizon the integrator cannot reach, such as 1e308 on a rotation,
+    # runs until the step budget is spent: a million steps take seconds,
+    # and 20,000 end on the same exit-2 path
+    monkeypatch.setattr(cli, "_flow_options", lambda tol: FlowOptions(
+        rtol=tol["rtol"], atol=tol["atol"], max_steps=20_000))
+    examples = _readme_examples(tmp_path)
+    assert {argv[0] for argv in examples} == set(_COMMAND_NAMES)
+    codes = Counter()
+    for argv in examples:
+        for i in (i for i, a in enumerate(argv) if a.startswith("--")):
+            for value in _FLAG_VALUES:
+                mutant = argv[:i + 1] + [value] + argv[i + 2:]
+                code = main(mutant)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and "Traceback" not in err and "internal error:" not in err, (mutant, err)
+                codes[code] += 1
+    assert sum(codes.values()) == len(_FLAG_VALUES) * sum(a.startswith("--") for argv in examples for a in argv)
+    assert codes[0] >= 20, codes  # not every mutant stops at the parser

@@ -60,6 +60,38 @@ def test_no_module_imports_numpy_at_import_time(path):
     assert found == [], f"{path} imports numpy at import time, line {found}"
 
 
+def _subcart_modules(node: ast.stmt) -> set[str]:
+    """The submodules of the package that the import statement ``node``
+    imports: ``flow`` for ``from .flow import x``, ``from . import flow`` and
+    ``import subcart.flow``."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("subcart.")}
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if node.level == 0 and (module + ".").startswith("subcart."):
+            module = module[len("subcart"):].lstrip(".")
+        elif node.level != 1:
+            return set()
+        return {module.split(".")[0]} if module else {a.name for a in node.names}
+    return set()
+
+
+# module -> the modules it imports only inside the functions that use them
+_ON_FIRST_USE = {
+    "cli.py": {"flow", "orbit", "poisson", "strata"},
+    "poisson.py": {"flow", "orbit"},
+    "strata.py": {"flow", "orbit"},
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ON_FIRST_USE))
+def test_command_modules_are_imported_on_first_use(path):
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    found = [(node.lineno, sorted(_subcart_modules(node) & _ON_FIRST_USE[path]))
+             for node in _runs_at_import(tree.body) if _subcart_modules(node) & _ON_FIRST_USE[path]]
+    assert found == [], f"{path} imports a command module at import time: {found}"
+
+
 # The probe_sweep commands of the benchmark, malformed ones included, then
 # the other commands that need no numpy: scenario name, argv, exit code.
 _NUMPY_FREE_COMMANDS = [
@@ -97,6 +129,56 @@ def test_scenarios_flow_classify_bracket_and_tangency_never_load_numpy(tmp_path)
     ))
     assert out == [[code for _, _, code in _NUMPY_FREE_COMMANDS], False]
     assert (tmp_path / "x.csv").read_text(encoding="utf-8").startswith("t,x1,x2\n")
+
+
+# what `import subcart.cli` and loading the scenarios of the benchmark's
+# probe_sweep workload load of the package
+_PROBE_SCENARIOS = ["halfline", "circle", "disk_line", "rotation_plane", "acs_standard"]
+_CLI_MODULES = ["subcart", "subcart.almostcomplex", "subcart.cli", "subcart.expr", "subcart.field",
+                "subcart.report", "subcart.space"]
+
+# scenario, argv, exit code, and the modules of the package the command adds
+_ADDED_MODULES = [
+    ("halfline", ["flow", "--field", "ddx", "--point=0.5", "--horizon", "2"], 0, ["flow"]),
+    ("halfline", ["classify", "--field", "ddx"], 1, ["flow"]),
+    ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, []),
+    ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "2"], 0, []),
+    # the loader imports poisson to build a poisson block and strata a strata block
+    ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["poisson"]),
+    ("reduction_r4", ["reduce"], 0, ["poisson"]),
+    ("cone", ["strata", "--check", "frontier"], 0, ["strata"]),
+    # the malformed commands of the three benchmark workloads: each exits 2
+    # before its handler runs, having loaded only what its scenario needs
+    ("halfline", ["flow", "--field", "ddx", "--point=0.5", "--horizon", "-1"], 2, []),
+    ("halfline", ["classify", "--field", "ddx", "--tol-overrides", '{"rtol": NaN}'], 2, []),
+    ("disk_line", ["flow", "--field", "ddx", "--point=0.1,0.5", "--tol-overrides", '{"rtoll": 1e-9}'], 2, []),
+    ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "0"], 2, []),
+    ("cone", ["strata", "--check", "tangency", "--field", "rot", "--horizon", "-1"], 2, []),
+    ("translate_shear", ["orbit", "--point=0,0", "--budget", "80", "--tol-overrides", '{"rtol": NaN}'], 2, []),
+    ("translate_shear", ["chart", "--point=1,0", "--tol-overrides", '{"rtoll": 1e-9}'], 2, []),
+    ("cone", ["strata", "--check", "frontier", "--horizon", "-1"], 2, []),
+    ("canonical_r2", ["poisson", "--tol-overrides", '{"rtol": NaN}'], 2, ["poisson"]),
+    ("reduction_r4", ["reduce", "--tol-overrides", '{"rtoll": 1e-9}'], 2, ["poisson"]),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,added", _ADDED_MODULES,
+                         ids=[f"{i}-{argv[0]}-{name}" for i, (name, argv, _, _) in enumerate(_ADDED_MODULES)])
+def test_each_command_loads_only_the_modules_it_runs(name, argv, code, added):
+    scenarios = SRC / "scenarios"
+    argv = [argv[0], "--scenario", str(scenarios / f"{name}.json")] + argv[1:]
+    out = json.loads(_fresh(
+        "import contextlib, io, json, sys\n"
+        "from subcart.cli import load_scenario, main\n"
+        f"for path in {[str(scenarios / f'{n}.json') for n in _PROBE_SCENARIOS]!r}:\n"
+        "    load_scenario(path)\n"
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'subcart')\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "after = sorted(m for m in sys.modules if m.split('.')[0] == 'subcart')\n"
+        "print(json.dumps([before, code, [m for m in after if m not in before]]))"
+    ))
+    assert out == [_CLI_MODULES, code, [f"subcart.{m}" for m in added]]
 
 
 def test_every_export_resolves_and_is_listed():

@@ -129,6 +129,13 @@ def test_chart_jacobian_validates_basis():
         chart_jacobian(fam, [0, 5], (1.0, 0.0))
 
 
+def test_chart_jacobian_rejects_an_empty_basis():
+    # an OrbitError of its own, not numpy's "need at least one array to concatenate"
+    with pytest.raises(OrbitError, match="^the chart basis is empty$") as info:
+        chart_jacobian(shear_family(), [], (1.0, 0.0))
+    assert type(info.value) is OrbitError
+
+
 def test_dimension_constancy():
     singleton = dimension_constancy_report(rotation_family(), (1.0, 0.0), n_probes=40)
     assert singleton.constant
