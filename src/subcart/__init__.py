@@ -14,12 +14,13 @@ first use.  So ``import subcart.expr`` loads no other module.
 
 No submodule imports numpy when it is imported; each function that needs
 numpy imports it when it runs.  So ``import subcart.cli``, loading a
-scenario, ``integrate``, ``classify_vector_field`` and the samplers never
-load numpy, and neither do the ``flow``, ``classify``, ``bracket`` and
-``strata --check tangency`` commands, unless a constraint overflows on
-Python floats and is tested again on numpy floats.  ``flow_map``,
-``transport_vector`` and the orbit, chart, Poisson, reduction and almost
-complex functions return ndarrays and load numpy on first use.
+scenario, ``integrate``, ``classify_vector_field``, ``transport_vector``,
+``reach`` and the sampler ``space.sample`` never load numpy, and neither do
+the ``flow``, ``classify``, ``bracket`` and ``strata --check tangency``
+commands, unless a constraint overflows on Python floats and is tested
+again on numpy floats.  Every point the package hands
+back is a list of Python floats; matrices and ``flow_map``'s image are
+ndarrays, made by functions that load numpy on first use.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ _EXPORTS = {
         "jacobi_sample_residual", "leaf_sample", "reduce",
     ),
     "report": (),
-    "space": ("Constraint", "Rel", "SpaceError", "SubcartesianSpace", "project_to_equalities", "sample_near"),
+    "space": ("Constraint", "Rel", "SpaceError", "SubcartesianSpace", "project_to_equalities", "sample"),
     "strata": (
         "FrontierReport", "StrataError", "StratifiedSpace", "Stratum", "frontier_check",
         "orbit_vs_strata", "strongly_stratified_check",

@@ -12,6 +12,7 @@ positivity, and torsion in one record.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -60,7 +61,11 @@ class AlmostComplexStructure:
         self.dim = dim
         self.matrix: tuple[tuple[Expr, ...], ...] = tuple(rows)
         self.label = str(label)
-        self._value = compile_vector([e for row in self.matrix for e in row])
+
+    @functools.cached_property
+    def _value(self):
+        """The entries, flat, compiled on the first evaluation."""
+        return compile_vector([e for row in self.matrix for e in row])
 
     def matrix_at(self, point: Sequence[float]) -> np.ndarray:
         import numpy as np
@@ -134,7 +139,7 @@ def max_norm(fld: TangentField, points: Sequence[Sequence[float]]) -> float:
     """Max Euclidean norm of the field over the sample, NaN if any norm is."""
     import numpy as np
 
-    return worst_residual(float(np.linalg.norm(fld(list(map(float, p))))) for p in points)
+    return worst_residual(float(np.linalg.norm(fld.value(list(map(float, p))))) for p in points)
 
 
 def torsion_residual(
@@ -312,7 +317,7 @@ def kahler_check(
                 f"two-form is degenerate at {tuple(q)}: |det| below {DEGENERACY_TOL:.1e}"
             )
         jm = j.matrix_at(q)
-        vals = np.column_stack([np.asarray(x(q), dtype=float) for x in fields])
+        vals = np.column_stack([x.value(q) for x in fields])
         jvals = jm @ vals
         pair = vals.T @ w @ vals
         jpair = jvals.T @ w @ jvals

@@ -40,7 +40,7 @@ from .almostcomplex import (
 from .expr import Expr, ExprError, ParseError, parse, to_text
 from .field import RANK_TOL, FieldError, TangentField, lie_bracket
 from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
-from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint
+from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint, box
 
 # flow, orbit, poisson and strata are imported by the handlers and loader
 # branches that use them, so a command compiles only the modules it runs
@@ -153,6 +153,15 @@ def _tolerance(v, path: str) -> float:
     if not 0 < x < math.inf:
         raise SchemaError(path, f"must be finite and positive, got {v!r}")
     return x
+
+
+def _tolerances(v, path: str) -> dict[str, float]:
+    """A tolerance object: each name one of ``DEFAULT_TOLERANCES``, each value
+    finite and positive."""
+    for name in sorted(_obj(v, path)):
+        if name not in DEFAULT_TOLERANCES:
+            raise SchemaError(f"{path}.{name}", f"unknown tolerance; known: {sorted(DEFAULT_TOLERANCES)}")
+    return _named(_tolerance, v, path)
 
 
 def _rel(v, path: str) -> Rel:
@@ -376,7 +385,7 @@ def load_scenario(path: str) -> Scenario:
         casimirs=casimirs,
         acs=acs,
         omega=omega,
-        tolerances=_key(raw, "tolerances", "$", partial(_named, _tolerance), {}),
+        tolerances=_key(raw, "tolerances", "$", _tolerances, {}),
     )
 
 
@@ -423,11 +432,8 @@ def _need(block, key: str):
 
 
 def _box_points(sc: Scenario, count: int, seed: int) -> list[list[float]]:
-    lo, hi = _need(sc.box, "box")
-    rng = random.Random(seed)
-    return [
-        [rng.uniform(lo[i], hi[i]) for i in range(len(lo))] for _ in range(count)
-    ]
+    draw = box(random.Random(seed), *_need(sc.box, "box"))
+    return [draw() for _ in range(count)]
 
 
 def _flow_options(tol: dict) -> FlowOptions:
@@ -445,7 +451,7 @@ def _csv_out(args) -> Optional[str]:
 def _write_cloud(path: str, points, words) -> None:
     n = len(points[0]) if points else 0
     header = [f"x{i + 1}" for i in range(n)] + ["word_id"]
-    rows = [list(map(float, p)) + [i] for i, p in enumerate(points)]
+    rows = [p + [i] for i, p in enumerate(points)]
     write_csv(path, header, rows)
     sidecar = path[: -len(".csv")] + ".words.json" if path.endswith(".csv") else path + ".words.json"
     payload = {"words": [[[i, t] for (i, t) in w] for w in words]}
@@ -492,7 +498,7 @@ def cmd_bracket(sc: Scenario, args, tol) -> tuple[dict, int]:
     if args.point is not None:
         point = _parse_point_arg(args.point, sc.space.ambient_dim)
         result["point"] = point
-        result["value"] = [float(v) for v in b.value(point)]
+        result["value"] = b.value(point)
     return result, EXIT_PASS
 
 
@@ -541,7 +547,7 @@ def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
     result = {
         "verdict": "Chart",
         "basis": [fam.fields[b].label for b in chart.basis],
-        "basepoint": [float(v) for v in chart.basepoint],
+        "basepoint": chart.basepoint,
         "rank": chart.rank,
         "agreement": chart.agreement,
         "jacobian": [[float(v) for v in row] for row in chart.jacobian0],
@@ -718,7 +724,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         if args.point is not None:
             point = _parse_point_arg(args.point, sc.space.ambient_dim)
             result["point"] = point
-            result["value"] = [float(v) for v in n.value(point)]
+            result["value"] = n.value(point)
         return result, EXIT_PASS
     if args.check == "cr":
         if not (args.f and args.h):
@@ -876,24 +882,17 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_tolerances(sc: Scenario, overrides: Optional[str]) -> dict[str, float]:
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(sc.tolerances)
-    if overrides:
-        try:
-            raw = json.loads(overrides)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CliError(f"--tol-overrides is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise CliError("--tol-overrides must be a JSON object")
-        for k, v in raw.items():
-            if k not in tol:
-                raise CliError(f"--tol-overrides[{k!r}] is not a tolerance; known: {sorted(tol)}")
-            try:  # the rules of a scenario's tolerances
-                tol[k] = _tolerance(v, f"--tol-overrides[{k!r}]")
-            except SchemaError as exc:
-                raise CliError(f"{exc.path}: {exc.detail}") from None
-    return tol
+def _tolerance_overrides(text: Optional[str]) -> dict[str, float]:
+    """The ``--tol-overrides`` object, read by the rules of a scenario's
+    tolerances; it names no scenario key, so it is read before the scenario."""
+    if not text:
+        return {}
+    try:
+        return _tolerances(json.loads(text), "--tol-overrides")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CliError(f"--tol-overrides is not valid JSON: {exc}") from None
+    except SchemaError as exc:
+        raise CliError(f"{exc.path}: {exc.detail}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -904,8 +903,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
 
     try:
+        overrides = _tolerance_overrides(args.tol_overrides)
         sc = load_scenario(args.scenario)
-        tol = _effective_tolerances(sc, args.tol_overrides)
+        tol = {**DEFAULT_TOLERANCES, **sc.tolerances, **overrides}
         result, code = _COMMANDS[args.command][1](sc, args, tol)
         report = {
             "command": args.command,

@@ -45,6 +45,9 @@ class Expr:
 
     __slots__ = ("_hash", "_mask", "_diffs", "_compiled")
 
+    def __setattr__(self, name, value):
+        raise AttributeError("expressions are immutable")
+
     def key(self) -> tuple:
         raise NotImplementedError
 
@@ -117,9 +120,6 @@ class Const(Expr):
         object.__setattr__(self, "value", float(value))
         object.__setattr__(self, "_mask", 0)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
-
     def key(self):
         return ("const", self.value)
 
@@ -133,9 +133,6 @@ class Var(Expr):
         object.__setattr__(self, "index", int(index))
         object.__setattr__(self, "_mask", 1 << self.index)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
-
     def key(self):
         return ("var", self.index)
 
@@ -148,9 +145,6 @@ class _Binary(Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_mask", left._mask | right._mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     def key(self):
         return (self._tag, self.left.key(), self.right.key())
@@ -179,9 +173,6 @@ class Pow(Expr):
         object.__setattr__(self, "exponent", int(exponent))
         object.__setattr__(self, "_mask", base._mask)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
-
     def key(self):
         return ("^", self.base.key(), self.exponent)
 
@@ -192,9 +183,6 @@ class Neg(Expr):
     def __init__(self, operand: Expr):
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "_mask", operand._mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     def key(self):
         return ("neg", self.operand.key())
@@ -211,9 +199,6 @@ class Fn(Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "_mask", operand._mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     def key(self):
         return (self.name, self.operand.key())
@@ -236,9 +221,6 @@ class Cut(Expr):
         object.__setattr__(self, "shift", int(shift))
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "_mask", operand._mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     def key(self):
         return ("cutexp", self.shift, self.operand.key())

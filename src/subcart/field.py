@@ -11,12 +11,9 @@ matter.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .expr import Expr, Var, add, as_expr, compile_vector, diff, mul, to_text, vector_source, ZERO
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # fields whose values at a point have a singular value below RANK_TOL times
 # the largest one count as dependent there
@@ -36,7 +33,6 @@ class TangentField:
         self.label = str(label)
         self.components: tuple[Expr, ...] = tuple(as_expr(c) for c in components)
         self.dim = len(self.components)
-        self._value = compile_vector(self.components)
         self._jac_rows: Optional[tuple[tuple[Expr, ...], ...]] = None
 
     def __repr__(self) -> str:
@@ -50,13 +46,14 @@ class TangentField:
         lines, names = vector_source(self.components)
         return "\n".join(lines + names)
 
-    def __call__(self, point: Sequence[float]) -> np.ndarray:
-        """The components at the point as an ndarray; ``value`` gives a float list."""
-        import numpy as np
-
-        return np.array(self._value(point), dtype=float)
+    @functools.cached_property
+    def _value(self):
+        """The compiled components, compiled on the first evaluation, since
+        most intermediate fields of a bracket or a torsion are never evaluated."""
+        return compile_vector(self.components)
 
     def value(self, point: Sequence[float]) -> list[float]:
+        """The components at the point, a list of floats for a list of floats."""
         return self._value(point)
 
     def apply(self, f: Expr) -> Expr:

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .field import TangentField
 from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
-from .space import Cell, SubcartesianSpace, _cells_test, _evaluate, _sum_sq, sample_near
+from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _evaluate, _sum_sq, ball, sample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -592,7 +592,7 @@ def transport_vector(
     y_field: TangentField,
     x0: Sequence[float],
     options: Optional[FlowOptions] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float]]:
     """Carry y_field(x0) along the flow of x_field for time t.
 
     The carried vector solves the variational system v' = (Dx_field) v along
@@ -601,24 +601,22 @@ def transport_vector(
     the maximal interval the ``FlowDomainError``'s partial point is the
     point followed by the vector carried so far.
     """
-    import numpy as np
-
     if x_field.dim != y_field.dim:
         raise ValueError("fields must share a dimension")
     opts = options or FlowOptions()
-    x0 = np.asarray(x0, dtype=float)
+    x0 = [float(v) for v in x0]
     if space is not None:
         space.require_member(x0, "basepoint")
     n = x_field.dim
-    v0 = y_field(x0)
+    v0 = y_field.value(x0)
     if t == 0.0:
-        return x0.copy(), v0
+        return x0, v0
     try:
-        end = _flow_core(space, x_field._variational, opts)(x0.tolist() + v0.tolist(), float(t))
+        end = _flow_core(space, x_field._variational, opts)(x0 + v0, float(t))
     except FlowDomainError as exc:  # the witness names a point of the space, not the joint state
         exc.exit_witness = replace(exc.exit_witness, point=exc.exit_witness.point[:n])
         raise
-    return np.array(end[:n]), np.array(end[n:])
+    return end[:n], end[n:]
 
 
 # Classification ---------------------------------------------------------------
@@ -701,7 +699,7 @@ def classify_vector_field(
         radii.append(r)
         pts: list[list[float]] = list(seeds)
         for s in seeds:
-            pts.extend(sample_near(space, s, r, PROBE_SAMPLES, rng))
+            pts.extend(sample(space, PROBE_SAMPLES, ball(rng, s, r), BALL_TRIES))
         m_here = math.inf
         for y in pts:
             try:

@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .expr import DomainError
 from .field import RANK_TOL, TangentField
 from .flow import (
-    FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, flow_map, transport_vector,
+    FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, transport_vector,
 )
-from .space import SubcartesianSpace
+from .space import BALL_TRIES, SubcartesianSpace, ball, sample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,7 +49,7 @@ class DependentBasisError(OrbitError):
 class ReachError(RuntimeError):
     """A word segment left the space before its full duration."""
 
-    def __init__(self, message: str, segment: int, achieved_t: float, partial: list[np.ndarray]):
+    def __init__(self, message: str, segment: int, achieved_t: float, partial: list[list[float]]):
         super().__init__(message)
         self.segment = segment
         self.achieved_t = achieved_t
@@ -83,7 +83,7 @@ class FieldFamily:
         """Columns are the member fields evaluated at the point (n x m)."""
         import numpy as np
 
-        return np.column_stack([f(point) for f in self.fields])
+        return np.column_stack([f.value(point) for f in self.fields])
 
     def vanishes_at(self, point: Sequence[float]) -> bool:
         """Whether every field evaluates to exactly 0.0 at the point.  Then
@@ -110,19 +110,19 @@ def reach(
     x0: Sequence[float],
     word: Sequence[tuple[int, float]],
     options: Optional[FlowOptions] = None,
-) -> np.ndarray:
-    """Replay a flow word from x0; the empty word is the identity."""
-    import numpy as np
-
+) -> list[float]:
+    """Replay a flow word from x0; the empty word is the identity.  Each
+    segment starts where the last one reached, a member of the space."""
     word = check_word(family, word)
     family.space.require_member(x0, "basepoint")
-    y = np.asarray(x0, dtype=float)
-    trail = [y.copy()]
+    opts = options or FlowOptions()
+    y = [float(v) for v in x0]
+    trail = [y]
     for k, (idx, t) in enumerate(word):
         try:
-            y = flow_map(family.space, family.fields[idx], y, t, options)
+            y = _flow_core(family.space, family.fields[idx], opts)(y, t)
         except FlowDomainError as exc:
-            trail.append(np.array(exc.partial_point))
+            trail.append(list(exc.partial_point))
             raise ReachError(
                 f"segment {k} (field {family.fields[idx].label!r}) exits at "
                 f"t={exc.achieved_t:.6g} before t={t:.6g}",
@@ -130,7 +130,7 @@ def reach(
                 achieved_t=exc.achieved_t,
                 partial=trail,
             ) from None
-        trail.append(y.copy())
+        trail.append(y)
     return y
 
 
@@ -250,17 +250,12 @@ class _MergeIndex:
 class OrbitSample:
     """A reachable point cloud with the words that produced it."""
 
-    seed: np.ndarray
-    points: list[np.ndarray]
+    seed: list[float]
+    points: list[list[float]]
     words: list[FlowWord]
     est_dimension: int
     dimensions: list[int] = dc_field(default_factory=list)  # span dimension per point
     diagnostics: dict = dc_field(default_factory=dict)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.points)
 
 
 def sample_orbit(
@@ -281,8 +276,6 @@ def sample_orbit(
     the family vanishes at x0, every flow fixes it: the cloud is x0 alone,
     at once, with ``"fixed_point": true`` in the diagnostics.
     """
-    import numpy as np
-
     if budget < 1:
         raise OrbitError(f"budget must be at least 1, got {budget}")
     space = family.space
@@ -290,10 +283,10 @@ def sample_orbit(
     opts = options or FlowOptions()
     flows = [_flow_core(space, f, opts) for f in family.fields]
     rng = random.Random(rng_seed)
-    seed = np.asarray(x0, dtype=float)
-    points: list[list[float]] = [seed.tolist()]
+    seed = [float(v) for v in x0]
+    points: list[list[float]] = [seed]
     words: list[FlowWord] = [()]
-    index = _MergeIndex(seed.size)
+    index = _MergeIndex(len(seed))
     index.add(points[0], index.locate(points[0]))
     frontier: deque[int] = deque([0])
     attempts = 0
@@ -336,8 +329,7 @@ def sample_orbit(
         if not accepted_any and len(points) < budget:
             frontier.append(i)
 
-    arrays = [np.array(p) for p in points]
-    dims = span_dimensions(family, arrays, tol_rank)
+    dims = span_dimensions(family, points, tol_rank)
     diagnostics = {
         "attempts": attempts,
         "merged": merged,
@@ -350,8 +342,8 @@ def sample_orbit(
     if fixed:
         diagnostics["fixed_point"] = True
     return OrbitSample(
-        seed=seed,
-        points=arrays,
+        seed=list(seed),
+        points=points,
         words=words,
         est_dimension=max(dims) if dims else 0,
         dimensions=dims,
@@ -371,7 +363,7 @@ class Chart:
     """
 
     basis: tuple[int, ...]
-    basepoint: np.ndarray
+    basepoint: list[float]
     box: list[tuple[float, float]]
     jacobian0: np.ndarray
     fd_jacobian: np.ndarray
@@ -397,23 +389,23 @@ def chart_jacobian(
         if not 0 <= b < len(family):
             raise OrbitError(f"basis index {b} out of range for family of {len(family)}")
     family.space.require_member(x, "basepoint")
-    x = np.asarray(x, dtype=float)
-    jac = np.column_stack([family.fields[b](x) for b in basis])
+    x = [float(v) for v in x]
+    jac = np.column_stack([family.fields[b].value(x) for b in basis])
     s = np.linalg.svd(jac, compute_uv=False)
     rank = 0 if s[0] <= 0.0 else int(np.sum(s > tol_rank * s[0]))
     if rank < len(basis):
         raise DependentBasisError(
             f"basis fields {[family.fields[b].label for b in basis]} span only "
-            f"rank {rank} at {x.tolist()}"
+            f"rank {rank} at {x}"
         )
 
+    opts = options or FlowOptions()
     fd_cols = []
     box = []
     for b in basis:
-        fld = family.fields[b]
-        plus = flow_map(family.space, fld, x, CHART_FD_STEP, options)
-        minus = flow_map(family.space, fld, x, -CHART_FD_STEP, options)
-        fd_cols.append((plus - minus) / (2.0 * CHART_FD_STEP))
+        core = _flow_core(family.space, family.fields[b], opts)
+        plus, minus = core(x, CHART_FD_STEP), core(x, -CHART_FD_STEP)
+        fd_cols.append([(p - m) / (2.0 * CHART_FD_STEP) for p, m in zip(plus, minus)])
         box.append((-CHART_FD_STEP, CHART_FD_STEP))
     fd_jac = np.column_stack(fd_cols)
     agreement = float(np.max(np.abs(fd_jac - jac)))
@@ -431,7 +423,7 @@ def chart_jacobian(
 
 @dataclass
 class DimensionReport:
-    seed: np.ndarray
+    seed: list[float]
     dimensions: list[int]
     constant: bool
     n_points: int
@@ -489,7 +481,7 @@ class CompletenessReport:
         }
 
 
-def _span_residual(matrix: np.ndarray, w: np.ndarray) -> float:
+def _span_residual(matrix: np.ndarray, w: list[float]) -> float:
     """Distance from w to the column span of matrix."""
     import numpy as np
 
@@ -519,8 +511,6 @@ def local_completeness_probe(
     probes are drawn near the given centers (or the seed of the family's
     first field's domain must be supplied via centers).
     """
-    from .space import sample_near
-
     rng = random.Random(rng_seed)
     todo: list[tuple[list[float], float, int, int]] = []
     if probes is not None:
@@ -531,7 +521,7 @@ def local_completeness_probe(
             raise OrbitError("randomized probing needs center points")
         pts: list[list[float]] = []
         for c in centers:
-            pts.extend(sample_near(family.space, c, radius, n_random, rng))
+            pts.extend(sample(family.space, n_random, ball(rng, c, radius), BALL_TRIES))
         for x in pts:
             i = rng.randrange(len(family))
             j = rng.randrange(len(family))
@@ -552,12 +542,12 @@ def local_completeness_probe(
             continue
         residual = _span_residual(family.value_matrix(image), w)
         rec = {
-            "point": [float(v) for v in x],
+            "point": x,
             "t": t,
             "flow_field": family.fields[i].label,
             "carried_field": family.fields[j].label,
-            "image": [float(v) for v in image],
-            "carried_vector": [float(v) for v in w],
+            "image": image,
+            "carried_vector": w,
             "residual": residual,
         }
         records.append(rec)

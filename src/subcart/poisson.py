@@ -58,7 +58,7 @@ from .expr import (
 )
 from .field import RANK_TOL, TangentField
 from .report import worst_residual
-from .space import SubcartesianSpace
+from .space import SubcartesianSpace, box
 
 if TYPE_CHECKING:
     import numpy as np
@@ -384,26 +384,30 @@ def invariance_residual(
     """
     import numpy as np
 
-    from .flow import flow_map
+    from .flow import FlowOptions, _flow_core
 
-    x = np.asarray(x, dtype=float)
+    x = [float(v) for v in x]
+    t = float(t)
+    opts = options or FlowOptions()
+    if space is not None:
+        space.require_member(x, "basepoint")
     xh = hamiltonian_field(p, h)
-    image = flow_map(space, xh, x, t, options)
-    target = compile_scalar(bracket(p, f1, f2))(image.tolist())
+    image = _flow_core(space, xh, opts)(x, t)
+    target = compile_scalar(bracket(p, f1, f2))(image)
     ef1 = compile_scalar(as_expr(f1))
     ef2 = compile_scalar(as_expr(f2))
     pm = p.matrix_at(x)
+    ambient = _flow_core(None, xh, opts)
 
     def pulled_bracket(step: float) -> float:
         d1 = np.zeros(p.dim)
         d2 = np.zeros(p.dim)
         for i in range(p.dim):
-            e = np.zeros(p.dim)
-            e[i] = step
-            plus = flow_map(None, xh, x + e, t, options)
-            minus = flow_map(None, xh, x - e, t, options)
-            d1[i] = (ef1(plus.tolist()) - ef1(minus.tolist())) / (2.0 * step)
-            d2[i] = (ef2(plus.tolist()) - ef2(minus.tolist())) / (2.0 * step)
+            e = [step if k == i else 0.0 for k in range(p.dim)]
+            plus = ambient([a + b for a, b in zip(x, e)], t)
+            minus = ambient([a - b for a, b in zip(x, e)], t)
+            d1[i] = (ef1(plus) - ef1(minus)) / (2.0 * step)
+            d2[i] = (ef2(plus) - ef2(minus)) / (2.0 * step)
         return float(d1 @ pm @ d2)
 
     b_h = pulled_bracket(INVARIANCE_FD_STEP)
@@ -412,8 +416,8 @@ def invariance_residual(
     return InvarianceReport(
         value=abs(extrapolated - target),
         error_bar=abs(b_h2 - b_h) / 3.0,
-        t=float(t),
-        image=[float(v) for v in image],
+        t=t,
+        image=image,
     )
 
 
@@ -468,16 +472,9 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
     for s in sigma:
         if max_var_index(s) >= amb.dim:
             raise ReductionError(f"invariant {to_text(s)!r} uses a variable beyond x{amb.dim}")
-    rng = random.Random(setup.rng_seed)
+    draw = box(random.Random(setup.rng_seed), [-SAMPLE_SCALE] * amb.dim, [SAMPLE_SCALE] * amb.dim)
     sigma_eval = compile_vector(sigma)
-
-    def draw(count: int) -> list[list[float]]:
-        return [
-            [rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE) for _ in range(amb.dim)]
-            for _ in range(count)
-        ]
-
-    fit_points = draw(FIT_POINTS)
+    fit_points = [draw() for _ in range(FIT_POINTS)]
     sig_vals = np.array([sigma_eval(x) for x in fit_points])
     monos = monomials(m, setup.degree)
     design = np.column_stack(
@@ -518,7 +515,7 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
         rows[b][a] = neg(e)
     reduced = PoissonStructure(m, rows, label=f"reduced[{amb.label}]")
 
-    certify_points = draw(CERTIFY_POINTS)
+    certify_points = [draw() for _ in range(CERTIFY_POINTS)]
 
     def replay_residuals():
         for (a, b), e in pair_exprs.items():
@@ -573,7 +570,7 @@ def leaf_sample(
     for c in casimirs:
         ev = compile_scalar(as_expr(c))
         base = ev(list(map(float, x0)))
-        drift = worst_residual(abs(ev(pt.tolist()) - base) for pt in cloud.points)
+        drift = worst_residual(abs(ev(pt) - base) for pt in cloud.points)
         drifts.append({"casimir": to_text(as_expr(c)), "seed_value": base, "max_drift": drift})
     cloud.diagnostics["casimirs"] = drifts
     cloud.diagnostics["generators"] = [to_text(as_expr(g)) for g in generators]

@@ -25,8 +25,9 @@ way, one function per cell on its first projection: the equalities and
 their gradients inline, J J^T and J^T lam as in-order sums, and the m x m
 system solved by elimination with partial pivoting, all on Python floats,
 so no projected point depends on a BLAS build.  A projection whose
-equalities overflow fails, as one with a step that is not finite does.  The
-samplers draw, project and test on float lists.
+equalities overflow fails, as one with a step that is not finite does.
+``sample`` is the one sampler: it draws with a ``ball`` or ``box`` draw,
+projects and tests, all on float lists.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .expr import (
     _COMPILE_ENV,
@@ -49,9 +50,6 @@ from .expr import (
     to_text,
     vector_source,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -223,7 +221,7 @@ class SubcartesianSpace:
         self.cells: tuple[Cell, ...] = tuple(tuple(c) for c in cells)
         self.locally_closed = bool(locally_closed)
         self.tol = float(tol)
-        # one-cell predicates and projections for the samplers, generated on first use
+        # one-cell predicates and projections for the sampler, generated on first use
         self._cell_tests: list[Optional[Callable]] = [None] * len(self.cells)
         self._projections: list[Optional[Callable]] = [None] * len(self.cells)
 
@@ -301,7 +299,7 @@ class SubcartesianSpace:
 # Cells with equality constraints have measure zero, so plain rejection
 # sampling never lands on them.  Draws are pulled toward the equality locus
 # with Gauss-Newton steps first, then filtered through full cell membership.
-# The samplers draw, project and test on float lists and return float lists.
+# Points go in and come out as lists of Python floats.
 
 def _solve(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
     """x with a x = b, by elimination with partial pivoting (the first row of
@@ -379,33 +377,25 @@ def _compile_projection(cell: Cell, n: int, tol: float) -> Callable[[list[float]
     return _build(src, "<projection>")
 
 
-def _project(space: SubcartesianSpace, cell_index: int, start: list[float],
-             max_iter: int = 40) -> Optional[list[float]]:
-    """``project_to_equalities`` on float lists, by the cell's projection
-    function, generated on the cell's first projection and kept on the space."""
-    f = space._projections[cell_index]
-    if f is None:
-        f = space._projections[cell_index] = _compile_projection(
-            space.cells[cell_index], space.ambient_dim, space.tol)
-    return f(start, max_iter)
-
-
 def project_to_equalities(
     space: SubcartesianSpace,
     cell_index: int,
     start: Sequence[float],
     max_iter: int = 40,
-) -> Optional[np.ndarray]:
-    """Gauss-Newton projection of ``start`` onto the cell's equality locus.
+) -> Optional[list[float]]:
+    """Gauss-Newton projection of ``start`` onto the cell's equality locus,
+    by the cell's projection function, generated on the cell's first
+    projection and kept on the space.
 
     Returns None when the iteration stalls, the constraint gradients are
     degenerate at the iterate, or a constraint is undefined or overflows
     there.  Inequalities of the cell are ignored here.
     """
-    import numpy as np
-
-    z = _project(space, cell_index, [float(v) for v in start], max_iter)
-    return None if z is None else np.array(z)
+    f = space._projections[cell_index]
+    if f is None:
+        f = space._projections[cell_index] = _compile_projection(
+            space.cells[cell_index], space.ambient_dim, space.tol)
+    return f([float(v) for v in start], max_iter)
 
 
 def _sum_sq(v: Iterable[float]) -> float:
@@ -417,83 +407,49 @@ def _sum_sq(v: Iterable[float]) -> float:
     return s
 
 
-def _ball_draw(rng: random.Random, center: list[float], radius: float) -> list[float]:
-    n = len(center)
-    while True:
-        u = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        if _sum_sq(u) <= 1.0:
-            return [c + radius * v for c, v in zip(center, u)]
+# draws per sample asked of a cell, at most, from a ball and from a box
+BALL_TRIES = 60
+BOX_TRIES = 80
 
 
-def _sample_cell(space: SubcartesianSpace, cell_index: int, draw: Callable[[], list[float]],
-                 count: int, tries: int) -> list[list[float]]:
-    """Up to ``count`` members of one cell: each of at most ``tries`` draws is
-    projected onto the cell's equalities and kept if the cell holds there."""
-    out: list[list[float]] = []
-    for _ in range(tries):
-        if len(out) >= count:
-            break
-        z = _project(space, cell_index, draw())
-        if z is not None and space.cell_contains(cell_index, z):
-            out.append(z)
-    return out
-
-
-def sample_cell_near(
-    space: SubcartesianSpace,
-    cell_index: int,
-    center: Sequence[float],
-    radius: float,
-    count: int,
-    rng: random.Random,
-) -> list[list[float]]:
-    """Sample up to ``count`` members of one cell from a ball around ``center``,
-    in at most 60 draws per sample."""
+def ball(rng: random.Random, center: Sequence[float], radius: float) -> Callable[[], list[float]]:
+    """A draw, uniform in the ball: a point of the cube [-1, 1]^n, drawn again
+    until it lies in the unit ball, scaled by ``radius`` about ``center``."""
     center = [float(v) for v in center]
-    return _sample_cell(space, cell_index, lambda: _ball_draw(rng, center, radius), count, 60 * count)
+
+    def draw() -> list[float]:
+        while True:
+            u = [rng.uniform(-1.0, 1.0) for _ in center]
+            if _sum_sq(u) <= 1.0:
+                return [c + radius * v for c, v in zip(center, u)]
+
+    return draw
 
 
-def round_robin(
-    space: SubcartesianSpace,
-    count: int,
-    sample_cell: Callable[[int, int], list[list[float]]],
-) -> list[list[float]]:
-    """``count`` samples split over the cells in order: of k cells the first
-    ``count % k`` ask one more than ``count // k``.  ``sample_cell(i, c)``
-    samples c members of cell i; a cell whose share is 0 is not asked."""
+def box(rng: random.Random, lo: Sequence[float], hi: Sequence[float]) -> Callable[[], list[float]]:
+    """A draw, uniform in the axis box [lo, hi]."""
+    bounds = [(float(a), float(b)) for a, b in zip(lo, hi)]
+    return lambda: [rng.uniform(a, b) for a, b in bounds]
+
+
+def sample(space: SubcartesianSpace, count: int, draw: Callable[[], list[float]],
+           tries: int) -> list[list[float]]:
+    """Up to ``count`` members of the space, split over the cells in order:
+    of k cells the first ``count % k`` ask one more than ``count // k``, and
+    a cell whose share is 0 is not asked.  A cell projects each of at most
+    ``tries`` draws per sample it asks for onto its equalities and keeps the
+    point if the cell holds there; a cell the draws barely meet gives fewer.
+    """
     k = len(space.cells)
     out: list[list[float]] = []
     for i in range(k):
-        c = count // k + (1 if i < count % k else 0)
-        if c:
-            out.extend(sample_cell(i, c))
+        share = count // k + (1 if i < count % k else 0)
+        kept = 0
+        for _ in range(tries * share):
+            if kept == share:
+                break
+            z = project_to_equalities(space, i, draw())
+            if z is not None and space.cell_contains(i, z):
+                out.append(z)
+                kept += 1
     return out
-
-
-def sample_near(
-    space: SubcartesianSpace,
-    center: Sequence[float],
-    radius: float,
-    count: int,
-    rng: random.Random,
-) -> list[list[float]]:
-    """Sample members of the space near ``center``, visiting cells round-robin.
-
-    Cells that have no members in the ball simply contribute nothing; the
-    result can be shorter than ``count`` if the ball barely meets the space.
-    """
-    return round_robin(space, count, lambda i, c: sample_cell_near(space, i, center, radius, c, rng))
-
-
-def sample_cell_box(
-    space: SubcartesianSpace,
-    cell_index: int,
-    lo: Sequence[float],
-    hi: Sequence[float],
-    count: int,
-    rng: random.Random,
-) -> list[list[float]]:
-    """Sample up to ``count`` members of one cell from an axis box, in at most
-    80 draws per sample."""
-    box = [(float(a), float(b)) for a, b in zip(lo, hi)]
-    return _sample_cell(space, cell_index, lambda: [rng.uniform(a, b) for a, b in box], count, 80 * count)

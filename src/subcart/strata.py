@@ -23,12 +23,13 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .field import RANK_TOL, TangentField
 from .space import (
+    BOX_TRIES,
     SpaceError,
     SubcartesianSpace,
-    _project,
     _sum_sq,
-    round_robin,
-    sample_cell_box,
+    box,
+    project_to_equalities,
+    sample,
 )
 
 if TYPE_CHECKING:
@@ -90,17 +91,6 @@ class StratifiedSpace:
         return None
 
 
-def sample_space_box(
-    space: SubcartesianSpace,
-    lo: Sequence[float],
-    hi: Sequence[float],
-    count: int,
-    rng: random.Random,
-) -> list[list[float]]:
-    """Box sampling across all cells of a space, round-robin."""
-    return round_robin(space, count, lambda i, c: sample_cell_box(space, i, lo, hi, c, rng))
-
-
 def closure_distance(
     space: SubcartesianSpace,
     point: Sequence[float],
@@ -118,7 +108,7 @@ def closure_distance(
     p = [float(v) for v in point]
     best = math.inf
     for ci in range(len(space.cells)):
-        z = _project(space, ci, p)
+        z = project_to_equalities(space, ci, p)
         if z is not None and space.closure_contains(z):
             best = min(best, math.sqrt(_sum_sq(a - b for a, b in zip(p, z))))
     if cloud is not None and cloud.size:
@@ -165,11 +155,11 @@ def frontier_check(
     """
     import numpy as np
 
-    rng = random.Random(rng_seed)
+    draw = box(random.Random(rng_seed), lo, hi)
     clouds: list[list[list[float]]] = []  # lists: numpy scalars would warn where a power overflows
     arrays: list[np.ndarray] = []
     for s in ss.strata:
-        pts = sample_space_box(s.space, lo, hi, FRONTIER_SAMPLES, rng)
+        pts = sample(s.space, FRONTIER_SAMPLES, draw, BOX_TRIES)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
         clouds.append(pts)
@@ -177,7 +167,7 @@ def frontier_check(
 
     coverage_failures: list[dict] = []
     disjointness_failures: list[dict] = []
-    total_pts = sample_space_box(ss.total, lo, hi, PARTITION_SAMPLES, rng)
+    total_pts = sample(ss.total, PARTITION_SAMPLES, draw, BOX_TRIES)
     for p in total_pts:
         owners = [s.name for s in ss.strata if s.space.contains(p)]
         if not owners:
@@ -259,14 +249,14 @@ def strongly_stratified_check(
     """
     from .flow import integrate
 
-    rng = random.Random(rng_seed)
+    draw = box(random.Random(rng_seed), lo, hi)
     ambient = SubcartesianSpace.whole_space(ss.total.ambient_dim)
     threshold = drift_tol * horizon
     max_drift = 0.0
     witness: Optional[dict] = None
     per_stratum: dict[str, float] = {}
     for s in ss.strata:
-        pts = sample_space_box(s.space, lo, hi, DRIFT_SAMPLES, rng)
+        pts = sample(s.space, DRIFT_SAMPLES, draw, BOX_TRIES)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
         worst_here = 0.0
@@ -354,7 +344,7 @@ def orbit_vs_strata(
                 f"(drift {rep.max_drift:.3e} over horizon {horizon}); witness {rep.witness}"
             )
 
-    rng = random.Random(rng_seed)
+    draw = box(random.Random(rng_seed), lo, hi)
     per_seed: list[dict] = []
     all_ok = True
     for seed in seeds:
@@ -363,10 +353,9 @@ def orbit_vs_strata(
             raise StrataError(f"seed {list(map(float, seed))} lies in no declared stratum")
         stratum = ss.strata[si]
         cloud = sample_orbit(family, seed, budget, rng_seed=rng_seed, tol_rank=tol_rank, options=options)
-        # lists: numpy scalars would warn where a product overflows
-        escapes = [q for q in (p.tolist() for p in cloud.points) if not stratum.space.contains(q)]
-        stratum_pts = sample_space_box(stratum.space, lo, hi, COVER_SAMPLES, rng)
-        arr = cloud.as_array()
+        escapes = [q for q in cloud.points if not stratum.space.contains(q)]
+        stratum_pts = sample(stratum.space, COVER_SAMPLES, draw, BOX_TRIES)
+        arr = np.array(cloud.points)
         covered = 0
         for q in stratum_pts:
             if arr.size and float(np.min(np.linalg.norm(arr - q, axis=1))) <= COVER_RADIUS:
@@ -376,7 +365,7 @@ def orbit_vs_strata(
         all_ok = all_ok and ok
         per_seed.append(
             {
-                "seed": [float(v) for v in np.asarray(seed, dtype=float)],
+                "seed": [float(v) for v in seed],
                 "stratum": stratum.name,
                 "n_orbit_points": len(cloud.points),
                 "escapes": escapes,

@@ -527,19 +527,26 @@ def test_bad_tolerance_override_exits_2(capsys, overrides, key):
                             "--field", "ddx", "--point=0.1,0.5", "--tol-overrides", overrides)
     assert code == 2
     assert report == {}
-    assert repr(key) in err
+    assert err.startswith(f"error: --tol-overrides.{key}: ")
     assert "Traceback" not in err
 
 
-def test_scenario_tolerance_key_can_be_overridden(tmp_path, capsys):
-    doc = json.loads(open(scenario_path("halfline"), encoding="utf-8").read())
-    doc["tolerances"] = {"probe_extra": 0.5}
-    p = tmp_path / "extra_tol.json"
+def test_unknown_scenario_tolerance_exits_2_with_path_and_known_names(tmp_path, capsys):
+    # a misspelt name would be echoed in the report and change nothing
+    doc = json.loads(open(scenario_path("cone"), encoding="utf-8").read())
+    doc["tolerances"] = {"drfit": 1e-3}
+    p = tmp_path / "misspelt_tol.json"
     p.write_text(json.dumps(doc))
-    code, rep, _ = run(capsys, "flow", "--scenario", str(p), "--field", "ddx", "--point=0.5",
-                       "--horizon", "1", "--tol-overrides", '{"probe_extra": 0.25}')
-    assert code == 0
-    assert rep["tolerances"]["probe_extra"] == 0.25
+    code, report, err = run(capsys, "strata", "--check", "tangency", "--field", "euler", "--scenario", str(p))
+    assert (code, report) == (2, {})
+    assert err == (f"error: scenario error at $.tolerances.drfit: unknown tolerance; "
+                   f"known: {sorted(DEFAULT_TOLERANCES)}\n")
+    # an override may name only a default, whatever the scenario names
+    code, report, err = run(capsys, "strata", "--check", "tangency", "--field", "euler",
+                            "--scenario", scenario_path("cone"), "--tol-overrides", '{"drfit": 1e-3}')
+    assert (code, report) == (2, {})
+    assert err == (f"error: --tol-overrides.drfit: unknown tolerance; "
+                   f"known: {sorted(DEFAULT_TOLERANCES)}\n")
 
 
 @pytest.mark.parametrize("value,text", [
@@ -549,7 +556,7 @@ def test_scenario_tolerance_key_can_be_overridden(tmp_path, capsys):
 def test_bad_scenario_tolerance_exits_2_with_path(tmp_path, capsys, value, text):
     doc = json.loads(open(scenario_path("halfline"), encoding="utf-8").read())
     p = tmp_path / "bad_tol.json"
-    p.write_text(json.dumps(doc)[:-1] + ', "tolerances": {"probe_extra": 0.5, "rtol": ' + value + "}}")
+    p.write_text(json.dumps(doc)[:-1] + ', "tolerances": {"rtol": ' + value + "}}")
     code, report, err = run(capsys, "flow", "--scenario", str(p), "--field", "ddx",
                             "--point=0.5", "--horizon", "1")
     assert code == 2

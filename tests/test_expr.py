@@ -415,3 +415,16 @@ def test_diff_of_shared_dag_is_linear():
     assert n_nodes <= 4 * depth
     assert max_var_index(e) == 0
     assert diff(e, 1) is ZERO
+
+
+@pytest.mark.parametrize("node, attr", [
+    (Const(2.0), "value"), (Var(0), "index"), (Add(Var(0), ONE), "left"), (Mul(Var(0), ONE), "right"),
+    (Div(Var(0), ONE), "left"), (Pow(Var(0), 2), "exponent"), (Neg(Var(0)), "operand"),
+    (Fn("sin", Var(0)), "name"), (Cut(1, Var(0)), "shift"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Expr) else v)
+def test_assigning_to_a_node_raises(node, attr):
+    before = to_text(node)
+    for name in (attr, "_mask", "_hash", "_compiled"):
+        with pytest.raises(AttributeError, match="expressions are immutable"):
+            setattr(node, name, 0)
+    assert to_text(node) == before

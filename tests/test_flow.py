@@ -30,7 +30,7 @@ from subcart.flow import (
     _DriveResult, _Samples, _dense, _driver_source, _kernel,
     _membership, _pairwise_sum,
 )
-from subcart.space import Constraint, Rel, SubcartesianSpace, sample_near
+from subcart.space import BALL_TRIES, Constraint, Rel, SubcartesianSpace, ball, sample
 
 from conftest import SCENARIO_DIR, disk_line, halfline, make_field, punctured_plane, scenario_path, unit_circle
 
@@ -617,7 +617,7 @@ def test_probe_kernel_ends_like_the_recording_kernel_on_shipped_fields(scenario,
     rng = random.Random(5)
     kinds = set()
     for seed in (s for seeds in sc.seeds.values() for s in seeds if sc.space.contains(s)):
-        for x0 in [seed] + [list(p) for p in sample_near(sc.space, seed, 0.5, 6, rng)]:
+        for x0 in [seed] + sample(sc.space, 6, ball(rng, seed, 0.5), BALL_TRIES):
             for target in (1.0, -1.0, 3.0, -3.0):
                 kinds.add(_probe_matches_recording(fld, sc.space, x0, target, FlowOptions()))
     want = {("cone", "ddz"): "attained", ("halfline", "ddx"): "attained",

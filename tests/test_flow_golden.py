@@ -27,7 +27,7 @@ from subcart.flow import (
     PROBE_DECAY, PROBE_HORIZON, PROBE_LEVELS, PROBE_RADIUS0, PROBE_SAMPLES, FlowDomainError, FlowOptions,
     IntegrationError, ProbeOptions, classify_vector_field, flow_map, transport_vector,
 )
-from subcart.space import sample_near
+from subcart.space import BALL_TRIES, ball, sample
 
 from conftest import make_field, scenario_path
 from test_flow import _hexes, _ref_drive
@@ -210,7 +210,7 @@ def _blas_injectivity_ratio(space, fld, probe: ProbeOptions, m_last: float) -> f
         r = PROBE_RADIUS0 * PROBE_DECAY**level
         pts = [list(s) for s in probe.seeds]
         for s in probe.seeds:
-            pts.extend(sample_near(space, s, r, PROBE_SAMPLES, rng))
+            pts.extend(sample(space, PROBE_SAMPLES, ball(rng, s, r), BALL_TRIES))
     t_eps = 0.5 * min(m_last, PROBE_HORIZON)
     images = []
     for y in pts:

@@ -60,11 +60,11 @@ def test_transport_vector_matches_central_differences(t):
     probe = make_field("probe", ["1", "x3", "0", "x1*x2"], 4)
     x0 = np.array([0.3, -0.2, 0.5, 0.1])
     image, vec = transport_vector(None, osc, t, probe, x0, options=TIGHT)
-    v0 = probe(x0)
+    v0 = np.array(probe.value(x0.tolist()))
     plus = flow_map(None, osc, x0 + FD_STEP * v0, t, TIGHT)
     minus = flow_map(None, osc, x0 - FD_STEP * v0, t, TIGHT)
-    assert np.max(np.abs(image - flow_map(None, osc, x0, t, TIGHT))) <= 1e-12
-    assert np.max(np.abs(vec - (plus - minus) / (2 * FD_STEP))) <= FD_TOL
+    assert np.max(np.abs(np.subtract(image, flow_map(None, osc, x0, t, TIGHT)))) <= 1e-12
+    assert np.max(np.abs(np.subtract(vec, (plus - minus) / (2 * FD_STEP)))) <= FD_TOL
 
 
 # Exit times.  Each space below is one constraint g, kept as g >= -tol or

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import deque
 
 import numpy as np
@@ -28,7 +29,7 @@ from subcart.flow import FlowDomainError, IntegrationError, flow_map
 from subcart.orbit import MERGE_RADIUS, _MergeIndex
 from subcart.space import SubcartesianSpace
 
-from conftest import halfline, make_field, punctured_plane
+from conftest import halfline, make_field, punctured_plane, unit_circle
 
 REPLAY_TOL = 1e-6
 
@@ -92,7 +93,7 @@ def test_sample_orbit_replay_and_dimension():
     assert cloud.est_dimension == 2
     for k in (0, 7, 31, 59):
         replay = reach(fam, cloud.seed, cloud.words[k])
-        assert np.linalg.norm(replay - cloud.points[k]) <= REPLAY_TOL
+        assert np.linalg.norm(np.subtract(replay, cloud.points[k])) <= REPLAY_TOL
 
 
 def test_sample_orbit_respects_space():
@@ -328,7 +329,7 @@ def test_sample_orbit_matches_vstack_reference(which, rng_seed, budget, step_sca
     cloud = sample_orbit(family, x0, budget, step_scale=step_scale, rng_seed=rng_seed)
     points, words, dims, (attempts, merged, failures) = _ref_sample_orbit(
         family, x0, budget, step_scale, rng_seed)
-    assert [p.tobytes() for p in cloud.points] == [p.tobytes() for p in points]
+    assert [array("d", p).tobytes() for p in cloud.points] == [p.tobytes() for p in points]
     assert cloud.words == words
     assert cloud.dimensions == dims
     assert cloud.est_dimension == max(dims)
@@ -358,7 +359,7 @@ def test_sample_orbit_at_a_fixed_point_returns_the_seed_at_once(budget):
     cloud = sample_orbit(family, [0.0, 0.0], budget, rng_seed=3)
     points, words, dims, (attempts, merged, failures) = _ref_sample_orbit(
         family, [0.0, 0.0], budget, 0.3, 3)
-    assert [p.tobytes() for p in cloud.points] == [p.tobytes() for p in points]
+    assert [array("d", p).tobytes() for p in cloud.points] == [p.tobytes() for p in points]
     assert (cloud.words, cloud.dimensions, cloud.est_dimension) == (words, dims, 0) == ([()], [0], 0)
     assert (attempts, merged, failures) == ((0, 0, 0) if budget == 1 else (40 * budget, 40 * budget, 0))
     d = cloud.diagnostics
@@ -382,3 +383,38 @@ def test_span_dimensions_match_per_point_svd(pts, tol_rank):
     points = [np.array(p) for p in pts]
     assert span_dimensions(fam, points, tol_rank) == [_ref_rank(fam, p, tol_rank) for p in points]
     assert [span_dimensions(fam, [p], tol_rank)[0] for p in points] == [_ref_rank(fam, p, tol_rank) for p in points]
+
+
+def _floats(p) -> bool:
+    return type(p) is list and all(type(v) is float for v in p)
+
+
+def test_every_point_the_library_hands_back_is_a_list_of_floats():
+    """Points come back as lists of Python floats, whatever sequence went in;
+    matrices and ``flow_map``'s image are the ndarrays."""
+    from subcart.flow import transport_vector
+    from subcart.space import BALL_TRIES, BOX_TRIES, ball, box, project_to_equalities, sample
+
+    fam = shear_family()
+    x0 = np.array([0.2, -0.1])
+    assert _floats(project_to_equalities(unit_circle(), 0, x0))
+    assert _floats(fam.fields[1].value([0.2, -0.1]))
+    for t in (0.0, 0.4):
+        image, vec = transport_vector(fam.space, fam.fields[0], t, fam.fields[1], x0)
+        assert _floats(image) and _floats(vec)
+    assert _floats(reach(fam, x0, [])) and _floats(reach(fam, x0, [(0, 0.5), (1, -0.25)]))
+    with pytest.raises(ReachError) as exc:
+        reach(FieldFamily(halfline(), [make_field("ddx", ["1"], 1)]), np.array([1.0]), [(0, 0.5), (0, -3.0)])
+    assert all(map(_floats, exc.value.partial))
+    cloud = sample_orbit(fam, x0, 12, rng_seed=1)
+    assert _floats(cloud.seed) and all(map(_floats, cloud.points))
+    assert _floats(dimension_constancy_report(fam, x0, n_probes=5).seed)
+    chart = chart_jacobian(fam, [0, 1], np.array([1.0, 0.5]))
+    assert _floats(chart.basepoint)
+    assert isinstance(chart.jacobian0, np.ndarray) and isinstance(flow_map(fam.space, fam.fields[0], x0, 0.1),
+                                                                  np.ndarray)
+    rng = random.Random(0)
+    for draw, tries in ((ball(rng, x0, 0.5), BALL_TRIES), (box(rng, [0, 0], [1, 1]), BOX_TRIES)):
+        assert _floats(draw())
+        pts = sample(rotation_family().space, 5, draw, tries)
+        assert pts and all(map(_floats, pts))

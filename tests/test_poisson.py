@@ -99,7 +99,7 @@ def test_hamiltonian_field_canonical():
     h = parse("(x1^2+x2^2)/2", 2)
     xh = hamiltonian_field(p, h)
     for pt in rng_points(2, 4, seed=2):
-        assert np.allclose(xh(pt), [-pt[1], pt[0]], atol=1e-13)
+        assert np.allclose(xh.value(list(pt)), [-pt[1], pt[0]], atol=1e-13)
 
 
 def test_reduced_table_brackets():

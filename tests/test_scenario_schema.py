@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from subcart.cli import SchemaError, load_scenario, main
+from subcart.cli import DEFAULT_TOLERANCES, SchemaError, load_scenario, main
 
 from conftest import scenario_path
 
@@ -343,6 +343,8 @@ CORPUS = {
                       "expected a number, got str"),
     "tolerance-bool": ("cone", {("tolerances", "drift"): True}, "$.tolerances.drift",
                        "expected a number, got bool"),
+    "tolerance-unknown": ("cone", {("tolerances", "drfit"): 1e-3}, "$.tolerances.drfit",
+                          f"unknown tolerance; known: {sorted(DEFAULT_TOLERANCES)}"),
 }
 
 

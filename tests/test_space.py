@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 import warnings
@@ -16,18 +19,21 @@ from subcart.expr import (
     Add, Const, Cut, Div, DomainError, Fn, Mul, Neg, Pow, Var, _cut_value, add, compile_scalar, fn,
     gradient_exprs, mul, parse, pow_int, sub,
 )
+import subcart.poisson
+from subcart import cli
 from subcart.flow import ATTAINED_FACTOR
 from subcart.space import (
+    BALL_TRIES,
+    BOX_TRIES,
     DEFAULT_TOL,
     Constraint,
     Rel,
     SpaceError,
     SubcartesianSpace,
+    ball,
+    box,
     project_to_equalities,
-    round_robin,
-    sample_cell_box,
-    sample_cell_near,
-    sample_near,
+    sample,
 )
 
 from conftest import SCENARIO_DIR, disk_line, halfline, punctured_plane, scenario_path, unit_circle
@@ -173,7 +179,7 @@ def test_constructor_validation():
 def test_project_to_equalities_onto_circle():
     circ = unit_circle()
     y = project_to_equalities(circ, 0, np.array([1.3, 0.4]))
-    assert y is not None
+    assert type(y) is list and all(type(v) is float for v in y)
     assert abs(y[0] ** 2 + y[1] ** 2 - 1.0) <= 1e-9
     # already on the locus: unchanged
     z = project_to_equalities(circ, 0, np.array([0.6, 0.8]))
@@ -404,13 +410,13 @@ def test_projection_edge_cases():
     assert project_to_equalities(nan_after, 0, [0.0, 0.0], max_iter=0) is None
     assert _eval_jet_projection(nan_after, 0, [0.0, 0.0], max_iter=0) is not None
     # no equalities: the start itself
-    assert project_to_equalities(halfline(), 0, [0.5]).tolist() == [0.5]
+    assert project_to_equalities(halfline(), 0, [0.5]) == [0.5]
 
 
-def test_sample_cell_near_circle_stays_on_locus():
+def test_sample_ball_on_circle_stays_on_locus():
     circ = unit_circle()
     rng = random.Random(0)
-    pts = sample_cell_near(circ, 0, np.array([1.0, 0.0]), 0.3, 25, rng)
+    pts = sample(circ, 25, ball(rng, np.array([1.0, 0.0]), 0.3), BALL_TRIES)
     assert len(pts) == 25
     assert all(type(p) is list and all(type(v) is float for v in p) for p in pts)
     g = compile_scalar(parse("x1^2+x2^2-1", 2))
@@ -419,33 +425,107 @@ def test_sample_cell_near_circle_stays_on_locus():
         assert np.linalg.norm(np.asarray(p) - [1.0, 0.0]) <= 0.3 + 1e-9
 
 
-def test_sample_near_round_robin_covers_cells():
+def test_sample_ball_round_robin_covers_cells():
     dl = disk_line()
     rng = random.Random(1)
-    pts = sample_near(dl, np.array([0.0, 0.0]), 0.4, 30, rng)
+    pts = sample(dl, 30, ball(rng, np.array([0.0, 0.0]), 0.4), BALL_TRIES)
     assert len(pts) == 30
     cells = {dl.member_cell(p) for p in pts}
     assert cells == {0, 1}
 
 
-def test_round_robin_split():
+def test_sample_round_robin_split_and_tries():
     # of k cells the first count % k ask one more; a share of 0 is not asked
-    three = SubcartesianSpace(1, [[], [], []], locally_closed=True)
-    for count, shares in ((7, [3, 2, 2]), (2, [1, 1]), (0, []), (3, [1, 1, 1])):
-        asked = []
-        out = round_robin(three, count, lambda i, c: asked.append((i, c)) or [np.array([float(i)])] * c)
-        assert [c for _, c in asked] == shares and [i for i, _ in asked] == list(range(len(shares)))
+    x = parse("x1", 1)
+    three = SubcartesianSpace(1, [[Constraint(x - 1, Rel.LT)],
+                                  [Constraint(x - 1, Rel.GE), Constraint(x - 2, Rel.LT)],
+                                  [Constraint(x - 2, Rel.GE)]], locally_closed=True)
+    # each cell stops drawing once it has its share: for 7 the cells draw 7,
+    # 4 and 4 times; for 2 the third cell, whose share is 0, draws nothing
+    for count, shares, draws in ((7, [3, 2, 2], 15), (2, [1, 1], 2), (0, [], 0), (3, [1, 1, 1], 3)):
+        drawn = []
+
+        def draw():  # 0.5, 1.5, 2.5, 0.5, ...: each cell meets one draw in three
+            drawn.append([0.5 + len(drawn) % 3])
+            return drawn[-1]
+
+        out = sample(three, count, draw, 3)
+        cells = [three.member_cell(p) for p in out]
+        assert cells == sorted(cells) and [cells.count(i) for i in range(len(shares))] == shares
         assert len(out) == count
+        assert len(drawn) == draws
+    # a cell the draws never meet gives up after tries draws per sample
+    drawn = []
+    assert sample(halfline(), 4, lambda: drawn.append(0) or [-1.0], 5) == []
+    assert len(drawn) == 20
 
 
-def test_sample_cell_box():
+def test_sample_box():
     hl = halfline()
     rng = random.Random(2)
-    pts = sample_cell_box(hl, 0, [0.0], [2.0], 20, rng)
+    pts = sample(hl, 20, box(rng, [0.0], [2.0]), BOX_TRIES)
     assert len(pts) == 20
     for p in pts:
         assert hl.contains(p)
         assert 0.0 <= p[0] <= 2.0
+
+
+def _digest(pts):
+    """The count, a hash of every coordinate's ``float.hex`` and the first point."""
+    text = "\n".join(",".join(float(v).hex() for v in p) for p in pts)
+    return [len(pts), hashlib.sha256(text.encode()).hexdigest()[:16], [float(v).hex() for v in pts[0]]]
+
+
+# The points of the samplers that ``sample`` and the box draw replaced, as
+# those samplers made them: ``sample_near`` on disk_line, ``strata``'s
+# ``sample_space_box`` per cone stratum (count, digest, first point, then
+# the next ``rng.random()``, which pins what the draws consumed),
+# ``cli._box_points`` on acs_standard, and the fit and certify points of
+# ``reduce`` on reduction_r4, all at seed 0.
+GOLDEN_SAMPLES = {
+    "ball_disk_line": [30, "d09f3cd0a22b159e", ["0x1.1a267f5aa62cap-2", "0x1.a6a1eb1cb8d20p-3"],
+                       "0x1.f1bca90426464p-3"],
+    "box_cone_apex": [60, "5a25b314b33e54f2", ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"], "0x1.447a9936a43d4p-1"],
+    "box_cone_surface": [60, "8e62ba36ccc88872",
+                         ["0x1.d4de2ab27c04dp-1", "0x1.5f287955acb77p-1", "0x1.24e506a041272p+0"],
+                         "0x1.447a9936a43d4p-1"],
+    "box_points_acs_standard": [25, "21816040454d354c", ["0x1.60b01f314fb7cp-1", "0x1.082532f1f3834p-1",
+                                                         "-0x1.4556bbeb45a20p-3", "-0x1.edbd0e08d74b4p-2"]],
+    "reduce_fit_points": [120, "6a0459763f8be12f", ["0x1.08841764fbc9cp+0", "0x1.8c37cc6aed450p-1",
+                                                    "-0x1.e80219e0e8730p-3", "-0x1.724dca86a1787p-1"]],
+    "reduce_certify_points": [200, "8ce48a38b81f9303", ["-0x1.2b0a990a777e9p-1", "-0x1.28dfd37203833p+0",
+                                                        "-0x1.c6d6bb5310b58p-3", "0x1.95956e4423b00p-3"]],
+}
+
+
+def test_sample_reproduces_the_points_of_the_samplers_it_replaced(monkeypatch):
+    got = {}
+    rng = random.Random(0)
+    dl = cli.load_scenario(scenario_path("disk_line"))
+    got["ball_disk_line"] = _digest(sample(dl.space, 30, ball(rng, [0.0, 0.0], 0.4), BALL_TRIES)) + [
+        rng.random().hex()]
+    cone = cli.load_scenario(scenario_path("cone"))
+    for s in cone.stratified.strata:
+        rng = random.Random(0)
+        got[f"box_cone_{s.name}"] = _digest(sample(s.space, 60, box(rng, *cone.box), BOX_TRIES)) + [
+            rng.random().hex()]
+    got["box_points_acs_standard"] = _digest(cli._box_points(cli.load_scenario(scenario_path("acs_standard")),
+                                                             25, 0))
+    # reduce evaluates its invariants at the fit points, then at the certify
+    # points once per invariant pair
+    seen = []
+    compile_vector = subcart.poisson.compile_vector
+
+    def recording(exprs):
+        f = compile_vector(exprs)
+        return lambda x: seen.append(list(x)) or f(x)
+
+    monkeypatch.setattr(subcart.poisson, "compile_vector", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["reduce", "--scenario", scenario_path("reduction_r4")]) == 0
+    got["reduce_fit_points"] = _digest(seen[:120])
+    got["reduce_certify_points"] = _digest(seen[120:320])
+    assert got == GOLDEN_SAMPLES
 
 
 # Generated membership against the per-constraint reference ---------------------
