@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .expr import (
     Const,
@@ -46,7 +46,7 @@ class AlmostComplexError(ValueError):
 class AlmostComplexStructure:
     """A matrix of expressions acting on tangent vectors, with J J = -I."""
 
-    def __init__(self, dim: int, matrix: Sequence[Sequence[Expr]], label: str = "J"):
+    def __init__(self, dim: int, matrix: Sequence[Sequence[Expr]]):
         if dim < 1:
             raise AlmostComplexError(f"dimension must be positive, got {dim}")
         rows = [tuple(as_expr(e) for e in row) for row in matrix]
@@ -60,7 +60,7 @@ class AlmostComplexStructure:
                     )
         self.dim = dim
         self.matrix: tuple[tuple[Expr, ...], ...] = tuple(rows)
-        self.label = str(label)
+        self.label = "J"
 
     @functools.cached_property
     def _value(self):
@@ -79,7 +79,7 @@ class AlmostComplexStructure:
         eye = np.eye(self.dim)
         return worst_residual(float(np.max(np.abs(m @ m + eye))) for m in map(self.matrix_at, points))
 
-    def apply(self, x: TangentField, label: Optional[str] = None) -> TangentField:
+    def apply(self, x: TangentField) -> TangentField:
         """The field J X with components (J X)^i = sum_j J[i][j] X^j."""
         if x.dim != self.dim:
             raise AlmostComplexError(
@@ -91,7 +91,7 @@ class AlmostComplexStructure:
             for j in range(self.dim):
                 c = add(c, mul(self.matrix[i][j], x.components[j]))
             comps.append(c)
-        return TangentField(label if label is not None else f"{self.label}*{x.label}", comps)
+        return TangentField(f"{self.label}*{x.label}", comps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,22 +101,17 @@ class AlmostComplexStructure:
         }
 
     @classmethod
-    def standard(cls, k: int, label: str = "J0") -> "AlmostComplexStructure":
+    def standard(cls, k: int) -> "AlmostComplexStructure":
         """Constant structure on R^{2k}: e_i -> e_{k+i}, e_{k+i} -> -e_i."""
         n = 2 * k
         rows = [[ZERO for _ in range(n)] for _ in range(n)]
         for i in range(k):
             rows[i][k + i] = Const(-1.0)
             rows[k + i][i] = Const(1.0)
-        return cls(n, rows, label)
+        return cls(n, rows)
 
 
-def torsion(
-    j: AlmostComplexStructure,
-    x: TangentField,
-    y: TangentField,
-    label: Optional[str] = None,
-) -> TangentField:
+def torsion(j: AlmostComplexStructure, x: TangentField, y: TangentField) -> TangentField:
     """N(X,Y) = 2([JX,JY] - J[JX,Y] - J[X,JY] - [X,Y]), built symbolically."""
     jx = j.apply(x)
     jy = j.apply(y)
@@ -131,8 +126,7 @@ def torsion(
         )
         for i in range(j.dim)
     ]
-    lab = label if label is not None else f"N({x.label},{y.label})"
-    return TangentField(lab, comps)
+    return TangentField(f"N({x.label},{y.label})", comps)
 
 
 def max_norm(fld: TangentField, points: Sequence[Sequence[float]]) -> float:

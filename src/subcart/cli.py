@@ -292,9 +292,13 @@ def load_scenario(path: str) -> Scenario:
     aliases = _aliases(raw, "$", n)
     coords = _Coords(n, aliases)
     cells = _key(rawsp, "cells", "$.space", coords.cells)
-    locally_closed = _key(rawsp, "locally_closed", "$.space", _bool)
+    locally_closed = _key(rawsp, "locally_closed", "$.space", _bool, None)
     tol = _key(rawsp, "tol", "$.space", _float, DEFAULT_TOL)
-    space = _built("$.space", SubcartesianSpace, n, cells, locally_closed, tol)
+    space = _built("$.space", SubcartesianSpace, n, cells, tol)
+    if locally_closed is not None and locally_closed != space.locally_closed:
+        raise SchemaError("$.space.locally_closed",
+                          "declared true, but a union of cells is not shown to be locally closed"
+                          if locally_closed else "declared false, but one cell is locally closed")
 
     components = _key(raw, "fields", "$", partial(_named, coords.field), {})
     fields = {k: TangentField(k, c) for k, c in components.items()}
@@ -317,7 +321,7 @@ def load_scenario(path: str) -> Scenario:
         if not 0 <= dim <= n:
             raise SchemaError(f"{path}.dim", f"dimension {dim} outside 0..{n}")
         _key(v, "frame", path, partial(_items, field_name), None)
-        return Stratum(stname, SubcartesianSpace(n, stcells, locally_closed=True, tol=tol), dim)
+        return Stratum(stname, SubcartesianSpace(n, stcells, tol), dim)
 
     stratified = None
     if "strata" in raw:
@@ -366,7 +370,7 @@ def load_scenario(path: str) -> Scenario:
     if "acs" in raw:
         rawacs = _key(raw, "acs", "$", _obj)
         jmat = _key(rawacs, "matrix", "$.acs", coords.matrix)
-        acs = _built("$.acs.matrix", AlmostComplexStructure, n, jmat, "J")
+        acs = _built("$.acs.matrix", AlmostComplexStructure, n, jmat)
         omega = _key(rawacs, "omega", "$.acs", coords.matrix, None)
 
     return Scenario(

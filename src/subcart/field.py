@@ -85,16 +85,14 @@ class TangentField:
             carried.append(out)
         return TangentField(f"variational({self.label})", self.components + tuple(carried))
 
-    def scaled(self, factor, label: Optional[str] = None) -> "TangentField":
+    def scaled(self, factor) -> "TangentField":
         """Pointwise multiple of this field by a scalar expression or number."""
         f = as_expr(factor)
-        lab = label if label is not None else f"({to_text(f)})*{self.label}"
-        return TangentField(lab, [mul(f, c) for c in self.components])
+        return TangentField(f"({to_text(f)})*{self.label}", [mul(f, c) for c in self.components])
 
-def lie_bracket(x: TangentField, y: TangentField, label: Optional[str] = None) -> TangentField:
+def lie_bracket(x: TangentField, y: TangentField) -> TangentField:
     """Commutator field: component i is x(y_i) - y(x_i)."""
     if x.dim != y.dim:
         raise FieldError(f"bracket needs matching dimensions, got {x.dim} and {y.dim}")
     comps = [add(x.apply(yc), -y.apply(xc)) for xc, yc in zip(x.components, y.components)]
-    lab = label if label is not None else f"[{x.label},{y.label}]"
-    return TangentField(lab, comps)
+    return TangentField(f"[{x.label},{y.label}]", comps)

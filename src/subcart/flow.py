@@ -636,9 +636,14 @@ PROBE_LEVELS = 6
 PROBE_SAMPLES = 20
 PROBE_EPS_FACTOR = 4.0
 PROBE_HORIZON = 1.0
-# The verdict: radii that end below ABS_FRACTION of the horizon and below
-# FAIL_RATIO of the first level's collapse; radii at least PASS_RATIO of it,
-# with the sampled flow's distance ratios at least INJECTIVITY_FLOOR, pass.
+# The verdict on the levels' minimum interval radii: the last below
+# ABS_FRACTION of the horizon and FAIL_RATIO of the largest fails (a level's
+# minimum is set by the sample nearest the edge, so the first is no
+# reference); every one at least ABS_FRACTION of the horizon, the last at
+# least PASS_RATIO of the largest and distance ratios of the sampled flow at
+# least INJECTIVITY_FLOOR pass.  The floor keeps 1e-9 at every level, as on
+# a half line given as two cells, which is not shown locally closed, from
+# passing.
 FAIL_RATIO = 0.3
 PASS_RATIO = 0.5
 ABS_FRACTION = 0.1
@@ -673,13 +678,14 @@ def classify_vector_field(
 ) -> VectorFieldVerdict:
     """Decide whether a derivation generates a local flow on the space.
 
-    Negative answers are certified by a witness.  On declared locally closed
-    spaces an integral curve whose interval endpoint is attained inside the
-    set at probe-commensurate times settles the question immediately.  The
-    direct probe measures the minimal interval radius over shrinking sampled
-    neighborhoods of the seeds: radii bounded away from zero (with sampled
-    injectivity) support a probabilistic positive, radii collapsing toward
-    zero certify a negative, anything in between is inconclusive.
+    Negative answers are certified by a witness.  On a locally closed space,
+    as the space derives it from its cells, an integral curve whose interval
+    endpoint is attained inside the set at probe-commensurate times settles
+    the question immediately.  The direct probe measures the minimal
+    interval radius over shrinking sampled neighborhoods of the seeds: radii
+    bounded away from zero at every level (with sampled injectivity) support
+    a probabilistic positive, radii collapsing toward zero certify a
+    negative, anything in between is inconclusive.
     """
     opts = options or FlowOptions()
     rng = random.Random(probe.rng_seed)
@@ -693,6 +699,7 @@ def classify_vector_field(
     radii: list[float] = []
     min_witness: Optional[dict] = None
     last_level_points: list[list[float]] = []
+    diagnostics = {"radii": radii, "min_interval_radius": m_levels}
 
     for level in range(PROBE_LEVELS):
         r = PROBE_RADIUS0 * PROBE_DECAY**level
@@ -705,13 +712,8 @@ def classify_vector_field(
             try:
                 fwd, bwd = _drives(space, fld, y, PROBE_HORIZON, opts, False)
             except IntegrationError as exc:
-                return VectorFieldVerdict(
-                    INCONCLUSIVE,
-                    None,
-                    probes_run,
-                    notes=[f"integrator failure during probing: {exc}"],
-                    diagnostics={"radii": radii, "min_interval_radius": m_levels},
-                )
+                return VectorFieldVerdict(INCONCLUSIVE, None, probes_run,
+                                          [f"integrator failure during probing: {exc}"], diagnostics)
             probes_run += 1
             if space.locally_closed:
                 for res in (bwd, fwd):
@@ -719,19 +721,10 @@ def classify_vector_field(
                     if res.reached or wit is None or not wit.attained:
                         continue
                     if abs(res.t_end) <= PROBE_EPS_FACTOR * r:
-                        return VectorFieldVerdict(
-                            NOT_VECTOR_FIELD,
-                            witness={
-                                "kind": "attained-endpoint",
-                                "point": res.y_end,
-                                "endpoint_time": res.t_end,
-                                "probe_point": [float(v) for v in y],
-                                "level_radius": r,
-                            },
-                            probes_run=probes_run,
-                            notes=["interval endpoint attained inside the set"],
-                            diagnostics={"radii": radii, "min_interval_radius": m_levels},
-                        )
+                        witness = {"kind": "attained-endpoint", "point": res.y_end, "endpoint_time": res.t_end,
+                                   "probe_point": [float(v) for v in y], "level_radius": r}
+                        return VectorFieldVerdict(NOT_VECTOR_FIELD, witness, probes_run,
+                                                  ["interval endpoint attained inside the set"], diagnostics)
             radius = min(-bwd.t_end, fwd.t_end)  # the horizon where both drives reach it
             if radius < m_here:
                 m_here = radius
@@ -746,18 +739,10 @@ def classify_vector_field(
         if level == PROBE_LEVELS - 1:
             last_level_points = pts
 
-    m_first, m_last = m_levels[0], m_levels[-1]
-    diagnostics = {"radii": radii, "min_interval_radius": m_levels}
-    notes: list[str] = []
-
-    if m_last <= ABS_FRACTION * PROBE_HORIZON and m_last <= FAIL_RATIO * max(m_first, 1e-300):
-        return VectorFieldVerdict(
-            NOT_VECTOR_FIELD,
-            witness=min_witness,
-            probes_run=probes_run,
-            notes=["no uniform flow time: interval radii collapse under refinement"],
-            diagnostics=diagnostics,
-        )
+    m_top, m_last = max(m_levels), m_levels[-1]
+    if m_last <= ABS_FRACTION * PROBE_HORIZON and m_last <= FAIL_RATIO * max(m_top, 1e-300):
+        return VectorFieldVerdict(NOT_VECTOR_FIELD, min_witness, probes_run,
+                                  ["no uniform flow time: interval radii collapse under refinement"], diagnostics)
 
     # Injectivity of the sampled time-eps flow at the finest level; the
     # points are members, and distances are roots of in-order sums of squares.
@@ -784,9 +769,9 @@ def classify_vector_field(
                 inj = min(inj, math.sqrt(_sum_sq(a - b for a, b in zip(zi, zj))) / d0)
     diagnostics["injectivity_min_ratio"] = None if math.isinf(inj) else inj
 
-    if m_last >= PASS_RATIO * m_first and (math.isinf(inj) or inj >= INJECTIVITY_FLOOR):
-        notes.append("uniform flow time with sampled injectivity; positive answers are probabilistic")
+    if (min(m_levels) >= ABS_FRACTION * PROBE_HORIZON and m_last >= PASS_RATIO * m_top
+            and (math.isinf(inj) or inj >= INJECTIVITY_FLOOR)):
+        notes = ["uniform flow time with sampled injectivity; positive answers are probabilistic"]
         return VectorFieldVerdict(VECTOR_FIELD, None, probes_run, notes, diagnostics)
-
-    notes.append("refinement exhausted without a certificate either way")
+    notes = ["refinement exhausted without a certificate either way"]
     return VectorFieldVerdict(INCONCLUSIVE, None, probes_run, notes, diagnostics)

@@ -80,10 +80,17 @@ class FieldFamily:
         return [f.label for f in self.fields]
 
     def value_matrix(self, point: Sequence[float]) -> np.ndarray:
-        """Columns are the member fields evaluated at the point (n x m)."""
+        """Columns are the member fields evaluated at the point (n x m).  A
+        field undefined or overflowing there is an ``OrbitError``."""
         import numpy as np
 
-        return np.column_stack([f.value(point) for f in self.fields])
+        columns = []
+        for f in self.fields:
+            try:
+                columns.append(f.value(point))
+            except (DomainError, OverflowError) as exc:
+                raise _unevaluable(f, point, exc) from None
+        return np.column_stack(columns)
 
     def vanishes_at(self, point: Sequence[float]) -> bool:
         """Whether every field evaluates to exactly 0.0 at the point.  Then
@@ -93,6 +100,12 @@ class FieldFamily:
             return all(v == 0.0 for f in self.fields for v in f.value(point))
         except (DomainError, OverflowError):  # a field undefined there does not vanish
             return False
+
+
+def _unevaluable(fld: TangentField, point: Sequence[float], exc: Exception) -> OrbitError:
+    """The error of a field that raised ``exc`` at the point."""
+    fault = "overflows" if isinstance(exc, OverflowError) else "is undefined"
+    return OrbitError(f"field {fld.label!r} {fault} at {[float(v) for v in point]}")
 
 
 def check_word(family: FieldFamily, word: Sequence[tuple[int, float]]) -> FlowWord:
@@ -364,7 +377,6 @@ class Chart:
 
     basis: tuple[int, ...]
     basepoint: list[float]
-    box: list[tuple[float, float]]
     jacobian0: np.ndarray
     fd_jacobian: np.ndarray
     agreement: float
@@ -401,18 +413,15 @@ def chart_jacobian(
 
     opts = options or FlowOptions()
     fd_cols = []
-    box = []
     for b in basis:
         core = _flow_core(family.space, family.fields[b], opts)
         plus, minus = core(x, CHART_FD_STEP), core(x, -CHART_FD_STEP)
         fd_cols.append([(p - m) / (2.0 * CHART_FD_STEP) for p, m in zip(plus, minus)])
-        box.append((-CHART_FD_STEP, CHART_FD_STEP))
     fd_jac = np.column_stack(fd_cols)
     agreement = float(np.max(np.abs(fd_jac - jac)))
     return Chart(
         basis=basis,
         basepoint=x,
-        box=box,
         jacobian0=jac,
         fd_jacobian=fd_jac,
         agreement=agreement,
@@ -540,6 +549,8 @@ def local_completeness_probe(
         except (FlowDomainError, IntegrationError):
             skipped += 1
             continue
+        except (DomainError, OverflowError) as exc:  # the carried field at the probe point
+            raise _unevaluable(family.fields[j], x, exc) from None
         residual = _span_residual(family.value_matrix(image), w)
         rec = {
             "point": x,

@@ -212,7 +212,7 @@ def bracket(p: PoissonStructure, f: Expr, g: Expr) -> Expr:
     return total
 
 
-def hamiltonian_field(p: PoissonStructure, f: Expr, label: Optional[str] = None) -> TangentField:
+def hamiltonian_field(p: PoissonStructure, f: Expr) -> TangentField:
     """The field X_f with X_f . h = {f,h}: components sum_i P^ij d_i f."""
     f = as_expr(f)
     if max_var_index(f) >= p.dim:
@@ -224,7 +224,7 @@ def hamiltonian_field(p: PoissonStructure, f: Expr, label: Optional[str] = None)
         for i in range(p.dim):
             c = add(c, mul(p.bivector[i][j], df[i]))
         comps.append(c)
-    return TangentField(label if label is not None else f"X[{to_text(f)}]", comps)
+    return TangentField(f"X[{to_text(f)}]", comps)
 
 
 def _cyclic_sums(

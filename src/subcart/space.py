@@ -4,8 +4,11 @@ A cell is a conjunction of smooth constraints (equalities and strict or
 non-strict inequalities) and a space is a finite union of cells.  Membership
 carries an explicit tolerance: non-strict constraints get a forgiving band,
 strict constraints get a guard band, so "member" is numerically stable on
-both sides.  Whether the set is locally closed is a declared property, not
-something we try to decide.
+both sides.  ``locally_closed`` is derived: one cell is, as each constraint
+is closed or open in its expression's domain and the domains of ``log``,
+``sqrt`` and quotients are locally closed; a union is not shown to be.  Even
+closed cells may fail: {log(x2) <= 100, x1^2 + x2^2 <= 1} and the origin are
+not locally closed at the origin.
 
 Membership is generated code.  On a space's first membership test its cells
 are emitted, with the expression compiler's emitter, into one Python
@@ -204,13 +207,7 @@ def _evaluate(f: Callable, point: Sequence[float], *args):
 class SubcartesianSpace:
     """Finite union of constraint cells in a fixed ambient dimension."""
 
-    def __init__(
-        self,
-        ambient_dim: int,
-        cells: Sequence[Sequence[Constraint]],
-        locally_closed: bool,
-        tol: float = DEFAULT_TOL,
-    ):
+    def __init__(self, ambient_dim: int, cells: Sequence[Sequence[Constraint]], tol: float = DEFAULT_TOL):
         if ambient_dim < 1:
             raise SpaceError(f"ambient dimension must be positive, got {ambient_dim}")
         if not 0 < tol < math.inf:
@@ -219,7 +216,7 @@ class SubcartesianSpace:
             raise SpaceError("a space needs at least one cell")
         self.ambient_dim = int(ambient_dim)
         self.cells: tuple[Cell, ...] = tuple(tuple(c) for c in cells)
-        self.locally_closed = bool(locally_closed)
+        self.locally_closed = len(self.cells) == 1
         self.tol = float(tol)
         # one-cell predicates and projections for the sampler, generated on first use
         self._cell_tests: list[Optional[Callable]] = [None] * len(self.cells)
@@ -246,21 +243,21 @@ class SubcartesianSpace:
         exit witness; compiled on first use, since membership does not need them."""
         return [[compile_scalar(c.expr) for c in cell] for cell in self.cells]
 
-    def cell_contains(self, cell_index: int, point: Sequence[float], tol: Optional[float] = None) -> bool:
+    def cell_contains(self, cell_index: int, point: Sequence[float]) -> bool:
         test = self._cell_tests[cell_index]
         if test is None:
             test = self._cell_tests[cell_index] = _compile_cells(self.cells[cell_index : cell_index + 1])
-        return _evaluate(test, point, self.tol if tol is None else tol) is not None
+        return _evaluate(test, point, self.tol) is not None
 
     def contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
         return _evaluate(self._first_cell, point, self.tol if tol is None else tol) is not None
 
-    def member_cell(self, point: Sequence[float], tol: Optional[float] = None) -> Optional[int]:
-        return _evaluate(self._first_cell, point, self.tol if tol is None else tol)
+    def member_cell(self, point: Sequence[float]) -> Optional[int]:
+        return _evaluate(self._first_cell, point, self.tol)
 
-    def closure_contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
+    def closure_contains(self, point: Sequence[float]) -> bool:
         """Membership in the topological closure: strict relations relaxed."""
-        return _evaluate(self._closure_cell, point, self.tol if tol is None else tol) is not None
+        return _evaluate(self._closure_cell, point, self.tol) is not None
 
     @functools.cached_property
     def _closure_cell(self) -> Callable[[Sequence[float], float], Optional[int]]:
@@ -289,9 +286,9 @@ class SubcartesianSpace:
             raise SpaceError(f"{what} {list(map(float, point))} is not in the space (slack {self.slack(point):.3e})")
 
     @classmethod
-    def whole_space(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "SubcartesianSpace":
+    def whole_space(cls, ambient_dim: int) -> "SubcartesianSpace":
         """All of R^n: one cell with no constraints."""
-        return cls(ambient_dim, [()], locally_closed=True, tol=tol)
+        return cls(ambient_dim, [()])
 
 
 # Sampling --------------------------------------------------------------------
@@ -377,15 +374,14 @@ def _compile_projection(cell: Cell, n: int, tol: float) -> Callable[[list[float]
     return _build(src, "<projection>")
 
 
-def project_to_equalities(
-    space: SubcartesianSpace,
-    cell_index: int,
-    start: Sequence[float],
-    max_iter: int = 40,
-) -> Optional[list[float]]:
+# Gauss-Newton steps of a projection, at most
+PROJECTION_STEPS = 40
+
+
+def project_to_equalities(space: SubcartesianSpace, cell_index: int, start: Sequence[float]) -> Optional[list[float]]:
     """Gauss-Newton projection of ``start`` onto the cell's equality locus,
     by the cell's projection function, generated on the cell's first
-    projection and kept on the space.
+    projection and kept on the space, in at most ``PROJECTION_STEPS`` steps.
 
     Returns None when the iteration stalls, the constraint gradients are
     degenerate at the iterate, or a constraint is undefined or overflows
@@ -395,7 +391,7 @@ def project_to_equalities(
     if f is None:
         f = space._projections[cell_index] = _compile_projection(
             space.cells[cell_index], space.ambient_dim, space.tol)
-    return f([float(v) for v in start], max_iter)
+    return f([float(v) for v in start], PROJECTION_STEPS)
 
 
 def _sum_sq(v: Iterable[float]) -> float:

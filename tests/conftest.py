@@ -34,26 +34,20 @@ def coordinate_fields(n: int) -> list[TangentField]:
 
 
 def halfline() -> SubcartesianSpace:
-    return SubcartesianSpace(
-        1, [[Constraint(parse("x1", 1), Rel.GE)]], locally_closed=True
-    )
+    return SubcartesianSpace(1, [[Constraint(parse("x1", 1), Rel.GE)]])
 
 
 def punctured_plane() -> SubcartesianSpace:
-    return SubcartesianSpace(
-        2, [[Constraint(parse("x1^2+x2^2", 2), Rel.GT)]], locally_closed=True
-    )
+    return SubcartesianSpace(2, [[Constraint(parse("x1^2+x2^2", 2), Rel.GT)]])
 
 
 def disk_line() -> SubcartesianSpace:
     disk = Constraint(parse("x1^2+(x2-1)^2-1", 2), Rel.LT)
     line = Constraint(parse("x2", 2), Rel.EQ)
-    return SubcartesianSpace(2, [[disk], [line]], locally_closed=False)
+    return SubcartesianSpace(2, [[disk], [line]])
 
 
 def unit_circle(tol: float = 1e-6) -> SubcartesianSpace:
     # equality cells need a membership band wider than the integrator's
     # constraint drift over the horizons the tests use
-    return SubcartesianSpace(
-        2, [[Constraint(parse("x1^2+x2^2-1", 2), Rel.EQ)]], locally_closed=True, tol=tol
-    )
+    return SubcartesianSpace(2, [[Constraint(parse("x1^2+x2^2-1", 2), Rel.EQ)]], tol=tol)

@@ -514,6 +514,24 @@ def test_overflow_exits_2_naming_it(tmp_path, capsys, constraint, field, argv, s
     assert err.count("\n") == 1 and says in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("fields,seed,argv,says", [
+    # the carried field at the probe point: this ended in "internal error: OverflowError"
+    ({"p": ["x1^400", "0"]}, [10.0, 0.0], ["--n", "3", "--radius", "0.5"],
+     "error: field 'p' overflows at [10.344421851525048, 0.2579544029403025]\n"),
+    # the family at the image of a probe under the flow of ddx
+    ({"ddx": ["1", "0"], "q": ["x1^308", "0"]}, [9.5, 0.0], ["--n", "6", "--radius", "0.3", "--seed", "1"],
+     "error: field 'q' overflows at [10.024663042518142, -0.03030536112675712]\n"),
+    ({"p": ["log(x1 - 10)", "0"]}, [10.0, 0.0], ["--n", "3", "--radius", "0.5"],
+     "error: field 'p' is undefined at [9.920571580830845, -0.24108324970703665]\n"),
+], ids=["overflow-at-probe", "overflow-at-image", "undefined-at-probe"])
+def test_complete_probe_names_the_field_and_point_it_cannot_evaluate(tmp_path, capsys, fields, seed, argv, says):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"name": "family", "space": {"ambient_dim": 2, "cells": [[]]},
+                                "fields": fields, "seeds": {"default": [seed]}}))
+    code, report, err = run(capsys, "complete-probe", "--scenario", str(path), *argv)
+    assert (code, report, err) == (2, {}, says)
+
+
 @pytest.mark.parametrize("overrides,key", [
     ('{"rtoll": 1e-9}', "rtoll"),
     ('{"rtol": NaN}', "rtol"),

@@ -108,8 +108,7 @@ def test_scaled_label_and_numeric_factor():
     x = make_field("x", ["1", "0"], 2)
     s = x.scaled(2.0)
     assert np.allclose(at(s, [0.0, 0.0]), [2.0, 0.0])
-    named = x.scaled(2.0, label="double")
-    assert named.label == "double"
+    assert s.label == "(2.0)*x"
 
 
 def test_pushforward_along_rotation():

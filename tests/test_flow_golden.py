@@ -48,7 +48,7 @@ GOLDEN = [
      0, "381242e4ccd5850749761b2195526f8f493ff7f3a2c4120a0b303d1485251bd2"),
     ("flow-spiral_disk", ["flow", "--scenario", "spiral_disk", "--field", "spiral",
                           "--point=0.5,0.25", "--horizon", "20"],
-     0, "8aa9eb4e45a2b844e683c448ee25d3614a1ca69c0b9c80c4175cee61cce56ced"),
+     0, "8314b646665b9066d87b7b7c0f0a3c83dfc946598526c8c73c5e0872a3fb59c7"),
     ("classify-halfline-xddx", ["classify", "--scenario", "halfline", "--field", "xddx",
                                 "--seeds", "interior"],
      0, "958e9361b97dd1212d9f5620ef4a84f5719b9f5960124a31daefa7f93da7e9fb"),
@@ -86,10 +86,13 @@ GOLDEN = [
 SPIRAL_DISK = {
     "name": "spiral_disk",
     "aliases": ["x", "y"],
-    "space": {"ambient_dim": 2, "cells": [[{"expr": "x^2+y^2-4", "rel": "lt0"}]],
-              "locally_closed": False},
+    "space": {"ambient_dim": 2, "cells": [[{"expr": "x^2+y^2-4", "rel": "lt0"}]]},
     "fields": {"spiral": ["-y + 0.1*x", "x + 0.1*y"]},
 }
+
+# The report of flow-spiral_disk as it was when SPIRAL_DISK declared
+# "locally_closed": false, which one open cell contradicts
+SPIRAL_DISK_DECLARED = "8aa9eb4e45a2b844e683c448ee25d3614a1ca69c0b9c80c4175cee61cce56ced"
 
 # sha256 of the sample CSV written by --out for the flow cases
 GOLDEN_CSV = {
@@ -125,6 +128,17 @@ def test_golden_report(capsys, tmp_path, name, argv, code, digest):
     assert _digest(out) == digest, out
     if name in GOLDEN_CSV:
         assert _digest(csv.read_text(encoding="utf-8")) == GOLDEN_CSV[name]
+
+
+def test_spiral_disk_report_moved_only_in_its_scenario_hash(capsys, tmp_path):
+    _, argv, code, _ = next(g for g in GOLDEN if g[0] == "flow-spiral_disk")
+    argv = [_scenario(tmp_path, a) if a == "spiral_disk" else a for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    declared = dict(SPIRAL_DISK, space=dict(SPIRAL_DISK["space"], locally_closed=False))
+    old, new = (_digest(json.dumps(doc, sort_keys=True)) for doc in (declared, SPIRAL_DISK))
+    assert out.count(new) == 1
+    assert _digest(out.replace(new, old)) == SPIRAL_DISK_DECLARED
 
 
 # (t, image point, transported vector) by float.hex

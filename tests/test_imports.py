@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -248,62 +249,149 @@ def _knobs() -> list[str]:
     return sorted(knobs)
 
 
-# A new optional parameter or defaulted field of the public API edits this
-# list in the same change, so each one is seen to be set by some caller.
-KNOBS = [
-    "AlmostComplexStructure.__init__(label)", "AlmostComplexStructure.apply(label)",
-    "AlmostComplexStructure.standard(label)",
-    "ExitWitness.cell_index", "ExitWitness.constraint", "ExitWitness.constraint_index", "ExitWitness.guard",
-    "FlowOptions.atol", "FlowOptions.max_steps", "FlowOptions.rtol",
-    "IntegralCurve.exit_minus", "IntegralCurve.exit_plus",
-    "IntegrationError.__init__(t)",
-    "OrbitSample.diagnostics", "OrbitSample.dimensions",
-    "PoissonStructure.__init__(label)", "PoissonStructure.canonical(label)",
-    "ProbeOptions.rng_seed", "ProbeOptions.seeds",
-    "ReductionSetup.certify_tol", "ReductionSetup.degree", "ReductionSetup.fit_tol", "ReductionSetup.rng_seed",
-    "StratifiedSpace.__init__(locally_trivial)",
-    "SubcartesianSpace.__init__(tol)", "SubcartesianSpace.cell_contains(tol)",
-    "SubcartesianSpace.closure_contains(tol)", "SubcartesianSpace.contains(tol)",
-    "SubcartesianSpace.member_cell(tol)", "SubcartesianSpace.require_member(what)",
-    "SubcartesianSpace.whole_space(tol)",
-    "TangentField.scaled(label)",
-    "VectorFieldVerdict.diagnostics", "VectorFieldVerdict.notes",
-    "chart_jacobian(options)", "chart_jacobian(tol_rank)",
-    "classify_vector_field(options)",
-    "dimension_constancy_report(n_probes)", "dimension_constancy_report(options)",
-    "dimension_constancy_report(rng_seed)", "dimension_constancy_report(step_scale)",
-    "dimension_constancy_report(tol_rank)",
-    "flow_map(options)",
-    "frontier_check(frontier_tol)", "frontier_check(rng_seed)",
-    "hamiltonian_field(label)",
-    "integrate(horizon)", "integrate(options)",
-    "invariance_residual(options)", "invariance_residual(space)",
-    "jacobi_sample_residual(n_points)", "jacobi_sample_residual(n_triples)",
-    "jacobi_sample_residual(rng_seed)", "jacobi_sample_residual(scale)",
-    "kahler_check(tol)",
-    "leaf_sample(casimirs)", "leaf_sample(options)", "leaf_sample(rng_seed)", "leaf_sample(step_scale)",
-    "leaf_sample(tol_rank)",
-    "lie_bracket(label)",
-    "local_completeness_probe(centers)", "local_completeness_probe(n_random)",
-    "local_completeness_probe(options)", "local_completeness_probe(probes)",
-    "local_completeness_probe(radius)", "local_completeness_probe(rng_seed)",
-    "local_completeness_probe(t_scale)", "local_completeness_probe(tol)",
-    "orbit_vs_strata(budget)", "orbit_vs_strata(drift_tol)", "orbit_vs_strata(horizon)",
-    "orbit_vs_strata(options)", "orbit_vs_strata(rng_seed)", "orbit_vs_strata(tol_rank)",
-    "parse(aliases)",
-    "project_to_equalities(max_iter)",
-    "reach(options)",
-    "sample_orbit(options)", "sample_orbit(rng_seed)", "sample_orbit(step_scale)", "sample_orbit(tol_rank)",
-    "strongly_stratified_check(drift_tol)", "strongly_stratified_check(horizon)",
-    "strongly_stratified_check(options)", "strongly_stratified_check(rng_seed)",
-    "torsion(label)",
-    "transport_vector(options)",
-]
+# Every knob and what sets it: a function of the package, by its name in its
+# module, the template of the generated flow driver, or an acceptance
+# criterion of tests/test_acceptance.py.  A new optional parameter or
+# defaulted field of the public API edits this map in the same change, and
+# its caller must pass it, so a knob that only tests set cannot return.
+# None marks the knobs kept with no caller yet: the step budget, the orbit
+# dimension report's sampling, which the orbit commands are to report, and
+# the flow options of the three library calls that take them.
+KNOBS = {
+    "ExitWitness.cell_index": "flow._exit",
+    "ExitWitness.constraint": "flow._exit",
+    "ExitWitness.constraint_index": "flow._exit",
+    "ExitWitness.guard": "flow._DRIVER",
+    "FlowOptions.atol": "cli._flow_options",
+    "FlowOptions.max_steps": None,
+    "FlowOptions.rtol": "cli._flow_options",
+    "IntegralCurve.exit_minus": "flow.integrate",
+    "IntegralCurve.exit_plus": "flow.integrate",
+    "IntegrationError.__init__(t)": "flow._DRIVER",
+    "OrbitSample.diagnostics": "orbit.sample_orbit",
+    "OrbitSample.dimensions": "orbit.sample_orbit",
+    "PoissonStructure.__init__(label)": "poisson.reduce",
+    "PoissonStructure.canonical(label)": "cli.cmd_reduce",
+    "ProbeOptions.rng_seed": "cli.cmd_classify",
+    "ProbeOptions.seeds": "cli.cmd_classify",
+    "ReductionSetup.certify_tol": "cli.cmd_reduce",
+    "ReductionSetup.degree": "cli.cmd_reduce",
+    "ReductionSetup.fit_tol": "cli.cmd_reduce",
+    "ReductionSetup.rng_seed": "cli.cmd_reduce",
+    "StratifiedSpace.__init__(locally_trivial)": "cli.load_scenario",
+    "SubcartesianSpace.__init__(tol)": "cli.load_scenario",
+    "SubcartesianSpace.contains(tol)": "flow._membership",
+    "SubcartesianSpace.require_member(what)": "flow.classify_vector_field",
+    "VectorFieldVerdict.diagnostics": "flow.classify_vector_field",
+    "VectorFieldVerdict.notes": "flow.classify_vector_field",
+    "chart_jacobian(options)": "cli.cmd_chart",
+    "chart_jacobian(tol_rank)": "cli.cmd_chart",
+    "classify_vector_field(options)": "cli.cmd_classify",
+    "dimension_constancy_report(n_probes)": None,
+    "dimension_constancy_report(options)": None,
+    "dimension_constancy_report(rng_seed)": None,
+    "dimension_constancy_report(step_scale)": None,
+    "dimension_constancy_report(tol_rank)": None,
+    "flow_map(options)": None,
+    "frontier_check(frontier_tol)": "cli.cmd_strata",
+    "frontier_check(rng_seed)": "cli.cmd_strata",
+    "integrate(horizon)": "cli.cmd_flow",
+    "integrate(options)": "cli.cmd_flow",
+    "invariance_residual(options)": None,
+    "invariance_residual(space)": "test_acceptance.test_criterion_09_bracket_invariance",
+    "jacobi_sample_residual(n_points)": "cli.cmd_poisson",
+    "jacobi_sample_residual(n_triples)": "cli.cmd_poisson",
+    "jacobi_sample_residual(rng_seed)": "cli.cmd_poisson",
+    "jacobi_sample_residual(scale)": "cli.cmd_poisson",
+    "kahler_check(tol)": "cli.cmd_acs",
+    "leaf_sample(casimirs)": "cli.cmd_leaf",
+    "leaf_sample(options)": "cli.cmd_leaf",
+    "leaf_sample(rng_seed)": "cli.cmd_leaf",
+    "leaf_sample(step_scale)": "cli.cmd_leaf",
+    "leaf_sample(tol_rank)": "cli.cmd_leaf",
+    "local_completeness_probe(centers)": "cli.cmd_complete_probe",
+    "local_completeness_probe(n_random)": "cli.cmd_complete_probe",
+    "local_completeness_probe(options)": "cli.cmd_complete_probe",
+    "local_completeness_probe(probes)": "test_acceptance.test_criterion_06_completeness_probe",
+    "local_completeness_probe(radius)": "cli.cmd_complete_probe",
+    "local_completeness_probe(rng_seed)": "cli.cmd_complete_probe",
+    "local_completeness_probe(t_scale)": "cli.cmd_complete_probe",
+    "local_completeness_probe(tol)": "cli.cmd_complete_probe",
+    "orbit_vs_strata(budget)": "cli.cmd_strata",
+    "orbit_vs_strata(drift_tol)": "cli.cmd_strata",
+    "orbit_vs_strata(horizon)": "cli.cmd_strata",
+    "orbit_vs_strata(options)": "cli.cmd_strata",
+    "orbit_vs_strata(rng_seed)": "cli.cmd_strata",
+    "orbit_vs_strata(tol_rank)": "cli.cmd_strata",
+    "parse(aliases)": "cli._Coords.expr",
+    "reach(options)": None,
+    "sample_orbit(options)": "cli.cmd_orbit",
+    "sample_orbit(rng_seed)": "cli.cmd_orbit",
+    "sample_orbit(step_scale)": "cli.cmd_orbit",
+    "sample_orbit(tol_rank)": "cli.cmd_orbit",
+    "strongly_stratified_check(drift_tol)": "cli.cmd_strata",
+    "strongly_stratified_check(horizon)": "cli.cmd_strata",
+    "strongly_stratified_check(options)": "cli.cmd_strata",
+    "strongly_stratified_check(rng_seed)": "cli.cmd_strata",
+    "transport_vector(options)": "orbit.local_completeness_probe",
+}
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 88
-    assert _knobs() == KNOBS
+    assert len(KNOBS) == 76
+    assert sorted(KNOBS) == _knobs()
+
+
+def _parameter(knob: str) -> tuple[str, str, int]:
+    """The name a call of the knob's owner is spelled with, the parameter,
+    and its position among the arguments a call passes."""
+    head, _, param = knob.rstrip(")").partition("(")
+    name, _, member = head.partition(".")
+    obj = getattr(subcart, name)
+    if not param:  # a dataclass field
+        return name, member, [f.name for f in dataclasses.fields(obj)].index(member)
+    fn = getattr(obj, member) if member else obj
+    names = [p for p in inspect.signature(fn).parameters if p not in ("self", "cls")]
+    return (member if member not in ("", "__init__") else name), param, names.index(param)
+
+
+def _caller_source(caller: str) -> str:
+    module, *path = caller.split(".")
+    if module == "test_acceptance":
+        import test_acceptance as obj
+    else:
+        obj = getattr(subcart, module)
+    for part in path:
+        obj = getattr(obj, part)
+    return obj if isinstance(obj, str) else textwrap.dedent(inspect.getsource(obj))
+
+
+def _sets(source: str, call: str, param: str, position: int) -> bool:
+    """Whether ``source`` calls ``call`` with ``param``, by keyword or at its
+    position, directly or through a helper such as ``cli._built`` that is
+    passed ``call`` and then its arguments.  A template of generated code is
+    not Python, so there the call must pass the keyword on its line."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return re.search(rf"\b{call}\([^\n]*\b{param}=", source) is not None
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        args = node.args
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != call:
+            at = [i for i, a in enumerate(args) if isinstance(a, ast.Name) and a.id == call]
+            if not at:
+                continue
+            args = args[at[0] + 1:]
+        if any(k.arg == param for k in node.keywords) or len(args) > position:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("knob", sorted(k for k, caller in KNOBS.items() if caller))
+def test_every_knob_is_set_by_its_caller(knob):
+    assert _sets(_caller_source(KNOBS[knob]), *_parameter(knob)), f"{KNOBS[knob]} does not set {knob}"
 
 
 def test_star_import_binds_exactly_all():

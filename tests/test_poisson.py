@@ -379,7 +379,7 @@ def sigma_space() -> SubcartesianSpace:
     rel = Constraint(parse("x1*x2-x3^2-x4^2", 4), Rel.EQ)
     pos1 = Constraint(parse("x1", 4), Rel.GE)
     pos2 = Constraint(parse("x2", 4), Rel.GE)
-    return SubcartesianSpace(4, [[rel, pos1, pos2]], locally_closed=True, tol=1e-6)
+    return SubcartesianSpace(4, [[rel, pos1, pos2]], tol=1e-6)
 
 
 def test_leaf_sample_stays_on_symplectic_leaf():

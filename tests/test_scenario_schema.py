@@ -136,8 +136,10 @@ CORPUS = {
     "expr-minus-signs-too-deep": ("halfline", {("space", "cells", 0, 0, "expr"): "-" * 5000 + "x"},
                                   "$.space.cells[0][0].expr",
                                   "expression nests deeper than 200 levels"),
-    "no-locally-closed": ("halfline", {("space", "locally_closed"): DEL}, "$.space",
-                          "missing required key 'locally_closed'"),
+    "locally-closed-contradicts": ("halfline", {("space", "locally_closed"): False}, "$.space.locally_closed",
+                                   "declared false, but one cell is locally closed"),
+    "locally-closed-union-true": ("disk_line", {("space", "locally_closed"): True}, "$.space.locally_closed",
+                                  "declared true, but a union of cells is not shown to be locally closed"),
     "locally-closed-int": ("halfline", {("space", "locally_closed"): 1},
                            "$.space.locally_closed", "expected a boolean, got int"),
     "space-tol-str": ("circle", {("space", "tol"): "1e-9"}, "$.space.tol",
@@ -375,6 +377,25 @@ def test_empty_seed_set_exits_2_naming_it(tmp_path, scenario, argv):
     code, out, err = run(*argv, "--scenario", path)
     assert (code, out) == (2, "")
     assert err == "error: scenario error at $.seeds.default: seed set must not be empty\n"
+
+
+@pytest.mark.parametrize("name", sorted(Path(p).stem for p in Path(scenario_path("halfline")).parent.glob("*.json")))
+def test_shipped_scenario_declares_the_locally_closed_its_cells_derive(tmp_path, name):
+    declared = shipped(name)["space"]["locally_closed"]
+    assert load_scenario(scenario_path(name)).space.locally_closed is declared
+    # the key is optional: without it the derived value stands
+    space = load_scenario(write_scenario(tmp_path, edited(name, {("space", "locally_closed"): DEL}))).space
+    assert space.locally_closed is declared
+
+
+def test_halfline_declared_not_locally_closed_exits_2(tmp_path):
+    # the declaration used to switch the attained-endpoint certificate off,
+    # and classify then answered VectorField with exit 0
+    path = write_scenario(tmp_path, edited("halfline", {("space", "locally_closed"): False}))
+    code, out, err = run("classify", "--scenario", path, "--field", "ddx")
+    assert (code, out) == (2, "")
+    assert err == ("error: scenario error at $.space.locally_closed: "
+                   "declared false, but one cell is locally closed\n")
 
 
 def test_infinite_space_tolerance_exits_2(tmp_path):

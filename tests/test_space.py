@@ -26,6 +26,7 @@ from subcart.space import (
     BALL_TRIES,
     BOX_TRIES,
     DEFAULT_TOL,
+    PROJECTION_STEPS,
     Constraint,
     Rel,
     SpaceError,
@@ -33,6 +34,7 @@ from subcart.space import (
     ball,
     box,
     project_to_equalities,
+    _compile_projection,
     sample,
 )
 
@@ -91,10 +93,9 @@ def test_slack_keeps_nan():
 
 def test_nonfinite_literals_in_generated_membership_and_slack():
     # repr wrote an infinite literal as the unbound name inf
-    below = SubcartesianSpace(1, [[Constraint(parse("1e999 - x1", 1), Rel.GE)]], locally_closed=True)
-    above = SubcartesianSpace(1, [[Constraint(parse("x1 - 1e999", 1), Rel.GE)]], locally_closed=True)
-    undefined = SubcartesianSpace(1, [[Constraint(parse("1e999 - 1e999 + x1", 1), Rel.GE)]],
-                                  locally_closed=True)
+    below = SubcartesianSpace(1, [[Constraint(parse("1e999 - x1", 1), Rel.GE)]])
+    above = SubcartesianSpace(1, [[Constraint(parse("x1 - 1e999", 1), Rel.GE)]])
+    undefined = SubcartesianSpace(1, [[Constraint(parse("1e999 - 1e999 + x1", 1), Rel.GE)]])
     assert below.contains([1.0]) and below.member_cell([1.0]) == 0 and below.cell_contains(0, [1.0])
     assert below.closure_contains([1.0])
     assert below.slack([1.0]) == math.inf
@@ -169,11 +170,11 @@ def test_whole_space():
 
 def test_constructor_validation():
     with pytest.raises(SpaceError):
-        SubcartesianSpace(0, [()], locally_closed=True)
+        SubcartesianSpace(0, [()])
     with pytest.raises(SpaceError):
-        SubcartesianSpace(1, [], locally_closed=True)
+        SubcartesianSpace(1, [])
     with pytest.raises(SpaceError):
-        SubcartesianSpace(1, [()], locally_closed=True, tol=0.0)
+        SubcartesianSpace(1, [()], tol=0.0)
 
 
 def test_project_to_equalities_onto_circle():
@@ -219,7 +220,7 @@ def _walk_jet(e, x):
     return _walk(e, x), [_walk(g, x) for g in gradient_exprs(e, len(x))]
 
 
-def _eval_jet_projection(space, cell_index, start, max_iter=40):
+def _eval_jet_projection(space, cell_index, start, max_iter=PROJECTION_STEPS):
     """``project_to_equalities`` as it was with a tree-walking jet per constraint."""
     eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
     z = np.asarray(start, dtype=float).copy()
@@ -286,7 +287,7 @@ def _inorder(terms):
     return s
 
 
-def _inorder_projection(space, cell_index, start, max_iter=40):
+def _inorder_projection(space, cell_index, start, max_iter=PROJECTION_STEPS):
     """``project_to_equalities`` on Python floats: tree-walking jets, in-order
     sums for J J^T and J^T lam, and a list solver; an overflow gives None."""
     eqs = [c for c in space.cells[cell_index] if c.rel is Rel.EQ]
@@ -321,16 +322,23 @@ def _hex_point(z):
 
 def _check_projection(space, seed=5):
     """The generated projection equals the in-order reference bit for bit and
-    stays within 1e-13 max(1, |z|) of the numpy one, with the same Nones."""
+    stays within 1e-13 max(1, |z|) of the numpy one, with the same Nones.
+    Fewer steps than ``project_to_equalities`` takes are run on the cell's
+    generated function."""
     rng = random.Random(seed)
     n = space.ambient_dim
     for ci in range(len(space.cells)):
+        project = _compile_projection(space.cells[ci], n, space.tol)
         for k in range(60):
             start = [rng.uniform(-2.0, 2.0) for _ in range(n)]
             if k % 4 == 0:
                 start[rng.randrange(n)] = 0.0  # where roots and quotients are singular
-            max_iter = 40 if k % 3 == 0 else 3 + k % 5
-            got = project_to_equalities(space, ci, start, max_iter=max_iter)
+            if k % 3 == 0:
+                max_iter = PROJECTION_STEPS
+                got = project_to_equalities(space, ci, start)
+            else:
+                max_iter = 3 + k % 5
+                got = project(start, max_iter)
             assert _hex_point(got) == _hex_point(_inorder_projection(space, ci, start, max_iter)), (ci, start)
             old = _eval_jet_projection(space, ci, start, max_iter)
             assert (got is None) == (old is None), (ci, start, max_iter)
@@ -360,7 +368,7 @@ def _two_equalities():
         Constraint(parse("x1^2 + x2^2 + x3^2 - 1", 3), Rel.EQ),
         Constraint(parse("x3 - 0.3 * x1 + x2 * x3", 3), Rel.EQ),
         Constraint(parse("x1", 3), Rel.GE),
-    ]], locally_closed=True)
+    ]])
 
 
 def test_compiled_projection_jets_with_two_equalities():
@@ -370,7 +378,7 @@ def test_compiled_projection_jets_with_two_equalities():
     _check_projection(SubcartesianSpace(3, [[
         Constraint(parse("0.1 * (x1 + x2 + x3^2) - 0.1", 3), Rel.EQ),
         Constraint(parse("10 * x1 - 3 * x2^2 - 1", 3), Rel.EQ),
-    ]], locally_closed=True))
+    ]]))
 
 
 CONE = [Constraint(parse("x1^2 + x2^2 - x3^2", 3), Rel.EQ), Constraint(parse("x3", 3), Rel.GT)]
@@ -389,7 +397,7 @@ GOLDEN_PROJECTION = [
 
 @pytest.mark.parametrize("cell, n, start, want", GOLDEN_PROJECTION)
 def test_golden_projection(cell, n, start, want):
-    space = SubcartesianSpace(n, [cell], locally_closed=True)
+    space = SubcartesianSpace(n, [cell])
     assert _hex_point(project_to_equalities(space, 0, start)) == want
 
 
@@ -400,14 +408,14 @@ def test_projection_edge_cases():
     assert project_to_equalities(circ, 0, [1e200, 0.0]) is None  # Python's float ** overflows
     # parallel gradients: J J^T is singular, and the numpy reference agrees
     parallel = SubcartesianSpace(2, [[Constraint(parse("x1 - 1", 2), Rel.EQ),
-                                      Constraint(parse("2 * x1 - 2", 2), Rel.EQ)]], locally_closed=True)
+                                      Constraint(parse("2 * x1 - 2", 2), Rel.EQ)]])
     assert project_to_equalities(parallel, 0, [0.5, 0.3]) is None
     assert _eval_jet_projection(parallel, 0, [0.5, 0.3]) is None
     # a NaN residual after a finite one fails the acceptance test, which the
     # old max(...) fold passed
     nan_after = SubcartesianSpace(2, [[Constraint(parse("x1", 2), Rel.EQ),
-                                       Constraint(parse("x2 * 1e999", 2), Rel.EQ)]], locally_closed=True)
-    assert project_to_equalities(nan_after, 0, [0.0, 0.0], max_iter=0) is None
+                                       Constraint(parse("x2 * 1e999", 2), Rel.EQ)]])
+    assert _compile_projection(nan_after.cells[0], 2, nan_after.tol)([0.0, 0.0], 0) is None
     assert _eval_jet_projection(nan_after, 0, [0.0, 0.0], max_iter=0) is not None
     # no equalities: the start itself
     assert project_to_equalities(halfline(), 0, [0.5]) == [0.5]
@@ -439,7 +447,7 @@ def test_sample_round_robin_split_and_tries():
     x = parse("x1", 1)
     three = SubcartesianSpace(1, [[Constraint(x - 1, Rel.LT)],
                                   [Constraint(x - 1, Rel.GE), Constraint(x - 2, Rel.LT)],
-                                  [Constraint(x - 2, Rel.GE)]], locally_closed=True)
+                                  [Constraint(x - 2, Rel.GE)]])
     # each cell stops drawing once it has its share: for 7 the cells draw 7,
     # 4 and 4 times; for 2 the third cell, whose share is 0, draws nothing
     for count, shares, draws in ((7, [3, 2, 2], 15), (2, [1, 1], 2), (0, [], 0), (3, [1, 1, 1], 3)):
@@ -619,7 +627,7 @@ def _spaces(draw):
     cells = draw(st.lists(
         st.lists(st.builds(Constraint, picks, st.sampled_from(list(Rel))), max_size=3),
         min_size=1, max_size=3))
-    return SubcartesianSpace(N_PROP, cells, locally_closed=False)
+    return SubcartesianSpace(N_PROP, cells)
 
 
 # the edges of the default and relaxed bands, where a comparison that lost or
@@ -632,9 +640,9 @@ _coords = st.one_of(st.sampled_from(_edges), st.floats(-3.0, 3.0),
 
 @given(_spaces(), st.lists(_coords, min_size=N_PROP, max_size=N_PROP), st.booleans(),
        st.lists(_coords, max_size=N_PROP))
-@example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)]], locally_closed=False),
+@example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)]]),
          [1.3758828927650757e-229, 1e-09], False, [1e200])  # overflows on Python floats only
-@example(SubcartesianSpace(2, [[Constraint(parse("exp(x1)", 2), Rel.GE)]], locally_closed=False),
+@example(SubcartesianSpace(2, [[Constraint(parse("exp(x1)", 2), Rel.GE)]]),
          [1e200, 0.0], False, [])  # overflows on numpy floats too
 @settings(max_examples=500, deadline=None)
 def test_generated_membership_matches_reference(space, coords, as_array, extra):
@@ -646,29 +654,31 @@ def test_generated_membership_matches_reference(space, coords, as_array, extra):
             assert _outcome(f, longer) == _outcome(f, x)
         assert repr(_outcome(space.slack, longer)) == repr(_outcome(space.slack, x))
     for tol in (None, RELAXED):
+        # the space's own tolerance rules every test but ``contains``
         t = space.tol if tol is None else tol
+        banded = SubcartesianSpace(N_PROP, space.cells, t)
         with np.errstate(all="ignore"):  # inf - inf on numpy scalars
             first = _outcome(_reference_first, space, x, t)
             got = _outcome(space.contains, x, tol)
             assert got == (first if isinstance(first, type) else first is not None)
             assert isinstance(first, type) or type(got) is bool
-            assert _outcome(space.member_cell, x, tol) == first
+            assert _outcome(banded.member_cell, x) == first
             for i in range(len(space.cells)):
-                inside = _outcome(space.cell_contains, i, x, tol)
+                inside = _outcome(banded.cell_contains, i, x)
                 assert inside == _outcome(_reference_cell, space, i, x, t)
                 assert isinstance(inside, type) or type(inside) is bool
             # the closure relaxes > to >= and < to <=
             closed = SubcartesianSpace(N_PROP, [[Constraint(c.expr, _CLOSED.get(c.rel, c.rel)) for c in cell]
-                                                for cell in space.cells], locally_closed=False)
+                                                for cell in space.cells])
             first = _outcome(_reference_first, closed, x, t)
-            assert _outcome(space.closure_contains, x, tol) == (first if isinstance(first, type) else first is not None)
+            assert _outcome(banded.closure_contains, x) == (first if isinstance(first, type) else first is not None)
 
 
 @given(_spaces(), st.lists(_coords, min_size=N_PROP, max_size=N_PROP), st.booleans())
-@example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)], []], locally_closed=False),
+@example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)], []]),
          [1.3758828927650757e-229, 1e-09], False)
 @example(SubcartesianSpace(2, [[Constraint(parse("log(x1)", 2), Rel.GE)],
-                               [Constraint(parse("x2", 2), Rel.EQ)]], locally_closed=False),
+                               [Constraint(parse("x2", 2), Rel.EQ)]]),
          [-1.0, math.nan], False)  # a DomainError cell, then a NaN margin
 @settings(max_examples=500, deadline=None)
 def test_generated_slack_matches_reference(space, coords, as_array):
@@ -686,11 +696,12 @@ def test_generated_slack_matches_reference(space, coords, as_array):
 @pytest.mark.parametrize("tol", [None, RELAXED])
 def test_generated_membership_at_band_edges(rel, value, tol):
     c = Constraint(parse("x1", 1), rel)
-    space = SubcartesianSpace(1, [[c]], locally_closed=False)
-    expected = c.satisfied(value, space.tol if tol is None else tol)
-    assert space.contains([value], tol) is expected
-    assert space.cell_contains(0, [value], tol) is expected
-    assert space.member_cell([value], tol) == (0 if expected else None)
+    expected = c.satisfied(value, DEFAULT_TOL if tol is None else tol)
+    assert SubcartesianSpace(1, [[c]]).contains([value], tol) is expected
+    space = SubcartesianSpace(1, [[c]], DEFAULT_TOL if tol is None else tol)
+    assert space.contains([value]) is expected
+    assert space.cell_contains(0, [value]) is expected
+    assert space.member_cell([value]) == (0 if expected else None)
 
 
 def test_membership_where_float_power_overflows():

@@ -31,7 +31,6 @@ def cone_space() -> SubcartesianSpace:
     return SubcartesianSpace(
         3,
         [[Constraint(g, Rel.EQ), Constraint(parse("x3", 3), Rel.GE)]],
-        locally_closed=True,
     )
 
 
@@ -41,7 +40,6 @@ def cone_stratification() -> StratifiedSpace:
         SubcartesianSpace(
             3,
             [[Constraint(parse(f"x{i}", 3), Rel.EQ) for i in (1, 2, 3)]],
-            locally_closed=True,
         ),
         0,
     )
@@ -53,7 +51,6 @@ def cone_stratification() -> StratifiedSpace:
                 Constraint(parse("x1^2+x2^2-x3^2", 3), Rel.EQ),
                 Constraint(parse("x3", 3), Rel.GT),
             ]],
-            locally_closed=True,
         ),
         2,
     )
@@ -99,12 +96,12 @@ def test_frontier_check_detects_violation():
     # only, so the frontier condition fails (and the pieces overlap)
     axis = Stratum(
         "axis",
-        SubcartesianSpace(2, [[Constraint(parse("x2", 2), Rel.EQ)]], locally_closed=True),
+        SubcartesianSpace(2, [[Constraint(parse("x2", 2), Rel.EQ)]]),
         1,
     )
     half = Stratum(
         "half",
-        SubcartesianSpace(2, [[Constraint(parse("x1", 2), Rel.GT)]], locally_closed=True),
+        SubcartesianSpace(2, [[Constraint(parse("x1", 2), Rel.GT)]]),
         2,
     )
     total = SubcartesianSpace.whole_space(2)
