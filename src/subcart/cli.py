@@ -471,8 +471,8 @@ def cmd_flow(sc: Scenario, args, tol) -> tuple[dict, int]:
 
     fld = sc.field(args.field)
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
-    curve = integrate(sc.space, fld, point, horizon=args.horizon, options=_flow_options(tol))
     out = _csv_out(args)
+    curve = integrate(sc.space, fld, point, horizon=args.horizon, options=_flow_options(tol), store=bool(out))
     if out:
         header = ["t"] + [f"x{i + 1}" for i in range(sc.space.ambient_dim)]
         write_csv(out, header, [[t] + p for t, p in curve.samples])

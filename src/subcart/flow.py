@@ -9,9 +9,9 @@ operations, in the order, of the whole-array numpy expressions, and the
 norms sum in numpy's pairwise order, so results are bit-identical to a
 numpy stepper, though numpy is not imported for it.  ``integrate``,
 ``flow_map`` and the classifier's probes run the kernel of their field and
-space: a loop generated for that field, space and use of the samples, whose
-stages compute the field's components inline and whose scan tests the
-space's cells inline.  ``transport_vector`` runs
+space: a loop generated for that field, space and use of the samples
+(stored, counted, or neither), whose stages compute the field's components
+inline and whose scan tests the space's cells inline.  ``transport_vector`` runs
 the kernel of the field's variational field on R^2n, the point followed by
 the vector its Jacobian carries, whose cell tests read the point alone.
 Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
@@ -19,11 +19,13 @@ and kept for the process in one table keyed by the source they are made
 of, so a field or space built anew with the same content finds its kernel.
 Membership is monitored along every accepted step at evenly spaced points
 of the dense output, at least four per step, its end included, and at most
-0.1 apart in time (``INTERIOR_CHECKS``, ``MAX_SAMPLE_DT``).  Only
-``integrate`` records them, in one packed buffer per direction that a
-curve turns into (t, point) pairs when they are read.
+0.1 apart in time (``INTERIOR_CHECKS``, ``MAX_SAMPLE_DT``); a step of four
+points, the most common, scans them without a loop.  Only ``integrate``
+keeps them: asked to store them, in one packed buffer per direction that a
+curve turns into (t, point) pairs when they are read, and otherwise as a
+count, which is all a report of ``flow`` without ``--out`` reads.
 A space with a cell of no constraints holds everywhere, so there nothing is
-tested, and a kernel that neither tests nor records has no scan.
+tested, and a kernel that neither tests nor stores has no scan.
 Where Python's float ``**`` overflows in the scan, the space tests the point
 again on numpy floats, importing numpy then.  On the first violation the
 exit time is located by bisection on the dense output down to 1e-12 in
@@ -148,14 +150,17 @@ class IntegralCurve:
     t_plus: float
     clipped_minus: bool
     clipped_plus: bool
-    forward: _Samples  # what each drive recorded, from t = 0 on
-    backward: _Samples
+    n_samples: int  # the start and the points each drive stored or counted after it
+    forward: Optional[_Samples]  # what each drive stored, from t = 0 on; None where nothing was stored
+    backward: Optional[_Samples]
     exit_minus: Optional[ExitWitness] = None
     exit_plus: Optional[ExitWitness] = None
 
     @property
     def samples(self) -> list[tuple[float, list[float]]]:
         """The (t, point) pairs in time order, made anew from the buffers at each read."""
+        if self.forward is None:
+            raise ValueError("the curve stored no samples: integrate it with store=True to read them")
         return [p for p in reversed(self.backward.pairs()) if p[0] < 0.0] + self.forward.pairs()
 
     def to_json_dict(self) -> dict:
@@ -166,7 +171,7 @@ class IntegralCurve:
             "t_plus": self.t_plus,
             "clipped_minus": self.clipped_minus,
             "clipped_plus": self.clipped_plus,
-            "n_samples": len(self.forward.t) + sum(t < 0.0 for t in self.backward.t),
+            "n_samples": self.n_samples,
             "exit_minus": self.exit_minus.to_json_dict() if self.exit_minus else None,
             "exit_plus": self.exit_plus.to_json_dict() if self.exit_plus else None,
         }
@@ -238,18 +243,24 @@ class _DriveResult:
     t_end: float
     y_end: list[float]
     reached: bool
-    samples: Optional[_Samples]  # None from a kernel that records nothing
+    samples: Optional[_Samples]  # None from a kernel that stores nothing
     exit_witness: Optional[ExitWitness]
-    n_steps: int = 0
+    n_steps: int
+    n_samples: Optional[int]  # points stored after the start; None from a kernel that counts nothing
 
 
-def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, member, member_relaxed, witness_info):
+def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, member, member_relaxed, witness_info):
     """End a drive that leaves the space inside the step from t to t + h.
 
     Membership is bisected on the step's dense output, given as
     per-component coefficient tuples (y, ydiff, bspl, r4, r5), between the
     last passing fraction ``theta_in`` and the first failing ``theta_out``.
+    The last point stored before the exit is the one at t + theta_in * h
+    (the start, or the end of the step before, where ``theta_in`` is 0), so
+    the point the bisection ends on is stored, or counted in ``n_samples``,
+    only where its time differs from that one.
     """
+    last = t + theta_in * h
     while (theta_out - theta_in) * abs(h) > BISECT_TOL:
         mid = 0.5 * (theta_in + theta_out)
         if member(_dense(coeffs, mid)):
@@ -263,10 +274,12 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, member, member_re
     witness = ExitWitness(t=t + theta_out * h, point=tuple(p_out), attained=attained,
                           cell_index=info[0], constraint_index=info[1], constraint=info[2])
     t_end = t + theta_in * h
-    if samples is not None and samples.t[-1] != t_end:
-        samples.t.append(t_end)
-        samples.x.extend(p_in)
-    return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
+    if n_samples is not None and t_end != last:
+        n_samples += 1
+        if samples is not None:
+            samples.t.append(t_end)
+            samples.x.extend(p_in)
+    return _DriveResult(t_end, p_in, False, samples, witness, n_steps, n_samples)
 
 
 # A kernel integrates from x0 toward the signed time ``target`` and stops
@@ -288,10 +301,18 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_steps, member, member_re
 # inline at each scanned point p0.. of the dense output; where Python's
 # float ``**`` overflows in that test, ``member`` tests the point again on
 # numpy floats (``space._evaluate``, which imports numpy on the process's
-# first such overflow, so a kernel runs without numpy until then).  A
-# kernel that neither scans nor records has no scan loop.
-# Only a kernel that records builds the samples ($samples), and its $scan
-# keeps each scanned point in them; elsewhere ``samples`` is None.
+# first such overflow, so a kernel runs without numpy until then).
+# A step of at most INTERIOR_CHECKS + 1 = 4 scanned points, one of at most
+# 0.4 time units, scans them in a block of straight-line code with the
+# fractions 0.25, 0.5, 0.75, 1.0 as literals; a longer step scans its
+# points in a loop.  What $samples sets up and $scan does with the points
+# depends on the use of the samples.  A kernel that stores them (``flow
+# --out`` and the tangency check of ``strata``) keeps each scanned point in
+# ``samples``; one that counts them (every other ``flow``) adds the points
+# of each passed step to ``n_samples``, and with no cell to test it has no
+# scan, only that sum; one that does neither (``flow_map``,
+# ``transport_vector`` and the classifier's probes) leaves both None, and
+# with no cell to test it has no scan at all.
 _DRIVER = """\
 def _drive(x0, target, opts, member, member_relaxed, witness_info, _tol):
     rtol = opts.rtol
@@ -301,7 +322,7 @@ def _drive(x0, target, opts, member, member_relaxed, witness_info, _tol):
     y = list(x0)
 $samples
     if span == 0.0:
-        return _DriveResult(0.0, y, True, samples, None)
+        return _DriveResult(0.0, y, True, samples, None, 0, n_samples)
     $y = y
     try:
 $first
@@ -334,7 +355,7 @@ $stages
             h *= 0.5
             if abs(h) < MIN_STEP:
                 witness = ExitWitness(t=t, point=($y), attained=True, guard=True)
-                return _DriveResult(t, [$y], False, samples, witness, n_steps)
+                return _DriveResult(t, [$y], False, samples, witness, n_steps, n_samples)
             continue
         except OverflowError:
             raise IntegrationError(f"field overflows at t={t}", t=t) from None
@@ -352,7 +373,7 @@ $scan
         $y = $yn
         $k1 = $k7
         if landing:
-            return _DriveResult(target, [$y], True, samples, None, n_steps)
+            return _DriveResult(target, [$y], True, samples, None, n_steps, n_samples)
         t = t + h
         h *= max(0.2, 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2))
 """
@@ -365,10 +386,11 @@ def _indent(lines: list[str], depth: int) -> str:
     return "\n".join(" " * depth + line for line in lines)
 
 
-def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], record: bool) -> str:
+def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], keep: Optional[str]) -> str:
     """Source of the kernel of the field with these components (see the
     comments above ``_DRIVER``), which tests ``cells`` inline, or nothing when
-    ``cells`` is None.
+    ``cells`` is None, and stores its scanned points (``keep`` "store"),
+    counts them ("count") or does neither (None).
     """
     n = len(components)
     ix = range(n)
@@ -410,46 +432,75 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     start = []
     for i in ix:
         start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = k1_{i} / sk{i}"]
-    dense = "y{i} + th * (yd{i} + u * (bs{i} + th * (q{i} + u * r{i})))"
-    leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + ",), theta_in, th, t, h, samples, "
-             "n_steps, member, member_relaxed, witness_info)")
-    point = [f"p{i} = {dense.format(i=i)}" for i in ix]
-    test = [] if cells is None else (
-        ["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
-        + ["except OverflowError:  # Python's float ** overflowed: test the point on numpy floats",
-           f"    _c = 0 if member([{names('p')}]) else None",
-           "if _c is None:", f"    {leave}"])
-    keep = ["sample_t.append(target if (landing and th == 1.0) else t + th * h)",
-            f"sample_x.extend(({names('p')}))"] if record else []
-    # the scan grid doubles as the sample grid, keeping recorded sample spacing
-    # at or below MAX_SAMPLE_DT
+
+    def grid_point(th: str, u: str, theta_in: str, passed: str, stamp: str) -> list[str]:
+        """Lines that compute the scanned point at fraction th of the step (u
+        is 1 - th), end the drive there if it fails, with theta_in the last
+        passing fraction and ``passed`` the points of this step before it,
+        and store it at time ``stamp``."""
+        lines = [f"p{i} = y{i} + {th} * (yd{i} + {u} * (bs{i} + {th} * (q{i} + {u} * r{i})))" for i in ix]
+        if cells is not None:
+            count = "None" if keep is None else f"n_samples + {passed}"
+            leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + f",), {theta_in}, {th}, t, h, "
+                     f"samples, {count}, n_steps, member, member_relaxed, witness_info)")
+            lines += (["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
+                      + ["except OverflowError:  # Python's float ** overflowed: test the point on numpy floats",
+                         f"    _c = 0 if member([{names('p')}]) else None",
+                         "if _c is None:", f"    {leave}"])
+        if keep == "store":
+            lines += [f"sample_t.append({stamp})", f"sample_x.extend(({names('p')}))"]
+        return lines
+
+    # The scan grid doubles as the sample grid, keeping stored sample spacing
+    # at or below MAX_SAMPLE_DT.  A step of at most INTERIOR_CHECKS + 1 grid
+    # points scans them as straight-line code; its fractions are the floats
+    # i / n_sub and 1 - i / n_sub of the loop, written out by repr, so its
+    # points are the loop's bit for bit.
+    grid = INTERIOR_CHECKS + 1
+    n_sub = f"ceil(abs(h) / {MAX_SAMPLE_DT!r})"
     scan = []
-    if cells is not None or record:
-        scan = [f"n_sub = max({INTERIOR_CHECKS + 1}, ceil(abs(h) / {MAX_SAMPLE_DT!r}))", "theta_in = 0.0",
-                "for i in range(1, n_sub + 1):"]
-        scan += ["    " + line for line in ["th = i / n_sub", "u = 1.0 - th", *point, *test, "theta_in = th", *keep]]
+    if cells is not None or keep == "store":
+        block = []
+        for k in range(1, grid + 1):
+            th = k / grid
+            stamp = "target if landing else t + h" if k == grid else f"t + {th!r} * h"
+            block += grid_point(repr(th), repr(1.0 - th), repr((k - 1) / grid), str(k - 1), stamp)
+        loop = ["th = i / n_sub", "u = 1.0 - th",
+                *grid_point("th", "u", "theta_in", "i - 1", "target if (landing and th == 1.0) else t + th * h"),
+                "theta_in = th"]
+        if keep is not None:
+            block.append(f"n_samples += {grid}")
+        scan = [f"n_sub = {n_sub}", f"if n_sub <= {grid}:", *("    " + line for line in block),
+                "else:", "    theta_in = 0.0", "    for i in range(1, n_sub + 1):", *(" " * 8 + line for line in loop)]
+        if keep is not None:
+            scan.append("    n_samples += n_sub")
+    elif keep == "count":
+        scan = [f"n_samples += max({grid}, {n_sub})"]
+    samples = {None: ["samples = None", "n_samples = None"], "count": ["samples = None", "n_samples = 0"],
+               "store": ["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x",
+                         "n_samples = 0"]}[keep]
     parts = dict(
         n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
         first=_indent(field(1, "y{}"), 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
-        sumsq=sumsq("s"), scan=_indent(scan, 8),
-        samples=_indent(["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x"]
-                        if record else ["samples = None"], 4),
+        sumsq=sumsq("s"), scan=_indent(scan, 8), samples=_indent(samples, 4),
     )
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
 
-# Every compiled kernel of the process, keyed by (field source, scan key, record).
+# Every compiled kernel of the process, keyed by (field source, scan key, keep).
 _DRIVERS: dict[tuple, Callable[..., _DriveResult]] = {}
 
 
-def _kernel(fld: TangentField, space: Optional[SubcartesianSpace], record: bool) -> Callable[..., _DriveResult]:
+def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
+            keep: Optional[str]) -> Callable[..., _DriveResult]:
     """The kernel of the field on the space, compiled on first use and kept for
     the process.
 
-    Only a kernel with ``record`` set keeps the start, the scanned points
-    and, after an exit, its last point as samples; without it ``samples`` is
-    None.
+    A kernel with ``keep`` "store" keeps the start, the scanned points and,
+    after an exit, its last point as samples; one with "count" counts the
+    points it would store after the start in ``n_samples``, and stores
+    nothing (``samples`` is None); one with None does neither (both None).
     The table is keyed by the source the kernel is made of, the field's
     (``TangentField._source``) and the cell tests (``_scan_key``), never by
     ``Expr`` equality, which holds between constants 0.0 and -0.0 that
@@ -457,14 +508,14 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace], record: bool)
     in the same process, finds the kernel already compiled.
     """
     scan = space._scan_key if space is not None else None
-    key = (fld._source, scan, record)
+    key = (fld._source, scan, keep)
     drive = _DRIVERS.get(key)
     if drive is None:
         scope = dict(_COMPILE_ENV, **_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
                      ExitWitness=ExitWitness, DomainError=DomainError, _DomainError=DomainError,
                      IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf,
                      MIN_STEP=MIN_STEP)
-        source = _driver_source(fld.components, None if scan is None else space.cells, record)
+        source = _driver_source(fld.components, None if scan is None else space.cells, keep)
         exec(compile(source, f"<dopri5 kernel n={fld.dim}>", "exec"), scope)
         drive = _DRIVERS[key] = scope["_drive"]
     return drive
@@ -497,16 +548,16 @@ def _membership(space: Optional[SubcartesianSpace]):
 
 
 def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], horizon: float,
-            opts: FlowOptions, record: bool) -> tuple[_DriveResult, _DriveResult]:
+            opts: FlowOptions, keep: Optional[str]) -> tuple[_DriveResult, _DriveResult]:
     """The forward and backward drives of the curve through x0, a sequence of
-    Python floats, clipped to [-horizon, horizon], on the kernel that records
-    samples or on the one that records nothing."""
+    Python floats, clipped to [-horizon, horizon], on the kernel that keeps
+    its samples as ``keep`` says (see ``_kernel``)."""
     horizon = float(horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     space.require_member(x0, "basepoint")
     member, member_relaxed, witness_info = _membership(space)
-    drive = _kernel(fld, space, record)
+    drive = _kernel(fld, space, keep)
     fwd = drive(x0, horizon, opts, member, member_relaxed, witness_info, space.tol)
     bwd = drive(x0, -horizon, opts, member, member_relaxed, witness_info, space.tol)
     return fwd, bwd
@@ -518,16 +569,18 @@ def integrate(
     x0: Sequence[float],
     horizon: float = DEFAULT_HORIZON,
     options: Optional[FlowOptions] = None,
+    store: bool = False,
 ) -> IntegralCurve:
     """Maximal integral curve through x0, clipped to [-horizon, horizon].
 
     The curve is the connected component through time zero of the in-set
-    times of the ambient trajectory, so every recorded sample satisfies
-    membership at the space's tolerance.
+    times of the ambient trajectory, so every sample satisfies membership at
+    the space's tolerance.  The samples are stored, for ``samples`` to read,
+    only with ``store`` set; either way ``n_samples`` counts them.
     """
     opts = options or FlowOptions()
     x0 = tuple(float(v) for v in x0)
-    fwd, bwd = _drives(space, fld, x0, horizon, opts, True)
+    fwd, bwd = _drives(space, fld, x0, horizon, opts, "store" if store else "count")
     return IntegralCurve(
         basepoint=x0,
         field_label=fld.label,
@@ -535,6 +588,7 @@ def integrate(
         t_plus=fwd.t_end,
         clipped_minus=bwd.reached,
         clipped_plus=fwd.reached,
+        n_samples=1 + fwd.n_samples + bwd.n_samples,
         forward=fwd.samples,
         backward=bwd.samples,
         exit_minus=bwd.exit_witness,
@@ -546,7 +600,7 @@ def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,
                opts: FlowOptions) -> Callable[[list[float], float], list[float]]:
     """``flow_map`` on float lists: ``core(x0, t)`` is the time-t image of x0,
     which must be a member (it is not tested), erroring if t is out of range."""
-    drive = _kernel(fld, space, False)
+    drive = _kernel(fld, space, None)
     member, member_relaxed, witness_info = _membership(space)
     tol = None if space is None else space.tol
 
@@ -710,7 +764,7 @@ def classify_vector_field(
         m_here = math.inf
         for y in pts:
             try:
-                fwd, bwd = _drives(space, fld, y, PROBE_HORIZON, opts, False)
+                fwd, bwd = _drives(space, fld, y, PROBE_HORIZON, opts, None)
             except IntegrationError as exc:
                 return VectorFieldVerdict(INCONCLUSIVE, None, probes_run,
                                           [f"integrator failure during probing: {exc}"], diagnostics)

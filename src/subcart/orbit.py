@@ -491,13 +491,15 @@ class CompletenessReport:
 
 
 def _span_residual(matrix: np.ndarray, w: list[float]) -> float:
-    """Distance from w to the column span of matrix."""
+    """Distance from w to the column span of matrix, inf or NaN where the
+    arithmetic overflows, which numpy then does not warn of."""
     import numpy as np
 
-    if not np.any(matrix):
-        return float(np.linalg.norm(w))
-    coef, *_ = np.linalg.lstsq(matrix, w, rcond=None)
-    return float(np.linalg.norm(w - matrix @ coef))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.any(matrix):
+            return float(np.linalg.norm(w))
+        coef, *_ = np.linalg.lstsq(matrix, w, rcond=None)
+        return float(np.linalg.norm(w - matrix @ coef))
 
 
 def local_completeness_probe(
@@ -552,6 +554,9 @@ def local_completeness_probe(
         except (DomainError, OverflowError) as exc:  # the carried field at the probe point
             raise _unevaluable(family.fields[j], x, exc) from None
         residual = _span_residual(family.value_matrix(image), w)
+        if not math.isfinite(residual):
+            raise OrbitError(f"the span residual of field {family.fields[j].label!r} carried along "
+                             f"{family.fields[i].label!r} from {x} is not finite at the image {image}")
         rec = {
             "point": x,
             "t": t,

@@ -261,7 +261,7 @@ def strongly_stratified_check(
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
         worst_here = 0.0
         for p in pts:
-            curve = integrate(ambient, fld, p, horizon=horizon, options=options)
+            curve = integrate(ambient, fld, p, horizon=horizon, options=options, store=True)
             for t, q in curve.samples:
                 slack = s.space.slack(q)
                 if slack != slack:  # max(0.0, -nan) would read as no drift

@@ -523,7 +523,12 @@ def test_overflow_exits_2_naming_it(tmp_path, capsys, constraint, field, argv, s
      "error: field 'q' overflows at [10.024663042518142, -0.03030536112675712]\n"),
     ({"p": ["log(x1 - 10)", "0"]}, [10.0, 0.0], ["--n", "3", "--radius", "0.5"],
      "error: field 'p' is undefined at [9.920571580830845, -0.24108324970703665]\n"),
-], ids=["overflow-at-probe", "overflow-at-image", "undefined-at-probe"])
+    # the family is finite at the image, but the span residual overflows; it
+    # used to print numpy's overflow warning and fail on writing inf
+    ({"ddx": ["1", "0"], "q": ["x1^308", "0"]}, [9.5, 0.0], ["--n", "6", "--radius", "0.3", "--seed", "0"],
+     "error: the span residual of field 'q' carried along 'ddx' from [9.670279153420864, -0.11801236435264352]"
+     " is not finite at the image [9.538622824328431, -0.11801236435264352]\n"),
+], ids=["overflow-at-probe", "overflow-at-image", "undefined-at-probe", "overflow-in-residual"])
 def test_complete_probe_names_the_field_and_point_it_cannot_evaluate(tmp_path, capsys, fields, seed, argv, says):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"name": "family", "space": {"ambient_dim": 2, "cells": [[]]},

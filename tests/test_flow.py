@@ -100,7 +100,7 @@ def test_integrate_complete_field_is_clipped_both_sides():
 def test_integrate_zero_field_from_boundary_point():
     hl = halfline()
     xddx = make_field("xddx", ["x1"], 1)
-    curve = integrate(hl, xddx, [0.0], horizon=5.0)
+    curve = integrate(hl, xddx, [0.0], horizon=5.0, store=True)
     assert curve.clipped_minus and curve.clipped_plus
     for t, p in curve.samples:
         assert abs(p[0]) <= 1e-12
@@ -131,7 +131,7 @@ def test_escape_time_matches_circle_chord():
 def test_circle_flow_stays_on_equality_cell():
     circ = unit_circle()
     rot = make_field("rot", ["-x2", "x1"], 2)
-    curve = integrate(circ, rot, [1.0, 0.0], horizon=7.0)
+    curve = integrate(circ, rot, [1.0, 0.0], horizon=7.0, store=True)
     assert curve.clipped_minus and curve.clipped_plus
     for t, p in curve.samples:
         assert abs(p[0] ** 2 + p[1] ** 2 - 1.0) <= 1e-7
@@ -230,8 +230,8 @@ def test_integrate_keeps_the_basepoint_as_floats():
 def test_integrate_deterministic():
     dl = disk_line()
     ddx = make_field("ddx", ["1", "0"], 2)
-    a = integrate(dl, ddx, [0.0, 0.5], horizon=2.0)
-    b = integrate(dl, ddx, [0.0, 0.5], horizon=2.0)
+    a = integrate(dl, ddx, [0.0, 0.5], horizon=2.0, store=True)
+    b = integrate(dl, ddx, [0.0, 0.5], horizon=2.0, store=True)
     assert a.t_plus == b.t_plus and a.t_minus == b.t_minus
     assert len(a.samples) == len(b.samples)
     for (ta, pa), (tb, pb) in zip(a.samples, b.samples):
@@ -243,23 +243,37 @@ def test_n_samples_counts_the_samples_of_the_curve():
     ddx = make_field("ddx", ["1"], 1)
     dl = disk_line()
     ddy = make_field("ddy", ["0", "1"], 2)
-    curves = [
-        integrate(hl, make_field("xddx", ["x1"], 1), [1.0], horizon=2.0),  # clipped on both sides
-        integrate(hl, ddx, [0.5], horizon=1.0),  # an attained exit behind, clipped ahead
-        integrate(dl, ddy, [0.0, 1.5], horizon=1.0),  # an open exit ahead, clipped behind
-        integrate(hl, ddx, [-hl.tol], horizon=1.0),  # an exit inside the first step
+    cases = [
+        (hl, make_field("xddx", ["x1"], 1), [1.0], 2.0),  # clipped on both sides
+        (hl, ddx, [0.5], 1.0),  # an attained exit behind, clipped ahead
+        (dl, ddy, [0.0, 1.5], 1.0),  # an open exit ahead, clipped behind
+        (hl, ddx, [-hl.tol], 1.0),  # an exit inside the first step
+        # sqrt(x1) is undefined below 0, so the steps halve until a guard exit
+        (SubcartesianSpace.whole_space(1), make_field("g", ["-1 - sqrt(x1)"], 1), [1.0], 2.0),
+        # a constant field has no error, so its steps grow tenfold from 0.005
+        # and pass 0.4, where the scan leaves its four-point block for the loop
+        (SubcartesianSpace.whole_space(1), ddx, [0.5], 3.0),
+        (hl, ddx, [0.5], 3.0),
     ]
-    assert [(c.clipped_minus, c.clipped_plus) for c in curves] == [
-        (True, True), (False, True), (True, False), (False, True)]
+    stored = [integrate(*case[:3], horizon=case[3], store=True) for case in cases]
+    assert [(c.clipped_minus, c.clipped_plus) for c in stored] == [
+        (True, True), (False, True), (True, False), (False, True), (True, False), (True, True), (False, True)]
+    assert stored[4].exit_plus.guard
     # from the edge of the tolerance band every point behind is out, so the
-    # backward drive ends at t = 0 and appends no exit point
-    assert curves[-1].t_minus == 0.0 and curves[-1].backward.t == [0.0]
-    for c in curves:
+    # backward drive ends at t = 0 and stores no exit point
+    assert stored[3].t_minus == 0.0 and stored[3].backward.t == [0.0]
+    for case, c in zip(cases, stored):
         samples = c.samples
-        assert c.to_json_dict()["n_samples"] == len(samples)
+        assert c.n_samples == len(samples)
         assert [t for t, _ in samples] == sorted(t for t, _ in samples)
         assert all(type(v) is float for _, p in samples for v in p)
         assert samples[0][0] == c.t_minus and samples[-1][0] == c.t_plus
+        # without storing, the kernel that counts gives the same report
+        counted = integrate(*case[:3], horizon=case[3])
+        assert counted.forward is None and counted.backward is None
+        assert counted.to_json_dict() == c.to_json_dict()
+        with pytest.raises(ValueError, match="stored no samples"):
+            counted.samples
 
 
 def test_classify_halfline_fields():
@@ -382,7 +396,7 @@ def _driver_initial_step(y, f0, rtol, atol, limit):
     tolerance, so that step is accepted.  Landing on the target replaces h
     by the target, which is the clamp the rule applies anyway, and a zero
     or non-finite step ends the drive earlier with the step in its message."""
-    drive = _kernel(TangentField("f0", f0), None, False)
+    drive = _kernel(TangentField("f0", f0), None, None)
     try:
         res = drive(list(y), limit, FlowOptions(rtol=rtol, atol=atol, max_steps=1), None, None, None, None)
     except IntegrationError as exc:
@@ -430,7 +444,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
     samples = _Samples(0.0, y)
     sample_t, sample_x = samples.t, samples.x
     if span == 0.0:
-        return _DriveResult(0.0, y, True, samples, None)
+        return _DriveResult(0.0, y, True, samples, None, 0, 0)
     try:
         k1 = f(y)
     except DomainError:
@@ -443,7 +457,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
 
     def guard_exit():
         witness = ExitWitness(t=t, point=tuple(y), attained=True, guard=True)
-        return _DriveResult(t, y, False, samples, witness, n_steps)
+        return _DriveResult(t, y, False, samples, witness, n_steps, len(sample_t) - 1)
 
     while True:
         n_steps += 1
@@ -508,7 +522,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
             y = ynew
             k1 = k7
             if landing:
-                return _DriveResult(t, y, True, samples, None, n_steps)
+                return _DriveResult(t, y, True, samples, None, n_steps, len(sample_t) - 1)
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
             h *= max(0.2, grow)
             continue
@@ -528,7 +542,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
         if sample_t[-1] != t_end:
             sample_t.append(t_end)
             sample_x.extend(p_in)
-        return _DriveResult(t_end, p_in, False, samples, witness, n_steps)
+        return _DriveResult(t_end, p_in, False, samples, witness, n_steps, len(sample_t) - 1)
 
 
 def _hexes(xs) -> list[str]:
@@ -547,7 +561,8 @@ def _drive_outcome(drive, f, x0, target, opts, space, membership=None):
         float(w.t).hex(), _hexes(w.point), w.attained, w.guard, w.cell_index, w.constraint_index, w.constraint)
     samples = r.samples
     return (float(r.t_end).hex(), _hexes(r.y_end), r.reached, r.n_steps,
-            None if samples is None else _hexes(samples.t), None if samples is None else _hexes(samples.x), witness)
+            None if samples is None else _hexes(samples.t), None if samples is None else _hexes(samples.x), witness,
+            r.n_samples)
 
 
 _COEF = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0, -2.0]))
@@ -591,9 +606,9 @@ def _drive_cases(draw):
     return fld, x0, target, opts, space
 
 
-def _fused(fld, space, record):
+def _fused(fld, space, keep):
     """The kernel of the field on the space, called like a driver that calls f."""
-    drive = _kernel(fld, space, record)
+    drive = _kernel(fld, space, keep)
     tol = None if space is None else space.tol
 
     def call(f, x0, target, opts, member, member_relaxed, witness_info):
@@ -602,18 +617,21 @@ def _fused(fld, space, record):
     return call
 
 
-def _assert_quiet_matches(quiet, want):
-    """Without recording, the same drive: endpoint, reached, steps and
-    witness, or the same failure, and no samples at all.  After an exit
-    other than a guard's, the endpoint the probes read is the last sample
-    of the recording drive, bit for bit unless the exit falls at t = 0:
-    there the sample is the start and the endpoint the dense output at 0,
-    equal as floats but maybe not in the sign of a zero."""
+def _assert_quiet_matches(quiet, want, keep):
+    """Without storing, the same drive: endpoint, reached, steps and
+    witness, or the same failure, and no samples at all.  The kernel that
+    counts (``keep`` "count") counts the points after the start that the
+    storing drive stores, and the one that keeps nothing counts nothing.
+    After an exit other than a guard's, the endpoint the probes read is the
+    last sample of the storing drive, bit for bit unless the exit falls at
+    t = 0: there the sample is the start and the endpoint the dense output
+    at 0, equal as floats but maybe not in the sign of a zero."""
     if isinstance(want[0], str) and want[0].endswith("Error"):
         assert quiet == want
         return
-    assert quiet[:4] + quiet[6:] == want[:4] + want[6:]
+    assert quiet[:4] + quiet[6:7] == want[:4] + want[6:7]
     assert quiet[4] is None and quiet[5] is None
+    assert quiet[7] == (len(want[4]) - 1 if keep == "count" else None)
     if want[6] is not None and not want[6][3]:
         n = len(want[1])
         assert want[4][-1] == want[0]
@@ -627,8 +645,9 @@ def test_generated_driver_matches_generic_list_driver_bitwise(case):
     fld, x0, target, opts, space = case
     f = fld._value
     want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
-    assert _drive_outcome(_fused(fld, space, True), f, x0, target, opts, space) == want
-    _assert_quiet_matches(_drive_outcome(_fused(fld, space, False), f, x0, target, opts, space), want)
+    assert _drive_outcome(_fused(fld, space, "store"), f, x0, target, opts, space) == want
+    for keep in ("count", None):
+        _assert_quiet_matches(_drive_outcome(_fused(fld, space, keep), f, x0, target, opts, space), want, keep)
 
 
 def _shipped_fields() -> list[tuple[str, str]]:
@@ -639,8 +658,9 @@ def _shipped_fields() -> list[tuple[str, str]]:
 def _probe_matches_recording(fld, space, x0, target, opts) -> str:
     """Check the drive of the probes' kernel against the recording one and
     name how the drive ended."""
-    want = _drive_outcome(_fused(fld, space, True), None, x0, target, opts, space)
-    _assert_quiet_matches(_drive_outcome(_fused(fld, space, False), None, x0, target, opts, space), want)
+    want = _drive_outcome(_fused(fld, space, "store"), None, x0, target, opts, space)
+    for keep in ("count", None):
+        _assert_quiet_matches(_drive_outcome(_fused(fld, space, keep), None, x0, target, opts, space), want, keep)
     witness = want[6]
     return "reached" if witness is None else "guard" if witness[3] else "attained" if witness[2] else "open"
 
@@ -685,7 +705,19 @@ def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
         opts = FlowOptions(rtol=1e-11, atol=1e-13)
         want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
         assert want[3] >= 20  # steps taken
-        assert _drive_outcome(_fused(fld, space, True), f, x0, target, opts, space) == want
+        assert _drive_outcome(_fused(fld, space, "store"), f, x0, target, opts, space) == want
+
+
+def test_a_short_landing_step_stores_the_target_as_its_time():
+    # a constant field's steps from 0.3 grow tenfold until the last one, h =
+    # target - t, lands in the four-point block; there t + h rounds away
+    # from the target, and the time stored is the target's
+    ddx = make_field("ddx", ["1"], 1)
+    for space in (None, halfline()):
+        for target in (0.3, -0.3):
+            want = _drive_outcome(_ref_drive, ddx._value, [0.3], target, FlowOptions(), space)
+            assert want[2] and want[4][-1] == target.hex()
+            assert _drive_outcome(_fused(ddx, space, "store"), ddx._value, [0.3], target, FlowOptions(), space) == want
 
 
 @pytest.mark.parametrize("space", [
@@ -699,17 +731,17 @@ def test_no_membership_scan_where_a_cell_has_no_constraints(space):
     scanned = (space.contains, lambda p: space.contains(p, space.tol * ATTAINED_FACTOR), None)
     fld = make_field("f", ["1 + x2", "x1 * x2 - 0.3"], 2)
     f = fld._value
-    for record in (True, False):
+    for keep in ("store", "count", None):
         for target in (0.7, -2.0):
             want = _drive_outcome(_ref_drive, f, [0.1, -0.2], target, opts, space, scanned)
-            got = _drive_outcome(_fused(fld, space, record), f, [0.1, -0.2], target, opts, space)
-            if record:
+            got = _drive_outcome(_fused(fld, space, keep), f, [0.1, -0.2], target, opts, space)
+            if keep == "store":
                 assert got == want
             else:
-                _assert_quiet_matches(got, want)
-    # the kernel there is the one of no space: no scan unless it records
-    assert _kernel(fld, space, False) is _kernel(fld, None, False)
-    assert "for i in range" not in _driver_source(fld.components, None, False)
+                _assert_quiet_matches(got, want, keep)
+        # the kernel there is the one of no space: no scan unless it stores
+        assert _kernel(fld, space, keep) is _kernel(fld, None, keep)
+        assert ("for i in range" in _driver_source(fld.components, None, keep)) is (keep == "store")
     rot = make_field("rot", ["-x2", "x1"], 2)
     assert flow_map(space, rot, [0.3, 0.0], 2.0).tolist() == flow_map(None, rot, [0.3, 0.0], 2.0).tolist()
 
@@ -721,21 +753,22 @@ def test_kernels_are_keyed_by_their_source():
     again = make_field("other label", ["-x2", "x1"], 2)
     disk_again = SubcartesianSpace(2, [[Constraint(parse("1 - x1^2 - x2^2", 2), Rel.GT)]],
                                    tol=1e-6)
-    assert _kernel(rot, disk, False) is _kernel(again, disk_again, False)
-    assert _kernel(rot, disk, False) is not _kernel(rot, disk, True)
-    assert _kernel(rot, disk, False) is not _kernel(rot, None, False)
+    assert _kernel(rot, disk, None) is _kernel(again, disk_again, None)
+    assert _kernel(rot, disk, None) is not _kernel(rot, disk, "store")
+    assert _kernel(rot, disk, None) is not _kernel(rot, disk, "count")
+    assert _kernel(rot, disk, None) is not _kernel(rot, None, None)
     # 0.0 and -0.0 are equal constants that compile differently
     plus, minus = make_field("z", ["0.0", "x1"], 2), make_field("z", ["-0.0", "x1"], 2)
     assert plus.components == minus.components
-    assert _kernel(plus, disk, True) is not _kernel(minus, disk, True)
+    assert _kernel(plus, disk, "store") is not _kernel(minus, disk, "store")
     opts = FlowOptions()
     for fld in (plus, minus):
-        assert f"k2_0 = {fld.components[0].value!r}" in _driver_source(fld.components, disk.cells, True)
+        assert f"k2_0 = {fld.components[0].value!r}" in _driver_source(fld.components, disk.cells, "store")
         want = _drive_outcome(_ref_drive, fld._value, [-0.0, 0.5], 0.8, opts, disk)
-        assert _drive_outcome(_fused(fld, disk, True), fld._value, [-0.0, 0.5], 0.8, opts, disk) == want
+        assert _drive_outcome(_fused(fld, disk, "store"), fld._value, [-0.0, 0.5], 0.8, opts, disk) == want
     # transport runs the kernel of the variational field, found the same way
     transport_vector(disk, rot, 0.3, again, [0.1, 0.2])
-    assert _kernel(rot._variational, disk, False) is _kernel(again._variational, disk_again, False)
+    assert _kernel(rot._variational, disk, None) is _kernel(again._variational, disk_again, None)
     assert all(len(key) == 3 and isinstance(key[0], str) for key in _DRIVERS)
 
 
@@ -760,15 +793,15 @@ def test_kernel_retries_an_overflowing_cell_test_on_numpy_floats(cells, velocity
 
     for target in (0.3, 3.0):  # reached, and an exit at 1 in the moving coordinate
         want = _drive_outcome(_ref_drive, fld._value, [0.5, 0.0], target, opts, space)
-        for record in (True, False):
-            got = _drive_outcome(_fused(fld, space, record), fld._value, [0.5, 0.0], target, opts, space,
+        for keep in ("store", "count", None):
+            got = _drive_outcome(_fused(fld, space, keep), fld._value, [0.5, 0.0], target, opts, space,
                                  (counted, member_relaxed, witness_info))
-            if record:
+            if keep == "store":
                 assert got == want
             else:
-                _assert_quiet_matches(got, want)
+                _assert_quiet_matches(got, want, keep)
     assert retried and all(type(v) is float for p in retried for v in p)
-    assert want[2] is False and want[-1][-1] == bound  # the last target exits there
+    assert want[2] is False and want[6][-1] == bound  # the last target exits there
 
 
 def test_second_cli_run_compiles_no_kernel(capsys):
@@ -786,7 +819,7 @@ def test_second_cli_run_compiles_no_kernel(capsys):
 
 def test_classify_compiles_one_kernel(monkeypatch, capsys):
     # the probes and the injectivity flows run the same kernel, which
-    # records nothing
+    # keeps nothing
     from subcart import flow
     from subcart.cli import main
 
@@ -794,7 +827,7 @@ def test_classify_compiles_one_kernel(monkeypatch, capsys):
     assert main(["classify", "--scenario", scenario_path("halfline"), "--field", "xddx"]) == 0
     assert '"VectorField"' in capsys.readouterr().out
     assert list(flow._DRIVERS) == [(load_scenario(scenario_path("halfline")).field("xddx")._source,
-                                    halfline()._scan_key, False)]
+                                    halfline()._scan_key, None)]
 
 
 def test_zero_or_nonfinite_starting_step_fails_at_once():

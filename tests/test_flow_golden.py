@@ -121,13 +121,18 @@ def test_golden_report(capsys, tmp_path, name, argv, code, digest):
     at = argv.index("--scenario") + 1
     argv[at] = _scenario(tmp_path, argv[at])
     csv = tmp_path / "samples.csv"
-    if name in GOLDEN_CSV:
-        argv += ["--out", str(csv)]
-    assert main(argv) == code
-    out = capsys.readouterr().out
-    assert _digest(out) == digest, out
-    if name in GOLDEN_CSV:
-        assert _digest(csv.read_text(encoding="utf-8")) == GOLDEN_CSV[name]
+    # a flow counts its samples without --out and stores them with it, for
+    # the same report
+    runs = [argv, argv + ["--out", str(csv)]] if argv[0] == "flow" else [argv]
+    for run in runs:
+        assert main(run) == code
+        out = capsys.readouterr().out
+        assert _digest(out) == digest, out
+    if argv[0] == "flow":
+        text = csv.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 + json.loads(out)["result"]["n_samples"]  # the header and one row a sample
+        if name in GOLDEN_CSV:
+            assert _digest(text) == GOLDEN_CSV[name]
 
 
 def test_spiral_disk_report_moved_only_in_its_scenario_hash(capsys, tmp_path):

@@ -297,6 +297,7 @@ KNOBS = {
     "frontier_check(rng_seed)": "cli.cmd_strata",
     "integrate(horizon)": "cli.cmd_flow",
     "integrate(options)": "cli.cmd_flow",
+    "integrate(store)": "cli.cmd_flow",
     "invariance_residual(options)": None,
     "invariance_residual(space)": "test_acceptance.test_criterion_09_bracket_invariance",
     "jacobi_sample_residual(n_points)": "cli.cmd_poisson",
@@ -338,7 +339,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 76
+    assert len(KNOBS) == 77
     assert sorted(KNOBS) == _knobs()
 
 
