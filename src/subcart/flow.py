@@ -135,9 +135,9 @@ class _Samples:
         self.t = [t0]
         self.x = array("d", p0)
 
-    def pairs(self) -> list[tuple[float, list[float]]]:
+    def point(self, i: int) -> list[float]:
         n = len(self.x) // len(self.t)
-        return [(t, self.x[i * n : i * n + n].tolist()) for i, t in enumerate(self.t)]
+        return self.x[i * n : i * n + n].tolist()
 
 
 @dataclass
@@ -159,9 +159,16 @@ class IntegralCurve:
     @property
     def samples(self) -> list[tuple[float, list[float]]]:
         """The (t, point) pairs in time order, made anew from the buffers at each read."""
+        return [(s.t[i], s.point(i)) for s, order in self._in_time_order() for i in order]
+
+    def _in_time_order(self) -> tuple[tuple[_Samples, Sequence[int]], ...]:
+        """Each buffer with the indices of its samples in time order: the
+        backward buffer reversed, without its t = 0 start, then the forward one."""
         if self.forward is None:
             raise ValueError("the curve stored no samples: integrate it with store=True to read them")
-        return [p for p in reversed(self.backward.pairs()) if p[0] < 0.0] + self.forward.pairs()
+        t = self.backward.t
+        return ((self.backward, [i for i in range(len(t) - 1, -1, -1) if t[i] < 0.0]),
+                (self.forward, range(len(self.forward.t))))
 
     def to_json_dict(self) -> dict:
         return {

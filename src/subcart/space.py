@@ -17,7 +17,10 @@ inside its own ``try`` so that a constraint undefined at the point
 (``DomainError``) rules out only its cell, and returns the index of the
 first cell that holds.  ``contains``, ``member_cell``, ``cell_contains`` and
 ``closure_contains`` (strict relations relaxed) all call functions made by
-that one generator, and ``slack`` is emitted the same way on its first use.
+that one generator.  ``slack`` is emitted the same way on its first use,
+in one ``compile()`` with the drift fold, a loop of the same slack lines
+over the points of a stored curve's packed buffer, with which the
+strongly-stratified check of ``strata`` reads its curves.
 Python's float ``**`` raises ``OverflowError`` where numpy's gives inf, so a
 point whose test overflows is tested again on numpy floats, with numpy's
 overflow warnings off; only that rare path pays for it.  What overflows on
@@ -154,7 +157,7 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
 
 
 def _build(src: list[str], name: str) -> Callable:
-    scope = dict(_COMPILE_ENV, _DomainError=DomainError, _solve=_solve)
+    scope = dict(_COMPILE_ENV, _DomainError=DomainError, _solve=_solve, _evaluate=_evaluate)
     exec(compile("\n".join(src) + "\n", name, "exec"), scope)
     return scope["_f"]
 
@@ -165,23 +168,49 @@ def _compile_cells(cells: Sequence[Cell]) -> Callable[[Sequence[float], float], 
                   + ["    return _c"], "<membership>")
 
 
-def _compile_slack(cells: Sequence[Cell]) -> Callable[[Sequence[float]], float]:
-    """Generate ``f(x)``: the slack of ``SubcartesianSpace.slack``.
+def _slack_source(cells: Sequence[Cell], indent: str, coord: str) -> list[str]:
+    """Lines that set ``_b`` to the slack of ``SubcartesianSpace.slack`` at the
+    point given by ``coord``.
 
     Each cell folds its margins in order into its worst one, ``_w``, and the
     cells fold into the best, ``_b``; a NaN taken by either fold stays, and a
     ``DomainError`` anywhere in a cell makes its margin -inf.
     """
-    src = ["def _f(_x):", "    _b = -_inf"]
+    src = [f"{indent}_b = -_inf"]
     for cell in cells:
-        src.append("    _w = _inf")
+        src.append(f"{indent}_w = _inf")
         if cell:
-            src.append("    try:")
+            src.append(f"{indent}try:")
             src += _cell_source(cell, lambda c, v: f"_m = {_MARGINS[c.rel].format(v)}; "
-                                "_w = _m if _m < _w or _m != _m else _w", " " * 4, "_x[{}]")
-            src += ["    except _DomainError:", "        _w = -_inf"]
-        src.append("    _b = _w if _w > _b or _w != _w else _b")
-    src.append("    return float(_b)")
+                                "_w = _m if _m < _w or _m != _m else _w", indent, coord)
+            src += [f"{indent}except _DomainError:", f"{indent}    _w = -_inf"]
+        src.append(f"{indent}_b = _w if _w > _b or _w != _w else _b")
+    return src
+
+
+def _compile_folds(cells: Sequence[Cell], n: int) -> tuple[Callable, Callable]:
+    """Generate, in one ``compile()``, ``slack(x)``, the slack of
+    ``SubcartesianSpace.slack``, and ``drift(x, order)``, the drift fold of a
+    stored curve.
+
+    ``drift`` reads the n-coordinate points that ``order`` indexes, in that
+    order, from the packed buffer ``x``, and folds their violations
+    ``max(0, -slack)`` from 0.0 with a strict ``>``.  It returns the worst
+    violation, the index of its first occurrence (None where none is
+    positive) and the index of the first point whose slack is NaN, where it
+    stops (None where there is none).  A point whose Python ``**``
+    overflows is evaluated again by ``_evaluate(slack, point)`` on numpy
+    floats, as ``slack`` evaluates it.
+    """
+    xs = ", ".join(f"x{k}" for k in range(n))
+    src = ["def _slack(_x):", *_slack_source(cells, "    ", "_x[{}]"), "    return float(_b)",
+           "def _drift(_x, _order):", "    _worst = 0.0", "    _at = None", "    for _i in _order:",
+           f"        _o = _i * {n}", f"        {xs}, = _x[_o:_o + {n}]", "        try:",
+           *_slack_source(cells, " " * 12, "x{}"),
+           "        except OverflowError:", f"            _b = _evaluate(_slack, list(_x[_o:_o + {n}]))",
+           "        if _b != _b:", "            return _worst, _at, _i",
+           "        if -_b > _worst:", "            _worst = -_b", "            _at = _i",
+           "    return _worst, _at, None", "_f = _slack, _drift"]
     return _build(src, "<slack>")
 
 
@@ -271,13 +300,16 @@ class SubcartesianSpace:
         cell is violated by at least that much.  Constraint functions that
         are undefined at the point count as minus infinity for their cell.
         A NaN margin makes the slack NaN, as ``np.min``/``np.max`` would.
-        The folds are one function generated on first use, like membership.
+        The folds are one function generated on first use, like membership,
+        together with the drift fold of stored curves.
         """
-        return _evaluate(self._slack, point)
+        return _evaluate(self._folds[0], point)
 
     @functools.cached_property
-    def _slack(self) -> Callable[[Sequence[float]], float]:
-        return _compile_slack(self.cells)
+    def _folds(self) -> tuple[Callable[[Sequence[float]], float], Callable]:
+        """The slack function and the drift fold of ``_compile_folds``, which
+        ``strata.strongly_stratified_check`` reads stored curves with."""
+        return _compile_folds(self.cells, self.ambient_dim)
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:
         if hasattr(point, "tolist"):

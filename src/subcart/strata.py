@@ -8,10 +8,12 @@ this module measures how well the declarations hold up on samples.
 Three checks matter downstream.  The frontier check estimates, pair by
 pair, whether one stratum touches another's closure and, if so, whether it
 is wholly contained in that closure.  The strongly-stratified check flows a
-candidate field from stratum samples without any membership clamping and
-measures how far the trajectories drift from the stratum's constraint
-locus.  The orbit check explores the orbit of a family of such fields and
-hard-asserts that no sampled orbit point leaves its seed's stratum.
+candidate field from each distinct stratum sample once, without any
+membership clamping, and measures how far the trajectories drift from the
+stratum's constraint locus with one generated fold per stratum over each
+curve's stored buffers.  The orbit check explores the orbit of a family of
+such fields and hard-asserts that no sampled orbit point leaves its seed's
+stratum.
 """
 
 from __future__ import annotations
@@ -246,6 +248,14 @@ def strongly_stratified_check(
     worst violation of its stratum's constraints along the trajectory; the
     check passes when max drift <= drift_tol * horizon.  A constraint that
     is not a number on the trajectory is a ``SpaceError`` naming the point.
+
+    A sample bit-identical to an earlier one of its stratum (a one-point
+    stratum gives its point every time) is not flowed again: the same start
+    gives the same curve, and the maxima take a later point only where it
+    is strictly worse, so the report is the same.  Each stored curve is
+    read in time order from its packed buffers by the stratum space's
+    generated drift fold (``SubcartesianSpace._folds``), one call per
+    buffer, rather than point by point through ``slack``.
     """
     from .flow import integrate
 
@@ -259,14 +269,19 @@ def strongly_stratified_check(
         pts = sample(s.space, DRIFT_SAMPLES, draw, BOX_TRIES)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
+        drift = s.space._folds[1]
+        flowed: set[tuple[str, ...]] = set()
         worst_here = 0.0
         for p in pts:
+            start = tuple(map(float.hex, p))  # hex, as == would take -0.0 for 0.0
+            if start in flowed:
+                continue
+            flowed.add(start)
             curve = integrate(ambient, fld, p, horizon=horizon, options=options, store=True)
-            for t, q in curve.samples:
-                slack = s.space.slack(q)
-                if slack != slack:  # max(0.0, -nan) would read as no drift
-                    raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {q}")
-                violation = max(0.0, -slack)
+            for buf, order in curve._in_time_order():
+                violation, at, nan = drift(buf.x, order)
+                if nan is not None:  # max(0.0, -nan) would read as no drift
+                    raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {buf.point(nan)}")
                 if violation > worst_here:
                     worst_here = violation
                     if violation > max_drift:
@@ -274,8 +289,8 @@ def strongly_stratified_check(
                         witness = {
                             "stratum": s.name,
                             "start": [float(v) for v in p],
-                            "t": t,
-                            "point": q,
+                            "t": buf.t[at],
+                            "point": buf.point(at),
                             "drift": violation,
                         }
         per_stratum[s.name] = worst_here

@@ -722,16 +722,34 @@ WEDGE = {
 }
 
 
+# The first NaN point in time order is the backward end of the first curve,
+# at t = -0.5, where the point-by-point loop before the drift fold raised.
+NAN_ERROR = ("error: the constraints of stratum 'wedge' are not a number at "
+             "[-0.49999999999999983, -0.9999999999999997]\n")
+
+
 @pytest.mark.parametrize("check", ["tangency", "orbits"])
 def test_strata_nan_slack_exits_2(tmp_path, check):
     path = tmp_path / "wedge.json"
     path.write_text(json.dumps(WEDGE))
     proc = _cli_process("strata", "--scenario", str(path), "--check", check, "--field", "v")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "RuntimeWarning" not in proc.stderr
-    assert re.fullmatch(r"error: the constraints of stratum 'wedge' are not a number at "
-                        r"\[[^\]]+\]\n", proc.stderr), proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", NAN_ERROR)
+
+
+# 0 - 0 where x1 > 0 and inf - inf = NaN where x1 < 0: the samples lie at
+# x1 > 0, so the forward half of each curve stays finite and only the
+# backward half, past its start, reaches NaN
+_STEP = "(1 - tanh(x1*1e300*1e300))*1e300*1e300"
+BACKWARD_NAN = dict(WEDGE, strata=[{"name": "wedge", "dim": 2, "cells": [[
+    {"expr": f"{_STEP} - {_STEP}", "rel": "geq0"}]]}], box=[[1e-250, -1e-250], [2e-250, 1e-250]])
+
+
+@pytest.mark.parametrize("check", ["tangency", "orbits"])
+def test_strata_nan_in_the_backward_half_only_names_its_earliest_point(tmp_path, check):
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(BACKWARD_NAN))
+    proc = _cli_process("strata", "--scenario", str(path), "--check", check, "--field", "v")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", NAN_ERROR)
 
 
 def test_strata_frontier_samples_without_numpy_warnings(tmp_path):

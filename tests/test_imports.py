@@ -194,6 +194,9 @@ _COMPILES = [
     ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 2),
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 1),
     ("cone", ["strata", "--check", "frontier"], 11),
+    # the drift fold compiles with each stratum's slack function, in one call
+    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 10),
+    ("cone", ["strata", "--check", "orbits"], 20),
 ]
 
 

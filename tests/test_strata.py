@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+from subcart import flow, strata
 from subcart.expr import parse
+from subcart.flow import integrate
 from subcart.orbit import FieldFamily
-from subcart.space import Constraint, Rel, SubcartesianSpace
+from subcart.space import BOX_TRIES, Constraint, Rel, SpaceError, SubcartesianSpace, box, sample
 from subcart.strata import (
+    DRIFT_SAMPLES,
     StrataError,
     StratifiedSpace,
     Stratum,
@@ -163,3 +168,150 @@ def test_orbit_vs_strata_gates_on_precondition():
             ss, fam, [[1.0, 0.0, 1.0]], CONE_LO, CONE_HI,
             budget=50, rng_seed=0, drift_tol=DRIFT_TOL,
         )
+
+
+# The drift fold against the loop it replaced ----------------------------------
+
+
+def _hexed(v):
+    """``v`` with every float spelled by ``float.hex``, so -0.0 and 0.0 differ."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, (list, tuple)):
+        return [_hexed(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _hexed(x) for k, x in v.items()}
+    return v
+
+
+def _pairs(samples) -> list:
+    n = len(samples.x) // len(samples.t)
+    return [(t, samples.x[i * n : i * n + n].tolist()) for i, t in enumerate(samples.t)]
+
+
+def _samples(curve) -> list:
+    """The curve's (t, point) pairs in time order, read from its buffers
+    apart from the library's own reading, which they must equal."""
+    pairs = [p for p in reversed(_pairs(curve.backward)) if p[0] < 0.0] + _pairs(curve.forward)
+    assert _hexed(pairs) == _hexed(curve.samples)
+    return pairs
+
+
+def _loop_drift(ss, fld, lo, hi, horizon, rng_seed):
+    """The drift of ``strongly_stratified_check`` as a plain loop: every
+    sample flowed, ``slack`` called at each point of the curve's samples."""
+    draw = box(random.Random(rng_seed), lo, hi)
+    ambient = SubcartesianSpace.whole_space(ss.total.ambient_dim)
+    max_drift, witness, per_stratum = 0.0, None, {}
+    for s in ss.strata:
+        worst_here = 0.0
+        for p in sample(s.space, DRIFT_SAMPLES, draw, BOX_TRIES):
+            for t, q in _samples(integrate(ambient, fld, p, horizon=horizon, store=True)):
+                slack = s.space.slack(q)
+                if slack != slack:
+                    raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {q}")
+                violation = max(0.0, -slack)
+                if violation > worst_here:
+                    worst_here = violation
+                    if violation > max_drift:
+                        max_drift = violation
+                        witness = {"t": t, "point": q, "start": [float(v) for v in p]}
+        per_stratum[s.name] = worst_here
+    return _hexed([max_drift, per_stratum, witness])
+
+
+def _fold_drift(ss, fld, lo, hi, horizon, rng_seed):
+    # drift_tol 0 reports the witness of any positive drift
+    rep = strongly_stratified_check(ss, fld, lo, hi, horizon=horizon, rng_seed=rng_seed, drift_tol=0.0)
+    witness = rep.witness and {k: rep.witness[k] for k in ("t", "point", "start")}
+    return _hexed([rep.max_drift, rep.per_stratum, witness])
+
+
+@pytest.mark.parametrize("horizon", [0.2, 0.6, 1.0])
+@pytest.mark.parametrize("name", ["rot", "euler", "ddz"])
+def test_drift_fold_matches_the_pointwise_loop_on_the_cone(name, horizon):
+    ss, fld = cone_stratification(), cone_fields()[name]
+    for seed in range(10):
+        want = _loop_drift(ss, fld, CONE_LO, CONE_HI, horizon, seed)
+        assert _fold_drift(ss, fld, CONE_LO, CONE_HI, horizon, seed) == want, seed
+
+
+def quadrant_stratification() -> StratifiedSpace:
+    """The closed quadrant of the plane: the origin, the two open half-axes
+    as one two-cell stratum, and the open quadrant, cut out by strict
+    inequalities."""
+    def cons(*pairs):
+        return [Constraint(parse(e, 2), rel) for e, rel in pairs]
+
+    return StratifiedSpace(
+        SubcartesianSpace(2, [cons(("x1", Rel.GE), ("x2", Rel.GE))]),
+        [
+            Stratum("origin", SubcartesianSpace(2, [cons(("x1", Rel.EQ), ("x2", Rel.EQ))]), 0),
+            Stratum("axes", SubcartesianSpace(2, [cons(("x2", Rel.EQ), ("x1", Rel.GT)),
+                                                  cons(("x1", Rel.EQ), ("x2", Rel.GT))]), 1),
+            Stratum("open", SubcartesianSpace(2, [cons(("x1", Rel.GT), ("x2", Rel.GT))]), 2),
+        ],
+    )
+
+
+@pytest.mark.parametrize("components", [["-x2", "x1"], ["x1", "x2"], ["x2", "x1^2"], ["1", "-1"]])
+def test_drift_fold_matches_the_pointwise_loop_on_two_cell_and_strict_strata(components):
+    ss, fld = quadrant_stratification(), make_field("f", components, 2)
+    for seed in range(5):
+        for horizon in (0.3, 1.0):
+            want = _loop_drift(ss, fld, [-1.0, -1.0], [2.0, 2.0], horizon, seed)
+            assert _fold_drift(ss, fld, [-1.0, -1.0], [2.0, 2.0], horizon, seed) == want, (seed, horizon)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except SpaceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("constraint, components, box_lo, box_hi", [
+    # x1^2 overflows on Python floats at every point, and is inf on numpy's
+    ("x1^2 - 1", ["0", "-1"], [1e160, 0.0], [2e160, 1.0]),
+    # both powers overflow on Python floats once x2 leaves 0; on numpy's they
+    # are inf, and inf - inf is NaN
+    ("(x1*1e300)^2 - (x2*1e300)^2", ["0", "1"], [1.0, 0.0], [2.0, 1e-300]),
+    # exp overflows even on numpy floats where x1 passes 709.78
+    ("exp(x1)", ["1000", "0"], [0.0, 0.0], [1.0, 1.0]),
+])
+def test_drift_fold_retries_overflowing_points_on_numpy_floats(constraint, components, box_lo, box_hi):
+    space = SubcartesianSpace(2, [[Constraint(parse(constraint, 2), Rel.GE), Constraint(parse("x2", 2), Rel.GE)]])
+    ss = StratifiedSpace(space, [Stratum("s", space, 2)])
+    fld = make_field("f", components, 2)
+    want = _outcome(_loop_drift, ss, fld, box_lo, box_hi, 1.0, 0)
+    assert _outcome(_fold_drift, ss, fld, box_lo, box_hi, 1.0, 0) == want
+
+
+def _counting_integrate(monkeypatch) -> list:
+    starts: list = []
+    real = flow.integrate
+
+    def counted(space, fld, x0, *args, **kwargs):
+        starts.append(list(x0))
+        return real(space, fld, x0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate", counted)
+    return starts
+
+
+@pytest.mark.parametrize("name", ["rot", "euler", "ddz"])
+def test_tangency_flows_the_cone_apex_once(monkeypatch, name):
+    # the apex is one point, which the sampler returns 15 times
+    starts = _counting_integrate(monkeypatch)
+    strongly_stratified_check(cone_stratification(), cone_fields()[name], CONE_LO, CONE_HI, rng_seed=0)
+    assert len(starts) == 16
+    assert starts.count([0.0, 0.0, 0.0]) == 1
+
+
+def test_tangency_flows_starts_differing_in_the_sign_of_a_zero_apart(monkeypatch):
+    starts = _counting_integrate(monkeypatch)
+    points = [[0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [0.0, -0.0, 0.0]]
+    monkeypatch.setattr(strata, "sample", lambda space, count, draw, tries: [list(p) for p in points])
+    strongly_stratified_check(cone_stratification(), cone_fields()["rot"], CONE_LO, CONE_HI, rng_seed=0)
+    # each of the two strata gets the same five points, three of them distinct
+    assert _hexed(starts) == _hexed([points[0], points[1], points[4]] * 2)
