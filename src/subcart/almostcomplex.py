@@ -93,13 +93,6 @@ class AlmostComplexStructure:
             comps.append(c)
         return TangentField(f"{self.label}*{x.label}", comps)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "matrix": [[to_text(e) for e in row] for row in self.matrix],
-            "label": self.label,
-        }
-
     @classmethod
     def standard(cls, k: int) -> "AlmostComplexStructure":
         """Constant structure on R^{2k}: e_i -> e_{k+i}, e_{k+i} -> -e_i."""
@@ -258,17 +251,6 @@ class KahlerReport:
     torsion_residual: float
     passed: bool
     n_points: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "compatibility": self.compatibility,
-            "metric_symmetry": self.metric_symmetry,
-            "min_metric_eigenvalue": self.min_metric_eigenvalue,
-            "positive": self.positive,
-            "torsion_residual": self.torsion_residual,
-            "passed": self.passed,
-            "n_points": self.n_points,
-        }
 
 
 def kahler_check(

@@ -29,7 +29,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -38,7 +38,7 @@ from .almostcomplex import (
     torsion,
 )
 from .expr import Expr, ExprError, ParseError, parse, to_text
-from .field import RANK_TOL, FieldError, TangentField, lie_bracket
+from .field import RANK_TOL, FieldError, TangentField, _value_at, lie_bracket
 from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
 from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint, box
 
@@ -487,7 +487,7 @@ def cmd_classify(sc: Scenario, args, tol) -> tuple[dict, int]:
     probe = ProbeOptions(seeds=tuple(tuple(s) for s in seeds), rng_seed=args.seed)
     verdict = classify_vector_field(sc.space, fld, probe, options=_flow_options(tol))
     code = EXIT_FAIL if verdict.classification == NOT_VECTOR_FIELD else EXIT_PASS
-    return verdict.to_json_dict(), code
+    return asdict(verdict), code
 
 
 def cmd_bracket(sc: Scenario, args, tol) -> tuple[dict, int]:
@@ -502,7 +502,7 @@ def cmd_bracket(sc: Scenario, args, tol) -> tuple[dict, int]:
     if args.point is not None:
         point = _parse_point_arg(args.point, sc.space.ambient_dim)
         result["point"] = point
-        result["value"] = b.value(point)
+        result["value"] = _value_at(b, point)
     return result, EXIT_PASS
 
 
@@ -576,7 +576,7 @@ def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
         tol=tol["completeness"],
         options=_flow_options(tol),
     )
-    return rep.to_json_dict(), EXIT_PASS if rep.passed else EXIT_FAIL
+    return asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
 
 
 def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
@@ -586,7 +586,7 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
     lo, hi = _need(sc.box, "box")
     if args.check == "frontier":
         rep = frontier_check(ss, lo, hi, rng_seed=args.seed, frontier_tol=tol["frontier"])
-        result, code = rep.to_json_dict(), EXIT_PASS if rep.passed else EXIT_FAIL
+        result, code = asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
     elif args.check == "tangency":
         if not args.field:
             raise CliError("--check tangency needs --field")
@@ -595,7 +595,7 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
             ss, fld, lo, hi, horizon=args.horizon, rng_seed=args.seed,
             drift_tol=tol["drift"], options=_flow_options(tol),
         )
-        result, code = rep.to_json_dict(), EXIT_PASS if rep.passed else EXIT_FAIL
+        result, code = asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
     else:
         fam = sc.family(args.family)
         seeds = _resolve_seeds(sc, args.seeds)
@@ -607,7 +607,7 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
         except StrataError as exc:
             result = {"verdict": "PreconditionFailed", "detail": str(exc)}
             return result, EXIT_FAIL
-        result, code = rep.to_json_dict(), EXIT_PASS if rep.passed else EXIT_FAIL
+        result, code = asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
     # declared, never verified: there is no finite certificate for it
     result["declared_locally_trivial"] = ss.locally_trivial
     return result, code
@@ -728,7 +728,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         if args.point is not None:
             point = _parse_point_arg(args.point, sc.space.ambient_dim)
             result["point"] = point
-            result["value"] = n.value(point)
+            result["value"] = _value_at(n, point)
         return result, EXIT_PASS
     if args.check == "cr":
         if not (args.f and args.h):
@@ -756,7 +756,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         rep = kahler_check(j, sc.omega, flds, pts, tol=tol["kahler"])
     except AlmostComplexError as exc:
         return {"verdict": "Degenerate", "detail": str(exc)}, EXIT_FAIL
-    result = rep.to_json_dict()
+    result = asdict(rep)
     result["check"] = "kahler"
     result["fields"] = [x.label for x in flds]
     return result, EXIT_PASS if rep.passed else EXIT_FAIL

@@ -73,44 +73,11 @@ class Expr:
     def is_one(self) -> bool:
         return isinstance(self, Const) and self.value == 1.0
 
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, k: int):
-        return pow_int(self, k)
-
-    def __neg__(self):
-        return neg(self)
-
     def __str__(self) -> str:
         return to_text(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({to_text(self)!r})"
-
-    def diff(self, var: int) -> "Expr":
-        return diff(self, var)
 
 
 class Const(Expr):

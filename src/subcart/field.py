@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Optional, Sequence
 
-from .expr import Expr, Var, add, as_expr, compile_vector, diff, mul, to_text, vector_source, ZERO
+from .expr import DomainError, Expr, Var, add, as_expr, compile_vector, diff, mul, neg, to_text, vector_source, ZERO
 
 # fields whose values at a point have a singular value below RANK_TOL times
 # the largest one count as dependent there
@@ -90,9 +90,25 @@ class TangentField:
         f = as_expr(factor)
         return TangentField(f"({to_text(f)})*{self.label}", [mul(f, c) for c in self.components])
 
+
+def _unevaluable(fld: TangentField, point: Sequence[float], exc: Exception) -> FieldError:
+    """The error of a field that raised ``exc``, a ``DomainError`` or an
+    ``OverflowError``, at the point."""
+    fault = "overflows" if isinstance(exc, OverflowError) else "is undefined"
+    return FieldError(f"field {fld.label!r} {fault} at {[float(v) for v in point]}")
+
+
+def _value_at(fld: TangentField, point: Sequence[float]) -> list[float]:
+    """The field's value at the point; a field undefined or overflowing there is a ``FieldError`` naming both."""
+    try:
+        return fld.value(point)
+    except (DomainError, OverflowError) as exc:
+        raise _unevaluable(fld, point, exc) from None
+
+
 def lie_bracket(x: TangentField, y: TangentField) -> TangentField:
     """Commutator field: component i is x(y_i) - y(x_i)."""
     if x.dim != y.dim:
         raise FieldError(f"bracket needs matching dimensions, got {x.dim} and {y.dim}")
-    comps = [add(x.apply(yc), -y.apply(xc)) for xc, yc in zip(x.components, y.components)]
+    comps = [add(x.apply(yc), neg(y.apply(xc))) for xc, yc in zip(x.components, y.components)]
     return TangentField(f"[{x.label},{y.label}]", comps)

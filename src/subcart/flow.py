@@ -9,11 +9,13 @@ operations, in the order, of the whole-array numpy expressions, and the
 norms sum in numpy's pairwise order, so results are bit-identical to a
 numpy stepper, though numpy is not imported for it.  ``integrate``,
 ``flow_map`` and the classifier's probes run the kernel of their field and
-space: a loop generated for that field, space and use of the samples
-(stored, counted, or neither), whose stages compute the field's components
-inline and whose scan tests the space's cells inline.  ``transport_vector`` runs
-the kernel of the field's variational field on R^2n, the point followed by
-the vector its Jacobian carries, whose cell tests read the point alone.
+space: a loop generated for that field, the space's cells and use of the
+samples (stored, counted, or neither), whose stages compute the field's
+components inline and whose scan tests the cells inline.  It is called with
+the space, ``kernel(x0, target, opts, space)``, whose ``contains`` locates
+an exit.  ``transport_vector`` runs the kernel of the field's variational
+field on R^2n, the point followed by the vector its Jacobian carries, whose
+cell tests read the point alone.
 Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
 and kept for the process in one table keyed by the source they are made
 of, so a field or space built anew with the same content finds its kernel.
@@ -124,9 +126,6 @@ class ExitWitness:
     constraint_index: Optional[int] = None
     constraint: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 class _Samples:
     """Recorded (t, point) pairs, the points packed into one float buffer."""
@@ -179,8 +178,8 @@ class IntegralCurve:
             "clipped_minus": self.clipped_minus,
             "clipped_plus": self.clipped_plus,
             "n_samples": self.n_samples,
-            "exit_minus": self.exit_minus.to_json_dict() if self.exit_minus else None,
-            "exit_plus": self.exit_plus.to_json_dict() if self.exit_plus else None,
+            "exit_minus": asdict(self.exit_minus) if self.exit_minus else None,
+            "exit_plus": asdict(self.exit_plus) if self.exit_plus else None,
         }
 
 
@@ -256,12 +255,13 @@ class _DriveResult:
     n_samples: Optional[int]  # points stored after the start; None from a kernel that counts nothing
 
 
-def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, member, member_relaxed, witness_info):
+def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, space):
     """End a drive that leaves the space inside the step from t to t + h.
 
-    Membership is bisected on the step's dense output, given as
+    Membership in the space is bisected on the step's dense output, given as
     per-component coefficient tuples (y, ydiff, bspl, r4, r5), between the
-    last passing fraction ``theta_in`` and the first failing ``theta_out``.
+    last passing fraction ``theta_in`` and the first failing ``theta_out``;
+    a point may carry more coordinates after the space's, which are not read.
     The last point stored before the exit is the one at t + theta_in * h
     (the start, or the end of the step before, where ``theta_in`` is 0), so
     the point the bisection ends on is stored, or counted in ``n_samples``,
@@ -270,16 +270,16 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, member
     last = t + theta_in * h
     while (theta_out - theta_in) * abs(h) > BISECT_TOL:
         mid = 0.5 * (theta_in + theta_out)
-        if member(_dense(coeffs, mid)):
+        if space.contains(_dense(coeffs, mid)):
             theta_in = mid
         else:
             theta_out = mid
     p_in = _dense(coeffs, theta_in)
     p_out = _dense(coeffs, theta_out)
-    attained = bool(member_relaxed(p_out)) if member_relaxed is not None else False
-    info = witness_info(p_in, p_out) if witness_info is not None else (None, None, None)
-    witness = ExitWitness(t=t + theta_out * h, point=tuple(p_out), attained=attained,
-                          cell_index=info[0], constraint_index=info[1], constraint=info[2])
+    ci, ki, text = _witness_info(space, p_in, p_out)
+    witness = ExitWitness(t=t + theta_out * h, point=tuple(p_out),
+                          attained=space.contains(p_out, tol=space.tol * ATTAINED_FACTOR),
+                          cell_index=ci, constraint_index=ki, constraint=text)
     t_end = t + theta_in * h
     if n_samples is not None and t_end != last:
         n_samples += 1
@@ -287,6 +287,22 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, member
             samples.t.append(t_end)
             samples.x.extend(p_in)
     return _DriveResult(t_end, p_in, False, samples, witness, n_steps, n_samples)
+
+
+def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float]) -> tuple:
+    """The cell holding at p_in, the index of its first constraint that fails
+    at p_out and that constraint's text, None where there is none."""
+    ci = space.member_cell(p_in)
+    if ci is None:
+        return None, None, None
+    for ki, (con, ev) in enumerate(zip(space.cells[ci], space._evals[ci])):
+        try:
+            v = _evaluate(ev, p_out)
+        except DomainError:
+            return ci, ki, con.text()
+        if not con.satisfied(v, space.tol):
+            return ci, ki, con.text()
+    return ci, None, None
 
 
 # A kernel integrates from x0 toward the signed time ``target`` and stops
@@ -305,10 +321,11 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, member
 #
 # A kernel computes its field's components inline at each stage, from the
 # stage state z0.. (yn0.. for the last stage), and tests the space's cells
-# inline at each scanned point p0.. of the dense output; where Python's
-# float ``**`` overflows in that test, ``member`` tests the point again on
-# numpy floats (``space._evaluate``, which imports numpy on the process's
-# first such overflow, so a kernel runs without numpy until then).
+# inline, under its ``_tol = space.tol``, at each scanned point p0.. of the
+# dense output; where Python's float ``**`` overflows in that test,
+# ``space.contains`` tests the point again on numpy floats (``_evaluate``,
+# which imports numpy on the process's first such overflow, so a kernel
+# runs without numpy until then).
 # A step of at most INTERIOR_CHECKS + 1 = 4 scanned points, one of at most
 # 0.4 time units, scans them in a block of straight-line code with the
 # fractions 0.25, 0.5, 0.75, 1.0 as literals; a longer step scans its
@@ -321,7 +338,7 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, member
 # ``transport_vector`` and the classifier's probes) leaves both None, and
 # with no cell to test it has no scan at all.
 _DRIVER = """\
-def _drive(x0, target, opts, member, member_relaxed, witness_info, _tol):
+def _drive(x0, target, opts, space):
     rtol = opts.rtol
     atol = opts.atol
     max_steps = opts.max_steps
@@ -449,10 +466,10 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         if cells is not None:
             count = "None" if keep is None else f"n_samples + {passed}"
             leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + f",), {theta_in}, {th}, t, h, "
-                     f"samples, {count}, n_steps, member, member_relaxed, witness_info)")
+                     f"samples, {count}, n_steps, space)")
             lines += (["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
                       + ["except OverflowError:  # Python's float ** overflowed: test the point on numpy floats",
-                         f"    _c = 0 if member([{names('p')}]) else None",
+                         f"    _c = 0 if space.contains([{names('p')}]) else None",
                          "if _c is None:", f"    {leave}"])
         if keep == "store":
             lines += [f"sample_t.append({stamp})", f"sample_x.extend(({names('p')}))"]
@@ -486,6 +503,8 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     samples = {None: ["samples = None", "n_samples = None"], "count": ["samples = None", "n_samples = 0"],
                "store": ["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x",
                          "n_samples = 0"]}[keep]
+    if cells is not None:
+        samples.append("_tol = space.tol")
     parts = dict(
         n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
         first=_indent(field(1, "y{}"), 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
@@ -528,32 +547,6 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
     return drive
 
 
-def _membership(space: Optional[SubcartesianSpace]):
-    """The membership callbacks of a kernel: ``member``, ``member_relaxed``
-    and ``witness_info``, or three Nones where nothing is tested.  They read
-    only the space's coordinates, so a point may carry more after them."""
-    if space is None or not all(space.cells):  # a cell with no constraints holds everywhere
-        return None, None, None
-
-    def member_relaxed(p: list[float]) -> bool:
-        return space.contains(p, tol=space.tol * ATTAINED_FACTOR)
-
-    def witness_info(p_in: list[float], p_out: list[float]) -> tuple:
-        ci = space.member_cell(p_in)
-        if ci is None:
-            return None, None, None
-        for ki, (con, ev) in enumerate(zip(space.cells[ci], space._evals[ci])):
-            try:
-                v = _evaluate(ev, p_out)
-            except DomainError:
-                return ci, ki, con.text()
-            if not con.satisfied(v, space.tol):
-                return ci, ki, con.text()
-        return ci, None, None
-
-    return space.contains, member_relaxed, witness_info
-
-
 def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], horizon: float,
             opts: FlowOptions, keep: Optional[str]) -> tuple[_DriveResult, _DriveResult]:
     """The forward and backward drives of the curve through x0, a sequence of
@@ -563,11 +556,8 @@ def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], ho
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     space.require_member(x0, "basepoint")
-    member, member_relaxed, witness_info = _membership(space)
     drive = _kernel(fld, space, keep)
-    fwd = drive(x0, horizon, opts, member, member_relaxed, witness_info, space.tol)
-    bwd = drive(x0, -horizon, opts, member, member_relaxed, witness_info, space.tol)
-    return fwd, bwd
+    return drive(x0, horizon, opts, space), drive(x0, -horizon, opts, space)
 
 
 def integrate(
@@ -608,11 +598,9 @@ def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,
     """``flow_map`` on float lists: ``core(x0, t)`` is the time-t image of x0,
     which must be a member (it is not tested), erroring if t is out of range."""
     drive = _kernel(fld, space, None)
-    member, member_relaxed, witness_info = _membership(space)
-    tol = None if space is None else space.tol
 
     def core(x0: list[float], t: float) -> list[float]:
-        res = drive(x0, t, opts, member, member_relaxed, witness_info, tol)
+        res = drive(x0, t, opts, space)
         if not res.reached:
             raise FlowDomainError(
                 f"flow of {fld.label} from {x0} leaves the space at "
@@ -726,9 +714,6 @@ class VectorFieldVerdict:
     probes_run: int
     notes: list[str] = dc_field(default_factory=list)
     diagnostics: dict = dc_field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def classify_vector_field(

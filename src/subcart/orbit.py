@@ -22,7 +22,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .expr import DomainError
-from .field import RANK_TOL, TangentField
+from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
     FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, transport_vector,
 )
@@ -81,16 +81,10 @@ class FieldFamily:
 
     def value_matrix(self, point: Sequence[float]) -> np.ndarray:
         """Columns are the member fields evaluated at the point (n x m).  A
-        field undefined or overflowing there is an ``OrbitError``."""
+        field undefined or overflowing there is a ``FieldError``."""
         import numpy as np
 
-        columns = []
-        for f in self.fields:
-            try:
-                columns.append(f.value(point))
-            except (DomainError, OverflowError) as exc:
-                raise _unevaluable(f, point, exc) from None
-        return np.column_stack(columns)
+        return np.column_stack([_value_at(f, point) for f in self.fields])
 
     def vanishes_at(self, point: Sequence[float]) -> bool:
         """Whether every field evaluates to exactly 0.0 at the point.  Then
@@ -100,12 +94,6 @@ class FieldFamily:
             return all(v == 0.0 for f in self.fields for v in f.value(point))
         except (DomainError, OverflowError):  # a field undefined there does not vanish
             return False
-
-
-def _unevaluable(fld: TangentField, point: Sequence[float], exc: Exception) -> OrbitError:
-    """The error of a field that raised ``exc`` at the point."""
-    fault = "overflows" if isinstance(exc, OverflowError) else "is undefined"
-    return OrbitError(f"field {fld.label!r} {fault} at {[float(v) for v in point]}")
 
 
 def check_word(family: FieldFamily, word: Sequence[tuple[int, float]]) -> FlowWord:
@@ -478,16 +466,6 @@ class CompletenessReport:
     skipped: int
     max_residual: float
     witness: Optional[dict]
-    records: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_probes": self.n_probes,
-            "skipped": self.skipped,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-        }
 
 
 def _span_residual(matrix: np.ndarray, w: list[float]) -> float:
@@ -539,7 +517,7 @@ def local_completeness_probe(
             t = rng.uniform(-t_scale, t_scale)
             todo.append((x, t, i, j))
 
-    records: list[dict] = []
+    n_probes = 0
     skipped = 0
     worst: Optional[dict] = None
     max_res = 0.0
@@ -566,17 +544,16 @@ def local_completeness_probe(
             "carried_vector": w,
             "residual": residual,
         }
-        records.append(rec)
+        n_probes += 1
         if residual > max_res:
             max_res = residual
             if residual > tol:
                 worst = rec
     return CompletenessReport(
         passed=worst is None,
-        n_probes=len(records),
+        n_probes=n_probes,
         skipped=skipped,
         max_residual=max_res,
         witness=worst,
-        records=records,
     )
 

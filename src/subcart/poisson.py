@@ -186,13 +186,6 @@ class PoissonStructure:
             rows[k + i][i] = Const(-1.0)
         return cls(n, rows, label)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "bivector": [[to_text(e) for e in row] for row in self.bivector],
-            "label": self.label,
-        }
-
 
 def bracket(p: PoissonStructure, f: Expr, g: Expr) -> Expr:
     """Symbolic bracket {f,g} = sum_ij P^ij d_i f d_j g."""

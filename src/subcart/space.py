@@ -17,10 +17,12 @@ inside its own ``try`` so that a constraint undefined at the point
 (``DomainError``) rules out only its cell, and returns the index of the
 first cell that holds.  ``contains``, ``member_cell``, ``cell_contains`` and
 ``closure_contains`` (strict relations relaxed) all call functions made by
-that one generator.  ``slack`` is emitted the same way on its first use,
-in one ``compile()`` with the drift fold, a loop of the same slack lines
-over the points of a stored curve's packed buffer, with which the
-strongly-stratified check of ``strata`` reads its curves.
+that one generator.  A flow kernel, which is handed the space, tests its
+cells with the same lines inline and calls ``contains`` to locate an exit.
+``slack`` is emitted the same way on its first use, in one ``compile()``
+with the drift fold, a loop of the same slack lines over the points of a
+stored curve's packed buffer, with which the strongly-stratified check of
+``strata`` reads its curves.
 Python's float ``**`` raises ``OverflowError`` where numpy's gives inf, so a
 point whose test overflows is tested again on numpy floats, with numpy's
 overflow warnings off; only that rare path pays for it.  What overflows on

@@ -93,6 +93,11 @@ class StratifiedSpace:
         return None
 
 
+def _bits(point: Sequence[float]) -> tuple[str, ...]:
+    """The key of a sample among bit-identical ones: hex, as == would take -0.0 for 0.0."""
+    return tuple(map(float.hex, point))
+
+
 def closure_distance(
     space: SubcartesianSpace,
     point: Sequence[float],
@@ -130,17 +135,6 @@ class FrontierReport:
     samples_per_stratum: dict
     frontier_tol: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "coverage_failures": self.coverage_failures,
-            "disjointness_failures": self.disjointness_failures,
-            "contacts": self.contacts,
-            "frontier_violations": self.frontier_violations,
-            "samples_per_stratum": self.samples_per_stratum,
-            "frontier_tol": self.frontier_tol,
-        }
-
 
 def frontier_check(
     ss: StratifiedSpace,
@@ -153,7 +147,9 @@ def frontier_check(
 
     Coverage: total-space samples must land in exactly one stratum.
     Frontier: whenever some sample of stratum M sits within frontier_tol of
-    the closure of stratum N, every M sample must.
+    the closure of stratum N, every M sample must.  The distance of a sample
+    bit-identical to an earlier one of its stratum (a one-point stratum
+    gives its point every time) is the earlier one's, not computed again.
     """
     import numpy as np
 
@@ -185,10 +181,13 @@ def frontier_check(
     contacts: list[dict] = []
     violations: list[dict] = []
     for i, m in enumerate(ss.strata):
+        keys = [_bits(p) for p in clouds[i]]
+        distinct = dict(zip(keys, clouds[i]))
         for j, n in enumerate(ss.strata):
             if i == j:
                 continue
-            dists = [closure_distance(n.space, p, arrays[j]) for p in clouds[i]]
+            dist = {k: closure_distance(n.space, p, arrays[j]) for k, p in distinct.items()}
+            dists = [dist[k] for k in keys]
             touch = min(dists) <= frontier_tol
             if not touch:
                 continue
@@ -211,23 +210,12 @@ def frontier_check(
 @dataclass
 class StrongStratReport:
     passed: bool
-    field_label: str
+    field: str
     horizon: float
     drift_tol: float
     max_drift: float
     witness: Optional[dict]
     per_stratum: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "field": self.field_label,
-            "horizon": self.horizon,
-            "drift_tol": self.drift_tol,
-            "max_drift": self.max_drift,
-            "witness": self.witness,
-            "per_stratum": self.per_stratum,
-        }
 
 
 def strongly_stratified_check(
@@ -273,7 +261,7 @@ def strongly_stratified_check(
         flowed: set[tuple[str, ...]] = set()
         worst_here = 0.0
         for p in pts:
-            start = tuple(map(float.hex, p))  # hex, as == would take -0.0 for 0.0
+            start = _bits(p)
             if start in flowed:
                 continue
             flowed.add(start)
@@ -296,7 +284,7 @@ def strongly_stratified_check(
         per_stratum[s.name] = worst_here
     return StrongStratReport(
         passed=max_drift <= threshold,
-        field_label=fld.label,
+        field=fld.label,
         horizon=horizon,
         drift_tol=drift_tol,
         max_drift=max_drift,
@@ -309,15 +297,8 @@ def strongly_stratified_check(
 class OrbitStrataReport:
     passed: bool
     per_seed: list[dict]
+    cover_radius: float
     precondition: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "per_seed": self.per_seed,
-            "cover_radius": COVER_RADIUS,
-            "precondition": self.precondition,
-        }
 
 
 def orbit_vs_strata(
@@ -393,6 +374,7 @@ def orbit_vs_strata(
     return OrbitStrataReport(
         passed=all_ok,
         per_seed=per_seed,
+        cover_radius=COVER_RADIUS,
         precondition=precondition,
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_kahler_check_standard_pair():
     assert rep.positive
     assert abs(rep.min_metric_eigenvalue - 1.0) <= 1e-12
     assert rep.torsion_residual <= 1e-14
-    d = rep.to_json_dict()
+    d = asdict(rep)
     assert d["passed"] is True
 
 
@@ -239,16 +240,3 @@ def test_residual_folds_keep_nan():
     with np.errstate(all="ignore"):
         rep = kahler_check(j, std_omega_rows(2), [big, e[0]], [[0.0, 0.0], [0.5, 0.5]])
     assert math.isnan(rep.metric_symmetry) and not rep.passed
-
-
-def test_json_dict_round_trip_fields():
-    j = variable_j()
-    d = j.to_json_dict()
-    assert d["dim"] == 4
-    assert len(d["matrix"]) == 4
-    back = AlmostComplexStructure(
-        4, [[parse(t, 4) for t in row] for row in d["matrix"]]
-    )
-    pts = rng_points(4, 3, seed=9)
-    for pt in pts:
-        assert np.allclose(back.matrix_at(pt), j.matrix_at(pt), atol=0.0)

@@ -537,6 +537,26 @@ def test_complete_probe_names_the_field_and_point_it_cannot_evaluate(tmp_path, c
     assert (code, report, err) == (2, {}, says)
 
 
+@pytest.mark.parametrize("argv,says", [
+    # each overflow at the point ended in "internal error: OverflowError"
+    (["acs", "--check", "torsion", "--scenario", "acs_variable", "--x", "e1", "--y", "e3", "--point=1e100,1,1,1"],
+     "error: field 'N(e1,e3)' overflows at [1e+100, 1.0, 1.0, 1.0]\n"),
+    (["bracket", "--scenario", "pair", "--x", "p", "--y", "q", "--point=1e200,1"],
+     "error: field '[p,q]' overflows at [1e+200, 1.0]\n"),
+    (["bracket", "--scenario", "pair", "--x", "p", "--y", "q", "--point=0,-1"],
+     "error: field '[p,q]' is undefined at [0.0, -1.0]\n"),
+], ids=["torsion-overflow", "bracket-overflow", "bracket-undefined"])
+def test_value_at_point_names_the_field_and_point_it_cannot_evaluate(tmp_path, capsys, argv, says):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"name": "pair", "space": {"ambient_dim": 2, "cells": [[]]},
+                                "fields": {"p": ["x1^3", "1"], "q": ["x1", "sqrt(x2)"]}}))
+    argv = list(argv)
+    at = argv.index("--scenario") + 1
+    argv[at] = str(path) if argv[at] == "pair" else scenario_path(argv[at])
+    code, report, err = run(capsys, *argv)
+    assert (code, report, err) == (2, {}, says)
+
+
 @pytest.mark.parametrize("overrides,key", [
     ('{"rtoll": 1e-9}', "rtoll"),
     ('{"rtol": NaN}', "rtol"),

@@ -27,8 +27,7 @@ from subcart.expr import DomainError, parse
 from subcart.field import TangentField
 from subcart.flow import (
     _A, _D, _E, _DRIVERS, ATTAINED_FACTOR, BISECT_TOL, INTERIOR_CHECKS, MAX_SAMPLE_DT, MIN_STEP, ExitWitness,
-    _DriveResult, _Samples, _dense, _driver_source, _kernel,
-    _membership, _pairwise_sum,
+    _DriveResult, _Samples, _dense, _driver_source, _kernel, _pairwise_sum, _witness_info,
 )
 from subcart.space import BALL_TRIES, Constraint, Rel, SubcartesianSpace, ball, sample
 
@@ -398,7 +397,7 @@ def _driver_initial_step(y, f0, rtol, atol, limit):
     or non-finite step ends the drive earlier with the step in its message."""
     drive = _kernel(TangentField("f0", f0), None, None)
     try:
-        res = drive(list(y), limit, FlowOptions(rtol=rtol, atol=atol, max_steps=1), None, None, None, None)
+        res = drive(list(y), limit, FlowOptions(rtol=rtol, atol=atol, max_steps=1), None)
     except IntegrationError as exc:
         if str(exc).startswith("starting step "):
             return float(str(exc).split()[2])
@@ -549,10 +548,29 @@ def _hexes(xs) -> list[str]:
     return [float(x).hex() for x in xs]
 
 
-def _drive_outcome(drive, f, x0, target, opts, space, membership=None):
-    member, member_relaxed, witness_info = membership or _membership(space)
+def _callbacks(space):
+    """The membership callbacks of ``_ref_drive`` on the space: ``member``,
+    ``member_relaxed`` and ``witness_info``, or three Nones where the kernel
+    tests nothing, as where a cell has no constraints."""
+    if space is None or space._scan_key is None:
+        return None, None, None
+    contains = space.contains
+    return (contains, lambda p: contains(p, tol=space.tol * ATTAINED_FACTOR),
+            lambda p_in, p_out: _witness_info(space, p_in, p_out))
+
+
+def _reference(f, membership=None):
+    """``_ref_drive`` of f called like a kernel, with the callbacks
+    ``membership`` or else those ``_callbacks`` builds from the space."""
+    def call(x0, target, opts, space):
+        return _ref_drive(f, x0, target, opts, *(membership or _callbacks(space)))
+
+    return call
+
+
+def _drive_outcome(drive, x0, target, opts, space):
     try:
-        r = drive(f, list(x0), target, opts, member, member_relaxed, witness_info)
+        r = drive(list(x0), target, opts, space)
     except Exception as exc:  # the same failure and message
         t = getattr(exc, "t", None)
         return type(exc).__name__, str(exc), None if t is None else float(t).hex()
@@ -606,17 +624,6 @@ def _drive_cases(draw):
     return fld, x0, target, opts, space
 
 
-def _fused(fld, space, keep):
-    """The kernel of the field on the space, called like a driver that calls f."""
-    drive = _kernel(fld, space, keep)
-    tol = None if space is None else space.tol
-
-    def call(f, x0, target, opts, member, member_relaxed, witness_info):
-        return drive(x0, target, opts, member, member_relaxed, witness_info, tol)
-
-    return call
-
-
 def _assert_quiet_matches(quiet, want, keep):
     """Without storing, the same drive: endpoint, reached, steps and
     witness, or the same failure, and no samples at all.  The kernel that
@@ -644,10 +651,10 @@ def _assert_quiet_matches(quiet, want, keep):
 def test_generated_driver_matches_generic_list_driver_bitwise(case):
     fld, x0, target, opts, space = case
     f = fld._value
-    want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
-    assert _drive_outcome(_fused(fld, space, "store"), f, x0, target, opts, space) == want
+    want = _drive_outcome(_reference(f), x0, target, opts, space)
+    assert _drive_outcome(_kernel(fld, space, "store"), x0, target, opts, space) == want
     for keep in ("count", None):
-        _assert_quiet_matches(_drive_outcome(_fused(fld, space, keep), f, x0, target, opts, space), want, keep)
+        _assert_quiet_matches(_drive_outcome(_kernel(fld, space, keep), x0, target, opts, space), want, keep)
 
 
 def _shipped_fields() -> list[tuple[str, str]]:
@@ -658,9 +665,9 @@ def _shipped_fields() -> list[tuple[str, str]]:
 def _probe_matches_recording(fld, space, x0, target, opts) -> str:
     """Check the drive of the probes' kernel against the recording one and
     name how the drive ended."""
-    want = _drive_outcome(_fused(fld, space, "store"), None, x0, target, opts, space)
+    want = _drive_outcome(_kernel(fld, space, "store"), x0, target, opts, space)
     for keep in ("count", None):
-        _assert_quiet_matches(_drive_outcome(_fused(fld, space, keep), None, x0, target, opts, space), want, keep)
+        _assert_quiet_matches(_drive_outcome(_kernel(fld, space, keep), x0, target, opts, space), want, keep)
     witness = want[6]
     return "reached" if witness is None else "guard" if witness[3] else "attained" if witness[2] else "open"
 
@@ -703,9 +710,9 @@ def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
                                              Rel.GE)]])
     for target, space in ((2.0, None), (-2.0, None), (2.5, ball)):
         opts = FlowOptions(rtol=1e-11, atol=1e-13)
-        want = _drive_outcome(_ref_drive, f, x0, target, opts, space)
+        want = _drive_outcome(_reference(f), x0, target, opts, space)
         assert want[3] >= 20  # steps taken
-        assert _drive_outcome(_fused(fld, space, "store"), f, x0, target, opts, space) == want
+        assert _drive_outcome(_kernel(fld, space, "store"), x0, target, opts, space) == want
 
 
 def test_a_short_landing_step_stores_the_target_as_its_time():
@@ -715,9 +722,9 @@ def test_a_short_landing_step_stores_the_target_as_its_time():
     ddx = make_field("ddx", ["1"], 1)
     for space in (None, halfline()):
         for target in (0.3, -0.3):
-            want = _drive_outcome(_ref_drive, ddx._value, [0.3], target, FlowOptions(), space)
+            want = _drive_outcome(_reference(ddx._value), [0.3], target, FlowOptions(), space)
             assert want[2] and want[4][-1] == target.hex()
-            assert _drive_outcome(_fused(ddx, space, "store"), ddx._value, [0.3], target, FlowOptions(), space) == want
+            assert _drive_outcome(_kernel(ddx, space, "store"), [0.3], target, FlowOptions(), space) == want
 
 
 @pytest.mark.parametrize("space", [
@@ -726,15 +733,15 @@ def test_a_short_landing_step_stores_the_target_as_its_time():
 ], ids=["whole", "empty-cell"])
 def test_no_membership_scan_where_a_cell_has_no_constraints(space):
     opts = FlowOptions()
-    assert _membership(space) == (None, None, None)
+    assert _callbacks(space) == (None, None, None)
     # the drive is the one of a scan whose every test passes
     scanned = (space.contains, lambda p: space.contains(p, space.tol * ATTAINED_FACTOR), None)
     fld = make_field("f", ["1 + x2", "x1 * x2 - 0.3"], 2)
     f = fld._value
     for keep in ("store", "count", None):
         for target in (0.7, -2.0):
-            want = _drive_outcome(_ref_drive, f, [0.1, -0.2], target, opts, space, scanned)
-            got = _drive_outcome(_fused(fld, space, keep), f, [0.1, -0.2], target, opts, space)
+            want = _drive_outcome(_reference(f, scanned), [0.1, -0.2], target, opts, space)
+            got = _drive_outcome(_kernel(fld, space, keep), [0.1, -0.2], target, opts, space)
             if keep == "store":
                 assert got == want
             else:
@@ -764,8 +771,8 @@ def test_kernels_are_keyed_by_their_source():
     opts = FlowOptions()
     for fld in (plus, minus):
         assert f"k2_0 = {fld.components[0].value!r}" in _driver_source(fld.components, disk.cells, "store")
-        want = _drive_outcome(_ref_drive, fld._value, [-0.0, 0.5], 0.8, opts, disk)
-        assert _drive_outcome(_fused(fld, disk, "store"), fld._value, [-0.0, 0.5], 0.8, opts, disk) == want
+        want = _drive_outcome(_reference(fld._value), [-0.0, 0.5], 0.8, opts, disk)
+        assert _drive_outcome(_kernel(fld, disk, "store"), [-0.0, 0.5], 0.8, opts, disk) == want
     # transport runs the kernel of the variational field, found the same way
     transport_vector(disk, rot, 0.3, again, [0.1, 0.2])
     assert _kernel(rot._variational, disk, None) is _kernel(again._variational, disk_again, None)
@@ -778,24 +785,25 @@ def test_kernels_are_keyed_by_their_source():
     # the first cell fails on numpy floats, so the second one, x1 <= 1, decides
     ([[("1 - (1e200*x1)^2", Rel.GE)], [("x1 - 1", Rel.LE)]], ["1", "0"], "x1 - 1.0"),
 ], ids=["holds", "fails"])
-def test_kernel_retries_an_overflowing_cell_test_on_numpy_floats(cells, velocity, bound):
+def test_kernel_retries_an_overflowing_cell_test_on_numpy_floats(monkeypatch, cells, velocity, bound):
     # (1e200 x1)^2 raises OverflowError on Python floats and is inf on numpy
     # floats; the scan tests such a point again through the space
     space = SubcartesianSpace(2, [[Constraint(parse(e, 2), rel) for e, rel in cell] for cell in cells])
     fld = make_field("f", velocity, 2)
     opts = FlowOptions()
-    member, member_relaxed, witness_info = _membership(space)
+    reference = _reference(fld._value, _callbacks(space))  # its callbacks call the uncounted contains
+    contains = space.contains
     retried = []
 
-    def counted(p):
+    def counted(p, **kwargs):
         retried.append(p)
-        return member(p)
+        return contains(p, **kwargs)
 
+    monkeypatch.setattr(space, "contains", counted)
     for target in (0.3, 3.0):  # reached, and an exit at 1 in the moving coordinate
-        want = _drive_outcome(_ref_drive, fld._value, [0.5, 0.0], target, opts, space)
+        want = _drive_outcome(reference, [0.5, 0.0], target, opts, space)
         for keep in ("store", "count", None):
-            got = _drive_outcome(_fused(fld, space, keep), fld._value, [0.5, 0.0], target, opts, space,
-                                 (counted, member_relaxed, witness_info))
+            got = _drive_outcome(_kernel(fld, space, keep), [0.5, 0.0], target, opts, space)
             if keep == "store":
                 assert got == want
             else:

@@ -316,7 +316,7 @@ def test_jacobi_residual_matches_nested_path(case):
     for x in points:
         got = jacobi_residual(p, f, g, h, [x])
         want = nested_jacobi_residual(p, f, g, h, [x])
-        assert abs(got - want) <= REL * max(abs(want), 1.0), (p.to_json_dict(), x)
+        assert abs(got - want) <= REL * max(abs(want), 1.0), (p.bivector, x)
 
 
 def test_invariance_residual_canonical():

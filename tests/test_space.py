@@ -444,10 +444,10 @@ def test_sample_ball_round_robin_covers_cells():
 
 def test_sample_round_robin_split_and_tries():
     # of k cells the first count % k ask one more; a share of 0 is not asked
-    x = parse("x1", 1)
-    three = SubcartesianSpace(1, [[Constraint(x - 1, Rel.LT)],
-                                  [Constraint(x - 1, Rel.GE), Constraint(x - 2, Rel.LT)],
-                                  [Constraint(x - 2, Rel.GE)]])
+    x_1, x_2 = parse("x1 - 1", 1), parse("x1 - 2", 1)
+    three = SubcartesianSpace(1, [[Constraint(x_1, Rel.LT)],
+                                  [Constraint(x_1, Rel.GE), Constraint(x_2, Rel.LT)],
+                                  [Constraint(x_2, Rel.GE)]])
     # each cell stops drawing once it has its share: for 7 the cells draw 7,
     # 4 and 4 times; for 2 the third cell, whose share is 0, draws nothing
     for count, shares, draws in ((7, [3, 2, 2], 15), (2, [1, 1], 2), (0, [], 0), (3, [1, 1, 1], 3)):
