@@ -11,7 +11,12 @@ does not use is the shared ``ZERO`` without recursion.
 Evaluation is by generated Python code (``compile_scalar`` and
 ``compile_vector``) and deterministic: identical trees evaluated at
 identical points give bit-identical floats, and points outside a
-function's domain raise ``DomainError`` instead of producing NaN.
+function's domain raise ``DomainError`` instead of producing NaN.  Each
+generated source is compiled once per process: ``_define`` keeps every
+function it makes, keyed by its generator and its source, for the
+expression functions here and the membership, slack and projection
+functions of ``space``, so a tree built anew with the same source gets the
+function already made.
 """
 
 from __future__ import annotations
@@ -688,11 +693,31 @@ def vector_source(exprs: Sequence[Expr], coord: str = "_x[{}]") -> tuple[list[st
     return lines, [_emit(e, memo, lines, coord) for e in exprs]
 
 
+# Every function generated in the process, keyed by the name of its
+# generator and its whole source.  A generated function reads only its source
+# and a fixed module-level scope, so equal keys give interchangeable
+# functions; the key is the text, never ``Expr`` equality, which holds
+# between constants 0.0 and -0.0 that compile differently.
+_FUNCTIONS: dict[tuple[str, str], Callable] = {}
+
+
+def _define(src: str, name: str, **env) -> Callable:
+    """``_f`` as ``src`` defines it, with ``_COMPILE_ENV`` and ``env`` as its
+    globals; compiled on the first request for this name and source, and
+    found in ``_FUNCTIONS`` after that.  ``env`` must be the same for every
+    call with the same name."""
+    key = (name, src)
+    f = _FUNCTIONS.get(key)
+    if f is None:
+        scope = dict(_COMPILE_ENV, **env)
+        exec(compile(src, name, "exec"), scope)
+        f = _FUNCTIONS[key] = scope["_f"]
+    return f
+
+
 def _function(lines: list[str], result: str, name: str) -> Callable:
     src = "def _f(_x):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {result}\n"
-    scope = dict(_COMPILE_ENV)
-    exec(compile(src, name, "exec"), scope)
-    return scope["_f"]
+    return _define(src, name)
 
 
 def compile_scalar(e: Expr) -> Callable[[Sequence[float]], float]:

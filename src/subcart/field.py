@@ -11,6 +11,7 @@ matter.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Optional, Sequence
 
 from .expr import DomainError, Expr, Var, add, as_expr, compile_vector, diff, mul, neg, to_text, vector_source, ZERO
@@ -91,19 +92,25 @@ class TangentField:
         return TangentField(f"({to_text(f)})*{self.label}", [mul(f, c) for c in self.components])
 
 
-def _unevaluable(fld: TangentField, point: Sequence[float], exc: Exception) -> FieldError:
+def _unevaluable(fld: TangentField, point: Sequence[float], exc: Optional[Exception]) -> FieldError:
     """The error of a field that raised ``exc``, a ``DomainError`` or an
-    ``OverflowError``, at the point."""
-    fault = "overflows" if isinstance(exc, OverflowError) else "is undefined"
+    ``OverflowError``, at the point, or with ``exc`` None, of one whose value
+    there is not finite."""
+    fault = "is not finite" if exc is None else "overflows" if isinstance(exc, OverflowError) else "is undefined"
     return FieldError(f"field {fld.label!r} {fault} at {[float(v) for v in point]}")
 
 
 def _value_at(fld: TangentField, point: Sequence[float]) -> list[float]:
-    """The field's value at the point; a field undefined or overflowing there is a ``FieldError`` naming both."""
+    """The field's value at the point; a field undefined or overflowing
+    there, or whose value is not finite there (``x1*x1*x1`` at 1e200 gives
+    inf without raising), is a ``FieldError`` naming both."""
     try:
-        return fld.value(point)
+        value = fld.value(point)
     except (DomainError, OverflowError) as exc:
         raise _unevaluable(fld, point, exc) from None
+    if not all(map(math.isfinite, value)):
+        raise _unevaluable(fld, point, None)
+    return value
 
 
 def lie_bracket(x: TangentField, y: TangentField) -> TangentField:

@@ -81,7 +81,7 @@ class FieldFamily:
 
     def value_matrix(self, point: Sequence[float]) -> np.ndarray:
         """Columns are the member fields evaluated at the point (n x m).  A
-        field undefined or overflowing there is a ``FieldError``."""
+        field undefined, overflowing or not finite there is a ``FieldError``."""
         import numpy as np
 
         return np.column_stack([_value_at(f, point) for f in self.fields])
@@ -379,7 +379,9 @@ def chart_jacobian(
     tol_rank: float = RANK_TOL,
     options: Optional[FlowOptions] = None,
 ) -> Chart:
-    """Build the chart differential at T=0 for the chosen basis fields."""
+    """Build the chart differential at T=0 for the chosen basis fields.  A
+    basis field undefined, overflowing or not finite at the basepoint is a
+    ``FieldError`` naming it, not a rank read off a NaN matrix."""
     import numpy as np
 
     basis = tuple(int(b) for b in basis)
@@ -390,7 +392,7 @@ def chart_jacobian(
             raise OrbitError(f"basis index {b} out of range for family of {len(family)}")
     family.space.require_member(x, "basepoint")
     x = [float(v) for v in x]
-    jac = np.column_stack([family.fields[b].value(x) for b in basis])
+    jac = np.column_stack([_value_at(family.fields[b], x) for b in basis])
     s = np.linalg.svd(jac, compute_uv=False)
     rank = 0 if s[0] <= 0.0 else int(np.sum(s > tol_rank * s[0]))
     if rank < len(basis):

@@ -34,6 +34,12 @@ their gradients inline, J J^T and J^T lam as in-order sums, and the m x m
 system solved by elimination with partial pivoting, all on Python floats,
 so no projected point depends on a BLAS build.  A projection whose
 equalities overflow fails, as one with a step that is not finite does.
+Each of these generators hands its source to ``expr._define``, which
+compiles a source once per process: a space built anew with the same
+cells, by another command in the same process, gets the functions already
+made, while a different ``tol``, written into a projection's source as a
+literal, makes a new one.  A space still keeps the functions it got, so
+its later tests neither emit nor look up a source.
 ``sample`` is the one sampler: it draws with a ``ball`` or ``box`` draw,
 projects and tests, all on float lists.
 """
@@ -48,10 +54,10 @@ from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from .expr import (
-    _COMPILE_ENV,
     DomainError,
     Expr,
     _const_source,
+    _define,
     _emit,
     compile_scalar,
     gradient_exprs,
@@ -159,9 +165,7 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
 
 
 def _build(src: list[str], name: str) -> Callable:
-    scope = dict(_COMPILE_ENV, _DomainError=DomainError, _solve=_solve, _evaluate=_evaluate)
-    exec(compile("\n".join(src) + "\n", name, "exec"), scope)
-    return scope["_f"]
+    return _define("\n".join(src) + "\n", name, _DomainError=DomainError, _solve=_solve, _evaluate=_evaluate)
 
 
 def _compile_cells(cells: Sequence[Cell]) -> Callable[[Sequence[float], float], Optional[int]]:

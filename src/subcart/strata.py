@@ -147,9 +147,10 @@ def frontier_check(
 
     Coverage: total-space samples must land in exactly one stratum.
     Frontier: whenever some sample of stratum M sits within frontier_tol of
-    the closure of stratum N, every M sample must.  The distance of a sample
-    bit-identical to an earlier one of its stratum (a one-point stratum
-    gives its point every time) is the earlier one's, not computed again.
+    the closure of stratum N, every M sample must.  The owners and the
+    distances of a sample bit-identical to an earlier one of its stratum (a
+    one-point stratum gives its point every time) are the earlier one's, not
+    computed again; each copy still counts and fails on its own.
     """
     import numpy as np
 
@@ -172,22 +173,20 @@ def frontier_check(
             coverage_failures.append({"point": p, "strata": owners})
         elif len(owners) > 1:
             disjointness_failures.append({"point": p, "strata": owners})
-    for i, pts in enumerate(clouds):
-        for p in pts:
-            owners = [s.name for s in ss.strata if s.space.contains(p)]
-            if len(owners) > 1:
-                disjointness_failures.append({"point": p, "strata": owners})
+    keys = [[_bits(p) for p in pts] for pts in clouds]
+    distinct = [dict(zip(ks, pts)) for ks, pts in zip(keys, clouds)]
+    for ks, pts, once in zip(keys, clouds, distinct):
+        owners = {k: [s.name for s in ss.strata if s.space.contains(p)] for k, p in once.items()}
+        disjointness_failures += [{"point": p, "strata": owners[k]} for p, k in zip(pts, ks) if len(owners[k]) > 1]
 
     contacts: list[dict] = []
     violations: list[dict] = []
     for i, m in enumerate(ss.strata):
-        keys = [_bits(p) for p in clouds[i]]
-        distinct = dict(zip(keys, clouds[i]))
         for j, n in enumerate(ss.strata):
             if i == j:
                 continue
-            dist = {k: closure_distance(n.space, p, arrays[j]) for k, p in distinct.items()}
-            dists = [dist[k] for k in keys]
+            dist = {k: closure_distance(n.space, p, arrays[j]) for k, p in distinct[i].items()}
+            dists = [dist[k] for k in keys[i]]
             touch = min(dists) <= frontier_tol
             if not touch:
                 continue

@@ -545,11 +545,20 @@ def test_complete_probe_names_the_field_and_point_it_cannot_evaluate(tmp_path, c
      "error: field '[p,q]' overflows at [1e+200, 1.0]\n"),
     (["bracket", "--scenario", "pair", "--x", "p", "--y", "q", "--point=0,-1"],
      "error: field '[p,q]' is undefined at [0.0, -1.0]\n"),
-], ids=["torsion-overflow", "bracket-overflow", "bracket-undefined"])
+    # r overflows to inf without raising, and [r,s] to inf - inf; the bracket
+    # printed the serializer's "non-finite float nan" line, and the chart
+    # read rank 0 off the NaN matrix and exited 1 with DependentBasis
+    (["bracket", "--scenario", "pair", "--x", "r", "--y", "s", "--point=1e200,1"],
+     "error: field '[r,s]' is not finite at [1e+200, 1.0]\n"),
+    (["chart", "--scenario", "pair", "--family", "cubic", "--point=1e200,1"],
+     "error: field 'r' is not finite at [1e+200, 1.0]\n"),
+], ids=["torsion-overflow", "bracket-overflow", "bracket-undefined", "bracket-not-finite", "chart-not-finite"])
 def test_value_at_point_names_the_field_and_point_it_cannot_evaluate(tmp_path, capsys, argv, says):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"name": "pair", "space": {"ambient_dim": 2, "cells": [[]]},
-                                "fields": {"p": ["x1^3", "1"], "q": ["x1", "sqrt(x2)"]}}))
+                                "fields": {"p": ["x1^3", "1"], "q": ["x1", "sqrt(x2)"],
+                                           "r": ["x1*x1*x1", "1"], "s": ["x1", "0"]},
+                                "families": {"cubic": ["r", "s"]}}))
     argv = list(argv)
     at = argv.index("--scenario") + 1
     argv[at] = str(path) if argv[at] == "pair" else scenario_path(argv[at])

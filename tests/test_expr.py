@@ -245,6 +245,17 @@ def test_compiled_nonfinite_literals():
     assert compile_vector([big])([-1.0]) == [-math.inf]
 
 
+def test_compiled_functions_are_shared_by_source_and_keep_the_sign_of_zero():
+    # the process's table of generated functions is keyed by source text:
+    # Const(0.0) == Const(-0.0), but the two must not share a function
+    pos, neg = compile_vector([Const(0.0)]), compile_vector([Const(-0.0)])
+    assert pos is not neg
+    assert [math.copysign(1.0, v) for v in pos([]) + neg([])] == [1.0, -1.0]
+    # trees built anew with the same source get the function already made
+    assert compile_vector([parse("x1*x2", 2)]) is compile_vector([parse("x1*x2", 2)])
+    assert compile_scalar(parse("sin(x1)", 1)) is compile_scalar(parse("sin(x1)", 1))
+
+
 # Memoised differentiation and variable masks --------------------------------
 
 def _reference_diff(e, var):

@@ -183,37 +183,77 @@ def test_each_command_loads_only_the_modules_it_runs(name, argv, code, added):
     assert out == [_CLI_MODULES, code, [f"subcart.{m}" for m in added]]
 
 
-# scenario, argv, and the compile() calls of one run in a fresh interpreter,
-# loading included.  A field and an almost complex structure compile on their
-# first evaluation, so the intermediate fields of a torsion or a bracket,
-# never evaluated, compile nothing; before that the counts were 60, 17, 14,
-# 3 and 14, with the same reports.
+# scenario, argv, exit code, and the compile() calls of one run in a fresh
+# interpreter, loading included.  A field and an almost complex structure
+# compile on their first evaluation, so the intermediate fields of a torsion
+# or a bracket, never evaluated, compile nothing; before that the counts were
+# 60, 17, 14, 3 and 14, with the same reports.  Each generated source is
+# compiled once per process (``expr._define``), so equal sources within one
+# command compile once; before that kahler made 12, cr 9, frontier 11,
+# orbits 20, each classify 5 and complete-probe 8.
 _COMPILES = [
-    ("acs_standard", ["acs", "--check", "kahler"], 12),
-    ("acs_standard", ["acs", "--check", "cr", "--f", "x1", "--h", "x3"], 9),
-    ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 2),
-    ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 1),
-    ("cone", ["strata", "--check", "frontier"], 11),
+    ("acs_standard", ["acs", "--check", "kahler"], 0, 7),
+    ("acs_standard", ["acs", "--check", "cr", "--f", "x1", "--h", "x3"], 0, 2),
+    ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 0, 2),
+    ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, 1),
+    ("cone", ["strata", "--check", "frontier"], 0, 6),
     # the drift fold compiles with each stratum's slack function, in one call
-    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 10),
-    ("cone", ["strata", "--check", "orbits"], 20),
+    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 10),
+    ("cone", ["strata", "--check", "orbits"], 0, 17),
+    ("halfline", ["classify", "--field", "ddx"], 1, 4),
+    ("circle", ["classify", "--field", "rot"], 0, 4),
+    ("rotation_plane", ["complete-probe", "--family", "pair"], 0, 7),
 ]
 
 
-@pytest.mark.parametrize("name,argv,compiles", _COMPILES, ids=[f"{a[0]}-{a[2]}" for _, a, _ in _COMPILES])
-def test_each_command_compiles_only_what_it_evaluates(name, argv, compiles):
-    argv = [argv[0], "--scenario", str(SRC / "scenarios" / f"{name}.json")] + argv[1:]
-    out = json.loads(_fresh(
+def _compile_counts(rows, runs: int) -> list:
+    """For each row, ``runs`` runs of its command in one fresh interpreter,
+    each as [exit code, compile() calls, report]."""
+    argvs = [[argv[0], "--scenario", str(SRC / "scenarios" / f"{name}.json")] + argv[1:] for name, argv, *_ in rows]
+    return json.loads(_fresh(
         "import builtins, contextlib, io, json\n"
         "from subcart.cli import main\n"
         "calls = []\n"
         "compile = builtins.compile\n"
         "builtins.compile = lambda *a, **k: calls.append(1) or compile(*a, **k)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({argv!r})\n"
-        "print(json.dumps([code, len(calls)]))"
+        "out = []\n"
+        f"for argv in {argvs!r}:\n"
+        f"    for _ in range({runs}):\n"
+        "        calls.clear()\n"
+        "        with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+        "            code = main(argv)\n"
+        "        out.append([code, len(calls), report.getvalue()])\n"
+        "print(json.dumps(out))"
     ))
-    assert out == [0, compiles]
+
+
+@pytest.mark.parametrize("row", _COMPILES, ids=[f"{a[0]}-{a[2]}" for _, a, *_ in _COMPILES])
+def test_each_command_compiles_only_what_it_evaluates(row):
+    [(code, calls, _)] = _compile_counts([row], 1)
+    assert (code, calls) == row[2:]
+
+
+def test_a_command_run_again_in_the_process_compiles_nothing():
+    # every function it generates, flow kernels included, is found in its table
+    out = _compile_counts(_COMPILES, 2)
+    for (name, argv, code, _), first, again in zip(_COMPILES, out[::2], out[1::2]):
+        assert again == [code, 0, first[2]], (name, argv)
+
+
+def test_compile_is_called_only_by_the_table_of_generated_functions_and_the_flow_kernels():
+    # a generator that called compile() itself would skip the table of
+    # expr._define and compile again every source it had compiled before
+    callers = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "compile":
+                callers.append(f"{module}.{owner}")
+            visit(child, module, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    assert callers == ["expr._define", "flow._kernel"]
 
 
 def test_every_export_resolves_and_is_listed():

@@ -421,6 +421,21 @@ def test_projection_edge_cases():
     assert project_to_equalities(halfline(), 0, [0.5]) == [0.5]
 
 
+def test_spaces_share_generated_functions_by_source_and_a_projection_bakes_in_its_tol():
+    cells = [[Constraint(parse("x1^2+x2^2-1", 2), Rel.EQ)]]
+    a, b, loose = SubcartesianSpace(2, cells), SubcartesianSpace(2, cells), SubcartesianSpace(2, cells, tol=1e-6)
+    for space in (a, b, loose):
+        project_to_equalities(space, 0, [0.9, 0.1])
+    assert a._projections[0] is b._projections[0]
+    assert a._projections[0] is not loose._projections[0]
+    # with no step taken, the residual 1e-7 passes the acceptance test of
+    # tol 1e-6 only
+    assert a._projections[0]([1.0 + 5e-8, 0.0], 0) is None
+    assert loose._projections[0]([1.0 + 5e-8, 0.0], 0) == [1.0 + 5e-8, 0.0]
+    # membership takes the tolerance as an argument, so one function serves all three
+    assert a._first_cell is b._first_cell is loose._first_cell
+
+
 def test_sample_ball_on_circle_stays_on_locus():
     circ = unit_circle()
     rng = random.Random(0)

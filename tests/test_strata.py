@@ -96,6 +96,23 @@ def test_frontier_check_cone_passes():
     assert ("apex", "surface") in pairs
 
 
+def test_frontier_check_tests_each_distinct_sample_for_its_owners_once(monkeypatch):
+    # the apex stratum gives its one point for all 60 of its samples; the
+    # disjointness scan tested it against both strata 60 times
+    ss = cone_stratification()
+    at_apex = []
+    contains = SubcartesianSpace.contains
+
+    def counting(self, point, tol=None):
+        at_apex.append(list(point) == [0.0, 0.0, 0.0])
+        return contains(self, point, tol)
+
+    monkeypatch.setattr(SubcartesianSpace, "contains", counting)
+    rep = frontier_check(ss, CONE_LO, CONE_HI, rng_seed=0)
+    assert rep.samples_per_stratum == {"apex": 60, "surface": 60}
+    assert sum(at_apex) == 2 and len(at_apex) == 362
+
+
 def test_frontier_check_detects_violation():
     # the x-axis touches the closure of the open right halfplane at one end
     # only, so the frontier condition fails (and the pieces overlap)
