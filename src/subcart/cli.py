@@ -547,7 +547,12 @@ def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
             return {"verdict": "FixedPoint", "basepoint": point, "rank": 0,
                     "detail": f"every field of {fam.labels()} vanishes at the point, "
                               "so its orbit is the point alone"}, EXIT_PASS
-        return {"verdict": "DependentBasis", "detail": str(exc)}, EXIT_FAIL
+        # the orbit can be larger than the pointwise span (translate_shear at
+        # (0, 0) spans rank 1 in an orbit that is the whole plane), so this is
+        # no certified failure
+        return {"verdict": "DependentBasis",
+                "detail": f"{exc}; the pointwise rank is only a lower bound on the orbit dimension, "
+                          "so the chart is inconclusive"}, EXIT_PASS
     result = {
         "verdict": "Chart",
         "basis": [fam.fields[b].label for b in chart.basis],

@@ -312,12 +312,14 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # rms(y / sk) / rms(k1 / sk), or 1e-6 when either norm is below 1e-5, at most
 # the span), yn0.. the step endpoint, s0.. the scaled errors and yd, bs, q, r
 # the dense coefficients ydiff = ynew - y, bspl = h * k1 - ydiff, r4 = ydiff -
-# h * k7 - bspl and r5 = h * sum_i D[i] * k[i].  Each component uses the
-# operations, in the order, of the whole-array numpy expression: stage sums
-# y + h * sum_j A[i][j] * k[j] start from 0.0 and keep the products with the
-# tableau's zeros, sk = atol + rtol * np.maximum(|y|, |ynew|) propagates NaN,
-# and the norms sum like ``np.mean``.  Each $name below is replaced by the
-# code of one kernel.
+# h * k7 - bspl and r5 = h * sum_i D[i] * k[i].  Only a scan and its exit read
+# the dense coefficients, so they are computed only in a kernel that tests
+# cells or stores its points; the others have no $coeffs lines.  Each
+# component uses the operations, in the order, of the whole-array numpy
+# expression: stage sums y + h * sum_j A[i][j] * k[j] start from 0.0 and keep
+# the products with the tableau's zeros, sk = atol + rtol * np.maximum(|y|,
+# |ynew|) propagates NaN, and the norms sum like ``np.mean``.  Each $name
+# below is replaced by the code of one kernel.
 #
 # A kernel computes its field's components inline at each stage, from the
 # stage state z0.. (yn0.. for the last stage), and tests the space's cells
@@ -449,10 +451,6 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     for i in ix:
         errors += [f"ya = abs(y{i})", f"yb = abs(yn{i})",
                    f"s{i} = h * ({comb('e', 7, i)}) / (atol + rtol * (ya if ya > yb or ya != ya else yb))"]
-    coeffs = []
-    for i in ix:
-        coeffs += [f"yd{i} = yn{i} - y{i}", f"bs{i} = h * k1_{i} - yd{i}",
-                   f"q{i} = yd{i} - h * k7_{i} - bs{i}", f"r{i} = h * ({comb('d', 7, i)})"]
     start = []
     for i in ix:
         start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = k1_{i} / sk{i}"]
@@ -482,8 +480,12 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     # points are the loop's bit for bit.
     grid = INTERIOR_CHECKS + 1
     n_sub = f"ceil(abs(h) / {MAX_SAMPLE_DT!r})"
+    coeffs = []
     scan = []
     if cells is not None or keep == "store":
+        for i in ix:  # the dense coefficients, which only the scan and its exit read
+            coeffs += [f"yd{i} = yn{i} - y{i}", f"bs{i} = h * k1_{i} - yd{i}",
+                       f"q{i} = yd{i} - h * k7_{i} - bs{i}", f"r{i} = h * ({comb('d', 7, i)})"]
         block = []
         for k in range(1, grid + 1):
             th = k / grid

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .expr import DomainError
+from .expr import DomainError, _define
 from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
     FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, transport_vector,
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
 MERGE_RADIUS = 1e-6  # orbit points closer than this are one point
 COMPLETENESS_TOL = 1e-6
 CHART_FD_STEP = 1e-6  # the central difference step of the chart's word map
+_UNROLLED = 6  # the largest dimension whose merge test probes its 2^n cells inline; a cap on its source size
 
 FlowWord = tuple[tuple[int, float], ...]
 
@@ -159,92 +161,98 @@ def span_dimensions(
 
 
 class _MergeIndex:
-    """The collected points of an orbit, for the merge test of ``sample_orbit``.
+    """The collected points of an orbit and the merge test of ``sample_orbit``.
 
-    A candidate merges when some collected point lies within
-    ``MERGE_RADIUS`` by the row formula of ``np.linalg.norm(buf - y,
-    axis=1)``, the square root of the pairwise sum of the squared
-    differences, and the smallest distance is not NaN.  Points sit in grid
-    cells of side 4 * MERGE_RADIUS keyed by ``floor(x / side)``.  A point
-    within the radius differs from the candidate by at most a quarter of the
-    side in every coordinate, and as long as every |x / side| is below 2^50
-    the rounding of the two quotients adds at most 1/8 of a side.  So per
-    axis the point lies in the candidate's cell or in the neighbour on the
-    side of the candidate's half of its cell, and the 2^n cells those
-    choices span hold every point within the radius.  ``locate`` computes a
-    point's cell and those lower corners once, for the merge test and for
-    adding the point.  Points beyond 2^50 go to ``far``, which every
-    candidate scans; a candidate beyond it, and one with fewer points than
-    cells to probe, scan all points.  A cell is found by the hash of its key
-    and holds a chain of point indices through ``prev``; cells whose hashes
-    collide share a chain, which only adds points to the exact test.
+    ``collect(y)`` adds y to ``points`` and returns True, unless y merges:
+    some collected point lies within ``MERGE_RADIUS`` by the row formula of
+    ``np.linalg.norm(buf - y, axis=1)``, the square root of the pairwise sum
+    of the squared differences, and the smallest distance is not NaN.
+    ``cells`` maps the tuple of ``floor(x / side)``, a grid cell of side 4 *
+    MERGE_RADIUS, to the indices of its points.  A point within the radius
+    differs from the candidate by at most a quarter of the side per axis,
+    and while every |x / side| is below 2^50 the rounding of the quotients
+    adds at most 1/8 of a side.  So per axis it lies in the candidate's cell
+    or in the neighbour on the side of the candidate's half of its cell, and
+    the 2^n cells those choices span hold every point within the radius.
+    ``collect``, generated per dimension, probes them over scalar locals and
+    where all are empty, and no point is off the grid, collects y at once.
+    Any other candidate, and each above ``_UNROLLED`` dimensions, takes the
+    exact test of ``_collect_exact``.  Points off the grid, NaN ones among
+    them, go to ``far``, which that test scans with the probed cells; a
+    candidate off the grid scans all points.
     """
 
     side = 4.0 * MERGE_RADIUS
-    # a point farther than twice the radius in its first coordinate is
-    # farther than the radius
-    far_off = 2.0 * MERGE_RADIUS
 
     def __init__(self, n: int):
-        self.n = n
-        self.x = array("d")  # n coordinates per point
-        self.last: dict[int, int] = {}  # cell hash -> its last point
-        self.prev = array("q")  # per point: the point before it in its cell, or -1
+        self.points: list[list[float]] = []
+        self.cells: dict[tuple[int, ...], list[int]] = {}
         self.far: list[int] = []
-        self.nan = False  # a collected NaN makes every smallest distance NaN
+        # collect holds the parts, not the index, so no cycle keeps them alive
+        make = _define(_merge_source(n), "<merge>", floor=math.floor)
+        self.collect: Callable[[list[float]], bool] = make(self.points, self.cells, self.far, _collect_exact)
 
-    def locate(self, y: list[float]) -> Optional[tuple[tuple[int, ...], list[int]]]:
-        """The key of y's cell and, per axis, the lower of the two cells to
-        probe; None off the grid."""
-        key = []
-        low = []
-        for v in y:
-            q = v / self.side
-            if not abs(q) < 2.0**50:
-                return None
-            k = math.floor(q)
-            key.append(k)
-            low.append(k if q - k >= 0.5 else k - 1)
-        return tuple(key), low
 
-    def add(self, y: list[float], where: Optional[tuple]) -> None:
-        """Collect y, located by ``locate``."""
-        j = len(self.prev)
-        self.x.extend(y)
-        self.nan = self.nan or any(v != v for v in y)
-        if where is None:
-            self.far.append(j)
-            self.prev.append(-1)
+def _collect_exact(points: list[list[float]], cells: dict, far: list[int], y: list[float],
+                   key: Optional[tuple[int, ...]], low: tuple[int, ...]) -> bool:
+    """``collect`` by distances, for y in the cell ``key`` (None off the
+    grid) whose cells to probe have the lower corners ``low``."""
+    if not any(v != v for j in far for v in points[j]):  # a NaN point makes every smallest distance NaN
+        if key is None:
+            near: Sequence[int] = range(len(points))
         else:
-            cell = hash(where[0])
-            self.prev.append(self.last.get(cell, -1))
-            self.last[cell] = j
-
-    def merges(self, y: list[float], where: Optional[tuple]) -> bool:
-        """Whether y, located by ``locate``, merges into a collected point."""
-        if self.nan:
-            return False
-        n, count, last, prev = self.n, len(self.prev), self.last, self.prev
-        if where is None or 1 << n > count:
-            near: Sequence[int] = range(count)
-        else:
-            near = list(self.far)
-            for c in product(*((k, k + 1) for k in where[1])):
-                j = last.get(hash(c), -1)
-                while j >= 0:
-                    near.append(j)
-                    j = prev[j]
-        far_off = self.far_off
-        x, y0 = self.x, y[0]
+            near = list(far)
+            for c in product(*((k, k + 1) for k in low)):
+                near += cells.get(c, ())
         best = math.inf
         for j in near:
-            if abs(x[j * n] - y0) > far_off:
+            p = points[j]
+            if abs(p[0] - y[0]) > 2.0 * MERGE_RADIUS:  # then farther than the radius
                 continue
-            d = math.sqrt(_pairwise_sum([(a - b) * (a - b) for a, b in zip(x[j * n : j * n + n], y)]))
-            if d != d:
-                return False
+            d = math.sqrt(_pairwise_sum([(a - b) * (a - b) for a, b in zip(p, y)]))
+            if d != d:  # the smallest distance is NaN: no merge
+                break
             best = min(best, d)
-        return best <= MERGE_RADIUS
+        else:
+            if best <= MERGE_RADIUS:
+                return False
+    if key is None:
+        far.append(len(points))
+    else:
+        cells.setdefault(key, []).append(len(points))
+    points.append(y)
+    return True
+
+
+def _merge_source(n: int) -> str:
+    """Source of ``_f(points, cells, far, exact)``, which returns the
+    ``collect`` of a ``_MergeIndex`` of dimension n over those parts."""
+    ix = range(n)
+
+    def tup(stems) -> str:  # the trailing comma makes a tuple of one name too
+        return "(" + ", ".join(f"{s}{i}" for i, s in zip(ix, stems)) + ",)"
+
+    grid = " and ".join(f"abs(q{i}) < {2.0**50!r}" for i in ix)
+    body = [f"{tup('y' * n)} = y", *(f"q{i} = y{i} / {_MergeIndex.side!r}" for i in ix),
+            f"if not ({grid}):", "    return exact(points, cells, far, y, None, ())"]
+    for i in ix:
+        body += [f"k{i} = floor(q{i})", f"l{i} = k{i} if q{i} - k{i} >= 0.5 else k{i} - 1"]
+    if n <= _UNROLLED:
+        probes = " or ".join(f"{tup(c)} in cells" for c in product("lh", repeat=n))
+        body += [*(f"h{i} = l{i} + 1" for i in ix), f"if not (far or {probes}):",
+                 f"    cells[{tup('k' * n)}] = [len(points)]", "    points.append(y)", "    return True"]
+    body.append(f"return exact(points, cells, far, y, {tup('k' * n)}, {tup('l' * n)})")
+    return ("def _f(points, cells, far, exact):\n    def collect(y):\n"
+            + "".join(f"        {line}\n" for line in body) + "    return collect\n")
+
+
+def _check_duration_scale(scale: float, what: str) -> None:
+    """Reject a scale whose duration draw ``uniform(-scale, scale)``, which
+    computes ``a + (b - a) * random()``, has a width that overflows: past
+    half the largest float every duration drawn would be inf or NaN."""
+    if not math.isfinite(2 * scale):
+        raise OrbitError(f"{what} {scale!r} must be at most {sys.float_info.max / 2!r}, half the largest "
+                         f"float: above it the width of the duration draw from [-{scale!r}, {scale!r}] overflows")
 
 
 @dataclass
@@ -279,22 +287,24 @@ def sample_orbit(
     """
     if budget < 1:
         raise OrbitError(f"budget must be at least 1, got {budget}")
+    _check_duration_scale(step_scale, "step scale")
     space = family.space
     space.require_member(x0, "seed")
     opts = options or FlowOptions()
     flows = [_flow_core(space, f, opts) for f in family.fields]
     rng = random.Random(rng_seed)
     seed = [float(v) for v in x0]
-    points: list[list[float]] = [seed]
-    words: list[FlowWord] = [()]
     index = _MergeIndex(len(seed))
-    index.add(points[0], index.locate(points[0]))
+    collect = index.collect
+    collect(seed)
+    points = index.points
+    words: list[FlowWord] = [()]
     frontier: deque[int] = deque([0])
     attempts = 0
     merged = 0
     failures = 0
     max_attempts = 40 * budget
-    fixed = family.vanishes_at(points[0])
+    fixed = family.vanishes_at(seed)
 
     while not fixed and frontier and len(points) < budget and attempts < max_attempts:
         i = frontier.popleft()
@@ -316,13 +326,10 @@ def sample_orbit(
         for y, w in candidates:
             if len(points) >= budget:
                 break
-            where = index.locate(y)
-            if index.merges(y, where):
+            if not collect(y):
                 merged += 1
                 continue
-            points.append(y)
             words.append(w)
-            index.add(y, where)
             frontier.append(len(points) - 1)
             accepted_any = True
         # a barren expansion must not starve the frontier: retry the point
@@ -510,6 +517,7 @@ def local_completeness_probe(
     else:
         if centers is None:
             raise OrbitError("randomized probing needs center points")
+        _check_duration_scale(t_scale, "t scale")
         pts: list[list[float]] = []
         for c in centers:
             pts.extend(sample(family.space, n_random, ball(rng, c, radius), BALL_TRIES))

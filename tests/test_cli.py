@@ -143,10 +143,15 @@ def test_orbit_csv_words_sidecar(tmp_path, capsys):
 
 
 def test_chart_dependent_basis_exit(capsys):
+    # the orbit through (0, 0) is the whole plane, though the fields span
+    # rank 1 there: a rank-deficient chart is inconclusive, not a failure
     code, rep, _ = run(capsys, "chart", "--scenario", scenario_path("translate_shear"),
                        "--family", "default", "--point", "0,0", "--basis", "0,1")
-    assert code == 1
+    assert code == 0
     assert rep["result"]["verdict"] == "DependentBasis"
+    assert rep["result"]["detail"] == (
+        "basis fields ['ddx', 'xddy'] span only rank 1 at [0.0, 0.0]; the pointwise rank is only "
+        "a lower bound on the orbit dimension, so the chart is inconclusive")
     code2, rep2, _ = run(capsys, "chart", "--scenario", scenario_path("translate_shear"),
                          "--family", "default", "--point", "1,0")
     assert code2 == 0
@@ -177,7 +182,7 @@ def test_chart_at_a_fixed_point_is_0_dimensional(capsys):
     assert (result["verdict"], result["rank"], result["basepoint"]) == ("FixedPoint", 0, [0, 0, 0])
     # one vanishing field of two is no fixed point: ddx moves the axis x = 0
     code, rep, _ = run(capsys, "chart", "--scenario", scenario_path("translate_shear"), "--point=0,0.5")
-    assert (code, rep["result"]["verdict"]) == (1, "DependentBasis")
+    assert (code, rep["result"]["verdict"]) == (0, "DependentBasis")
     code, rep, _ = run(capsys, "orbit", "--scenario", scenario_path("translate_shear"), "--point=0,0.5",
                        "--budget", "40")
     assert code == 0 and rep["result"]["n_points"] == 40
@@ -467,6 +472,15 @@ def test_bracket_command(capsys):
     (["chart", "--scenario", "translate_shear", "--family", "default", "--point=0,inf"],
      "--point coordinate 1 is inf"),
     (["leaf", "--scenario", "reduction_r4", "--point=1,1,-inf,0"], "--point coordinate 2 is -inf"),
+    # above half the largest float the width of the duration draw overflows:
+    # every duration was inf or NaN, the orbit ran for minutes and the probe
+    # skipped every probe and passed
+    (["orbit", "--scenario", "translate_shear", "--point=0.1,0.2", "--budget", "2", "--step-scale", "1e308"],
+     "step scale 1e+308 must be at most 8.988465674311579e+307"),
+    (["leaf", "--scenario", "reduction_r4", "--point=1,1,1,0", "--budget", "2", "--step-scale", "1e308"],
+     "step scale 1e+308 must be at most 8.988465674311579e+307"),
+    (["complete-probe", "--scenario", "translate_shear", "--n", "3", "--t-scale", "1e308"],
+     "t scale 1e+308 must be at most 8.988465674311579e+307"),
 ])
 def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     # --horizon inf and --step-scale nan used to run the stepper to max_steps
@@ -884,6 +898,21 @@ def test_library_errors_exit_2_whether_or_not_a_command_loaded_their_module(modu
     ))
     assert out == [[0, ""] if used else None, module != "builtins" and (used or module == "almostcomplex"),
                    [2, line]]
+
+
+def test_step_scale_of_half_the_largest_float_is_accepted(capsys):
+    # the largest scale whose duration draw has a finite width; on
+    # translate_shear its flows are straight or shear lines, which the
+    # stepper follows with no error, so its steps grow tenfold and reach
+    # even such durations in about 310 steps
+    half = sys.float_info.max / 2
+    t0 = time.perf_counter()
+    code, report, _ = run(capsys, "orbit", "--scenario", scenario_path("translate_shear"), "--point=0.1,0.2",
+                          "--budget", "2", "--step-scale", repr(half))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert report["result"]["n_points"] == 2
+    assert report["result"]["diagnostics"]["step_scale"] == half
 
 
 def test_orbit_from_overflowing_seed_ends_at_once(capsys):

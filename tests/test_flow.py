@@ -5,6 +5,7 @@ from __future__ import annotations
 import glob
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -751,6 +752,20 @@ def test_no_membership_scan_where_a_cell_has_no_constraints(space):
         assert ("for i in range" in _driver_source(fld.components, None, keep)) is (keep == "store")
     rot = make_field("rot", ["-x2", "x1"], 2)
     assert flow_map(space, rot, [0.3, 0.0], 2.0).tolist() == flow_map(None, rot, [0.3, 0.0], 2.0).tolist()
+
+
+def test_dense_coefficients_only_where_a_scan_or_a_store_reads_them():
+    # a kernel that tests no cell and stores nothing never bisects an exit
+    # and never reads its dense output: it has no yd, bs, q, r lines
+    fld = make_field("f", ["1 + x2", "x1 * x2 - 0.3"], 2)
+    disk = SubcartesianSpace(2, [[Constraint(parse("1 - x1^2 - x2^2", 2), Rel.GT)]])
+    assert SubcartesianSpace.whole_space(2)._scan_key is None
+    for cells, keep, dense in [(None, None, False), (None, "count", False), (None, "store", True),
+                               (disk.cells, None, True), (disk.cells, "count", True), (disk.cells, "store", True)]:
+        source = _driver_source(fld.components, cells, keep)
+        for i in range(2):
+            for stem in ("yd", "bs", "q", "r"):
+                assert bool(re.search(rf"^ +{stem}{i} = ", source, re.M)) is dense, (stem, i, cells, keep)
 
 
 def test_kernels_are_keyed_by_their_source():

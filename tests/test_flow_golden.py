@@ -135,6 +135,26 @@ def test_golden_report(capsys, tmp_path, name, argv, code, digest):
             assert _digest(text) == GOLDEN_CSV[name]
 
 
+# An orbit at the size of the benchmark's large translate_shear orbits: the
+# report, the cloud CSV and the words sidecar pin every point, word and
+# duration drawn, and so every merge answer and flow of 2,000 candidates
+ORBIT_2000 = (["orbit", "--scenario", "translate_shear", "--point=0.3,-0.4", "--budget", "2000", "--seed", "7"],
+              "9f3478595a727c64bfb67409a97c2fca777b5d08983a9b0120faecf8dc616614",
+              "6042d86bcebdfc8d23f5bb23d89b46ca31bd5a378e3469fb1e36d2811bfbc75a",
+              "d740551461abfccce4b9c6eb60f16b562b4652f78b808953e64cd167c417c2b4")
+
+
+def test_golden_orbit_cloud_at_the_bench_size(capsys, tmp_path):
+    argv, report, cloud, words = ORBIT_2000
+    csv = tmp_path / "cloud.csv"
+    assert main([scenario_path(a) if a == "translate_shear" else a for a in argv] + ["--out", str(csv)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["result"]["n_points"] == 2000
+    assert _digest(out) == report
+    assert _digest(csv.read_text(encoding="utf-8")) == cloud
+    assert _digest((tmp_path / "cloud.words.json").read_text(encoding="utf-8")) == words
+
+
 def test_spiral_disk_report_moved_only_in_its_scenario_hash(capsys, tmp_path):
     _, argv, code, _ = next(g for g in GOLDEN if g[0] == "flow-spiral_disk")
     argv = [_scenario(tmp_path, a) if a == "spiral_disk" else a for a in argv]

@@ -190,7 +190,10 @@ def test_each_command_loads_only_the_modules_it_runs(name, argv, code, added):
 # 60, 17, 14, 3 and 14, with the same reports.  Each generated source is
 # compiled once per process (``expr._define``), so equal sources within one
 # command compile once; before that kahler made 12, cr 9, frontier 11,
-# orbits 20, each classify 5 and complete-probe 8.
+# orbits 20, each classify 5 and complete-probe 8.  The merge test of an
+# orbit is generated per dimension (``orbit._merge_source``): one compile
+# for each orbit command, the two seeds of ``strata --check orbits`` on cone
+# share theirs (17 before it, with orbit 7 and leaf 12).
 _COMPILES = [
     ("acs_standard", ["acs", "--check", "kahler"], 0, 7),
     ("acs_standard", ["acs", "--check", "cr", "--f", "x1", "--h", "x3"], 0, 2),
@@ -199,7 +202,9 @@ _COMPILES = [
     ("cone", ["strata", "--check", "frontier"], 0, 6),
     # the drift fold compiles with each stratum's slack function, in one call
     ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 10),
-    ("cone", ["strata", "--check", "orbits"], 0, 17),
+    ("cone", ["strata", "--check", "orbits"], 0, 18),
+    ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 8),
+    ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 13),
     ("halfline", ["classify", "--field", "ddx"], 1, 4),
     ("circle", ["classify", "--field", "rot"], 0, 4),
     ("rotation_plane", ["complete-probe", "--family", "pair"], 0, 7),

@@ -26,7 +26,8 @@ from subcart.orbit import (
     span_dimensions,
 )
 from subcart.flow import FlowDomainError, IntegrationError, flow_map
-from subcart.orbit import MERGE_RADIUS, _MergeIndex
+from subcart import orbit
+from subcart.orbit import MERGE_RADIUS, _UNROLLED, _MergeIndex, _merge_source
 from subcart.space import SubcartesianSpace
 
 from conftest import halfline, make_field, punctured_plane, unit_circle
@@ -219,11 +220,12 @@ def test_merge_index_matches_norm_scan(lattice, exponent, offset, radius_cells, 
 
 
 def _merges(index: _MergeIndex, y: list) -> bool:
-    return index.merges(y, index.locate(y))
+    """Whether y merges into the index; y is collected where it does not."""
+    return not index.collect(y)
 
 
 def _add(index: _MergeIndex, y: list) -> None:
-    index.add(y, index.locate(y))
+    assert index.collect(y)
 
 
 def _check_merges(pts: list) -> None:
@@ -235,7 +237,6 @@ def _check_merges(pts: list) -> None:
         want = _ref_merges(buf, y)
         assert _merges(index, y.tolist()) == want
         if not want:
-            _add(index, y.tolist())
             buf = np.vstack([buf, y.reshape(1, -1)])
 
 
@@ -268,9 +269,90 @@ def test_merge_index_exact_radius_and_far_list():
     for x in [far] + [float(10 * i) for i in range(5)]:
         _add(edge, [x])
     below = math.nextafter(far, 0.0)
-    assert edge.far == [0] and edge.locate([below]) is not None
+    alone = _MergeIndex(1)  # below goes on the grid, not to the far list
+    _add(alone, [below])
+    assert alone.far == [] and alone.cells == {(math.floor(below / _MergeIndex.side),): [0]}
+    assert edge.far == [0]
     assert _merges(edge, [below]) and _ref_merges(np.array([[far]]), np.array([below]))
     assert not _merges(edge, [math.nextafter(below, 0.0)])
+    assert edge.far == [0] and (math.floor(math.nextafter(below, 0.0) / _MergeIndex.side),) in edge.cells
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """A maker of merge indices whose exact path counts its calls in ``calls``."""
+    calls = []
+
+    def exact(*args):
+        calls.append(1)
+        return orbit._collect_exact(*args)
+
+    def make(n: int) -> _MergeIndex:
+        with monkeypatch.context() as m:
+            m.setattr(orbit, "_collect_exact", exact)
+            index = _MergeIndex(n)
+        index.calls = calls
+        return index
+
+    return make
+
+
+def _feed(index: _MergeIndex, pts: list) -> list:
+    """Each point's merge answer from the index and from the norm scan over
+    the points collected before it, and whether the exact path decided it."""
+    out, buf = [], np.empty((0, len(pts[0])))
+    for p in pts:
+        calls = len(index.calls)
+        want = bool(buf.size) and _ref_merges(buf, np.array(p))
+        assert _merges(index, list(p)) == want, p
+        out.append((want, len(index.calls) > calls))
+        if not want:
+            buf = np.vstack([buf, np.array(p).reshape(1, -1)])
+    return out
+
+
+def test_merge_fast_path_and_occupied_neighbour_cells(counted):
+    r = MERGE_RADIUS
+    # (0, 0) sits in cell (0, 0) and probes the cells below it; (3r, 0) is
+    # in the same cell, past its middle, and (5r, 0) in the next one, whose
+    # probes reach back to cell (0, 0); (40r, 40r) probes only empty cells
+    index = counted(2)
+    got = _feed(index, [[0.0, 0.0], [40 * r, 40 * r], [3 * r, 0.0], [0.5 * r, 0.0], [5 * r, 0.0],
+                        [4.5 * r, 0.5 * r]])
+    assert got == [(False, False), (False, False), (False, True), (True, True), (False, True), (True, True)]
+    assert sorted(index.cells) == [(0, 0), (1, 0), (10, 10)]
+
+
+def test_merge_with_a_nan_in_the_cloud_never_merges(counted):
+    # a NaN point goes off the grid; every smallest distance is NaN after it,
+    # even where its first coordinate is far off and another point is equal
+    for nan_point in ([math.nan, 0.0], [1.0, math.nan]):
+        index = counted(2)
+        got = _feed(index, [[0.0, 0.0], nan_point, [0.0, 0.0], [0.0, 0.0], [1e-7, 0.0]])
+        assert got == [(False, False), (False, True), (False, True), (False, True), (False, True)]
+        assert index.far == [1]
+
+
+def test_merge_of_an_off_grid_candidate_scans_every_point(counted):
+    far = 2.0**51 * _MergeIndex.side
+    index = counted(2)
+    got = _feed(index, [[0.0, 0.0], [far, 0.0], [far, 0.0], [math.nextafter(far, 0.0), 0.0], [0.0, -far],
+                        [1e-7, 0.0]])
+    # a grid candidate after an off-grid point scans the far list too
+    assert got == [(False, False), (False, True), (True, True), (False, True), (False, True), (True, True)]
+    assert index.far == [1, 2, 3]
+
+
+def test_merge_above_the_unrolled_dimensions_takes_the_exact_path(counted):
+    n = _UNROLLED + 1
+    rng = random.Random(3)
+    step = MERGE_RADIUS / 2
+    pts = [[step * rng.randint(-3, 3) for _ in range(n)] for _ in range(40)]
+    index = counted(n)
+    got = _feed(index, pts)
+    assert all(exact for _, exact in got) and any(want for want, _ in got)
+    assert _merge_source(n).count(" in cells") == 0
+    assert _merge_source(_UNROLLED).count(" in cells") == 2**_UNROLLED
 
 
 def _ref_sample_orbit(family, x0, budget, step_scale, rng_seed):
