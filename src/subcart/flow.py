@@ -12,8 +12,8 @@ numpy stepper, though numpy is not imported for it.  ``integrate``,
 space: a loop generated for that field, the space's cells and use of the
 samples (stored, counted, or neither), whose stages compute the field's
 components inline and whose scan tests the cells inline.  It is called with
-the space, ``kernel(x0, target, opts, space)``, whose ``contains`` locates
-an exit.  ``transport_vector`` runs the kernel of the field's variational
+the space, ``kernel(x0, target, opts, space)``, which bisects an exit.
+``transport_vector`` runs the kernel of the field's variational
 field on R^2n, the point followed by the vector its Jacobian carries, whose
 cell tests read the point alone.
 Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
@@ -31,7 +31,8 @@ tested, and a kernel that neither tests nor stores has no scan.
 Where Python's float ``**`` overflows in the scan, the space tests the point
 again on numpy floats, importing numpy then.  On the first violation the
 exit time is located by bisection on the dense output down to 1e-12 in
-time (``BISECT_TOL``).  Domain-guard failures inside the derivative (logs,
+time (``BISECT_TOL``), in a loop generated per space from the same cell
+tests (``SubcartesianSpace._bisect``).  Domain-guard failures inside the derivative (logs,
 roots, quotients) are treated as leaving the chart: the step is retried at
 half size down to 1e-14 (``MIN_STEP``), then the curve ends.
 A starting step that is zero or not finite, a NaN error norm, an accepted
@@ -260,20 +261,19 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, space)
 
     Membership in the space is bisected on the step's dense output, given as
     per-component coefficient tuples (y, ydiff, bspl, r4, r5), between the
-    last passing fraction ``theta_in`` and the first failing ``theta_out``;
-    a point may carry more coordinates after the space's, which are not read.
-    The last point stored before the exit is the one at t + theta_in * h
+    last passing fraction ``theta_in`` and the first failing ``theta_out``,
+    by the space's generated ``_bisect``, whose fractions are those of a
+    loop of ``_dense`` and ``space.contains``; a point may carry more
+    coordinates after the space's, which are not read.  The witness names
+    the cell holding at the last passing point and the constraint failing
+    at the first failing one, and is attained where that point holds under
+    the relaxed tolerance.  The last point stored before the exit is the one at t + theta_in * h
     (the start, or the end of the step before, where ``theta_in`` is 0), so
     the point the bisection ends on is stored, or counted in ``n_samples``,
     only where its time differs from that one.
     """
     last = t + theta_in * h
-    while (theta_out - theta_in) * abs(h) > BISECT_TOL:
-        mid = 0.5 * (theta_in + theta_out)
-        if space.contains(_dense(coeffs, mid)):
-            theta_in = mid
-        else:
-            theta_out = mid
+    theta_in, theta_out = space._bisect(space, coeffs, theta_in, theta_out, h, BISECT_TOL)
     p_in = _dense(coeffs, theta_in)
     p_out = _dense(coeffs, theta_out)
     ci, ki, text = _witness_info(space, p_in, p_out)
@@ -299,9 +299,9 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
         try:
             v = _evaluate(ev, p_out)
         except DomainError:
-            return ci, ki, con.text()
+            return ci, ki, space._texts[ci][ki]
         if not con.satisfied(v, space.tol):
-            return ci, ki, con.text()
+            return ci, ki, space._texts[ci][ki]
     return ci, None, None
 
 
@@ -317,9 +317,15 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # cells or stores its points; the others have no $coeffs lines.  Each
 # component uses the operations, in the order, of the whole-array numpy
 # expression: stage sums y + h * sum_j A[i][j] * k[j] start from 0.0 and keep
-# the products with the tableau's zeros, sk = atol + rtol * np.maximum(|y|,
-# |ynew|) propagates NaN, and the norms sum like ``np.mean``.  Each $name
-# below is replaced by the code of one kernel.
+# the products with the tableau's zeros, which keeps the sign of a zero sum
+# and a NaN or inf stage, sk = atol + rtol * np.maximum(|y|, |ynew|)
+# propagates NaN, and the norms sum like ``np.mean``.  The tableau's
+# coefficients A, E and D are written into the source as float literals by
+# ``repr``, so a stage reads constants, not globals.  The step-size factors
+# are conditional expressions that give what max(0.2, 0.9 * err**-0.2) and
+# min(10.0, 0.9 * err**-0.2) give, a NaN factor included; an accepted step
+# has err <= 1, so its factor is at least 0.9 and needs no floor of 0.2.
+# Each $name below is replaced by the code of one kernel.
 #
 # A kernel computes its field's components inline at each stage, from the
 # stage state z0.. (yn0.. for the last stage), and tests the space's cells
@@ -331,7 +337,11 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # A step of at most INTERIOR_CHECKS + 1 = 4 scanned points, one of at most
 # 0.4 time units, scans them in a block of straight-line code with the
 # fractions 0.25, 0.5, 0.75, 1.0 as literals; a longer step scans its
-# points in a loop.  What $samples sets up and $scan does with the points
+# points in a loop.  The test |h| / 0.1 <= 4.0 holds exactly where
+# ceil(|h| / 0.1) <= 4, so ``ceil`` is called only for a longer step, where
+# it still raises on an inf or NaN quotient.  A scanned point that fails
+# ends the drive in ``_exit``, which bisects the exit with the space's
+# generated bisection: the dense output and the same cell tests in a loop.  What $samples sets up and $scan does with the points
 # depends on the use of the samples.  A kernel that stores them (``flow
 # --out`` and the tangency check of ``strata``) keeps each scanned point in
 # ``samples``; one that counts them (every other ``flow``) adds the points
@@ -388,7 +398,8 @@ $stages
 $errors
         err = sqrt((0.0 + $sumsq) / $n)
         if not err <= 1.0:
-            h *= max(0.2, 0.9 * err**-0.2)
+            shrink = 0.9 * err**-0.2
+            h *= shrink if shrink > 0.2 else 0.2
             if abs(h) < MIN_STEP:
                 raise IntegrationError(f"step size underflow at t={t}", t=t)
             continue
@@ -401,12 +412,9 @@ $scan
         if landing:
             return _DriveResult(target, [$y], True, samples, None, n_steps, n_samples)
         t = t + h
-        h *= max(0.2, 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2))
+        grow = 10.0 if err == 0.0 else 0.9 * err**-0.2
+        h *= grow if grow < 10.0 else 10.0
 """
-
-_TABLEAU = {f"a{i}{j}": c for i, row in enumerate(_A[1:], 2) for j, c in enumerate(row, 1)}
-_TABLEAU.update({f"e{j}": c for j, c in enumerate(_E, 1)}, **{f"d{j}": c for j, c in enumerate(_D, 1)})
-
 
 def _indent(lines: list[str], depth: int) -> str:
     return "\n".join(" " * depth + line for line in lines)
@@ -430,11 +438,11 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     def names(stem: str) -> str:  # the trailing comma makes a tuple of one name too
         return each(stem + "{i}") + ","
 
-    def comb(row: str, stages: int, i: int) -> str:
-        return "0.0" + "".join(f" + {row}{j} * k{j}_{i}" for j in range(1, stages + 1))
+    def comb(coefs: Sequence[float], i: int) -> str:
+        return "0.0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in enumerate(coefs, 1))
 
     def stage(s: int, i: int) -> str:
-        return f"y{i} + h * ({comb(f'a{s}', s - 1, i)})"
+        return f"y{i} + h * ({comb(_A[s - 1], i)})"
 
     def field(s: int, coord: str) -> list[str]:
         """Lines that set k{s}_0.. to the field at the point coord names."""
@@ -450,7 +458,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     errors = []
     for i in ix:
         errors += [f"ya = abs(y{i})", f"yb = abs(yn{i})",
-                   f"s{i} = h * ({comb('e', 7, i)}) / (atol + rtol * (ya if ya > yb or ya != ya else yb))"]
+                   f"s{i} = h * ({comb(_E, i)}) / (atol + rtol * (ya if ya > yb or ya != ya else yb))"]
     start = []
     for i in ix:
         start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = k1_{i} / sk{i}"]
@@ -479,13 +487,14 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     # i / n_sub and 1 - i / n_sub of the loop, written out by repr, so its
     # points are the loop's bit for bit.
     grid = INTERIOR_CHECKS + 1
+    short = f"abs(h) / {MAX_SAMPLE_DT!r} <= {float(grid)!r}"
     n_sub = f"ceil(abs(h) / {MAX_SAMPLE_DT!r})"
     coeffs = []
     scan = []
     if cells is not None or keep == "store":
         for i in ix:  # the dense coefficients, which only the scan and its exit read
             coeffs += [f"yd{i} = yn{i} - y{i}", f"bs{i} = h * k1_{i} - yd{i}",
-                       f"q{i} = yd{i} - h * k7_{i} - bs{i}", f"r{i} = h * ({comb('d', 7, i)})"]
+                       f"q{i} = yd{i} - h * k7_{i} - bs{i}", f"r{i} = h * ({comb(_D, i)})"]
         block = []
         for k in range(1, grid + 1):
             th = k / grid
@@ -496,12 +505,13 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
                 "theta_in = th"]
         if keep is not None:
             block.append(f"n_samples += {grid}")
-        scan = [f"n_sub = {n_sub}", f"if n_sub <= {grid}:", *("    " + line for line in block),
-                "else:", "    theta_in = 0.0", "    for i in range(1, n_sub + 1):", *(" " * 8 + line for line in loop)]
+        scan = [f"if {short}:", *("    " + line for line in block),
+                "else:", f"    n_sub = {n_sub}", "    theta_in = 0.0", "    for i in range(1, n_sub + 1):",
+                *(" " * 8 + line for line in loop)]
         if keep is not None:
             scan.append("    n_samples += n_sub")
     elif keep == "count":
-        scan = [f"n_samples += max({grid}, {n_sub})"]
+        scan = [f"n_samples += {grid} if {short} else {n_sub}"]
     samples = {None: ["samples = None", "n_samples = None"], "count": ["samples = None", "n_samples = 0"],
                "store": ["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x",
                          "n_samples = 0"]}[keep]
@@ -539,7 +549,7 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
     key = (fld._source, scan, keep)
     drive = _DRIVERS.get(key)
     if drive is None:
-        scope = dict(_COMPILE_ENV, **_TABLEAU, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
+        scope = dict(_COMPILE_ENV, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
                      ExitWitness=ExitWitness, DomainError=DomainError, _DomainError=DomainError,
                      IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf,
                      MIN_STEP=MIN_STEP)
@@ -748,6 +758,9 @@ def classify_vector_field(
     min_witness: Optional[dict] = None
     last_level_points: list[list[float]] = []
     diagnostics = {"radii": radii, "min_interval_radius": m_levels}
+    # every level probes the seeds first; their drives are the same at each
+    # level, so they run at level 0 only and are read again after that
+    seed_drives: list[tuple[_DriveResult, _DriveResult]] = []
 
     for level in range(PROBE_LEVELS):
         r = PROBE_RADIUS0 * PROBE_DECAY**level
@@ -756,12 +769,17 @@ def classify_vector_field(
         for s in seeds:
             pts.extend(sample(space, PROBE_SAMPLES, ball(rng, s, r), BALL_TRIES))
         m_here = math.inf
-        for y in pts:
-            try:
-                fwd, bwd = _drives(space, fld, y, PROBE_HORIZON, opts, None)
-            except IntegrationError as exc:
-                return VectorFieldVerdict(INCONCLUSIVE, None, probes_run,
-                                          [f"integrator failure during probing: {exc}"], diagnostics)
+        for i, y in enumerate(pts):
+            if level and i < len(seeds):
+                fwd, bwd = seed_drives[i]
+            else:
+                try:
+                    fwd, bwd = _drives(space, fld, y, PROBE_HORIZON, opts, None)
+                except IntegrationError as exc:
+                    return VectorFieldVerdict(INCONCLUSIVE, None, probes_run,
+                                              [f"integrator failure during probing: {exc}"], diagnostics)
+                if i < len(seeds):
+                    seed_drives.append((fwd, bwd))
             probes_run += 1
             if space.locally_closed:
                 for res in (bwd, fwd):

@@ -18,7 +18,9 @@ inside its own ``try`` so that a constraint undefined at the point
 first cell that holds.  ``contains``, ``member_cell``, ``cell_contains`` and
 ``closure_contains`` (strict relations relaxed) all call functions made by
 that one generator.  A flow kernel, which is handed the space, tests its
-cells with the same lines inline and calls ``contains`` to locate an exit.
+cells with the same lines inline, and locates an exit with the space's
+bisection, a loop over a step's dense output and the same lines, generated
+on the space's first exit.
 ``slack`` is emitted the same way on its first use, in one ``compile()``
 with the drift fold, a loop of the same slack lines over the points of a
 stored curve's packed buffer, with which the strongly-stratified check of
@@ -164,6 +166,35 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
     return src
 
 
+def _compile_bisection(cells: Sequence[Cell], n: int) -> Callable:
+    """Generate ``f(space, coeffs, lo, hi, h, limit)``, the bisection by
+    which a flow locates its exit from the space with these cells.
+
+    ``coeffs`` holds one tuple (y, ydiff, bspl, r4, r5) of a step's dense
+    output per component, of which the first n, the space's coordinates,
+    are read; ``lo`` is a fraction of the step whose point holds, ``hi``
+    one whose point fails.  While ``(hi - lo) * |h|`` exceeds ``limit`` the
+    point at the midpoint fraction is computed by ``flow._dense``'s formula
+    and tested by the lines of ``_cells_test`` under ``space.tol``, and
+    replaces the end of the same verdict; where Python's float ``**``
+    overflows, ``space.contains`` tests the point again on numpy floats.
+    Returns the last ``lo`` and ``hi``, which are those of a loop of
+    ``_dense`` and ``space.contains``.
+    """
+    ks = range(n)
+    point = ", ".join(f"p{k}" for k in ks)
+    src = ["def _f(_space, _coeffs, _lo, _hi, _h, _limit):",
+           "    " + ", ".join(f"(y{k}, yd{k}, bs{k}, q{k}, r{k})" for k in ks) + f", = _coeffs[:{n}]",
+           "    _tol = _space.tol", "    _span = abs(_h)", "    while (_hi - _lo) * _span > _limit:",
+           "        _mid = 0.5 * (_lo + _hi)", "        _u = 1.0 - _mid",
+           *(f"        p{k} = y{k} + _mid * (yd{k} + _u * (bs{k} + _mid * (q{k} + _u * r{k})))" for k in ks),
+           "        try:", "            _c = None", *_cells_test(cells, "p{}", " " * 12),
+           "        except OverflowError:", f"            _c = 0 if _space.contains([{point}]) else None",
+           "        if _c is None:", "            _hi = _mid", "        else:", "            _lo = _mid",
+           "    return _lo, _hi"]
+    return _build(src, "<bisection>")
+
+
 def _build(src: list[str], name: str) -> Callable:
     return _define("\n".join(src) + "\n", name, _DomainError=DomainError, _solve=_solve, _evaluate=_evaluate)
 
@@ -273,10 +304,21 @@ class SubcartesianSpace:
         return "\n".join(_cells_test(self.cells, "_x[{}]", ""))
 
     @functools.cached_property
+    def _bisect(self) -> Callable:
+        """The exit bisection of ``_compile_bisection``, generated on the first
+        exit of a flow on the space."""
+        return _compile_bisection(self.cells, self.ambient_dim)
+
+    @functools.cached_property
     def _evals(self) -> list[list[Callable[[Sequence[float]], float]]]:
         """One compiled callable per constraint, for the constraint named by an
         exit witness; compiled on first use, since membership does not need them."""
         return [[compile_scalar(c.expr) for c in cell] for cell in self.cells]
+
+    @functools.cached_property
+    def _texts(self) -> list[list[str]]:
+        """The text of each constraint, for the constraint named by an exit witness."""
+        return [[c.text() for c in cell] for cell in self.cells]
 
     def cell_contains(self, cell_index: int, point: Sequence[float]) -> bool:
         test = self._cell_tests[cell_index]

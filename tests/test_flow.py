@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import hashlib
 import math
 import random
 import re
@@ -526,12 +527,7 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
             h *= max(0.2, grow)
             continue
-        while (theta_out - theta_in) * abs(h) > BISECT_TOL:
-            mid = 0.5 * (theta_in + theta_out)
-            if member(_dense(coeffs, mid)):
-                theta_in = mid
-            else:
-                theta_out = mid
+        theta_in, theta_out = _ref_bisect(coeffs, theta_in, theta_out, h, member)
         p_in = _dense(coeffs, theta_in)
         p_out = _dense(coeffs, theta_out)
         attained = bool(member_relaxed(p_out)) if member_relaxed is not None else False
@@ -543,6 +539,17 @@ def _ref_drive(f, x0, target, opts, member, member_relaxed, witness_info):
             sample_t.append(t_end)
             sample_x.extend(p_in)
         return _DriveResult(t_end, p_in, False, samples, witness, n_steps, len(sample_t) - 1)
+
+
+def _ref_bisect(coeffs, theta_in, theta_out, h, member):
+    """The exit bisection as a loop of ``_dense`` and the predicate ``member``."""
+    while (theta_out - theta_in) * abs(h) > BISECT_TOL:
+        mid = 0.5 * (theta_in + theta_out)
+        if member(_dense(coeffs, mid)):
+            theta_in = mid
+        else:
+            theta_out = mid
+    return theta_in, theta_out
 
 
 def _hexes(xs) -> list[str]:
@@ -879,3 +886,114 @@ def test_nan_error_norm_rejects_the_step():
     rot = make_field("rot", ["0 - x2", "x1"], 2)
     with pytest.raises(IntegrationError, match="step size underflow"):
         flow_map(None, rot, [1e308, 1e308], 1.0)
+
+
+def _cells_space(n: int, cells) -> SubcartesianSpace:
+    return SubcartesianSpace(n, [[Constraint(parse(e, n), rel) for e, rel in cell] for cell in cells])
+
+
+def _dense_step(rng: random.Random, centre, locus: bool, extra: int) -> list[tuple[float, ...]]:
+    """Dense coefficients (y, ydiff, bspl, r4, r5) of a random step about
+    ``centre``, one tuple a coordinate and ``extra`` more after them.  A step
+    on the locus runs along the ray through the centre, s * centre, from s in
+    (0, 1] with the rate ds in (-2, 0.5), bent off it by r5 terms of 1e-12 to
+    1e-8: it stays on a cone through the origin, or on a coordinate plane
+    where the centre has a zero, to within those terms."""
+    if locus:
+        s, ds = rng.uniform(0.0, 1.0), rng.uniform(-2.0, 0.5)
+        bend = 10.0 ** rng.uniform(-12.0, -8.0)
+        step = [(s * c, ds * c, 0.0, 0.0, bend * rng.uniform(-1.0, 1.0)) for c in centre]
+    else:
+        step = [(c + rng.uniform(-0.5, 0.5),) + tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for c in centre]
+    return step + [tuple(rng.uniform(-3.0, 3.0) for _ in range(5)) for _ in range(extra)]
+
+
+# (space, centres of its random steps, coordinates after the space's): disk
+# and axis of disk_line; the equality cell of the cone; a cell whose
+# (1e200 x1)^2 overflows on Python floats beside x1 <= 1; a log undefined for
+# x1 <= 0 beside x2 >= 0; disk_line again under a variational state of 2n
+BISECTION_CASES = {
+    "disk_line": (lambda: load_scenario(scenario_path("disk_line")).space, [(0.9, 1.0), (0.5, 0.0)], 0),
+    "cone": (lambda: load_scenario(scenario_path("cone")).space, [(0.6, 0.8, 1.0)], 0),
+    "overflow": (lambda: _cells_space(2, [[("1 - (1e200*x1)^2", Rel.GE)], [("x1 - 1", Rel.LE)]]),
+                 [(1.0, 0.3), (1e-100, 0.0)], 0),
+    "log": (lambda: _cells_space(2, [[("log(x1) + 1", Rel.GE)], [("x2", Rel.GE)]]), [(0.2, 0.1), (0.0, 0.0)], 0),
+    "variational": (lambda: load_scenario(scenario_path("disk_line")).space, [(0.9, 1.0), (0.5, 0.0)], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BISECTION_CASES))
+def test_generated_bisection_matches_the_dense_and_contains_loop(monkeypatch, case):
+    make, centres, extra = BISECTION_CASES[case]
+    space = make()
+    n = space.ambient_dim
+    contains = space.contains
+    tested, retried = [], []
+
+    def member(p):
+        tested.append((p[:n], contains(p)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(space, "contains", lambda p, **kwargs: retried.append(p) or contains(p, **kwargs))
+    rng = random.Random(11)
+    for k in range(300):
+        coeffs = _dense_step(rng, centres[k % len(centres)], k % 3 == 0, extra)
+        h = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 0.3)
+        lo, hi = (0.0, 1.0) if k % 2 else sorted((rng.random(), rng.random()))
+        want = _ref_bisect(coeffs, lo, hi, h, member)
+        assert _hexes(space._bisect(space, coeffs, lo, hi, h, BISECT_TOL)) == _hexes(want), (k, coeffs, h, lo, hi)
+    # both verdicts were bisected, and the rare paths were taken
+    assert {held for _, held in tested} == {True, False}
+    if case == "overflow":
+        assert retried and all(len(p) == n and type(v) is float for p in retried for v in p)
+        assert any(p[0] > 1e-40 and held for p, held in tested)  # the numpy floats decided it
+    else:
+        assert not retried
+    if case == "log":  # the log cell is undefined, and the second cell decides
+        assert {held for p, held in tested if p[0] <= 0.0} == {True, False}
+    if case in ("disk_line", "cone"):  # the equality cell held along a step on its locus
+        eq = space.cells.index(next(cell for cell in space.cells if any(c.rel is Rel.EQ for c in cell)))
+        assert any(held and space.member_cell(p) == eq for p, held in tested)
+
+
+def test_no_kernel_source_names_a_tableau_global():
+    # the tableau's coefficients are float literals in the source
+    import ast
+
+    tableau = ({f"a{i}{j}" for i in range(2, 8) for j in range(1, i)}
+               | {f"{stem}{j}" for stem in "ed" for j in range(1, 8)})
+    sc = load_scenario(scenario_path("cone"))
+    for fld in sc.fields.values():
+        for keep in (None, "count", "store"):
+            source = _driver_source(fld.components, sc.space.cells, keep)
+            names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+            assert not names & tableau, (fld.label, keep)
+            assert repr(_A[6][2]) in source and repr(_E[4]) in source and repr(_D[6]) in source
+
+
+@pytest.mark.parametrize("name,field,seeds,code,digest", [
+    ("disk_line", "ddx", "default", 1, "9b78783aa89dc50282119064151efe2d0427db8db12c899dc081a742616c1380"),
+    ("halfline", "xddx", "default", 0, "36aae7c4e8a1a54080c09316829eef41115c32f504728e2b8040f0d52574f015"),
+    ("rotation_plane", "rot", "ring", 0, "82abf6210388076f6915ef6caf2e2ce4daa2f876854f14ea50c63200745e3091"),
+])
+def test_classify_drives_each_seed_once(monkeypatch, capsys, name, field, seeds, code, digest):
+    # every level probes the seeds and its samples; a seed is driven at the
+    # first level only, and the report is the one of driving it at each
+    from subcart import flow
+    from subcart.cli import main
+
+    drives, drawn = [], []
+    real_drives, real_sample = flow._drives, flow.sample
+    monkeypatch.setattr(flow, "_drives", lambda *a: drives.append(a[2]) or real_drives(*a))
+
+    def counted(*args):
+        drawn.append(real_sample(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(flow, "sample", counted)
+    argv = ["classify", "--scenario", scenario_path(name), "--field", field, "--seeds", seeds]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    n_seeds = len(load_scenario(scenario_path(name)).seeds[seeds])
+    assert len(drives) == sum(map(len, drawn)) + n_seeds

@@ -205,7 +205,7 @@ _COMPILES = [
     ("cone", ["strata", "--check", "orbits"], 0, 18),
     ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 8),
     ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 13),
-    ("halfline", ["classify", "--field", "ddx"], 1, 4),
+    ("halfline", ["classify", "--field", "ddx"], 1, 5),
     ("circle", ["classify", "--field", "rot"], 0, 4),
     ("rotation_plane", ["complete-probe", "--family", "pair"], 0, 7),
 ]
