@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .field import TangentField
 from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
-from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _evaluate, _sum_sq, ball, sample
+from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _evaluate, ball, sample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -700,15 +700,13 @@ PROBE_HORIZON = 1.0
 # The verdict on the levels' minimum interval radii: the last below
 # ABS_FRACTION of the horizon and FAIL_RATIO of the largest fails (a level's
 # minimum is set by the sample nearest the edge, so the first is no
-# reference); every one at least ABS_FRACTION of the horizon, the last at
-# least PASS_RATIO of the largest and distance ratios of the sampled flow at
-# least INJECTIVITY_FLOOR pass.  The floor keeps 1e-9 at every level, as on
-# a half line given as two cells, which is not shown locally closed, from
-# passing.
+# reference); every one at least ABS_FRACTION of the horizon and the last
+# at least PASS_RATIO of the largest pass.  The absolute floor keeps radii of
+# 1e-9 at every level, as on a half line given as two cells, which is not
+# shown locally closed, from passing.
 FAIL_RATIO = 0.3
 PASS_RATIO = 0.5
 ABS_FRACTION = 0.1
-INJECTIVITY_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -741,9 +739,9 @@ def classify_vector_field(
     endpoint is attained inside the set at probe-commensurate times settles
     the question immediately.  The direct probe measures the minimal
     interval radius over shrinking sampled neighborhoods of the seeds: radii
-    bounded away from zero at every level (with sampled injectivity) support
-    a probabilistic positive, radii collapsing toward zero certify a
-    negative, anything in between is inconclusive.
+    bounded away from zero at every level support a probabilistic positive,
+    radii collapsing toward zero certify a negative, anything in between is
+    inconclusive.
     """
     opts = options or FlowOptions()
     rng = random.Random(probe.rng_seed)
@@ -756,7 +754,6 @@ def classify_vector_field(
     m_levels: list[float] = []
     radii: list[float] = []
     min_witness: Optional[dict] = None
-    last_level_points: list[list[float]] = []
     diagnostics = {"radii": radii, "min_interval_radius": m_levels}
     # every level probes the seeds first; their drives are the same at each
     # level, so they run at level 0 only and are read again after that
@@ -802,42 +799,14 @@ def classify_vector_field(
                         "level_radius": r,
                     }
         m_levels.append(m_here if math.isfinite(m_here) else PROBE_HORIZON)
-        if level == PROBE_LEVELS - 1:
-            last_level_points = pts
 
     m_top, m_last = max(m_levels), m_levels[-1]
     if m_last <= ABS_FRACTION * PROBE_HORIZON and m_last <= FAIL_RATIO * max(m_top, 1e-300):
         return VectorFieldVerdict(NOT_VECTOR_FIELD, min_witness, probes_run,
                                   ["no uniform flow time: interval radii collapse under refinement"], diagnostics)
 
-    # Injectivity of the sampled time-eps flow at the finest level; the
-    # points are members, and distances are roots of in-order sums of squares.
-    t_eps = 0.5 * min(m_last, PROBE_HORIZON)
-    inj = math.inf
-    if t_eps > 0 and len(last_level_points) >= 2:
-        core = _flow_core(space, fld, opts)
-        images = []
-        for y in last_level_points:
-            try:
-                images.append((y, core(y, t_eps)))
-                probes_run += 1
-            except (FlowDomainError, IntegrationError):
-                images.append((y, None))
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                yi, zi = images[i]
-                yj, zj = images[j]
-                if zi is None or zj is None:
-                    continue
-                d0 = math.sqrt(_sum_sq(a - b for a, b in zip(yi, yj)))
-                if d0 < 1e-12:
-                    continue
-                inj = min(inj, math.sqrt(_sum_sq(a - b for a, b in zip(zi, zj))) / d0)
-    diagnostics["injectivity_min_ratio"] = None if math.isinf(inj) else inj
-
-    if (min(m_levels) >= ABS_FRACTION * PROBE_HORIZON and m_last >= PASS_RATIO * m_top
-            and (math.isinf(inj) or inj >= INJECTIVITY_FLOOR)):
-        notes = ["uniform flow time with sampled injectivity; positive answers are probabilistic"]
+    if min(m_levels) >= ABS_FRACTION * PROBE_HORIZON and m_last >= PASS_RATIO * m_top:
+        notes = ["uniform flow time; positive answers are probabilistic"]
         return VectorFieldVerdict(VECTOR_FIELD, None, probes_run, notes, diagnostics)
     notes = ["refinement exhausted without a certificate either way"]
     return VectorFieldVerdict(INCONCLUSIVE, None, probes_run, notes, diagnostics)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import json
 import math
 import random
 import re
@@ -28,7 +29,8 @@ from subcart.cli import load_scenario
 from subcart.expr import DomainError, parse
 from subcart.field import TangentField
 from subcart.flow import (
-    _A, _D, _E, _DRIVERS, ATTAINED_FACTOR, BISECT_TOL, INTERIOR_CHECKS, MAX_SAMPLE_DT, MIN_STEP, ExitWitness,
+    _A, _D, _E, _DRIVERS, ATTAINED_FACTOR, BISECT_TOL, INTERIOR_CHECKS, MAX_SAMPLE_DT, MIN_STEP, PROBE_LEVELS,
+    ExitWitness,
     _DriveResult, _Samples, _dense, _driver_source, _kernel, _pairwise_sum, _witness_info,
 )
 from subcart.space import BALL_TRIES, Constraint, Rel, SubcartesianSpace, ball, sample
@@ -848,8 +850,7 @@ def test_second_cli_run_compiles_no_kernel(capsys):
 
 
 def test_classify_compiles_one_kernel(monkeypatch, capsys):
-    # the probes and the injectivity flows run the same kernel, which
-    # keeps nothing
+    # every probe runs the kernel that keeps nothing
     from subcart import flow
     from subcart.cli import main
 
@@ -973,8 +974,8 @@ def test_no_kernel_source_names_a_tableau_global():
 
 @pytest.mark.parametrize("name,field,seeds,code,digest", [
     ("disk_line", "ddx", "default", 1, "9b78783aa89dc50282119064151efe2d0427db8db12c899dc081a742616c1380"),
-    ("halfline", "xddx", "default", 0, "36aae7c4e8a1a54080c09316829eef41115c32f504728e2b8040f0d52574f015"),
-    ("rotation_plane", "rot", "ring", 0, "82abf6210388076f6915ef6caf2e2ce4daa2f876854f14ea50c63200745e3091"),
+    ("halfline", "xddx", "default", 0, "5ef38ad5f72ff585c5762b1747bdd2ae809583565e4e3c256c3d22f1483c15ed"),
+    ("rotation_plane", "rot", "ring", 0, "7e577b21848ed16a21af26ed5fe80a9b6fb76a5e801315c24139895cf8e18150"),
 ])
 def test_classify_drives_each_seed_once(monkeypatch, capsys, name, field, seeds, code, digest):
     # every level probes the seeds and its samples; a seed is driven at the
@@ -997,3 +998,20 @@ def test_classify_drives_each_seed_once(monkeypatch, capsys, name, field, seeds,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     n_seeds = len(load_scenario(scenario_path(name)).seeds[seeds])
     assert len(drives) == sum(map(len, drawn)) + n_seeds
+    assert json.loads(out)["result"]["probes_run"] == sum(map(len, drawn)) + PROBE_LEVELS * n_seeds
+
+
+def test_a_field_and_its_negative_get_the_same_answer(tmp_path, capsys):
+    # X and -X have the same local flows up to the sign of time, so one is
+    # a vector field exactly where the other is; a sampled-injectivity floor
+    # once answered Inconclusive for the contracting -20*x
+    from subcart.cli import main
+
+    doc = json.loads(open(scenario_path("halfline"), encoding="utf-8").read())
+    doc["fields"].update(shrink=["-20*x"], grow=["20*x"])
+    path = tmp_path / "halfline.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for field in ("shrink", "grow"):
+        for seed in range(3):
+            assert main(["classify", "--scenario", str(path), "--field", field, "--seed", str(seed)]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["classification"] == "VectorField"
