@@ -479,14 +479,24 @@ class CompletenessReport:
 
 def _span_residual(matrix: np.ndarray, w: list[float]) -> float:
     """Distance from w to the column span of matrix, inf or NaN where the
-    arithmetic overflows, which numpy then does not warn of."""
+    arithmetic overflows, which numpy then does not warn of.
+
+    A column whose largest magnitude exceeds 1 is divided by it first, which
+    leaves the span as it is.  ``lstsq`` counts a singular value as zero
+    below ``eps * max(m, n)`` times the largest, so a unit column beside one
+    of norm 4e15 would count as zero; scaled, a column counts as zero only
+    where it is that small both beside the others and beside 1, as a field
+    value of 3e-16 is at a point the flow put at the origin up to rounding.
+    A column with a NaN or an inf makes the residual NaN.
+    """
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.any(matrix):
             return float(np.linalg.norm(w))
-        coef, *_ = np.linalg.lstsq(matrix, w, rcond=None)
-        return float(np.linalg.norm(w - matrix @ coef))
+        cols = matrix / np.maximum(np.max(np.abs(matrix), axis=0), 1.0)
+        coef, *_ = np.linalg.lstsq(cols, w, rcond=None)
+        return float(np.linalg.norm(w - cols @ coef))
 
 
 def local_completeness_probe(

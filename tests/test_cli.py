@@ -537,15 +537,19 @@ def test_overflow_exits_2_naming_it(tmp_path, capsys, constraint, field, argv, s
      "error: field 'q' overflows at [10.024663042518142, -0.03030536112675712]\n"),
     ({"p": ["log(x1 - 10)", "0"]}, [10.0, 0.0], ["--n", "3", "--radius", "0.5"],
      "error: field 'p' is undefined at [9.920571580830845, -0.24108324970703665]\n"),
-    # the family is finite at the image, but the span residual overflows; it
-    # used to print numpy's overflow warning and fail on writing inf
-    ({"ddx": ["1", "0"], "q": ["x1^308", "0"]}, [9.5, 0.0], ["--n", "6", "--radius", "0.3", "--seed", "0"],
-     "error: the span residual of field 'q' carried along 'ddx' from [9.670279153420864, -0.11801236435264352]"
-     " is not finite at the image [9.538622824328431, -0.11801236435264352]\n"),
+    # the family is finite at the image, but the span residual overflows: q
+    # turns from (0, 1, 9.33) x1^300 to (0, 1, 8.82) x1^300 along ddx, so the
+    # carried q lies about 1e291 off the span, whose norm overflows; it used
+    # to print numpy's overflow warning and fail on writing inf
+    ({"ddx": ["1", "0", "0"], "q": ["0", "x1^300", "x1^301"]}, [9.5, 0.0, 0.0],
+     ["--n", "6", "--radius", "0.3", "--seed", "1"],
+     "error: the span residual of field 'q' carried along 'ddx' from [9.33301499976382, -0.03726744380965676, "
+     "-0.0025126551708896105] is not finite at the image [8.818494946849956, -0.03726744380965676, "
+     "-0.0025126551708896105]\n"),
 ], ids=["overflow-at-probe", "overflow-at-image", "undefined-at-probe", "overflow-in-residual"])
 def test_complete_probe_names_the_field_and_point_it_cannot_evaluate(tmp_path, capsys, fields, seed, argv, says):
     path = tmp_path / "family.json"
-    path.write_text(json.dumps({"name": "family", "space": {"ambient_dim": 2, "cells": [[]]},
+    path.write_text(json.dumps({"name": "family", "space": {"ambient_dim": len(seed), "cells": [[]]},
                                 "fields": fields, "seeds": {"default": [seed]}}))
     code, report, err = run(capsys, "complete-probe", "--scenario", str(path), *argv)
     assert (code, report, err) == (2, {}, says)
@@ -913,6 +917,17 @@ def test_step_scale_of_half_the_largest_float_is_accepted(capsys):
     assert code == 0
     assert report["result"]["n_points"] == 2
     assert report["result"]["diagnostics"]["step_scale"] == half
+
+
+@pytest.mark.parametrize("scale", ["1e16", "1e17", "8.988465674311579e+307"])
+def test_complete_probe_far_along_a_translation_passes(capsys, scale):
+    # a probe carried to x = -4.4e15 sees ddx = (1, 0) beside xddy = (0, x),
+    # which span the plane; unscaled, lstsq's cutoff dropped the unit column
+    # beside the one of norm 4.4e15 and reported a residual of 1, exit 1
+    code, report, _ = run(capsys, "complete-probe", "--scenario", scenario_path("translate_shear"), "--n", "3",
+                          "--t-scale", scale)
+    assert code == 0
+    assert report["result"]["passed"] and report["result"]["max_residual"] == 0.0
 
 
 def test_orbit_from_overflowing_seed_ends_at_once(capsys):

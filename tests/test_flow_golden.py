@@ -62,7 +62,7 @@ GOLDEN = [
      0, "4a65b9c6f433eebcac45200e4634e6ef0d1bce736016bc0e4dc29b98ede75aa2"),
     ("complete-probe", ["complete-probe", "--scenario", "rotation_plane", "--family", "pair",
                         "--seeds", "ring", "--n", "6", "--seed", "2"],
-     0, "287a11fb2b3928510da58ea62dec2b73182917d9f991c05bd97d1b880f869a3b"),
+     0, "e6500e555b2e845b84621598a8e6a881f17da85f2ab555f1c5e4335be19954d9"),
     ("strata-tangency-rot", ["strata", "--check", "tangency", "--scenario", "cone", "--field", "rot",
                              "--horizon", "0.3", "--seed", "4"],
      0, "f3cc6724560ee8eed5a4c24e6f90b8c836a6b8ab4e413874bddf6b6a5a130a25"),
