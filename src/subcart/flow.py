@@ -13,9 +13,9 @@ space: a loop generated for that field, the space's cells and use of the
 samples (stored, counted, or neither), whose stages compute the field's
 components inline and whose scan tests the cells inline.  It is called with
 the space, ``kernel(x0, target, opts, space)``, which bisects an exit.
-``transport_vector`` runs the kernel of the field's variational
-field on R^2n, the point followed by the vector its Jacobian carries, whose
-cell tests read the point alone.
+``transport_vector`` runs the kernel of the field's variational field on
+R^2n, the point followed by the vector its Jacobian carries, whose cell
+tests read the point alone.
 Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
 and kept for the process in one table keyed by the source they are made
 of, so a field or space built anew with the same content finds its kernel.
@@ -32,9 +32,10 @@ Where Python's float ``**`` overflows in the scan, the space tests the point
 again on numpy floats, importing numpy then.  On the first violation the
 exit time is located by bisection on the dense output down to 1e-12 in
 time (``BISECT_TOL``), in a loop generated per space from the same cell
-tests (``SubcartesianSpace._bisect``).  Domain-guard failures inside the derivative (logs,
-roots, quotients) are treated as leaving the chart: the step is retried at
-half size down to 1e-14 (``MIN_STEP``), then the curve ends.
+tests (``SubcartesianSpace._bisect``).  Domain-guard failures inside the
+derivative (logs, roots, quotients) are treated as leaving the chart: the
+step is retried at half size down to 1e-14 (``MIN_STEP``), then the curve
+ends.
 A starting step that is zero or not finite, a NaN error norm, an accepted
 step too short to advance t and a field whose value overflows (Python's
 float ``**`` raises there) are failures of the stepper itself.
@@ -267,10 +268,10 @@ def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, space)
     coordinates after the space's, which are not read.  The witness names
     the cell holding at the last passing point and the constraint failing
     at the first failing one, and is attained where that point holds under
-    the relaxed tolerance.  The last point stored before the exit is the one at t + theta_in * h
-    (the start, or the end of the step before, where ``theta_in`` is 0), so
-    the point the bisection ends on is stored, or counted in ``n_samples``,
-    only where its time differs from that one.
+    the relaxed tolerance.  The last point stored before the exit is the
+    one at t + theta_in * h (the start, or the end of the step before, where
+    ``theta_in`` is 0), so the point the bisection ends on is stored, or
+    counted in ``n_samples``, only where its time differs from that one.
     """
     last = t + theta_in * h
     theta_in, theta_out = space._bisect(space, coeffs, theta_in, theta_out, h, BISECT_TOL)
@@ -341,10 +342,11 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # ceil(|h| / 0.1) <= 4, so ``ceil`` is called only for a longer step, where
 # it still raises on an inf or NaN quotient.  A scanned point that fails
 # ends the drive in ``_exit``, which bisects the exit with the space's
-# generated bisection: the dense output and the same cell tests in a loop.  What $samples sets up and $scan does with the points
-# depends on the use of the samples.  A kernel that stores them (``flow
-# --out`` and the tangency check of ``strata``) keeps each scanned point in
-# ``samples``; one that counts them (every other ``flow``) adds the points
+# generated bisection: the dense output and the same cell tests in a loop.
+# What $samples sets up and $scan does with the points depends on the use
+# of the samples.  A kernel that stores them (``flow --out`` and the
+# tangency check of ``strata``) keeps each scanned point in ``samples``;
+# one that counts them (every other ``flow``) adds the points
 # of each passed step to ``n_samples``, and with no cell to test it has no
 # scan, only that sum; one that does neither (``flow_map``,
 # ``transport_vector`` and the classifier's probes) leaves both None, and
