@@ -819,7 +819,7 @@ _COMMANDS = {
     "orbit": ("sample the orbit of a family", cmd_orbit, (
         ("--family", {"default": "default"}),
         ("--point", {"required": True}),
-        ("--budget", {"type": int, "default": 400}),
+        ("--budget", {"type": _positive_int, "default": 400}),
         ("--step-scale", {"type": _positive_float, "default": 0.3}),
     )),
     "chart": ("chart differential with rank certificate", cmd_chart, (
@@ -839,7 +839,7 @@ _COMMANDS = {
         ("--field", {"default": None, "help": "field for --check tangency"}),
         ("--family", {"default": "default"}),
         ("--seeds", {"default": "default"}),
-        ("--budget", {"type": int, "default": 400}),
+        ("--budget", {"type": _positive_int, "default": 400}),
         ("--horizon", {"type": _positive_float, "default": 0.5}),
     )),
     "poisson": ("bivector antisymmetry and Jacobi check", cmd_poisson, (
@@ -850,7 +850,7 @@ _COMMANDS = {
     "reduce": ("invariant-based reduction", cmd_reduce, ()),
     "leaf": ("Hamiltonian orbit with Casimir drift", cmd_leaf, (
         ("--point", {"required": True}),
-        ("--budget", {"type": int, "default": 500}),
+        ("--budget", {"type": _positive_int, "default": 500}),
         ("--step-scale", {"type": _positive_float, "default": 0.3}),
     )),
     "acs": ("almost complex structure checks", cmd_acs, (

@@ -41,34 +41,17 @@ _UNARY_NAMES = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 
 class Expr:
-    """Immutable expression node. Subclasses define structure via ``key()``.
+    """Immutable expression node; nodes compare and hash by identity.
 
     ``_mask`` has bit i set when the node uses x{i+1}; it is set at
     construction.  ``_diffs`` maps a variable index to the node's derivative
     and lives as long as the node.
     """
 
-    __slots__ = ("_hash", "_mask", "_diffs", "_compiled")
+    __slots__ = ("_mask", "_diffs", "_compiled")
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
-
-    def key(self) -> tuple:
-        raise NotImplementedError
-
-    def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self.key())
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self.key() == other.key()
 
     @property
     def is_zero(self) -> bool:
@@ -92,9 +75,6 @@ class Const(Expr):
         object.__setattr__(self, "value", float(value))
         object.__setattr__(self, "_mask", 0)
 
-    def key(self):
-        return ("const", self.value)
-
 
 class Var(Expr):
     __slots__ = ("index",)
@@ -105,36 +85,26 @@ class Var(Expr):
         object.__setattr__(self, "index", int(index))
         object.__setattr__(self, "_mask", 1 << self.index)
 
-    def key(self):
-        return ("var", self.index)
-
 
 class _Binary(Expr):
     __slots__ = ("left", "right")
-    _tag = ""
 
     def __init__(self, left: Expr, right: Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_mask", left._mask | right._mask)
 
-    def key(self):
-        return (self._tag, self.left.key(), self.right.key())
-
 
 class Add(_Binary):
     __slots__ = ()
-    _tag = "+"
 
 
 class Mul(_Binary):
     __slots__ = ()
-    _tag = "*"
 
 
 class Div(_Binary):
     __slots__ = ()
-    _tag = "/"
 
 
 class Pow(Expr):
@@ -145,9 +115,6 @@ class Pow(Expr):
         object.__setattr__(self, "exponent", int(exponent))
         object.__setattr__(self, "_mask", base._mask)
 
-    def key(self):
-        return ("^", self.base.key(), self.exponent)
-
 
 class Neg(Expr):
     __slots__ = ("operand",)
@@ -155,9 +122,6 @@ class Neg(Expr):
     def __init__(self, operand: Expr):
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "_mask", operand._mask)
-
-    def key(self):
-        return ("neg", self.operand.key())
 
 
 class Fn(Expr):
@@ -171,9 +135,6 @@ class Fn(Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "_mask", operand._mask)
-
-    def key(self):
-        return (self.name, self.operand.key())
 
 
 class Cut(Expr):
@@ -193,9 +154,6 @@ class Cut(Expr):
         object.__setattr__(self, "shift", int(shift))
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "_mask", operand._mask)
-
-    def key(self):
-        return ("cutexp", self.shift, self.operand.key())
 
 
 ZERO = Const(0.0)
@@ -378,7 +336,6 @@ def _depth(e: Expr) -> int:
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.items: list[tuple[str, str, int]] = []
         self._scan()
         self.cursor = 0
@@ -535,17 +492,12 @@ def parse(text: str, n_vars: int, aliases: Optional[Sequence[str]] = None) -> Ex
 
 # Printing --------------------------------------------------------------------
 
-def _const_text(v: float) -> str:
-    out = repr(v)
-    return out
-
-
 def _print(e: Expr) -> tuple[str, int]:
     """Return (text, level) with level 0 atom, 1 power, 2 product, 3 sum, 4 negation."""
     if isinstance(e, Const):
         if e.value < 0.0:
-            return "-" + _const_text(-e.value), 4
-        return _const_text(e.value), 0
+            return "-" + repr(-e.value), 4
+        return repr(e.value), 0
     if isinstance(e, Var):
         return f"x{e.index + 1}", 0
     if isinstance(e, Fn):
@@ -584,7 +536,7 @@ def _print(e: Expr) -> tuple[str, int]:
                 rt = f"({rt})"
             return f"{lt} - {rt}", 3
         if isinstance(e.right, Const) and e.right.value < 0.0:
-            return f"{lt} - {_const_text(-e.right.value)}", 3
+            return f"{lt} - {-e.right.value!r}", 3
         rt, rl = _print(e.right)
         if rl >= 3:
             rt = f"({rt})"
@@ -593,7 +545,7 @@ def _print(e: Expr) -> tuple[str, int]:
 
 
 def to_text(e: Expr) -> str:
-    """Render to text that parses back to a structurally equal tree."""
+    """Render to text that parses back to a tree of the same shape."""
     return _print(e)[0]
 
 
@@ -696,8 +648,7 @@ def vector_source(exprs: Sequence[Expr], coord: str = "_x[{}]") -> tuple[list[st
 # Every function generated in the process, keyed by the name of its
 # generator and its whole source.  A generated function reads only its source
 # and a fixed module-level scope, so equal keys give interchangeable
-# functions; the key is the text, never ``Expr`` equality, which holds
-# between constants 0.0 and -0.0 that compile differently.
+# functions.
 _FUNCTIONS: dict[tuple[str, str], Callable] = {}
 
 

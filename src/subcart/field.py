@@ -34,7 +34,6 @@ class TangentField:
         self.label = str(label)
         self.components: tuple[Expr, ...] = tuple(as_expr(c) for c in components)
         self.dim = len(self.components)
-        self._jac_rows: Optional[tuple[tuple[Expr, ...], ...]] = None
 
     def __repr__(self) -> str:
         comps = ", ".join(to_text(c) for c in self.components)
@@ -64,14 +63,6 @@ class TangentField:
             out = add(out, mul(comp, diff(f, i)))
         return out
 
-    def jacobian_exprs(self) -> tuple[tuple[Expr, ...], ...]:
-        """Rows J[i][j] = d component_i / d x_j, cached."""
-        if self._jac_rows is None:
-            self._jac_rows = tuple(
-                tuple(diff(c, j) for j in range(self.dim)) for c in self.components
-            )
-        return self._jac_rows
-
     @functools.cached_property
     def _variational(self) -> "TangentField":
         """The field on R^2n whose flow carries a point and a vector along
@@ -79,10 +70,10 @@ class TangentField:
         order of j."""
         n = self.dim
         carried = []
-        for row in self.jacobian_exprs():
+        for c in self.components:
             out: Expr = ZERO
-            for j, d in enumerate(row):
-                out = add(out, mul(d, Var(n + j)))
+            for j in range(n):
+                out = add(out, mul(diff(c, j), Var(n + j)))
             carried.append(out)
         return TangentField(f"variational({self.label})", self.components + tuple(carried))
 

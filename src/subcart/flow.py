@@ -542,10 +542,9 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
     points it would store after the start in ``n_samples``, and stores
     nothing (``samples`` is None); one with None does neither (both None).
     The table is keyed by the source the kernel is made of, the field's
-    (``TangentField._source``) and the cell tests (``_scan_key``), never by
-    ``Expr`` equality, which holds between constants 0.0 and -0.0 that
-    compile differently.  So a field or space built anew, by another command
-    in the same process, finds the kernel already compiled.
+    (``TangentField._source``) and the cell tests (``_scan_key``), so a field
+    or space built anew, by another command in the same process, finds the
+    kernel already compiled.
     """
     scan = space._scan_key if space is not None else None
     key = (fld._source, scan, keep)

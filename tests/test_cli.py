@@ -481,6 +481,10 @@ def test_bracket_command(capsys):
      "step scale 1e+308 must be at most 8.988465674311579e+307"),
     (["complete-probe", "--scenario", "translate_shear", "--n", "3", "--t-scale", "1e308"],
      "t scale 1e+308 must be at most 8.988465674311579e+307"),
+    # strata used to run its tangency precondition before the budget failed
+    (["orbit", "--scenario", "translate_shear", "--point=0,0", "--budget", "0"], "--budget"),
+    (["strata", "--check", "orbits", "--scenario", "cone", "--budget", "0"], "--budget"),
+    (["leaf", "--scenario", "reduction_r4", "--point=1,1,1,0", "--budget", "0"], "--budget"),
 ])
 def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     # --horizon inf and --step-scale nan used to run the stepper to max_steps

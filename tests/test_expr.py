@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcart import expr as expr_module
 from subcart.expr import (
     ONE,
     ZERO,
@@ -355,6 +356,24 @@ def _outcome(e, point):
     return "nan" if math.isnan(v) else v
 
 
+def _shape(e):
+    """The tree's structure as nested tuples, constants by ``==`` on their
+    values, so 0.0 and -0.0 are alike."""
+    if isinstance(e, Const):
+        return ("const", e.value)
+    if isinstance(e, Var):
+        return ("var", e.index)
+    if isinstance(e, (Add, Mul, Div)):
+        return (type(e).__name__, _shape(e.left), _shape(e.right))
+    if isinstance(e, Pow):
+        return ("^", _shape(e.base), e.exponent)
+    if isinstance(e, Fn):
+        return (e.name, _shape(e.operand))
+    if isinstance(e, Cut):
+        return ("cutexp", e.shift, _shape(e.operand))
+    return ("neg", _shape(e.operand))
+
+
 @given(expr_trees(), st.integers(0, N_TREE_VARS), _tree_points)
 @settings(max_examples=300, deadline=None)
 def test_memoised_diff_matches_tree_walk(e, var, points):
@@ -375,9 +394,9 @@ def test_memoised_diff_matches_tree_walk(e, var, points):
         return
     assert got is not DomainError
     assert diff(e, var) is got
-    # key() treats 0.0 and -0.0 as equal: a derivative that is identically
+    # _shape treats 0.0 and -0.0 as equal: a derivative that is identically
     # zero may come back from the walk as Const(-0.0)
-    assert got.key() == want.key()
+    assert _shape(got) == _shape(want)
     if isinstance(want, Const):
         assert got.value == want.value
     for p in points:
@@ -428,6 +447,16 @@ def test_diff_of_shared_dag_is_linear():
     assert diff(e, 1) is ZERO
 
 
+def test_nodes_compare_and_hash_by_identity():
+    # equal constants of opposite sign compile differently, so no equality
+    # may merge them; code generated from a tree is found by its source text
+    assert Const(0.0) != Const(-0.0)
+    assert len({parse("x1", 1), parse("x1", 1)}) == 2
+    for cls in vars(expr_module).values():
+        if isinstance(cls, type) and cls.__module__ == expr_module.__name__:
+            assert not {"__eq__", "__hash__", "key"} & vars(cls).keys(), cls.__name__
+
+
 @pytest.mark.parametrize("node, attr", [
     (Const(2.0), "value"), (Var(0), "index"), (Add(Var(0), ONE), "left"), (Mul(Var(0), ONE), "right"),
     (Div(Var(0), ONE), "left"), (Pow(Var(0), 2), "exponent"), (Neg(Var(0)), "operand"),
@@ -435,7 +464,7 @@ def test_diff_of_shared_dag_is_linear():
 ], ids=lambda v: type(v).__name__ if isinstance(v, Expr) else v)
 def test_assigning_to_a_node_raises(node, attr):
     before = to_text(node)
-    for name in (attr, "_mask", "_hash", "_compiled"):
+    for name in (attr, "_mask", "_compiled"):
         with pytest.raises(AttributeError, match="expressions are immutable"):
             setattr(node, name, 0)
     assert to_text(node) == before

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from subcart.cli import main
-from subcart.expr import compile_vector
+from subcart.expr import compile_vector, diff
 from subcart.flow import FlowOptions, transport_vector
 
 from conftest import make_field, scenario_path
@@ -190,7 +190,7 @@ def _variational_rhs(x_field, blas: bool):
     whose rounding varies by CPU) or summed in order over the Jacobian's
     entries that are not identically zero."""
     n = x_field.dim
-    rows = x_field.jacobian_exprs()
+    rows = [[diff(c, k) for k in range(n)] for c in x_field.components]
     jac = compile_vector([e for row in rows for e in row])
 
     def rhs(z):
