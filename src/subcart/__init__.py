@@ -31,8 +31,7 @@ import importlib
 _EXPORTS = {
     "almostcomplex": (
         "AlmostComplexError", "AlmostComplexStructure", "KahlerReport", "cauchy_riemann_residual",
-        "eigenspace_closure_field", "eigenspace_closure_residual", "kahler_check",
-        "tensoriality_residual", "torsion", "torsion_residual",
+        "eigenspace_closure_field", "kahler_check", "tensoriality_residual", "torsion", "torsion_residual",
     ),
     "cli": (),
     "expr": (

@@ -12,28 +12,24 @@ positivity, and torsion in one record.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .expr import (
     Const,
     Expr,
+    ExprMatrix,
     add,
     as_expr,
+    block_rows,
     compile_scalar,
-    compile_vector,
-    max_var_index,
+    dot,
     mul,
     sub,
-    to_text,
     ZERO,
 )
 from .field import TangentField, lie_bracket
 from .report import worst_residual
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEGENERACY_TOL = 1e-12
 KAHLER_TOL = 1e-8
@@ -43,34 +39,11 @@ class AlmostComplexError(ValueError):
     pass
 
 
-class AlmostComplexStructure:
+class AlmostComplexStructure(ExprMatrix):
     """A matrix of expressions acting on tangent vectors, with J J = -I."""
 
-    def __init__(self, dim: int, matrix: Sequence[Sequence[Expr]]):
-        if dim < 1:
-            raise AlmostComplexError(f"dimension must be positive, got {dim}")
-        rows = [tuple(as_expr(e) for e in row) for row in matrix]
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise AlmostComplexError(f"matrix must be {dim}x{dim}")
-        for row in rows:
-            for e in row:
-                if max_var_index(e) >= dim:
-                    raise AlmostComplexError(
-                        f"matrix entry {to_text(e)!r} uses a variable beyond x{dim}"
-                    )
-        self.dim = dim
-        self.matrix: tuple[tuple[Expr, ...], ...] = tuple(rows)
-        self.label = "J"
-
-    @functools.cached_property
-    def _value(self):
-        """The entries, flat, compiled on the first evaluation."""
-        return compile_vector([e for row in self.matrix for e in row])
-
-    def matrix_at(self, point: Sequence[float]) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
+    error = AlmostComplexError
+    label = "J"
 
     def square_residual(self, points: Sequence[Sequence[float]]) -> float:
         """Max entry of J(p) J(p) + I over the sample."""
@@ -85,23 +58,19 @@ class AlmostComplexStructure:
             raise AlmostComplexError(
                 f"field {x.label!r} has dimension {x.dim}, structure has {self.dim}"
             )
-        comps = []
-        for i in range(self.dim):
-            c: Expr = ZERO
-            for j in range(self.dim):
-                c = add(c, mul(self.matrix[i][j], x.components[j]))
-            comps.append(c)
-        return TangentField(f"{self.label}*{x.label}", comps)
+        return TangentField(f"{self.label}*{x.label}", [dot(row, x.components) for row in self.rows])
 
     @classmethod
     def standard(cls, k: int) -> "AlmostComplexStructure":
         """Constant structure on R^{2k}: e_i -> e_{k+i}, e_{k+i} -> -e_i."""
-        n = 2 * k
-        rows = [[ZERO for _ in range(n)] for _ in range(n)]
-        for i in range(k):
-            rows[i][k + i] = Const(-1.0)
-            rows[k + i][i] = Const(1.0)
-        return cls(n, rows)
+        return cls(2 * k, block_rows(k, -1.0))
+
+
+class _TwoForm(ExprMatrix):
+    """The two-form of a Kahler check, W(X, Y) = X^T W Y."""
+
+    error = AlmostComplexError
+    noun = "two-form matrix"
 
 
 def torsion(j: AlmostComplexStructure, x: TangentField, y: TangentField) -> TangentField:
@@ -180,35 +149,10 @@ def eigenspace_closure_field(
     """
     jx = j.apply(x)
     jy = j.apply(y)
-    a_part = TangentField(
-        "re-bracket",
-        [
-            sub(lie_bracket(x, y).components[i], lie_bracket(jx, jy).components[i])
-            for i in range(j.dim)
-        ],
-    )
-    b_part = TangentField(
-        "im-bracket",
-        [
-            sub(ZERO, add(lie_bracket(jx, y).components[i], lie_bracket(x, jy).components[i]))
-            for i in range(j.dim)
-        ],
-    )
-    jb = j.apply(b_part)
-    comps = [
-        mul(Const(0.5), sub(a_part.components[i], jb.components[i])) for i in range(j.dim)
-    ]
+    xy, jxjy, jxy, xjy = (lie_bracket(u, v).components for u, v in ((x, y), (jx, jy), (jx, y), (x, jy)))
+    jb = j.apply(TangentField("im-bracket", [sub(ZERO, add(u, v)) for u, v in zip(jxy, xjy)]))
+    comps = [mul(Const(0.5), sub(sub(u, v), w)) for u, v, w in zip(xy, jxjy, jb.components)]
     return TangentField(f"eigdefect({x.label},{y.label})", comps)
-
-
-def eigenspace_closure_residual(
-    j: AlmostComplexStructure,
-    x: TangentField,
-    y: TangentField,
-    points: Sequence[Sequence[float]],
-) -> float:
-    """Max norm of the eigenvector bracket defect over the sample."""
-    return max_norm(eigenspace_closure_field(j, x, y), points)
 
 
 def cauchy_riemann_residual(
@@ -271,10 +215,7 @@ def kahler_check(
     import numpy as np
 
     n = j.dim
-    rows = [tuple(as_expr(e) for e in row) for row in omega]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise AlmostComplexError(f"two-form matrix must be {n}x{n}")
-    omega_eval = compile_vector([e for row in rows for e in row])
+    omega_at = _TwoForm(n, omega).matrix_at
     m = len(fields)
     if m < 1:
         raise AlmostComplexError("need at least one probe field")
@@ -287,7 +228,7 @@ def kahler_check(
     min_eig = float("inf")
     for p in points:
         q = list(map(float, p))
-        w = np.array(omega_eval(q), dtype=float).reshape(n, n)
+        w = omega_at(q)
         if abs(float(np.linalg.det(w))) < DEGENERACY_TOL:
             raise AlmostComplexError(
                 f"two-form is degenerate at {tuple(q)}: |det| below {DEGENERACY_TOL:.1e}"

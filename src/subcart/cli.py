@@ -666,7 +666,7 @@ def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
     result = {
         "verdict": "Reduced",
         "invariants": [to_text(s) for s in setup.invariants],
-        "bivector": [[to_text(e) for e in row] for row in reduced.bivector],
+        "bivector": [[to_text(e) for e in row] for row in reduced.rows],
         "meta": reduced.meta,
     }
     return result, EXIT_PASS

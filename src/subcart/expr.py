@@ -21,6 +21,7 @@ function already made.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -229,6 +230,14 @@ def neg(a: Expr) -> Expr:
     if isinstance(a, Neg):
         return a.operand
     return Neg(a)
+
+
+def dot(us: Sequence[Expr], vs: Sequence[Expr]) -> Expr:
+    """The products ``us[i] * vs[i]`` added in order of i to ``ZERO``."""
+    total: Expr = ZERO
+    for u, v in zip(us, vs):
+        total = add(total, mul(u, v))
+    return total
 
 
 def fn(name: str, operand: Expr) -> Expr:
@@ -686,3 +695,45 @@ def compile_vector(exprs: Sequence[Expr]) -> Callable[[Sequence[float]], list[fl
     """Compile several expressions into one callable returning a list."""
     lines, names = vector_source(exprs)
     return _function(lines, "[" + ", ".join(names) + "]", "<exprvec>")
+
+
+class ExprMatrix:
+    """A dim x dim matrix of expressions in x1..x{dim}, its ``rows`` read at a
+    point by ``matrix_at``.  A subclass sets the ``error`` it raises and the
+    ``noun`` its messages call the matrix."""
+
+    error: type[ValueError] = ExprError
+    noun = "matrix"
+
+    def __init__(self, dim: int, rows: Sequence[Sequence[Expr]]):
+        if dim < 1:
+            raise self.error(f"dimension must be positive, got {dim}")
+        rows = tuple(tuple(as_expr(e) for e in row) for row in rows)
+        if len(rows) != dim or any(len(r) != dim for r in rows):
+            raise self.error(f"{self.noun} must be {dim}x{dim}")
+        for row in rows:
+            for e in row:
+                if max_var_index(e) >= dim:
+                    raise self.error(f"{self.noun} entry {to_text(e)!r} uses a variable beyond x{dim}")
+        self.dim = dim
+        self.rows: tuple[tuple[Expr, ...], ...] = rows
+
+    @functools.cached_property
+    def _value(self):
+        """The entries, flat, compiled on the first evaluation."""
+        return compile_vector([e for row in self.rows for e in row])
+
+    def matrix_at(self, point: Sequence[float]):
+        """The entries at the point as a (dim, dim) ndarray."""
+        import numpy as np
+
+        return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
+
+
+def block_rows(k: int, s: float) -> list[list[Expr]]:
+    """The 2k x 2k rows with s at (i, k+i), -s at (k+i, i) and zero elsewhere."""
+    rows = [[ZERO] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        rows[i][k + i] = Const(s)
+        rows[k + i][i] = Const(-s)
+    return rows

@@ -14,7 +14,9 @@ import functools
 import math
 from typing import Optional, Sequence
 
-from .expr import DomainError, Expr, Var, add, as_expr, compile_vector, diff, mul, neg, to_text, vector_source, ZERO
+from .expr import (
+    DomainError, Expr, Var, add, as_expr, compile_vector, dot, gradient_exprs, mul, neg, to_text, vector_source,
+)
 
 # fields whose values at a point have a singular value below RANK_TOL times
 # the largest one count as dependent there
@@ -58,10 +60,7 @@ class TangentField:
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative of ``f`` along this field, as an expression."""
-        out: Expr = ZERO
-        for i, comp in enumerate(self.components):
-            out = add(out, mul(comp, diff(f, i)))
-        return out
+        return dot(self.components, gradient_exprs(f, self.dim))
 
     @functools.cached_property
     def _variational(self) -> "TangentField":
@@ -69,13 +68,9 @@ class TangentField:
         this one: the components, then sum_j dX_i/dx_j * x_{n+j}, summed in
         order of j."""
         n = self.dim
-        carried = []
-        for c in self.components:
-            out: Expr = ZERO
-            for j in range(n):
-                out = add(out, mul(diff(c, j), Var(n + j)))
-            carried.append(out)
-        return TangentField(f"variational({self.label})", self.components + tuple(carried))
+        tail = [Var(n + j) for j in range(n)]
+        carried = tuple(dot(gradient_exprs(c, n), tail) for c in self.components)
+        return TangentField(f"variational({self.label})", self.components + carried)
 
     def scaled(self, factor) -> "TangentField":
         """Pointwise multiple of this field by a scalar expression or number."""

@@ -632,19 +632,17 @@ def flow_map(
     fld: TangentField,
     x0: Sequence[float],
     t: float,
-    options: Optional[FlowOptions] = None,
 ) -> np.ndarray:
     """Time-t flow of the field applied to x0, as an ndarray, erroring if t is
     out of range."""
     import numpy as np
 
-    opts = options or FlowOptions()
     x0 = np.asarray(x0, dtype=float)
     if space is not None:
         space.require_member(x0, "basepoint")
     if t == 0.0:
         return x0.copy()
-    return np.array(_flow_core(space, fld, opts)(x0.tolist(), float(t)))
+    return np.array(_flow_core(space, fld, FlowOptions())(x0.tolist(), float(t)))
 
 
 def transport_vector(

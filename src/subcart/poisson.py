@@ -43,12 +43,16 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from .expr import (
     Const,
     Expr,
+    ExprMatrix,
     Var,
     add,
     as_expr,
+    block_rows,
     compile_scalar,
     compile_vector,
     diff,
+    dot,
+    gradient_exprs,
     max_var_index,
     mul,
     neg,
@@ -111,52 +115,32 @@ class _Table:
         return out
 
 
-class PoissonStructure:
+class PoissonStructure(ExprMatrix):
     """An antisymmetric coefficient matrix of expressions on R^n."""
 
+    error = PoissonError
+    noun = "bivector"
+
     def __init__(self, dim: int, bivector: Sequence[Sequence[Expr]], label: str = "poisson"):
-        if dim < 1:
-            raise PoissonError(f"dimension must be positive, got {dim}")
-        rows = [tuple(as_expr(e) for e in row) for row in bivector]
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise PoissonError(f"bivector must be {dim}x{dim}")
-        for row in rows:
-            for e in row:
-                if max_var_index(e) >= dim:
-                    raise PoissonError(
-                        f"bivector entry {to_text(e)!r} uses a variable beyond x{dim}"
-                    )
-        self.dim = dim
-        self.bivector: tuple[tuple[Expr, ...], ...] = tuple(rows)
+        super().__init__(dim, bivector)
         self.label = str(label)
         self.meta: dict = {}
-
-    @functools.cached_property
-    def _value(self):
-        return compile_vector([e for row in self.bivector for e in row])
 
     @functools.cached_property
     def _jacobi_kernel(self) -> _Table:
         """J^ijk, P^ij and (P + P^T)^ij, flat, as one table; compiled on the
         first Jacobi check, since loading a scenario does not need it."""
-        n, p = self.dim, self.bivector
-        dp = [[[diff(p[j][k], l) for l in range(n)] for k in range(n)] for j in range(n)]
+        n, p = self.dim, self.rows
+        dp = [[gradient_exprs(e, n) for e in row] for row in p]
         schouten = []
         for i, j, k in itertools.product(range(n), repeat=3):
-            t: Expr = ZERO
-            for l in range(n):
-                for a, b in ((p[i][l], dp[j][k][l]), (p[j][l], dp[k][i][l]), (p[k][l], dp[i][j][l])):
-                    if not (a.is_zero or b.is_zero):  # as add and mul would drop it
-                        t = add(t, mul(a, b))
-            schouten.append(t)
+            pairs = ((p[i], dp[j][k]), (p[j], dp[k][i]), (p[k], dp[i][j]))
+            # add and mul would drop a term with a zero factor, but build a constant for it first
+            terms = [(a[l], b[l]) for l in range(n) for a, b in pairs if not (a[l].is_zero or b[l].is_zero)]
+            schouten.append(dot([a for a, _ in terms], [b for _, b in terms]))
         flat = [e for row in p for e in row]
         sym = [add(p[i][j], p[j][i]) for i in range(n) for j in range(n)]
         return _Table(schouten + flat + sym)
-
-    def matrix_at(self, point: Sequence[float]) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
 
     def jacobi_tensors(
         self, points: Sequence[Sequence[float]]
@@ -179,12 +163,7 @@ class PoissonStructure:
     @classmethod
     def canonical(cls, k: int, label: str = "canonical") -> "PoissonStructure":
         """Canonical structure on R^{2k} with coordinates (q1..qk, p1..pk)."""
-        n = 2 * k
-        rows = [[ZERO for _ in range(n)] for _ in range(n)]
-        for i in range(k):
-            rows[i][k + i] = Const(1.0)
-            rows[k + i][i] = Const(-1.0)
-        return cls(n, rows, label)
+        return cls(2 * k, block_rows(k, 1.0), label)
 
 
 def bracket(p: PoissonStructure, f: Expr, g: Expr) -> Expr:
@@ -196,13 +175,9 @@ def bracket(p: PoissonStructure, f: Expr, g: Expr) -> Expr:
             raise PoissonError(
                 f"{what} argument {to_text(e)!r} uses a variable beyond x{p.dim}"
             )
-    df = [diff(f, i) for i in range(p.dim)]
-    dg = [diff(g, j) for j in range(p.dim)]
-    total: Expr = ZERO
-    for i in range(p.dim):
-        for j in range(p.dim):
-            total = add(total, mul(p.bivector[i][j], mul(df[i], dg[j])))
-    return total
+    df = gradient_exprs(f, p.dim)
+    dg = gradient_exprs(g, p.dim)
+    return dot([e for row in p.rows for e in row], [mul(a, b) for a in df for b in dg])
 
 
 def hamiltonian_field(p: PoissonStructure, f: Expr) -> TangentField:
@@ -210,14 +185,8 @@ def hamiltonian_field(p: PoissonStructure, f: Expr) -> TangentField:
     f = as_expr(f)
     if max_var_index(f) >= p.dim:
         raise PoissonError(f"hamiltonian {to_text(f)!r} uses a variable beyond x{p.dim}")
-    df = [diff(f, i) for i in range(p.dim)]
-    comps = []
-    for j in range(p.dim):
-        c: Expr = ZERO
-        for i in range(p.dim):
-            c = add(c, mul(p.bivector[i][j], df[i]))
-        comps.append(c)
-    return TangentField(f"X[{to_text(f)}]", comps)
+    df = gradient_exprs(f, p.dim)
+    return TangentField(f"X[{to_text(f)}]", [dot(col, df) for col in zip(*p.rows)])
 
 
 def _cyclic_sums(
@@ -367,7 +336,6 @@ def invariance_residual(
     t: float,
     x: Sequence[float],
     space: Optional[SubcartesianSpace] = None,
-    options: Optional[FlowOptions] = None,
 ) -> InvarianceReport:
     """|{f1 o phi_t, f2 o phi_t}(x) - {f1,f2}(phi_t(x))| by numeric pullback.
 
@@ -381,7 +349,7 @@ def invariance_residual(
 
     x = [float(v) for v in x]
     t = float(t)
-    opts = options or FlowOptions()
+    opts = FlowOptions()
     if space is not None:
         space.require_member(x, "basepoint")
     xh = hamiltonian_field(p, h)
@@ -495,12 +463,9 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
             )
             if float(np.max(np.abs(design @ snapped - rhs))) <= setup.fit_tol:
                 coef = snapped
-            e: Expr = ZERO
-            for c, exps in zip(coef, monos):
-                if c == 0.0:
-                    continue
-                e = add(e, mul(Const(float(c)), _monomial_expr(exps)))
-            pair_exprs[(a, b)] = e
+            # an all-zero row gives the shared ZERO, whose compiled function is kept on it
+            kept = [(c, exps) for c, exps in zip(coef, monos) if c != 0.0]
+            pair_exprs[(a, b)] = dot([Const(float(c)) for c, _ in kept], [_monomial_expr(exps) for _, exps in kept])
 
     rows = [[ZERO for _ in range(m)] for _ in range(m)]
     for (a, b), e in pair_exprs.items():

@@ -276,7 +276,7 @@ def test_every_export_resolves_and_is_listed():
         "    getattr(subcart, name)\n"
         "print(json.dumps([subcart.__all__, [n for n in subcart.__all__ if n not in listed]]))"
     ))
-    assert out[0] == sorted(set(out[0])) and len(out[0]) == 76
+    assert out[0] == sorted(set(out[0])) and len(out[0]) == 75
     assert out[1] == []
 
 
@@ -311,7 +311,7 @@ def _knobs() -> list[str]:
 # its caller must pass it, so a knob that only tests set cannot return.
 # None marks the knobs kept with no caller yet: the step budget, the orbit
 # dimension report's sampling, which the orbit commands are to report, and
-# the flow options of the three library calls that take them.
+# the flow options of ``reach``, which replays an orbit sample's words.
 KNOBS = {
     "ExitWitness.cell_index": "flow._exit",
     "ExitWitness.constraint": "flow._exit",
@@ -347,13 +347,11 @@ KNOBS = {
     "dimension_constancy_report(rng_seed)": None,
     "dimension_constancy_report(step_scale)": None,
     "dimension_constancy_report(tol_rank)": None,
-    "flow_map(options)": None,
     "frontier_check(frontier_tol)": "cli.cmd_strata",
     "frontier_check(rng_seed)": "cli.cmd_strata",
     "integrate(horizon)": "cli.cmd_flow",
     "integrate(options)": "cli.cmd_flow",
     "integrate(store)": "cli.cmd_flow",
-    "invariance_residual(options)": None,
     "invariance_residual(space)": "test_acceptance.test_criterion_09_bracket_invariance",
     "jacobi_sample_residual(n_points)": "cli.cmd_poisson",
     "jacobi_sample_residual(n_triples)": "cli.cmd_poisson",
@@ -394,7 +392,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 77
+    assert len(KNOBS) == 75
     assert sorted(KNOBS) == _knobs()
 
 
@@ -549,6 +547,18 @@ def test_results_have_one_serialiser():
         found += [f"{path.name}:{owner.get(id(node), '<function>')}" for node in nodes
                   if isinstance(node, ast.FunctionDef) and node.name == "to_json_dict"]
     assert found == ["flow.py:IntegralCurve"]
+
+
+def test_sums_of_products_have_one_accumulator():
+    # a sum of products t = add(t, mul(a, b)) is built by expr.dot alone, so
+    # every such sum adds its terms in the same order
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}.{fn.name}" for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Assign) and re.match(r"(\w+) = add\(\1, mul\(", ast.unparse(node))]
+    assert found == ["expr.dot"]
 
 
 def test_every_top_level_name_is_read_somewhere():

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcart.cli import load_scenario
@@ -176,6 +176,13 @@ def nested_jacobi_residual(p, f1, f2, f3, points) -> float:
     return worst
 
 
+def nested_terms(p, f1, f2, f3, x) -> list[float]:
+    """{f1,{f2,f3}}, {f2,{f3,f1}} and {f3,{f1,f2}} at x, the terms the nested
+    path sums."""
+    return [compile_scalar(bracket(p, a, bracket(p, b, c)))(list(map(float, x)))
+            for a, b, c in ((f1, f2, f3), (f2, f3, f1), (f3, f1, f2))]
+
+
 def _monomial(exps):
     e = Const(1.0)
     for i, k in enumerate(exps):
@@ -309,14 +316,30 @@ def jacobi_cases(draw):
     return PoissonStructure(n, rows), triple, points
 
 
+def _cancelling_case():
+    """A 2-D case whose nested terms, about 1770, 5808 and -7578, sum to
+    2e-12 in floats; the Schouten path gives the exact 0.0, since in 2-D J^ijk
+    has no three distinct indices."""
+    x1, x2 = Var(0), Var(1)
+    a = add(mul(mul(Const(-2.0), x1), x1), Const(-2.0))
+    p = PoissonStructure(2, [[ZERO, a], [mul(Const(-1.0), a), ZERO]])
+    f = mul(mul(Const(-2.0), x1), x1)
+    g = add(Const(-2.0), mul(mul(mul(Const(-2.0), x1), x1), x2))
+    h = add(Const(-4.0), mul(mul(Const(3.0), x1), x2))
+    return p, (f, g, h), [[1.335260124986804, 0.0]]
+
+
 @given(jacobi_cases())
+@example(_cancelling_case())
 @settings(max_examples=60, deadline=None)
 def test_jacobi_residual_matches_nested_path(case):
     p, (f, g, h), points = case
     for x in points:
         got = jacobi_residual(p, f, g, h, [x])
         want = nested_jacobi_residual(p, f, g, h, [x])
-        assert abs(got - want) <= REL * max(abs(want), 1.0), (p.bivector, x)
+        # the nested sum rounds at the size of its terms, not of their sum
+        scale = sum(abs(t) for t in nested_terms(p, f, g, h, x))
+        assert abs(got - want) <= REL * max(scale, 1.0), (p.rows, x)
 
 
 def test_invariance_residual_canonical():
