@@ -501,12 +501,22 @@ def parse(text: str, n_vars: int, aliases: Optional[Sequence[str]] = None) -> Ex
 
 # Printing --------------------------------------------------------------------
 
+def _number(v: float) -> str:
+    """A constant that is not negative, or NaN, as text that parses back to
+    it: ``repr`` for a finite value, else a literal beyond the float range,
+    which parses as inf (``repr`` would give the unknown identifiers inf and
+    nan)."""
+    if math.isfinite(v):
+        return repr(v)
+    return "(1e999-1e999)" if v != v else "1e999"
+
+
 def _print(e: Expr) -> tuple[str, int]:
     """Return (text, level) with level 0 atom, 1 power, 2 product, 3 sum, 4 negation."""
     if isinstance(e, Const):
         if e.value < 0.0:
-            return "-" + repr(-e.value), 4
-        return repr(e.value), 0
+            return "-" + _number(-e.value), 4
+        return _number(e.value), 0
     if isinstance(e, Var):
         return f"x{e.index + 1}", 0
     if isinstance(e, Fn):
@@ -545,7 +555,7 @@ def _print(e: Expr) -> tuple[str, int]:
                 rt = f"({rt})"
             return f"{lt} - {rt}", 3
         if isinstance(e.right, Const) and e.right.value < 0.0:
-            return f"{lt} - {-e.right.value!r}", 3
+            return f"{lt} - {_number(-e.right.value)}", 3
         rt, rl = _print(e.right)
         if rl >= 3:
             rt = f"({rt})"

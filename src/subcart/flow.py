@@ -8,11 +8,12 @@ lists or small numpy arrays.  Each component is computed with the
 operations, in the order, of the whole-array numpy expressions, and the
 norms sum in numpy's pairwise order, so results are bit-identical to a
 numpy stepper, though numpy is not imported for it.  ``integrate``,
-``flow_map`` and the classifier's probes run the kernel of their field and
-space: a loop generated for that field, the space's cells and use of the
-samples (stored, counted, or neither), whose stages compute the field's
-components inline and whose scan tests the cells inline.  It is called with
-the space, ``kernel(x0, target, opts, space)``, which bisects an exit.
+``flow_map``, ``drift`` and the classifier's probes run the kernel of their
+field and space: a loop generated for that field, the space's cells and use
+of the samples (stored, counted, folded into a stratum's drift, or none),
+whose stages compute the field's components inline and whose scan tests the
+cells inline.  It is called with the space, ``kernel(x0, target, opts,
+space)``, which bisects an exit.
 ``transport_vector`` runs the kernel of the field's variational field on
 R^2n, the point followed by the vector its Jacobian carries, whose cell
 tests read the point alone.
@@ -22,12 +23,15 @@ of, so a field or space built anew with the same content finds its kernel.
 Membership is monitored along every accepted step at evenly spaced points
 of the dense output, at least four per step, its end included, and at most
 0.1 apart in time (``INTERIOR_CHECKS``, ``MAX_SAMPLE_DT``); a step of four
-points, the most common, scans them without a loop.  Only ``integrate``
-keeps them: asked to store them, in one packed buffer per direction that a
-curve turns into (t, point) pairs when they are read, and otherwise as a
-count, which is all a report of ``flow`` without ``--out`` reads.
+points, the most common, scans them without a loop.  ``integrate`` keeps
+them: asked to store them, for ``flow --out`` alone, in one packed buffer
+per direction that a curve turns into (t, point) pairs when they are read,
+and otherwise as a count, which is all a report of ``flow`` without
+``--out`` reads.  ``drift``, the tangency check's curve, keeps only the
+worst violation of a stratum's constraints at its points, on the ambient
+space, so its memory does not grow with the horizon.
 A space with a cell of no constraints holds everywhere, so there nothing is
-tested, and a kernel that neither tests nor stores has no scan.
+tested, and a kernel that neither tests, stores nor folds has no scan.
 Where Python's float ``**`` overflows in the scan, the space tests the point
 again on numpy floats, importing numpy then.  On the first violation the
 exit time is located by bisection on the dense output down to 1e-12 in
@@ -66,7 +70,9 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .field import TangentField
 from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
-from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _evaluate, ball, sample
+from .space import (
+    BALL_TRIES, Cell, SpaceError, SubcartesianSpace, _cells_test, _evaluate, _slack_source, ball, sample,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -159,17 +165,14 @@ class IntegralCurve:
 
     @property
     def samples(self) -> list[tuple[float, list[float]]]:
-        """The (t, point) pairs in time order, made anew from the buffers at each read."""
-        return [(s.t[i], s.point(i)) for s, order in self._in_time_order() for i in order]
-
-    def _in_time_order(self) -> tuple[tuple[_Samples, Sequence[int]], ...]:
-        """Each buffer with the indices of its samples in time order: the
-        backward buffer reversed, without its t = 0 start, then the forward one."""
+        """The (t, point) pairs in time order, made anew from the buffers at each
+        read: the backward buffer reversed, without its t = 0 start, then the
+        forward one."""
         if self.forward is None:
             raise ValueError("the curve stored no samples: integrate it with store=True to read them")
-        t = self.backward.t
-        return ((self.backward, [i for i in range(len(t) - 1, -1, -1) if t[i] < 0.0]),
-                (self.forward, range(len(self.forward.t))))
+        bwd, fwd = self.backward, self.forward
+        return ([(bwd.t[i], bwd.point(i)) for i in range(len(bwd.t) - 1, -1, -1) if bwd.t[i] < 0.0]
+                + [(fwd.t[i], fwd.point(i)) for i in range(len(fwd.t))])
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,7 +254,7 @@ class _DriveResult:
     t_end: float
     y_end: list[float]
     reached: bool
-    samples: Optional[_Samples]  # None from a kernel that stores nothing
+    samples: Optional[_Samples]  # None from a kernel that stores nothing; a drift kernel's fold (see ``drift``)
     exit_witness: Optional[ExitWitness]
     n_steps: int
     n_samples: Optional[int]  # points stored after the start; None from a kernel that counts nothing
@@ -343,12 +346,17 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # it still raises on an inf or NaN quotient.  A scanned point that fails
 # ends the drive in ``_exit``, which bisects the exit with the space's
 # generated bisection: the dense output and the same cell tests in a loop.
-# What $samples sets up and $scan does with the points depends on the use
-# of the samples.  A kernel that stores them (``flow --out`` and the
-# tangency check of ``strata``) keeps each scanned point in ``samples``;
-# one that counts them (every other ``flow``) adds the points
-# of each passed step to ``n_samples``, and with no cell to test it has no
-# scan, only that sum; one that does neither (``flow_map``,
+# What $samples sets up, $scan does with the points and $kept returns
+# depends on the use of the samples.  A kernel that stores them (``flow
+# --out``) keeps each scanned point in ``samples``; one that counts them
+# (every other ``flow``) adds the points of each passed step to
+# ``n_samples``, and with no cell to test it has no scan, only that sum; one
+# that folds them (``drift``, the tangency check of ``strata``) tests no
+# cell and evaluates the slack lines of a stratum (``space._slack_source``)
+# at its start and at each scanned point, retrying on numpy floats where
+# Python's float ``**`` overflows, and returns the worst violation
+# max(0, -slack), its time and point, and the point where the slack is NaN
+# in place of ``samples``; one that does none of these (``flow_map``,
 # ``transport_vector`` and the classifier's probes) leaves both None, and
 # with no cell to test it has no scan at all.
 _DRIVER = """\
@@ -360,7 +368,7 @@ def _drive(x0, target, opts, space):
     y = list(x0)
 $samples
     if span == 0.0:
-        return _DriveResult(0.0, y, True, samples, None, 0, n_samples)
+        return _DriveResult(0.0, y, True, $kept, None, 0, n_samples)
     $y = y
     try:
 $first
@@ -393,7 +401,7 @@ $stages
             h *= 0.5
             if abs(h) < MIN_STEP:
                 witness = ExitWitness(t=t, point=($y), attained=True, guard=True)
-                return _DriveResult(t, [$y], False, samples, witness, n_steps, n_samples)
+                return _DriveResult(t, [$y], False, $kept, witness, n_steps, n_samples)
             continue
         except OverflowError:
             raise IntegrationError(f"field overflows at t={t}", t=t) from None
@@ -412,7 +420,7 @@ $scan
         $y = $yn
         $k1 = $k7
         if landing:
-            return _DriveResult(target, [$y], True, samples, None, n_steps, n_samples)
+            return _DriveResult(target, [$y], True, $kept, None, n_steps, n_samples)
         t = t + h
         grow = 10.0 if err == 0.0 else 0.9 * err**-0.2
         h *= grow if grow < 10.0 else 10.0
@@ -426,10 +434,13 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     """Source of the kernel of the field with these components (see the
     comments above ``_DRIVER``), which tests ``cells`` inline, or nothing when
     ``cells`` is None, and stores its scanned points (``keep`` "store"),
-    counts them ("count") or does neither (None).
+    counts them ("count") or does neither (None).  With ``keep`` "drift" it
+    tests nothing and folds the slack of ``cells`` instead.
     """
     n = len(components)
     ix = range(n)
+    fold = keep == "drift"
+    tests = cells is not None and not fold
 
     def sumsq(stem: str) -> str:
         return _pairwise_sum([f"{stem}{i} * {stem}{i}" for i in ix], lambda p, q: f"({p} + {q})", "0.0")
@@ -451,6 +462,20 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         lines, values = vector_source(components, coord)
         return lines + [f"k{s}_{i} = {v}" for i, v in enumerate(values)]
 
+    def fold_drift(stamp: str) -> list[str]:
+        """Lines that fold the violation max(0, -slack) at the point p0.. of
+        time ``stamp`` into the drift's worst, its time and point, and the
+        point where the fold stops: its slack is NaN (``_nan`` is the
+        constant's name, so the local is ``_stop``)."""
+        point = f"[{names('p')}]"
+        return ["try:", *_slack_source(cells, "    ", "p{}"),
+                "except OverflowError:  # Python's float ** overflowed: the slack on numpy floats",
+                f"    _b = _slack_or_nan(space, {point})",
+                "if _b != _b and (_stop is None or _back):", f"    _stop = {point}",
+                "_v = -_b",
+                "if _v > _worst or _back and _v == _worst > 0.0:",
+                "    _worst = _v", f"    _wt = {stamp}", f"    _wp = {point}"]
+
     # a stage state is computed only in the coordinates the field reads
     read = [i for i in ix if any(c._mask >> i & 1 for c in components)]
     stages = []
@@ -469,9 +494,9 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         """Lines that compute the scanned point at fraction th of the step (u
         is 1 - th), end the drive there if it fails, with theta_in the last
         passing fraction and ``passed`` the points of this step before it,
-        and store it at time ``stamp``."""
+        and store it at time ``stamp`` or fold its drift."""
         lines = [f"p{i} = y{i} + {th} * (yd{i} + {u} * (bs{i} + {th} * (q{i} + {u} * r{i})))" for i in ix]
-        if cells is not None:
+        if tests:
             count = "None" if keep is None else f"n_samples + {passed}"
             leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + f",), {theta_in}, {th}, t, h, "
                      f"samples, {count}, n_steps, space)")
@@ -481,6 +506,8 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
                          "if _c is None:", f"    {leave}"])
         if keep == "store":
             lines += [f"sample_t.append({stamp})", f"sample_x.extend(({names('p')}))"]
+        if fold:
+            lines += fold_drift(stamp)
         return lines
 
     # The scan grid doubles as the sample grid, keeping stored sample spacing
@@ -491,6 +518,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     grid = INTERIOR_CHECKS + 1
     short = f"abs(h) / {MAX_SAMPLE_DT!r} <= {float(grid)!r}"
     n_sub = f"ceil(abs(h) / {MAX_SAMPLE_DT!r})"
+    counts = keep in ("store", "count")
     coeffs = []
     scan = []
     if cells is not None or keep == "store":
@@ -505,25 +533,30 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         loop = ["th = i / n_sub", "u = 1.0 - th",
                 *grid_point("th", "u", "theta_in", "i - 1", "target if (landing and th == 1.0) else t + th * h"),
                 "theta_in = th"]
-        if keep is not None:
+        if counts:
             block.append(f"n_samples += {grid}")
         scan = [f"if {short}:", *("    " + line for line in block),
                 "else:", f"    n_sub = {n_sub}", "    theta_in = 0.0", "    for i in range(1, n_sub + 1):",
                 *(" " * 8 + line for line in loop)]
-        if keep is not None:
+        if counts:
             scan.append("    n_samples += n_sub")
     elif keep == "count":
         scan = [f"n_samples += {grid} if {short} else {n_sub}"]
-    samples = {None: ["samples = None", "n_samples = None"], "count": ["samples = None", "n_samples = 0"],
-               "store": ["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x",
-                         "n_samples = 0"]}[keep]
-    if cells is not None:
+    if fold:
+        samples = ["n_samples = None", "_back = target < 0.0", "_worst = 0.0", "_wt = _wp = _stop = None",
+                   f"{names('p')} = y", *fold_drift("0.0")]
+    else:
+        samples = {None: ["samples = None", "n_samples = None"], "count": ["samples = None", "n_samples = 0"],
+                   "store": ["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x",
+                             "n_samples = 0"]}[keep]
+    if tests:
         samples.append("_tol = space.tol")
     parts = dict(
         n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
         first=_indent(field(1, "y{}"), 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
         sumsq=sumsq("s"), scan=_indent(scan, 8), samples=_indent(samples, 4),
+        kept="(_worst, _wt, _wp, _stop)" if fold else "samples",
     )
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
@@ -541,19 +574,24 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
     after an exit, its last point as samples; one with "count" counts the
     points it would store after the start in ``n_samples``, and stores
     nothing (``samples`` is None); one with None does neither (both None).
+    One with "drift" tests no cells, as on the ambient space, and folds the
+    slack of ``space``, a stratum, along the curve instead (see ``drift``).
     The table is keyed by the source the kernel is made of, the field's
-    (``TangentField._source``) and the cell tests (``_scan_key``), so a field
-    or space built anew, by another command in the same process, finds the
-    kernel already compiled.
+    (``TangentField._source``) and the cell tests (``_scan_key``) or the
+    slack (``_slack_key``), so a field or space built anew, by another
+    command in the same process, finds the kernel already compiled.
     """
-    scan = space._scan_key if space is not None else None
+    if keep == "drift":
+        scan = space._slack_key
+    else:
+        scan = space._scan_key if space is not None else None
     key = (fld._source, scan, keep)
     drive = _DRIVERS.get(key)
     if drive is None:
         scope = dict(_COMPILE_ENV, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
-                     ExitWitness=ExitWitness, DomainError=DomainError, _DomainError=DomainError,
-                     IntegrationError=IntegrationError, sqrt=math.sqrt, ceil=math.ceil, inf=math.inf,
-                     MIN_STEP=MIN_STEP)
+                     _slack_or_nan=_slack_or_nan, ExitWitness=ExitWitness, DomainError=DomainError,
+                     _DomainError=DomainError, IntegrationError=IntegrationError, sqrt=math.sqrt,
+                     ceil=math.ceil, inf=math.inf, MIN_STEP=MIN_STEP)
         source = _driver_source(fld.components, None if scan is None else space.cells, keep)
         exec(compile(source, f"<dopri5 kernel n={fld.dim}>", "exec"), scope)
         drive = _DRIVERS[key] = scope["_drive"]
@@ -568,7 +606,8 @@ def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], ho
     horizon = float(horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    space.require_member(x0, "basepoint")
+    if keep != "drift":  # a drift kernel's space is the stratum whose slack it folds, not one it tests
+        space.require_member(x0, "basepoint")
     drive = _kernel(fld, space, keep)
     return drive(x0, horizon, opts, space), drive(x0, -horizon, opts, space)
 
@@ -604,6 +643,43 @@ def integrate(
         exit_minus=bwd.exit_witness,
         exit_plus=fwd.exit_witness,
     )
+
+
+def _slack_or_nan(space: SubcartesianSpace, point: list[float]) -> float:
+    """The slack of the space at the point on numpy floats, after Python's
+    float ``**`` overflowed, or NaN where it overflows there too, so a drift
+    kernel stops there as at a NaN slack and its caller names the error."""
+    try:
+        return space.slack(point)
+    except SpaceError:
+        return math.nan
+
+
+def drift(stratum: SubcartesianSpace, fld: TangentField, x0: list[float], horizon: float,
+          options: Optional[FlowOptions] = None) -> tuple[float, Optional[float], Optional[list[float]],
+                                                          Optional[list[float]]]:
+    """The worst violation of the stratum along the curve of the field
+    through x0, a list of Python floats, on the ambient space, clipped to
+    [-horizon, horizon].
+
+    The violation at a point is max(0, -slack).  Each drive folds it at its
+    start and at every scanned point, so nothing is stored.  The result is
+    what a fold of the stored curve in time order with a strict ``>`` from
+    0.0 gives: the worst violation, the time and point of its first
+    occurrence in time (None where none is positive), and the earliest point
+    whose slack is NaN, or overflows even on numpy floats (None where there
+    is none).  So the backward drive keeps the last of equal maxima and of
+    NaN points, the one earliest in time, and wins a tie with the forward
+    one; the start, which both fold, gives both the same value.  Both drives
+    run before the result is read, so an ``IntegrationError`` of either
+    comes first.
+    """
+    fwd, bwd = _drives(stratum, fld, x0, horizon, options or FlowOptions(), "drift")
+    worst, t, point, stop = fwd.samples
+    back_worst, back_t, back_point, back_stop = bwd.samples
+    if back_worst >= worst:
+        worst, t, point = back_worst, back_t, back_point
+    return worst, t, point, stop if back_stop is None else back_stop
 
 
 def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,

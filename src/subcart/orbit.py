@@ -13,6 +13,7 @@ families.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .expr import DomainError, _define
+from .expr import DomainError, _define, compile_vector
 from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
     FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, transport_vector,
@@ -81,6 +82,12 @@ class FieldFamily:
     def labels(self) -> list[str]:
         return [f.label for f in self.fields]
 
+    @functools.cached_property
+    def _values(self) -> Callable[[Sequence[float]], list[float]]:
+        """Every field's components at a point, field after field in one list,
+        compiled on the first evaluation into one function."""
+        return compile_vector([c for f in self.fields for c in f.components])
+
     def value_matrix(self, point: Sequence[float]) -> np.ndarray:
         """Columns are the member fields evaluated at the point (n x m).  A
         field undefined, overflowing or not finite there is a ``FieldError``."""
@@ -93,7 +100,7 @@ class FieldFamily:
         every flow of the family fixes the point, and its orbit is the point
         alone, a 0-dimensional manifold."""
         try:
-            return all(v == 0.0 for f in self.fields for v in f.value(point))
+            return all(v == 0.0 for v in self._values(point))
         except (DomainError, OverflowError):  # a field undefined there does not vanish
             return False
 
@@ -142,18 +149,19 @@ def span_dimensions(
 ) -> list[int]:
     """Numerical rank of the family's value matrix at each point.
 
-    The field values are packed into one flat buffer and the (n x m) value
-    matrices of all points go through one stacked SVD, which computes each
-    matrix exactly as a call of its own would.
+    The values of all fields at a point come from one generated function
+    (``FieldFamily._values``) and are packed into one flat buffer, and the
+    (n x m) value matrices of all points go through one stacked SVD, which
+    computes each matrix exactly as a call of its own would.
     """
     import numpy as np
 
     if not points:
         return []
+    values = family._values
     vals = array("d")
     for p in points:
-        for f in family.fields:
-            vals.extend(f.value(p))
+        vals.extend(values(p))
     m = np.frombuffer(vals).reshape(len(points), len(family), family.space.ambient_dim)
     s = np.linalg.svd(m.transpose(0, 2, 1), compute_uv=False)
     top = s[:, :1]

@@ -474,13 +474,16 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
     reduced = PoissonStructure(m, rows, label=f"reduced[{amb.label}]")
 
     certify_points = [draw() for _ in range(CERTIFY_POINTS)]
+    sigma_at: list[list[float]] = []  # the invariants at each certify point, as the first pair reaches it
 
     def replay_residuals():
         for (a, b), e in pair_exprs.items():
             upstairs_eval = compile_scalar(pair_brackets[(a, b)])
             reduced_eval = compile_scalar(e)
-            for x in certify_points:
-                yield abs(reduced_eval(sigma_eval(x)) - upstairs_eval(x))
+            for i, x in enumerate(certify_points):
+                if i == len(sigma_at):
+                    sigma_at.append(sigma_eval(x))
+                yield abs(reduced_eval(sigma_at[i]) - upstairs_eval(x))
 
     worst = worst_residual(replay_residuals())
     if not worst <= setup.certify_tol:

@@ -21,10 +21,10 @@ that one generator.  A flow kernel, which is handed the space, tests its
 cells with the same lines inline, and locates an exit with the space's
 bisection, a loop over a step's dense output and the same lines, generated
 on the space's first exit.
-``slack`` is emitted the same way on its first use, in one ``compile()``
-with the drift fold, a loop of the same slack lines over the points of a
-stored curve's packed buffer, with which the strongly-stratified check of
-``strata`` reads its curves.
+``slack`` is emitted the same way on its first use.  The strongly-stratified
+check of ``strata`` folds the same slack lines inline in a flow kernel of
+its own use, "drift", which reads the stratum's slack at every scanned
+point of its curve and stores none of them.
 Python's float ``**`` raises ``OverflowError`` where numpy's gives inf, so a
 point whose test overflows is tested again on numpy floats, with numpy's
 overflow warnings off; only that rare path pays for it.  What overflows on
@@ -225,30 +225,9 @@ def _slack_source(cells: Sequence[Cell], indent: str, coord: str) -> list[str]:
     return src
 
 
-def _compile_folds(cells: Sequence[Cell], n: int) -> tuple[Callable, Callable]:
-    """Generate, in one ``compile()``, ``slack(x)``, the slack of
-    ``SubcartesianSpace.slack``, and ``drift(x, order)``, the drift fold of a
-    stored curve.
-
-    ``drift`` reads the n-coordinate points that ``order`` indexes, in that
-    order, from the packed buffer ``x``, and folds their violations
-    ``max(0, -slack)`` from 0.0 with a strict ``>``.  It returns the worst
-    violation, the index of its first occurrence (None where none is
-    positive) and the index of the first point whose slack is NaN, where it
-    stops (None where there is none).  A point whose Python ``**``
-    overflows is evaluated again by ``_evaluate(slack, point)`` on numpy
-    floats, as ``slack`` evaluates it.
-    """
-    xs = ", ".join(f"x{k}" for k in range(n))
-    src = ["def _slack(_x):", *_slack_source(cells, "    ", "_x[{}]"), "    return float(_b)",
-           "def _drift(_x, _order):", "    _worst = 0.0", "    _at = None", "    for _i in _order:",
-           f"        _o = _i * {n}", f"        {xs}, = _x[_o:_o + {n}]", "        try:",
-           *_slack_source(cells, " " * 12, "x{}"),
-           "        except OverflowError:", f"            _b = _evaluate(_slack, list(_x[_o:_o + {n}]))",
-           "        if _b != _b:", "            return _worst, _at, _i",
-           "        if -_b > _worst:", "            _worst = -_b", "            _at = _i",
-           "    return _worst, _at, None", "_f = _slack, _drift"]
-    return _build(src, "<slack>")
+def _compile_slack(cells: Sequence[Cell]) -> Callable[[Sequence[float]], float]:
+    """Generate ``slack(x)``, the slack of ``SubcartesianSpace.slack``."""
+    return _build(["def _f(_x):", *_slack_source(cells, "    ", "_x[{}]"), "    return float(_b)"], "<slack>")
 
 
 def _evaluate(f: Callable, point: Sequence[float], *args):
@@ -348,16 +327,21 @@ class SubcartesianSpace:
         cell is violated by at least that much.  Constraint functions that
         are undefined at the point count as minus infinity for their cell.
         A NaN margin makes the slack NaN, as ``np.min``/``np.max`` would.
-        The folds are one function generated on first use, like membership,
-        together with the drift fold of stored curves.
+        The folds are one function generated on first use, like membership.
+        A drift kernel (``flow.drift``) folds the same lines inline.
         """
-        return _evaluate(self._folds[0], point)
+        return _evaluate(self._slack, point)
 
     @functools.cached_property
-    def _folds(self) -> tuple[Callable[[Sequence[float]], float], Callable]:
-        """The slack function and the drift fold of ``_compile_folds``, which
-        ``strata.strongly_stratified_check`` reads stored curves with."""
-        return _compile_folds(self.cells, self.ambient_dim)
+    def _slack(self) -> Callable[[Sequence[float]], float]:
+        """The slack function of ``_compile_slack``, generated on first use."""
+        return _compile_slack(self.cells)
+
+    @functools.cached_property
+    def _slack_key(self) -> str:
+        """The source of the slack, which a drift kernel folds along a curve
+        (``flow.drift``) and its cache is keyed by."""
+        return "\n".join(_slack_source(self.cells, "", "_x[{}]"))
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:
         if hasattr(point, "tolist"):

@@ -10,10 +10,10 @@ pair, whether one stratum touches another's closure and, if so, whether it
 is wholly contained in that closure.  The strongly-stratified check flows a
 candidate field from each distinct stratum sample once, without any
 membership clamping, and measures how far the trajectories drift from the
-stratum's constraint locus with one generated fold per stratum over each
-curve's stored buffers.  The orbit check explores the orbit of a family of
-such fields and hard-asserts that no sampled orbit point leaves its seed's
-stratum.
+stratum's constraint locus in a flow kernel that folds the stratum's slack
+at every point it scans (``flow.drift``), so no curve is stored.  The orbit
+check explores the orbit of a family of such fields and hard-asserts that
+no sampled orbit point leaves its seed's stratum.
 """
 
 from __future__ import annotations
@@ -239,15 +239,13 @@ def strongly_stratified_check(
     A sample bit-identical to an earlier one of its stratum (a one-point
     stratum gives its point every time) is not flowed again: the same start
     gives the same curve, and the maxima take a later point only where it
-    is strictly worse, so the report is the same.  Each stored curve is
-    read in time order from its packed buffers by the stratum space's
-    generated drift fold (``SubcartesianSpace._folds``), one call per
-    buffer, rather than point by point through ``slack``.
+    is strictly worse, so the report is the same.  Each curve's drift is
+    folded while it is integrated (``flow.drift``), in the order of a loop
+    over its points in time, and no point is stored.
     """
-    from .flow import integrate
+    from .flow import drift
 
     draw = box(random.Random(rng_seed), lo, hi)
-    ambient = SubcartesianSpace.whole_space(ss.total.ambient_dim)
     threshold = drift_tol * horizon
     max_drift = 0.0
     witness: Optional[dict] = None
@@ -256,7 +254,6 @@ def strongly_stratified_check(
         pts = sample(s.space, DRIFT_SAMPLES, draw, BOX_TRIES)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
-        drift = s.space._folds[1]
         flowed: set[tuple[str, ...]] = set()
         worst_here = 0.0
         for p in pts:
@@ -264,22 +261,21 @@ def strongly_stratified_check(
             if start in flowed:
                 continue
             flowed.add(start)
-            curve = integrate(ambient, fld, p, horizon=horizon, options=options, store=True)
-            for buf, order in curve._in_time_order():
-                violation, at, nan = drift(buf.x, order)
-                if nan is not None:  # max(0.0, -nan) would read as no drift
-                    raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {buf.point(nan)}")
-                if violation > worst_here:
-                    worst_here = violation
-                    if violation > max_drift:
-                        max_drift = violation
-                        witness = {
-                            "stratum": s.name,
-                            "start": [float(v) for v in p],
-                            "t": buf.t[at],
-                            "point": buf.point(at),
-                            "drift": violation,
-                        }
+            violation, t, point, stop = drift(s.space, fld, p, horizon, options)
+            if stop is not None:  # max(0.0, -nan) would read as no drift
+                s.space.slack(stop)  # raises the error of a slack that overflows even on numpy floats
+                raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {stop}")
+            if violation > worst_here:
+                worst_here = violation
+                if violation > max_drift:
+                    max_drift = violation
+                    witness = {
+                        "stratum": s.name,
+                        "start": [float(v) for v in p],
+                        "t": t,
+                        "point": point,
+                        "drift": violation,
+                    }
         per_stratum[s.name] = worst_here
     return StrongStratReport(
         passed=max_drift <= threshold,

@@ -468,3 +468,19 @@ def test_assigning_to_a_node_raises(node, attr):
         with pytest.raises(AttributeError, match="expressions are immutable"):
             setattr(node, name, 0)
     assert to_text(node) == before
+
+
+def test_non_finite_constants_print_as_literals_that_parse_back():
+    # repr printed inf and nan, which parse as unknown identifiers
+    for text, want in [("1e400*x1", "1e999*x1"), ("x1 - 1e999", "x1 - 1e999"),
+                       ("-1e999*x1", "(-1e999)*x1"), ("(1e999 - 1e999)*x1", "(1e999-1e999)*x1")]:
+        e = parse(text, 1)
+        assert to_text(e) == want
+        again = parse(to_text(e), 1)
+        assert to_text(again) == want
+        assert repr(_shape(again)) == repr(_shape(e))  # repr, as a NaN is not == to itself
+    for v in (math.inf, -math.inf):
+        back = parse(to_text(Const(v)), 1)
+        assert isinstance(back, Const) and back.value == v
+    back = parse(to_text(Const(math.nan)), 1)
+    assert isinstance(back, Const) and math.isnan(back.value)

@@ -196,18 +196,25 @@ def test_each_command_loads_only_the_modules_it_runs(name, argv, code, added):
 # orbits 20, each classify 5 and complete-probe 8.  The merge test of an
 # orbit is generated per dimension (``orbit._merge_source``): one compile
 # for each orbit command, the two seeds of ``strata --check orbits`` on cone
-# share theirs (17 before it, with orbit 7 and leaf 12).
+# share theirs (17 before it, with orbit 7 and leaf 12).  The tangency
+# check folds each stratum's slack inside a drift kernel per field and
+# stratum (``flow.drift``), which also tests no ambient membership: tangency
+# lost its two ``<slack>`` folds, the ambient ``<membership>`` and the
+# storing kernel for two drift kernels (8 before it), and orbits, with two
+# fields, lost one compile (15 before it).  A family's values come from one
+# function of all its fields' components (``FieldFamily._values``) instead
+# of one per field: orbit (two fields) made 6, leaf (three) 10 and orbits 14
+# before that.
 _COMPILES = [
     ("acs_standard", ["acs", "--check", "kahler"], 0, 7),
     ("acs_standard", ["acs", "--check", "cr", "--f", "x1", "--h", "x3"], 0, 2),
     ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 0, 2),
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, 1),
     ("cone", ["strata", "--check", "frontier"], 0, 5),
-    # the drift fold compiles with each stratum's slack function, in one call
-    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 8),
-    ("cone", ["strata", "--check", "orbits"], 0, 15),
-    ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 6),
-    ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 10),
+    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 6),
+    ("cone", ["strata", "--check", "orbits"], 0, 13),
+    ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 5),
+    ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 8),
     ("halfline", ["classify", "--field", "ddx"], 1, 4),
     ("circle", ["classify", "--field", "rot"], 0, 3),
     ("rotation_plane", ["complete-probe", "--family", "pair"], 0, 5),

@@ -6,12 +6,14 @@ import math
 import random
 from array import array
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subcart.cli import load_scenario
 from subcart.orbit import (
     DependentBasisError,
     FieldFamily,
@@ -30,7 +32,7 @@ from subcart import orbit
 from subcart.orbit import MERGE_RADIUS, _UNROLLED, _MergeIndex, _merge_source
 from subcart.space import SubcartesianSpace
 
-from conftest import halfline, make_field, punctured_plane, unit_circle
+from conftest import SCENARIO_DIR, halfline, make_field, punctured_plane, scenario_path, unit_circle
 
 REPLAY_TOL = 1e-6
 
@@ -500,3 +502,19 @@ def test_every_point_the_library_hands_back_is_a_list_of_floats():
         assert _floats(draw())
         pts = sample(rotation_family().space, 5, draw, tries)
         assert pts and all(map(_floats, pts))
+
+
+_WITH_FAMILIES = sorted(p.stem for p in Path(SCENARIO_DIR).glob("*.json") if load_scenario(str(p)).families)
+
+
+@pytest.mark.parametrize("name", _WITH_FAMILIES)
+def test_span_dimensions_evaluate_a_shipped_family_as_its_fields_do(name):
+    # one generated function evaluates the whole family, field after field
+    sc = load_scenario(scenario_path(name))
+    rng = random.Random(0)
+    for family in map(sc.family, sorted(sc.families)):
+        n = family.space.ambient_dim
+        points = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(40)]
+        per_field = [[v for f in family.fields for v in f.value(p)] for p in points]
+        assert [array("d", family._values(p)).tobytes() for p in points] == [array("d", v).tobytes() for v in per_field]
+        assert span_dimensions(family, points) == [_ref_rank(family, p) for p in points]

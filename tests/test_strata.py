@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,31 +305,80 @@ def test_drift_fold_retries_overflowing_points_on_numpy_floats(constraint, compo
     assert _outcome(_fold_drift, ss, fld, box_lo, box_hi, 1.0, 0) == want
 
 
-def _counting_integrate(monkeypatch) -> list:
+def _counting_drift(monkeypatch) -> list:
     starts: list = []
-    real = flow.integrate
+    real = flow.drift
 
-    def counted(space, fld, x0, *args, **kwargs):
+    def counted(stratum, fld, x0, *args, **kwargs):
         starts.append(list(x0))
-        return real(space, fld, x0, *args, **kwargs)
+        return real(stratum, fld, x0, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "integrate", counted)
+    monkeypatch.setattr(flow, "drift", counted)
     return starts
 
 
 @pytest.mark.parametrize("name", ["rot", "euler", "ddz"])
 def test_tangency_flows_the_cone_apex_once(monkeypatch, name):
     # the apex is one point, which the sampler returns 15 times
-    starts = _counting_integrate(monkeypatch)
+    starts = _counting_drift(monkeypatch)
     strongly_stratified_check(cone_stratification(), cone_fields()[name], CONE_LO, CONE_HI, rng_seed=0)
     assert len(starts) == 16
     assert starts.count([0.0, 0.0, 0.0]) == 1
 
 
 def test_tangency_flows_starts_differing_in_the_sign_of_a_zero_apart(monkeypatch):
-    starts = _counting_integrate(monkeypatch)
+    starts = _counting_drift(monkeypatch)
     points = [[0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [0.0, -0.0, 0.0]]
     monkeypatch.setattr(strata, "sample", lambda space, count, draw, tries: [list(p) for p in points])
     strongly_stratified_check(cone_stratification(), cone_fields()["rot"], CONE_LO, CONE_HI, rng_seed=0)
     # each of the two strata gets the same five points, three of them distinct
     assert _hexed(starts) == _hexed([points[0], points[1], points[4]] * 2)
+
+
+@pytest.mark.parametrize("components", [["0", "1"], ["-x2", "x1"]])
+def test_a_worst_drift_reached_at_t_and_minus_t_is_witnessed_at_minus_t(components):
+    # both fields are odd under (x2, t) -> (-x2, -t), so from the x1 axis the
+    # backward curve mirrors the forward one bit for bit and |x2| is worst at
+    # both t and -t; the fold in time order keeps the earlier, backward point
+    axis = SubcartesianSpace(2, [[Constraint(parse("x2", 2), Rel.EQ)]])
+    ss, fld = StratifiedSpace(axis, [Stratum("axis", axis, 1)]), make_field("f", components, 2)
+    rep = strongly_stratified_check(ss, fld, [0.5, -1.0], [1.5, 1.0], horizon=2.0, drift_tol=0.0)
+    curve = integrate(SubcartesianSpace.whole_space(2), fld, rep.witness["start"], horizon=2.0, store=True)
+    forward = [(t, p) for t, p in _samples(curve) if t >= 0.0]
+    worst = max(abs(p[1]) for _, p in forward)
+    t, p = next((t, p) for t, p in forward if abs(p[1]) == worst)
+    assert rep.max_drift == worst > 0.0 and t > 0.0
+    assert _hexed([rep.witness["t"], rep.witness["point"]]) == _hexed([-t, [p[0], -p[1]]])
+
+
+def test_tangency_memory_does_not_grow_with_the_horizon():
+    # euler vanishes at the apex, so each step there is ten times the last
+    # until one reaches the horizon, and a drive scans 1e4 points; storing
+    # them peaked at 1.5 MB.  (From the surface euler's curves end in a step
+    # size underflow at t = 707, after as many points again.)
+    cone = cone_stratification()
+    apex, fld = StratifiedSpace(cone.total, cone.strata[:1]), cone_fields()["euler"]
+    strongly_stratified_check(apex, fld, CONE_LO, CONE_HI, horizon=1.0)  # compiles the kernel untraced
+    tracemalloc.start()
+    try:
+        rep = strongly_stratified_check(apex, fld, CONE_LO, CONE_HI, horizon=1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.max_drift == 0.0
+    assert peak < 64 * 1024
+
+
+def test_a_backward_nan_is_named_before_a_later_forward_overflow():
+    # exp overflows even on numpy floats once the forward half passes
+    # x1 = 709.78, and the slack is NaN (inf - inf) wherever x1 < 0, which
+    # the backward half reaches; the loop over time order meets the NaN at
+    # t = -1 first, so a fold that raised at the forward overflow at once
+    # would name the wrong point
+    step = "(1 - tanh(x1*1e300*1e300))*1e300*1e300"
+    space = SubcartesianSpace(2, [[Constraint(parse(f"exp(x1) + {step} - {step}", 2), Rel.GE)]])
+    ss = StratifiedSpace(space, [Stratum("s", space, 2)])
+    fld = make_field("f", ["1000", "0"], 2)
+    want = _outcome(_loop_drift, ss, fld, [0.5, 0.0], [1.0, 1.0], 1.0, 0)
+    assert want.startswith("the constraints of stratum 's' are not a number at [-999.")
+    assert _outcome(_fold_drift, ss, fld, [0.5, 0.0], [1.0, 1.0], 1.0, 0) == want
