@@ -17,8 +17,8 @@ numpy imports it when it runs.  So ``import subcart.cli``, loading a
 scenario, ``integrate``, ``classify_vector_field``, ``transport_vector``,
 ``reach`` and the sampler ``space.sample`` never load numpy, and neither do
 the ``flow``, ``classify``, ``bracket`` and ``strata --check tangency``
-commands, unless a constraint overflows on Python floats and is tested
-again on numpy floats.  Every point the package hands
+commands: constraints are evaluated in IEEE arithmetic by generated code on
+Python floats, an overflow included.  Every point the package hands
 back is a list of Python floats; matrices and ``flow_map``'s image are
 ndarrays, made by functions that load numpy on first use.
 """

@@ -588,18 +588,44 @@ def _guard_sqrt(v: float) -> float:
     return math.sqrt(v)
 
 
+def _or(f: Callable[[float], float], error: type, value: float) -> Callable[[float], float]:
+    """``f``, or ``value`` where ``f`` raises ``error``: the IEEE result, as
+    numpy gives it, where ``math`` raises instead."""
+
+    def g(v: float) -> float:
+        try:
+            return f(v)
+        except error:
+            return value
+
+    return g
+
+
+_exp = _or(math.exp, OverflowError, math.inf)
+
+
+def _pow(b: float, k: int) -> float:
+    """``b ** k``, or where Python's float ``**`` overflows, the infinity numpy
+    gives: -inf for a negative base and odd k, +inf otherwise."""
+    try:
+        return b ** k
+    except OverflowError:
+        return -math.inf if b < 0.0 and k % 2 else math.inf
+
+
 def _cut_value(shift: int, t: float) -> float:
     if t <= 0.0:
         return 0.0
     if shift == 0:
-        return math.exp(-1.0 / t)
-    return math.exp(-1.0 / t - shift * math.log(t))
+        return _exp(-1.0 / t)
+    return _exp(-1.0 / t - shift * math.log(t))
 
 
 _COMPILE_ENV = {
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_exp": math.exp,
+    "_sin": _or(math.sin, ValueError, math.nan),  # at +-inf
+    "_cos": _or(math.cos, ValueError, math.nan),
+    "_exp": _exp,
+    "_pow": _pow,
     "_tanh": math.tanh,
     "_div": _guard_div,
     "_log": _guard_log,
@@ -619,13 +645,14 @@ def _const_source(v: float) -> str:
     return "_nan" if v != v else "_inf" if v > 0 else "_ninf"
 
 
-def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str) -> str:
+def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str, ieee: bool = False) -> str:
     """Append to ``lines`` the assignments that compute ``e`` and return the
     name or literal holding its value.  ``coord`` spells coordinate i as
     ``coord.format(i)``: ``"_x[{}]"`` indexes the argument of a compiled
     function, ``"y{}"`` names the local y3 of a flow kernel.  ``memo`` maps
     the id of a node already emitted to its name, so a shared subtree is
-    computed once."""
+    computed once.  With ``ieee`` a power is ``_pow(b, k)``, which gives
+    inf where Python's float ``**`` raises ``OverflowError``."""
     name = memo.get(id(e))
     if name is not None:
         return name
@@ -635,19 +662,20 @@ def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str) -> str:
         name = coord.format(e.index)
     else:
         if isinstance(e, Add):
-            rhs = f"{_emit(e.left, memo, lines, coord)} + {_emit(e.right, memo, lines, coord)}"
+            rhs = f"{_emit(e.left, memo, lines, coord, ieee)} + {_emit(e.right, memo, lines, coord, ieee)}"
         elif isinstance(e, Mul):
-            rhs = f"{_emit(e.left, memo, lines, coord)} * {_emit(e.right, memo, lines, coord)}"
+            rhs = f"{_emit(e.left, memo, lines, coord, ieee)} * {_emit(e.right, memo, lines, coord, ieee)}"
         elif isinstance(e, Div):
-            rhs = f"_div({_emit(e.left, memo, lines, coord)}, {_emit(e.right, memo, lines, coord)})"
+            rhs = f"_div({_emit(e.left, memo, lines, coord, ieee)}, {_emit(e.right, memo, lines, coord, ieee)})"
         elif isinstance(e, Pow):
-            rhs = f"{_emit(e.base, memo, lines, coord)} ** {e.exponent}"
+            base = _emit(e.base, memo, lines, coord, ieee)
+            rhs = f"_pow({base}, {e.exponent})" if ieee else f"{base} ** {e.exponent}"
         elif isinstance(e, Neg):
-            rhs = f"-{_emit(e.operand, memo, lines, coord)}"
+            rhs = f"-{_emit(e.operand, memo, lines, coord, ieee)}"
         elif isinstance(e, Fn):
-            rhs = f"_{e.name}({_emit(e.operand, memo, lines, coord)})"
+            rhs = f"_{e.name}({_emit(e.operand, memo, lines, coord, ieee)})"
         elif isinstance(e, Cut):
-            rhs = f"_cut({e.shift}, {_emit(e.operand, memo, lines, coord)})"
+            rhs = f"_cut({e.shift}, {_emit(e.operand, memo, lines, coord, ieee)})"
         else:
             raise ExprError(f"unknown node {e!r}")
         name = f"_t{len(lines)}"

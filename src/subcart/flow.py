@@ -32,8 +32,9 @@ worst violation of a stratum's constraints at its points, on the ambient
 space, so its memory does not grow with the horizon.
 A space with a cell of no constraints holds everywhere, so there nothing is
 tested, and a kernel that neither tests, stores nor folds has no scan.
-Where Python's float ``**`` overflows in the scan, the space tests the point
-again on numpy floats, importing numpy then.  On the first violation the
+The scan's cell tests are the space's generated lines, which evaluate the
+constraints in IEEE arithmetic (``space._cells_test``), so a power that
+overflows Python's float ``**`` tests as inf.  On the first violation the
 exit time is located by bisection on the dense output down to 1e-12 in
 time (``BISECT_TOL``), in a loop generated per space from the same cell
 tests (``SubcartesianSpace._bisect``).  Domain-guard failures inside the
@@ -70,9 +71,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .field import TangentField
 from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
-from .space import (
-    BALL_TRIES, Cell, SpaceError, SubcartesianSpace, _cells_test, _evaluate, _slack_source, ball, sample,
-)
+from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _slack_source, ball, sample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -299,13 +298,9 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
     ci = space.member_cell(p_in)
     if ci is None:
         return None, None, None
-    for ki, (con, ev) in enumerate(zip(space.cells[ci], space._evals[ci])):
-        try:
-            v = _evaluate(ev, p_out)
-        except DomainError:
-            return ci, ki, space._texts[ci][ki]
-        if not con.satisfied(v, space.tol):
-            return ci, ki, space._texts[ci][ki]
+    for ki, (test, text) in enumerate(space._constraint_tests[ci]):
+        if test(p_out, space.tol) is None:
+            return ci, ki, text
     return ci, None, None
 
 
@@ -334,10 +329,8 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # A kernel computes its field's components inline at each stage, from the
 # stage state z0.. (yn0.. for the last stage), and tests the space's cells
 # inline, under its ``_tol = space.tol``, at each scanned point p0.. of the
-# dense output; where Python's float ``**`` overflows in that test,
-# ``space.contains`` tests the point again on numpy floats (``_evaluate``,
-# which imports numpy on the process's first such overflow, so a kernel
-# runs without numpy until then).
+# dense output; those lines (``space._cells_test``) evaluate the constraints
+# in IEEE arithmetic, so no overflow leaves them.
 # A step of at most INTERIOR_CHECKS + 1 = 4 scanned points, one of at most
 # 0.4 time units, scans them in a block of straight-line code with the
 # fractions 0.25, 0.5, 0.75, 1.0 as literals; a longer step scans its
@@ -353,8 +346,7 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # ``n_samples``, and with no cell to test it has no scan, only that sum; one
 # that folds them (``drift``, the tangency check of ``strata``) tests no
 # cell and evaluates the slack lines of a stratum (``space._slack_source``)
-# at its start and at each scanned point, retrying on numpy floats where
-# Python's float ``**`` overflows, and returns the worst violation
+# at its start and at each scanned point, and returns the worst violation
 # max(0, -slack), its time and point, and the point where the slack is NaN
 # in place of ``samples``; one that does none of these (``flow_map``,
 # ``transport_vector`` and the classifier's probes) leaves both None, and
@@ -468,9 +460,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         point where the fold stops: its slack is NaN (``_nan`` is the
         constant's name, so the local is ``_stop``)."""
         point = f"[{names('p')}]"
-        return ["try:", *_slack_source(cells, "    ", "p{}"),
-                "except OverflowError:  # Python's float ** overflowed: the slack on numpy floats",
-                f"    _b = _slack_or_nan(space, {point})",
+        return [*_slack_source(cells, "", "p{}"),
                 "if _b != _b and (_stop is None or _back):", f"    _stop = {point}",
                 "_v = -_b",
                 "if _v > _worst or _back and _v == _worst > 0.0:",
@@ -500,10 +490,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
             count = "None" if keep is None else f"n_samples + {passed}"
             leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + f",), {theta_in}, {th}, t, h, "
                      f"samples, {count}, n_steps, space)")
-            lines += (["try:", "    _c = None"] + _cells_test(cells, "p{}", "    ")
-                      + ["except OverflowError:  # Python's float ** overflowed: test the point on numpy floats",
-                         f"    _c = 0 if space.contains([{names('p')}]) else None",
-                         "if _c is None:", f"    {leave}"])
+            lines += ["_c = None", *_cells_test(cells, "p{}", ""), "if _c is None:", f"    {leave}"]
         if keep == "store":
             lines += [f"sample_t.append({stamp})", f"sample_x.extend(({names('p')}))"]
         if fold:
@@ -589,7 +576,7 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
     drive = _DRIVERS.get(key)
     if drive is None:
         scope = dict(_COMPILE_ENV, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
-                     _slack_or_nan=_slack_or_nan, ExitWitness=ExitWitness, DomainError=DomainError,
+                     ExitWitness=ExitWitness, DomainError=DomainError,
                      _DomainError=DomainError, IntegrationError=IntegrationError, sqrt=math.sqrt,
                      ceil=math.ceil, inf=math.inf, MIN_STEP=MIN_STEP)
         source = _driver_source(fld.components, None if scan is None else space.cells, keep)
@@ -645,16 +632,6 @@ def integrate(
     )
 
 
-def _slack_or_nan(space: SubcartesianSpace, point: list[float]) -> float:
-    """The slack of the space at the point on numpy floats, after Python's
-    float ``**`` overflowed, or NaN where it overflows there too, so a drift
-    kernel stops there as at a NaN slack and its caller names the error."""
-    try:
-        return space.slack(point)
-    except SpaceError:
-        return math.nan
-
-
 def drift(stratum: SubcartesianSpace, fld: TangentField, x0: list[float], horizon: float,
           options: Optional[FlowOptions] = None) -> tuple[float, Optional[float], Optional[list[float]],
                                                           Optional[list[float]]]:
@@ -667,12 +644,11 @@ def drift(stratum: SubcartesianSpace, fld: TangentField, x0: list[float], horizo
     what a fold of the stored curve in time order with a strict ``>`` from
     0.0 gives: the worst violation, the time and point of its first
     occurrence in time (None where none is positive), and the earliest point
-    whose slack is NaN, or overflows even on numpy floats (None where there
-    is none).  So the backward drive keeps the last of equal maxima and of
-    NaN points, the one earliest in time, and wins a tie with the forward
-    one; the start, which both fold, gives both the same value.  Both drives
-    run before the result is read, so an ``IntegrationError`` of either
-    comes first.
+    whose slack is NaN (None where there is none).  So the backward drive
+    keeps the last of equal maxima and of NaN points, the one earliest in
+    time, and wins a tie with the forward one; the start, which both fold,
+    gives both the same value.  Both drives run before the result is read,
+    so an ``IntegrationError`` of either comes first.
     """
     fwd, bwd = _drives(stratum, fld, x0, horizon, options or FlowOptions(), "drift")
     worst, t, point, stop = fwd.samples

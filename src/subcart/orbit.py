@@ -152,7 +152,8 @@ def span_dimensions(
     The values of all fields at a point come from one generated function
     (``FieldFamily._values``) and are packed into one flat buffer, and the
     (n x m) value matrices of all points go through one stacked SVD, which
-    computes each matrix exactly as a call of its own would.
+    computes each matrix exactly as a call of its own would.  A field not
+    finite at a point, or raising there, is ``value_matrix``'s error.
     """
     import numpy as np
 
@@ -161,8 +162,14 @@ def span_dimensions(
     values = family._values
     vals = array("d")
     for p in points:
-        vals.extend(values(p))
+        try:
+            vals.extend(values(p))
+        except (DomainError, OverflowError):
+            family.value_matrix(p)
     m = np.frombuffer(vals).reshape(len(points), len(family), family.space.ambient_dim)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        family.value_matrix(points[int(finite.argmin())])
     s = np.linalg.svd(m.transpose(0, 2, 1), compute_uv=False)
     top = s[:, :1]
     return np.where(top[:, 0] > 0.0, np.sum(s > tol_rank * top, axis=1), 0).tolist()

@@ -25,10 +25,11 @@ on the space's first exit.
 check of ``strata`` folds the same slack lines inline in a flow kernel of
 its own use, "drift", which reads the stratum's slack at every scanned
 point of its curve and stores none of them.
-Python's float ``**`` raises ``OverflowError`` where numpy's gives inf, so a
-point whose test overflows is tested again on numpy floats, with numpy's
-overflow warnings off; only that rare path pays for it.  What overflows on
-numpy floats too (``math.exp``) is a ``SpaceError`` naming the point.
+Constraints are evaluated in IEEE arithmetic: an overflow is an infinity,
+and an infinity's ``sin`` is NaN.  Python's float ``**`` alone raises
+``OverflowError`` there, so a cell whose test overflows is tested again, in
+the same generated function, with its powers spelled ``_pow``, which gives
+the infinity; only that rare path pays for it.
 
 The Gauss-Newton projection onto a cell's equalities is generated the same
 way, one function per cell on its first projection: the equalities and
@@ -61,7 +62,6 @@ from .expr import (
     _const_source,
     _define,
     _emit,
-    compile_scalar,
     gradient_exprs,
     to_text,
     vector_source,
@@ -128,17 +128,18 @@ _MARGINS = {Rel.EQ: "-abs({})", Rel.GE: "{}", Rel.GT: "{}", Rel.LE: "-{}", Rel.L
 _CLOSED = {Rel.GT: Rel.GE, Rel.LT: Rel.LE}
 
 
-def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: str, coord: str) -> list[str]:
+def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: str, coord: str,
+                 ieee: bool = False) -> list[str]:
     """Lines that evaluate a cell's constraints in order, each followed by
     ``check(constraint, value)``; the expressions share the emitter's memo,
     so a common subtree is evaluated once.  ``coord`` spells the coordinates
-    as in ``expr._emit``."""
+    and ``ieee`` the powers as in ``expr._emit``."""
     memo: dict[int, str] = {}
     lines: list[str] = []
     src = []
     for c in cell:
         start = len(lines)
-        value = _emit(c.expr, memo, lines, coord)
+        value = _emit(c.expr, memo, lines, coord, ieee)
         src += [f"{indent}    {line}" for line in lines[start:]]
         src.append(f"{indent}    {check(c, value)}")
     return src
@@ -150,19 +151,25 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
 
     A cell's constraints are tested in order and the first failing one ends
     the cell (``break`` out of a ``while True`` that never loops); a
-    ``DomainError`` anywhere in the cell rules the cell out.  Cells after
-    the first run only while ``_c`` is None, so the lines stay flat however
-    many cells and constraints there are.  Membership functions and the
-    flow kernels' scans are both made of these lines.
+    ``DomainError`` anywhere in the cell rules the cell out.  Where Python's
+    float ``**`` overflows, the cell is tested again with its powers
+    spelled ``_pow``, which gives the IEEE infinity.  Cells after the
+    first run only while ``_c`` is None, so the lines stay flat however
+    many cells and constraints there are.  Membership functions, the exit
+    bisection and the flow kernels' scans are all made of these lines.
     """
+    def test(cell: Cell, i: int, pad: str, ieee: bool) -> list[str]:
+        return [f"{pad}try:", f"{pad}    while True:",
+                *_cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", pad + " " * 4,
+                              coord, ieee),
+                f"{pad}        _c = {i}", f"{pad}        break", f"{pad}except _DomainError:", f"{pad}    pass"]
+
     src = []
     for i, cell in enumerate(cells):
         pad = indent + "    " * (i > 0)
         if i:
             src.append(f"{indent}if _c is None:")
-        src += [f"{pad}try:", f"{pad}    while True:"]
-        src += _cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", pad + " " * 4, coord)
-        src += [f"{pad}        _c = {i}", f"{pad}        break", f"{pad}except _DomainError:", f"{pad}    pass"]
+        src += [*test(cell, i, pad, False), f"{pad}except OverflowError:", *test(cell, i, pad + "    ", True)]
     return src
 
 
@@ -176,27 +183,23 @@ def _compile_bisection(cells: Sequence[Cell], n: int) -> Callable:
     one whose point fails.  While ``(hi - lo) * |h|`` exceeds ``limit`` the
     point at the midpoint fraction is computed by ``flow._dense``'s formula
     and tested by the lines of ``_cells_test`` under ``space.tol``, and
-    replaces the end of the same verdict; where Python's float ``**``
-    overflows, ``space.contains`` tests the point again on numpy floats.
-    Returns the last ``lo`` and ``hi``, which are those of a loop of
-    ``_dense`` and ``space.contains``.
+    replaces the end of the same verdict.  Returns the last ``lo`` and
+    ``hi``, which are those of a loop of ``_dense`` and ``space.contains``.
     """
     ks = range(n)
-    point = ", ".join(f"p{k}" for k in ks)
     src = ["def _f(_space, _coeffs, _lo, _hi, _h, _limit):",
            "    " + ", ".join(f"(y{k}, yd{k}, bs{k}, q{k}, r{k})" for k in ks) + f", = _coeffs[:{n}]",
            "    _tol = _space.tol", "    _span = abs(_h)", "    while (_hi - _lo) * _span > _limit:",
            "        _mid = 0.5 * (_lo + _hi)", "        _u = 1.0 - _mid",
            *(f"        p{k} = y{k} + _mid * (yd{k} + _u * (bs{k} + _mid * (q{k} + _u * r{k})))" for k in ks),
-           "        try:", "            _c = None", *_cells_test(cells, "p{}", " " * 12),
-           "        except OverflowError:", f"            _c = 0 if _space.contains([{point}]) else None",
+           "        _c = None", *_cells_test(cells, "p{}", " " * 8),
            "        if _c is None:", "            _hi = _mid", "        else:", "            _lo = _mid",
            "    return _lo, _hi"]
     return _build(src, "<bisection>")
 
 
 def _build(src: list[str], name: str) -> Callable:
-    return _define("\n".join(src) + "\n", name, _DomainError=DomainError, _solve=_solve, _evaluate=_evaluate)
+    return _define("\n".join(src) + "\n", name, _DomainError=DomainError, _solve=_solve)
 
 
 def _compile_cells(cells: Sequence[Cell]) -> Callable[[Sequence[float], float], Optional[int]]:
@@ -211,16 +214,22 @@ def _slack_source(cells: Sequence[Cell], indent: str, coord: str) -> list[str]:
 
     Each cell folds its margins in order into its worst one, ``_w``, and the
     cells fold into the best, ``_b``; a NaN taken by either fold stays, and a
-    ``DomainError`` anywhere in a cell makes its margin -inf.
+    ``DomainError`` anywhere in a cell makes its margin -inf.  Where Python's
+    float ``**`` overflows, the cell's fold starts again with its powers
+    spelled ``_pow``, as in ``_cells_test``.
     """
+    def fold(cell: Cell, pad: str, ieee: bool) -> list[str]:
+        return [f"{pad}try:",
+                *_cell_source(cell, lambda c, v: f"_m = {_MARGINS[c.rel].format(v)}; "
+                              "_w = _m if _m < _w or _m != _m else _w", pad, coord, ieee),
+                f"{pad}except _DomainError:", f"{pad}    _w = -_inf"]
+
     src = [f"{indent}_b = -_inf"]
     for cell in cells:
         src.append(f"{indent}_w = _inf")
         if cell:
-            src.append(f"{indent}try:")
-            src += _cell_source(cell, lambda c, v: f"_m = {_MARGINS[c.rel].format(v)}; "
-                                "_w = _m if _m < _w or _m != _m else _w", indent, coord)
-            src += [f"{indent}except _DomainError:", f"{indent}    _w = -_inf"]
+            src += [*fold(cell, indent, False), f"{indent}except OverflowError:", f"{indent}    _w = _inf",
+                    *fold(cell, indent + "    ", True)]
         src.append(f"{indent}_b = _w if _w > _b or _w != _w else _b")
     return src
 
@@ -228,25 +237,6 @@ def _slack_source(cells: Sequence[Cell], indent: str, coord: str) -> list[str]:
 def _compile_slack(cells: Sequence[Cell]) -> Callable[[Sequence[float]], float]:
     """Generate ``slack(x)``, the slack of ``SubcartesianSpace.slack``."""
     return _build(["def _f(_x):", *_slack_source(cells, "    ", "_x[{}]"), "    return float(_b)"], "<slack>")
-
-
-def _evaluate(f: Callable, point: Sequence[float], *args):
-    """``f(point, *args)``, and where Python's float ``**`` raises
-    ``OverflowError``, ``f`` again at the point's coordinates as numpy floats,
-    whose ``**`` gives inf; the warnings numpy would print for that are off.
-    What overflows even there (``math.exp``) is an error.  numpy is
-    imported here, on the first overflow, and nowhere on the way to it."""
-    try:
-        return f(point, *args)
-    except OverflowError:
-        pass
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        try:
-            return f([np.float64(v) for v in point], *args)
-        except OverflowError:
-            raise SpaceError(f"a constraint of the space overflows at {[float(v) for v in point]}") from None
 
 
 class SubcartesianSpace:
@@ -289,31 +279,28 @@ class SubcartesianSpace:
         return _compile_bisection(self.cells, self.ambient_dim)
 
     @functools.cached_property
-    def _evals(self) -> list[list[Callable[[Sequence[float]], float]]]:
-        """One compiled callable per constraint, for the constraint named by an
-        exit witness; compiled on first use, since membership does not need them."""
-        return [[compile_scalar(c.expr) for c in cell] for cell in self.cells]
-
-    @functools.cached_property
-    def _texts(self) -> list[list[str]]:
-        """The text of each constraint, for the constraint named by an exit witness."""
-        return [[c.text() for c in cell] for cell in self.cells]
+    def _constraint_tests(self) -> list[list[tuple[Callable[[Sequence[float], float], Optional[int]], str]]]:
+        """The membership function of each constraint as a cell of its own,
+        and its text, for the constraint named by an exit witness; generated
+        on first use, since membership does not need them.  A one-constraint
+        space's is its membership function."""
+        return [[(_compile_cells([(c,)]), c.text()) for c in cell] for cell in self.cells]
 
     def cell_contains(self, cell_index: int, point: Sequence[float]) -> bool:
         test = self._cell_tests[cell_index]
         if test is None:
             test = self._cell_tests[cell_index] = _compile_cells(self.cells[cell_index : cell_index + 1])
-        return _evaluate(test, point, self.tol) is not None
+        return test(point, self.tol) is not None
 
     def contains(self, point: Sequence[float], tol: Optional[float] = None) -> bool:
-        return _evaluate(self._first_cell, point, self.tol if tol is None else tol) is not None
+        return self._first_cell(point, self.tol if tol is None else tol) is not None
 
     def member_cell(self, point: Sequence[float]) -> Optional[int]:
-        return _evaluate(self._first_cell, point, self.tol)
+        return self._first_cell(point, self.tol)
 
     def closure_contains(self, point: Sequence[float]) -> bool:
         """Membership in the topological closure: strict relations relaxed."""
-        return _evaluate(self._closure_cell, point, self.tol) is not None
+        return self._closure_cell(point, self.tol) is not None
 
     @functools.cached_property
     def _closure_cell(self) -> Callable[[Sequence[float], float], Optional[int]]:
@@ -330,7 +317,7 @@ class SubcartesianSpace:
         The folds are one function generated on first use, like membership.
         A drift kernel (``flow.drift``) folds the same lines inline.
         """
-        return _evaluate(self._slack, point)
+        return self._slack(point)
 
     @functools.cached_property
     def _slack(self) -> Callable[[Sequence[float]], float]:
@@ -345,7 +332,7 @@ class SubcartesianSpace:
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:
         if hasattr(point, "tolist"):
-            point = point.tolist()  # numpy scalars would warn where a power overflows
+            point = point.tolist()  # an array's scalars would warn where a power overflows
         if not self.contains(point):
             raise SpaceError(f"{what} {list(map(float, point))} is not in the space (slack {self.slack(point):.3e})")
 
@@ -400,8 +387,8 @@ def _compile_projection(cell: Cell, n: int, tol: float) -> Callable[[list[float]
     finite.  After ``max_iter`` steps the point is kept when every |g_i| is at
     most ``tol``, so a NaN residual rejects it.  A constraint undefined at an
     iterate (``DomainError``) or one whose power overflows on Python floats
-    also gives None; on numpy floats the latter would be inf and then a NaN
-    step.
+    also gives None; in IEEE arithmetic the latter would be inf and then a
+    NaN step.
     """
     eqs = [c.expr for c in cell if c.rel is Rel.EQ]
     if not eqs:

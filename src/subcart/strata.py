@@ -263,7 +263,6 @@ def strongly_stratified_check(
             flowed.add(start)
             violation, t, point, stop = drift(s.space, fld, p, horizon, options)
             if stop is not None:  # max(0.0, -nan) would read as no drift
-                s.space.slack(stop)  # raises the error of a slack that overflows even on numpy floats
                 raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {stop}")
             if violation > worst_here:
                 worst_here = violation

@@ -22,7 +22,7 @@ from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
 
 from conftest import scenario_path
-from test_imports import _fresh
+from test_imports import OVERFLOW_EXIT, _fresh
 
 
 def run(capsys, *argv: str) -> tuple[int, dict, str]:
@@ -519,10 +519,9 @@ def _one_cell_scenario(tmp_path, constraint: str, field: str) -> str:
      "field overflows at basepoint [1e+200]"),
     ("x1", "1e-200 * x1^4", ["flow", "--field", "f", "--point=1.15e77", "--horizon", "1"],
      "field overflows at t=0.0"),
-    # math.exp overflows on numpy floats too, so membership cannot retry there
-    ("exp(x1) - 2", "1", ["flow", "--field", "f", "--point=1000"],
-     "a constraint of the space overflows at [1000.0]"),
-    ("exp(x1) - 2", "1", ["orbit", "--point=1000"], "a constraint of the space overflows at [1000.0]"),
+    # x1*x1 overflows to inf, whose sine is NaN: math.sin raised ValueError
+    ("sin(x1*x1) + 2", "1", ["flow", "--field", "f", "--point=1e200"],
+     "basepoint [1e+200] is not in the space (slack nan)"),
 ])
 def test_overflow_exits_2_naming_it(tmp_path, capsys, constraint, field, argv, says):
     # each used to end in "internal error: OverflowError"
@@ -530,6 +529,21 @@ def test_overflow_exits_2_naming_it(tmp_path, capsys, constraint, field, argv, s
     assert code == 2
     assert report == {}
     assert err.count("\n") == 1 and says in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [["flow", "--field", "f", "--point=1000"], ["orbit", "--point=1000"]],
+                         ids=["flow", "orbit"])
+def test_a_constraint_that_overflows_to_inf_holds(tmp_path, capsys, argv):
+    # math.exp(1000) raises OverflowError; in IEEE arithmetic exp(1000) - 2 is
+    # inf >= 0, so 1000 is a member and both commands run.  They exited 2
+    # with "a constraint of the space overflows at [1000.0]".
+    code, report, err = run(capsys, *argv, "--scenario", _one_cell_scenario(tmp_path, "exp(x1) - 2", "1"))
+    assert (code, err) == (0, "")
+    result = report["result"]
+    if argv[0] == "flow":
+        assert (result["t_minus"], result["t_plus"]) == (-10, 10)
+    else:
+        assert result["est_dimension"] == 1 and result["diagnostics"]["flow_failures"] == 0
 
 
 @pytest.mark.parametrize("fields,seed,argv,says", [
@@ -559,6 +573,9 @@ def test_complete_probe_names_the_field_and_point_it_cannot_evaluate(tmp_path, c
     assert (code, report, err) == (2, {}, says)
 
 
+_NAN = "x1*x1*x1 - x1*x1*x1"  # inf - inf from x1 = 1e200 on
+
+
 @pytest.mark.parametrize("argv,says", [
     # each overflow at the point ended in "internal error: OverflowError"
     (["acs", "--check", "torsion", "--scenario", "acs_variable", "--x", "e1", "--y", "e3", "--point=1e100,1,1,1"],
@@ -574,13 +591,30 @@ def test_complete_probe_names_the_field_and_point_it_cannot_evaluate(tmp_path, c
      "error: field '[r,s]' is not finite at [1e+200, 1.0]\n"),
     (["chart", "--scenario", "pair", "--family", "cubic", "--point=1e200,1"],
      "error: field 'r' is not finite at [1e+200, 1.0]\n"),
-], ids=["torsion-overflow", "bracket-overflow", "bracket-undefined", "bracket-not-finite", "chart-not-finite"])
+    # the sine of inf is NaN, where math.sin raised ValueError
+    (["chart", "--scenario", "pair", "--family", "sine", "--point=1e200,0"],
+     "error: field 'u' is not finite at [1e+200, 0.0]\n"),
+    # the span dimensions of the orbit's points: the flows of v fail at once,
+    # those of w keep x1 = 1e200, and the family's values there ended in an
+    # internal OverflowError, or a NaN matrix in an internal LinAlgError
+    (["orbit", "--scenario", "pair", "--family", "square", "--point=1e200,0"],
+     "error: field 'v' overflows at [1e+200, 0.0]\n"),
+    (["orbit", "--scenario", "pair", "--family", "nan", "--point=1e200,0"],
+     "error: field 'n' is not finite at [1e+200, 0.0]\n"),
+    (["leaf", "--scenario", "pair", "--point=1e200,0"],
+     "error: field 'X[x1]' is not finite at [1e+200, 0.0]\n"),
+], ids=["torsion-overflow", "bracket-overflow", "bracket-undefined", "bracket-not-finite", "chart-not-finite",
+        "chart-sine-of-inf", "orbit-overflow", "orbit-not-finite", "leaf-not-finite"])
 def test_value_at_point_names_the_field_and_point_it_cannot_evaluate(tmp_path, capsys, argv, says):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"name": "pair", "space": {"ambient_dim": 2, "cells": [[]]},
                                 "fields": {"p": ["x1^3", "1"], "q": ["x1", "sqrt(x2)"],
-                                           "r": ["x1*x1*x1", "1"], "s": ["x1", "0"]},
-                                "families": {"cubic": ["r", "s"]}}))
+                                           "r": ["x1*x1*x1", "1"], "s": ["x1", "0"], "u": ["sin(x1*x1)", "0"],
+                                           "v": ["x1^2", "0"], "w": ["0", "1"], "n": [_NAN, "0"]},
+                                "families": {"cubic": ["r", "s"], "sine": ["u"], "square": ["v", "w"],
+                                             "nan": ["n", "w"]},
+                                "poisson": {"bivector": [["0", _NAN], [f"-({_NAN})", "0"]]},
+                                "generators": ["x1", "x2"]}))
     argv = list(argv)
     at = argv.index("--scenario") + 1
     argv[at] = str(path) if argv[at] == "pair" else scenario_path(argv[at])
@@ -717,15 +751,6 @@ def test_flow_where_python_float_power_overflows(tmp_path):
     assert abs(x - want[0]) <= 1e-8 * 1e200 and abs(y - want[1]) <= 1e-8 * 1e200
 
 
-OVERFLOW_EXIT = {
-    "name": "overflow-exit",
-    "space": {"ambient_dim": 2, "locally_closed": True, "cells": [[
-        {"expr": "(1e200*x1)^2 + 1", "rel": "geq0"}, {"expr": "x2 - 1", "rel": "leq0"}]]},
-    "fields": {"v": ["0", "1"]},
-    "families": {"default": ["v"]},
-}
-
-
 def _overflow_exit_argv(tmp_path) -> list[str]:
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(OVERFLOW_EXIT))
@@ -741,9 +766,10 @@ def test_exit_witness_where_an_earlier_constraint_overflows(tmp_path, capsys):
     assert witness["constraint_index"] == 1 and witness["constraint"] == "x2 - 1.0"
 
 
-def test_overflow_retry_imports_numpy_in_a_fresh_interpreter(tmp_path, capsys):
+def test_overflowing_flow_imports_no_numpy_in_a_fresh_interpreter(tmp_path, capsys):
     # every membership test of this flow overflows on Python floats; the
-    # retry on numpy floats imports numpy, which the child has not loaded yet
+    # generated test runs the cell again in IEEE arithmetic, where a retry on
+    # numpy floats imported numpy, and the report is the same
     argv = _overflow_exit_argv(tmp_path)
     before, after, code, out = json.loads(_fresh(
         "import contextlib, io, json, sys\n"
@@ -754,8 +780,10 @@ def test_overflow_retry_imports_numpy_in_a_fresh_interpreter(tmp_path, capsys):
         f"    code = main({argv!r})\n"
         "print(json.dumps([before, 'numpy' in sys.modules, code, buf.getvalue()]))"
     ))
-    assert (before, after) == (False, True)
+    assert (before, after) == (False, False)
     assert (code, out) == run_bytes(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == (  # the report of the numpy retry
+        "a56b6706cad299e06c5d5999f33c60a7fc790a9c374d2999793b9df56b61b232")
 
 
 # Near the origin of the box the squares are tiny, further out each product
@@ -812,6 +840,16 @@ def test_strata_frontier_samples_without_numpy_warnings(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: stratum 'wedge' produced no samples in the given box\n"
+
+
+def test_strata_tangency_where_a_cosine_of_inf_is_nan_exits_2(tmp_path, capsys):
+    # x1*x1*1e300*1e300 overflows to inf over most of the box, and its cosine
+    # is NaN, so the draws fail the stratum; math.cos raised ValueError there
+    path = tmp_path / "cos.json"
+    path.write_text(json.dumps(dict(WEDGE, box=[[-1.0, -1.0], [1.0, 1.0]], strata=[{"name": "s", "dim": 2, "cells": [[
+        {"expr": "cos(x1*x1*1e300*1e300) + 2", "rel": "geq0"}]]}])))
+    code, report, err = run(capsys, "strata", "--scenario", str(path), "--check", "tangency", "--field", "v")
+    assert (code, report, err) == (2, {}, "error: stratum 's' produced no samples in the given box\n")
 
 
 @pytest.mark.parametrize("check", [["frontier"], ["tangency", "--field", "rot"]])

@@ -107,31 +107,29 @@ def test_nonfinite_literals_in_generated_membership_and_slack():
 
 def test_per_constraint_callables_compile_on_first_use(monkeypatch):
     # membership and slack are one generated function each; the per-constraint
-    # callables, which only name the constraint of an exit witness, compile
-    # on their first use
+    # tests, which only name the constraint of an exit witness, are generated
+    # on their first use, each the membership function of a one-constraint cell
     import subcart.space as space_mod
 
-    calls = []
     built = []
     build = space_mod._build
-
-    def counting(e):
-        calls.append(e)
-        return compile_scalar(e)
 
     def counting_build(src, name):
         built.append(name)
         return build(src, name)
 
-    monkeypatch.setattr(space_mod, "compile_scalar", counting)
     monkeypatch.setattr(space_mod, "_build", counting_build)
     dl = disk_line()
     assert dl.contains([0.0, 0.5])
     assert dl.slack([0.0, 0.5]) == 0.75
     dl.slack([0.0, 0.25])
-    assert built == ["<membership>", "<slack>"] and calls == []
-    assert "_evals" not in vars(dl)
-    assert len(dl._evals) == 2 and len(calls) == 2
+    assert built == ["<membership>", "<slack>"]
+    assert "_constraint_tests" not in vars(dl)
+    ((disk, text),), ((line, _),) = dl._constraint_tests
+    assert built == ["<membership>", "<slack>", "<membership>", "<membership>"]
+    assert text == dl.cells[0][0].text()
+    assert (disk([0.0, 0.5], dl.tol), disk([0.0, 0.0], dl.tol)) == (0, None)
+    assert (line([3.0, 0.0], dl.tol), line([0.0, 0.5], dl.tol)) == (0, None)
 
 
 def test_disk_line_membership_and_cells():
@@ -559,8 +557,9 @@ RELAXED = DEFAULT_TOL * ATTAINED_FACTOR
 
 
 def _with_fallback(f, x):
-    """The documented fallback: a test that overflows on Python floats runs
-    again on numpy floats, and one that overflows there too is an error."""
+    """The test in IEEE arithmetic: one that overflows on Python floats runs
+    again on numpy floats, whose ``**`` gives inf.  Nothing else overflows
+    (``exp`` gives inf), so an overflow there too is an error."""
     try:
         return f(x)
     except OverflowError:
@@ -645,6 +644,11 @@ def _spaces(draw):
     return SubcartesianSpace(N_PROP, cells)
 
 
+# x1^2 overflows after x2 >= 0 held in the same cell, and x1^3 to -inf
+_OVERFLOW_AFTER_A_PASS = SubcartesianSpace(2, [
+    [Constraint(parse("x2", 2), Rel.GE), Constraint(parse("1 - x1^2", 2), Rel.GE)],
+    [Constraint(parse("x1^3", 2), Rel.LT)]])
+
 # the edges of the default and relaxed bands, where a comparison that lost or
 # gained its equality case changes the answer
 _edges = [s * t for s in (1.0, -1.0) for t in (DEFAULT_TOL, RELAXED)]
@@ -658,7 +662,8 @@ _coords = st.one_of(st.sampled_from(_edges), st.floats(-3.0, 3.0),
 @example(SubcartesianSpace(2, [[Constraint(parse("(1/x1)^2", 2), Rel.LE)]]),
          [1.3758828927650757e-229, 1e-09], False, [1e200])  # overflows on Python floats only
 @example(SubcartesianSpace(2, [[Constraint(parse("exp(x1)", 2), Rel.GE)]]),
-         [1e200, 0.0], False, [])  # overflows on numpy floats too
+         [1e200, 0.0], False, [])  # math.exp overflows, exp gives inf
+@example(_OVERFLOW_AFTER_A_PASS, [-1e200, 0.5], False, [])
 @settings(max_examples=500, deadline=None)
 def test_generated_membership_matches_reference(space, coords, as_array, extra):
     x = np.array(coords) if as_array else coords
@@ -695,6 +700,7 @@ def test_generated_membership_matches_reference(space, coords, as_array, extra):
 @example(SubcartesianSpace(2, [[Constraint(parse("log(x1)", 2), Rel.GE)],
                                [Constraint(parse("x2", 2), Rel.EQ)]]),
          [-1.0, math.nan], False)  # a DomainError cell, then a NaN margin
+@example(_OVERFLOW_AFTER_A_PASS, [-1e200, 0.5], False)
 @settings(max_examples=500, deadline=None)
 def test_generated_slack_matches_reference(space, coords, as_array):
     x = np.array(coords) if as_array else coords
@@ -720,8 +726,9 @@ def test_generated_membership_at_band_edges(rel, value, tol):
 
 
 def test_membership_where_float_power_overflows():
-    # Python's float ** raises OverflowError where numpy's gives inf; the test
-    # is evaluated again on numpy floats, with no RuntimeWarning printed
+    # Python's float ** raises OverflowError where numpy's gives inf; the cell
+    # is tested again with its powers in IEEE arithmetic, and an array's
+    # scalars print no RuntimeWarning
     plane, disk = punctured_plane(), disk_line()
     huge = [1e200, 1e200]
     with warnings.catch_warnings():
