@@ -54,21 +54,22 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# name: (default, the commands that read it, "strata:tangency" for one --check);
 # a constant of a module imported on first use is written out, and a test pins it
 DEFAULT_TOLERANCES = {
-    "rtol": 1e-9,  # flow.DEFAULT_RTOL
-    "atol": 1e-12,  # flow.DEFAULT_ATOL
-    "rank": RANK_TOL,
-    "completeness": 1e-6,  # orbit.COMPLETENESS_TOL
-    "antisymmetry": 1e-12,
-    "jacobi": 1e-8,
-    "casimir_drift": 1e-6,
-    "frontier": 1e-4,  # strata.FRONTIER_TOL
-    "drift": 1e-8,  # strata.DRIFT_TOL
-    "kahler": KAHLER_TOL,
-    "fit": 1e-10,  # poisson.FIT_TOL
-    "certify": 1e-10,  # poisson.CERTIFY_TOL
-    "square": 1e-10,
+    "rtol": (1e-9, "flow classify orbit chart complete-probe strata:tangency strata:orbits leaf"),
+    "atol": (1e-12, "flow classify orbit chart complete-probe strata:tangency strata:orbits leaf"),
+    "rank": (RANK_TOL, "orbit chart strata:orbits leaf"),
+    "completeness": (1e-6, "complete-probe"),  # orbit.COMPLETENESS_TOL
+    "antisymmetry": (1e-12, "poisson"),
+    "jacobi": (1e-8, "poisson"),
+    "casimir_drift": (1e-6, "leaf"),
+    "frontier": (1e-4, "strata:frontier"),  # strata.FRONTIER_TOL
+    "drift": (1e-8, "strata:tangency strata:orbits"),  # strata.DRIFT_TOL
+    "kahler": (KAHLER_TOL, "acs:kahler"),
+    "fit": (1e-10, "reduce"),  # poisson.FIT_TOL
+    "certify": (1e-10, "reduce"),  # poisson.CERTIFY_TOL
+    "square": (1e-10, "acs:torsion acs:cr acs:kahler"),
 }
 
 
@@ -457,7 +458,7 @@ def _write_cloud(path: str, points, words) -> None:
     header = [f"x{i + 1}" for i in range(n)] + ["word_id"]
     rows = [p + [i] for i, p in enumerate(points)]
     write_csv(path, header, rows)
-    sidecar = path[: -len(".csv")] + ".words.json" if path.endswith(".csv") else path + ".words.json"
+    sidecar = path[: -len(".csv")] + ".words.json"
     payload = {"words": [[[i, t] for (i, t) in w] for w in words]}
     with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canonical_json(payload) + "\n")
@@ -467,12 +468,16 @@ def _write_cloud(path: str, points, words) -> None:
 # Each returns (result dict, exit code).
 
 def cmd_flow(sc: Scenario, args, tol) -> tuple[dict, int]:
-    from .flow import integrate
+    from .flow import IntegrationError, integrate
 
     fld = sc.field(args.field)
     point = _parse_point_arg(args.point, sc.space.ambient_dim)
     out = _csv_out(args)
-    curve = integrate(sc.space, fld, point, horizon=args.horizon, options=_flow_options(tol), store=bool(out))
+    try:
+        curve = integrate(sc.space, fld, point, horizon=args.horizon, options=_flow_options(tol), store=bool(out))
+    except IntegrationError:
+        _value_at(fld, point)  # a field that fails at the point is named, as bracket names it
+        raise
     if out:
         header = ["t"] + [f"x{i + 1}" for i in range(sc.space.ambient_dim)]
         write_csv(out, header, [[t] + p for t, p in curve.samples])
@@ -792,13 +797,10 @@ def _positive_int(text: str) -> int:
 
 _COMMON_ARGS = (
     ("--scenario", {"required": True, "help": "scenario JSON file"}),
-    ("--out", {"default": None, "help": "artifact path (.json report or .csv data)"}),
-    ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"}),
-    ("--tol-overrides", {
-        "default": None,
-        "help": "JSON object of tolerance overrides, e.g. '{\"jacobi\": 1e-6}'",
-    }),
+    ("--out", {"default": None, "help": "artifact path: .json report, or .csv data of flow, orbit, leaf"}),
+    ("--tol-overrides", {"default": None, "help": "JSON object overriding tolerances the command reads"}),
 )
+_SEED = ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"})
 
 # name -> (help, handler, arguments after the common ones), in the order --help lists them
 _COMMANDS = {
@@ -807,7 +809,7 @@ _COMMANDS = {
         ("--point", {"required": True}),
         ("--horizon", {"type": _positive_float, "default": 10.0}),  # flow.DEFAULT_HORIZON
     )),
-    "classify": ("derivation vs vector field verdict", cmd_classify, (
+    "classify": ("derivation vs vector field verdict", cmd_classify, (_SEED,
         ("--field", {"required": True}),
         ("--seeds", {"default": "default", "help": "seed set name or JSON file"}),
     )),
@@ -816,7 +818,7 @@ _COMMANDS = {
         ("--y", {"required": True}),
         ("--point", {"default": None}),
     )),
-    "orbit": ("sample the orbit of a family", cmd_orbit, (
+    "orbit": ("sample the orbit of a family", cmd_orbit, (_SEED,
         ("--family", {"default": "default"}),
         ("--point", {"required": True}),
         ("--budget", {"type": _positive_int, "default": 400}),
@@ -827,14 +829,14 @@ _COMMANDS = {
         ("--point", {"required": True}),
         ("--basis", {"default": None, "help": "comma separated field indices"}),
     )),
-    "complete-probe": ("local completeness probe", cmd_complete_probe, (
+    "complete-probe": ("local completeness probe", cmd_complete_probe, (_SEED,
         ("--family", {"default": "default"}),
         ("--seeds", {"default": "default", "help": "probe centers: seed set name or JSON file"}),
         ("--n", {"type": _positive_int, "default": 20}),
         ("--radius", {"type": _positive_float, "default": 1.0}),
         ("--t-scale", {"type": _positive_float, "default": 1.0}),
     )),
-    "strata": ("stratification checks", cmd_strata, (
+    "strata": ("stratification checks", cmd_strata, (_SEED,
         ("--check", {"required": True, "choices": ["frontier", "tangency", "orbits"]}),
         ("--field", {"default": None, "help": "field for --check tangency"}),
         ("--family", {"default": "default"}),
@@ -842,18 +844,18 @@ _COMMANDS = {
         ("--budget", {"type": _positive_int, "default": 400}),
         ("--horizon", {"type": _positive_float, "default": 0.5}),
     )),
-    "poisson": ("bivector antisymmetry and Jacobi check", cmd_poisson, (
+    "poisson": ("bivector antisymmetry and Jacobi check", cmd_poisson, (_SEED,
         ("--triples", {"type": _positive_int, "default": 50}),
         ("--points", {"type": _positive_int, "default": 10}),
         ("--scale", {"type": _positive_float, "default": 1.0}),
     )),
-    "reduce": ("invariant-based reduction", cmd_reduce, ()),
-    "leaf": ("Hamiltonian orbit with Casimir drift", cmd_leaf, (
+    "reduce": ("invariant-based reduction", cmd_reduce, (_SEED,)),
+    "leaf": ("Hamiltonian orbit with Casimir drift", cmd_leaf, (_SEED,
         ("--point", {"required": True}),
         ("--budget", {"type": _positive_int, "default": 500}),
         ("--step-scale", {"type": _positive_float, "default": 0.3}),
     )),
-    "acs": ("almost complex structure checks", cmd_acs, (
+    "acs": ("almost complex structure checks", cmd_acs, (_SEED,
         ("--check", {"required": True, "choices": ["torsion", "cr", "kahler"]}),
         ("--x", {"default": None}),
         ("--y", {"default": None}),
@@ -891,17 +893,22 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerance_overrides(text: Optional[str]) -> dict[str, float]:
+def _tolerance_overrides(text: Optional[str], reader: str, read: dict) -> dict[str, float]:
     """The ``--tol-overrides`` object, read by the rules of a scenario's
-    tolerances; it names no scenario key, so it is read before the scenario."""
-    if not text:
-        return {}
+    tolerances, whose keys must also be in ``read``, the tolerances the
+    command ``reader`` reads; it names no scenario key, so it is read
+    before the scenario."""
     try:
-        return _tolerances(json.loads(text), "--tol-overrides")
+        overrides = _tolerances(json.loads(text), "--tol-overrides") if text else {}
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"--tol-overrides is not valid JSON: {exc}") from None
     except SchemaError as exc:
         raise CliError(f"{exc.path}: {exc.detail}") from None
+    for name in sorted(overrides):
+        if name not in read:
+            command = reader.replace(":", " --check ")
+            raise CliError(f"--tol-overrides.{name}: {command} does not read it; it reads {sorted(read)}")
+    return overrides
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -912,17 +919,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
 
     try:
-        overrides = _tolerance_overrides(args.tol_overrides)
+        # the tolerances the command, or the command with its --check, reads
+        reader = args.command + (f":{args.check}" if "check" in args else "")
+        read = {k: v for k, (v, readers) in DEFAULT_TOLERANCES.items() if reader in readers.split()}
+        overrides = _tolerance_overrides(args.tol_overrides, reader, read)
+        writes = (".json", ".csv") if args.command in ("flow", "orbit", "leaf") else (".json",)
+        if args.out is not None and not args.out.endswith(writes):
+            raise CliError(f"--out {args.out!r}: {args.command} writes {' or '.join(writes)} files")
         sc = load_scenario(args.scenario)
-        tol = {**DEFAULT_TOLERANCES, **sc.tolerances, **overrides}
+        tol = {k: overrides.get(k, sc.tolerances.get(k, v)) for k, v in read.items()}
         result, code = _COMMANDS[args.command][1](sc, args, tol)
         report = {
             "command": args.command,
             "scenario": {"name": sc.name, "sha256": sc.sha256},
-            "seed": args.seed,
             "tolerances": tol,
             "result": result,
         }
+        if "seed" in args:
+            report["seed"] = args.seed
         text = canonical_json(report) + "\n"
         sys.stdout.write(text)
         if args.out and args.out.endswith(".json"):

@@ -358,7 +358,6 @@ def sample_orbit(
         "merged": merged,
         "flow_failures": failures,
         "span_dimensions": sorted(set(dims)),
-        "rng_seed": rng_seed,
         "step_scale": step_scale,
         "merge_radius": MERGE_RADIUS,
     }

@@ -133,7 +133,6 @@ class FrontierReport:
     contacts: list[dict]
     frontier_violations: list[dict]
     samples_per_stratum: dict
-    frontier_tol: float
 
 
 def frontier_check(
@@ -202,7 +201,6 @@ def frontier_check(
         contacts=contacts,
         frontier_violations=violations,
         samples_per_stratum={s.name: len(c) for s, c in zip(ss.strata, clouds)},
-        frontier_tol=frontier_tol,
     )
 
 
@@ -211,7 +209,6 @@ class StrongStratReport:
     passed: bool
     field: str
     horizon: float
-    drift_tol: float
     max_drift: float
     witness: Optional[dict]
     per_stratum: dict
@@ -280,7 +277,6 @@ def strongly_stratified_check(
         passed=max_drift <= threshold,
         field=fld.label,
         horizon=horizon,
-        drift_tol=drift_tol,
         max_drift=max_drift,
         witness=witness if max_drift > threshold else None,
         per_stratum=per_stratum,
