@@ -586,6 +586,9 @@ def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
         tol=tol["completeness"],
         options=_flow_options(tol),
     )
+    if rep.passed is None:
+        return {**asdict(rep), "verdict": "Inconclusive",
+                "detail": "every probe was skipped: its flow left the space or failed to integrate"}, EXIT_PASS
     return asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
 
 
@@ -715,6 +718,25 @@ def _acs_fields(sc: Scenario, args) -> list[TangentField]:
 
 def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
     j = _need(sc.acs, "acs")
+    # usage errors exit 2 before any sampling, whatever J squares to
+    if args.check == "torsion":
+        if not (args.x and args.y):
+            raise CliError("--check torsion needs --x and --y")
+        fx = sc.field(args.x)
+        fy = sc.field(args.y)
+        point = None if args.point is None else _parse_point_arg(args.point, sc.space.ambient_dim)
+    elif args.check == "cr":
+        if not (args.f and args.h):
+            raise CliError("--check cr needs --f and --h")
+        try:
+            f = parse(args.f, sc.space.ambient_dim, sc.aliases)
+            h = parse(args.h, sc.space.ambient_dim, sc.aliases)
+        except ParseError as exc:
+            raise CliError(f"bad expression: {exc}") from None
+    elif sc.omega is None:
+        raise CliError("--check kahler needs an 'omega' matrix in the acs block")
+    if args.check != "torsion":
+        flds = _acs_fields(sc, args)
     pts = _box_points(sc, args.points, args.seed)
     square = j.square_residual(pts)
     if square > tol["square"]:
@@ -723,10 +745,6 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
             EXIT_FAIL,
         )
     if args.check == "torsion":
-        if not (args.x and args.y):
-            raise CliError("--check torsion needs --x and --y")
-        fx = sc.field(args.x)
-        fy = sc.field(args.y)
         n = torsion(j, fx, fy)
         result = {
             "check": "torsion",
@@ -735,20 +753,11 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
             "square_residual": square,
             "max_norm": max_norm(n, pts),
         }
-        if args.point is not None:
-            point = _parse_point_arg(args.point, sc.space.ambient_dim)
+        if point is not None:
             result["point"] = point
             result["value"] = _value_at(n, point)
         return result, EXIT_PASS
     if args.check == "cr":
-        if not (args.f and args.h):
-            raise CliError("--check cr needs --f and --h")
-        try:
-            f = parse(args.f, sc.space.ambient_dim, sc.aliases)
-            h = parse(args.h, sc.space.ambient_dim, sc.aliases)
-        except ParseError as exc:
-            raise CliError(f"bad expression: {exc}") from None
-        flds = _acs_fields(sc, args)
         resid = cauchy_riemann_residual(j, flds, f, h, pts)
         result = {
             "check": "cr",
@@ -759,9 +768,6 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
             "residual": resid,
         }
         return result, EXIT_PASS
-    if sc.omega is None:
-        raise CliError("--check kahler needs an 'omega' matrix in the acs block")
-    flds = _acs_fields(sc, args)
     try:
         rep = kahler_check(j, sc.omega, flds, pts, tol=tol["kahler"])
     except AlmostComplexError as exc:

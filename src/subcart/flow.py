@@ -552,8 +552,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
 _DRIVERS: dict[tuple, Callable[..., _DriveResult]] = {}
 
 
-def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
-            keep: Optional[str]) -> Callable[..., _DriveResult]:
+def _kernel(fld: TangentField, space: SubcartesianSpace, keep: Optional[str]) -> Callable[..., _DriveResult]:
     """The kernel of the field on the space, compiled on first use and kept for
     the process.
 
@@ -568,10 +567,7 @@ def _kernel(fld: TangentField, space: Optional[SubcartesianSpace],
     slack (``_slack_key``), so a field or space built anew, by another
     command in the same process, finds the kernel already compiled.
     """
-    if keep == "drift":
-        scan = space._slack_key
-    else:
-        scan = space._scan_key if space is not None else None
+    scan = space._slack_key if keep == "drift" else space._scan_key
     key = (fld._source, scan, keep)
     drive = _DRIVERS.get(key)
     if drive is None:
@@ -660,7 +656,7 @@ def drift(stratum: SubcartesianSpace, fld: TangentField, x0: list[float], horizo
     return worst, t, point, stop if back_stop is None else back_stop
 
 
-def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,
+def _flow_core(space: SubcartesianSpace, fld: TangentField,
                opts: FlowOptions) -> Callable[[list[float], float], list[float]]:
     """``flow_map`` on float lists: ``core(x0, t)`` is the time-t image of x0,
     which must be a member (it is not tested), erroring if t is out of range."""
@@ -681,26 +677,20 @@ def _flow_core(space: Optional[SubcartesianSpace], fld: TangentField,
     return core
 
 
-def flow_map(
-    space: Optional[SubcartesianSpace],
-    fld: TangentField,
-    x0: Sequence[float],
-    t: float,
-) -> np.ndarray:
+def flow_map(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], t: float) -> np.ndarray:
     """Time-t flow of the field applied to x0, as an ndarray, erroring if t is
     out of range."""
     import numpy as np
 
     x0 = np.asarray(x0, dtype=float)
-    if space is not None:
-        space.require_member(x0, "basepoint")
+    space.require_member(x0, "basepoint")
     if t == 0.0:
         return x0.copy()
     return np.array(_flow_core(space, fld, FlowOptions())(x0.tolist(), float(t)))
 
 
 def transport_vector(
-    space: Optional[SubcartesianSpace],
+    space: SubcartesianSpace,
     x_field: TangentField,
     t: float,
     y_field: TangentField,
@@ -719,8 +709,7 @@ def transport_vector(
         raise ValueError("fields must share a dimension")
     opts = options or FlowOptions()
     x0 = [float(v) for v in x0]
-    if space is not None:
-        space.require_member(x0, "basepoint")
+    space.require_member(x0, "basepoint")
     n = x_field.dim
     v0 = y_field.value(x0)
     if t == 0.0:

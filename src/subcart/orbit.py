@@ -408,9 +408,11 @@ def chart_jacobian(
     basis = tuple(int(b) for b in basis)
     if not basis:
         raise OrbitError("the chart basis is empty")
-    for b in basis:
+    for k, b in enumerate(basis):
         if not 0 <= b < len(family):
             raise OrbitError(f"basis index {b} out of range for family of {len(family)}")
+        if b in basis[:k]:
+            raise OrbitError(f"basis index {b} is listed twice")
     family.space.require_member(x, "basepoint")
     x = [float(v) for v in x]
     jac = np.column_stack([_value_at(family.fields[b], x) for b in basis])
@@ -484,7 +486,7 @@ def dimension_constancy_report(
 
 @dataclass
 class CompletenessReport:
-    passed: bool
+    passed: Optional[bool]  # None where no probe ran, so nothing was tested
     n_probes: int
     skipped: int
     max_residual: float
@@ -529,9 +531,9 @@ def local_completeness_probe(
     Each probe (x, t, i, j) carries field j's value at x along field i's
     flow for time t and measures the distance of the carried vector from
     the family's span at the image point.  Probes whose flow exits are
-    skipped and counted.  Explicit probes take precedence; otherwise
-    probes are drawn near the given centers (or the seed of the family's
-    first field's domain must be supplied via centers).
+    skipped and counted; if all are, ``passed`` is None.  Explicit probes
+    take precedence; otherwise probes are drawn near the given centers (or
+    the seed of the family's first field's domain must be given as centers).
     """
     rng = random.Random(rng_seed)
     todo: list[tuple[list[float], float, int, int]] = []
@@ -584,7 +586,7 @@ def local_completeness_probe(
             if residual > tol:
                 worst = rec
     return CompletenessReport(
-        passed=worst is None,
+        passed=None if n_probes == 0 else worst is None,
         n_probes=n_probes,
         skipped=skipped,
         max_residual=max_res,

@@ -30,6 +30,10 @@ canonical ambient space: pairwise upstairs brackets are matched against
 polynomials in sigma by least squares over sampled points, integer-snapped,
 and certified on fresh samples.  The result is a bivector on sigma-space
 whose Hamiltonian dynamics mirror the invariant dynamics upstairs.
+
+``invariance_residual`` pulls the bracket back through a Hamiltonian flow's
+derivative, which ``flow.transport_vector`` carries by the variational
+equations (Hairer, Nørsett & Wanner, *Solving ODEs I*, §I.14).
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ FIT_POINTS = 120
 CERTIFY_POINTS = 200
 SAMPLE_SCALE = 1.5
 JACOBI_DEGREE = 2  # the degree of the random polynomial triples of the Jacobi sample
-INVARIANCE_FD_STEP = 1e-5  # the first central difference step of the bracket pullback
 # sample points per block of the Jacobi sample: bounds its arrays, not its result
 _BLOCK_POINTS = 160
 
@@ -312,15 +315,11 @@ def _random_coeffs(n_monos: int, draw: Callable[[], float]) -> list[float]:
 
 @dataclass
 class InvarianceReport:
-    """Residual of bracket invariance under a Hamiltonian flow.
-
-    value is the Richardson-extrapolated residual of the pulled-back
-    bracket against the bracket at the image point; error_bar estimates the
-    finite-difference truncation left in it.
-    """
+    """Residual of bracket invariance under a Hamiltonian flow: the bracket
+    pulled back through the flow's derivative against the bracket at the
+    image point."""
 
     value: float
-    error_bar: float
     t: float
     image: list[float]
 
@@ -335,51 +334,32 @@ def invariance_residual(
     f2: Expr,
     t: float,
     x: Sequence[float],
-    space: Optional[SubcartesianSpace] = None,
+    space: SubcartesianSpace,
 ) -> InvarianceReport:
-    """|{f1 o phi_t, f2 o phi_t}(x) - {f1,f2}(phi_t(x))| by numeric pullback.
+    """|{f1 o phi_t, f2 o phi_t}(x) - {f1,f2}(phi_t(x))| for the time-t flow
+    phi_t of the Hamiltonian field of h on the space.
 
-    The base trajectory respects the given space; the finite-difference
-    probe trajectories from perturbed basepoints are integrated in the
-    ambient space, since coordinate perturbations leave thin varieties.
+    ``transport_vector`` carries each unit vector e_i along the flow by the
+    variational equations, which gives the column v_i = Dphi_t(x) e_i, and
+    the first carry's image is phi_t(x).  The pulled-back bracket is
+    sum_ij P^ij(x) (grad f1 . v_i) (grad f2 . v_j), the gradients taken at
+    the image, each sum in a fixed order.
     """
-    import numpy as np
-
-    from .flow import FlowOptions, _flow_core
+    from .flow import _pairwise_sum, transport_vector
 
     x = [float(v) for v in x]
-    t = float(t)
-    opts = FlowOptions()
-    if space is not None:
-        space.require_member(x, "basepoint")
+    n = p.dim
+    f1, f2 = as_expr(f1), as_expr(f2)
+    at_image = compile_vector([bracket(p, f1, f2), *gradient_exprs(f1, n), *gradient_exprs(f2, n)])
     xh = hamiltonian_field(p, h)
-    image = _flow_core(space, xh, opts)(x, t)
-    target = compile_scalar(bracket(p, f1, f2))(image)
-    ef1 = compile_scalar(as_expr(f1))
-    ef2 = compile_scalar(as_expr(f2))
-    pm = p.matrix_at(x)
-    ambient = _flow_core(None, xh, opts)
-
-    def pulled_bracket(step: float) -> float:
-        d1 = np.zeros(p.dim)
-        d2 = np.zeros(p.dim)
-        for i in range(p.dim):
-            e = [step if k == i else 0.0 for k in range(p.dim)]
-            plus = ambient([a + b for a, b in zip(x, e)], t)
-            minus = ambient([a - b for a, b in zip(x, e)], t)
-            d1[i] = (ef1(plus) - ef1(minus)) / (2.0 * step)
-            d2[i] = (ef2(plus) - ef2(minus)) / (2.0 * step)
-        return float(d1 @ pm @ d2)
-
-    b_h = pulled_bracket(INVARIANCE_FD_STEP)
-    b_h2 = pulled_bracket(INVARIANCE_FD_STEP / 2.0)
-    extrapolated = b_h2 + (b_h2 - b_h) / 3.0
-    return InvarianceReport(
-        value=abs(extrapolated - target),
-        error_bar=abs(b_h2 - b_h) / 3.0,
-        t=t,
-        image=image,
-    )
+    units = [TangentField(f"e{i + 1}", [Const(1.0) if k == i else ZERO for k in range(n)]) for i in range(n)]
+    images, columns = zip(*(transport_vector(space, xh, t, e, x) for e in units))
+    target, *grads = at_image(images[0])
+    d1 = [_pairwise_sum([g * c for g, c in zip(grads[:n], v)]) for v in columns]
+    d2 = [_pairwise_sum([g * c for g, c in zip(grads[n:], v)]) for v in columns]
+    pm = p._value(x)
+    pulled = _pairwise_sum([pm[i * n + j] * d1[i] * d2[j] for i in range(n) for j in range(n)])
+    return InvarianceReport(value=abs(pulled - target), t=float(t), image=images[0])
 
 
 # Reduction ---------------------------------------------------------------------

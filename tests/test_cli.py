@@ -587,6 +587,9 @@ def test_bracket_command(capsys):
     # and counting its scan ended in "internal error: OverflowError"
     (["flow", "--scenario", "translate_shear", "--field", "ddx", "--point=0,0", "--horizon", "1e308"],
      "horizon 1e+308 is not finite in sample spacings of 0.1"),
+    # a field listed twice used to answer DependentBasis, exit 0, as if the
+    # orbit had a lower rank there
+    (["chart", "--scenario", "translate_shear", "--point=1,0", "--basis", "0,0"], "basis index 0 is listed twice"),
 ])
 def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     # --horizon inf and --step-scale nan used to run the stepper to max_steps
@@ -1080,6 +1083,44 @@ def test_complete_probe_far_along_a_translation_passes(capsys, scale):
                           "--t-scale", scale)
     assert code == 0
     assert report["result"]["passed"] and report["result"]["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("argv,skipped", [(["--n", "5"], 5), (["--family", "pair", "--seeds", "ring", "--n", "5"], 15)])
+def test_complete_probe_that_skips_every_probe_is_inconclusive(capsys, argv, skipped):
+    # every flow from a point near 1e308 fails to integrate; a probe that
+    # ran none used to pass with exit 0
+    code, report, _ = run(capsys, "complete-probe", "--scenario", scenario_path("rotation_plane"), *argv,
+                          "--radius", "1e308")
+    result = report["result"]
+    assert code == 0
+    assert (result["verdict"], result["passed"], result["n_probes"], result["skipped"]) == (
+        "Inconclusive", None, 0, skipped)
+    assert result["detail"].startswith("every probe was skipped")
+
+
+@pytest.mark.parametrize("argv,says", [
+    (["--check", "torsion", "--y", "e3"], "--check torsion needs --x and --y"),
+    (["--check", "torsion", "--x", "e1", "--y", "nope"], "nope"),
+    (["--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0"], "--point"),
+    (["--check", "cr", "--f", "x1"], "--check cr needs --f and --h"),
+    (["--check", "cr", "--f", "x1", "--h", "x3 +"], "bad expression"),
+    (["--check", "kahler", "--fields", "e1,nope"], "nope"),
+    (["--check", "kahler"], "--check kahler needs an 'omega' matrix"),
+])
+def test_acs_usage_errors_exit_2_before_sampling(tmp_path, capsys, argv, says):
+    # with J^2 != -I these used to exit 1 as NotAlmostComplex, and exit 2
+    # only on a valid J
+    scenario = json.loads(Path(scenario_path("acs_standard")).read_text(encoding="utf-8"))
+    scenario["acs"]["matrix"][0][0] = "1"
+    if "omega" in says:
+        del scenario["acs"]["omega"]
+    path = tmp_path / "acs_bad_j.json"
+    path.write_text(json.dumps(scenario))
+    assert run(capsys, "acs", "--scenario", str(path), "--check", "torsion", "--x", "e1", "--y", "e3")[1][
+        "result"]["verdict"] == "NotAlmostComplex"
+    code, report, err = run(capsys, "acs", "--scenario", str(path), *argv)
+    assert (code, report) == (2, {})
+    assert says in err
 
 
 def test_orbit_from_overflowing_seed_ends_at_once(capsys):

@@ -181,7 +181,7 @@ def test_flow_map_rejects_outside_basepoint_and_bad_horizon():
 
 def test_flow_map_unconstrained_space():
     ddx = make_field("ddx", ["1"], 1)
-    got = flow_map(None, ddx, [-5.0], 3.0)
+    got = flow_map(SubcartesianSpace.whole_space(1), ddx, [-5.0], 3.0)
     assert np.allclose(got, [-2.0])
 
 
@@ -400,9 +400,10 @@ def _driver_initial_step(y, f0, rtol, atol, limit):
     tolerance, so that step is accepted.  Landing on the target replaces h
     by the target, which is the clamp the rule applies anyway, and a zero
     or non-finite step ends the drive earlier with the step in its message."""
-    drive = _kernel(TangentField("f0", f0), None, None)
+    space = SubcartesianSpace.whole_space(len(f0))
+    drive = _kernel(TangentField("f0", f0), space, None)
     try:
-        res = drive(list(y), limit, FlowOptions(rtol=rtol, atol=atol, max_steps=1), None)
+        res = drive(list(y), limit, FlowOptions(rtol=rtol, atol=atol, max_steps=1), space)
     except IntegrationError as exc:
         if str(exc).startswith("starting step "):
             return float(str(exc).split()[2])
@@ -563,7 +564,7 @@ def _callbacks(space):
     """The membership callbacks of ``_ref_drive`` on the space: ``member``,
     ``member_relaxed`` and ``witness_info``, or three Nones where the kernel
     tests nothing, as where a cell has no constraints."""
-    if space is None or space._scan_key is None:
+    if space._scan_key is None:
         return None, None, None
     contains = space.contains
     return (contains, lambda p: contains(p, tol=space.tol * ATTAINED_FACTOR),
@@ -618,7 +619,7 @@ def _drive_cases(draw):
     bound = draw(st.floats(0.3, 1.0))
     ball = Constraint(parse(f"{radius!r}^2 - (" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")", n), Rel.GE)
     space = draw(st.sampled_from([
-        None,
+        SubcartesianSpace.whole_space(n),
         SubcartesianSpace(n, [[ball]]),
         SubcartesianSpace(n, [[Constraint(parse(f"x1 - {bound!r}", n), Rel.LE)]]),
         SubcartesianSpace(n, [[Constraint(parse(f"x1 - {bound!r}", n), Rel.LT)]]),
@@ -719,7 +720,8 @@ def test_generated_driver_matches_generic_list_driver_on_long_runs(n):
     x0 = [rng.uniform(-0.2, 0.2) for _ in range(n)]
     ball = SubcartesianSpace(n, [[Constraint(parse("4 - (" + " + ".join(f"x{i}^2" for i in range(1, n + 1)) + ")", n),
                                              Rel.GE)]])
-    for target, space in ((2.0, None), (-2.0, None), (2.5, ball)):
+    whole = SubcartesianSpace.whole_space(n)
+    for target, space in ((2.0, whole), (-2.0, whole), (2.5, ball)):
         opts = FlowOptions(rtol=1e-11, atol=1e-13)
         want = _drive_outcome(_reference(f), x0, target, opts, space)
         assert want[3] >= 20  # steps taken
@@ -731,7 +733,7 @@ def test_a_short_landing_step_stores_the_target_as_its_time():
     # target - t, lands in the four-point block; there t + h rounds away
     # from the target, and the time stored is the target's
     ddx = make_field("ddx", ["1"], 1)
-    for space in (None, halfline()):
+    for space in (SubcartesianSpace.whole_space(1), halfline()):
         for target in (0.3, -0.3):
             want = _drive_outcome(_reference(ddx._value), [0.3], target, FlowOptions(), space)
             assert want[2] and want[4][-1] == target.hex()
@@ -758,10 +760,11 @@ def test_no_membership_scan_where_a_cell_has_no_constraints(space):
             else:
                 _assert_quiet_matches(got, want, keep)
         # the kernel there is the one of no space: no scan unless it stores
-        assert _kernel(fld, space, keep) is _kernel(fld, None, keep)
+        assert _kernel(fld, space, keep) is _kernel(fld, SubcartesianSpace.whole_space(2), keep)
         assert ("for i in range" in _driver_source(fld.components, None, keep)) is (keep == "store")
     rot = make_field("rot", ["-x2", "x1"], 2)
-    assert flow_map(space, rot, [0.3, 0.0], 2.0).tolist() == flow_map(None, rot, [0.3, 0.0], 2.0).tolist()
+    whole = SubcartesianSpace.whole_space(2)
+    assert flow_map(space, rot, [0.3, 0.0], 2.0).tolist() == flow_map(whole, rot, [0.3, 0.0], 2.0).tolist()
 
 
 def test_dense_coefficients_only_where_a_scan_or_a_store_reads_them():
@@ -788,7 +791,7 @@ def test_kernels_are_keyed_by_their_source():
     assert _kernel(rot, disk, None) is _kernel(again, disk_again, None)
     assert _kernel(rot, disk, None) is not _kernel(rot, disk, "store")
     assert _kernel(rot, disk, None) is not _kernel(rot, disk, "count")
-    assert _kernel(rot, disk, None) is not _kernel(rot, None, None)
+    assert _kernel(rot, disk, None) is not _kernel(rot, SubcartesianSpace.whole_space(2), None)
     # 0.0 and -0.0 compile differently
     plus, minus = make_field("z", ["0.0", "x1"], 2), make_field("z", ["-0.0", "x1"], 2)
     assert _kernel(plus, disk, "store") is not _kernel(minus, disk, "store")
@@ -872,7 +875,7 @@ def test_zero_or_nonfinite_starting_step_fails_at_once():
         flow_map(plane, xddy, [1e200, 0.0], 1.0)
     nan_field = make_field("nan", ["x1 * x1 * x1 - x1 * x1 * x1"], 1)
     with pytest.raises(IntegrationError, match="starting step nan"):
-        flow_map(None, nan_field, [1e200], 1.0)
+        flow_map(SubcartesianSpace.whole_space(1), nan_field, [1e200], 1.0)
 
 
 def test_step_that_does_not_advance_t_fails():
@@ -880,7 +883,7 @@ def test_step_that_does_not_advance_t_fails():
     # the blow-up and report a NaN state at the target
     blow = make_field("blow", ["x1*x1"], 1)
     with pytest.raises(IntegrationError, match="does not advance"):
-        flow_map(None, blow, [0.1], 300.0)
+        flow_map(SubcartesianSpace.whole_space(1), blow, [0.1], 300.0)
 
 
 def test_nan_error_norm_rejects_the_step():
@@ -888,7 +891,7 @@ def test_nan_error_norm_rejects_the_step():
     # step; a NaN error norm used to pass as accepted
     rot = make_field("rot", ["0 - x2", "x1"], 2)
     with pytest.raises(IntegrationError, match="step size underflow"):
-        flow_map(None, rot, [1e308, 1e308], 1.0)
+        flow_map(SubcartesianSpace.whole_space(2), rot, [1e308, 1e308], 1.0)
 
 
 def _cells_space(n: int, cells) -> SubcartesianSpace:

@@ -10,6 +10,7 @@ import pytest
 from subcart.cli import load_scenario
 from subcart.expr import compile_scalar
 from subcart.flow import FlowOptions, _flow_core, flow_map, integrate, transport_vector
+from subcart.space import SubcartesianSpace
 
 from conftest import make_field, scenario_path
 from test_flow_golden import SPIRAL_DISK
@@ -50,7 +51,7 @@ def test_flow_map_matches_solve_ivp_rotation(x0, t):
 ])
 def test_flow_map_matches_solve_ivp_nonlinear_4d(x0, t):
     osc = _oscillator()
-    got = flow_map(None, osc, x0, t)
+    got = flow_map(SubcartesianSpace.whole_space(4), osc, x0, t)
     assert np.max(np.abs(got - _solve_ivp(osc, x0, t))) <= ORACLE_TOL
 
 
@@ -59,10 +60,10 @@ def test_transport_vector_matches_central_differences(t):
     osc = _oscillator()
     probe = make_field("probe", ["1", "x3", "0", "x1*x2"], 4)
     x0 = np.array([0.3, -0.2, 0.5, 0.1])
-    image, vec = transport_vector(None, osc, t, probe, x0, options=TIGHT)
+    image, vec = transport_vector(SubcartesianSpace.whole_space(4), osc, t, probe, x0, options=TIGHT)
     v0 = np.array(probe.value(x0.tolist()))
     # flow_map runs at the default tolerances; its core takes the tight ones
-    tight_flow = lambda x: np.array(_flow_core(None, osc, TIGHT)(x.tolist(), t))
+    tight_flow = lambda x: np.array(_flow_core(SubcartesianSpace.whole_space(4), osc, TIGHT)(x.tolist(), t))
     plus = tight_flow(x0 + FD_STEP * v0)
     minus = tight_flow(x0 - FD_STEP * v0)
     assert np.max(np.abs(np.subtract(image, tight_flow(x0)))) <= 1e-12

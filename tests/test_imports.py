@@ -388,7 +388,6 @@ KNOBS = {
     "integrate(horizon)": "cli.cmd_flow",
     "integrate(options)": "cli.cmd_flow",
     "integrate(store)": "cli.cmd_flow",
-    "invariance_residual(space)": "test_acceptance.test_criterion_09_bracket_invariance",
     "jacobi_sample_residual(n_points)": "cli.cmd_poisson",
     "jacobi_sample_residual(n_triples)": "cli.cmd_poisson",
     "jacobi_sample_residual(rng_seed)": "cli.cmd_poisson",
@@ -428,7 +427,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 75
+    assert len(KNOBS) == 74
     assert sorted(KNOBS) == _knobs()
 
 
@@ -595,6 +594,30 @@ def test_sums_of_products_have_one_accumulator():
                   for node in ast.walk(fn)
                   if isinstance(node, ast.Assign) and re.match(r"(\w+) = add\(\1, mul\(", ast.unparse(node))]
     assert found == ["expr.dot"]
+
+
+def test_one_derivative_of_a_flow_and_one_spelling_of_its_space():
+    # the variational kernel (flow.transport_vector) is the derivative of a
+    # flow; the chart's central differences of the word map stay as its
+    # independent check, and no other finite-difference step or quotient
+    # f(x + s) - f(x - s) over 2 s is kept
+    steps, quotients, optional = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        steps += [f"{path.stem}.{name}" for name, _ in _top_level_definitions(tree) if "FD_STEP" in name]
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            quotients += [f"{path.stem}.{fn.name}" for node in ast.walk(fn) if isinstance(node, ast.BinOp)
+                          and isinstance(node.op, ast.Div) and re.fullmatch(r"2(\.0)? \* \w+", ast.unparse(node.right))]
+            # the flow API spells the ambient space whole_space(n), never None
+            if path.name == "flow.py":
+                optional += [f"{fn.name}({a.arg})" for a in fn.args.args + fn.args.kwonlyargs if a.annotation
+                             and re.search(r"Optional\[SubcartesianSpace\]|SubcartesianSpace \| None",
+                                           ast.unparse(a.annotation))]
+    assert steps == ["orbit.CHART_FD_STEP"]
+    assert quotients == ["orbit.chart_jacobian"]
+    assert optional == []
 
 
 def test_every_top_level_name_is_read_somewhere():
