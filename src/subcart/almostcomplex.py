@@ -12,6 +12,7 @@ positivity, and torsion in one record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .expr import (
     Const,
     Expr,
     ExprMatrix,
+    _pairwise_sum,
     add,
     as_expr,
     block_rows,
@@ -93,9 +95,8 @@ def torsion(j: AlmostComplexStructure, x: TangentField, y: TangentField) -> Tang
 
 def max_norm(fld: TangentField, points: Sequence[Sequence[float]]) -> float:
     """Max Euclidean norm of the field over the sample, NaN if any norm is."""
-    import numpy as np
-
-    return worst_residual(float(np.linalg.norm(fld.value(list(map(float, p))))) for p in points)
+    return worst_residual(math.sqrt(_pairwise_sum([v * v for v in fld.value(list(map(float, p)))]))
+                          for p in points)
 
 
 def torsion_residual(

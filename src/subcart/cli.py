@@ -658,7 +658,7 @@ def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
     red = _need(sc.reduction, "reduction")
     ambient = red["ambient"]
     if ambient is None:
-        ambient = PoissonStructure.canonical(red["ambient_dim"] // 2, "ambient")
+        ambient = PoissonStructure.canonical(red["ambient_dim"] // 2)
     setup = ReductionSetup(
         ambient=ambient,
         invariants=tuple(red["invariants"]),

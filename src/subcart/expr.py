@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, Optional, Sequence
 
 
@@ -611,6 +612,38 @@ def _pow(b: float, k: int) -> float:
         return b ** k
     except OverflowError:
         return -math.inf if b < 0.0 and k % 2 else math.inf
+
+
+def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
+    """Sum of a float list in numpy's float64 pairwise order, the one sum of
+    the package's norms and residuals.
+
+    Below 8 terms the sum is sequential from ``zero``; up to 128 it runs
+    eight interleaved partial sums combined as a tree, then adds the tail;
+    beyond that it splits at a multiple of 8 near the middle and recurses.
+    Neither the builtin ``sum``, which compensates from Python 3.12, nor a
+    BLAS dot, which may fuse multiply-adds, is a substitute.  With an
+    ``add`` that joins source text it spells out the sum as an expression,
+    which is how a flow kernel sums its error norm.
+    """
+    n = len(a)
+    if n < 8:
+        s = zero
+        for x in a:
+            s = add(s, x)
+        return s
+    if n <= 128:
+        r = a[:8]
+        m = n - n % 8
+        for i in range(8, m, 8):
+            r = [add(p, q) for p, q in zip(r, a[i : i + 8])]
+        s = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+        for x in a[m:]:
+            s = add(s, x)
+        return s
+    half = n // 2
+    half -= half % 8
+    return add(_pairwise_sum(a[:half], add, zero), _pairwise_sum(a[half:], add, zero))
 
 
 def _cut_value(shift: int, t: float) -> float:

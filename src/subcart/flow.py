@@ -14,9 +14,9 @@ of the samples (stored, counted, folded into a stratum's drift, or none),
 whose stages compute the field's components inline and whose scan tests the
 cells inline.  It is called with the space, ``kernel(x0, target, opts,
 space)``, which bisects an exit.
-``transport_vector`` runs the kernel of the field's variational field on
-R^2n, the point followed by the vector its Jacobian carries, whose cell
-tests read the point alone.
+``transport_vector`` carries a vector on the kernel of the field's
+variational field on R^2n, the point followed by the vector its Jacobian
+carries, whose cell tests read the point alone.
 Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
 and kept for the process in one table keyed by the source they are made
 of, so a field or space built anew with the same content finds its kernel.
@@ -62,7 +62,6 @@ constants.  A caller sets the error tolerances and the step budget
 from __future__ import annotations
 
 import math
-import operator
 import random
 import re
 from array import array
@@ -70,7 +69,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .field import TangentField
-from .expr import _COMPILE_ENV, DomainError, Expr, vector_source
+from .expr import _COMPILE_ENV, DomainError, Expr, _pairwise_sum, vector_source
 from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _slack_source, ball, sample
 
 if TYPE_CHECKING:
@@ -208,37 +207,6 @@ _D = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
-
-
-def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
-    """Sum of a float list in numpy's float64 pairwise order.
-
-    Below 8 terms the sum is sequential from ``zero``; up to 128 it runs
-    eight interleaved partial sums combined as a tree, then adds the tail;
-    beyond that it splits at a multiple of 8 near the middle and recurses.
-    The builtin ``sum`` is no substitute: from Python 3.12 it compensates
-    float sums.  With an ``add`` that joins source text the same rules spell
-    out the sum as an expression, which is how the generated kernel sums its
-    error norm.
-    """
-    n = len(a)
-    if n < 8:
-        s = zero
-        for x in a:
-            s = add(s, x)
-        return s
-    if n <= 128:
-        r = a[:8]
-        m = n - n % 8
-        for i in range(8, m, 8):
-            r = [add(p, q) for p, q in zip(r, a[i : i + 8])]
-        s = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
-        for x in a[m:]:
-            s = add(s, x)
-        return s
-    half = n // 2
-    half -= half % 8
-    return add(_pairwise_sum(a[:half], add, zero), _pairwise_sum(a[half:], add, zero))
 
 
 def _dense(coeffs: Sequence[tuple[float, ...]], theta: float) -> list[float]:
@@ -693,25 +661,25 @@ def transport_vector(
     space: SubcartesianSpace,
     x_field: TangentField,
     t: float,
-    y_field: TangentField,
     x0: Sequence[float],
+    v0: Sequence[float],
     options: Optional[FlowOptions] = None,
 ) -> tuple[list[float], list[float]]:
-    """Carry y_field(x0) along the flow of x_field for time t.
+    """Carry the vector v0 at x0 along the flow of x_field for time t.
 
     The carried vector solves the variational system v' = (Dx_field) v along
     the base trajectory, which is exactly the derivative of the flow map
-    applied to the initial vector.  Returns (image_point, vector).  Past
+    applied to v0.  Returns (image_point, vector), lists of floats.  Past
     the maximal interval the ``FlowDomainError``'s partial point is the
     point followed by the vector carried so far.
     """
-    if x_field.dim != y_field.dim:
-        raise ValueError("fields must share a dimension")
+    n = x_field.dim
+    if len(v0) != n:
+        raise ValueError(f"the vector has {len(v0)} components, the field {n}")
     opts = options or FlowOptions()
     x0 = [float(v) for v in x0]
     space.require_member(x0, "basepoint")
-    n = x_field.dim
-    v0 = y_field.value(x0)
+    v0 = [float(v) for v in v0]
     if t == 0.0:
         return x0, v0
     try:

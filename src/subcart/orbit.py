@@ -76,9 +76,6 @@ class FieldFamily:
     def __len__(self) -> int:
         return len(self.fields)
 
-    def __getitem__(self, i: int) -> TangentField:
-        return self.fields[i]
-
     def labels(self) -> list[str]:
         return [f.label for f in self.fields]
 
@@ -559,9 +556,7 @@ def local_completeness_probe(
     max_res = 0.0
     for (x, t, i, j) in todo:
         try:
-            image, w = transport_vector(
-                family.space, family.fields[i], t, family.fields[j], x, options
-            )
+            image, w = transport_vector(family.space, family.fields[i], t, x, family.fields[j].value(x), options)
         except (FlowDomainError, IntegrationError):
             skipped += 1
             continue

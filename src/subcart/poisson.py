@@ -49,6 +49,7 @@ from .expr import (
     Expr,
     ExprMatrix,
     Var,
+    _pairwise_sum,
     add,
     as_expr,
     block_rows,
@@ -159,14 +160,14 @@ class PoissonStructure(ExprMatrix):
         )
 
     def antisymmetry_residual(self, points: Sequence[Sequence[float]]) -> float:
-        import numpy as np
-
-        return worst_residual(float(np.max(np.abs(m + m.T))) for m in map(self.matrix_at, points))
+        n = self.dim
+        return worst_residual(abs(v[i * n + j] + v[j * n + i])
+                              for v in map(self._value, points) for i in range(n) for j in range(n))
 
     @classmethod
-    def canonical(cls, k: int, label: str = "canonical") -> "PoissonStructure":
+    def canonical(cls, k: int) -> "PoissonStructure":
         """Canonical structure on R^{2k} with coordinates (q1..qk, p1..pk)."""
-        return cls(2 * k, block_rows(k, 1.0), label)
+        return cls(2 * k, block_rows(k, 1.0), "canonical")
 
 
 def bracket(p: PoissonStructure, f: Expr, g: Expr) -> Expr:
@@ -320,11 +321,7 @@ class InvarianceReport:
     image point."""
 
     value: float
-    t: float
     image: list[float]
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def invariance_residual(
@@ -345,21 +342,21 @@ def invariance_residual(
     sum_ij P^ij(x) (grad f1 . v_i) (grad f2 . v_j), the gradients taken at
     the image, each sum in a fixed order.
     """
-    from .flow import _pairwise_sum, transport_vector
+    from .flow import transport_vector
 
     x = [float(v) for v in x]
     n = p.dim
     f1, f2 = as_expr(f1), as_expr(f2)
     at_image = compile_vector([bracket(p, f1, f2), *gradient_exprs(f1, n), *gradient_exprs(f2, n)])
     xh = hamiltonian_field(p, h)
-    units = [TangentField(f"e{i + 1}", [Const(1.0) if k == i else ZERO for k in range(n)]) for i in range(n)]
-    images, columns = zip(*(transport_vector(space, xh, t, e, x) for e in units))
+    units = [[1.0 if k == i else 0.0 for k in range(n)] for i in range(n)]
+    images, columns = zip(*(transport_vector(space, xh, t, x, e) for e in units))
     target, *grads = at_image(images[0])
     d1 = [_pairwise_sum([g * c for g, c in zip(grads[:n], v)]) for v in columns]
     d2 = [_pairwise_sum([g * c for g, c in zip(grads[n:], v)]) for v in columns]
     pm = p._value(x)
     pulled = _pairwise_sum([pm[i * n + j] * d1[i] * d2[j] for i in range(n) for j in range(n)])
-    return InvarianceReport(value=abs(pulled - target), t=float(t), image=images[0])
+    return InvarianceReport(value=abs(pulled - target), image=images[0])
 
 
 # Reduction ---------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Reports must be byte-identical across reruns with the same inputs, so
 serialization is hand-rolled rather than delegated to json.dumps defaults:
-keys are emitted sorted, floats are printed with the shortest 17
-significant digit form, and no environment-dependent values (timestamps,
-paths, hostnames) are ever included by the writers here.
+keys are emitted sorted, floats are printed in %.17g form, no environment-
+dependent values (timestamps, paths, hostnames) are included, and only
+Python values are written: a numpy value other than a float64 is an error.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ def format_float(v: float) -> str:
 
 
 def _canon(obj, out: list[str]) -> None:
-    """Append the canonical text of ``obj``.  numpy values are told by duck
-    typing, so this module never imports numpy: ``np.float64`` is a
-    ``float``, and any other value with ``tolist`` (arrays, numpy integers,
-    booleans and narrower floats) is written as what ``tolist`` returns."""
+    """Append the canonical text of ``obj``, which is built of None, bools,
+    ints, floats, strings, lists, tuples and dicts with string keys; any
+    other value, a numpy array or integer among them, is a ``ReportError``."""
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -61,8 +60,6 @@ def _canon(obj, out: list[str]) -> None:
             out.append(":")
             _canon(obj[k], out)
         out.append("}")
-    elif hasattr(obj, "tolist"):
-        _canon(obj.tolist(), out)
     else:
         raise ReportError(f"cannot serialize {type(obj).__name__} into a report")
 
@@ -97,25 +94,15 @@ def sha256_hex(data) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Deterministic CSV: %.17g floats, LF line endings, no quoting needs.
-    A numpy scalar is written as what its ``tolist`` returns."""
+    """Deterministic CSV of float and int cells, written as in a report, with
+    LF line endings.  Any other cell, a bool among them, is a ``ReportError``."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
+        cells: list[str] = []
         for cell in row:
-            if hasattr(cell, "tolist"):
-                cell = cell.tolist()
-            if isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, float):
-                cells.append(format_float(float(cell)))
-            elif isinstance(cell, int):
-                cells.append(str(int(cell)))
-            else:
-                text = str(cell)
-                if any(ch in text for ch in ",\"\n"):
-                    raise ReportError(f"csv cell {text!r} needs quoting, refusing")
-                cells.append(text)
+            if isinstance(cell, bool) or not isinstance(cell, (float, int)):
+                raise ReportError(f"cannot write {type(cell).__name__} into a csv cell")
+            _canon(cell, cells)
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -54,7 +54,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .expr import (
     DomainError,
@@ -62,6 +62,7 @@ from .expr import (
     _const_source,
     _define,
     _emit,
+    _pairwise_sum,
     gradient_exprs,
     to_text,
     vector_source,
@@ -445,15 +446,6 @@ def project_to_equalities(space: SubcartesianSpace, cell_index: int, start: Sequ
     return f([float(v) for v in start], PROJECTION_STEPS)
 
 
-def _sum_sq(v: Iterable[float]) -> float:
-    """The sum of squares in order: ``np.dot`` is a BLAS dot, which may fuse
-    multiply-adds, and the builtin ``sum`` compensates from Python 3.12."""
-    s = 0.0
-    for x in v:
-        s += x * x
-    return s
-
-
 # draws per sample asked of a cell, at most, from a ball and from a box
 BALL_TRIES = 60
 BOX_TRIES = 80
@@ -467,7 +459,7 @@ def ball(rng: random.Random, center: Sequence[float], radius: float) -> Callable
     def draw() -> list[float]:
         while True:
             u = [rng.uniform(-1.0, 1.0) for _ in center]
-            if _sum_sq(u) <= 1.0:
+            if _pairwise_sum([v * v for v in u]) <= 1.0:
                 return [c + radius * v for c, v in zip(center, u)]
 
     return draw

@@ -116,7 +116,7 @@ def test_pushforward_along_rotation():
     rot = make_field("rot", ["-x2", "x1"], 2)
     ddx = make_field("ddx", ["1", "0"], 2)
     t = 0.5
-    image, vec = transport_vector(pp, rot, t, ddx, [1.0, 0.0])
+    image, vec = transport_vector(pp, rot, t, [1.0, 0.0], ddx.value([1.0, 0.0]))
     assert np.allclose(image, [np.cos(t), np.sin(t)], atol=1e-9)
     # the flow is the rotation matrix, so the carried vector is its first column
     assert np.allclose(vec, [np.cos(t), np.sin(t)], atol=1e-8)

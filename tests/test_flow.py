@@ -26,12 +26,12 @@ from subcart.flow import (
     transport_vector,
 )
 from subcart.cli import load_scenario
-from subcart.expr import DomainError, parse
+from subcart.expr import DomainError, _pairwise_sum, parse
 from subcart.field import TangentField
 from subcart.flow import (
     _A, _D, _E, _DRIVERS, ATTAINED_FACTOR, BISECT_TOL, INTERIOR_CHECKS, MAX_SAMPLE_DT, MIN_STEP, PROBE_LEVELS,
     ExitWitness,
-    _DriveResult, _Samples, _dense, _driver_source, _kernel, _pairwise_sum, _witness_info,
+    _DriveResult, _Samples, _dense, _driver_source, _kernel, _witness_info,
 )
 from subcart.space import BALL_TRIES, Constraint, Rel, SubcartesianSpace, ball, sample
 
@@ -198,7 +198,7 @@ def test_transport_vector_rotation():
     rot = make_field("rot", ["-x2", "x1"], 2)
     ddx = make_field("ddx", ["1", "0"], 2)
     t = math.pi / 2
-    image, vec = transport_vector(pp, rot, t, ddx, [1.0, 0.0])
+    image, vec = transport_vector(pp, rot, t, [1.0, 0.0], ddx.value([1.0, 0.0]))
     assert np.allclose(image, [0.0, 1.0], atol=1e-8)
     assert np.allclose(vec, [0.0, 1.0], atol=1e-7)
 
@@ -207,7 +207,7 @@ def test_transport_vector_shear_probe():
     plane = SubcartesianSpace.whole_space(2)
     ddx = make_field("ddx", ["1", "0"], 2)
     xddy = make_field("xddy", ["0", "x1"], 2)
-    image, vec = transport_vector(plane, ddx, -1.0, xddy, [1.0, 0.0])
+    image, vec = transport_vector(plane, ddx, -1.0, [1.0, 0.0], xddy.value([1.0, 0.0]))
     assert np.allclose(image, [0.0, 0.0], atol=1e-9)
     # flow of ddx has identity derivative, so the vector rides unchanged
     assert np.allclose(vec, [0.0, 1.0], atol=1e-9)
@@ -219,7 +219,7 @@ def test_transport_vector_exit():
     hl = halfline()
     ddx = make_field("ddx", ["1"], 1)
     with pytest.raises(FlowDomainError) as err:
-        transport_vector(hl, ddx, -1.0, ddx, [0.5])
+        transport_vector(hl, ddx, -1.0, [0.5], ddx.value([0.5]))
     assert abs(err.value.achieved_t + 0.5) <= 1e-9
     witness = err.value.exit_witness
     assert witness.attained and witness.constraint == "x1"
@@ -801,7 +801,7 @@ def test_kernels_are_keyed_by_their_source():
         want = _drive_outcome(_reference(fld._value), [-0.0, 0.5], 0.8, opts, disk)
         assert _drive_outcome(_kernel(fld, disk, "store"), [-0.0, 0.5], 0.8, opts, disk) == want
     # transport runs the kernel of the variational field, found the same way
-    transport_vector(disk, rot, 0.3, again, [0.1, 0.2])
+    transport_vector(disk, rot, 0.3, [0.1, 0.2], again.value([0.1, 0.2]))
     assert _kernel(rot._variational, disk, None) is _kernel(again._variational, disk_again, None)
     assert all(len(key) == 3 and isinstance(key[0], str) for key in _DRIVERS)
 

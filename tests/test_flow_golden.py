@@ -207,7 +207,7 @@ def _oscillator():
 @pytest.mark.parametrize("t,image_hex,vector_hex", GOLDEN_TRANSPORT)
 def test_golden_transport_vector_4d(t, image_hex, vector_hex):
     x_field, y_field, x0 = _oscillator()
-    image, vec = transport_vector(SubcartesianSpace.whole_space(4), x_field, t, y_field, x0)
+    image, vec = transport_vector(SubcartesianSpace.whole_space(4), x_field, t, x0, y_field.value(x0))
     assert [float(v).hex() for v in image] == image_hex
     assert [float(v).hex() for v in vec] == vector_hex
 
@@ -255,5 +255,5 @@ def test_transport_keeps_the_blas_bytes_where_jacobian_rows_have_one_term(compon
     # a product sum of one nonzero term rounds the same with and without FMA
     x_field = make_field("x", components, 2)
     y_field = make_field("y", ["1 + x2", "x1*x2"], 2)
-    image, vec = transport_vector(SubcartesianSpace.whole_space(2), x_field, t, y_field, [0.3, -0.2])
+    image, vec = transport_vector(SubcartesianSpace.whole_space(2), x_field, t, [0.3, -0.2], y_field.value([0.3, -0.2]))
     assert _hexes(list(image) + list(vec)) == _hexes(_reference_transport(x_field, y_field, [0.3, -0.2], t, True))

@@ -60,8 +60,8 @@ def test_transport_vector_matches_central_differences(t):
     osc = _oscillator()
     probe = make_field("probe", ["1", "x3", "0", "x1*x2"], 4)
     x0 = np.array([0.3, -0.2, 0.5, 0.1])
-    image, vec = transport_vector(SubcartesianSpace.whole_space(4), osc, t, probe, x0, options=TIGHT)
     v0 = np.array(probe.value(x0.tolist()))
+    image, vec = transport_vector(SubcartesianSpace.whole_space(4), osc, t, x0, v0, options=TIGHT)
     # flow_map runs at the default tolerances; its core takes the tight ones
     tight_flow = lambda x: np.array(_flow_core(SubcartesianSpace.whole_space(4), osc, TIGHT)(x.tolist(), t))
     plus = tight_flow(x0 + FD_STEP * v0)

@@ -362,7 +362,6 @@ KNOBS = {
     "OrbitSample.diagnostics": "orbit.sample_orbit",
     "OrbitSample.dimensions": "orbit.sample_orbit",
     "PoissonStructure.__init__(label)": "poisson.reduce",
-    "PoissonStructure.canonical(label)": "cli.cmd_reduce",
     "ProbeOptions.rng_seed": "cli.cmd_classify",
     "ProbeOptions.seeds": "cli.cmd_classify",
     "ReductionSetup.certify_tol": "cli.cmd_reduce",
@@ -427,7 +426,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 74
+    assert len(KNOBS) == 73
     assert sorted(KNOBS) == _knobs()
 
 

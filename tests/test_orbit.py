@@ -484,7 +484,7 @@ def test_every_point_the_library_hands_back_is_a_list_of_floats():
     assert _floats(project_to_equalities(unit_circle(), 0, x0))
     assert _floats(fam.fields[1].value([0.2, -0.1]))
     for t in (0.0, 0.4):
-        image, vec = transport_vector(fam.space, fam.fields[0], t, fam.fields[1], x0)
+        image, vec = transport_vector(fam.space, fam.fields[0], t, x0, fam.fields[1].value(x0))
         assert _floats(image) and _floats(vec)
     assert _floats(reach(fam, x0, [])) and _floats(reach(fam, x0, [(0, 0.5), (1, -0.25)]))
     with pytest.raises(ReachError) as exc:

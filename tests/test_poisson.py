@@ -379,7 +379,6 @@ def test_invariance_residual_canonical():
             p, h, parse("x1", 2), parse("x2", 2), t, [0.7, -0.2], space=space
         )
         assert rep.value <= 1e-6
-        assert float(rep) == rep.value
         assert abs(np.linalg.norm(rep.image) - np.linalg.norm([0.7, -0.2])) <= 1e-8
 
 
@@ -409,10 +408,10 @@ def test_invariance_residual_matches_finite_differences(case, monkeypatch):
     h, f1, f2 = (parse(e, n) for e in (h, f1, f2))
     carried = []
     transport = flow.transport_vector
-    monkeypatch.setattr(flow, "transport_vector", lambda *a: carried.append(a[3].label) or transport(*a))
+    monkeypatch.setattr(flow, "transport_vector", lambda *a: carried.append(a[4]) or transport(*a))
     got = invariance_residual(p, h, f1, f2, t, x, space=SubcartesianSpace.whole_space(n)).value
     # one flow per unit vector, each the variational kernel's
-    assert carried == [f"e{i + 1}" for i in range(n)]
+    assert carried == [[1.0 if k == i else 0.0 for k in range(n)] for i in range(n)]
     want = fd_invariance_residual(p, h, f1, f2, t, x)
     assert abs(got - want) <= 1e-7, (got, want)
     if case == "jacobi_control":

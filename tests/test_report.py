@@ -51,18 +51,11 @@ def test_canonical_json_shapes():
     obj = {
         "b": [1, 2.5, True, None],
         "a": {"nested": (1, 2)},
-        "arr": np.array([1.0, 2.0]),
-        "npint": np.int64(7),
-        "npfloat": np.float64(0.25),
-        # found by duck typing: whatever has tolist is written as its tolist
-        "npbool": np.bool_(True),
-        "npf32": np.float32(0.5),
-        "grid": np.arange(4, dtype=np.int32).reshape(2, 2),
+        "npfloat": np.float64(0.25),  # a float
     }
     text = canonical_json(obj)
-    # keys sorted, bools and null in JSON form, arrays as lists
-    assert text == ('{"a":{"nested":[1,2]},"arr":[1,2],"b":[1,2.5,true,null],"grid":[[0,1],[2,3]],'
-                    '"npbool":true,"npf32":0.5,"npfloat":0.25,"npint":7}')
+    # keys sorted, bools and null in JSON form, tuples as lists
+    assert text == '{"a":{"nested":[1,2]},"b":[1,2.5,true,null],"npfloat":0.25}'
     assert canonical_json(obj) == text
     parsed = json.loads(text)
     assert parsed["b"][2] is True
@@ -79,6 +72,10 @@ def test_canonical_json_rejects_bad_values():
         canonical_json({1: "non-string key"})
     with pytest.raises(ReportError):
         canonical_json({"x": object()})
+    # numpy values other than float64 are not Python values
+    for bad in (np.array([1.0, 2.0]), np.int64(7), np.bool_(True), np.float32(0.5)):
+        with pytest.raises(ReportError):
+            canonical_json({"x": [bad]})
 
 
 def test_sha256_hex():
@@ -88,22 +85,25 @@ def test_sha256_hex():
 
 def test_write_csv(tmp_path):
     path = tmp_path / "data.csv"
-    write_csv(str(path), ["t", "x", "ok"], [[0.5, 1.0 / 3.0, True], [1.0, 0.0, False]])
+    write_csv(str(path), ["t", "x", "id"], [[0.5, 1.0 / 3.0, 3], [1.0, 0.0, 0]])
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().strip().split("\n")
-    assert lines[0] == "t,x,ok"
+    assert lines[0] == "t,x,id"
     assert lines[1].startswith("0.5,0.3333333333333333")
-    assert lines[1].endswith(",true")
-    assert lines[2] == "1,0,false"
+    assert lines[1].endswith(",3")
+    assert lines[2] == "1,0,0"
     assert float(lines[1].split(",")[1]) == 1.0 / 3.0
 
 
 def test_write_csv_numpy_scalars(tmp_path):
+    # np.float64 is a float; any other numpy scalar is refused, as are bools and strings
     path = tmp_path / "np.csv"
-    write_csv(str(path), ["a", "b", "c", "d"],
-              [[np.float64(0.25), np.int64(3), np.bool_(False), np.float32(1.5)]])
-    assert path.read_text().splitlines()[1] == "0.25,3,false,1.5"
+    write_csv(str(path), ["a"], [[np.float64(0.25)]])
+    assert path.read_text().splitlines()[1] == "0.25"
+    for bad in (True, "x", np.int64(3), np.bool_(False), np.float32(1.5)):
+        with pytest.raises(ReportError):
+            write_csv(str(path), ["a"], [[bad]])
 
 
 def test_write_csv_rejects_unquotable_cells(tmp_path):
