@@ -9,6 +9,11 @@ keeps its generating word so reachability claims stay reproducible.
 Only explicit finite families are handled.  Questions that quantify over
 all vector fields of the space are exercised through nested finite
 families.
+
+The completeness probe carries one field's value along another's flow
+(``flow.transport_vector``) and measures how far the carried vector lies
+from the family's span at the image, by a Gram-Schmidt on Python floats
+(``_span_residual``), so its residuals do not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .expr import DomainError, _define, compile_vector
+from .expr import DomainError, _define, _pairwise_sum, compile_vector
 from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
-    FlowDomainError, FlowOptions, IntegrationError, _flow_core, _pairwise_sum, transport_vector,
+    FlowDomainError, FlowOptions, IntegrationError, _flow_core, transport_vector,
 )
 from .space import BALL_TRIES, SubcartesianSpace, ball, sample
 
@@ -490,26 +495,43 @@ class CompletenessReport:
     witness: Optional[dict]
 
 
-def _span_residual(matrix: np.ndarray, w: list[float]) -> float:
-    """Distance from w to the column span of matrix, inf or NaN where the
-    arithmetic overflows, which numpy then does not warn of.
+def _norm(v: list[float]) -> float:
+    return math.sqrt(_pairwise_sum([a * a for a in v]))
 
-    A column whose largest magnitude exceeds 1 is divided by it first, which
-    leaves the span as it is.  ``lstsq`` counts a singular value as zero
-    below ``eps * max(m, n)`` times the largest, so a unit column beside one
-    of norm 4e15 would count as zero; scaled, a column counts as zero only
-    where it is that small both beside the others and beside 1, as a field
-    value of 3e-16 is at a point the flow put at the origin up to rounding.
-    A column with a NaN or an inf makes the residual NaN.
+
+def _span_residual(columns: list[list[float]], w: list[float]) -> float:
+    """Distance from w to the span of the columns, lists of finite floats;
+    inf or NaN where the arithmetic overflows.
+
+    Modified Gram-Schmidt on Python floats, each sum a ``_pairwise_sum``, so
+    the residual is the same on every machine: each column, less its
+    projections on the directions kept before it, is a new direction unless
+    its norm is at most eps * max(m, n) times the largest column norm, the
+    cutoff ``lstsq`` puts on singular values; w, less its projections on the
+    directions, is the residual.  A column whose largest magnitude exceeds 1
+    is divided by it first, which leaves the span as it is: unscaled, a unit
+    column beside one of norm 4e15 would count as zero; scaled, a column
+    counts as zero only where it is that small both beside the others and
+    beside 1, as a field value of 3e-16 is at a point the flow put at the
+    origin up to rounding.
     """
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.any(matrix):
-            return float(np.linalg.norm(w))
-        cols = matrix / np.maximum(np.max(np.abs(matrix), axis=0), 1.0)
-        coef, *_ = np.linalg.lstsq(cols, w, rcond=None)
-        return float(np.linalg.norm(w - cols @ coef))
+    cols = []
+    for c in columns:
+        top = max(map(abs, c))
+        cols.append([v / top for v in c] if top > 1.0 else c)
+    cutoff = sys.float_info.epsilon * max(len(w), len(cols)) * max(map(_norm, cols))
+    basis: list[list[float]] = []
+    for c in cols:
+        for q in basis:
+            d = _pairwise_sum([a * b for a, b in zip(q, c)])
+            c = [a - d * b for a, b in zip(c, q)]
+        r = _norm(c)
+        if r > cutoff:
+            basis.append([a / r for a in c])
+    for q in basis:
+        d = _pairwise_sum([a * b for a, b in zip(q, w)])
+        w = [a - d * b for a, b in zip(w, q)]
+    return _norm(w)
 
 
 def local_completeness_probe(
@@ -562,7 +584,7 @@ def local_completeness_probe(
             continue
         except (DomainError, OverflowError) as exc:  # the carried field at the probe point
             raise _unevaluable(family.fields[j], x, exc) from None
-        residual = _span_residual(family.value_matrix(image), w)
+        residual = _span_residual([_value_at(f, image) for f in family.fields], w)
         if not math.isfinite(residual):
             raise OrbitError(f"the span residual of field {family.fields[j].label!r} carried along "
                              f"{family.fields[i].label!r} from {x} is not finite at the image {image}")

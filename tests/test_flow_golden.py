@@ -14,6 +14,10 @@ import functools
 import hashlib
 import json
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,9 +65,13 @@ GOLDEN = [
      0, "5c37bdbffc3fb9532321dd7a65da70855a776fa7150a9bf4757e113be8da945e"),
     ("chart", ["chart", "--scenario", "translate_shear", "--point=0.7,0.2"],
      0, "be90f8e78a31e7b9a4b9af9b59b8d6eae63f269fb88f9ee5c870b77c91681ecb"),
+    # the span residual is a Gram-Schmidt on Python floats, not lstsq: only
+    # max_residual moved, from 7.021666937153402e-16 to 4.965068306494546e-16
+    # (digests 74c220ee and e6500e55 before), and it no longer depends on the
+    # BLAS kernel; test_orbit checks every probe's residual against lstsq
     ("complete-probe", ["complete-probe", "--scenario", "rotation_plane", "--family", "pair",
                         "--seeds", "ring", "--n", "6", "--seed", "2"],
-     0, "74c220eea852d6de617eb1ca4f20557cf20b3f2c26257baa7753dcc4bc95ff2b"),
+     0, "8e2cf0b1841fbca3939bc2128f1fa7f3cefcfd2d22af34c3e867bf3266b7a3f8"),
     ("strata-tangency-rot", ["strata", "--check", "tangency", "--scenario", "cone", "--field", "rot",
                              "--horizon", "0.3", "--seed", "4"],
      0, "a945d0048c1dd569566af95533848bb36fbcc1d93e506ae872aa82e74aa20aba"),
@@ -91,7 +99,7 @@ FULL_ENVELOPE = {
     "orbit-cone": "038b3f4c30e2c831e1778a8ec045b9062f2759c26a39bf2403086da72242fc54",
     "leaf-reduction_r4": "0e1a6d7199ad8c5f1345f3c90b1ba8aaf761e3135fd05395a1a4a4ec9dd95f33",
     "chart": "4a65b9c6f433eebcac45200e4634e6ef0d1bce736016bc0e4dc29b98ede75aa2",
-    "complete-probe": "e6500e555b2e845b84621598a8e6a881f17da85f2ab555f1c5e4335be19954d9",
+    "complete-probe": "c518b2f07fc46de77b19bd895273f81afcc51b0fa563a43ea7d7a012a8a5cf49",
     "strata-tangency-rot": "f3cc6724560ee8eed5a4c24e6f90b8c836a6b8ab4e413874bddf6b6a5a130a25",
     "strata-tangency-ddz": "d7ac7316fc598fd453a4329a0fd16954dcb1744217ceaf14982c26d0bcfb59d1",
     "strata-orbits": "293cfeb6655f09443ae17e4c9c6c86f94aa63a751d01954ebfbe2af0371a6b07",
@@ -257,3 +265,52 @@ def test_transport_keeps_the_blas_bytes_where_jacobian_rows_have_one_term(compon
     y_field = make_field("y", ["1 + x2", "x1*x2"], 2)
     image, vec = transport_vector(SubcartesianSpace.whole_space(2), x_field, t, [0.3, -0.2], y_field.value([0.3, -0.2]))
     assert _hexes(list(image) + list(vec)) == _hexes(_reference_transport(x_field, y_field, [0.3, -0.2], t, True))
+
+
+def _openblas_with_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, which picks
+    its kernels by CPU when it loads and takes ``OPENBLAS_CORETYPE`` instead."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# Run the golden commands of this file and of test_symbolic_golden in one
+# interpreter, given their argv by name as JSON, and print the digest of each
+# report by name.
+_CHILD = """\
+import contextlib, hashlib, io, json, sys
+from subcart.cli import main
+digests = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    digests[name] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(not _openblas_with_dynamic_arch(), reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH")
+def test_golden_digests_are_the_same_under_every_openblas_kernel(tmp_path):
+    # OpenBLAS kernels sum in different orders, so a report float from BLAS or
+    # LAPACK would move between CPUs; complete-probe's lstsq residual did under
+    # Prescott and Nehalem
+    from test_symbolic_golden import GOLDEN as SYMBOLIC
+
+    cases = GOLDEN + SYMBOLIC + [("orbit-2000", ORBIT_2000[0], 0, ORBIT_2000[1])]
+    argvs = {name: [_scenario(tmp_path, a) if i and argv[i - 1] == "--scenario" else a for i, a in enumerate(argv)]
+             for name, argv, _, _ in cases}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    children = {core: subprocess.Popen([sys.executable, "-c", _CHILD, json.dumps(argvs)], stdout=subprocess.PIPE,
+                                       stderr=subprocess.PIPE, text=True, env=dict(env, OPENBLAS_CORETYPE=core))
+                for core in ("Prescott", "Nehalem", "Haswell", "SkylakeX")}
+    digests = {}
+    for core, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        digests[core] = json.loads(out)
+    assert digests["Prescott"] == {name: digest for name, _, _, digest in cases}
+    assert all(d == digests["Prescott"] for d in digests.values())

@@ -124,6 +124,9 @@ _NUMPY_FREE_COMMANDS = [
     ("overflow-exit", ["flow", "--field", "v", "--point=0.5,0", "--horizon", "3"], 0),
     ("rotation_plane", ["flow", "--field", "rot", "--point=1e200,1e200", "--horizon", "1"], 0),
     ("cone", ["strata", "--check", "tangency", "--field", "euler", "--horizon", "1e3"], 2),
+    # the span residual is a Gram-Schmidt on Python floats; lstsq imported numpy
+    ("translate_shear", ["complete-probe", "--family", "default", "--seeds", "default", "--n", "10"], 0),
+    ("rotation_plane", ["complete-probe", "--family", "pair", "--seeds", "ring", "--n", "10"], 0),
 ]
 
 # a cell whose first constraint overflows on Python floats wherever x1 is not tiny

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subcart.cli import load_scenario
+from subcart.cli import load_scenario, main
 from subcart.orbit import (
     DependentBasisError,
     FieldFamily,
@@ -166,6 +166,58 @@ def test_completeness_singleton_passes():
 def test_completeness_random_mode_needs_centers():
     with pytest.raises(OrbitError):
         local_completeness_probe(rotation_family(), rng_seed=0)
+
+
+def _lstsq_residual(columns: list[list[float]], w: list[float]) -> float:
+    """The span residual as ``complete-probe`` computed it through LAPACK,
+    whose rounding depends on the BLAS kernel: the same column scaling, then
+    ``lstsq`` and the norm of what it leaves."""
+    matrix = np.column_stack(columns)
+    if not np.any(matrix):
+        return float(np.linalg.norm(w))
+    cols = matrix / np.maximum(np.max(np.abs(matrix), axis=0), 1.0)
+    coef, *_ = np.linalg.lstsq(cols, w, rcond=None)
+    return float(np.linalg.norm(w - cols @ coef))
+
+
+@pytest.mark.parametrize("argv", [
+    ["rotation_plane", "--family", "pair", "--seeds", "ring", "--n", "6", "--seed", "2"],  # the golden's probes
+    ["rotation_plane", "--family", "pair", "--n", "20", "--t-scale", "3"],
+    ["translate_shear", "--n", "20", "--t-scale", "5"],
+    ["disk_line", "--n", "20"],
+])
+def test_span_residual_matches_lstsq_on_the_probes(monkeypatch, capsys, argv):
+    seen = []
+    residual = orbit._span_residual
+
+    def spy(cols, w):
+        seen.append((cols, w, residual(cols, w)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(orbit, "_span_residual", spy)
+    assert main(["complete-probe", "--scenario", scenario_path(argv[0]), *argv[1:]]) in (0, 1)
+    capsys.readouterr()
+    assert len(seen) >= 6
+    for cols, w, got in seen:
+        assert abs(got - _lstsq_residual(cols, w)) <= 1e-14, (cols, w)
+
+
+def test_span_residual_matches_lstsq_on_random_columns():
+    # both are backward stable, so they agree to rounding times the condition
+    # of the columns; more columns than coordinates leave a residual of
+    # rounding, smaller here than lstsq's
+    rng = random.Random(5)
+    for _ in range(2000):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        cols = [[rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        w = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+        bound = 1e-14 * max(1.0, np.linalg.cond(np.column_stack(cols))) * max(1.0, float(np.linalg.norm(w)))
+        assert abs(orbit._span_residual(cols, w) - _lstsq_residual(cols, w)) <= bound, (cols, w)
+    # a zero column adds nothing, and the columns of a zero matrix span only 0
+    assert orbit._span_residual([[0.0, 0.0], [1.0, 0.0]], [3.0, 4.0]) == 4.0
+    assert orbit._span_residual([[0.0, 0.0]], [3.0, 4.0]) == 5.0
+    # a unit column beside one of norm 4e15 still counts
+    assert orbit._span_residual([[1.0, 0.0], [0.0, -4e15]], [0.0, 1.0]) == 0.0
 
 
 def test_completeness_shear_fails_on_witness_probe():
