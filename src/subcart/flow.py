@@ -557,8 +557,8 @@ def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], ho
     horizon = float(horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if horizon / MAX_SAMPLE_DT == math.inf:  # a step that long scans more points than a float counts
-        raise IntegrationError(f"horizon {horizon} is not finite in sample spacings of {MAX_SAMPLE_DT}")
+    if horizon / MAX_SAMPLE_DT > 2**53:  # past 2^53 a float no longer counts the scanned points exactly
+        raise IntegrationError(f"horizon {horizon} is more than 2^53 sample spacings of {MAX_SAMPLE_DT}")
     if keep != "drift":  # a drift kernel's space is the stratum whose slack it folds, not one it tests
         space.require_member(x0, "basepoint")
     drive = _kernel(fld, space, keep)

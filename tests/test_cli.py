@@ -586,10 +586,14 @@ def test_bracket_command(capsys):
     # a step of the horizon's length over the sample spacing of 0.1 is inf,
     # and counting its scan ended in "internal error: OverflowError"
     (["flow", "--scenario", "translate_shear", "--field", "ddx", "--point=0,0", "--horizon", "1e308"],
-     "horizon 1e+308 is not finite in sample spacings of 0.1"),
+     "horizon 1e+308 is more than 2^53 sample spacings of 0.1"),
     # a field listed twice used to answer DependentBasis, exit 0, as if the
     # orbit had a lower rank there
     (["chart", "--scenario", "translate_shear", "--point=1,0", "--basis", "0,0"], "basis index 0 is listed twice"),
+    # a finite count past 2^53 is not exact: this exited 0 with n_samples a
+    # 308-digit integer
+    (["flow", "--scenario", "translate_shear", "--field", "ddx", "--point=0,0", "--horizon", "1e307"],
+     "horizon 1e+307 is more than 2^53 sample spacings of 0.1"),
 ])
 def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     # --horizon inf and --step-scale nan used to run the stepper to max_steps
