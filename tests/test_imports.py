@@ -622,6 +622,26 @@ def test_one_derivative_of_a_flow_and_one_spelling_of_its_space():
     assert optional == []
 
 
+def test_one_float_sum_and_python_values_across_the_seams():
+    # every norm and residual sums its floats with expr._pairwise_sum, so it
+    # is the same on every machine; strata's distances to a sampled cloud
+    # are the one norm left to numpy
+    sums, norms = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sums += [f"{path.stem}.{node.name}" for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 and node.name in ("_pairwise_sum", "_sum_sq")]
+        norms += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and ast.unparse(node) == "np.linalg.norm"]
+    assert sums == ["expr._pairwise_sum"]
+    assert set(norms) == {"strata"}
+    # a report is written from Python values alone, with no numpy adapter
+    assert "tolist" not in (SRC / "report.py").read_text(encoding="utf-8")
+    # transport carries a vector, not a field it evaluates itself
+    assert list(inspect.signature(subcart.transport_vector).parameters) == [
+        "space", "x_field", "t", "x0", "v0", "options"]
+
+
 def test_every_top_level_name_is_read_somewhere():
     # a name no module reads, outside its own definition, is dead code; a
     # mention in a comment or docstring does not count
