@@ -12,7 +12,6 @@ positivity, and torsion in one record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +19,7 @@ from .expr import (
     Const,
     Expr,
     ExprMatrix,
-    _pairwise_sum,
+    _norm,
     add,
     as_expr,
     block_rows,
@@ -95,8 +94,7 @@ def torsion(j: AlmostComplexStructure, x: TangentField, y: TangentField) -> Tang
 
 def max_norm(fld: TangentField, points: Sequence[Sequence[float]]) -> float:
     """Max Euclidean norm of the field over the sample, NaN if any norm is."""
-    return worst_residual(math.sqrt(_pairwise_sum([v * v for v in fld.value(list(map(float, p)))]))
-                          for p in points)
+    return worst_residual(_norm(fld.value(list(map(float, p)))) for p in points)
 
 
 def torsion_residual(

@@ -646,6 +646,11 @@ def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
     return add(_pairwise_sum(a[:half], add, zero), _pairwise_sum(a[half:], add, zero))
 
 
+def _norm(v: Sequence[float]) -> float:
+    """The Euclidean norm, the root of the pairwise sum of squares."""
+    return math.sqrt(_pairwise_sum([a * a for a in v]))
+
+
 def _cut_value(shift: int, t: float) -> float:
     if t <= 0.0:
         return 0.0

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .expr import DomainError, _define, _pairwise_sum, compile_vector
+from .expr import DomainError, _define, _norm, _pairwise_sum, compile_vector
 from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
     FlowDomainError, FlowOptions, IntegrationError, _flow_core, transport_vector,
@@ -226,7 +226,7 @@ def _collect_exact(points: list[list[float]], cells: dict, far: list[int], y: li
             p = points[j]
             if abs(p[0] - y[0]) > 2.0 * MERGE_RADIUS:  # then farther than the radius
                 continue
-            d = math.sqrt(_pairwise_sum([(a - b) * (a - b) for a, b in zip(p, y)]))
+            d = _norm([a - b for a, b in zip(p, y)])
             if d != d:  # the smallest distance is NaN: no merge
                 break
             best = min(best, d)
@@ -493,10 +493,6 @@ class CompletenessReport:
     skipped: int
     max_residual: float
     witness: Optional[dict]
-
-
-def _norm(v: list[float]) -> float:
-    return math.sqrt(_pairwise_sum([a * a for a in v]))
 
 
 def _span_residual(columns: list[list[float]], w: list[float]) -> float:

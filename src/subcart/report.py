@@ -2,9 +2,9 @@
 
 Reports must be byte-identical across reruns with the same inputs, so
 serialization is hand-rolled rather than delegated to json.dumps defaults:
-keys are emitted sorted, floats are printed in %.17g form, no environment-
-dependent values (timestamps, paths, hostnames) are included, and only
-Python values are written: a numpy value other than a float64 is an error.
+keys are emitted sorted, floats are printed in %.17g form, no value that
+depends on the environment (timestamps, paths, hostnames) is included, and
+only Python values are written: a numpy value but a float64 is an error.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .expr import _pairwise_sum
+from .expr import _norm
 from .field import RANK_TOL, TangentField
 from .space import (
     BOX_TRIES,
@@ -117,7 +117,7 @@ def closure_distance(
     for ci in range(len(space.cells)):
         z = project_to_equalities(space, ci, p)
         if z is not None and space.closure_contains(z):
-            best = min(best, math.sqrt(_pairwise_sum([(a - b) * (a - b) for a, b in zip(p, z)])))
+            best = min(best, _norm([a - b for a, b in zip(p, z)]))
     if cloud is not None and cloud.size:
         import numpy as np
 

@@ -630,10 +630,10 @@ def test_one_float_sum_and_python_values_across_the_seams():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sums += [f"{path.stem}.{node.name}" for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                 and node.name in ("_pairwise_sum", "_sum_sq")]
+                 and node.name in ("_pairwise_sum", "_sum_sq", "_norm")]
         norms += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                   and ast.unparse(node) == "np.linalg.norm"]
-    assert sums == ["expr._pairwise_sum"]
+    assert sorted(sums) == ["expr._norm", "expr._pairwise_sum"]
     assert set(norms) == {"strata"}
     # a report is written from Python values alone, with no numpy adapter
     assert "tolist" not in (SRC / "report.py").read_text(encoding="utf-8")
