@@ -15,12 +15,16 @@ first use.  So ``import subcart.expr`` loads no other module.
 No submodule imports numpy when it is imported; each function that needs
 numpy imports it when it runs.  So ``import subcart.cli``, loading a
 scenario, ``integrate``, ``classify_vector_field``, ``transport_vector``,
-``reach`` and the sampler ``space.sample`` never load numpy, and neither do
-the ``flow``, ``classify``, ``bracket`` and ``strata --check tangency``
-commands: constraints are evaluated in IEEE arithmetic by generated code on
-Python floats, an overflow included.  Every point the package hands
-back is a list of Python floats; matrices and ``flow_map``'s image are
-ndarrays, made by functions that load numpy on first use.
+``reach``, ``sample_orbit``, ``chart_jacobian`` and the sampler
+``space.sample`` never load numpy, and neither do the ``flow``,
+``classify``, ``bracket``, ``orbit``, ``chart``, ``complete-probe``,
+``leaf`` and ``strata --check tangency`` and ``--check orbits`` commands:
+constraints are evaluated in IEEE arithmetic by generated code on Python
+floats, an overflow included, and span ranks and singular values are
+Jacobi rotations and Gram-Schmidt on Python floats.  Every point the
+package hands back is a list of Python floats, and so are the chart's
+Jacobians; other matrices and ``flow_map``'s image are ndarrays, made by
+functions that load numpy on first use.
 """
 
 from __future__ import annotations

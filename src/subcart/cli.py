@@ -564,8 +564,8 @@ def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
         "basepoint": chart.basepoint,
         "rank": chart.rank,
         "agreement": chart.agreement,
-        "jacobian": [[float(v) for v in row] for row in chart.jacobian0],
-        "fd_jacobian": [[float(v) for v in row] for row in chart.fd_jacobian],
+        "jacobian": chart.jacobian0,
+        "fd_jacobian": chart.fd_jacobian,
         "singular_values": chart.singular_values,
     }
     return result, EXIT_PASS
@@ -593,7 +593,7 @@ def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
 
 
 def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
-    from .strata import StrataError, frontier_check, orbit_vs_strata, strongly_stratified_check
+    from .strata import NotStronglyStratifiedError, frontier_check, orbit_vs_strata, strongly_stratified_check
 
     ss = _need(sc.stratified, "strata")
     lo, hi = _need(sc.box, "box")
@@ -617,7 +617,7 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
                 ss, fam, seeds, lo, hi, budget=args.budget, rng_seed=args.seed, horizon=args.horizon,
                 drift_tol=tol["drift"], tol_rank=tol["rank"], options=_flow_options(tol),
             )
-        except StrataError as exc:
+        except NotStronglyStratifiedError as exc:  # certified, with a witness; any other StrataError is bad input
             result = {"verdict": "PreconditionFailed", "detail": str(exc)}
             return result, EXIT_FAIL
         result, code = asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL

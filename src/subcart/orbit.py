@@ -22,21 +22,18 @@ import functools
 import math
 import random
 import sys
-from array import array
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from itertools import product
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, Optional, Sequence
 
 from .expr import DomainError, _define, _norm, _pairwise_sum, compile_vector
 from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
     FlowDomainError, FlowOptions, IntegrationError, _flow_core, transport_vector,
 )
+from .report import worst_residual
 from .space import BALL_TRIES, SubcartesianSpace, ball, sample
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MERGE_RADIUS = 1e-6  # orbit points closer than this are one point
 COMPLETENESS_TOL = 1e-6
@@ -90,13 +87,6 @@ class FieldFamily:
         compiled on the first evaluation into one function."""
         return compile_vector([c for f in self.fields for c in f.components])
 
-    def value_matrix(self, point: Sequence[float]) -> np.ndarray:
-        """Columns are the member fields evaluated at the point (n x m).  A
-        field undefined, overflowing or not finite there is a ``FieldError``."""
-        import numpy as np
-
-        return np.column_stack([_value_at(f, point) for f in self.fields])
-
     def vanishes_at(self, point: Sequence[float]) -> bool:
         """Whether every field evaluates to exactly 0.0 at the point.  Then
         every flow of the family fixes the point, and its orbit is the point
@@ -149,100 +139,285 @@ def reach(
 def span_dimensions(
     family: FieldFamily, points: Sequence[Sequence[float]], tol_rank: float = RANK_TOL
 ) -> list[int]:
-    """Numerical rank of the family's value matrix at each point.
+    """Numerical rank of the family's value matrix at each point: the number
+    of its singular values above ``tol_rank`` times the largest, 0 where all
+    are 0.
 
     The values of all fields at a point come from one generated function
-    (``FieldFamily._values``) and are packed into one flat buffer, and the
-    (n x m) value matrices of all points go through one stacked SVD, which
-    computes each matrix exactly as a call of its own would.  A field not
-    finite at a point, or raising there, is ``value_matrix``'s error.
+    (``FieldFamily._values``), and the rank from one kernel generated per
+    shape (``_rank_source``) on Python floats.  A field not finite at a
+    point, or raising there, is the ``FieldError`` of ``_value_at``.
     """
-    import numpy as np
-
-    if not points:
-        return []
     values = family._values
-    vals = array("d")
+    rank = _rank_kernel(family.space.ambient_dim, len(family))
+    dims = []
     for p in points:
         try:
-            vals.extend(values(p))
+            d = rank(values(p), tol_rank)
         except (DomainError, OverflowError):
-            family.value_matrix(p)
-    m = np.frombuffer(vals).reshape(len(points), len(family), family.space.ambient_dim)
-    finite = np.isfinite(m).all(axis=(1, 2))
-    if not finite.all():
-        family.value_matrix(points[int(finite.argmin())])
-    s = np.linalg.svd(m.transpose(0, 2, 1), compute_uv=False)
-    top = s[:, :1]
-    return np.where(top[:, 0] > 0.0, np.sum(s > tol_rank * top, axis=1), 0).tolist()
+            d = -1
+        if d < 0:  # a field undefined, overflowing or not finite at p
+            d = rank([v for f in family.fields for v in _value_at(f, p)], tol_rank)
+        dims.append(d)
+    return dims
+
+
+# the range of a matrix's largest magnitude, and of the square root of its
+# sum of squares, in which its singular values are taken unscaled: squares
+# of values down to 1e-60 of the largest stay normal, none overflows
+_MAGNITUDES = (2.0**-300, 2.0**300)
+_SWEEPS = 30  # a bound on Jacobi sweeps; quadratic convergence needs a handful
+
+
+def _rank_of(s: list[float], tol: float) -> int:
+    """The number of singular values s, largest first, above tol times the largest."""
+    return 0 if s[0] <= 0.0 else sum(v > tol * s[0] for v in s)
+
+
+def _rank_rescaled(v: list[float], tol: float, rank: Callable[[list[float], float], int]) -> int:
+    """``rank`` of the flat values v whose sum of squares is out of the
+    squares of ``_MAGNITUDES``: -1 if one is not finite, 0 if all are 0,
+    else the rank of v scaled by the power of 2 that puts its largest
+    magnitude in [0.5, 1), which scales every singular value alike and
+    exactly."""
+    if not all(map(math.isfinite, v)):
+        return -1
+    top = max(map(abs, v))
+    if top == 0.0:
+        return 0
+    e = math.frexp(top)[1]
+    return rank([math.ldexp(x, -e) for x in v], tol)
+
+
+def _singular_values(columns: Sequence[Sequence[float]]) -> list[float]:
+    """The singular values, largest first, of the matrix with these columns,
+    lists of finite floats: as many as its smaller dimension.
+
+    One-sided Jacobi (Hestenes 1958): pairs of columns, of the transpose
+    where columns outnumber rows, are rotated until every pair is orthogonal
+    to ``len * eps``; the singular values are then the column norms.  It
+    takes small singular values at least as accurately as LAPACK's
+    bidiagonal route (Demmel and Veselic 1992).  A matrix whose largest
+    magnitude is out of ``_MAGNITUDES`` is scaled by a power of 2 first, and
+    the values back.  Where the columns are already orthogonal no rotation
+    is made, so diag(1, x) gives exactly 1 and |x|.
+    """
+    cols = [list(c) for c in (zip(*columns) if len(columns) > len(columns[0]) else columns)]
+    top = max(abs(v) for c in cols for v in c)
+    if top == 0.0:
+        return [0.0] * len(cols)
+    e = 0 if _MAGNITUDES[0] <= top <= _MAGNITUDES[1] else math.frexp(top)[1]
+    if e:
+        cols = [[math.ldexp(v, -e) for v in c] for c in cols]
+    cutoff = len(cols[0]) * sys.float_info.epsilon
+    for _ in range(_SWEEPS):
+        rotated = False
+        for i, j in combinations(range(len(cols)), 2):
+            a, b = cols[i], cols[j]
+            p, q = _pairwise_sum([x * x for x in a]), _pairwise_sum([y * y for y in b])
+            r = _pairwise_sum([x * y for x, y in zip(a, b)])
+            if abs(r) <= cutoff * math.sqrt(p) * math.sqrt(q):
+                continue
+            z = (q - p) / (r + r)
+            t = math.copysign(1.0, z) / (abs(z) + math.sqrt(1.0 + z * z))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = c * t
+            cols[i] = [c * x - s * y for x, y in zip(a, b)]
+            cols[j] = [s * x + c * y for x, y in zip(a, b)]
+            rotated = True
+        if not rotated:
+            break
+    return sorted((math.ldexp(_norm(c), e) for c in cols), reverse=True)
+
+
+@functools.cache
+def _rank_kernel(n: int, m: int) -> Callable[[list[float], float], int]:
+    """The rank of n x m value matrices (``_rank_source``), generated on
+    first use and kept for the process."""
+    return _define(_rank_source(n, m), f"<rank n={n} m={m}>", sqrt=math.sqrt, copysign=math.copysign,
+                   rescaled=_rank_rescaled, jacobi=_singular_values, rank_of=_rank_of)
+
+
+def _rank_source(n: int, m: int) -> str:
+    """Source of ``_f(v, tol)``, the rank of the n x m matrix whose columns
+    are the m consecutive n-vectors of the flat list v, or -1 where an entry
+    is not finite.
+
+    The k = min(n, m) columns of the matrix, or of its transpose, are
+    scalar locals.  Where their sum of squares is out of the squares of
+    ``_MAGNITUDES``, ``_rank_rescaled`` scales them.  One column's rank is
+    1, or 0 where tol is 1 or more.  Two columns take one closed-form Jacobi
+    rotation, after which their norms are the singular values.  Three or
+    more take a modified Gram-Schmidt that settles rank k - 1 where it is
+    certain:
+    s_k <= |R_kk| + d, s_(k-1) >= s_(k-1) of the leading k - 1 columns >=
+    the product of their R_ii over their Frobenius norm to the power k - 2,
+    less d, and cmax <= s_1 <= |A|_F, with cmax the largest column norm and
+    d a multiple of eps |A|_F beyond Gram-Schmidt's backward error.
+    Everywhere else, ``_singular_values`` gives the singular values.
+    """
+    k, size = min(n, m), max(n, m)
+    # entry i of column c is a{c}_{i}; the columns are the fields' values,
+    # or where fields outnumber coordinates, the rows
+    names = [f"a{j}_{i}" if m <= n else f"a{i}_{j}" for j in range(m) for i in range(n)]
+
+    def col(c) -> list[str]:
+        return [f"a{c}_{i}" for i in range(size)]
+
+    def dot(x: list[str], y: list[str]) -> str:  # the pairwise sum, without adding its first term to 0.0
+        terms = [f"{a} * {b}" for a, b in zip(x, y)]
+        return _pairwise_sum(terms, lambda s, t: t if s is None else f"({s} + {t})", None)
+
+    body = [f"{', '.join(names)}, = v", *(f"p{c} = {dot(col(c), col(c))}" for c in range(k)),
+            f"f2 = {' + '.join(f'p{c}' for c in range(k))}",
+            f"if not ({_MAGNITUDES[0] ** 2!r} < f2 < {_MAGNITUDES[1] ** 2!r}):", "    return rescaled(v, tol, _f)"]
+    if k == 1:
+        body += ["s1 = sqrt(p0)", "return int(s1 > tol * s1)"]
+    elif k == 2:
+        rotated = [f"c * {a} - s * {b}" for a, b in zip(col(0), col(1))] + [
+            f"s * {a} + c * {b}" for a, b in zip(col(0), col(1))]
+        body += [f"r = {dot(col(0), col(1))}", "if r != 0.0:",
+                 *("    " + line for line in [
+                     "z = (p1 - p0) / (r + r)", "t = copysign(1.0, z) / (abs(z) + sqrt(1.0 + z * z))",
+                     "c = 1.0 / sqrt(1.0 + t * t)", "s = c * t",
+                     f"{', '.join(col(0) + col(1))} = {', '.join(rotated)}",
+                     f"p0 = {dot(col(0), col(0))}", f"p1 = {dot(col(1), col(1))}"]),
+                 "if p0 < p1:", "    p0, p1 = p1, p0",
+                 "s1 = sqrt(p0)", "return (s1 > tol * s1) + (sqrt(p1) > tol * s1)"]
+    else:
+        # u{c}_{i}: the unit directions of Gram-Schmidt; w_{i}: the column less its projections
+        mgs = []
+        for c in range(k):
+            w = col(c)
+            for b in range(c):
+                u = [f"u{b}_{i}" for i in range(size)]
+                mgs += [f"x = {dot(u, w)}", f"{', '.join(f'w_{i}' for i in range(size))}, = "
+                        + ", ".join(f"{wi} - x * {ui}" for wi, ui in zip(w, u))]
+                w = [f"w_{i}" for i in range(size)]
+            mgs.append(f"r{c} = sqrt({dot(w, w) if c else 'p0'})")
+            if c < k - 1:
+                mgs.append(f"{', '.join(f'u{c}_{i}' for i in range(size))}, = "
+                           + ", ".join(f"{wi} / r{c}" for wi in w))
+        slack = 64 * k * size * sys.float_info.epsilon
+        low = " * ".join(["g"] + [f"(r{c} / g)" for c in range(k - 1)])
+        body += ["try:", *("    " + line for line in mgs + [
+            f"g = sqrt({' + '.join(f'p{c}' for c in range(k - 1))})", f"d = sqrt(f2) * {slack!r}",
+            f"if r{k - 1} + d <= tol * sqrt(max({', '.join(f'p{c}' for c in range(k))})) "
+            f"and {low} - d > tol * sqrt(f2):", f"    return {k - 1}"]),
+            "except ZeroDivisionError:  # a column in the span of those before it", "    pass",
+            f"return rank_of(jacobi([{', '.join('[' + ', '.join(col(c)) + ']' for c in range(k))}]), tol)"]
+    return "def _f(v, tol):\n" + "".join(f"    {line}\n" for line in body)
 
 
 class _MergeIndex:
-    """The collected points of an orbit and the merge test of ``sample_orbit``.
+    """Points on a grid of cells, and whether a point lies within ``radius``
+    of one: the merge test of ``sample_orbit`` at ``MERGE_RADIUS``, and the
+    coverage count of ``strata.orbit_vs_strata`` at its cover radius.
 
-    ``collect(y)`` adds y to ``points`` and returns True, unless y merges:
-    some collected point lies within ``MERGE_RADIUS`` by the row formula of
-    ``np.linalg.norm(buf - y, axis=1)``, the square root of the pairwise sum
-    of the squared differences, and the smallest distance is not NaN.
-    ``cells`` maps the tuple of ``floor(x / side)``, a grid cell of side 4 *
-    MERGE_RADIUS, to the indices of its points.  A point within the radius
-    differs from the candidate by at most a quarter of the side per axis,
-    and while every |x / side| is below 2^50 the rounding of the quotients
-    adds at most 1/8 of a side.  So per axis it lies in the candidate's cell
-    or in the neighbour on the side of the candidate's half of its cell, and
-    the 2^n cells those choices span hold every point within the radius.
-    ``collect``, generated per dimension, probes them over scalar locals and
-    where all are empty, and no point is off the grid, collects y at once.
-    Any other candidate, and each above ``_UNROLLED`` dimensions, takes the
-    exact test of ``_collect_exact``.  Points off the grid, NaN ones among
-    them, go to ``far``, which that test scans with the probed cells; a
-    candidate off the grid scans all points.
+    A point lies within the radius of y where its distance, by the row
+    formula of ``np.linalg.norm(buf - y, axis=1)``, the square root of the
+    pairwise sum of the squared differences (``expr._norm``), is at most the
+    radius and the smallest distance is not NaN.  ``collect(y)`` adds y to
+    ``points`` and returns True, unless such a point merges it; ``add(y)``
+    adds y without the test, and ``near(y)`` makes it without adding y.
+    ``cells`` maps the tuple of ``floor(x / side)`` to the indices of its
+    points.  While every |x / side| is below 2^50 the rounding of the
+    quotients moves a point by at most 1/8 of a side against another, so
+    the cells within radius / side + 1/8 of y's quotients per axis hold
+    every point within the radius; ``near`` probes those within
+    radius / side + 1/4, which also covers the rounding of that bound.
+    ``collect`` needs cells of side 4 * radius, the default: then per axis a
+    point within the radius lies in y's cell or in the neighbour on the side
+    of y's half of its cell, and the 2^n cells those choices span hold every
+    such point.  ``collect``, generated per dimension, probes them over
+    scalar locals and where all are empty, and no point is off the grid,
+    collects y at once.  Any other candidate, and each above ``_UNROLLED``
+    dimensions, takes the exact test of ``_near``.  Points off the grid, NaN
+    ones among them, go to ``far``, which that test scans with the probed
+    cells; a candidate off the grid scans all points.  An index with a side
+    of its own, finer cells for a radius that is large against the
+    points' spacing, has no ``collect``.
     """
 
     side = 4.0 * MERGE_RADIUS
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, radius: float = MERGE_RADIUS, side: Optional[float] = None):
+        self.radius = radius
+        self.side = 4.0 * radius if side is None else side
         self.points: list[list[float]] = []
         self.cells: dict[tuple[int, ...], list[int]] = {}
         self.far: list[int] = []
-        # collect holds the parts, not the index, so no cycle keeps them alive
-        make = _define(_merge_source(n), "<merge>", floor=math.floor)
-        self.collect: Callable[[list[float]], bool] = make(self.points, self.cells, self.far, _collect_exact)
+        if side is None:
+            # collect holds the parts, not the index, so no cycle keeps them alive
+            make = _define(_merge_source(n), "<merge>", floor=math.floor)
+            self.collect: Callable[[list[float]], bool] = make(self.points, self.cells, self.far,
+                                                               _collect_exact, radius)
+
+    def _quotients(self, y: list[float]) -> Optional[list[float]]:
+        """y / side per axis, or None off the grid."""
+        q = [v / self.side for v in y]
+        return q if all(map((2.0**50).__gt__, map(abs, q))) else None
+
+    def add(self, y: list[float]) -> None:
+        q = self._quotients(y)
+        _insert(self.points, self.cells, self.far, y, None if q is None else tuple(map(math.floor, q)))
+
+    def near(self, y: list[float]) -> bool:
+        q = self._quotients(y)
+        reach = self.radius / self.side + 0.25
+        probes = None if q is None else product(
+            *(range(math.floor(v - reach), math.floor(v + reach) + 1) for v in q))
+        return _near(self.points, self.cells, self.far, y, probes, self.radius)
 
 
-def _collect_exact(points: list[list[float]], cells: dict, far: list[int], y: list[float],
-                   key: Optional[tuple[int, ...]], low: tuple[int, ...]) -> bool:
-    """``collect`` by distances, for y in the cell ``key`` (None off the
-    grid) whose cells to probe have the lower corners ``low``."""
-    if not any(v != v for j in far for v in points[j]):  # a NaN point makes every smallest distance NaN
-        if key is None:
-            near: Sequence[int] = range(len(points))
-        else:
-            near = list(far)
-            for c in product(*((k, k + 1) for k in low)):
-                near += cells.get(c, ())
-        best = math.inf
-        for j in near:
-            p = points[j]
-            if abs(p[0] - y[0]) > 2.0 * MERGE_RADIUS:  # then farther than the radius
-                continue
-            d = _norm([a - b for a, b in zip(p, y)])
-            if d != d:  # the smallest distance is NaN: no merge
-                break
-            best = min(best, d)
-        else:
-            if best <= MERGE_RADIUS:
-                return False
+def _near(points: list[list[float]], cells: dict, far: list[int], y: list[float],
+          probes: Optional[Iterable[tuple[int, ...]]], radius: float) -> bool:
+    """Whether a point lies within the radius of y, among those of the
+    cells ``probes`` and ``far``, or all points where ``probes`` is None (y
+    off the grid), and the smallest distance is not NaN."""
+    if any(v != v for j in far for v in points[j]):  # a NaN point makes every smallest distance NaN
+        return False
+    if probes is None:
+        near: Sequence[int] = range(len(points))
+    else:
+        near = list(far)
+        for c in probes:
+            near += cells.get(c, ())
+    best = math.inf
+    for j in near:
+        p = points[j]
+        if abs(p[0] - y[0]) > 2.0 * radius:  # then farther than the radius
+            continue
+        d = _norm([a - b for a, b in zip(p, y)])
+        if d <= radius and probes is not None:  # y on the grid is finite, so no distance is NaN
+            return True
+        if d != d:  # the smallest distance is NaN
+            return False
+        best = min(best, d)
+    return best <= radius
+
+
+def _insert(points: list[list[float]], cells: dict, far: list[int], y: list[float],
+            key: Optional[tuple[int, ...]]) -> None:
     if key is None:
         far.append(len(points))
     else:
         cells.setdefault(key, []).append(len(points))
     points.append(y)
+
+
+def _collect_exact(points: list[list[float]], cells: dict, far: list[int], y: list[float],
+                   key: Optional[tuple[int, ...]], low: tuple[int, ...], radius: float) -> bool:
+    """``collect`` by the distances of ``_near``, for y in the cell ``key``
+    (None off the grid) whose cells to probe have the lower corners ``low``."""
+    if _near(points, cells, far, y, None if key is None else product(*((k, k + 1) for k in low)), radius):
+        return False
+    _insert(points, cells, far, y, key)
     return True
 
 
 def _merge_source(n: int) -> str:
-    """Source of ``_f(points, cells, far, exact)``, which returns the
+    """Source of ``_f(points, cells, far, exact, radius)``, which returns the
     ``collect`` of a ``_MergeIndex`` of dimension n over those parts."""
     ix = range(n)
 
@@ -250,16 +425,16 @@ def _merge_source(n: int) -> str:
         return "(" + ", ".join(f"{s}{i}" for i, s in zip(ix, stems)) + ",)"
 
     grid = " and ".join(f"abs(q{i}) < {2.0**50!r}" for i in ix)
-    body = [f"{tup('y' * n)} = y", *(f"q{i} = y{i} / {_MergeIndex.side!r}" for i in ix),
-            f"if not ({grid}):", "    return exact(points, cells, far, y, None, ())"]
+    body = [f"{tup('y' * n)} = y", *(f"q{i} = y{i} / side" for i in ix),
+            f"if not ({grid}):", "    return exact(points, cells, far, y, None, (), radius)"]
     for i in ix:
         body += [f"k{i} = floor(q{i})", f"l{i} = k{i} if q{i} - k{i} >= 0.5 else k{i} - 1"]
     if n <= _UNROLLED:
         probes = " or ".join(f"{tup(c)} in cells" for c in product("lh", repeat=n))
         body += [*(f"h{i} = l{i} + 1" for i in ix), f"if not (far or {probes}):",
                  f"    cells[{tup('k' * n)}] = [len(points)]", "    points.append(y)", "    return True"]
-    body.append(f"return exact(points, cells, far, y, {tup('k' * n)}, {tup('l' * n)})")
-    return ("def _f(points, cells, far, exact):\n    def collect(y):\n"
+    body.append(f"return exact(points, cells, far, y, {tup('k' * n)}, {tup('l' * n)}, radius)")
+    return ("def _f(points, cells, far, exact, radius):\n    side = 4.0 * radius\n    def collect(y):\n"
             + "".join(f"        {line}\n" for line in body) + "    return collect\n")
 
 
@@ -379,17 +554,19 @@ def sample_orbit(
 class Chart:
     """A composite-flow chart at a basepoint, with its rank certificate.
 
-    jacobian0 stacks the basis field values at the basepoint; fd_jacobian
-    differentiates the word map T -> flows(T)(basepoint) at T=0 through the
-    integrator.  Their agreement is the checkable content of the chart
-    construction: both are the derivative of the same map, computed by
-    independent routes.
+    jacobian0 stacks the basis field values at the basepoint as columns;
+    fd_jacobian differentiates the word map T -> flows(T)(basepoint) at T=0
+    through the integrator.  Both are lists of rows of Python floats.  Their
+    agreement is the checkable content of the chart construction: both are
+    the derivative of the same map, computed by independent routes.  The
+    singular values of jacobian0, largest first, are the one-sided Jacobi
+    ones of ``_singular_values``.
     """
 
     basis: tuple[int, ...]
     basepoint: list[float]
-    jacobian0: np.ndarray
-    fd_jacobian: np.ndarray
+    jacobian0: list[list[float]]
+    fd_jacobian: list[list[float]]
     agreement: float
     rank: int
     singular_values: list[float]
@@ -405,8 +582,6 @@ def chart_jacobian(
     """Build the chart differential at T=0 for the chosen basis fields.  A
     basis field undefined, overflowing or not finite at the basepoint is a
     ``FieldError`` naming it, not a rank read off a NaN matrix."""
-    import numpy as np
-
     basis = tuple(int(b) for b in basis)
     if not basis:
         raise OrbitError("the chart basis is empty")
@@ -417,9 +592,9 @@ def chart_jacobian(
             raise OrbitError(f"basis index {b} is listed twice")
     family.space.require_member(x, "basepoint")
     x = [float(v) for v in x]
-    jac = np.column_stack([_value_at(family.fields[b], x) for b in basis])
-    s = np.linalg.svd(jac, compute_uv=False)
-    rank = 0 if s[0] <= 0.0 else int(np.sum(s > tol_rank * s[0]))
+    cols = [_value_at(family.fields[b], x) for b in basis]
+    s = _singular_values(cols)
+    rank = _rank_of(s, tol_rank)
     if rank < len(basis):
         raise DependentBasisError(
             f"basis fields {[family.fields[b].label for b in basis]} span only "
@@ -432,16 +607,14 @@ def chart_jacobian(
         core = _flow_core(family.space, family.fields[b], opts)
         plus, minus = core(x, CHART_FD_STEP), core(x, -CHART_FD_STEP)
         fd_cols.append([(p - m) / (2.0 * CHART_FD_STEP) for p, m in zip(plus, minus)])
-    fd_jac = np.column_stack(fd_cols)
-    agreement = float(np.max(np.abs(fd_jac - jac)))
     return Chart(
         basis=basis,
         basepoint=x,
-        jacobian0=jac,
-        fd_jacobian=fd_jac,
-        agreement=agreement,
+        jacobian0=[list(row) for row in zip(*cols)],
+        fd_jacobian=[list(row) for row in zip(*fd_cols)],
+        agreement=worst_residual(abs(f - j) for fc, c in zip(fd_cols, cols) for f, j in zip(fc, c)),
         rank=rank,
-        singular_values=[float(v) for v in s],
+        singular_values=s,
     )
 
 

@@ -55,6 +55,11 @@ class StrataError(ValueError):
     pass
 
 
+class NotStronglyStratifiedError(StrataError):
+    """A family field drifts off a stratum, so the orbit check's precondition
+    fails; the message carries the drift's witness."""
+
+
 @dataclass(frozen=True)
 class Stratum:
     name: str
@@ -313,9 +318,7 @@ def orbit_vs_strata(
     resolution, far coarser than the orbit merge radius.  ``tol_rank`` is
     the relative rank tolerance of the clouds' span dimensions.
     """
-    import numpy as np
-
-    from .orbit import sample_orbit
+    from .orbit import _MergeIndex, sample_orbit
 
     precondition: list[dict] = []
     for f in family.fields:
@@ -325,7 +328,7 @@ def orbit_vs_strata(
         )
         precondition.append({"field": f.label, "passed": rep.passed, "max_drift": rep.max_drift})
         if not rep.passed:
-            raise StrataError(
+            raise NotStronglyStratifiedError(
                 f"field {f.label!r} is not strongly stratified "
                 f"(drift {rep.max_drift:.3e} over horizon {horizon}); witness {rep.witness}"
             )
@@ -341,11 +344,12 @@ def orbit_vs_strata(
         cloud = sample_orbit(family, seed, budget, rng_seed=rng_seed, tol_rank=tol_rank, options=options)
         escapes = [q for q in cloud.points if not stratum.space.contains(q)]
         stratum_pts = sample(stratum.space, COVER_SAMPLES, draw, BOX_TRIES)
-        arr = np.array(cloud.points)
-        covered = 0
-        for q in stratum_pts:
-            if arr.size and float(np.min(np.linalg.norm(arr - q, axis=1))) <= COVER_RADIUS:
-                covered += 1
+        # cells of one cover radius: cells of four, the merge test's, hold
+        # several times the points a query has to measure
+        index = _MergeIndex(ss.total.ambient_dim, COVER_RADIUS, side=COVER_RADIUS)
+        for q in cloud.points:
+            index.add(q)
+        covered = sum(map(index.near, stratum_pts))
         frac = covered / len(stratum_pts) if stratum_pts else float("nan")
         ok = not escapes
         all_ok = all_ok and ok

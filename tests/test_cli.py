@@ -233,6 +233,20 @@ def test_strata_precondition_failure(capsys):
     assert rep["result"]["verdict"] == "PreconditionFailed"
 
 
+@pytest.mark.parametrize("edit,error", [
+    ({"seeds": {"default": [[1.0, 0.0, 0.5]]}}, "error: seed [1.0, 0.0, 0.5] lies in no declared stratum\n"),
+    ({"box": [[-3, -3, -3], [3, 3, -2]]}, "error: stratum 'surface' produced no samples in the given box\n"),
+], ids=["seed-in-no-stratum", "box-without-stratum-samples"])
+def test_strata_orbits_bad_input_exits_2(tmp_path, capsys, edit, error):
+    # only a field that is not strongly stratified is a certified
+    # PreconditionFailed; these are bad input, as for --check tangency
+    with open(scenario_path("cone")) as fh:
+        raw = json.load(fh)
+    p = tmp_path / "cone.json"
+    p.write_text(json.dumps({**raw, **edit}))
+    assert run(capsys, "strata", "--scenario", str(p), "--check", "orbits", "--budget", "20") == (2, {}, error)
+
+
 def test_poisson_and_control(capsys):
     code, rep, _ = run(capsys, "poisson", "--scenario", scenario_path("canonical_r2"))
     assert code == 0

@@ -127,6 +127,16 @@ _NUMPY_FREE_COMMANDS = [
     # the span residual is a Gram-Schmidt on Python floats; lstsq imported numpy
     ("translate_shear", ["complete-probe", "--family", "default", "--seeds", "default", "--n", "10"], 0),
     ("rotation_plane", ["complete-probe", "--family", "pair", "--seeds", "ring", "--n", "10"], 0),
+    # span ranks, the chart's singular values and the orbit coverage count
+    # are Jacobi rotations, Gram-Schmidt and grid cells on Python floats; the
+    # stacked SVD, the chart's SVD and the nearest-cloud norm imported numpy
+    ("cone", ["orbit", "--point=1,0,1", "--budget", "80"], 0),
+    ("rotation_plane", ["orbit", "--family", "pair", "--point=0.6,-0.8", "--budget", "200"], 0),
+    ("translate_shear", ["orbit", "--point=0.3,-0.2", "--budget", "300"], 0),
+    ("reduction_r4", ["leaf", "--point=1,1,1,0", "--budget", "120"], 0),
+    ("cone", ["strata", "--check", "orbits", "--budget", "100"], 0),
+    ("translate_shear", ["chart", "--point=0.7,0.2"], 0),
+    ("translate_shear", ["chart", "--point=0,0.5"], 0),
 ]
 
 # a cell whose first constraint overflows on Python floats wherever x1 is not tiny
@@ -236,7 +246,9 @@ def test_each_command_loads_only_the_modules_it_runs(name, argv, code, added):
 # before that.  An exit witness tests each constraint by the membership
 # function of its own one-constraint cell, whose source is the membership
 # function's on the half line: classify ddx made 4 before that, one more for
-# the constraint's value.
+# the constraint's value.  The span ranks of an orbit come from a kernel
+# generated per shape of the family (``orbit._rank_source``), one more
+# compile than the stacked SVD made: orbits 13, orbit 5 and leaf 8 before it.
 _COMPILES = [
     ("acs_standard", ["acs", "--check", "kahler"], 0, 7),
     ("acs_standard", ["acs", "--check", "cr", "--f", "x1", "--h", "x3"], 0, 2),
@@ -244,9 +256,9 @@ _COMPILES = [
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, 1),
     ("cone", ["strata", "--check", "frontier"], 0, 5),
     ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 6),
-    ("cone", ["strata", "--check", "orbits"], 0, 13),
-    ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 5),
-    ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 8),
+    ("cone", ["strata", "--check", "orbits"], 0, 14),
+    ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 6),
+    ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 9),
     ("halfline", ["classify", "--field", "ddx"], 1, 3),
     ("circle", ["classify", "--field", "rot"], 0, 3),
     ("rotation_plane", ["complete-probe", "--family", "pair"], 0, 5),
@@ -635,6 +647,11 @@ def test_one_float_sum_and_python_values_across_the_seams():
                   and ast.unparse(node) == "np.linalg.norm"]
     assert sorted(sums) == ["expr._norm", "expr._pairwise_sum"]
     assert set(norms) == {"strata"}
+    # the orbit commands take ranks and singular values on Python floats too
+    orbit = ast.parse((SRC / "orbit.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(orbit) if isinstance(node, ast.Attribute)
+            and ast.unparse(node) in ("np.linalg.svd", "np.linalg")] == []
+    assert not hasattr(subcart.FieldFamily, "value_matrix")
     # a report is written from Python values alone, with no numpy adapter
     assert "tolist" not in (SRC / "report.py").read_text(encoding="utf-8")
     # transport carries a vector, not a field it evaluates itself

@@ -30,6 +30,7 @@ from subcart.orbit import (
 from subcart.flow import FlowDomainError, IntegrationError, flow_map
 from subcart import orbit
 from subcart.orbit import MERGE_RADIUS, _UNROLLED, _MergeIndex, _merge_source
+from subcart.field import TangentField
 from subcart.space import SubcartesianSpace
 
 from conftest import SCENARIO_DIR, halfline, make_field, punctured_plane, scenario_path, unit_circle
@@ -117,8 +118,8 @@ def test_chart_jacobian_agreement():
     ch = chart_jacobian(fam, [0, 1], (1.0, 0.0))
     assert ch.rank == 2
     assert ch.agreement <= 1e-5
-    assert ch.jacobian0.shape == (2, 2)
-    assert np.allclose(ch.jacobian0[:, 0], [1.0, 0.0], atol=1e-9)
+    assert ch.jacobian0 == [[1.0, 0.0], [0.0, 1.0]]
+    assert len(ch.fd_jacobian) == 2 and all(map(_floats, ch.jacobian0 + ch.fd_jacobian))
 
 
 def test_chart_jacobian_dependent_basis():
@@ -239,7 +240,7 @@ def _ref_merges(buf: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _ref_rank(family: FieldFamily, point, tol_rank: float = 1e-8) -> int:
-    s = np.linalg.svd(family.value_matrix(point), compute_uv=False)
+    s = np.linalg.svd(np.column_stack([f.value(point) for f in family.fields]), compute_uv=False)
     return 0 if s[0] <= 0.0 else int(np.sum(s > tol_rank * s[0]))
 
 
@@ -330,6 +331,39 @@ def test_merge_index_exact_radius_and_far_list():
     assert _merges(edge, [below]) and _ref_merges(np.array([[far]]), np.array([below]))
     assert not _merges(edge, [math.nextafter(below, 0.0)])
     assert edge.far == [0] and (math.floor(math.nextafter(below, 0.0) / _MergeIndex.side),) in edge.cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(_LATTICE, min_size=n, max_size=n), min_size=1, max_size=40),
+        st.lists(st.lists(_LATTICE, min_size=n, max_size=n), min_size=1, max_size=20))),
+    st.sampled_from([None, 1.0, 0.6, 2.5]),
+    st.sampled_from([0.0, 2.0**40, 2.0**55]),
+    st.sampled_from([None, math.inf, math.nan]),
+)
+def test_near_matches_norm_scan_for_any_side(lattices, side_radii, offset, odd):
+    # near adds nothing and finds a point within the radius wherever the
+    # nearest-cloud norm does, on cells of 4 radii (None) or of a side of
+    # their own; a lattice step is a fifth of the radius, so 3-4-5 steps
+    # land on it; the offsets push |x / side| past 2^50
+    cloud, queries = lattices
+    radius = 0.35
+    step = radius / 5
+    pts = [np.array([offset * step + v * step for v in p]) for p in cloud]
+    if odd is not None:
+        pts[len(pts) // 2][0] = odd
+    index = _MergeIndex(len(cloud[0]), radius, side=None if side_radii is None else side_radii * radius)
+    assert hasattr(index, "collect") == (side_radii is None)
+    for p in pts:
+        index.add(p.tolist())
+    buf = np.array(pts)
+    for q in queries:
+        y = np.array([offset * step + v * step for v in q])
+        with np.errstate(all="ignore"):
+            want = float(np.linalg.norm(buf - y, axis=1).min()) <= radius
+        assert index.near(y.tolist()) == want
+    assert len(index.points) == len(pts)
 
 
 @pytest.fixture
@@ -521,13 +555,77 @@ def test_span_dimensions_match_per_point_svd(pts, tol_rank):
     assert [span_dimensions(fam, [p], tol_rank)[0] for p in points] == [_ref_rank(fam, p, tol_rank) for p in points]
 
 
+# s_min / s_max of the planted matrices: none in [1e-9, 1e-7] around the
+# default tolerance 1e-8, none near the tolerance 0.9
+_RATIOS = [0.0, 1e-15, 1e-12, 3e-10, 5e-7, 1e-4, 0.3, 1.0]
+
+
+def _planted(rng: np.random.Generator, n: int, m: int, scale: float) -> np.ndarray:
+    """An n x m matrix whose singular values are scale times 1 and ratios
+    from ``_RATIOS``, in random orthonormal frames."""
+    k = min(n, m)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    s = np.zeros((n, m))
+    s[range(k), range(k)] = [1.0, *rng.choice(_RATIOS, k - 1)]
+    return u @ s @ v.T * scale
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 3)])
+def test_span_rank_matches_per_point_svd_on_planted_spans(n, m):
+    # the closed form of two columns, the Gram-Schmidt bound of three and its
+    # Jacobi fallback, and the power-of-2 scaling at 1e+-200, against numpy
+    rng = np.random.default_rng(n * 10 + m)
+    space = SubcartesianSpace.whole_space(n)
+    origin = [0.0] * n
+    for trial in range(60):
+        a = _planted(rng, n, m, [1.0, 1e200, 1e-200][trial % 3])
+        fam = FieldFamily(space, [TangentField(f"c{j}", [float(v) for v in a[:, j]]) for j in range(m)])
+        for tol_rank in (1e-8, 0.9):
+            assert span_dimensions(fam, [origin], tol_rank) == [_ref_rank(fam, origin, tol_rank)], (a, tol_rank)
+
+
+def test_chart_singular_values_match_numpy():
+    # a test-local reference: numpy's SVD of the chart's Jacobian, to 1e-15
+    # relative on the shipped charts; on translate_shear the Jacobian is
+    # diag(1, x), whose columns are orthogonal, so no rotation is made and
+    # the values are exactly 1 and |x| (LAPACK gives x = 1.0408837483745246
+    # as ...244 and 1 as 1.0000000000000002)
+    rng = random.Random(7)
+    shear = shear_family()
+    for x in [1.0408837483745246, 0.7, -3.5, 1e-7, 3e7] + [rng.uniform(-3.0, 3.0) for _ in range(200)]:
+        chart = chart_jacobian(shear, [0, 1], [x, rng.uniform(-1.0, 1.0)])
+        assert chart.singular_values == sorted([1.0, abs(x)], reverse=True)
+    checked = 0
+    for name, family in (("translate_shear", "default"), ("rotation_plane", "pair"), ("cone", "default")):
+        fam = load_scenario(scenario_path(name)).family(family)
+        for _ in range(300):
+            z, a = rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+            p = [z * math.cos(a), z * math.sin(a), z][:fam.space.ambient_dim]
+            chart = chart_jacobian(fam, range(len(fam)), p)
+            ref = np.linalg.svd(np.array(chart.jacobian0), compute_uv=False)
+            assert all(abs(s - r) <= 1e-15 * r for s, r in zip(chart.singular_values, ref)), (name, p)
+            checked += 1
+    assert checked == 900
+    # and on random matrices of up to 4 x 4, as many as the smaller
+    # dimension, to a few rounding errors of the largest, at 1e+-200 too
+    for trial in range(3000):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        scale = [1.0, 1e200, 1e-200][trial % 3]
+        cols = [[rng.uniform(-2.0, 2.0) * scale for _ in range(n)] for _ in range(m)]
+        ref = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        got = orbit._singular_values(cols)
+        assert len(got) == min(n, m) and all(abs(s - r) <= 1e-15 * ref[0] for s, r in zip(got, ref)), cols
+
+
 def _floats(p) -> bool:
     return type(p) is list and all(type(v) is float for v in p)
 
 
 def test_every_point_the_library_hands_back_is_a_list_of_floats():
-    """Points come back as lists of Python floats, whatever sequence went in;
-    matrices and ``flow_map``'s image are the ndarrays."""
+    """Points and the chart's Jacobians come back as lists of Python floats,
+    whatever sequence went in; matrices and ``flow_map``'s image are the
+    ndarrays."""
     from subcart.flow import transport_vector
     from subcart.space import BALL_TRIES, BOX_TRIES, ball, box, project_to_equalities, sample
 
@@ -546,9 +644,8 @@ def test_every_point_the_library_hands_back_is_a_list_of_floats():
     assert _floats(cloud.seed) and all(map(_floats, cloud.points))
     assert _floats(dimension_constancy_report(fam, x0, n_probes=5).seed)
     chart = chart_jacobian(fam, [0, 1], np.array([1.0, 0.5]))
-    assert _floats(chart.basepoint)
-    assert isinstance(chart.jacobian0, np.ndarray) and isinstance(flow_map(fam.space, fam.fields[0], x0, 0.1),
-                                                                  np.ndarray)
+    assert _floats(chart.basepoint) and all(map(_floats, chart.jacobian0 + chart.fd_jacobian))
+    assert _floats(chart.singular_values) and isinstance(flow_map(fam.space, fam.fields[0], x0, 0.1), np.ndarray)
     rng = random.Random(0)
     for draw, tries in ((ball(rng, x0, 0.5), BALL_TRIES), (box(rng, [0, 0], [1, 1]), BOX_TRIES)):
         assert _floats(draw())

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from subcart import flow, strata
+from subcart import orbit as orbit_module
 from subcart.expr import parse
 from subcart.flow import integrate
 from subcart.orbit import FieldFamily
 from subcart.space import BOX_TRIES, Constraint, Rel, SpaceError, SubcartesianSpace, box, sample
 from subcart.strata import (
+    COVER_RADIUS,
+    COVER_SAMPLES,
     DRIFT_SAMPLES,
     StrataError,
     StratifiedSpace,
@@ -175,6 +178,34 @@ def test_orbit_vs_strata_containment():
     assert seat["escapes"] == []
     assert seat["est_dimension"] == 2
     assert seat["stratum"] == "surface"
+
+
+def test_orbit_vs_strata_coverage_matches_the_nearest_cloud_norm(monkeypatch):
+    # a test-local reference: the share of stratum samples whose nearest
+    # orbit point, by numpy's row norm, lies within the cover radius
+    clouds = []
+    real = orbit_module.sample_orbit
+
+    def spy(*args, **kwargs):
+        clouds.append(real(*args, **kwargs))
+        return clouds[-1]
+
+    monkeypatch.setattr(orbit_module, "sample_orbit", spy)
+    ss = cone_stratification()
+    fields = cone_fields()
+    fam = FieldFamily(cone_space(), [fields["euler"], fields["rot"]])
+    seeds = [[1.0, 0.0, 1.0], [0.0, 0.6, 0.6]]
+    for rng_seed, budget in ((0, 200), (3, 40), (5, 600)):
+        clouds.clear()
+        rep = orbit_vs_strata(ss, fam, seeds, CONE_LO, CONE_HI, budget=budget, rng_seed=rng_seed,
+                              drift_tol=DRIFT_TOL)
+        draw = box(random.Random(rng_seed), CONE_LO, CONE_HI)
+        for seat, cloud in zip(rep.per_seed, clouds):
+            samples = sample(ss.strata[1].space, COVER_SAMPLES, draw, BOX_TRIES)
+            arr = np.array(cloud.points)
+            covered = sum(float(np.min(np.linalg.norm(arr - q, axis=1))) <= COVER_RADIUS for q in samples)
+            assert seat["coverage_fraction"] == covered / len(samples)
+        assert 0.0 < rep.per_seed[0]["coverage_fraction"] < 1.0
 
 
 def test_orbit_vs_strata_gates_on_precondition():
