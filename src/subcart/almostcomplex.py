@@ -12,6 +12,7 @@ positivity, and torsion in one record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .expr import (
     as_expr,
     block_rows,
     compile_scalar,
+    compile_vector,
     dot,
     mul,
     sub,
@@ -31,6 +33,7 @@ from .expr import (
 )
 from .field import TangentField, lie_bracket
 from .report import worst_residual
+from .space import _solve
 
 DEGENERACY_TOL = 1e-12
 KAHLER_TOL = 1e-8
@@ -40,6 +43,10 @@ class AlmostComplexError(ValueError):
     pass
 
 
+class DegenerateError(AlmostComplexError):
+    """The two-form of a Kahler check is singular at a sample point."""
+
+
 class AlmostComplexStructure(ExprMatrix):
     """A matrix of expressions acting on tangent vectors, with J J = -I."""
 
@@ -47,11 +54,11 @@ class AlmostComplexStructure(ExprMatrix):
     label = "J"
 
     def square_residual(self, points: Sequence[Sequence[float]]) -> float:
-        """Max entry of J(p) J(p) + I over the sample."""
-        import numpy as np
-
-        eye = np.eye(self.dim)
-        return worst_residual(float(np.max(np.abs(m @ m + eye))) for m in map(self.matrix_at, points))
+        """Max entry of J(p) J(p) + I over the sample, NaN if any is."""
+        n, rows = self.dim, self.rows
+        square = compile_vector([add(dot(rows[i], [r[k] for r in rows]), Const(float(i == k)))
+                                 for i in range(n) for k in range(n)])
+        return worst_residual([abs(v) for p in points for v in square(list(map(float, p)))])
 
     def apply(self, x: TangentField) -> TangentField:
         """The field J X with components (J X)^i = sum_j J[i][j] X^j."""
@@ -209,42 +216,49 @@ def kahler_check(
     contraction X^T W Y.  Compatibility is the invariance defect
     |W(JX,JY) - W(X,Y)|; the induced metric is g(X,Y) = W(X, JY), whose
     Gram matrix over the given fields must be symmetric and positive.
-    A pointwise singular omega is rejected outright.
+    Both are compiled once, with W, J and the fields.  A point where W, J
+    or a field is not finite is an ``AlmostComplexError`` naming it, one
+    where W is singular (``space._solve``) a ``DegenerateError``; the
+    smallest metric eigenvalue is ``dense._smallest_eigenvalue``'s.
     """
-    import numpy as np
+    from .dense import _smallest_eigenvalue
 
     n = j.dim
-    omega_at = _TwoForm(n, omega).matrix_at
+    rows = _TwoForm(n, omega).rows
     m = len(fields)
     if m < 1:
         raise AlmostComplexError("need at least one probe field")
     for x in fields:
         if x.dim != n:
             raise AlmostComplexError(f"probe field {x.label!r} has wrong dimension")
+    vs = [x.components for x in fields]
+    jvs = [[dot(row, v) for row in j.rows] for v in vs]
+    left, jleft = ([[dot(v, c) for c in zip(*rows)] for v in us] for us in (vs, jvs))  # X^T W, (JX)^T W
+    compat = [sub(dot(jleft[a], jvs[b]), dot(left[a], vs[b])) for a in range(m) for b in range(m)]
+    gram = [dot(left[a], jvs[b]) for a in range(m) for b in range(m)]
+    given = [e for row in rows for e in row] + [e for row in j.rows for e in row] + [e for v in vs for e in v]
+    value = compile_vector(given + compat + gram)
 
-    compats: list[float] = []
-    syms: list[float] = []
-    min_eig = float("inf")
+    per, seen = [], {}  # per point: the compatibility, the symmetry and the smallest eigenvalue
     for p in points:
         q = list(map(float, p))
-        w = omega_at(q)
-        if abs(float(np.linalg.det(w))) < DEGENERACY_TOL:
-            raise AlmostComplexError(
-                f"two-form is degenerate at {tuple(q)}: |det| below {DEGENERACY_TOL:.1e}"
-            )
-        jm = j.matrix_at(q)
-        vals = np.column_stack([x.value(q) for x in fields])
-        jvals = jm @ vals
-        pair = vals.T @ w @ vals
-        jpair = jvals.T @ w @ jvals
-        compats.append(float(np.max(np.abs(jpair - pair))))
-        gram = vals.T @ w @ jvals
-        syms.append(float(np.max(np.abs(gram - gram.T))))
-        eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-        min_eig = min(min_eig, float(eigs[0]))
+        key = tuple(vals := value(q))
+        if key not in seen:  # bit-identical values, as at every point of a constant structure, are checked once
+            if not all(map(math.isfinite, vals[: len(given)])):
+                raise AlmostComplexError(f"J, the two-form or a probe field is not finite at {tuple(q)}")
+            w = [vals[i * n : (i + 1) * n] for i in range(n)]
+            if _solve(w, [0.0] * n) is None or abs(math.prod(w[i][i] for i in range(n))) < DEGENERACY_TOL:
+                raise DegenerateError(f"two-form is degenerate at {tuple(q)}: |det| below {DEGENERACY_TOL:.1e}")
+            c, g = vals[len(given) : len(given) + m * m], vals[len(given) + m * m :]
+            half = [[0.5 * (g[a * m + b] + g[b * m + a]) for b in range(m)] for a in range(m)]
+            seen[key] = (worst_residual(map(abs, c)),
+                         worst_residual([abs(g[a * m + b] - g[b * m + a]) for a in range(m) for b in range(m)]),
+                         _smallest_eigenvalue(half))
+        per.append(seen[key])
 
-    compat = worst_residual(compats)
-    sym = worst_residual(syms)
+    compat = worst_residual(t[0] for t in per)
+    sym = worst_residual(t[1] for t in per)
+    min_eig = min([math.inf, *(t[2] for t in per)])  # a NaN is dropped after a number, as the fold always did
     torsion_worst = worst_residual(
         torsion_residual(j, fields[a], fields[b], points) for a in range(m) for b in range(a + 1, m)
     )

@@ -34,8 +34,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .almostcomplex import (
-    KAHLER_TOL, AlmostComplexError, AlmostComplexStructure, cauchy_riemann_residual, kahler_check, max_norm,
-    torsion,
+    KAHLER_TOL, AlmostComplexError, AlmostComplexStructure, DegenerateError, cauchy_riemann_residual, kahler_check,
+    max_norm, torsion,
 )
 from .expr import Expr, ExprError, ParseError, parse, to_text
 from .field import RANK_TOL, FieldError, TangentField, _value_at, lie_bracket
@@ -634,9 +634,9 @@ def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
         [0.0] * p.dim, [0.5] * p.dim, [-0.5] * p.dim
     ]
     anti = p.antisymmetry_residual(pts)
-    jac = jacobi_sample_residual(
+    jac, witness = jacobi_sample_residual(
         p, n_triples=args.triples, n_points=args.points,
-        scale=args.scale, rng_seed=args.seed,
+        scale=args.scale, rng_seed=args.seed, return_witness=True,
     )
     if not (math.isfinite(anti) and math.isfinite(jac)):
         raise CliError(f"residuals are not finite at --scale {args.scale:g} (antisymmetry {anti}, "
@@ -649,6 +649,8 @@ def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
         "jacobi_residual": jac,
         "passed": passed,
     }
+    if jac > tol["jacobi"]:
+        result["witness"] = witness
     return result, EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -770,7 +772,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         return result, EXIT_PASS
     try:
         rep = kahler_check(j, sc.omega, flds, pts, tol=tol["kahler"])
-    except AlmostComplexError as exc:
+    except DegenerateError as exc:
         return {"verdict": "Degenerate", "detail": str(exc)}, EXIT_FAIL
     result = asdict(rep)
     result["check"] = "kahler"

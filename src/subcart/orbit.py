@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from typing import Callable, Iterable, Optional, Sequence
 
+from .dense import _SWEEPS, _rotation
 from .expr import DomainError, _define, _norm, _pairwise_sum, compile_vector
 from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
@@ -166,7 +167,6 @@ def span_dimensions(
 # sum of squares, in which its singular values are taken unscaled: squares
 # of values down to 1e-60 of the largest stay normal, none overflows
 _MAGNITUDES = (2.0**-300, 2.0**300)
-_SWEEPS = 30  # a bound on Jacobi sweeps; quadratic convergence needs a handful
 
 
 def _rank_of(s: list[float], tol: float) -> int:
@@ -218,10 +218,7 @@ def _singular_values(columns: Sequence[Sequence[float]]) -> list[float]:
             r = _pairwise_sum([x * y for x, y in zip(a, b)])
             if abs(r) <= cutoff * math.sqrt(p) * math.sqrt(q):
                 continue
-            z = (q - p) / (r + r)
-            t = math.copysign(1.0, z) / (abs(z) + math.sqrt(1.0 + z * z))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = c * t
+            c, s = _rotation(p, q, r)
             cols[i] = [c * x - s * y for x, y in zip(a, b)]
             cols[j] = [s * x + c * y for x, y in zip(a, b)]
             rotated = True

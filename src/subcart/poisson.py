@@ -18,12 +18,12 @@ factor (Lichnerowicz 1977; Vaisman 1994, ch. 1), and, for each cyclic
 order, f_u P^ux g_xy (P+P^T)^yv h_v, which holds the second derivatives of
 the triple and vanishes when P is antisymmetric.  The sum is the nested cyclic sum for every P, so one
 path serves antisymmetric and other bivectors alike.  P needs only first
-derivatives: J, P and P + P^T are compiled once per structure, on the first
-Jacobi check, into one callable; each triple enters only through the
-gradients and Hessians of f, g, h at the sample points.  Where every
-component of J and of P + P^T evaluates to exactly 0.0, as for the shipped
-Poisson bivectors with integer coefficients, the residual is exactly 0.0,
-at any finite scale whose gradients do not overflow.
+derivatives: J, P, P + P^T and the contraction are generated once per
+structure, on the first Jacobi check, as one function on Python floats;
+a triple enters only through its second-order Taylor coefficients.  Where
+J and P + P^T are symbolic zeros or evaluate to exactly 0.0, as for the
+shipped Poisson bivectors with integer coefficients, the residual is
+exactly 0.0, at any finite scale whose gradients do not overflow.
 
 Reduction works with an explicit generating set of invariants sigma on a
 canonical ambient space: pairwise upstairs brackets are matched against
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -49,6 +50,7 @@ from .expr import (
     Expr,
     ExprMatrix,
     Var,
+    _define,
     _pairwise_sum,
     add,
     as_expr,
@@ -70,8 +72,6 @@ from .report import worst_residual
 from .space import SubcartesianSpace, box
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .flow import FlowOptions
     from .orbit import OrbitSample
 
@@ -84,8 +84,6 @@ FIT_POINTS = 120
 CERTIFY_POINTS = 200
 SAMPLE_SCALE = 1.5
 JACOBI_DEGREE = 2  # the degree of the random polynomial triples of the Jacobi sample
-# sample points per block of the Jacobi sample: bounds its arrays, not its result
-_BLOCK_POINTS = 160
 
 
 class PoissonError(ValueError):
@@ -94,29 +92,6 @@ class PoissonError(ValueError):
 
 class ReductionError(PoissonError):
     """A pairwise invariant bracket has no representation in the invariants."""
-
-
-class _Table:
-    """Values of a list of expressions at many points, as an (m, len) array.
-
-    Constant entries are filled in once; one ``compile_vector`` of the others
-    is called per point.
-    """
-
-    def __init__(self, exprs: Sequence[Expr]):
-        import numpy as np
-
-        self._const = np.array([e.value if isinstance(e, Const) else 0.0 for e in exprs])
-        self._where = [i for i, e in enumerate(exprs) if not isinstance(e, Const)]
-        self._value = compile_vector([exprs[i] for i in self._where])
-
-    def __call__(self, points: Sequence[Sequence[float]]) -> np.ndarray:
-        import numpy as np
-
-        out = np.tile(self._const, (len(points), 1))
-        if self._where:
-            out[:, self._where] = [self._value(x) for x in points]
-        return out
 
 
 class PoissonStructure(ExprMatrix):
@@ -131,9 +106,8 @@ class PoissonStructure(ExprMatrix):
         self.meta: dict = {}
 
     @functools.cached_property
-    def _jacobi_kernel(self) -> _Table:
-        """J^ijk, P^ij and (P + P^T)^ij, flat, as one table; compiled on the
-        first Jacobi check, since loading a scenario does not need it."""
+    def _jacobi_exprs(self) -> tuple[list[Expr], list[Expr], list[Expr]]:
+        """J^ijk, P^ij and (P + P^T)^ij, each flat in index order."""
         n, p = self.dim, self.rows
         dp = [[gradient_exprs(e, n) for e in row] for row in p]
         schouten = []
@@ -142,22 +116,21 @@ class PoissonStructure(ExprMatrix):
             # add and mul would drop a term with a zero factor, but build a constant for it first
             terms = [(a[l], b[l]) for l in range(n) for a, b in pairs if not (a[l].is_zero or b[l].is_zero)]
             schouten.append(dot([a for a, _ in terms], [b for _, b in terms]))
-        flat = [e for row in p for e in row]
         sym = [add(p[i][j], p[j][i]) for i in range(n) for j in range(n)]
-        return _Table(schouten + flat + sym)
+        return schouten, [e for row in p for e in row], sym
 
-    def jacobi_tensors(
-        self, points: Sequence[Sequence[float]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """J^ijk, P^ij and (P + P^T)^ij at each point: shapes (m, n, n, n),
-        (m, n, n) and (m, n, n) for m points."""
-        n, n3 = self.dim, self.dim**3
-        vals = self._jacobi_kernel(points)
-        return (
-            vals[:, :n3].reshape(-1, n, n, n),
-            vals[:, n3 : n3 + n * n].reshape(-1, n, n),
-            vals[:, n3 + n * n :].reshape(-1, n, n),
-        )
+    @functools.cached_property
+    def _jacobi_kernel(self) -> Callable[[list, list], tuple[float, Optional[tuple[int, int]]]]:
+        """The Jacobi kernel (``dense._jacobi_source``), generated on the first Jacobi check, not on loading."""
+        from .dense import _jacobi_source
+
+        return _define(_jacobi_source(self.dim, *self._jacobi_exprs, monomials(self.dim, JACOBI_DEGREE)), "<jacobi>")
+
+    def jacobi_tensors(self, points: Sequence[Sequence[float]]) -> tuple[list, list, list]:
+        """J^ijk, P^ij and (P + P^T)^ij at each of m points, each an m-list of flat lists in index order."""
+        value = compile_vector([e for part in self._jacobi_exprs for e in part])
+        n3, n2, vals = self.dim**3, self.dim**2, [value(list(map(float, x))) for x in points]
+        return [v[:n3] for v in vals], [v[n3 : n3 + n2] for v in vals], [v[n3 + n2 :] for v in vals]
 
     def antisymmetry_residual(self, points: Sequence[Sequence[float]]) -> float:
         n = self.dim
@@ -193,33 +166,6 @@ def hamiltonian_field(p: PoissonStructure, f: Expr) -> TangentField:
     return TangentField(f"X[{to_text(f)}]", [dot(col, df) for col in zip(*p.rows)])
 
 
-def _cyclic_sums(
-    p: PoissonStructure, points: list[list[float]], grads: np.ndarray, hessians: np.ndarray
-) -> np.ndarray:
-    """|{f,{g,h}} + cyc| at each point from the triple's jets there.
-
-    ``grads`` has shape (m, 3, n) and ``hessians`` (m, 3, n, n), f, g, h in
-    that order.  Each term is contracted from the right, starting at J or
-    P + P^T, so where those are exactly 0.0 every partial product is 0.0 and
-    large gradients cannot make inf * 0.  Overflow gives inf or NaN without
-    a warning; the fold keeps it.
-    """
-    import numpy as np
-
-    j, pm, sym = p.jacobi_tensors(points)
-    with np.errstate(all="ignore"):
-        t = np.einsum("pijk,pk->pij", j, grads[:, 2])
-        t = np.einsum("pij,pj->pi", t, grads[:, 1])
-        total = np.einsum("pi,pi->p", t, grads[:, 0])
-        # f_u P^ux g_xy (P+P^T)^yv h_v for (f,g,h), (g,h,f), (h,f,g)
-        right = np.einsum("pyv,pav->pay", sym, grads)
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            t = np.einsum("pxy,py->px", hessians[:, b], right[:, c])
-            t = np.einsum("pux,px->pu", pm, t)
-            total = total + np.einsum("pu,pu->p", t, grads[:, a])
-        return np.abs(total)
-
-
 def jacobi_residual(
     p: PoissonStructure,
     f1: Expr,
@@ -227,38 +173,21 @@ def jacobi_residual(
     f3: Expr,
     points: Sequence[Sequence[float]],
 ) -> float:
-    """Max over points of |{f1,{f2,f3}} + cyc|, from the Schouten contraction.
-
-    The gradients and Hessians of the triple are one ``compile_vector``.
-    """
-    import numpy as np
-
+    """Max over points of |{f1,{f2,f3}} + cyc|, from the Schouten contraction,
+    each point the center of the triple's Taylor coefficients there."""
     fs = [as_expr(f) for f in (f1, f2, f3)]
     for f in fs:
         if max_var_index(f) >= p.dim:
             raise PoissonError(f"argument {to_text(f)!r} uses a variable beyond x{p.dim}")
+    taylor = []
+    for f, exps in itertools.product(fs, monomials(p.dim, JACOBI_DEGREE)):
+        d = f  # the derivative of the monomial's order, halved for a square
+        for i, k in enumerate(exps):
+            d = diff(diff(d, i), i) if k == 2 else diff(d, i) if k else d
+        taylor.append(ZERO if d is f else mul(Const(0.5), d) if 2 in exps else d)
+    value = compile_vector(taylor)
     pts = [list(map(float, x)) for x in points]
-    if not pts:
-        return 0.0
-    n = p.dim
-    grads = [diff(f, i) for f in fs for i in range(n)]
-    vals = _Table(grads + [diff(g, j) for g in grads for j in range(n)])(pts)
-    d = vals[:, : 3 * n].reshape(-1, 3, n)
-    hess = vals[:, 3 * n :].reshape(-1, 3, n, n)
-    return float(np.max(_cyclic_sums(p, pts, d, hess)))
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_jets(n_vars: int) -> _Table:
-    """Gradient then Hessian of each monomial of ``monomials(n_vars,
-    JACOBI_DEGREE)``, flat in that order: len(monos) * (n + n^2) values per
-    point."""
-    out: list[Expr] = []
-    for exps in monomials(n_vars, JACOBI_DEGREE):
-        grad = [diff(_monomial_expr(exps), i) for i in range(n_vars)]
-        out += grad
-        out += [diff(g, j) for g in grad for j in range(n_vars)]
-    return _Table(out)
+    return p._jacobi_kernel([x + value(x) for x in pts], [[x] for x in pts])[0]
 
 
 def jacobi_sample_residual(
@@ -267,51 +196,29 @@ def jacobi_sample_residual(
     n_points: int = 10,
     scale: float = 1.0,
     rng_seed: int = 0,
-) -> float:
-    """Jacobi residual over random polynomial triples at random points.
-
-    Each triple is three coefficient vectors over ``monomials(dim, JACOBI_DEGREE)``
-    and has its own points; its jets are those coefficients contracted with
-    the monomials' gradient and Hessian tables.  No expression is built per
-    triple.
+    return_witness: bool = False,
+):
+    """Jacobi residual over random polynomial triples at random points; with
+    ``return_witness`` also its witness, None for no point: the point, the
+    coefficients of f, g and h over ``monomials(dim, JACOBI_DEGREE)`` and
+    the residual there.  Each triple has its own points; no expression is
+    built per triple.
     """
-    import numpy as np
-
-    if n_points < 1:
-        return 0.0
     # rng.uniform(a, b) is a + (b - a) * rng.random(); inlined, same floats
     draw = random.Random(rng_seed).random
     width = scale - -scale
     n = p.dim
     n_monos = len(monomials(n, JACOBI_DEGREE))
-    coeffs: list[list[list[float]]] = []
-    pts: list[list[float]] = []
-    for _ in range(n_triples):
-        coeffs.append([_random_coeffs(n_monos, draw) for _ in range(3)])
-        pts += [[-scale + width * draw() for _ in range(n)] for _ in range(n_points)]
-    table = _monomial_jets(n)
-    # a block of triples at a time keeps the (points, monomials, n + n^2) table small
-    per_block = max(1, _BLOCK_POINTS // n_points)
-    worst = []
-    for t in range(0, n_triples, per_block):
-        c = np.array(coeffs[t : t + per_block], dtype=float)
-        block = pts[t * n_points : (t + len(c)) * n_points]
-        tab = table(block).reshape(len(c), n_points, n_monos, n + n * n)
-        with np.errstate(all="ignore"):
-            jets = np.einsum("tam,tkmd->tkad", c, tab).reshape(-1, 3, n + n * n)
-        hess = jets[:, :, n:].reshape(-1, 3, n, n)
-        worst.append(float(np.max(_cyclic_sums(p, block, jets[:, :, :n], hess))))
-    return worst_residual(worst)
-
-
-def _random_coeffs(n_monos: int, draw: Callable[[], float]) -> list[float]:
-    """Uniform coefficients in [-1, 1] rounded to 3 places; those under 0.3
-    in size are 0."""
-    out = []
-    for _ in range(n_monos):
-        c = -1.0 + 2.0 * draw()
-        out.append(round(c, 3) if abs(c) >= 0.3 else 0.0)
-    return out
+    coeffs, points = [], []
+    for _ in range(n_triples if n_points > 0 else 0):
+        c = [-1.0 + 2.0 * draw() for _ in range(3 * n_monos)]  # uniform in [-1, 1], rounded to 3 places, 0 under 0.3
+        coeffs.append([round(v, 3) if abs(v) >= 0.3 else 0.0 for v in c])
+        points.append([[-scale + width * draw() for _ in range(n)] for _ in range(n_points)])
+    worst, at = p._jacobi_kernel([[0.0] * n + c for c in coeffs], points)
+    if not (return_witness and at):
+        return (worst, None) if return_witness else worst
+    c, k = coeffs[at[0]], n_monos
+    return worst, {"point": points[at[0]][at[1]], "f": c[:k], "g": c[k : 2 * k], "h": c[2 * k :], "residual": worst}
 
 
 @dataclass
@@ -396,11 +303,12 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
 
     For each invariant pair the upstairs bracket is matched by least
     squares against monomials in the invariants (minimum-norm solution on
-    the sampled image variety), snapped to nearby integers, and certified
-    on fresh sample points.  Pairs with no representation within fit_tol
-    are rejected by name.
+    the sampled image variety, ``dense._min_norm_fits``), snapped to nearby
+    integers, and certified on fresh sample points.  Pairs with no
+    representation within fit_tol are rejected by name; values at the fit
+    points not finite or beyond 2^500 are a ``PoissonError``.
     """
-    import numpy as np
+    from .dense import _min_norm_fits, _residual
 
     amb = setup.ambient
     sigma = [as_expr(s) for s in setup.invariants]
@@ -413,36 +321,40 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
     draw = box(random.Random(setup.rng_seed), [-SAMPLE_SCALE] * amb.dim, [SAMPLE_SCALE] * amb.dim)
     sigma_eval = compile_vector(sigma)
     fit_points = [draw() for _ in range(FIT_POINTS)]
-    sig_vals = np.array([sigma_eval(x) for x in fit_points])
     monos = monomials(m, setup.degree)
-    design = np.column_stack(
-        [np.prod(sig_vals ** np.array(exps), axis=1) for exps in monos]
-    )
+    sig_cols = list(zip(*map(sigma_eval, fit_points)))  # each product in order, as numpy's prod takes it
+    factors = [[sig_cols[i] for i, e in enumerate(exps) for _ in range(e)] for exps in monos]
+    cols = [[math.prod(v) for v in zip(*f)] if f else [1.0] * FIT_POINTS for f in factors]
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    upstairs = compile_vector([bracket(amb, sigma[a], sigma[b]) for a, b in pairs])
+    rhss = [list(r) for r in zip(*map(upstairs, fit_points))]
+    if not all(map((2.0**500).__gt__, map(abs, itertools.chain(*cols, *rhss)))):  # NaN included
+        raise PoissonError("a monomial of the invariants or a bracket is not finite or beyond 2^500 at a fit point")
+
+    def snapped(coef: list[float], rhs: list[float]) -> Optional[list[float]]:
+        """coef with each entry within SNAP_TOL of an integer made that integer, where it fits rhs."""
+        if not all(map(math.isfinite, coef)):
+            raise PoissonError(f"the fit of the bracket of invariants {a + 1} and {b + 1} is not finite")
+        near = [float(round(c)) if abs(c - round(c)) <= SNAP_TOL else c for c in coef]
+        return near if worst_residual(map(abs, _residual(cols, rhs, near))) <= setup.fit_tol else None
 
     pair_exprs: dict[tuple[int, int], Expr] = {}
-    pair_brackets: dict[tuple[int, int], Expr] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            upstairs = bracket(amb, sigma[a], sigma[b])
-            pair_brackets[(a, b)] = upstairs
-            upstairs_eval = compile_scalar(upstairs)
-            rhs = np.array([upstairs_eval(x) for x in fit_points])
-            coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-            fit = float(np.max(np.abs(design @ coef - rhs))) if len(rhs) else 0.0
-            if fit > setup.fit_tol:
+    # where every coefficient snaps to an integer, a fit without corrections is as good
+    for (a, b), rhs, coef in zip(pairs, rhss, _min_norm_fits(cols, rhss, correct=False)):
+        near = snapped(coef, rhs)
+        if near is None or any(c % 1.0 for c in near):
+            coef = _min_norm_fits(cols, [rhs])[0]
+            near = snapped(coef, rhs)
+            if near is None and (fit := worst_residual(map(abs, _residual(cols, rhs, coef)))) > setup.fit_tol:
                 raise ReductionError(
                     f"bracket of invariants {a + 1} and {b + 1} "
                     f"({to_text(sigma[a])!r}, {to_text(sigma[b])!r}) is not expressible "
                     f"in the invariants up to degree {setup.degree}: fit residual {fit:.3e}"
                 )
-            snapped = np.array(
-                [round(c) if abs(c - round(c)) <= SNAP_TOL else c for c in coef]
-            )
-            if float(np.max(np.abs(design @ snapped - rhs))) <= setup.fit_tol:
-                coef = snapped
-            # an all-zero row gives the shared ZERO, whose compiled function is kept on it
-            kept = [(c, exps) for c, exps in zip(coef, monos) if c != 0.0]
-            pair_exprs[(a, b)] = dot([Const(float(c)) for c, _ in kept], [_monomial_expr(exps) for _, exps in kept])
+        coef = coef if near is None else near
+        # an all-zero row gives the shared ZERO, whose compiled function is kept on it
+        kept = [(c, exps) for c, exps in zip(coef, monos) if c != 0.0]
+        pair_exprs[(a, b)] = dot([Const(c) for c, _ in kept], [_monomial_expr(exps) for _, exps in kept])
 
     rows = [[ZERO for _ in range(m)] for _ in range(m)]
     for (a, b), e in pair_exprs.items():
@@ -451,18 +363,9 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
     reduced = PoissonStructure(m, rows, label=f"reduced[{amb.label}]")
 
     certify_points = [draw() for _ in range(CERTIFY_POINTS)]
-    sigma_at: list[list[float]] = []  # the invariants at each certify point, as the first pair reaches it
-
-    def replay_residuals():
-        for (a, b), e in pair_exprs.items():
-            upstairs_eval = compile_scalar(pair_brackets[(a, b)])
-            reduced_eval = compile_scalar(e)
-            for i, x in enumerate(certify_points):
-                if i == len(sigma_at):
-                    sigma_at.append(sigma_eval(x))
-                yield abs(reduced_eval(sigma_at[i]) - upstairs_eval(x))
-
-    worst = worst_residual(replay_residuals())
+    reduced_eval = compile_vector(list(pair_exprs.values()))
+    worst = worst_residual([abs(r - u) for x in certify_points
+                            for r, u in zip(reduced_eval(sigma_eval(x)), upstairs(x))])
     if not worst <= setup.certify_tol:
         raise ReductionError(
             f"certification failed: replay residual {worst:.3e} > {setup.certify_tol:.1e}"

@@ -466,9 +466,9 @@ def ball(rng: random.Random, center: Sequence[float], radius: float) -> Callable
 
 
 def box(rng: random.Random, lo: Sequence[float], hi: Sequence[float]) -> Callable[[], list[float]]:
-    """A draw, uniform in the axis box [lo, hi]."""
-    bounds = [(float(a), float(b)) for a, b in zip(lo, hi)]
-    return lambda: [rng.uniform(a, b) for a, b in bounds]
+    """A draw, uniform in the axis box [lo, hi]: ``rng.uniform`` inlined, the same floats."""
+    bounds, random = [(float(a), float(b) - float(a)) for a, b in zip(lo, hi)], rng.random
+    return lambda: [a + w * random() for a, w in bounds]
 
 
 def sample(space: SubcartesianSpace, count: int, draw: Callable[[], list[float]],

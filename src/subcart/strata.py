@@ -35,8 +35,6 @@ from .space import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .flow import FlowOptions
     from .orbit import FieldFamily
 
@@ -106,27 +104,25 @@ def _bits(point: Sequence[float]) -> tuple[str, ...]:
 def closure_distance(
     space: SubcartesianSpace,
     point: Sequence[float],
-    cloud: Optional[np.ndarray] = None,
+    cloud: Sequence[Sequence[float]] = (),
 ) -> float:
     """Estimated distance from a point to the closure of a space.
 
     Combines Gauss-Newton projection onto each cell's equality locus
     (followed by a closure-membership check of the projected point) with
-    the nearest sampled point of the space as a fallback.  Caller-level
-    tolerances should stay coarse: these are sampling estimates.  The
-    projection and the distance to it are taken on float lists, the
-    distance as the root of the in-order sum of squares.
+    the nearest point of the sample ``cloud`` as a fallback.  Caller-level
+    tolerances should stay coarse: these are sampling estimates.  A distance
+    is the root of a pairwise sum of squares (``dense._nearest``).
     """
-    p = [float(v) for v in point]
-    best = math.inf
+    p, best = [float(v) for v in point], math.inf
     for ci in range(len(space.cells)):
         z = project_to_equalities(space, ci, p)
         if z is not None and space.closure_contains(z):
             best = min(best, _norm([a - b for a, b in zip(p, z)]))
-    if cloud is not None and cloud.size:
-        import numpy as np
+    if cloud:
+        from .dense import _nearest
 
-        best = min(best, float(np.min(np.linalg.norm(cloud - p, axis=1))))
+        best = min(best, math.sqrt(_nearest(len(p))(cloud, p)))
     return best
 
 
@@ -156,17 +152,13 @@ def frontier_check(
     one-point stratum gives its point every time) are the earlier one's, not
     computed again; each copy still counts and fails on its own.
     """
-    import numpy as np
-
     draw = box(random.Random(rng_seed), lo, hi)
-    clouds: list[list[list[float]]] = []  # lists: numpy scalars would warn where a power overflows
-    arrays: list[np.ndarray] = []
+    clouds: list[list[list[float]]] = []
     for s in ss.strata:
         pts = sample(s.space, FRONTIER_SAMPLES, draw, BOX_TRIES)
         if not pts:
             raise StrataError(f"stratum {s.name!r} produced no samples in the given box")
         clouds.append(pts)
-        arrays.append(np.array(pts))
 
     coverage_failures: list[dict] = []
     disjointness_failures: list[dict] = []
@@ -189,7 +181,7 @@ def frontier_check(
         for j, n in enumerate(ss.strata):
             if i == j:
                 continue
-            dist = {k: closure_distance(n.space, p, arrays[j]) for k, p in distinct[i].items()}
+            dist = {k: closure_distance(n.space, p, clouds[j]) for k, p in distinct[i].items()}
             dists = [dist[k] for k in keys[i]]
             touch = min(dists) <= frontier_tol
             if not touch:

@@ -11,6 +11,7 @@ import pytest
 from subcart.almostcomplex import (
     AlmostComplexError,
     AlmostComplexStructure,
+    DegenerateError,
     cauchy_riemann_residual,
     eigenspace_closure_field,
     kahler_check,
@@ -19,6 +20,7 @@ from subcart.almostcomplex import (
     torsion,
     torsion_residual,
 )
+from subcart.dense import _smallest_eigenvalue
 from subcart.expr import Const, Var, compile_vector, parse
 from subcart.field import TangentField
 from subcart.poisson import PoissonError, PoissonStructure
@@ -258,3 +260,28 @@ def test_residual_folds_keep_nan():
     with np.errstate(all="ignore"):
         rep = kahler_check(j, std_omega_rows(2), [big, e[0]], [[0.0, 0.0], [0.5, 0.5]])
     assert math.isnan(rep.metric_symmetry) and not rep.passed
+
+
+def test_smallest_eigenvalue_matches_eigvalsh():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        b = rng.standard_normal((4, 4))
+        a = b @ b.T + 1e-3 * np.eye(4)
+        want = np.linalg.eigvalsh(a)
+        assert abs(_smallest_eigenvalue(a.tolist()) - want[0]) <= 1e-15 * want[-1]
+    # a diagonal matrix is not rotated; an indefinite one is rotated too
+    assert _smallest_eigenvalue([[2.0, 0.0], [0.0, 0.5]]) == 0.5
+    assert _smallest_eigenvalue([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_kahler_values_that_are_not_finite_are_named():
+    j = AlmostComplexStructure.standard(1)
+    e = coordinate_fields(2)
+    nan_form = [[parse("0", 2), parse("1 + (1e200*x1*1e200 - 1e200*x1*1e200)", 2)],
+                [parse("-1", 2), parse("0", 2)]]
+    with pytest.raises(AlmostComplexError, match=r"not finite at \(0.5, 0.25\)") as info:
+        kahler_check(j, nan_form, e, [[0.5, 0.25]])
+    assert not isinstance(info.value, DegenerateError)
+    # a zero two-form is degenerate, a certified failure
+    with pytest.raises(DegenerateError):
+        kahler_check(j, [[parse("0", 2)] * 2] * 2, e, [[0.5, 0.25]])

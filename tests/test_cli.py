@@ -22,7 +22,7 @@ from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
 
 from conftest import full_envelope, scenario_path
-from test_imports import OVERFLOW_EXIT, _fresh
+from test_imports import KAHLER_INF, KAHLER_NAN, OVERFLOW_EXIT, _fresh
 
 
 def run(capsys, *argv: str) -> tuple[int, dict, str]:
@@ -1182,6 +1182,32 @@ def test_acs_torsion_nan_exits_2(tmp_path, capsys):
     assert code == 2
     assert report == {}
     assert err == "error: non-finite float nan cannot appear in a report\n"
+
+
+@pytest.mark.parametrize("doc", ["nan", "inf"])
+def test_kahler_two_form_that_is_not_finite_exits_2(tmp_path, capsys, doc):
+    # numpy's det of the NaN form read 0.0, a false Degenerate with exit 1
+    # and a RuntimeWarning; the inf form ended in "internal error:
+    # LinAlgError: Eigenvalues did not converge"
+    p = tmp_path / "kahler.json"
+    p.write_text(json.dumps(KAHLER_NAN if doc == "nan" else KAHLER_INF))
+    code, report, err = run(capsys, "acs", "--check", "kahler", "--scenario", str(p))
+    assert code == 2
+    assert report == {}
+    assert err.startswith("error: J, the two-form or a probe field is not finite at (")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("invariant", ["1e200*q1", "q1 + (1e200*q1*1e200 - 1e200*q1*1e200)"])
+def test_reduce_with_an_invariant_out_of_range_exits_2(tmp_path, capsys, invariant):
+    # lstsq ended in "internal error: LinAlgError: SVD did not converge"
+    doc = json.loads(open(scenario_path("reduction_r4"), encoding="utf-8").read())
+    doc["reduction"]["invariants"][0] = invariant
+    p = tmp_path / "reduction.json"
+    p.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "reduce", "--scenario", str(p))
+    assert (code, report) == (2, {})
+    assert err == "error: a monomial of the invariants or a bracket is not finite or beyond 2^500 at a fit point\n"
 
 
 def test_infinite_literal_in_a_constraint(tmp_path, capsys):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,7 +168,8 @@ def test_schouten_components_match_sympy(name):
         for k in range(n)] for j in range(n)] for i in range(n)]
     structure = load_scenario(scenario_path(name)).poisson
     points = [[0.5 + 0.25 * i - 0.75 * (i % 2) + 0.1 * t for i in range(n)] for t in range(4)]
-    j, pm, sym = structure.jacobi_tensors(points)
+    j, pm, sym = (np.array(t).reshape(len(points), n, *[n] * d)
+                  for t, d in zip(structure.jacobi_tensors(points), (2, 1, 1)))
     for t, x in enumerate(points):
         for i, jj, k in itertools.product(range(n), repeat=3):
             w = float(want[i][jj][k](*x))

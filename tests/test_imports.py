@@ -62,6 +62,16 @@ def test_space_imports_numpy_nowhere():
     assert found == []
 
 
+@pytest.mark.parametrize("path", ["almostcomplex.py", "poisson.py", "strata.py"])
+def test_symbolic_modules_import_numpy_nowhere(path):
+    # the Jacobi sample, the reduction's fit, the Kahler check and the
+    # frontier's distances run on Python floats
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"] == []
+
+
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_module_imports_numpy_at_import_time(path):
     tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
@@ -89,9 +99,10 @@ def _subcart_modules(node: ast.stmt) -> set[str]:
 
 # module -> the modules it imports only inside the functions that use them
 _ON_FIRST_USE = {
-    "cli.py": {"flow", "orbit", "poisson", "strata"},
-    "poisson.py": {"flow", "orbit"},
-    "strata.py": {"flow", "orbit"},
+    "almostcomplex.py": {"dense"},
+    "cli.py": {"dense", "flow", "orbit", "poisson", "strata"},
+    "poisson.py": {"dense", "flow", "orbit"},
+    "strata.py": {"dense", "flow", "orbit"},
 }
 
 
@@ -137,6 +148,29 @@ _NUMPY_FREE_COMMANDS = [
     ("cone", ["strata", "--check", "orbits", "--budget", "100"], 0),
     ("translate_shear", ["chart", "--point=0.7,0.2"], 0),
     ("translate_shear", ["chart", "--point=0,0.5"], 0),
+    # the Jacobi sample is a kernel generated per bivector, reduce's fit
+    # corrected semi-normal equations, the Kahler check's determinant and
+    # eigenvalue an elimination and Jacobi rotations, and the frontier's
+    # nearest cloud point a generated sum of squares, all on Python floats;
+    # einsum, lstsq, det, eigvalsh and numpy's norm imported numpy
+    ("reduction_r4", ["poisson", "--triples", "20", "--points", "5"], 0),
+    ("jacobi_control", ["poisson", "--triples", "10"], 1),
+    ("canonical_r2", ["poisson", "--triples", "20"], 0),
+    ("jacobi_control", ["poisson", "--triples", "3", "--points", "3", "--scale", "1e300"], 2),
+    ("reduction_r4", ["reduce"], 0),
+    ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 0),
+    ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e2"], 0),
+    ("acs_standard", ["acs", "--check", "cr", "--f", "x1^2 - x3^2", "--h", "2*x1*x3"], 0),
+    ("acs_standard", ["acs", "--check", "kahler"], 0),
+    ("kahler-nan", ["acs", "--check", "kahler"], 2),
+    ("kahler-inf", ["acs", "--check", "kahler"], 2),
+    ("cone", ["strata", "--check", "frontier"], 0),
+    # the README's examples as it spells them
+    ("rotation_plane", ["flow", "--field", "rot", "--point=1,0", "--horizon", "1.0", "--out", "{csv}"], 0),
+    ("translate_shear", ["orbit", "--point=0,0", "--budget", "80", "--seed", "7", "--out", "{csv}"], 0),
+    ("translate_shear", ["chart", "--point=1,0"], 0),
+    ("rotation_plane", ["complete-probe", "--n", "5", "--radius", "0.5"], 0),
+    ("reduction_r4", ["leaf", "--point=1,1,1,0", "--budget", "120", "--out", "{csv}"], 0),
 ]
 
 # a cell whose first constraint overflows on Python floats wherever x1 is not tiny
@@ -149,13 +183,30 @@ OVERFLOW_EXIT = {
 }
 
 
+def kahler_not_finite(entries: dict) -> dict:
+    """acs_standard with the two-form entries at (row, column) replaced."""
+    doc = json.loads((SRC / "scenarios" / "acs_standard.json").read_text(encoding="utf-8"))
+    for (i, j), text in entries.items():
+        doc["acs"]["omega"][i][j] = text
+    return doc
+
+
+# a two-form that is NaN wherever q1 is not 0, and one that is inf there
+_NAN = "1 + (1e200*q1*1e200 - 1e200*q1*1e200)"
+KAHLER_NAN = kahler_not_finite({(0, 2): _NAN, (2, 0): f"-({_NAN})"})
+KAHLER_INF = kahler_not_finite({(3, 3): "1e200*q1*1e200"})
+
+
 def test_scenarios_flow_classify_bracket_and_tangency_never_load_numpy(tmp_path):
+    # every shipped command, each README example among them
     scenarios = SRC / "scenarios"
-    (tmp_path / "overflow-exit.json").write_text(json.dumps(OVERFLOW_EXIT))
-    argvs = [[argv[0], "--scenario", str(tmp_path / "overflow-exit.json" if name == "overflow-exit"
+    written = {"overflow-exit": OVERFLOW_EXIT, "kahler-nan": KAHLER_NAN, "kahler-inf": KAHLER_INF}
+    for name, doc in written.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argvs = [[argv[0], "--scenario", str(tmp_path / f"{name}.json" if name in written
                                          else scenarios / f"{name}.json")]
-             + [a.replace("{csv}", str(tmp_path / "x.csv")) for a in argv[1:]]
-             for name, argv, _ in _NUMPY_FREE_COMMANDS]
+             + [a.replace("{csv}", str(tmp_path / f"{k}.csv")) for a in argv[1:]]
+             for k, (name, argv, _) in enumerate(_NUMPY_FREE_COMMANDS)]
     out = json.loads(_fresh(
         "import contextlib, io, json, sys\n"
         "from subcart.cli import load_scenario, main\n"
@@ -168,7 +219,8 @@ def test_scenarios_flow_classify_bracket_and_tangency_never_load_numpy(tmp_path)
         "print(json.dumps([codes, 'numpy' in sys.modules]))"
     ))
     assert out == [[code for _, _, code in _NUMPY_FREE_COMMANDS], False]
-    assert (tmp_path / "x.csv").read_text(encoding="utf-8").startswith("t,x1,x2\n")
+    first = next(k for k, (_, argv, _) in enumerate(_NUMPY_FREE_COMMANDS) if "{csv}" in argv)
+    assert (tmp_path / f"{first}.csv").read_text(encoding="utf-8").startswith("t,x1,x2\n")
 
 
 # what `import subcart.cli` and loading the scenarios of the benchmark's
@@ -184,9 +236,12 @@ _ADDED_MODULES = [
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, []),
     ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "2"], 0, []),
     # the loader imports poisson to build a poisson block and strata a strata block
-    ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["poisson"]),
-    ("reduction_r4", ["reduce"], 0, ["poisson"]),
-    ("cone", ["strata", "--check", "frontier"], 0, ["strata"]),
+    # the Jacobi kernel, the reduction's fit, the Kahler check's eigenvalue
+    # and the frontier's nearest cloud point are in dense
+    ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["dense", "poisson"]),
+    ("reduction_r4", ["reduce"], 0, ["dense", "poisson"]),
+    ("acs_standard", ["acs", "--check", "kahler", "--points", "2"], 0, ["dense"]),
+    ("cone", ["strata", "--check", "frontier"], 0, ["dense", "strata"]),
     # the malformed commands of the three benchmark workloads: each exits 2
     # before its handler runs, having loaded only what its scenario needs;
     # a bad --tol-overrides exits before the scenario is read
@@ -249,12 +304,16 @@ def test_each_command_loads_only_the_modules_it_runs(name, argv, code, added):
 # the constraint's value.  The span ranks of an orbit come from a kernel
 # generated per shape of the family (``orbit._rank_source``), one more
 # compile than the stacked SVD made: orbits 13, orbit 5 and leaf 8 before it.
+# The Kahler check compiles the two-form, J, the fields and the products it
+# reads as one function, 7 before that, and the frontier check's nearest
+# cloud point is a kernel generated per dimension (``dense._nearest``), one
+# more than numpy's norm made: 5 before it.
 _COMPILES = [
-    ("acs_standard", ["acs", "--check", "kahler"], 0, 7),
+    ("acs_standard", ["acs", "--check", "kahler"], 0, 3),
     ("acs_standard", ["acs", "--check", "cr", "--f", "x1", "--h", "x3"], 0, 2),
     ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 0, 2),
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, 1),
-    ("cone", ["strata", "--check", "frontier"], 0, 5),
+    ("cone", ["strata", "--check", "frontier"], 0, 6),
     ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 6),
     ("cone", ["strata", "--check", "orbits"], 0, 14),
     ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 6),
@@ -404,6 +463,7 @@ KNOBS = {
     "integrate(store)": "cli.cmd_flow",
     "jacobi_sample_residual(n_points)": "cli.cmd_poisson",
     "jacobi_sample_residual(n_triples)": "cli.cmd_poisson",
+    "jacobi_sample_residual(return_witness)": "cli.cmd_poisson",
     "jacobi_sample_residual(rng_seed)": "cli.cmd_poisson",
     "jacobi_sample_residual(scale)": "cli.cmd_poisson",
     "kahler_check(tol)": "cli.cmd_acs",
@@ -441,7 +501,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 73
+    assert len(KNOBS) == 74
     assert sorted(KNOBS) == _knobs()
 
 
@@ -636,8 +696,8 @@ def test_one_derivative_of_a_flow_and_one_spelling_of_its_space():
 
 def test_one_float_sum_and_python_values_across_the_seams():
     # every norm and residual sums its floats with expr._pairwise_sum, so it
-    # is the same on every machine; strata's distances to a sampled cloud
-    # are the one norm left to numpy
+    # is the same on every machine; strata's distances to a sampled cloud,
+    # the last norm left to numpy, are pairwise sums too
     sums, norms = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -646,7 +706,7 @@ def test_one_float_sum_and_python_values_across_the_seams():
         norms += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                   and ast.unparse(node) == "np.linalg.norm"]
     assert sorted(sums) == ["expr._norm", "expr._pairwise_sum"]
-    assert set(norms) == {"strata"}
+    assert norms == []
     # the orbit commands take ranks and singular values on Python floats too
     orbit = ast.parse((SRC / "orbit.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(orbit) if isinstance(node, ast.Attribute)

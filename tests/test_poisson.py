@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+import math
 import random
 import warnings
 
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subcart.cli import load_scenario
-from subcart.expr import Const, Var, ZERO, add, compile_scalar, mul, parse, pow_int, to_text
+from subcart import dense, poisson
+from subcart.cli import load_scenario, main
+from subcart.expr import Const, Var, ZERO, add, compile_scalar, compile_vector, diff, mul, parse, pow_int, to_text
 from subcart.poisson import (
     PoissonError,
     PoissonStructure,
@@ -28,7 +32,7 @@ from subcart.poisson import (
 )
 from subcart import flow
 from subcart.flow import flow_map
-from subcart.space import Constraint, Rel, SubcartesianSpace
+from subcart.space import Constraint, Rel, SubcartesianSpace, box
 
 from conftest import scenario_path
 
@@ -239,14 +243,6 @@ def test_sample_residual_matches_nested_path(name, seed):
         assert got == 0.0
 
 
-def test_sample_residual_does_not_depend_on_block_size(monkeypatch):
-    p = broken_structure()
-    want = jacobi_sample_residual(p, n_triples=9, n_points=5, rng_seed=3)
-    for points in (1, 7, 10_000):
-        monkeypatch.setattr("subcart.poisson._BLOCK_POINTS", points)
-        assert jacobi_sample_residual(p, n_triples=9, n_points=5, rng_seed=3).hex() == want.hex()
-
-
 def test_jacobi_kernel_is_built_on_first_check():
     p = broken_structure()
     assert "_jacobi_kernel" not in vars(p) and "_value" not in vars(p)
@@ -259,7 +255,8 @@ def test_jacobi_kernel_is_built_on_first_check():
 
 def test_jacobi_tensors_of_the_broken_bivector():
     # J^123 is the Jacobiator of the coordinate triple, x3 here
-    j, pm, sym = broken_structure().jacobi_tensors([[0.5, 0.25, 0.75], [1.0, -2.0, 3.0]])
+    j, pm, sym = (np.array(t).reshape(2, 3, *[3] * d) for t, d in zip(
+        broken_structure().jacobi_tensors([[0.5, 0.25, 0.75], [1.0, -2.0, 3.0]]), (2, 1, 1)))
     assert j.shape == (2, 3, 3, 3) and pm.shape == sym.shape == (2, 3, 3)
     assert j[:, 0, 1, 2].tolist() == [0.75, 3.0]
     assert np.all(sym == 0.0)
@@ -274,6 +271,169 @@ def test_overflowing_scale_gives_nan_without_warnings():
         # J and P + P^T are exactly 0.0, so no product of large gradients is formed
         assert jacobi_sample_residual(reduced_structure(), n_triples=3, n_points=3,
                                       scale=1e300) == 0.0
+
+
+# The numpy path the generated Jacobi kernel replaced, kept here as its
+# reference: the triple's jets are the einsum of its coefficients with the
+# monomials' gradients and Hessians, and the cyclic sum is contracted from
+# the right with einsum.
+
+def _cyclic_sums(p, points, grads, hessians):
+    """|{f,{g,h}} + cyc| at each point; ``grads`` (m, 3, n) and ``hessians``
+    (m, 3, n, n), f, g, h in that order."""
+    n = p.dim
+    j, pm, sym = (np.array(t).reshape(len(points), n, *[n] * d) for t, d in zip(p.jacobi_tensors(points), (2, 1, 1)))
+    with np.errstate(all="ignore"):
+        t = np.einsum("pijk,pk->pij", j, grads[:, 2])
+        t = np.einsum("pij,pj->pi", t, grads[:, 1])
+        total = np.einsum("pi,pi->p", t, grads[:, 0])
+        right = np.einsum("pyv,pav->pay", sym, grads)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            t = np.einsum("pxy,py->px", hessians[:, b], right[:, c])
+            t = np.einsum("pux,px->pu", pm, t)
+            total = total + np.einsum("pu,pu->p", t, grads[:, a])
+        return np.abs(total)
+
+
+def einsum_sample_residual(p, n_triples, n_points, scale, rng_seed):
+    """``jacobi_sample_residual`` by the numpy path, from the same draws."""
+    n = p.dim
+    monos = monomials(n, 2)
+    jets = []
+    for exps in monos:
+        grad = [diff(_monomial(exps), i) for i in range(n)]
+        jets += grad + [diff(g, k) for g in grad for k in range(n)]
+    table = compile_vector(jets)
+    draw = random.Random(rng_seed).random
+    worst = 0.0
+    for _ in range(n_triples):
+        c = [-1.0 + 2.0 * draw() for _ in range(3 * len(monos))]
+        c = np.array([round(v, 3) if abs(v) >= 0.3 else 0.0 for v in c]).reshape(3, len(monos))
+        pts = [[-scale + (scale - -scale) * draw() for _ in range(n)] for _ in range(n_points)]
+        tab = np.array([table(x) for x in pts]).reshape(n_points, len(monos), n + n * n)
+        with np.errstate(all="ignore"):
+            jet = np.einsum("am,kmd->kad", c, tab)
+        r = float(np.max(_cyclic_sums(p, pts, jet[:, :, :n], jet[:, :, n:].reshape(-1, 3, n, n))))
+        if r != r:
+            return r
+        worst = max(worst, r)
+    return worst
+
+
+@pytest.mark.parametrize("name", ["reduction_r4", "canonical_r2", "jacobi_control"])
+def test_generated_sample_matches_the_einsum_path(name):
+    p = scenario_structure(name)
+    for seed in range(20):
+        got = jacobi_sample_residual(p, n_triples=15, n_points=6, scale=1.5, rng_seed=seed)
+        want = einsum_sample_residual(p, 15, 6, 1.5, seed)
+        assert abs(got - want) <= 4 * math.ulp(want), (seed, got, want)
+        assert (want > 0.1) == (name == "jacobi_control")
+
+
+def _sympy_cyclic_sum(bivector: list[list[str]], witness: dict) -> float:
+    """{f,{g,h}} + cyc at the witness point, in exact arithmetic on the
+    witness's floats, from the bivector's text and the coefficients of f, g
+    and h over the monomials of degree <= 2 in (degree, lex) order."""
+    sympy = pytest.importorskip("sympy")
+    n = len(bivector)
+    xs = sympy.symbols(f"x1:{n + 1}")
+    names = {f"x{i + 1}": x for i, x in enumerate(xs)}
+    p = [[sympy.sympify(e, locals=names) for e in row] for row in bivector]
+    monos = [e for d in range(3) for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+    f, g, h = (sum(sympy.Rational(c) * sympy.prod([x**k for x, k in zip(xs, e)]) for c, e in zip(witness[k], monos))
+               for k in "fgh")
+
+    def br(u, v):
+        return sum(p[i][j] * sympy.diff(u, xs[i]) * sympy.diff(v, xs[j]) for i in range(n) for j in range(n))
+
+    total = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
+    return float(abs(total.subs({x: sympy.Rational(v) for x, v in zip(xs, witness["point"])})))
+
+
+def test_failing_sample_carries_a_witness_sympy_rechecks(capsys):
+    # the README example; the check reads only the scenario text and the report
+    path = scenario_path("jacobi_control")
+    assert main(["poisson", "--scenario", path, "--triples", "10"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    witness = result["witness"]
+    assert sorted(witness) == ["f", "g", "h", "point", "residual"]
+    assert witness["residual"] == result["jacobi_residual"] > 1.0
+    with open(path, encoding="utf-8") as fh:
+        bivector = json.load(fh)["poisson"]["bivector"]
+    assert _sympy_cyclic_sum(bivector, witness) == pytest.approx(witness["residual"], rel=1e-12)
+    # a passing sample reports none
+    assert main(["poisson", "--scenario", scenario_path("reduction_r4"), "--triples", "5"]) == 0
+    assert "witness" not in json.loads(capsys.readouterr().out)["result"]
+
+
+def test_sample_witness_is_the_worst_triple_and_point():
+    p = broken_structure()
+    worst, witness = jacobi_sample_residual(p, n_triples=7, n_points=4, rng_seed=5, return_witness=True)
+    assert worst == jacobi_sample_residual(p, n_triples=7, n_points=4, rng_seed=5) == witness["residual"]
+    monos = monomials(3, 2)
+    f, g, h = (_poly(witness[k], monos) for k in "fgh")
+    assert jacobi_residual(p, f, g, h, [witness["point"]]) == pytest.approx(worst, rel=1e-12)
+    assert jacobi_sample_residual(p, n_triples=0, return_witness=True) == (0.0, None)
+
+
+def _poly(coeffs, monos):
+    e = ZERO
+    for c, exps in zip(coeffs, monos):
+        if c:
+            e = add(e, mul(Const(c), _monomial(exps)))
+    return e
+
+
+def _reduction_design(seed: int):
+    """reduce's design on reduction_r4 at ``seed``: the monomials of the
+    invariants at its fit points, as numpy took them, and the brackets there."""
+    red = load_scenario(scenario_path("reduction_r4")).reduction
+    draw = box(random.Random(seed), [-poisson.SAMPLE_SCALE] * 4, [poisson.SAMPLE_SCALE] * 4)
+    pts = [draw() for _ in range(poisson.FIT_POINTS)]
+    sig = np.array([compile_vector(red["invariants"])(x) for x in pts])
+    design = np.column_stack([np.prod(sig ** np.array(e), axis=1) for e in monomials(4, red["degree"])])
+    amb = PoissonStructure.canonical(2)
+    rhss = [[compile_scalar(bracket(amb, red["invariants"][a], red["invariants"][b]))(x) for x in pts]
+            for a in range(4) for b in range(a + 1, 4)]
+    return design, rhss
+
+
+def _fits(design, rhss):
+    return np.array(dense._min_norm_fits([list(c) for c in design.T], rhss))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reduction_fit_matches_lstsq(seed):
+    design, rhss = _reduction_design(seed)
+    want = np.array([np.linalg.lstsq(design, b, rcond=None)[0] for b in rhss])
+    assert np.max(np.abs(_fits(design, rhss) - want)) <= 1e-12
+
+
+def _dependent_design(seed: int, cond: float):
+    """120 x 15: 14 columns with singular values from 1 to 1/cond, then the
+    fourth column doubled, an exact dependency; a consistent right side and
+    its minimum-norm solution."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((120, 14)))
+    v, _ = np.linalg.qr(rng.standard_normal((14, 14)))
+    a = u @ np.diag(np.logspace(0, -np.log10(cond), 14)) @ v.T
+    a = np.column_stack([a, 2.0 * a[:, 3]])
+    x = rng.uniform(-1.0, 1.0, 15)
+    z = np.zeros(15)
+    z[3], z[14] = 2.0, -1.0
+    return a, a @ x, x - z * (z @ x) / (z @ z)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fit_on_a_dependent_design_matches_lstsq(seed):
+    # a Gram matrix of condition 1e6: the fit agrees with lstsq to 1e-12
+    a, b, _ = _dependent_design(seed, 1e3)
+    assert np.max(np.abs(_fits(a, [list(b)])[0] - np.linalg.lstsq(a, b, rcond=None)[0])) <= 1e-12
+    # at a design of condition 1e6 lstsq itself is some 1e-11 from the
+    # minimum-norm solution; the fit keeps within 1e-10 of it too
+    a, b, exact = _dependent_design(seed, 1e6)
+    assert np.max(np.abs(np.linalg.lstsq(a, b, rcond=None)[0] - exact)) <= 1e-10
+    assert np.max(np.abs(_fits(a, [list(b)])[0] - exact)) <= 1e-10
 
 
 def test_jacobi_residual_edge_inputs():

@@ -89,6 +89,20 @@ def test_closure_distance_apex_to_surface():
     assert d <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 11])
+def test_distance_to_a_cloud_is_numpys_norm_bit_for_bit(n):
+    # the smallest pairwise sum of squares, then one root: the distances the
+    # frontier check reports are numpy's norm of the differences, minimized
+    rng = np.random.default_rng(n)
+    # a half space none of the points lies in, so only the cloud is measured
+    space = SubcartesianSpace(n, [[Constraint(parse("x1 - 1e300", n), Rel.GE)]])
+    for scale in (1e-3, 1.0, 1e150):
+        cloud = (scale * rng.standard_normal((60, n))).tolist()
+        for p in (scale * rng.standard_normal((5, n))).tolist():
+            want = float(np.min(np.linalg.norm(np.array(cloud) - p, axis=1)))
+            assert closure_distance(space, p, cloud).hex() == want.hex()
+
+
 def test_frontier_check_cone_passes():
     ss = cone_stratification()
     rep = frontier_check(ss, CONE_LO, CONE_HI, rng_seed=0)
