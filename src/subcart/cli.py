@@ -636,7 +636,7 @@ def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
     anti = p.antisymmetry_residual(pts)
     jac, witness = jacobi_sample_residual(
         p, n_triples=args.triples, n_points=args.points,
-        scale=args.scale, rng_seed=args.seed, return_witness=True,
+        scale=args.scale, rng_seed=args.seed,
     )
     if not (math.isfinite(anti) and math.isfinite(jac)):
         raise CliError(f"residuals are not finite at --scale {args.scale:g} (antisymmetry {anti}, "

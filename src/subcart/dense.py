@@ -50,24 +50,26 @@ def _smallest_eigenvalue(a: list[list[float]]) -> float:
     return min(a[i][i] for i in range(m))
 
 
-def _min_norm_fits(cols: list[list[float]], rhss: list[list[float]], correct: bool = True) -> list[list[float]]:
+def _min_norm_fits(cols: list[list[float]], rhss: list[list[float]]) -> list[list[float]]:
     """The minimum-norm least-squares coefficients over the columns ``cols``
     of each right side, as ``lstsq`` gives them, for entries below 2^500 in
-    size: semi-normal equations (Bjorck 1996, section 6.6), corrected where
-    ``correct``.  One Cholesky of the Gram matrix with diagonal pivoting stops
-    where every pivot left is at most k eps times the largest diagonal entry;
-    each column left over gives a null vector, and a right side's fit less its
-    projection on them is the minimum-norm one.  Every dot is a ``math.fsum``,
-    exactly rounded, so the rank is the same on every machine."""
+    size: corrected semi-normal equations (Bjorck 1996, section 6.6).  Each
+    column is scaled by the power of 2 that puts its norm in [0.5, 1), which
+    is exact, and one Cholesky of their Gram matrix with diagonal pivoting
+    stops where every pivot left is at most k eps; each column left over gives
+    a null vector, and a right side's fit less its projection on them is the
+    minimum-norm one.  Every dot is a ``math.fsum``, exactly rounded, so the
+    rank is the same on every machine."""
     k, dot = len(cols), lambda u, v: math.fsum(map(operator.mul, u, v))
+    shifts = [math.frexp(math.sqrt(dot(c, c)))[1] for c in cols]
+    unit = [[math.ldexp(v, -e) for v in c] for c, e in zip(cols, shifts)]
     g = [[0.0] * k for _ in range(k)]
     for i, j in combinations_with_replacement(range(k), 2):
-        g[i][j] = g[j][i] = dot(cols[i], cols[j])
-    cutoff = k * sys.float_info.epsilon * max(g[i][i] for i in range(k))
+        g[i][j] = g[j][i] = dot(unit[i], unit[j])
     order, rank = list(range(k)), 0  # the column at each pivot position; the pivots taken
     for r in range(k):
         top = max(range(r, k), key=lambda i: g[i][i])
-        if not g[top][top] > cutoff:
+        if not g[top][top] > k * sys.float_info.epsilon:
             break
         for row in (g, *g):  # rows, then columns
             row[r], row[top] = row[top], row[r]
@@ -78,34 +80,38 @@ def _min_norm_fits(cols: list[list[float]], rhss: list[list[float]], correct: bo
             for j in range(r + 1, i + 1):
                 g[i][j] = g[j][i] = g[i][j] - g[i][r] * g[j][r]
         rank = r + 1
-    pivoted = [cols[i] for i in order[:rank]]
+    pivoted = [unit[i] for i in order[:rank]]
 
     def fit(b: list[float]) -> list[float]:
-        """b's coefficients over the pivoted columns: a solve, then, where
-        ``correct``, corrections from the residual until one moves them by at
-        most sqrt(eps) of their size."""
-        x, passes = [0.0] * rank, (5 if correct else 1) if any(b) else 0  # a zero side has zero coefficients
-        for n in range(passes):
+        """b's coefficients over ``cols``: a solve over the pivoted columns,
+        then corrections from the residual until one moves them by at most
+        sqrt(eps) of their size, unscaled; the rest 0."""
+        x = [0.0] * rank
+        for _ in range(5 if any(b) else 0):  # a zero side has zero coefficients
             y: list[float] = []
             for i in range(rank):  # L y = A^T b, then L^T y' = y
                 y.append((dot(pivoted[i], b) - dot(g[i][:i], y)) / g[i][i])
             for i in reversed(range(rank)):
                 y[i] = (y[i] - dot(g[i][i + 1 : rank], y[i + 1 :])) / g[i][i]
             x = [u + v for u, v in zip(x, y)]
-            if n + 1 == passes or max(map(abs, y), default=0.0) <= 2.0**-26 * max(map(abs, x), default=0.0):
+            if max(map(abs, y), default=0.0) <= 2.0**-26 * max(map(abs, x), default=0.0):
                 break
             b = _residual(pivoted, b, y)
-        return x
+        out = [0.0] * k
+        for r, i in enumerate(order[:rank]):
+            out[i] = math.ldexp(x[r], -shifts[i])
+        return out
 
-    nulls = [fit(cols[order[d]]) + [-float(e == d) for e in range(rank, k)] for d in range(rank, k)]
+    # a dependent column less its fit over the pivoted ones is a null vector
+    nulls = [[u - float(i == d) for i, u in enumerate(fit(cols[d]))] for d in order[rank:]]
     out = []
     for b in rhss:
-        x = fit(b) + [0.0] * (k - rank)
+        x = fit(b)
         if nulls:
             t = _solve([[dot(u, v) for v in nulls] for u in nulls], [dot(z, x) for z in nulls])
             for tz, z in zip(t, nulls):
                 x = [u - tz * v for u, v in zip(x, z)]
-        out.append([x[order.index(i)] for i in range(k)])
+        out.append(x)
     return out
 
 

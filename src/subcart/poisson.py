@@ -196,13 +196,11 @@ def jacobi_sample_residual(
     n_points: int = 10,
     scale: float = 1.0,
     rng_seed: int = 0,
-    return_witness: bool = False,
-):
-    """Jacobi residual over random polynomial triples at random points; with
-    ``return_witness`` also its witness, None for no point: the point, the
-    coefficients of f, g and h over ``monomials(dim, JACOBI_DEGREE)`` and
-    the residual there.  Each triple has its own points; no expression is
-    built per triple.
+) -> tuple[float, Optional[dict]]:
+    """Jacobi residual over random polynomial triples at random points and
+    its witness, None for no point: the point, the coefficients of f, g and
+    h over ``monomials(dim, JACOBI_DEGREE)`` and the residual there.  Each
+    triple has its own points; no expression is built per triple.
     """
     # rng.uniform(a, b) is a + (b - a) * rng.random(); inlined, same floats
     draw = random.Random(rng_seed).random
@@ -215,8 +213,8 @@ def jacobi_sample_residual(
         coeffs.append([round(v, 3) if abs(v) >= 0.3 else 0.0 for v in c])
         points.append([[-scale + width * draw() for _ in range(n)] for _ in range(n_points)])
     worst, at = p._jacobi_kernel([[0.0] * n + c for c in coeffs], points)
-    if not (return_witness and at):
-        return (worst, None) if return_witness else worst
+    if at is None:
+        return worst, None
     c, k = coeffs[at[0]], n_monos
     return worst, {"point": points[at[0]][at[1]], "f": c[:k], "g": c[k : 2 * k], "h": c[2 * k :], "residual": worst}
 
@@ -331,27 +329,20 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
     if not all(map((2.0**500).__gt__, map(abs, itertools.chain(*cols, *rhss)))):  # NaN included
         raise PoissonError("a monomial of the invariants or a bracket is not finite or beyond 2^500 at a fit point")
 
-    def snapped(coef: list[float], rhs: list[float]) -> Optional[list[float]]:
-        """coef with each entry within SNAP_TOL of an integer made that integer, where it fits rhs."""
-        if not all(map(math.isfinite, coef)):
-            raise PoissonError(f"the fit of the bracket of invariants {a + 1} and {b + 1} is not finite")
-        near = [float(round(c)) if abs(c - round(c)) <= SNAP_TOL else c for c in coef]
-        return near if worst_residual(map(abs, _residual(cols, rhs, near))) <= setup.fit_tol else None
-
     pair_exprs: dict[tuple[int, int], Expr] = {}
-    # where every coefficient snaps to an integer, a fit without corrections is as good
-    for (a, b), rhs, coef in zip(pairs, rhss, _min_norm_fits(cols, rhss, correct=False)):
-        near = snapped(coef, rhs)
-        if near is None or any(c % 1.0 for c in near):
-            coef = _min_norm_fits(cols, [rhs])[0]
-            near = snapped(coef, rhs)
-            if near is None and (fit := worst_residual(map(abs, _residual(cols, rhs, coef)))) > setup.fit_tol:
-                raise ReductionError(
-                    f"bracket of invariants {a + 1} and {b + 1} "
-                    f"({to_text(sigma[a])!r}, {to_text(sigma[b])!r}) is not expressible "
-                    f"in the invariants up to degree {setup.degree}: fit residual {fit:.3e}"
-                )
-        coef = coef if near is None else near
+    for (a, b), rhs, fitted in zip(pairs, rhss, _min_norm_fits(cols, rhss)):
+        if not all(map(math.isfinite, fitted)):
+            raise PoissonError(f"the fit of the bracket of invariants {a + 1} and {b + 1} is not finite")
+        # the fit with each coefficient within SNAP_TOL of an integer made that integer, else the fit
+        for coef in ([float(round(c)) if abs(c - round(c)) <= SNAP_TOL else c for c in fitted], fitted):
+            if (fit := worst_residual(map(abs, _residual(cols, rhs, coef)))) <= setup.fit_tol:
+                break
+        else:
+            raise ReductionError(
+                f"bracket of invariants {a + 1} and {b + 1} "
+                f"({to_text(sigma[a])!r}, {to_text(sigma[b])!r}) is not expressible "
+                f"in the invariants up to degree {setup.degree}: fit residual {fit:.3e}"
+            )
         # an all-zero row gives the shared ZERO, whose compiled function is kept on it
         kept = [(c, exps) for c, exps in zip(coef, monos) if c != 0.0]
         pair_exprs[(a, b)] = dot([Const(c) for c, _ in kept], [_monomial_expr(exps) for _, exps in kept])

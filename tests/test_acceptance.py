@@ -225,8 +225,8 @@ def test_criterion_09_bracket_invariance():
 
 
 def test_criterion_10_jacobi_identity():
-    canonical = jacobi_sample_residual(PoissonStructure.canonical(1), n_triples=50)
-    reduced = jacobi_sample_residual(reduced_structure(), n_triples=50)
+    canonical = jacobi_sample_residual(PoissonStructure.canonical(1), n_triples=50)[0]
+    reduced = jacobi_sample_residual(reduced_structure(), n_triples=50)[0]
     s = [parse(f"x{i}", 3) for i in (1, 2, 3)]
     control = jacobi_residual(
         broken_structure(), s[0], s[1], s[2], [np.array([0.5, 0.25, 0.75])]

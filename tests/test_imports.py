@@ -464,7 +464,6 @@ KNOBS = {
     "integrate(store)": "cli.cmd_flow",
     "jacobi_sample_residual(n_points)": "cli.cmd_poisson",
     "jacobi_sample_residual(n_triples)": "cli.cmd_poisson",
-    "jacobi_sample_residual(return_witness)": "cli.cmd_poisson",
     "jacobi_sample_residual(rng_seed)": "cli.cmd_poisson",
     "jacobi_sample_residual(scale)": "cli.cmd_poisson",
     "kahler_check(tol)": "cli.cmd_acs",
@@ -502,7 +501,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 74
+    assert len(KNOBS) == 73
     assert sorted(KNOBS) == _knobs()
 
 

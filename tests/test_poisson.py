@@ -148,9 +148,9 @@ def test_jacobi_residuals():
     broken = broken_structure()
     # jacobiator of the coordinate triple is x3 for this bivector
     assert jacobi_residual(broken, s[0], s[1], s[2], [np.array([0.5, 0.25, 0.75])]) == 0.75
-    assert jacobi_sample_residual(PoissonStructure.canonical(1), n_triples=20) <= 1e-10
-    assert jacobi_sample_residual(lam, n_triples=20) <= JACOBI_TOL
-    assert jacobi_sample_residual(broken, n_triples=20) >= 0.1
+    assert jacobi_sample_residual(PoissonStructure.canonical(1), n_triples=20)[0] <= 1e-10
+    assert jacobi_sample_residual(lam, n_triples=20)[0] <= JACOBI_TOL
+    assert jacobi_sample_residual(broken, n_triples=20)[0] >= 0.1
 
 
 def test_residual_folds_keep_nan():
@@ -159,7 +159,7 @@ def test_residual_folds_keep_nan():
     s = [parse(f"x{i}", 3) for i in (1, 2, 3)]
     pts = [[0.5, 0.25, 0.75], [0.0, 0.0, np.nan], [0.1, 0.1, 0.1]]  # the jacobiator is x3
     assert np.isnan(jacobi_residual(broken, s[0], s[1], s[2], pts))
-    assert np.isnan(jacobi_sample_residual(broken, n_triples=3, n_points=3, scale=1e160))
+    assert np.isnan(jacobi_sample_residual(broken, n_triples=3, n_points=3, scale=1e160)[0])
     assert np.isnan(broken.antisymmetry_residual([[0.0, 0.0, 0.0], [1.0, 1.0, np.nan]]))
 
 
@@ -232,7 +232,7 @@ REL = 1e-12
 @pytest.mark.parametrize("name", ["reduction_r4", "canonical_r2", "jacobi_control"])
 def test_sample_residual_matches_nested_path(name, seed):
     p = scenario_structure(name)
-    got = jacobi_sample_residual(p, n_triples=12, n_points=4, scale=1.5, rng_seed=seed)
+    got = jacobi_sample_residual(p, n_triples=12, n_points=4, scale=1.5, rng_seed=seed)[0]
     want = nested_sample_residual(p, n_triples=12, n_points=4, scale=1.5, rng_seed=seed)
     if name == "jacobi_control":
         # the same triples at the same points, or the values would differ widely
@@ -267,10 +267,10 @@ def test_overflowing_scale_gives_nan_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(jacobi_sample_residual(broken_structure(), n_triples=3, n_points=3,
-                                               scale=1e300))
+                                               scale=1e300)[0])
         # J and P + P^T are exactly 0.0, so no product of large gradients is formed
         assert jacobi_sample_residual(reduced_structure(), n_triples=3, n_points=3,
-                                      scale=1e300) == 0.0
+                                      scale=1e300)[0] == 0.0
 
 
 # The numpy path the generated Jacobi kernel replaced, kept here as its
@@ -324,7 +324,7 @@ def einsum_sample_residual(p, n_triples, n_points, scale, rng_seed):
 def test_generated_sample_matches_the_einsum_path(name):
     p = scenario_structure(name)
     for seed in range(20):
-        got = jacobi_sample_residual(p, n_triples=15, n_points=6, scale=1.5, rng_seed=seed)
+        got = jacobi_sample_residual(p, n_triples=15, n_points=6, scale=1.5, rng_seed=seed)[0]
         want = einsum_sample_residual(p, 15, 6, 1.5, seed)
         assert abs(got - want) <= 4 * math.ulp(want), (seed, got, want)
         assert (want > 0.1) == (name == "jacobi_control")
@@ -368,12 +368,12 @@ def test_failing_sample_carries_a_witness_sympy_rechecks(capsys):
 
 def test_sample_witness_is_the_worst_triple_and_point():
     p = broken_structure()
-    worst, witness = jacobi_sample_residual(p, n_triples=7, n_points=4, rng_seed=5, return_witness=True)
-    assert worst == jacobi_sample_residual(p, n_triples=7, n_points=4, rng_seed=5) == witness["residual"]
+    worst, witness = jacobi_sample_residual(p, n_triples=7, n_points=4, rng_seed=5)
+    assert worst == witness["residual"]
     monos = monomials(3, 2)
     f, g, h = (_poly(witness[k], monos) for k in "fgh")
     assert jacobi_residual(p, f, g, h, [witness["point"]]) == pytest.approx(worst, rel=1e-12)
-    assert jacobi_sample_residual(p, n_triples=0, return_witness=True) == (0.0, None)
+    assert jacobi_sample_residual(p, n_triples=0) == (0.0, None)
 
 
 def _poly(coeffs, monos):
@@ -384,16 +384,18 @@ def _poly(coeffs, monos):
     return e
 
 
-def _reduction_design(seed: int):
-    """reduce's design on reduction_r4 at ``seed``: the monomials of the
-    invariants at its fit points, as numpy took them, and the brackets there."""
+def _reduction_design(seed: int, scale: float = 1.0):
+    """reduce's design on reduction_r4 at ``seed``, its first invariant times
+    ``scale``: the monomials of the invariants at its fit points, as numpy
+    took them, and the brackets there."""
     red = load_scenario(scenario_path("reduction_r4")).reduction
+    invariants = [mul(Const(scale), red["invariants"][0]), *red["invariants"][1:]]
     draw = box(random.Random(seed), [-poisson.SAMPLE_SCALE] * 4, [poisson.SAMPLE_SCALE] * 4)
     pts = [draw() for _ in range(poisson.FIT_POINTS)]
-    sig = np.array([compile_vector(red["invariants"])(x) for x in pts])
+    sig = np.array([compile_vector(invariants)(x) for x in pts])
     design = np.column_stack([np.prod(sig ** np.array(e), axis=1) for e in monomials(4, red["degree"])])
     amb = PoissonStructure.canonical(2)
-    rhss = [[compile_scalar(bracket(amb, red["invariants"][a], red["invariants"][b]))(x) for x in pts]
+    rhss = [[compile_scalar(bracket(amb, invariants[a], invariants[b]))(x) for x in pts]
             for a in range(4) for b in range(a + 1, 4)]
     return design, rhss
 
@@ -407,6 +409,35 @@ def test_reduction_fit_matches_lstsq(seed):
     design, rhss = _reduction_design(seed)
     want = np.array([np.linalg.lstsq(design, b, rcond=None)[0] for b in rhss])
     assert np.max(np.abs(_fits(design, rhss) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reduction_fit_matches_lstsq_on_a_scaled_invariant(seed):
+    # s1 = 3e3 |q|^2 puts s1^2's column some 1e7 above the constant one and
+    # the design's condition near 1e8; the columns' scaling keeps the
+    # constant one: the fit is within 1e-11 of the exact coefficients
+    # ({s1,s2} = 4 (3e3) s3, {s1,s3} = 2 s1, {s2,s3} = -2 s2, the rest 0),
+    # where lstsq is some 5e-8 from them, and no farther from lstsq
+    design, rhss = _reduction_design(seed, scale=3e3)
+    exact = np.zeros((6, 15))
+    monos = monomials(4, 2)
+    exact[0, monos.index((0, 0, 1, 0))] = 1.2e4
+    exact[1, monos.index((1, 0, 0, 0))] = 2.0
+    exact[3, monos.index((0, 1, 0, 0))] = -2.0
+    want = np.array([np.linalg.lstsq(design, b, rcond=None)[0] for b in rhss])
+    got = _fits(design, rhss)
+    assert np.max(np.abs(got - exact)) <= 1e-11
+    assert np.max(np.abs(got - want)) <= np.max(np.abs(want - exact)) + 1e-11
+
+
+def test_reduce_with_a_scaled_invariant():
+    # 1e4 |q|^2: unscaled, the constant column's pivot fell under k eps of
+    # s1^2's and reduce answered NotReducible with a fit residual of 5e4
+    red = load_scenario(scenario_path("reduction_r4")).reduction
+    setup = ReductionSetup(ambient=PoissonStructure.canonical(2),
+                           invariants=(mul(Const(1e4), red["invariants"][0]), *red["invariants"][1:]))
+    assert reduce(setup).meta["table"] == {"{s1,s2}": "40000.0*x3", "{s1,s3}": "2.0*x1", "{s1,s4}": "0.0",
+                                           "{s2,s3}": "(-2.0)*x2", "{s2,s4}": "0.0", "{s3,s4}": "0.0"}
 
 
 def _dependent_design(seed: int, cond: float):
@@ -442,8 +473,8 @@ def test_jacobi_residual_edge_inputs():
                         parse("x3", 3), [[0.0, 0.0]])
     assert jacobi_residual(PoissonStructure.canonical(1), parse("x1", 2), parse("x2", 2),
                            parse("x1", 2), []) == 0.0
-    assert jacobi_sample_residual(broken_structure(), n_triples=0) == 0.0
-    assert jacobi_sample_residual(broken_structure(), n_points=0) == 0.0
+    assert jacobi_sample_residual(broken_structure(), n_triples=0) == (0.0, None)
+    assert jacobi_sample_residual(broken_structure(), n_points=0) == (0.0, None)
 
 
 _coeff = st.sampled_from([-2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 3.0])
