@@ -12,19 +12,13 @@ The exports are lazy (PEP 562): ``import subcart`` imports no submodule,
 and a name, or a submodule such as ``subcart.flow``, is imported on its
 first use.  So ``import subcart.expr`` loads no other module.
 
-No submodule imports numpy when it is imported; each function that needs
-numpy imports it when it runs.  So ``import subcart.cli``, loading a
-scenario, ``integrate``, ``classify_vector_field``, ``transport_vector``,
-``reach``, ``sample_orbit``, ``chart_jacobian`` and the sampler
-``space.sample`` never load numpy, and neither do the ``flow``,
-``classify``, ``bracket``, ``orbit``, ``chart``, ``complete-probe``,
-``leaf`` and ``strata --check tangency`` and ``--check orbits`` commands:
-constraints are evaluated in IEEE arithmetic by generated code on Python
-floats, an overflow included, and span ranks and singular values are
-Jacobi rotations and Gram-Schmidt on Python floats.  Every point the
-package hands back is a list of Python floats, and so are the chart's
-Jacobians; other matrices and ``flow_map``'s image are ndarrays, made by
-functions that load numpy on first use.
+No module imports numpy, and no command needs it: constraints are
+evaluated in IEEE arithmetic by generated code on Python floats, an
+overflow included, and ranks, singular values, eigenvalues, fits and
+distances are Jacobi rotations, Gram-Schmidt, eliminations and pairwise
+sums on Python floats.  Every point the package hands back is a list of
+Python floats, ``flow_map``'s image among them, and the chart's
+Jacobians and ``matrix_at``'s values are lists of rows of Python floats.
 """
 
 from __future__ import annotations

@@ -799,11 +799,10 @@ class ExprMatrix:
         """The entries, flat, compiled on the first evaluation."""
         return compile_vector([e for row in self.rows for e in row])
 
-    def matrix_at(self, point: Sequence[float]):
-        """The entries at the point as a (dim, dim) ndarray."""
-        import numpy as np
-
-        return np.array(self._value(point), dtype=float).reshape(self.dim, self.dim)
+    def matrix_at(self, point: Sequence[float]) -> list[list[float]]:
+        """The entries at the point as ``dim`` rows of Python floats."""
+        flat = self._value([float(v) for v in point])  # an array's scalars would warn where a power overflows
+        return [flat[i:i + self.dim] for i in range(0, len(flat), self.dim)]
 
 
 def block_rows(k: int, s: float) -> list[list[Expr]]:

@@ -66,14 +66,11 @@ import random
 import re
 from array import array
 from dataclasses import asdict, dataclass, field as dc_field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .field import TangentField
 from .expr import _COMPILE_ENV, DomainError, Expr, _pairwise_sum, vector_source
 from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _slack_source, ball, sample
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
@@ -555,7 +552,7 @@ def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], ho
     Python floats, clipped to [-horizon, horizon], on the kernel that keeps
     its samples as ``keep`` says (see ``_kernel``)."""
     horizon = float(horizon)
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if horizon / MAX_SAMPLE_DT > 2**53:  # past 2^53 a float no longer counts the scanned points exactly
         raise IntegrationError(f"horizon {horizon} is more than 2^53 sample spacings of {MAX_SAMPLE_DT}")
@@ -627,10 +624,13 @@ def drift(stratum: SubcartesianSpace, fld: TangentField, x0: list[float], horizo
 def _flow_core(space: SubcartesianSpace, fld: TangentField,
                opts: FlowOptions) -> Callable[[list[float], float], list[float]]:
     """``flow_map`` on float lists: ``core(x0, t)`` is the time-t image of x0,
-    which must be a member (it is not tested), erroring if t is out of range."""
+    which must be a member (it is not tested), erroring if t is out of range
+    or not finite."""
     drive = _kernel(fld, space, None)
 
     def core(x0: list[float], t: float) -> list[float]:
+        if not math.isfinite(t):  # such a time would drive on until max_steps
+            raise ValueError(f"flow time must be finite, got {t}")
         res = drive(x0, t, opts, space)
         if not res.reached:
             raise FlowDomainError(
@@ -645,16 +645,14 @@ def _flow_core(space: SubcartesianSpace, fld: TangentField,
     return core
 
 
-def flow_map(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], t: float) -> np.ndarray:
-    """Time-t flow of the field applied to x0, as an ndarray, erroring if t is
-    out of range."""
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
+def flow_map(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], t: float) -> list[float]:
+    """Time-t flow of the field applied to x0, as a list of floats, erroring
+    if t is out of range or not finite."""
+    x0 = [float(v) for v in x0]
     space.require_member(x0, "basepoint")
     if t == 0.0:
-        return x0.copy()
-    return np.array(_flow_core(space, fld, FlowOptions())(x0.tolist(), float(t)))
+        return x0
+    return _flow_core(space, fld, FlowOptions())(x0, float(t))
 
 
 def transport_vector(

@@ -332,10 +332,9 @@ class SubcartesianSpace:
         return "\n".join(_slack_source(self.cells, "", "_x[{}]"))
 
     def require_member(self, point: Sequence[float], what: str = "point") -> None:
-        if hasattr(point, "tolist"):
-            point = point.tolist()  # an array's scalars would warn where a power overflows
+        point = [float(v) for v in point]  # an array's scalars would warn where a power overflows
         if not self.contains(point):
-            raise SpaceError(f"{what} {list(map(float, point))} is not in the space (slack {self.slack(point):.3e})")
+            raise SpaceError(f"{what} {point} is not in the space (slack {self.slack(point):.3e})")
 
     @classmethod
     def whole_space(cls, ambient_dim: int) -> "SubcartesianSpace":

@@ -98,8 +98,8 @@ def test_criterion_03_group_law():
         ang = rng.uniform(0.0, 2.0 * math.pi)
         r = rng.uniform(0.5, 1.5)
         x = np.array([r * math.cos(ang), r * math.sin(ang)])
-        a = flow_map(pp, rot, x, t + s)
-        b = flow_map(pp, rot, flow_map(pp, rot, x, s), t)
+        a = np.array(flow_map(pp, rot, x, t + s))
+        b = np.array(flow_map(pp, rot, flow_map(pp, rot, x, s), t))
         worst = max(worst, float(np.linalg.norm(a - b)))
     assert criterion(3, worst <= 1e-7, f"flow group law, worst composition gap {worst:.3e}")
 

@@ -9,6 +9,7 @@ import math
 import random
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -164,8 +165,8 @@ def test_group_law():
         ang = rng.uniform(0, 2 * math.pi)
         r = rng.uniform(0.5, 1.5)
         x = np.array([r * math.cos(ang), r * math.sin(ang)])
-        a = flow_map(pp, rot, x, t + s)
-        b = flow_map(pp, rot, flow_map(pp, rot, x, s), t)
+        a = np.array(flow_map(pp, rot, x, t + s))
+        b = np.array(flow_map(pp, rot, flow_map(pp, rot, x, s), t))
         worst = max(worst, float(np.linalg.norm(a - b)))
     assert worst <= GROUP_LAW_TOL
 
@@ -177,6 +178,23 @@ def test_flow_map_rejects_outside_basepoint_and_bad_horizon():
         flow_map(hl, ddx, [-1.0], 1.0)
     with pytest.raises(ValueError):
         integrate(hl, ddx, [1.0], horizon=0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_time_that_is_not_finite_is_refused_before_any_step(t):
+    # a NaN time passed `horizon <= 0` and then drove backwards, like an
+    # infinite one, for a million steps before a misleading IntegrationError
+    rot = make_field("rot", ["-x2", "x1"], 2)
+    plane = SubcartesianSpace.whole_space(2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"finite, got {t}"):
+        flow_map(plane, rot, [1.0, 0.0], t)
+    with pytest.raises(ValueError, match=f"finite, got {t}"):
+        transport_vector(plane, rot, t, [1.0, 0.0], [0.0, 1.0])
+    # an infinite horizon is more sample spacings than a float counts
+    with pytest.raises(IntegrationError if t > 0 else ValueError, match=f"horizon {t} is|positive, got {t}"):
+        integrate(plane, rot, [1.0, 0.0], horizon=t)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_flow_map_unconstrained_space():
@@ -764,7 +782,7 @@ def test_no_membership_scan_where_a_cell_has_no_constraints(space):
         assert ("for i in range" in _driver_source(fld.components, None, keep)) is (keep == "store")
     rot = make_field("rot", ["-x2", "x1"], 2)
     whole = SubcartesianSpace.whole_space(2)
-    assert flow_map(space, rot, [0.3, 0.0], 2.0).tolist() == flow_map(whole, rot, [0.3, 0.0], 2.0).tolist()
+    assert flow_map(space, rot, [0.3, 0.0], 2.0) == flow_map(whole, rot, [0.3, 0.0], 2.0)
 
 
 def test_dense_coefficients_only_where_a_scan_or_a_store_reads_them():

@@ -52,33 +52,54 @@ def _runs_at_import(body: list[ast.stmt]):
                 yield from _runs_at_import(getattr(node, field, []))
 
 
+def _numpy_imports(path: str) -> list[int]:
+    """The lines of ``path`` that import numpy, anywhere in the module."""
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+
+
 def test_space_imports_numpy_nowhere():
     # constraints are evaluated in IEEE arithmetic on Python floats, an
     # overflow included, so membership, slack and sampling need no numpy
-    tree = ast.parse((SRC / "space.py").read_text(encoding="utf-8"))
-    found = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
-             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
-    assert found == []
+    assert _numpy_imports("space.py") == []
 
 
 @pytest.mark.parametrize("path", ["almostcomplex.py", "poisson.py", "strata.py"])
 def test_symbolic_modules_import_numpy_nowhere(path):
     # the Jacobi sample, the reduction's fit, the Kahler check and the
     # frontier's distances run on Python floats
-    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
-    assert [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"] == []
+    assert _numpy_imports(path) == []
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_module_imports_numpy_at_import_time(path):
-    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
-    found = [node.lineno for node in _runs_at_import(tree.body)
-             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
-             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
-    assert found == [], f"{path} imports numpy at import time, line {found}"
+    # nor later: every command runs on Python floats, so numpy is imported
+    # nowhere, function bodies and ``if TYPE_CHECKING:`` blocks included
+    found = _numpy_imports(path)
+    assert found == [], f"{path} imports numpy, line {found}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_no_runtime_dependency_and_a_test_extra_of_what_the_tests_import():
+    import tomllib
+
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    tests = Path(__file__).resolve().parent
+    imported = set()
+    for path in tests.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.importorskip":
+                imported.add(node.args[0].value.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {p.stem for p in tests.glob("*.py")} | {"subcart"}
+    extra = {re.match(r"[\w-]+", req).group() for req in project["optional-dependencies"]["test"]}
+    assert extra == imported == {"hypothesis", "numpy", "pytest", "scipy", "sympy"}
 
 
 def _subcart_modules(node: ast.stmt) -> set[str]:
@@ -197,8 +218,9 @@ KAHLER_NAN = kahler_not_finite({(0, 2): _NAN, (2, 0): f"-({_NAN})"})
 KAHLER_INF = kahler_not_finite({(3, 3): "1e200*q1*1e200"})
 
 
-def test_scenarios_flow_classify_bracket_and_tangency_never_load_numpy(tmp_path):
-    # every shipped command, each README example among them
+def test_every_command_runs_where_numpy_cannot_be_imported(tmp_path):
+    # every shipped command, each README example among them, in an
+    # interpreter where `import numpy` raises: the package needs no numpy
     scenarios = SRC / "scenarios"
     written = {"overflow-exit": OVERFLOW_EXIT, "kahler-nan": KAHLER_NAN, "kahler-inf": KAHLER_INF}
     for name, doc in written.items():
@@ -209,15 +231,17 @@ def test_scenarios_flow_classify_bracket_and_tangency_never_load_numpy(tmp_path)
              for k, (name, argv, _) in enumerate(_NUMPY_FREE_COMMANDS)]
     out = json.loads(_fresh(
         "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
         "from subcart.cli import load_scenario, main\n"
         f"for path in {sorted(str(p) for p in scenarios.glob('*.json'))!r}:\n"
         "    load_scenario(path)\n"
-        "codes = []\n"
+        "codes, errors = [], io.StringIO()\n"
         f"for argv in {argvs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):\n"
         "        codes.append(main(argv))\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]))"
+        "print(json.dumps([codes, 'numpy' in errors.getvalue()]))"
     ))
+    # a command that exits 2 anyway would hide a failed import in its code alone
     assert out == [[code for _, _, code in _NUMPY_FREE_COMMANDS], False]
     first = next(k for k, (_, argv, _) in enumerate(_NUMPY_FREE_COMMANDS) if "{csv}" in argv)
     assert (tmp_path / f"{first}.csv").read_text(encoding="utf-8").startswith("t,x1,x2\n")

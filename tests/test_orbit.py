@@ -458,7 +458,7 @@ def _ref_sample_orbit(family, x0, budget, step_scale, rng_seed):
             dt = rng.uniform(-step_scale, step_scale)
             attempts += 1
             try:
-                y = flow_map(family.space, family.fields[fi], points[i], dt)
+                y = np.array(flow_map(family.space, family.fields[fi], points[i], dt))
             except (FlowDomainError, IntegrationError):
                 failures += 1
                 continue
@@ -623,10 +623,11 @@ def _floats(p) -> bool:
 
 
 def test_every_point_the_library_hands_back_is_a_list_of_floats():
-    """Points and the chart's Jacobians come back as lists of Python floats,
-    whatever sequence went in; matrices and ``flow_map``'s image are the
-    ndarrays."""
+    """Points, ``flow_map``'s image among them, come back as lists of Python
+    floats, whatever sequence went in, and the chart's Jacobians and
+    ``matrix_at``'s values as lists of rows of Python floats."""
     from subcart.flow import transport_vector
+    from subcart.poisson import PoissonStructure
     from subcart.space import BALL_TRIES, BOX_TRIES, ball, box, project_to_equalities, sample
 
     fam = shear_family()
@@ -645,7 +646,12 @@ def test_every_point_the_library_hands_back_is_a_list_of_floats():
     assert _floats(dimension_constancy_report(fam, x0, n_probes=5).seed)
     chart = chart_jacobian(fam, [0, 1], np.array([1.0, 0.5]))
     assert _floats(chart.basepoint) and all(map(_floats, chart.jacobian0 + chart.fd_jacobian))
-    assert _floats(chart.singular_values) and isinstance(flow_map(fam.space, fam.fields[0], x0, 0.1), np.ndarray)
+    assert _floats(chart.singular_values)
+    for start in ([0.2, -0.1], x0):
+        assert _floats(flow_map(fam.space, fam.fields[0], start, 0.0))
+        assert _floats(flow_map(fam.space, fam.fields[0], start, 0.1))
+    matrix = PoissonStructure.canonical(2).matrix_at(np.array([0.1, -0.2, 0.3, 0.4]))
+    assert len(matrix) == 4 and all(map(_floats, matrix))
     rng = random.Random(0)
     for draw, tries in ((ball(rng, x0, 0.5), BALL_TRIES), (box(rng, [0, 0], [1, 1]), BOX_TRIES)):
         assert _floats(draw())

@@ -550,14 +550,14 @@ def fd_invariance_residual(p, h, f1, f2, t, x) -> float:
         d1, d2 = np.zeros(n), np.zeros(n)
         for i in range(n):
             e = step * np.eye(n)[i]
-            plus = flow_map(ambient, xh, x + e, t).tolist()
-            minus = flow_map(ambient, xh, x - e, t).tolist()
+            plus = flow_map(ambient, xh, x + e, t)
+            minus = flow_map(ambient, xh, x - e, t)
             d1[i] = (ef1(plus) - ef1(minus)) / (2.0 * step)
             d2[i] = (ef2(plus) - ef2(minus)) / (2.0 * step)
         return float(d1 @ pm @ d2)
 
     coarse, fine = pulled(1e-5), pulled(0.5e-5)
-    image = flow_map(ambient, xh, x, t).tolist()
+    image = flow_map(ambient, xh, x, t)
     return abs(fine + (fine - coarse) / 3.0 - compile_scalar(bracket(p, f1, f2))(image))
 
 
