@@ -11,9 +11,9 @@ significant digit floats, no timestamps) and optionally writes artifacts to
 (curves, orbit clouds) with a words sidecar for clouds.  Reruns with
 identical inputs and --seed are byte-identical.
 
-Exit codes: 0 for PASS-type outcomes (including honest Inconclusive), 1 for
-certified failures or witnesses, 2 for usage, IO, or schema errors and for
-any unexpected exception, reported as one ``internal error:`` line.
+Exit codes, read by ``main`` off the result: 1 where "passed" is False or
+the verdict is in ``FAILURES``, 0 for any other result; 2 for usage, IO or
+schema errors and any unexpected exception (one ``internal error:`` line).
 
 A call of ``main`` keeps nothing for the next one: it builds an argument
 parser, for the command its argv names first only, and reads, validates and
@@ -53,6 +53,8 @@ if TYPE_CHECKING:
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+# the verdicts, or a classify report's classification, that exit 1 (see main)
+FAILURES = ("NotVectorField", "PreconditionFailed", "NotReducible", "NotAlmostComplex", "Degenerate")
 
 # name: (default, the commands that read it, "strata:tangency" for one --check);
 # a constant of a module imported on first use is written out, and a test pins it
@@ -465,9 +467,9 @@ def _write_cloud(path: str, points, words) -> None:
 
 
 # Command handlers ---------------------------------------------------------------
-# Each returns (result dict, exit code).
+# Each returns its result dict; main reads the exit code off it (see FAILURES).
 
-def cmd_flow(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_flow(sc: Scenario, args, tol) -> dict:
     from .flow import IntegrationError, integrate
 
     fld = sc.field(args.field)
@@ -481,21 +483,19 @@ def cmd_flow(sc: Scenario, args, tol) -> tuple[dict, int]:
     if out:
         header = ["t"] + [f"x{i + 1}" for i in range(sc.space.ambient_dim)]
         write_csv(out, header, [[t] + p for t, p in curve.samples])
-    return curve.to_json_dict(), EXIT_PASS
+    return curve.to_json_dict()
 
 
-def cmd_classify(sc: Scenario, args, tol) -> tuple[dict, int]:
-    from .flow import NOT_VECTOR_FIELD, ProbeOptions, classify_vector_field
+def cmd_classify(sc: Scenario, args, tol) -> dict:
+    from .flow import ProbeOptions, classify_vector_field
 
     fld = sc.field(args.field)
     seeds = _resolve_seeds(sc, args.seeds)
     probe = ProbeOptions(seeds=tuple(tuple(s) for s in seeds), rng_seed=args.seed)
-    verdict = classify_vector_field(sc.space, fld, probe, options=_flow_options(tol))
-    code = EXIT_FAIL if verdict.classification == NOT_VECTOR_FIELD else EXIT_PASS
-    return asdict(verdict), code
+    return asdict(classify_vector_field(sc.space, fld, probe, options=_flow_options(tol)))
 
 
-def cmd_bracket(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_bracket(sc: Scenario, args, tol) -> dict:
     fx = sc.field(args.x)
     fy = sc.field(args.y)
     b = lie_bracket(fx, fy)
@@ -508,10 +508,10 @@ def cmd_bracket(sc: Scenario, args, tol) -> tuple[dict, int]:
         point = _parse_point_arg(args.point, sc.space.ambient_dim)
         result["point"] = point
         result["value"] = _value_at(b, point)
-    return result, EXIT_PASS
+    return result
 
 
-def cmd_orbit(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_orbit(sc: Scenario, args, tol) -> dict:
     from .orbit import sample_orbit
 
     fam = sc.family(args.family)
@@ -530,10 +530,10 @@ def cmd_orbit(sc: Scenario, args, tol) -> tuple[dict, int]:
         "est_dimension": cloud.est_dimension,
         "diagnostics": cloud.diagnostics,
     }
-    return result, EXIT_PASS
+    return result
 
 
-def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_chart(sc: Scenario, args, tol) -> dict:
     from .orbit import DependentBasisError, chart_jacobian
 
     fam = sc.family(args.family)
@@ -551,13 +551,13 @@ def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
         if fam.vanishes_at(point):  # a certified 0-dimensional orbit, not a failure
             return {"verdict": "FixedPoint", "basepoint": point, "rank": 0,
                     "detail": f"every field of {fam.labels()} vanishes at the point, "
-                              "so its orbit is the point alone"}, EXIT_PASS
+                              "so its orbit is the point alone"}
         # the orbit can be larger than the pointwise span (translate_shear at
         # (0, 0) spans rank 1 in an orbit that is the whole plane), so this is
         # no certified failure
         return {"verdict": "DependentBasis",
                 "detail": f"{exc}; the pointwise rank is only a lower bound on the orbit dimension, "
-                          "so the chart is inconclusive"}, EXIT_PASS
+                          "so the chart is inconclusive"}
     result = {
         "verdict": "Chart",
         "basis": [fam.fields[b].label for b in chart.basis],
@@ -568,10 +568,10 @@ def cmd_chart(sc: Scenario, args, tol) -> tuple[dict, int]:
         "fd_jacobian": chart.fd_jacobian,
         "singular_values": chart.singular_values,
     }
-    return result, EXIT_PASS
+    return result
 
 
-def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_complete_probe(sc: Scenario, args, tol) -> dict:
     from .orbit import local_completeness_probe
 
     fam = sc.family(args.family)
@@ -588,18 +588,17 @@ def cmd_complete_probe(sc: Scenario, args, tol) -> tuple[dict, int]:
     )
     if rep.passed is None:
         return {**asdict(rep), "verdict": "Inconclusive",
-                "detail": "every probe was skipped: its flow left the space or failed to integrate"}, EXIT_PASS
-    return asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
+                "detail": "every probe was skipped: its flow left the space or failed to integrate"}
+    return asdict(rep)
 
 
-def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_strata(sc: Scenario, args, tol) -> dict:
     from .strata import NotStronglyStratifiedError, frontier_check, orbit_vs_strata, strongly_stratified_check
 
     ss = _need(sc.stratified, "strata")
     lo, hi = _need(sc.box, "box")
     if args.check == "frontier":
         rep = frontier_check(ss, lo, hi, rng_seed=args.seed, frontier_tol=tol["frontier"])
-        result, code = asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
     elif args.check == "tangency":
         if not args.field:
             raise CliError("--check tangency needs --field")
@@ -608,7 +607,6 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
             ss, fld, lo, hi, horizon=args.horizon, rng_seed=args.seed,
             drift_tol=tol["drift"], options=_flow_options(tol),
         )
-        result, code = asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
     else:
         fam = sc.family(args.family)
         seeds = _resolve_seeds(sc, args.seeds)
@@ -618,15 +616,14 @@ def cmd_strata(sc: Scenario, args, tol) -> tuple[dict, int]:
                 drift_tol=tol["drift"], tol_rank=tol["rank"], options=_flow_options(tol),
             )
         except NotStronglyStratifiedError as exc:  # certified, with a witness; any other StrataError is bad input
-            result = {"verdict": "PreconditionFailed", "detail": str(exc)}
-            return result, EXIT_FAIL
-        result, code = asdict(rep), EXIT_PASS if rep.passed else EXIT_FAIL
+            return {"verdict": "PreconditionFailed", "detail": str(exc)}
+    result = asdict(rep)
     # declared, never verified: there is no finite certificate for it
     result["declared_locally_trivial"] = ss.locally_trivial
-    return result, code
+    return result
 
 
-def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_poisson(sc: Scenario, args, tol) -> dict:
     from .poisson import jacobi_sample_residual
 
     p = _need(sc.poisson, "poisson")
@@ -641,20 +638,19 @@ def cmd_poisson(sc: Scenario, args, tol) -> tuple[dict, int]:
     if not (math.isfinite(anti) and math.isfinite(jac)):
         raise CliError(f"residuals are not finite at --scale {args.scale:g} (antisymmetry {anti}, "
                        f"jacobi {jac}); choose a smaller --scale")
-    passed = anti <= tol["antisymmetry"] and jac <= tol["jacobi"]
     result = {
         "label": p.label,
         "dim": p.dim,
         "antisymmetry_residual": anti,
         "jacobi_residual": jac,
-        "passed": passed,
+        "passed": anti <= tol["antisymmetry"] and jac <= tol["jacobi"],
     }
     if jac > tol["jacobi"]:
         result["witness"] = witness
-    return result, EXIT_PASS if passed else EXIT_FAIL
+    return result
 
 
-def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_reduce(sc: Scenario, args, tol) -> dict:
     from .poisson import PoissonStructure, ReductionError, ReductionSetup, reduce as reduce_structure
 
     red = _need(sc.reduction, "reduction")
@@ -672,17 +668,17 @@ def cmd_reduce(sc: Scenario, args, tol) -> tuple[dict, int]:
     try:
         reduced = reduce_structure(setup)
     except ReductionError as exc:
-        return {"verdict": "NotReducible", "detail": str(exc)}, EXIT_FAIL
+        return {"verdict": "NotReducible", "detail": str(exc)}
     result = {
         "verdict": "Reduced",
         "invariants": [to_text(s) for s in setup.invariants],
         "bivector": [[to_text(e) for e in row] for row in reduced.rows],
         "meta": reduced.meta,
     }
-    return result, EXIT_PASS
+    return result
 
 
-def cmd_leaf(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_leaf(sc: Scenario, args, tol) -> dict:
     from .poisson import leaf_sample
 
     _need(sc.poisson, "poisson")
@@ -698,16 +694,15 @@ def cmd_leaf(sc: Scenario, args, tol) -> tuple[dict, int]:
         _write_cloud(out, cloud.points, cloud.words)
     drifts = cloud.diagnostics.get("casimirs", [])
     max_drift = worst_residual(d["max_drift"] for d in drifts)
-    passed = max_drift <= tol["casimir_drift"]
     result = {
         "seed_point": point,
         "n_points": len(cloud.points),
         "est_dimension": cloud.est_dimension,
         "max_casimir_drift": max_drift,
         "diagnostics": cloud.diagnostics,
-        "passed": passed,
+        "passed": max_drift <= tol["casimir_drift"],
     }
-    return result, EXIT_PASS if passed else EXIT_FAIL
+    return result
 
 
 def _acs_fields(sc: Scenario, args) -> list[TangentField]:
@@ -718,7 +713,7 @@ def _acs_fields(sc: Scenario, args) -> list[TangentField]:
     return [sc.field(nm) for nm in names]
 
 
-def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
+def cmd_acs(sc: Scenario, args, tol) -> dict:
     j = _need(sc.acs, "acs")
     # usage errors exit 2 before any sampling, whatever J squares to
     if args.check == "torsion":
@@ -742,10 +737,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
     pts = _box_points(sc, args.points, args.seed)
     square = j.square_residual(pts)
     if square > tol["square"]:
-        return (
-            {"verdict": "NotAlmostComplex", "square_residual": square},
-            EXIT_FAIL,
-        )
+        return {"verdict": "NotAlmostComplex", "square_residual": square}
     if args.check == "torsion":
         n = torsion(j, fx, fy)
         result = {
@@ -758,7 +750,7 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
         if point is not None:
             result["point"] = point
             result["value"] = _value_at(n, point)
-        return result, EXIT_PASS
+        return result
     if args.check == "cr":
         resid = cauchy_riemann_residual(j, flds, f, h, pts)
         result = {
@@ -769,15 +761,15 @@ def cmd_acs(sc: Scenario, args, tol) -> tuple[dict, int]:
             "square_residual": square,
             "residual": resid,
         }
-        return result, EXIT_PASS
+        return result
     try:
         rep = kahler_check(j, sc.omega, flds, pts, tol=tol["kahler"])
     except DegenerateError as exc:
-        return {"verdict": "Degenerate", "detail": str(exc)}, EXIT_FAIL
+        return {"verdict": "Degenerate", "detail": str(exc)}
     result = asdict(rep)
     result["check"] = "kahler"
     result["fields"] = [x.label for x in flds]
-    return result, EXIT_PASS if rep.passed else EXIT_FAIL
+    return result
 
 
 # Dispatch -----------------------------------------------------------------------
@@ -936,7 +928,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise CliError(f"--out {args.out!r}: {args.command} writes {' or '.join(writes)} files")
         sc = load_scenario(args.scenario)
         tol = {k: overrides.get(k, sc.tolerances.get(k, v)) for k, v in read.items()}
-        result, code = _COMMANDS[args.command][1](sc, args, tol)
+        result = _COMMANDS[args.command][1](sc, args, tol)
         report = {
             "command": args.command,
             "scenario": {"name": sc.name, "sha256": sc.sha256},
@@ -953,7 +945,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         sys.stderr.write(_error_line(exc))
         return EXIT_USAGE
-    return code
+    failed = result.get("passed") is False or result.get("verdict", result.get("classification")) in FAILURES
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 def _error_line(exc: Exception) -> str:

@@ -552,8 +552,8 @@ def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], ho
     Python floats, clipped to [-horizon, horizon], on the kernel that keeps
     its samples as ``keep`` says (see ``_kernel``)."""
     horizon = float(horizon)
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if horizon / MAX_SAMPLE_DT > 2**53:  # past 2^53 a float no longer counts the scanned points exactly
         raise IntegrationError(f"horizon {horizon} is more than 2^53 sample spacings of {MAX_SAMPLE_DT}")
     if keep != "drift":  # a drift kernel's space is the stratum whose slack it folds, not one it tests

@@ -336,8 +336,6 @@ class _MergeIndex:
     points' spacing, has no ``collect``.
     """
 
-    side = 4.0 * MERGE_RADIUS
-
     def __init__(self, n: int, radius: float = MERGE_RADIUS, side: Optional[float] = None):
         self.radius = radius
         self.side = 4.0 * radius if side is None else side

@@ -54,6 +54,21 @@ def full_envelope(text: str, scenario: str) -> str:
     return canonical_json(report) + "\n"
 
 
+# The verdicts, or a classify report's classifications, of a certified
+# failure, spelled out here so that a report's exit code is checked from the
+# report alone
+FAILING_VERDICTS = ("NotVectorField", "PreconditionFailed", "NotReducible", "NotAlmostComplex", "Degenerate")
+
+
+def exit_code_of(report: dict) -> int:
+    """The exit code the result of ``report`` calls for: 1 where its
+    ``passed`` is false or its verdict or classification is one of
+    ``FAILING_VERDICTS``, else 0."""
+    result = report["result"]
+    return int(result.get("passed") is False or result.get("verdict") in FAILING_VERDICTS
+               or result.get("classification") in FAILING_VERDICTS)
+
+
 def make_field(label: str, comps: list[str], n: int) -> TangentField:
     return TangentField(label, [parse(c, n) for c in comps])
 

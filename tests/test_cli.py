@@ -21,7 +21,7 @@ import subcart
 from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
 
-from conftest import full_envelope, scenario_path
+from conftest import exit_code_of, full_envelope, scenario_path
 from test_imports import KAHLER_INF, KAHLER_NAN, OVERFLOW_EXIT, _fresh
 
 
@@ -224,6 +224,51 @@ def test_strata_declared_triviality_flag_echo(tmp_path, capsys):
     code, rep, _ = run(capsys, "strata", "--scenario", str(p), "--check", "frontier")
     assert code == 0
     assert rep["result"]["declared_locally_trivial"] is True
+
+
+def _plane_strata(tmp_path, strata: list) -> str:
+    """A scenario file of the whole plane, the box [-1, 1]^2 and ``strata``,
+    each a name, its cells as (expr, rel) pairs and its dimension."""
+    doc = {"name": "plane", "space": {"ambient_dim": 2, "cells": [[]]}, "fields": {},
+           "strata": [{"name": name, "dim": dim,
+                       "cells": [[{"expr": e, "rel": r} for e, r in cell] for cell in cells]}
+                      for name, cells, dim in strata],
+           "box": [[-1.0, -1.0], [1.0, 1.0]]}
+    p = tmp_path / "plane.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_strata_frontier_violation_exits_1(tmp_path, capsys):
+    # the axis touches the closed quadrant at x1 >= 0 only, so every axis
+    # sample at x1 < 0 violates the frontier condition
+    p = _plane_strata(tmp_path, [("axis", [[("x2", "eq0")]], 1),
+                                 ("quadrant", [[("x1", "gt0"), ("x2", "gt0")]], 2),
+                                 ("rest", [[("x1", "leq0"), ("x2", "gt0")], [("x2", "lt0")]], 2)])
+    code, rep, _ = run(capsys, "strata", "--scenario", p, "--check", "frontier")
+    res = rep["result"]
+    assert code == 1 and res["passed"] is False
+    assert res["coverage_failures"] == res["disjointness_failures"] == []
+    assert len(res["frontier_violations"]) == 21
+    for v in res["frontier_violations"]:
+        (x1, x2), d = v["point"], v["distance"]
+        assert (v["m"], v["n"]) == ("axis", "quadrant") and x2 == 0.0
+        # the distance is a sampled upper estimate of the exact one
+        assert d > 1e-4 and d >= max(0.0, -x1)
+
+
+def test_strata_coverage_and_overlap_failures_exit_1(tmp_path, capsys):
+    # nothing covers 0 <= x2 <= 0.5, and the band lies inside low
+    p = _plane_strata(tmp_path, [("high", [[("x2 - 0.5", "gt0")]], 2),
+                                 ("low", [[("x2", "lt0")]], 2),
+                                 ("band", [[("x2 + 0.5", "gt0"), ("x2", "lt0")]], 2)])
+    code, rep, _ = run(capsys, "strata", "--scenario", p, "--check", "frontier")
+    res = rep["result"]
+    assert code == 1 and res["passed"] is False
+    assert len(res["coverage_failures"]) == 27
+    assert all(f["strata"] == [] and 0.0 <= f["point"][1] <= 0.5 for f in res["coverage_failures"])
+    assert len(res["disjointness_failures"]) == 119
+    assert all({"low", "band"} <= set(f["strata"]) for f in res["disjointness_failures"])
 
 
 def test_strata_precondition_failure(capsys):
@@ -1381,8 +1426,10 @@ def test_readme_examples_with_one_flag_value_replaced_end_with_an_exit_code(tmp_
             for value in _FLAG_VALUES:
                 mutant = argv[:i + 1] + [value] + argv[i + 2:]
                 code = main(mutant)
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 assert code in (0, 1, 2) and "Traceback" not in err and "internal error:" not in err, (mutant, err)
+                if code != 2:  # the report alone gives the exit code
+                    assert exit_code_of(json.loads(out)) == code, mutant
                 codes[code] += 1
                 parsed += not err.startswith("usage:")
     assert sum(codes.values()) == len(_FLAG_VALUES) * sum(a.startswith("--") for argv in examples for a in argv)

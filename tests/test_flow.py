@@ -22,6 +22,7 @@ from subcart.flow import (
     IntegrationError,
     ProbeOptions,
     classify_vector_field,
+    drift,
     flow_map,
     integrate,
     transport_vector,
@@ -191,9 +192,12 @@ def test_a_time_that_is_not_finite_is_refused_before_any_step(t):
         flow_map(plane, rot, [1.0, 0.0], t)
     with pytest.raises(ValueError, match=f"finite, got {t}"):
         transport_vector(plane, rot, t, [1.0, 0.0], [0.0, 1.0])
-    # an infinite horizon is more sample spacings than a float counts
-    with pytest.raises(IntegrationError if t > 0 else ValueError, match=f"horizon {t} is|positive, got {t}"):
+    # a horizon that is not finite is bad input, not a stepper failure; a
+    # finite one past 2^53 sample spacings stays an IntegrationError
+    with pytest.raises(ValueError, match=f"horizon must be finite and positive, got {t}"):
         integrate(plane, rot, [1.0, 0.0], horizon=t)
+    with pytest.raises(ValueError, match=f"horizon must be finite and positive, got {t}"):
+        drift(plane, rot, [1.0, 0.0], t)
     assert time.perf_counter() - start < 1.0
 
 

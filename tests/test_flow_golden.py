@@ -27,7 +27,7 @@ from subcart.expr import compile_vector, diff
 from subcart.flow import FlowOptions, transport_vector
 from subcart.space import SubcartesianSpace
 
-from conftest import full_envelope, make_field, scenario_path
+from conftest import exit_code_of, full_envelope, make_field, scenario_path
 from test_flow import _hexes, _ref_drive
 
 # (name, argv with the scenario name in place of its path, exit code, sha256 of stdout)
@@ -151,6 +151,7 @@ def test_golden_report(capsys, tmp_path, name, argv, code, digest):
     for run in runs:
         assert main(run) == code
         out = capsys.readouterr().out
+        assert exit_code_of(json.loads(out)) == code
         assert _digest(out) == digest, out
         assert _digest(full_envelope(out, argv[at])) == FULL_ENVELOPE[name]
     if argv[0] == "flow":

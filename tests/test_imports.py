@@ -52,33 +52,49 @@ def _runs_at_import(body: list[ast.stmt]):
                 yield from _runs_at_import(getattr(node, field, []))
 
 
-def _numpy_imports(path: str) -> list[int]:
-    """The lines of ``path`` that import numpy, anywhere in the module."""
-    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
-
-
-def test_space_imports_numpy_nowhere():
-    # constraints are evaluated in IEEE arithmetic on Python floats, an
-    # overflow included, so membership, slack and sampling need no numpy
-    assert _numpy_imports("space.py") == []
-
-
-@pytest.mark.parametrize("path", ["almostcomplex.py", "poisson.py", "strata.py"])
-def test_symbolic_modules_import_numpy_nowhere(path):
-    # the Jacobi sample, the reduction's fit, the Kahler check and the
-    # frontier's distances run on Python floats
-    assert _numpy_imports(path) == []
-
-
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_module_imports_numpy_at_import_time(path):
     # nor later: every command runs on Python floats, so numpy is imported
     # nowhere, function bodies and ``if TYPE_CHECKING:`` blocks included
-    found = _numpy_imports(path)
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
     assert found == [], f"{path} imports numpy, line {found}"
+
+
+# the verdicts a report may carry that exit 0
+PASSING_VERDICTS = ("FixedPoint", "DependentBasis", "Chart", "Inconclusive", "Reduced")
+
+
+def _verdicts(tree: ast.AST) -> set[str]:
+    """The string values given to a "verdict" key in ``tree``, in a dict
+    display or by a subscript assignment."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            pairs = zip(node.keys, node.values)
+        elif isinstance(node, ast.Assign):
+            pairs = [(t.slice, node.value) for t in node.targets if isinstance(t, ast.Subscript)]
+        else:
+            continue
+        found |= {v.value for k, v in pairs if isinstance(k, ast.Constant) and k.value == "verdict"
+                  and isinstance(v, ast.Constant) and isinstance(v.value, str)}
+    return found
+
+
+def test_every_verdict_is_classified_as_failing_or_passing():
+    # main reads the exit code off the result, so a new verdict must say
+    # which it is, and a failure that no handler gives is stale
+    import subcart.cli as cli
+    from subcart.flow import NOT_VECTOR_FIELD
+
+    found = _verdicts(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+    assert found <= set(cli.FAILURES) | set(PASSING_VERDICTS), sorted(found - set(cli.FAILURES) - set(PASSING_VERDICTS))
+    assert not set(cli.FAILURES) & set(PASSING_VERDICTS)
+    assert NOT_VECTOR_FIELD == "NotVectorField" and "NotVectorField" in cli.FAILURES
+    # a classify report's classification, the one failure no handler spells
+    assert set(cli.FAILURES) - found == {NOT_VECTOR_FIELD} and set(PASSING_VERDICTS) <= found
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

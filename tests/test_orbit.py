@@ -35,6 +35,8 @@ from subcart.space import SubcartesianSpace
 
 from conftest import SCENARIO_DIR, halfline, make_field, punctured_plane, scenario_path, unit_circle
 
+_SIDE = _MergeIndex(1).side  # the cell side of an index at the default radius
+
 REPLAY_TOL = 1e-6
 
 
@@ -307,7 +309,7 @@ def test_merge_index_on_cell_boundaries(lattice, offset_cells):
     # switches), pairs at exactly the radius (2 steps); offsets near 2^50
     # cells are where the quotients round to a quarter or an eighth of a
     # cell, which they do because the radius is not a power of 2
-    side = _MergeIndex.side
+    side = _SIDE
     pts = [np.array([offset_cells * side + v * side / 8 for v in p]) for p in lattice]
     _check_merges(pts)
 
@@ -320,17 +322,17 @@ def test_merge_index_exact_radius_and_far_list():
     # a grid candidate finds a point at |x / side| = 2^50 on the far list;
     # there a float step is just under the radius
     edge = _MergeIndex(1)
-    far = 2.0**50 * _MergeIndex.side
+    far = 2.0**50 * _SIDE
     for x in [far] + [float(10 * i) for i in range(5)]:
         _add(edge, [x])
     below = math.nextafter(far, 0.0)
     alone = _MergeIndex(1)  # below goes on the grid, not to the far list
     _add(alone, [below])
-    assert alone.far == [] and alone.cells == {(math.floor(below / _MergeIndex.side),): [0]}
+    assert alone.far == [] and alone.cells == {(math.floor(below / _SIDE),): [0]}
     assert edge.far == [0]
     assert _merges(edge, [below]) and _ref_merges(np.array([[far]]), np.array([below]))
     assert not _merges(edge, [math.nextafter(below, 0.0)])
-    assert edge.far == [0] and (math.floor(math.nextafter(below, 0.0) / _MergeIndex.side),) in edge.cells
+    assert edge.far == [0] and (math.floor(math.nextafter(below, 0.0) / _SIDE),) in edge.cells
 
 
 @settings(max_examples=200, deadline=None)
@@ -422,7 +424,7 @@ def test_merge_with_a_nan_in_the_cloud_never_merges(counted):
 
 
 def test_merge_of_an_off_grid_candidate_scans_every_point(counted):
-    far = 2.0**51 * _MergeIndex.side
+    far = 2.0**51 * _SIDE
     index = counted(2)
     got = _feed(index, [[0.0, 0.0], [far, 0.0], [far, 0.0], [math.nextafter(far, 0.0), 0.0], [0.0, -far],
                         [1e-7, 0.0]])

@@ -11,12 +11,13 @@ component or a fitted bivector shows up here.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from subcart.cli import main
 
-from conftest import full_envelope, scenario_path
+from conftest import exit_code_of, full_envelope, scenario_path
 
 _POINT4 = "--point=0.3,-0.2,0.5,0.1"
 
@@ -87,5 +88,6 @@ def test_golden_report(capsys, name, argv, code, digest):
     argv[at] = scenario_path(argv[at])
     assert main(argv) == code
     out = capsys.readouterr().out
+    assert exit_code_of(json.loads(out)) == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
     assert hashlib.sha256(full_envelope(out, argv[at]).encode("utf-8")).hexdigest() == FULL_ENVELOPE[name]
