@@ -606,12 +606,16 @@ _exp = _or(math.exp, OverflowError, math.inf)
 
 
 def _pow(b: float, k: int) -> float:
-    """``b ** k``, or where Python's float ``**`` overflows, the infinity numpy
-    gives: -inf for a negative base and odd k, +inf otherwise."""
+    """``b ** k`` in IEEE arithmetic.  Python's float ``**`` raises
+    ``OverflowError`` where the power or the exponent is past the float
+    range; the power is then NaN, inf, 1 or 0 as |b| is NaN, above, at or
+    below 1, with b's sign for odd k."""
     try:
         return b ** k
     except OverflowError:
-        return -math.inf if b < 0.0 and k % 2 else math.inf
+        m = abs(b)
+        r = m if m != m else math.inf if m > 1.0 else 1.0 if m == 1.0 else 0.0
+        return math.copysign(r, b) if k % 2 else r
 
 
 def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
@@ -689,8 +693,10 @@ def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str, ieee: boo
     ``coord.format(i)``: ``"_x[{}]"`` indexes the argument of a compiled
     function, ``"y{}"`` names the local y3 of a flow kernel.  ``memo`` maps
     the id of a node already emitted to its name, so a shared subtree is
-    computed once.  With ``ieee`` a power is ``_pow(b, k)``, which gives
-    inf where Python's float ``**`` raises ``OverflowError``."""
+    computed once.  A power is ``b ** k`` in Python's float arithmetic,
+    which raises ``OverflowError`` past the float range; with ``ieee`` it is
+    IEEE arithmetic, which raises nothing there: a square is the correctly
+    rounded product ``b * b`` and any other power ``_pow(b, k)``."""
     name = memo.get(id(e))
     if name is not None:
         return name
@@ -707,7 +713,8 @@ def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str, ieee: boo
             rhs = f"_div({_emit(e.left, memo, lines, coord, ieee)}, {_emit(e.right, memo, lines, coord, ieee)})"
         elif isinstance(e, Pow):
             base = _emit(e.base, memo, lines, coord, ieee)
-            rhs = f"_pow({base}, {e.exponent})" if ieee else f"{base} ** {e.exponent}"
+            rhs = (f"{base} ** {e.exponent}" if not ieee else f"{base} * {base}" if e.exponent == 2
+                   else f"_pow({base}, {e.exponent})")
         elif isinstance(e, Neg):
             rhs = f"-{_emit(e.operand, memo, lines, coord, ieee)}"
         elif isinstance(e, Fn):

@@ -33,8 +33,8 @@ space, so its memory does not grow with the horizon.
 A space with a cell of no constraints holds everywhere, so there nothing is
 tested, and a kernel that neither tests, stores nor folds has no scan.
 The scan's cell tests are the space's generated lines, which evaluate the
-constraints in IEEE arithmetic (``space._cells_test``), so a power that
-overflows Python's float ``**`` tests as inf.  On the first violation the
+constraints in IEEE arithmetic (``space._cells_test``), so a power past
+the float range tests as inf.  On the first violation the
 exit time is located by bisection on the dense output down to 1e-12 in
 time (``BISECT_TOL``), in a loop generated per space from the same cell
 tests (``SubcartesianSpace._bisect``).  Domain-guard failures inside the

@@ -26,10 +26,10 @@ check of ``strata`` folds the same slack lines inline in a flow kernel of
 its own use, "drift", which reads the stratum's slack at every scanned
 point of its curve and stores none of them.
 Constraints are evaluated in IEEE arithmetic: an overflow is an infinity,
-and an infinity's ``sin`` is NaN.  Python's float ``**`` alone raises
-``OverflowError`` there, so a cell whose test overflows is tested again, in
-the same generated function, with its powers spelled ``_pow``, which gives
-the infinity; only that rare path pays for it.
+and an infinity's ``sin`` is NaN.  A square is the correctly rounded
+product ``b * b`` and any other power ``_pow(b, k)``, never Python's float
+``**``, which alone would raise ``OverflowError``; so no line of a cell
+raises it, and each cell is emitted once.
 
 The Gauss-Newton projection onto a cell's equalities is generated the same
 way, one function per cell on its first projection: the equalities and
@@ -129,18 +129,17 @@ _MARGINS = {Rel.EQ: "-abs({})", Rel.GE: "{}", Rel.GT: "{}", Rel.LE: "-{}", Rel.L
 _CLOSED = {Rel.GT: Rel.GE, Rel.LT: Rel.LE}
 
 
-def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: str, coord: str,
-                 ieee: bool = False) -> list[str]:
-    """Lines that evaluate a cell's constraints in order, each followed by
-    ``check(constraint, value)``; the expressions share the emitter's memo,
-    so a common subtree is evaluated once.  ``coord`` spells the coordinates
-    and ``ieee`` the powers as in ``expr._emit``."""
+def _cell_source(cell: Cell, check: Callable[[Constraint, str], str], indent: str, coord: str) -> list[str]:
+    """Lines that evaluate a cell's constraints in order, in IEEE arithmetic
+    (``expr._emit`` with ``ieee``), each followed by ``check(constraint,
+    value)``; the expressions share the emitter's memo, so a common subtree
+    is evaluated once.  ``coord`` spells the coordinates as in ``_emit``."""
     memo: dict[int, str] = {}
     lines: list[str] = []
     src = []
     for c in cell:
         start = len(lines)
-        value = _emit(c.expr, memo, lines, coord, ieee)
+        value = _emit(c.expr, memo, lines, coord, ieee=True)
         src += [f"{indent}    {line}" for line in lines[start:]]
         src.append(f"{indent}    {check(c, value)}")
     return src
@@ -152,25 +151,20 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
 
     A cell's constraints are tested in order and the first failing one ends
     the cell (``break`` out of a ``while True`` that never loops); a
-    ``DomainError`` anywhere in the cell rules the cell out.  Where Python's
-    float ``**`` overflows, the cell is tested again with its powers
-    spelled ``_pow``, which gives the IEEE infinity.  Cells after the
-    first run only while ``_c`` is None, so the lines stay flat however
-    many cells and constraints there are.  Membership functions, the exit
-    bisection and the flow kernels' scans are all made of these lines.
+    ``DomainError`` anywhere in the cell rules the cell out, and no line
+    raises ``OverflowError`` (see ``_cell_source``).  Cells after the first
+    run only while ``_c`` is None, so the lines stay flat however many cells
+    and constraints there are.  Membership functions, the exit bisection
+    and the flow kernels' scans are all made of these lines.
     """
-    def test(cell: Cell, i: int, pad: str, ieee: bool) -> list[str]:
-        return [f"{pad}try:", f"{pad}    while True:",
-                *_cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", pad + " " * 4,
-                              coord, ieee),
-                f"{pad}        _c = {i}", f"{pad}        break", f"{pad}except _DomainError:", f"{pad}    pass"]
-
     src = []
     for i, cell in enumerate(cells):
         pad = indent + "    " * (i > 0)
         if i:
             src.append(f"{indent}if _c is None:")
-        src += [*test(cell, i, pad, False), f"{pad}except OverflowError:", *test(cell, i, pad + "    ", True)]
+        src += [f"{pad}try:", f"{pad}    while True:",
+                *_cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", pad + " " * 4, coord),
+                f"{pad}        _c = {i}", f"{pad}        break", f"{pad}except _DomainError:", f"{pad}    pass"]
     return src
 
 
@@ -215,22 +209,17 @@ def _slack_source(cells: Sequence[Cell], indent: str, coord: str) -> list[str]:
 
     Each cell folds its margins in order into its worst one, ``_w``, and the
     cells fold into the best, ``_b``; a NaN taken by either fold stays, and a
-    ``DomainError`` anywhere in a cell makes its margin -inf.  Where Python's
-    float ``**`` overflows, the cell's fold starts again with its powers
-    spelled ``_pow``, as in ``_cells_test``.
+    ``DomainError`` anywhere in a cell makes its margin -inf.  The margins
+    are evaluated in IEEE arithmetic, as in ``_cells_test``.
     """
-    def fold(cell: Cell, pad: str, ieee: bool) -> list[str]:
-        return [f"{pad}try:",
-                *_cell_source(cell, lambda c, v: f"_m = {_MARGINS[c.rel].format(v)}; "
-                              "_w = _m if _m < _w or _m != _m else _w", pad, coord, ieee),
-                f"{pad}except _DomainError:", f"{pad}    _w = -_inf"]
-
     src = [f"{indent}_b = -_inf"]
     for cell in cells:
         src.append(f"{indent}_w = _inf")
         if cell:
-            src += [*fold(cell, indent, False), f"{indent}except OverflowError:", f"{indent}    _w = _inf",
-                    *fold(cell, indent + "    ", True)]
+            src += [f"{indent}try:",
+                    *_cell_source(cell, lambda c, v: f"_m = {_MARGINS[c.rel].format(v)}; "
+                                  "_w = _m if _m < _w or _m != _m else _w", indent, coord),
+                    f"{indent}except _DomainError:", f"{indent}    _w = -_inf"]
         src.append(f"{indent}_b = _w if _w > _b or _w != _w else _b")
     return src
 

@@ -484,3 +484,26 @@ def test_non_finite_constants_print_as_literals_that_parse_back():
         assert isinstance(back, Const) and back.value == v
     back = parse(to_text(Const(math.nan)), 1)
     assert isinstance(back, Const) and math.isnan(back.value)
+
+
+_BIG = 10**400  # an exponent past the float range: float(_BIG) overflows
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal with the same sign, a zero's included, or both NaN."""
+    return a != a and b != b or a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("base, k, want", [
+    # past the float range, |b| below, at and above 1 give 0, 1 and inf
+    (0.5, _BIG, 0.0), (-0.5, _BIG, 0.0), (-0.5, _BIG + 1, -0.0), (0.0, _BIG, 0.0), (-0.0, _BIG + 1, -0.0),
+    (1.0, _BIG, 1.0), (-1.0, _BIG, 1.0), (-1.0, _BIG + 1, -1.0),
+    (2.0, _BIG, math.inf), (-2.0, _BIG, math.inf), (-2.0, _BIG + 1, -math.inf),
+    (math.inf, _BIG, math.inf), (-math.inf, _BIG + 1, -math.inf), (math.nan, _BIG, math.nan),
+    # a power past the float range at an ordinary exponent
+    (1e200, 3, math.inf), (-1e200, 3, -math.inf), (-1e200, 4, math.inf),
+], ids=lambda v: {_BIG: "big", _BIG + 1: "big+1"}.get(v) if type(v) is int else None)
+def test_pow_is_ieee_where_float_power_overflows(base, k, want):
+    with pytest.raises(OverflowError):
+        base ** k
+    assert _same_float(expr_module._pow(base, k), want)

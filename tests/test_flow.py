@@ -836,8 +836,8 @@ def test_kernels_are_keyed_by_their_source():
 ], ids=["holds", "fails"])
 def test_kernel_tests_an_overflowing_cell_in_ieee_arithmetic(cells, velocity, bound):
     # (1e200 x1)^2 raises OverflowError on Python floats and is inf on numpy
-    # floats; the scan tests such a cell again with its powers spelled _pow,
-    # and the reference tests every point on numpy floats
+    # floats; the scan squares by product, which is inf there too, and the
+    # reference tests every point on numpy floats
     space = SubcartesianSpace(2, [[Constraint(parse(e, 2), rel) for e, rel in cell] for cell in cells])
     fld = make_field("f", velocity, 2)
     opts = FlowOptions()
@@ -860,7 +860,7 @@ def test_kernel_tests_an_overflowing_cell_in_ieee_arithmetic(cells, velocity, bo
             else:
                 _assert_quiet_matches(got, want, keep)
     assert want[2] is False and want[6][-1] == bound  # the last target exits there
-    assert "except OverflowError:" in space._scan_key and "_pow(" in space._scan_key
+    assert "**" not in space._scan_key and "except OverflowError" not in space._scan_key
 
 
 def test_second_cli_run_compiles_no_kernel(capsys):

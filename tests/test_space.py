@@ -8,6 +8,8 @@ import io
 import math
 import random
 import warnings
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,8 @@ from subcart.expr import (
 )
 import subcart.poisson
 from subcart import cli
-from subcart.flow import ATTAINED_FACTOR
+from subcart import expr as expr_module
+from subcart.flow import ATTAINED_FACTOR, _driver_source
 from subcart.space import (
     BALL_TRIES,
     BOX_TRIES,
@@ -732,8 +735,8 @@ def test_generated_membership_at_band_edges(rel, value, tol):
 
 def test_membership_where_float_power_overflows():
     # Python's float ** raises OverflowError where numpy's gives inf; the cell
-    # is tested again with its powers in IEEE arithmetic, and an array's
-    # scalars print no RuntimeWarning
+    # squares by product, which is inf there too, and an array's scalars
+    # print no RuntimeWarning
     plane, disk = punctured_plane(), disk_line()
     huge = [1e200, 1e200]
     with warnings.catch_warnings():
@@ -749,3 +752,54 @@ def test_membership_where_float_power_overflows():
     for p in ([0.5, 0.5], [0.0, 0.0], [1e-200, 0.0], [3.0, -4.0], [1e150, 1e150]):
         assert plane.contains(p) == plane.contains(np.array(p))
         assert disk.member_cell(p) == disk.member_cell(np.array(p))
+
+
+def test_a_power_past_the_float_range_is_ieee_in_membership():
+    # float(k) overflows for this k, so Python's float ** raises at any base;
+    # 0.5^k is 0 and 2^k is inf
+    k = "1" + "0" * 400
+    space = SubcartesianSpace(1, [[Constraint(parse(f"1 - x1^{k}", 1), Rel.GE)]])
+    assert space.contains([0.5]) and space.contains([-1.0]) and space.slack([0.5]) == 1.0
+    assert not space.contains([2.0]) and space.slack([-2.0]) == -math.inf
+
+
+def test_constraint_squares_are_correctly_rounded_products():
+    # Python's float ** calls the C library's pow, which may misround a
+    # square; a constraint squares by product, which IEEE rounds correctly.
+    # Where the library rounds every draw correctly, none is misrounded
+    rng = random.Random(41)
+    misrounded: list[float] = []
+    for _ in range(1_000_000):
+        x = rng.uniform(-3.0, 3.0)
+        if x ** 2 != x * x:
+            misrounded.append(x)
+            if len(misrounded) == 20:
+                break
+    square = SubcartesianSpace(1, [[Constraint(parse("x1^2", 1), Rel.GE)]])
+    for x in misrounded + [rng.uniform(-3.0, 3.0) for _ in range(100)]:
+        value = square.slack([x])  # the margin of one >= constraint is its value
+        assert value.hex() == (x * x).hex() and value == float(Fraction(x) ** 2), x
+
+
+def _generated_source(f) -> str:
+    return next(src for (_, src), g in expr_module._FUNCTIONS.items() if g is f)
+
+
+def _kernel_constraint_lines(components, cells, keep) -> Counter:
+    """The lines the cells add to a flow kernel: its source less that of the
+    same kernel with nothing to test, or, for a drift, with no constraint."""
+    bare = [()] if keep == "drift" else None
+    return (Counter(_driver_source(components, cells, keep).splitlines())
+            - Counter(_driver_source(components, bare, keep).splitlines()))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in Path(SCENARIO_DIR).glob("*.json")))
+def test_constraint_sources_hold_no_float_power(name):
+    sc = cli.load_scenario(scenario_path(name))
+    for space in [sc.space] + [s.space for s in (sc.stratified.strata if sc.stratified else ())]:
+        sources = [_generated_source(f) for f in (space._first_cell, space._slack, space._bisect)]
+        for fld in sc.fields.values():
+            for keep in ("store", "count", None, "drift"):
+                sources.append("\n".join(_kernel_constraint_lines(fld.components, space.cells, keep)))
+        for src in sources:
+            assert "**" not in src and "except OverflowError" not in src

@@ -336,8 +336,8 @@ def _outcome(check, *args):
 
 
 @pytest.mark.parametrize("constraint, components, box_lo, box_hi", [
-    # x1^2 overflows on Python floats at every point, and is inf in IEEE
-    # arithmetic, on numpy's and in the fold's re-run with _pow alike
+    # x1^2 overflows Python's float ** at every point, and is inf in IEEE
+    # arithmetic, on numpy's floats and in the fold's product alike
     ("x1^2 - 1", ["0", "-1"], [1e160, 0.0], [2e160, 1.0]),
     # both powers overflow on Python floats once x2 leaves 0; on numpy's they
     # are inf, and inf - inf is NaN
