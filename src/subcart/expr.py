@@ -606,16 +606,22 @@ _exp = _or(math.exp, OverflowError, math.inf)
 
 
 def _pow(b: float, k: int) -> float:
-    """``b ** k`` in IEEE arithmetic.  Python's float ``**`` raises
-    ``OverflowError`` where the power or the exponent is past the float
-    range; the power is then NaN, inf, 1 or 0 as |b| is NaN, above, at or
-    below 1, with b's sign for odd k."""
+    """``b ** k`` in IEEE arithmetic, for an integer k >= 0.  Python's float
+    ``**`` raises ``OverflowError`` where the power or the exponent is past
+    the float range; the power is then NaN, inf, 1 or 0 as |b| is NaN,
+    above, at or below 1, with b's sign for odd k.  It also reads k as
+    float(k), which past 2^53 is even where k may be odd, so there the sign
+    is taken from k itself.  The magnitude is |b| ** float(k), which is 0, 1
+    or inf unless |b| is within about 1e-13 of 1; there it still carries the
+    rounding of float(k)."""
     try:
-        return b ** k
+        if k <= 2**53:
+            return b ** k
+        r = abs(b) ** k
     except OverflowError:
         m = abs(b)
         r = m if m != m else math.inf if m > 1.0 else 1.0 if m == 1.0 else 0.0
-        return math.copysign(r, b) if k % 2 else r
+    return math.copysign(r, b) if k % 2 else r
 
 
 def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):

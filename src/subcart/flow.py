@@ -12,12 +12,14 @@ numpy stepper, though numpy is not imported for it.  ``integrate``,
 field and space: a loop generated for that field, the space's cells and use
 of the samples (stored, counted, folded into a stratum's drift, or none),
 whose stages compute the field's components inline and whose scan tests the
-cells inline.  It is called with the space, ``kernel(x0, target, opts,
-space)``, which bisects an exit.
+cells inline.  A constant component is a literal in every sum that reads it,
+which the compiler folds with the same floats the running sum would give.
+It is called with the space, ``kernel(x0, target, opts, space)``, which
+bisects an exit.
 ``transport_vector`` carries a vector on the kernel of the field's
 variational field on R^2n, the point followed by the vector its Jacobian
 carries, whose cell tests read the point alone.
-Kernels are compiled on first use (1-3.5 ms each on the shipped scenarios)
+Kernels are compiled on first use (1-3 ms each on the shipped scenarios)
 and kept for the process in one table keyed by the source they are made
 of, so a field or space built anew with the same content finds its kernel.
 Membership is monitored along every accepted step at evenly spaced points
@@ -69,7 +71,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence
 
 from .field import TangentField
-from .expr import _COMPILE_ENV, DomainError, Expr, _pairwise_sum, vector_source
+from .expr import _COMPILE_ENV, Const, DomainError, Expr, _const_source, _pairwise_sum, vector_source
 from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _slack_source, ball, sample
 
 DEFAULT_RTOL = 1e-9
@@ -285,7 +287,13 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # and a NaN or inf stage, sk = atol + rtol * np.maximum(|y|, |ynew|)
 # propagates NaN, and the norms sum like ``np.mean``.  The tableau's
 # coefficients A, E and D are written into the source as float literals by
-# ``repr``, so a stage reads constants, not globals.  The step-size factors
+# ``repr``, so a stage reads constants, not globals.  So is a component of the
+# field that is a constant (``_const_source``, in parentheses, so -0.0 stays
+# itself and inf and NaN are ``_inf`` and ``_nan``): the sums that read it
+# read the literal where another component reads its local k{s}_{i}, and no
+# local holds it.  The compiler folds a sum of literals into one float by
+# the IEEE operations, in the order, of the running kernel, so the floats
+# are the same.  The step-size factors
 # are conditional expressions that give what max(0.2, 0.9 * err**-0.2) and
 # min(10.0, 0.9 * err**-0.2) give, a NaN factor included; an accepted step
 # has err <= 1, so its factor is at least 0.9 and needs no floor of 0.2.
@@ -374,8 +382,7 @@ $errors
             raise IntegrationError(f"step {h} does not advance t={t}", t=t)
 $coeffs
 $scan
-        $y = $yn
-        $k1 = $k7
+$advance
         if landing:
             return _DriveResult(target, [$y], True, $kept, None, n_steps, n_samples)
         t = t + h
@@ -398,6 +405,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     ix = range(n)
     fold = keep == "drift"
     tests = cells is not None and not fold
+    moving = [i for i in ix if not isinstance(components[i], Const)]
 
     def sumsq(stem: str) -> str:
         return _pairwise_sum([f"{stem}{i} * {stem}{i}" for i in ix], lambda p, q: f"({p} + {q})", "0.0")
@@ -408,16 +416,22 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     def names(stem: str) -> str:  # the trailing comma makes a tuple of one name too
         return each(stem + "{i}") + ","
 
+    def slope(s: int, i: int) -> str:
+        """Stage value (s, i): the local k{s}_{i}, or the literal of a constant component."""
+        c = components[i]
+        return f"({_const_source(c.value)})" if isinstance(c, Const) else f"k{s}_{i}"
+
     def comb(coefs: Sequence[float], i: int) -> str:
-        return "0.0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in enumerate(coefs, 1))
+        return "0.0" + "".join(f" + {c!r} * {slope(j, i)}" for j, c in enumerate(coefs, 1))
 
     def stage(s: int, i: int) -> str:
         return f"y{i} + h * ({comb(_A[s - 1], i)})"
 
     def field(s: int, coord: str) -> list[str]:
-        """Lines that set k{s}_0.. to the field at the point coord names."""
+        """Lines that set k{s}_i to the field's component i at the point coord
+        names, for each component that is not a constant."""
         lines, values = vector_source(components, coord)
-        return lines + [f"k{s}_{i} = {v}" for i, v in enumerate(values)]
+        return lines + [f"k{s}_{i} = {values[i]}" for i in moving]
 
     def fold_drift(stamp: str) -> list[str]:
         """Lines that fold the violation max(0, -slack) at the point p0.. of
@@ -443,7 +457,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
                    f"s{i} = h * ({comb(_E, i)}) / (atol + rtol * (ya if ya > yb or ya != ya else yb))"]
     start = []
     for i in ix:
-        start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = k1_{i} / sk{i}"]
+        start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = {slope(1, i)} / sk{i}"]
 
     def grid_point(th: str, u: str, theta_in: str, passed: str, stamp: str) -> list[str]:
         """Lines that compute the scanned point at fraction th of the step (u
@@ -475,8 +489,8 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     scan = []
     if cells is not None or keep == "store":
         for i in ix:  # the dense coefficients, which only the scan and its exit read
-            coeffs += [f"yd{i} = yn{i} - y{i}", f"bs{i} = h * k1_{i} - yd{i}",
-                       f"q{i} = yd{i} - h * k7_{i} - bs{i}", f"r{i} = h * ({comb(_D, i)})"]
+            coeffs += [f"yd{i} = yn{i} - y{i}", f"bs{i} = h * {slope(1, i)} - yd{i}",
+                       f"q{i} = yd{i} - h * {slope(7, i)} - bs{i}", f"r{i} = h * ({comb(_D, i)})"]
         block = []
         for k in range(1, grid + 1):
             th = k / grid
@@ -503,9 +517,12 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
                              "n_samples = 0"]}[keep]
     if tests:
         samples.append("_tol = space.tol")
+    advance = [f"{names('y')} = {names('yn')}"]
+    if moving:
+        advance.append(" = ".join(", ".join(f"k{s}_{i}" for i in moving) + "," for s in (1, 7)))
     parts = dict(
-        n=n, y=names("y"), yn=names("yn"), k1=names("k1_"), k7=names("k7_"),
-        first=_indent(field(1, "y{}"), 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
+        n=n, y=names("y"), advance=_indent(advance, 8),
+        first=_indent(field(1, "y{}") or ["pass"], 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
         sumsq=sumsq("s"), scan=_indent(scan, 8), samples=_indent(samples, 4),
         kept="(_worst, _wt, _wp, _stop)" if fold else "samples",

@@ -507,3 +507,15 @@ def test_pow_is_ieee_where_float_power_overflows(base, k, want):
     with pytest.raises(OverflowError):
         base ** k
     assert _same_float(expr_module._pow(base, k), want)
+
+
+@pytest.mark.parametrize("base, k, want", [
+    # float(k) rounds these odd exponents to even ones, and Python's float **
+    # gives an even power's sign without raising
+    (-1.0, 2**53 + 1, -1.0), (-1.0, 10**300 + 1, -1.0), (-0.5, 10**300 + 1, -0.0), (-0.0, 2**53 + 1, -0.0),
+    # even exponents past 2^53 and powers that overflow keep their answers
+    (-1.0, 2**53 + 2, 1.0), (-0.5, 10**300, 0.0), (-2.0, 2**53 + 1, -math.inf), (-2.0, 2**53 + 2, math.inf),
+], ids=lambda v: {2**53 + 1: "2^53+1", 2**53 + 2: "2^53+2", 10**300: "1e300", 10**300 + 1: "1e300+1"}.get(v)
+    if type(v) is int else None)
+def test_pow_keeps_the_parity_of_an_exponent_past_2_53(base, k, want):
+    assert _same_float(expr_module._pow(base, k), want)

@@ -763,6 +763,15 @@ def test_a_power_past_the_float_range_is_ieee_in_membership():
     assert not space.contains([2.0]) and space.slack([-2.0]) == -math.inf
 
 
+def test_an_odd_power_past_2_53_keeps_the_sign_of_its_base_in_membership():
+    # float(k) is even for this odd k, so Python's float ** gives (-1)^k = 1
+    # and would reject -1, where x1^k + 0.5 = -0.5 holds
+    k = "1" + "0" * 299 + "1"
+    space = SubcartesianSpace(1, [[Constraint(parse(f"x1^{k} + 0.5", 1), Rel.LE)]])
+    assert space.contains([-1.0]) and space.slack([-1.0]) == 0.5
+    assert space.contains([-1.5]) and not space.contains([1.0]) and not space.contains([-0.5])
+
+
 def test_constraint_squares_are_correctly_rounded_products():
     # Python's float ** calls the C library's pow, which may misround a
     # square; a constraint squares by product, which IEEE rounds correctly.
