@@ -133,13 +133,21 @@ def _jacobi_source(n: int, schouten: list[Expr], flat: list[Expr], sym: list[Exp
     the right over scalar locals, each sum in index order: J^ijk h_k, then
     g_j, then f_i, and for each cyclic order (P+P^T)^yv h_v, then g_xy, P^ux
     and f_u.  A term with a symbolic zero of J, P or P + P^T is left out, and
-    so is every product it feeds."""
-    idx, body = range(n), []
+    so is every product it feeds; ``PoissonStructure._jacobi_exprs`` makes
+    each component whose exact normal form is 0 such a zero.  Only the
+    gradients, Hessian entries and offsets x - c that a term left in reads
+    are formed, so a bivector whose J and P + P^T are all zeros gives a loop
+    with no arithmetic and the residual 0.0."""
+    idx, body, read = range(n), [], set()
 
-    def let(name: str, pairs) -> Optional[str]:
-        """``name`` = the in-order sum of the products ``pairs`` without a None, or None."""
-        terms = [f"{a} * {b}" for a, b in pairs if a is not None and b is not None]
-        body.extend([f"{name} = {' + '.join(terms)}"] if terms else [])
+    def let(name: str, pairs, lines: list = body, lead: tuple = ()) -> Optional[str]:
+        """``name`` = ``lead`` and the in-order sum of the products ``pairs``
+        without a None, appended to ``lines``, or None for no term; every name
+        a term reads goes to ``read``."""
+        pairs = [pair for pair in pairs if None not in pair]
+        read.update(lead, *pairs)
+        terms = [*lead, *(f"{a} * {b}" for a, b in pairs)]
+        lines.extend([f"{name} = {' + '.join(terms)}"] if terms else [])
         return name if terms else None
 
     j, s = ([None if e.is_zero else e for e in part] for part in (schouten, sym))
@@ -156,24 +164,28 @@ def _jacobi_source(n: int, schouten: list[Expr], flat: list[Expr], sym: list[Exp
         v = [let(f"v{a}{x}", [(f"H{b}{x}_{y}", right[c][y]) for y in idx]) for x in idx]
         w = [let(f"w{a}{i}", [(pm[i * n + x], v[x]) for x in idx]) for i in idx]
         parts.append(let(f"s{a}", [(w[i], f"{a}{i}") for i in idx]))
-    # c{a}{m}: f's, g's or h's coefficient of monomial m
+    # c{a}{m}: f's, g's or h's coefficient of monomial m; the gradients a
+    # term reads, then the Hessian entries and offsets they or a term read
     head = [", ".join([f"c{i}" for i in idx] + [f"c{a}{m}" for a in "fgh" for m in range(len(monos))]) + ", = jet"]
-    grads = [f"e{i} = x{i} - c{i}" for i in idx]
+    hessian, grads = {}, []
     for a, i in product("fgh", idx):
-        terms = [f"c{a}{monos.index(tuple(int(k == i) for k in idx))}"]
+        pairs = []
         for m, exps in enumerate(monos):
             if sum(exps) == 2 and exps[i]:
                 k = i if exps[i] == 2 else next(k for k in idx if k != i and exps[k])
-                head.append(f"H{a}{i}_{k} = {'2.0 * ' if k == i else ''}c{a}{m}")
-                terms.append(f"H{a}{i}_{k} * e{k}")
-        grads.append(f"{a}{i} = {' + '.join(terms)}")
+                hessian[f"H{a}{i}_{k}"] = f"{'2.0 * ' if k == i else ''}c{a}{m}"
+                pairs.append((f"H{a}{i}_{k}", f"e{k}"))
+        if f"{a}{i}" in read:
+            let(f"{a}{i}", pairs, grads, (f"c{a}{monos.index(tuple(int(k == i) for k in idx))}",))
+    head += [f"{name} = {rhs}" for name, rhs in hessian.items() if name in read]
+    offsets = [f"e{i} = x{i} - c{i}" for i in idx if f"e{i}" in read]
     return "\n".join([
         "def _f(jets, points):",
         "    worst, at = -1.0, None",
         "    for ti, jet in enumerate(jets):",
         *(f"        {line}" for line in head),
         f"        for pk, ({''.join(f'x{i}, ' for i in idx)}) in enumerate(points[ti]):",
-        *(f"            {line}" for line in grads + lines + body),
+        *(f"            {line}" for line in offsets + grads + lines + body),
         f"            r = abs({' + '.join(p for p in parts if p is not None) or '0.0'})",
         "            if r > worst or r != r:",
         "                worst, at = r, (ti, pk)",

@@ -221,7 +221,7 @@ def pow_int(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value**k)
+        return Const(_power(base.value, k))
     return Pow(base, k)
 
 
@@ -605,23 +605,30 @@ def _or(f: Callable[[float], float], error: type, value: float) -> Callable[[flo
 _exp = _or(math.exp, OverflowError, math.inf)
 
 
+def _power(b: float, k: int) -> float:
+    """``b ** k`` in Python's float arithmetic, for an integer k >= 0, with
+    the sign of b^k.  Python's float ``**`` reads k as float(k), which past
+    2^53 is even where k may be odd, so there the sign is taken from k
+    itself.  The magnitude is |b| ** float(k), which is 0, 1 or inf unless
+    |b| is within about 1e-13 of 1; there it still carries the rounding of
+    float(k).  Raises ``OverflowError`` where ``**`` does."""
+    if k <= 2**53:
+        return b ** k
+    r = abs(b) ** k
+    return math.copysign(r, b) if k % 2 else r
+
+
 def _pow(b: float, k: int) -> float:
-    """``b ** k`` in IEEE arithmetic, for an integer k >= 0.  Python's float
-    ``**`` raises ``OverflowError`` where the power or the exponent is past
-    the float range; the power is then NaN, inf, 1 or 0 as |b| is NaN,
-    above, at or below 1, with b's sign for odd k.  It also reads k as
-    float(k), which past 2^53 is even where k may be odd, so there the sign
-    is taken from k itself.  The magnitude is |b| ** float(k), which is 0, 1
-    or inf unless |b| is within about 1e-13 of 1; there it still carries the
-    rounding of float(k)."""
+    """``_power(b, k)`` in IEEE arithmetic: where Python's float ``**``
+    raises ``OverflowError``, the power or the exponent being past the float
+    range, the power is NaN, inf, 1 or 0 as |b| is NaN, above, at or below
+    1, with b's sign for odd k."""
     try:
-        if k <= 2**53:
-            return b ** k
-        r = abs(b) ** k
+        return _power(b, k)
     except OverflowError:
         m = abs(b)
         r = m if m != m else math.inf if m > 1.0 else 1.0 if m == 1.0 else 0.0
-    return math.copysign(r, b) if k % 2 else r
+        return math.copysign(r, b) if k % 2 else r
 
 
 def _pairwise_sum(a: list, add: Callable = operator.add, zero=0.0):
@@ -674,6 +681,7 @@ _COMPILE_ENV = {
     "_cos": _or(math.cos, ValueError, math.nan),
     "_exp": _exp,
     "_pow": _pow,
+    "_power": _power,
     "_tanh": math.tanh,
     "_div": _guard_div,
     "_log": _guard_log,
@@ -700,7 +708,8 @@ def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str, ieee: boo
     function, ``"y{}"`` names the local y3 of a flow kernel.  ``memo`` maps
     the id of a node already emitted to its name, so a shared subtree is
     computed once.  A power is ``b ** k`` in Python's float arithmetic,
-    which raises ``OverflowError`` past the float range; with ``ieee`` it is
+    which raises ``OverflowError`` past the float range, or ``_power(b, k)``
+    past k = 2^53, where ``**`` loses the parity of k; with ``ieee`` it is
     IEEE arithmetic, which raises nothing there: a square is the correctly
     rounded product ``b * b`` and any other power ``_pow(b, k)``."""
     name = memo.get(id(e))
@@ -719,8 +728,9 @@ def _emit(e: Expr, memo: dict[int, str], lines: list[str], coord: str, ieee: boo
             rhs = f"_div({_emit(e.left, memo, lines, coord, ieee)}, {_emit(e.right, memo, lines, coord, ieee)})"
         elif isinstance(e, Pow):
             base = _emit(e.base, memo, lines, coord, ieee)
-            rhs = (f"{base} ** {e.exponent}" if not ieee else f"{base} * {base}" if e.exponent == 2
-                   else f"_pow({base}, {e.exponent})")
+            k = e.exponent
+            rhs = (f"{base} * {base}" if k == 2 else f"_pow({base}, {k})") if ieee else (
+                f"{base} ** {k}" if k <= 2**53 else f"_power({base}, {k})")
         elif isinstance(e, Neg):
             rhs = f"-{_emit(e.operand, memo, lines, coord, ieee)}"
         elif isinstance(e, Fn):

@@ -20,10 +20,10 @@ the triple and vanishes when P is antisymmetric.  The sum is the nested cyclic s
 path serves antisymmetric and other bivectors alike.  P needs only first
 derivatives: J, P, P + P^T and the contraction are generated once per
 structure, on the first Jacobi check, as one function on Python floats;
-a triple enters only through its second-order Taylor coefficients.  Where
-J and P + P^T are symbolic zeros or evaluate to exactly 0.0, as for the
-shipped Poisson bivectors with integer coefficients, the residual is
-exactly 0.0, at any finite scale whose gradients do not overflow.
+a triple enters only through its second-order Taylor coefficients.  A
+component of J or P + P^T whose exact polynomial normal form is 0 is not
+evaluated, so where all are, as for the shipped Poisson bivectors, the
+residual is exactly 0.0 at any scale.
 
 Reduction works with an explicit generating set of invariants sigma on a
 canonical ambient space: pairwise upstairs brackets are matched against
@@ -107,7 +107,15 @@ class PoissonStructure(ExprMatrix):
 
     @functools.cached_property
     def _jacobi_exprs(self) -> tuple[list[Expr], list[Expr], list[Expr]]:
-        """J^ijk, P^ij and (P + P^T)^ij, each flat in index order."""
+        """J^ijk, P^ij and (P + P^T)^ij, each flat in index order.  A
+        component of J or P + P^T whose exact polynomial normal form
+        (``poly.normal_form``) is 0 is ``ZERO``, which the Jacobi kernel
+        leaves out with every product it feeds: integer coefficients that
+        cancel, as in ``2*x1*4 + 2*x1*(-4)``, are pruned before any code is
+        generated.  A component past the normal form's caps is kept.  Built
+        on the first Jacobi check, not on loading."""
+        from .poly import normal_form
+
         n, p = self.dim, self.rows
         dp = [[gradient_exprs(e, n) for e in row] for row in p]
         schouten = []
@@ -117,6 +125,8 @@ class PoissonStructure(ExprMatrix):
             terms = [(a[l], b[l]) for l in range(n) for a, b in pairs if not (a[l].is_zero or b[l].is_zero)]
             schouten.append(dot([a for a, _ in terms], [b for _, b in terms]))
         sym = [add(p[i][j], p[j][i]) for i in range(n) for j in range(n)]
+        memo: dict = {}  # P and its derivatives are shared by many components
+        schouten, sym = ([ZERO if normal_form(e, n, memo) == {} else e for e in part] for part in (schouten, sym))
         return schouten, [e for row in p for e in row], sym
 
     @functools.cached_property

@@ -883,6 +883,43 @@ def test_poisson_passes_at_any_scale_where_the_jacobiator_vanishes(capsys):
     assert err == ""
 
 
+def test_poisson_passes_where_the_cancelling_jacobiator_overflowed_in_floats(capsys):
+    # at --scale 1e308 a term such as 2*s1*4 overflows to inf, and the
+    # Schouten component 2*s1*4 + 2*s1*(-4) was inf - inf: NaN, exit 2.  Its
+    # exact normal form is 0, so the Jacobi kernel no longer evaluates it
+    code, report, err = run(capsys, "poisson", "--scenario", scenario_path("reduction_r4"),
+                            "--triples", "3", "--points", "3", "--scale", "1e308")
+    assert (code, report["result"]["jacobi_residual"], report["result"]["passed"], err) == (0, 0, True, "")
+    # a Jacobiator that is not 0 still overflows there
+    code, report, err = run(capsys, "poisson", "--scenario", scenario_path("jacobi_control"),
+                            "--triples", "3", "--points", "3", "--scale", "1e308")
+    assert (code, report) == (2, {}) and "--scale" in err
+
+
+def _cap_scenario(entry: str) -> dict:
+    """A bivector on R^4 that breaks Jacobi, with ``entry`` at (1, 2)."""
+    rows = [["0"] * 4 for _ in range(4)]
+    rows[0][1], rows[1][0], rows[1][2], rows[2][1] = entry, f"-({entry})", "x3", "-x3"
+    return {"name": "cap", "space": {"ambient_dim": 4, "cells": [[]], "locally_closed": True},
+            "poisson": {"bivector": rows, "label": "cap"}}
+
+
+@pytest.mark.parametrize("entry, code, digest", [
+    ("(x1+x2+x3+x4)^30", 1, "f8dcdfa945a3296d4cdbb3db441bb14c9c75d49398cf02ee78dd692b4843eb8e"),
+    ("x1^9007199254740993", 0, "197a8d70cf5879ef475212a910a89d7ff4057086abb383f0e85bfaa946ef5fec"),
+])
+def test_poisson_past_the_normal_forms_caps_ends_with_the_bytes_it_had(tmp_path, entry, code, digest):
+    # expanding the first entry has 5,456 terms and the second a power with 2^53
+    # + 1 factors; past its degree cap the normal form answers "not
+    # polynomial" at once, so nothing the caps refuse is pruned and the
+    # report is the one of the float evaluation before the normal form existed
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(_cap_scenario(entry)))
+    proc = _cli_process("poisson", "--scenario", str(path), "--triples", "10", timeout=5)
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_poisson_reduce_flag_is_gone(capsys):
     # the reduction is the `reduce` subcommand
     code, report, err = run(capsys, "poisson", "--scenario", scenario_path("reduction_r4"),
@@ -892,13 +929,13 @@ def test_poisson_reduce_flag_is_gone(capsys):
     assert "unrecognized arguments: --reduce" in err
 
 
-def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+def _cli_process(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """The CLI in a child process, so stderr holds what a user would see,
     numpy's warnings included."""
     src = os.path.dirname(os.path.dirname(subcart.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "subcart", *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=env, timeout=timeout)
 
 
 def test_flow_from_overflowing_point_prints_one_line():

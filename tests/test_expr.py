@@ -41,6 +41,7 @@ from subcart.expr import (
     pow_int,
     sub,
     to_text,
+    vector_source,
 )
 
 FD_TOL = 1e-6
@@ -519,3 +520,31 @@ def test_pow_is_ieee_where_float_power_overflows(base, k, want):
     if type(v) is int else None)
 def test_pow_keeps_the_parity_of_an_exponent_past_2_53(base, k, want):
     assert _same_float(expr_module._pow(base, k), want)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(-1)^9007199254740993", -1.0), ("(-1)^9007199254740992", 1.0), ("(-1)^9007199254740994", 1.0),
+    ("(-0.5)^9007199254740993", -0.0), ("(-2)^3", -8.0), ("2^0", 1.0),
+])
+def test_a_folded_power_keeps_the_parity_of_its_exponent(text, want):
+    # Python's float ** reads 2^53 + 1 as the even 2^53
+    e = parse(text, 1)
+    assert isinstance(e, Const) and _same_float(e.value, want)
+
+
+@pytest.mark.parametrize("text", ["(-2)^9007199254740993", "10^400", "(-1.5)^2000"])
+def test_a_folded_power_past_the_float_range_is_still_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse(text, 1)
+
+
+def test_a_power_past_2_53_keeps_its_sign_and_its_overflow_in_generated_code():
+    # fields and the projection use Python's float arithmetic, where a power
+    # past the float range raises; only an exponent past 2^53 changes spelling
+    odd, even = parse("x1^9007199254740993", 1), parse("x1^9007199254740992", 1)
+    assert vector_source([even])[0] == ["_t0 = _x[0] ** 9007199254740992"]
+    f = compile_vector([odd, even])
+    assert f([-1.0]) == [-1.0, 1.0]
+    assert [math.copysign(1.0, v) for v in f([-0.5])] == [-1.0, 1.0]
+    with pytest.raises(OverflowError):
+        f([-2.0])

@@ -15,12 +15,19 @@ because coordinates have constant gradients and no second derivatives.
 Brackets: ``poisson.bracket`` and ``field.lie_bracket`` of random polynomial
 bivectors, functions and fields, against the same brackets built in sympy
 from the printed inputs.
+
+Normal form: ``poly.normal_form`` of every shipped scenario expression, and
+of the Schouten and P + P^T components the Jacobi check keeps, against
+``sympy.expand`` of the same text with each float made the rational number
+it is.  A component is pruned exactly where sympy expands it to 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcart.cli import load_scenario
-from subcart.expr import Const, Var, add, compile_scalar, diff, div, fn, mul, pow_int, sub, to_text
+from subcart.expr import Const, Var, add, compile_scalar, diff, div, fn, mul, parse, pow_int, sub, to_text
 from subcart.field import TangentField, lie_bracket
 from subcart.poisson import PoissonStructure, bracket
+from subcart.poly import normal_form
 
-from conftest import scenario_path
+from conftest import SCENARIO_DIR, scenario_path
 
 sympy = pytest.importorskip("sympy")
 
@@ -215,3 +223,107 @@ def test_lie_bracket_matches_sympy(comps, points):
         for gi, wi in zip(got.value(list(x)), want(*x)):
             wi = float(wi)
             assert abs(gi - wi) <= REL_TOL * max(1.0, abs(wi)), (str(x_field), str(y_field), x)
+
+
+# The exact normal form -------------------------------------------------------
+
+def _terms(e, xs):
+    """sympy's coefficients of ``e`` by exponent tuple, each float of ``e``
+    taken as the rational number it is; None where ``e`` is no polynomial."""
+    e = sympy.expand(e.xreplace({f: sympy.Rational(float(f)) for f in e.atoms(sympy.Float)}))
+    if not e.is_polynomial(*xs):
+        return None
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(e, *xs).terms() if c}
+
+
+def _fractions(p):
+    return None if p is None else {m: Fraction(c) for m, c in p.items()}
+
+
+_EXPRESSION_KEYS = ("expr", "fields", "bivector", "matrix", "omega", "generators", "casimirs")
+
+
+def _texts(node, inside: bool = False) -> list:
+    """The expression texts of a scenario document but its reduction block's."""
+    if isinstance(node, str):
+        return [node] if inside else []
+    if isinstance(node, list):
+        return [t for v in node for t in _texts(v, inside)]
+    if isinstance(node, dict):
+        return [t for k, v in node.items() if k != "reduction" for t in _texts(v, inside or k in _EXPRESSION_KEYS)]
+    return []
+
+
+def _shipped_expressions() -> list:
+    """(scenario, text, dimension, aliases) of every expression of the shipped scenarios."""
+    out = []
+    for path in sorted(Path(SCENARIO_DIR).glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        out += [(path.stem, t, doc["space"]["ambient_dim"], doc.get("aliases") or []) for t in _texts(doc)]
+        red = doc.get("reduction") or {"invariants": []}
+        out += [(path.stem, t, red["ambient_dim"], red.get("aliases") or []) for t in red["invariants"]]
+    return out
+
+
+_SHIPPED = _shipped_expressions()
+
+
+@pytest.mark.parametrize("name, text, n, aliases", _SHIPPED, ids=[f"{row[0]}-{i}" for i, row in enumerate(_SHIPPED)])
+def test_normal_form_of_every_shipped_expression_matches_sympy(name, text, n, aliases):
+    xs = sympy.symbols(f"x1:{n + 1}")
+    names = {f"x{i + 1}": x for i, x in enumerate(xs)} | dict(zip(aliases, xs))
+    assert _fractions(normal_form(parse(text, n, aliases), n)) == _terms(_to_sympy(text, names), xs)
+
+
+def test_the_shipped_expressions_reach_every_kind_of_answer():
+    answers = [normal_form(parse(text, n, aliases), n) for _, text, n, aliases in _SHIPPED]
+    assert len(_SHIPPED) > 100
+    assert None in answers and {} in answers  # 1/(1 + x1^2), and the zero entries
+    assert any(p and len(p) > 1 for p in answers)
+
+
+@pytest.mark.parametrize("text", ["(x1+x2+x3+x4)^30", "x1^9007199254740993", "(x1+x2+x3+x4)^12", "x1^7*x2^6",
+                                  "sin(x1) - sin(x1)", "x1/x2", "1e400*x1 - 1e400*x1"])
+def test_normal_form_refuses_what_is_past_its_caps_or_not_polynomial(text):
+    # 5,456 and 455 terms, degree 2^53 + 1 and 13; a function, a quotient by
+    # a variable and a constant that is not finite
+    assert normal_form(parse(text, 4), 4) is None
+
+
+# so(3)*: P^ij = eps_ijk x_k, a Lie-Poisson bivector; with a 0.1 on one
+# coordinate it is still Poisson, and the broken bivector with a 0.1 has a
+# Jacobiator with a coefficient that is no integer
+_BUILT = {
+    "so3": [["0", "x3", "-x2"], ["-x3", "0", "x1"], ["x2", "-x1", "0"]],
+    "so3-tenth": [["0", "0.1*x3", "-x2"], ["-0.1*x3", "0", "x1"], ["x2", "-x1", "0"]],
+    "jacobi_control-tenth": [["0", "0.1*x3", "0"], ["-0.1*x3", "0", "x2"], ["0", "-x2", "0"]],
+}
+
+
+def _structure(name: str):
+    """The symbols, sympy's bivector and the package's structure."""
+    if name not in _BUILT:
+        return (*_scenario_bivector(name), load_scenario(scenario_path(name)).poisson)
+    rows = _BUILT[name]
+    xs = sympy.symbols(f"x1:{len(rows) + 1}")
+    names = {f"x{i + 1}": x for i, x in enumerate(xs)}
+    return (xs, [[_to_sympy(t, names) for t in row] for row in rows],
+            PoissonStructure(len(rows), [[parse(t, len(rows)) for t in row] for row in rows]))
+
+
+@pytest.mark.parametrize("name", ["canonical_r2", "reduction_r4", "jacobi_control", *_BUILT])
+def test_jacobi_check_prunes_exactly_the_components_sympy_expands_to_zero(name):
+    xs, p, structure = _structure(name)
+    n = len(xs)
+    schouten, _, sym = structure._jacobi_exprs
+    # J^ijk is the Jacobiator of the coordinate triple (x_i, x_j, x_k)
+    want = [_sympy_bracket(xs, p, xs[i], _sympy_bracket(xs, p, xs[j], xs[k]))
+            + _sympy_bracket(xs, p, xs[j], _sympy_bracket(xs, p, xs[k], xs[i]))
+            + _sympy_bracket(xs, p, xs[k], _sympy_bracket(xs, p, xs[i], xs[j]))
+            for i, j, k in itertools.product(range(n), repeat=3)]
+    want += [p[i][j] + p[j][i] for i in range(n) for j in range(n)]
+    terms = [_terms(w, xs) for w in want]
+    assert [e.is_zero for e in schouten + sym] == [t == {} for t in terms]
+    assert [_fractions(normal_form(e, n)) for e in schouten + sym] == terms
+    kept = sum(not e.is_zero for e in schouten)
+    assert kept == {"jacobi_control": 6, "jacobi_control-tenth": 6}.get(name, 0)

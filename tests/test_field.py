@@ -36,6 +36,15 @@ def fd_bracket(x: TangentField, y: TangentField, p, h: float = 1e-6) -> np.ndarr
     return jy @ at(x, p) - jx @ at(y, p)
 
 
+def test_an_odd_power_past_2_53_keeps_its_sign():
+    # Python's float ** reads 2^53 + 1 as the even 2^53, which gave [1.0] at -1
+    f = make_field("odd", ["x1^9007199254740993"], 1)
+    assert f.value([-1.0]) == [-1.0]
+    assert f.value([1.0]) == [1.0]
+    with pytest.raises(OverflowError):  # which the CLI reports as bad input
+        f.value([-2.0])
+
+
 def test_field_basics():
     f = make_field("rot", ["-x2", "x1"], 2)
     assert f.dim == 2

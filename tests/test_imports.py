@@ -39,6 +39,27 @@ def test_expr_alone_loads_no_numpy_and_no_other_module():
     assert loaded == ["subcart", "subcart.expr"]
 
 
+def test_poly_imports_only_the_standard_library_and_is_not_loaded_by_the_cli():
+    # the exact normal form is loaded on the first Jacobi check, and needs
+    # nothing beyond expr and the standard library
+    loaded = json.loads(_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import subcart.poly\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'subcart'"
+        " or m.split('.')[0] not in sys.stdlib_module_names)))"
+    ))
+    assert loaded == ["subcart", "subcart.expr", "subcart.poly"]
+    scenarios = sorted(str(p) for p in (SRC / "scenarios").glob("*.json"))
+    assert _fresh(
+        "import sys\n"
+        "from subcart.cli import load_scenario\n"
+        f"for path in {scenarios!r}:\n"
+        "    load_scenario(path)\n"
+        "print('subcart.poly' in sys.modules)"
+    ).split() == ["False"]
+
+
 def _runs_at_import(body: list[ast.stmt]):
     """The statements of ``body`` that run when the module is imported: those
     of module and class bodies and the blocks inside them, but no function
@@ -138,7 +159,7 @@ def _subcart_modules(node: ast.stmt) -> set[str]:
 _ON_FIRST_USE = {
     "almostcomplex.py": {"dense"},
     "cli.py": {"dense", "flow", "orbit", "poisson", "strata"},
-    "poisson.py": {"dense", "flow", "orbit"},
+    "poisson.py": {"dense", "flow", "orbit", "poly"},
     "strata.py": {"dense", "flow", "orbit"},
 }
 
@@ -277,8 +298,9 @@ _ADDED_MODULES = [
     ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "2"], 0, []),
     # the loader imports poisson to build a poisson block and strata a strata block
     # the Jacobi kernel, the reduction's fit and the frontier's nearest
-    # cloud point are in dense
-    ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["dense", "poisson"]),
+    # cloud point are in dense; the Jacobi check prunes the components of
+    # the Schouten bracket whose exact normal form (poly) is 0
+    ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["dense", "poisson", "poly"]),
     ("reduction_r4", ["reduce"], 0, ["dense", "poisson"]),
     ("cone", ["strata", "--check", "frontier"], 0, ["dense", "strata"]),
     # the malformed commands of the three benchmark workloads: each exits 2

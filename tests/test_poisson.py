@@ -253,6 +253,17 @@ def test_jacobi_kernel_is_built_on_first_check():
     assert p._jacobi_kernel is kernel
 
 
+@pytest.mark.parametrize("name", ["reduction_r4", "canonical_r2"])
+def test_a_vanishing_jacobiator_leaves_no_arithmetic_in_the_kernel(name):
+    # every J and P + P^T component has the exact normal form 0, so no
+    # gradient, Hessian entry or offset x - c is formed
+    p = scenario_structure(name)
+    lines = [line.strip() for line in dense._jacobi_source(p.dim, *p._jacobi_exprs, monomials(p.dim, 2)).splitlines()]
+    start = next(i for i, line in enumerate(lines) if line.endswith("= jet"))
+    assert lines[start + 1].startswith("for pk, ")
+    assert lines[start + 2 : start + 4] == ["r = abs(0.0)", "if r > worst or r != r:"]
+
+
 def test_jacobi_tensors_of_the_broken_bivector():
     # J^123 is the Jacobiator of the coordinate triple, x3 here
     j, pm, sym = (np.array(t).reshape(2, 3, *[3] * d) for t, d in zip(
