@@ -1,7 +1,8 @@
 """Dense float routines, loaded by the commands that run them: a Jacobi
-rotation, symmetric eigenvalues, a least-squares fit and generated Jacobi and
-nearest-point kernels.  Every sum is exactly rounded or in a fixed order, so
-results are the same on every machine without numpy."""
+rotation, symmetric eigenvalues, singular values and ranks, a least-squares
+fit and generated Jacobi and nearest-point kernels.  Every sum is exactly
+rounded or in a fixed order, so results are the same on every machine
+without numpy."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
 
-from .expr import Expr, _define, _pairwise_sum, vector_source
+from .expr import Expr, _define, _norm, _pairwise_sum, vector_source
 from .space import _solve
 
 _SWEEPS = 30  # a bound on Jacobi sweeps; quadratic convergence needs a handful
@@ -21,7 +22,7 @@ _SWEEPS = 30  # a bound on Jacobi sweeps; quadratic convergence needs a handful
 def _rotation(p: float, q: float, r: float) -> tuple[float, float]:
     """(c, s) of the Jacobi rotation (Jacobi 1846) that zeroes the
     off-diagonal r != 0 of [[p, r], [r, q]]: columns a, b become c a - s b and
-    s a + c b, as ``orbit._singular_values`` rotates them."""
+    s a + c b, as ``_singular_values`` rotates them."""
     z = (q - p) / (r + r)
     t = math.copysign(1.0, z) / (abs(z) + math.sqrt(1.0 + z * z))
     c = 1.0 / math.sqrt(1.0 + t * t)
@@ -48,6 +49,68 @@ def _smallest_eigenvalue(a: list[list[float]]) -> float:
         if not rotated:
             break
     return min(a[i][i] for i in range(m))
+
+
+# the range of a matrix's largest magnitude, and of the square root of its
+# sum of squares, in which its singular values are taken unscaled: squares
+# of values down to 1e-60 of the largest stay normal, none overflows
+_MAGNITUDES = (2.0**-300, 2.0**300)
+
+
+def _rank_of(s: list[float], tol: float) -> int:
+    """The number of singular values s, largest first, above tol times the largest."""
+    return 0 if s[0] <= 0.0 else sum(v > tol * s[0] for v in s)
+
+
+def _rank(columns: list[list[float]], tol: float) -> int:
+    """``_rank_of`` the matrix with these columns, lists of floats, or -1
+    where an entry is not finite.  Its singular values are taken at the power
+    of 2 that puts its largest magnitude in [0.5, 1), which scales every one
+    alike and exactly, so none overflows where the matrix is near the
+    largest float."""
+    flat = [v for c in columns for v in c]
+    if not all(map(math.isfinite, flat)):
+        return -1
+    e = math.frexp(max(map(abs, flat)))[1]
+    return _rank_of(_singular_values([[math.ldexp(v, -e) for v in c] for c in columns]), tol)
+
+
+def _singular_values(columns: Sequence[Sequence[float]]) -> list[float]:
+    """The singular values, largest first, of the matrix with these columns,
+    lists of finite floats: as many as its smaller dimension.
+
+    One-sided Jacobi (Hestenes 1958): pairs of columns, of the transpose
+    where columns outnumber rows, are rotated until every pair is orthogonal
+    to ``len * eps``; the singular values are then the column norms.  It
+    takes small singular values at least as accurately as LAPACK's
+    bidiagonal route (Demmel and Veselic 1992).  A matrix whose largest
+    magnitude is out of ``_MAGNITUDES`` is scaled by a power of 2 first, and
+    the values back.  Where the columns are already orthogonal no rotation
+    is made, so diag(1, x) gives exactly 1 and |x|.
+    """
+    cols = [list(c) for c in (zip(*columns) if len(columns) > len(columns[0]) else columns)]
+    top = max(abs(v) for c in cols for v in c)
+    if top == 0.0:
+        return [0.0] * len(cols)
+    e = 0 if _MAGNITUDES[0] <= top <= _MAGNITUDES[1] else math.frexp(top)[1]
+    if e:
+        cols = [[math.ldexp(v, -e) for v in c] for c in cols]
+    cutoff = len(cols[0]) * sys.float_info.epsilon
+    for _ in range(_SWEEPS):
+        rotated = False
+        for i, j in combinations(range(len(cols)), 2):
+            a, b = cols[i], cols[j]
+            p, q = _pairwise_sum([x * x for x in a]), _pairwise_sum([y * y for y in b])
+            r = _pairwise_sum([x * y for x, y in zip(a, b)])
+            if abs(r) <= cutoff * math.sqrt(p) * math.sqrt(q):
+                continue
+            c, s = _rotation(p, q, r)
+            cols[i] = [c * x - s * y for x, y in zip(a, b)]
+            cols[j] = [s * x + c * y for x, y in zip(a, b)]
+            rotated = True
+        if not rotated:
+            break
+    return sorted((math.ldexp(_norm(c), e) for c in cols), reverse=True)
 
 
 def _min_norm_fits(cols: list[list[float]], rhss: list[list[float]]) -> list[list[float]]:

@@ -50,7 +50,7 @@ class Expr:
     and lives as long as the node.
     """
 
-    __slots__ = ("_mask", "_diffs", "_compiled")
+    __slots__ = ("_mask", "_diffs")
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -780,14 +780,9 @@ def _function(lines: list[str], result: str, name: str) -> Callable:
 
 
 def compile_scalar(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Compile to a fast callable, kept on the node for the next call."""
-    cached = getattr(e, "_compiled", None)
-    if cached is not None:
-        return cached
+    """Compile to a fast callable, found by its source after the first call."""
     lines, (result,) = vector_source([e])
-    f = _function(lines, result, "<expr>")
-    object.__setattr__(e, "_compiled", f)
-    return f
+    return _function(lines, result, "<expr>")
 
 
 def compile_vector(exprs: Sequence[Expr]) -> Callable[[Sequence[float]], list[float]]:

@@ -24,10 +24,10 @@ import random
 import sys
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dense import _SWEEPS, _rotation
+from .dense import _MAGNITUDES, _rank, _rank_of, _singular_values
 from .expr import DomainError, _define, _norm, _pairwise_sum, compile_vector
 from .field import RANK_TOL, TangentField, _unevaluable, _value_at
 from .flow import (
@@ -163,76 +163,12 @@ def span_dimensions(
     return dims
 
 
-# the range of a matrix's largest magnitude, and of the square root of its
-# sum of squares, in which its singular values are taken unscaled: squares
-# of values down to 1e-60 of the largest stay normal, none overflows
-_MAGNITUDES = (2.0**-300, 2.0**300)
-
-
-def _rank_of(s: list[float], tol: float) -> int:
-    """The number of singular values s, largest first, above tol times the largest."""
-    return 0 if s[0] <= 0.0 else sum(v > tol * s[0] for v in s)
-
-
-def _rank_rescaled(v: list[float], tol: float, rank: Callable[[list[float], float], int]) -> int:
-    """``rank`` of the flat values v whose sum of squares is out of the
-    squares of ``_MAGNITUDES``: -1 if one is not finite, 0 if all are 0,
-    else the rank of v scaled by the power of 2 that puts its largest
-    magnitude in [0.5, 1), which scales every singular value alike and
-    exactly."""
-    if not all(map(math.isfinite, v)):
-        return -1
-    top = max(map(abs, v))
-    if top == 0.0:
-        return 0
-    e = math.frexp(top)[1]
-    return rank([math.ldexp(x, -e) for x in v], tol)
-
-
-def _singular_values(columns: Sequence[Sequence[float]]) -> list[float]:
-    """The singular values, largest first, of the matrix with these columns,
-    lists of finite floats: as many as its smaller dimension.
-
-    One-sided Jacobi (Hestenes 1958): pairs of columns, of the transpose
-    where columns outnumber rows, are rotated until every pair is orthogonal
-    to ``len * eps``; the singular values are then the column norms.  It
-    takes small singular values at least as accurately as LAPACK's
-    bidiagonal route (Demmel and Veselic 1992).  A matrix whose largest
-    magnitude is out of ``_MAGNITUDES`` is scaled by a power of 2 first, and
-    the values back.  Where the columns are already orthogonal no rotation
-    is made, so diag(1, x) gives exactly 1 and |x|.
-    """
-    cols = [list(c) for c in (zip(*columns) if len(columns) > len(columns[0]) else columns)]
-    top = max(abs(v) for c in cols for v in c)
-    if top == 0.0:
-        return [0.0] * len(cols)
-    e = 0 if _MAGNITUDES[0] <= top <= _MAGNITUDES[1] else math.frexp(top)[1]
-    if e:
-        cols = [[math.ldexp(v, -e) for v in c] for c in cols]
-    cutoff = len(cols[0]) * sys.float_info.epsilon
-    for _ in range(_SWEEPS):
-        rotated = False
-        for i, j in combinations(range(len(cols)), 2):
-            a, b = cols[i], cols[j]
-            p, q = _pairwise_sum([x * x for x in a]), _pairwise_sum([y * y for y in b])
-            r = _pairwise_sum([x * y for x, y in zip(a, b)])
-            if abs(r) <= cutoff * math.sqrt(p) * math.sqrt(q):
-                continue
-            c, s = _rotation(p, q, r)
-            cols[i] = [c * x - s * y for x, y in zip(a, b)]
-            cols[j] = [s * x + c * y for x, y in zip(a, b)]
-            rotated = True
-        if not rotated:
-            break
-    return sorted((math.ldexp(_norm(c), e) for c in cols), reverse=True)
-
-
 @functools.cache
 def _rank_kernel(n: int, m: int) -> Callable[[list[float], float], int]:
     """The rank of n x m value matrices (``_rank_source``), generated on
     first use and kept for the process."""
     return _define(_rank_source(n, m), f"<rank n={n} m={m}>", sqrt=math.sqrt, copysign=math.copysign,
-                   rescaled=_rank_rescaled, jacobi=_singular_values, rank_of=_rank_of)
+                   rank=_rank, jacobi=_singular_values, rank_of=_rank_of)
 
 
 def _rank_source(n: int, m: int) -> str:
@@ -242,11 +178,11 @@ def _rank_source(n: int, m: int) -> str:
 
     The k = min(n, m) columns of the matrix, or of its transpose, are
     scalar locals.  Where their sum of squares is out of the squares of
-    ``_MAGNITUDES``, ``_rank_rescaled`` scales them.  One column's rank is
-    1, or 0 where tol is 1 or more.  Two columns take one closed-form Jacobi
-    rotation, after which their norms are the singular values.  Three or
-    more take a modified Gram-Schmidt that settles rank k - 1 where it is
-    certain:
+    ``_MAGNITUDES``, ``dense._rank`` takes the rank, -1 where an entry is
+    not finite.  One column's rank is 1, or 0 where tol is 1 or more.  Two
+    columns take one closed-form Jacobi rotation, after which their norms
+    are the singular values.  Three or more take a modified Gram-Schmidt
+    that settles rank k - 1 where it is certain:
     s_k <= |R_kk| + d, s_(k-1) >= s_(k-1) of the leading k - 1 columns >=
     the product of their R_ii over their Frobenius norm to the power k - 2,
     less d, and cmax <= s_1 <= |A|_F, with cmax the largest column norm and
@@ -261,13 +197,16 @@ def _rank_source(n: int, m: int) -> str:
     def col(c) -> list[str]:
         return [f"a{c}_{i}" for i in range(size)]
 
+    columns = f"[{', '.join('[' + ', '.join(col(c)) + ']' for c in range(k))}]"
+
     def dot(x: list[str], y: list[str]) -> str:  # the pairwise sum, without adding its first term to 0.0
         terms = [f"{a} * {b}" for a, b in zip(x, y)]
         return _pairwise_sum(terms, lambda s, t: t if s is None else f"({s} + {t})", None)
 
     body = [f"{', '.join(names)}, = v", *(f"p{c} = {dot(col(c), col(c))}" for c in range(k)),
             f"f2 = {' + '.join(f'p{c}' for c in range(k))}",
-            f"if not ({_MAGNITUDES[0] ** 2!r} < f2 < {_MAGNITUDES[1] ** 2!r}):", "    return rescaled(v, tol, _f)"]
+            f"if not ({_MAGNITUDES[0] ** 2!r} < f2 < {_MAGNITUDES[1] ** 2!r}):",
+            f"    return rank({columns}, tol)"]
     if k == 1:
         body += ["s1 = sqrt(p0)", "return int(s1 > tol * s1)"]
     elif k == 2:
@@ -302,7 +241,7 @@ def _rank_source(n: int, m: int) -> str:
             f"if r{k - 1} + d <= tol * sqrt(max({', '.join(f'p{c}' for c in range(k))})) "
             f"and {low} - d > tol * sqrt(f2):", f"    return {k - 1}"]),
             "except ZeroDivisionError:  # a column in the span of those before it", "    pass",
-            f"return rank_of(jacobi([{', '.join('[' + ', '.join(col(c)) + ']' for c in range(k))}]), tol)"]
+            f"return rank_of(jacobi({columns}), tol)"]
     return "def _f(v, tol):\n" + "".join(f"    {line}\n" for line in body)
 
 

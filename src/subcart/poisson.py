@@ -353,7 +353,7 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
                 f"({to_text(sigma[a])!r}, {to_text(sigma[b])!r}) is not expressible "
                 f"in the invariants up to degree {setup.degree}: fit residual {fit:.3e}"
             )
-        # an all-zero row gives the shared ZERO, whose compiled function is kept on it
+        # an all-zero row gives the shared ZERO
         kept = [(c, exps) for c, exps in zip(coef, monos) if c != 0.0]
         pair_exprs[(a, b)] = dot([Const(c) for c, _ in kept], [_monomial_expr(exps) for _, exps in kept])
 

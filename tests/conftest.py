@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+from pathlib import Path
 
 import pytest
 
 from subcart.expr import parse
-from subcart.report import canonical_json
 from subcart.field import TangentField
 from subcart.space import Constraint, Rel, SubcartesianSpace
 
@@ -24,34 +24,20 @@ def scenario_path(name: str) -> str:
     return f"{SCENARIO_DIR}/{name}.json"
 
 
-# Every tolerance and its default, as each report echoed them before a report
-# held only the tolerances its command reads
-ALL_TOLERANCES = {"rtol": 1e-9, "atol": 1e-12, "rank": 1e-8, "completeness": 1e-6, "antisymmetry": 1e-12,
-                  "jacobi": 1e-8, "casimir_drift": 1e-6, "frontier": 1e-4, "drift": 1e-8, "kahler": 1e-8,
-                  "fit": 1e-10, "certify": 1e-10, "square": 1e-10}
+# The golden reports, one file a report holding the bytes the CLI printed; a
+# report that moves on purpose is written again by the CLI itself, with
+# ``--out tests/golden/<name>.json``
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def full_envelope(text: str, scenario: str) -> str:
-    """The report ``text`` of a run on the scenario file ``scenario`` as the
-    CLI printed it when every report echoed every tolerance and a seed: the
-    defaults, then the scenario's tolerances, under those echoed; the seed,
-    0 for a command that takes none; and the result's own copies of them,
-    ``frontier_tol`` of a frontier check, ``drift_tol`` of a tangency check
-    and ``rng_seed`` in the diagnostics of an orbit sample."""
-    with open(scenario, encoding="utf-8") as fh:
-        tolerances = dict(ALL_TOLERANCES, **json.load(fh).get("tolerances", {}))
-    report = json.loads(text)
-    tolerances.update(report["tolerances"])
-    report["tolerances"] = tolerances
-    seed = report.setdefault("seed", 0)
-    result = report["result"]
-    if "frontier_violations" in result:
-        result["frontier_tol"] = tolerances["frontier"]
-    if "max_drift" in result:
-        result["drift_tol"] = tolerances["drift"]
-    if report["command"] in ("orbit", "leaf"):
-        result["diagnostics"]["rng_seed"] = seed
-    return canonical_json(report) + "\n"
+def assert_golden(out: str, name: str) -> None:
+    """The report ``out`` is the golden report ``name``: first as JSON, for a
+    failure that shows the values that moved, then byte for byte, for the
+    spelling of each float and the sign of zero.  The file is read as bytes,
+    so no line end is translated."""
+    golden = (GOLDEN_DIR / f"{name}.json").read_bytes().decode("utf-8")
+    assert json.loads(out) == json.loads(golden), name
+    assert out == golden, name
 
 
 # The verdicts, or a classify report's classifications, of a certified

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -20,8 +21,9 @@ import pytest
 import subcart
 from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
+from subcart.report import canonical_json
 
-from conftest import exit_code_of, full_envelope, scenario_path
+from conftest import GOLDEN_DIR, assert_golden, exit_code_of, scenario_path
 from test_imports import KAHLER_INF, KAHLER_NAN, OVERFLOW_EXIT, _fresh
 
 
@@ -904,20 +906,29 @@ def _cap_scenario(entry: str) -> dict:
             "poisson": {"bivector": rows, "label": "cap"}}
 
 
-@pytest.mark.parametrize("entry, code, digest", [
-    ("(x1+x2+x3+x4)^30", 1, "f8dcdfa945a3296d4cdbb3db441bb14c9c75d49398cf02ee78dd692b4843eb8e"),
-    ("x1^9007199254740993", 0, "197a8d70cf5879ef475212a910a89d7ff4057086abb383f0e85bfaa946ef5fec"),
-])
-def test_poisson_past_the_normal_forms_caps_ends_with_the_bytes_it_had(tmp_path, entry, code, digest):
+# The golden reports of a bivector past each of the normal form's caps, by
+# name: the entry at (1, 2) and the exit code
+CAPS = {
+    "poisson-cap-power_30": ("(x1+x2+x3+x4)^30", 1),
+    "poisson-cap-power_2p53": ("x1^9007199254740993", 0),
+}
+
+
+def _cap_argv(tmp_path, name: str) -> list[str]:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_cap_scenario(CAPS[name][0])))
+    return ["poisson", "--scenario", str(path), "--triples", "10"]
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_poisson_past_the_normal_forms_caps_ends_with_the_bytes_it_had(tmp_path, name):
     # expanding the first entry has 5,456 terms and the second a power with 2^53
     # + 1 factors; past its degree cap the normal form answers "not
     # polynomial" at once, so nothing the caps refuse is pruned and the
     # report is the one of the float evaluation before the normal form existed
-    path = tmp_path / "cap.json"
-    path.write_text(json.dumps(_cap_scenario(entry)))
-    proc = _cli_process("poisson", "--scenario", str(path), "--triples", "10", timeout=5)
-    assert proc.returncode == code
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    proc = _cli_process(*_cap_argv(tmp_path, name), timeout=5)
+    assert proc.returncode == CAPS[name][1]
+    assert_golden(proc.stdout, name)
 
 
 def test_poisson_reduce_flag_is_gone(capsys):
@@ -995,8 +1006,7 @@ def test_overflowing_flow_imports_no_numpy_in_a_fresh_interpreter(tmp_path, caps
     ))
     assert (before, after) == (False, False)
     assert (code, out) == run_bytes(capsys, *argv)
-    assert hashlib.sha256(full_envelope(out, argv[2]).encode()).hexdigest() == (  # the report of the numpy retry
-        "a56b6706cad299e06c5d5999f33c60a7fc790a9c374d2999793b9df56b61b232")
+    assert_golden(out, "flow-overflow_exit")  # the report the numpy retry printed
 
 
 # Near the origin of the box the squares are tiny, further out each product
@@ -1305,23 +1315,33 @@ def test_infinite_literal_in_a_constraint(tmp_path, capsys):
 
 # Repeated in-process calls and the one-command parser -----------------------------
 
-def _golden_cases(tmp_path) -> list[list[str]]:
-    from test_flow_golden import GOLDEN as FLOW, _scenario
+def _golden_cases(tmp_path) -> dict[str, list[str]]:
+    """The argv of the run of every golden report, by the report's name; the
+    scenarios the tests write are written to ``tmp_path``."""
+    from test_flow import CLASSIFY_ONCE
+    from test_flow_golden import GOLDEN as FLOW, ORBIT_2000, _scenario
     from test_symbolic_golden import GOLDEN as SYMBOLIC
 
-    cases = []
-    for _, argv, _, _ in FLOW + SYMBOLIC:
-        argv = list(argv)
-        at = argv.index("--scenario") + 1
-        argv[at] = _scenario(tmp_path, argv[at])
-        cases.append(argv)
+    cases = {name: [_scenario(tmp_path, a) if i and argv[i - 1] == "--scenario" else a for i, a in enumerate(argv)]
+             for name, argv, *_ in FLOW + SYMBOLIC + CLASSIFY_ONCE + [ORBIT_2000]}
+    cases["flow-overflow_exit"] = _overflow_exit_argv(tmp_path)
+    cases.update((name, _cap_argv(tmp_path, name)) for name in CAPS)
     return cases
+
+
+def test_every_golden_file_is_read_and_canonical(tmp_path):
+    # an orphaned, hand-edited or pretty-printed golden fails here by name
+    texts = {path.stem: path.read_bytes().decode("utf-8") for path in GOLDEN_DIR.glob("*.json")}
+    assert sorted(texts) == sorted(_golden_cases(tmp_path))
+    for name, text in texts.items():
+        assert text.endswith("\n") and not text.endswith("\n\n"), name
+        assert canonical_json(json.loads(text)) + "\n" == text, name
 
 
 def test_in_process_calls_give_the_bytes_of_a_fresh_process(tmp_path, capsys):
     from concurrent.futures import ThreadPoolExecutor
 
-    cases = _golden_cases(tmp_path)
+    cases = list(_golden_cases(tmp_path).values())
     with ThreadPoolExecutor(max_workers=2) as pool:
         fresh = [(p.returncode, p.stdout, p.stderr) for p in pool.map(lambda a: _cli_process(*a), cases)]
     for order in (range(len(cases)), reversed(range(len(cases)))):
@@ -1329,6 +1349,59 @@ def test_in_process_calls_give_the_bytes_of_a_fresh_process(tmp_path, capsys):
             code = main(cases[i])
             out, err = capsys.readouterr()
             assert (code, out, err) == fresh[i], cases[i]
+
+
+def _other_cpythons() -> list[str]:
+    """The interpreters on PATH as python3.10 to python3.14 that start as a
+    CPython 3.10 or later other than the running one, one per ``sys.version``."""
+    probe = "import json, sys; print(json.dumps([sys.implementation.name, sys.version_info >= (3, 10), sys.version]))"
+    found = {}
+    for minor in range(10, 15):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            proc = subprocess.run([exe, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0:
+            name, recent, version = json.loads(proc.stdout)
+            if name == "cpython" and recent and version != sys.version:
+                found.setdefault(version, exe)
+    return list(found.values())
+
+
+# Run the golden commands in one interpreter, given their argv by name as JSON
+# on stdin, and print each report by name.
+_CHILD = """\
+import contextlib, io, json, sys
+from subcart.cli import main
+outs = {}
+for name, argv in json.load(sys.stdin).items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        main(argv)
+    outs[name] = out.getvalue()
+print(json.dumps(outs))
+"""
+
+
+def test_golden_reports_are_the_same_under_every_other_cpython(tmp_path):
+    # every report float is a Python float from the package's own sums, so
+    # no report may move with the interpreter; -S keeps site-packages, and
+    # so any third-party package, off the child's path
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10 or later starts from PATH as python3.10 to python3.14")
+    cases = _golden_cases(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(subcart.__file__)))
+    for exe in interpreters:
+        proc = subprocess.run([exe, "-S", "-c", _CHILD], input=json.dumps(cases), capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, (exe, proc.stderr)
+        outs = json.loads(proc.stdout)
+        assert sorted(outs) == sorted(cases)
+        for name, out in outs.items():
+            assert_golden(out, name)
 
 
 def _bracket_scenario(path, name: str, field: list[str]) -> None:

@@ -465,7 +465,7 @@ def test_nodes_compare_and_hash_by_identity():
 ], ids=lambda v: type(v).__name__ if isinstance(v, Expr) else v)
 def test_assigning_to_a_node_raises(node, attr):
     before = to_text(node)
-    for name in (attr, "_mask", "_compiled"):
+    for name in (attr, "_mask", "_diffs"):
         with pytest.raises(AttributeError, match="expressions are immutable"):
             setattr(node, name, 0)
     assert to_text(node) == before

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import glob
-import hashlib
 import json
 import math
 import random
@@ -37,7 +36,7 @@ from subcart.flow import (
 )
 from subcart.space import BALL_TRIES, Constraint, Rel, SubcartesianSpace, ball, sample
 
-from conftest import (SCENARIO_DIR, disk_line, full_envelope, halfline, make_field, punctured_plane, scenario_path,
+from conftest import (SCENARIO_DIR, assert_golden, disk_line, halfline, make_field, punctured_plane, scenario_path,
                       unit_circle)
 
 CLOSED_FORM_TOL = 1e-8
@@ -1041,12 +1040,19 @@ def test_no_kernel_source_names_a_tableau_global():
             assert repr(_A[6][2]) in source and repr(_E[4]) in source and repr(_D[6]) in source
 
 
-@pytest.mark.parametrize("name,field,seeds,code,digest", [
-    ("disk_line", "ddx", "default", 1, "9b78783aa89dc50282119064151efe2d0427db8db12c899dc081a742616c1380"),
-    ("halfline", "xddx", "default", 0, "5ef38ad5f72ff585c5762b1747bdd2ae809583565e4e3c256c3d22f1483c15ed"),
-    ("rotation_plane", "rot", "ring", 0, "7e577b21848ed16a21af26ed5fe80a9b6fb76a5e801315c24139895cf8e18150"),
-])
-def test_classify_drives_each_seed_once(monkeypatch, capsys, name, field, seeds, code, digest):
+# (name of the golden report, argv with the scenario name in place of its path, exit code)
+CLASSIFY_ONCE = [
+    ("classify-disk_line-ddx-default",
+     ["classify", "--scenario", "disk_line", "--field", "ddx", "--seeds", "default"], 1),
+    ("classify-halfline-xddx-default",
+     ["classify", "--scenario", "halfline", "--field", "xddx", "--seeds", "default"], 0),
+    ("classify-rotation_plane-rot-ring",
+     ["classify", "--scenario", "rotation_plane", "--field", "rot", "--seeds", "ring"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CLASSIFY_ONCE, ids=[c[0] for c in CLASSIFY_ONCE])
+def test_classify_drives_each_seed_once(monkeypatch, capsys, name, argv, code):
     # every level probes the seeds and its samples; a seed is driven at the
     # first level only, and the report is the one of driving it at each
     from subcart import flow
@@ -1061,13 +1067,11 @@ def test_classify_drives_each_seed_once(monkeypatch, capsys, name, field, seeds,
         return drawn[-1]
 
     monkeypatch.setattr(flow, "sample", counted)
-    argv = ["classify", "--scenario", scenario_path(name), "--field", field, "--seeds", seeds]
-    assert main(argv) == code
+    path = scenario_path(argv[2])
+    assert main([*argv[:2], path, *argv[3:]]) == code
     out = capsys.readouterr().out
-    # the digest of the report with every tolerance and a seed, which the
-    # command echoed when the test was written
-    assert hashlib.sha256(full_envelope(out, scenario_path(name)).encode()).hexdigest() == digest
-    n_seeds = len(load_scenario(scenario_path(name)).seeds[seeds])
+    assert_golden(out, name)
+    n_seeds = len(load_scenario(path).seeds[argv[-1]])
     assert len(drives) == sum(map(len, drawn)) + n_seeds
     assert json.loads(out)["result"]["probes_run"] == sum(map(len, drawn)) + PROBE_LEVELS * n_seeds
 

@@ -587,6 +587,22 @@ def test_span_rank_matches_per_point_svd_on_planted_spans(n, m):
             assert span_dimensions(fam, [origin], tol_rank) == [_ref_rank(fam, origin, tol_rank)], (a, tol_rank)
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+def test_rank_kernel_is_minus_one_where_an_entry_is_not_finite_and_zero_where_all_are_zero(n, m):
+    # the branch past the squares of _MAGNITUDES, where an entry that is not
+    # finite sends span_dimensions to the FieldError of _value_at, and
+    # entries whose singular values would overflow still have a rank
+    rank = orbit._rank_kernel(n, m)
+    assert rank([0.0] * (n * m), 1e-8) == rank([-0.0] * (n * m), 1e-8) == 0
+    assert rank([1.5e308] * (n * m), 1e-8) == rank([-1.5e308] + [0.0] * (n * m - 1), 1e-8) == 1
+    for bad in (math.nan, math.inf, -math.inf):
+        for fill in (0.0, 1.0, 1e-200):
+            for at in range(n * m):
+                v = [fill] * (n * m)
+                v[at] = bad
+                assert rank(v, 1e-8) == -1, (bad, fill, at)
+
+
 def test_chart_singular_values_match_numpy():
     # a test-local reference: numpy's SVD of the chart's Jacobian, to 1e-15
     # relative on the shipped charts; on translate_shear the Jacobian is
