@@ -14,11 +14,12 @@ first use.  So ``import subcart.expr`` loads no other module.
 
 No module imports numpy, and no command needs it: constraints are
 evaluated in IEEE arithmetic by generated code on Python floats, an
-overflow included, and ranks, singular values, eigenvalues, fits and
-distances are Jacobi rotations, Gram-Schmidt, eliminations and pairwise
-sums on Python floats.  Every point the package hands back is a list of
-Python floats, ``flow_map``'s image among them, and the chart's
-Jacobians and ``matrix_at``'s values are lists of rows of Python floats.
+overflow included, ranks, singular values, eigenvalues and distances
+are Jacobi rotations, Gram-Schmidt, eliminations and pairwise sums on
+Python floats, and the reduction's table is exact.  Every point the
+package hands back is a list of Python floats, ``flow_map``'s image
+among them, and the chart's Jacobians and ``matrix_at``'s values are
+lists of rows of Python floats.
 """
 
 from __future__ import annotations

@@ -69,7 +69,6 @@ DEFAULT_TOLERANCES = {
     "frontier": (1e-4, "strata:frontier"),  # strata.FRONTIER_TOL
     "drift": (1e-8, "strata:tangency strata:orbits"),  # strata.DRIFT_TOL
     "kahler": (KAHLER_TOL, "acs:kahler"),
-    "fit": (1e-10, "reduce"),  # poisson.FIT_TOL
     "certify": (1e-10, "reduce"),  # poisson.CERTIFY_TOL
     "square": (1e-10, "acs:torsion acs:cr acs:kahler"),
 }
@@ -654,28 +653,19 @@ def cmd_reduce(sc: Scenario, args, tol) -> dict:
     from .poisson import PoissonStructure, ReductionError, ReductionSetup, reduce as reduce_structure
 
     red = _need(sc.reduction, "reduction")
-    ambient = red["ambient"]
-    if ambient is None:
-        ambient = PoissonStructure.canonical(red["ambient_dim"] // 2)
-    setup = ReductionSetup(
-        ambient=ambient,
-        invariants=tuple(red["invariants"]),
-        degree=red["degree"],
-        rng_seed=args.seed,
-        fit_tol=tol["fit"],
-        certify_tol=tol["certify"],
-    )
+    ambient = red["ambient"] or PoissonStructure.canonical(red["ambient_dim"] // 2)
+    setup = ReductionSetup(ambient=ambient, invariants=tuple(red["invariants"]), degree=red["degree"],
+                           rng_seed=args.seed, certify_tol=tol["certify"])
     try:
         reduced = reduce_structure(setup)
     except ReductionError as exc:
         return {"verdict": "NotReducible", "detail": str(exc)}
-    result = {
+    return {
         "verdict": "Reduced",
         "invariants": [to_text(s) for s in setup.invariants],
         "bivector": [[to_text(e) for e in row] for row in reduced.rows],
         "meta": reduced.meta,
     }
-    return result
 
 
 def cmd_leaf(sc: Scenario, args, tol) -> dict:

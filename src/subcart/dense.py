@@ -1,20 +1,17 @@
 """Dense float routines, loaded by the commands that run them: a Jacobi
-rotation, symmetric eigenvalues, singular values and ranks, a least-squares
-fit and generated Jacobi and nearest-point kernels.  Every sum is exactly
-rounded or in a fixed order, so results are the same on every machine
-without numpy."""
+rotation, symmetric eigenvalues, singular values and ranks, and generated
+Jacobi and nearest-point kernels.  Every sum is exactly rounded or in a
+fixed order, so results are the same on every machine without numpy."""
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 from .expr import Expr, _define, _norm, _pairwise_sum, vector_source
-from .space import _solve
 
 _SWEEPS = 30  # a bound on Jacobi sweeps; quadratic convergence needs a handful
 
@@ -111,78 +108,6 @@ def _singular_values(columns: Sequence[Sequence[float]]) -> list[float]:
         if not rotated:
             break
     return sorted((math.ldexp(_norm(c), e) for c in cols), reverse=True)
-
-
-def _min_norm_fits(cols: list[list[float]], rhss: list[list[float]]) -> list[list[float]]:
-    """The minimum-norm least-squares coefficients over the columns ``cols``
-    of each right side, as ``lstsq`` gives them, for entries below 2^500 in
-    size: corrected semi-normal equations (Bjorck 1996, section 6.6).  Each
-    column is scaled by the power of 2 that puts its norm in [0.5, 1), which
-    is exact, and one Cholesky of their Gram matrix with diagonal pivoting
-    stops where every pivot left is at most k eps; each column left over gives
-    a null vector, and a right side's fit less its projection on them is the
-    minimum-norm one.  Every dot is a ``math.fsum``, exactly rounded, so the
-    rank is the same on every machine."""
-    k, dot = len(cols), lambda u, v: math.fsum(map(operator.mul, u, v))
-    shifts = [math.frexp(math.sqrt(dot(c, c)))[1] for c in cols]
-    unit = [[math.ldexp(v, -e) for v in c] for c, e in zip(cols, shifts)]
-    g = [[0.0] * k for _ in range(k)]
-    for i, j in combinations_with_replacement(range(k), 2):
-        g[i][j] = g[j][i] = dot(unit[i], unit[j])
-    order, rank = list(range(k)), 0  # the column at each pivot position; the pivots taken
-    for r in range(k):
-        top = max(range(r, k), key=lambda i: g[i][i])
-        if not g[top][top] > k * sys.float_info.epsilon:
-            break
-        for row in (g, *g):  # rows, then columns
-            row[r], row[top] = row[top], row[r]
-        order[r], order[top] = order[top], order[r]
-        d = g[r][r] = math.sqrt(g[r][r])
-        for i in range(r + 1, k):
-            g[i][r] = g[r][i] = g[i][r] / d
-            for j in range(r + 1, i + 1):
-                g[i][j] = g[j][i] = g[i][j] - g[i][r] * g[j][r]
-        rank = r + 1
-    pivoted = [unit[i] for i in order[:rank]]
-
-    def fit(b: list[float]) -> list[float]:
-        """b's coefficients over ``cols``: a solve over the pivoted columns,
-        then corrections from the residual until one moves them by at most
-        sqrt(eps) of their size, unscaled; the rest 0."""
-        x = [0.0] * rank
-        for _ in range(5 if any(b) else 0):  # a zero side has zero coefficients
-            y: list[float] = []
-            for i in range(rank):  # L y = A^T b, then L^T y' = y
-                y.append((dot(pivoted[i], b) - dot(g[i][:i], y)) / g[i][i])
-            for i in reversed(range(rank)):
-                y[i] = (y[i] - dot(g[i][i + 1 : rank], y[i + 1 :])) / g[i][i]
-            x = [u + v for u, v in zip(x, y)]
-            if max(map(abs, y), default=0.0) <= 2.0**-26 * max(map(abs, x), default=0.0):
-                break
-            b = _residual(pivoted, b, y)
-        out = [0.0] * k
-        for r, i in enumerate(order[:rank]):
-            out[i] = math.ldexp(x[r], -shifts[i])
-        return out
-
-    # a dependent column less its fit over the pivoted ones is a null vector
-    nulls = [[u - float(i == d) for i, u in enumerate(fit(cols[d]))] for d in order[rank:]]
-    out = []
-    for b in rhss:
-        x = fit(b)
-        if nulls:
-            t = _solve([[dot(u, v) for v in nulls] for u in nulls], [dot(z, x) for z in nulls])
-            for tz, z in zip(t, nulls):
-                x = [u - tz * v for u, v in zip(x, z)]
-        out.append(x)
-    return out
-
-
-def _residual(cols: list[list[float]], b: list[float], x: list[float]) -> list[float]:
-    """b less the columns times x, a column at a time, those with x 0 left out."""
-    for col, v in zip(cols, x):
-        b = [u - v * c for u, c in zip(b, col)] if v else b
-    return b
 
 
 def _jacobi_source(n: int, schouten: list[Expr], flat: list[Expr], sym: list[Expr], monos: list) -> str:

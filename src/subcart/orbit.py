@@ -515,7 +515,8 @@ def chart_jacobian(
 ) -> Chart:
     """Build the chart differential at T=0 for the chosen basis fields.  A
     basis field undefined, overflowing or not finite at the basepoint is a
-    ``FieldError`` naming it, not a rank read off a NaN matrix."""
+    ``FieldError`` naming it, not a rank read off a NaN matrix; a singular
+    value past the largest float is an ``OrbitError``."""
     basis = tuple(int(b) for b in basis)
     if not basis:
         raise OrbitError("the chart basis is empty")
@@ -527,7 +528,10 @@ def chart_jacobian(
     family.space.require_member(x, "basepoint")
     x = [float(v) for v in x]
     cols = [_value_at(family.fields[b], x) for b in basis]
-    s = _singular_values(cols)
+    try:
+        s = _singular_values(cols)
+    except OverflowError:  # scaled back, a value past the largest float
+        raise OrbitError(f"a singular value of the basis fields at {x} is beyond the largest float") from None
     rank = _rank_of(s, tol_rank)
     if rank < len(basis):
         raise DependentBasisError(

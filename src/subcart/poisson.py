@@ -26,10 +26,10 @@ evaluated, so where all are, as for the shipped Poisson bivectors, the
 residual is exactly 0.0 at any scale.
 
 Reduction works with an explicit generating set of invariants sigma on a
-canonical ambient space: pairwise upstairs brackets are matched against
-polynomials in sigma by least squares over sampled points, integer-snapped,
-and certified on fresh samples.  The result is a bivector on sigma-space
-whose Hamiltonian dynamics mirror the invariant dynamics upstairs.
+canonical ambient space: pairwise upstairs brackets are solved for exactly
+as polynomials in sigma, and the table is replayed on sampled points.  The
+result is a bivector on sigma-space whose Hamiltonian dynamics mirror the
+invariant dynamics upstairs.
 
 ``invariance_residual`` pulls the bracket back through a Hamiltonian flow's
 derivative, which ``flow.transport_vector`` carries by the variational
@@ -49,6 +49,7 @@ from .expr import (
     Const,
     Expr,
     ExprMatrix,
+    ONE,
     Var,
     _define,
     _pairwise_sum,
@@ -62,7 +63,6 @@ from .expr import (
     gradient_exprs,
     max_var_index,
     mul,
-    neg,
     pow_int,
     to_text,
     ZERO,
@@ -75,12 +75,8 @@ if TYPE_CHECKING:
     from .flow import FlowOptions
     from .orbit import OrbitSample
 
-FIT_TOL = 1e-10
-SNAP_TOL = 1e-9
 CERTIFY_TOL = 1e-10
-# reduction fits on FIT_POINTS and certifies on CERTIFY_POINTS uniform
-# points of [-SAMPLE_SCALE, SAMPLE_SCALE]^n
-FIT_POINTS = 120
+# reduction certifies on CERTIFY_POINTS uniform points of [-SAMPLE_SCALE, SAMPLE_SCALE]^n
 CERTIFY_POINTS = 200
 SAMPLE_SCALE = 1.5
 JACOBI_DEGREE = 2  # the degree of the random polynomial triples of the Jacobi sample
@@ -277,21 +273,11 @@ def invariance_residual(
 # Reduction ---------------------------------------------------------------------
 
 def monomials(n_vars: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree <= degree, ordered by (degree, lex)."""
-    out: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        for exps in itertools.product(range(total + 1), repeat=n_vars):
-            if sum(exps) == total:
-                out.append(exps)
-    return out
-
-
-def _monomial_expr(exps: Sequence[int]) -> Expr:
-    e: Expr = Const(1.0)
-    for i, k in enumerate(exps):
-        if k:
-            e = mul(e, pow_int(Var(i), k))
-    return e
+    """Exponent tuples of total degree <= degree, ordered by (degree, lex):
+    those of a total are the gaps between n_vars - 1 bars placed among
+    total + n_vars - 1 slots, whose positions run in lex order too."""
+    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + n_vars - 1)))
+            for total in range(degree + 1) for bars in itertools.combinations(range(total + n_vars - 1), n_vars - 1)]
 
 
 @dataclass(frozen=True)
@@ -302,83 +288,92 @@ class ReductionSetup:
     invariants: tuple[Expr, ...]
     degree: int = 2
     rng_seed: int = 0
-    fit_tol: float = FIT_TOL
     certify_tol: float = CERTIFY_TOL
 
 
 def reduce(setup: ReductionSetup) -> PoissonStructure:
     """Bivector on invariant space reproducing the upstairs bracket table.
 
-    For each invariant pair the upstairs bracket is matched by least
-    squares against monomials in the invariants (minimum-norm solution on
-    the sampled image variety, ``dense._min_norm_fits``), snapped to nearby
-    integers, and certified on fresh sample points.  Pairs with no
-    representation within fit_tol are rejected by name; values at the fit
-    points not finite or beyond 2^500 are a ``PoissonError``.
-    """
-    from .dense import _min_norm_fits, _residual
+    The monomials in the invariants up to ``degree`` are composed from their
+    exact normal forms (``poly``), and one exact elimination (``poly.rref``)
+    solves each pair's upstairs bracket over them, a dependent monomial
+    taking 0.  A pair outside their span is rejected by name; the table is
+    replayed on ``CERTIFY_POINTS`` sample points, an independent float
+    check.  No normal form, a system past the caps and a replay value that
+    is not finite are a ``PoissonError``."""
+    from .poly import MAX_COLUMNS, _product, normal_form, rref
 
-    amb = setup.ambient
+    amb, n, degree = setup.ambient, setup.ambient.dim, setup.degree
     sigma = [as_expr(s) for s in setup.invariants]
     m = len(sigma)
     if m < 1:
         raise ReductionError("need at least one invariant")
     for s in sigma:
-        if max_var_index(s) >= amb.dim:
-            raise ReductionError(f"invariant {to_text(s)!r} uses a variable beyond x{amb.dim}")
-    draw = box(random.Random(setup.rng_seed), [-SAMPLE_SCALE] * amb.dim, [SAMPLE_SCALE] * amb.dim)
-    sigma_eval = compile_vector(sigma)
-    fit_points = [draw() for _ in range(FIT_POINTS)]
-    monos = monomials(m, setup.degree)
-    sig_cols = list(zip(*map(sigma_eval, fit_points)))  # each product in order, as numpy's prod takes it
-    factors = [[sig_cols[i] for i, e in enumerate(exps) for _ in range(e)] for exps in monos]
-    cols = [[math.prod(v) for v in zip(*f)] if f else [1.0] * FIT_POINTS for f in factors]
+        if max_var_index(s) >= n:
+            raise ReductionError(f"invariant {to_text(s)!r} uses a variable beyond x{n}")
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    upstairs = compile_vector([bracket(amb, sigma[a], sigma[b]) for a, b in pairs])
-    rhss = [list(r) for r in zip(*map(upstairs, fit_points))]
-    if not all(map((2.0**500).__gt__, map(abs, itertools.chain(*cols, *rhss)))):  # NaN included
-        raise PoissonError("a monomial of the invariants or a bracket is not finite or beyond 2^500 at a fit point")
+    brackets = [bracket(amb, sigma[a], sigma[b]) for a, b in pairs]
+    memo: dict = {}  # the brackets share the invariants, the bivector and their derivatives
+    forms = [normal_form(e, n, memo) for e in [*sigma, *itertools.chain(*amb.rows), *brackets]]
+    if None in forms:
+        names = [f"invariant {i + 1} ({to_text(s)!r})" for i, s in enumerate(sigma)] \
+            + [f"ambient bivector entry ({i + 1},{j + 1})" for i in range(n) for j in range(n)] \
+            + [f"the bracket of invariants {a + 1} and {b + 1}" for a, b in pairs]
+        raise PoissonError(f"{names[forms.index(None)]} has no exact polynomial normal form")
+    if (width := math.comb(m + degree, m)) + len(pairs) > MAX_COLUMNS:
+        raise PoissonError(f"{width} monomials of {m} invariants up to degree {degree} and "
+                           f"{len(pairs)} brackets are past the exact solve's {MAX_COLUMNS} columns")
+    monos = monomials(m, degree)
+    composed = {monos[0]: {(0,) * n: 1}}
+    for exps in monos[1:]:  # each from one of lower degree, times an invariant
+        i = next(i for i, k in enumerate(exps) if k)
+        composed[exps] = _product(composed[tuple(k - (j == i) for j, k in enumerate(exps))], forms[i])
+    if None in composed.values():
+        raise PoissonError(f"a monomial of the invariants up to degree {degree} is past the normal form's caps")
+    columns = [*composed.values(), *forms[m + n * n :]]
+    rows: dict = {}  # an ambient monomial's coefficient in each column
+    for j, form in enumerate(columns):
+        for mono, c in form.items():
+            rows.setdefault(mono, [0] * len(columns))[j] = c
+    if (solved := rref(list(rows.values()), width)) is None:
+        raise PoissonError(f"the bracket table's system of {len(rows)} ambient monomials by {len(columns)} "
+                           "columns is past the exact solve's caps")
+    reduced_rows, pivots = solved
 
-    pair_exprs: dict[tuple[int, int], Expr] = {}
-    for (a, b), rhs, fitted in zip(pairs, rhss, _min_norm_fits(cols, rhss)):
-        if not all(map(math.isfinite, fitted)):
-            raise PoissonError(f"the fit of the bracket of invariants {a + 1} and {b + 1} is not finite")
-        # the fit with each coefficient within SNAP_TOL of an integer made that integer, else the fit
-        for coef in ([float(round(c)) if abs(c - round(c)) <= SNAP_TOL else c for c in fitted], fitted):
-            if (fit := worst_residual(map(abs, _residual(cols, rhs, coef)))) <= setup.fit_tol:
-                break
-        else:
-            raise ReductionError(
-                f"bracket of invariants {a + 1} and {b + 1} "
-                f"({to_text(sigma[a])!r}, {to_text(sigma[b])!r}) is not expressible "
-                f"in the invariants up to degree {setup.degree}: fit residual {fit:.3e}"
-            )
-        # an all-zero row gives the shared ZERO
-        kept = [(c, exps) for c, exps in zip(coef, monos) if c != 0.0]
-        pair_exprs[(a, b)] = dot([Const(c) for c, _ in kept], [_monomial_expr(exps) for _, exps in kept])
+    table = [[ZERO] * m for _ in range(m)]  # an all-zero side gives the shared ZERO
+    for k, (a, b) in enumerate(pairs):
+        if any(row[width + k] for row in reduced_rows[len(pivots) :]):
+            raise ReductionError(f"bracket of invariants {a + 1} and {b + 1} ({to_text(sigma[a])!r}, "
+                                 f"{to_text(sigma[b])!r}) is not expressible in the invariants up to degree "
+                                 f"{degree}: no combination of their monomials equals it")
+        try:
+            kept = [(float(row[width + k]), monos[col])
+                    for row, col in zip(reduced_rows, pivots) if row[width + k]]
+        except OverflowError:
+            raise PoissonError(f"a coefficient of the bracket of invariants {a + 1} and {b + 1} "
+                               "is beyond the largest float") from None
+        terms = [functools.reduce(mul, [pow_int(Var(i), e) for i, e in enumerate(exps) if e], ONE)
+                 for _, exps in kept]
+        table[a][b], table[b][a] = (dot([Const(sign * c) for c, _ in kept], terms) for sign in (1.0, -1.0))
+    reduced = PoissonStructure(m, table, label=f"reduced[{amb.label}]")
 
-    rows = [[ZERO for _ in range(m)] for _ in range(m)]
-    for (a, b), e in pair_exprs.items():
-        rows[a][b] = e
-        rows[b][a] = neg(e)
-    reduced = PoissonStructure(m, rows, label=f"reduced[{amb.label}]")
-
-    certify_points = [draw() for _ in range(CERTIFY_POINTS)]
-    reduced_eval = compile_vector(list(pair_exprs.values()))
-    worst = worst_residual([abs(r - u) for x in certify_points
-                            for r, u in zip(reduced_eval(sigma_eval(x)), upstairs(x))])
+    draw = box(random.Random(setup.rng_seed), [-SAMPLE_SCALE] * n, [SAMPLE_SCALE] * n)
+    sigma_eval = compile_vector(sigma)
+    reduced_eval, upstairs = compile_vector([table[a][b] for a, b in pairs]), compile_vector(brackets)
+    worst = 0.0
+    for x in [draw() for _ in range(CERTIFY_POINTS)]:
+        for (a, b), r, u in zip(pairs, reduced_eval(sigma_eval(x)), upstairs(x)):
+            if not math.isfinite(r - u):
+                raise PoissonError(f"the replay of the bracket of invariants {a + 1} and {b + 1} "
+                                   f"is not finite at {x}")
+            worst = max(worst, abs(r - u))
     if not worst <= setup.certify_tol:
-        raise ReductionError(
-            f"certification failed: replay residual {worst:.3e} > {setup.certify_tol:.1e}"
-        )
+        raise ReductionError(f"certification failed: replay residual {worst:.3e} > {setup.certify_tol:.1e}")
     reduced.meta = {
         "certified_points": CERTIFY_POINTS,
         "certified_residual": worst,
-        "fit_points": FIT_POINTS,
-        "degree": setup.degree,
-        "table": {
-            f"{{s{a + 1},s{b + 1}}}": to_text(e) for (a, b), e in sorted(pair_exprs.items())
-        },
+        "degree": degree,
+        "table": {f"{{s{a + 1},s{b + 1}}}": to_text(table[a][b]) for a, b in pairs},
     }
     return reduced
 

@@ -1,4 +1,5 @@
-"""An exact normal form of polynomial expressions, to certify that one is 0.
+"""An exact normal form of polynomial expressions, to certify that one is 0,
+and an exact linear solve.
 
 ``normal_form`` reads ``Const``, ``Var``, ``Add``, ``Mul``, ``Neg``, ``Pow``
 and ``Div`` by a constant into a dict from exponent tuples to nonzero int or
@@ -12,21 +13,23 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Optional
+from typing import Optional, Sequence
 
 from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Var
 
 MAX_DEGREE = 12
 MAX_TERMS = 256
+MAX_ROWS, MAX_COLUMNS, MAX_BITS, MAX_WORK = 1024, 256, 4096, 2**22  # the caps of ``rref``
 
 
 def normal_form(e: Expr, n: int, memo: Optional[dict] = None) -> Optional[dict]:
     """The polynomial of ``e`` in x1..xn, or None.  ``memo`` maps the id of
-    each node read to its polynomial; trees that share nodes may share it."""
+    each node read to the node and its polynomial; trees that share nodes
+    may share it, and since it keeps each node alive, no id in it is reused."""
     memo = {} if memo is None else memo
     if id(e) not in memo:
-        memo[id(e)] = _form(e, n, memo)
-    return memo[id(e)]
+        memo[id(e)] = (e, _form(e, n, memo))
+    return memo[id(e)][1]
 
 
 def _form(e: Expr, n: int, memo: dict) -> Optional[dict]:
@@ -89,3 +92,44 @@ def _product(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
             if c:
                 r[m] = c
     return r
+
+
+def rref(rows: Sequence[Sequence], width: int) -> Optional[tuple[list[list], list[int]]]:
+    """The reduced row echelon form of ``rows``, lists of ints and
+    ``Fraction``s, and its pivot columns, as sympy's ``rref``, pivots taken
+    only in the first ``width`` columns: a later column is a right side, in
+    their span exactly when it is 0 in the rows without a pivot, which come
+    last.  None past ``MAX_ROWS``, ``MAX_COLUMNS``, an entry of ``MAX_BITS``
+    bits or ``MAX_WORK`` entries formed.  Denominators are cleared row by
+    row, then a fraction-free Gauss-Jordan elimination (Bareiss 1968, *Math.
+    Comp.* 22) keeps every entry an integer minor, a row with 0 in the pivot
+    column scaled only when next read."""
+    a = [[int(c * d) for c in row] for row in rows for d in [math.lcm(*(c.denominator for c in row))]]
+    if len(a) > MAX_ROWS or any(len(row) > MAX_COLUMNS or max(map(abs, row), default=0).bit_length() > MAX_BITS
+                                for row in a):
+        return None
+    # the pivots so far after a 1, each row's count of them at its last update, and the (column, row) of each
+    dets, stage, free, steps, work = [1], [0] * len(a), list(range(len(a))), [], 0
+
+    def current(i: int) -> list[int]:
+        return a[i] if stage[i] == len(dets) - 1 else [v * dets[-1] // dets[stage[i]] for v in a[i]]
+
+    for col in range(width if a else 0):
+        if (r := next((i for i in free if a[i][col]), None)) is None:
+            continue
+        free.remove(r)
+        row, d = current(r), dets[-1]
+        for i in range(len(a)):
+            if a[i][col] and i != r:
+                other = current(i)
+                p, f = row[col], other[col]
+                a[i] = new = [(p * x - f * y) // d for x, y in zip(other, row)]
+                work += len(new)
+                if work > MAX_WORK or max(max(new), -min(new)).bit_length() > MAX_BITS:
+                    return None
+                stage[i] = len(dets)
+        a[r], stage[r] = row, len(dets)
+        dets.append(row[col])
+        steps.append((col, r))
+    d, order = dets[-1], [r for _, r in steps] + free
+    return [[v // d if v % d == 0 else _rational(v) / d for v in current(i)] for i in order], [c for c, _ in steps]

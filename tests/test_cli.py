@@ -161,6 +161,21 @@ def test_chart_dependent_basis_exit(capsys):
     assert rep2["result"]["agreement"] <= 1e-5
 
 
+@pytest.mark.parametrize("family", ["one", "two"])
+def test_chart_whose_singular_value_overflows_exits_2(tmp_path, capsys, family):
+    # the largest singular value of (1.5e308, 1.5e308) is some 2.1e308; scaled
+    # back with math.ldexp, it ended in "internal error: OverflowError"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "name": "huge", "space": {"ambient_dim": 2, "cells": [[]], "locally_closed": True},
+        "fields": {"big": ["1.5e308", "1.5e308"], "up": ["0", "1"]},
+        "families": {"one": ["big"], "two": ["big", "up"]},
+    }))
+    code, report, err = run(capsys, "chart", "--scenario", str(path), "--point=0,0", "--family", family)
+    assert (code, report) == (2, {})
+    assert err == "error: a singular value of the basis fields at [0.0, 0.0] is beyond the largest float\n"
+
+
 # Every field of the family vanishes at these points, so each orbit is the
 # point alone: the exploration merged 16,000 and 20,001 attempts back into it.
 @pytest.mark.parametrize("argv", [
@@ -330,7 +345,9 @@ def test_reduce_rejection(tmp_path, capsys):
     code, rep, _ = run(capsys, "reduce", "--scenario", str(p))
     assert code == 1
     assert rep["result"]["verdict"] == "NotReducible"
-    assert "fit residual" in rep["result"]["detail"]
+    assert rep["result"]["detail"] == (
+        "bracket of invariants 1 and 2 ('x1^2', 'x2') is not expressible in the invariants up to degree 2: "
+        "no combination of their monomials equals it")
 
 
 def test_leaf_command(tmp_path, capsys):
@@ -428,7 +445,7 @@ _READS = [
     (["strata", "cone", "--check", "tangency", "--field", "rot", "--horizon", "0.3"], {"drift", "rtol", "atol"}),
     (["strata", "cone", "--check", "orbits", "--budget", "30"], {"drift", "rank", "rtol", "atol"}),
     (["poisson", "canonical_r2", "--triples", "2", "--points", "2"], {"antisymmetry", "jacobi"}),
-    (["reduce", "reduction_r4"], {"fit", "certify"}),
+    (["reduce", "reduction_r4"], {"certify"}),
     (["leaf", "reduction_r4", "--point=1,1,1,0", "--budget", "20"], {"rank", "rtol", "atol", "casimir_drift"}),
     (["acs", "acs_standard", "--check", "torsion", "--x", "e1", "--y", "e2", "--points", "2"], {"square"}),
     (["acs", "acs_standard", "--check", "cr", "--f", "x1", "--h", "x3", "--points", "2"], {"square"}),
@@ -471,7 +488,7 @@ def test_a_report_echoes_exactly_the_tolerances_its_command_reads(monkeypatch, c
 
 def test_every_tolerance_is_read_by_some_command():
     assert set().union(*(reads for _, reads in _READS)) == set(DEFAULT_TOLERANCES)
-    assert sum(len(reads) for _, reads in _READS) == 33
+    assert sum(len(reads) for _, reads in _READS) == 32
 
 
 @pytest.mark.parametrize("argv,says", [
@@ -526,7 +543,7 @@ def test_default_tolerances_and_horizon_are_the_library_constants():
         "rtol": flow.DEFAULT_RTOL, "atol": flow.DEFAULT_ATOL, "rank": field.RANK_TOL,
         "completeness": orbit.COMPLETENESS_TOL, "antisymmetry": 1e-12, "jacobi": 1e-8,
         "casimir_drift": 1e-6, "frontier": strata.FRONTIER_TOL, "drift": strata.DRIFT_TOL,
-        "kahler": almostcomplex.KAHLER_TOL, "fit": poisson.FIT_TOL, "certify": poisson.CERTIFY_TOL,
+        "kahler": almostcomplex.KAHLER_TOL, "certify": poisson.CERTIFY_TOL,
         "square": 1e-10,
     }
     assert orbit.RANK_TOL is field.RANK_TOL
@@ -1290,16 +1307,42 @@ def test_kahler_two_form_that_is_not_finite_exits_2(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("invariant", ["1e200*q1", "q1 + (1e200*q1*1e200 - 1e200*q1*1e200)"])
-def test_reduce_with_an_invariant_out_of_range_exits_2(tmp_path, capsys, invariant):
+# invariants of reduction_r4 replaced, and the line reduce exits 2 with
+_OUT_OF_RANGE = [
+    ({0: "sin(q1)"}, "error: invariant 1 ('sin(x1)') has no exact polynomial normal form\n"),
+    # the invariant normalises to q1, but its bracket folds 1e200*1e200 to inf
+    ({0: "q1 + (1e200*q1*1e200 - 1e200*q1*1e200)"},
+     "error: the bracket of invariants 1 and 2 has no exact polynomial normal form\n"),
+    # {s1,s3} = 2e200 s1 exactly, but s1 is near 1e200 on the certify points
+    ({0: "1e200*(q1^2+q2^2)", 2: "1e200*(q1*p1+q2*p2)"},
+     "error: the replay of the bracket of invariants 1 and 3 is not finite at ["),
+    ({0: "1e308*(q1^2+q2^2)"}, "error: a coefficient of the bracket of invariants 1 and 2 is beyond the largest float\n"),
+]
+
+
+@pytest.mark.parametrize("invariants,says", _OUT_OF_RANGE, ids=["sin", "inf-bracket", "replay", "coefficient"])
+def test_reduce_with_an_invariant_out_of_range_exits_2(tmp_path, capsys, invariants, says):
     # lstsq ended in "internal error: LinAlgError: SVD did not converge"
     doc = json.loads(open(scenario_path("reduction_r4"), encoding="utf-8").read())
-    doc["reduction"]["invariants"][0] = invariant
+    for k, text in invariants.items():
+        doc["reduction"]["invariants"][k] = text
     p = tmp_path / "reduction.json"
     p.write_text(json.dumps(doc))
     code, report, err = run(capsys, "reduce", "--scenario", str(p))
     assert (code, report) == (2, {})
-    assert err == "error: a monomial of the invariants or a bracket is not finite or beyond 2^500 at a fit point\n"
+    assert err.startswith(says) and len(err.splitlines()) == 1
+
+
+def test_reduce_with_a_huge_linear_invariant_is_not_reducible(tmp_path, capsys):
+    # {1e200 q1, |p|^2} = 2e200 p1, in no span of the invariants' monomials;
+    # the fit had read the values past 2^500 as an error
+    doc = json.loads(open(scenario_path("reduction_r4"), encoding="utf-8").read())
+    doc["reduction"]["invariants"][0] = "1e200*q1"
+    p = tmp_path / "reduction.json"
+    p.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "reduce", "--scenario", str(p))
+    assert (code, report["result"]["verdict"], err) == (1, "NotReducible", "")
+    assert report["result"]["detail"].startswith("bracket of invariants 1 and 2 ('1e+200*x1', 'x3^2 + x4^2')")
 
 
 def test_infinite_literal_in_a_constraint(tmp_path, capsys):

@@ -206,11 +206,12 @@ _NUMPY_FREE_COMMANDS = [
     ("cone", ["strata", "--check", "orbits", "--budget", "100"], 0),
     ("translate_shear", ["chart", "--point=0.7,0.2"], 0),
     ("translate_shear", ["chart", "--point=0,0.5"], 0),
-    # the Jacobi sample is a kernel generated per bivector, reduce's fit
-    # corrected semi-normal equations, the Kahler check's determinant and
-    # eigenvalue an elimination and Jacobi rotations, and the frontier's
-    # nearest cloud point a generated sum of squares, all on Python floats;
-    # einsum, lstsq, det, eigvalsh and numpy's norm imported numpy
+    # the Jacobi sample is a kernel generated per bivector, reduce's table
+    # an exact elimination over Python ints and its replay Python floats,
+    # the Kahler check's determinant and eigenvalue an elimination and
+    # Jacobi rotations, and the frontier's nearest cloud point a generated
+    # sum of squares, all on Python floats; einsum, lstsq, det, eigvalsh
+    # and numpy's norm imported numpy
     ("reduction_r4", ["poisson", "--triples", "20", "--points", "5"], 0),
     ("jacobi_control", ["poisson", "--triples", "10"], 1),
     ("canonical_r2", ["poisson", "--triples", "20"], 0),
@@ -297,11 +298,12 @@ _ADDED_MODULES = [
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, []),
     ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "2"], 0, []),
     # the loader imports poisson to build a poisson block and strata a strata block
-    # the Jacobi kernel, the reduction's fit and the frontier's nearest
-    # cloud point are in dense; the Jacobi check prunes the components of
-    # the Schouten bracket whose exact normal form (poly) is 0
+    # the Jacobi kernel and the frontier's nearest cloud point are in
+    # dense; the Jacobi check prunes the components of the Schouten bracket
+    # whose exact normal form (poly) is 0, and the reduction solves for its
+    # table exactly in poly
     ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["dense", "poisson", "poly"]),
-    ("reduction_r4", ["reduce"], 0, ["dense", "poisson"]),
+    ("reduction_r4", ["reduce"], 0, ["poisson", "poly"]),
     ("cone", ["strata", "--check", "frontier"], 0, ["dense", "strata"]),
     # the malformed commands of the three benchmark workloads: each exits 2
     # before its handler runs, having loaded only what its scenario needs;
@@ -319,6 +321,35 @@ _ADDED_MODULES = [
     # the Kahler check's determinant and eigenvalue are in dense
     ("acs_standard", ["acs", "--check", "kahler", "--points", "2"], 0, ["dense"]),
 ]
+
+
+# the scenarios of the benchmark's symbolic_sweep workload
+_SYMBOLIC_SCENARIOS = ["acs_standard", "acs_variable", "canonical_r2", "cone", "jacobi_control", "reduction_r4",
+                       "translate_shear"]
+
+
+def test_symbolic_scenarios_load_no_exact_or_rational_arithmetic():
+    # the setup the benchmark times: a fresh interpreter imports the CLI and
+    # loads the scenarios; poly, and the fractions and decimal modules that
+    # a non-integral coefficient needs, load on a command's first exact step
+    out = json.loads(_fresh(
+        "import json, sys\n"
+        "from subcart.cli import load_scenario\n"
+        f"for path in {[str(SRC / 'scenarios' / f'{n}.json') for n in _SYMBOLIC_SCENARIOS]!r}:\n"
+        "    load_scenario(path)\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'subcart'),"
+        " [m for m in ('fractions', 'decimal') if m in sys.modules]]))"
+    ))
+    assert out == [sorted(_CLI_MODULES + ["subcart.poisson", "subcart.strata"]), []]
+
+
+def test_only_poly_imports_fractions():
+    # exact rationals are poly's alone: its callers get ints and Fractions from it
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "fractions"]
+    assert found == ["poly.py"]
 
 
 @pytest.mark.parametrize("name,argv,code,added", _ADDED_MODULES,
@@ -503,7 +534,6 @@ KNOBS = {
     "ProbeOptions.seeds": "cli.cmd_classify",
     "ReductionSetup.certify_tol": "cli.cmd_reduce",
     "ReductionSetup.degree": "cli.cmd_reduce",
-    "ReductionSetup.fit_tol": "cli.cmd_reduce",
     "ReductionSetup.rng_seed": "cli.cmd_reduce",
     "StratifiedSpace.__init__(locally_trivial)": "cli.load_scenario",
     "SubcartesianSpace.__init__(tol)": "cli.load_scenario",
@@ -563,7 +593,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 73
+    assert len(KNOBS) == 72
     assert sorted(KNOBS) == _knobs()
 
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
 import random
+import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subcart import dense, poisson
+from subcart import dense
 from subcart.cli import load_scenario, main
 from subcart.expr import Const, Var, ZERO, add, compile_scalar, compile_vector, diff, mul, parse, pow_int, to_text
 from subcart.poisson import (
@@ -32,7 +37,7 @@ from subcart.poisson import (
 )
 from subcart import flow
 from subcart.flow import flow_map
-from subcart.space import Constraint, Rel, SubcartesianSpace, box
+from subcart.space import Constraint, Rel, SubcartesianSpace
 
 from conftest import scenario_path
 
@@ -395,52 +400,6 @@ def _poly(coeffs, monos):
     return e
 
 
-def _reduction_design(seed: int, scale: float = 1.0):
-    """reduce's design on reduction_r4 at ``seed``, its first invariant times
-    ``scale``: the monomials of the invariants at its fit points, as numpy
-    took them, and the brackets there."""
-    red = load_scenario(scenario_path("reduction_r4")).reduction
-    invariants = [mul(Const(scale), red["invariants"][0]), *red["invariants"][1:]]
-    draw = box(random.Random(seed), [-poisson.SAMPLE_SCALE] * 4, [poisson.SAMPLE_SCALE] * 4)
-    pts = [draw() for _ in range(poisson.FIT_POINTS)]
-    sig = np.array([compile_vector(invariants)(x) for x in pts])
-    design = np.column_stack([np.prod(sig ** np.array(e), axis=1) for e in monomials(4, red["degree"])])
-    amb = PoissonStructure.canonical(2)
-    rhss = [[compile_scalar(bracket(amb, invariants[a], invariants[b]))(x) for x in pts]
-            for a in range(4) for b in range(a + 1, 4)]
-    return design, rhss
-
-
-def _fits(design, rhss):
-    return np.array(dense._min_norm_fits([list(c) for c in design.T], rhss))
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_reduction_fit_matches_lstsq(seed):
-    design, rhss = _reduction_design(seed)
-    want = np.array([np.linalg.lstsq(design, b, rcond=None)[0] for b in rhss])
-    assert np.max(np.abs(_fits(design, rhss) - want)) <= 1e-12
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_reduction_fit_matches_lstsq_on_a_scaled_invariant(seed):
-    # s1 = 3e3 |q|^2 puts s1^2's column some 1e7 above the constant one and
-    # the design's condition near 1e8; the columns' scaling keeps the
-    # constant one: the fit is within 1e-11 of the exact coefficients
-    # ({s1,s2} = 4 (3e3) s3, {s1,s3} = 2 s1, {s2,s3} = -2 s2, the rest 0),
-    # where lstsq is some 5e-8 from them, and no farther from lstsq
-    design, rhss = _reduction_design(seed, scale=3e3)
-    exact = np.zeros((6, 15))
-    monos = monomials(4, 2)
-    exact[0, monos.index((0, 0, 1, 0))] = 1.2e4
-    exact[1, monos.index((1, 0, 0, 0))] = 2.0
-    exact[3, monos.index((0, 1, 0, 0))] = -2.0
-    want = np.array([np.linalg.lstsq(design, b, rcond=None)[0] for b in rhss])
-    got = _fits(design, rhss)
-    assert np.max(np.abs(got - exact)) <= 1e-11
-    assert np.max(np.abs(got - want)) <= np.max(np.abs(want - exact)) + 1e-11
-
-
 def test_reduce_with_a_scaled_invariant():
     # 1e4 |q|^2: unscaled, the constant column's pivot fell under k eps of
     # s1^2's and reduce answered NotReducible with a fit residual of 5e4
@@ -449,33 +408,6 @@ def test_reduce_with_a_scaled_invariant():
                            invariants=(mul(Const(1e4), red["invariants"][0]), *red["invariants"][1:]))
     assert reduce(setup).meta["table"] == {"{s1,s2}": "40000.0*x3", "{s1,s3}": "2.0*x1", "{s1,s4}": "0.0",
                                            "{s2,s3}": "(-2.0)*x2", "{s2,s4}": "0.0", "{s3,s4}": "0.0"}
-
-
-def _dependent_design(seed: int, cond: float):
-    """120 x 15: 14 columns with singular values from 1 to 1/cond, then the
-    fourth column doubled, an exact dependency; a consistent right side and
-    its minimum-norm solution."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((120, 14)))
-    v, _ = np.linalg.qr(rng.standard_normal((14, 14)))
-    a = u @ np.diag(np.logspace(0, -np.log10(cond), 14)) @ v.T
-    a = np.column_stack([a, 2.0 * a[:, 3]])
-    x = rng.uniform(-1.0, 1.0, 15)
-    z = np.zeros(15)
-    z[3], z[14] = 2.0, -1.0
-    return a, a @ x, x - z * (z @ x) / (z @ z)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_fit_on_a_dependent_design_matches_lstsq(seed):
-    # a Gram matrix of condition 1e6: the fit agrees with lstsq to 1e-12
-    a, b, _ = _dependent_design(seed, 1e3)
-    assert np.max(np.abs(_fits(a, [list(b)])[0] - np.linalg.lstsq(a, b, rcond=None)[0])) <= 1e-12
-    # at a design of condition 1e6 lstsq itself is some 1e-11 from the
-    # minimum-norm solution; the fit keeps within 1e-10 of it too
-    a, b, exact = _dependent_design(seed, 1e6)
-    assert np.max(np.abs(np.linalg.lstsq(a, b, rcond=None)[0] - exact)) <= 1e-10
-    assert np.max(np.abs(_fits(a, [list(b)])[0] - exact)) <= 1e-10
 
 
 def test_jacobi_residual_edge_inputs():
@@ -626,6 +558,15 @@ def test_monomials_order_and_count():
     assert len(monomials(3, 2)) == 10
 
 
+def test_monomials_of_many_variables_are_listed_at_once():
+    # they were filtered from all (degree + 1)^n exponent tuples, so the
+    # Jacobi sample of poisson on canonical R^16 took 20 s
+    start = time.perf_counter()
+    monos = monomials(16, 2)
+    assert time.perf_counter() - start < 0.5
+    assert monos == sorted(set(monos), key=lambda e: (sum(e), e)) and len(monos) == math.comb(18, 2)
+
+
 def test_reduce_reproduces_bracket_table():
     setup = ReductionSetup(
         ambient=PoissonStructure.canonical(2),
@@ -651,6 +592,72 @@ def test_reduce_rejects_non_invariant_pair():
     msg = str(exc.value)
     assert "1" in msg and "2" in msg
     assert "x1^2" in msg
+
+
+# Closed-form reductions: linear invariants s = L x on canonical R^2k have
+# the constant brackets L Omega L^T, computed here with numpy ---------------
+
+@st.composite
+def linear_invariants(draw):
+    """k and an integer L of up to four rows of 2k entries, its last row
+    often a copy of another: a relation of degree 1 among the invariants."""
+    k = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=2 * k, max_size=2 * k), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return k, rows
+
+
+def _linear(row: list[int]) -> str:
+    return " + ".join(f"({c})*x{i + 1}" for i, c in enumerate(row) if c) or "0"
+
+
+def _reduce_cli(k: int, invariants: list[str]) -> tuple[int, dict]:
+    """``reduce`` at degree 1 on canonical R^2k: its exit code and report."""
+    doc = {"name": "linear", "space": {"ambient_dim": 1, "cells": [[]], "locally_closed": True}, "fields": {},
+           "reduction": {"ambient_dim": 2 * k, "invariants": invariants, "degree": 1}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "linear.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["reduce", "--scenario", path])
+    return code, json.loads(out.getvalue())
+
+
+def _omega(k: int) -> np.ndarray:
+    return np.block([[np.zeros((k, k), int), np.eye(k, dtype=int)], [-np.eye(k, dtype=int), np.zeros((k, k), int)]])
+
+
+@given(linear_invariants())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_reduce_of_linear_invariants_prints_their_constant_brackets(case):
+    k, rows = case
+    want = np.array(rows) @ _omega(k) @ np.array(rows).T
+    code, report = _reduce_cli(k, [_linear(row) for row in rows])
+    assert (code, report["result"]["verdict"]) == (0, "Reduced")
+    m = len(rows)
+    assert report["result"]["bivector"] == [[str(float(want[a, b])) for b in range(m)] for a in range(m)]
+    assert report["result"]["meta"]["table"] == {
+        f"{{s{a + 1},s{b + 1}}}": str(float(want[a, b])) for a in range(m) for b in range(a + 1, m)}
+
+
+@given(linear_invariants())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_reduce_names_the_first_bracket_of_a_square_that_leaves_the_span(case):
+    # s1 = q1^2 before s = L x: {s1, L_b x} = 2 L_b[k] q1, L_b[k] the
+    # coefficient of p1, is in the span of 1, s1 and L x exactly when it is
+    # 0 or q1 is in the row space of L
+    k, rows = case
+    code, report = _reduce_cli(k, ["x1^2"] + [_linear(row) for row in rows])
+    unit = [1] + [0] * (2 * k - 1)
+    in_rows = np.linalg.matrix_rank(np.array(rows + [unit])) == np.linalg.matrix_rank(np.array(rows))
+    outside = [] if in_rows else [b for b, row in enumerate(rows) if row[k]]
+    if outside:
+        assert (code, report["result"]["verdict"]) == (1, "NotReducible")
+        assert report["result"]["detail"].startswith(f"bracket of invariants 1 and {outside[0] + 2} ('x1^2', ")
+    else:
+        assert (code, report["result"]["verdict"]) == (0, "Reduced")
 
 
 def sigma_space() -> SubcartesianSpace:

@@ -504,8 +504,9 @@ def _digest(pts):
 # those samplers made them: ``sample_near`` on disk_line, ``strata``'s
 # ``sample_space_box`` per cone stratum (count, digest, first point, then
 # the next ``rng.random()``, which pins what the draws consumed),
-# ``cli._box_points`` on acs_standard, and the fit and certify points of
-# ``reduce`` on reduction_r4, all at seed 0.
+# ``cli._box_points`` on acs_standard, and the certify points of ``reduce``
+# on reduction_r4, all at seed 0: the first 120 were its fit points, when
+# it fitted its table by least squares.
 GOLDEN_SAMPLES = {
     "ball_disk_line": [30, "d09f3cd0a22b159e", ["0x1.1a267f5aa62cap-2", "0x1.a6a1eb1cb8d20p-3"],
                        "0x1.f1bca90426464p-3"],
@@ -515,10 +516,10 @@ GOLDEN_SAMPLES = {
                          "0x1.447a9936a43d4p-1"],
     "box_points_acs_standard": [25, "21816040454d354c", ["0x1.60b01f314fb7cp-1", "0x1.082532f1f3834p-1",
                                                          "-0x1.4556bbeb45a20p-3", "-0x1.edbd0e08d74b4p-2"]],
-    "reduce_fit_points": [120, "6a0459763f8be12f", ["0x1.08841764fbc9cp+0", "0x1.8c37cc6aed450p-1",
-                                                    "-0x1.e80219e0e8730p-3", "-0x1.724dca86a1787p-1"]],
-    "reduce_certify_points": [200, "8ce48a38b81f9303", ["-0x1.2b0a990a777e9p-1", "-0x1.28dfd37203833p+0",
-                                                        "-0x1.c6d6bb5310b58p-3", "0x1.95956e4423b00p-3"]],
+    "reduce_certify_points_first_120": [120, "6a0459763f8be12f", ["0x1.08841764fbc9cp+0", "0x1.8c37cc6aed450p-1",
+                                                                  "-0x1.e80219e0e8730p-3", "-0x1.724dca86a1787p-1"]],
+    "reduce_certify_points": [200, "945519661484f00c", ["0x1.08841764fbc9cp+0", "0x1.8c37cc6aed450p-1",
+                                                        "-0x1.e80219e0e8730p-3", "-0x1.724dca86a1787p-1"]],
 }
 
 
@@ -536,7 +537,7 @@ def test_sample_reproduces_the_points_of_the_samplers_it_replaced(monkeypatch):
     got["box_points_acs_standard"] = _digest(cli._box_points(cli.load_scenario(scenario_path("acs_standard")),
                                                              25, 0))
     # reduce evaluates its invariants, the first function it compiles, at
-    # the fit points, then at the certify points
+    # the certify points
     seen = []
     compile_vector = subcart.poisson.compile_vector
 
@@ -552,8 +553,8 @@ def test_sample_reproduces_the_points_of_the_samplers_it_replaced(monkeypatch):
     monkeypatch.setattr(subcart.poisson, "compile_vector", recording)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["reduce", "--scenario", scenario_path("reduction_r4")]) == 0
-    got["reduce_fit_points"] = _digest(seen[:120])
-    got["reduce_certify_points"] = _digest(seen[120:320])
+    got["reduce_certify_points_first_120"] = _digest(seen[:120])
+    got["reduce_certify_points"] = _digest(seen)
     assert got == GOLDEN_SAMPLES
 
 
