@@ -22,6 +22,7 @@ from subcart import dense
 from subcart.cli import load_scenario, main
 from subcart.expr import Const, Var, ZERO, add, compile_scalar, compile_vector, diff, mul, parse, pow_int, to_text
 from subcart.poisson import (
+    CERTIFY_TOL,
     PoissonError,
     PoissonStructure,
     ReductionError,
@@ -398,6 +399,40 @@ def _poly(coeffs, monos):
         if c:
             e = add(e, mul(Const(c), _monomial(exps)))
     return e
+
+
+_R4_TABLE = {"{s1,s2}": "4.0*x3", "{s1,s3}": "2.0*x1", "{s1,s4}": "0.0",
+             "{s2,s3}": "(-2.0)*x2", "{s2,s4}": "0.0", "{s3,s4}": "0.0"}
+
+
+def _r4_reduction(seed: int, degree: int = 2, scale: float = 1.0) -> PoissonStructure:
+    """reduce on reduction_r4 at ``seed`` and ``degree``, its first invariant
+    times ``scale``."""
+    red = load_scenario(scenario_path("reduction_r4")).reduction
+    return reduce(ReductionSetup(ambient=PoissonStructure.canonical(2),
+                                 invariants=(mul(Const(scale), red["invariants"][0]), *red["invariants"][1:]),
+                                 degree=degree, rng_seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reduction_table_is_the_same_at_every_seed_and_degree(seed):
+    # the table is solved exactly, so the seed moves only the replay's
+    # points; a higher degree adds monomials in the invariants, and with
+    # them the relation s1 s2 = s3^2 + s4^2, whose dependent columns take 0
+    for degree in range(1, 6):
+        red = _r4_reduction(seed, degree)
+        assert red.meta["table"] == _R4_TABLE
+        assert red.meta["certified_residual"] <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reduction_table_is_exact_on_a_scaled_invariant(seed):
+    # s1 = 3e3 |q|^2 put s1^2's column some 1e7 above the constant one; a
+    # least-squares fit came within 1e-11 of the coefficients, the exact
+    # solve reads them, {s1,s2} = 4 (3e3) s3 and the rest as unscaled
+    red = _r4_reduction(seed, scale=3e3)
+    assert red.meta["table"] == {**_R4_TABLE, "{s1,s2}": "12000.0*x3"}
+    assert red.meta["certified_residual"] <= CERTIFY_TOL
 
 
 def test_reduce_with_a_scaled_invariant():

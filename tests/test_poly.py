@@ -119,6 +119,23 @@ def test_rref_refuses_a_dense_matrix_past_its_work():
     assert rref(dense[: MAX_ROWS // 4], 16) is not None
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_rref_solves_a_dependent_system(seed):
+    # 120 x 15, each row over a denominator of its own and the last column
+    # twice the fourth: an exact dependency, so the fourth column's pivot
+    # leaves the last free, and a right side A x is solved exactly with the
+    # free unknown 0
+    rng = random.Random(seed)
+    a = [[Fraction(rng.randint(-9, 9), d) for _ in range(14)] for d in [rng.randint(1, 6) for _ in range(120)]]
+    a = [row + [2 * row[3]] for row in a]
+    x = [rng.randint(-9, 9) for _ in range(15)]
+    b = [sum(c * v for c, v in zip(row, x)) for row in a]
+    got, pivots = rref([row + [v] for row, v in zip(a, b)], 15)
+    assert pivots == list(range(14))
+    assert [row[15] for row in got[:14]] == [*x[:3], x[3] + 2 * x[14], *x[4:14]]
+    assert all(v == 0 for row in got[14:] for v in row)
+
+
 def test_a_shared_memo_outlives_the_trees_it_read():
     # each bracket is built, read and dropped in the loop; a memo keyed by
     # id alone read a later tree's node at a dead node's id and answered
