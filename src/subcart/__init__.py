@@ -40,7 +40,7 @@ _EXPORTS = {
     "field": ("FieldError", "TangentField", "lie_bracket"),
     "flow": (
         "ExitWitness", "FlowDomainError", "FlowOptions", "INCONCLUSIVE", "IntegralCurve",
-        "IntegrationError", "NOT_VECTOR_FIELD", "ProbeOptions", "VECTOR_FIELD",
+        "IntegrationError", "NOT_VECTOR_FIELD", "VECTOR_FIELD",
         "VectorFieldVerdict", "classify_vector_field", "flow_map", "integrate", "transport_vector",
     ),
     "orbit": (
@@ -49,7 +49,7 @@ _EXPORTS = {
         "local_completeness_probe", "reach", "sample_orbit",
     ),
     "poisson": (
-        "InvarianceReport", "PoissonError", "PoissonStructure", "ReductionError", "ReductionSetup",
+        "InvarianceReport", "PoissonError", "PoissonStructure", "ReductionError",
         "bracket", "hamiltonian_field", "invariance_residual", "jacobi_residual",
         "jacobi_sample_residual", "leaf_sample", "reduce",
     ),

@@ -37,7 +37,7 @@ from .almostcomplex import (
     KAHLER_TOL, AlmostComplexError, AlmostComplexStructure, DegenerateError, cauchy_riemann_residual, kahler_check,
     max_norm, torsion,
 )
-from .expr import Expr, ExprError, ParseError, parse, to_text
+from .expr import Expr, ExprError, parse, to_text
 from .field import RANK_TOL, FieldError, TangentField, _value_at, lie_bracket
 from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
 from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint, box
@@ -250,7 +250,7 @@ class Scenario:
     name: str
     sha256: str
     space: SubcartesianSpace
-    aliases: Optional[list[str]]
+    coords: _Coords
     fields: dict[str, TangentField]
     families: dict[str, list[str]]
     seeds: dict[str, list[list[float]]]
@@ -291,8 +291,7 @@ def load_scenario(path: str) -> Scenario:
     name = _key(raw, "name", "$", _str)
     rawsp = _key(raw, "space", "$", _obj)
     n = _key(rawsp, "ambient_dim", "$.space", _positive)
-    aliases = _aliases(raw, "$", n)
-    coords = _Coords(n, aliases)
+    coords = _Coords(n, _aliases(raw, "$", n))
     cells = _key(rawsp, "cells", "$.space", coords.cells)
     locally_closed = _key(rawsp, "locally_closed", "$.space", _bool, None)
     tol = _key(rawsp, "tol", "$.space", _float, DEFAULT_TOL)
@@ -379,7 +378,7 @@ def load_scenario(path: str) -> Scenario:
         name=name,
         sha256=sha256_hex(blob),
         space=space,
-        aliases=aliases,
+        coords=coords,
         fields=fields,
         families=families,
         seeds=seeds,
@@ -397,18 +396,26 @@ def load_scenario(path: str) -> Scenario:
 
 # Shared helpers -----------------------------------------------------------------
 
-def _parse_point_arg(text: str, n: int) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise CliError(f"--point has {len(parts)} coordinates, space has {n}")
+def _flag(check, v, path: str):
+    """``check(v, path)`` for a value read from a flag: ``path`` starts with
+    the flag, so a checker's error names it."""
     try:
-        point = [float(p) for p in parts]
+        return check(v, path)
+    except SchemaError as exc:
+        raise CliError(f"{exc.path}: {exc.detail}") from None
+
+
+def _numbers(text: str, cast, flag: str) -> list:
+    """The numbers of the ``flag`` text, split by commas, each read by ``cast``."""
+    try:
+        return [cast(p) for p in text.split(",")]
     except ValueError as exc:
-        raise CliError(f"bad --point value: {exc}") from None
-    for i, x in enumerate(point):
-        if not math.isfinite(x):
-            raise CliError(f"--point coordinate {i} is {x}, expected a finite number")
-    return point
+        raise CliError(f"{flag}: {exc}") from None
+
+
+def _point(sc: Scenario, text: str) -> list[float]:
+    """The ``--point`` text read as a point of the scenario's space."""
+    return _flag(sc.coords.point, _numbers(text, float, "--point"), "--point")
 
 
 def _resolve_seeds(sc: Scenario, spec: str) -> list[list[float]]:
@@ -420,10 +427,8 @@ def _resolve_seeds(sc: Scenario, spec: str) -> list[list[float]]:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"cannot read seeds file {spec!r}: {exc}") from None
-        try:  # a seed set, read as the scenario's are
-            return _Coords(sc.space.ambient_dim, sc.aliases).seeds(raw, "$")
-        except SchemaError as exc:
-            raise CliError(f"--seeds file {spec!r} at {exc.path}: {exc.detail}") from None
+        # a seed set, read as the scenario's are
+        return _flag(sc.coords.seeds, raw, f"--seeds file {spec!r} at $")
     raise CliError(
         f"--seeds {spec!r} is neither a seed set {sorted(sc.seeds)} nor a file"
     )
@@ -472,7 +477,7 @@ def cmd_flow(sc: Scenario, args, tol) -> dict:
     from .flow import IntegrationError, integrate
 
     fld = sc.field(args.field)
-    point = _parse_point_arg(args.point, sc.space.ambient_dim)
+    point = _point(sc, args.point)
     out = _csv_out(args)
     try:
         curve = integrate(sc.space, fld, point, horizon=args.horizon, options=_flow_options(tol), store=bool(out))
@@ -486,12 +491,11 @@ def cmd_flow(sc: Scenario, args, tol) -> dict:
 
 
 def cmd_classify(sc: Scenario, args, tol) -> dict:
-    from .flow import ProbeOptions, classify_vector_field
+    from .flow import classify_vector_field
 
     fld = sc.field(args.field)
     seeds = _resolve_seeds(sc, args.seeds)
-    probe = ProbeOptions(seeds=tuple(tuple(s) for s in seeds), rng_seed=args.seed)
-    return asdict(classify_vector_field(sc.space, fld, probe, options=_flow_options(tol)))
+    return asdict(classify_vector_field(sc.space, fld, seeds, rng_seed=args.seed, options=_flow_options(tol)))
 
 
 def cmd_bracket(sc: Scenario, args, tol) -> dict:
@@ -504,7 +508,7 @@ def cmd_bracket(sc: Scenario, args, tol) -> dict:
         "components": [to_text(c) for c in b.components],
     }
     if args.point is not None:
-        point = _parse_point_arg(args.point, sc.space.ambient_dim)
+        point = _point(sc, args.point)
         result["point"] = point
         result["value"] = _value_at(b, point)
     return result
@@ -514,7 +518,7 @@ def cmd_orbit(sc: Scenario, args, tol) -> dict:
     from .orbit import sample_orbit
 
     fam = sc.family(args.family)
-    point = _parse_point_arg(args.point, sc.space.ambient_dim)
+    point = _point(sc, args.point)
     cloud = sample_orbit(
         fam, point, args.budget, step_scale=args.step_scale,
         rng_seed=args.seed, tol_rank=tol["rank"], options=_flow_options(tol),
@@ -536,14 +540,8 @@ def cmd_chart(sc: Scenario, args, tol) -> dict:
     from .orbit import DependentBasisError, chart_jacobian
 
     fam = sc.family(args.family)
-    point = _parse_point_arg(args.point, sc.space.ambient_dim)
-    if args.basis:
-        try:
-            basis = [int(b) for b in args.basis.split(",")]
-        except ValueError as exc:
-            raise CliError(f"bad --basis: {exc}") from None
-    else:
-        basis = list(range(len(fam)))
+    point = _point(sc, args.point)
+    basis = _numbers(args.basis, int, "--basis") if args.basis else list(range(len(fam)))
     try:
         chart = chart_jacobian(fam, basis, point, tol_rank=tol["rank"], options=_flow_options(tol))
     except DependentBasisError as exc:
@@ -650,19 +648,18 @@ def cmd_poisson(sc: Scenario, args, tol) -> dict:
 
 
 def cmd_reduce(sc: Scenario, args, tol) -> dict:
-    from .poisson import PoissonStructure, ReductionError, ReductionSetup, reduce as reduce_structure
+    from .poisson import PoissonStructure, ReductionError, reduce
 
     red = _need(sc.reduction, "reduction")
     ambient = red["ambient"] or PoissonStructure.canonical(red["ambient_dim"] // 2)
-    setup = ReductionSetup(ambient=ambient, invariants=tuple(red["invariants"]), degree=red["degree"],
-                           rng_seed=args.seed, certify_tol=tol["certify"])
     try:
-        reduced = reduce_structure(setup)
+        reduced = reduce(ambient, red["invariants"], degree=red["degree"], rng_seed=args.seed,
+                         certify_tol=tol["certify"])
     except ReductionError as exc:
         return {"verdict": "NotReducible", "detail": str(exc)}
     return {
         "verdict": "Reduced",
-        "invariants": [to_text(s) for s in setup.invariants],
+        "invariants": [to_text(s) for s in red["invariants"]],
         "bivector": [[to_text(e) for e in row] for row in reduced.rows],
         "meta": reduced.meta,
     }
@@ -673,7 +670,7 @@ def cmd_leaf(sc: Scenario, args, tol) -> dict:
 
     _need(sc.poisson, "poisson")
     _need(sc.generators, "generators")
-    point = _parse_point_arg(args.point, sc.space.ambient_dim)
+    point = _point(sc, args.point)
     cloud = leaf_sample(
         sc.space, sc.poisson, sc.generators, point, args.budget,
         rng_seed=args.seed, step_scale=args.step_scale,
@@ -711,15 +708,12 @@ def cmd_acs(sc: Scenario, args, tol) -> dict:
             raise CliError("--check torsion needs --x and --y")
         fx = sc.field(args.x)
         fy = sc.field(args.y)
-        point = None if args.point is None else _parse_point_arg(args.point, sc.space.ambient_dim)
+        point = None if args.point is None else _point(sc, args.point)
     elif args.check == "cr":
         if not (args.f and args.h):
             raise CliError("--check cr needs --f and --h")
-        try:
-            f = parse(args.f, sc.space.ambient_dim, sc.aliases)
-            h = parse(args.h, sc.space.ambient_dim, sc.aliases)
-        except ParseError as exc:
-            raise CliError(f"bad expression: {exc}") from None
+        f = _flag(sc.coords.expr, args.f, "--f")
+        h = _flag(sc.coords.expr, args.h, "--h")
     elif sc.omega is None:
         raise CliError("--check kahler needs an 'omega' matrix in the acs block")
     if args.check != "torsion":
@@ -764,25 +758,20 @@ def cmd_acs(sc: Scenario, args, tol) -> dict:
 
 # Dispatch -----------------------------------------------------------------------
 
-def _positive_float(text: str) -> float:
-    """argparse type for horizons, step, time and sample scales and radii: finite and positive."""
+def _flag_type(check, cast, text: str):
+    """An argparse type: ``check``, a scenario checker, of ``text`` read by
+    ``cast``; argparse names the flag in the error."""
     try:
-        v = float(text)
+        return check(cast(text), "")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return v
+        raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(exc.detail) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return v
+# horizons, step, time and sample scales and radii; and counts
+_positive_float = partial(_flag_type, _tolerance, float)
+_positive_int = partial(_flag_type, _positive, int)
 
 
 _COMMON_ARGS = (
@@ -889,11 +878,10 @@ def _tolerance_overrides(text: Optional[str], reader: str, read: dict) -> dict[s
     command ``reader`` reads; it names no scenario key, so it is read
     before the scenario."""
     try:
-        overrides = _tolerances(json.loads(text), "--tol-overrides") if text else {}
+        raw = json.loads(text) if text else {}
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"--tol-overrides is not valid JSON: {exc}") from None
-    except SchemaError as exc:
-        raise CliError(f"{exc.path}: {exc.detail}") from None
+    overrides = _flag(_tolerances, raw, "--tol-overrides")
     for name in sorted(overrides):
         if name not in read:
             command = reader.replace(":", " --check ")

@@ -67,7 +67,7 @@ import math
 import random
 import re
 from array import array
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .field import TangentField
@@ -157,8 +157,8 @@ class IntegralCurve:
     n_samples: int  # the start and the points each drive stored or counted after it
     forward: Optional[_Samples]  # what each drive stored, from t = 0 on; None where nothing was stored
     backward: Optional[_Samples]
-    exit_minus: Optional[ExitWitness] = None
-    exit_plus: Optional[ExitWitness] = None
+    exit_minus: Optional[ExitWitness]
+    exit_plus: Optional[ExitWitness]
 
     @property
     def samples(self) -> list[tuple[float, list[float]]]:
@@ -510,7 +510,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         scan = [f"n_samples += {grid} if {short} else {n_sub}"]
     if fold:
         samples = ["n_samples = None", "_back = target < 0.0", "_worst = 0.0", "_wt = _wp = _stop = None",
-                   f"{names('p')} = y", *fold_drift("0.0")]
+                   f"{names('p')} = y", *fold_drift("0.0"), "_start = _worst"]
     else:
         samples = {None: ["samples = None", "n_samples = None"], "count": ["samples = None", "n_samples = 0"],
                    "store": ["samples = _Samples(0.0, y)", "sample_t = samples.t", "sample_x = samples.x",
@@ -525,7 +525,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         first=_indent(field(1, "y{}") or ["pass"], 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
         sumsq=sumsq("s"), scan=_indent(scan, 8), samples=_indent(samples, 4),
-        kept="(_worst, _wt, _wp, _stop)" if fold else "samples",
+        kept="(_worst, _wt, _wp, _stop, _start)" if fold else "samples",
     )
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
@@ -614,7 +614,7 @@ def integrate(
 
 def drift(stratum: SubcartesianSpace, fld: TangentField, x0: list[float], horizon: float,
           options: Optional[FlowOptions] = None) -> tuple[float, Optional[float], Optional[list[float]],
-                                                          Optional[list[float]]]:
+                                                          Optional[list[float]], float]:
     """The worst violation of the stratum along the curve of the field
     through x0, a list of Python floats, on the ambient space, clipped to
     [-horizon, horizon].
@@ -624,18 +624,19 @@ def drift(stratum: SubcartesianSpace, fld: TangentField, x0: list[float], horizo
     what a fold of the stored curve in time order with a strict ``>`` from
     0.0 gives: the worst violation, the time and point of its first
     occurrence in time (None where none is positive), and the earliest point
-    whose slack is NaN (None where there is none).  So the backward drive
-    keeps the last of equal maxima and of NaN points, the one earliest in
-    time, and wins a tie with the forward one; the start, which both fold,
-    gives both the same value.  Both drives run before the result is read,
-    so an ``IntegrationError`` of either comes first.
+    whose slack is NaN (None where there is none), then the violation at x0
+    itself.  So the backward drive keeps the last of equal maxima and of NaN
+    points, the one earliest in time, and wins a tie with the forward one;
+    the start, which both fold, gives both the same value.  Both drives run
+    before the result is read, so an ``IntegrationError`` of either comes
+    first.
     """
     fwd, bwd = _drives(stratum, fld, x0, horizon, options or FlowOptions(), "drift")
-    worst, t, point, stop = fwd.samples
-    back_worst, back_t, back_point, back_stop = bwd.samples
+    worst, t, point, stop, start = fwd.samples
+    back_worst, back_t, back_point, back_stop, _ = bwd.samples
     if back_worst >= worst:
         worst, t, point = back_worst, back_t, back_point
-    return worst, t, point, stop if back_stop is None else back_stop
+    return worst, t, point, stop if back_stop is None else back_stop, start
 
 
 def _flow_core(space: SubcartesianSpace, fld: TangentField,
@@ -734,27 +735,20 @@ PASS_RATIO = 0.5
 ABS_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class ProbeOptions:
-    """Seed points of the probes and the seed of their sampler."""
-
-    seeds: tuple[tuple[float, ...], ...] = ()
-    rng_seed: int = 0
-
-
 @dataclass
 class VectorFieldVerdict:
     classification: str
     witness: Optional[dict]
     probes_run: int
-    notes: list[str] = dc_field(default_factory=list)
-    diagnostics: dict = dc_field(default_factory=dict)
+    notes: list[str]
+    diagnostics: dict
 
 
 def classify_vector_field(
     space: SubcartesianSpace,
     fld: TangentField,
-    probe: ProbeOptions,
+    seeds: Sequence[Sequence[float]],
+    rng_seed: int = 0,
     options: Optional[FlowOptions] = None,
 ) -> VectorFieldVerdict:
     """Decide whether a derivation generates a local flow on the space.
@@ -766,11 +760,12 @@ def classify_vector_field(
     interval radius over shrinking sampled neighborhoods of the seeds: radii
     bounded away from zero at every level support a probabilistic positive,
     radii collapsing toward zero certify a negative, anything in between is
-    inconclusive.
+    inconclusive.  Probes start at the ``seeds`` and at points drawn around
+    them by a generator seeded with ``rng_seed``.
     """
     opts = options or FlowOptions()
-    rng = random.Random(probe.rng_seed)
-    seeds = [[float(v) for v in s] for s in probe.seeds]
+    rng = random.Random(rng_seed)
+    seeds = [[float(v) for v in s] for s in seeds]
     if not seeds:
         raise ValueError("classification needs at least one seed point")
     for s in seeds:

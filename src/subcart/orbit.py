@@ -23,7 +23,7 @@ import math
 import random
 import sys
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -389,8 +389,8 @@ class OrbitSample:
     points: list[list[float]]
     words: list[FlowWord]
     est_dimension: int
-    dimensions: list[int] = dc_field(default_factory=list)  # span dimension per point
-    diagnostics: dict = dc_field(default_factory=dict)
+    dimensions: list[int]  # span dimension per point
+    diagnostics: dict
 
 
 def sample_orbit(

@@ -280,31 +280,22 @@ def monomials(n_vars: int, degree: int) -> list[tuple[int, ...]]:
             for total in range(degree + 1) for bars in itertools.combinations(range(total + n_vars - 1), n_vars - 1)]
 
 
-@dataclass(frozen=True)
-class ReductionSetup:
-    """Ambient structure plus an explicit generating set of invariants."""
-
-    ambient: PoissonStructure
-    invariants: tuple[Expr, ...]
-    degree: int = 2
-    rng_seed: int = 0
-    certify_tol: float = CERTIFY_TOL
-
-
-def reduce(setup: ReductionSetup) -> PoissonStructure:
-    """Bivector on invariant space reproducing the upstairs bracket table.
+def reduce(ambient: PoissonStructure, invariants: Sequence[Expr], degree: int = 2, rng_seed: int = 0,
+           certify_tol: float = CERTIFY_TOL) -> PoissonStructure:
+    """Bivector on invariant space reproducing the bracket table of ``ambient``.
 
     The monomials in the invariants up to ``degree`` are composed from their
     exact normal forms (``poly``), and one exact elimination (``poly.rref``)
     solves each pair's upstairs bracket over them, a dependent monomial
     taking 0.  A pair outside their span is rejected by name; the table is
-    replayed on ``CERTIFY_POINTS`` sample points, an independent float
-    check.  No normal form, a system past the caps and a replay value that
-    is not finite are a ``PoissonError``."""
+    replayed on ``CERTIFY_POINTS`` points drawn by ``rng_seed``, an
+    independent float check that must come within ``certify_tol``.  No
+    normal form, a system past the caps and a replay value that is not
+    finite are a ``PoissonError``."""
     from .poly import MAX_COLUMNS, _product, normal_form, rref
 
-    amb, n, degree = setup.ambient, setup.ambient.dim, setup.degree
-    sigma = [as_expr(s) for s in setup.invariants]
+    n = ambient.dim
+    sigma = [as_expr(s) for s in invariants]
     m = len(sigma)
     if m < 1:
         raise ReductionError("need at least one invariant")
@@ -312,9 +303,9 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
         if max_var_index(s) >= n:
             raise ReductionError(f"invariant {to_text(s)!r} uses a variable beyond x{n}")
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    brackets = [bracket(amb, sigma[a], sigma[b]) for a, b in pairs]
+    brackets = [bracket(ambient, sigma[a], sigma[b]) for a, b in pairs]
     memo: dict = {}  # the brackets share the invariants, the bivector and their derivatives
-    forms = [normal_form(e, n, memo) for e in [*sigma, *itertools.chain(*amb.rows), *brackets]]
+    forms = [normal_form(e, n, memo) for e in [*sigma, *itertools.chain(*ambient.rows), *brackets]]
     if None in forms:
         names = [f"invariant {i + 1} ({to_text(s)!r})" for i, s in enumerate(sigma)] \
             + [f"ambient bivector entry ({i + 1},{j + 1})" for i in range(n) for j in range(n)] \
@@ -355,9 +346,9 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
         terms = [functools.reduce(mul, [pow_int(Var(i), e) for i, e in enumerate(exps) if e], ONE)
                  for _, exps in kept]
         table[a][b], table[b][a] = (dot([Const(sign * c) for c, _ in kept], terms) for sign in (1.0, -1.0))
-    reduced = PoissonStructure(m, table, label=f"reduced[{amb.label}]")
+    reduced = PoissonStructure(m, table, label=f"reduced[{ambient.label}]")
 
-    draw = box(random.Random(setup.rng_seed), [-SAMPLE_SCALE] * n, [SAMPLE_SCALE] * n)
+    draw = box(random.Random(rng_seed), [-SAMPLE_SCALE] * n, [SAMPLE_SCALE] * n)
     sigma_eval = compile_vector(sigma)
     reduced_eval, upstairs = compile_vector([table[a][b] for a, b in pairs]), compile_vector(brackets)
     worst = 0.0
@@ -367,8 +358,8 @@ def reduce(setup: ReductionSetup) -> PoissonStructure:
                 raise PoissonError(f"the replay of the bracket of invariants {a + 1} and {b + 1} "
                                    f"is not finite at {x}")
             worst = max(worst, abs(r - u))
-    if not worst <= setup.certify_tol:
-        raise ReductionError(f"certification failed: replay residual {worst:.3e} > {setup.certify_tol:.1e}")
+    if not worst <= certify_tol:
+        raise ReductionError(f"certification failed: replay residual {worst:.3e} > {certify_tol:.1e}")
     reduced.meta = {
         "certified_points": CERTIFY_POINTS,
         "certified_residual": worst,

@@ -19,7 +19,7 @@ from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Var
 
 MAX_DEGREE = 12
 MAX_TERMS = 256
-MAX_ROWS, MAX_COLUMNS, MAX_BITS, MAX_WORK = 1024, 256, 4096, 2**22  # the caps of ``rref``
+MAX_ROWS, MAX_COLUMNS, MAX_BITS, MAX_WORK = 1024, 256, 4096, 2**26  # the caps of ``rref``
 
 
 def normal_form(e: Expr, n: int, memo: Optional[dict] = None) -> Optional[dict]:
@@ -100,10 +100,11 @@ def rref(rows: Sequence[Sequence], width: int) -> Optional[tuple[list[list], lis
     only in the first ``width`` columns: a later column is a right side, in
     their span exactly when it is 0 in the rows without a pivot, which come
     last.  None past ``MAX_ROWS``, ``MAX_COLUMNS``, an entry of ``MAX_BITS``
-    bits or ``MAX_WORK`` entries formed.  Denominators are cleared row by
-    row, then a fraction-free Gauss-Jordan elimination (Bareiss 1968, *Math.
-    Comp.* 22) keeps every entry an integer minor, a row with 0 in the pivot
-    column scaled only when next read."""
+    bits or ``MAX_WORK``, each entry formed charged one plus its bit length.
+    Denominators are cleared row by row, then a fraction-free Gauss-Jordan
+    elimination (Bareiss 1968, *Math. Comp.* 22) keeps every entry an
+    integer minor, a row with 0 in the pivot column scaled only when next
+    read."""
     a = [[int(c * d) for c in row] for row in rows for d in [math.lcm(*(c.denominator for c in row))]]
     if len(a) > MAX_ROWS or any(len(row) > MAX_COLUMNS or max(map(abs, row), default=0).bit_length() > MAX_BITS
                                 for row in a):
@@ -124,7 +125,7 @@ def rref(rows: Sequence[Sequence], width: int) -> Optional[tuple[list[list], lis
                 other = current(i)
                 p, f = row[col], other[col]
                 a[i] = new = [(p * x - f * y) // d for x, y in zip(other, row)]
-                work += len(new)
+                work += sum(v.bit_length() + 1 for v in new)
                 if work > MAX_WORK or max(max(new), -min(new)).bit_length() > MAX_BITS:
                     return None
                 stage[i] = len(dets)

@@ -19,7 +19,7 @@ from subcart.almostcomplex import (
 )
 from subcart.cli import main
 from subcart.expr import compile_vector, parse
-from subcart.flow import ProbeOptions, classify_vector_field, flow_map, integrate
+from subcart.flow import classify_vector_field, flow_map, integrate
 from subcart.orbit import (
     FieldFamily,
     chart_jacobian,
@@ -28,7 +28,6 @@ from subcart.orbit import (
 )
 from subcart.poisson import (
     PoissonStructure,
-    ReductionSetup,
     invariance_residual,
     jacobi_residual,
     jacobi_sample_residual,
@@ -58,9 +57,9 @@ def criterion(k: int, ok: bool, desc: str) -> bool:
 
 def test_criterion_01_halfline_classification():
     hl = halfline()
-    probe = ProbeOptions(seeds=((0.0,), (1.0,)))
-    bad = classify_vector_field(hl, make_field("ddx", ["1"], 1), probe)
-    good = classify_vector_field(hl, make_field("xddx", ["x1"], 1), probe)
+    seeds = [[0.0], [1.0]]
+    bad = classify_vector_field(hl, make_field("ddx", ["1"], 1), seeds)
+    good = classify_vector_field(hl, make_field("xddx", ["x1"], 1), seeds)
     ok = (
         bad.classification == "NotVectorField"
         and abs(bad.witness["point"][0]) <= 1e-9
@@ -75,7 +74,7 @@ def test_criterion_01_halfline_classification():
 def test_criterion_02_disk_line_escape():
     dl = disk_line()
     ddx = make_field("ddx", ["1", "0"], 2)
-    verdict = classify_vector_field(dl, ddx, ProbeOptions(seeds=((0.0, 0.0),)))
+    verdict = classify_vector_field(dl, ddx, [[0.0, 0.0]])
     ok = (
         verdict.classification == "NotVectorField"
         and np.linalg.norm(verdict.witness["point"]) <= 1e-2
@@ -158,11 +157,7 @@ def test_criterion_06_completeness_probe():
 
 
 def test_criterion_07_reduction_table():
-    setup = ReductionSetup(
-        ambient=PoissonStructure.canonical(2),
-        invariants=tuple(parse(s, 4) for s in R4_INVARIANTS),
-    )
-    red = reduce(setup)
+    red = reduce(PoissonStructure.canonical(2), [parse(s, 4) for s in R4_INVARIANTS])
     want = reduced_structure()
     rng = np.random.default_rng(1)
     table_ok = all(

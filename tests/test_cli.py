@@ -431,6 +431,16 @@ def test_tol_overrides(capsys):
     assert "tol-overrides" in err
 
 
+@pytest.mark.parametrize("argv", [["tangency", "--field", "rot", "--horizon", "5e-8"],
+                                  ["tangency", "--field", "euler", "--horizon", "5e-8"],
+                                  ["orbits", "--horizon", "1e-8"]])
+def test_strata_passes_tangent_fields_at_short_horizons(capsys, argv):
+    # each exited 1 at a drift of 6.98e-14, the residual its witness's
+    # sample had at t = 0, once drift_tol * horizon fell below it
+    code, report, _ = run(capsys, "strata", "--scenario", scenario_path("cone"), "--check", *argv)
+    assert code == 0 and report["result"]["passed"]
+
+
 # each command, with its --check, and the tolerances it reads: 33 of the 13
 # tolerances on 15 command/--check pairs that every report used to echo
 _READS = [
@@ -643,11 +653,11 @@ def test_bracket_command(capsys):
      "step size underflow"),
     # a NaN point used to end in "cannot convert float NaN to integer" or,
     # through slack, in "slack inf"
-    (["orbit", "--scenario", "translate_shear", "--point=nan,0"], "--point coordinate 0 is nan"),
-    (["flow", "--scenario", "halfline", "--field", "ddx", "--point=nan"], "--point coordinate 0 is nan"),
+    (["orbit", "--scenario", "translate_shear", "--point=nan,0"], "--point[0]: coordinate nan is not finite"),
+    (["flow", "--scenario", "halfline", "--field", "ddx", "--point=nan"], "--point[0]: coordinate nan is not finite"),
     (["chart", "--scenario", "translate_shear", "--family", "default", "--point=0,inf"],
-     "--point coordinate 1 is inf"),
-    (["leaf", "--scenario", "reduction_r4", "--point=1,1,-inf,0"], "--point coordinate 2 is -inf"),
+     "--point[1]: coordinate inf is not finite"),
+    (["leaf", "--scenario", "reduction_r4", "--point=1,1,-inf,0"], "--point[2]: coordinate -inf is not finite"),
     # above half the largest float the width of the duration draw overflows:
     # every duration was inf or NaN, the orbit ran for minutes and the probe
     # skipped every probe and passed
@@ -685,6 +695,67 @@ def test_bad_numeric_argument_exits_2_at_once(capsys, argv, flag):
     assert report == {}
     assert flag in err
     assert "Traceback" not in err
+
+
+# each command that reads --point, with a valid argv around it
+_POINT_COMMANDS = {
+    "flow": (["flow", "--scenario", "halfline", "--field", "ddx"], 1),
+    "bracket": (["bracket", "--scenario", "translate_shear", "--x", "ddx", "--y", "xddy"], 2),
+    "orbit": (["orbit", "--scenario", "translate_shear"], 2),
+    "chart": (["chart", "--scenario", "translate_shear"], 2),
+    "leaf": (["leaf", "--scenario", "reduction_r4"], 4),
+    "acs": (["acs", "--scenario", "acs_variable", "--check", "torsion", "--x", "e1", "--y", "e3"], 4),
+}
+# each numeric flag, with a valid argv around it, and whether it counts
+_NUMERIC_FLAGS = [
+    (["flow", "--scenario", "halfline", "--field", "ddx", "--point=0.5"], "--horizon", False),
+    (["orbit", "--scenario", "translate_shear", "--point=0,0"], "--budget", True),
+    (["orbit", "--scenario", "translate_shear", "--point=0,0"], "--step-scale", False),
+    (["complete-probe", "--scenario", "rotation_plane"], "--n", True),
+    (["complete-probe", "--scenario", "rotation_plane"], "--radius", False),
+    (["complete-probe", "--scenario", "rotation_plane"], "--t-scale", False),
+    (["strata", "--scenario", "cone", "--check", "orbits"], "--budget", True),
+    (["strata", "--scenario", "cone", "--check", "orbits"], "--horizon", False),
+    (["poisson", "--scenario", "canonical_r2"], "--triples", True),
+    (["poisson", "--scenario", "canonical_r2"], "--points", True),
+    (["poisson", "--scenario", "canonical_r2"], "--scale", False),
+    (["leaf", "--scenario", "reduction_r4", "--point=1,1,1,0"], "--budget", True),
+    (["leaf", "--scenario", "reduction_r4", "--point=1,1,1,0"], "--step-scale", False),
+    (["acs", "--scenario", "acs_standard", "--check", "kahler"], "--points", True),
+]
+_BAD_SEEDS = ["[[0.5, 1.0]]", "[]", "[[NaN]]", '[["0.5"]]', '{"a": [[0.5]]}', "[0.5]"]
+_BAD_FLAGS = (
+    [(argv + [f"--point={','.join(['0.5'] * (n + 1))}"], "--point") for argv, n in _POINT_COMMANDS.values()]
+    + [(argv + [f"--point={','.join([bad] + ['0.5'] * (n - 1))}"], "--point")
+       for argv, n in _POINT_COMMANDS.values() for bad in ("nan", "inf", "-inf", "one")]
+    + [(argv + [flag, value], flag) for argv, flag, counts in _NUMERIC_FLAGS
+       for value in ("0", "-1", "nan", "inf") + (("1.5",) if counts else ())]
+    + [(["acs", "--scenario", "acs_standard", "--check", "cr", "--f", f, "--h", h], flag)
+       for bad in ("x1 +", "x9", "foo(x1)", "1/0", "") for f, h, flag in ((bad, "q1", "--f"), ("q1", bad, "--h"))]
+    + [(["chart", "--scenario", "translate_shear", "--point=1,0", "--basis", basis], "--basis")
+       for basis in ("a", "0,1.5", "0,")]
+    + [(["classify", "--scenario", "halfline", "--field", "ddx", "--seeds", seeds], "--seeds") for seeds in _BAD_SEEDS]
+    + [(["classify", "--scenario", "halfline", "--field", "ddx", "--tol-overrides", value], "--tol-overrides")
+       for value in ('{"rtol": -1}', '{"rtol": 0}', '{"rtol": NaN}', '{"rtol": 1e400}', '{"rtol": "1e-9"}',
+                     '{"rtoll": 1e-9}', '{"drift": 1e-9}', "[1e-9]", "1e-9")]
+)
+
+
+@pytest.mark.parametrize("argv,flag", _BAD_FLAGS, ids=[" ".join(a[:1] + a[3:]) for a, _ in _BAD_FLAGS])
+def test_a_bad_flag_value_exits_2_with_one_error_line_that_names_it(tmp_path, capsys, argv, flag):
+    argv = list(argv)
+    at = argv.index("--scenario") + 1
+    argv[at] = scenario_path(argv[at])
+    if flag == "--seeds":  # the value is the file's text
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(argv[-1])
+        argv[-1] = str(seeds)
+    code = main(argv)
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert (code, captured.out) == (2, "")
+    assert len(errors) == 1 and flag in errors[0], captured.err
+    assert "Traceback" not in captured.err
 
 
 def _one_cell_scenario(tmp_path, constraint: str, field: str) -> str:
@@ -1230,7 +1301,7 @@ def test_complete_probe_that_skips_every_probe_is_inconclusive(capsys, argv, ski
     (["--check", "torsion", "--x", "e1", "--y", "nope"], "nope"),
     (["--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0"], "--point"),
     (["--check", "cr", "--f", "x1"], "--check cr needs --f and --h"),
-    (["--check", "cr", "--f", "x1", "--h", "x3 +"], "bad expression"),
+    (["--check", "cr", "--f", "x1", "--h", "x3 +"], "--h: unexpected token"),
     (["--check", "kahler", "--fields", "e1,nope"], "nope"),
     (["--check", "kahler"], "--check kahler needs an 'omega' matrix"),
 ])

@@ -19,7 +19,6 @@ from subcart.flow import (
     FlowDomainError,
     FlowOptions,
     IntegrationError,
-    ProbeOptions,
     classify_vector_field,
     drift,
     flow_map,
@@ -303,7 +302,7 @@ def test_n_samples_counts_the_samples_of_the_curve():
 
 def test_classify_halfline_fields():
     hl = halfline()
-    probe = ProbeOptions(seeds=((0.0,), (1.0,)))
+    probe = [[0.0], [1.0]]
     bad = classify_vector_field(hl, make_field("ddx", ["1"], 1), probe)
     assert bad.classification == "NotVectorField"
     assert bad.witness["kind"] == "attained-endpoint"
@@ -315,7 +314,7 @@ def test_classify_halfline_fields():
 
 def test_classify_not_locally_closed_uses_interval_shrinkage():
     dl = disk_line()
-    probe = ProbeOptions(seeds=((0.0, 0.0),))
+    probe = [[0.0, 0.0]]
     verdict = classify_vector_field(dl, make_field("ddx", ["1", "0"], 2), probe)
     assert verdict.classification == "NotVectorField"
     assert verdict.witness["kind"] == "shrinking-intervals"
@@ -342,8 +341,7 @@ CLASSIFY_GATE = [
 @pytest.mark.parametrize("name,field,answer,others", CLASSIFY_GATE, ids=[f"{n}-{f}" for n, f, _, _ in CLASSIFY_GATE])
 def test_classify_answers_on_probe_seeds_0_to_39(name, field, answer, others):
     sc = load_scenario(scenario_path(name))
-    seeds = tuple(tuple(s) for s in sc.seeds["default"])
-    got = {k: classify_vector_field(sc.space, sc.field(field), ProbeOptions(seeds, k)).classification
+    got = {k: classify_vector_field(sc.space, sc.field(field), sc.seeds["default"], k).classification
            for k in range(40)}
     assert got == {k: others.get(k, answer) for k in range(40)}
 
@@ -356,7 +354,7 @@ def test_classify_half_line_as_two_cells_is_inconclusive():
     assert not union.locally_closed and halfline().locally_closed
     ddx = make_field("ddx", ["1"], 1)
     for k in range(40):
-        verdict = classify_vector_field(union, ddx, ProbeOptions(((0.0,), (1.0,)), k))
+        verdict = classify_vector_field(union, ddx, [[0.0], [1.0]], k)
         assert verdict.classification == "Inconclusive", k
         assert max(verdict.diagnostics["min_interval_radius"]) < 1e-8
 

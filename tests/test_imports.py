@@ -480,7 +480,7 @@ def test_every_export_resolves_and_is_listed():
         "    getattr(subcart, name)\n"
         "print(json.dumps([subcart.__all__, [n for n in subcart.__all__ if n not in listed]]))"
     ))
-    assert out[0] == sorted(set(out[0])) and len(out[0]) == 75
+    assert out[0] == sorted(set(out[0])) and len(out[0]) == 73
     assert out[1] == []
 
 
@@ -524,26 +524,16 @@ KNOBS = {
     "FlowOptions.atol": "cli._flow_options",
     "FlowOptions.max_steps": None,
     "FlowOptions.rtol": "cli._flow_options",
-    "IntegralCurve.exit_minus": "flow.integrate",
-    "IntegralCurve.exit_plus": "flow.integrate",
     "IntegrationError.__init__(t)": "flow._DRIVER",
-    "OrbitSample.diagnostics": "orbit.sample_orbit",
-    "OrbitSample.dimensions": "orbit.sample_orbit",
     "PoissonStructure.__init__(label)": "poisson.reduce",
-    "ProbeOptions.rng_seed": "cli.cmd_classify",
-    "ProbeOptions.seeds": "cli.cmd_classify",
-    "ReductionSetup.certify_tol": "cli.cmd_reduce",
-    "ReductionSetup.degree": "cli.cmd_reduce",
-    "ReductionSetup.rng_seed": "cli.cmd_reduce",
     "StratifiedSpace.__init__(locally_trivial)": "cli.load_scenario",
     "SubcartesianSpace.__init__(tol)": "cli.load_scenario",
     "SubcartesianSpace.contains(tol)": "flow._exit",
     "SubcartesianSpace.require_member(what)": "flow.classify_vector_field",
-    "VectorFieldVerdict.diagnostics": "flow.classify_vector_field",
-    "VectorFieldVerdict.notes": "flow.classify_vector_field",
     "chart_jacobian(options)": "cli.cmd_chart",
     "chart_jacobian(tol_rank)": "cli.cmd_chart",
     "classify_vector_field(options)": "cli.cmd_classify",
+    "classify_vector_field(rng_seed)": "cli.cmd_classify",
     "dimension_constancy_report(n_probes)": None,
     "dimension_constancy_report(options)": None,
     "dimension_constancy_report(rng_seed)": None,
@@ -580,6 +570,9 @@ KNOBS = {
     "orbit_vs_strata(tol_rank)": "cli.cmd_strata",
     "parse(aliases)": "cli._Coords.expr",
     "reach(options)": None,
+    "reduce(certify_tol)": "cli.cmd_reduce",
+    "reduce(degree)": "cli.cmd_reduce",
+    "reduce(rng_seed)": "cli.cmd_reduce",
     "sample_orbit(options)": "cli.cmd_orbit",
     "sample_orbit(rng_seed)": "cli.cmd_orbit",
     "sample_orbit(step_scale)": "cli.cmd_orbit",
@@ -593,7 +586,7 @@ KNOBS = {
 
 
 def test_public_knobs_are_pinned():
-    assert len(KNOBS) == 72
+    assert len(KNOBS) == 65
     assert sorted(KNOBS) == _knobs()
 
 

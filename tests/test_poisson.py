@@ -26,7 +26,6 @@ from subcart.poisson import (
     PoissonError,
     PoissonStructure,
     ReductionError,
-    ReductionSetup,
     bracket,
     hamiltonian_field,
     invariance_residual,
@@ -409,9 +408,8 @@ def _r4_reduction(seed: int, degree: int = 2, scale: float = 1.0) -> PoissonStru
     """reduce on reduction_r4 at ``seed`` and ``degree``, its first invariant
     times ``scale``."""
     red = load_scenario(scenario_path("reduction_r4")).reduction
-    return reduce(ReductionSetup(ambient=PoissonStructure.canonical(2),
-                                 invariants=(mul(Const(scale), red["invariants"][0]), *red["invariants"][1:]),
-                                 degree=degree, rng_seed=seed))
+    return reduce(PoissonStructure.canonical(2), (mul(Const(scale), red["invariants"][0]), *red["invariants"][1:]),
+                  degree=degree, rng_seed=seed)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -439,9 +437,8 @@ def test_reduce_with_a_scaled_invariant():
     # 1e4 |q|^2: unscaled, the constant column's pivot fell under k eps of
     # s1^2's and reduce answered NotReducible with a fit residual of 5e4
     red = load_scenario(scenario_path("reduction_r4")).reduction
-    setup = ReductionSetup(ambient=PoissonStructure.canonical(2),
-                           invariants=(mul(Const(1e4), red["invariants"][0]), *red["invariants"][1:]))
-    assert reduce(setup).meta["table"] == {"{s1,s2}": "40000.0*x3", "{s1,s3}": "2.0*x1", "{s1,s4}": "0.0",
+    invariants = (mul(Const(1e4), red["invariants"][0]), *red["invariants"][1:])
+    assert reduce(PoissonStructure.canonical(2), invariants).meta["table"] == {"{s1,s2}": "40000.0*x3", "{s1,s3}": "2.0*x1", "{s1,s4}": "0.0",
                                            "{s2,s3}": "(-2.0)*x2", "{s2,s4}": "0.0", "{s3,s4}": "0.0"}
 
 
@@ -603,11 +600,7 @@ def test_monomials_of_many_variables_are_listed_at_once():
 
 
 def test_reduce_reproduces_bracket_table():
-    setup = ReductionSetup(
-        ambient=PoissonStructure.canonical(2),
-        invariants=tuple(parse(s, 4) for s in R4_INVARIANTS),
-    )
-    red = reduce(setup)
+    red = reduce(PoissonStructure.canonical(2), [parse(s, 4) for s in R4_INVARIANTS])
     assert red.dim == 4
     assert red.meta["certified_points"] == 200
     assert red.meta["certified_residual"] <= 1e-10
@@ -618,12 +611,8 @@ def test_reduce_reproduces_bracket_table():
 
 
 def test_reduce_rejects_non_invariant_pair():
-    setup = ReductionSetup(
-        ambient=PoissonStructure.canonical(1),
-        invariants=(parse("x1^2", 2), parse("x2", 2)),
-    )
     with pytest.raises(ReductionError) as exc:
-        reduce(setup)
+        reduce(PoissonStructure.canonical(1), [parse("x1^2", 2), parse("x2", 2)])
     msg = str(exc.value)
     assert "1" in msg and "2" in msg
     assert "x1^2" in msg

@@ -106,17 +106,41 @@ def test_rref_reduces_a_matrix_at_its_caps_and_refuses_one_past_them():
     assert rref([[big, big - 2], [big - 2, big]], 2) is None
 
 
-def test_rref_refuses_a_dense_matrix_past_its_work():
-    # within the size caps, but each pivot forms some 2^18 entries, so the
-    # work cap ends it after a few dozen: a dense 512 x 256 integer matrix
-    # took 44 s to reduce without this cap
+# Each matrix is within the size caps, and each is reduced in a child
+# process, timed there: the answer, and its seconds.  The dense one forms
+# some 2^18 entries per pivot, and took 44 s to reduce without a work cap.
+# The two of long entries form fewer entries, but each costs more: charged
+# per entry, the 512-bit one ran 3.8 s to reach the bits cap and the 64-bit
+# one 2.0 s to reduce.  A quarter of the dense one's rows is within the cap.
+_WORK_CHILD = """
+import json, random, sys, time
+from subcart.poly import MAX_COLUMNS, MAX_ROWS, rref
+
+def wide(bits):
     rng = random.Random(0)
-    dense = [[rng.randint(-9, 9) for _ in range(MAX_COLUMNS)] for _ in range(MAX_ROWS)]
+    return [[rng.getrandbits(bits) - 2 ** (bits - 1) for _ in range(32)] for _ in range(MAX_ROWS)], 32
+
+rng = random.Random(0)
+dense = [[rng.randint(-9, 9) for _ in range(MAX_COLUMNS)] for _ in range(MAX_ROWS)]
+cases = {"dense": (dense, MAX_COLUMNS), "512-bit": wide(512), "64-bit": wide(64),
+         "quarter": (dense[: MAX_ROWS // 4], 16)}
+out = {}
+for name, (rows, width) in cases.items():
     start = time.perf_counter()
-    assert rref(dense, MAX_COLUMNS) is None
-    assert time.perf_counter() - start < 5.0
-    # a quarter of its rows is within the cap
-    assert rref(dense[: MAX_ROWS // 4], 16) is not None
+    reduced = rref(rows, width)
+    out[name] = [reduced is not None, time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
+
+def test_rref_refuses_a_dense_matrix_past_its_work():
+    proc = subprocess.run([sys.executable, "-c", _WORK_CHILD], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert {name: reduced for name, (reduced, _) in out.items()} == {
+        "dense": False, "512-bit": False, "64-bit": False, "quarter": True}
+    assert out["dense"][1] < 5.0 and out["512-bit"][1] < 1.0 and out["64-bit"][1] < 1.0, out
 
 
 @pytest.mark.parametrize("seed", range(10))

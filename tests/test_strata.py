@@ -178,7 +178,16 @@ def test_strongly_stratified_rejects_transverse_field():
     assert rep.witness["stratum"] == "surface"
 
 
-def test_orbit_vs_strata_containment():
+@pytest.mark.parametrize("horizon", [1e-12, 1e-10, 1e-8, 5e-8, 1e-7, 1e-5, 1e-3, 0.1, 1.0])
+def test_tangency_on_the_cone_at_every_horizon(horizon):
+    # a projected sample keeps a residual of some 7e-14 at t = 0, which
+    # drift_tol * horizon fell below: rot and euler failed below 1e-7,
+    # though their curves drift no farther than where they start
+    ss, fields = cone_stratification(), cone_fields()
+    got = {name: strongly_stratified_check(ss, fields[name], CONE_LO, CONE_HI, horizon=horizon,
+                                           rng_seed=seed, drift_tol=1e-6).passed
+           for name in fields for seed in range(3)}
+    assert got == {name: name != "ddz" for name in fields}
     ss = cone_stratification()
     fields = cone_fields()
     fam = FieldFamily(cone_space(), [fields["euler"], fields["rot"]])
