@@ -364,11 +364,6 @@ def _solve(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
     return b
 
 
-def resolution(tol: float) -> float:
-    """The residual a projection stops at under the membership tolerance ``tol``."""
-    return min(tol * 1e-3, 1e-12)
-
-
 def _compile_projection(cell: Cell, n: int, tol: float) -> Callable[[list[float], int], Optional[list[float]]]:
     """Generate ``f(x, max_iter)``: ``project_to_equalities`` of the cell on
     float lists.
@@ -388,7 +383,7 @@ def _compile_projection(cell: Cell, n: int, tol: float) -> Callable[[list[float]
     if not eqs:
         return lambda x, max_iter: list(x)
     m = len(eqs)
-    target = _const_source(resolution(tol))
+    target = _const_source(min(tol * 1e-3, 1e-12))
     xs = ", ".join(f"x{k}" for k in range(n))
     lines, names = vector_source(eqs + [d for e in eqs for d in gradient_exprs(e, n)], "x{}")
     g, J = names[:m], [names[m + i * n : m + i * n + n] for i in range(m)]

@@ -178,16 +178,7 @@ def test_strongly_stratified_rejects_transverse_field():
     assert rep.witness["stratum"] == "surface"
 
 
-@pytest.mark.parametrize("horizon", [1e-12, 1e-10, 1e-8, 5e-8, 1e-7, 1e-5, 1e-3, 0.1, 1.0])
-def test_tangency_on_the_cone_at_every_horizon(horizon):
-    # a projected sample keeps a residual of some 7e-14 at t = 0, which
-    # drift_tol * horizon fell below: rot and euler failed below 1e-7,
-    # though their curves drift no farther than where they start
-    ss, fields = cone_stratification(), cone_fields()
-    got = {name: strongly_stratified_check(ss, fields[name], CONE_LO, CONE_HI, horizon=horizon,
-                                           rng_seed=seed, drift_tol=1e-6).passed
-           for name in fields for seed in range(3)}
-    assert got == {name: name != "ddz" for name in fields}
+def test_orbit_vs_strata_containment():
     ss = cone_stratification()
     fields = cone_fields()
     fam = FieldFamily(cone_space(), [fields["euler"], fields["rot"]])
@@ -201,6 +192,40 @@ def test_tangency_on_the_cone_at_every_horizon(horizon):
     assert seat["escapes"] == []
     assert seat["est_dimension"] == 2
     assert seat["stratum"] == "surface"
+
+
+@pytest.mark.parametrize("horizon", [1e-15, 1e-13, 1e-12, 1e-10, 1e-8, 5e-8, 1e-7, 1e-5, 1e-3, 0.1, 1.0])
+def test_tangency_on_the_cone_at_every_horizon(horizon):
+    # a projected sample keeps a residual of some 7e-14 at t = 0, which
+    # drift_tol * horizon fell below: rot and euler failed below 1e-7,
+    # though their curves drift no farther than where they start; ddz must
+    # still fail where its drift is far under that residual
+    ss, fields = cone_stratification(), cone_fields()
+    got = {(name, seed): strongly_stratified_check(ss, fields[name], CONE_LO, CONE_HI, horizon=horizon,
+                                                   rng_seed=seed, drift_tol=1e-6)
+           for name in fields for seed in range(3)}
+    assert {key: rep.passed for key, rep in got.items()} == {key: key[0] != "ddz" for key in got}
+    assert all((rep.witness is None) == rep.passed for rep in got.values())
+    # the surface alone tells ddz apart, not only the apex, which it leaves at speed 1
+    assert all(rep.witness["stratum"] == "surface" for (name, _), rep in got.items() if name == "ddz")
+
+
+def test_tangency_fails_a_curve_that_leaves_its_start_beside_a_larger_residual(monkeypatch):
+    # each curve is measured from its own start: the largest drift, a
+    # residual its sample starts with and keeps, does not lift the bound
+    # for the others, and a passing curve is no witness
+    calls = []
+
+    def fake(space, fld, p, horizon, options=None):
+        calls.append(p)
+        violation, at_start = (1e-3, 1e-3) if len(calls) == 1 else (3e-6, 0.0)
+        return violation, 0.5, list(p), None, at_start
+
+    monkeypatch.setattr(flow, "drift", fake)
+    rep = strongly_stratified_check(cone_stratification(), cone_fields()["rot"], CONE_LO, CONE_HI,
+                                    horizon=1.0, drift_tol=1e-6)
+    assert len(calls) > 2 and rep.max_drift == 1e-3
+    assert not rep.passed and rep.witness["drift"] == 3e-6 and rep.witness["start"] != calls[0]
 
 
 def test_orbit_vs_strata_coverage_matches_the_nearest_cloud_norm(monkeypatch):
@@ -295,10 +320,24 @@ def _loop_drift(ss, fld, lo, hi, horizon, rng_seed):
 
 
 def _fold_drift(ss, fld, lo, hi, horizon, rng_seed):
-    # drift_tol 0 reports the witness of any positive drift
-    rep = strongly_stratified_check(ss, fld, lo, hi, horizon=horizon, rng_seed=rng_seed, drift_tol=0.0)
-    witness = rep.witness and {k: rep.witness[k] for k in ("t", "point", "start")}
-    return _hexed([rep.max_drift, rep.per_stratum, witness])
+    # the same loop over ``flow.drift``, the fold the check runs on each
+    # curve; the check's report carries its maxima, but a witness only
+    # where a curve leaves its stratum, not at the worst drift of a pass
+    draw = box(random.Random(rng_seed), lo, hi)
+    max_drift, witness, per_stratum = 0.0, None, {}
+    for s in ss.strata:
+        worst_here = 0.0
+        for p in sample(s.space, DRIFT_SAMPLES, draw, BOX_TRIES):
+            violation, t, q, _, _ = flow.drift(s.space, fld, p, horizon)
+            if violation > worst_here:
+                worst_here = violation
+                if violation > max_drift:
+                    max_drift = violation
+                    witness = {"t": t, "point": q, "start": [float(v) for v in p]}
+        per_stratum[s.name] = worst_here
+    rep = strongly_stratified_check(ss, fld, lo, hi, horizon=horizon, rng_seed=rng_seed)
+    assert _hexed([rep.max_drift, rep.per_stratum]) == _hexed([max_drift, per_stratum])
+    return _hexed([max_drift, per_stratum, witness])
 
 
 @pytest.mark.parametrize("horizon", [0.2, 0.6, 1.0])
