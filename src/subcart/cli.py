@@ -426,7 +426,7 @@ def _resolve_seeds(sc: Scenario, spec: str) -> list[list[float]]:
             with open(spec, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise CliError(f"cannot read seeds file {spec!r}: {exc}") from None
+            raise CliError(f"--seeds file {spec!r}: {exc}") from None
         # a seed set, read as the scenario's are
         return _flag(sc.coords.seeds, raw, f"--seeds file {spec!r} at $")
     raise CliError(

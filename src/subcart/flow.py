@@ -14,8 +14,8 @@ of the samples (stored, counted, folded into a stratum's drift, or none),
 whose stages compute the field's components inline and whose scan tests the
 cells inline.  A constant component is a literal in every sum that reads it,
 which the compiler folds with the same floats the running sum would give.
-It is called with the space, ``kernel(x0, target, opts, space)``, which
-bisects an exit.
+It is called with the space, ``kernel(x0, target, opts, space)``, under
+whose tolerance it tests and whose cells an exit witness names.
 ``transport_vector`` carries a vector on the kernel of the field's
 variational field on R^2n, the point followed by the vector its Jacobian
 carries, whose cell tests read the point alone.
@@ -35,14 +35,14 @@ space, so its memory does not grow with the horizon.
 A space with a cell of no constraints holds everywhere, so there nothing is
 tested, and a kernel that neither tests, stores nor folds has no scan.
 The scan's cell tests are the space's generated lines, which evaluate the
-constraints in IEEE arithmetic (``space._cells_test``), so a power past
-the float range tests as inf.  On the first violation the
-exit time is located by bisection on the dense output down to 1e-12 in
-time (``BISECT_TOL``), in a loop generated per space from the same cell
-tests (``SubcartesianSpace._bisect``).  Domain-guard failures inside the
-derivative (logs, roots, quotients) are treated as leaving the chart: the
-step is retried at half size down to 1e-14 (``MIN_STEP``), then the curve
-ends.
+constraints in IEEE arithmetic (``space._cells_test``), so a power past the
+float range tests as inf.  On the first violation the exit time is located
+by bisection on the dense output down to 1e-12 in time (``BISECT_TOL``), in
+a loop of the same cell tests that the kernel's source defines beside its
+drive, so a kernel, its exit included, is one ``compile()``.  Domain-guard
+failures inside the derivative (logs, roots, quotients) are treated as
+leaving the chart: the step is retried at half size down to 1e-14
+(``MIN_STEP``), then the curve ends.
 A starting step that is zero or not finite, a NaN error norm, an accepted
 step too short to advance t and a field whose value overflows (Python's
 float ``**`` raises there) are failures of the stepper itself.
@@ -226,24 +226,17 @@ class _DriveResult:
     n_samples: Optional[int]  # points stored after the start; None from a kernel that counts nothing
 
 
-def _exit(coeffs, theta_in, theta_out, t, h, samples, n_samples, n_steps, space):
-    """End a drive that leaves the space inside the step from t to t + h.
-
-    Membership in the space is bisected on the step's dense output, given as
-    per-component coefficient tuples (y, ydiff, bspl, r4, r5), between the
-    last passing fraction ``theta_in`` and the first failing ``theta_out``,
-    by the space's generated ``_bisect``, whose fractions are those of a
-    loop of ``_dense`` and ``space.contains``; a point may carry more
-    coordinates after the space's, which are not read.  The witness names
-    the cell holding at the last passing point and the constraint failing
-    at the first failing one, and is attained where that point holds under
-    the relaxed tolerance.  The last point stored before the exit is the
-    one at t + theta_in * h (the start, or the end of the step before, where
-    ``theta_in`` is 0), so the point the bisection ends on is stored, or
-    counted in ``n_samples``, only where its time differs from that one.
+def _exit(coeffs, theta_in, theta_out, last, t, h, samples, n_samples, n_steps, space):
+    """End a drive that leaves the space inside the step from t to t + h, at
+    the bracket ``theta_in``, ``theta_out`` of the kernel's bisection on the
+    step's dense output, given as per-component tuples (y, ydiff, bspl, r4,
+    r5), which may run past the space's coordinates.  The witness names the
+    cell holding at theta_in's point and the constraint failing at
+    theta_out's, and is attained where the latter holds under the relaxed
+    tolerance.  The point at theta_in is stored, or counted in
+    ``n_samples``, only where its time differs from ``last``, that of the
+    last point stored before the exit.
     """
-    last = t + theta_in * h
-    theta_in, theta_out = space._bisect(space, coeffs, theta_in, theta_out, h, BISECT_TOL)
     p_in = _dense(coeffs, theta_in)
     p_out = _dense(coeffs, theta_out)
     ci, ki, text = _witness_info(space, p_in, p_out)
@@ -309,9 +302,11 @@ def _witness_info(space: SubcartesianSpace, p_in: list[float], p_out: list[float
 # fractions 0.25, 0.5, 0.75, 1.0 as literals; a longer step scans its
 # points in a loop.  The test |h| / 0.1 <= 4.0 holds exactly where
 # ceil(|h| / 0.1) <= 4, so ``ceil`` is called only for a longer step, where
-# it still raises on an inf or NaN quotient.  A scanned point that fails
-# ends the drive in ``_exit``, which bisects the exit with the space's
-# generated bisection: the dense output and the same cell tests in a loop.
+# it still raises on an inf or NaN quotient.  A failing point leaves the
+# scan (the block is a ``while True`` run once) with its bracket in _lo,
+# _hi; the exit block after it narrows that with ``_bisect``, the dense
+# output and the same cell tests in a loop, defined after ``_drive``, and
+# ends the drive in ``_exit``.
 # What $samples sets up, $scan does with the points and $kept returns
 # depends on the use of the samples.  A kernel that stores them (``flow
 # --out``) keeps each scanned point in ``samples``; one that counts them
@@ -388,6 +383,7 @@ $advance
         t = t + h
         grow = 10.0 if err == 0.0 else 0.9 * err**-0.2
         h *= grow if grow < 10.0 else 10.0
+$bisect
 """
 
 def _indent(lines: list[str], depth: int) -> str:
@@ -459,17 +455,18 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     for i in ix:
         start += [f"sk{i} = atol + rtol * abs(y{i})", f"sy{i} = y{i} / sk{i}", f"sf{i} = {slope(1, i)} / sk{i}"]
 
+    def dense(th: str, u: str) -> list[str]:  # p0.. at fraction th of the step on its dense output; u is 1 - th
+        return [f"p{i} = y{i} + {th} * (yd{i} + {u} * (bs{i} + {th} * (q{i} + {u} * r{i})))" for i in ix]
+
     def grid_point(th: str, u: str, theta_in: str, passed: str, stamp: str) -> list[str]:
         """Lines that compute the scanned point at fraction th of the step (u
-        is 1 - th), end the drive there if it fails, with theta_in the last
-        passing fraction and ``passed`` the points of this step before it,
+        is 1 - th), leave the scan if it fails with the bracket theta_in, th
+        in _lo, _hi and the ``passed`` points of this step before it in _k,
         and store it at time ``stamp`` or fold its drift."""
-        lines = [f"p{i} = y{i} + {th} * (yd{i} + {u} * (bs{i} + {th} * (q{i} + {u} * r{i})))" for i in ix]
+        lines = dense(th, u)
         if tests:
-            count = "None" if keep is None else f"n_samples + {passed}"
-            leave = ("return _exit((" + each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + f",), {theta_in}, {th}, t, h, "
-                     f"samples, {count}, n_steps, space)")
-            lines += ["_c = None", *_cells_test(cells, "p{}", ""), "if _c is None:", f"    {leave}"]
+            lines += ["_c = None", *_cells_test(cells, "p{}", ""), "if _c is None:",
+                      f"    _lo, _hi, _k = {theta_in}, {th}, {passed}", "    break"]
         if keep == "store":
             lines += [f"sample_t.append({stamp})", f"sample_x.extend(({names('p')}))"]
         if fold:
@@ -485,8 +482,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     short = f"abs(h) / {MAX_SAMPLE_DT!r} <= {float(grid)!r}"
     n_sub = f"ceil(abs(h) / {MAX_SAMPLE_DT!r})"
     counts = keep in ("store", "count")
-    coeffs = []
-    scan = []
+    coeffs, scan, bisect = [], [], []
     if cells is not None or keep == "store":
         for i in ix:  # the dense coefficients, which only the scan and its exit read
             coeffs += [f"yd{i} = yn{i} - y{i}", f"bs{i} = h * {slope(1, i)} - yd{i}",
@@ -501,11 +497,22 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
                 "theta_in = th"]
         if counts:
             block.append(f"n_samples += {grid}")
+        if tests:
+            block = ["while True:", *("    " + line for line in block), "    break"]
         scan = [f"if {short}:", *("    " + line for line in block),
                 "else:", f"    n_sub = {n_sub}", "    theta_in = 0.0", "    for i in range(1, n_sub + 1):",
                 *(" " * 8 + line for line in loop)]
         if counts:
-            scan.append("    n_samples += n_sub")
+            scan += ["    else:", "        n_samples += n_sub"]
+        if tests:  # the exit block after the scan, and the bisection it calls, defined after ``_drive``
+            co = each("(y{i}, yd{i}, bs{i}, q{i}, r{i})") + ","
+            scan = ["_hi = None", *scan, "if _hi is not None:", "    _last = t + _lo * h", f"    _co = ({co})",
+                    "    return _exit(_co, *_bisect(_co, _lo, _hi, h, _tol), _last, t, h, samples, "
+                    f"{'n_samples + _k' if counts else 'None'}, n_steps, space)"]
+            halve = ["_mid = 0.5 * (_lo + _hi)", "_u = 1.0 - _mid", *dense("_mid", "_u"), "_c = None",
+                     *_cells_test(cells, "p{}", ""), "if _c is None:", "    _hi = _mid", "else:", "    _lo = _mid"]
+            bisect = ["def _bisect(_co, _lo, _hi, h, _tol):", f"    {co} = _co", "    _span = abs(h)",
+                      f"    while (_hi - _lo) * _span > {BISECT_TOL!r}:", _indent(halve, 8), "    return _lo, _hi"]
     elif keep == "count":
         scan = [f"n_samples += {grid} if {short} else {n_sub}"]
     if fold:
@@ -524,7 +531,7 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
         n=n, y=names("y"), advance=_indent(advance, 8),
         first=_indent(field(1, "y{}") or ["pass"], 8), start=_indent(start, 4), ysq=sumsq("sy"), fsq=sumsq("sf"),
         stages=_indent(stages, 12), errors=_indent(errors, 8), coeffs=_indent(coeffs, 8),
-        sumsq=sumsq("s"), scan=_indent(scan, 8), samples=_indent(samples, 4),
+        sumsq=sumsq("s"), scan=_indent(scan, 8), samples=_indent(samples, 4), bisect="\n".join(bisect),
         kept="(_worst, _wt, _wp, _stop, _start)" if fold else "samples",
     )
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)

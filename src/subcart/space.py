@@ -18,9 +18,7 @@ inside its own ``try`` so that a constraint undefined at the point
 first cell that holds.  ``contains``, ``member_cell``, ``cell_contains`` and
 ``closure_contains`` (strict relations relaxed) all call functions made by
 that one generator.  A flow kernel, which is handed the space, tests its
-cells with the same lines inline, and locates an exit with the space's
-bisection, a loop over a step's dense output and the same lines, generated
-on the space's first exit.
+cells with the same lines inline, in its scan and in its exit bisection.
 ``slack`` is emitted the same way on its first use.  The strongly-stratified
 check of ``strata`` folds the same slack lines inline in a flow kernel of
 its own use, "drift", which reads the stratum's slack at every scanned
@@ -154,8 +152,8 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
     ``DomainError`` anywhere in the cell rules the cell out, and no line
     raises ``OverflowError`` (see ``_cell_source``).  Cells after the first
     run only while ``_c`` is None, so the lines stay flat however many cells
-    and constraints there are.  Membership functions, the exit bisection
-    and the flow kernels' scans are all made of these lines.
+    and constraints there are.  Membership functions and the flow kernels'
+    scans and exit bisections are all made of these lines.
     """
     src = []
     for i, cell in enumerate(cells):
@@ -166,31 +164,6 @@ def _cells_test(cells: Sequence[Cell], coord: str, indent: str) -> list[str]:
                 *_cell_source(cell, lambda c, v: f"if not {_TESTS[c.rel].format(v)}: break", pad + " " * 4, coord),
                 f"{pad}        _c = {i}", f"{pad}        break", f"{pad}except _DomainError:", f"{pad}    pass"]
     return src
-
-
-def _compile_bisection(cells: Sequence[Cell], n: int) -> Callable:
-    """Generate ``f(space, coeffs, lo, hi, h, limit)``, the bisection by
-    which a flow locates its exit from the space with these cells.
-
-    ``coeffs`` holds one tuple (y, ydiff, bspl, r4, r5) of a step's dense
-    output per component, of which the first n, the space's coordinates,
-    are read; ``lo`` is a fraction of the step whose point holds, ``hi``
-    one whose point fails.  While ``(hi - lo) * |h|`` exceeds ``limit`` the
-    point at the midpoint fraction is computed by ``flow._dense``'s formula
-    and tested by the lines of ``_cells_test`` under ``space.tol``, and
-    replaces the end of the same verdict.  Returns the last ``lo`` and
-    ``hi``, which are those of a loop of ``_dense`` and ``space.contains``.
-    """
-    ks = range(n)
-    src = ["def _f(_space, _coeffs, _lo, _hi, _h, _limit):",
-           "    " + ", ".join(f"(y{k}, yd{k}, bs{k}, q{k}, r{k})" for k in ks) + f", = _coeffs[:{n}]",
-           "    _tol = _space.tol", "    _span = abs(_h)", "    while (_hi - _lo) * _span > _limit:",
-           "        _mid = 0.5 * (_lo + _hi)", "        _u = 1.0 - _mid",
-           *(f"        p{k} = y{k} + _mid * (yd{k} + _u * (bs{k} + _mid * (q{k} + _u * r{k})))" for k in ks),
-           "        _c = None", *_cells_test(cells, "p{}", " " * 8),
-           "        if _c is None:", "            _hi = _mid", "        else:", "            _lo = _mid",
-           "    return _lo, _hi"]
-    return _build(src, "<bisection>")
 
 
 def _build(src: list[str], name: str) -> Callable:
@@ -261,12 +234,6 @@ class SubcartesianSpace:
         if not all(self.cells):
             return None
         return "\n".join(_cells_test(self.cells, "_x[{}]", ""))
-
-    @functools.cached_property
-    def _bisect(self) -> Callable:
-        """The exit bisection of ``_compile_bisection``, generated on the first
-        exit of a flow on the space."""
-        return _compile_bisection(self.cells, self.ambient_dim)
 
     @functools.cached_property
     def _constraint_tests(self) -> list[list[tuple[Callable[[Sequence[float], float], Optional[int]], str]]]:

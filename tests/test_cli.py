@@ -721,7 +721,7 @@ _NUMERIC_FLAGS = [
     (["leaf", "--scenario", "reduction_r4", "--point=1,1,1,0"], "--step-scale", False),
     (["acs", "--scenario", "acs_standard", "--check", "kahler"], "--points", True),
 ]
-_BAD_SEEDS = ["[[0.5, 1.0]]", "[]", "[[NaN]]", '[["0.5"]]', '{"a": [[0.5]]}', "[0.5]"]
+_BAD_SEEDS = ["[[0.5, 1.0]]", "[]", "[[NaN]]", '[["0.5"]]', '{"a": [[0.5]]}', "[0.5]", "# not JSON"]
 _BAD_FLAGS = (
     [(argv + [f"--point={','.join(['0.5'] * (n + 1))}"], "--point") for argv, n in _POINT_COMMANDS.values()]
     + [(argv + [f"--point={','.join([bad] + ['0.5'] * (n - 1))}"], "--point")

@@ -993,11 +993,18 @@ BISECTION_CASES = {
 }
 
 
+def _kernel_bisection(space, dim: int):
+    """The exit bisection a kernel's source defines beside its drive, here
+    of the kernel of a field of ``dim`` components on the space."""
+    return _kernel(make_field("f", ["1"] * dim, dim), space, None).__globals__["_bisect"]
+
+
 @pytest.mark.parametrize("case", sorted(BISECTION_CASES))
 def test_generated_bisection_matches_the_dense_and_contains_loop(case):
     make, centres, extra = BISECTION_CASES[case]
     space = make()
     n = space.ambient_dim
+    bisect = _kernel_bisection(space, n + extra)
     tested = []
 
     def member(p):  # on numpy floats, whose ** gives inf where Python's raises
@@ -1011,7 +1018,7 @@ def test_generated_bisection_matches_the_dense_and_contains_loop(case):
         h = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 0.3)
         lo, hi = (0.0, 1.0) if k % 2 else sorted((rng.random(), rng.random()))
         want = _ref_bisect(coeffs, lo, hi, h, member)
-        assert _hexes(space._bisect(space, coeffs, lo, hi, h, BISECT_TOL)) == _hexes(want), (k, coeffs, h, lo, hi)
+        assert _hexes(bisect(coeffs, lo, hi, h, space.tol)) == _hexes(want), (k, coeffs, h, lo, hi)
     # both verdicts were bisected, and the rare paths were taken
     assert {held for _, held in tested} == {True, False}
     if case == "overflow":
@@ -1021,6 +1028,34 @@ def test_generated_bisection_matches_the_dense_and_contains_loop(case):
     if case in ("disk_line", "cone"):  # the equality cell held along a step on its locus
         eq = space.cells.index(next(cell for cell in space.cells if any(c.rel is Rel.EQ for c in cell)))
         assert any(held and space.member_cell(p) == eq for p, held in tested)
+
+
+def test_an_exit_from_either_scan_is_bisected_like_the_reference(monkeypatch):
+    # ddx on the half line from 0.3 backward exits in a step of 0.3, in the
+    # four-point block, and from 3.0 in a step of 3, in the loop; both
+    # brackets go to the kernel's bisection and end like the reference
+    ddx = make_field("ddx", ["1"], 1)
+    space = halfline()
+    opts = FlowOptions()
+    for keep in ("store", "count", None):
+        drive = _kernel(ddx, space, keep)
+        steps = []
+
+        def spy(coeffs, lo, hi, h, tol, bisect=drive.__globals__["_bisect"]):
+            steps.append(h)
+            return bisect(coeffs, lo, hi, h, tol)
+
+        monkeypatch.setitem(drive.__globals__, "_bisect", spy)
+        for x0 in (0.3, 3.0):
+            want = _drive_outcome(_reference(ddx._value), [x0], -4.0, opts, space)
+            assert want[6] is not None and want[6][2]  # an attained exit at 0
+            got = _drive_outcome(drive, [x0], -4.0, opts, space)
+            if keep == "store":
+                assert got == want
+            else:
+                _assert_quiet_matches(got, want, keep)
+        assert [abs(h) <= (INTERIOR_CHECKS + 1) * MAX_SAMPLE_DT for h in steps] == [True, False], steps
+        monkeypatch.undo()
 
 
 def test_no_kernel_source_names_a_tableau_global():

@@ -418,7 +418,7 @@ def test_deep_json_is_not_valid_json(tmp_path):
     halfline = scenario_path("halfline")
     code, out, err = run("classify", "--scenario", halfline, "--field", "ddx", "--seeds", str(seeds))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read seeds file {str(seeds)!r}: maximum recursion depth")
+    assert err.startswith(f"error: --seeds file {str(seeds)!r}: maximum recursion depth")
     code, out, err = run("flow", "--scenario", halfline, "--field", "ddx", "--point=0.5",
                          "--tol-overrides", deep)
     assert (code, out) == (2, "")

@@ -796,8 +796,9 @@ def _generated_source(f) -> str:
 
 
 def _kernel_constraint_lines(components, cells, keep) -> Counter:
-    """The lines the cells add to a flow kernel: its source less that of the
-    same kernel with nothing to test, or, for a drift, with no constraint."""
+    """The lines the cells add to a flow kernel, its scan's tests and its
+    exit bisection: its source less that of the same kernel with nothing to
+    test, or, for a drift, with no constraint."""
     bare = [()] if keep == "drift" else None
     return (Counter(_driver_source(components, cells, keep).splitlines())
             - Counter(_driver_source(components, bare, keep).splitlines()))
@@ -807,7 +808,7 @@ def _kernel_constraint_lines(components, cells, keep) -> Counter:
 def test_constraint_sources_hold_no_float_power(name):
     sc = cli.load_scenario(scenario_path(name))
     for space in [sc.space] + [s.space for s in (sc.stratified.strata if sc.stratified else ())]:
-        sources = [_generated_source(f) for f in (space._first_cell, space._slack, space._bisect)]
+        sources = [_generated_source(f) for f in (space._first_cell, space._slack)]
         for fld in sc.fields.values():
             for keep in ("store", "count", None, "drift"):
                 sources.append("\n".join(_kernel_constraint_lines(fld.components, space.cells, keep)))
