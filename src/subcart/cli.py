@@ -491,11 +491,22 @@ def cmd_flow(sc: Scenario, args, tol) -> dict:
 
 
 def cmd_classify(sc: Scenario, args, tol) -> dict:
-    from .flow import classify_vector_field
+    """Exact where every constraint f of every cell divides X f, with no
+    probe run, else the sampler's verdict."""
+    from .poly import darboux_quotients
 
     fld = sc.field(args.field)
     seeds = _resolve_seeds(sc, args.seeds)
-    return asdict(classify_vector_field(sc.space, fld, seeds, rng_seed=args.seed, options=_flow_options(tol)))
+    quotients = darboux_quotients(fld.components, [[c.expr for c in cell] for cell in sc.space.cells])
+    if quotients is None:
+        from .flow import classify_vector_field
+
+        return asdict(classify_vector_field(sc.space, fld, seeds, rng_seed=args.seed, options=_flow_options(tol)))
+    for s in seeds:
+        sc.space.require_member(s, "seed")
+    return {"basis": "exact", "classification": "VectorField", "witness": None, "probes_run": 0,
+            "quotients": [[to_text(h) for h in row] for row in quotients],
+            "notes": ["X f = h f for every constraint f of every cell: f keeps its sign along each integral curve"]}
 
 
 def cmd_bracket(sc: Scenario, args, tol) -> dict:

@@ -78,6 +78,13 @@ class Const(Expr):
         object.__setattr__(self, "_mask", 0)
 
 
+class Integer(Const):
+    """A constant that prints as the integer it is, ``2`` and not ``2.0``;
+    it evaluates, folds and differentiates as any ``Const``."""
+
+    __slots__ = ()
+
+
 class Var(Expr):
     __slots__ = ("index",)
 
@@ -502,11 +509,13 @@ def parse(text: str, n_vars: int, aliases: Optional[Sequence[str]] = None) -> Ex
 
 # Printing --------------------------------------------------------------------
 
-def _number(v: float) -> str:
+def _number(v: float, integral: bool = False) -> str:
     """A constant that is not negative, or NaN, as text that parses back to
-    it: ``repr`` for a finite value, else a literal beyond the float range,
-    which parses as inf (``repr`` would give the unknown identifiers inf and
-    nan)."""
+    it: the integer for an ``integral`` one (an ``Integer``'s), ``repr`` for
+    a finite value, else a literal beyond the float range, which parses as
+    inf (``repr`` would give the unknown identifiers inf and nan)."""
+    if integral:
+        return str(int(v))
     if math.isfinite(v):
         return repr(v)
     return "(1e999-1e999)" if v != v else "1e999"
@@ -516,8 +525,8 @@ def _print(e: Expr) -> tuple[str, int]:
     """Return (text, level) with level 0 atom, 1 power, 2 product, 3 sum, 4 negation."""
     if isinstance(e, Const):
         if e.value < 0.0:
-            return "-" + _number(-e.value), 4
-        return _number(e.value), 0
+            return "-" + _number(-e.value, isinstance(e, Integer)), 4
+        return _number(e.value, isinstance(e, Integer)), 0
     if isinstance(e, Var):
         return f"x{e.index + 1}", 0
     if isinstance(e, Fn):
@@ -556,7 +565,7 @@ def _print(e: Expr) -> tuple[str, int]:
                 rt = f"({rt})"
             return f"{lt} - {rt}", 3
         if isinstance(e.right, Const) and e.right.value < 0.0:
-            return f"{lt} - {_number(-e.right.value)}", 3
+            return f"{lt} - {_number(-e.right.value, isinstance(e.right, Integer))}", 3
         rt, rl = _print(e.right)
         if rl >= 3:
             rt = f"({rt})"

@@ -1,5 +1,7 @@
 """An exact normal form of polynomial expressions, to certify that one is 0,
-and an exact linear solve.
+its derivatives, division by one polynomial, the way back to an ``Expr``,
+the invariance certificate of polynomial cells built on them, and an exact
+linear solve.
 
 ``normal_form`` reads ``Const``, ``Var``, ``Add``, ``Mul``, ``Neg``, ``Pow``
 and ``Div`` by a constant into a dict from exponent tuples to nonzero int or
@@ -7,15 +9,17 @@ and ``Div`` by a constant into a dict from exponent tuples to nonzero int or
 is exactly 0.  Any other node, a constant that is not finite, and a result
 past ``MAX_DEGREE`` or ``MAX_TERMS`` (a product counting its factors' terms
 multiplied) is None, not polynomial; the caps bound the work on any tree.
+Monomials are ordered by degree, then lexicographically with x1 first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Optional, Sequence
 
-from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Var
+from .expr import Add, Const, Div, Expr, Integer, Mul, Neg, Pow, Var
 
 MAX_DEGREE = 12
 MAX_TERMS = 256
@@ -92,6 +96,105 @@ def _product(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
             if c:
                 r[m] = c
     return r
+
+
+def _order(m: tuple) -> tuple:
+    return sum(m), m
+
+
+def derivative(p: dict, i: int) -> dict:
+    """The partial derivative of ``p`` in x{i+1}."""
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in p.items() if m[i]}
+
+
+def divide(f: dict, g: dict) -> Optional[dict]:
+    """The quotient f / g where ``g`` divides ``f``, else None; None also
+    past ``MAX_TERMS`` terms of the quotient or the remainder, or a
+    quotient coefficient past ``MAX_BITS`` bits.  {g} is a Groebner basis
+    of (g), so g divides f exactly when the remainder's leading term is a
+    multiple of g's at every step (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 2); each step adds a quotient term of
+    a lower monomial than the last."""
+    if not g:
+        return None if f else {}
+    lead = max(g, key=_order)
+    q: dict = {}
+    r: Optional[dict] = f
+    while r:
+        m = max(r, key=_order)
+        shift = tuple(map(operator.sub, m, lead))
+        if min(shift) < 0 or len(q) == MAX_TERMS:
+            return None
+        a, b = r[m], g[lead]
+        c = a // b if a % b == 0 else _rational(a) / b
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS:
+            return None
+        q[shift] = c
+        r = _sum(r, {tuple(map(operator.add, shift, mg)): -c * cg for mg, cg in g.items()})
+    return None if r is None else q
+
+
+def to_expr(p: dict) -> Optional[Expr]:
+    """``p`` as an ``Expr`` whose normal form is ``p``, its terms in the
+    monomial order from the top, each after the first added or subtracted:
+    an integral coefficient below 2^53 is an ``Integer``, any other a float
+    or a quotient of two, whichever is exact; None where it is neither."""
+    total: Optional[Expr] = None
+    for m in sorted(p, key=_order, reverse=True):
+        c = p[m] if total is None else abs(p[m])
+        if (coefficient := _constant(c)) is None:
+            return None
+        powers = [Var(i) if k == 1 else Pow(Var(i), k) for i, k in enumerate(m) if k]
+        term = functools.reduce(Mul, powers, coefficient) if c != 1 or not powers else functools.reduce(Mul, powers)
+        total = term if total is None else Add(total, Neg(term) if p[m] < 0 else term)
+    return Integer(0) if total is None else total
+
+
+def _float(k) -> Optional[float]:
+    """The int or ``Fraction`` ``k`` as a float where one is exactly ``k``."""
+    try:
+        v = float(k)
+    except OverflowError:
+        return None
+    return v if v == k else None
+
+
+def _constant(c) -> Optional[Expr]:
+    """The coefficient ``c`` as an exact ``Const``, or a quotient of two."""
+    def exact(v: float) -> Const:
+        return Integer(v) if v.is_integer() and abs(v) < 2**53 else Const(v)
+
+    if (v := _float(c)) is not None:
+        return exact(v)
+    num, den = _float(c.numerator), _float(c.denominator)
+    return None if num is None or den is None else Div(exact(num), exact(den))
+
+
+def darboux_quotients(field: Sequence[Expr], cells: Sequence[Sequence[Expr]]) -> Optional[list[list[Expr]]]:
+    """For each constraint f of each cell, the polynomial h with X f = h f,
+    X the field on R^n, n its components, as ``to_expr`` gives it; or None
+    where a component or a constraint has no normal form, a product or sum
+    of X f passes a cap, some f does not divide its X f, or some h has no
+    exact ``Expr``.  Along an integral curve f(x(t)) = f(x(0)) exp(int h),
+    so each f keeps its sign (> 0, = 0 or < 0) in both time directions:
+    each cell, and their union, is invariant (Darboux polynomials, Darboux
+    1878)."""
+    n, memo = len(field), {}
+    xs = [normal_form(e, n, memo) for e in field]
+    if any(x is None for x in xs):
+        return None
+    quotients: list[list[Expr]] = []
+    for cell in cells:
+        quotients.append([])
+        for e in cell:
+            f = normal_form(e, n, memo)
+            xf = None if f is None else functools.reduce(_sum, [_product(x, derivative(f, i))
+                                                                for i, x in enumerate(xs)], {})
+            h = None if xf is None else divide(xf, f)
+            if h is None or (h := to_expr(h)) is None:
+                return None
+            quotients[-1].append(h)
+    return quotients
 
 
 def rref(rows: Sequence[Sequence], width: int) -> Optional[tuple[list[list], list[int]]]:

@@ -94,8 +94,48 @@ def test_classify_exit_codes(capsys):
     code2, rep2, _ = run(capsys, "classify", "--scenario", scenario_path("halfline"),
                          "--field", "xddx")
     assert code2 == 0
+    # xddx scales the half line onto itself, X x = 1 * x: certified exactly,
+    # with no probe (the sampler's >= 100 probes are acceptance criterion 1's)
     assert rep2["result"]["classification"] == "VectorField"
-    assert rep2["result"]["probes_run"] >= 100
+    assert (rep2["result"]["basis"], rep2["result"]["quotients"], rep2["result"]["probes_run"]) == ("exact", [["1"]], 0)
+
+
+# rot is tangent to the cone and to the circle, yet the sampler read the
+# integrator's drift out of the equality's band, relaxed tenfold, as an
+# attained endpoint: cone rot exited 1 after 7 probes at rtol 2e-9 (1 at
+# 5e-9 and 1e-8), circle rot at 1e-5.  The certificate runs no probe.
+@pytest.mark.parametrize("name,rtol,quotients", [("cone", 2e-9, [["0", "0"]]), ("cone", 5e-9, [["0", "0"]]),
+                                                 ("cone", 1e-8, [["0", "0"]]), ("circle", 1e-5, [["0"]])])
+def test_classify_certifies_rot_at_loose_tolerances(capsys, name, rtol, quotients):
+    code, rep, err = run(capsys, "classify", "--scenario", scenario_path(name), "--field", "rot",
+                         "--tol-overrides", json.dumps({"rtol": rtol}))
+    assert (code, err) == (0, "")
+    result = rep["result"]
+    assert (result["classification"], result["basis"], result["quotients"], result["probes_run"], result["witness"]) \
+        == ("VectorField", "exact", quotients, 0, None)
+
+
+def test_classify_certifies_a_cube_on_the_half_line(tmp_path, capsys):
+    # x^3 d/dx blows up from x = 1 at t = 1/2, which the sampler took for an
+    # integrator failure and answered Inconclusive; X x = x^2 * x
+    doc = json.loads(open(scenario_path("halfline"), encoding="utf-8").read())
+    doc["fields"]["cube"] = ["x^3"]
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep, _ = run(capsys, "classify", "--scenario", str(path), "--field", "cube")
+    assert code == 0
+    assert (rep["result"]["classification"], rep["result"]["basis"], rep["result"]["quotients"]) == \
+        ("VectorField", "exact", [["x1^2"]])
+
+
+def test_classify_checks_the_seeds_of_a_certified_pair(tmp_path, capsys):
+    # the seeds are the space's points, certificate or not, with the sampler's error line
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text("[[-1.0]]", encoding="utf-8")
+    code, rep, err = run(capsys, "classify", "--scenario", scenario_path("halfline"), "--field", "xddx",
+                         "--seeds", str(seeds))
+    assert (code, rep) == (2, {})
+    assert err == "error: seed [-1.0] is not in the space (slack -1.000e+00)\n"
 
 
 def test_unknown_field_is_usage_error(capsys):
@@ -1430,12 +1470,11 @@ def test_infinite_literal_in_a_constraint(tmp_path, capsys):
 def _golden_cases(tmp_path) -> dict[str, list[str]]:
     """The argv of the run of every golden report, by the report's name; the
     scenarios the tests write are written to ``tmp_path``."""
-    from test_flow import CLASSIFY_ONCE
     from test_flow_golden import GOLDEN as FLOW, ORBIT_2000, _scenario
     from test_symbolic_golden import GOLDEN as SYMBOLIC
 
     cases = {name: [_scenario(tmp_path, a) if i and argv[i - 1] == "--scenario" else a for i, a in enumerate(argv)]
-             for name, argv, *_ in FLOW + SYMBOLIC + CLASSIFY_ONCE + [ORBIT_2000]}
+             for name, argv, *_ in FLOW + SYMBOLIC + [ORBIT_2000]}
     cases["flow-overflow_exit"] = _overflow_exit_argv(tmp_path)
     cases.update((name, _cap_argv(tmp_path, name)) for name in CAPS)
     return cases
@@ -1443,8 +1482,13 @@ def _golden_cases(tmp_path) -> dict[str, list[str]]:
 
 def test_every_golden_file_is_read_and_canonical(tmp_path):
     # an orphaned, hand-edited or pretty-printed golden fails here by name
+    # besides the CLI's reports, the sampler's reports of the pairs the CLI
+    # certifies exactly, which test_flow pins through the library
+    from test_flow import CLASSIFY_ONCE
+
     texts = {path.stem: path.read_bytes().decode("utf-8") for path in GOLDEN_DIR.glob("*.json")}
-    assert sorted(texts) == sorted(_golden_cases(tmp_path))
+    cases = _golden_cases(tmp_path)
+    assert sorted(texts) == sorted({*cases, *(name for name, *_ in CLASSIFY_ONCE)})
     for name, text in texts.items():
         assert text.endswith("\n") and not text.endswith("\n\n"), name
         assert canonical_json(json.loads(text)) + "\n" == text, name

@@ -346,6 +346,35 @@ def test_classify_answers_on_probe_seeds_0_to_39(name, field, answer, others):
     assert got == {k: others.get(k, answer) for k in range(40)}
 
 
+def _certified_pairs() -> list[tuple[str, str]]:
+    """The shipped (scenario, field) pairs that ``classify`` certifies exactly."""
+    from subcart.poly import darboux_quotients
+
+    pairs = []
+    for path in sorted(glob.glob(f"{SCENARIO_DIR}/*.json")):
+        sc = load_scenario(path)
+        cells = [[c.expr for c in cell] for cell in sc.space.cells]
+        pairs += [(sc.name, name) for name, fld in sorted(sc.fields.items())
+                  if darboux_quotients(fld.components, cells) is not None]
+    return pairs
+
+
+def test_the_sampler_passes_every_certified_pair():
+    # the sampler is the certificate's independent oracle: on probe seeds
+    # 0-3 it answers VectorField wherever the certificate does.  Every field
+    # on R^n is certified (a cell with no constraint); on a constrained cell,
+    # the five pairs of ROADMAP item 15 and rotation_plane's rad
+    pairs = _certified_pairs()
+    assert [p for p in pairs if p[0] in ("circle", "cone", "disk_line", "halfline", "rotation_plane")] == [
+        ("circle", "rot"), ("cone", "euler"), ("cone", "rot"), ("halfline", "xddx"), ("rotation_plane", "rad"),
+        ("rotation_plane", "rot")]
+    for name, field in pairs:
+        sc = load_scenario(scenario_path(name))
+        for k in range(4):
+            verdict = classify_vector_field(sc.space, sc.field(field), sc.seeds["default"], k)
+            assert verdict.classification == "VectorField", (name, field, k, verdict.notes)
+
+
 def test_classify_half_line_as_two_cells_is_inconclusive():
     # the union of the open half line and its end point is not shown to be
     # locally closed, so no attained endpoint is a witness; its radii are
@@ -919,16 +948,14 @@ def test_second_cli_run_compiles_no_kernel(capsys):
     assert len(_DRIVERS) == compiled
 
 
-def test_classify_compiles_one_kernel(monkeypatch, capsys):
+def test_classify_compiles_one_kernel(monkeypatch):
     # every probe runs the kernel that keeps nothing
     from subcart import flow
-    from subcart.cli import main
 
     monkeypatch.setattr(flow, "_DRIVERS", {})
-    assert main(["classify", "--scenario", scenario_path("halfline"), "--field", "xddx"]) == 0
-    assert '"VectorField"' in capsys.readouterr().out
-    assert list(flow._DRIVERS) == [(load_scenario(scenario_path("halfline")).field("xddx")._source,
-                                    halfline()._scan_key, None)]
+    sc = load_scenario(scenario_path("halfline"))
+    assert classify_vector_field(sc.space, sc.field("xddx"), sc.seeds["default"]).classification == "VectorField"
+    assert list(flow._DRIVERS) == [(sc.field("xddx")._source, halfline()._scan_key, None)]
 
 
 def test_zero_or_nonfinite_starting_step_fails_at_once():
@@ -1073,23 +1100,37 @@ def test_no_kernel_source_names_a_tableau_global():
             assert repr(_A[6][2]) in source and repr(_E[4]) in source and repr(_D[6]) in source
 
 
-# (name of the golden report, argv with the scenario name in place of its path, exit code)
+# (name of the golden report, scenario, field, seed set): the sampler's
+# report, called directly.  The ``sampled-`` reports are the bytes the CLI
+# printed for its pairs before its exact stage certified them
 CLASSIFY_ONCE = [
-    ("classify-disk_line-ddx-default",
-     ["classify", "--scenario", "disk_line", "--field", "ddx", "--seeds", "default"], 1),
-    ("classify-halfline-xddx-default",
-     ["classify", "--scenario", "halfline", "--field", "xddx", "--seeds", "default"], 0),
-    ("classify-rotation_plane-rot-ring",
-     ["classify", "--scenario", "rotation_plane", "--field", "rot", "--seeds", "ring"], 0),
+    ("classify-disk_line-ddx-default", "disk_line", "ddx", "default"),
+    ("sampled-classify-halfline-xddx-default", "halfline", "xddx", "default"),
+    ("sampled-classify-halfline-xddx", "halfline", "xddx", "interior"),
+    ("sampled-classify-circle-rot", "circle", "rot", "default"),
+    ("sampled-classify-rotation_plane-rot-ring", "rotation_plane", "rot", "ring"),
 ]
 
 
-@pytest.mark.parametrize("name,argv,code", CLASSIFY_ONCE, ids=[c[0] for c in CLASSIFY_ONCE])
-def test_classify_drives_each_seed_once(monkeypatch, capsys, name, argv, code):
+def sampled_report(name: str, field: str, seeds: str, seed: int = 0) -> str:
+    """The CLI's report of ``classify`` on the scenario ``name`` at the
+    default tolerances, its result the sampler's verdict."""
+    from dataclasses import asdict
+
+    from subcart.report import canonical_json
+
+    sc, opts = load_scenario(scenario_path(name)), FlowOptions()
+    verdict = classify_vector_field(sc.space, sc.field(field), sc.seeds[seeds], rng_seed=seed, options=opts)
+    return canonical_json({"command": "classify", "result": asdict(verdict),
+                           "scenario": {"name": sc.name, "sha256": sc.sha256}, "seed": seed,
+                           "tolerances": {"atol": opts.atol, "rtol": opts.rtol}}) + "\n"
+
+
+@pytest.mark.parametrize("name,scenario,field,seeds", CLASSIFY_ONCE, ids=[c[0] for c in CLASSIFY_ONCE])
+def test_classify_drives_each_seed_once(monkeypatch, name, scenario, field, seeds):
     # every level probes the seeds and its samples; a seed is driven at the
     # first level only, and the report is the one of driving it at each
     from subcart import flow
-    from subcart.cli import main
 
     drives, drawn = [], []
     real_drives, real_sample = flow._drives, flow.sample
@@ -1100,11 +1141,9 @@ def test_classify_drives_each_seed_once(monkeypatch, capsys, name, argv, code):
         return drawn[-1]
 
     monkeypatch.setattr(flow, "sample", counted)
-    path = scenario_path(argv[2])
-    assert main([*argv[:2], path, *argv[3:]]) == code
-    out = capsys.readouterr().out
+    out = sampled_report(scenario, field, seeds)
     assert_golden(out, name)
-    n_seeds = len(load_scenario(path).seeds[argv[-1]])
+    n_seeds = len(load_scenario(scenario_path(scenario)).seeds[seeds])
     assert len(drives) == sum(map(len, drawn)) + n_seeds
     assert json.loads(out)["result"]["probes_run"] == sum(map(len, drawn)) + PROBE_LEVELS * n_seeds
 
@@ -1112,14 +1151,19 @@ def test_classify_drives_each_seed_once(monkeypatch, capsys, name, argv, code):
 def test_a_field_and_its_negative_get_the_same_answer(tmp_path, capsys):
     # X and -X have the same local flows up to the sign of time, so one is
     # a vector field exactly where the other is; a sampled-injectivity floor
-    # once answered Inconclusive for the contracting -20*x
+    # once answered Inconclusive for the contracting -20*x.  The CLI now
+    # certifies both (X x = -20 x and 20 x), so the sampler is called directly
     from subcart.cli import main
 
     doc = json.loads(open(scenario_path("halfline"), encoding="utf-8").read())
     doc["fields"].update(shrink=["-20*x"], grow=["20*x"])
     path = tmp_path / "halfline.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    for field in ("shrink", "grow"):
+    sc = load_scenario(str(path))
+    for field, h in (("shrink", "-20"), ("grow", "20")):
         for seed in range(3):
+            assert classify_vector_field(sc.space, sc.field(field), sc.seeds["default"], seed).classification \
+                == "VectorField"
             assert main(["classify", "--scenario", str(path), "--field", field, "--seed", str(seed)]) == 0
-            assert json.loads(capsys.readouterr().out)["result"]["classification"] == "VectorField"
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert (result["classification"], result["quotients"]) == ("VectorField", [[h]])

@@ -43,6 +43,12 @@ GOLDEN = [
                                 "--seeds", "interior"], 0),
     ("classify-halfline-ddx", ["classify", "--scenario", "halfline", "--field", "ddx"], 1),
     ("classify-circle-rot", ["classify", "--scenario", "circle", "--field", "rot"], 0),
+    ("classify-halfline-xddx-default", ["classify", "--scenario", "halfline", "--field", "xddx",
+                                        "--seeds", "default"], 0),
+    ("classify-rotation_plane-rot-ring", ["classify", "--scenario", "rotation_plane", "--field", "rot",
+                                          "--seeds", "ring"], 0),
+    ("classify-disk_line-ddx-default", ["classify", "--scenario", "disk_line", "--field", "ddx",
+                                        "--seeds", "default"], 1),
     ("orbit-translate_shear", ["orbit", "--scenario", "translate_shear", "--point=0.2,-0.3",
                                "--budget", "60", "--seed", "3"], 0),
     ("orbit-cone", ["orbit", "--scenario", "cone", "--point=0.6,0.8,1.0", "--budget", "60",

@@ -40,7 +40,7 @@ def test_expr_alone_loads_no_numpy_and_no_other_module():
 
 
 def test_poly_imports_only_the_standard_library_and_is_not_loaded_by_the_cli():
-    # the exact normal form is loaded on the first Jacobi check, and needs
+    # the exact normal form is loaded on the first Jacobi check or classify, and needs
     # nothing beyond expr and the standard library
     loaded = json.loads(_fresh(
         "import json, sys\n"
@@ -158,7 +158,7 @@ def _subcart_modules(node: ast.stmt) -> set[str]:
 # module -> the modules it imports only inside the functions that use them
 _ON_FIRST_USE = {
     "almostcomplex.py": {"dense"},
-    "cli.py": {"dense", "flow", "orbit", "poisson", "strata"},
+    "cli.py": {"dense", "flow", "orbit", "poisson", "poly", "strata"},
     "poisson.py": {"dense", "flow", "orbit", "poly"},
     "strata.py": {"dense", "flow", "orbit"},
 }
@@ -294,7 +294,11 @@ _CLI_MODULES = ["subcart", "subcart.almostcomplex", "subcart.cli", "subcart.expr
 # scenario, argv, exit code, and the modules of the package the command adds
 _ADDED_MODULES = [
     ("halfline", ["flow", "--field", "ddx", "--point=0.5", "--horizon", "2"], 0, ["flow"]),
-    ("halfline", ["classify", "--field", "ddx"], 1, ["flow"]),
+    # classify tries the exact certificate (poly) first; ddx moves the
+    # half line's end, X x = 1 is no multiple of x, so it probes (flow)
+    ("halfline", ["classify", "--field", "ddx"], 1, ["flow", "poly"]),
+    # rot keeps the circle, X f = 0 f: certified with no probe, so no flow
+    ("circle", ["classify", "--field", "rot"], 0, ["poly"]),
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, []),
     ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "2"], 0, []),
     # the loader imports poisson to build a poisson block and strata a strata block
@@ -415,7 +419,9 @@ _COMPILES = [
     ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 6),
     ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 9),
     ("halfline", ["classify", "--field", "ddx"], 1, 2),
-    ("circle", ["classify", "--field", "rot"], 0, 3),
+    # certified exactly (X f = 0 f), so only the seed's membership test is
+    # compiled: 3 before, with the samples' projection and the probes' kernel
+    ("circle", ["classify", "--field", "rot"], 0, 1),
     ("rotation_plane", ["complete-probe", "--family", "pair"], 0, 5),
 ]
 

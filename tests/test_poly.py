@@ -1,4 +1,6 @@
-"""poly's exact elimination against sympy, its caps, and the normal form's memo."""
+"""poly's exact elimination, derivative, division and way back to ``Expr``
+against sympy, its caps, the normal form's memo, and the invariance
+certificate of ``classify`` re-verified in sympy from the scenario text."""
 
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from hypothesis import strategies as st
 
 import subcart
 from subcart.cli import main
-from subcart.expr import parse
+from subcart.expr import Integer, parse, to_text
 from subcart.poisson import PoissonStructure, bracket
-from subcart.poly import MAX_BITS, MAX_COLUMNS, MAX_ROWS, normal_form, rref
+from subcart.poly import MAX_BITS, MAX_COLUMNS, MAX_ROWS, derivative, divide, normal_form, rref, to_expr
 
 from conftest import scenario_path
 
@@ -235,3 +237,171 @@ def test_the_shipped_reduction_is_within_the_caps_at_degree_5(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["meta"]["table"] == {
         "{s1,s2}": "4.0*x3", "{s1,s3}": "2.0*x1", "{s1,s4}": "0.0", "{s2,s3}": "(-2.0)*x2", "{s2,s4}": "0.0",
         "{s3,s4}": "0.0"}
+
+
+# Derivative, division and to_expr against sympy ---------------------------------
+
+_X = sympy.symbols("x1:4")
+
+
+@st.composite
+def polynomials(draw, coefficients=_RATIONALS, max_terms: int = 5, max_exponent: int = 3):
+    """A polynomial in x1..x3 as ``normal_form`` gives one: exponent tuples
+    to nonzero ints and ``Fraction``s, an integral one an int."""
+    p = draw(st.dictionaries(st.tuples(*[st.integers(0, max_exponent)] * 3), coefficients, max_size=max_terms))
+    return {m: int(c) if c.denominator == 1 else c for m, c in p.items() if c}
+
+
+def _sympy(p: dict):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**k for x, k in zip(_X, m))
+                for m, c in p.items()), sympy.Integer(0))
+
+
+def _poly(e) -> dict:
+    """A sympy polynomial in x1..x3 as a dict like ``normal_form``'s."""
+    terms = sympy.Poly(e, *_X).terms() if e != 0 else []
+    return {m: int(c) if c.q == 1 else Fraction(int(c.p), int(c.q)) for m, c in terms if c}
+
+
+@given(polynomials(), st.integers(0, 2))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_derivative_is_sympys(p, i):
+    assert derivative(p, i) == _poly(sympy.diff(_sympy(p), _X[i]))
+
+
+@given(polynomials(max_terms=4, max_exponent=2), polynomials(max_terms=3, max_exponent=2),
+       polynomials(max_terms=3, max_exponent=2), st.booleans())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_divide_answers_a_quotient_exactly_where_sympys_remainder_is_0(f, g, q, multiple):
+    # half the dividends are a multiple of g, so both answers are common;
+    # the remainder of one divisor is 0 exactly when g divides f, in any order
+    if not g:
+        return
+    if multiple:
+        f = _poly(sympy.expand(_sympy(q) * _sympy(g)))
+    quotient, remainder = sympy.div(_sympy(f), _sympy(g), *_X)
+    got = divide(f, g)
+    assert (got is not None) == (sympy.expand(remainder) == 0)
+    if got is not None:
+        assert got == _poly(sympy.expand(quotient))
+
+
+def test_divide_by_zero_and_of_zero():
+    assert divide({}, {}) == {} and divide({(1,): 1}, {}) is None
+    assert divide({}, {(1,): 3}) == {}
+    assert divide({(2,): 1}, {(1,): 3}) == {(1,): Fraction(1, 3)}
+
+
+_FLOAT_COEFFICIENTS = st.one_of(_RATIONALS, st.floats(-1e6, 1e6).filter(bool).map(Fraction))
+
+
+@given(polynomials(_FLOAT_COEFFICIENTS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_to_expr_gives_back_the_normal_form(p):
+    # the tree, and sympy's reading of its printed text, are p exactly
+    e = to_expr(p)
+    assert normal_form(e, 3) == p
+    text = sympy.parse_expr(to_text(e).replace("^", "**"), local_dict=dict(zip(("x1", "x2", "x3"), _X)))
+    assert _poly(text.xreplace({f: sympy.Rational(float(f)) for f in text.atoms(sympy.Float)})) == p
+
+
+def test_to_expr_prints_in_the_monomial_order():
+    # by degree, then lexicographically; an integral coefficient as an
+    # integer, any other as the float it is or as a quotient of integers
+    assert to_text(to_expr({})) == "0" and isinstance(to_expr({}), Integer)
+    assert to_text(to_expr(normal_form(parse("3 - x3 + x1*x2 - 2*x1^2 + x2", 3), 3))) == \
+        "(-2)*x1^2 + x1*x2 + x2 - x3 + 3"
+    assert to_text(to_expr(normal_form(parse("x2 - x1^2", 3), 3))) == "(-1)*x1^2 + x2"
+    assert to_text(to_expr({(1, 0, 0): Fraction(1, 3), (0, 0, 0): Fraction(-1, 10)})) == "1/3*x1 - 1/10"
+    assert to_text(to_expr({(0, 1, 0): Fraction(-1, 3)})) == "(-1)/3*x2"
+    assert to_text(to_expr({(0, 0, 2): Fraction(1, 2), (0, 0, 0): Fraction(0.1)})) == "0.5*x3^2 + 0.1"
+    assert to_text(to_expr({(0, 0, 0): 2**60})) == "1.152921504606847e+18"
+    # a coefficient that is no float and no quotient of two
+    assert to_expr({(0, 0, 0): Fraction(1, 3**40)}) is None
+    assert to_expr({(0, 0, 0): 2**2000}) is None
+
+
+# The invariance certificate of classify -------------------------------------------
+
+# the pairs ROADMAP item 15 certifies, with their quotients h, one a constraint
+CERTIFIED = [("halfline", "xddx", [["1"]]), ("circle", "rot", [["0"]]), ("rotation_plane", "rot", [["0"]]),
+             ("cone", "euler", [["2", "1"]]), ("cone", "rot", [["0", "0"]])]
+
+
+@pytest.mark.parametrize("name,field,quotients", CERTIFIED, ids=[f"{n}-{f}" for n, f, _ in CERTIFIED])
+def test_each_certified_quotient_is_sympys(capsys, name, field, quotients):
+    # X f - h f expands to 0 in sympy, built from the scenario's text alone
+    # with each float the rational it is, h read from the printed report
+    doc = json.loads(open(scenario_path(name), encoding="utf-8").read())
+    xs = sympy.symbols(f"x1:{doc['space']['ambient_dim'] + 1}")
+    names = {**dict(zip(doc.get("aliases", []), xs)), **{f"x{i + 1}": x for i, x in enumerate(xs)}}
+
+    def read(text: str):
+        e = sympy.parse_expr(text.replace("^", "**"), local_dict=names)
+        return e.xreplace({f: sympy.Rational(float(f)) for f in e.atoms(sympy.Float)})
+
+    assert main(["classify", "--scenario", scenario_path(name), "--field", field]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["basis"], result["quotients"], result["probes_run"]) == ("exact", quotients, 0)
+    components = [read(t) for t in doc["fields"][field]]
+    for cell, hs in zip(doc["space"]["cells"], result["quotients"]):
+        assert len(cell) == len(hs)
+        for constraint, h in zip(cell, hs):
+            f = read(constraint["expr"])
+            xf = sum(c * sympy.diff(f, x) for c, x in zip(components, xs))
+            assert sympy.expand(xf - read(h) * f) == 0, (constraint, h)
+
+
+# classify on a field or constraint past a cap of the normal form, and on a
+# pair whose X f passes MAX_TERMS, in a child process: whether the
+# certificate answered None and its seconds, and whether the report is the
+# one of the sampler called directly, as the CLI's was before the certificate
+_BOUNDED_CHILD = """
+import contextlib, io, json, sys, time
+from dataclasses import asdict
+from subcart.cli import load_scenario, main
+from subcart.flow import FlowOptions, classify_vector_field
+from subcart.poly import darboux_quotients
+from subcart.report import canonical_json
+out = {}
+for path in sys.argv[1:]:
+    sc = load_scenario(path)
+    fld = sc.fields["v"]
+    start = time.perf_counter()
+    certified = darboux_quotients(fld.components, [[c.expr for c in cell] for cell in sc.space.cells])
+    seconds = time.perf_counter() - start
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        main(["classify", "--scenario", path, "--field", "v"])
+    sampled = classify_vector_field(sc.space, fld, sc.seeds["default"], options=FlowOptions())
+    same = canonical_json(json.loads(printed.getvalue())["result"]) == canonical_json(asdict(sampled))
+    out[sc.name] = [certified is None, seconds, same]
+print(json.dumps(out))
+"""
+
+# name: ambient dimension, the one cell's constraint, the field v
+CLASSIFY_PAST_CAPS = {
+    # a component past MAX_DEGREE
+    "degree": (1, "-x1", ["x1^13"]),
+    # a constraint past MAX_TERMS: (x1 + x2 + x3 + 1)^6 has 84 terms, so the
+    # product that makes its 6th power is 84 x 4 terms
+    "terms": (3, "(x1 + x2 + x3 + 1)^12 - 1e9", ["-x2", "x1", "0"]),
+    # within the caps each, but X f = 0.002 (s + 1)^4 s, s = x1 + ... + x4,
+    # is a product of 70 x 4 terms
+    "xf": (4, "(x1 + x2 + x3 + x4)^2 - 1", ["0.001*(x1 + x2 + x3 + x4 + 1)^4", "0", "0", "0"]),
+}
+
+
+def test_classify_past_a_cap_falls_back_to_the_sampler_at_once(tmp_path):
+    paths = []
+    for name, (n, constraint, field) in CLASSIFY_PAST_CAPS.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({
+            "name": name, "space": {"ambient_dim": n, "cells": [[{"expr": constraint, "rel": "lt0"}]]},
+            "fields": {"v": field}, "seeds": {"default": [[0.1] * n]}}), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _BOUNDED_CHILD, *map(str, paths)], capture_output=True, text=True,
+                          timeout=5, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert {name: (uncertified, same) for name, (uncertified, _, same) in out.items()} == {
+        name: (True, True) for name in CLASSIFY_PAST_CAPS}
+    assert max(seconds for _, seconds, _ in out.values()) < 0.5, out
