@@ -40,7 +40,7 @@ from .almostcomplex import (
 from .expr import Expr, ExprError, parse, to_text
 from .field import RANK_TOL, FieldError, TangentField, _value_at, lie_bracket
 from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
-from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint, box
+from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint, _rounding, box
 
 # flow, orbit, poisson and strata are imported by the handlers and loader
 # branches that use them, so a command compiles only the modules it runs
@@ -501,12 +501,39 @@ def cmd_classify(sc: Scenario, args, tol) -> dict:
     if quotients is None:
         from .flow import classify_vector_field
 
-        return asdict(classify_vector_field(sc.space, fld, seeds, rng_seed=args.seed, options=_flow_options(tol)))
+        verdict = asdict(classify_vector_field(sc.space, fld, seeds, rng_seed=args.seed, options=_flow_options(tol)))
+        witness = verdict["witness"]
+        if witness and witness["kind"] == "attained-endpoint" and _drift_alone(sc.space, fld, witness["point"]):
+            return {**verdict, "classification": "Inconclusive", "notes": verdict["notes"] + [
+                "the endpoint is on an equality f with X f = 0 there up to rounding: "
+                "it may be the integrator's drift off f, so it settles nothing"]}
+        return verdict
     for s in seeds:
         sc.space.require_member(s, "seed")
     return {"basis": "exact", "classification": "VectorField", "witness": None, "probes_run": 0,
             "quotients": [[to_text(h) for h in row] for row in quotients],
             "notes": ["X f = h f for every constraint f of every cell: f keeps its sign along each integral curve"]}
+
+
+def _drift_alone(space: SubcartesianSpace, fld: TangentField, point: list[float]) -> bool:
+    """Whether a curve may end at ``point`` only by drifting off an equality:
+    its cell has one, |X f| there does not clear the rounding of X f
+    (``space._rounding``) for each equality f of the cell, and the point is
+    off the band of every other constraint, where an exit is attained."""
+    from .expr import compile_scalar
+    from .flow import ATTAINED_FACTOR
+
+    cell = space.member_cell(point)
+    constraints = space.cells[cell] if cell is not None else ()
+    equalities = [c for c in constraints if c.rel is Rel.EQ]
+    try:
+        if not equalities or any(abs(compile_scalar(c.expr)(point)) <= ATTAINED_FACTOR * space.tol
+                                 for c in constraints if c.rel is not Rel.EQ):
+            return False
+        derivatives = [compile_scalar(fld.apply(c.expr)) for c in equalities]
+        return all(abs(xf(point)) <= _rounding(xf, point) for xf in derivatives)
+    except (ArithmeticError, ValueError):  # a value undefined or past the float range settles nothing
+        return False
 
 
 def cmd_bracket(sc: Scenario, args, tol) -> dict:
@@ -601,7 +628,13 @@ def cmd_complete_probe(sc: Scenario, args, tol) -> dict:
 
 
 def cmd_strata(sc: Scenario, args, tol) -> dict:
-    from .strata import NotStronglyStratifiedError, frontier_check, orbit_vs_strata, strongly_stratified_check
+    """``--check tangency`` is exact where ``strata._exact_tangency``
+    answers, and ``--check orbits`` skips its sampled precondition where it
+    certifies every field of the family; anything else is sampled."""
+    from .strata import (
+        COVER_RADIUS, NotStronglyStratifiedError, OrbitStrataReport, _containment, _exact_tangency, frontier_check,
+        orbit_vs_strata, strongly_stratified_check,
+    )
 
     ss = _need(sc.stratified, "strata")
     lo, hi = _need(sc.box, "box")
@@ -611,6 +644,16 @@ def cmd_strata(sc: Scenario, args, tol) -> dict:
         if not args.field:
             raise CliError("--check tangency needs --field")
         fld = sc.field(args.field)
+        exact = _exact_tangency(ss, fld, [p for points in sc.seeds.values() for p in points])
+        if exact is not None:
+            from .flow import _horizon
+
+            _horizon(args.horizon)  # refused as a drive refuses it, although none runs
+            note = ("X e is in I = (e) and X g in (g) + I for each equality e and inequality g of each stratum cell: "
+                    "each stratum is invariant" if exact["passed"] else
+                    "e(p) = 0 and X e(p) != 0 at a point p of the stratum: the curve through p leaves it")
+            return {"basis": "exact", "field": fld.label, "witness": None, **exact, "notes": [note],
+                    "declared_locally_trivial": ss.locally_trivial}
         rep = strongly_stratified_check(
             ss, fld, lo, hi, horizon=args.horizon, rng_seed=args.seed,
             drift_tol=tol["drift"], options=_flow_options(tol),
@@ -618,13 +661,22 @@ def cmd_strata(sc: Scenario, args, tol) -> dict:
     else:
         fam = sc.family(args.family)
         seeds = _resolve_seeds(sc, args.seeds)
-        try:
-            rep = orbit_vs_strata(
-                ss, fam, seeds, lo, hi, budget=args.budget, rng_seed=args.seed, horizon=args.horizon,
-                drift_tol=tol["drift"], tol_rank=tol["rank"], options=_flow_options(tol),
-            )
-        except NotStronglyStratifiedError as exc:  # certified, with a witness; any other StrataError is bad input
-            return {"verdict": "PreconditionFailed", "detail": str(exc)}
+        if all(_exact_tangency(ss, f, ()) for f in fam.fields):  # with no seed, no witness: each passes or is None
+            from .flow import _horizon
+
+            _horizon(args.horizon)
+            passed, per_seed = _containment(ss, fam, seeds, lo, hi, args.budget, args.seed, tol["rank"],
+                                            _flow_options(tol))
+            rep = OrbitStrataReport(passed, per_seed, COVER_RADIUS,
+                                    [{"basis": "exact", "field": f.label, "passed": True} for f in fam.fields])
+        else:
+            try:
+                rep = orbit_vs_strata(
+                    ss, fam, seeds, lo, hi, budget=args.budget, rng_seed=args.seed, horizon=args.horizon,
+                    drift_tol=tol["drift"], tol_rank=tol["rank"], options=_flow_options(tol),
+                )
+            except NotStronglyStratifiedError as exc:  # certified, with a witness; any other StrataError is bad input
+                return {"verdict": "PreconditionFailed", "detail": str(exc)}
     result = asdict(rep)
     # declared, never verified: there is no finite certificate for it
     result["declared_locally_trivial"] = ss.locally_trivial

@@ -570,16 +570,22 @@ def _kernel(fld: TangentField, space: SubcartesianSpace, keep: Optional[str]) ->
     return drive
 
 
-def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], horizon: float,
-            opts: FlowOptions, keep: Optional[str]) -> tuple[_DriveResult, _DriveResult]:
-    """The forward and backward drives of the curve through x0, a sequence of
-    Python floats, clipped to [-horizon, horizon], on the kernel that keeps
-    its samples as ``keep`` says (see ``_kernel``)."""
+def _horizon(horizon: float) -> float:
+    """``horizon`` as a float, refused where a drive cannot take it."""
     horizon = float(horizon)
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if horizon / MAX_SAMPLE_DT > 2**53:  # past 2^53 a float no longer counts the scanned points exactly
         raise IntegrationError(f"horizon {horizon} is more than 2^53 sample spacings of {MAX_SAMPLE_DT}")
+    return horizon
+
+
+def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], horizon: float,
+            opts: FlowOptions, keep: Optional[str]) -> tuple[_DriveResult, _DriveResult]:
+    """The forward and backward drives of the curve through x0, a sequence of
+    Python floats, clipped to [-horizon, horizon], on the kernel that keeps
+    its samples as ``keep`` says (see ``_kernel``)."""
+    horizon = _horizon(horizon)
     if keep != "drift":  # a drift kernel's space is the stratum whose slack it folds, not one it tests
         space.require_member(x0, "basepoint")
     drive = _kernel(fld, space, keep)

@@ -15,6 +15,7 @@ Monomials are ordered by degree, then lexicographically with x1 first.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 from typing import Optional, Sequence
@@ -24,6 +25,7 @@ from .expr import Add, Const, Div, Expr, Integer, Mul, Neg, Pow, Var
 MAX_DEGREE = 12
 MAX_TERMS = 256
 MAX_ROWS, MAX_COLUMNS, MAX_BITS, MAX_WORK = 1024, 256, 4096, 2**26  # the caps of ``rref``
+MAX_BASIS, MAX_WORK_TERMS = 32, 2**16  # the caps of ``groebner`` and ``divide``
 
 
 def normal_form(e: Expr, n: int, memo: Optional[dict] = None) -> Optional[dict]:
@@ -107,31 +109,165 @@ def derivative(p: dict, i: int) -> dict:
     return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in p.items() if m[i]}
 
 
-def divide(f: dict, g: dict) -> Optional[dict]:
-    """The quotient f / g where ``g`` divides ``f``, else None; None also
-    past ``MAX_TERMS`` terms of the quotient or the remainder, or a
-    quotient coefficient past ``MAX_BITS`` bits.  {g} is a Groebner basis
-    of (g), so g divides f exactly when the remainder's leading term is a
-    multiple of g's at every step (Cox, Little and O'Shea, *Ideals,
-    Varieties, and Algorithms*, ch. 2); each step adds a quotient term of
-    a lower monomial than the last."""
-    if not g:
-        return None if f else {}
-    lead = max(g, key=_order)
-    q: dict = {}
-    r: Optional[dict] = f
-    while r:
-        m = max(r, key=_order)
-        shift = tuple(map(operator.sub, m, lead))
-        if min(shift) < 0 or len(q) == MAX_TERMS:
+def _lead(p: dict) -> tuple:
+    return max(p, key=_order)
+
+
+def _shifted(p: dict, shift: tuple, c) -> dict:
+    """c x^shift p."""
+    return {tuple(map(operator.add, shift, m)): c * v for m, v in p.items()}
+
+
+def _ratio(a, b):
+    """a / b, an int where it is one; None past ``MAX_BITS`` bits."""
+    c = a // b if a % b == 0 else _rational(a) / b
+    return None if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS else c
+
+
+def divide(f: dict, divisors: Sequence[dict], work: Optional[list] = None) -> Optional[tuple[list[dict], dict]]:
+    """Quotients q and the remainder r with f = sum q_i g_i + r, no term of r
+    a multiple of the leading term of a g_i: each step moves the leading
+    term of what is left into the quotient of the first g_i whose leading
+    term divides it, else into r (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 2, section 3).  A step adds terms of
+    lower monomials only, so it ends.  None past ``MAX_TERMS`` terms, a
+    coefficient of ``MAX_BITS`` bits, or the terms ``work``, a one-item
+    list, still allows (``MAX_WORK_TERMS`` where not given), each step
+    charged the terms it forms."""
+    work = [MAX_WORK_TERMS] if work is None else work
+    work[0] -= sum(map(len, divisors))
+    leads = [_lead(g) if g else None for g in divisors]
+    qs: list[dict] = [{} for _ in divisors]
+    r: dict = {}
+    p: Optional[dict] = dict(f)
+    while p:
+        m = _lead(p)
+        i = next((i for i, lead in enumerate(leads) if lead and all(map(operator.ge, m, lead))), None)
+        if i is None:
+            r[m] = p.pop(m)
+            work[0] -= 1
+            full = len(r) > MAX_TERMS
+        else:
+            shift, g = tuple(map(operator.sub, m, leads[i])), divisors[i]
+            qs[i][shift] = c = _ratio(p[m], g[leads[i]])
+            p = None if c is None else _sum(p, _shifted(g, shift, -c))
+            work[0] -= len(g)
+            full = len(qs[i]) > MAX_TERMS
+        if p is None or full or work[0] < 0:
             return None
-        a, b = r[m], g[lead]
-        c = a // b if a % b == 0 else _rational(a) / b
-        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS:
+    return qs, r
+
+
+def _combination(qs: Sequence[dict], reps: Sequence[list[dict]], count: int, work: list) -> Optional[list[dict]]:
+    """The cofactors of sum q_l g_l over ``count`` polynomials, those of each
+    g_l being ``reps[l]``; each product charged to ``work``."""
+    out = []
+    for j in range(count):
+        total: Optional[dict] = {}
+        for q, rep in zip(qs, reps):
+            if q and rep[j]:
+                work[0] -= len(q) * len(rep[j])
+                total = _sum(total, _product(q, rep[j]))
+                if total is None or work[0] < 0:
+                    return None
+        out.append(total)
+    return out
+
+
+def groebner(polys: Sequence[dict], work: Optional[list] = None) -> Optional[tuple[list[dict], list[list[dict]]]]:
+    """The reduced Groebner basis of the ideal of ``polys`` under the graded
+    order, each element monic, from the highest leading monomial down; and
+    for each element g its cofactors over ``polys``, g = sum c_j polys[j].
+
+    Buchberger's algorithm (1965): the S-polynomial of each pair, the pair
+    of least common multiple first, is divided by the basis so far, and a
+    nonzero remainder joins it.  A pair whose leading monomials are coprime
+    reduces to 0 and is skipped (his first criterion).  Then an element
+    whose leading monomial another's divides is dropped, and each is
+    divided by the rest.  The worst case is doubly exponential (Mayr and
+    Meyer 1982): None past ``MAX_BASIS`` elements, an S-polynomial of
+    degree past ``MAX_DEGREE``, or a cap of ``divide`` and of the products,
+    all of them drawing on one ``work``."""
+    work = [MAX_WORK_TERMS] if work is None else work
+    basis: list[dict] = []
+    reps: list[list[dict]] = []
+    leads: list[tuple] = []
+    pairs: list[tuple] = []  # a heap of (order of the lcm, i, j)
+
+    def join(p: dict, rep: list[dict]) -> bool:
+        """Add p made monic, with its cofactors, and its pairs; False past a cap."""
+        lead = _lead(p)
+        c = p[lead]
+        p, *rep = ({m: _ratio(v, c) for m, v in q.items()} for q in [p, *rep])
+        if any(None in q.values() for q in [p, *rep]) or len(basis) == MAX_BASIS:
+            return False
+        for i, other in enumerate(leads):
+            if any(map(min, other, lead)):
+                heapq.heappush(pairs, (_order(tuple(map(max, other, lead))), i, len(basis)))
+        basis.append(p)
+        reps.append(rep)
+        leads.append(lead)
+        return True
+
+    def reduced(p: dict, rep: list[dict], among: list[int]) -> Optional[tuple[dict, list[dict]]]:
+        """The remainder of p, of cofactors ``rep``, by the elements ``among``, and its cofactors."""
+        out = divide(p, [basis[k] for k in among], work)
+        taken = None if out is None else _combination(out[0], [reps[k] for k in among], len(polys), work)
+        rest = [] if taken is None else [_sum(r, {m: -c for m, c in t.items()}) for r, t in zip(rep, taken)]
+        return None if taken is None or None in rest else (out[1], rest)
+
+    for j, p in enumerate(polys):
+        if p and not join(p, [{(0,) * len(_lead(p)): 1} if k == j else {} for k in range(len(polys))]):
             return None
-        q[shift] = c
-        r = _sum(r, {tuple(map(operator.add, shift, mg)): -c * cg for mg, cg in g.items()})
-    return None if r is None else q
+    while pairs:
+        (degree, top), i, j = heapq.heappop(pairs)
+        if degree > MAX_DEGREE:
+            return None
+        si, sj = tuple(map(operator.sub, top, leads[i])), tuple(map(operator.sub, top, leads[j]))
+        s = [_sum(_shifted(a, si, 1), _shifted(b, sj, -1)) for a, b in zip([basis[i], *reps[i]], [basis[j], *reps[j]])]
+        out = None if None in s else reduced(s[0], s[1:], list(range(len(basis))))
+        if out is None or out[0] and not join(*out):
+            return None
+    keep = [i for i, g in enumerate(leads) if not any(
+        all(map(operator.ge, g, h)) and (g != h or k < i) for k, h in enumerate(leads) if k != i)]
+    result = [reduced(basis[i], reps[i], [k for k in keep if k != i]) for i in keep]
+    if None in result:
+        return None
+    result.sort(key=lambda gr: _order(_lead(gr[0])), reverse=True)
+    return [g for g, _ in result], [rep for _, rep in result]
+
+
+def cofactors(fs: Sequence[dict], polys: Sequence[dict]) -> Optional[tuple[list[dict], list[list[dict]]]]:
+    """The ``groebner`` basis of the ideal of ``polys``, and for each f of
+    ``fs`` polynomials c with f = sum c_j polys[j], where each f lies in the
+    ideal: its remainder by the basis is 0 (Cox, Little and O'Shea, ch. 2,
+    section 6).  None where one does not, or past a cap; one ``work`` bounds
+    it all."""
+    work = [MAX_WORK_TERMS]
+    found = groebner(polys, work)
+    if found is None:
+        return None
+    basis, reps = found
+    rows = []
+    for f in fs:
+        out = divide(f, basis, work)
+        row = None if out is None or out[1] else _combination(out[0], reps, len(polys), work)
+        if row is None:
+            return None
+        rows.append(row)
+    return basis, rows
+
+
+def value(p: dict, point: Sequence):
+    """``p`` at the point exactly, each coordinate an int, a ``Fraction`` or
+    a float read as the rational it is."""
+    point = [_rational(v) for v in point]
+    return sum(c * math.prod(map(operator.pow, point, m)) for m, c in p.items())
+
+
+def lie_derivative(xs: Sequence[dict], f: dict) -> Optional[dict]:
+    """X f = sum x_i df/dx_i for the field of components ``xs``; None past a cap."""
+    return functools.reduce(_sum, [_product(x, derivative(f, i)) for i, x in enumerate(xs)], {})
 
 
 def to_expr(p: dict) -> Optional[Expr]:
@@ -178,7 +314,8 @@ def darboux_quotients(field: Sequence[Expr], cells: Sequence[Sequence[Expr]]) ->
     exact ``Expr``.  Along an integral curve f(x(t)) = f(x(0)) exp(int h),
     so each f keeps its sign (> 0, = 0 or < 0) in both time directions:
     each cell, and their union, is invariant (Darboux polynomials, Darboux
-    1878)."""
+    1878).  This is ``invariance_cofactors`` with each constraint read as an
+    inequality, without its basis and its rows of zeros."""
     n, memo = len(field), {}
     xs = [normal_form(e, n, memo) for e in field]
     if any(x is None for x in xs):
@@ -188,13 +325,50 @@ def darboux_quotients(field: Sequence[Expr], cells: Sequence[Sequence[Expr]]) ->
         quotients.append([])
         for e in cell:
             f = normal_form(e, n, memo)
-            xf = None if f is None else functools.reduce(_sum, [_product(x, derivative(f, i))
-                                                                for i, x in enumerate(xs)], {})
-            h = None if xf is None else divide(xf, f)
-            if h is None or (h := to_expr(h)) is None:
+            xf = None if f is None else lie_derivative(xs, f)
+            out = None if xf is None else divide(xf, [f])
+            if out is None or out[1] or (h := to_expr(out[0][0])) is None:
                 return None
             quotients[-1].append(h)
     return quotients
+
+
+def invariance_cofactors(field: Sequence[Expr], cell: Sequence[tuple[Expr, bool]],
+                         memo: Optional[dict] = None) -> Optional[tuple[list[Expr], list[list[Expr]]]]:
+    """The certificate that a cell, its constraints c given with whether
+    each is an equality e, is invariant under the field X on R^n, n its
+    components: the reduced ``groebner`` basis of I = (e_1, ..., e_m), and
+    for each c_k a row of cofactors over the cell's constraints, X c_k =
+    sum_l C_kl c_l, where C_kl is 0 for every inequality c_l but c_k, all
+    as ``to_expr`` gives them.  None where a component or a constraint has
+    no normal form, some X e is not in I or some X g not in (g) + I, a cap
+    is passed, or an entry has no exact ``Expr``; ``memo`` is
+    ``normal_form``'s.
+
+    Along a curve that starts where e = 0, e(x(t)) solves e' = H e with
+    e(0) = 0, so it stays 0; there g' = h g, so g keeps its sign (> 0, = 0
+    or < 0).  With no equality this is the rule of ``darboux_quotients``.
+    The test is sufficient, not necessary: a field tangent only modulo the
+    real radical of I is not certified."""
+    n, memo = len(field), {} if memo is None else memo
+    xs = [normal_form(e, n, memo) for e in field]
+    fs = [normal_form(e, n, memo) for e, _ in cell]
+    if any(p is None for p in xs + fs):
+        return None
+    eqs = [k for k, (_, equality) in enumerate(cell) if equality]
+    # the X e over the equalities, then each X g over g and the equalities
+    groups = [(eqs, eqs)] + [([k], eqs + [k]) for k in range(len(fs)) if k not in eqs]
+    rows, bases = [[]] * len(fs), []
+    for of, gens in groups:
+        xf = [lie_derivative(xs, fs[i]) for i in of]
+        found = None if None in xf else cofactors(xf, [fs[i] for i in gens])
+        if found is None:
+            return None
+        bases.append(found[0])
+        for i, row in zip(of, found[1]):
+            rows[i] = [row[gens.index(j)] if j in gens else {} for j in range(len(fs))]
+    exprs = [[to_expr(p) for p in row] for row in [bases[0]] + rows]
+    return None if any(e is None for row in exprs for e in row) else (exprs[0], exprs[1:])
 
 
 def rref(rows: Sequence[Sequence], width: int) -> Optional[tuple[list[list], list[int]]]:

@@ -298,6 +298,18 @@ class SubcartesianSpace:
         return cls(ambient_dim, [()])
 
 
+def _rounding(value: Callable[[list[float]], float], p: list[float]) -> float:
+    """Eight times the largest finite change that one ulp of a coordinate of
+    p makes in ``value``, the noise of a function such as a space's slack
+    near p: on the cone, rotation and scaling drift up to a quarter of the
+    slack's at horizons to 1e-10 (seeds 0-19).  A change under it cannot be
+    told from rounding."""
+    at = value(p)
+    steps = (abs(value(p[:i] + [math.nextafter(v, d)] + p[i + 1:]) - at)
+             for i, v in enumerate(p) for d in (-math.inf, math.inf))
+    return 8 * max((d for d in steps if d < math.inf), default=0.0)
+
+
 # Sampling --------------------------------------------------------------------
 #
 # Cells with equality constraints have measure zero, so plain rejection

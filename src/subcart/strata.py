@@ -23,12 +23,14 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .expr import _norm
+from .expr import _norm, to_text
 from .field import RANK_TOL, TangentField
 from .space import (
     BOX_TRIES,
+    Rel,
     SpaceError,
     SubcartesianSpace,
+    _rounding,
     box,
     project_to_equalities,
     sample,
@@ -263,7 +265,7 @@ def strongly_stratified_check(
                 raise SpaceError(f"the constraints of stratum {s.name!r} are not a number at {stop}")
             worst_here = max(worst_here, violation)
             excess = violation - at_start - threshold
-            if excess > worst_excess and excess > _rounding(s.space, p):
+            if excess > worst_excess and excess > _rounding(s.space.slack, p):
                 worst_excess = excess
                 witness = {
                     "stratum": s.name,
@@ -284,15 +286,56 @@ def strongly_stratified_check(
     )
 
 
-def _rounding(space: SubcartesianSpace, p: list[float]) -> float:
-    """Eight times the largest finite change that one ulp of a coordinate of
-    p makes in the space's slack, the noise of its constraints near p: on
-    the cone, rotation and scaling drift up to a quarter of it at horizons
-    to 1e-10 (seeds 0-19).  A drift under it cannot be told from rounding."""
-    at = space.slack(p)
-    steps = (abs(space.slack(p[:i] + [math.nextafter(v, d)] + p[i + 1:]) - at)
-             for i, v in enumerate(p) for d in (-math.inf, math.inf))
-    return 8 * max((d for d in steps if d < math.inf), default=0.0)
+def _exact_tangency(ss: StratifiedSpace, fld: TangentField, seeds: Sequence[Sequence[float]]) -> Optional[dict]:
+    """The tangency check's exact answer, where it has one: passed, with
+    each stratum's certificates, where ``poly.invariance_cofactors``
+    certifies every cell of every stratum; failed, with the witness, at the
+    first stratum that is not certified and has a transversal witness
+    among ``seeds`` (``_transversal``); None otherwise."""
+    from .poly import invariance_cofactors
+
+    memo: dict = {}
+    per_stratum: dict[str, list[dict]] = {}
+    for s in ss.strata:
+        cells = []
+        for cell in s.space.cells:
+            found = invariance_cofactors(fld.components, [(c.expr, c.rel is Rel.EQ) for c in cell], memo)
+            if found is None:
+                break
+            cells.append({"groebner": list(map(to_text, found[0])),
+                          "cofactors": [list(map(to_text, row)) for row in found[1]]})
+        else:
+            per_stratum[s.name] = cells
+            continue
+        witness = _transversal(s, fld, seeds, memo)
+        if witness is not None:
+            return {"passed": False, "witness": witness}
+    return {"passed": True, "per_stratum": per_stratum} if len(per_stratum) == len(ss.strata) else None
+
+
+def _transversal(s: Stratum, fld: TangentField, seeds: Sequence[Sequence[float]], memo: dict) -> Optional[dict]:
+    """A seed p that lies in the stratum, of one cell, by the exact values
+    of its constraints, and an equality e of the cell with X e(p) != 0, as
+    a witness: e(x(t)) = X e(p) t + O(t^2) is nonzero for every small t != 0,
+    so the curve through p leaves the stratum at once, both ways.  None
+    where there is none, or a constraint or component is not polynomial."""
+    from .poly import lie_derivative, normal_form, value
+
+    if len(s.space.cells) != 1:
+        return None
+    n, (cell,) = len(fld.components), s.space.cells
+    xs = [normal_form(e, n, memo) for e in fld.components]
+    fs = [normal_form(c.expr, n, memo) for c in cell]
+    if any(p is None for p in xs + fs):
+        return None
+    for p in seeds:
+        if all(c.satisfied(value(f, p), 0) for c, f in zip(cell, fs)):
+            for c, f in zip(cell, fs):
+                xf = lie_derivative(xs, f) if c.rel is Rel.EQ else None
+                if xf is not None and (d := value(xf, p)) != 0:
+                    return {"stratum": s.name, "point": [float(v) for v in p], "constraint": c.text(),
+                            "derivative": str(d)}
+    return None
 
 
 @dataclass
@@ -325,8 +368,6 @@ def orbit_vs_strata(
     resolution, far coarser than the orbit merge radius.  ``tol_rank`` is
     the relative rank tolerance of the clouds' span dimensions.
     """
-    from .orbit import _MergeIndex, sample_orbit
-
     precondition: list[dict] = []
     for f in family.fields:
         rep = strongly_stratified_check(
@@ -340,6 +381,22 @@ def orbit_vs_strata(
                 f"(drift {rep.max_drift:.3e} over horizon {horizon}); witness {rep.witness}"
             )
 
+    passed, per_seed = _containment(ss, family, seeds, lo, hi, budget, rng_seed, tol_rank, options)
+    return OrbitStrataReport(
+        passed=passed,
+        per_seed=per_seed,
+        cover_radius=COVER_RADIUS,
+        precondition=precondition,
+    )
+
+
+def _containment(ss: StratifiedSpace, family: FieldFamily, seeds: Sequence[Sequence[float]], lo: Sequence[float],
+                 hi: Sequence[float], budget: int, rng_seed: int, tol_rank: float,
+                 options: Optional[FlowOptions]) -> tuple[bool, list[dict]]:
+    """The orbit check past its precondition: whether no sampled orbit
+    point leaves its seed's stratum, and the evidence of each seed."""
+    from .orbit import _MergeIndex, sample_orbit
+
     draw = box(random.Random(rng_seed), lo, hi)
     per_seed: list[dict] = []
     all_ok = True
@@ -351,13 +408,15 @@ def orbit_vs_strata(
         cloud = sample_orbit(family, seed, budget, rng_seed=rng_seed, tol_rank=tol_rank, options=options)
         escapes = [q for q in cloud.points if not stratum.space.contains(q)]
         stratum_pts = sample(stratum.space, COVER_SAMPLES, draw, BOX_TRIES)
+        if not stratum_pts:
+            raise StrataError(f"stratum {stratum.name!r} produced no samples in the given box")
         # cells of one cover radius: cells of four, the merge test's, hold
         # several times the points a query has to measure
         index = _MergeIndex(ss.total.ambient_dim, COVER_RADIUS, side=COVER_RADIUS)
         for q in cloud.points:
             index.add(q)
         covered = sum(map(index.near, stratum_pts))
-        frac = covered / len(stratum_pts) if stratum_pts else float("nan")
+        frac = covered / len(stratum_pts)
         ok = not escapes
         all_ok = all_ok and ok
         per_seed.append(
@@ -372,10 +431,4 @@ def orbit_vs_strata(
                 "coverage_fraction": frac,
             }
         )
-    return OrbitStrataReport(
-        passed=all_ok,
-        per_seed=per_seed,
-        cover_radius=COVER_RADIUS,
-        precondition=precondition,
-    )
-
+    return all_ok, per_seed

@@ -55,6 +55,14 @@ def exit_code_of(report: dict) -> int:
                or result.get("classification") in FAILING_VERDICTS)
 
 
+def cone_without_polynomials() -> dict:
+    """The cone scenario with each field component times exp(0*x), which is
+    1.0 in floats: the same flows, but no polynomial for an exact stage."""
+    doc = json.loads(Path(scenario_path("cone")).read_text(encoding="utf-8"))
+    doc["fields"] = {k: [f"({c})*exp(0*x)" for c in v] for k, v in doc["fields"].items()}
+    return doc
+
+
 def make_field(label: str, comps: list[str], n: int) -> TangentField:
     return TangentField(label, [parse(c, n) for c in comps])
 

@@ -23,7 +23,7 @@ from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
 from subcart.report import canonical_json
 
-from conftest import GOLDEN_DIR, assert_golden, exit_code_of, scenario_path
+from conftest import GOLDEN_DIR, assert_golden, cone_without_polynomials, exit_code_of, scenario_path
 from test_imports import KAHLER_INF, KAHLER_NAN, OVERFLOW_EXIT, _fresh
 
 
@@ -126,6 +126,46 @@ def test_classify_certifies_a_cube_on_the_half_line(tmp_path, capsys):
     assert code == 0
     assert (rep["result"]["classification"], rep["result"]["basis"], rep["result"]["quotients"]) == \
         ("VectorField", "exact", [["x1^2"]])
+
+
+# the unit circle written as exp(x^2+y^2-1)-1 = 0, beyond the certificate's
+# reach: rot is tangent (X f = 0), yet at rtol 1e-5 the integrator drifted
+# out of the band in 1 probe, and the sampler answered NotVectorField with an
+# attained endpoint at (0.880, -0.475)
+EXP_CIRCLE = {"name": "exp-circle", "aliases": ["x", "y"],
+              "space": {"ambient_dim": 2, "tol": 1e-6,
+                        "cells": [[{"expr": "exp(x^2+y^2-1)-1", "rel": "eq0"}]]},
+              "fields": {"rot": ["-y", "x"]}, "seeds": {"default": [[1.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("rtol", [1e-5, 1e-4])
+def test_classify_takes_no_drift_off_an_equality_for_an_exit(tmp_path, capsys, rtol):
+    path = tmp_path / "exp-circle.json"
+    path.write_text(json.dumps(EXP_CIRCLE), encoding="utf-8")
+    code, rep, err = run(capsys, "classify", "--scenario", str(path), "--field", "rot",
+                         "--tol-overrides", json.dumps({"rtol": rtol}))
+    assert (code, err) == (0, "")
+    result = rep["result"]
+    assert result["classification"] == "Inconclusive"
+    assert result["witness"]["kind"] == "attained-endpoint"  # the sampler's, kept
+    assert result["notes"][-1].startswith("the endpoint is on an equality f with X f = 0 there up to rounding")
+    x, y = result["witness"]["point"]
+    assert abs(x * x + y * y - 1) < 1e-4
+
+
+def test_classify_keeps_an_exit_across_an_equality_and_an_inequality(tmp_path, capsys):
+    # cone ddz crosses x^2+y^2-z^2 = 0 at speed 2z; the half line's exit is
+    # across x >= 0, no equality; the exp circle's exit along rot is on its
+    # y >= 0 band once the circle is cut in half, so it is a true exit
+    code, rep, _ = run(capsys, "classify", "--scenario", scenario_path("cone"), "--field", "ddz")
+    assert (code, rep["result"]["classification"]) == (1, "NotVectorField")
+    half = json.loads(json.dumps(EXP_CIRCLE))
+    half["space"]["cells"][0].append({"expr": "y", "rel": "geq0"})
+    half["seeds"]["default"] = [[1.0, 0.0]]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(half), encoding="utf-8")
+    code, rep, _ = run(capsys, "classify", "--scenario", str(path), "--field", "rot")
+    assert (code, rep["result"]["classification"]) == (1, "NotVectorField")
 
 
 def test_classify_checks_the_seeds_of_a_certified_pair(tmp_path, capsys):
@@ -458,12 +498,21 @@ def test_acs_failures(tmp_path, capsys):
     assert rep3["result"]["verdict"] == "NotAlmostComplex"
 
 
-def test_tol_overrides(capsys):
-    code, rep, _ = run(capsys, "strata", "--scenario", scenario_path("cone"),
-                       "--check", "tangency", "--field", "rot",
-                       "--tol-overrides", '{"drift": 1e-12}')
-    assert code == 1
-    assert rep["tolerances"]["drift"] == 1e-12
+def _unpolynomial_cone(tmp_path) -> str:
+    path = tmp_path / "cone-exp.json"
+    path.write_text(json.dumps(cone_without_polynomials()))
+    return str(path)
+
+
+def test_tol_overrides(tmp_path, capsys):
+    # rot keeps the cone exactly, whatever the drift tolerance: the sampled
+    # check exited 1 at 1e-12 on the integrator's drift of 8.9e-10, as it
+    # still does where the certificate cannot read the field
+    for path, want in ((scenario_path("cone"), 0), (_unpolynomial_cone(tmp_path), 1)):
+        code, rep, _ = run(capsys, "strata", "--scenario", path, "--check", "tangency", "--field", "rot",
+                           "--tol-overrides", '{"drift": 1e-12}')
+        assert code == want and ("basis" in rep["result"]) == (want == 0)
+        assert rep["tolerances"]["drift"] == 1e-12
     code2, _, err = run(capsys, "strata", "--scenario", scenario_path("cone"),
                         "--check", "tangency", "--field", "rot",
                         "--tol-overrides", "not-json")
@@ -471,12 +520,14 @@ def test_tol_overrides(capsys):
     assert "tol-overrides" in err
 
 
-def test_strata_orbits_passes_its_precondition_at_a_short_horizon(capsys):
+def test_strata_orbits_passes_its_precondition_at_a_short_horizon(tmp_path, capsys):
     # answered PreconditionFailed: rot and euler drifted 6.98e-14, the
-    # residual a sample had at t = 0, once drift_tol * horizon fell below it
-    code, report, _ = run(capsys, "strata", "--scenario", scenario_path("cone"), "--check", "orbits",
+    # residual a sample had at t = 0, once drift_tol * horizon fell below
+    # it; on the shipped cone both fields are certified and skip it
+    code, report, _ = run(capsys, "strata", "--scenario", _unpolynomial_cone(tmp_path), "--check", "orbits",
                           "--horizon", "1e-8")
     assert code == 0 and report["result"]["passed"]
+    assert [p.get("basis") for p in report["result"]["precondition"]] == [None, None]
 
 
 # each command, with its --check, and the tolerances it reads: 33 of the 13
@@ -490,8 +541,9 @@ _READS = [
     (["complete-probe", "rotation_plane", "--family", "pair", "--seeds", "ring", "--n", "3"],
      {"completeness", "rtol", "atol"}),
     (["strata", "cone", "--check", "frontier"], {"frontier"}),
-    (["strata", "cone", "--check", "tangency", "--field", "rot", "--horizon", "0.3"], {"drift", "rtol", "atol"}),
-    (["strata", "cone", "--check", "orbits", "--budget", "30"], {"drift", "rank", "rtol", "atol"}),
+    # the sampled checks: the certificate cannot read these fields
+    (["strata", "cone-exp", "--check", "tangency", "--field", "rot", "--horizon", "0.3"], {"drift", "rtol", "atol"}),
+    (["strata", "cone-exp", "--check", "orbits", "--budget", "30"], {"drift", "rank", "rtol", "atol"}),
     (["poisson", "canonical_r2", "--triples", "2", "--points", "2"], {"antisymmetry", "jacobi"}),
     (["reduce", "reduction_r4"], {"certify"}),
     (["leaf", "reduction_r4", "--point=1,1,1,0", "--budget", "20"], {"rank", "rtol", "atol", "casimir_drift"}),
@@ -515,7 +567,7 @@ class _Recording(dict):
 
 @pytest.mark.parametrize("argv,reads", _READS, ids=[" ".join(a[:1] + a[2:4]) if "--check" in a else a[0]
                                                      for a, _ in _READS])
-def test_a_report_echoes_exactly_the_tolerances_its_command_reads(monkeypatch, capsys, argv, reads):
+def test_a_report_echoes_exactly_the_tolerances_its_command_reads(monkeypatch, tmp_path, capsys, argv, reads):
     # the handler reads from a mapping of every tolerance, so a read of one
     # the table does not give its command is seen here, not as a KeyError
     import subcart.cli as cli
@@ -528,7 +580,8 @@ def test_a_report_echoes_exactly_the_tolerances_its_command_reads(monkeypatch, c
         return handler(sc, args, tols[-1])
 
     monkeypatch.setitem(cli._COMMANDS, argv[0], (text, recorded, arguments))
-    code, rep, err = run(capsys, argv[0], "--scenario", scenario_path(argv[1]), *argv[2:])
+    path = _unpolynomial_cone(tmp_path) if argv[1] == "cone-exp" else scenario_path(argv[1])
+    code, rep, err = run(capsys, argv[0], "--scenario", path, *argv[2:])
     assert code in (0, 1), err
     assert tols[0].read == set(rep["tolerances"]) == reads
     assert ("seed" in rep) == (argv[0] not in ("flow", "bracket", "chart"))
@@ -1205,8 +1258,10 @@ def test_strata_tangency_where_a_cosine_of_inf_is_nan_exits_2(tmp_path, capsys):
 def test_strata_projection_overflow_exits_2_naming_the_stratum(tmp_path, capsys, check):
     # over a box of side 2e160 x^2 + y^2 - z^2 overflows in Python floats at
     # nearly every draw; such a projection fails like a non-finite step, so
-    # the surface gets no samples, where the overflow used to escape
-    cone = json.loads(Path(scenario_path("cone")).read_text())
+    # the surface gets no samples, where the overflow used to escape.  The
+    # shipped rot is certified with no sample, so tangency samples for a rot
+    # the certificate cannot read
+    cone = cone_without_polynomials()
     path = tmp_path / "cone.json"
     path.write_text(json.dumps(dict(cone, box=[[-1e160] * 3, [1e160] * 3])))
     code, report, err = run(capsys, "strata", "--scenario", str(path), "--check", *check)
@@ -1482,13 +1537,14 @@ def _golden_cases(tmp_path) -> dict[str, list[str]]:
 
 def test_every_golden_file_is_read_and_canonical(tmp_path):
     # an orphaned, hand-edited or pretty-printed golden fails here by name
-    # besides the CLI's reports, the sampler's reports of the pairs the CLI
-    # certifies exactly, which test_flow pins through the library
+    # besides the CLI's reports, the sampled reports of the runs the CLI
+    # answers exactly, which test_flow and test_strata pin through the library
     from test_flow import CLASSIFY_ONCE
+    from test_strata import SAMPLED_STRATA
 
     texts = {path.stem: path.read_bytes().decode("utf-8") for path in GOLDEN_DIR.glob("*.json")}
     cases = _golden_cases(tmp_path)
-    assert sorted(texts) == sorted({*cases, *(name for name, *_ in CLASSIFY_ONCE)})
+    assert sorted(texts) == sorted({*cases, *(name for name, *_ in CLASSIFY_ONCE + SAMPLED_STRATA)})
     for name, text in texts.items():
         assert text.endswith("\n") and not text.endswith("\n\n"), name
         assert canonical_json(json.loads(text)) + "\n" == text, name

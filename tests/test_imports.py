@@ -18,6 +18,8 @@ import pytest
 
 import subcart
 
+from conftest import cone_without_polynomials
+
 SRC = Path(subcart.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -160,7 +162,7 @@ _ON_FIRST_USE = {
     "almostcomplex.py": {"dense"},
     "cli.py": {"dense", "flow", "orbit", "poisson", "poly", "strata"},
     "poisson.py": {"dense", "flow", "orbit", "poly"},
-    "strata.py": {"dense", "flow", "orbit"},
+    "strata.py": {"dense", "flow", "orbit", "poly"},
 }
 
 
@@ -192,7 +194,10 @@ _NUMPY_FREE_COMMANDS = [
     # the cell again in IEEE arithmetic; a retry on numpy floats imported it
     ("overflow-exit", ["flow", "--field", "v", "--point=0.5,0", "--horizon", "3"], 0),
     ("rotation_plane", ["flow", "--field", "rot", "--point=1e200,1e200", "--horizon", "1"], 0),
-    ("cone", ["strata", "--check", "tangency", "--field", "euler", "--horizon", "1e3"], 2),
+    # certified exactly, so no drive runs; the same field written so that
+    # the certificate cannot read it overflows its drives
+    ("cone", ["strata", "--check", "tangency", "--field", "euler", "--horizon", "1e3"], 0),
+    ("cone-exp", ["strata", "--check", "tangency", "--field", "euler", "--horizon", "1e3"], 2),
     # the span residual is a Gram-Schmidt on Python floats; lstsq imported numpy
     ("translate_shear", ["complete-probe", "--family", "default", "--seeds", "default", "--n", "10"], 0),
     ("rotation_plane", ["complete-probe", "--family", "pair", "--seeds", "ring", "--n", "10"], 0),
@@ -260,7 +265,8 @@ def test_every_command_runs_where_numpy_cannot_be_imported(tmp_path):
     # every shipped command, each README example among them, in an
     # interpreter where `import numpy` raises: the package needs no numpy
     scenarios = SRC / "scenarios"
-    written = {"overflow-exit": OVERFLOW_EXIT, "kahler-nan": KAHLER_NAN, "kahler-inf": KAHLER_INF}
+    written = {"overflow-exit": OVERFLOW_EXIT, "kahler-nan": KAHLER_NAN, "kahler-inf": KAHLER_INF,
+               "cone-exp": cone_without_polynomials()}
     for name, doc in written.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argvs = [[argv[0], "--scenario", str(tmp_path / f"{name}.json" if name in written
@@ -309,6 +315,12 @@ _ADDED_MODULES = [
     ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["dense", "poisson", "poly"]),
     ("reduction_r4", ["reduce"], 0, ["poisson", "poly"]),
     ("cone", ["strata", "--check", "frontier"], 0, ["dense", "strata"]),
+    # tangency and each field of the family are certified exactly (poly):
+    # no sample and no drive, and flow only refuses the horizon as a drive
+    # would; orbits still samples the orbit (orbit)
+    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, ["flow", "poly", "strata"]),
+    ("cone", ["strata", "--check", "tangency", "--field", "ddz"], 1, ["flow", "poly", "strata"]),
+    ("cone", ["strata", "--check", "orbits", "--budget", "20"], 0, ["dense", "flow", "orbit", "poly", "strata"]),
     # the malformed commands of the three benchmark workloads: each exits 2
     # before its handler runs, having loaded only what its scenario needs;
     # a bad --tol-overrides exits before the scenario is read
@@ -414,8 +426,12 @@ _COMPILES = [
     ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 0, 2),
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, 1),
     ("cone", ["strata", "--check", "frontier"], 0, 6),
-    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 6),
-    ("cone", ["strata", "--check", "orbits"], 0, 14),
+    # certified exactly, with no sample and no drive: 6 before, with two
+    # drift kernels and the strata's sampling
+    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, 0),
+    # each field certified exactly, so the precondition's four drift kernels
+    # and the apex's projection are gone: 14 before
+    ("cone", ["strata", "--check", "orbits"], 0, 9),
     ("translate_shear", ["orbit", "--budget", "80", "--point=0,0", "--seed", "7"], 0, 6),
     ("reduction_r4", ["leaf", "--budget", "120", "--point=1,1,1,0"], 0, 9),
     ("halfline", ["classify", "--field", "ddx"], 1, 2),

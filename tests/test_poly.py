@@ -22,7 +22,9 @@ import subcart
 from subcart.cli import main
 from subcart.expr import Integer, parse, to_text
 from subcart.poisson import PoissonStructure, bracket
-from subcart.poly import MAX_BITS, MAX_COLUMNS, MAX_ROWS, derivative, divide, normal_form, rref, to_expr
+from subcart.poly import (
+    MAX_BITS, MAX_COLUMNS, MAX_ROWS, cofactors, derivative, divide, groebner, normal_form, rref, to_expr, value,
+)
 
 from conftest import scenario_path
 
@@ -280,16 +282,88 @@ def test_divide_answers_a_quotient_exactly_where_sympys_remainder_is_0(f, g, q, 
     if multiple:
         f = _poly(sympy.expand(_sympy(q) * _sympy(g)))
     quotient, remainder = sympy.div(_sympy(f), _sympy(g), *_X)
-    got = divide(f, g)
-    assert (got is not None) == (sympy.expand(remainder) == 0)
-    if got is not None:
+    (got,), rest = divide(f, [g])
+    assert (not rest) == (sympy.expand(remainder) == 0)
+    if not rest:
         assert got == _poly(sympy.expand(quotient))
 
 
+@given(polynomials(max_terms=5, max_exponent=3), st.lists(polynomials(max_terms=3, max_exponent=2), max_size=3))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_divide_is_sympys_reduced(f, divisors):
+    # the quotients and the remainder, term for term, of sympy's division
+    # by several polynomials in order under grlex, x1 > x2 > x3
+    divisors = [g for g in divisors if g]
+    quotients, remainder = divide(f, divisors)
+    if not f:  # sympy gives no quotients for 0
+        assert (quotients, remainder) == ([{}] * len(divisors), {})
+        return
+    want_q, want_r = sympy.reduced(_sympy(f), [_sympy(g) for g in divisors], *_X, order="grlex") if divisors \
+        else ([], _sympy(f))
+    assert quotients == [_poly(sympy.expand(q)) for q in want_q]
+    assert remainder == _poly(sympy.expand(want_r))
+
+
 def test_divide_by_zero_and_of_zero():
-    assert divide({}, {}) == {} and divide({(1,): 1}, {}) is None
-    assert divide({}, {(1,): 3}) == {}
-    assert divide({(2,): 1}, {(1,): 3}) == {(1,): Fraction(1, 3)}
+    assert divide({}, [{}]) == ([{}], {}) and divide({(1,): 1}, [{}]) == ([{}], {(1,): 1})
+    assert divide({}, [{(1,): 3}]) == ([{}], {}) and divide({(1,): 1}, []) == ([], {(1,): 1})
+    assert divide({(2,): 1}, [{(1,): 3}]) == ([{(1,): Fraction(1, 3)}], {})
+
+
+def _monic(p: dict) -> dict:
+    lead = max(p, key=lambda m: (sum(m), m))
+    return {m: Fraction(c) / p[lead] for m, c in p.items()}
+
+
+@given(st.lists(polynomials(_INTEGERS, max_terms=3, max_exponent=2), min_size=1, max_size=3))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_groebner_is_sympys(polys):
+    # the reduced basis is unique: sympy's under grlex, each made monic, in
+    # the same order; and each element is the combination of the generators
+    # its cofactors say.  These are all within the caps
+    found = groebner(polys)
+    nonzero = [p for p in polys if p]
+    if not nonzero:
+        assert found == ([], [])
+        return
+    want = sympy.groebner([_sympy(p) for p in nonzero], *_X, order="grlex", domain=sympy.QQ)
+    basis, reps = found
+    assert basis == [_monic(_poly(sympy.expand(g))) for g in want.exprs]
+    for g, rep in zip(basis, reps):
+        assert len(rep) == len(polys)
+        assert sympy.expand(sum((_sympy(c) * _sympy(p) for c, p in zip(rep, polys)), sympy.Integer(0))
+                            - _sympy(g)) == 0
+
+
+@given(st.lists(polynomials(_INTEGERS, max_terms=3, max_exponent=2), min_size=1, max_size=3),
+       polynomials(max_terms=3, max_exponent=1), st.booleans())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_cofactors_answer_exactly_sympys_membership(polys, f, inside):
+    # half the polynomials are a combination of the generators; cofactors
+    # are found exactly where sympy's basis contains f, and they give f back
+    if inside:
+        f = _poly(sympy.expand(sum((_sympy(f) * _sympy(p) * (k + 1) for k, p in enumerate(polys)),
+                                   sympy.Integer(0))))
+    got = cofactors([f], polys)
+    nonzero = [_sympy(p) for p in polys if p]
+    member = sympy.groebner(nonzero, *_X, order="grlex", domain=sympy.QQ).contains(_sympy(f)) if nonzero else not f
+    assert (got is not None) == member
+    if got is not None:
+        (row,) = got[1]
+        assert sympy.expand(sum((_sympy(c) * _sympy(p) for c, p in zip(row, polys)), sympy.Integer(0))
+                            - _sympy(f)) == 0
+
+
+@given(polynomials(), st.lists(st.one_of(_RATIONALS, st.integers(-5, 5), st.floats(-1e3, 1e3)), min_size=3,
+                                max_size=3))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_value_is_sympys(p, point):
+    # each float read as the rational it is
+    exact = [sympy.Rational(Fraction(v)) if isinstance(v, float) else sympy.Rational(v.numerator, v.denominator)
+             if isinstance(v, Fraction) else sympy.Integer(v) for v in point]
+    want = _sympy(p).subs(dict(zip(_X, exact)))
+    got = value(p, point)
+    assert Fraction(got) == Fraction(int(want.p), int(want.q))
 
 
 _FLOAT_COEFFICIENTS = st.one_of(_RATIONALS, st.floats(-1e6, 1e6).filter(bool).map(Fraction))
@@ -405,3 +479,65 @@ def test_classify_past_a_cap_falls_back_to_the_sampler_at_once(tmp_path):
     assert {name: (uncertified, same) for name, (uncertified, _, same) in out.items()} == {
         name: (True, True) for name in CLASSIFY_PAST_CAPS}
     assert max(seconds for _, seconds, _ in out.values()) < 0.5, out
+
+
+# The tangency certificate of strata past its caps ----------------------------------
+
+# strata --check tangency on a stratum past a cap of the certificate, in a
+# child process: whether the exact stage answered None and its seconds, and
+# whether the CLI's result is the sampled check's, called directly
+_STRATA_CHILD = """
+import contextlib, io, json, sys, time
+from dataclasses import asdict
+from subcart.cli import load_scenario, main
+from subcart.flow import FlowOptions
+from subcart.report import canonical_json
+from subcart.strata import _exact_tangency, strongly_stratified_check
+out = {}
+for path in sys.argv[1:]:
+    sc = load_scenario(path)
+    fld = sc.fields["v"]
+    start = time.perf_counter()
+    exact = _exact_tangency(sc.stratified, fld, [p for ps in sc.seeds.values() for p in ps])
+    seconds = time.perf_counter() - start
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        main(["strata", "--check", "tangency", "--scenario", path, "--field", "v"])
+    drift = sc.tolerances.get("drift", 1e-8)
+    sampled = strongly_stratified_check(sc.stratified, fld, *sc.box, drift_tol=drift, options=FlowOptions())
+    same = canonical_json(json.loads(printed.getvalue())["result"]) == canonical_json(
+        {**asdict(sampled), "declared_locally_trivial": False})
+    out[sc.name] = [exact is None, seconds, same]
+print(json.dumps(out))
+"""
+
+_LINES = ["x1+2*x2-x3+x4+x5+1", "x1-x2+2*x3+x4-x5+2", "2*x1+x2-x3-x4+x5+3", "x1+x2+x3-2*x4+x5+4"]
+# name: ambient dimension, the equalities of the one stratum, the field v
+STRATA_PAST_CAPS = {
+    # the curve x_i = x1^i: its basis of 29 elements passes MAX_BASIS on
+    # the way; v is its tangent, which the sampled check passes at drift 1e-4
+    "basis": (7, [f"x{i}-x1^{i}" for i in range(2, 8)], ["1"] + [f"{i}*x1^{i - 1}" for i in range(2, 8)]),
+    # the S-polynomial of x1^7 x2 - 1 and x1 x2^7 - 1 has degree 14
+    "degree": (2, ["x1^7*x2 - 1", "x1*x2^7 - 1"], ["-x2", "x1"]),
+    # x_i times a line: past MAX_WORK_TERMS terms formed, in about 0.4 s;
+    # without that cap a cofactor passes MAX_TERMS later
+    "work": (5, [f"x{i + 1}*({line})" for i, line in enumerate(_LINES)], ["0", "0", "0", "0", "1"]),
+    # X f = 0.002 (s + 1)^4 s, s = x1 + ... + x4, a product of 70 x 4 terms
+    "xf": (4, ["(x1 + x2 + x3 + x4)^2 - 1"], ["0.001*(x1 + x2 + x3 + x4 + 1)^4", "0", "0", "0"]),
+}
+
+
+def test_strata_past_a_cap_falls_back_to_the_sampled_check_at_once(tmp_path):
+    paths = []
+    for name, (n, equalities, field) in STRATA_PAST_CAPS.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({
+            "name": name, "space": {"ambient_dim": n, "cells": [[]]}, "fields": {"v": field},
+            "strata": [{"name": "s", "dim": 1, "cells": [[{"expr": e, "rel": "eq0"} for e in equalities]]}],
+            "box": [[-2.0] * n, [2.0] * n], "tolerances": {"drift": 1e-4}}), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _STRATA_CHILD, *map(str, paths)], capture_output=True, text=True,
+                          timeout=5, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert {name: (uncertified, same) for name, (uncertified, _, same) in out.items()} == {
+        name: (True, True) for name in STRATA_PAST_CAPS}
+    assert max(seconds for _, seconds, _ in out.values()) < 1.5, out

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from subcart.cli import DEFAULT_TOLERANCES, SchemaError, load_scenario, main
 
-from conftest import scenario_path
+from conftest import cone_without_polynomials, scenario_path
 
 DEL = object()  # an edit that deletes the key or item
 BIG = 10**400  # a JSON integer beyond the float range
@@ -464,10 +464,13 @@ NAMES = sorted(Path(p).stem for p in Path(scenario_path("halfline")).parent.glob
 
 # cheap commands per scenario, run on each mutant; the tangency check meets
 # the stratum constraints a mutant makes overflow or NaN with the drift fold
+# where the field is "unread", rot written so that the exact stage cannot
+# read it, and with the exact stage where it is rot
 CHEAP = {name: [["complete-probe", "--n", "1", "--radius", "0.1", "--t-scale", "0.1"]]
          for name in ("circle", "disk_line", "halfline", "rotation_plane", "translate_shear")}
 CHEAP.update({
     "cone": [["strata", "--check", "orbits", "--budget", "5", "--horizon", "0.1"],
+             ["strata", "--check", "tangency", "--field", "unread", "--horizon", "0.1"],
              ["strata", "--check", "tangency", "--field", "rot", "--horizon", "0.1"]],
     "canonical_r2": [["poisson", "--triples", "1", "--points", "1"]],
     "jacobi_control": [["poisson", "--triples", "1", "--points", "1"]],
@@ -499,6 +502,8 @@ def locations(doc, keys=()):
 def test_mutated_scenarios_load_or_fail_with_a_path(tmp_path_factory, data):
     name = data.draw(st.sampled_from(NAMES), label="scenario")
     doc = shipped(name)
+    if name == "cone":
+        doc["fields"]["unread"] = cone_without_polynomials()["fields"]["rot"]
     n = doc["space"]["ambient_dim"]
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         keys = data.draw(st.sampled_from(list(locations(doc))), label="keys")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 
 from subcart import flow, strata
 from subcart import orbit as orbit_module
@@ -27,7 +29,7 @@ from subcart.strata import (
     strongly_stratified_check,
 )
 
-from conftest import make_field
+from conftest import GOLDEN_DIR, assert_golden, cone_without_polynomials, make_field, scenario_path
 
 DRIFT_TOL = 1e-6
 
@@ -478,3 +480,226 @@ def test_a_backward_nan_is_named_before_a_later_forward_overflow():
     want = _outcome(_loop_drift, ss, fld, [0.5, 0.0], [1.0, 1.0], 1.0, 0)
     assert want.startswith("the constraints of stratum 's' are not a number at [-999.")
     assert _outcome(_fold_drift, ss, fld, [0.5, 0.0], [1.0, 1.0], 1.0, 0) == want
+
+
+# The exact stage of strata --------------------------------------------------------
+
+def _sampled_strata_report(check: str, name: str, horizon: float, seed: int, budget: int = 400) -> str:
+    """The CLI's report of ``strata --check tangency --field name`` or
+    ``--check orbits --family name`` on the shipped cone, its result the
+    sampled check's, called directly."""
+    from dataclasses import asdict
+
+    from subcart.cli import load_scenario
+    from subcart.flow import FlowOptions
+    from subcart.report import canonical_json
+
+    sc, opts = load_scenario(scenario_path("cone")), FlowOptions()
+    drift = sc.tolerances["drift"]
+    tolerances = {"atol": opts.atol, "drift": drift, "rtol": opts.rtol}
+    if check == "tangency":
+        rep = strongly_stratified_check(sc.stratified, sc.field(name), *sc.box, horizon=horizon, rng_seed=seed,
+                                        drift_tol=drift, options=opts)
+    else:
+        rep = orbit_vs_strata(sc.stratified, sc.family(name), sc.seeds["default"], *sc.box, budget=budget,
+                              rng_seed=seed, horizon=horizon, drift_tol=drift, options=opts)
+        tolerances["rank"] = 1e-8
+    return canonical_json({"command": "strata", "result": {**asdict(rep), "declared_locally_trivial": False},
+                           "scenario": {"name": sc.name, "sha256": sc.sha256}, "seed": seed,
+                           "tolerances": tolerances}) + "\n"
+
+
+# (name of the golden report, check, field or family, horizon, seed, budget):
+# the bytes the CLI printed for these runs before its exact stage answered them
+SAMPLED_STRATA = [
+    ("sampled-strata-tangency-rot", "tangency", "rot", 0.3, 4, 400),
+    ("sampled-strata-tangency-ddz", "tangency", "ddz", 0.3, 4, 400),
+    ("sampled-strata-orbits", "orbits", "default", 0.5, 6, 60),
+]
+
+
+@pytest.mark.parametrize("name,check,field,horizon,seed,budget", SAMPLED_STRATA, ids=[s[0] for s in SAMPLED_STRATA])
+def test_the_sampled_checks_keep_their_bytes(name, check, field, horizon, seed, budget):
+    assert_golden(_sampled_strata_report(check, field, horizon, seed, budget), name)
+
+
+def _reader(doc: dict):
+    """A reader of the scenario's texts and the report's into sympy, over
+    x1..xn and the aliases, each float the rational it is."""
+    xs = sympy.symbols(f"x1:{doc['space']['ambient_dim'] + 1}")
+    names = {**dict(zip(doc.get("aliases", []), xs)), **{f"x{i + 1}": x for i, x in enumerate(xs)}}
+
+    def read(text: str):
+        e = sympy.parse_expr(text.replace("^", "**"), local_dict=names)
+        return e.xreplace({f: sympy.Rational(float(f)) for f in e.atoms(sympy.Float)})
+
+    return xs, read
+
+
+def check_exact_strata_report(result: dict, doc: dict) -> None:
+    """Re-verify an exact ``strata --check tangency`` result from its JSON
+    and the scenario's alone: each cofactor row gives X c = sum C c' with a
+    0 on every other inequality, and the printed basis is sympy's reduced
+    one; or the witness point lies in its stratum exactly, on its equality
+    e, with X e there the printed nonzero number."""
+    xs, read = _reader(doc)
+    field = [read(t) for t in doc["fields"][result["field"]]]
+
+    def along(f):
+        return sum(c * sympy.diff(f, x) for c, x in zip(field, xs))
+
+    strata = {s["name"]: s for s in doc["strata"]}
+    assert result["basis"] == "exact"
+    if result["passed"]:
+        assert result["witness"] is None and set(result["per_stratum"]) == set(strata)
+        for name, certificates in result["per_stratum"].items():
+            for cell, cert in zip(strata[name]["cells"], certificates, strict=True):
+                fs = [read(c["expr"]) for c in cell]
+                for f, row in zip(fs, cert["cofactors"], strict=True):
+                    cs = [read(t) for t in row]
+                    assert sympy.expand(along(f) - sum(c * g for c, g in zip(cs, fs, strict=True))) == 0
+                    assert all(c == 0 for c, g, con in zip(cs, fs, cell) if g is not f and con["rel"] != "eq0")
+                equalities = [f for f, c in zip(fs, cell) if c["rel"] == "eq0"]
+                want = sympy.groebner(equalities, *xs, order="grlex", domain=sympy.QQ).exprs if equalities else []
+                assert [sympy.expand(read(t)) for t in cert["groebner"]] == [
+                    sympy.expand(g / sympy.Poly(g, *xs).LC(order="grlex")) for g in want]
+        return
+    w = result["witness"]
+    (cell,) = strata[w["stratum"]]["cells"]
+    at = dict(zip(xs, (sympy.Rational(v) for v in w["point"])))
+    relation = {"eq0": lambda v: v == 0, "geq0": lambda v: v >= 0, "gt0": lambda v: v > 0,
+                "leq0": lambda v: v <= 0, "lt0": lambda v: v < 0}
+    assert all(relation[c["rel"]](read(c["expr"]).subs(at)) for c in cell)
+    e = read(w["constraint"])
+    assert any(c["rel"] == "eq0" and sympy.expand(read(c["expr"]) - e) == 0 for c in cell)
+    assert along(e).subs(at) == sympy.Rational(w["derivative"]) != 0
+
+
+@pytest.mark.parametrize("field,code", [("rot", 0), ("euler", 0), ("ddz", 1)])
+def test_each_exact_tangency_report_is_verified_from_its_json(capsys, field, code):
+    from subcart.cli import main
+
+    doc = json.loads(open(scenario_path("cone"), encoding="utf-8").read())
+    assert main(["strata", "--check", "tangency", "--scenario", scenario_path("cone"), "--field", field]) == code
+    result = json.loads(capsys.readouterr().out)["result"]
+    check_exact_strata_report(result, doc)
+    for name in ("strata-tangency-rot", "strata-tangency-ddz"):
+        check_exact_strata_report(json.loads((GOLDEN_DIR / f"{name}.json").read_text())["result"], doc)
+
+
+def test_the_checker_refuses_a_wrong_cofactor_and_a_wrong_witness(capsys):
+    from subcart.cli import main
+
+    doc = json.loads(open(scenario_path("cone"), encoding="utf-8").read())
+    golden = json.loads((GOLDEN_DIR / "strata-tangency-rot.json").read_text())["result"]
+    wrong = json.loads(json.dumps(golden))
+    wrong["per_stratum"]["apex"][0]["cofactors"][0][1] = "1"
+    with pytest.raises(AssertionError):
+        check_exact_strata_report(wrong, doc)
+    golden = json.loads((GOLDEN_DIR / "strata-tangency-ddz.json").read_text())["result"]
+    for key, value in (("derivative", "2"), ("point", [0, 0, 1]), ("constraint", "x1")):
+        with pytest.raises(AssertionError):
+            check_exact_strata_report({**golden, "witness": {**golden["witness"], key: value}}, doc)
+
+
+# each cone field: whether it is certified on the apex and on the surface
+CONE_CERTIFIED = {"rot": (True, True), "euler": (True, True), "ddz": (False, False)}
+
+
+@pytest.mark.parametrize("field", sorted(CONE_CERTIFIED))
+def test_the_cone_fields_are_certified_as_sympy_decides(field):
+    # item 33's values: each X e of each equality is in I = (e), each X g in
+    # (g) + I, exactly where sympy's Groebner basis contains it
+    from subcart.poly import invariance_cofactors
+
+    doc = json.loads(open(scenario_path("cone"), encoding="utf-8").read())
+    xs, read = _reader(doc)
+    components = [read(t) for t in doc["fields"][field]]
+    fld = cone_fields()[field]
+    ss = cone_stratification()
+    for s, want in zip(ss.strata, CONE_CERTIFIED[field]):
+        (cell,) = s.space.cells
+        got = invariance_cofactors(fld.components, [(c.expr, c.rel is Rel.EQ) for c in cell])
+        assert (got is not None) == want
+        fs = [sympy.sympify(c.text().replace("^", "**"), locals=dict(zip(("x1", "x2", "x3"), xs))) for c in cell]
+        equalities = [f for f, c in zip(fs, cell) if c.rel is Rel.EQ]
+        inside = all(sympy.groebner(equalities + ([] if c.rel is Rel.EQ else [f]), *xs, order="grlex").contains(
+            sympy.expand(sum(x * sympy.diff(f, v) for x, v in zip(components, xs)))) for f, c in zip(fs, cell))
+        assert inside == want
+
+
+def test_ddz_leaves_each_cone_stratum_at_a_seed():
+    # X z = 1 at the apex (0, 0, 0), X f = -2z = -2 at (1, 0, 1)
+    ss, ddz = cone_stratification(), cone_fields()["ddz"]
+    seeds = [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    assert strata._transversal(ss.strata[0], ddz, seeds, {}) == {
+        "stratum": "apex", "point": [0.0, 0.0, 0.0], "constraint": "x3", "derivative": "1"}
+    assert strata._transversal(ss.strata[1], ddz, seeds, {}) == {
+        "stratum": "surface", "point": [1.0, 0.0, 1.0], "constraint": "x1^2 + x2^2 - x3^2", "derivative": "-2"}
+    # a seed off the stratum by a rounding, or a tangent field, is no witness
+    assert strata._transversal(ss.strata[1], ddz, [[1.0, 0.0, 1.0 + 2**-52]], {}) is None
+    assert strata._transversal(ss.strata[1], cone_fields()["rot"], seeds, {}) is None
+
+
+def test_the_boost_is_not_certified_and_gets_the_sampled_report(tmp_path, capsys):
+    # z d/dx + x d/dz keeps x^2 + y^2 - z^2 and the apex, but X z = x is not
+    # in (z, f): the sampled check answers, byte for byte
+    from dataclasses import asdict
+
+    from subcart.cli import load_scenario, main
+    from subcart.flow import FlowOptions
+    from subcart.poly import invariance_cofactors
+    from subcart.report import canonical_json
+
+    doc = json.loads(open(scenario_path("cone"), encoding="utf-8").read())
+    doc["fields"]["boost"] = ["z", "0", "x"]
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(doc))
+    sc = load_scenario(str(path))
+    boost = sc.field("boost")
+    apex, surface = ([(c.expr, c.rel is Rel.EQ) for c in s.space.cells[0]] for s in sc.stratified.strata)
+    assert invariance_cofactors(boost.components, apex) is not None
+    assert invariance_cofactors(boost.components, surface) is None
+    assert invariance_cofactors(boost.components, surface[:1]) is not None
+    assert strata._exact_tangency(sc.stratified, boost, [p for ps in sc.seeds.values() for p in ps]) is None
+    assert main(["strata", "--check", "tangency", "--scenario", str(path), "--field", "boost", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    opts = FlowOptions()
+    rep = strongly_stratified_check(sc.stratified, boost, *sc.box, rng_seed=2, drift_tol=1e-6, options=opts)
+    assert out == canonical_json({
+        "command": "strata", "result": {**asdict(rep), "declared_locally_trivial": False},
+        "scenario": {"name": sc.name, "sha256": sc.sha256}, "seed": 2,
+        "tolerances": {"atol": opts.atol, "drift": 1e-6, "rtol": opts.rtol}}) + "\n"
+
+
+@pytest.mark.parametrize("check", [["tangency", "--field", "rot"], ["orbits", "--budget", "20"]])
+@pytest.mark.parametrize("horizon", ["1e307", "-1", "nan"])
+def test_a_certified_run_refuses_the_horizons_a_sampled_one_does(tmp_path, capsys, check, horizon):
+    # no drive runs, yet the horizon is refused as a drive refuses it; the
+    # cone whose fields the certificate cannot read samples and drives
+    from subcart.cli import main
+
+    unread = tmp_path / "cone-exp.json"
+    unread.write_text(json.dumps(cone_without_polynomials()))
+    answers = []
+    for path in (scenario_path("cone"), str(unread)):
+        code = main(["strata", "--check", *check, "--scenario", path, f"--horizon={horizon}"])
+        answers.append((code, *capsys.readouterr()))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 2 and answers[0][1] == ""
+    if horizon == "1e307":
+        assert answers[0][2] == ("error: integration failed: horizon 1e+307 is more than 2^53 sample spacings "
+                                 "of 0.1\n")
+
+
+def test_an_orbit_check_of_certified_fields_is_the_sampled_containment(capsys):
+    # the same seeds' evidence as the sampled check, with an exact precondition
+    from subcart.cli import main
+
+    assert main(["strata", "--check", "orbits", "--scenario", scenario_path("cone"), "--budget", "60",
+                 "--seed", "6"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    sampled = json.loads(_sampled_strata_report("orbits", "default", 0.5, 6, 60))["result"]
+    assert {k: v for k, v in result.items() if k != "precondition"} == \
+        {k: v for k, v in sampled.items() if k != "precondition"}
+    assert result["precondition"] == [{"basis": "exact", "field": f, "passed": True} for f in ("euler", "rot")]
