@@ -37,10 +37,10 @@ _EXPORTS = {
         "Const", "DomainError", "Expr", "ExprError", "ParseError", "Var", "compile_scalar",
         "compile_vector", "diff", "parse", "to_text",
     ),
-    "field": ("FieldError", "TangentField", "lie_bracket"),
+    "field": ("FieldError", "IntegrationError", "TangentField", "lie_bracket"),
     "flow": (
         "ExitWitness", "FlowDomainError", "FlowOptions", "INCONCLUSIVE", "IntegralCurve",
-        "IntegrationError", "NOT_VECTOR_FIELD", "VECTOR_FIELD",
+        "NOT_VECTOR_FIELD", "VECTOR_FIELD",
         "VectorFieldVerdict", "classify_vector_field", "flow_map", "integrate", "transport_vector",
     ),
     "orbit": (

@@ -38,7 +38,7 @@ from .almostcomplex import (
     max_norm, torsion,
 )
 from .expr import Expr, ExprError, parse, to_text
-from .field import RANK_TOL, FieldError, TangentField, _value_at, lie_bracket
+from .field import RANK_TOL, FieldError, IntegrationError, TangentField, _horizon, _value_at, lie_bracket
 from .report import ReportError, canonical_json, sha256_hex, worst_residual, write_csv
 from .space import DEFAULT_TOL, Rel, SpaceError, SubcartesianSpace, Constraint, _rounding, box
 
@@ -474,7 +474,7 @@ def _write_cloud(path: str, points, words) -> None:
 # Each returns its result dict; main reads the exit code off it (see FAILURES).
 
 def cmd_flow(sc: Scenario, args, tol) -> dict:
-    from .flow import IntegrationError, integrate
+    from .flow import integrate
 
     fld = sc.field(args.field)
     point = _point(sc, args.point)
@@ -646,8 +646,6 @@ def cmd_strata(sc: Scenario, args, tol) -> dict:
         fld = sc.field(args.field)
         exact = _exact_tangency(ss, fld, [p for points in sc.seeds.values() for p in points])
         if exact is not None:
-            from .flow import _horizon
-
             _horizon(args.horizon)  # refused as a drive refuses it, although none runs
             note = ("X e is in I = (e) and X g in (g) + I for each equality e and inequality g of each stratum cell: "
                     "each stratum is invariant" if exact["passed"] else
@@ -662,8 +660,6 @@ def cmd_strata(sc: Scenario, args, tol) -> dict:
         fam = sc.family(args.family)
         seeds = _resolve_seeds(sc, args.seeds)
         if all(_exact_tangency(ss, f, ()) for f in fam.fields):  # with no seed, no witness: each passes or is None
-            from .flow import _horizon
-
             _horizon(args.horizon)
             passed, per_seed = _containment(ss, fam, seeds, lo, hi, args.budget, args.seed, tol["rank"],
                                             _flow_options(tol))
@@ -1000,7 +996,7 @@ def _error_line(exc: Exception) -> str:
         mod = sys.modules.get(f"{__package__}.{module}")
         return tuple(getattr(mod, name) for name in names) if mod else ()
 
-    if isinstance(exc, loaded("flow", "FlowDomainError", "IntegrationError")):
+    if isinstance(exc, (IntegrationError,) + loaded("flow", "FlowDomainError")):
         return f"error: integration failed: {exc}\n"
     usage = (CliError, OSError, SpaceError, FieldError, ExprError, AlmostComplexError, ReportError)
     if isinstance(exc, usage + loaded("orbit", "OrbitError") + loaded("poisson", "PoissonError")

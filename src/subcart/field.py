@@ -6,6 +6,11 @@ derivatives, and the commutator of two fields is again a field, computed
 symbolically.  Tangency to any particular space is not checked at
 construction; flow and stratification checks surface violations where they
 matter.
+
+The integrator's failure, ``IntegrationError``, and its refusal of a
+horizon past 2^53 sample spacings (``MAX_SAMPLE_DT``) live here, in a
+module every command loads, so that a command which runs no drive refuses
+such a horizon as a drive would without loading ``flow``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,30 @@ from .expr import (
 # fields whose values at a point have a singular value below RANK_TOL times
 # the largest one count as dependent there
 RANK_TOL = 1e-8
+# the spacing of the points a flow scans along its curve, at most
+MAX_SAMPLE_DT = 0.1
 
 
 class FieldError(ValueError):
     """Raised for malformed fields or dimension mismatches."""
+
+
+class IntegrationError(RuntimeError):
+    """Numerical failure of the stepper itself (not a domain exit)."""
+
+    def __init__(self, message: str, t: Optional[float] = None):
+        super().__init__(message)
+        self.t = t
+
+
+def _horizon(horizon: float) -> float:
+    """``horizon`` as a float, refused where a drive cannot take it."""
+    horizon = float(horizon)
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if horizon / MAX_SAMPLE_DT > 2**53:  # past 2^53 a float no longer counts the scanned points exactly
+        raise IntegrationError(f"horizon {horizon} is more than 2^53 sample spacings of {MAX_SAMPLE_DT}")
+    return horizon
 
 
 class TangentField:

@@ -34,6 +34,16 @@ worst violation of a stratum's constraints at its points, on the ambient
 space, so its memory does not grow with the horizon.
 A space with a cell of no constraints holds everywhere, so there nothing is
 tested, and a kernel that neither tests, stores nor folds has no scan.
+Nor is anything tested along the way where the field annihilates every
+constraint of every cell (X f = 0 exactly, in ``poly``'s normal form): each
+constraint keeps its value along the exact curve, so no cell is left or
+entered.  There the kernel is the one of no cells, and a drive is tested
+at its end alone; one whose end is not a member, from the integrator's
+drift out of an equality's band, or that fails, is run again on the
+scanning kernel, which locates the exit.  So such a drive equals the
+scanning one bit for bit, except where the scan would stop at a scanned
+point outside the band although the drive's end is back inside it: there
+the drive reaches its end, as the exact curve does.
 The scan's cell tests are the space's generated lines, which evaluate the
 constraints in IEEE arithmetic (``space._cells_test``), so a power past the
 float range tests as inf.  On the first violation the exit time is located
@@ -70,7 +80,7 @@ from array import array
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .field import TangentField
+from .field import MAX_SAMPLE_DT, IntegrationError, TangentField, _horizon
 from .expr import _COMPILE_ENV, Const, DomainError, Expr, _const_source, _pairwise_sum, vector_source
 from .space import BALL_TRIES, Cell, SubcartesianSpace, _cells_test, _slack_source, ball, sample
 
@@ -81,15 +91,6 @@ BISECT_TOL = 1e-12
 MIN_STEP = 1e-14
 ATTAINED_FACTOR = 10.0
 INTERIOR_CHECKS = 3  # scanned points inside each accepted step, at least
-MAX_SAMPLE_DT = 0.1
-
-
-class IntegrationError(RuntimeError):
-    """Numerical failure of the stepper itself (not a domain exit)."""
-
-    def __init__(self, message: str, t: Optional[float] = None):
-        super().__init__(message)
-        self.t = t
 
 
 class FlowDomainError(RuntimeError):
@@ -537,12 +538,12 @@ def _driver_source(components: Sequence[Expr], cells: Optional[Sequence[Cell]], 
     return re.sub(r"\$(\w+)", lambda m: str(parts[m.group(1)]), _DRIVER)
 
 
-# Every compiled kernel of the process, keyed by (field source, scan key, keep).
+# Every kernel of the process, keyed by (field source, scan key, keep).
 _DRIVERS: dict[tuple, Callable[..., _DriveResult]] = {}
 
 
 def _kernel(fld: TangentField, space: SubcartesianSpace, keep: Optional[str]) -> Callable[..., _DriveResult]:
-    """The kernel of the field on the space, compiled on first use and kept for
+    """The kernel of the field on the space, made on first use and kept for
     the process.
 
     A kernel with ``keep`` "store" keeps the start, the scanned points and,
@@ -555,29 +556,65 @@ def _kernel(fld: TangentField, space: SubcartesianSpace, keep: Optional[str]) ->
     (``TangentField._source``) and the cell tests (``_scan_key``) or the
     slack (``_slack_key``), so a field or space built anew, by another
     command in the same process, finds the kernel already compiled.
+
+    Where the field annihilates every constraint of every cell exactly
+    (``poly.first_integrals``), no cell is left or entered along the exact
+    curve, and the kernel is ``_guarded``: the kernel of no cells for
+    ``keep``, with the scanning one behind an end test.
     """
     scan = space._slack_key if keep == "drift" else space._scan_key
     key = (fld._source, scan, keep)
     drive = _DRIVERS.get(key)
     if drive is None:
-        scope = dict(_COMPILE_ENV, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
-                     ExitWitness=ExitWitness, DomainError=DomainError,
-                     _DomainError=DomainError, IntegrationError=IntegrationError, sqrt=math.sqrt,
-                     ceil=math.ceil, inf=math.inf, MIN_STEP=MIN_STEP)
-        source = _driver_source(fld.components, None if scan is None else space.cells, keep)
-        exec(compile(source, f"<dopri5 kernel n={fld.dim}>", "exec"), scope)
-        drive = _DRIVERS[key] = scope["_drive"]
+        cells = None if scan is None else space.cells
+        if keep == "drift" or cells is None or not _first_integrals(fld, cells):
+            drive = _compile(fld, cells, keep)
+        else:
+            drive = _guarded(_compile(fld, None, keep), lambda: _compile(fld, cells, keep))
+        _DRIVERS[key] = drive
     return drive
 
 
-def _horizon(horizon: float) -> float:
-    """``horizon`` as a float, refused where a drive cannot take it."""
-    horizon = float(horizon)
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if horizon / MAX_SAMPLE_DT > 2**53:  # past 2^53 a float no longer counts the scanned points exactly
-        raise IntegrationError(f"horizon {horizon} is more than 2^53 sample spacings of {MAX_SAMPLE_DT}")
-    return horizon
+def _first_integrals(fld: TangentField, cells: Sequence[Cell]) -> bool:
+    """``poly.first_integrals`` of the constraints of the cells, ``poly``
+    loaded only here, where a space has constraints."""
+    from .poly import first_integrals
+
+    return first_integrals(fld.components, [c.expr for cell in cells for c in cell])
+
+
+def _compile(fld: TangentField, cells: Optional[Sequence[Cell]], keep: Optional[str]) -> Callable[..., _DriveResult]:
+    """The drive of ``_driver_source``, compiled."""
+    scope = dict(_COMPILE_ENV, _Samples=_Samples, _DriveResult=_DriveResult, _exit=_exit,
+                 ExitWitness=ExitWitness, DomainError=DomainError,
+                 _DomainError=DomainError, IntegrationError=IntegrationError, sqrt=math.sqrt,
+                 ceil=math.ceil, inf=math.inf, MIN_STEP=MIN_STEP)
+    exec(compile(_driver_source(fld.components, cells, keep), f"<dopri5 kernel n={fld.dim}>", "exec"), scope)
+    return scope["_drive"]
+
+
+def _guarded(free: Callable[..., _DriveResult],
+             scanning: Callable[[], Callable[..., _DriveResult]]) -> Callable[..., _DriveResult]:
+    """A kernel that runs ``free``, which tests no cell, and keeps its drive
+    where it reaches the target at a member of the space; any other drive,
+    a failure included, runs again on the scanning kernel, which
+    ``scanning`` compiles on its first call and which locates the exit.
+    The free drive steps as the scanning one does and keeps or counts the
+    same points (the module notes say where the two differ)."""
+    scanned: list[Callable[..., _DriveResult]] = []
+
+    def drive(x0, target, opts, space):
+        try:
+            res = free(x0, target, opts, space)
+            if res.reached and space.contains(res.y_end):
+                return res
+        except IntegrationError:
+            pass
+        if not scanned:
+            scanned.append(scanning())
+        return scanned[0](x0, target, opts, space)
+
+    return drive
 
 
 def _drives(space: SubcartesianSpace, fld: TangentField, x0: Sequence[float], horizon: float,
@@ -604,8 +641,12 @@ def integrate(
 
     The curve is the connected component through time zero of the in-set
     times of the ambient trajectory, so every sample satisfies membership at
-    the space's tolerance.  The samples are stored, for ``samples`` to read,
-    only with ``store`` set; either way ``n_samples`` counts them.
+    the space's tolerance, except where the field annihilates every
+    constraint: there the exact curve stays in its cell, only each drive's
+    end is tested, and a point before it may lie past a band by the
+    integrator's error (see the module notes).  The samples are stored, for
+    ``samples`` to read, only with ``store`` set; either way ``n_samples``
+    counts them.
     """
     opts = options or FlowOptions()
     x0 = tuple(float(v) for v in x0)

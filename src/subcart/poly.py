@@ -1,7 +1,7 @@
 """An exact normal form of polynomial expressions, to certify that one is 0,
 its derivatives, division by one polynomial, the way back to an ``Expr``,
-the invariance certificate of polynomial cells built on them, and an exact
-linear solve.
+the invariance certificate of polynomial cells and the first integrals of
+a field built on them, and an exact linear solve.
 
 ``normal_form`` reads ``Const``, ``Var``, ``Add``, ``Mul``, ``Neg``, ``Pow``
 and ``Div`` by a constant into a dict from exponent tuples to nonzero int or
@@ -268,6 +268,15 @@ def value(p: dict, point: Sequence):
 def lie_derivative(xs: Sequence[dict], f: dict) -> Optional[dict]:
     """X f = sum x_i df/dx_i for the field of components ``xs``; None past a cap."""
     return functools.reduce(_sum, [_product(x, derivative(f, i)) for i, x in enumerate(xs)], {})
+
+
+def first_integrals(field: Sequence[Expr], exprs: Sequence[Expr]) -> bool:
+    """Whether X f is exactly 0 for each f of ``exprs``, X the field on R^n,
+    n its components: each f is then constant along every integral curve.
+    False where a component or an f has no normal form, or X f passes a cap."""
+    n, memo = len(field), {}
+    xs, fs = ([normal_form(e, n, memo) for e in es] for es in (field, exprs))
+    return None not in xs + fs and all(lie_derivative(xs, f) == {} for f in fs)
 
 
 def to_expr(p: dict) -> Optional[Expr]:

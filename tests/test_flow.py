@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import math
@@ -12,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subcart.flow import (
@@ -31,7 +32,7 @@ from subcart.field import TangentField
 from subcart.flow import (
     _A, _D, _E, _DRIVERS, ATTAINED_FACTOR, BISECT_TOL, INTERIOR_CHECKS, MAX_SAMPLE_DT, MIN_STEP, PROBE_LEVELS,
     ExitWitness,
-    _DriveResult, _Samples, _dense, _driver_source, _kernel, _witness_info,
+    _DriveResult, _Samples, _compile, _dense, _driver_source, _kernel, _witness_info,
 )
 from subcart.space import BALL_TRIES, Constraint, Rel, SubcartesianSpace, ball, sample
 
@@ -852,6 +853,103 @@ def test_kernels_are_keyed_by_their_source():
     transport_vector(disk, rot, 0.3, [0.1, 0.2], again.value([0.1, 0.2]))
     assert _kernel(rot._variational, disk, None) is _kernel(again._variational, disk_again, None)
     assert all(len(key) == 3 and isinstance(key[0], str) for key in _DRIVERS)
+
+
+# The pairs whose field annihilates every constraint (X f = 0 exactly), and
+# so get the guarded kernel, each as a space, its field and a start drawn
+# at or near a band edge: the shipped circle, the circle at tol 1e-9, the
+# cone with |f| within 1e-12 of its tol and the punctured plane, whose one
+# constraint x^2 + y^2 > tol holds from r^2 just past tol
+@functools.lru_cache(maxsize=None)
+def _scan_free(name: str) -> tuple[SubcartesianSpace, TangentField]:
+    if name == "circle-1e-9":
+        return unit_circle(tol=1e-9), make_field("rot", ["-x2", "x1"], 2)
+    sc = load_scenario(scenario_path(name))
+    return sc.space, sc.field("rot")
+
+
+@functools.lru_cache(maxsize=None)
+def _scanning(name: str, keep):
+    """The scanning kernel of the pair, which the guard runs where the free drive fails its end test."""
+    space, fld = _scan_free(name)
+    return _compile(fld, space.cells, keep)
+
+
+@st.composite
+def _guard_cases(draw):
+    name = draw(st.sampled_from(["circle", "circle-1e-9", "cone", "rotation_plane"]))
+    space, fld = _scan_free(name)
+    tol = space.tol
+    edge = st.floats(0.0, 1e-12).map(lambda d: tol - d)
+    near = st.one_of(edge, edge.map(lambda v: -v), st.floats(-tol, tol))  # the constraint's value at the start
+    if name == "rotation_plane":
+        r2 = draw(st.one_of(edge.map(lambda v: 2 * tol - v), st.floats(0.01, 4.0)))
+    elif name == "cone":
+        z = draw(st.floats(0.01, 2.0))
+        r2 = z * z + draw(near)
+    else:
+        r2 = 1.0 + draw(near)
+    a = draw(st.floats(0.0, 2 * math.pi))
+    x0 = [math.sqrt(r2) * math.cos(a), math.sqrt(r2) * math.sin(a)] + ([z] if name == "cone" else [])
+    assume(space.contains(x0))
+    target = draw(st.floats(0.1, 20.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return name, x0, target, draw(st.sampled_from([None, "count", "store"]))
+
+
+def _excursion_that_returns(guarded, scanned) -> bool:
+    """Whether the scanning drive exits, attained, where the guarded one
+    reaches its target at a member end with the same steps up to the exit:
+    a scanned point of the dense output left the band, and the curve was
+    back in it by the end.  Bit-for-bit equality does not hold there; the
+    scanned exit is the integrator's, since the exact curve keeps the
+    constraint's value."""
+    if len(scanned) < 8 or not guarded[2] or scanned[2] or not scanned[6][2] or scanned[6][3]:
+        return False
+    assert guarded[3] >= scanned[3]
+    if scanned[4] is not None:  # the points stored before the exit, all but the bisected last one
+        n = len(scanned[1])
+        assert guarded[4][:len(scanned[4]) - 1] == scanned[4][:-1]
+        assert guarded[5][:len(scanned[5]) - n] == scanned[5][:-n]
+    return True
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_guard_cases())
+def test_the_guarded_kernel_drives_as_the_scanning_one(case):
+    # t_end, y_end, reached, witness, n_steps, n_samples and the stored
+    # samples, bit for bit, except where the scan exits on an excursion that
+    # returns (see the notes of ``flow``)
+    name, x0, target, keep = case
+    space, fld = _scan_free(name)
+    assert "_bisect" not in _kernel(fld, space, keep).__globals__  # no scan: the kernel of no cells
+    guarded = _drive_outcome(_kernel(fld, space, keep), x0, target, FlowOptions(), space)
+    scanned = _drive_outcome(_scanning(name, keep), x0, target, FlowOptions(), space)
+    if guarded != scanned:
+        assert _excursion_that_returns(guarded, scanned), (case, guarded[:4], scanned[:4])
+
+
+def test_an_excursion_that_returns_is_no_exit_of_the_guarded_kernel():
+    # a start within 1e-12 of the cone's band: the dense output of the
+    # first steps leaves the band by more than that, and the scanning
+    # kernel exits, attained, at t = -0.011, though the step ends inside
+    # it; the guarded drive reaches its target, as the exact curve does
+    space, fld = _scan_free("cone")
+    x0 = [0.5782711504127929, 0.957842432749446, 1.1188653396970356]
+    for keep in (None, "count", "store"):
+        guarded = _drive_outcome(_kernel(fld, space, keep), x0, -0.24765268123720538, FlowOptions(), space)
+        scanned = _drive_outcome(_scanning("cone", keep), x0, -0.24765268123720538, FlowOptions(), space)
+        assert _excursion_that_returns(guarded, scanned)
+        assert float.fromhex(scanned[6][0]) > -0.02
+
+
+def test_a_drifted_end_sends_the_guarded_drive_to_the_scan():
+    # at tol 1e-9 the drift of rot on the circle leaves the band within 7
+    # time units: the free drive's end fails, and the scan locates the exit
+    space, fld = _scan_free("circle-1e-9")
+    for keep in (None, "count", "store"):
+        want = _drive_outcome(_scanning("circle-1e-9", keep), [1.0, 0.0], 7.0, FlowOptions(), space)
+        assert want[2] is False and want[6][2]
+        assert _drive_outcome(_kernel(fld, space, keep), [1.0, 0.0], 7.0, FlowOptions(), space) == want
 
 
 # Fields with constant components built here, beside the shipped ones: a

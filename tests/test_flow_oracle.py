@@ -1,7 +1,9 @@
-"""Independent oracles for the stepper: scipy's RK45 and finite differences."""
+"""Independent oracles for the stepper: scipy's RK45, finite differences
+and, for the kernels that test no cell, sympy's expansion of X f."""
 
 from __future__ import annotations
 
+import glob
 import json
 
 import numpy as np
@@ -9,10 +11,11 @@ import pytest
 
 from subcart.cli import load_scenario
 from subcart.expr import compile_scalar
-from subcart.flow import FlowOptions, _flow_core, flow_map, integrate, transport_vector
+from subcart.flow import FlowOptions, _flow_core, _kernel, flow_map, integrate, transport_vector
+from subcart.poisson import hamiltonian_field
 from subcart.space import SubcartesianSpace
 
-from conftest import make_field, scenario_path
+from conftest import SCENARIO_DIR, make_field, scenario_path
 from test_flow_golden import SPIRAL_DISK
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
@@ -115,3 +118,54 @@ def test_exit_times_match_solve_ivp_events(tmp_path, name, field, x0, horizon, a
                                    (curve.exit_plus, curve.clipped_plus, attained[1])):
         assert clipped is (want is None)
         assert (witness.attained if witness else None) is want
+
+
+def _constrained_pairs(sympy) -> list:
+    """(scenario, field name, the package's field, its space, whether sympy
+    expands X f to 0 for every constraint f) for each field of each shipped
+    scenario with constraints, reduction_r4's Hamiltonians of its generators
+    among them; sympy reads the scenario's JSON text alone."""
+    out = []
+    for path in sorted(glob.glob(f"{SCENARIO_DIR}/*.json")):
+        doc = json.loads(open(path, encoding="utf-8").read())
+        cells = doc["space"]["cells"]
+        if not all(cells):  # a cell of no constraints holds everywhere: no kernel there scans
+            continue
+        names = doc.get("aliases") or [f"x{i + 1}" for i in range(doc["space"]["ambient_dim"])]
+        xs = sympy.symbols(names)
+        local = dict(zip(names, xs))
+
+        def read(text):
+            return sympy.parse_expr(text.replace("^", "**"), local_dict=local)
+
+        fs = [read(c["expr"]) for cell in cells for c in cell]
+        sc = load_scenario(path)
+        fields = [(name, sc.field(name), [read(t) for t in comps]) for name, comps in sorted(doc["fields"].items())]
+        if "generators" in doc:  # X_h = sum_i P^ij d_i h
+            rows = [[read(t) for t in row] for row in doc["poisson"]["bivector"]]
+            for text, g in zip(doc["generators"], sc.generators):
+                h = read(text)
+                comps = [sum(rows[i][j] * sympy.diff(h, xs[i]) for i in range(len(xs))) for j in range(len(xs))]
+                fields.append((f"X[{text}]", hamiltonian_field(sc.poisson, g), comps))
+        for name, fld, comps in fields:
+            zero = all(sympy.expand(sum(c * sympy.diff(f, x) for c, x in zip(comps, xs))) == 0 for f in fs)
+            out.append((sc.name, name, fld, sc.space, zero))
+    return out
+
+
+def test_a_kernel_tests_no_cell_exactly_where_sympy_expands_each_x_f_to_0():
+    # a scanning kernel defines its exit bisection beside its drive; the
+    # guarded one of a field that keeps every constraint is the kernel of
+    # no cells behind an end test, and defines none
+    sympy = pytest.importorskip("sympy")
+    decided = {}
+    for scenario, name, fld, space, zero in _constrained_pairs(sympy):
+        for keep in (None, "count", "store"):
+            assert ("_bisect" in _kernel(fld, space, keep).__globals__) is not zero, (scenario, name, keep)
+        decided[scenario, name] = zero
+    assert sorted(k for k, zero in decided.items() if zero) == [
+        ("circle", "rot"), ("cone", "rot"), ("rotation_plane", "rot")]
+    assert sorted(k for k, zero in decided.items() if not zero) == [
+        ("cone", "ddz"), ("cone", "euler"), ("disk_line", "ddx"), ("disk_line", "ddy"), ("halfline", "ddx"),
+        ("halfline", "xddx"), ("reduction_r4", "X[s1]"), ("reduction_r4", "X[s2]"), ("reduction_r4", "X[s3]"),
+        ("rotation_plane", "rad")]

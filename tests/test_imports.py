@@ -161,6 +161,7 @@ def _subcart_modules(node: ast.stmt) -> set[str]:
 _ON_FIRST_USE = {
     "almostcomplex.py": {"dense"},
     "cli.py": {"dense", "flow", "orbit", "poisson", "poly", "strata"},
+    "flow.py": {"poly"},
     "poisson.py": {"dense", "flow", "orbit", "poly"},
     "strata.py": {"dense", "flow", "orbit", "poly"},
 }
@@ -299,7 +300,9 @@ _CLI_MODULES = ["subcart", "subcart.almostcomplex", "subcart.cli", "subcart.expr
 
 # scenario, argv, exit code, and the modules of the package the command adds
 _ADDED_MODULES = [
-    ("halfline", ["flow", "--field", "ddx", "--point=0.5", "--horizon", "2"], 0, ["flow"]),
+    # a kernel on a space with constraints first asks poly whether the
+    # field annihilates each of them (X x = 1 here, so it scans)
+    ("halfline", ["flow", "--field", "ddx", "--point=0.5", "--horizon", "2"], 0, ["flow", "poly"]),
     # classify tries the exact certificate (poly) first; ddx moves the
     # half line's end, X x = 1 is no multiple of x, so it probes (flow)
     ("halfline", ["classify", "--field", "ddx"], 1, ["flow", "poly"]),
@@ -316,10 +319,12 @@ _ADDED_MODULES = [
     ("reduction_r4", ["reduce"], 0, ["poisson", "poly"]),
     ("cone", ["strata", "--check", "frontier"], 0, ["dense", "strata"]),
     # tangency and each field of the family are certified exactly (poly):
-    # no sample and no drive, and flow only refuses the horizon as a drive
-    # would; orbits still samples the orbit (orbit)
-    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, ["flow", "poly", "strata"]),
-    ("cone", ["strata", "--check", "tangency", "--field", "ddz"], 1, ["flow", "poly", "strata"]),
+    # no sample and no drive, and the horizon is refused as a drive would
+    # refuse it by field, which every command loads, so tangency loads no
+    # flow (it did while the check lived in flow); orbits still samples the
+    # orbit (orbit)
+    ("cone", ["strata", "--check", "tangency", "--field", "rot"], 0, ["poly", "strata"]),
+    ("cone", ["strata", "--check", "tangency", "--field", "ddz"], 1, ["poly", "strata"]),
     ("cone", ["strata", "--check", "orbits", "--budget", "20"], 0, ["dense", "flow", "orbit", "poly", "strata"]),
     # the malformed commands of the three benchmark workloads: each exits 2
     # before its handler runs, having loaded only what its scenario needs;
@@ -439,6 +444,10 @@ _COMPILES = [
     # compiled: 3 before, with the samples' projection and the probes' kernel
     ("circle", ["classify", "--field", "rot"], 0, 1),
     ("rotation_plane", ["complete-probe", "--family", "pair"], 0, 5),
+    # rot keeps x^2 + y^2, so its kernel is the one of no cells, behind one
+    # membership test of the end (the <membership> of the basepoint's test);
+    # the scanning kernel is compiled only for a drive whose end fails it
+    ("rotation_plane", ["flow", "--field", "rot", "--point=1,0", "--horizon", "7"], 0, 2),
 ]
 
 
@@ -493,7 +502,7 @@ def test_compile_is_called_only_by_the_table_of_generated_functions_and_the_flow
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
-    assert callers == ["expr._define", "flow._kernel"]
+    assert callers == ["expr._define", "flow._compile"]
 
 
 def test_every_export_resolves_and_is_listed():

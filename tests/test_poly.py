@@ -1,6 +1,7 @@
-"""poly's exact elimination, derivative, division and way back to ``Expr``
-against sympy, its caps, the normal form's memo, and the invariance
-certificate of ``classify`` re-verified in sympy from the scenario text."""
+"""poly's exact elimination, derivative, division, first integrals and way
+back to ``Expr`` against sympy, its caps, the normal form's memo, and the
+invariance certificate of ``classify`` re-verified in sympy from the
+scenario text."""
 
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from subcart.cli import main
 from subcart.expr import Integer, parse, to_text
 from subcart.poisson import PoissonStructure, bracket
 from subcart.poly import (
-    MAX_BITS, MAX_COLUMNS, MAX_ROWS, cofactors, derivative, divide, groebner, normal_form, rref, to_expr, value,
+    MAX_BITS, MAX_COLUMNS, MAX_ROWS, cofactors, derivative, divide, first_integrals, groebner, normal_form, rref,
+    to_expr, value,
 )
 
 from conftest import scenario_path
@@ -364,6 +366,25 @@ def test_value_is_sympys(p, point):
     want = _sympy(p).subs(dict(zip(_X, exact)))
     got = value(p, point)
     assert Fraction(got) == Fraction(int(want.p), int(want.q))
+
+
+def test_first_integrals_answer_only_what_the_normal_form_reads():
+    # X f = 0 exactly; a constant is a first integral of any field
+    rot = [parse("-x2", 2), parse("x1", 2)]
+    assert first_integrals(rot, [parse("x1^2 + x2^2 - 1", 2), parse("3", 2)])
+    assert first_integrals(rot, [])
+    assert not first_integrals(rot, [parse("x1^2 + x2^2", 2), parse("x1", 2)])
+    # exp(x1^2 + x2^2) is constant along rot too, but has no normal form, and
+    # neither has a field written with exp; X f past MAX_TERMS is refused
+    assert not first_integrals(rot, [parse("exp(x1^2 + x2^2)", 2)])
+    assert not first_integrals([parse("-x2*exp(0*x1)", 2), parse("x1", 2)], [parse("x1^2 + x2^2", 2)])
+    # rot scaled by s^3 keeps x1^2 + x2^2 times any function of x3..x6, but
+    # its products take 20 terms times the 15 of each df/dx_i
+    s = "(x3 + x4 + x5 + x6)"
+    field = [parse(text, 6) for text in (f"-x2*{s}^3", f"x1*{s}^3", "0", "0", "0", "0")]
+    f = parse(f"(x1^2 + x2^2)*({s} + 1)^2", 6)
+    assert None not in [normal_form(e, 6) for e in field + [f]]
+    assert first_integrals(field, [parse("x1^2 + x2^2", 6)]) and not first_integrals(field, [f])
 
 
 _FLOAT_COEFFICIENTS = st.one_of(_RATIONALS, st.floats(-1e6, 1e6).filter(bool).map(Fraction))
