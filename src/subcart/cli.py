@@ -680,20 +680,26 @@ def cmd_strata(sc: Scenario, args, tol) -> dict:
 
 
 def cmd_poisson(sc: Scenario, args, tol) -> dict:
-    from .poisson import jacobi_sample_residual
-
+    """Exact where ``_exact_jacobi`` settles the identity, with no draw,
+    else the antisymmetry at box points and ``jacobi_sample_residual``."""
     p = _need(sc.poisson, "poisson")
-    pts = _box_points(sc, 20, args.seed) if sc.box else [
-        [0.0] * p.dim, [0.5] * p.dim, [-0.5] * p.dim
-    ]
-    anti = p.antisymmetry_residual(pts)
-    jac, witness = jacobi_sample_residual(
-        p, n_triples=args.triples, n_points=args.points,
-        scale=args.scale, rng_seed=args.seed,
-    )
-    if not (math.isfinite(anti) and math.isfinite(jac)):
-        raise CliError(f"residuals are not finite at --scale {args.scale:g} (antisymmetry {anti}, "
-                       f"jacobi {jac}); choose a smaller --scale")
+    exact = _exact_jacobi(sc.space, p, tol["jacobi"])
+    if exact is not None:
+        anti, (jac, witness) = 0.0, exact
+    else:
+        from .poisson import jacobi_sample_residual
+
+        pts = _box_points(sc, 20, args.seed) if sc.box else [
+            [0.0] * p.dim, [0.5] * p.dim, [-0.5] * p.dim
+        ]
+        anti = p.antisymmetry_residual(pts)
+        jac, witness = jacobi_sample_residual(
+            p, n_triples=args.triples, n_points=args.points,
+            scale=args.scale, rng_seed=args.seed,
+        )
+        if not (math.isfinite(anti) and math.isfinite(jac)):
+            raise CliError(f"residuals are not finite at --scale {args.scale:g} (antisymmetry {anti}, "
+                           f"jacobi {jac}); choose a smaller --scale")
     result = {
         "label": p.label,
         "dim": p.dim,
@@ -701,9 +707,45 @@ def cmd_poisson(sc: Scenario, args, tol) -> dict:
         "jacobi_residual": jac,
         "passed": anti <= tol["antisymmetry"] and jac <= tol["jacobi"],
     }
+    if exact is not None:
+        result["basis"] = "exact"
     if jac > tol["jacobi"]:
         result["witness"] = witness
     return result
+
+
+def _exact_jacobi(space: SubcartesianSpace, p: PoissonStructure, tol: float) -> Optional[tuple[float, Optional[dict]]]:
+    """The Jacobi residual and its witness by the exact normal forms of
+    P + P^T and J, where every one exists and P + P^T is 0: 0 and None where
+    every J^ijk is 0; where one is not, the space has no equality, and the
+    integer point of ``poly.nonzero_point`` for the first such J^ijk is a
+    member, by the exact values of the constraints, |J^ijk| there, if it is
+    above ``tol``.  None otherwise, for the sample: on an equality the
+    identity may hold only modulo the constraints."""
+    forms = p._jacobi_forms
+    if None in forms[0] + forms[1] or any(forms[1]):
+        return None
+    at = next((t for t, f in enumerate(forms[0]) if f), None)
+    if at is None:
+        return 0.0, None
+    if any(c.rel is Rel.EQ for cell in space.cells for c in cell):
+        return None
+    from .poly import nonzero_point, normal_form, to_expr, value
+
+    n, memo = p.dim, {}
+    point, exact = nonzero_point(forms[0][at])
+    jacobiator = to_expr(forms[0][at])
+    try:
+        exact = float(exact)
+    except OverflowError:
+        return None
+    member = any(all((f := normal_form(c.expr, n, memo)) is not None and c.satisfied(value(f, point), 0)
+                     for c in cell) for cell in space.cells)
+    if jacobiator is None or not abs(exact) > tol or not member:
+        return None
+    # J^ijk is {x_i,{x_j,x_k}} + cyc, its triple 1-based
+    return abs(exact), {"triple": [at // (n * n) + 1, at // n % n + 1, at % n + 1],
+                        "jacobiator": to_text(jacobiator), "point": point, "value": exact}
 
 
 def cmd_reduce(sc: Scenario, args, tol) -> dict:
@@ -883,9 +925,11 @@ _COMMANDS = {
         ("--horizon", {"type": _positive_float, "default": 0.5}),
     )),
     "poisson": ("bivector antisymmetry and Jacobi check", cmd_poisson, (_SEED,
-        ("--triples", {"type": _positive_int, "default": 50}),
-        ("--points", {"type": _positive_int, "default": 10}),
-        ("--scale", {"type": _positive_float, "default": 1.0}),
+        ("--triples", {"type": _positive_int, "default": 50,
+                       "help": "random triples of the sampled check, where the exact one does not decide"}),
+        ("--points", {"type": _positive_int, "default": 10, "help": "sample points per triple of the sampled check"}),
+        ("--scale", {"type": _positive_float, "default": 1.0,
+                     "help": "the sampled check's points lie in [-scale, scale]^n"}),
     )),
     "reduce": ("invariant-based reduction", cmd_reduce, (_SEED,)),
     "leaf": ("Hamiltonian orbit with Casimir drift", cmd_leaf, (_SEED,

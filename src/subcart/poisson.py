@@ -25,6 +25,15 @@ component of J or P + P^T whose exact polynomial normal form is 0 is not
 evaluated, so where all are, as for the shipped Poisson bivectors, the
 residual is exactly 0.0 at any scale.
 
+Those normal forms (``_jacobi_forms``) come from the forms of P alone, and
+the ``poisson`` command decides by them before it samples: the identity
+holds for every triple where every J^ijk and (P + P^T)^ij is 0, since
+J^ijk is the Jacobiator of the coordinate triple (x_i, x_j, x_k); and a
+J^ijk that is not 0 is not 0 at some point of {0..d}^n, d its degree
+(Schwartz 1980; Zippel 1979), an exact witness where that point is in the
+space.  ``jacobi_sample_residual`` stays the check of every other
+bivector.
+
 Reduction works with an explicit generating set of invariants sigma on a
 canonical ambient space: pairwise upstairs brackets are solved for exactly
 as polynomials in sigma, and the table is replayed on sampled points.  The
@@ -102,16 +111,36 @@ class PoissonStructure(ExprMatrix):
         self.meta: dict = {}
 
     @functools.cached_property
+    def _jacobi_forms(self) -> tuple[list[Optional[dict]], list[Optional[dict]]]:
+        """The exact polynomial normal forms (``poly``) of J^ijk and
+        (P + P^T)^ij, each flat in index order, None for a component that
+        has none: one that reads an entry of P with no normal form, or is
+        past the caps.  J is built from the forms of P by
+        ``poly.derivative``, products and sums, with no tree.  Built on the
+        first Jacobi check, not on loading."""
+        from .poly import _product, _sum, derivative, normal_form
+
+        n, memo = self.dim, {}  # entries may share nodes
+        p = [[normal_form(e, n, memo) for e in row] for row in self.rows]
+        # the derivatives of an entry with no form may have one, as those of x1^13 do
+        dp = [[[normal_form(diff(e, l), n, memo) if f is None else derivative(f, l) for l in range(n)]
+               for e, f in zip(row, forms)] for row, forms in zip(self.rows, p)]
+        schouten = []
+        for i, j, k in itertools.product(range(n), repeat=3):
+            pairs = ((p[i], dp[j][k]), (p[j], dp[k][i]), (p[k], dp[i][j]))
+            terms = [_product(a[l], b[l]) for l in range(n) for a, b in pairs if a[l] != {} and b[l] != {}]
+            schouten.append(functools.reduce(_sum, terms, {}))
+        return schouten, [_sum(p[i][j], p[j][i]) for i in range(n) for j in range(n)]
+
+    @functools.cached_property
     def _jacobi_exprs(self) -> tuple[list[Expr], list[Expr], list[Expr]]:
         """J^ijk, P^ij and (P + P^T)^ij, each flat in index order.  A
-        component of J or P + P^T whose exact polynomial normal form
-        (``poly.normal_form``) is 0 is ``ZERO``, which the Jacobi kernel
-        leaves out with every product it feeds: integer coefficients that
-        cancel, as in ``2*x1*4 + 2*x1*(-4)``, are pruned before any code is
-        generated.  A component past the normal form's caps is kept.  Built
-        on the first Jacobi check, not on loading."""
-        from .poly import normal_form
-
+        component of J or P + P^T whose exact normal form
+        (``_jacobi_forms``) is 0 is ``ZERO``, which the Jacobi kernel leaves
+        out with every product it feeds: integer coefficients that cancel,
+        as in ``2*x1*4 + 2*x1*(-4)``, are pruned before any code is
+        generated.  A component with no normal form is kept.  Built on the
+        first sampled Jacobi check, not on loading."""
         n, p = self.dim, self.rows
         dp = [[gradient_exprs(e, n) for e in row] for row in p]
         schouten = []
@@ -121,8 +150,8 @@ class PoissonStructure(ExprMatrix):
             terms = [(a[l], b[l]) for l in range(n) for a, b in pairs if not (a[l].is_zero or b[l].is_zero)]
             schouten.append(dot([a for a, _ in terms], [b for _, b in terms]))
         sym = [add(p[i][j], p[j][i]) for i in range(n) for j in range(n)]
-        memo: dict = {}  # P and its derivatives are shared by many components
-        schouten, sym = ([ZERO if normal_form(e, n, memo) == {} else e for e in part] for part in (schouten, sym))
+        schouten, sym = ([ZERO if f == {} else e for e, f in zip(part, forms)]
+                         for part, forms in zip((schouten, sym), self._jacobi_forms))
         return schouten, [e for row in p for e in row], sym
 
     @functools.cached_property

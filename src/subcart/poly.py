@@ -1,7 +1,8 @@
 """An exact normal form of polynomial expressions, to certify that one is 0,
-its derivatives, division by one polynomial, the way back to an ``Expr``,
-the invariance certificate of polynomial cells and the first integrals of
-a field built on them, and an exact linear solve.
+its derivatives, a point where it is not 0, division by one polynomial,
+the way back to an ``Expr``, the invariance certificate of polynomial
+cells and the first integrals of a field built on them, and an exact
+linear solve.
 
 ``normal_form`` reads ``Const``, ``Var``, ``Add``, ``Mul``, ``Neg``, ``Pow``
 and ``Div`` by a constant into a dict from exponent tuples to nonzero int or
@@ -260,9 +261,33 @@ def cofactors(fs: Sequence[dict], polys: Sequence[dict]) -> Optional[tuple[list[
 
 def value(p: dict, point: Sequence):
     """``p`` at the point exactly, each coordinate an int, a ``Fraction`` or
-    a float read as the rational it is."""
-    point = [_rational(v) for v in point]
+    a float read as the rational it is; at an integer point, an int where
+    the coefficients are."""
+    point = [v if isinstance(v, int) else _rational(v) for v in point]
     return sum(c * math.prod(map(operator.pow, point, m)) for m, c in p.items())
+
+
+def nonzero_point(p: dict) -> tuple[list[int], object]:
+    """A point of {0..d}^n where the nonzero ``p``, of degree d, is not 0,
+    and its exact value there.  Each coordinate in turn takes the first
+    value of 0..d that leaves a nonzero polynomial in the others.  One
+    does: the coefficient of each monomial in the others is a polynomial in
+    the coordinate of degree at most d, and one of them that is not 0 has
+    at most d roots (Schwartz 1980; Zippel 1979).  So at most n(d + 1)
+    substitutions are made."""
+    d, point = max(map(sum, p)), []
+    for i in range(len(next(iter(p)))):
+        for a in range(d + 1):
+            rest: dict = {}
+            for m, c in p.items():
+                k = m[:i] + (0,) + m[i + 1:]
+                if v := rest.pop(k, 0) + c * a ** m[i]:
+                    rest[k] = v
+            if rest:
+                break
+        p = rest
+        point.append(a)
+    return point, p[(0,) * len(point)]
 
 
 def lie_derivative(xs: Sequence[dict], f: dict) -> Optional[dict]:

@@ -63,6 +63,15 @@ def cone_without_polynomials() -> dict:
     return doc
 
 
+def jacobi_control_on_sphere() -> dict:
+    """jacobi_control's bivector over the unit sphere, one equality cell: its
+    Jacobiator is not 0, and on an equality the identity may hold modulo the
+    constraint, so ``poisson`` gives the sampled verdict there."""
+    doc = json.loads(Path(scenario_path("jacobi_control")).read_text(encoding="utf-8"))
+    doc["space"]["cells"] = [[{"expr": "x1^2+x2^2+x3^2-1", "rel": "eq0"}]]
+    return doc
+
+
 def make_field(label: str, comps: list[str], n: int) -> TangentField:
     return TangentField(label, [parse(c, n) for c in comps])
 

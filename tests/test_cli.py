@@ -23,7 +23,9 @@ from subcart.cli import DEFAULT_TOLERANCES, load_scenario, main
 from subcart.cli import SchemaError
 from subcart.report import canonical_json
 
-from conftest import GOLDEN_DIR, assert_golden, cone_without_polynomials, exit_code_of, scenario_path
+from conftest import (
+    GOLDEN_DIR, assert_golden, cone_without_polynomials, exit_code_of, jacobi_control_on_sphere, scenario_path,
+)
 from test_imports import KAHLER_INF, KAHLER_NAN, OVERFLOW_EXIT, _fresh
 
 
@@ -1042,11 +1044,20 @@ def test_huge_scenario_integer_exits_2_with_path(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def _sphere_scenario(tmp_path) -> str:
+    """The path of ``jacobi_control_on_sphere``, which ``poisson`` samples."""
+    path = tmp_path / "jacobi_sphere.json"
+    path.write_text(json.dumps(jacobi_control_on_sphere()))
+    return str(path)
+
+
 @pytest.mark.parametrize("scale", ["1e160", "1e200", "1e300"])
-def test_poisson_overflowing_scale_exits_2(capsys, scale):
+def test_poisson_overflowing_scale_exits_2(tmp_path, capsys, scale):
     # the cubic terms of the broken bivector overflow; Python's max used to
-    # drop the NaN and report a passing residual of 0
-    code, report, err = run(capsys, "poisson", "--scenario", scenario_path("jacobi_control"),
+    # drop the NaN and report a passing residual of 0.  On jacobi_control
+    # itself the exact stage answers at any scale, so the sampled path is
+    # run over an equality cell, where the exact stage leaves it the verdict
+    code, report, err = run(capsys, "poisson", "--scenario", _sphere_scenario(tmp_path),
                             "--triples", "3", "--points", "3", "--scale", scale)
     assert code == 2
     assert report == {}
@@ -1055,8 +1066,8 @@ def test_poisson_overflowing_scale_exits_2(capsys, scale):
 
 
 def test_poisson_passes_at_any_scale_where_the_jacobiator_vanishes(capsys):
-    # J and P + P^T of the reduced bivector are exactly 0.0, so large sample
-    # points no longer overflow the residual
+    # J and P + P^T of the reduced bivector are exactly 0, so the exact stage
+    # passes it with no sample point to overflow
     code, report, err = run(capsys, "poisson", "--scenario", scenario_path("reduction_r4"),
                             "--triples", "3", "--points", "3", "--scale", "1e300")
     assert code == 0
@@ -1064,15 +1075,16 @@ def test_poisson_passes_at_any_scale_where_the_jacobiator_vanishes(capsys):
     assert err == ""
 
 
-def test_poisson_passes_where_the_cancelling_jacobiator_overflowed_in_floats(capsys):
+def test_poisson_passes_where_the_cancelling_jacobiator_overflowed_in_floats(tmp_path, capsys):
     # at --scale 1e308 a term such as 2*s1*4 overflows to inf, and the
     # Schouten component 2*s1*4 + 2*s1*(-4) was inf - inf: NaN, exit 2.  Its
-    # exact normal form is 0, so the Jacobi kernel no longer evaluates it
+    # exact normal form is 0, so the exact stage decides it, and the Jacobi
+    # kernel would not evaluate it either
     code, report, err = run(capsys, "poisson", "--scenario", scenario_path("reduction_r4"),
                             "--triples", "3", "--points", "3", "--scale", "1e308")
     assert (code, report["result"]["jacobi_residual"], report["result"]["passed"], err) == (0, 0, True, "")
-    # a Jacobiator that is not 0 still overflows there
-    code, report, err = run(capsys, "poisson", "--scenario", scenario_path("jacobi_control"),
+    # a sampled Jacobiator that is not 0 still overflows there
+    code, report, err = run(capsys, "poisson", "--scenario", _sphere_scenario(tmp_path),
                             "--triples", "3", "--points", "3", "--scale", "1e308")
     assert (code, report) == (2, {}) and "--scale" in err
 
@@ -1538,13 +1550,16 @@ def _golden_cases(tmp_path) -> dict[str, list[str]]:
 def test_every_golden_file_is_read_and_canonical(tmp_path):
     # an orphaned, hand-edited or pretty-printed golden fails here by name
     # besides the CLI's reports, the sampled reports of the runs the CLI
-    # answers exactly, which test_flow and test_strata pin through the library
+    # answers exactly, which test_flow, test_strata and test_symbolic_golden
+    # pin through the library
     from test_flow import CLASSIFY_ONCE
     from test_strata import SAMPLED_STRATA
+    from test_symbolic_golden import SAMPLED_POISSON
 
     texts = {path.stem: path.read_bytes().decode("utf-8") for path in GOLDEN_DIR.glob("*.json")}
     cases = _golden_cases(tmp_path)
-    assert sorted(texts) == sorted({*cases, *(name for name, *_ in CLASSIFY_ONCE + SAMPLED_STRATA)})
+    sampled = CLASSIFY_ONCE + SAMPLED_STRATA + SAMPLED_POISSON
+    assert sorted(texts) == sorted({*cases, *(name for name, *_ in sampled)})
     for name, text in texts.items():
         assert text.endswith("\n") and not text.endswith("\n\n"), name
         assert canonical_json(json.loads(text)) + "\n" == text, name
@@ -1672,7 +1687,7 @@ def test_help_and_command_errors_are_unchanged(monkeypatch, capsys):
              for argv in [[]] + [[name] for name in _COMMAND_NAMES]]
     assert all(t.startswith("usage: subcart") for t in texts)
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-    assert digest == "7b5b12eb7c4f2ded532cd82009f6721118397386b8cce7598f6ca5774f232103"
+    assert digest == "a44bafa990736c0c9315045ac4d9b19390eb93b7e483f0d20036ffb3fdc6b30c"
     assert main([]) == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: command\n")

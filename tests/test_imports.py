@@ -18,7 +18,7 @@ import pytest
 
 import subcart
 
-from conftest import cone_without_polynomials
+from conftest import cone_without_polynomials, jacobi_control_on_sphere
 
 SRC = Path(subcart.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -221,7 +221,10 @@ _NUMPY_FREE_COMMANDS = [
     ("reduction_r4", ["poisson", "--triples", "20", "--points", "5"], 0),
     ("jacobi_control", ["poisson", "--triples", "10"], 1),
     ("canonical_r2", ["poisson", "--triples", "20"], 0),
-    ("jacobi_control", ["poisson", "--triples", "3", "--points", "3", "--scale", "1e300"], 2),
+    # jacobi_control's bivector over an equality cell: its Jacobi check is
+    # sampled, a witness found and, at a large scale, the overflow refused
+    ("jacobi-sphere", ["poisson", "--triples", "10"], 1),
+    ("jacobi-sphere", ["poisson", "--triples", "3", "--points", "3", "--scale", "1e300"], 2),
     ("reduction_r4", ["reduce"], 0),
     ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 0),
     ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e2"], 0),
@@ -267,7 +270,7 @@ def test_every_command_runs_where_numpy_cannot_be_imported(tmp_path):
     # interpreter where `import numpy` raises: the package needs no numpy
     scenarios = SRC / "scenarios"
     written = {"overflow-exit": OVERFLOW_EXIT, "kahler-nan": KAHLER_NAN, "kahler-inf": KAHLER_INF,
-               "cone-exp": cone_without_polynomials()}
+               "cone-exp": cone_without_polynomials(), "jacobi-sphere": jacobi_control_on_sphere()}
     for name, doc in written.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argvs = [[argv[0], "--scenario", str(tmp_path / f"{name}.json" if name in written
@@ -311,11 +314,11 @@ _ADDED_MODULES = [
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, []),
     ("acs_standard", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--points", "2"], 0, []),
     # the loader imports poisson to build a poisson block and strata a strata block
-    # the Jacobi kernel and the frontier's nearest cloud point are in
-    # dense; the Jacobi check prunes the components of the Schouten bracket
-    # whose exact normal form (poly) is 0, and the reduction solves for its
-    # table exactly in poly
-    ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["dense", "poisson", "poly"]),
+    # the frontier's nearest cloud point is in dense; the Jacobi check
+    # settles canonical_r2 by the exact normal forms (poly) of J and P + P^T,
+    # so it generates no Jacobi kernel (dense), and the reduction solves for
+    # its table exactly in poly
+    ("canonical_r2", ["poisson", "--triples", "2", "--points", "2"], 0, ["poisson", "poly"]),
     ("reduction_r4", ["reduce"], 0, ["poisson", "poly"]),
     ("cone", ["strata", "--check", "frontier"], 0, ["dense", "strata"]),
     # tangency and each field of the family are certified exactly (poly):
@@ -448,6 +451,13 @@ _COMPILES = [
     # membership test of the end (the <membership> of the basepoint's test);
     # the scanning kernel is compiled only for a drive whose end fails it
     ("rotation_plane", ["flow", "--field", "rot", "--point=1,0", "--horizon", "7"], 0, 2),
+    # the Jacobi check is exact: no box point, no draw, and neither the
+    # matrix function of the antisymmetry nor the Jacobi kernel (2 before
+    # each); jacobi_control's witness is a member by the exact values of the
+    # constraints, not by a generated membership function
+    ("reduction_r4", ["poisson", "--triples", "20", "--points", "5"], 0, 0),
+    ("canonical_r2", ["poisson", "--triples", "20"], 0, 0),
+    ("jacobi_control", ["poisson", "--triples", "10"], 1, 0),
 ]
 
 

@@ -39,7 +39,7 @@ from subcart import flow
 from subcart.flow import flow_map
 from subcart.space import Constraint, Rel, SubcartesianSpace
 
-from conftest import scenario_path
+from conftest import jacobi_control_on_sphere, scenario_path
 
 JACOBI_TOL = 1e-8
 CASIMIR_TOL = 1e-9
@@ -366,20 +366,191 @@ def _sympy_cyclic_sum(bivector: list[list[str]], witness: dict) -> float:
     return float(abs(total.subs({x: sympy.Rational(v) for x, v in zip(xs, witness["point"])})))
 
 
-def test_failing_sample_carries_a_witness_sympy_rechecks(capsys):
-    # the README example; the check reads only the scenario text and the report
-    path = scenario_path("jacobi_control")
-    assert main(["poisson", "--scenario", path, "--triples", "10"]) == 1
+def test_failing_sample_carries_a_witness_sympy_rechecks(tmp_path, capsys):
+    # jacobi_control's bivector over an equality cell, which the exact stage
+    # leaves to the sample; the check reads only the scenario text and the report
+    path = tmp_path / "jacobi_sphere.json"
+    path.write_text(json.dumps(jacobi_control_on_sphere()))
+    assert main(["poisson", "--scenario", str(path), "--triples", "10"]) == 1
     result = json.loads(capsys.readouterr().out)["result"]
     witness = result["witness"]
+    assert "basis" not in result
     assert sorted(witness) == ["f", "g", "h", "point", "residual"]
     assert witness["residual"] == result["jacobi_residual"] > 1.0
-    with open(path, encoding="utf-8") as fh:
-        bivector = json.load(fh)["poisson"]["bivector"]
+    bivector = json.loads(path.read_text(encoding="utf-8"))["poisson"]["bivector"]
     assert _sympy_cyclic_sum(bivector, witness) == pytest.approx(witness["residual"], rel=1e-12)
-    # a passing sample reports none
+    # a passing run reports none
     assert main(["poisson", "--scenario", scenario_path("reduction_r4"), "--triples", "5"]) == 0
     assert "witness" not in json.loads(capsys.readouterr().out)["result"]
+
+
+def check_exact_jacobi_report(result: dict, doc: dict) -> None:
+    """Re-verify an exact ``poisson`` result from its JSON and the scenario's
+    text alone: passed where sympy expands every coordinate Jacobiator
+    {x_i,{x_j,x_k}} + cyc to 0; else the witness's triple has the printed
+    Jacobiator, its value at the integer point is the printed value, the
+    point satisfies every constraint of a cell exactly, and the space has
+    no equality."""
+    sympy = pytest.importorskip("sympy")
+    n = doc["space"]["ambient_dim"]
+    xs = sympy.symbols(f"x1:{n + 1}")
+    names = {**dict(zip(doc.get("aliases", []), xs)), **{f"x{i + 1}": x for i, x in enumerate(xs)}}
+
+    def read(text: str):
+        e = sympy.parse_expr(text.replace("^", "**"), local_dict=names)
+        return e.xreplace({f: sympy.Rational(float(f)) for f in e.atoms(sympy.Float)})
+
+    p = [[read(t) for t in row] for row in doc["poisson"]["bivector"]]
+
+    def br(u, v):
+        return sum(p[i][j] * sympy.diff(u, xs[i]) * sympy.diff(v, xs[j]) for i in range(n) for j in range(n))
+
+    def jacobiator(i, j, k):
+        return sympy.expand(br(xs[i], br(xs[j], xs[k])) + br(xs[j], br(xs[k], xs[i])) + br(xs[k], br(xs[i], xs[j])))
+
+    assert result["basis"] == "exact" and result["antisymmetry_residual"] == 0
+    assert all(sympy.expand(p[i][j] + p[j][i]) == 0 for i in range(n) for j in range(n))
+    if result["passed"]:
+        assert result["jacobi_residual"] == 0 and "witness" not in result
+        assert all(jacobiator(*t) == 0 for t in itertools.combinations(range(n), 3))
+        return
+    witness = result["witness"]
+    jac = jacobiator(*(i - 1 for i in witness["triple"]))
+    assert jac != 0 and sympy.expand(jac - read(witness["jacobiator"])) == 0
+    point = witness["point"]
+    assert all(isinstance(v, int) and 0 <= v <= sympy.Poly(jac, *xs).total_degree() for v in point)
+    at = dict(zip(xs, point))
+    assert float(jac.subs(at)) == witness["value"] and abs(witness["value"]) == result["jacobi_residual"]
+    cells = doc["space"]["cells"]
+    assert all(c["rel"] != "eq0" for cell in cells for c in cell)
+    holds = {"geq0": lambda v: v >= 0, "gt0": lambda v: v > 0, "leq0": lambda v: v <= 0, "lt0": lambda v: v < 0}
+    assert any(all(holds[c["rel"]](read(c["expr"]).subs(at)) for c in cell) for cell in cells)
+
+
+@pytest.mark.parametrize("scale", ["1", "2", "1e160", "1e300", "1e308"])
+def test_jacobi_control_fails_exactly_at_every_scale(capsys, scale):
+    # the exact stage draws nothing, so --scale, which once made this run
+    # overflow and exit 2, changes no byte of the report
+    path = scenario_path("jacobi_control")
+    assert main(["poisson", "--scenario", path, "--triples", "3", "--points", "3", "--scale", scale]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["witness"] == {"jacobiator": "x3", "point": [0, 0, 1], "triple": [1, 2, 3], "value": 1}
+    with open(path, encoding="utf-8") as fh:
+        check_exact_jacobi_report(result, json.load(fh))
+
+
+def _control_with(cells=None, **entries) -> dict:
+    """jacobi_control with the bivector entries at "ij" (1-based) replaced, and its cells."""
+    with open(scenario_path("jacobi_control"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for at, text in entries.items():
+        doc["poisson"]["bivector"][int(at[1]) - 1][int(at[2]) - 1] = text
+    if cells is not None:
+        doc["space"]["cells"] = cells
+    return doc
+
+
+# scenarios the exact stage leaves to the sample, and the sample's exit code
+UNDECIDED = {
+    # the identity may hold modulo the constraint: J^123 = x3 is 0 on x3 = 0
+    "equality": (jacobi_control_on_sphere(), 1),
+    # J^123 = x3 is not 0 at (0, 0, 1), which is not in x1 >= 5
+    "not-a-member": (_control_with([[{"expr": "x1 - 5", "rel": "geq0"}]]), 1),
+    "not-antisymmetric": (_control_with(e21="x3"), 1),
+    "not-polynomial": (_control_with(e12="exp(x3)", e21="-exp(x3)"), 1),
+    # J^123 = 1e600 x3 is beyond the float range, and so is the sample
+    "overflowing-value": (_control_with(e12="1e300*x3", e21="-1e300*x3", e23="1e300*x2", e32="-1e300*x2"), 2),
+}
+
+
+@pytest.mark.parametrize("name", UNDECIDED)
+def test_the_exact_stage_leaves_to_the_sample_what_it_cannot_decide(tmp_path, capsys, name):
+    doc, code = UNDECIDED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["poisson", "--scenario", str(path), "--triples", "10"]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and "residuals are not finite at --scale 1" in err
+    else:
+        assert "basis" not in json.loads(out)["result"]
+
+
+# Lie algebras by their structure constants c^k_ij, [e_i, e_j] = sum_k c^k_ij e_k,
+# each bracket of i < j: so(3), sl(2) in the basis (h, e, f), and Heisenberg
+LIE_ALGEBRAS = {
+    "so3": {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)},
+    "sl2": {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)},
+    "heisenberg": {(0, 1): (0, 0, 1)},
+}
+# the constants (i, j, k) of each whose change by any nonzero integer breaks
+# Jacobi, by sympy: c^1_12 of so(3) gives [e3, [e1, e2]] = c e2, for one
+BREAKING = {"so3": [(0, 1, 0), (0, 1, 1), (0, 2, 0), (0, 2, 2), (1, 2, 1), (1, 2, 2)],
+            "heisenberg": [(0, 2, 0), (1, 2, 1)]}
+BREAKING["sl2"] = BREAKING["so3"]
+
+
+def lie_poisson_rows(constants: dict, basis: list[list[int]]) -> list[list[list[int]]]:
+    """The structure constants c'^c_ab of the basis e'_a = sum_b A_ab e_b,
+    A = ``basis`` unimodular: [e'_a, e'_b] = sum A_ai A_bj c^k_ij e_k, and
+    e_k = sum_c (A^-1)_kc e'_c; as rows c'[a][b], each a list over c."""
+    sympy = pytest.importorskip("sympy")
+    a, inv = sympy.Matrix(basis), sympy.Matrix(basis).inv()
+    full = {**constants, **{(j, i): tuple(-x for x in v) for (i, j), v in constants.items()}}
+    rows = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for p, q, c in itertools.product(range(3), repeat=3):
+        rows[p][q][c] = int(sum(a[p, i] * a[q, j] * v[k] * inv[k, c]
+                                for (i, j), v in full.items() for k in range(3)))
+    return rows
+
+
+def _changed(constants: dict, i: int, j: int, k: int, delta: int) -> dict:
+    """``constants`` with c^k_ij, i < j, changed by ``delta``."""
+    v = list(constants.get((i, j), (0, 0, 0)))
+    v[k] += delta
+    return {**constants, (i, j): tuple(v)}
+
+
+def _linear_text(coefficients: list[int]) -> str:
+    return " + ".join(f"({c})*x{k + 1}" for k, c in enumerate(coefficients) if c) or "0"
+
+
+# a unimodular change of basis: products of elementary operations row_i += m row_j
+_elementary = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)).filter(lambda t: t[0] != t[1])
+_constant = st.tuples(st.sampled_from([(0, 1), (0, 2), (1, 2)]), st.integers(0, 2), st.sampled_from([-2, -1, 1, 2]))
+
+
+@given(st.sampled_from([(name, k) for name in sorted(LIE_ALGEBRAS) for k in BREAKING[name]]),
+       st.sampled_from([-2, -1, 1, 2]), st.lists(_elementary, max_size=4), _constant)
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@example(("so3", (0, 1, 0)), 1, [], ((0, 1), 2, 1))
+@example(("heisenberg", (1, 2, 1)), -2, [(0, 1, 2), (2, 0, -1)], ((0, 1), 2, 1))
+def test_lie_poisson_bivectors_are_decided_exactly(tmp_path_factory, breaking, delta_broken, operations, change):
+    # P_ab = sum_c c^c_ab x_c is Poisson exactly when the constants satisfy
+    # Jacobi (Weinstein 1983): a Lie algebra in any basis passes exactly, one
+    # breaking constant changed fails with a witness, and any constant
+    # changed in the new basis gets sympy's verdict
+    (name, broken), ((a, b), c, delta) = breaking, change
+    basis = [[int(i == j) for j in range(3)] for i in range(3)]
+    for i, j, m in operations:
+        basis[i] = [u + m * v for u, v in zip(basis[i], basis[j])]
+    constants = LIE_ALGEBRAS[name]
+    rows = lie_poisson_rows(constants, basis)
+    changed = [[list(v) for v in row] for row in rows]
+    changed[a][b][c] += delta
+    changed[b][a][c] -= delta
+    cases = [(rows, True), (lie_poisson_rows(_changed(constants, *broken, delta_broken), basis), False),
+             (changed, None)]
+    path = tmp_path_factory.mktemp("lie") / "lie.json"
+    for table, passes in cases:
+        doc = {"name": name, "space": {"ambient_dim": 3, "cells": [[]], "locally_closed": True},
+               "poisson": {"bivector": [[_linear_text(v) for v in row] for row in table]}}
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["poisson", "--scenario", str(path)])
+        result = json.loads(out.getvalue())["result"]
+        assert code == int(not result["passed"]) and passes in (None, result["passed"])
+        check_exact_jacobi_report(result, doc)
 
 
 def test_sample_witness_is_the_worst_triple_and_point():

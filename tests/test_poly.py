@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subcart
@@ -24,8 +24,8 @@ from subcart.cli import main
 from subcart.expr import Integer, parse, to_text
 from subcart.poisson import PoissonStructure, bracket
 from subcart.poly import (
-    MAX_BITS, MAX_COLUMNS, MAX_ROWS, cofactors, derivative, divide, first_integrals, groebner, normal_form, rref,
-    to_expr, value,
+    MAX_BITS, MAX_COLUMNS, MAX_ROWS, cofactors, derivative, divide, first_integrals, groebner, nonzero_point,
+    normal_form, rref, to_expr, value,
 )
 
 from conftest import scenario_path
@@ -366,6 +366,22 @@ def test_value_is_sympys(p, point):
     want = _sympy(p).subs(dict(zip(_X, exact)))
     got = value(p, point)
     assert Fraction(got) == Fraction(int(want.p), int(want.q))
+
+
+@given(polynomials(max_terms=4, max_exponent=2), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=4))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_nonzero_point_is_a_grid_point_where_sympy_is_not_0(p, roots):
+    # each factor x_i - a is 0 on a plane of the grid {0..d}^3, which the
+    # search must step past, a twice over where the factor repeats
+    q = sympy.expand(_sympy(p) * sympy.prod([_X[i] - a for i, a in roots]))
+    assume(q != 0)
+    p = _poly(q)
+    point, v = nonzero_point(p)
+    degree = sympy.Poly(q, *_X).total_degree()
+    assert len(point) == 3 and all(isinstance(c, int) and 0 <= c <= degree for c in point)
+    want = q.subs(dict(zip(_X, point)))
+    assert want != 0 and Fraction(v) == Fraction(int(want.p), int(want.q))
+    assert isinstance(v, int) or not all(isinstance(c, int) for c in p.values())
 
 
 def test_first_integrals_answer_only_what_the_normal_form_reads():

@@ -465,7 +465,8 @@ NAMES = sorted(Path(p).stem for p in Path(scenario_path("halfline")).parent.glob
 # cheap commands per scenario, run on each mutant; the tangency check meets
 # the stratum constraints a mutant makes overflow or NaN with the drift fold
 # where the field is "unread", rot written so that the exact stage cannot
-# read it, and with the exact stage where it is rot
+# read it, and with the exact stage where it is rot; poisson meets the exact
+# Jacobi stage on a space with an equality cell in reduction_r4
 CHEAP = {name: [["complete-probe", "--n", "1", "--radius", "0.1", "--t-scale", "0.1"]]
          for name in ("circle", "disk_line", "halfline", "rotation_plane", "translate_shear")}
 CHEAP.update({
@@ -474,7 +475,7 @@ CHEAP.update({
              ["strata", "--check", "tangency", "--field", "rot", "--horizon", "0.1"]],
     "canonical_r2": [["poisson", "--triples", "1", "--points", "1"]],
     "jacobi_control": [["poisson", "--triples", "1", "--points", "1"]],
-    "reduction_r4": [["leaf", "--point=1,1,1,0", "--budget", "5"]],
+    "reduction_r4": [["leaf", "--point=1,1,1,0", "--budget", "5"], ["poisson", "--triples", "1", "--points", "1"]],
     "acs_standard": [["acs", "--check", "kahler", "--points", "1"]],
     "acs_variable": [["acs", "--check", "torsion", "--x", "e1", "--y", "e2", "--points", "1"]],
 })

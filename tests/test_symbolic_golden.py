@@ -14,17 +14,20 @@ import json
 
 import pytest
 
-from subcart.cli import main
+from subcart.cli import _box_points, load_scenario, main
+from subcart.poisson import jacobi_sample_residual
+from subcart.report import canonical_json
 
-from conftest import assert_golden, exit_code_of, scenario_path
+from conftest import GOLDEN_DIR, assert_golden, exit_code_of, scenario_path
 
 _POINT4 = "--point=0.3,-0.2,0.5,0.1"
 
 # (name of the golden report, argv with the scenario name in place of its path, exit code)
 GOLDEN = [
+    # every Jacobiator and P + P^T has the exact normal form 0: no draw
     ("poisson-reduction_r4", ["poisson", "--scenario", "reduction_r4", "--triples", "8",
                               "--points", "5", "--seed", "11"], 0),
-    # a failing Jacobi sample carries its witness; the residual kept its bits
+    # J^123 = x3 is not 0: its exact witness at the integer point (0, 0, 1)
     ("poisson-jacobi_control", ["poisson", "--scenario", "jacobi_control", "--triples", "4",
                                 "--points", "3", "--seed", "12"], 1),
     ("poisson-canonical_r2", ["poisson", "--scenario", "canonical_r2", "--triples", "6",
@@ -59,3 +62,39 @@ def test_golden_report(capsys, name, argv, code):
     out = capsys.readouterr().out
     assert exit_code_of(json.loads(out)) == code
     assert_golden(out, name)
+
+
+def sampled_poisson_report(name: str, triples: int, points: int, scale: float, seed: int) -> str:
+    """The CLI's report of ``poisson`` on the scenario ``name`` at the default
+    tolerances, its result the antisymmetry at the box points and the
+    Jacobi sample, called directly."""
+    sc = load_scenario(scenario_path(name))
+    p, tol = sc.poisson, {"antisymmetry": 1e-12, "jacobi": 1e-8}
+    anti = p.antisymmetry_residual(_box_points(sc, 20, seed))
+    jac, witness = jacobi_sample_residual(p, n_triples=triples, n_points=points, scale=scale, rng_seed=seed)
+    result = {"label": p.label, "dim": p.dim, "antisymmetry_residual": anti, "jacobi_residual": jac,
+              "passed": anti <= tol["antisymmetry"] and jac <= tol["jacobi"]}
+    if jac > tol["jacobi"]:
+        result["witness"] = witness
+    return canonical_json({"command": "poisson", "result": result, "scenario": {"name": sc.name, "sha256": sc.sha256},
+                           "seed": seed, "tolerances": tol}) + "\n"
+
+
+# (name of the golden report, scenario, triples, points, scale, seed): the
+# bytes the CLI printed for the poisson goldens above before its exact stage
+# answered them
+SAMPLED_POISSON = [
+    ("sampled-poisson-reduction_r4", "reduction_r4", 8, 5, 1.0, 11),
+    ("sampled-poisson-jacobi_control", "jacobi_control", 4, 3, 1.0, 12),
+    ("sampled-poisson-canonical_r2", "canonical_r2", 6, 4, 2.0, 13),
+]
+
+
+@pytest.mark.parametrize("name,scenario,triples,points,scale,seed", SAMPLED_POISSON,
+                         ids=[s[0] for s in SAMPLED_POISSON])
+def test_the_sampled_jacobi_check_keeps_its_bytes(name, scenario, triples, points, scale, seed):
+    out = sampled_poisson_report(scenario, triples, points, scale, seed)
+    assert_golden(out, name)
+    # the exact verdict is the sampled one
+    exact = (GOLDEN_DIR / f"{name.removeprefix('sampled-')}.json").read_text(encoding="utf-8")
+    assert json.loads(exact)["result"]["passed"] == json.loads(out)["result"]["passed"]
