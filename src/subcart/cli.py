@@ -492,13 +492,14 @@ def cmd_flow(sc: Scenario, args, tol) -> dict:
 
 def cmd_classify(sc: Scenario, args, tol) -> dict:
     """Exact where every constraint f of every cell divides X f, with no
-    probe run, else the sampler's verdict."""
-    from .poly import darboux_quotients
+    probe run, else the sampler's verdict: the invariance certificate with
+    every constraint read as an inequality, whose row k is X f_k = h f_k."""
+    from .poly import invariance_cofactors
 
     fld = sc.field(args.field)
     seeds = _resolve_seeds(sc, args.seeds)
-    quotients = darboux_quotients(fld.components, [[c.expr for c in cell] for cell in sc.space.cells])
-    if quotients is None:
+    found = invariance_cofactors(fld.components, [[(c.expr, False) for c in cell] for cell in sc.space.cells])
+    if found is None:
         from .flow import classify_vector_field
 
         verdict = asdict(classify_vector_field(sc.space, fld, seeds, rng_seed=args.seed, options=_flow_options(tol)))
@@ -511,7 +512,7 @@ def cmd_classify(sc: Scenario, args, tol) -> dict:
     for s in seeds:
         sc.space.require_member(s, "seed")
     return {"basis": "exact", "classification": "VectorField", "witness": None, "probes_run": 0,
-            "quotients": [[to_text(h) for h in row] for row in quotients],
+            "quotients": [[to_text(row[k]) for k, row in enumerate(rows)] for _, rows in found],
             "notes": ["X f = h f for every constraint f of every cell: f keeps its sign along each integral curve"]}
 
 

@@ -35,9 +35,10 @@ space, so its memory does not grow with the horizon.
 A space with a cell of no constraints holds everywhere, so there nothing is
 tested, and a kernel that neither tests, stores nor folds has no scan.
 Nor is anything tested along the way where the field annihilates every
-constraint of every cell (X f = 0 exactly, in ``poly``'s normal form): each
-constraint keeps its value along the exact curve, so no cell is left or
-entered.  There the kernel is the one of no cells, and a drive is tested
+constraint of every cell (X f = 0 exactly: ``poly.invariance_cofactors``,
+each constraint read as an inequality, certifies every cell with every
+cofactor 0): each constraint keeps its value along the exact curve, so no
+cell is left or entered.  There the kernel is the one of no cells, and a drive is tested
 at its end alone; one whose end is not a member, from the integrator's
 drift out of an equality's band, or that fails, is run again on the
 scanning kernel, which locates the exit.  So such a drive equals the
@@ -558,7 +559,7 @@ def _kernel(fld: TangentField, space: SubcartesianSpace, keep: Optional[str]) ->
     command in the same process, finds the kernel already compiled.
 
     Where the field annihilates every constraint of every cell exactly
-    (``poly.first_integrals``), no cell is left or entered along the exact
+    (``_first_integrals``), no cell is left or entered along the exact
     curve, and the kernel is ``_guarded``: the kernel of no cells for
     ``keep``, with the scanning one behind an end test.
     """
@@ -576,11 +577,14 @@ def _kernel(fld: TangentField, space: SubcartesianSpace, keep: Optional[str]) ->
 
 
 def _first_integrals(fld: TangentField, cells: Sequence[Cell]) -> bool:
-    """``poly.first_integrals`` of the constraints of the cells, ``poly``
-    loaded only here, where a space has constraints."""
-    from .poly import first_integrals
+    """Whether X f = 0 exactly for each constraint f of the cells, each a
+    first integral: ``poly.invariance_cofactors`` certifies them all, each
+    read as an inequality, with every cofactor 0.  ``poly`` is loaded only
+    here, where a space has constraints."""
+    from .poly import invariance_cofactors
 
-    return first_integrals(fld.components, [c.expr for cell in cells for c in cell])
+    found = invariance_cofactors(fld.components, [[(c.expr, False) for c in cell] for cell in cells])
+    return found is not None and all(h.is_zero for _, rows in found for row in rows for h in row)
 
 
 def _compile(fld: TangentField, cells: Optional[Sequence[Cell]], keep: Optional[str]) -> Callable[..., _DriveResult]:

@@ -1,8 +1,7 @@
 """An exact normal form of polynomial expressions, to certify that one is 0,
-its derivatives, a point where it is not 0, division by one polynomial,
-the way back to an ``Expr``, the invariance certificate of polynomial
-cells and the first integrals of a field built on them, and an exact
-linear solve.
+its derivatives, a point where it is not 0, division by several
+polynomials and Groebner bases, the way back to an ``Expr``, the one
+invariance certificate of polynomial cells, and an exact linear solve.
 
 ``normal_form`` reads ``Const``, ``Var``, ``Add``, ``Mul``, ``Neg``, ``Pow``
 and ``Div`` by a constant into a dict from exponent tuples to nonzero int or
@@ -295,15 +294,6 @@ def lie_derivative(xs: Sequence[dict], f: dict) -> Optional[dict]:
     return functools.reduce(_sum, [_product(x, derivative(f, i)) for i, x in enumerate(xs)], {})
 
 
-def first_integrals(field: Sequence[Expr], exprs: Sequence[Expr]) -> bool:
-    """Whether X f is exactly 0 for each f of ``exprs``, X the field on R^n,
-    n its components: each f is then constant along every integral curve.
-    False where a component or an f has no normal form, or X f passes a cap."""
-    n, memo = len(field), {}
-    xs, fs = ([normal_form(e, n, memo) for e in es] for es in (field, exprs))
-    return None not in xs + fs and all(lie_derivative(xs, f) == {} for f in fs)
-
-
 def to_expr(p: dict) -> Optional[Expr]:
     """``p`` as an ``Expr`` whose normal form is ``p``, its terms in the
     monomial order from the top, each after the first added or subtracted:
@@ -340,69 +330,52 @@ def _constant(c) -> Optional[Expr]:
     return None if num is None or den is None else Div(exact(num), exact(den))
 
 
-def darboux_quotients(field: Sequence[Expr], cells: Sequence[Sequence[Expr]]) -> Optional[list[list[Expr]]]:
-    """For each constraint f of each cell, the polynomial h with X f = h f,
-    X the field on R^n, n its components, as ``to_expr`` gives it; or None
-    where a component or a constraint has no normal form, a product or sum
-    of X f passes a cap, some f does not divide its X f, or some h has no
-    exact ``Expr``.  Along an integral curve f(x(t)) = f(x(0)) exp(int h),
-    so each f keeps its sign (> 0, = 0 or < 0) in both time directions:
-    each cell, and their union, is invariant (Darboux polynomials, Darboux
-    1878).  This is ``invariance_cofactors`` with each constraint read as an
-    inequality, without its basis and its rows of zeros."""
-    n, memo = len(field), {}
-    xs = [normal_form(e, n, memo) for e in field]
-    if any(x is None for x in xs):
-        return None
-    quotients: list[list[Expr]] = []
-    for cell in cells:
-        quotients.append([])
-        for e in cell:
-            f = normal_form(e, n, memo)
-            xf = None if f is None else lie_derivative(xs, f)
-            out = None if xf is None else divide(xf, [f])
-            if out is None or out[1] or (h := to_expr(out[0][0])) is None:
-                return None
-            quotients[-1].append(h)
-    return quotients
-
-
-def invariance_cofactors(field: Sequence[Expr], cell: Sequence[tuple[Expr, bool]],
-                         memo: Optional[dict] = None) -> Optional[tuple[list[Expr], list[list[Expr]]]]:
-    """The certificate that a cell, its constraints c given with whether
+def invariance_cofactors(field: Sequence[Expr], cells: Sequence[Sequence[tuple[Expr, bool]]],
+                         memo: Optional[dict] = None) -> Optional[list[tuple[list[Expr], list[list[Expr]]]]]:
+    """The certificate that each cell, its constraints c given with whether
     each is an equality e, is invariant under the field X on R^n, n its
-    components: the reduced ``groebner`` basis of I = (e_1, ..., e_m), and
-    for each c_k a row of cofactors over the cell's constraints, X c_k =
-    sum_l C_kl c_l, where C_kl is 0 for every inequality c_l but c_k, all
-    as ``to_expr`` gives them.  None where a component or a constraint has
-    no normal form, some X e is not in I or some X g not in (g) + I, a cap
-    is passed, or an entry has no exact ``Expr``; ``memo`` is
-    ``normal_form``'s.
+    components: for each cell the reduced ``groebner`` basis of I = (e_1,
+    ..., e_m), and for each c_k a row of cofactors over the cell's
+    constraints, X c_k = sum_l C_kl c_l, where C_kl is 0 for every
+    inequality c_l but c_k, all as ``to_expr`` gives them.  None where a
+    component has no normal form, or at the first cell where a constraint
+    has none, some X e is not in I or some X g not in (g) + I, a cap is
+    passed, or an entry has no exact ``Expr``; ``memo`` is ``normal_form``'s.
 
     Along a curve that starts where e = 0, e(x(t)) solves e' = H e with
     e(0) = 0, so it stays 0; there g' = h g, so g keeps its sign (> 0, = 0
-    or < 0).  With no equality this is the rule of ``darboux_quotients``.
-    The test is sufficient, not necessary: a field tangent only modulo the
-    real radical of I is not certified."""
+    or < 0).  With every constraint read as an inequality, row k is X f_k =
+    h f_k alone, h its own entry: f(x(t)) = f(x(0)) exp(int h), Darboux's
+    rule (1878), so each cell, and their union, is invariant; and where
+    every entry is 0, X f = 0 exactly, each f is a first integral, and no
+    cell is left or entered.  The test is sufficient, not necessary: a
+    field tangent only modulo the real radical of I is not certified."""
     n, memo = len(field), {} if memo is None else memo
     xs = [normal_form(e, n, memo) for e in field]
-    fs = [normal_form(e, n, memo) for e, _ in cell]
-    if any(p is None for p in xs + fs):
+    if any(p is None for p in xs):
         return None
-    eqs = [k for k, (_, equality) in enumerate(cell) if equality]
-    # the X e over the equalities, then each X g over g and the equalities
-    groups = [(eqs, eqs)] + [([k], eqs + [k]) for k in range(len(fs)) if k not in eqs]
-    rows, bases = [[]] * len(fs), []
-    for of, gens in groups:
-        xf = [lie_derivative(xs, fs[i]) for i in of]
-        found = None if None in xf else cofactors(xf, [fs[i] for i in gens])
-        if found is None:
+    out = []
+    for cell in cells:
+        fs = [normal_form(e, n, memo) for e, _ in cell]
+        if any(p is None for p in fs):
             return None
-        bases.append(found[0])
-        for i, row in zip(of, found[1]):
-            rows[i] = [row[gens.index(j)] if j in gens else {} for j in range(len(fs))]
-    exprs = [[to_expr(p) for p in row] for row in [bases[0]] + rows]
-    return None if any(e is None for row in exprs for e in row) else (exprs[0], exprs[1:])
+        eqs = [k for k, (_, equality) in enumerate(cell) if equality]
+        # the X e over the equalities, then each X g over g and the equalities
+        groups = [(eqs, eqs)] + [([k], eqs + [k]) for k in range(len(fs)) if k not in eqs]
+        rows, bases = [[]] * len(fs), []
+        for of, gens in groups:
+            xf = [lie_derivative(xs, fs[i]) for i in of]
+            found = None if None in xf else cofactors(xf, [fs[i] for i in gens])
+            if found is None:
+                return None
+            bases.append(found[0])
+            for i, row in zip(of, found[1]):
+                rows[i] = [row[gens.index(j)] if j in gens else {} for j in range(len(fs))]
+        exprs = [[to_expr(p) for p in row] for row in [bases[0]] + rows]
+        if any(e is None for row in exprs for e in row):
+            return None
+        out.append((exprs[0], exprs[1:]))
+    return out
 
 
 def rref(rows: Sequence[Sequence], width: int) -> Optional[tuple[list[list], list[int]]]:

@@ -297,15 +297,11 @@ def _exact_tangency(ss: StratifiedSpace, fld: TangentField, seeds: Sequence[Sequ
     memo: dict = {}
     per_stratum: dict[str, list[dict]] = {}
     for s in ss.strata:
-        cells = []
-        for cell in s.space.cells:
-            found = invariance_cofactors(fld.components, [(c.expr, c.rel is Rel.EQ) for c in cell], memo)
-            if found is None:
-                break
-            cells.append({"groebner": list(map(to_text, found[0])),
-                          "cofactors": [list(map(to_text, row)) for row in found[1]]})
-        else:
-            per_stratum[s.name] = cells
+        found = invariance_cofactors(fld.components, [[(c.expr, c.rel is Rel.EQ) for c in cell]
+                                                      for cell in s.space.cells], memo)
+        if found is not None:
+            per_stratum[s.name] = [{"groebner": list(map(to_text, basis)),
+                                    "cofactors": [list(map(to_text, row)) for row in rows]} for basis, rows in found]
             continue
         witness = _transversal(s, fld, seeds, memo)
         if witness is not None:

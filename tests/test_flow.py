@@ -349,14 +349,14 @@ def test_classify_answers_on_probe_seeds_0_to_39(name, field, answer, others):
 
 def _certified_pairs() -> list[tuple[str, str]]:
     """The shipped (scenario, field) pairs that ``classify`` certifies exactly."""
-    from subcart.poly import darboux_quotients
+    from subcart.poly import invariance_cofactors
 
     pairs = []
     for path in sorted(glob.glob(f"{SCENARIO_DIR}/*.json")):
         sc = load_scenario(path)
-        cells = [[c.expr for c in cell] for cell in sc.space.cells]
+        cells = [[(c.expr, False) for c in cell] for cell in sc.space.cells]
         pairs += [(sc.name, name) for name, fld in sorted(sc.fields.items())
-                  if darboux_quotients(fld.components, cells) is not None]
+                  if invariance_cofactors(fld.components, cells) is not None]
     return pairs
 
 

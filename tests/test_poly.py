@@ -24,7 +24,7 @@ from subcart.cli import main
 from subcart.expr import Integer, parse, to_text
 from subcart.poisson import PoissonStructure, bracket
 from subcart.poly import (
-    MAX_BITS, MAX_COLUMNS, MAX_ROWS, cofactors, derivative, divide, first_integrals, groebner, nonzero_point,
+    MAX_BITS, MAX_COLUMNS, MAX_ROWS, cofactors, derivative, divide, groebner, invariance_cofactors, nonzero_point,
     normal_form, rref, to_expr, value,
 )
 
@@ -384,23 +384,31 @@ def test_nonzero_point_is_a_grid_point_where_sympy_is_not_0(p, roots):
     assert isinstance(v, int) or not all(isinstance(c, int) for c in p.values())
 
 
+def _first_integrals(field, exprs) -> bool:
+    """Whether the certificate of the one cell of ``exprs``, each read as an
+    inequality, exists with every entry 0: X f = 0 exactly, as the flow
+    kernel reads it."""
+    found = invariance_cofactors(field, [[(e, False) for e in exprs]])
+    return found is not None and all(h.is_zero for _, rows in found for row in rows for h in row)
+
+
 def test_first_integrals_answer_only_what_the_normal_form_reads():
     # X f = 0 exactly; a constant is a first integral of any field
     rot = [parse("-x2", 2), parse("x1", 2)]
-    assert first_integrals(rot, [parse("x1^2 + x2^2 - 1", 2), parse("3", 2)])
-    assert first_integrals(rot, [])
-    assert not first_integrals(rot, [parse("x1^2 + x2^2", 2), parse("x1", 2)])
+    assert _first_integrals(rot, [parse("x1^2 + x2^2 - 1", 2), parse("3", 2)])
+    assert _first_integrals(rot, [])
+    assert not _first_integrals(rot, [parse("x1^2 + x2^2", 2), parse("x1", 2)])
     # exp(x1^2 + x2^2) is constant along rot too, but has no normal form, and
     # neither has a field written with exp; X f past MAX_TERMS is refused
-    assert not first_integrals(rot, [parse("exp(x1^2 + x2^2)", 2)])
-    assert not first_integrals([parse("-x2*exp(0*x1)", 2), parse("x1", 2)], [parse("x1^2 + x2^2", 2)])
+    assert not _first_integrals(rot, [parse("exp(x1^2 + x2^2)", 2)])
+    assert not _first_integrals([parse("-x2*exp(0*x1)", 2), parse("x1", 2)], [parse("x1^2 + x2^2", 2)])
     # rot scaled by s^3 keeps x1^2 + x2^2 times any function of x3..x6, but
     # its products take 20 terms times the 15 of each df/dx_i
     s = "(x3 + x4 + x5 + x6)"
     field = [parse(text, 6) for text in (f"-x2*{s}^3", f"x1*{s}^3", "0", "0", "0", "0")]
     f = parse(f"(x1^2 + x2^2)*({s} + 1)^2", 6)
     assert None not in [normal_form(e, 6) for e in field + [f]]
-    assert first_integrals(field, [parse("x1^2 + x2^2", 6)]) and not first_integrals(field, [f])
+    assert _first_integrals(field, [parse("x1^2 + x2^2", 6)]) and not _first_integrals(field, [f])
 
 
 _FLOAT_COEFFICIENTS = st.one_of(_RATIONALS, st.floats(-1e6, 1e6).filter(bool).map(Fraction))
@@ -463,6 +471,48 @@ def test_each_certified_quotient_is_sympys(capsys, name, field, quotients):
             assert sympy.expand(xf - read(h) * f) == 0, (constraint, h)
 
 
+@st.composite
+def fields_and_cells(draw):
+    """Three constraints f1..f3, nonzero and multilinear, a field on R^3 and
+    one or two cells of one or two of the f's.  Half the fields are grad f1
+    x grad f2 + f1 f2 Z, which keeps f1 and f2 (X f1 = f1 f2 Z . grad f1),
+    with Z often 0, where X f1 = X f2 = 0; the others are drawn at random."""
+    fs = [draw(polynomials(max_terms=3, max_exponent=1).filter(bool)) for _ in range(3)]
+    if draw(st.booleans()):
+        z = [_sympy(draw(polynomials(max_terms=2, max_exponent=1))) for _ in range(3)]
+        grads = [[sympy.diff(_sympy(f), x) for x in _X] for f in fs[:2]]
+        cross = sympy.Matrix(grads[0]).cross(sympy.Matrix(grads[1]))
+        field = [_poly(sympy.expand(c + _sympy(fs[0]) * _sympy(fs[1]) * w)) for c, w in zip(cross, z)]
+    else:
+        field = [draw(polynomials(max_terms=3, max_exponent=2)) for _ in range(3)]
+    cells = draw(st.lists(st.lists(st.sampled_from(range(3)), min_size=1, max_size=2), min_size=1, max_size=2))
+    return field, [[fs[k] for k in cell] for cell in cells]
+
+
+@given(fields_and_cells())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_the_certificate_of_inequalities_is_sympys_division(case):
+    # with every constraint read as an inequality: a certificate exactly
+    # where sympy's div(X f, f) leaves remainder 0 for every f, with no
+    # basis, each row's own entry sympy's quotient and every other 0; and
+    # every entry 0 exactly where sympy expands every X f to 0
+    field, cells = case
+    found = invariance_cofactors([to_expr(x) for x in field], [[(to_expr(f), False) for f in cell] for cell in cells])
+    xfs = [[sympy.expand(sum(_sympy(x) * sympy.diff(_sympy(f), v) for x, v in zip(field, _X))) for f in cell]
+           for cell in cells]
+    divisions = [[sympy.div(xf, _sympy(f), *_X) for xf, f in zip(xs, cell)] for xs, cell in zip(xfs, cells)]
+    assert (found is not None) == all(r == 0 for cell in divisions for _, r in cell)
+    if found is None:
+        return
+    assert len(found) == len(cells)
+    for (basis, rows), cell in zip(found, divisions):
+        assert basis == [] and len(rows) == len(cell)
+        for k, (row, (q, _)) in enumerate(zip(rows, cell)):
+            assert [normal_form(h, 3) for h in row] == [_poly(sympy.expand(q)) if j == k else {}
+                                                        for j in range(len(cell))]
+    assert all(xf == 0 for xs in xfs for xf in xs) == all(h.is_zero for _, rows in found for row in rows for h in row)
+
+
 # classify on a field or constraint past a cap of the normal form, and on a
 # pair whose X f passes MAX_TERMS, in a child process: whether the
 # certificate answered None and its seconds, and whether the report is the
@@ -472,14 +522,14 @@ import contextlib, io, json, sys, time
 from dataclasses import asdict
 from subcart.cli import load_scenario, main
 from subcart.flow import FlowOptions, classify_vector_field
-from subcart.poly import darboux_quotients
+from subcart.poly import invariance_cofactors
 from subcart.report import canonical_json
 out = {}
 for path in sys.argv[1:]:
     sc = load_scenario(path)
     fld = sc.fields["v"]
     start = time.perf_counter()
-    certified = darboux_quotients(fld.components, [[c.expr for c in cell] for cell in sc.space.cells])
+    certified = invariance_cofactors(fld.components, [[(c.expr, False) for c in cell] for cell in sc.space.cells])
     seconds = time.perf_counter() - start
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         main(["classify", "--scenario", path, "--field", "v"])

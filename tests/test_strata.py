@@ -619,7 +619,7 @@ def test_the_cone_fields_are_certified_as_sympy_decides(field):
     ss = cone_stratification()
     for s, want in zip(ss.strata, CONE_CERTIFIED[field]):
         (cell,) = s.space.cells
-        got = invariance_cofactors(fld.components, [(c.expr, c.rel is Rel.EQ) for c in cell])
+        got = invariance_cofactors(fld.components, [[(c.expr, c.rel is Rel.EQ) for c in cell]])
         assert (got is not None) == want
         fs = [sympy.sympify(c.text().replace("^", "**"), locals=dict(zip(("x1", "x2", "x3"), xs))) for c in cell]
         equalities = [f for f, c in zip(fs, cell) if c.rel is Rel.EQ]
@@ -658,9 +658,9 @@ def test_the_boost_is_not_certified_and_gets_the_sampled_report(tmp_path, capsys
     sc = load_scenario(str(path))
     boost = sc.field("boost")
     apex, surface = ([(c.expr, c.rel is Rel.EQ) for c in s.space.cells[0]] for s in sc.stratified.strata)
-    assert invariance_cofactors(boost.components, apex) is not None
-    assert invariance_cofactors(boost.components, surface) is None
-    assert invariance_cofactors(boost.components, surface[:1]) is not None
+    assert invariance_cofactors(boost.components, [apex]) is not None
+    assert invariance_cofactors(boost.components, [surface]) is None
+    assert invariance_cofactors(boost.components, [surface[:1]]) is not None
     assert strata._exact_tangency(sc.stratified, boost, [p for ps in sc.seeds.values() for p in ps]) is None
     assert main(["strata", "--check", "tangency", "--scenario", str(path), "--field", "boost", "--seed", "2"]) == 0
     out = capsys.readouterr().out
