@@ -1,17 +1,22 @@
 """Almost complex structures as expression matrices, with torsion residuals.
 
 A structure is a matrix J of coordinate expressions squaring pointwise to
-minus the identity.  Its torsion tensor is built symbolically from Lie
-brackets, so tensoriality and the failure of eigenspace involutivity are
-measurable dual routes: the first compares N(fX, hY) against f h N(X, Y),
-the second compares the bracket defect of +i eigenvectors against N
-itself.  A compatible nondegenerate two-form upgrades the structure to a
-candidate Kahler triple; the check reports compatibility, metric symmetry,
-positivity, and torsion in one record.
+minus the identity.  The torsion N(X, Y) of one pair of fields is built
+symbolically from Lie brackets, so tensoriality and the failure of
+eigenspace involutivity are measurable dual routes: the first compares
+N(fX, hY) against f h N(X, Y), the second compares the bracket defect of
++i eigenvectors against N itself.  Since N is a tensor (Kobayashi and
+Nomizu, *Foundations* II, ch. IX), its components N^k_ij are also built
+once per structure from J and its first derivatives, and the torsion of
+any pair is their contraction.  A compatible nondegenerate two-form
+upgrades the structure to a candidate Kahler triple; the check reports
+compatibility, metric symmetry, positivity, and the torsion of every pair
+of probe fields, contracted from those components, in one record.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,6 +32,7 @@ from .expr import (
     compile_scalar,
     compile_vector,
     dot,
+    gradient_exprs,
     mul,
     sub,
     ZERO,
@@ -67,6 +73,30 @@ class AlmostComplexStructure(ExprMatrix):
                 f"field {x.label!r} has dimension {x.dim}, structure has {self.dim}"
             )
         return TangentField(f"{self.label}*{x.label}", [dot(row, x.components) for row in self.rows])
+
+    @functools.cached_property
+    def _nijenhuis(self) -> list[dict[tuple[int, int], Expr]]:
+        """The components N^k_ij, i < j, of the Nijenhuis tensor that are
+        not structurally ``ZERO``: for each k, a dict from (i, j) to N^k_ij.
+        With J^k_i the entry ``rows[k][i]``, the coordinate fields give
+        ``torsion``'s N(e_i, e_j) = 2([Je_i, Je_j] - J[Je_i, e_j] - J[e_i, Je_j]):
+
+            N^k_ij = 2 sum_l (J^l_i d_l J^k_j - J^l_j d_l J^k_i + J^k_l (d_j J^l_i - d_i J^l_j)),
+
+        and N(X, Y)^k = sum_{i<j} N^k_ij (X^i Y^j - X^j Y^i) for any fields.
+        A constant J has none.  Built on the first Kahler check."""
+        n, rows = self.dim, self.rows
+        cols = list(zip(*rows))
+        d = [[gradient_exprs(e, n) for e in row] for row in rows]  # d[k][i][l] = d_l J^k_i
+        comps: list[dict[tuple[int, int], Expr]] = [{} for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                curl = [sub(d[l][i][j], d[l][j][i]) for l in range(n)]
+                for k in range(n):
+                    total = add(sub(dot(cols[i], d[k][j]), dot(cols[j], d[k][i])), dot(rows[k], curl))
+                    if not total.is_zero:
+                        comps[k][i, j] = mul(Const(2.0), total)
+        return comps
 
     @classmethod
     def standard(cls, k: int) -> "AlmostComplexStructure":
@@ -215,10 +245,12 @@ def kahler_check(
     omega is an antisymmetric matrix of expressions with W(X,Y) the
     contraction X^T W Y.  Compatibility is the invariance defect
     |W(JX,JY) - W(X,Y)|; the induced metric is g(X,Y) = W(X, JY), whose
-    Gram matrix over the given fields must be symmetric and positive.
-    Both are compiled once, with W, J and the fields.  A point where W, J
-    or a field is not finite is an ``AlmostComplexError`` naming it, one
-    where W is singular (``space._solve``) a ``DegenerateError``; the
+    Gram matrix over the given fields must be symmetric and positive.  The
+    torsion is the largest norm of N(X, Y) over the pairs of fields, each
+    contracted from the structure's Nijenhuis tensor, which is built once.
+    All three are compiled once, with W, J and the fields.  A point where
+    W, J or a field is not finite is an ``AlmostComplexError`` naming it,
+    one where W is singular (``space._solve``) a ``DegenerateError``; the
     smallest metric eigenvalue is ``dense._smallest_eigenvalue``'s.
     """
     from .dense import _smallest_eigenvalue
@@ -236,10 +268,17 @@ def kahler_check(
     left, jleft = ([[dot(v, c) for c in zip(*rows)] for v in us] for us in (vs, jvs))  # X^T W, (JX)^T W
     compat = [sub(dot(jleft[a], jvs[b]), dot(left[a], vs[b])) for a in range(m) for b in range(m)]
     gram = [dot(left[a], jvs[b]) for a in range(m) for b in range(m)]
+    torsions = []  # per pair a < b, the components of N(X_a, X_b) that are not structurally zero
+    for a in range(m):
+        for b in range(a + 1, m):
+            wedge = {(i, l): sub(mul(vs[a][i], vs[b][l]), mul(vs[a][l], vs[b][i]))
+                     for i in range(n) for l in range(i + 1, n)}  # X_a^i X_b^l - X_a^l X_b^i
+            comps = [dot(list(nk.values()), [wedge[il] for il in nk]) for nk in j._nijenhuis]
+            torsions.append([c for c in comps if not c.is_zero])
     given = [e for row in rows for e in row] + [e for row in j.rows for e in row] + [e for v in vs for e in v]
-    value = compile_vector(given + compat + gram)
+    value = compile_vector(given + compat + gram + [c for t in torsions for c in t])
 
-    per, seen = [], {}  # per point: the compatibility, the symmetry and the smallest eigenvalue
+    per, seen = [], {}  # per point: the compatibility, the symmetry, the smallest eigenvalue and the torsion
     for p in points:
         q = list(map(float, p))
         key = tuple(vals := value(q))
@@ -249,19 +288,20 @@ def kahler_check(
             w = [vals[i * n : (i + 1) * n] for i in range(n)]
             if _solve(w, [0.0] * n) is None or abs(math.prod(w[i][i] for i in range(n))) < DEGENERACY_TOL:
                 raise DegenerateError(f"two-form is degenerate at {tuple(q)}: |det| below {DEGENERACY_TOL:.1e}")
-            c, g = vals[len(given) : len(given) + m * m], vals[len(given) + m * m :]
+            at = len(given)
+            c, g = vals[at : at + m * m], vals[at + m * m : at + 2 * m * m]
             half = [[0.5 * (g[a * m + b] + g[b * m + a]) for b in range(m)] for a in range(m)]
+            rest = iter(vals[at + 2 * m * m :])
+            norms = [_norm([next(rest) for _ in t]) for t in torsions]
             seen[key] = (worst_residual(map(abs, c)),
                          worst_residual([abs(g[a * m + b] - g[b * m + a]) for a in range(m) for b in range(m)]),
-                         _smallest_eigenvalue(half))
+                         _smallest_eigenvalue(half), worst_residual(norms))
         per.append(seen[key])
 
     compat = worst_residual(t[0] for t in per)
     sym = worst_residual(t[1] for t in per)
     min_eig = min([math.inf, *(t[2] for t in per)])  # a NaN is dropped after a number, as the fold always did
-    torsion_worst = worst_residual(
-        torsion_residual(j, fields[a], fields[b], points) for a in range(m) for b in range(a + 1, m)
-    )
+    torsion_worst = worst_residual(t[3] for t in per)
 
     positive = min_eig > DEGENERACY_TOL
     passed = compat <= tol and sym <= tol and positive and torsion_worst <= tol

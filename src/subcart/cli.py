@@ -28,6 +28,7 @@ import json
 import math
 import os
 import random
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
@@ -193,17 +194,24 @@ def _built(path: str, make, *args):
 
 class _Coords:
     """The checkers of values read in one coordinate system: ``n``
-    coordinates, named x1..xn and by ``aliases``."""
+    coordinates, named x1..xn and by ``aliases``.  Each text is parsed once
+    per instance, which one load makes: expressions are immutable and
+    compare by identity, so a text read again shares the tree read first."""
 
     def __init__(self, n: int, aliases: Optional[list[str]]):
         self.n = n
         self.aliases = aliases
+        self._parsed: dict[str, Expr] = {}
 
     def expr(self, v, path: str) -> Expr:
-        try:
-            return parse(_str(v, path), self.n, self.aliases)
-        except ExprError as exc:  # a ParseError, or a constant quotient by zero
-            raise SchemaError(path, str(exc)) from None
+        text = _str(v, path)
+        e = self._parsed.get(text)
+        if e is None:
+            try:
+                e = self._parsed[text] = parse(text, self.n, self.aliases)
+            except ExprError as exc:  # a ParseError, or a constant quotient by zero; not kept, so each path is named
+                raise SchemaError(path, str(exc)) from None
+        return e
 
     def row(self, v, path: str, message: str = "expected {1} entries, got {0}") -> list[Expr]:
         return _items(self.expr, _length(v, path, self.n, message), path)
@@ -961,16 +969,20 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     for the errors that list the commands.
     """
     only = argv[0] if argv and argv[0] in _COMMANDS else None
+    # the width each HelpFormatter would read from the terminal, read once
+    # for the formatter of every add_argument
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="subcart",
         description="Flows, orbits, strata, brackets and torsion on subsets of R^n.",
+        formatter_class=formatter,
     )
     # a metavar would also rename the command in the full parser's errors
     metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (text, _, arguments) in _COMMANDS.items():
         if only in (None, name):
-            p = sub.add_parser(name, help=text)
+            p = sub.add_parser(name, help=text, formatter_class=formatter)
             for flag, options in _COMMON_ARGS + arguments:
                 p.add_argument(flag, **options)
     return parser

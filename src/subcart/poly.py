@@ -260,9 +260,10 @@ def cofactors(fs: Sequence[dict], polys: Sequence[dict]) -> Optional[tuple[list[
 
 def value(p: dict, point: Sequence):
     """``p`` at the point exactly, each coordinate an int, a ``Fraction`` or
-    a float read as the rational it is; at an integer point, an int where
-    the coefficients are."""
-    point = [v if isinstance(v, int) else _rational(v) for v in point]
+    a float read as the rational it is, an integral float as the int it is;
+    at an integer point, an int where the coefficients are."""
+    point = [v if isinstance(v, int) else int(v) if isinstance(v, float) and v.is_integer() else _rational(v)
+             for v in point]
     return sum(c * math.prod(map(operator.pow, point, m)) for m, c in p.items())
 
 

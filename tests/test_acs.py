@@ -202,6 +202,37 @@ def test_kahler_check_standard_pair():
     assert d["passed"] is True
 
 
+def test_kahler_torsion_is_the_largest_symbolic_torsion_of_the_pairs(tmp_path):
+    # the check contracts the tensor built once; torsion_residual builds
+    # N(X, Y) from four brackets per pair, an independent route
+    import json
+
+    from subcart.cli import load_scenario
+
+    doc = {
+        "name": "coupled",
+        "space": {"ambient_dim": 4, "cells": [[]]},
+        "fields": {"u": ["1", "x3", "0", "0"], "v": ["0", "1", "x1*x2", "0"], "w": ["x4", "0", "0", "1"]},
+        "acs": {
+            "matrix": [["0", "-1", "x1*x3", "0"], ["1", "0", "0", "0-(1+x1^2)*x1*x3"],
+                       ["0", "0", "0", "0-(1+x1^2)"], ["0", "0", "1/(1+x1^2)", "0"]],
+            "omega": [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]],
+        },
+    }
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    sc = load_scenario(str(path))
+    u, v, w = (sc.fields[k] for k in "uvw")
+    fields = [u.scaled(parse("1 + x1^2", 4)), v, w.scaled(parse("x2 - 3", 4)), u]
+    pts = rng_points(4, 6, seed=3)
+    assert sc.acs.square_residual(pts) <= 1e-14
+    rep = kahler_check(sc.acs, sc.omega, fields, pts)
+    want = max(torsion_residual(sc.acs, fields[a], fields[b], pts) for a in range(4) for b in range(a + 1, 4))
+    assert want > 1.0
+    assert rep.torsion_residual == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert not rep.passed
+
+
 def test_kahler_check_flipped_structure_loses_positivity():
     mats = [[parse(repr(-v), 4) for v in row]
             for row in np.asarray([[0, 0, -1, 0], [0, 0, 0, -1],

@@ -1698,13 +1698,16 @@ def test_help_and_command_errors_are_unchanged(monkeypatch, capsys):
         " 'leaf', 'acs')\n")
 
 
-@pytest.mark.parametrize("columns", ["80", "50"])
+@pytest.mark.parametrize("columns", ["80", "50", "200", None])
 def test_one_command_parser_answers_as_the_full_one(monkeypatch, capsys, columns):
     import argparse
 
     import subcart.cli as cli
 
-    monkeypatch.setenv("COLUMNS", columns)
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
     assert list(cli._COMMANDS) == _COMMAND_NAMES
     argvs = [[], ["-h"], ["bogus"], ["--scenario", "s.json", "flow"], ["--", "flow"]]
     for name in _COMMAND_NAMES:
@@ -1725,6 +1728,20 @@ def test_one_command_parser_answers_as_the_full_one(monkeypatch, capsys, columns
         built += len(commands.choices) == 1
         assert _parse(parser, argv, capsys) == _parse(cli._build_parser(), argv, capsys), argv
     assert built == 7 * len(_COMMAND_NAMES)
+
+
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in _COMMAND_NAMES], ids=["all"] + _COMMAND_NAMES)
+def test_a_parser_reads_the_terminal_width_once(monkeypatch, argv):
+    # argparse's HelpFormatter reads it for each add_argument where no width is given
+    import shutil
+
+    import subcart.cli as cli
+
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    cli._build_parser(argv)
+    assert len(calls) == 1
 
 
 # Argument fuzzing ---------------------------------------------------------------

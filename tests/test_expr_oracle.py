@@ -20,6 +20,10 @@ Normal form: ``poly.normal_form`` of every shipped scenario expression, and
 of the Schouten and P + P^T components the Jacobi check keeps, against
 ``sympy.expand`` of the same text with each float made the rational number
 it is.  A component is pruned exactly where sympy expands it to 0.
+
+Nijenhuis tensor: the components N^k_ij an almost complex structure builds
+once, against N(e_i, e_j) = 2([Je_i, Je_j] - J[Je_i, e_j] - J[e_i, Je_j])
+built from sympy's Lie brackets of the matrix read from the JSON text.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcart.almostcomplex import AlmostComplexStructure
 from subcart.cli import load_scenario
 from subcart.expr import Const, Var, add, compile_scalar, diff, div, fn, mul, parse, pow_int, sub, to_text
 from subcart.field import TangentField, lie_bracket
@@ -327,3 +332,56 @@ def test_jacobi_check_prunes_exactly_the_components_sympy_expands_to_zero(name):
     assert [_fractions(normal_form(e, n)) for e in schouten + sym] == terms
     kept = sum(not e.is_zero for e in schouten)
     assert kept == {"jacobi_control": 6, "jacobi_control-tenth": 6}.get(name, 0)
+
+
+# Nijenhuis tensor of an almost complex structure ------------------------------
+
+# acs_variable's structure with its planes coupled by f = x1 x3: on R^4,
+# J e3 = f e1 + e4 / a and J e4 = -a (f e2 + e3) with a = 1 + x1^2; J J = -I,
+# and J is not integrable
+NON_INTEGRABLE_J = [
+    ["0", "-1", "x1*x3", "0"],
+    ["1", "0", "0", "0-(1+x1^2)*x1*x3"],
+    ["0", "0", "0", "0-(1+x1^2)"],
+    ["0", "0", "1/(1+x1^2)", "0"],
+]
+
+
+def _sympy_nijenhuis(xs, jm) -> dict:
+    """N(e_i, e_j), i < j, from sympy's Lie brackets of the matrix ``jm``."""
+    n, e = len(xs), sympy.eye(len(xs))
+
+    def bracket(u, v):
+        return sympy.Matrix([sum(u[l] * sympy.diff(v[k], xs[l]) - v[l] * sympy.diff(u[k], xs[l])
+                                 for l in range(n)) for k in range(n)])
+
+    return {(i, j): 2 * (bracket(jm * e[:, i], jm * e[:, j]) - jm * bracket(jm * e[:, i], e[:, j])
+                         - jm * bracket(e[:, i], jm * e[:, j]) - bracket(e[:, i], e[:, j]))
+            for i in range(n) for j in range(i + 1, n)}
+
+
+@pytest.mark.parametrize("name", ["acs_standard", "acs_variable", "non-integrable"])
+def test_nijenhuis_components_match_sympy(name):
+    if name == "non-integrable":
+        rows, aliases = NON_INTEGRABLE_J, None
+    else:
+        doc = json.loads(Path(scenario_path(name)).read_text(encoding="utf-8"))
+        rows, aliases = doc["acs"]["matrix"], doc.get("aliases")
+    n = len(rows)
+    xs = sympy.symbols(f"x1:{n + 1}")
+    names = {f"x{i + 1}": x for i, x in enumerate(xs)}
+    want = _sympy_nijenhuis(xs, sympy.Matrix([[_to_sympy(t, {**names, **dict(zip(aliases or [], xs))})
+                                                for t in row] for row in rows]))
+    got = AlmostComplexStructure(n, [[parse(t, n, aliases) for t in row] for row in rows])._nijenhuis
+    assert len(got) == n and all(i < j for nk in got for i, j in nk)
+    for (i, j), column in want.items():
+        for k in range(n):
+            mine = got[k].get((i, j))
+            # a component left out is structurally zero, so sympy's must vanish
+            mine = 0 if mine is None else sympy.nsimplify(_to_sympy(to_text(mine), names), rational=True)
+            assert sympy.simplify(column[k] - mine) == 0, (k, i, j)
+    nonzero = sum(sympy.simplify(c) != 0 for column in want.values() for c in column)
+    assert nonzero == {"acs_standard": 0, "acs_variable": 4, "non-integrable": 10}[name]
+    assert sum(map(len, got)) >= nonzero
+    if name == "acs_standard":
+        assert got == [{}] * n

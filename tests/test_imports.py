@@ -376,12 +376,14 @@ def test_only_poly_imports_fractions():
     assert found == ["poly.py"]
 
 
-# the rows of _ADDED_MODULES that load ``fractions`` and ``decimal``: ddz's
-# witness reads the exact value of each constraint at a float seed.  Every
-# constraint of the other rows has a leading coefficient of 1 or -1, so
-# making it monic in ``poly.groebner`` needs no rational; one such as
-# 2*x1 - 1 loads them on the first certificate (about 2 ms to import)
-_RATIONAL_ROWS = [("cone", ["strata", "--check", "tangency", "--field", "ddz"])]
+# the rows of _ADDED_MODULES that load ``fractions`` and ``decimal``: none.
+# ddz's witness reads the exact value of each constraint at a float seed,
+# and ``poly.value`` reads the integral seeds of cone as ints (it loaded
+# them while it read every float as a Fraction).  Every constraint of the
+# rows has a leading coefficient of 1 or -1, so making it monic in
+# ``poly.groebner`` needs no rational; one such as 2*x1 - 1 loads them on
+# the first certificate (about 2 ms to import)
+_RATIONAL_ROWS = []
 
 
 @pytest.mark.parametrize("name,argv,code,added", _ADDED_MODULES,
@@ -440,7 +442,10 @@ def test_each_command_loads_only_the_modules_it_runs(name, argv, code, added):
 # its own exit bisection, so classify ddx, whose probes exit, made 3 when
 # the space compiled its bisection apart.
 _COMPILES = [
-    ("acs_standard", ["acs", "--check", "kahler"], 0, 3),
+    # the torsion of each pair is contracted from the structure's Nijenhuis
+    # tensor inside the Kahler check's one function: 3 before, with the
+    # symbolic torsion fields of the pairs, which shared one source
+    ("acs_standard", ["acs", "--check", "kahler"], 0, 2),
     ("acs_standard", ["acs", "--check", "cr", "--f", "x1", "--h", "x3"], 0, 2),
     ("acs_variable", ["acs", "--check", "torsion", "--x", "e1", "--y", "e3", "--point=1,0,0,0"], 0, 2),
     ("translate_shear", ["bracket", "--x", "ddx", "--y", "xddy", "--point=1,2"], 0, 1),

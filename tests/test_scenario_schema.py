@@ -425,6 +425,67 @@ def test_deep_json_is_not_valid_json(tmp_path):
     assert err.startswith("error: --tol-overrides is not valid JSON: maximum recursion depth")
 
 
+@pytest.mark.parametrize("scenario, edits, path, detail", [
+    # a bad text read again is named where it is first read
+    ("acs_standard", {("fields", "e2", 1): "q9", ("acs", "matrix", 0, 0): "q9", ("acs", "omega", 1, 1): "q9"},
+     "$.fields.e2[1]", "unknown identifier 'q9' at position 0"),
+    # x3 reads in the scenario's four coordinates, not in the reduction's two
+    ("reduction_r4", {("space", "cells", 0, 1, "expr"): "x3", ("reduction", "ambient_dim"): 2,
+                      ("reduction", "aliases"): ["q", "p"], ("reduction", "invariants"): ["q^2", "x3"]},
+     "$.reduction.invariants[1]", "coordinate x3 out of range for 2 variables"),
+], ids=["repeated", "other-coordinates"])
+def test_a_text_that_does_not_parse_is_named_at_each_load(tmp_path, scenario, edits, path, detail):
+    file = write_scenario(tmp_path, edited(scenario, edits))
+    for _ in range(2):
+        with pytest.raises(SchemaError) as exc:
+            load_scenario(file)
+        assert (exc.value.path, exc.value.detail) == (path, detail)
+
+
+def test_a_text_reads_in_the_coordinates_of_its_block(tmp_path):
+    # x1 is the first coordinate of the scenario, the second of the reduction
+    sc = load_scenario(write_scenario(tmp_path, edited("reduction_r4", {
+        ("poisson", "bivector", 0, 2): "x1", ("poisson", "bivector", 2, 0): "-x1", ("generators", 0): "x1",
+        ("reduction", "aliases"): ["q1", "x1", "p1", "p2"],
+        ("reduction", "invariants"): ["q1^2+x1^2", "x1", "q1*p1+x1*p2", "q1*p2-x1*p1"]})))
+    from subcart.expr import Var
+
+    scenario_x1, reduction_x1 = sc.poisson.rows[0][2], sc.reduction["invariants"][1]
+    assert isinstance(scenario_x1, Var) and scenario_x1.index == 0
+    assert isinstance(reduction_x1, Var) and reduction_x1.index == 1
+    # within one block a text read again is the tree read first
+    assert sc.generators[0] is scenario_x1
+
+
+def test_each_text_is_parsed_once_per_load_and_no_tree_outlives_the_load(monkeypatch):
+    import subcart.cli as cli
+    from subcart.expr import _CHILDREN, parse
+
+    roots = []
+    monkeypatch.setattr(cli, "parse", lambda *args: roots.append(parse(*args)) or roots[-1])
+    # acs_standard's 48 texts are "0", "1" and "-1"
+    sc = load_scenario(scenario_path("acs_standard"))
+    assert len(roots) == 3
+    assert {id(e) for row in [*sc.acs.rows, *sc.omega] for e in row} <= set(map(id, roots))
+
+    def nodes(trees) -> set:
+        seen, stack = set(), list(trees)
+        while stack:
+            e = stack.pop()
+            if id(e) not in seen:
+                seen.add(id(e))
+                stack += [getattr(e, slot) for slot in _CHILDREN if hasattr(e, slot)]
+        return seen
+
+    roots.clear()
+    first = load_scenario(scenario_path("reduction_r4"))
+    half = len(roots)
+    second = load_scenario(scenario_path("reduction_r4"))
+    assert len(roots) == 2 * half
+    assert not nodes(roots[:half]) & nodes(roots[half:])
+    assert first.poisson.rows[0][1] is not second.poisson.rows[0][1]
+
+
 def _deep_plane(tmp_path, terms: int) -> str:
     """rotation_plane with the field ``deep`` = (y + y + ... + y, x), ``terms``
     levels deep, and ``flat`` = (terms*y, x)."""
